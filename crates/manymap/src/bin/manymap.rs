@@ -5,13 +5,19 @@
 //! ```sh
 //! manymap index  ref.fa ref.mmx [--preset map-pb|map-ont]
 //!                [--index-format packed|legacy] [--shards N]
-//! manymap map    ref.mmx reads.fq [--preset ...] [--engine mm2|manymap]
-//!                [--backend cpu|gpu-sim] [--threads N] [--sam]
-//!                [--no-cigar] [--no-mmap] [--max-read-len N]
-//!                [--sched fifo|bins] [--prefilter off|safe|aggressive]
-//!                [--mem-budget BYTES[K|M|G]]
+//! manymap map    ref.mmx reads.fq [shared flags] [--sam] [--no-mmap]
+//!                [--fail-fast] [--inject-panic <read-name>]
 //! manymap map    ref.fa  reads.fq   # index built on the fly
 //! ```
+//!
+//! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
+//! `mmm-serve daemon` parses too: `--preset map-pb|map-ont`, `--engine
+//! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--prefilter
+//! off|safe|aggressive`, `--index-format packed|legacy`, `--threads N`,
+//! `--backend cpu|gpu-sim`, `--inject-backend-fault <plan>`,
+//! `--backend-retries N`, `--batch-deadline-ms N`, `--sched fifo|bins`,
+//! `--mem-budget BYTES[K|M|G]`. Any other `--flag`, a value flag with no
+//! value, or a malformed number is a usage error naming the flag (exit 1).
 //!
 //! Sharded indexes (DESIGN.md §15): `index --shards N` splits the
 //! reference into `N` contiguous target ranges, one checksummed `MMXS`
@@ -72,182 +78,25 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use manymap::mapper::ReadPlan;
-use manymap::sam::{sam_line, sam_unmapped, write_sam_header};
-use manymap::{paf_line, paf_unmapped, MapError, MapOpts, MapReadError, Mapper, PlanShardFaults};
-use mmm_align::{best_mm2_engine, AlignResult, AlignScratch};
-use mmm_exec::{
-    prepare_supervised, BackendKind, BackendOptions, BackendStats, FaultPlan, JobOutcome,
-    PrefilterMode, SchedConfig, SchedMode, SessionFactory, ShardSessions, StatsReport, StderrSink,
-    SupervisorConfig,
-};
-use mmm_index::{
-    build_sharded, load_index, load_index_mmap, save_index, AnyIndex, IndexError, IndexFormat,
-    MinimizerIndex, ShardOpenOpts,
-};
-use mmm_io::{Stage, StageTimer};
+use manymap::sam::write_sam_header;
+use manymap::session::{self, Args, Flag, MapSession, Planned};
+use manymap::{load_index_any, MapError, MapReadError};
+use mmm_align::{AlignResult, AlignScratch};
+use mmm_exec::{BackendStats, StatsReport, StderrSink};
+use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex, ShardOpenOpts};
 use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
 
-struct Args {
-    positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
-}
-
-fn parse_args() -> Args {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::HashMap::new();
-    let mut it = std::env::args().skip(1).peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let val = match name {
-                "preset"
-                | "engine"
-                | "backend"
-                | "threads"
-                | "max-read-len"
-                | "inject-panic"
-                | "backend-retries"
-                | "batch-deadline-ms"
-                | "inject-backend-fault"
-                | "sched"
-                | "prefilter"
-                | "index-format"
-                | "shards"
-                | "mem-budget" => it.next().unwrap_or_default(),
-                _ => "true".to_string(),
-            };
-            flags.insert(name.to_string(), val);
-        } else {
-            positional.push(a);
-        }
-    }
-    Args { positional, flags }
-}
-
-fn opts_for(args: &Args) -> Result<MapOpts, MapError> {
-    let mut opts = match args.flags.get("preset").map(|s| s.as_str()) {
-        Some("map-pb") => MapOpts::map_pb(),
-        _ => MapOpts::map_ont(),
-    };
-    if args.flags.get("engine").map(|s| s.as_str()) == Some("mm2") {
-        opts = opts.with_engine(best_mm2_engine());
-    }
-    if args.flags.contains_key("no-cigar") {
-        opts = opts.cigar(false);
-    }
-    if let Some(n) = args.flags.get("max-read-len").and_then(|s| s.parse().ok()) {
-        opts.max_read_len = n;
-    }
-    // Prefilter selection: --prefilter wins, then MMM_PREFILTER, default off.
-    opts.prefilter = match args.flags.get("prefilter") {
-        Some(v) => PrefilterMode::parse(v),
-        None => PrefilterMode::from_env().unwrap_or(Ok(PrefilterMode::Off)),
-    }
-    .map_err(MapError::Usage)?;
-    if let Some(v) = args.flags.get("index-format") {
-        opts.index_format = IndexFormat::parse(v).ok_or_else(|| {
-            MapError::Usage(format!("--index-format {v:?}: expected packed or legacy"))
-        })?;
-    }
-    Ok(opts)
-}
-
-/// Read and validate a FASTA/FASTQ reference file.
-fn read_refs(path: &str) -> Result<Vec<SeqRecord>, MapError> {
-    let f = File::open(path).map_err(|e| MapError::Io {
-        path: path.to_string(),
-        source: e,
-    })?;
-    let refs = FastxReader::new(BufReader::new(f))
-        .read_all()
-        .map_err(|e| MapError::Seq {
-            path: path.to_string(),
-            source: e,
-        })?;
-    if refs.is_empty() {
-        return Err(MapError::Usage(format!("{path}: no sequences")));
-    }
-    Ok(refs)
-}
-
-fn load_reference(path: &str, opts: &MapOpts) -> Result<MinimizerIndex, MapError> {
-    if path.ends_with(".mmx") {
-        let loader = |p: &Path| load_index_mmap(p);
-        let fallback = |p: &Path| load_index(p);
-        let (idx, stats) = if std::env::args().any(|a| a == "--no-mmap") {
-            fallback(Path::new(path))
-        } else {
-            loader(Path::new(path))
-        }
-        .map_err(|e| MapError::Index {
-            path: path.to_string(),
-            source: e,
-        })?;
-        eprintln!(
-            "[manymap] loaded index: {:.3}s, {} read call(s)",
-            stats.seconds, stats.read_calls
-        );
-        Ok(idx)
-    } else {
-        let refs = read_refs(path)?;
-        eprintln!("[manymap] indexing {} reference sequence(s)...", refs.len());
-        MinimizerIndex::build_with_format(&refs, &opts.idx, opts.index_format).map_err(|e| {
-            MapError::Index {
-                path: path.to_string(),
-                source: e,
-            }
-        })
-    }
-}
-
-/// Load a reference of either shape for mapping: a flat `.mmx`, a v3 shard
-/// manifest (opened lazily with `shard_opts`), or a FASTA indexed on the
-/// fly. `--no-mmap` applies to the flat path only; a manifest is always
-/// mmap-backed, so it falls through to the sharded opener either way.
-fn load_any_reference(
-    path: &str,
-    opts: &MapOpts,
-    shard_opts: ShardOpenOpts,
-) -> Result<AnyIndex, MapError> {
-    if path.ends_with(".mmx") && std::env::args().any(|a| a == "--no-mmap") {
-        match load_index(Path::new(path)) {
-            Ok((idx, stats)) => {
-                eprintln!(
-                    "[manymap] loaded index: {:.3}s, {} read call(s)",
-                    stats.seconds, stats.read_calls
-                );
-                return Ok(AnyIndex::Flat(idx));
-            }
-            Err(IndexError::ShardedManifest { .. }) => {} // fall through
-            Err(e) => {
-                return Err(MapError::Index {
-                    path: path.to_string(),
-                    source: e,
-                })
-            }
-        }
-    }
-    if path.ends_with(".mmx") {
-        let any =
-            AnyIndex::open_mmap(Path::new(path), shard_opts).map_err(|e| MapError::Index {
-                path: path.to_string(),
-                source: e,
-            })?;
-        if let AnyIndex::Sharded(s) = &any {
-            eprintln!(
-                "[manymap] opened shard manifest: {} shard(s) over {} sequence(s)",
-                s.num_shards(),
-                s.num_seqs()
-            );
-        }
-        Ok(any)
-    } else {
-        load_reference(path, opts).map(AnyIndex::Flat)
-    }
-}
+/// Flags of this binary on top of `session::SHARED_FLAGS`.
+const OWN_FLAGS: &[Flag] = &[
+    ("sam", false),
+    ("no-mmap", false),
+    ("fail-fast", false),
+    ("inject-panic", true),
+    ("shards", true),
+];
 
 /// The `index` summary line. The compaction ratio is only meaningful when
 /// both sides are nonzero: an empty reference (no minimizers) has no flat
@@ -279,21 +128,23 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
             "usage: manymap index <ref.fa> <out.mmx> [--shards N]".into(),
         ));
     };
-    let opts = opts_for(args)?;
-    let n_shards: usize =
-        match args.flags.get("shards") {
-            None => 1,
-            Some(v) => v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                MapError::Usage(format!("--shards {v:?}: expected an integer >= 1"))
-            })?,
-        };
+    let opts = session::map_opts(args)?;
+    let n_shards: usize = match args.num("shards")? {
+        None => 1,
+        Some(0) => {
+            return Err(MapError::Usage(
+                "--shards 0: expected an integer >= 1".into(),
+            ))
+        }
+        Some(n) => n,
+    };
     if n_shards > 1 {
         if input.ends_with(".mmx") {
             return Err(MapError::Usage(
                 "--shards needs a FASTA reference to split, not an existing .mmx".into(),
             ));
         }
-        let refs = read_refs(input)?;
+        let refs = session::read_refs(Path::new(input))?;
         eprintln!(
             "[manymap] indexing {} reference sequence(s) into {n_shards} shard(s)...",
             refs.len()
@@ -318,7 +169,14 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         );
         return Ok(());
     }
-    let idx = load_reference(input, &opts)?;
+    let mmap = !args.has("no-mmap");
+    let AnyIndex::Flat(idx) =
+        load_index_any(Path::new(input), &opts, ShardOpenOpts::default(), mmap)?
+    else {
+        return Err(MapError::Usage(format!(
+            "{input}: already a sharded index; nothing to write"
+        )));
+    };
     save_index(&idx, Path::new(output)).map_err(|e| MapError::Io {
         path: output.to_string(),
         source: e,
@@ -327,126 +185,33 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
     Ok(())
 }
 
-/// Parse a `--mem-budget` value: plain bytes, or with a K/M/G suffix.
-fn parse_mem_budget(v: &str) -> Result<usize, MapError> {
-    manymap::parse_byte_size("--mem-budget", v).map_err(MapError::Usage)
-}
-
-/// The record emitted for a degraded read: SAM or PAF unmapped placeholder.
-fn unmapped_record(rec: &SeqRecord, sam: bool) -> String {
-    let mut s = if sam {
-        sam_unmapped(&rec.name, &rec.nt4())
-    } else {
-        paf_unmapped(&rec.name, rec.len())
-    };
-    s.push('\n');
-    s
-}
-
 fn cmd_map(args: &Args) -> Result<(), MapError> {
     let [ref_path, reads_path] = &args.positional[1..] else {
         return Err(MapError::Usage(
             "usage: manymap map <ref.mmx|ref.fa> <reads.fq>".into(),
         ));
     };
-    let opts = opts_for(args)?;
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|t| t.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    let sam = args.flags.contains_key("sam");
-    let inject_panic = args.flags.get("inject-panic").cloned();
+    let (opts, mut exec) = session::map_config(args)?;
+    exec.supervisor.fail_fast = args.has("fail-fast");
+    let threads = exec.backend.threads;
+    let sam = args.has("sam");
+    let inject_panic = args.get("inject-panic");
 
-    // Backend selection: --backend wins, then MMM_BACKEND, default cpu.
-    let kind = match args.flags.get("backend") {
-        Some(v) => BackendKind::parse(v),
-        None => BackendKind::from_env().unwrap_or(Ok(BackendKind::Cpu)),
+    let index = load_index_any(
+        Path::new(ref_path),
+        &opts,
+        exec.shard_open_opts(),
+        !args.has("no-mmap"),
+    )?;
+    if let AnyIndex::Sharded(s) = &index {
+        eprintln!(
+            "[manymap] opened shard manifest: {} shard(s) over {} sequence(s)",
+            s.num_shards(),
+            s.num_seqs()
+        );
     }
-    .map_err(|e| MapError::Usage(e.to_string()))?;
-    let mut bopts = BackendOptions::new(opts.scoring);
-    bopts.engine = opts.engine;
-    bopts.threads = threads;
-    bopts.device_mem = std::env::var("MMM_GPU_MEM")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    bopts.streams = std::env::var("MMM_GPU_STREAMS")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    // Fault injection: --inject-backend-fault wins, then MMM_FAULT_PLAN.
-    bopts.fault = match args.flags.get("inject-backend-fault") {
-        Some(text) => Some(FaultPlan::parse(text).map_err(MapError::Usage)?),
-        None => FaultPlan::from_env().transpose().map_err(MapError::Usage)?,
-    };
-
-    // Supervisor tuning: env defaults, then explicit flags.
-    let mut sup_cfg = SupervisorConfig::from_env().map_err(MapError::Usage)?;
-    if let Some(v) = args.flags.get("backend-retries") {
-        sup_cfg.max_retries = v
-            .parse()
-            .map_err(|_| MapError::Usage(format!("--backend-retries {v:?}: not an integer")))?;
-    }
-    if let Some(v) = args.flags.get("batch-deadline-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| MapError::Usage(format!("--batch-deadline-ms {v:?}: not an integer")))?;
-        sup_cfg.batch_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    sup_cfg.fail_fast = args.flags.contains_key("fail-fast");
-    // Scheduler: env defaults, then the --sched flag on top.
-    let mut sched_cfg = SchedConfig::from_env().map_err(MapError::Usage)?;
-    if let Some(v) = args.flags.get("sched") {
-        sched_cfg.mode = SchedMode::parse(v).map_err(MapError::Usage)?;
-    }
+    let session = Arc::new(MapSession::new(0, index, opts, &exec)?);
     let backend_stats = Mutex::new(BackendStats::default());
-
-    // Shard-plane options: the same fault plan drives both the backend
-    // submit rules (inside each session) and the shard-load rules (bridged
-    // into the index loader); `--mem-budget` bounds resident shard bytes.
-    let shard_opts = ShardOpenOpts {
-        mem_budget: args
-            .flags
-            .get("mem-budget")
-            .map(|v| parse_mem_budget(v))
-            .transpose()?,
-        hook: bopts.fault.as_ref().and_then(PlanShardFaults::from_plan),
-    };
-
-    let mut timer = StageTimer::new();
-    let index = timer.time(Stage::LoadIndex, || {
-        load_any_reference(ref_path, &opts, shard_opts)
-    })?;
-    let iref = index.as_index_ref();
-    let mapper = Mapper::new(iref, opts);
-    let tnames: Vec<String> = (0..iref.num_seqs())
-        .map(|r| iref.seq_name(r as u32).to_string())
-        .collect();
-    let tlens: Vec<usize> = (0..iref.num_seqs())
-        .map(|r| iref.seq_len(r as u32))
-        .collect();
-
-    // One supervised session per index shard (one for a flat index): each
-    // shard's compute fault domain is independent, mirroring the index-side
-    // quarantine. Session 0 is created eagerly so a bad backend choice
-    // fails before any mapping starts.
-    let factory: SessionFactory = {
-        let bopts = bopts.clone();
-        let sup_cfg = sup_cfg.clone();
-        Box::new(move |_shard| prepare_supervised(kind, &bopts, sup_cfg.clone()))
-    };
-    let sessions = ShardSessions::new(iref.num_shards(), factory)
-        .map_err(|e| MapError::Usage(e.to_string()))?;
-    let backend_label = {
-        use mmm_exec::AlignBackend;
-        sessions
-            .primary()
-            .map_err(|e| MapError::Usage(e.to_string()))?
-            .label()
-    };
 
     let f = File::open(reads_path).map_err(|e| MapError::Io {
         path: reads_path.to_string(),
@@ -455,7 +220,8 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     let reader = Mutex::new(FastxReader::new(BufReader::new(f)));
     let mut out = BufWriter::new(std::io::stdout());
     if sam {
-        write_sam_header(&mut out, &tnames, &tlens).map_err(|e| MapError::Io {
+        let (tnames, tlens) = session.targets();
+        write_sam_header(&mut out, tnames, tlens).map_err(|e| MapError::Io {
             path: "stdout".into(),
             source: e,
         })?;
@@ -475,10 +241,9 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     // A worker panic or a quarantined backend job degrades the read instead
     // of killing the run: the handler reports the offending read once and
     // substitutes an unmapped record, so output still accounts for every
-    // input read. Backend quarantines arrive with a "backend: " prefix from
-    // the dispatch stage and are counted separately.
+    // input read.
     let on_panic = |rec: &SeqRecord, msg: &str| -> String {
-        if let Some(reason) = msg.strip_prefix("backend: ") {
+        if let Some(reason) = session::quarantine_reason(msg) {
             backend_quarantined.fetch_add(1, Ordering::Relaxed);
             eprintln!(
                 "manymap: read '{}' degraded to unmapped: backend quarantined its jobs ({reason})",
@@ -491,15 +256,12 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
                 rec.name
             );
         }
-        unmapped_record(rec, sam)
+        session::unmapped_record(rec, sam)
     };
 
     // The batched pipeline: plan (seed/chain/describe DP jobs, on the
     // worker pool) → dispatch (one backend submission per read batch) →
     // finalize (splice results, extend ends, format records, on the pool).
-    type Planned = (Vec<u8>, Result<ReadPlan, MapReadError>);
-    let sessions = &sessions;
-    let sched_cfg = &sched_cfg;
     let stats = try_run_three_thread_batched_with_state(
         // A mid-file read error (device fault, malformed record) aborts the
         // run with the file name and position — it is never EOF.
@@ -516,80 +278,22 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         // Plan: panics here (including --inject-panic) degrade exactly the
         // one read they hit, and its jobs never reach the backend.
         |_scratch: &mut AlignScratch, rec: &SeqRecord| -> Planned {
-            if inject_panic.as_deref() == Some(rec.name.as_str()) {
+            if inject_panic == Some(rec.name.as_str()) {
                 panic!("injected panic for read '{}'", rec.name);
             }
-            let nt4 = rec.nt4();
-            let plan = mapper.plan_read(&nt4);
-            (nt4, plan)
+            session.plan(rec)
         },
-        // Dispatch: flatten every read's jobs (and their shard tags) into
-        // one batch, route each shard's group through that shard's
-        // supervised session, then deal the per-job outcomes back out per
-        // read, in job order. A read with any quarantined job degrades to
-        // unmapped via the panic handler ("backend: " prefix); a
-        // `--fail-fast` run surfaces the first unrecovered error as a
-        // fatal dispatch error.
-        |mut plans: Vec<Planned>| {
-            let mut counts = Vec::with_capacity(plans.len());
-            let mut all_jobs = Vec::new();
-            let mut all_shards = Vec::new();
-            for (_, plan) in &mut plans {
-                let n = match plan.as_mut() {
-                    Ok(p) => {
-                        let jobs = std::mem::take(&mut p.jobs);
-                        all_shards.extend(std::mem::take(&mut p.job_shards));
-                        let n = jobs.len();
-                        all_jobs.extend(jobs);
-                        n
-                    }
-                    Err(_) => 0,
-                };
-                counts.push(n);
-            }
-            let mut outcomes = Vec::new();
-            if !all_jobs.is_empty() {
-                let (os, bstats) = sessions
-                    .submit_sharded(all_jobs, &all_shards, sched_cfg)
-                    .map_err(|e| -> DynError { Box::new(e) })?;
-                lock_unpoisoned(&backend_stats).merge(&bstats);
-                outcomes = os;
-            }
-            let mut it = outcomes.into_iter();
-            Ok(plans
-                .into_iter()
-                .zip(counts)
-                .map(|(p, n)| {
-                    let mut results: Vec<AlignResult> = Vec::with_capacity(n);
-                    let mut quarantine: Option<String> = None;
-                    for o in it.by_ref().take(n) {
-                        match o {
-                            JobOutcome::Done(r) => results.push(r),
-                            JobOutcome::Quarantined { reason } => {
-                                quarantine.get_or_insert(reason);
-                            }
-                        }
-                    }
-                    match quarantine {
-                        None => (p, Ok(results)),
-                        Some(reason) => (p, Err(format!("backend: {reason}"))),
-                    }
-                })
-                .collect())
-        },
-        // Finalize: splice backend results into the chain walks and format.
+        |plans| session::dispatch(plans, &backend_stats),
         |scratch: &mut AlignScratch,
          rec: &SeqRecord,
          planned: &Planned,
          results: &Vec<AlignResult>| {
-            let (nt4, plan) = planned;
-            let plan = match plan {
-                Ok(p) => {
-                    let n = p.chained().prefilter_rejected();
-                    if n > 0 {
-                        prefilter_rejected.fetch_add(n, Ordering::Relaxed);
+            match session::finalize(planned, rec, results, scratch, sam) {
+                Ok(done) => {
+                    if done.prefilter_rejected > 0 {
+                        prefilter_rejected.fetch_add(done.prefilter_rejected, Ordering::Relaxed);
                     }
-                    p
+                    done.lines
                 }
                 Err(e) => {
                     match e {
@@ -599,26 +303,9 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
                     }
                     .fetch_add(1, Ordering::Relaxed);
                     eprintln!("manymap: read '{}' degraded to unmapped: {e}", rec.name);
-                    return unmapped_record(rec, sam);
+                    session::unmapped_record(rec, sam)
                 }
-            };
-            let ms = mapper.finalize_read_with_scratch(nt4, plan, results, scratch);
-            let mut lines = String::new();
-            for m in &ms {
-                if sam {
-                    lines.push_str(&sam_line(&rec.name, nt4, &tnames, m));
-                } else {
-                    lines.push_str(&paf_line(
-                        &rec.name,
-                        nt4.len(),
-                        &tnames[m.rid as usize],
-                        tlens[m.rid as usize],
-                        m,
-                    ));
-                }
-                lines.push('\n');
             }
-            lines
         },
         |rec| rec.len(),
         // A write error (e.g. a closed pipe, a full disk) aborts the run.
@@ -656,45 +343,9 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     ));
     {
         let bstats = lock_unpoisoned(&backend_stats);
-        report.backend_block(&bstats, backend_label);
+        report.backend_block(&bstats, session.backend_label());
     }
-    // Shard fault-domain report: only lines for shards that did anything
-    // interesting, plus one summary line, so a clean run stays compact.
-    if let AnyIndex::Sharded(sharded) = &index {
-        let health = sharded.health();
-        let quarantined = health.iter().filter(|h| h.state == "quarantined").count();
-        report.line(format!(
-            "shards: {} total, {} quarantined, {} resident byte(s)",
-            health.len(),
-            quarantined,
-            sharded.resident_bytes()
-        ));
-        for h in &health {
-            if h.state == "quarantined" || h.retries > 0 || h.evictions > 0 {
-                report.line(format!(
-                    "shard {}: {}{}; loads={}, retries={}, io_faults={}, evictions={}",
-                    h.shard,
-                    h.state,
-                    h.reason
-                        .as_deref()
-                        .map(|r| format!(" ({r})"))
-                        .unwrap_or_default(),
-                    h.loads,
-                    h.retries,
-                    h.io_faults,
-                    h.evictions
-                ));
-            }
-        }
-        let sess = sessions.health();
-        let routed: u64 = sess.iter().map(|s| s.jobs).sum();
-        let sess_quarantined: u64 = sess.iter().map(|s| s.quarantined).sum();
-        report.line(format!(
-            "shard sessions: {} created, {routed} job(s) routed, \
-             {sess_quarantined} job(s) quarantined",
-            sess.iter().filter(|s| s.created).count()
-        ));
-    }
+    session.shard_report(&mut report);
     let pf = prefilter_rejected.load(Ordering::Relaxed);
     if pf > 0 {
         report.line(format!(
@@ -722,14 +373,15 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let result = match args.positional.first().map(|s| s.as_str()) {
-        Some("index") => cmd_index(&args),
-        Some("map") => cmd_map(&args),
-        _ => Err(MapError::Usage(
-            "usage: manymap <index|map> ... (see crate docs)".into(),
-        )),
-    };
+    let result = Args::parse(std::env::args().skip(1), OWN_FLAGS).and_then(|args| {
+        match args.positional.first().map(|s| s.as_str()) {
+            Some("index") => cmd_index(&args),
+            Some("map") => cmd_map(&args),
+            _ => Err(MapError::Usage(
+                "usage: manymap <index|map> ... (see crate docs)".into(),
+            )),
+        }
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -742,6 +394,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_index::IndexFormat;
     use mmm_seq::nt4_decode;
     use mmm_simreads::{generate_genome, GenomeOpts};
 
@@ -798,16 +451,5 @@ mod tests {
             let line = index_report("out.mmx", &normal);
             assert!(line.contains("x vs flat"), "{line}");
         }
-    }
-
-    #[test]
-    fn mem_budget_parses_suffixes_and_rejects_garbage() {
-        assert_eq!(parse_mem_budget("4096").unwrap(), 4096);
-        assert_eq!(parse_mem_budget("64K").unwrap(), 64 << 10);
-        assert_eq!(parse_mem_budget("8m").unwrap(), 8 << 20);
-        assert_eq!(parse_mem_budget("2G").unwrap(), 2 << 30);
-        assert!(parse_mem_budget("0").is_err());
-        assert!(parse_mem_budget("lots").is_err());
-        assert!(parse_mem_budget("").is_err());
     }
 }

@@ -2,16 +2,20 @@
 //!
 //! ```sh
 //! mmm-serve daemon <ref.mmx|ref.fa> --socket /path/daemon.sock
-//!           [--threads N] [--backend cpu|gpu-sim] [--preset map-pb|map-ont]
-//!           [--max-tenants N] [--inq-reads N] [--outq-records N]
-//!           [--quantum-bases N] [--batch-bases N] [--mem-budget BYTES[K|M|G]]
-//!           [--sched fifo|bins] [--prefilter off|safe|aggressive]
-//!           [--inject-backend-fault <plan>]
+//!           [shared flags] [--max-tenants N] [--inq-reads N]
+//!           [--outq-records N] [--quantum-bases N] [--batch-bases N]
 //! mmm-serve client <socket> <tenant-name> <reads.fq>   # PAF on stdout
 //! mmm-serve stats  <socket>                            # report on stdout
 //! mmm-serve drain  <socket>                            # begin drain
 //! mmm-serve reload <socket> [index-path]               # swap generations
 //! ```
+//!
+//! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
+//! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
+//! `--engine`, `--no-cigar`, `--max-read-len`, `--prefilter`,
+//! `--index-format`, `--sched`, `--mem-budget`, `--inject-backend-fault`,
+//! `--backend-retries`, `--batch-deadline-ms`); any other `--flag` or a
+//! malformed value is a usage error naming the flag (exit 1).
 //!
 //! `<ref.mmx>` may be a flat index image or a sharded manifest (DESIGN.md
 //! §15); `--mem-budget` caps shard residency. `reload` swaps the daemon to
@@ -24,8 +28,8 @@
 //! same reads. SIGTERM/SIGINT (or `mmm-serve drain`) flushes every
 //! accepted read, emits a final stats report on stderr, and exits.
 //!
-//! Environment variables mirror the `manymap` CLI: `MMM_BACKEND`,
-//! `MMM_GPU_MEM`, `MMM_GPU_STREAMS`, `MMM_FAULT_PLAN`,
+//! Environment variables are the `manymap` CLI's, read by the same code:
+//! `MMM_BACKEND`, `MMM_GPU_MEM`, `MMM_GPU_STREAMS`, `MMM_FAULT_PLAN`,
 //! `MMM_BACKEND_RETRIES`, `MMM_SCHED`, `MMM_SCHED_BATCH_CELLS`,
 //! `MMM_SCHED_BATCH_JOBS`, `MMM_PREFILTER`.
 
@@ -34,87 +38,21 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use manymap::serve::{
-    self, encode_read, load_index_any, read_frame, write_frame, DrrConfig, Frame, Op, ServeOpts,
-};
-use manymap::{parse_byte_size, MapError, MapOpts};
-use mmm_align::best_mm2_engine;
-use mmm_exec::{
-    BackendKind, BackendOptions, FaultPlan, PrefilterMode, SchedConfig, SchedMode, StderrSink,
-    SupervisorConfig,
-};
+use manymap::serve::{self, encode_read, read_frame, write_frame, Frame, Op, ServeOpts};
+use manymap::session::{self, Args, Flag};
+use manymap::{load_index_any, MapError};
+use mmm_exec::StderrSink;
 use mmm_seq::FastxReader;
 
-struct Args {
-    positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
-}
-
-fn parse_args() -> Args {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::HashMap::new();
-    let mut it = std::env::args().skip(1).peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let val = match name {
-                "socket"
-                | "preset"
-                | "engine"
-                | "backend"
-                | "threads"
-                | "max-tenants"
-                | "inq-reads"
-                | "outq-records"
-                | "quantum-bases"
-                | "batch-bases"
-                | "sched"
-                | "prefilter"
-                | "inject-backend-fault"
-                | "backend-retries"
-                | "batch-deadline-ms"
-                | "mem-budget"
-                | "max-read-len" => it.next().unwrap_or_default(),
-                _ => "true".to_string(),
-            };
-            flags.insert(name.to_string(), val);
-        } else {
-            positional.push(a);
-        }
-    }
-    Args { positional, flags }
-}
-
-fn flag_num<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, MapError> {
-    match args.flags.get(name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| MapError::Usage(format!("--{name} {v:?}: not a number"))),
-    }
-}
-
-fn map_opts_for(args: &Args) -> Result<MapOpts, MapError> {
-    let mut opts = match args.flags.get("preset").map(|s| s.as_str()) {
-        Some("map-pb") => MapOpts::map_pb(),
-        _ => MapOpts::map_ont(),
-    };
-    if args.flags.get("engine").map(|s| s.as_str()) == Some("mm2") {
-        opts = opts.with_engine(best_mm2_engine());
-    }
-    if args.flags.contains_key("no-cigar") {
-        opts = opts.cigar(false);
-    }
-    if let Some(n) = flag_num::<usize>(args, "max-read-len")? {
-        opts.max_read_len = n;
-    }
-    opts.prefilter = match args.flags.get("prefilter") {
-        Some(v) => PrefilterMode::parse(v),
-        None => PrefilterMode::from_env().unwrap_or(Ok(PrefilterMode::Off)),
-    }
-    .map_err(MapError::Usage)?;
-    Ok(opts)
-}
+/// Flags of this binary on top of `session::SHARED_FLAGS`.
+const OWN_FLAGS: &[Flag] = &[
+    ("socket", true),
+    ("max-tenants", true),
+    ("inq-reads", true),
+    ("outq-records", true),
+    ("quantum-bases", true),
+    ("batch-bases", true),
+];
 
 fn cmd_daemon(args: &Args) -> Result<(), MapError> {
     let [ref_path] = &args.positional[1..] else {
@@ -123,78 +61,35 @@ fn cmd_daemon(args: &Args) -> Result<(), MapError> {
         ));
     };
     let socket = args
-        .flags
         .get("socket")
         .filter(|s| !s.is_empty())
         .ok_or_else(|| MapError::Usage("mmm-serve daemon: --socket <path> is required".into()))?;
-    let map = map_opts_for(args)?;
+    let (map, exec) = session::map_config(args)?;
 
-    let kind = match args.flags.get("backend") {
-        Some(v) => BackendKind::parse(v),
-        None => BackendKind::from_env().unwrap_or(Ok(BackendKind::Cpu)),
-    }
-    .map_err(|e| MapError::Usage(e.to_string()))?;
-    let threads = flag_num::<usize>(args, "threads")?.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    let mut bopts = BackendOptions::new(map.scoring);
-    bopts.engine = map.engine;
-    bopts.threads = threads;
-    bopts.device_mem = std::env::var("MMM_GPU_MEM")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    bopts.streams = std::env::var("MMM_GPU_STREAMS")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    bopts.fault = match args.flags.get("inject-backend-fault") {
-        Some(text) => Some(FaultPlan::parse(text).map_err(MapError::Usage)?),
-        None => FaultPlan::from_env().transpose().map_err(MapError::Usage)?,
-    };
-
-    let mut sup_cfg = SupervisorConfig::from_env().map_err(MapError::Usage)?;
-    if let Some(n) = flag_num::<usize>(args, "backend-retries")? {
-        sup_cfg.max_retries = n;
-    }
-    if let Some(ms) = flag_num::<u64>(args, "batch-deadline-ms")? {
-        sup_cfg.batch_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    let mut sched_cfg = SchedConfig::from_env().map_err(MapError::Usage)?;
-    if let Some(v) = args.flags.get("sched") {
-        sched_cfg.mode = SchedMode::parse(v).map_err(MapError::Usage)?;
-    }
-
-    let mut opts = ServeOpts::new(PathBuf::from(socket), map, bopts);
-    opts.threads = threads;
-    opts.backend_kind = kind;
-    opts.supervisor = sup_cfg;
-    opts.sched = sched_cfg;
-    if let Some(n) = flag_num(args, "max-tenants")? {
+    let mut opts = ServeOpts::new(PathBuf::from(socket), map, exec);
+    if let Some(n) = args.num("max-tenants")? {
         opts.max_tenants = n;
     }
-    if let Some(n) = flag_num(args, "inq-reads")? {
+    if let Some(n) = args.num("inq-reads")? {
         opts.inq_reads = n;
     }
-    if let Some(n) = flag_num(args, "outq-records")? {
+    if let Some(n) = args.num("outq-records")? {
         opts.outq_records = n;
     }
-    let mut drr = DrrConfig::default();
-    if let Some(n) = flag_num(args, "quantum-bases")? {
-        drr.quantum_bases = n;
+    if let Some(n) = args.num("quantum-bases")? {
+        opts.drr.quantum_bases = n;
     }
-    if let Some(n) = flag_num(args, "batch-bases")? {
-        drr.batch_bases = n;
+    if let Some(n) = args.num("batch-bases")? {
+        opts.drr.batch_bases = n;
     }
-    opts.drr = drr;
     opts.index_path = Some(PathBuf::from(ref_path));
-    opts.mem_budget = args
-        .flags
-        .get("mem-budget")
-        .map(|v| parse_byte_size("--mem-budget", v).map_err(MapError::Usage))
-        .transpose()?;
 
-    let index = load_index_any(Path::new(ref_path), &opts.map, opts.mem_budget)?;
+    let index = load_index_any(
+        Path::new(ref_path),
+        &opts.map,
+        opts.exec.shard_open_opts(),
+        true,
+    )?;
     serve::signal::install_drain_handler();
     serve::serve(index, &opts, &StderrSink)
 }
@@ -377,17 +272,18 @@ fn cmd_admin(args: &Args, op: Op, expect: Op) -> Result<(), MapError> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let result = match args.positional.first().map(|s| s.as_str()) {
-        Some("daemon") => cmd_daemon(&args),
-        Some("client") => cmd_client(&args),
-        Some("stats") => cmd_admin(&args, Op::Stats, Op::StatsReply),
-        Some("drain") => cmd_admin(&args, Op::Drain, Op::Ok),
-        Some("reload") => cmd_admin(&args, Op::Reload, Op::Ok),
-        _ => Err(MapError::Usage(
-            "usage: mmm-serve <daemon|client|stats|drain|reload> ... (see crate docs)".into(),
-        )),
-    };
+    let result = Args::parse(std::env::args().skip(1), OWN_FLAGS).and_then(|args| {
+        match args.positional.first().map(|s| s.as_str()) {
+            Some("daemon") => cmd_daemon(&args),
+            Some("client") => cmd_client(&args),
+            Some("stats") => cmd_admin(&args, Op::Stats, Op::StatsReply),
+            Some("drain") => cmd_admin(&args, Op::Drain, Op::Ok),
+            Some("reload") => cmd_admin(&args, Op::Reload, Op::Ok),
+            _ => Err(MapError::Usage(
+                "usage: mmm-serve <daemon|client|stats|drain|reload> ... (see crate docs)".into(),
+            )),
+        }
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

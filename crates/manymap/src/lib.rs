@@ -35,6 +35,7 @@ pub mod paf;
 pub mod profile;
 pub mod sam;
 pub mod serve;
+pub mod session;
 pub mod shard_bridge;
 
 pub use error::MapError;
@@ -42,6 +43,7 @@ pub use mapper::{MapReadError, Mapper, Mapping, ReadPlan};
 pub use opts::{parse_byte_size, MapOpts};
 pub use paf::{paf_line, paf_unmapped, write_paf};
 pub use profile::{profile_run, ProfileConfig, ProfileResult};
+pub use session::{load_index_any, ExecConfig, MapSession};
 pub use shard_bridge::PlanShardFaults;
 
 // Re-export the substrate crates so downstream users need one dependency.

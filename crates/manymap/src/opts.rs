@@ -150,6 +150,7 @@ mod tests {
         assert_eq!(parse_byte_size("--mem-budget", "8m").unwrap(), 8 << 20);
         assert_eq!(parse_byte_size("--mem-budget", "2G").unwrap(), 2 << 30);
         assert!(parse_byte_size("--mem-budget", "0").is_err());
+        assert!(parse_byte_size("--mem-budget", "").is_err());
         let e = parse_byte_size("--mem-budget", "lots").unwrap_err();
         assert!(e.contains("--mem-budget"), "{e}");
     }

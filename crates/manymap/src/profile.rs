@@ -12,12 +12,14 @@ use mmm_exec::{
     prepare, prepare_supervised, AlignBackend, BackendKind, BackendOptions, BackendStats,
     JobOutcome, SchedConfig, SchedMode, SupervisedBackend, SupervisorConfig,
 };
+use mmm_index::ShardOpenOpts;
 use mmm_io::{Stage, StageTimer};
 use mmm_seq::FastxReader;
 
 use crate::error::MapError;
 use crate::mapper::Mapper;
 use crate::opts::MapOpts;
+use crate::session::{load_index_any, target_tables};
 
 /// Which variant of the pipeline to profile.
 #[derive(Clone, Copy, Debug)]
@@ -74,16 +76,14 @@ pub fn profile_run(
     let mut timer = StageTimer::new();
 
     let index = timer.time(Stage::LoadIndex, || {
-        if cfg.use_mmap {
-            mmm_index::load_index_mmap(index_path)
-        } else {
-            mmm_index::load_index(index_path)
-        }
-    });
-    let (index, _stats) = index.map_err(|e| MapError::Index {
-        path: index_path.display().to_string(),
-        source: e,
+        load_index_any(
+            index_path,
+            &cfg.opts,
+            ShardOpenOpts::default(),
+            cfg.use_mmap,
+        )
     })?;
+    let iref = index.as_index_ref();
 
     let mut reads = timer
         .time(Stage::LoadQuery, || {
@@ -104,9 +104,8 @@ pub fn profile_run(
         reads.sort_by_key(|(_, s)| std::cmp::Reverse(s.len()));
     }
 
-    let mapper = Mapper::new(&index, cfg.opts);
-    let tnames: Vec<String> = index.seqs.iter().map(|s| s.name.clone()).collect();
-    let tlens: Vec<usize> = index.seqs.iter().map(|s| s.seq.len()).collect();
+    let mapper = Mapper::new(iref, cfg.opts);
+    let (tnames, tlens) = target_tables(iref);
 
     // Stand up the backend session once, like the CLI does per run. The
     // supervised session stays concrete so the scheduler entry point
@@ -209,7 +208,7 @@ pub fn profile_run(
         reads: reads.len(),
         mappings,
         output_bytes: sink.len(),
-        index_bytes: index.heap_bytes(),
+        index_bytes: iref.heap_bytes(),
         backend_stats,
     })
 }
@@ -232,7 +231,7 @@ mod tests {
         let idx =
             MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
                 .unwrap();
-        let path = std::env::temp_dir().join(format!("manymap-prof-{}", std::process::id()));
+        let path = std::env::temp_dir().join(format!("manymap-prof-{}.mmx", std::process::id()));
         save_index(&idx, &path).unwrap();
 
         let reads = simulate_reads(

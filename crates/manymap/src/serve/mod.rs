@@ -27,5 +27,5 @@ pub use proto::{
     MAX_FRAME,
 };
 pub use sched::{DrrConfig, DrrScheduler};
-pub use server::{load_index_any, serve, ServeOpts};
+pub use server::{serve, ServeOpts};
 pub use tenant::{LatencyHistogram, ServeItem, TenantRegistry, TenantState};

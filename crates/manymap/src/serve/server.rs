@@ -19,9 +19,10 @@
 //!   backpressure to the client's socket);
 //! * **DRR scheduler** — [`super::sched`]: fair, credit-gated batching
 //!   across tenants into the pipeline's input queue;
-//! * **pipeline** — the same plan → dispatch → finalize machinery as the
-//!   CLI ([`mmm_pipeline::try_run_three_thread_batched_from_queue`]),
-//!   running every tenant's reads through ONE supervised backend session;
+//! * **pipeline** — the same plan → dispatch → finalize stages as the CLI
+//!   ([`crate::session`], driven by
+//!   [`mmm_pipeline::try_run_three_thread_batched_from_queue`]), running
+//!   every tenant's reads through ONE supervised backend session;
 //!   its writer routes each finalized record to the owning tenant's output
 //!   queue and stamps the latency histogram;
 //! * **session writer** — drains its tenant's output queue to the socket
@@ -38,35 +39,30 @@
 //! ever dropped.
 //!
 //! Live reload: the index, its target tables, and the per-shard backend
-//! sessions live together in one immutable `Generation` behind an
-//! `Arc`-swap. The `RELOAD` opcode opens a fresh generation (flat or
-//! sharded manifest) and swaps it in for new accepts, while every read
-//! already in the pipeline carries the `Arc` of the generation it was
-//! planned against through dispatch and finalize — so a mid-run reload
-//! loses zero accepted reads and never mixes indexes within one read.
+//! sessions live together in one immutable [`MapSession`] — one index
+//! generation — behind an `Arc`-swap. The `RELOAD` opcode opens a fresh
+//! generation (flat or sharded manifest) and swaps it in for new accepts,
+//! while every read already in the pipeline carries the `Arc` of the
+//! generation it was planned against through dispatch and finalize — so a
+//! mid-run reload loses zero accepted reads and never mixes indexes within
+//! one read.
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use mmm_align::{AlignResult, AlignScratch};
-use mmm_exec::{
-    prepare_supervised, AlignBackend, AlignJob, BackendKind, BackendOptions, BackendStats,
-    JobOutcome, SchedConfig, SessionFactory, ShardSessions, StatsReport, StatsSink,
-    SupervisorConfig,
-};
-use mmm_index::{AnyIndex, MinimizerIndex, ShardOpenOpts};
-use mmm_pipeline::{
-    lock_unpoisoned, try_run_three_thread_batched_from_queue, BoundedQueue, DynError,
-};
-use mmm_seq::{FastxReader, SeqRecord};
+use mmm_exec::{BackendStats, StatsReport, StatsSink};
+use mmm_index::AnyIndex;
+use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_from_queue, BoundedQueue};
+use mmm_seq::SeqRecord;
 
-use crate::mapper::{MapReadError, ReadPlan};
-use crate::{paf_line, paf_unmapped, MapError, MapOpts, Mapper};
+use crate::session::{self, load_index_any, ExecConfig, MapSession, Planned};
+use crate::{MapError, MapOpts};
 
 use super::proto::{decode_read, read_frame_poll, write_frame, FramePoll, Op};
 use super::sched::{DrrConfig, DrrScheduler};
@@ -95,133 +91,29 @@ pub struct ServeOpts {
     pub drr: DrrConfig,
     /// Mapping parameters (shared by every tenant).
     pub map: MapOpts,
-    /// Backend selection for the shared session.
-    pub backend_kind: BackendKind,
-    pub backend: BackendOptions,
-    pub supervisor: SupervisorConfig,
-    pub sched: SchedConfig,
+    /// Backend, supervisor, scheduler and shard-residency settings of the
+    /// shared session; applied again to every reloaded generation.
+    pub exec: ExecConfig,
     /// Where the daemon's index was loaded from. Enables the `RELOAD`
     /// opcode with an empty payload (re-open the same path); `None` means
     /// a reload must name a path explicitly.
     pub index_path: Option<PathBuf>,
-    /// Shard residency budget applied when (re)opening a sharded manifest
-    /// (DESIGN.md §15).
-    pub mem_budget: Option<usize>,
 }
 
 impl ServeOpts {
-    pub fn new(socket: PathBuf, map: MapOpts, backend: BackendOptions) -> Self {
+    /// Pipeline workers default to `exec.backend.threads`.
+    pub fn new(socket: PathBuf, map: MapOpts, exec: ExecConfig) -> Self {
         ServeOpts {
             socket,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: exec.backend.threads,
             max_tenants: 16,
             inq_reads: 512,
             outq_records: 512,
             drr: DrrConfig::default(),
             map,
-            backend_kind: BackendKind::Cpu,
-            backend,
-            supervisor: SupervisorConfig::default(),
-            sched: SchedConfig::default(),
+            exec,
             index_path: None,
-            mem_budget: None,
         }
-    }
-}
-
-/// Load an index for the daemon: `.mmx` files go through the checksummed
-/// mmap path (flat image or sharded manifest, dispatched by
-/// [`AnyIndex::open_mmap`]); anything else is read as FASTA and indexed in
-/// memory. Shared by daemon startup and the `RELOAD` opcode so both open
-/// generations identically.
-pub fn load_index_any(
-    path: &Path,
-    map: &MapOpts,
-    mem_budget: Option<usize>,
-) -> Result<AnyIndex, MapError> {
-    let name = path.display().to_string();
-    if name.ends_with(".mmx") {
-        return AnyIndex::open_mmap(
-            path,
-            ShardOpenOpts {
-                mem_budget,
-                ..ShardOpenOpts::default()
-            },
-        )
-        .map_err(|e| MapError::Index {
-            path: name,
-            source: e,
-        });
-    }
-    let f = std::fs::File::open(path).map_err(|e| MapError::Io {
-        path: name.clone(),
-        source: e,
-    })?;
-    let refs = FastxReader::new(BufReader::new(f))
-        .read_all()
-        .map_err(|e| MapError::Seq {
-            path: name.clone(),
-            source: e,
-        })?;
-    if refs.is_empty() {
-        return Err(MapError::Usage(format!("{name}: no sequences")));
-    }
-    MinimizerIndex::build(&refs, &map.idx)
-        .map(AnyIndex::Flat)
-        .map_err(|e| MapError::Index {
-            path: name,
-            source: e,
-        })
-}
-
-/// One immutable index generation: the index, its target tables, and one
-/// backend session per index shard. Every read carries an `Arc` to the
-/// generation it was planned against through dispatch and finalize, so a
-/// live reload ([`Op::Reload`]) swaps new accepts onto the new generation
-/// while in-flight reads finish — byte-exact — against the old one.
-struct Generation {
-    id: u64,
-    index: AnyIndex,
-    tnames: Vec<String>,
-    tlens: Vec<usize>,
-    sessions: ShardSessions,
-}
-
-impl Generation {
-    fn build(id: u64, index: AnyIndex, opts: &ServeOpts) -> Result<Generation, MapError> {
-        let iref = index.as_index_ref();
-        let tnames = (0..iref.num_seqs())
-            .map(|r| iref.seq_name(r as u32).to_string())
-            .collect();
-        let tlens = (0..iref.num_seqs())
-            .map(|r| iref.seq_len(r as u32))
-            .collect();
-        let kind = opts.backend_kind;
-        let bopts = opts.backend.clone();
-        let sup = opts.supervisor.clone();
-        let factory: SessionFactory =
-            Box::new(move |_shard| prepare_supervised(kind, &bopts, sup.clone()));
-        let sessions = ShardSessions::new(iref.num_shards(), factory)
-            .map_err(|e| MapError::Usage(e.to_string()))?;
-        Ok(Generation {
-            id,
-            index,
-            tnames,
-            tlens,
-            sessions,
-        })
-    }
-
-    fn describe(&self) -> String {
-        let iref = self.index.as_index_ref();
-        format!(
-            "generation {}: {} sequence(s), {} shard(s)",
-            self.id,
-            iref.num_seqs(),
-            iref.num_shards()
-        )
     }
 }
 
@@ -240,10 +132,9 @@ struct Ctx {
     /// Backend counters merged across every dispatch, for the stats
     /// endpoint and the final report.
     backend_stats: Mutex<BackendStats>,
-    backend_label: String,
     /// The generation new accepts plan against. `RELOAD` replaces the
     /// `Arc`; reads already planned keep the clone they took.
-    generation: Mutex<Arc<Generation>>,
+    generation: Mutex<Arc<MapSession>>,
     /// Completed `RELOAD`s (also the id of the newest generation).
     reloads: AtomicU64,
     /// First fatal error (pipeline death), surfaced from `serve`.
@@ -257,7 +148,7 @@ impl Ctx {
     }
 
     /// The generation current accepts should plan against.
-    fn generation(&self) -> Arc<Generation> {
+    fn generation(&self) -> Arc<MapSession> {
         lock_unpoisoned(&self.generation).clone()
     }
 
@@ -290,17 +181,9 @@ impl Ctx {
             gen.describe(),
             self.reloads.load(Ordering::Acquire)
         ));
-        if gen.index.as_index_ref().num_shards() > 1 {
-            let health = gen.sessions.health();
-            r.line(format!(
-                "shard sessions: {} created, {} job(s) routed, {} quarantined",
-                health.iter().filter(|h| h.created).count(),
-                health.iter().map(|h| h.jobs).sum::<u64>(),
-                health.iter().map(|h| h.quarantined).sum::<u64>(),
-            ));
-        }
+        gen.shard_report(&mut r);
         let stats = lock_unpoisoned(&self.backend_stats);
-        r.backend_block(&stats, &self.backend_label);
+        r.backend_block(&stats, gen.backend_label());
         r
     }
 }
@@ -311,13 +194,7 @@ impl Ctx {
 pub fn serve(index: AnyIndex, opts: &ServeOpts, sink: &dyn StatsSink) -> Result<(), MapError> {
     // Generation 0: building it eagerly (sessions included) makes a
     // misconfigured backend fail before the socket ever exists.
-    let gen0 = Generation::build(0, index, opts)?;
-    let backend_label = gen0
-        .sessions
-        .primary()
-        .map_err(|e| MapError::Usage(e.to_string()))?
-        .label()
-        .to_string();
+    let gen0 = MapSession::new(0, index, opts.map, &opts.exec)?;
 
     // A stale socket file from a dead daemon would make bind fail.
     let _ = std::fs::remove_file(&opts.socket);
@@ -337,7 +214,6 @@ pub fn serve(index: AnyIndex, opts: &ServeOpts, sink: &dyn StatsSink) -> Result<
         pipeline_done: AtomicBool::new(false),
         active_readers: AtomicUsize::new(0),
         backend_stats: Mutex::new(BackendStats::default()),
-        backend_label,
         generation: Mutex::new(Arc::new(gen0)),
         reloads: AtomicU64::new(0),
         fatal: Mutex::new(None),
@@ -348,7 +224,7 @@ pub fn serve(index: AnyIndex, opts: &ServeOpts, sink: &dyn StatsSink) -> Result<
     std::thread::scope(|s| {
         // The shared pipeline.
         s.spawn(move || {
-            let result = run_pipeline(ctx, &opts.map, &opts.sched, opts.threads);
+            let result = run_pipeline(ctx, opts.threads);
             ctx.pipeline_done.store(true, Ordering::Release);
             if let Err(e) = result {
                 record_fatal(ctx, MapError::Pipeline(e));
@@ -415,162 +291,62 @@ fn record_fatal(ctx: &Ctx, e: MapError) {
     }
 }
 
-/// The unmapped placeholder for a degraded read (serve output is PAF).
-fn unmapped(rec: &SeqRecord) -> String {
-    let mut s = paf_unmapped(&rec.name, rec.len());
-    s.push('\n');
-    s
-}
-
-/// One read's journey through plan/dispatch/finalize: the encoded query,
-/// the generation it was planned against (finalize must splice reference
-/// windows and target names from the *same* index the plan used, even if a
-/// reload swapped generations in between), and the plan itself.
-type Planned = (Vec<u8>, Arc<Generation>, Result<ReadPlan, MapReadError>);
 type Routed = (usize, Instant, String);
 
 /// Run the shared pipeline over the daemon's input queue until the queue
-/// is closed and drained. Mirrors the CLI's `cmd_map` stages; the writer
-/// routes records to tenant output queues instead of stdout.
-fn run_pipeline(
-    ctx: &Ctx,
-    map: &MapOpts,
-    sched: &SchedConfig,
-    threads: usize,
-) -> Result<(), mmm_pipeline::PipelineError> {
+/// is closed and drained: the [`crate::session`] stages the CLI runs, with
+/// a writer that routes records to tenant output queues instead of stdout
+/// (serve output is PAF).
+fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineError> {
+    let degraded = |item: &ServeItem| -> Routed {
+        (
+            item.tenant,
+            item.accepted_at,
+            session::unmapped_record(&item.rec, false),
+        )
+    };
     // A quarantined or panicked read degrades to an unmapped record and is
     // counted against its tenant — never fatal, never cross-tenant.
     let on_panic = |item: &ServeItem, msg: &str| -> Routed {
         if let Some(t) = ctx.registry.get(item.tenant) {
-            if msg.starts_with("backend: ") {
+            if session::quarantine_reason(msg).is_some() {
                 t.quarantined.fetch_add(1, Ordering::Relaxed);
             } else {
                 t.degraded.fetch_add(1, Ordering::Relaxed);
             }
         }
-        (item.tenant, item.accepted_at, unmapped(&item.rec))
+        degraded(item)
     };
 
     try_run_three_thread_batched_from_queue(
         &ctx.pipe_in,
         |_worker| AlignScratch::new(),
-        // Plan: seed, chain, and describe DP jobs (worker pool). The
-        // mapper is a thin view over the current generation's index.
         |_scratch: &mut AlignScratch, item: &ServeItem| -> Planned {
-            let gen = ctx.generation();
-            let nt4 = item.rec.nt4();
-            let plan = Mapper::new(gen.index.as_index_ref(), *map).plan_read(&nt4);
-            (nt4, gen, plan)
+            ctx.generation().plan(&item.rec)
         },
-        // Dispatch: flatten the batch into one submission per generation
-        // (a reload can land mid-batch, and each job must run through the
-        // shard sessions of the generation whose reference windows it
-        // carries), then deal outcomes back out per read.
-        |mut plans: Vec<Planned>| {
-            struct GenGroup {
-                gen: Arc<Generation>,
-                jobs: Vec<AlignJob>,
-                shards: Vec<u32>,
-            }
-            let mut groups: Vec<GenGroup> = Vec::new();
-            // Per plan: which group its jobs went to, and how many.
-            let mut counts: Vec<(usize, usize)> = Vec::with_capacity(plans.len());
-            for (_, gen, plan) in &mut plans {
-                let entry = match plan.as_mut() {
-                    Ok(p) if !p.jobs.is_empty() => {
-                        let jobs = std::mem::take(&mut p.jobs);
-                        let shards = std::mem::take(&mut p.job_shards);
-                        let n = jobs.len();
-                        let gi = groups
-                            .iter()
-                            .position(|g| Arc::ptr_eq(&g.gen, gen))
-                            .unwrap_or_else(|| {
-                                groups.push(GenGroup {
-                                    gen: gen.clone(),
-                                    jobs: Vec::new(),
-                                    shards: Vec::new(),
-                                });
-                                groups.len() - 1
-                            });
-                        groups[gi].jobs.extend(jobs);
-                        groups[gi].shards.extend(shards);
-                        (gi, n)
-                    }
-                    _ => (0, 0),
-                };
-                counts.push(entry);
-            }
-            let mut outcome_iters: Vec<std::vec::IntoIter<JobOutcome>> = Vec::new();
-            for g in groups {
-                let (os, bstats) = g
-                    .gen
-                    .sessions
-                    .submit_sharded(g.jobs, &g.shards, sched)
-                    .map_err(|e| -> DynError { Box::new(e) })?;
-                lock_unpoisoned(&ctx.backend_stats).merge(&bstats);
-                outcome_iters.push(os.into_iter());
-            }
-            Ok(plans
-                .into_iter()
-                .zip(counts)
-                .map(|(p, (gi, n))| {
-                    let mut results: Vec<AlignResult> = Vec::with_capacity(n);
-                    let mut quarantine: Option<String> = None;
-                    if n > 0 {
-                        for o in outcome_iters[gi].by_ref().take(n) {
-                            match o {
-                                JobOutcome::Done(r) => results.push(r),
-                                JobOutcome::Quarantined { reason } => {
-                                    quarantine.get_or_insert(reason);
-                                }
-                            }
-                        }
-                    }
-                    match quarantine {
-                        None => (p, Ok(results)),
-                        Some(reason) => (p, Err(format!("backend: {reason}"))),
-                    }
-                })
-                .collect())
-        },
-        // Finalize: splice results, format PAF (worker pool).
+        |plans| session::dispatch(plans, &ctx.backend_stats),
         |scratch: &mut AlignScratch,
          item: &ServeItem,
          planned: &Planned,
          results: &Vec<AlignResult>|
          -> Routed {
-            let (nt4, gen, plan) = planned;
-            let plan = match plan {
-                Ok(p) => {
-                    let n = p.chained().prefilter_rejected();
-                    if n > 0 {
+            match session::finalize(planned, &item.rec, results, scratch, false) {
+                Ok(done) => {
+                    if done.prefilter_rejected > 0 {
                         if let Some(t) = ctx.registry.get(item.tenant) {
-                            t.prefilter_rejected.fetch_add(n as u64, Ordering::Relaxed);
+                            t.prefilter_rejected
+                                .fetch_add(done.prefilter_rejected as u64, Ordering::Relaxed);
                         }
                     }
-                    p
+                    (item.tenant, item.accepted_at, done.lines)
                 }
-                Err(_e) => {
+                Err(_) => {
                     if let Some(t) = ctx.registry.get(item.tenant) {
                         t.degraded.fetch_add(1, Ordering::Relaxed);
                     }
-                    return (item.tenant, item.accepted_at, unmapped(&item.rec));
+                    degraded(item)
                 }
-            };
-            let mapper = Mapper::new(gen.index.as_index_ref(), *map);
-            let ms = mapper.finalize_read_with_scratch(nt4, plan, results, scratch);
-            let mut lines = String::new();
-            for m in &ms {
-                lines.push_str(&paf_line(
-                    &item.rec.name,
-                    nt4.len(),
-                    &gen.tnames[m.rid as usize],
-                    gen.tlens[m.rid as usize],
-                    m,
-                ));
-                lines.push('\n');
             }
-            (item.tenant, item.accepted_at, lines)
         },
         |item| item.rec.len(),
         // Writer: route each record to its tenant's output queue. The
@@ -630,9 +406,10 @@ fn reload_generation(ctx: &Ctx, opts: &ServeOpts, requested: &str) -> Result<Str
     } else {
         PathBuf::from(requested)
     };
-    let index = load_index_any(&path, &opts.map, opts.mem_budget).map_err(|e| e.to_string())?;
+    let index = load_index_any(&path, &opts.map, opts.exec.shard_open_opts(), true)
+        .map_err(|e| e.to_string())?;
     let id = ctx.reloads.fetch_add(1, Ordering::AcqRel) + 1;
-    let gen = Generation::build(id, index, opts).map_err(|e| e.to_string())?;
+    let gen = MapSession::new(id, index, opts.map, &opts.exec).map_err(|e| e.to_string())?;
     let desc = gen.describe();
     *lock_unpoisoned(&ctx.generation) = Arc::new(gen);
     Ok(format!("reloaded {desc} from {}", path.display()))

@@ -1,0 +1,724 @@
+//! One map session, two front ends (DESIGN.md §12).
+//!
+//! `manymap map` and the `mmm-serve` daemon run the same production path:
+//! parse one flag+env table into [`MapOpts`] + [`ExecConfig`], open the
+//! reference with [`load_index_any`], stand up a [`MapSession`] (index,
+//! target tables, one supervised backend session per index shard), and hand
+//! [`MapSession::plan`] / [`dispatch`] / [`finalize`] to the batched
+//! pipeline (`mmm_pipeline::try_run_three_thread_batched_*`) as its three
+//! stages. The CLI holds one `Arc<MapSession>` for the run; the daemon
+//! swaps the `Arc` on `RELOAD`. Every planned read carries the session it
+//! was planned against, so [`dispatch`] groups a batch by session — the CLI
+//! is the one-group case.
+
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::BufReader;
+use std::path::Path;
+use std::str::FromStr;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use mmm_align::{best_mm2_engine, AlignResult, AlignScratch};
+use mmm_exec::{
+    prepare_supervised, AlignBackend, AlignJob, BackendKind, BackendOptions, BackendStats,
+    FaultPlan, JobOutcome, PrefilterMode, SchedConfig, SchedMode, SessionFactory, ShardSessions,
+    StatsReport, SupervisorConfig,
+};
+use mmm_index::{
+    load_index, AnyIndex, IndexError, IndexFormat, IndexRef, MinimizerIndex, ShardOpenOpts,
+};
+use mmm_pipeline::{lock_unpoisoned, DynError};
+use mmm_seq::{FastxReader, SeqRecord};
+
+use crate::mapper::{MapReadError, ReadPlan};
+use crate::sam::{sam_line, sam_unmapped};
+use crate::{paf_line, paf_unmapped, parse_byte_size, MapError, MapOpts, Mapper, PlanShardFaults};
+
+/// A command-line flag: its name (without `--`) and whether it takes a
+/// value.
+pub type Flag = (&'static str, bool);
+
+/// The flags both binaries accept; [`map_config`] reads all of them.
+pub const SHARED_FLAGS: &[Flag] = &[
+    ("preset", true),
+    ("engine", true),
+    ("no-cigar", false),
+    ("max-read-len", true),
+    ("prefilter", true),
+    ("index-format", true),
+    ("threads", true),
+    ("backend", true),
+    ("inject-backend-fault", true),
+    ("backend-retries", true),
+    ("batch-deadline-ms", true),
+    ("sched", true),
+    ("mem-budget", true),
+];
+
+/// A parsed command line: positionals in order, flags by name.
+pub struct Args {
+    pub positional: Vec<String>,
+    flags: HashMap<String, String>,
+}
+
+impl Args {
+    /// Split `argv` (program name already skipped) into positionals and
+    /// flags. A `--flag` must be in [`SHARED_FLAGS`] or the binary's `own`
+    /// table; anything else, or a value flag with no value, is a usage
+    /// error naming the flag.
+    pub fn parse(argv: impl IntoIterator<Item = String>, own: &[Flag]) -> Result<Args, MapError> {
+        let mut positional = Vec::new();
+        let mut flags = HashMap::new();
+        let mut it = argv.into_iter();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                positional.push(a);
+                continue;
+            };
+            let Some(&(_, takes_value)) = SHARED_FLAGS.iter().chain(own).find(|f| f.0 == name)
+            else {
+                return Err(MapError::Usage(format!("unknown flag --{name}")));
+            };
+            let val = if takes_value {
+                it.next()
+                    .ok_or_else(|| MapError::Usage(format!("--{name}: missing value")))?
+            } else {
+                String::new()
+            };
+            flags.insert(name.to_string(), val);
+        }
+        Ok(Args { positional, flags })
+    }
+
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.flags.get(name).map(String::as_str)
+    }
+
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.contains_key(name)
+    }
+
+    /// A numeric flag: `None` when absent, a usage error when malformed.
+    pub fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, MapError> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| MapError::Usage(format!("--{name} {v:?}: not a number")))
+            })
+            .transpose()
+    }
+}
+
+fn env_num<T: FromStr>(name: &str) -> Result<Option<T>, MapError> {
+    std::env::var(name)
+        .ok()
+        .map(|v| {
+            v.trim()
+                .parse()
+                .map_err(|_| MapError::Usage(format!("{name}={v:?} is not a number")))
+        })
+        .transpose()
+}
+
+/// How a run executes its alignment jobs: which backend, under which
+/// supervisor and scheduler settings, with which shard residency budget.
+/// The fault plan inside `backend` drives both the backend submit rules
+/// and, through [`ExecConfig::shard_open_opts`], the shard-load rules.
+#[derive(Clone, Debug)]
+pub struct ExecConfig {
+    pub kind: BackendKind,
+    /// `backend.threads` is also the pipeline's worker count.
+    pub backend: BackendOptions,
+    pub supervisor: SupervisorConfig,
+    pub sched: SchedConfig,
+    /// Resident-byte budget for a sharded index (`--mem-budget`).
+    pub mem_budget: Option<usize>,
+}
+
+impl ExecConfig {
+    /// The defaults: CPU backend with `map`'s scoring and engine on
+    /// `threads` workers, default supervisor, fifo dispatch, no budget.
+    pub fn new(map: &MapOpts, threads: usize) -> Self {
+        let mut backend = BackendOptions::new(map.scoring);
+        backend.engine = map.engine;
+        backend.threads = threads;
+        ExecConfig {
+            kind: BackendKind::Cpu,
+            backend,
+            supervisor: SupervisorConfig::default(),
+            sched: SchedConfig::default(),
+            mem_budget: None,
+        }
+    }
+
+    /// Options for opening a sharded index under this configuration: the
+    /// residency budget plus the fault plan's shard rules bridged into the
+    /// shard loader.
+    pub fn shard_open_opts(&self) -> ShardOpenOpts {
+        ShardOpenOpts {
+            mem_budget: self.mem_budget,
+            hook: self
+                .backend
+                .fault
+                .as_ref()
+                .and_then(PlanShardFaults::from_plan),
+        }
+    }
+}
+
+/// The mapping parameters named by [`SHARED_FLAGS`] (`--prefilter` falls
+/// back to `MMM_PREFILTER`); all `manymap index` needs of the table.
+pub fn map_opts(args: &Args) -> Result<MapOpts, MapError> {
+    let usage = MapError::Usage;
+    let mut map = match args.get("preset") {
+        None | Some("map-ont") => MapOpts::map_ont(),
+        Some("map-pb") => MapOpts::map_pb(),
+        Some(v) => return Err(usage(format!("--preset {v:?}: expected map-pb or map-ont"))),
+    };
+    match args.get("engine") {
+        None | Some("manymap") => {}
+        Some("mm2") => map = map.with_engine(best_mm2_engine()),
+        Some(v) => return Err(usage(format!("--engine {v:?}: expected mm2 or manymap"))),
+    }
+    if args.has("no-cigar") {
+        map = map.cigar(false);
+    }
+    if let Some(n) = args.num("max-read-len")? {
+        map.max_read_len = n;
+    }
+    map.prefilter = match args.get("prefilter") {
+        Some(v) => PrefilterMode::parse(v),
+        None => PrefilterMode::from_env().unwrap_or(Ok(PrefilterMode::Off)),
+    }
+    .map_err(usage)?;
+    if let Some(v) = args.get("index-format") {
+        map.index_format = IndexFormat::parse(v)
+            .ok_or_else(|| usage(format!("--index-format {v:?}: expected packed or legacy")))?;
+    }
+    Ok(map)
+}
+
+/// Build the mapping and execution configuration from [`SHARED_FLAGS`] and
+/// the environment. An explicit flag wins over its environment variable
+/// (`MMM_BACKEND`, `MMM_PREFILTER`, `MMM_FAULT_PLAN`, `MMM_BACKEND_RETRIES`,
+/// `MMM_SCHED`, `MMM_SCHED_BATCH_CELLS`, `MMM_SCHED_BATCH_JOBS`);
+/// `MMM_GPU_MEM` and `MMM_GPU_STREAMS` have no flag.
+pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
+    let usage = MapError::Usage;
+    let map = map_opts(args)?;
+    let threads = match args.num("threads")? {
+        Some(n) => n,
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    };
+    let mut exec = ExecConfig::new(&map, threads);
+    exec.kind = match args.get("backend") {
+        Some(v) => BackendKind::parse(v),
+        None => BackendKind::from_env().unwrap_or(Ok(BackendKind::Cpu)),
+    }
+    .map_err(|e| usage(e.to_string()))?;
+    exec.backend.device_mem = env_num("MMM_GPU_MEM")?;
+    exec.backend.streams = env_num("MMM_GPU_STREAMS")?;
+    exec.backend.fault = match args.get("inject-backend-fault") {
+        Some(text) => Some(FaultPlan::parse(text).map_err(usage)?),
+        None => FaultPlan::from_env().transpose().map_err(usage)?,
+    };
+    exec.supervisor = SupervisorConfig::from_env().map_err(usage)?;
+    if let Some(n) = args.num("backend-retries")? {
+        exec.supervisor.max_retries = n;
+    }
+    if let Some(ms) = args.num("batch-deadline-ms")? {
+        exec.supervisor.batch_deadline = Some(Duration::from_millis(ms));
+    }
+    exec.sched = SchedConfig::from_env().map_err(usage)?;
+    if let Some(v) = args.get("sched") {
+        exec.sched.mode = SchedMode::parse(v).map_err(usage)?;
+    }
+    exec.mem_budget = args
+        .get("mem-budget")
+        .map(|v| parse_byte_size("--mem-budget", v).map_err(usage))
+        .transpose()?;
+    Ok((map, exec))
+}
+
+/// Read and validate a FASTA/FASTQ reference file.
+pub fn read_refs(path: &Path) -> Result<Vec<SeqRecord>, MapError> {
+    let name = path.display().to_string();
+    let f = File::open(path).map_err(|e| MapError::Io {
+        path: name.clone(),
+        source: e,
+    })?;
+    let refs = FastxReader::new(BufReader::new(f))
+        .read_all()
+        .map_err(|e| MapError::Seq {
+            path: name.clone(),
+            source: e,
+        })?;
+    if refs.is_empty() {
+        return Err(MapError::Usage(format!("{name}: no sequences")));
+    }
+    Ok(refs)
+}
+
+/// Open a reference of any shape: a flat `.mmx` image, a v3 shard manifest
+/// (opened lazily with `shard_opts`), or a FASTA indexed in memory with
+/// `map`'s seeding parameters and posting format. `mmap = false` reads a
+/// flat image through buffered I/O instead (the paper's §4.4.2 comparison);
+/// a manifest is always mmap-backed.
+pub fn load_index_any(
+    path: &Path,
+    map: &MapOpts,
+    shard_opts: ShardOpenOpts,
+    mmap: bool,
+) -> Result<AnyIndex, MapError> {
+    let index_err = |e: IndexError| MapError::Index {
+        path: path.display().to_string(),
+        source: e,
+    };
+    if path.extension().is_none_or(|e| e != "mmx") {
+        let refs = read_refs(path)?;
+        return MinimizerIndex::build_with_format(&refs, &map.idx, map.index_format)
+            .map(AnyIndex::Flat)
+            .map_err(index_err);
+    }
+    if !mmap {
+        match load_index(path) {
+            Ok((idx, _)) => return Ok(AnyIndex::Flat(idx)),
+            Err(IndexError::ShardedManifest { .. }) => {}
+            Err(e) => return Err(index_err(e)),
+        }
+    }
+    AnyIndex::open_mmap(path, shard_opts).map_err(index_err)
+}
+
+/// Target names and lengths by reference id, as PAF/SAM output needs them.
+pub fn target_tables(iref: IndexRef<'_>) -> (Vec<String>, Vec<usize>) {
+    let rids = 0..iref.num_seqs() as u32;
+    (
+        rids.clone().map(|r| iref.seq_name(r).to_string()).collect(),
+        rids.map(|r| iref.seq_len(r)).collect(),
+    )
+}
+
+/// An open reference ready to map against: the index, its target tables,
+/// and one supervised backend session per index shard (one for a flat
+/// index), so each shard's compute fault domain mirrors its index-side
+/// quarantine. Immutable once built; the daemon's live reload builds a new
+/// one and swaps the `Arc`.
+pub struct MapSession {
+    id: u64,
+    index: AnyIndex,
+    map: MapOpts,
+    tnames: Vec<String>,
+    tlens: Vec<usize>,
+    sessions: ShardSessions,
+    sched: SchedConfig,
+    backend_label: &'static str,
+}
+
+impl MapSession {
+    /// Stand up the backend sessions over `index`. Session 0 is created
+    /// eagerly, so a bad backend choice fails here, before any mapping.
+    /// `id` numbers the daemon's index generations (0 for a CLI run).
+    pub fn new(
+        id: u64,
+        index: AnyIndex,
+        map: MapOpts,
+        exec: &ExecConfig,
+    ) -> Result<MapSession, MapError> {
+        let iref = index.as_index_ref();
+        let (tnames, tlens) = target_tables(iref);
+        let (kind, bopts, sup) = (exec.kind, exec.backend.clone(), exec.supervisor.clone());
+        let factory: SessionFactory =
+            Box::new(move |_shard| prepare_supervised(kind, &bopts, sup.clone()));
+        let backend_err = |e: mmm_exec::BackendError| MapError::Usage(e.to_string());
+        let sessions = ShardSessions::new(iref.num_shards(), factory).map_err(backend_err)?;
+        let backend_label = sessions.primary().map_err(backend_err)?.label();
+        Ok(MapSession {
+            id,
+            index,
+            map,
+            tnames,
+            tlens,
+            sessions,
+            sched: exec.sched.clone(),
+            backend_label,
+        })
+    }
+
+    pub fn index(&self) -> &AnyIndex {
+        &self.index
+    }
+
+    /// Target names and lengths, by reference id (the SAM header's input).
+    pub fn targets(&self) -> (&[String], &[usize]) {
+        (&self.tnames, &self.tlens)
+    }
+
+    /// The primary backend's name, for run summaries.
+    pub fn backend_label(&self) -> &'static str {
+        self.backend_label
+    }
+
+    /// The shard fault-domain report (nothing over a flat index): only
+    /// lines for shards that did anything interesting, plus one summary
+    /// line each for the index and the backend sessions, so a clean run
+    /// stays compact.
+    pub fn shard_report(&self, report: &mut StatsReport) {
+        let AnyIndex::Sharded(sharded) = &self.index else {
+            return;
+        };
+        let health = sharded.health();
+        let quarantined = health.iter().filter(|h| h.state == "quarantined").count();
+        report.line(format!(
+            "shards: {} total, {} quarantined, {} resident byte(s)",
+            health.len(),
+            quarantined,
+            sharded.resident_bytes()
+        ));
+        for h in &health {
+            if h.state == "quarantined" || h.retries > 0 || h.evictions > 0 {
+                report.line(format!(
+                    "shard {}: {}{}; loads={}, retries={}, io_faults={}, evictions={}",
+                    h.shard,
+                    h.state,
+                    h.reason
+                        .as_deref()
+                        .map(|r| format!(" ({r})"))
+                        .unwrap_or_default(),
+                    h.loads,
+                    h.retries,
+                    h.io_faults,
+                    h.evictions
+                ));
+            }
+        }
+        let sess = self.sessions.health();
+        let routed: u64 = sess.iter().map(|s| s.jobs).sum();
+        let sess_quarantined: u64 = sess.iter().map(|s| s.quarantined).sum();
+        report.line(format!(
+            "shard sessions: {} created, {routed} job(s) routed, \
+             {sess_quarantined} job(s) quarantined",
+            sess.iter().filter(|s| s.created).count()
+        ));
+    }
+
+    pub fn describe(&self) -> String {
+        let iref = self.index.as_index_ref();
+        format!(
+            "generation {}: {} sequence(s), {} shard(s)",
+            self.id,
+            iref.num_seqs(),
+            iref.num_shards()
+        )
+    }
+
+    fn mapper(&self) -> Mapper<'_> {
+        Mapper::new(self.index.as_index_ref(), self.map)
+    }
+
+    /// The plan stage: seed, chain, and describe the read's DP jobs.
+    pub fn plan(self: &Arc<Self>, rec: &SeqRecord) -> Planned {
+        let nt4 = rec.nt4();
+        let plan = self.mapper().plan_read(&nt4);
+        Planned {
+            nt4,
+            session: Arc::clone(self),
+            plan,
+        }
+    }
+}
+
+/// One read between the plan and finalize stages: the encoded query, the
+/// session it was planned against (finalize must splice reference windows
+/// and target names from the *same* index the plan used, even if a reload
+/// swapped sessions in between), and the plan itself.
+pub struct Planned {
+    pub nt4: Vec<u8>,
+    pub session: Arc<MapSession>,
+    pub plan: Result<ReadPlan, MapReadError>,
+}
+
+/// Marks a dispatch failure as a backend quarantine, so the pipeline's
+/// panic handler can tell it from a worker panic.
+const QUARANTINE_PREFIX: &str = "backend: ";
+
+/// The quarantine reason, if `msg` (as handed to the pipeline's panic
+/// handler) came from [`dispatch`] rather than from a worker panic.
+pub fn quarantine_reason(msg: &str) -> Option<&str> {
+    msg.strip_prefix(QUARANTINE_PREFIX)
+}
+
+/// The dispatch stage: take every read's jobs (and their shard tags), make
+/// one submission per session present in the batch — a reload can land
+/// mid-batch, and each job must run through the shard sessions of the
+/// index whose reference windows it carries — then deal the per-job
+/// outcomes back out per read, in job order. A read with any quarantined
+/// job comes back `Err` (see [`quarantine_reason`]) and degrades through
+/// the pipeline's panic handler; a fail-fast supervisor surfaces the first
+/// unrecovered error as a fatal whole-batch `Err`. Backend counters are
+/// merged into `stats`.
+#[allow(clippy::type_complexity)]
+pub fn dispatch(
+    mut plans: Vec<Planned>,
+    stats: &Mutex<BackendStats>,
+) -> Result<Vec<(Planned, Result<Vec<AlignResult>, String>)>, DynError> {
+    struct Group {
+        session: Arc<MapSession>,
+        jobs: Vec<AlignJob>,
+        shards: Vec<u32>,
+    }
+    let mut groups: Vec<Group> = Vec::new();
+    // Per read: which group its jobs went to, and how many.
+    let mut counts: Vec<(usize, usize)> = Vec::with_capacity(plans.len());
+    for p in &mut plans {
+        let entry = match p.plan.as_mut() {
+            Ok(plan) if !plan.jobs.is_empty() => {
+                let gi = groups
+                    .iter()
+                    .position(|g| Arc::ptr_eq(&g.session, &p.session))
+                    .unwrap_or_else(|| {
+                        groups.push(Group {
+                            session: Arc::clone(&p.session),
+                            jobs: Vec::new(),
+                            shards: Vec::new(),
+                        });
+                        groups.len() - 1
+                    });
+                // Taken, not drained in place: the plan must not pin an
+                // empty job buffer until its read is finalized.
+                let jobs = std::mem::take(&mut plan.jobs);
+                let n = jobs.len();
+                groups[gi].jobs.extend(jobs);
+                groups[gi]
+                    .shards
+                    .extend(std::mem::take(&mut plan.job_shards));
+                (gi, n)
+            }
+            _ => (0, 0),
+        };
+        counts.push(entry);
+    }
+    let mut outcomes: Vec<std::vec::IntoIter<JobOutcome>> = Vec::with_capacity(groups.len());
+    for g in groups {
+        let s = &g.session;
+        let (os, bstats) = s
+            .sessions
+            .submit_sharded(g.jobs, &g.shards, &s.sched)
+            .map_err(|e| -> DynError { Box::new(e) })?;
+        lock_unpoisoned(stats).merge(&bstats);
+        outcomes.push(os.into_iter());
+    }
+    Ok(plans
+        .into_iter()
+        .zip(counts)
+        .map(|(p, (gi, n))| {
+            let mut results = Vec::with_capacity(n);
+            let mut quarantine = None;
+            if n > 0 {
+                for o in outcomes[gi].by_ref().take(n) {
+                    match o {
+                        JobOutcome::Done(r) => results.push(r),
+                        JobOutcome::Quarantined { reason } => {
+                            quarantine.get_or_insert(reason);
+                        }
+                    }
+                }
+            }
+            match quarantine {
+                None => (p, Ok(results)),
+                Some(reason) => (p, Err(format!("{QUARANTINE_PREFIX}{reason}"))),
+            }
+        })
+        .collect())
+}
+
+/// A finalized read: its output records and the plan-time filter count.
+pub struct Finalized {
+    /// PAF or SAM lines, each newline-terminated (empty for a read that
+    /// maps nowhere).
+    pub lines: String,
+    /// Candidate chains the pre-alignment filter rejected for this read.
+    pub prefilter_rejected: usize,
+}
+
+/// The finalize stage: splice the backend's results into the read's chain
+/// walks and format its records, against the session the read was planned
+/// on. A read whose plan was rejected comes back as that error; the caller
+/// accounts for it and emits [`unmapped_record`].
+pub fn finalize<'p>(
+    planned: &'p Planned,
+    rec: &SeqRecord,
+    results: &[AlignResult],
+    scratch: &mut AlignScratch,
+    sam: bool,
+) -> Result<Finalized, &'p MapReadError> {
+    let plan = planned.plan.as_ref()?;
+    let s = &planned.session;
+    let nt4 = &planned.nt4;
+    let ms = s
+        .mapper()
+        .finalize_read_with_scratch(nt4, plan, results, scratch);
+    let mut lines = String::new();
+    for m in &ms {
+        if sam {
+            lines.push_str(&sam_line(&rec.name, nt4, &s.tnames, m));
+        } else {
+            let rid = m.rid as usize;
+            lines.push_str(&paf_line(
+                &rec.name,
+                nt4.len(),
+                &s.tnames[rid],
+                s.tlens[rid],
+                m,
+            ));
+        }
+        lines.push('\n');
+    }
+    Ok(Finalized {
+        lines,
+        prefilter_rejected: plan.chained().prefilter_rejected(),
+    })
+}
+
+/// The record emitted for a degraded read: SAM or PAF unmapped placeholder.
+pub fn unmapped_record(rec: &SeqRecord, sam: bool) -> String {
+    let mut s = if sam {
+        sam_unmapped(&rec.name, &rec.nt4())
+    } else {
+        paf_unmapped(&rec.name, rec.len())
+    };
+    s.push('\n');
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmm_seq::nt4_decode;
+    use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
+
+    #[test]
+    fn flags_land_in_map_opts_and_exec_config() {
+        let argv = "--preset map-pb --no-cigar --index-format legacy --threads 3 \
+                    --backend gpu-sim --sched bins --backend-retries 0 \
+                    --batch-deadline-ms 250 --mem-budget 64K \
+                    --inject-backend-fault missing-shard:shards=1";
+        let args = Args::parse(argv.split_whitespace().map(String::from), &[]).unwrap();
+        let (map, exec) = map_config(&args).unwrap();
+        assert_eq!(map.idx.k, 19);
+        assert!(!map.with_cigar);
+        assert_eq!(map.index_format, IndexFormat::Legacy);
+        assert_eq!(exec.backend.threads, 3);
+        assert_eq!(exec.kind, BackendKind::GpuSim);
+        assert_eq!(exec.sched.mode, SchedMode::Bins);
+        assert_eq!(exec.supervisor.max_retries, 0);
+        assert_eq!(
+            exec.supervisor.batch_deadline,
+            Some(Duration::from_millis(250))
+        );
+        // The one fault plan reaches the shard loader too.
+        let shard_opts = exec.shard_open_opts();
+        assert_eq!(shard_opts.mem_budget, Some(64 << 10));
+        assert!(shard_opts.hook.is_some());
+    }
+
+    /// A FASTA reference is indexed in memory with the run's seeding
+    /// parameters *and* posting format (the daemon's old loader dropped
+    /// the format).
+    #[test]
+    fn fasta_reference_is_indexed_with_the_requested_format() {
+        let dir = std::env::temp_dir().join(format!("mmm-session-fa-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fa = dir.join("ref.fa");
+        let seq = "ACGTTGCATGCCGATAGCTAGCTTAGGCATCGAT".repeat(40);
+        std::fs::write(&fa, format!(">chr1\n{seq}\n")).unwrap();
+        for format in [IndexFormat::Packed, IndexFormat::Legacy] {
+            let map = MapOpts::map_ont().with_index_format(format);
+            let index = load_index_any(&fa, &map, ShardOpenOpts::default(), true).unwrap();
+            let AnyIndex::Flat(idx) = index else {
+                panic!("a FASTA builds a flat index");
+            };
+            assert_eq!(idx.format(), format);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One dispatch batch holding reads planned against two different
+    /// sessions (a reload landed mid-batch), one job quarantined: every
+    /// read gets its own results back and exactly one read degrades.
+    #[test]
+    fn dispatch_deals_results_across_sessions_and_degrades_one_read() {
+        let genome = generate_genome(&GenomeOpts {
+            len: 60_000,
+            repeat_frac: 0.0,
+            seed: 5,
+            ..Default::default()
+        });
+        let map = MapOpts::map_ont();
+        let open = |id: u64, exec: &ExecConfig| {
+            let idx =
+                MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &map.idx)
+                    .unwrap();
+            Arc::new(MapSession::new(id, AnyIndex::Flat(idx), map, exec).unwrap())
+        };
+        let clean = ExecConfig::new(&map, 2);
+        let mut failing = clean.clone();
+        failing.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
+        failing.supervisor.max_retries = 0;
+        let (old, new) = (open(0, &failing), open(1, &clean));
+
+        let reads: Vec<SeqRecord> = simulate_reads(
+            &genome,
+            &SimOpts {
+                platform: Platform::Nanopore,
+                num_reads: 4,
+                seed: 9,
+            },
+        )
+        .into_iter()
+        .map(|r| SeqRecord::new(r.name, nt4_decode(&r.seq)))
+        .collect();
+
+        // What each read maps to on its own, through the clean session.
+        let stats = Mutex::new(BackendStats::default());
+        let mut scratch = AlignScratch::new();
+        let mut solo = |rec: &SeqRecord| {
+            let (p, r) = dispatch(vec![new.plan(rec)], &stats).unwrap().remove(0);
+            finalize(&p, rec, &r.unwrap(), &mut scratch, false)
+                .unwrap()
+                .lines
+        };
+        let expect: Vec<String> = reads.iter().map(&mut solo).collect();
+
+        // Read 1 was planned before the reload, on the failing session;
+        // cut it down to exactly one job.
+        let mut plans: Vec<Planned> = reads.iter().map(|r| new.plan(r)).collect();
+        plans[1] = old.plan(&reads[1]);
+        let p1 = plans[1].plan.as_mut().unwrap();
+        assert!(!p1.jobs.is_empty(), "fixture read must need gap fills");
+        p1.jobs.truncate(1);
+        p1.job_shards.truncate(1);
+
+        let stats = Mutex::new(BackendStats::default());
+        let dealt = dispatch(plans, &stats).unwrap();
+        assert_eq!(dealt.len(), 4);
+        for (i, ((p, r), rec)) in dealt.iter().zip(&reads).enumerate() {
+            if i == 1 {
+                let msg = r.as_ref().expect_err("read 1 must degrade");
+                assert!(quarantine_reason(msg).is_some(), "{msg}");
+                assert!(Arc::ptr_eq(&p.session, &old));
+            } else {
+                let lines = finalize(p, rec, r.as_ref().unwrap(), &mut scratch, false)
+                    .unwrap()
+                    .lines;
+                assert_eq!(lines, expect[i], "read {i} got another read's results");
+            }
+        }
+        assert_eq!(lock_unpoisoned(&stats).quarantined, 1);
+        assert_eq!(old.sessions.health()[0].quarantined, 1);
+        assert_eq!(new.sessions.health()[0].quarantined, 0);
+    }
+}

@@ -4,7 +4,7 @@
 //! `mmm-exec` owns the fault-plan grammar but deliberately does not depend
 //! on the index crate, and `mmm-index` owns the hook but knows nothing
 //! about plans. The mapper crate sees both, so the one-to-one translation
-//! lives here: `--inject-shard-fault corrupt-section:shards=1:section=map`
+//! lives here: `--inject-backend-fault corrupt-section:shards=1:section=map`
 //! parses in `mmm-exec` and fires inside `mmm-index`'s shard loader.
 
 use std::sync::Arc;

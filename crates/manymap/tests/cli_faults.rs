@@ -198,3 +198,52 @@ fn oversized_reads_degrade_with_count() {
         "stderr: {stderr}"
     );
 }
+
+/// Malformed flag values and unknown flags are usage errors (exit 1, flag
+/// named, nothing on stdout) in both binaries — regression: `manymap map`
+/// used to fall back to the default on `--threads abc` and to read a
+/// mistyped `--thread 4` as a boolean plus a stray positional.
+#[test]
+fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
+    let fx = fixture("flags");
+    let sock = fx.dir.join("never-bound.sock");
+    let daemon = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_mmm-serve"))
+            .arg("daemon")
+            .arg(&fx.index)
+            .arg("--socket")
+            .arg(&sock)
+            .args(extra)
+            .output()
+            .expect("spawn mmm-serve")
+    };
+    let expect_usage = |out: Output, prog: &str, flag: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{prog} {flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{prog}: ")) && stderr.contains(flag),
+            "{prog} must name {flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{prog} {flag} wrote to stdout");
+    };
+    for bad in [
+        &["--threads", "abc"][..],
+        &["--max-read-len", "1e6"],
+        &["--backend-retries", "-1"],
+        &["--preset", "pacbio"],
+        &["--thread", "4"],
+        &["--mem-budget"],
+    ] {
+        expect_usage(run_map(&fx.index, &fx.reads, bad), "manymap", bad[0]);
+        expect_usage(daemon(bad), "mmm-serve", bad[0]);
+    }
+    // Each binary takes the shared table plus its own flags only.
+    expect_usage(
+        run_map(&fx.index, &fx.reads, &["--socket", "x"]),
+        "manymap",
+        "--socket",
+    );
+    expect_usage(daemon(&["--sam"]), "mmm-serve", "--sam");
+    expect_usage(daemon(&["--fail-fast"]), "mmm-serve", "--fail-fast");
+    assert!(!sock.exists(), "a usage error must come before the bind");
+}

@@ -13,11 +13,13 @@ use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use manymap::serve::{encode_read, read_frame, serve, write_frame, Frame, Op, ServeOpts};
-use manymap::MapOpts;
-use mmm_exec::{BackendOptions, BufferSink};
-use mmm_index::{save_index, AnyIndex, IdxOpts, MinimizerIndex};
+use manymap::{load_index_any, ExecConfig, MapOpts};
+use mmm_exec::BufferSink;
+use mmm_index::{build_sharded, save_index, AnyIndex, IdxOpts, IndexFormat, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
-use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
+use mmm_simreads::{
+    generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
+};
 
 struct Fixture {
     dir: PathBuf,
@@ -85,13 +87,69 @@ fn fixture(tag: &str, num_reads: usize) -> Fixture {
     }
 }
 
+/// Four distinct chromosomes behind a 4-shard manifest (one chromosome per
+/// shard), with reads drawn from every chromosome — so a dead shard
+/// degrades a known, partial set of reads.
+fn sharded_fixture(tag: &str) -> Fixture {
+    let dir = std::env::temp_dir().join(format!("mmm-serve-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let chroms = generate_chromosomes(
+        &GenomeOpts {
+            len: 240_000,
+            repeat_frac: 0.0,
+            seed: 17,
+            ..Default::default()
+        },
+        4,
+    );
+    let refs: Vec<SeqRecord> = chroms
+        .iter()
+        .enumerate()
+        .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
+        .collect();
+    let index = dir.join("sharded.mmx");
+    build_sharded(&refs, &IdxOpts::MAP_ONT, IndexFormat::Packed, 4, &index).unwrap();
+
+    let mut records = Vec::new();
+    for (ci, g) in chroms.iter().enumerate() {
+        let sims = simulate_reads(
+            g,
+            &SimOpts {
+                platform: Platform::Nanopore,
+                num_reads: 3,
+                seed: 100 + ci as u64,
+            },
+        );
+        for r in sims {
+            records.push(SeqRecord::new(
+                format!("c{}{}", ci + 1, r.name),
+                nt4_decode(&r.seq),
+            ));
+        }
+    }
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &records, 0).unwrap();
+    let reads = dir.join("reads.fa");
+    std::fs::write(&reads, &fasta).unwrap();
+
+    Fixture {
+        dir,
+        index,
+        reads,
+        records,
+        genome: Vec::new(),
+    }
+}
+
 /// Solo CLI run — the byte-identity reference.
-fn run_cli(index: &Path, reads: &Path, envs: &[(&str, &str)]) -> Output {
+fn run_cli(index: &Path, reads: &Path, envs: &[(&str, &str)], extra: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_manymap"));
     cmd.arg("map")
         .arg(index)
         .arg(reads)
-        .args(["--threads", "2", "--backend", "cpu"]);
+        .args(["--threads", "2", "--backend", "cpu"])
+        .args(extra);
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -212,12 +270,7 @@ fn admin(socket: &Path, op: Op) -> Frame {
 /// final report.
 fn serve_opts(fx: &Fixture) -> ServeOpts {
     let map = MapOpts::map_ont();
-    let mut bopts = BackendOptions::new(map.scoring);
-    bopts.engine = map.engine;
-    bopts.threads = 2;
-    let mut opts = ServeOpts::new(fx.socket(), map, bopts);
-    opts.threads = 2;
-    opts
+    ServeOpts::new(fx.socket(), map, ExecConfig::new(&map, 2))
 }
 
 // --- tests --------------------------------------------------------------
@@ -228,7 +281,7 @@ fn serve_opts(fx: &Fixture) -> ServeOpts {
 #[test]
 fn four_tenants_are_byte_identical_to_solo_cli() {
     let fx = fixture("parity", 8);
-    let solo = run_cli(&fx.index, &fx.reads, &[]);
+    let solo = run_cli(&fx.index, &fx.reads, &[], &[]);
     assert!(!solo.stdout.is_empty(), "solo CLI produced no records");
 
     let daemon = spawn_daemon(&fx, &[]);
@@ -293,7 +346,7 @@ fn injected_faults_stay_byte_identical_and_accounted() {
         ("MMM_FAULT_PLAN", "launch-fail"),
         ("MMM_BACKEND_RETRIES", "1"),
     ];
-    let solo = run_cli(&fx.index, &fx.reads, &envs);
+    let solo = run_cli(&fx.index, &fx.reads, &envs, &[]);
     let solo_text = String::from_utf8_lossy(&solo.stdout);
     assert!(
         solo_text.lines().all(|l| l.contains("tp:A:U")),
@@ -617,7 +670,7 @@ fn live_reload_swaps_generations_without_dropping_reads() {
     let fx = fixture("reload", 8);
     let mut opts = serve_opts(&fx);
     opts.index_path = Some(fx.index.clone());
-    let index = manymap::serve::load_index_any(&fx.index, &opts.map, None).unwrap();
+    let index = load_index_any(&fx.index, &opts.map, opts.exec.shard_open_opts(), true).unwrap();
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
@@ -684,6 +737,60 @@ fn live_reload_swaps_generations_without_dropping_reads() {
         assert_eq!(f.op, Op::Ok);
         daemon.join().unwrap().unwrap();
     });
+}
+
+/// Shard-class fault rules reach the daemon's index loader, at boot and on
+/// every `RELOAD` (regression: the daemon used to open with default shard
+/// options, so `missing-shard:shards=1` was a silent no-op). Over a 4-shard
+/// manifest with shard 1 dead, a tenant's stream equals `manymap map` under
+/// the same plan — the same reads degrade — before and after a reload.
+#[test]
+fn shard_fault_rules_apply_at_boot_and_across_reload() {
+    let fx = sharded_fixture("shardfault");
+    let plan = ["--inject-backend-fault", "missing-shard:shards=1"];
+    let solo = run_cli(&fx.index, &fx.reads, &[], &plan);
+    let healthy = run_cli(&fx.index, &fx.reads, &[], &[]);
+    let degraded = |out: &[u8]| {
+        String::from_utf8_lossy(out)
+            .lines()
+            .filter(|l| l.contains("tp:A:U"))
+            .count()
+    };
+    assert_eq!(degraded(&healthy.stdout), 0);
+    assert!(
+        (1..fx.records.len()).contains(&degraded(&solo.stdout)),
+        "the plan must degrade some reads, not all: {}",
+        String::from_utf8_lossy(&solo.stdout)
+    );
+
+    let daemon = spawn_daemon(&fx, &plan);
+    for tenant in ["before", "after"] {
+        let out = run_client(&fx.socket(), tenant, &fx.reads);
+        assert!(
+            out.status.success(),
+            "client {tenant} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&solo.stdout),
+            "tenant {tenant} diverged from the solo CLI under the shard plan"
+        );
+        if tenant == "before" {
+            let reload = serve_bin()
+                .arg("reload")
+                .arg(fx.socket())
+                .output()
+                .expect("spawn mmm-serve reload");
+            assert!(
+                reload.status.success(),
+                "reload failed: {}",
+                String::from_utf8_lossy(&reload.stderr)
+            );
+        }
+    }
+    let stderr = drain_and_join(&fx, daemon);
+    assert!(stderr.contains("1 reload(s)"), "daemon report: {stderr}");
 }
 
 /// Admission control: the tenant cap refuses the N+1th live session with a

@@ -1,9 +1,8 @@
-//! The batched 3-thread pipeline: plan → (schedule →) dispatch → finalize.
-//!
-//! The classic 3-thread pipeline hands each worker one item at a time. The
-//! batched variant splits the compute stage so a whole batch's base-level
-//! alignment can be executed by a *backend* (CPU SIMD lanes, the simulated
-//! GPU, eventually real accelerators) in one submission:
+//! The 3-thread pipeline: reader thread → compute stage → writer thread,
+//! with the compute stage split into plan → (schedule →) dispatch →
+//! finalize so a whole batch's base-level alignment can be executed by a
+//! *backend* (CPU SIMD lanes, the simulated GPU, eventually real
+//! accelerators) in one submission:
 //!
 //! 1. **plan** — per item, on the worker pool: seed, chain, and describe
 //!    the DP problems the item needs (returns `M`, e.g. a set of
@@ -32,9 +31,13 @@
 //! ([`PipelineError::Dispatch`]) — that is the `--fail-fast` escape hatch
 //! and the contract-violation path (wrong result count).
 //!
-//! Reader/writer semantics (bounded channels, prompt shutdown, first error
-//! wins, output in input order) are identical to
-//! [`crate::try_run_three_thread_with_state`].
+//! Reader and writer run on their own threads, coupled to the compute
+//! stage by bounded channels: `read_batch` returns the next batch,
+//! `Ok(None)` at end of input, or an error that stops the run with
+//! [`PipelineError::Read`]; `write_batch` consumes results in batch order,
+//! and an error stops the run with [`PipelineError::Write`]. On error the
+//! pipeline shuts down promptly and cleanly: no deadlock, no poisoned
+//! stats, and the first failure is the one reported.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;

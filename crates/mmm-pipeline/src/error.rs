@@ -1,8 +1,9 @@
 //! Typed pipeline errors.
 //!
-//! The fallible pipeline entry points ([`crate::try_run_three_thread_with_state`],
-//! [`crate::try_run_two_thread_with_state`]) report exactly which stage
-//! failed. Stage callbacks return [`DynError`] so any error type flows
+//! The pipeline entry points
+//! ([`crate::try_run_three_thread_batched_with_state`],
+//! [`crate::try_run_three_thread_batched_from_queue`]) report exactly which
+//! stage failed. Stage callbacks return [`DynError`] so any error type flows
 //! through the pipeline unchanged; the pipeline wraps it with the stage that
 //! produced it.
 

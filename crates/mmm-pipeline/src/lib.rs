@@ -1,19 +1,21 @@
-//! `mmm-pipeline` — the real multi-threaded batch pipelines (§4.4.4).
+//! `mmm-pipeline` — the real multi-threaded batch pipeline (§4.4.4).
 //!
-//! minimap2 overlaps I/O with computation through a 2-thread pipeline: two
-//! pipeline threads alternate batches, each performing load → multi-thread
-//! align → output, so one batch's computation hides the other's I/O.
-//! manymap adds a dedicated I/O thread so input and output *also* overlap
-//! each other, and sorts each batch by read length so long reads start
-//! first (better load balance).
+//! manymap's 3-thread design: a dedicated reader thread and a dedicated
+//! writer thread around the compute stage, joined by bounded channels, so
+//! input and output overlap computation *and* each other; each batch is
+//! sorted by read length so long reads start first (better load balance).
+//! (minimap2's 2-thread alternating design is compared against it where
+//! the paper measures it — `mmm_knl::simulate_pipeline`, Fig. 11 — not
+//! with a second set of real threads.)
 //!
-//! This crate implements both designs generically over any item/result
-//! types using bounded std channels and a persistent worker pool
-//! ([`pool::WorkerPool`]): compute threads are spawned once per pipeline
-//! run, each owning a private per-worker state built by a caller-supplied
-//! factory (the mapper passes an alignment scratch arena). The mapper plugs
-//! its seed-chain-extend function in as the map stage. Output order is
-//! always the input order, regardless of scheduling (tested).
+//! There is one pipeline, [`batched`]: plan → dispatch → finalize, generic
+//! over item/plan/result types, fed by a reader closure or a
+//! [`BoundedQueue`]. Its per-item phases run on a persistent worker pool
+//! ([`pool::WorkerPool`]): compute threads are spawned once per run, each
+//! owning a private per-worker state built by a caller-supplied factory
+//! (the mapper passes an alignment scratch arena). A per-item pipeline is
+//! the same thing with an identity dispatch. Output order is always the
+//! input order, regardless of scheduling (tested).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -31,10 +33,7 @@ pub use batched::{
 };
 pub use error::{DynError, PipelineError};
 pub use fault::{failing_every, panicking_map};
-pub use pipeline::{
-    run_three_thread, run_three_thread_with_state, run_two_thread, run_two_thread_with_state,
-    try_run_three_thread_with_state, try_run_two_thread_with_state, PanicHandler, PipelineStats,
-};
+pub use pipeline::{PanicHandler, PipelineStats};
 pub use pool::{par_map_indexed, with_worker_pool, BatchOutcome, ItemPanic, WorkerPool};
 pub use queue::{BoundedQueue, PopError, PushError};
 pub use sort::sort_indices_by_len_desc;

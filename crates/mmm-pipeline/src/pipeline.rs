@@ -1,20 +1,4 @@
-//! The two pipeline designs.
-//!
-//! Each design comes in two flavors: a fallible `try_*` entry point where
-//! the read/write stages return `Result` and worker panics are caught (the
-//! real pipelines, used by the CLI), and the original infallible signature,
-//! now a thin wrapper that panics on failure (used by tests and benches
-//! whose stages cannot fail).
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
-
-use crate::error::{DynError, PipelineError};
-use crate::pool::{with_worker_pool, BatchOutcome};
-use crate::sort::sort_indices_by_len_desc;
-use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+//! Types shared by the pipeline entry points in [`crate::batched`].
 
 /// Aggregate timings of a pipeline run. Stage seconds are summed across
 /// batches (stages overlap, so they may exceed `wall_seconds`).
@@ -35,596 +19,5 @@ pub struct PipelineStats {
 /// the panic message, returns the substitute result (e.g. an "unmapped"
 /// record). Installing one turns worker panics into per-item degradation;
 /// without one the first panic aborts the run with
-/// [`PipelineError::WorkerPanic`].
+/// [`crate::PipelineError::WorkerPanic`].
 pub type PanicHandler<'a, I, R> = Option<&'a (dyn Fn(&I, &str) -> R + Sync)>;
-
-fn record_error(slot: &Mutex<Option<PipelineError>>, e: PipelineError) {
-    let mut g = lock_unpoisoned(slot);
-    if g.is_none() {
-        *g = Some(e);
-    }
-}
-
-/// Substitute handler results for panicked items, or produce the fatal
-/// error if no handler is installed. Returns `Err(fatal)` to abort.
-fn settle_batch<I, R>(
-    batch: &[I],
-    outcome: BatchOutcome<R>,
-    on_item_panic: PanicHandler<'_, I, R>,
-) -> Result<(Vec<R>, usize), PipelineError> {
-    let BatchOutcome {
-        mut results,
-        panics,
-    } = outcome;
-    let failed = panics.len();
-    if !panics.is_empty() {
-        match on_item_panic {
-            Some(handler) => {
-                for p in &panics {
-                    results[p.index] = Some(handler(&batch[p.index], &p.message));
-                }
-            }
-            None => {
-                let p = &panics[0];
-                return Err(PipelineError::WorkerPanic {
-                    item_index: p.index,
-                    message: p.message.clone(),
-                });
-            }
-        }
-    }
-    // Every `None` slot carries a panic entry (the pool synthesizes one),
-    // so after substitution the flatten drops nothing.
-    Ok((results.into_iter().flatten().collect(), failed))
-}
-
-fn finish(
-    stats: Mutex<PipelineStats>,
-    failure: Mutex<Option<PipelineError>>,
-    wall: Instant,
-) -> Result<PipelineStats, PipelineError> {
-    if let Some(e) = lock_unpoisoned(&failure).take() {
-        return Err(e);
-    }
-    let mut s = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
-    s.wall_seconds = wall.elapsed().as_secs_f64();
-    Ok(s)
-}
-
-/// manymap's 3-thread design: a reader thread, the compute stage (persistent
-/// worker pool), and a writer thread, connected by bounded channels so input
-/// and output overlap computation *and* each other.
-///
-/// * `read_batch` returns the next batch, `Ok(None)` at end of input, or an
-///   error that stops the run with [`PipelineError::Read`];
-/// * each of the `threads` workers builds one private state with
-///   `make_state(worker_idx)` when the pool starts (e.g. an alignment
-///   scratch arena) and keeps it for the whole run;
-/// * `map` is applied to every item (longest-first when `sort_by_len` is
-///   set, via `len_of`); a panic in `map` is caught per item and handled by
-///   `on_item_panic` (see [`PanicHandler`]);
-/// * `write_batch` consumes results in batch order; an error stops the run
-///   with [`PipelineError::Write`].
-///
-/// On error the pipeline shuts down promptly and cleanly: no deadlock, no
-/// poisoned stats, and the first failure is the one reported.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_three_thread_with_state<I, R, S, FIn, FState, FMap, FLen, FOut>(
-    mut read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    len_of: FLen,
-    mut write_batch: FOut,
-    on_item_panic: PanicHandler<'_, I, R>,
-    threads: usize,
-    sort_by_len: bool,
-) -> Result<PipelineStats, PipelineError>
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Result<Option<Vec<I>>, DynError> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FLen: Fn(&I) -> usize + Sync,
-    FOut: FnMut(Vec<R>) -> Result<(), DynError> + Send,
-{
-    let stats = Mutex::new(PipelineStats::default());
-    let failure = Mutex::new(None::<PipelineError>);
-    let wall = Instant::now();
-
-    with_worker_pool(threads, make_state, map, |pool| {
-        let (in_tx, in_rx) = sync_channel::<Vec<I>>(2);
-        let (out_tx, out_rx) = sync_channel::<Vec<R>>(2);
-
-        std::thread::scope(|scope| {
-            // Reader.
-            let stats_ref = &stats;
-            let failure_ref = &failure;
-            scope.spawn(move || loop {
-                let t0 = Instant::now();
-                let batch = read_batch();
-                lock_unpoisoned(stats_ref).in_seconds += t0.elapsed().as_secs_f64();
-                match batch {
-                    Ok(Some(b)) => {
-                        if in_tx.send(b).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) => break, // dropping in_tx closes the channel
-                    Err(e) => {
-                        record_error(failure_ref, PipelineError::Read(e));
-                        break;
-                    }
-                }
-            });
-
-            // Writer.
-            let writer = scope.spawn(move || {
-                while let Ok(out) = out_rx.recv() {
-                    let t0 = Instant::now();
-                    let r = write_batch(out);
-                    lock_unpoisoned(stats_ref).out_seconds += t0.elapsed().as_secs_f64();
-                    if let Err(e) = r {
-                        record_error(failure_ref, PipelineError::Write(e));
-                        break; // dropping out_rx fails the compute send
-                    }
-                }
-            });
-
-            // Compute stage on this thread; workers persist across batches.
-            let in_rx = in_rx; // owned here so it can be dropped early below
-            while let Ok(batch) = in_rx.recv() {
-                let t0 = Instant::now();
-                let order = if sort_by_len {
-                    sort_indices_by_len_desc(&batch, &len_of)
-                } else {
-                    (0..batch.len()).collect()
-                };
-                let outcome = pool.run_batch_catching(&batch, &order);
-                let settled = settle_batch(&batch, outcome, on_item_panic);
-                let results = match settled {
-                    Ok((results, failed)) => {
-                        let mut s = lock_unpoisoned(&stats);
-                        s.compute_seconds += t0.elapsed().as_secs_f64();
-                        s.batches += 1;
-                        s.items += batch.len();
-                        s.failed_items += failed;
-                        results
-                    }
-                    Err(fatal) => {
-                        record_error(&failure, fatal);
-                        break;
-                    }
-                };
-                if out_tx.send(results).is_err() {
-                    break;
-                }
-            }
-            // Unblock the reader (its send fails once the channel is gone)
-            // and close the writer's input, then surface writer panics.
-            drop(in_rx);
-            drop(out_tx);
-            if let Err(payload) = writer.join() {
-                std::panic::resume_unwind(payload);
-            }
-        });
-    });
-
-    finish(stats, failure, wall)
-}
-
-/// Infallible wrapper around [`try_run_three_thread_with_state`] keeping the
-/// original signature: stages cannot fail, and a worker panic is re-raised
-/// on the calling thread with the item index attached.
-pub fn run_three_thread_with_state<I, R, S, FIn, FState, FMap, FLen, FOut>(
-    mut read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    len_of: FLen,
-    mut write_batch: FOut,
-    threads: usize,
-    sort_by_len: bool,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FLen: Fn(&I) -> usize + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    match try_run_three_thread_with_state(
-        move || Ok(read_batch()),
-        make_state,
-        map,
-        len_of,
-        move |r| {
-            write_batch(r);
-            Ok(())
-        },
-        None,
-        threads,
-        sort_by_len,
-    ) {
-        Ok(s) => s,
-        Err(e @ PipelineError::WorkerPanic { .. }) => panic!("{e}"),
-        // The wrapped stages never return errors.
-        Err(e) => panic!("infallible pipeline stage failed: {e}"),
-    }
-}
-
-/// Stateless convenience wrapper around [`run_three_thread_with_state`],
-/// keeping the original `mmm-pipeline` signature.
-pub fn run_three_thread<I, R, FIn, FMap, FLen, FOut>(
-    read_batch: FIn,
-    map: FMap,
-    len_of: FLen,
-    write_batch: FOut,
-    threads: usize,
-    sort_by_len: bool,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FMap: Fn(&I) -> R + Sync,
-    FLen: Fn(&I) -> usize + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    run_three_thread_with_state(
-        read_batch,
-        |_| (),
-        |(), item| map(item),
-        len_of,
-        write_batch,
-        threads,
-        sort_by_len,
-    )
-}
-
-/// minimap2's 2-thread design: two pipeline slots alternate batches, each
-/// running load → compute → output sequentially; the compute sections are
-/// mutually exclusive (they use the whole worker pool), so one slot's
-/// compute overlaps the other slot's I/O only.
-///
-/// Fault semantics match [`try_run_three_thread_with_state`]. A failing slot
-/// raises a shared abort flag (and wakes any slot parked on the in-order
-/// writer condvar) so the run always terminates — a batch id that will never
-/// be written cannot wedge the other slot.
-pub fn try_run_two_thread_with_state<I, R, S, FIn, FState, FMap, FOut>(
-    read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    write_batch: FOut,
-    on_item_panic: PanicHandler<'_, I, R>,
-    threads: usize,
-) -> Result<PipelineStats, PipelineError>
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Result<Option<Vec<I>>, DynError> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FOut: FnMut(Vec<R>) -> Result<(), DynError> + Send,
-{
-    let stats = Mutex::new(PipelineStats::default());
-    let failure = Mutex::new(None::<PipelineError>);
-    let wall = Instant::now();
-    // Shared, locked resources mirroring the design's constraints. Batch ids
-    // are handed out under the reader lock — and only when the read actually
-    // produced a batch, so end-of-input never consumes an id (a consumed id
-    // with no batch behind it would wedge the in-order writer below).
-    let reader = Mutex::new((read_batch, 0usize)); // (source, next batch id)
-    let writer = Mutex::new((write_batch, 0usize)); // (sink, next batch id)
-    let writer_turn = Condvar::new();
-    let compute = Mutex::new(());
-    let abort = AtomicBool::new(false);
-
-    // Record the first failure and wake every slot parked on the writer
-    // condvar. The flag is raised under the writer lock so a slot checking
-    // it before waiting cannot miss the wakeup.
-    let trigger_abort = |e: PipelineError| {
-        record_error(&failure, e);
-        let _w = lock_unpoisoned(&writer);
-        abort.store(true, Ordering::SeqCst);
-        writer_turn.notify_all();
-    };
-
-    with_worker_pool(threads, make_state, map, |pool| {
-        std::thread::scope(|scope| {
-            for _slot in 0..2 {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Load (serialized on the reader).
-                    let (my_id, batch) = {
-                        let mut rd = lock_unpoisoned(&reader);
-                        let t0 = Instant::now();
-                        let b = (rd.0)();
-                        lock_unpoisoned(&stats).in_seconds += t0.elapsed().as_secs_f64();
-                        match b {
-                            Ok(Some(b)) => {
-                                let my = rd.1;
-                                rd.1 += 1;
-                                (my, b)
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                drop(rd);
-                                trigger_abort(PipelineError::Read(e));
-                                break;
-                            }
-                        }
-                    };
-                    // Compute (exclusive: uses the whole worker pool).
-                    let settled = {
-                        let _guard = lock_unpoisoned(&compute);
-                        let t0 = Instant::now();
-                        let order: Vec<usize> = (0..batch.len()).collect();
-                        let outcome = pool.run_batch_catching(&batch, &order);
-                        let settled = settle_batch(&batch, outcome, on_item_panic);
-                        if let Ok((_, failed)) = &settled {
-                            let mut s = lock_unpoisoned(&stats);
-                            s.compute_seconds += t0.elapsed().as_secs_f64();
-                            s.batches += 1;
-                            s.items += batch.len();
-                            s.failed_items += failed;
-                        }
-                        settled
-                    };
-                    let results = match settled {
-                        Ok((results, _)) => results,
-                        Err(fatal) => {
-                            trigger_abort(fatal);
-                            break;
-                        }
-                    };
-                    // Output in batch order, sleeping (not spinning) until
-                    // it is this batch's turn — or the run aborts.
-                    let mut w = lock_unpoisoned(&writer);
-                    while !abort.load(Ordering::SeqCst) && w.1 != my_id {
-                        w = wait_unpoisoned(&writer_turn, w);
-                    }
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let r = (w.0)(results);
-                    match r {
-                        Ok(()) => {
-                            w.1 += 1;
-                            writer_turn.notify_all();
-                            drop(w);
-                            lock_unpoisoned(&stats).out_seconds += t0.elapsed().as_secs_f64();
-                        }
-                        Err(e) => {
-                            drop(w);
-                            trigger_abort(PipelineError::Write(e));
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-    });
-
-    finish(stats, failure, wall)
-}
-
-/// Infallible wrapper around [`try_run_two_thread_with_state`] keeping the
-/// original signature; a worker panic is re-raised on the calling thread.
-pub fn run_two_thread_with_state<I, R, S, FIn, FState, FMap, FOut>(
-    mut read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    mut write_batch: FOut,
-    threads: usize,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    match try_run_two_thread_with_state(
-        move || Ok(read_batch()),
-        make_state,
-        map,
-        move |r| {
-            write_batch(r);
-            Ok(())
-        },
-        None,
-        threads,
-    ) {
-        Ok(s) => s,
-        Err(e @ PipelineError::WorkerPanic { .. }) => panic!("{e}"),
-        // The wrapped stages never return errors.
-        Err(e) => panic!("infallible pipeline stage failed: {e}"),
-    }
-}
-
-/// Stateless convenience wrapper around [`run_two_thread_with_state`],
-/// keeping the original `mmm-pipeline` signature.
-pub fn run_two_thread<I, R, FIn, FMap, FOut>(
-    read_batch: FIn,
-    map: FMap,
-    write_batch: FOut,
-    threads: usize,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FMap: Fn(&I) -> R + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    run_two_thread_with_state(
-        read_batch,
-        |_| (),
-        |(), item| map(item),
-        write_batch,
-        threads,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn batches(n_batches: usize, per: usize) -> Vec<Vec<u64>> {
-        (0..n_batches)
-            .map(|b| (0..per as u64).map(|i| b as u64 * 1000 + i).collect())
-            .collect()
-    }
-
-    fn feeder(mut data: Vec<Vec<u64>>) -> impl FnMut() -> Option<Vec<u64>> + Send {
-        data.reverse();
-        move || data.pop()
-    }
-
-    #[test]
-    fn three_thread_preserves_order() {
-        let input = batches(6, 40);
-        let flat: Vec<u64> = input.iter().flatten().copied().collect();
-        let out = Mutex::new(Vec::new());
-        let stats = run_three_thread(
-            feeder(input),
-            |&x| x * 3,
-            |_| 1,
-            |r| out.lock().unwrap().extend(r),
-            4,
-            false,
-        );
-        assert_eq!(stats.batches, 6);
-        assert_eq!(stats.items, 240);
-        assert_eq!(stats.failed_items, 0);
-        let got = out.into_inner().unwrap();
-        assert_eq!(got, flat.iter().map(|x| x * 3).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn three_thread_sorted_compute_still_ordered_output() {
-        let input = vec![vec![5u64, 1, 9, 3], vec![2, 8]];
-        let out = Mutex::new(Vec::new());
-        run_three_thread(
-            feeder(input),
-            |&x| x + 1,
-            |&x| x as usize, // "length" = value, so compute order differs
-            |r| out.lock().unwrap().extend(r),
-            3,
-            true,
-        );
-        assert_eq!(out.into_inner().unwrap(), vec![6, 2, 10, 4, 3, 9]);
-    }
-
-    #[test]
-    fn two_thread_preserves_order() {
-        let input = batches(7, 33);
-        let flat: Vec<u64> = input.iter().flatten().copied().collect();
-        let out = Mutex::new(Vec::new());
-        let stats = run_two_thread(
-            feeder(input),
-            |&x| x ^ 7,
-            |r| out.lock().unwrap().extend(r),
-            4,
-        );
-        assert_eq!(stats.batches, 7);
-        assert_eq!(
-            out.into_inner().unwrap(),
-            flat.iter().map(|x| x ^ 7).collect::<Vec<u64>>()
-        );
-    }
-
-    #[test]
-    fn empty_stream() {
-        let out = Mutex::new(Vec::<u64>::new());
-        let stats = run_three_thread(
-            feeder(vec![]),
-            |&x: &u64| x,
-            |_| 1,
-            |r| out.lock().unwrap().extend(r),
-            2,
-            true,
-        );
-        assert_eq!(stats.batches, 0);
-        assert!(out.into_inner().unwrap().is_empty());
-    }
-
-    #[test]
-    fn both_designs_agree() {
-        let input = batches(5, 21);
-        let a = {
-            let out = Mutex::new(Vec::new());
-            run_three_thread(
-                feeder(input.clone()),
-                |&x| x * x,
-                |_| 1,
-                |r| out.lock().unwrap().extend(r),
-                3,
-                true,
-            );
-            out.into_inner().unwrap()
-        };
-        let b = {
-            let out = Mutex::new(Vec::new());
-            run_two_thread(
-                feeder(input),
-                |&x| x * x,
-                |r| out.lock().unwrap().extend(r),
-                3,
-            );
-            out.into_inner().unwrap()
-        };
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn stateful_three_thread_threads_state_through_workers() {
-        let input = batches(8, 25);
-        let flat: Vec<u64> = input.iter().flatten().copied().collect();
-        let out = Mutex::new(Vec::new());
-        let stats = run_three_thread_with_state(
-            feeder(input),
-            |widx| (widx, 0u64), // per-worker scratch: (id, items served)
-            |st: &mut (usize, u64), &x: &u64| {
-                st.1 += 1;
-                x * 2
-            },
-            |_| 1,
-            |r| out.lock().unwrap().extend(r),
-            3,
-            true,
-        );
-        assert_eq!(stats.items, 200);
-        assert_eq!(
-            out.into_inner().unwrap(),
-            flat.iter().map(|x| x * 2).collect::<Vec<u64>>()
-        );
-    }
-
-    #[test]
-    fn two_thread_stops_cleanly_at_end_of_input() {
-        // A source that keeps returning None after the end must not wedge
-        // the in-order writer (regression: EOF used to consume a batch id).
-        for _ in 0..20 {
-            let mut remaining = 3;
-            let read = move || {
-                if remaining == 0 {
-                    None
-                } else {
-                    remaining -= 1;
-                    Some(vec![remaining as u64])
-                }
-            };
-            let out = Mutex::new(Vec::new());
-            let stats = run_two_thread(read, |&x| x, |r| out.lock().unwrap().extend(r), 2);
-            assert_eq!(stats.batches, 3);
-            assert_eq!(out.into_inner().unwrap(), vec![2, 1, 0]);
-        }
-    }
-}

@@ -1,18 +1,19 @@
-//! Fault-injection suite for the batch pipelines.
+//! Fault-injection suite for the batch pipeline.
 //!
-//! Drives every degradation path of the fallible pipelines with the
-//! adapters from `mmm_pipeline::fault`: a reader erroring mid-run, a worker
-//! panicking mid-batch, a writer failing — on both the three-thread
-//! (manymap) and two-thread (minimap2) designs. The invariants: a typed
-//! error comes back (never a deadlock, never a poisoned mutex), and with a
-//! panic handler installed the run completes with the failure counted.
+//! Drives every degradation path with the adapters from
+//! `mmm_pipeline::fault`: a reader erroring mid-run, a worker panicking
+//! mid-batch, a writer failing. The pipeline runs per item here — the
+//! batched pipeline with an identity dispatch and the map in finalize. The
+//! invariants: a typed error comes back (never a deadlock, never a poisoned
+//! mutex), and with a panic handler installed the run completes with the
+//! failure counted.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mmm_pipeline::{
-    failing_every, panicking_map, run_two_thread, try_run_three_thread_with_state,
-    try_run_two_thread_with_state, DynError, PipelineError,
+    failing_every, panicking_map, try_run_three_thread_batched_with_state, DynError, PanicHandler,
+    PipelineError, PipelineStats,
 };
 
 /// A reader producing `n_batches` batches of `batch` consecutive u32s.
@@ -35,43 +36,34 @@ fn double(_: &mut (), x: &u32) -> u64 {
     *x as u64 * 2
 }
 
-#[test]
-fn three_thread_reader_error_aborts_with_typed_error() {
-    let written = AtomicUsize::new(0);
-    let err = try_run_three_thread_with_state(
-        failing_every(counting_reader(100, 8), 3),
+/// Run `map` per item on 4 workers, unsorted.
+fn per_item(
+    read: impl FnMut() -> Result<Option<Vec<u32>>, DynError> + Send,
+    map: impl Fn(&mut (), &u32) -> u64 + Sync,
+    write: impl FnMut(Vec<u64>) -> Result<(), DynError> + Send,
+    on_panic: PanicHandler<'_, u32, u64>,
+) -> Result<PipelineStats, PipelineError> {
+    try_run_three_thread_batched_with_state(
+        read,
         |_| (),
-        double,
+        |(), _: &u32| (),
+        |plans: Vec<()>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
+        |st: &mut (), item: &u32, (): &(), (): &()| map(st, item),
         |_| 1,
-        |rs| {
-            written.fetch_add(rs.len(), Ordering::Relaxed);
-            Ok(())
-        },
-        None,
+        write,
+        on_panic,
         4,
         false,
     )
-    .unwrap_err();
-    let PipelineError::Read(e) = err else {
-        panic!("wrong variant: {err}");
-    };
-    assert!(e.to_string().contains("injected reader fault"), "{e}");
-    // The two batches read before the fault may or may not have been
-    // written; all that matters is the run terminated.
-    assert!(written.load(Ordering::Relaxed) <= 16);
 }
 
 #[test]
-fn three_thread_worker_panic_without_handler_is_typed() {
-    let err = try_run_three_thread_with_state(
+fn worker_panic_without_handler_is_typed() {
+    let err = per_item(
         counting_reader(4, 16),
-        |_| (),
         panicking_map(double, |&x| x == 37),
-        |_| 1,
         |_| Ok(()),
         None,
-        4,
-        false,
     )
     .unwrap_err();
     let PipelineError::WorkerPanic {
@@ -87,7 +79,7 @@ fn three_thread_worker_panic_without_handler_is_typed() {
 }
 
 #[test]
-fn three_thread_worker_panic_with_handler_degrades_and_counts() {
+fn worker_panic_with_handler_degrades_and_counts() {
     let substituted = AtomicUsize::new(0);
     let on_panic = |item: &u32, msg: &str| -> u64 {
         substituted.fetch_add(1, Ordering::Relaxed);
@@ -96,18 +88,14 @@ fn three_thread_worker_panic_with_handler_degrades_and_counts() {
         u64::MAX
     };
     let out = Mutex::new(Vec::new());
-    let stats = try_run_three_thread_with_state(
+    let stats = per_item(
         counting_reader(4, 16),
-        |_| (),
         panicking_map(double, |&x| x == 37),
-        |_| 1,
         |rs| {
             out.lock().unwrap().extend(rs);
             Ok(())
         },
         Some(&on_panic),
-        4,
-        false,
     )
     .unwrap();
     assert_eq!(stats.items, 64);
@@ -121,13 +109,11 @@ fn three_thread_worker_panic_with_handler_degrades_and_counts() {
 }
 
 #[test]
-fn three_thread_writer_error_aborts_with_typed_error() {
+fn writer_error_aborts_with_typed_error() {
     let mut calls = 0usize;
-    let err = try_run_three_thread_with_state(
+    let err = per_item(
         counting_reader(100, 8),
-        |_| (),
         double,
-        |_| 1,
         move |_| {
             calls += 1;
             if calls == 2 {
@@ -136,8 +122,6 @@ fn three_thread_writer_error_aborts_with_typed_error() {
             Ok(())
         },
         None,
-        4,
-        false,
     )
     .unwrap_err();
     let PipelineError::Write(e) = err else {
@@ -146,120 +130,30 @@ fn three_thread_writer_error_aborts_with_typed_error() {
     assert!(e.to_string().contains("disk full"), "{e}");
 }
 
-#[test]
-fn two_thread_reader_error_does_not_deadlock() {
-    let err = try_run_two_thread_with_state(
-        failing_every(counting_reader(100, 8), 4),
-        |_| (),
-        double,
-        |_| Ok(()),
-        None,
-        4,
-    )
-    .unwrap_err();
-    assert!(matches!(err, PipelineError::Read(_)), "{err}");
-}
-
-#[test]
-fn two_thread_writer_error_does_not_deadlock() {
-    // The in-order writer hand-off must not wedge when one slot's write
-    // fails: the error aborts the turn-taking, other slots bail out.
-    let written = Mutex::new(0usize);
-    let err = try_run_two_thread_with_state(
-        counting_reader(64, 4),
-        |_| (),
-        double,
-        |_| {
-            let mut w = written.lock().unwrap();
-            *w += 1;
-            if *w == 3 {
-                return Err("sink closed".into());
-            }
-            Ok(())
-        },
-        None,
-        4,
-    )
-    .unwrap_err();
-    let PipelineError::Write(e) = err else {
-        panic!("wrong variant: {err}");
-    };
-    assert!(e.to_string().contains("sink closed"), "{e}");
-}
-
-#[test]
-fn two_thread_worker_panic_with_handler_completes() {
-    let on_panic = |item: &u32, _msg: &str| -> u64 { *item as u64 * 2 };
-    let stats = try_run_two_thread_with_state(
-        counting_reader(8, 8),
-        |_| (),
-        panicking_map(double, |&x| x % 13 == 5),
-        |_| Ok(()),
-        Some(&on_panic),
-        4,
-    )
-    .unwrap();
-    assert_eq!(stats.items, 64);
-    assert_eq!(
-        stats.failed_items,
-        (0..64u32).filter(|x| x % 13 == 5).count()
-    );
-}
-
-#[test]
-fn legacy_infallible_api_panics_with_item_context() {
-    // The infallible wrappers cannot return an error; a worker panic must
-    // surface as a panic naming the offending item, not as a hang.
-    let mut batches = vec![(0u32..8).collect::<Vec<_>>()];
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_two_thread(
-            move || batches.pop(),
-            |x: &u32| {
-                if *x == 6 {
-                    panic!("kaboom");
-                }
-                *x
-            },
-            |_| {},
-            2,
-        )
-    }));
-    let msg = *caught
-        .expect_err("must panic")
-        .downcast::<String>()
-        .expect("panic payload");
-    assert!(
-        msg.contains("worker panicked while processing item 6") && msg.contains("kaboom"),
-        "{msg}"
-    );
-}
-
-/// Stress: repeat the fault scenarios many times to flush out rare
+/// A reader erroring on its k-th batch aborts the run with the typed,
+/// unaltered error — repeated many times at every k to flush out rare
 /// interleavings (a deadlock here would hang the suite, not just fail it).
 #[test]
-fn fault_paths_are_stable_across_repeats() {
+fn reader_error_aborts_with_typed_error_across_repeats() {
     for round in 0..50 {
         let every = 1 + round % 5;
-        let r = try_run_three_thread_with_state(
+        let written = AtomicUsize::new(0);
+        let err = per_item(
             failing_every(counting_reader(20, 4), every),
-            |_| (),
             double,
-            |_| 1,
-            |_| Ok(()),
+            |rs| {
+                written.fetch_add(rs.len(), Ordering::Relaxed);
+                Ok(())
+            },
             None,
-            3,
-            true,
-        );
-        assert!(matches!(r, Err(PipelineError::Read(_))));
-
-        let r = try_run_two_thread_with_state(
-            failing_every(counting_reader(20, 4), every),
-            |_| (),
-            double,
-            |_| Ok(()),
-            None,
-            3,
-        );
-        assert!(matches!(r, Err(PipelineError::Read(_))));
+        )
+        .unwrap_err();
+        let PipelineError::Read(e) = err else {
+            panic!("wrong variant: {err}");
+        };
+        assert!(e.to_string().contains("injected reader fault"), "{e}");
+        // Batches read before the fault may or may not have been written;
+        // nothing after it can be.
+        assert!(written.load(Ordering::Relaxed) <= 4 * (every - 1));
     }
 }

@@ -5,300 +5,34 @@
 //! schedule the bad interleaving; these tests *enumerate* the schedules. Each
 //! model is a faithful abstraction of one protocol from `mmm-pipeline`:
 //!
-//! * the minimap2 2-thread design's in-order writer hand-off
-//!   (`try_run_two_thread_with_state`): batch ids handed out under the reader
-//!   lock, a `writer_turn` condvar serializing output, and an abort flag
-//!   raised *under the writer lock* so a slot checking the flag before
-//!   parking cannot miss the wakeup;
 //! * the persistent worker pool's epoch/check-in barrier (`pool.rs`),
 //!   including the per-item panic path (panicking items are recorded and the
 //!   worker still checks in) and the state-factory-failure path (a stateless
 //!   worker claims nothing but still checks in);
-//! * the manymap 3-thread design's bounded-channel stage coupling, abstracted
-//!   as two capacity-2 condvar ring buffers (`sync_channel(2)` in the real
+//! * the 3-thread pipeline's bounded-channel stage coupling, abstracted as
+//!   two capacity-2 condvar ring buffers (`sync_channel(2)` in the real
 //!   code).
 //!
-//! Two further models are deliberately broken — the historical/near-miss
-//! variants of the protocols — and assert that the checker *catches* them, so
-//! a regression in the checker itself cannot silently pass the real models.
+//! One further model is deliberately broken — a near-miss variant of the
+//! pool protocol — and asserts that the checker *catches* it, so a
+//! regression in the checker itself cannot silently pass the real models.
 //!
-//! Schedule bounds (documented in DESIGN.md §8): the 2-thread hand-off models
-//! are explored exhaustively (`max_preemptions: None`, every schedule), the
-//! 3-thread models under a CHESS-style preemption bound of 2, which is known
-//! to expose the overwhelming majority of real interleaving bugs while
-//! keeping the schedule count polynomial.
+//! Schedule bounds (documented in DESIGN.md §8): both models run three
+//! threads, beyond exhaustive reach, so they are explored under a
+//! CHESS-style preemption bound of 2, which is known to expose the
+//! overwhelming majority of real interleaving bugs while keeping the
+//! schedule count polynomial.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use loom_lite::sync::atomic::{AtomicBool, AtomicUsize};
+use loom_lite::sync::atomic::AtomicUsize;
 use loom_lite::sync::{Condvar, Mutex};
-use loom_lite::{model, thread, Builder, Report};
+use loom_lite::{thread, Builder};
 
 // ---------------------------------------------------------------------------
-// Model 1: the 2-thread pipeline's in-order writer hand-off.
-// ---------------------------------------------------------------------------
-
-/// One explored execution of the two-slot pipeline protocol from
-/// `try_run_two_thread_with_state`, parameterized over the fault to inject.
-///
-/// `n_batches` reads succeed, then the source returns end-of-input forever
-/// (the real regression surface: EOF must not consume a batch id). When
-/// `fail_write_id` is set, writing that batch id fails and the slot triggers
-/// the abort protocol. `abort_under_writer_lock` selects between the real
-/// protocol (flag raised under the writer lock) and the broken variant the
-/// comment in `pipeline.rs` warns about.
-fn two_slot_execution(
-    n_batches: usize,
-    fail_write_id: Option<usize>,
-    abort_under_writer_lock: bool,
-) {
-    // (next id to hand out, batches read so far) — the real code's
-    // `Mutex<(read_batch, next_id)>`.
-    let reader = Arc::new(Mutex::new((0usize, 0usize)));
-    // next batch id the writer will accept — the real code's
-    // `Mutex<(write_batch, next_id)>`.
-    let writer = Arc::new(Mutex::new(0usize));
-    let writer_turn = Arc::new(Condvar::new());
-    let compute = Arc::new(Mutex::new(())); // whole-pool exclusivity
-    let abort = Arc::new(AtomicBool::new(false));
-    let written = Arc::new(Mutex::new(Vec::<usize>::new()));
-    let failed = Arc::new(Mutex::new(Option::<usize>::None));
-
-    let mut slots = Vec::new();
-    for _slot in 0..2 {
-        let reader = Arc::clone(&reader);
-        let writer = Arc::clone(&writer);
-        let writer_turn = Arc::clone(&writer_turn);
-        let compute = Arc::clone(&compute);
-        let abort = Arc::clone(&abort);
-        let written = Arc::clone(&written);
-        let failed = Arc::clone(&failed);
-        slots.push(thread::spawn(move || loop {
-            if abort.load() {
-                break;
-            }
-            // Load: a batch id is consumed only when a batch was produced,
-            // never at end-of-input.
-            let my_id = {
-                let mut rd = reader.lock();
-                if rd.1 < n_batches {
-                    rd.1 += 1;
-                    let my = rd.0;
-                    rd.0 += 1;
-                    my
-                } else {
-                    break; // EOF: no id consumed
-                }
-            };
-            // Compute: exclusive, uses the whole worker pool.
-            {
-                let _guard = compute.lock();
-            }
-            // Output in batch order, parking until it is this batch's turn
-            // or the run aborts.
-            let mut w = writer.lock();
-            while !abort.load() && *w != my_id {
-                w = writer_turn.wait(w);
-            }
-            if abort.load() {
-                break;
-            }
-            if fail_write_id == Some(my_id) {
-                drop(w);
-                // trigger_abort(): record the failure, then raise the flag
-                // and wake every parked slot. The real protocol holds the
-                // writer lock across store+notify.
-                {
-                    let mut f = failed.lock();
-                    if f.is_none() {
-                        *f = Some(my_id);
-                    }
-                }
-                if abort_under_writer_lock {
-                    let _w = writer.lock();
-                    abort.store(true);
-                    writer_turn.notify_all();
-                } else {
-                    // BROKEN: without the lock, store+notify can land between
-                    // another slot's abort check and its wait — lost wakeup.
-                    abort.store(true);
-                    writer_turn.notify_all();
-                }
-                break;
-            }
-            written.lock().push(my_id);
-            *w += 1;
-            writer_turn.notify_all();
-            drop(w);
-        }));
-    }
-    for h in slots {
-        h.join();
-    }
-
-    // Post-conditions, checked on every explored schedule.
-    let written = written.lock().clone();
-    match fail_write_id {
-        None => {
-            assert_eq!(
-                written,
-                (0..n_batches).collect::<Vec<_>>(),
-                "batches must be written exactly once, in order"
-            );
-            assert!(!abort.load(), "clean runs must not abort");
-        }
-        Some(bad) => {
-            assert_eq!(
-                written,
-                (0..bad).collect::<Vec<_>>(),
-                "exactly the batches before the failing id are written, in order"
-            );
-            assert!(abort.load(), "a write failure must raise the abort flag");
-            assert_eq!(*failed.lock(), Some(bad), "the first failure is recorded");
-        }
-    }
-}
-
-/// The condvar hand-off core in isolation, small enough for *exhaustive*
-/// exploration: each slot arrives holding one batch id (the id assignment
-/// itself is serialized by the reader lock and covered by the full
-/// [`two_slot_execution`] model) and runs the exact writer-turn loop from
-/// `try_run_two_thread_with_state` (`while !abort && turn != my_id { wait }`),
-/// writes, advances the turn, and notifies. The slot holding id 1 is spawned
-/// first, so the "late batch arrives at the writer early" contention is the
-/// leftmost schedule, not a corner case. Batch order is asserted
-/// structurally: the turn counter only advances in id order.
-fn handoff_execution(fail_write_id: Option<usize>, abort_under_writer_lock: bool) {
-    let writer = Arc::new(Mutex::new(0usize)); // next id the writer accepts
-    let writer_turn = Arc::new(Condvar::new());
-    let abort = Arc::new(AtomicBool::new(false));
-
-    let mut slots = Vec::new();
-    for my_id in [1usize, 0] {
-        let writer = Arc::clone(&writer);
-        let writer_turn = Arc::clone(&writer_turn);
-        let abort = Arc::clone(&abort);
-        slots.push(thread::spawn(move || {
-            let mut w = writer.lock();
-            while !abort.load() && *w != my_id {
-                w = writer_turn.wait(w);
-            }
-            if abort.load() {
-                return;
-            }
-            if fail_write_id == Some(my_id) {
-                drop(w);
-                if abort_under_writer_lock {
-                    let _w = writer.lock();
-                    abort.store(true);
-                    writer_turn.notify_all();
-                } else {
-                    // BROKEN: without the lock, store+notify can land between
-                    // another slot's abort check and its wait — lost wakeup.
-                    abort.store(true);
-                    writer_turn.notify_all();
-                }
-                return;
-            }
-            *w += 1;
-            writer_turn.notify_all();
-        }));
-    }
-    for h in slots {
-        h.join();
-    }
-
-    let turn = *writer.lock();
-    match fail_write_id {
-        None => assert_eq!(turn, 2, "both batches written, in order"),
-        Some(bad) => {
-            assert_eq!(turn, bad, "exactly the batches before the failure wrote");
-            assert!(abort.load(), "a write failure must raise the abort flag");
-        }
-    }
-}
-
-/// Acceptance gate: every 2-thread schedule of the condvar hand-off
-/// completes without deadlock or lost wakeup, exhaustively enumerated
-/// (`max_preemptions: None`).
-#[test]
-fn handoff_all_schedules_clean() {
-    let report: Report = model(|| handoff_execution(None, true));
-    assert!(report.complete, "exploration hit the schedule cap");
-    assert!(
-        report.schedules >= 100,
-        "suspiciously few schedules ({}) — the model lost its concurrency",
-        report.schedules
-    );
-    println!("hand-off: {} schedules, exhaustive", report.schedules);
-}
-
-/// A failing write must abort the other slot promptly on every schedule — in
-/// particular the slot parked on the writer-turn condvar waiting for a batch
-/// id that will now never be written.
-#[test]
-fn handoff_abort_wakes_parked_writer_on_all_schedules() {
-    let report = model(|| handoff_execution(Some(0), true));
-    assert!(report.complete, "exploration hit the schedule cap");
-    println!("hand-off abort: {} schedules, exhaustive", report.schedules);
-}
-
-/// Checker meta-test: the broken abort variant (flag raised *without* the
-/// writer lock) admits a schedule where the store+notify land between a
-/// parked slot's abort check and its wait. The wakeup is lost, the slot
-/// parks forever, and loom-lite must report the deadlock.
-#[test]
-fn handoff_abort_without_writer_lock_is_caught() {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        model(|| handoff_execution(Some(0), false));
-    }));
-    let msg = match result {
-        Ok(_) => panic!("the lost-wakeup abort variant was not detected"),
-        Err(p) => p
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".into()),
-    };
-    assert!(
-        msg.contains("deadlock"),
-        "expected a deadlock report, got: {msg}"
-    );
-}
-
-/// The full two-slot pipeline (reader ids, compute exclusivity, writer turn,
-/// EOF tail) over two batches: clean on every schedule at preemption
-/// bound 3. The full model has too many scheduling points for exhaustive
-/// exploration; the hand-off core above covers that exhaustively.
-#[test]
-fn two_slot_pipeline_eof_clean_at_bound() {
-    let report = Builder {
-        max_preemptions: Some(3),
-        ..Builder::default()
-    }
-    .check(|| two_slot_execution(2, None, true));
-    assert!(report.complete, "exploration hit the schedule cap");
-    println!(
-        "two-slot pipeline + EOF: {} schedules at preemption bound 3",
-        report.schedules
-    );
-}
-
-/// The full two-slot pipeline with a failing write: aborts cleanly (no
-/// deadlock, failure recorded) on every schedule at preemption bound 3.
-#[test]
-fn two_slot_pipeline_abort_clean_at_bound() {
-    let report = Builder {
-        max_preemptions: Some(3),
-        ..Builder::default()
-    }
-    .check(|| two_slot_execution(2, Some(0), true));
-    assert!(report.complete, "exploration hit the schedule cap");
-}
-
-// ---------------------------------------------------------------------------
-// Model 2: the worker pool's epoch/check-in barrier.
+// Model 1: the worker pool's epoch/check-in barrier.
 // ---------------------------------------------------------------------------
 
 /// Shared pool state mirroring `pool.rs`'s `Slot`: the epoch stamp, the
@@ -522,7 +256,7 @@ fn pool_missing_checkin_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: the 3-thread pipeline's bounded-channel coupling.
+// Model 2: the 3-thread pipeline's bounded-channel coupling.
 // ---------------------------------------------------------------------------
 
 /// A condvar-based bounded queue abstracting `std::sync::mpsc::sync_channel`:

@@ -1,37 +1,57 @@
 //! Pipeline stress tests: ordering and completeness under adversarial
-//! batch shapes, thread counts and workload skew.
+//! batch shapes, thread counts and workload skew. The pipeline runs per
+//! item — the batched pipeline with an identity dispatch.
 
 use std::sync::Mutex;
 
-use mmm_pipeline::{par_map_indexed, run_three_thread, run_two_thread, sort_indices_by_len_desc};
+use mmm_pipeline::{
+    par_map_indexed, sort_indices_by_len_desc, try_run_three_thread_batched_with_state,
+    PipelineStats,
+};
 
-fn feeder(batches: Vec<Vec<u64>>) -> impl FnMut() -> Option<Vec<u64>> + Send {
-    let mut b = batches;
-    b.reverse();
-    move || b.pop()
+/// Map every item of `batches` through the pipeline; returns the output in
+/// write order plus the run's stats.
+fn run<R: Send>(
+    mut batches: Vec<Vec<u64>>,
+    map: impl Fn(&u64) -> R + Sync,
+    len_of: impl Fn(&u64) -> usize + Sync,
+    threads: usize,
+    sort_by_len: bool,
+) -> (Vec<R>, PipelineStats) {
+    batches.reverse();
+    let out = Mutex::new(Vec::new());
+    let stats = try_run_three_thread_batched_with_state(
+        move || Ok(batches.pop()),
+        |_| (),
+        |(), _: &u64| (),
+        |plans: Vec<()>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
+        |(), item: &u64, (): &(), (): &()| map(item),
+        len_of,
+        |r| {
+            out.lock().unwrap().extend(r);
+            Ok(())
+        },
+        None,
+        threads,
+        sort_by_len,
+    )
+    .unwrap();
+    (out.into_inner().unwrap(), stats)
 }
 
 #[test]
 fn many_tiny_batches_keep_order() {
     // 100 batches of 1 item stress the channel/ordering machinery.
     let input: Vec<Vec<u64>> = (0..100).map(|i| vec![i]).collect();
-    let out = Mutex::new(Vec::new());
-    let stats = run_three_thread(
-        feeder(input),
-        |&x| x,
-        |_| 1,
-        |r| out.lock().unwrap().extend(r),
-        4,
-        true,
-    );
+    let (out, stats) = run(input, |&x| x, |_| 1, 4, true);
     assert_eq!(stats.batches, 100);
-    assert_eq!(out.into_inner().unwrap(), (0..100).collect::<Vec<u64>>());
+    assert_eq!(out, (0..100).collect::<Vec<u64>>());
 }
 
 #[test]
-fn skewed_work_is_complete_under_both_designs() {
-    // Item cost varies 1000×; both pipelines must still emit everything in
-    // order.
+fn skewed_work_is_complete_and_ordered() {
+    // Item cost varies 1000×, and the sort key is unrelated to it; the
+    // pipeline must still emit everything in input order.
     let batches: Vec<Vec<u64>> = (0..6)
         .map(|b| (0..50).map(|i| (b * 50 + i) as u64).collect())
         .collect();
@@ -44,33 +64,9 @@ fn skewed_work_is_complete_under_both_designs() {
         }
         (x, acc)
     };
-    let expected: Vec<u64> = (0..300).collect();
-
-    let three = {
-        let out = Mutex::new(Vec::new());
-        run_three_thread(
-            feeder(batches.clone()),
-            work,
-            |&x| (x % 97) as usize,
-            |r| out.lock().unwrap().extend(r.into_iter().map(|(x, _)| x)),
-            4,
-            true,
-        );
-        out.into_inner().unwrap()
-    };
-    assert_eq!(three, expected);
-
-    let two = {
-        let out = Mutex::new(Vec::new());
-        run_two_thread(
-            feeder(batches),
-            work,
-            |r| out.lock().unwrap().extend(r.into_iter().map(|(x, _)| x)),
-            4,
-        );
-        out.into_inner().unwrap()
-    };
-    assert_eq!(two, expected);
+    let (out, _) = run(batches, work, |&x| (x % 97) as usize, 4, true);
+    let ids: Vec<u64> = out.into_iter().map(|(x, _)| x).collect();
+    assert_eq!(ids, (0..300).collect::<Vec<u64>>());
 }
 
 #[test]
@@ -85,33 +81,18 @@ fn pool_handles_more_threads_than_items() {
 fn stats_account_every_item_exactly_once() {
     let batches: Vec<Vec<u64>> = (0..7).map(|b| vec![b; (b as usize % 3) + 1]).collect();
     let expect_items: usize = batches.iter().map(|b| b.len()).sum();
-    let out = Mutex::new(0usize);
-    let stats = run_three_thread(
-        feeder(batches),
-        |&x| x,
-        |_| 1,
-        |r| *out.lock().unwrap() += r.len(),
-        2,
-        false,
-    );
+    let (out, stats) = run(batches, |&x| x, |_| 1, 2, false);
+    assert_eq!(stats.batches, 7);
     assert_eq!(stats.items, expect_items);
-    assert_eq!(out.into_inner().unwrap(), expect_items);
+    assert_eq!(stats.failed_items, 0);
+    assert_eq!(out.len(), expect_items);
     assert!(stats.wall_seconds >= 0.0);
 }
 
 #[test]
 fn large_single_batch_parallelism() {
     let batch: Vec<u64> = (0..10_000).collect();
-    let out = Mutex::new(Vec::new());
-    run_three_thread(
-        feeder(vec![batch]),
-        |&x| x * 2,
-        |&x| x as usize,
-        |r| out.lock().unwrap().extend(r),
-        8,
-        true,
-    );
-    let got = out.into_inner().unwrap();
+    let (got, _) = run(vec![batch], |&x| x * 2, |&x| x as usize, 8, true);
     assert_eq!(got.len(), 10_000);
     assert!(got.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
 }

@@ -1,16 +1,20 @@
 //! The paper's macro workload in miniature: map a simulated PacBio dataset
-//! through manymap's 3-thread pipeline and report accuracy plus the stage
-//! overlap statistics.
+//! the way `manymap map` and `mmm-serve` do — a `MapSession`'s plan →
+//! dispatch → finalize stages on the batched 3-thread pipeline — and report
+//! accuracy plus the stage overlap statistics.
 //!
 //! ```sh
 //! cargo run --release --example pacbio_pipeline
 //! ```
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use manymap::{MapOpts, Mapper};
-use mmm_index::{IdxOpts, MinimizerIndex};
-use mmm_pipeline::run_three_thread;
+use manymap::session::{self, Planned};
+use manymap::{ExecConfig, MapOpts, MapSession};
+use mmm_align::{AlignResult, AlignScratch};
+use mmm_exec::BackendStats;
+use mmm_index::{AnyIndex, IdxOpts, MinimizerIndex};
+use mmm_pipeline::try_run_three_thread_batched_with_state;
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{
     evaluate, generate_genome, simulate_reads, GenomeOpts, MappingCall, Platform, SimOpts,
@@ -41,46 +45,71 @@ fn main() {
         reads.iter().map(|r| r.seq.len()).sum::<usize>()
     );
 
-    let mapper = Mapper::new(&index, MapOpts::map_pb());
+    let opts = MapOpts::map_pb();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let exec = ExecConfig::new(&opts, threads);
+    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts, &exec).unwrap());
 
-    // Feed the pipeline in batches of ~64 reads.
-    let mut batches: Vec<Vec<(usize, Vec<u8>)>> = reads
+    // Feed the pipeline in batches of ~64 reads, named by read id.
+    let mut batches: Vec<Vec<SeqRecord>> = reads
         .chunks(64)
         .enumerate()
         .map(|(b, c)| {
             c.iter()
                 .enumerate()
-                .map(|(i, r)| (b * 64 + i, r.seq.clone()))
+                .map(|(i, r)| SeqRecord::new((b * 64 + i).to_string(), nt4_decode(&r.seq)))
                 .collect()
         })
         .collect();
     batches.reverse();
 
-    let calls = Mutex::new(Vec::new());
-    let stats = run_three_thread(
-        move || batches.pop(),
-        |(id, seq): &(usize, Vec<u8>)| {
-            let ms = mapper.map_read(seq);
-            ms.into_iter().find(|m| m.primary).map(|m| MappingCall {
-                read_id: *id,
-                rid: m.rid,
-                ref_start: m.ref_start,
-                ref_end: m.ref_end,
-                rev: m.rev,
-                mapq: m.mapq,
-            })
+    let backend_stats = Mutex::new(BackendStats::default());
+    let paf = Mutex::new(String::new());
+    let stats = try_run_three_thread_batched_with_state(
+        move || Ok(batches.pop()),
+        |_worker| AlignScratch::new(),
+        |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
+        |plans| session::dispatch(plans, &backend_stats),
+        |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
+            match session::finalize(p, rec, results, scratch, false) {
+                Ok(done) => done.lines,
+                Err(_) => session::unmapped_record(rec, false),
+            }
         },
-        |(_, seq)| seq.len(),
-        |results| calls.lock().unwrap().extend(results.into_iter().flatten()),
+        |rec| rec.len(),
+        |lines| {
+            paf.lock().unwrap().extend(lines);
+            Ok(())
+        },
+        None,
         threads,
         true, // long reads first
-    );
+    )
+    .unwrap();
+
+    // A read's first primary PAF record is its mapping call.
+    let paf = paf.into_inner().unwrap();
+    let mut calls: Vec<MappingCall> = Vec::new();
+    for line in paf.lines().filter(|l| l.contains("tp:A:P")) {
+        let f: Vec<&str> = line.split('\t').collect();
+        let read_id = f[0].parse().unwrap();
+        if calls.last().is_some_and(|c| c.read_id == read_id) {
+            continue;
+        }
+        calls.push(MappingCall {
+            read_id,
+            rid: 0,
+            ref_start: f[7].parse().unwrap(),
+            ref_end: f[8].parse().unwrap(),
+            rev: f[4] == "-",
+            mapq: f[11].parse().unwrap(),
+        });
+    }
 
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
-    let summary = evaluate(&calls.into_inner().unwrap(), &truths);
+    let summary = evaluate(&calls, &truths);
     println!(
         "pipeline: {} batches, {:.2}s wall ({:.2}s compute, {:.2}s I/O overlap)",
         stats.batches,

@@ -1,15 +1,19 @@
-//! The parallel pipelines must produce byte-identical output to a serial
-//! run, regardless of thread count, batch sorting or pipeline design.
+//! The production pipeline (a `MapSession`'s plan → dispatch → finalize
+//! stages on the batched 3-thread pipeline) must produce PAF byte-identical
+//! to a serial run, regardless of thread count or batch sorting.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use manymap::{MapOpts, Mapper};
-use mmm_index::MinimizerIndex;
-use mmm_pipeline::{run_three_thread, run_two_thread};
+use manymap::session::{self, Planned};
+use manymap::{write_paf, ExecConfig, MapOpts, MapSession, Mapper};
+use mmm_align::{AlignResult, AlignScratch};
+use mmm_exec::BackendStats;
+use mmm_index::{AnyIndex, MinimizerIndex};
+use mmm_pipeline::try_run_three_thread_batched_with_state;
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
-fn workload() -> (MinimizerIndex, Vec<Vec<u8>>, MapOpts) {
+fn workload() -> (Arc<MapSession>, Vec<SeqRecord>) {
     let genome = generate_genome(&GenomeOpts {
         len: 200_000,
         repeat_frac: 0.0,
@@ -27,96 +31,88 @@ fn workload() -> (MinimizerIndex, Vec<Vec<u8>>, MapOpts) {
             seed: 13,
         },
     );
-    (index, reads.into_iter().map(|r| r.seq).collect(), opts)
+    let reads = reads
+        .into_iter()
+        .map(|r| SeqRecord::new(r.name, nt4_decode(&r.seq)))
+        .collect();
+    let exec = ExecConfig::new(&opts, 4);
+    let session = MapSession::new(0, AnyIndex::Flat(index), opts, &exec).unwrap();
+    (Arc::new(session), reads)
 }
 
-fn serial_output(mapper: &Mapper<'_>, reads: &[Vec<u8>]) -> Vec<String> {
-    reads
-        .iter()
-        .map(|r| {
-            mapper
-                .map_read(r)
-                .iter()
-                .map(|m| {
-                    format!(
-                        "{}:{}-{} {} {}",
-                        m.rid, m.ref_start, m.ref_end, m.rev, m.align_score
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(";")
-        })
-        .collect()
+/// The serial reference: the monolithic mapper, one read at a time.
+fn serial_paf(session: &MapSession, reads: &[SeqRecord]) -> String {
+    let mapper = Mapper::new(session.index().as_index_ref(), MapOpts::map_ont());
+    let (tnames, tlens) = session.targets();
+    let mut out = Vec::new();
+    for rec in reads {
+        let nt4 = rec.nt4();
+        let ms = mapper.map_read(&nt4);
+        write_paf(&mut out, &rec.name, nt4.len(), tnames, tlens, &ms).unwrap();
+    }
+    String::from_utf8(out).unwrap()
 }
 
-fn feeder(reads: &[Vec<u8>], batch: usize) -> impl FnMut() -> Option<Vec<Vec<u8>>> + Send {
-    let mut chunks: Vec<Vec<Vec<u8>>> = reads.chunks(batch).map(|c| c.to_vec()).collect();
-    chunks.reverse();
-    move || chunks.pop()
+/// The reads through the session's stages, in batches of 7.
+fn pipeline_paf(
+    session: &Arc<MapSession>,
+    reads: &[SeqRecord],
+    threads: usize,
+    sort: bool,
+) -> String {
+    let mut batches: Vec<Vec<SeqRecord>> = reads.chunks(7).map(|c| c.to_vec()).collect();
+    batches.reverse();
+    let stats = Mutex::new(BackendStats::default());
+    let out = Mutex::new(String::new());
+    try_run_three_thread_batched_with_state(
+        move || Ok(batches.pop()),
+        |_| AlignScratch::new(),
+        |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
+        |plans| session::dispatch(plans, &stats),
+        |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
+            session::finalize(p, rec, results, scratch, false)
+                .expect("no read is rejected")
+                .lines
+        },
+        |rec| rec.len(),
+        |lines| {
+            out.lock().unwrap().extend(lines);
+            Ok(())
+        },
+        None,
+        threads,
+        sort,
+    )
+    .unwrap();
+    out.into_inner().unwrap()
 }
 
 #[test]
-fn three_thread_pipeline_matches_serial() {
-    let (index, reads, opts) = workload();
-    let mapper = Mapper::new(&index, opts);
-    let expect = serial_output(&mapper, &reads);
-
-    for threads in [1, 2, 4] {
-        for sort in [false, true] {
-            let out = Mutex::new(Vec::new());
-            run_three_thread(
-                feeder(&reads, 7),
-                |r: &Vec<u8>| {
-                    mapper
-                        .map_read(r)
-                        .iter()
-                        .map(|m| {
-                            format!(
-                                "{}:{}-{} {} {}",
-                                m.rid, m.ref_start, m.ref_end, m.rev, m.align_score
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                        .join(";")
-                },
-                |r| r.len(),
-                |batch| out.lock().unwrap().extend(batch),
-                threads,
-                sort,
-            );
-            assert_eq!(
-                out.into_inner().unwrap(),
-                expect,
-                "threads={threads} sort={sort}"
-            );
-        }
+fn thread_count_does_not_change_paf() {
+    let (session, reads) = workload();
+    let expect = serial_paf(&session, &reads);
+    assert!(
+        expect.lines().count() >= reads.len() / 2,
+        "workload must map"
+    );
+    for threads in [1, 4] {
+        assert_eq!(
+            pipeline_paf(&session, &reads, threads, true),
+            expect,
+            "threads={threads}"
+        );
     }
 }
 
 #[test]
-fn two_thread_pipeline_matches_serial() {
-    let (index, reads, opts) = workload();
-    let mapper = Mapper::new(&index, opts);
-    let expect = serial_output(&mapper, &reads);
-
-    let out = Mutex::new(Vec::new());
-    run_two_thread(
-        feeder(&reads, 9),
-        |r: &Vec<u8>| {
-            mapper
-                .map_read(r)
-                .iter()
-                .map(|m| {
-                    format!(
-                        "{}:{}-{} {} {}",
-                        m.rid, m.ref_start, m.ref_end, m.rev, m.align_score
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(";")
-        },
-        |batch| out.lock().unwrap().extend(batch),
-        3,
-    );
-    assert_eq!(out.into_inner().unwrap(), expect);
+fn batch_sorting_does_not_change_paf() {
+    let (session, reads) = workload();
+    let expect = serial_paf(&session, &reads);
+    for sort in [false, true] {
+        assert_eq!(
+            pipeline_paf(&session, &reads, 4, sort),
+            expect,
+            "sort={sort}"
+        );
+    }
 }
