@@ -67,4 +67,7 @@ BENCH_QUICK=1 BENCH_JSON_OUT="" cargo bench -p bench --bench serve_queue
 echo "==> index decode bench: quick smoke (baseline lives in BENCH_index_decode.json)"
 BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin index_decode
 
+echo "==> backend exec bench: quick smoke (baseline lives in BENCH_backend_exec.json)"
+BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin backend_exec
+
 echo "CI OK"

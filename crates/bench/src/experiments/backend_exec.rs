@@ -1,24 +1,25 @@
 //! Backend execution comparison — the unified `AlignBackend` seam run
 //! end-to-end (DESIGN.md §9, §11).
 //!
-//! One dataset, seven executions of the same pipeline: inline host-engine
-//! gap fills (the pre-backend path), the CPU SIMD backend, the simulated
-//! GPU/SIMT backend (bare, supervised, and supervised + length-binned
-//! scheduler), and a shrunken-device pair that forces the oversized-pair
-//! fallback path with and without the scheduler routing those giants to
-//! the host pre-batch. All variants must agree on every mapping (the
-//! backends are bit-identical); the table reports what each one did —
-//! jobs, DP cells, fallbacks, pool traffic — alongside the per-stage
-//! seconds, and [`run_with_json`] additionally serializes the counters
-//! plus the scheduled-vs-unscheduled jobs/sec and fallback-rate deltas
-//! for the committed `BENCH_backend_exec.json` baseline.
+//! One dataset, five executions of the production `MapSession` path, each
+//! an `ExecConfig` a user can pick on the command line (every session
+//! supervised, as in `manymap map`): the CPU SIMD backend, the simulated
+//! GPU/SIMT backend with fifo and with length-binned dispatch, and a
+//! shrunken-device pair that forces the oversized-pair fallback path with
+//! and without the scheduler routing those giants to the host pre-batch.
+//! (The bare-backend vs. supervised vs. binned submit seam is timed by
+//! `benchmark/`'s `exec.submit_*_s` layer metrics.) All variants must agree
+//! on every mapping (the backends are bit-identical); the table reports
+//! what each one did — jobs, DP cells, fallbacks, pool traffic — alongside
+//! the per-stage seconds, and [`run_with_json`] additionally serializes the
+//! counters plus the scheduled-vs-unscheduled jobs/sec and fallback-rate
+//! deltas for the committed `BENCH_backend_exec.json` baseline.
 
 use manymap::baselines::BaselineId;
-use manymap::{profile_run, ProfileConfig};
-use mmm_exec::{BackendKind, BackendStats};
+use manymap::{profile_run, ExecConfig, ProfileConfig};
+use mmm_exec::{BackendKind, BackendStats, SchedMode};
 use mmm_index::{save_index, MinimizerIndex};
 use mmm_io::Stage;
-use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 
 use crate::{format_table, macrodata};
 
@@ -27,13 +28,23 @@ use crate::{format_table, macrodata};
 /// the xtask oracle's tiny-device session).
 const TINY_DEVICE_MEM: u64 = 16_384;
 
-struct Variant {
-    label: &'static str,
-    backend: Option<BackendKind>,
-    supervised: bool,
-    sched: bool,
-    device_mem: Option<u64>,
-}
+/// The execution configurations compared:
+/// `(label, backend, binned scheduler, shrunken device)`.
+const VARIANTS: [(&str, BackendKind, bool, bool); 5] = [
+    ("cpu", BackendKind::Cpu, false, false),
+    ("gpu-sim", BackendKind::GpuSim, false, false),
+    ("gpu-sim+sched", BackendKind::GpuSim, true, false),
+    // Shrunken device: some gap fills no longer fit, so the in-submit
+    // fallback path (fifo) vs. pre-batch host routing (scheduled) becomes
+    // visible in the fallback-rate delta.
+    ("gpu-tiny", BackendKind::GpuSim, false, true),
+    ("gpu-tiny+sched", BackendKind::GpuSim, true, true),
+];
+
+/// `(scheduled, unscheduled)` rows whose jobs/s and fallback rate are
+/// compared.
+const SCHED_PAIRS: [(&str, &str); 2] =
+    [("gpu-sim+sched", "gpu-sim"), ("gpu-tiny+sched", "gpu-tiny")];
 
 struct Row {
     label: &'static str,
@@ -46,6 +57,15 @@ impl Row {
     fn jobs_per_sec(&self) -> f64 {
         if self.align_seconds > 0.0 {
             self.stats.jobs as f64 / self.align_seconds
+        } else {
+            0.0
+        }
+    }
+
+    /// This row's jobs/s over `base`'s (0 when `base` ran no jobs).
+    fn jobs_per_sec_ratio(&self, base: &Row) -> f64 {
+        if base.jobs_per_sec() > 0.0 {
+            self.jobs_per_sec() / base.jobs_per_sec()
         } else {
             0.0
         }
@@ -64,121 +84,58 @@ pub fn run(quick: bool) -> String {
     run_with_json(quick).0
 }
 
+/// One profiled run per [`VARIANTS`] entry over a shared index and read set.
+fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
+    let ds = macrodata::pacbio(800_000, n_reads);
+    let opts = BaselineId::Manymap.map_opts();
+    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx)
+        .map_err(|e| format!("index build failed: {e}"))?;
+    let fasta = ds
+        .reads_fasta()
+        .map_err(|e| format!("in-memory fasta failed: {e}"))?;
+    let idx_path = std::env::temp_dir().join(format!("bench-backend-{}.mmx", std::process::id()));
+    save_index(&index, &idx_path).map_err(|e| format!("index serialization failed: {e}"))?;
+
+    let rows = VARIANTS
+        .into_iter()
+        .map(|(label, kind, bins, tiny)| {
+            let mut exec = ExecConfig::new(&opts, 1);
+            exec.kind = kind;
+            if bins {
+                exec.sched.mode = SchedMode::Bins;
+            }
+            exec.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
+            let cfg = ProfileConfig {
+                opts,
+                use_mmap: true,
+                sort_by_length: true,
+                exec,
+            };
+            let res = profile_run(&idx_path, &fasta, &cfg)
+                .map_err(|e| format!("{label} run failed: {e}"))?;
+            Ok(Row {
+                label,
+                mappings: res.mappings,
+                align_seconds: res.timer.get(Stage::Align).as_secs_f64(),
+                stats: res.backend_stats,
+            })
+        })
+        .collect();
+    let _ = std::fs::remove_file(&idx_path);
+    rows
+}
+
 /// Run the comparison; returns the human table and the JSON document the
 /// `backend_exec` binary writes to `BENCH_backend_exec.json`.
 pub fn run_with_json(quick: bool) -> (String, String) {
     let n_reads = if quick { 40 } else { 400 };
-    let ds = macrodata::pacbio(800_000, n_reads);
-    let opts = BaselineId::Manymap.map_opts();
-    let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
-        Ok(i) => i,
+    let rows = match profile_variants(n_reads) {
+        Ok(rows) => rows,
         Err(e) => {
-            let msg = format!("backend_exec: index build failed: {e}");
+            let msg = format!("backend_exec: {e}");
             return (msg.clone(), format!("{{\"error\": {msg:?}}}"));
         }
     };
-    let idx_path = std::env::temp_dir().join(format!("bench-backend-{}.mmx", std::process::id()));
-    if let Err(e) = save_index(&index, &idx_path) {
-        let msg = format!("backend_exec: index serialization failed: {e}");
-        return (msg.clone(), format!("{{\"error\": {msg:?}}}"));
-    }
-
-    let recs: Vec<SeqRecord> = ds
-        .reads
-        .iter()
-        .map(|r| SeqRecord::new(r.name.clone(), nt4_decode(&r.seq)))
-        .collect();
-    let mut fasta = Vec::new();
-    if let Err(e) = write_fasta(&mut fasta, &recs, 0) {
-        let msg = format!("backend_exec: in-memory fasta failed: {e}");
-        return (msg.clone(), format!("{{\"error\": {msg:?}}}"));
-    }
-
-    let variants: [Variant; 7] = [
-        Variant {
-            label: "inline",
-            backend: None,
-            supervised: false,
-            sched: false,
-            device_mem: None,
-        },
-        Variant {
-            label: "cpu",
-            backend: Some(BackendKind::Cpu),
-            supervised: false,
-            sched: false,
-            device_mem: None,
-        },
-        Variant {
-            label: "gpu-sim",
-            backend: Some(BackendKind::GpuSim),
-            supervised: false,
-            sched: false,
-            device_mem: None,
-        },
-        // The CLI's actual configuration: gpu-sim wrapped in the backend
-        // supervisor (DESIGN.md §10). On a clean run the wrapper must add
-        // only dispatch bookkeeping, so this row measures its overhead.
-        Variant {
-            label: "gpu-sim+sup",
-            backend: Some(BackendKind::GpuSim),
-            supervised: true,
-            sched: false,
-            device_mem: None,
-        },
-        Variant {
-            label: "gpu-sim+sup+sched",
-            backend: Some(BackendKind::GpuSim),
-            supervised: true,
-            sched: true,
-            device_mem: None,
-        },
-        // Shrunken device: some gap fills no longer fit, so the in-submit
-        // fallback path (unscheduled) vs. pre-batch host routing
-        // (scheduled) becomes visible in the fallback-rate delta.
-        Variant {
-            label: "gpu-tiny+sup",
-            backend: Some(BackendKind::GpuSim),
-            supervised: true,
-            sched: false,
-            device_mem: Some(TINY_DEVICE_MEM),
-        },
-        Variant {
-            label: "gpu-tiny+sup+sched",
-            backend: Some(BackendKind::GpuSim),
-            supervised: true,
-            sched: true,
-            device_mem: Some(TINY_DEVICE_MEM),
-        },
-    ];
-
-    let mut rows: Vec<Row> = Vec::new();
-    for v in &variants {
-        let cfg = ProfileConfig {
-            opts,
-            use_mmap: true,
-            sort_by_length: true,
-            backend: v.backend,
-            supervised: v.supervised,
-            sched: v.sched,
-            device_mem: v.device_mem,
-        };
-        let res = match profile_run(&idx_path, &fasta, &cfg) {
-            Ok(res) => res,
-            Err(e) => {
-                let _ = std::fs::remove_file(&idx_path);
-                let msg = format!("backend_exec: {} run failed: {e}", v.label);
-                return (msg.clone(), format!("{{\"error\": {msg:?}}}"));
-            }
-        };
-        rows.push(Row {
-            label: v.label,
-            mappings: res.mappings,
-            align_seconds: res.timer.get(Stage::Align).as_secs_f64(),
-            stats: res.backend_stats.unwrap_or_default(),
-        });
-    }
-    let _ = std::fs::remove_file(&idx_path);
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -222,21 +179,14 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         "mapping agreement across backends: {}\n",
         if agree { "identical" } else { "MISMATCH" }
     ));
-    for (sched, fifo) in [
-        ("gpu-sim+sup+sched", "gpu-sim+sup"),
-        ("gpu-tiny+sup+sched", "gpu-tiny+sup"),
-    ] {
+    for (sched, fifo) in SCHED_PAIRS {
         if let (Some(s), Some(f)) = (
             rows.iter().find(|r| r.label == sched),
             rows.iter().find(|r| r.label == fifo),
         ) {
             out.push_str(&format!(
                 "{sched} vs {fifo}: jobs/s x{:.2}, fallback rate {:.3} -> {:.3}\n",
-                if f.jobs_per_sec() > 0.0 {
-                    s.jobs_per_sec() / f.jobs_per_sec()
-                } else {
-                    0.0
-                },
+                s.jobs_per_sec_ratio(f),
                 f.fallback_rate(),
                 s.fallback_rate(),
             ));
@@ -293,14 +243,10 @@ fn json_report(quick: bool, n_reads: usize, agree: bool, rows: &[Row]) -> String
     }
     j.push_str("  ],\n");
     j.push_str("  \"deltas\": [\n");
-    let pairs = [
-        ("gpu-sim+sup+sched", "gpu-sim+sup"),
-        ("gpu-tiny+sup+sched", "gpu-tiny+sup"),
-    ];
-    for (i, (sched, fifo)) in pairs.iter().enumerate() {
+    for (i, (sched, fifo)) in SCHED_PAIRS.into_iter().enumerate() {
         let (Some(s), Some(f)) = (
-            rows.iter().find(|r| r.label == *sched),
-            rows.iter().find(|r| r.label == *fifo),
+            rows.iter().find(|r| r.label == sched),
+            rows.iter().find(|r| r.label == fifo),
         ) else {
             continue;
         };
@@ -309,17 +255,13 @@ fn json_report(quick: bool, n_reads: usize, agree: bool, rows: &[Row]) -> String
         j.push_str(&format!("      \"unscheduled\": \"{fifo}\",\n"));
         j.push_str(&format!(
             "      \"jobs_per_sec_ratio\": {:.4},\n",
-            if f.jobs_per_sec() > 0.0 {
-                s.jobs_per_sec() / f.jobs_per_sec()
-            } else {
-                0.0
-            }
+            s.jobs_per_sec_ratio(f)
         ));
         j.push_str(&format!(
             "      \"fallback_rate_delta\": {:.6}\n",
             s.fallback_rate() - f.fallback_rate()
         ));
-        j.push_str(if i + 1 == pairs.len() {
+        j.push_str(if i + 1 == SCHED_PAIRS.len() {
             "    }\n"
         } else {
             "    },\n"

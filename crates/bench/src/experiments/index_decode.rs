@@ -13,12 +13,12 @@
 use std::time::Instant;
 
 use manymap::baselines::BaselineId;
-use manymap::{profile_run, ProfileConfig};
+use manymap::{profile_run, ExecConfig, ProfileConfig};
 use mmm_align::DisabledTiers;
 use mmm_index::unpack;
 use mmm_index::{save_index, IndexFormat, MinimizerIndex};
 use mmm_io::Stage;
-use mmm_seq::{nt4_decode, write_fasta, PackedSeq, SeqRecord};
+use mmm_seq::PackedSeq;
 
 use crate::{format_table, macrodata};
 
@@ -145,13 +145,9 @@ fn map_rows(quick: bool) -> Result<Vec<MapRow>, String> {
     let ds = macrodata::pacbio(800_000, n_reads);
     let opts = BaselineId::Manymap.map_opts();
 
-    let recs: Vec<SeqRecord> = ds
-        .reads
-        .iter()
-        .map(|r| SeqRecord::new(r.name.clone(), nt4_decode(&r.seq)))
-        .collect();
-    let mut fasta = Vec::new();
-    write_fasta(&mut fasta, &recs, 0).map_err(|e| format!("in-memory fasta failed: {e}"))?;
+    let fasta = ds
+        .reads_fasta()
+        .map_err(|e| format!("in-memory fasta failed: {e}"))?;
 
     let mut rows = Vec::new();
     for (label, fmt) in [
@@ -172,10 +168,7 @@ fn map_rows(quick: bool) -> Result<Vec<MapRow>, String> {
             opts,
             use_mmap: true,
             sort_by_length: true,
-            backend: None,
-            supervised: false,
-            sched: false,
-            device_mem: None,
+            exec: ExecConfig::new(&opts, 1),
         };
         let res = profile_run(&idx_path, &fasta, &cfg);
         let _ = std::fs::remove_file(&idx_path);

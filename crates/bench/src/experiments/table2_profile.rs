@@ -1,62 +1,50 @@
 //! Table 2 — performance breakdown of (original) minimap2, one thread,
 //! CPU vs KNL (§4.1).
 //!
-//! The CPU column is *measured*: a single-threaded end-to-end run of the
-//! minimap2 configuration (Eq. 3 SSE kernel, buffered index loading) over
-//! the scaled PacBio dataset. The KNL column applies the calibrated
+//! The CPU column is *measured*: a single-threaded run of the production
+//! `MapSession` stages (`manymap::profile_run`) in the minimap2
+//! configuration (Eq. 3 SSE kernel, buffered index loading, CPU backend)
+//! over the scaled PacBio dataset. The KNL column applies the calibrated
 //! per-stage slowdowns of the machine model. Paper shape: Align dominates
 //! (65% on CPU, 83% on KNL) and every stage is several times slower on one
 //! KNL core.
 
 use manymap::baselines::BaselineId;
-use manymap::{profile_run, ProfileConfig};
+use manymap::{profile_run, ExecConfig, ProfileConfig, ProfileResult};
 use mmm_index::{save_index, MinimizerIndex};
 use mmm_io::Stage;
 use mmm_knl::KNL_7210;
-use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 
 use crate::{format_table, macrodata};
 
-pub fn run(quick: bool) -> String {
+/// The measured CPU column: one profiled run of the minimap2 configuration.
+fn profile(quick: bool) -> Result<ProfileResult, String> {
     let n_reads = if quick { 50 } else { 800 };
     let ds = macrodata::pacbio(1_000_000, n_reads);
     let opts = BaselineId::Minimap2.map_opts();
-    let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
-        Ok(i) => i,
-        Err(e) => return format!("table2_profile: index build failed: {e}"),
-    };
+    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx)
+        .map_err(|e| format!("index build failed: {e}"))?;
+    let fasta = ds
+        .reads_fasta()
+        .map_err(|e| format!("in-memory fasta failed: {e}"))?;
     let idx_path = std::env::temp_dir().join(format!("bench-table2-{}.mmx", std::process::id()));
-    if let Err(e) = save_index(&index, &idx_path) {
-        return format!("table2_profile: index serialization failed: {e}");
-    }
-
-    let recs: Vec<SeqRecord> = ds
-        .reads
-        .iter()
-        .map(|r| SeqRecord::new(r.name.clone(), nt4_decode(&r.seq)))
-        .collect();
-    let mut fasta = Vec::new();
-    if let Err(e) = write_fasta(&mut fasta, &recs, 0) {
-        return format!("table2_profile: in-memory fasta failed: {e}");
-    }
-
+    save_index(&index, &idx_path).map_err(|e| format!("index serialization failed: {e}"))?;
     let cfg = ProfileConfig {
         opts,
         use_mmap: false,
         sort_by_length: false,
-        backend: None,
-        supervised: false,
-        sched: false,
-        device_mem: None,
+        exec: ExecConfig::new(&opts, 1),
     };
-    let res = match profile_run(&idx_path, &fasta, &cfg) {
-        Ok(res) => res,
-        Err(e) => {
-            let _ = std::fs::remove_file(&idx_path);
-            return format!("table2_profile: profiled run failed: {e}");
-        }
-    };
+    let res = profile_run(&idx_path, &fasta, &cfg);
     let _ = std::fs::remove_file(&idx_path);
+    res.map_err(|e| format!("profiled run failed: {e}"))
+}
+
+pub fn run(quick: bool) -> String {
+    let res = match profile(quick) {
+        Ok(res) => res,
+        Err(e) => return format!("table2_profile: {e}"),
+    };
 
     // KNL column: calibrated per-stage slowdowns (Table 2 ratios).
     let m = KNL_7210;
@@ -102,10 +90,11 @@ pub fn run(quick: bool) -> String {
         &rows,
     );
     out.push_str(&format!(
-        "totals: CPU {:.3}s, KNL {:.3}s ({:.1}x)\n",
+        "totals: CPU {:.3}s, KNL {:.3}s ({:.1}x); {} mappings\n",
         cpu_total,
         knl_total,
-        knl_total / cpu_total
+        knl_total / cpu_total,
+        res.mappings
     ));
     out.push_str("paper: Align 65.42% of CPU / 82.69% of KNL; KNL ~15x slower overall\n");
     out.push_str(crate::SCALE_NOTE);

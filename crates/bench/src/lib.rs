@@ -190,6 +190,18 @@ pub mod macrodata {
         pub fn reference(&self) -> SeqRecord {
             SeqRecord::new("chr1", nt4_decode(&self.genome))
         }
+
+        /// The reads as an in-memory FASTA — `profile_run`'s query input.
+        pub fn reads_fasta(&self) -> std::io::Result<Vec<u8>> {
+            let recs: Vec<SeqRecord> = self
+                .reads
+                .iter()
+                .map(|r| SeqRecord::new(r.name.clone(), nt4_decode(&r.seq)))
+                .collect();
+            let mut fasta = Vec::new();
+            mmm_seq::write_fasta(&mut fasta, &recs, 0)?;
+            Ok(fasta)
+        }
     }
 }
 
@@ -198,10 +210,13 @@ pub mod meter {
     use std::time::Instant;
 
     use manymap::Mapper;
+    use mmm_exec::align_jobs_with_scratch;
     use mmm_knl::WorkBatch;
 
     /// Measure per-read seed+chain and align costs (single-thread, host
     /// core) and package them as simulator batches of `batch_size` reads.
+    /// The split is the production one: `plan_read` is the chain cost,
+    /// host-engine job execution plus finalize the align cost.
     pub fn meter_batches(
         mapper: &Mapper<'_>,
         reads: &[Vec<u8>],
@@ -209,6 +224,7 @@ pub mod meter {
         in_cost_per_base: f64,
         out_cost_per_read: f64,
     ) -> Vec<WorkBatch> {
+        let (engine, sc) = (mapper.opts.engine, mapper.opts.scoring);
         let mut batches = Vec::new();
         let mut scratch = mmm_align::AlignScratch::new();
         for chunk in reads.chunks(batch_size.max(1)) {
@@ -218,10 +234,18 @@ pub mod meter {
             for read in chunk {
                 bases += read.len();
                 let t0 = Instant::now();
-                let chained = mapper.seed_chain(read);
+                let plan = mapper.plan_read(read);
                 chain.push(t0.elapsed().as_secs_f64());
                 let t1 = Instant::now();
-                std::hint::black_box(mapper.extend_with_scratch(read, &chained, &mut scratch));
+                if let Ok(plan) = &plan {
+                    let fills = align_jobs_with_scratch(engine, &plan.jobs, &sc, &mut scratch);
+                    std::hint::black_box(mapper.finalize_read_with_scratch(
+                        read,
+                        plan,
+                        &fills,
+                        &mut scratch,
+                    ));
+                }
                 align.push(t1.elapsed().as_secs_f64());
             }
             batches.push(WorkBatch {

@@ -267,7 +267,7 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         // run with the file name and position — it is never EOF.
         || {
             let batch = lock_unpoisoned(&reader)
-                .next_batch(4_000_000)
+                .next_batch(session::MAP_BATCH_BASES)
                 .map_err(|e| -> DynError { format!("{reads_path}: {e}").into() })?;
             Ok((!batch.is_empty()).then_some(batch))
         },

@@ -23,6 +23,16 @@
 //! let read = index.seqs[0].seq.slice(100, 1100);
 //! let mappings = mapper.map_read(&read);
 //! assert!(!mappings.is_empty());
+//!
+//! // `map_read` is plan → execute → finalize with the backend inlined. A
+//! // pipeline runs the phases itself and hands `plan.jobs` to any
+//! // `mmm_exec::AlignBackend` (see `session::MapSession`).
+//! let plan = mapper.plan_read(&read).unwrap();
+//! let mut scratch = mmm_align::AlignScratch::new();
+//! let (engine, scoring) = (mapper.opts.engine, mapper.opts.scoring);
+//! let fills = mmm_exec::align_jobs_with_scratch(engine, &plan.jobs, &scoring, &mut scratch);
+//! let same = mapper.finalize_read_with_scratch(&read, &plan, &fills, &mut scratch);
+//! assert_eq!(mappings, same);
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

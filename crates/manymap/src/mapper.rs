@@ -8,13 +8,12 @@
 //! single flag switches the whole mapper between minimap2's kernels and
 //! manymap's.
 
-use mmm_align::{
-    extend_zdrop_with_scratch, fill_align_with_scratch, AlignError, AlignResult, AlignScratch,
-    Cigar, CigarOp,
-};
+use std::ops::Range;
+
+use mmm_align::{extend_zdrop_with_scratch, AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
 use mmm_chain::select::SelectedChain;
 use mmm_chain::{chain_anchors, select_chains, Chain};
-use mmm_exec::{AlignJob, PrefilterProbe, PREFILTER_WINDOW};
+use mmm_exec::{align_jobs_with_scratch, AlignJob, PrefilterProbe, PREFILTER_WINDOW};
 use mmm_index::{IndexRef, ShardUnavailable};
 use mmm_seq::revcomp4;
 
@@ -64,24 +63,41 @@ impl From<ShardUnavailable> for MapReadError {
     }
 }
 
-/// Output of the seeding + chaining phase, consumed by the alignment phase.
-/// Keeping the two phases separate lets the stage profiler (Table 2,
-/// Figure 11) time them independently.
-pub struct ChainedRead {
+/// The plan phase's output for one read: its selected chains plus every DP
+/// problem its gap-fill step needs, as backend-ready [`AlignJob`]s.
+///
+/// Produced by [`Mapper::plan_read`]; a batch of plans is executed by an
+/// `AlignBackend` and the results spliced back by
+/// [`Mapper::finalize_read_with_scratch`]. Jobs are emitted (and must be
+/// answered) in chain-walk order: selected chains in order, gaps within
+/// each chain left to right.
+pub struct ReadPlan {
     selected: Vec<SelectedChain>,
+    /// The query's reverse complement, when any selected chain is reverse.
     q_rc: Option<Vec<u8>>,
     /// Chains discarded by the pre-alignment filter (zero with `--prefilter
     /// off`); surfaced so the CLI can report rejection counts per run.
     prefilter_rejected: usize,
+    /// Deferred gap-fill problems. The dispatcher takes these (e.g. with
+    /// `std::mem::take`), runs them through a backend, and hands the
+    /// results — one per job, in order — to the finalize phase.
+    pub jobs: Vec<AlignJob>,
+    /// The index shard each job's reference window came from, parallel to
+    /// `jobs` (all zeros over a flat index). A shard-aware dispatcher can
+    /// route each job to that shard's backend session
+    /// ([`mmm_exec::ShardSessions`]); flat dispatchers ignore it.
+    pub job_shards: Vec<u32>,
 }
 
-impl ChainedRead {
-    /// The no-chain outcome (an unmappable or shard-degraded read).
-    fn empty() -> Self {
-        ChainedRead {
-            selected: Vec::new(),
-            q_rc: None,
-            prefilter_rejected: 0,
+impl ReadPlan {
+    /// The query strand `sel` was chained on. `seed_chain` computes `q_rc`
+    /// whenever any selected chain is reverse; if that invariant ever
+    /// broke, `None` skips the chain rather than crashing the worker.
+    fn strand<'q>(&'q self, query: &'q [u8], sel: &SelectedChain) -> Option<&'q [u8]> {
+        if sel.chain.rev {
+            self.q_rc.as_deref()
+        } else {
+            Some(query)
         }
     }
 
@@ -96,47 +112,24 @@ impl ChainedRead {
     }
 }
 
-/// The plan phase's output for one read: the chained read plus every DP
-/// problem its gap-fill step needs, as backend-ready [`AlignJob`]s.
-///
-/// Produced by [`Mapper::plan_read`]; a batch of plans is executed by an
-/// `AlignBackend` and the results spliced back by
-/// [`Mapper::finalize_read_with_scratch`]. Jobs are emitted (and must be
-/// answered) in chain-walk order: selected chains in order, gaps within
-/// each chain left to right.
-pub struct ReadPlan {
-    chained: ChainedRead,
-    /// Deferred gap-fill problems. The dispatcher takes these (e.g. with
-    /// `std::mem::take`), runs them through a backend, and hands the
-    /// results — one per job, in order — to the finalize phase.
-    pub jobs: Vec<AlignJob>,
-    /// The index shard each job's reference window came from, parallel to
-    /// `jobs` (all zeros over a flat index). A shard-aware dispatcher can
-    /// route each job to that shard's backend session
-    /// ([`mmm_exec::ShardSessions`]); flat dispatchers ignore it.
-    pub job_shards: Vec<u32>,
+/// How the chain walk treats the stretch between two adjacent anchors.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum GapKind {
+    /// Longer than [`MapOpts::max_fill`]: approximated as one long gap.
+    Long,
+    /// Same diagonal, at most `k` apart: overlapping k-mers, scored as a
+    /// gap-free run.
+    MatchRun,
+    /// Everything else: a global-alignment job for the backend.
+    Fill,
 }
 
-impl ReadPlan {
-    /// The seeding/chaining outcome the plan was built from.
-    pub fn chained(&self) -> &ChainedRead {
-        &self.chained
-    }
-}
-
-/// Sequential reader over a read's backend results, consumed by the
-/// finalize-phase chain walk in the same order the plan emitted jobs.
-struct ResultCursor<'r> {
-    results: &'r [AlignResult],
-    next: usize,
-}
-
-impl<'r> ResultCursor<'r> {
-    fn next(&mut self) -> Option<&'r AlignResult> {
-        let r = self.results.get(self.next)?;
-        self.next += 1;
-        Some(r)
-    }
+/// One between-anchor stretch: the bases after the left anchor's end base
+/// up to and including the right anchor's, on the reference and the query.
+struct Gap {
+    kind: GapKind,
+    r: Range<usize>,
+    q: Range<usize>,
 }
 
 /// One alignment record (a PAF row).
@@ -188,54 +181,33 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    /// Map one read (nt4, forward orientation). Returns primary first.
+    /// Map one read (nt4, forward orientation). Returns primary first; a
+    /// read [`Mapper::plan_read`] rejects maps to nothing.
     pub fn map_read(&self, query: &[u8]) -> Vec<Mapping> {
         self.map_read_with_scratch(query, &mut AlignScratch::new())
     }
 
-    /// [`Mapper::map_read`] with a caller-provided alignment scratch arena.
-    /// The pipeline workers each hold one scratch for their whole run, so
-    /// the base-level alignment stage stops allocating after warm-up.
+    /// [`Mapper::map_read`] with a caller-provided alignment scratch arena:
+    /// plan, execute the plan's jobs on the host engine with `scratch`,
+    /// finalize — the production path with the backend inlined.
     pub fn map_read_with_scratch(&self, query: &[u8], scratch: &mut AlignScratch) -> Vec<Mapping> {
-        let chained = self.seed_chain(query);
-        self.extend_with_scratch(query, &chained, scratch)
+        let Ok(plan) = self.plan_read(query) else {
+            return Vec::new();
+        };
+        let fills =
+            align_jobs_with_scratch(self.opts.engine, &plan.jobs, &self.opts.scoring, scratch);
+        self.finalize_read_with_scratch(query, &plan, &fills, scratch)
     }
 
-    /// Fallible [`Mapper::map_read_with_scratch`]: per-read conditions that
-    /// would trip kernel asserts or exhaust memory are rejected up front as
-    /// [`MapReadError`] so the caller can degrade the read instead of
-    /// crashing the worker.
-    pub fn try_map_read_with_scratch(
-        &self,
-        query: &[u8],
-        scratch: &mut AlignScratch,
-    ) -> Result<Vec<Mapping>, MapReadError> {
-        if query.len() > self.opts.max_read_len {
-            return Err(MapReadError::ReadTooLong {
-                len: query.len(),
-                max: self.opts.max_read_len,
-            });
-        }
-        if !self.opts.scoring.fits_i8() {
-            return Err(MapReadError::Align(AlignError::ScoringOverflowsI8(
-                self.opts.scoring,
-            )));
-        }
-        let chained = self.try_seed_chain(query)?;
-        Ok(self.extend_with_scratch(query, &chained, scratch))
-    }
-
-    /// Batched-pipeline phase 1: seed, chain, and describe the read's
-    /// gap-fill DP problems as backend [`AlignJob`]s without executing
-    /// them. Rejects the same per-read conditions as
-    /// [`Mapper::try_map_read_with_scratch`], so validation failures
-    /// surface before any backend work is queued.
+    /// Phase 1: seed, chain, and describe the read's gap-fill DP problems
+    /// as backend [`AlignJob`]s without executing them. Per-read conditions
+    /// that would trip kernel asserts or exhaust memory are rejected here as
+    /// [`MapReadError`], before any backend work is queued, so the caller
+    /// can degrade the read instead of crashing the worker.
     ///
-    /// `plan_read` + backend execution + [`Mapper::finalize_read_with_scratch`]
-    /// produces bit-identical mappings to the monolithic
-    /// [`Mapper::map_read_with_scratch`]: the deferred jobs are exactly the
-    /// `fill_align` calls the monolithic walk would make, and every backend
-    /// is bit-identical to the host engines.
+    /// Every backend is bit-identical to the host engines, so `plan_read` +
+    /// any backend + [`Mapper::finalize_read_with_scratch`] produces the
+    /// mappings [`Mapper::map_read_with_scratch`] does.
     pub fn plan_read(&self, query: &[u8]) -> Result<ReadPlan, MapReadError> {
         if query.len() > self.opts.max_read_len {
             return Err(MapReadError::ReadTooLong {
@@ -248,28 +220,24 @@ impl<'a> Mapper<'a> {
                 self.opts.scoring,
             )));
         }
-        let chained = self.try_seed_chain(query)?;
-        let mut jobs = Vec::new();
-        let mut job_shards = Vec::new();
-        for sel in &chained.selected {
-            let qseq: &[u8] = match (sel.chain.rev, chained.q_rc.as_deref()) {
-                (true, Some(rc)) => rc,
-                (true, None) => continue,
-                (false, _) => query,
+        let mut plan = self.seed_chain(query)?;
+        let (mut jobs, mut job_shards) = (Vec::new(), Vec::new());
+        for sel in &plan.selected {
+            let Some(qseq) = plan.strand(query, sel) else {
+                continue;
             };
             self.plan_chain_jobs(&sel.chain, qseq, &mut jobs, &mut job_shards)?;
         }
-        Ok(ReadPlan {
-            chained,
-            jobs,
-            job_shards,
-        })
+        (plan.jobs, plan.job_shards) = (jobs, job_shards);
+        Ok(plan)
     }
 
-    /// Batched-pipeline phase 3: splice a backend's answers to the plan's
-    /// jobs back into the chain walk (scores and CIGAR segments), run the
-    /// CPU-side end extensions, and assemble the mappings. `fill_results`
-    /// must hold one result per planned job, in job order.
+    /// Phase 3: splice a backend's answers to the plan's jobs back into the
+    /// chain walk (scores and CIGAR segments), run the CPU-side end
+    /// extensions, and assemble the mappings. `fill_results` must hold one
+    /// result per planned job, in job order; a chain whose results are
+    /// missing (a backend contract violation) is skipped rather than
+    /// crashing the worker.
     pub fn finalize_read_with_scratch(
         &self,
         query: &[u8],
@@ -277,17 +245,45 @@ impl<'a> Mapper<'a> {
         fill_results: &[AlignResult],
         scratch: &mut AlignScratch,
     ) -> Vec<Mapping> {
-        let mut fills = Some(ResultCursor {
-            results: fill_results,
-            next: 0,
-        });
-        self.walk_chains(query, &plan.chained, scratch, &mut fills)
+        // Consumed in the order the plan emitted jobs.
+        let mut fills = fill_results.iter();
+        let mut out = Vec::with_capacity(plan.selected.len());
+        for sel in &plan.selected {
+            let Some(qseq) = plan.strand(query, sel) else {
+                continue;
+            };
+            out.extend(self.align_chain(sel, qseq, query.len(), scratch, &mut fills));
+        }
+        // Primary mappings first, then by score.
+        out.sort_by_key(|m| (!m.primary, -m.align_score));
+        out
+    }
+
+    /// The stretches between a chain's adjacent anchors, left to right,
+    /// each classified once — the plan and finalize walks both iterate
+    /// this, so they cannot disagree on which gaps are backend jobs.
+    fn chain_gaps<'c>(&self, chain: &'c Chain) -> impl Iterator<Item = Gap> + 'c {
+        let (max_fill, k) = (self.opts.max_fill, self.index.k());
+        chain.anchors.windows(2).map(move |w| {
+            let (rcur, qcur) = (w[0].rpos as usize, w[0].qpos as usize);
+            let (rn, qn) = (w[1].rpos as usize, w[1].qpos as usize);
+            let (dr, dq) = (rn - rcur, qn - qcur);
+            let kind = if dr.max(dq) > max_fill {
+                GapKind::Long
+            } else if dr == dq && dr <= k {
+                GapKind::MatchRun
+            } else {
+                GapKind::Fill
+            };
+            Gap {
+                kind,
+                r: rcur + 1..rn + 1,
+                q: qcur + 1..qn + 1,
+            }
+        })
     }
 
     /// Emit the [`AlignJob`]s one chain's gap fills need, in walk order.
-    /// This mirrors `align_chain`'s gap classification exactly: only the
-    /// `fill_align` case defers to a backend — long-gap approximations and
-    /// same-diagonal match runs stay inline in finalize.
     fn plan_chain_jobs(
         &self,
         chain: &Chain,
@@ -295,44 +291,23 @@ impl<'a> Mapper<'a> {
         jobs: &mut Vec<AlignJob>,
         job_shards: &mut Vec<u32>,
     ) -> Result<(), MapReadError> {
-        let k = self.index.k();
         let shard = self.index.shard_of(chain.rid);
-        let first = chain.anchors[0];
-        let (mut rcur, mut qcur) = (first.rpos as usize, first.qpos as usize);
-        for a in &chain.anchors[1..] {
-            let (rn, qn) = (a.rpos as usize, a.qpos as usize);
-            let dr = rn - rcur;
-            let dq = qn - qcur;
-            let inline = dr.max(dq) > self.opts.max_fill || (dr == dq && dr <= k);
-            if !inline {
-                let rseg = self.index.ref_window(chain.rid, rcur + 1, rn + 1)?;
-                let qseg = qseq[qcur + 1..qn + 1].to_vec();
+        for gap in self.chain_gaps(chain) {
+            if gap.kind == GapKind::Fill {
+                let rseg = self.index.ref_window(chain.rid, gap.r.start, gap.r.end)?;
+                let qseg = qseq[gap.q].to_vec();
                 jobs.push(AlignJob::global(rseg, qseg, self.opts.with_cigar));
                 job_shards.push(shard);
             }
-            rcur = rn;
-            qcur = qn;
         }
         Ok(())
     }
 
-    /// Phase 1: seeding and chaining (the paper's "Seed & Chain" stage),
-    /// followed by the optional pre-alignment filter. Filtering happens
-    /// here — before any planning — so the monolithic, planned, and
-    /// scheduled execution paths all see the identical chain set and stay
-    /// bit-identical to each other at any fixed `--prefilter` setting.
-    pub fn seed_chain(&self, query: &[u8]) -> ChainedRead {
-        // The infallible entry point is only meaningful over indexes that
-        // cannot lose shards; a shard-degraded read seeds to nothing here.
-        // Fallible callers use `try_seed_chain` (via `plan_read` /
-        // `try_map_read_with_scratch`) so degradation is counted.
-        self.try_seed_chain(query)
-            .unwrap_or_else(|_| ChainedRead::empty())
-    }
-
-    /// [`Mapper::seed_chain`], surfacing shard unavailability instead of
-    /// silently seeding to nothing.
-    pub fn try_seed_chain(&self, query: &[u8]) -> Result<ChainedRead, MapReadError> {
+    /// Seeding and chaining (the paper's "Seed & Chain" stage), followed by
+    /// the optional pre-alignment filter: a plan with no jobs yet. Filtering
+    /// happens here — before any job is described — so every execution path
+    /// sees the identical chain set at any fixed `--prefilter` setting.
+    fn seed_chain(&self, query: &[u8]) -> Result<ReadPlan, MapReadError> {
         let anchors = self.index.collect_anchors(query)?;
         let mut selected = if anchors.is_empty() {
             Vec::new()
@@ -357,10 +332,12 @@ impl<'a> Mapper<'a> {
                     .rejects(self.opts.prefilter)
             });
         }
-        Ok(ChainedRead {
+        Ok(ReadPlan {
             prefilter_rejected: before - selected.len(),
             selected,
             q_rc,
+            jobs: Vec::new(),
+            job_shards: Vec::new(),
         })
     }
 
@@ -402,76 +379,35 @@ impl<'a> Mapper<'a> {
         probe
     }
 
-    /// Phase 2: base-level alignment (the paper's "Align" stage).
-    pub fn extend(&self, query: &[u8], chained: &ChainedRead) -> Vec<Mapping> {
-        self.extend_with_scratch(query, chained, &mut AlignScratch::new())
-    }
-
-    /// [`Mapper::extend`] with a caller-provided alignment scratch arena.
-    pub fn extend_with_scratch(
-        &self,
-        query: &[u8],
-        chained: &ChainedRead,
-        scratch: &mut AlignScratch,
-    ) -> Vec<Mapping> {
-        self.walk_chains(query, chained, scratch, &mut None)
-    }
-
-    /// The shared chain walk behind the monolithic and batched paths: with
-    /// `fills: None` every gap fill runs inline on the host engine; with a
-    /// cursor, fills consume pre-computed backend results instead.
-    fn walk_chains(
-        &self,
-        query: &[u8],
-        chained: &ChainedRead,
-        scratch: &mut AlignScratch,
-        fills: &mut Option<ResultCursor<'_>>,
-    ) -> Vec<Mapping> {
-        let mut out = Vec::with_capacity(chained.selected.len());
-        for sel in &chained.selected {
-            // `seed_chain` computes `q_rc` whenever any selected chain is
-            // reverse; if that invariant ever broke, skip the chain rather
-            // than crash the worker.
-            let qseq: &[u8] = match (sel.chain.rev, chained.q_rc.as_deref()) {
-                (true, Some(rc)) => rc,
-                (true, None) => continue,
-                (false, _) => query,
-            };
-            if let Some(m) = self.align_chain(
-                &sel.chain,
-                qseq,
-                query.len(),
-                sel.primary,
-                sel.mapq,
-                scratch,
-                fills,
-            ) {
-                out.push(m);
-            }
+    /// Decode a reference window into a buffer leased from `scratch` (hand
+    /// it back with `put_seq_buf`); `None` when its shard is unavailable.
+    fn window(&self, rid: u32, r: Range<usize>, scratch: &mut AlignScratch) -> Option<Vec<u8>> {
+        let mut rbuf = scratch.take_seq_buf();
+        if self
+            .index
+            .ref_window_into(rid, r.start, r.end, &mut rbuf)
+            .is_err()
+        {
+            scratch.put_seq_buf(rbuf);
+            return None;
         }
-        // Primary mappings first, then by score.
-        out.sort_by_key(|m| (!m.primary, -m.align_score));
-        out
+        Some(rbuf)
     }
 
-    /// Base-level alignment of one chain against the reference. Gap fills
-    /// either run inline (`fills: None`) or consume the next backend result
-    /// from the cursor; a chain whose results are missing (a backend
-    /// contract violation) is skipped rather than crashing the worker.
-    #[allow(clippy::too_many_arguments)]
+    /// Base-level alignment of one chain against the reference (the
+    /// paper's "Align" stage): match runs and long-gap approximations are
+    /// scored here, each fill gap consumes the next backend result from
+    /// `fills`, and both chain ends are extended on the CPU.
     fn align_chain(
         &self,
-        chain: &Chain,
+        sel: &SelectedChain,
         qseq: &[u8],
         qlen: usize,
-        primary: bool,
-        mapq: u8,
         scratch: &mut AlignScratch,
-        fills: &mut Option<ResultCursor<'_>>,
+        fills: &mut std::slice::Iter<'_, AlignResult>,
     ) -> Option<Mapping> {
+        let chain = &sel.chain;
         let sc = &self.opts.scoring;
-        let engine = self.opts.engine;
-        let k = self.index.k() as u32;
         let rseq_len = self.index.seq_len(chain.rid);
 
         let first = chain.anchors[0];
@@ -498,77 +434,40 @@ impl<'a> Mapper<'a> {
         }
 
         // Fill between consecutive anchors.
-        let (mut rcur, mut qcur) = (first.rpos as usize, first.qpos as usize);
-        for a in &chain.anchors[1..] {
-            let (rn, qn) = (a.rpos as usize, a.qpos as usize);
-            let dr = rn - rcur;
-            let dq = qn - qcur;
-            if dr.max(dq) > self.opts.max_fill {
-                // Chain gap too large to fill (paper: fall back / give up on
-                // pathological segments) — approximate with one long gap.
-                let common = dr.min(dq) as u32;
-                if let Some(c) = cigar.as_mut() {
-                    c.push(CigarOp::Match, common);
-                    if dr > dq {
-                        c.push(CigarOp::Del, (dr - dq) as u32);
-                    } else if dq > dr {
-                        c.push(CigarOp::Ins, (dq - dr) as u32);
-                    }
-                }
-                align_score -= sc.gap_cost(dr.abs_diff(dq) as u32);
-            } else if dr == dq && dr <= k as usize {
-                // Same diagonal, overlapping k-mers: pure match run.
-                let mut rbuf = scratch.take_seq_buf();
-                if self
-                    .index
-                    .ref_window_into(chain.rid, rcur + 1, rn + 1, &mut rbuf)
-                    .is_err()
-                {
-                    scratch.put_seq_buf(rbuf);
-                    return None;
-                }
-                align_score += score_segment(&rbuf, &qseq[qcur + 1..qn + 1], sc);
-                scratch.put_seq_buf(rbuf);
-                if let Some(c) = cigar.as_mut() {
-                    c.push(CigarOp::Match, dr as u32);
-                }
-            } else {
-                let mut owned: Option<AlignResult> = None;
-                let r: &AlignResult = match fills.as_mut() {
-                    Some(cursor) => cursor.next()?,
-                    None => {
-                        let mut rbuf = scratch.take_seq_buf();
-                        if self
-                            .index
-                            .ref_window_into(chain.rid, rcur + 1, rn + 1, &mut rbuf)
-                            .is_err()
-                        {
-                            scratch.put_seq_buf(rbuf);
-                            return None;
+        for gap in self.chain_gaps(chain) {
+            let (dr, dq) = (gap.r.len(), gap.q.len());
+            match gap.kind {
+                GapKind::Long => {
+                    // Chain gap too large to fill (paper: fall back / give
+                    // up on pathological segments) — approximate with one
+                    // long gap.
+                    if let Some(c) = cigar.as_mut() {
+                        c.push(CigarOp::Match, dr.min(dq) as u32);
+                        if dr > dq {
+                            c.push(CigarOp::Del, (dr - dq) as u32);
+                        } else if dq > dr {
+                            c.push(CigarOp::Ins, (dq - dr) as u32);
                         }
-                        let qseg = &qseq[qcur + 1..qn + 1];
-                        let res = fill_align_with_scratch(
-                            &rbuf,
-                            qseg,
-                            sc,
-                            engine,
-                            cigar.is_some(),
-                            scratch,
-                        );
-                        scratch.put_seq_buf(rbuf);
-                        owned.insert(res)
                     }
-                };
-                align_score += r.score;
-                if let (Some(c), Some(rc)) = (cigar.as_mut(), r.cigar.as_ref()) {
-                    c.extend(rc);
+                    align_score -= sc.gap_cost(dr.abs_diff(dq) as u32);
                 }
-                if let Some(rc) = owned.take().and_then(|r| r.cigar) {
-                    scratch.recycle(rc);
+                GapKind::MatchRun => {
+                    // Same diagonal, overlapping k-mers: pure match run.
+                    let rbuf = self.window(chain.rid, gap.r, scratch)?;
+                    align_score += score_segment(&rbuf, &qseq[gap.q], sc);
+                    scratch.put_seq_buf(rbuf);
+                    if let Some(c) = cigar.as_mut() {
+                        c.push(CigarOp::Match, dr as u32);
+                    }
+                }
+                GapKind::Fill => {
+                    let r = fills.next()?;
+                    align_score += r.score;
+                    if let (Some(c), Some(rc)) = (cigar.as_mut(), r.cigar.as_ref()) {
+                        c.extend(rc);
+                    }
                 }
             }
-            rcur = rn;
-            qcur = qn;
         }
 
         // Right extension: query tail beyond the last anchor.
@@ -577,15 +476,7 @@ impl<'a> Mapper<'a> {
         if q_end < qlen {
             let tail = qlen - q_end;
             let win = (tail as f64 * self.opts.ext_factor) as usize + 32;
-            let mut rbuf = scratch.take_seq_buf();
-            if self
-                .index
-                .ref_window_into(chain.rid, ref_end, ref_end + win, &mut rbuf)
-                .is_err()
-            {
-                scratch.put_seq_buf(rbuf);
-                return None;
-            }
+            let rbuf = self.window(chain.rid, ref_end..ref_end + win, scratch)?;
             let qseg = &qseq[q_end..qlen.min(q_end + self.opts.max_fill)];
             let e = extend_zdrop_with_scratch(
                 &rbuf,
@@ -611,15 +502,7 @@ impl<'a> Mapper<'a> {
         if q_start > 0 {
             let head = q_start;
             let win = ((head as f64 * self.opts.ext_factor) as usize + 32).min(ref_start);
-            let mut rbuf = scratch.take_seq_buf();
-            if self
-                .index
-                .ref_window_into(chain.rid, ref_start - win, ref_start, &mut rbuf)
-                .is_err()
-            {
-                scratch.put_seq_buf(rbuf);
-                return None;
-            }
+            let mut rbuf = self.window(chain.rid, ref_start - win..ref_start, scratch)?;
             rbuf.reverse();
             let take = head.min(self.opts.max_fill);
             let mut qbuf = scratch.take_seq_buf();
@@ -679,8 +562,8 @@ impl<'a> Mapper<'a> {
             q_start: oq_start,
             q_end: oq_end,
             rev: chain.rev,
-            primary,
-            mapq,
+            primary: sel.primary,
+            mapq: sel.mapq,
             chain_score: chain.score,
             align_score,
             matches,
@@ -701,7 +584,29 @@ mod tests {
     use super::*;
     use mmm_index::{IdxOpts, MinimizerIndex};
     use mmm_seq::{nt4_decode, SeqRecord};
-    use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
+    use mmm_simreads::{
+        generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts, SimulatedRead,
+    };
+
+    fn genome(len: usize, repeat_frac: f64, seed: u64) -> Vec<u8> {
+        generate_genome(&GenomeOpts {
+            len,
+            repeat_frac,
+            seed,
+            ..Default::default()
+        })
+    }
+
+    fn sim(g: &[u8], platform: Platform, num_reads: usize, seed: u64) -> Vec<SimulatedRead> {
+        simulate_reads(
+            g,
+            &SimOpts {
+                platform,
+                num_reads,
+                seed,
+            },
+        )
+    }
 
     fn build_index(genome: &[u8], opts: &IdxOpts) -> MinimizerIndex {
         MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], opts).unwrap()
@@ -709,11 +614,7 @@ mod tests {
 
     #[test]
     fn exact_read_maps_exactly() {
-        let g = generate_genome(&GenomeOpts {
-            len: 100_000,
-            repeat_frac: 0.0,
-            ..Default::default()
-        });
+        let g = genome(100_000, 0.0, 42);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
         let read = g[20_000..24_000].to_vec();
@@ -732,12 +633,7 @@ mod tests {
 
     #[test]
     fn reverse_complement_read_maps_reverse() {
-        let g = generate_genome(&GenomeOpts {
-            len: 100_000,
-            repeat_frac: 0.0,
-            seed: 3,
-            ..Default::default()
-        });
+        let g = genome(100_000, 0.0, 3);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
         let read = revcomp4(&g[50_000..53_000]);
@@ -752,22 +648,10 @@ mod tests {
 
     #[test]
     fn noisy_pacbio_read_maps_to_true_interval() {
-        let g = generate_genome(&GenomeOpts {
-            len: 200_000,
-            repeat_frac: 0.0,
-            seed: 9,
-            ..Default::default()
-        });
+        let g = genome(200_000, 0.0, 9);
         let idx = build_index(&g, &IdxOpts::MAP_PB);
         let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_pb());
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::PacBio,
-                num_reads: 20,
-                seed: 1,
-            },
-        );
+        let reads = sim(&g, Platform::PacBio, 20, 1);
         let mut mapped = 0;
         let mut correct = 0;
         for r in &reads {
@@ -789,22 +673,10 @@ mod tests {
 
     #[test]
     fn cigar_lengths_always_match_intervals() {
-        let g = generate_genome(&GenomeOpts {
-            len: 150_000,
-            repeat_frac: 0.05,
-            seed: 4,
-            ..Default::default()
-        });
+        let g = genome(150_000, 0.05, 4);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::Nanopore,
-                num_reads: 15,
-                seed: 2,
-            },
-        );
+        let reads = sim(&g, Platform::Nanopore, 15, 2);
         for r in &reads {
             for m in mapper.map_read(&r.seq) {
                 let c = m.cigar.as_ref().unwrap();
@@ -817,12 +689,7 @@ mod tests {
 
     #[test]
     fn score_only_mode_produces_no_cigars() {
-        let g = generate_genome(&GenomeOpts {
-            len: 80_000,
-            repeat_frac: 0.0,
-            seed: 5,
-            ..Default::default()
-        });
+        let g = genome(80_000, 0.0, 5);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont().cigar(false));
         let read = g[10_000..13_000].to_vec();
@@ -833,66 +700,51 @@ mod tests {
 
     #[test]
     fn unmappable_read_returns_empty() {
-        let g = generate_genome(&GenomeOpts {
-            len: 60_000,
-            repeat_frac: 0.0,
-            seed: 6,
-            ..Default::default()
-        });
+        let g = genome(60_000, 0.0, 6);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
         // A read from a different random genome.
-        let other = generate_genome(&GenomeOpts {
-            len: 10_000,
-            repeat_frac: 0.0,
-            seed: 999,
-            ..Default::default()
-        });
+        let other = genome(10_000, 0.0, 999);
         let ms = mapper.map_read(&other[..3_000]);
         assert!(ms.is_empty());
     }
 
+    /// Host-inline execution ([`Mapper::map_read_with_scratch`]) is the
+    /// gold a `kind` backend session must reproduce bit for bit on every
+    /// read. Returns the number of jobs the session executed.
+    fn assert_backend_matches_inline(
+        mapper: &Mapper<'_>,
+        kind: mmm_exec::BackendKind,
+        reads: &[SimulatedRead],
+    ) -> usize {
+        let mut bopts = mmm_exec::BackendOptions::new(mapper.opts.scoring);
+        bopts.engine = mapper.opts.engine;
+        bopts.threads = 2;
+        let backend = mmm_exec::prepare(kind, &bopts).unwrap();
+        let mut scratch = AlignScratch::new();
+        let mut jobs = 0usize;
+        for r in reads {
+            let gold = mapper.map_read_with_scratch(&r.seq, &mut scratch);
+            let plan = mapper.plan_read(&r.seq).unwrap();
+            jobs += plan.jobs.len();
+            let (results, _stats) = backend.submit(plan.jobs.clone()).unwrap();
+            let got = mapper.finalize_read_with_scratch(&r.seq, &plan, &results, &mut scratch);
+            assert_eq!(gold, got, "{}", backend.label());
+        }
+        jobs
+    }
+
     #[test]
     fn planned_backend_path_matches_monolithic() {
-        use mmm_exec::{prepare, BackendKind, BackendOptions};
-        let g = generate_genome(&GenomeOpts {
-            len: 150_000,
-            repeat_frac: 0.05,
-            seed: 11,
-            ..Default::default()
-        });
+        use mmm_exec::BackendKind;
+        let g = genome(150_000, 0.05, 11);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::Nanopore,
-                num_reads: 12,
-                seed: 5,
-            },
-        );
+        let reads = sim(&g, Platform::Nanopore, 12, 5);
         for with_cigar in [true, false] {
-            let mopts = crate::opts::MapOpts::map_ont().cigar(with_cigar);
-            let mapper = Mapper::new(&idx, mopts);
-            let mut bopts = BackendOptions::new(mapper.opts.scoring);
-            bopts.engine = mapper.opts.engine;
-            bopts.threads = 2;
+            let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont().cigar(with_cigar));
             for kind in [BackendKind::Cpu, BackendKind::GpuSim] {
-                let backend = prepare(kind, &bopts).unwrap();
-                let mut scratch = AlignScratch::new();
-                let mut planned_fills = 0usize;
-                for r in &reads {
-                    let gold = mapper
-                        .try_map_read_with_scratch(&r.seq, &mut scratch)
-                        .unwrap();
-                    let plan = mapper.plan_read(&r.seq).unwrap();
-                    planned_fills += plan.jobs.len();
-                    let (results, _stats) = backend.submit(plan.jobs.clone()).unwrap();
-                    let got =
-                        mapper.finalize_read_with_scratch(&r.seq, &plan, &results, &mut scratch);
-                    assert_eq!(gold, got, "{} cigar={with_cigar}", backend.label());
-                }
                 assert!(
-                    planned_fills > 0,
+                    assert_backend_matches_inline(&mapper, kind, &reads) > 0,
                     "workload must exercise deferred gap fills"
                 );
             }
@@ -900,13 +752,8 @@ mod tests {
     }
 
     #[test]
-    fn plan_read_rejects_same_conditions_as_try_map() {
-        let g = generate_genome(&GenomeOpts {
-            len: 60_000,
-            repeat_frac: 0.0,
-            seed: 13,
-            ..Default::default()
-        });
+    fn plan_read_rejects_bad_reads_and_map_read_maps_them_to_nothing() {
+        let g = genome(60_000, 0.0, 13);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let mut opts = crate::opts::MapOpts::map_ont();
         opts.max_read_len = 1_000;
@@ -916,13 +763,20 @@ mod tests {
             mapper.plan_read(&long),
             Err(MapReadError::ReadTooLong { len: 2_000, .. })
         ));
+        assert!(mapper.map_read(&long).is_empty());
+        // A scoring the 8-bit kernels would assert on is rejected up front,
+        // on the fallible and the infallible entry point alike.
+        let mut wide = crate::opts::MapOpts::map_ont();
+        wide.scoring.a = 100;
+        wide.scoring.q = 50;
+        let wide = Mapper::new(&idx, wide);
+        assert!(matches!(
+            wide.plan_read(&g[..800]),
+            Err(MapReadError::Align(AlignError::ScoringOverflowsI8(_)))
+        ));
+        assert!(wide.map_read(&g[..800]).is_empty());
         // An unmappable read plans to zero jobs and finalizes to nothing.
-        let other = generate_genome(&GenomeOpts {
-            len: 5_000,
-            repeat_frac: 0.0,
-            seed: 777,
-            ..Default::default()
-        });
+        let other = genome(5_000, 0.0, 777);
         let plan = mapper.plan_read(&other[..800]).unwrap();
         assert!(plan.jobs.is_empty());
         let ms =
@@ -944,17 +798,12 @@ mod tests {
 
     #[test]
     fn prefilter_rejects_decoy_chains_and_counts_them() {
-        let g = generate_genome(&GenomeOpts {
-            len: 100_000,
-            repeat_frac: 0.0,
-            seed: 21,
-            ..Default::default()
-        });
+        let g = genome(100_000, 0.0, 21);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
         let decoy = decoy_read(&g, 30_000, 4_000);
 
         let off = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
-        let chained = off.seed_chain(&decoy);
+        let chained = off.plan_read(&decoy).unwrap();
         assert!(chained.num_chains() > 0, "decoy must still chain");
         assert_eq!(chained.prefilter_rejected(), 0);
 
@@ -962,7 +811,7 @@ mod tests {
             &idx,
             crate::opts::MapOpts::map_ont().with_prefilter(mmm_exec::PrefilterMode::Safe),
         );
-        let filtered = safe.seed_chain(&decoy);
+        let filtered = safe.plan_read(&decoy).unwrap();
         assert_eq!(filtered.num_chains(), 0, "noise windows must reject");
         assert!(filtered.prefilter_rejected() > 0);
 
@@ -972,7 +821,7 @@ mod tests {
             &idx,
             crate::opts::MapOpts::map_ont().with_prefilter(mmm_exec::PrefilterMode::Aggressive),
         );
-        let kept = aggr.seed_chain(&real);
+        let kept = aggr.plan_read(&real).unwrap();
         assert!(kept.num_chains() > 0);
         assert_eq!(kept.prefilter_rejected(), 0);
     }
@@ -982,21 +831,9 @@ mod tests {
         // Simulated platform error rates sit far below the safe cut, so
         // `safe` must not change any honest read's output. `aggressive`
         // openly trades recall, but it must never drop a primary mapping.
-        let g = generate_genome(&GenomeOpts {
-            len: 150_000,
-            repeat_frac: 0.0,
-            seed: 22,
-            ..Default::default()
-        });
+        let g = genome(150_000, 0.0, 22);
         let idx = build_index(&g, &IdxOpts::MAP_PB);
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::PacBio,
-                num_reads: 15,
-                seed: 6,
-            },
-        );
+        let reads = sim(&g, Platform::PacBio, 15, 6);
         let off = Mapper::new(&idx, crate::opts::MapOpts::map_pb());
         let safe = Mapper::new(
             &idx,
@@ -1021,58 +858,21 @@ mod tests {
 
     #[test]
     fn planned_path_matches_monolithic_with_prefilter_enabled() {
-        use mmm_exec::{prepare, BackendKind, BackendOptions, PrefilterMode};
-        let g = generate_genome(&GenomeOpts {
-            len: 120_000,
-            repeat_frac: 0.05,
-            seed: 23,
-            ..Default::default()
-        });
+        use mmm_exec::{BackendKind, PrefilterMode};
+        let g = genome(120_000, 0.05, 23);
         let idx = build_index(&g, &IdxOpts::MAP_ONT);
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::Nanopore,
-                num_reads: 8,
-                seed: 7,
-            },
-        );
+        let reads = sim(&g, Platform::Nanopore, 8, 7);
         let mopts = crate::opts::MapOpts::map_ont().with_prefilter(PrefilterMode::Safe);
         let mapper = Mapper::new(&idx, mopts);
-        let mut bopts = BackendOptions::new(mopts.scoring);
-        bopts.engine = mopts.engine;
-        bopts.threads = 2;
-        let backend = prepare(BackendKind::GpuSim, &bopts).unwrap();
-        let mut scratch = AlignScratch::new();
-        for r in &reads {
-            let gold = mapper
-                .try_map_read_with_scratch(&r.seq, &mut scratch)
-                .unwrap();
-            let plan = mapper.plan_read(&r.seq).unwrap();
-            let (results, _stats) = backend.submit(plan.jobs.clone()).unwrap();
-            let got = mapper.finalize_read_with_scratch(&r.seq, &plan, &results, &mut scratch);
-            assert_eq!(gold, got);
-        }
+        assert_backend_matches_inline(&mapper, BackendKind::GpuSim, &reads);
     }
 
     #[test]
     fn engines_produce_identical_mappings() {
         use mmm_align::{Engine, Layout, Width};
-        let g = generate_genome(&GenomeOpts {
-            len: 100_000,
-            repeat_frac: 0.0,
-            seed: 7,
-            ..Default::default()
-        });
+        let g = genome(100_000, 0.0, 7);
         let idx = build_index(&g, &IdxOpts::MAP_PB);
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::PacBio,
-                num_reads: 5,
-                seed: 3,
-            },
-        );
+        let reads = sim(&g, Platform::PacBio, 5, 3);
         let base = Mapper::new(
             &idx,
             crate::opts::MapOpts::map_pb().with_engine(Engine::new(Layout::Manymap, Width::Scalar)),

@@ -1,56 +1,42 @@
 //! Instrumented end-to-end runs — the measurement harness behind Table 2
 //! and Figure 11.
 //!
-//! [`profile_run`] executes the full pipeline single-threaded and charges
-//! each stage to the paper's five-way breakdown: *Load Index* (either I/O
-//! path), *Load Query* (FASTA parsing + encoding), *Seed & Chain*, *Align*,
-//! *Output* (PAF formatting and writing).
+//! [`profile_run`] is the third client of [`MapSession`] (after `manymap
+//! map` and the daemon): it runs the session's stages single-threaded, one
+//! read batch at a time, and charges each to the paper's five-way
+//! breakdown: *Load Index* (either I/O path), *Load Query* (FASTA/FASTQ
+//! parsing), *Seed & Chain* ([`MapSession::plan`]: nt4 encoding, seeding,
+//! chaining, job planning), *Align* ([`session::dispatch`] through the
+//! configured backend plus [`session::finalize_mappings`]), *Output*
+//! ([`session::format_records`] and the write).
 
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
-use mmm_exec::{
-    prepare, prepare_supervised, AlignBackend, BackendKind, BackendOptions, BackendStats,
-    JobOutcome, SchedConfig, SchedMode, SupervisedBackend, SupervisorConfig,
-};
-use mmm_index::ShardOpenOpts;
+use mmm_align::AlignScratch;
+use mmm_exec::BackendStats;
 use mmm_io::{Stage, StageTimer};
+use mmm_pipeline::{lock_unpoisoned, PipelineError};
 use mmm_seq::FastxReader;
 
 use crate::error::MapError;
-use crate::mapper::Mapper;
 use crate::opts::MapOpts;
-use crate::session::{load_index_any, target_tables};
+use crate::session::{self, load_index_any, ExecConfig, MapSession, Planned, MAP_BATCH_BASES};
 
 /// Which variant of the pipeline to profile.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ProfileConfig {
     pub opts: MapOpts,
     /// Load the index through `mmap` (manymap, §4.4.2) instead of
     /// fragmented buffered reads (minimap2).
     pub use_mmap: bool,
     /// Sort each batch by descending read length before aligning
-    /// (manymap's load-balance tweak, §4.4.4).
+    /// (manymap's load-balance tweak, §4.4.4); records then leave in that
+    /// order too.
     pub sort_by_length: bool,
-    /// Route the gap-fill alignment work through an [`AlignBackend`]
-    /// session (`Some`) instead of inline host-engine calls (`None`). With
-    /// a backend, *Seed & Chain* covers planning and *Align* covers the
-    /// batched submission plus finalization — output is bit-identical
-    /// either way.
-    ///
-    /// [`AlignBackend`]: mmm_exec::AlignBackend
-    pub backend: Option<BackendKind>,
-    /// Wrap the backend session in the supervisor (retry/deadline/breaker,
-    /// DESIGN.md §10), as the CLI does — measures the wrapper's overhead on
-    /// a clean run. Ignored when `backend` is `None`.
-    pub supervised: bool,
-    /// Dispatch through the length-binned batch scheduler (DESIGN.md §11)
-    /// instead of fifo submission. Requires `supervised` (the scheduler is
-    /// a supervisor entry point); ignored when `backend` is `None`.
-    pub sched: bool,
-    /// Override the simulated device's global memory (bytes) — the bench
-    /// uses a shrunken device to surface the oversized-pair fallback path.
-    /// `None` keeps the default device.
-    pub device_mem: Option<u64>,
+    /// Backend, supervisor and scheduler settings, exactly as `manymap map`
+    /// would run them.
+    pub exec: ExecConfig,
 }
 
 /// Outcome of a profiled run.
@@ -59,11 +45,12 @@ pub struct ProfileResult {
     pub timer: StageTimer,
     pub reads: usize,
     pub mappings: usize,
-    pub output_bytes: usize,
+    /// The PAF stream: what `manymap map` writes to stdout for these reads.
+    pub output: Vec<u8>,
     /// Bytes of index state resident after loading.
     pub index_bytes: usize,
-    /// Execution counters when a backend was configured.
-    pub backend_stats: Option<BackendStats>,
+    /// Execution counters merged across every dispatch.
+    pub backend_stats: BackendStats,
 }
 
 /// Run the whole pipeline over a serialized index and a FASTA/FASTQ byte
@@ -79,136 +66,65 @@ pub fn profile_run(
         load_index_any(
             index_path,
             &cfg.opts,
-            ShardOpenOpts::default(),
+            cfg.exec.shard_open_opts(),
             cfg.use_mmap,
         )
     })?;
-    let iref = index.as_index_ref();
+    let index_bytes = index.as_index_ref().heap_bytes();
+    let session = Arc::new(MapSession::new(0, index, cfg.opts, &cfg.exec)?);
+    let backend_stats = Mutex::new(BackendStats::default());
 
-    let mut reads = timer
-        .time(Stage::LoadQuery, || {
-            FastxReader::new(std::io::Cursor::new(query_fastx))
-                .read_all()
-                .map(|rs| {
-                    rs.iter()
-                        .map(|r| (r.name.clone(), r.nt4()))
-                        .collect::<Vec<_>>()
-                })
-        })
-        .map_err(|e| MapError::Seq {
-            path: "<query buffer>".into(),
-            source: e,
-        })?;
-
-    if cfg.sort_by_length {
-        reads.sort_by_key(|(_, s)| std::cmp::Reverse(s.len()));
-    }
-
-    let mapper = Mapper::new(iref, cfg.opts);
-    let (tnames, tlens) = target_tables(iref);
-
-    // Stand up the backend session once, like the CLI does per run. The
-    // supervised session stays concrete so the scheduler entry point
-    // (`submit_scheduled`, an inherent method) is reachable.
-    enum Session {
-        Plain(Box<dyn AlignBackend>),
-        Supervised(Box<SupervisedBackend>),
-    }
-    let backend: Option<Session> = cfg
-        .backend
-        .map(|kind| {
-            let mut bopts = BackendOptions::new(cfg.opts.scoring);
-            bopts.engine = cfg.opts.engine;
-            bopts.device_mem = cfg.device_mem;
-            if cfg.supervised {
-                prepare_supervised(kind, &bopts, SupervisorConfig::default())
-                    .map(|b| Session::Supervised(Box::new(b)))
-            } else {
-                prepare(kind, &bopts).map(Session::Plain)
-            }
-        })
-        .transpose()
-        .map_err(|e| MapError::Usage(e.to_string()))?;
-    let sched_cfg = SchedConfig {
-        mode: if cfg.sched {
-            SchedMode::Bins
-        } else {
-            SchedMode::Fifo
-        },
-        ..SchedConfig::default()
-    };
-    let mut backend_stats = backend.as_ref().map(|_| BackendStats::default());
-
-    let mut mappings = 0usize;
-    let mut sink: Vec<u8> = Vec::new();
-    // Single-threaded run: one scratch arena serves every alignment.
-    let mut scratch = mmm_align::AlignScratch::new();
-    for (name, seq) in &reads {
-        let ms = match &backend {
-            None => {
-                let chained = timer.time(Stage::SeedChain, || mapper.seed_chain(seq));
-                timer.time(Stage::Align, || {
-                    mapper.extend_with_scratch(seq, &chained, &mut scratch)
-                })
-            }
-            Some(backend) => {
-                let plan = timer.time(Stage::SeedChain, || mapper.plan_read(seq));
-                let Ok(mut plan) = plan else {
-                    continue; // a rejected read maps to nothing
-                };
-                let ms = timer.time(Stage::Align, || {
-                    let jobs = std::mem::take(&mut plan.jobs);
-                    let (results, bstats) = match backend {
-                        Session::Plain(b) => match b.submit(jobs) {
-                            Ok(r) => r,
-                            Err(e) => return Err(MapError::Usage(e.to_string())),
-                        },
-                        Session::Supervised(b) => {
-                            let (outcomes, bstats) = match b.submit_scheduled(jobs, &sched_cfg) {
-                                Ok(r) => r,
-                                Err(e) => return Err(MapError::Usage(e.to_string())),
-                            };
-                            // Profiled runs are clean by construction: a
-                            // quarantine here is a harness bug, not data.
-                            let mut results = Vec::with_capacity(outcomes.len());
-                            for o in outcomes {
-                                match o {
-                                    JobOutcome::Done(r) => results.push(r),
-                                    JobOutcome::Quarantined { reason } => {
-                                        return Err(MapError::Usage(format!(
-                                            "profiled run quarantined a job: {reason}"
-                                        )))
-                                    }
-                                }
-                            }
-                            (results, bstats)
-                        }
-                    };
-                    if let Some(acc) = backend_stats.as_mut() {
-                        acc.merge(&bstats);
-                    }
-                    Ok(mapper.finalize_read_with_scratch(seq, &plan, &results, &mut scratch))
-                });
-                ms?
-            }
-        };
-        mappings += ms.len();
-        timer
-            .time(Stage::Output, || {
-                crate::paf::write_paf(&mut sink, name, seq.len(), &tnames, &tlens, &ms)
-            })
-            .map_err(|e| MapError::Io {
-                path: "<output buffer>".into(),
+    let mut reader = FastxReader::new(std::io::Cursor::new(query_fastx));
+    let (mut reads, mut mappings) = (0usize, 0usize);
+    let mut output: Vec<u8> = Vec::new();
+    // Single-threaded run: one scratch arena serves every chain walk.
+    let mut scratch = AlignScratch::new();
+    loop {
+        let mut batch = timer
+            .time(Stage::LoadQuery, || reader.next_batch(MAP_BATCH_BASES))
+            .map_err(|e| MapError::Seq {
+                path: "<query buffer>".into(),
                 source: e,
             })?;
+        if batch.is_empty() {
+            break;
+        }
+        if cfg.sort_by_length {
+            batch.sort_by_key(|r| std::cmp::Reverse(r.len()));
+        }
+        reads += batch.len();
+
+        let plans: Vec<Planned> = timer.time(Stage::SeedChain, || {
+            batch.iter().map(|rec| session.plan(rec)).collect()
+        });
+        let dealt = timer
+            .time(Stage::Align, || session::dispatch(plans, &backend_stats))
+            .map_err(|e| MapError::Pipeline(PipelineError::Dispatch(e)))?;
+        for (rec, (planned, results)) in batch.iter().zip(dealt) {
+            // A rejected plan or a quarantined job degrades the read to an
+            // unmapped record, as in `cmd_map`.
+            let ms = timer.time(Stage::Align, || {
+                let results = results.ok()?;
+                session::finalize_mappings(&planned, &results, &mut scratch).ok()
+            });
+            timer.time(Stage::Output, || {
+                let lines = match &ms {
+                    Some(ms) => session::format_records(&planned, rec, ms, false),
+                    None => session::unmapped_record(rec, false),
+                };
+                output.extend_from_slice(lines.as_bytes());
+            });
+            mappings += ms.map_or(0, |ms| ms.len());
+        }
     }
 
+    let backend_stats = *lock_unpoisoned(&backend_stats);
     Ok(ProfileResult {
         timer,
-        reads: reads.len(),
+        reads,
         mappings,
-        output_bytes: sink.len(),
-        index_bytes: iref.heap_bytes(),
+        output,
+        index_bytes,
         backend_stats,
     })
 }
@@ -216,12 +132,13 @@ pub fn profile_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_exec::{BackendKind, SchedMode};
     use mmm_index::{save_index, IdxOpts, MinimizerIndex};
     use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
     use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
-    #[test]
-    fn profiles_all_stages() {
+    /// A saved ONT index plus ten simulated reads as a FASTA buffer.
+    fn fixture(tag: &str) -> (std::path::PathBuf, Vec<SeqRecord>, Vec<u8>) {
         let g = generate_genome(&GenomeOpts {
             len: 120_000,
             repeat_frac: 0.0,
@@ -231,9 +148,9 @@ mod tests {
         let idx =
             MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
                 .unwrap();
-        let path = std::env::temp_dir().join(format!("manymap-prof-{}.mmx", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("manymap-prof-{tag}-{}.mmx", std::process::id()));
         save_index(&idx, &path).unwrap();
-
         let reads = simulate_reads(
             &g,
             &SimOpts {
@@ -248,73 +165,89 @@ mod tests {
             .collect();
         let mut fasta = Vec::new();
         write_fasta(&mut fasta, &recs, 0).unwrap();
+        (path, recs, fasta)
+    }
 
+    fn config(opts: MapOpts) -> ProfileConfig {
+        ProfileConfig {
+            opts,
+            use_mmap: false,
+            sort_by_length: true,
+            exec: ExecConfig::new(&opts, 1),
+        }
+    }
+
+    #[test]
+    fn profiles_all_stages() {
+        let (path, _, fasta) = fixture("stages");
+        let cpu = config(MapOpts::map_ont());
+        let mut gold = None;
         for use_mmap in [false, true] {
             let cfg = ProfileConfig {
-                opts: MapOpts::map_ont(),
                 use_mmap,
-                sort_by_length: true,
-                backend: None,
-                supervised: false,
-                sched: false,
-                device_mem: None,
+                ..cpu.clone()
             };
             let res = profile_run(&path, &fasta, &cfg).unwrap();
             assert_eq!(res.reads, 10);
             assert!(res.mappings >= 8, "mappings={}", res.mappings);
-            assert!(res.output_bytes > 0);
+            assert!(!res.output.is_empty());
             assert!(res.index_bytes > 0);
-            assert!(res.backend_stats.is_none());
             let total = res.timer.total().as_secs_f64();
             assert!(total > 0.0);
             // Align must dominate Load Query for this workload.
             assert!(res.timer.get(Stage::Align) > res.timer.get(Stage::LoadQuery));
+            gold = Some(res);
         }
+        let gold = gold.unwrap();
 
-        // Backend-routed runs must produce identical output and report
-        // their execution counters.
-        let inline = profile_run(
-            &path,
-            &fasta,
-            &ProfileConfig {
-                opts: MapOpts::map_ont(),
-                use_mmap: false,
-                sort_by_length: true,
-                backend: None,
-                supervised: false,
-                sched: false,
-                device_mem: None,
-            },
-        )
-        .unwrap();
-        for kind in [mmm_exec::BackendKind::Cpu, mmm_exec::BackendKind::GpuSim] {
-            for (supervised, sched) in [(false, false), (true, false), (true, true)] {
-                let cfg = ProfileConfig {
-                    opts: MapOpts::map_ont(),
-                    use_mmap: false,
-                    sort_by_length: true,
-                    backend: Some(kind),
-                    supervised,
-                    sched,
-                    device_mem: None,
-                };
-                let res = profile_run(&path, &fasta, &cfg).unwrap();
-                let tag = format!("{} supervised={supervised} sched={sched}", kind.label());
-                assert_eq!(res.mappings, inline.mappings, "{tag}");
-                assert_eq!(res.output_bytes, inline.output_bytes, "{tag}");
-                let bstats = res.backend_stats.unwrap();
-                assert!(bstats.jobs > 0, "{tag} must execute jobs");
-                if supervised {
-                    // A clean run needs no interventions.
-                    assert!(!bstats.supervised_activity(), "{tag}: {bstats:?}");
-                }
-                if sched {
-                    assert!(bstats.sched_batches > 0, "{tag}: {bstats:?}");
-                } else {
-                    assert_eq!(bstats.sched_batches, 0, "{tag}");
-                }
+        // Every execution configuration a user can pick produces the same
+        // stream and reports its execution counters.
+        let mut gpu = cpu.clone();
+        gpu.exec.kind = BackendKind::GpuSim;
+        let mut gpu_bins = gpu.clone();
+        gpu_bins.exec.sched.mode = SchedMode::Bins;
+        for (tag, cfg) in [
+            ("cpu", &cpu),
+            ("gpu-sim", &gpu),
+            ("gpu-sim+bins", &gpu_bins),
+        ] {
+            let res = profile_run(&path, &fasta, cfg).unwrap();
+            assert_eq!(res.mappings, gold.mappings, "{tag}");
+            assert_eq!(res.output, gold.output, "{tag}");
+            let bstats = res.backend_stats;
+            assert!(bstats.jobs > 0, "{tag} must execute jobs");
+            // A clean run needs no interventions.
+            assert!(!bstats.supervised_activity(), "{tag}: {bstats:?}");
+            if cfg.exec.sched.mode == SchedMode::Bins {
+                assert!(bstats.sched_batches > 0, "{tag}: {bstats:?}");
+            } else {
+                assert_eq!(bstats.sched_batches, 0, "{tag}");
             }
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A read the plan stage rejects still leaves a record: one per input
+    /// read, as `manymap map` emits `paf_unmapped`.
+    #[test]
+    fn rejected_read_is_emitted_unmapped() {
+        let (path, recs, fasta) = fixture("reject");
+        let mut lens: Vec<usize> = recs.iter().map(SeqRecord::len).collect();
+        lens.sort_unstable();
+        assert!(lens[8] < lens[9], "fixture needs one strictly longest read");
+        let mut opts = MapOpts::map_ont();
+        opts.max_read_len = lens[9] - 1;
+        let res = profile_run(&path, &fasta, &config(opts)).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        let out = String::from_utf8(res.output).unwrap();
+        let names: std::collections::HashSet<&str> =
+            out.lines().map(|l| l.split('\t').next().unwrap()).collect();
+        assert_eq!(res.reads, 10);
+        assert_eq!(names.len(), res.reads, "every read leaves a record");
+        let longest = recs.iter().max_by_key(|r| r.len()).unwrap();
+        let unmapped: Vec<&str> = out.lines().filter(|l| l.ends_with("tp:A:U")).collect();
+        assert_eq!(unmapped.len(), 1, "{out}");
+        assert!(unmapped[0].starts_with(&format!("{}\t", longest.name)));
     }
 }

@@ -43,7 +43,7 @@ impl Default for DrrConfig {
     fn default() -> Self {
         DrrConfig {
             quantum_bases: 1_000_000,
-            batch_bases: 4_000_000,
+            batch_bases: crate::session::MAP_BATCH_BASES,
         }
     }
 }

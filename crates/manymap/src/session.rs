@@ -25,15 +25,18 @@ use mmm_exec::{
     FaultPlan, JobOutcome, PrefilterMode, SchedConfig, SchedMode, SessionFactory, ShardSessions,
     StatsReport, SupervisorConfig,
 };
-use mmm_index::{
-    load_index, AnyIndex, IndexError, IndexFormat, IndexRef, MinimizerIndex, ShardOpenOpts,
-};
+use mmm_index::{load_index, AnyIndex, IndexError, IndexFormat, MinimizerIndex, ShardOpenOpts};
 use mmm_pipeline::{lock_unpoisoned, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
 
-use crate::mapper::{MapReadError, ReadPlan};
+use crate::mapper::{MapReadError, Mapping, ReadPlan};
 use crate::sam::{sam_line, sam_unmapped};
 use crate::{paf_line, paf_unmapped, parse_byte_size, MapError, MapOpts, Mapper, PlanShardFaults};
+
+/// Bases per read batch in `manymap map`, [`crate::profile_run`] and (by
+/// default) the daemon: one plan → dispatch → finalize round, hence one
+/// backend submission.
+pub const MAP_BATCH_BASES: usize = 4_000_000;
 
 /// A command-line flag: its name (without `--`) and whether it takes a
 /// value.
@@ -293,15 +296,6 @@ pub fn load_index_any(
     AnyIndex::open_mmap(path, shard_opts).map_err(index_err)
 }
 
-/// Target names and lengths by reference id, as PAF/SAM output needs them.
-pub fn target_tables(iref: IndexRef<'_>) -> (Vec<String>, Vec<usize>) {
-    let rids = 0..iref.num_seqs() as u32;
-    (
-        rids.clone().map(|r| iref.seq_name(r).to_string()).collect(),
-        rids.map(|r| iref.seq_len(r)).collect(),
-    )
-}
-
 /// An open reference ready to map against: the index, its target tables,
 /// and one supervised backend session per index shard (one for a flat
 /// index), so each shard's compute fault domain mirrors its index-side
@@ -329,7 +323,9 @@ impl MapSession {
         exec: &ExecConfig,
     ) -> Result<MapSession, MapError> {
         let iref = index.as_index_ref();
-        let (tnames, tlens) = target_tables(iref);
+        let rids = 0..iref.num_seqs() as u32;
+        let tnames = rids.clone().map(|r| iref.seq_name(r).to_string()).collect();
+        let tlens = rids.map(|r| iref.seq_len(r)).collect();
         let (kind, bopts, sup) = (exec.kind, exec.backend.clone(), exec.supervisor.clone());
         let factory: SessionFactory =
             Box::new(move |_shard| prepare_supervised(kind, &bopts, sup.clone()));
@@ -544,25 +540,29 @@ pub struct Finalized {
     pub prefilter_rejected: usize,
 }
 
-/// The finalize stage: splice the backend's results into the read's chain
-/// walks and format its records, against the session the read was planned
+/// The mapping half of the finalize stage: splice the backend's results
+/// into the read's chain walks, against the session the read was planned
 /// on. A read whose plan was rejected comes back as that error; the caller
 /// accounts for it and emits [`unmapped_record`].
-pub fn finalize<'p>(
+pub fn finalize_mappings<'p>(
     planned: &'p Planned,
-    rec: &SeqRecord,
     results: &[AlignResult],
     scratch: &mut AlignScratch,
-    sam: bool,
-) -> Result<Finalized, &'p MapReadError> {
+) -> Result<Vec<Mapping>, &'p MapReadError> {
     let plan = planned.plan.as_ref()?;
+    Ok(planned
+        .session
+        .mapper()
+        .finalize_read_with_scratch(&planned.nt4, plan, results, scratch))
+}
+
+/// The formatting half of the finalize stage: one newline-terminated PAF
+/// or SAM line per mapping.
+pub fn format_records(planned: &Planned, rec: &SeqRecord, ms: &[Mapping], sam: bool) -> String {
     let s = &planned.session;
     let nt4 = &planned.nt4;
-    let ms = s
-        .mapper()
-        .finalize_read_with_scratch(nt4, plan, results, scratch);
     let mut lines = String::new();
-    for m in &ms {
+    for m in ms {
         if sam {
             lines.push_str(&sam_line(&rec.name, nt4, &s.tnames, m));
         } else {
@@ -577,9 +577,25 @@ pub fn finalize<'p>(
         }
         lines.push('\n');
     }
+    lines
+}
+
+/// The finalize stage: [`finalize_mappings`], then [`format_records`].
+pub fn finalize<'p>(
+    planned: &'p Planned,
+    rec: &SeqRecord,
+    results: &[AlignResult],
+    scratch: &mut AlignScratch,
+    sam: bool,
+) -> Result<Finalized, &'p MapReadError> {
+    let ms = finalize_mappings(planned, results, scratch)?;
+    let prefilter_rejected = planned
+        .plan
+        .as_ref()
+        .map_or(0, ReadPlan::prefilter_rejected);
     Ok(Finalized {
-        lines,
-        prefilter_rejected: plan.chained().prefilter_rejected(),
+        lines: format_records(planned, rec, &ms, sam),
+        prefilter_rejected,
     })
 }
 

@@ -1,7 +1,7 @@
 //! Allocation regression for the packed-reference alignment path: once the
-//! scratch arena is warm, walking a chained read in score-only mode must
+//! scratch arena is warm, finalizing a planned read in score-only mode must
 //! not allocate per reference window — every `ref_window_into` decode and
-//! every gap-fill buffer comes from the [`AlignScratch`] pool.
+//! every extension buffer comes from the [`AlignScratch`] pool.
 //!
 //! A counting global allocator makes the claim checkable; the counter is
 //! thread-local so parallel test threads can't perturb it.
@@ -13,6 +13,7 @@ use std::cell::Cell;
 
 use manymap::{MapOpts, Mapper};
 use mmm_align::AlignScratch;
+use mmm_exec::align_jobs_with_scratch;
 use mmm_index::{IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
 use mmm_simreads::{generate_genome, GenomeOpts};
@@ -68,22 +69,31 @@ fn fixture() -> (MinimizerIndex, Vec<Vec<u8>>) {
     (idx, vec![fwd, rev])
 }
 
-/// Score-only chain walks on a warm arena stay within a constant, tiny
+/// Score-only finalize walks on a warm arena stay within a constant, tiny
 /// allocation budget per read — the mapping output vector, never a
 /// per-window reference decode.
 #[test]
-fn score_only_extend_reuses_the_arena() {
+fn score_only_finalize_reuses_the_arena() {
     let (idx, reads) = fixture();
     let mapper = Mapper::new(&idx, MapOpts::map_ont().cigar(false));
     let mut scratch = AlignScratch::new();
 
-    // Seeding allocates by design (anchor vectors, chains); do it once per
-    // read outside the measured loop, then warm the arena with one walk.
-    let chained: Vec<_> = reads.iter().map(|r| mapper.seed_chain(r)).collect();
-    for (read, ch) in reads.iter().zip(&chained) {
+    // Planning (anchor vectors, chains, job segments) and job execution
+    // (the result vector) allocate by design; do both once per read outside
+    // the measured loop, then warm the arena with one walk.
+    let planned: Vec<_> = reads
+        .iter()
+        .map(|r| {
+            let plan = mapper.plan_read(r).expect("fixture read plans");
+            let (engine, sc) = (mapper.opts.engine, mapper.opts.scoring);
+            let fills = align_jobs_with_scratch(engine, &plan.jobs, &sc, &mut scratch);
+            (plan, fills)
+        })
+        .collect();
+    for (read, (plan, fills)) in reads.iter().zip(&planned) {
         assert!(
             !mapper
-                .extend_with_scratch(read, ch, &mut scratch)
+                .finalize_read_with_scratch(read, plan, fills, &mut scratch)
                 .is_empty(),
             "fixture read must map"
         );
@@ -93,8 +103,8 @@ fn score_only_extend_reuses_the_arena() {
     let mut acc = 0i64;
     let mut walks = 0u64;
     for _ in 0..5 {
-        for (read, ch) in reads.iter().zip(&chained) {
-            let ms = mapper.extend_with_scratch(read, ch, &mut scratch);
+        for (read, (plan, fills)) in reads.iter().zip(&planned) {
+            let ms = mapper.finalize_read_with_scratch(read, plan, fills, &mut scratch);
             acc += ms.iter().map(|m| m.align_score as i64).sum::<i64>();
             walks += 1;
         }

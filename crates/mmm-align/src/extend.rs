@@ -1,8 +1,9 @@
-//! Gap filling and end extension — the mapper's two uses of the kernels.
+//! End extension by best-prefix trimming.
 //!
-//! Between two adjacent chain anchors the mapper aligns the inter-anchor
-//! segments *globally* ([`fill_align`]). At the ends of a chain it extends
-//! the remaining read tail across a reference window ([`extend_align`]):
+//! (Between two adjacent chain anchors the mapper aligns the inter-anchor
+//! segments *globally*, as `mmm-exec` jobs straight on
+//! [`Engine::align_with_scratch`].) At the ends of a chain the remaining
+//! read tail is extended across a reference window ([`extend_align`]):
 //! the window is aligned semi-globally (both ends free) and the resulting
 //! path is then trimmed back to its best-scoring prefix, which emulates
 //! minimap2's z-drop extension stop — the alignment ends where the score
@@ -12,7 +13,7 @@ use crate::cigar::{Cigar, CigarOp};
 use crate::dispatch::Engine;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult};
+use crate::types::AlignMode;
 
 /// Result of an end extension.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,29 +26,6 @@ pub struct ExtendResult {
     pub q_consumed: usize,
     /// The trimmed path.
     pub cigar: Cigar,
-}
-
-/// Global alignment of an inter-anchor segment.
-pub fn fill_align(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    engine: Engine,
-    with_path: bool,
-) -> AlignResult {
-    engine.align(target, query, sc, AlignMode::Global, with_path)
-}
-
-/// [`fill_align`] with caller-provided buffers.
-pub fn fill_align_with_scratch(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    engine: Engine,
-    with_path: bool,
-    scratch: &mut AlignScratch,
-) -> AlignResult {
-    engine.align_with_scratch(target, query, sc, AlignMode::Global, with_path, scratch)
 }
 
 /// Extend across `target` × `query` from their common origin, stopping at
@@ -162,16 +140,6 @@ mod tests {
 
     fn nt(s: &[u8]) -> Vec<u8> {
         mmm_seq::to_nt4(s)
-    }
-
-    #[test]
-    fn fill_is_global() {
-        let t = nt(b"ACGTAC");
-        let q = nt(b"ACGAC");
-        let r = fill_align(&t, &q, &SC, best_engine(), true);
-        let c = r.cigar.unwrap();
-        assert_eq!(c.target_len(), 6);
-        assert_eq!(c.query_len(), 5);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub use dispatch::{
     Layout, Width,
 };
 pub use extend::{
-    extend_align, extend_align_with_scratch, fill_align, fill_align_with_scratch,
-    trim_to_best_prefix, trim_to_best_prefix_into, ExtendResult,
+    extend_align, extend_align_with_scratch, trim_to_best_prefix, trim_to_best_prefix_into,
+    ExtendResult,
 };
 pub use score::Scoring;
 pub use scratch::AlignScratch;

@@ -13,13 +13,6 @@ use crate::fault::FaultHook;
 use crate::job::AlignJob;
 use crate::stats::BackendStats;
 
-/// Align a batch of jobs serially on the calling thread with a fresh
-/// scratch arena. Convenience wrapper over [`align_jobs_with_scratch`].
-pub fn align_jobs(engine: Engine, jobs: &[AlignJob], sc: &Scoring) -> Vec<AlignResult> {
-    let mut scratch = AlignScratch::new();
-    align_jobs_with_scratch(engine, jobs, sc, &mut scratch)
-}
-
 /// Align a batch of jobs serially, reusing the caller's scratch arena —
 /// the zero-allocation building block every backend executor reduces to.
 pub fn align_jobs_with_scratch(

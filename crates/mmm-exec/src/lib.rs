@@ -35,7 +35,7 @@ pub mod stats;
 pub mod supervisor;
 
 pub use backend::{prepare, prepare_supervised, AlignBackend, BackendKind, BackendOptions};
-pub use cpu::{align_jobs, align_jobs_with_scratch, CpuSimdBackend};
+pub use cpu::{align_jobs_with_scratch, CpuSimdBackend};
 pub use error::BackendError;
 pub use fault::{
     FaultAction, FaultClass, FaultPlan, ShardFaultAction, ShardFaultClass, SHARD_SECTION_NAMES,

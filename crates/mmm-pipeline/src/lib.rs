@@ -34,7 +34,7 @@ pub use batched::{
 pub use error::{DynError, PipelineError};
 pub use fault::{failing_every, panicking_map};
 pub use pipeline::{PanicHandler, PipelineStats};
-pub use pool::{par_map_indexed, with_worker_pool, BatchOutcome, ItemPanic, WorkerPool};
+pub use pool::{with_worker_pool, BatchOutcome, ItemPanic, WorkerPool};
 pub use queue::{BoundedQueue, PopError, PushError};
 pub use sort::sort_indices_by_len_desc;
 pub use sync::{lock_unpoisoned, wait_unpoisoned};

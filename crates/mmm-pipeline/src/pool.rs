@@ -12,14 +12,14 @@
 //!
 //! # Batch protocol
 //!
-//! [`WorkerPool::run_batch`] publishes a *job* — raw pointers to the batch
+//! [`WorkerPool::run_batch_catching`] publishes a *job* — raw pointers to the batch
 //! items, the processing order, and the results buffer — under a mutex,
 //! stamped with a fresh epoch, and wakes the workers. Workers drain the index
 //! counter, write their results, and *check in*; the submitter returns only
 //! once every worker has checked in for the epoch. That check-in barrier is
 //! what makes the lifetime-erased pointers sound: no worker can still hold a
 //! stale job (or touch the shared index counter for an old epoch) after
-//! `run_batch` returns, so the borrowed batch may be freed immediately.
+//! the call returns, so the borrowed batch may be freed immediately.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,8 +59,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A published batch: lifetime-erased views of the submitter's borrows.
 ///
 /// Validity is enforced by the check-in barrier in
-/// [`WorkerPool::run_batch`], which outlives every worker's use of these
-/// pointers.
+/// [`WorkerPool::run_batch_catching`], which outlives every worker's use of
+/// these pointers.
 struct Job<I, R> {
     items: *const I,
     order: *const usize,
@@ -126,20 +126,16 @@ impl<I, R> Shared<I, R> {
 }
 
 /// Handle to a running pool, passed to the body closure of
-/// [`with_worker_pool`]. Submit batches with [`run_batch`](Self::run_batch).
+/// [`with_worker_pool`]. Submit batches with
+/// [`run_batch_catching`](Self::run_batch_catching).
 pub struct WorkerPool<'a, I, R> {
     shared: &'a Shared<I, R>,
     threads: usize,
 }
 
 impl<I: Sync, R: Send> WorkerPool<'_, I, R> {
-    /// Number of worker threads serving this pool.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Total worker threads spawned since the pool started. Stays equal to
-    /// [`threads`](Self::threads) no matter how many batches run.
+    /// the pool's thread count no matter how many batches run.
     pub fn threads_spawned(&self) -> usize {
         self.shared.spawned.load(Ordering::Relaxed)
     }
@@ -208,27 +204,6 @@ impl<I: Sync, R: Send> WorkerPool<'_, I, R> {
         }
         panics.sort_by_key(|p| p.index);
         BatchOutcome { results, panics }
-    }
-
-    /// Panic-propagating wrapper around
-    /// [`run_batch_catching`](Self::run_batch_catching): any worker panic is
-    /// re-raised on the submitting thread with the item index attached.
-    pub fn run_batch(&self, items: &[I], order: &[usize]) -> Vec<R> {
-        let BatchOutcome { results, panics } = self.run_batch_catching(items, order);
-        if let Some(p) = panics.first() {
-            panic!(
-                "worker panicked while processing item {}: {}",
-                p.index, p.message
-            );
-        }
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Some(v) => v,
-                None => panic!("item {i} left unprocessed"),
-            })
-            .collect()
     }
 }
 
@@ -368,40 +343,36 @@ where
     })
 }
 
-/// Map `f` over `items` with `threads` workers, processing in the order
-/// given by `order` (e.g. longest first) but returning results in the
-/// original item order.
-///
-/// Compatibility wrapper that stands up a pool for a single batch. Pipelines
-/// should hold a pool for their whole run via [`with_worker_pool`] instead.
-pub fn par_map_indexed<I, R, F>(items: &[I], order: &[usize], threads: usize, f: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(&I) -> R + Sync,
-{
-    assert_eq!(
-        items.len(),
-        order.len(),
-        "order must be a permutation of the items"
-    );
-    with_worker_pool(
-        threads.min(items.len().max(1)),
-        |_| (),
-        |(), item| f(item),
-        |pool| pool.run_batch(items, order),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One batch through a fresh stateless pool; every item must come back.
+    fn one_batch<I: Sync, R: Send>(
+        items: &[I],
+        order: &[usize],
+        threads: usize,
+        f: impl Fn(&I) -> R + Sync,
+    ) -> Vec<R> {
+        with_worker_pool(
+            threads,
+            |_| (),
+            |(), item| f(item),
+            |pool| complete(pool.run_batch_catching(items, order)),
+        )
+    }
+
+    /// The results of a batch no worker panicked on.
+    fn complete<R>(out: BatchOutcome<R>) -> Vec<R> {
+        assert!(out.panics.is_empty(), "{:?}", out.panics);
+        out.results.into_iter().flatten().collect()
+    }
 
     #[test]
     fn preserves_item_order() {
         let items: Vec<u32> = (0..100).collect();
         let order: Vec<usize> = (0..100).rev().collect(); // process backwards
-        let out = par_map_indexed(&items, &order, 4, |&x| x * 2);
+        let out = one_batch(&items, &order, 4, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<u32>>());
     }
 
@@ -409,16 +380,13 @@ mod tests {
     fn single_thread_works() {
         let items = vec![1, 2, 3];
         let order = vec![0, 1, 2];
-        assert_eq!(
-            par_map_indexed(&items, &order, 1, |&x| x + 1),
-            vec![2, 3, 4]
-        );
+        assert_eq!(one_batch(&items, &order, 1, |&x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_input() {
         let items: Vec<u32> = Vec::new();
-        let out: Vec<u32> = par_map_indexed(&items, &[], 8, |&x| x);
+        let out: Vec<u32> = one_batch(&items, &[], 8, |&x| x);
         assert!(out.is_empty());
     }
 
@@ -426,7 +394,7 @@ mod tests {
     #[should_panic(expected = "permutation")]
     fn mismatched_order_panics() {
         let items = vec![1, 2, 3];
-        par_map_indexed(&items, &[0, 1], 2, |&x| x);
+        one_batch(&items, &[0, 1], 2, |&x| x);
     }
 
     #[test]
@@ -442,7 +410,7 @@ mod tests {
             |pool| {
                 for batch in &batches {
                     let order: Vec<usize> = (0..batch.len()).collect();
-                    let out = pool.run_batch(batch, &order);
+                    let out = complete(pool.run_batch_catching(batch, &order));
                     let want: Vec<u32> = batch.iter().map(|x| x + 1).collect();
                     assert_eq!(out, want);
                 }
@@ -465,7 +433,7 @@ mod tests {
                 for _ in 0..20 {
                     let items: Vec<u32> = (0..17).collect();
                     let order: Vec<usize> = (0..17).collect();
-                    pool.run_batch(&items, &order);
+                    pool.run_batch_catching(&items, &order);
                 }
             },
         );
@@ -482,7 +450,7 @@ mod tests {
                 for n in [1usize, 3, 8, 100] {
                     let items: Vec<u64> = (0..n as u64).collect();
                     let order: Vec<usize> = (0..n).collect();
-                    let out = pool.run_batch(&items, &order);
+                    let out = complete(pool.run_batch_catching(&items, &order));
                     assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<u64>>());
                 }
             },
@@ -515,24 +483,6 @@ mod tests {
                 assert!(out2.panics.is_empty());
                 assert_eq!(out2.results.iter().filter(|r| r.is_some()).count(), 10);
             },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked while processing item 3")]
-    fn legacy_run_batch_propagates_worker_panic() {
-        let items: Vec<u32> = (0..8).collect();
-        let order: Vec<usize> = (0..8).collect();
-        with_worker_pool(
-            2,
-            |_| (),
-            |(), &x: &u32| {
-                if x == 3 {
-                    panic!("bad item");
-                }
-                x
-            },
-            |pool| pool.run_batch(&items, &order),
         );
     }
 

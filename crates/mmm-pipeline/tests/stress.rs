@@ -5,7 +5,7 @@
 use std::sync::Mutex;
 
 use mmm_pipeline::{
-    par_map_indexed, sort_indices_by_len_desc, try_run_three_thread_batched_with_state,
+    sort_indices_by_len_desc, try_run_three_thread_batched_with_state, with_worker_pool,
     PipelineStats,
 };
 
@@ -73,8 +73,14 @@ fn skewed_work_is_complete_and_ordered() {
 fn pool_handles_more_threads_than_items() {
     let items = vec![10u32, 20];
     let order = sort_indices_by_len_desc(&items, |&x| x as usize);
-    let out = par_map_indexed(&items, &order, 64, |&x| x + 1);
-    assert_eq!(out, vec![11, 21]);
+    let out = with_worker_pool(
+        64,
+        |_| (),
+        |(), &x: &u32| x + 1,
+        |pool| pool.run_batch_catching(&items, &order),
+    );
+    assert!(out.panics.is_empty(), "{:?}", out.panics);
+    assert_eq!(out.results, vec![Some(11), Some(21)]);
 }
 
 #[test]

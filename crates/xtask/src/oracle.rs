@@ -392,8 +392,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
             let mapper = Mapper::new(idx, opts);
             let mut out = String::new();
             for (name, read) in &reads {
-                let chained = mapper.seed_chain(read);
-                for m in mapper.extend(read, &chained) {
+                for m in mapper.map_read(read) {
                     out.push_str(&paf_line(
                         name,
                         read.len(),

@@ -40,7 +40,8 @@ fn workload() -> (Arc<MapSession>, Vec<SeqRecord>) {
     (Arc::new(session), reads)
 }
 
-/// The serial reference: the monolithic mapper, one read at a time.
+/// The serial reference: `map_read` (host-inline execution), one read at a
+/// time.
 fn serial_paf(session: &MapSession, reads: &[SeqRecord]) -> String {
     let mapper = Mapper::new(session.index().as_index_ref(), MapOpts::map_ont());
     let (tnames, tlens) = session.targets();
