@@ -24,10 +24,16 @@ cargo build --release
 echo "==> cargo test --workspace (tier-1's root package plus every crate, bench and xtask)"
 cargo test --workspace -q
 
-echo "==> env-variant reruns: binned scheduler, forced-scalar decode + align"
+echo "==> env-variant reruns: binned scheduler, forced-scalar decode + align, each narrower SIMD tier"
 MMM_SCHED=bins cargo test -q -p manymap --test backend_cli
-MMM_DISABLE_SIMD=all cargo test -q -p mmm-index
+MMM_DISABLE_SIMD=all cargo test -q -p mmm-index -p mmm-align
 MMM_DISABLE_SIMD=all cargo test -q -p manymap --test hpc_mapping
+# The AVX2/SSE kernels end a diagonal by pad + blend, AVX-512 by k-masks; on
+# an AVX-512 host only these reruns put the narrower tiers under the mapper.
+for tiers in avx512 avx512,avx2; do
+    MMM_DISABLE_SIMD=$tiers cargo test -q -p mmm-align
+    MMM_DISABLE_SIMD=$tiers cargo test -q -p manymap --test hpc_mapping
+done
 
 echo "==> shard gate: release-binary sharded/flat byte-identity, missing-shard chaos"
 cargo build --release -q -p mmm-simreads -p manymap --bins

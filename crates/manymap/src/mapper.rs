@@ -10,7 +10,7 @@
 
 use std::ops::Range;
 
-use mmm_align::{extend_zdrop_with_scratch, AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
+use mmm_align::{AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
 use mmm_chain::select::SelectedChain;
 use mmm_chain::{chain_anchors, select_chains, Chain};
 use mmm_exec::{align_jobs_with_scratch, AlignJob, PrefilterProbe, PREFILTER_WINDOW};
@@ -478,7 +478,7 @@ impl<'a> Mapper<'a> {
             let win = (tail as f64 * self.opts.ext_factor) as usize + 32;
             let rbuf = self.window(chain.rid, ref_end..ref_end + win, scratch)?;
             let qseg = &qseq[q_end..qlen.min(q_end + self.opts.max_fill)];
-            let e = extend_zdrop_with_scratch(
+            let e = self.opts.engine.extend_zdrop_with_scratch(
                 &rbuf,
                 qseg,
                 sc,
@@ -507,7 +507,7 @@ impl<'a> Mapper<'a> {
             let take = head.min(self.opts.max_fill);
             let mut qbuf = scratch.take_seq_buf();
             qbuf.extend(qseq[q_start - take..q_start].iter().rev());
-            let e = extend_zdrop_with_scratch(
+            let e = self.opts.engine.extend_zdrop_with_scratch(
                 &rbuf,
                 &qbuf,
                 sc,
@@ -869,23 +869,28 @@ mod tests {
 
     #[test]
     fn engines_produce_identical_mappings() {
+        // `opts.engine` governs the gap fills and both end extensions.
         use mmm_align::{Engine, Layout, Width};
         let g = genome(100_000, 0.0, 7);
         let idx = build_index(&g, &IdxOpts::MAP_PB);
         let reads = sim(&g, Platform::PacBio, 5, 3);
-        let base = Mapper::new(
-            &idx,
-            crate::opts::MapOpts::map_pb().with_engine(Engine::new(Layout::Manymap, Width::Scalar)),
-        );
-        for e in Engine::all().into_iter().filter(|e| e.is_available()) {
-            let m2 = Mapper::new(&idx, crate::opts::MapOpts::map_pb().with_engine(e));
-            for r in &reads {
-                let a = base.map_read(&r.seq);
-                let b = m2.map_read(&r.seq);
-                assert_eq!(a.len(), b.len(), "{}", e.label());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.align_score, y.align_score, "{}", e.label());
-                    assert_eq!(x.cigar, y.cigar, "{}", e.label());
+        for with_cigar in [true, false] {
+            let opts = crate::opts::MapOpts::map_pb().cigar(with_cigar);
+            let scalar = Engine::new(Layout::Manymap, Width::Scalar);
+            let base = Mapper::new(&idx, opts.with_engine(scalar));
+            for e in Engine::all().into_iter().filter(|e| e.is_available()) {
+                let m2 = Mapper::new(&idx, opts.with_engine(e));
+                for r in &reads {
+                    let a = base.map_read(&r.seq);
+                    let b = m2.map_read(&r.seq);
+                    assert_eq!(a.len(), b.len(), "{}", e.label());
+                    for (x, y) in a.iter().zip(&b) {
+                        let ctx = format!("{} cigar={with_cigar}", e.label());
+                        assert_eq!(x.align_score, y.align_score, "{ctx}");
+                        assert_eq!(x.cigar, y.cigar, "{ctx}");
+                        assert_eq!((x.ref_start, x.ref_end), (y.ref_start, y.ref_end), "{ctx}");
+                        assert_eq!((x.q_start, x.q_end), (y.q_start, y.q_end), "{ctx}");
+                    }
                 }
             }
         }

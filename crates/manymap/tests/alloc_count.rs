@@ -3,6 +3,10 @@
 //! not allocate per reference window — every `ref_window_into` decode and
 //! every extension buffer comes from the [`AlignScratch`] pool.
 //!
+//! The direction matrix is part of that arena: it grows one diagonal at a
+//! time, so it must stay allocation-free once warm and must hold only the
+//! rows a z-drop extension actually computed.
+//!
 //! A counting global allocator makes the claim checkable; the counter is
 //! thread-local so parallel test threads can't perturb it.
 // Exercises whatever SIMD decode tier the host offers, which Miri cannot.
@@ -12,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use manymap::{MapOpts, Mapper};
-use mmm_align::AlignScratch;
+use mmm_align::{AlignMode, AlignScratch, Engine, Scoring, DEFAULT_ZDROP};
 use mmm_exec::align_jobs_with_scratch;
 use mmm_index::{IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
@@ -140,4 +144,74 @@ fn ref_window_into_is_zero_alloc_after_growth() {
         0,
         "ref_window_into allocated on a warm buffer"
     );
+}
+
+/// Direction rows are appended as the DP reaches them: an extension that
+/// z-drops early never pays for the `tlen × qlen` matrix, and a warmed arena
+/// repeats any extension or fill without touching the allocator.
+#[test]
+fn direction_rows_grow_on_demand_and_are_reused() {
+    // The chimera shape that used to pin `pb_repeat`'s peak RSS: 1 kb of
+    // homology, then 4 kb of junk, against a 6 kb reference window.
+    let g = generate_genome(&GenomeOpts {
+        len: 16_000,
+        repeat_frac: 0.0,
+        seed: 5,
+        ..Default::default()
+    });
+    let target = &g[..6_000];
+    let mut query = g[..1_000].to_vec();
+    query.extend_from_slice(&g[10_000..14_000]);
+    let (tlen, qlen) = (target.len(), query.len());
+    let sc = Scoring::MAP_PB;
+
+    for engine in Engine::all().into_iter().filter(Engine::is_available) {
+        let mut scratch = AlignScratch::new();
+        let extend = |scratch: &mut AlignScratch| {
+            let e =
+                engine.extend_zdrop_with_scratch(target, &query, &sc, DEFAULT_ZDROP, true, scratch);
+            let consumed = (e.t_consumed, e.q_consumed);
+            scratch.recycle(e.cigar);
+            consumed
+        };
+        let first = extend(&mut scratch);
+        assert!(
+            (950..1_100).contains(&first.0) && (950..1_100).contains(&first.1),
+            "{}: the extension ends where the homology does, got {first:?}",
+            engine.label()
+        );
+        assert!(
+            scratch.heap_bytes() < tlen * qlen / 4,
+            "{}: an early z-drop holds {} bytes, the full matrix is {}",
+            engine.label(),
+            scratch.heap_bytes(),
+            tlen * qlen
+        );
+
+        let before = allocs_on_this_thread();
+        assert_eq!(extend(&mut scratch), first);
+        assert_eq!(
+            allocs_on_this_thread() - before,
+            0,
+            "{}: second extension",
+            engine.label()
+        );
+
+        // A fill runs to the corner; the second identical one is free too.
+        let fill = |scratch: &mut AlignScratch| {
+            let (t, q) = (&g[2_000..2_068], &g[2_001..2_069]);
+            let r = engine.align_with_scratch(t, q, &sc, AlignMode::Global, true, scratch);
+            scratch.recycle(r.cigar.expect("with_path fill returns a CIGAR"));
+            r.score
+        };
+        let score = fill(&mut scratch);
+        let before = allocs_on_this_thread();
+        assert_eq!(fill(&mut scratch), score);
+        assert_eq!(
+            allocs_on_this_thread() - before,
+            0,
+            "{}: second fill",
+            engine.label()
+        );
+    }
 }

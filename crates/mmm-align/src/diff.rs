@@ -4,9 +4,10 @@
 //! matrix by anti-diagonal `r = i + j` with `t = i` inside the diagonal, and
 //! both need the same three pieces implemented here:
 //!
-//! * [`DirMatrix`] — the quadratic backtracking matrix for with-path
-//!   alignment, stored diagonal-major so SIMD kernels can write direction
-//!   bytes with contiguous stores;
+//! * [`DirMatrix`] — the backtracking matrix for with-path alignment,
+//!   stored diagonal-major so SIMD kernels can write direction bytes with
+//!   contiguous stores, and appended one diagonal at a time as the DP
+//!   reaches it;
 //! * [`Tracker`] — 32-bit score recovery along the diagonal boundary cells
 //!   (the difference recurrence only keeps 8-bit deltas; absolute scores are
 //!   rebuilt incrementally at the `st`/`en` edges of each diagonal);
@@ -21,6 +22,7 @@
 use crate::cigar::{Cigar, CigarOp};
 use crate::score::Scoring;
 use crate::types::{AlignMode, AlignResult};
+use std::mem::MaybeUninit;
 
 /// `z` came from the substitution term.
 pub const SRC_DIAG: u8 = 0;
@@ -35,18 +37,31 @@ pub const E_CONT: u8 = 4;
 /// F gap continues (y chose the non-zero branch).
 pub const F_CONT: u8 = 8;
 
-/// Quadratic direction matrix in diagonal-major layout.
+/// Direction matrix in diagonal-major layout, grown one diagonal at a time.
 ///
 /// Row `r` holds the cells of anti-diagonal `r` (indices `t - st(r)`), so a
-/// kernel sweeping `t` writes one contiguous byte run per diagonal. Total
-/// size is exactly `|T|·|Q|` bytes, the same quadratic footprint the paper
-/// charges for with-path alignment.
+/// kernel sweeping `t` writes one contiguous byte run per diagonal. A kernel
+/// [`reset`](Self::reset)s the matrix for its problem (no allocation, no
+/// fill) and appends row `r` when the DP reaches diagonal `r`; storage is
+/// grow-only and never pre-filled, so memory and page touches are
+/// proportional to the diagonals actually computed — `|T|·|Q|` bytes for a
+/// fill that runs to the corner, far less for a z-drop extension that stops
+/// early. Every byte of a row is written by the kernel that appended it
+/// before [`get`](Self::get) can read it.
 pub struct DirMatrix {
-    data: Vec<u8>,
+    /// Backing store. `data.len()` is the allocated extent (kept equal to
+    /// the capacity); only the first `offsets.last()` bytes belong to rows.
+    data: Vec<MaybeUninit<u8>>,
+    /// `offsets[r]` is the start of row `r`; one more entry than rows.
     offsets: Vec<usize>,
     tlen: usize,
     qlen: usize,
 }
+
+/// Bytes a kernel may store past the end of the row it appended: the widest
+/// vector tier finishes a diagonal with one full-width direction store, and
+/// the spill lands where the next row (or this slack) will be.
+pub(crate) const ROW_SLACK: usize = 64;
 
 impl Default for DirMatrix {
     fn default() -> Self {
@@ -67,7 +82,7 @@ impl DirMatrix {
         }
     }
 
-    /// Allocate for a `|T| × |Q|` problem.
+    /// A matrix for a `|T| × |Q|` problem, holding no rows yet.
     ///
     /// # Panics
     /// If either dimension is zero (the diagonal layout is undefined for an
@@ -79,9 +94,7 @@ impl DirMatrix {
         m
     }
 
-    /// Re-size for a `|T| × |Q|` problem, reusing the existing backing store
-    /// (grow-only: no allocation when the new problem fits the old
-    /// capacity). All direction bytes are cleared to zero.
+    /// Start a `|T| × |Q|` problem: drop every row, keep the backing store.
     ///
     /// # Panics
     /// If either dimension is zero — see [`new`](Self::new).
@@ -91,42 +104,76 @@ impl DirMatrix {
             "DirMatrix is undefined for empty inputs ({tlen}x{qlen}); \
              kernels must take their degenerate() path first"
         );
-        let diags = tlen + qlen - 1;
         self.offsets.clear();
-        self.offsets.reserve(diags + 1);
-        let mut acc = 0usize;
         self.offsets.push(0);
-        for r in 0..diags {
-            let st = r.saturating_sub(qlen - 1);
-            let en = r.min(tlen - 1);
-            acc += en - st + 1;
-            self.offsets.push(acc);
-        }
-        debug_assert_eq!(acc, tlen * qlen);
-        self.data.clear();
-        self.data.resize(acc, 0);
         self.tlen = tlen;
         self.qlen = qlen;
     }
 
-    /// Mutable slice of diagonal `r` (length `en - st + 1`).
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [u8] {
-        let (s, e) = (self.offsets[r], self.offsets[r + 1]);
-        &mut self.data[s..e]
+    /// Append the next diagonal's row and return its storage: the row's
+    /// `en - st + 1` cells followed by [`ROW_SLACK`] spill bytes.
+    fn push_row_uninit(&mut self) -> &mut [MaybeUninit<u8>] {
+        assert!(
+            (1..self.tlen + self.qlen).contains(&self.offsets.len()),
+            "reset() first; a matrix has tlen + qlen - 1 diagonals"
+        );
+        let r = self.offsets.len() - 1;
+        let n = r.min(self.tlen - 1) - r.saturating_sub(self.qlen - 1) + 1;
+        let start = self.offsets[r];
+        let end = start + n;
+        if self.data.len() < end + ROW_SLACK {
+            self.data.reserve(end + ROW_SLACK - self.data.len());
+            // SAFETY: `MaybeUninit<u8>` needs no initialization, and the new
+            // length is the capacity `reserve` just guaranteed.
+            unsafe { self.data.set_len(self.data.capacity()) };
+        }
+        self.offsets.push(end);
+        &mut self.data[start..end + ROW_SLACK]
     }
 
-    /// Direction byte of cell `(i, j)`.
+    /// Append the next diagonal's row, zeroed, and return its cells (length
+    /// `en - st + 1`) — the scalar kernels' entry point.
+    pub fn push_row(&mut self) -> &mut [u8] {
+        let row = self.push_row_uninit();
+        let n = row.len() - ROW_SLACK;
+        let row = &mut row[..n];
+        row.fill(MaybeUninit::new(0));
+        // SAFETY: every element was just initialized, and `MaybeUninit<u8>`
+        // has the layout of `u8`.
+        unsafe { &mut *(row as *mut [MaybeUninit<u8>] as *mut [u8]) }
+    }
+
+    /// Append the next diagonal's row without touching it and return a
+    /// pointer to its first cell, valid for writes of the row's
+    /// `en - st + 1` bytes plus [`ROW_SLACK`] — the SIMD kernels' entry
+    /// point.
+    ///
+    /// # Safety
+    /// The caller must write every cell of the row before the matrix is read
+    /// through [`get`](Self::get) (the kernels do so before they append the
+    /// next row).
+    pub(crate) unsafe fn push_row_ptr(&mut self) -> *mut u8 {
+        self.push_row_uninit().as_mut_ptr().cast()
+    }
+
+    /// Direction byte of cell `(i, j)`, which must lie on an appended row.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> u8 {
         let r = i + j;
         let st = r.saturating_sub(self.qlen - 1);
-        self.data[self.offsets[r] + (i - st)]
+        assert!(
+            r + 1 < self.offsets.len(),
+            "diagonal {r} was never computed"
+        );
+        // SAFETY: the row exists (checked above) and whoever appended it
+        // wrote all of its cells — `push_row` zeroes them, `push_row_ptr`
+        // makes that its caller's contract.
+        unsafe { self.data[self.offsets[r] + (i - st)].assume_init() }
     }
 
-    /// Bytes held (the quadratic-space term of the paper's memory model).
+    /// Bytes held: proportional to the most diagonals any problem computed.
     pub fn heap_bytes(&self) -> usize {
-        self.data.len() + self.offsets.len() * std::mem::size_of::<usize>()
+        self.data.capacity() + self.offsets.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Target length this matrix was sized for.
@@ -467,18 +514,22 @@ mod tests {
 
     #[test]
     fn dir_matrix_layout_covers_all_cells() {
-        let m = DirMatrix::new(4, 3);
-        assert!(m.heap_bytes() >= 12);
-        // Mark every cell via row_mut and read back via get.
+        // Mark every cell via push_row and read back via get.
         let mut m = DirMatrix::new(4, 3);
+        assert_eq!(
+            m.heap_bytes(),
+            std::mem::size_of::<usize>() * m.offsets.capacity()
+        );
         for r in 0usize..(4 + 3 - 1) {
             let st = r.saturating_sub(2);
-            for (k, b) in m.row_mut(r).iter_mut().enumerate() {
+            let en = r.min(3);
+            let row = m.push_row();
+            assert_eq!(row.len(), en - st + 1, "diag {r}");
+            for (k, b) in row.iter_mut().enumerate() {
                 *b = (r * 10 + k) as u8;
             }
-            let en = r.min(3);
-            assert_eq!(m.row_mut(r).len(), en - st + 1, "diag {r}");
         }
+        assert!(m.heap_bytes() >= 12);
         for i in 0usize..4 {
             for j in 0..3 {
                 let r = i + j;

@@ -8,11 +8,13 @@
 
 use std::sync::OnceLock;
 
+use crate::extend::ExtendResult;
 use crate::scalar;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
 use crate::simd::{avx2, avx512, sse};
 use crate::types::{AlignError, AlignMode, AlignResult};
+use crate::zdrop;
 
 /// SIMD tiers turned off by the `MMM_DISABLE_SIMD` environment override —
 /// the escape hatch for debugging a suspect kernel in production and for
@@ -118,7 +120,41 @@ impl Width {
 
     /// All tiers, narrowest first.
     pub const ALL: [Width; 4] = [Width::Scalar, Width::Sse, Width::Avx2, Width::Avx512];
+
+    /// The tier that runs a problem whose longest anti-diagonal has
+    /// `longest` cells when this tier is asked for: the widest available
+    /// one, no wider than `self`, whose vector that diagonal fills
+    /// [`MIN_VECTORS`] times (else the narrowest such tier).
+    ///
+    /// Consecutive diagonals form a store → load chain through the
+    /// difference arrays, and on short diagonals that latency, not the
+    /// instruction count, is the cost: 16-byte accesses split fewer cache
+    /// lines and forward more stores than 32- or 64-byte ones, so the
+    /// narrow kernel finishes a short diagonal sooner in four steps than a
+    /// wide one in one. On the AVX-512 build host the 256-bit fill overtakes
+    /// the 128-bit one between 150 and 200 cells and the 512-bit one the
+    /// 256-bit one between 512 and 700; at the mapper's median gap fill,
+    /// 68×68, the 512-bit kernel is 1.4x slower than the 128-bit one.
+    /// Every tier computes the same bytes, so only speed depends on this.
+    fn for_longest_diagonal(self, longest: usize) -> Width {
+        let mut pick = self;
+        for w in [Width::Avx512, Width::Avx2, Width::Sse] {
+            // Never wider than asked for, never a tier that is missing or
+            // switched off by `MMM_DISABLE_SIMD`.
+            if w.lanes() > self.lanes() || (w != self && !w.is_available()) {
+                continue;
+            }
+            pick = w;
+            if longest >= MIN_VECTORS * w.lanes() {
+                break;
+            }
+        }
+        pick
+    }
 }
+
+/// See [`Width::for_longest_diagonal`].
+const MIN_VECTORS: usize = 8;
 
 /// DP memory layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -174,7 +210,9 @@ impl Engine {
     }
 
     /// Run the kernel. Panics if the width is unsupported on this CPU
-    /// (check [`Engine::is_available`] first).
+    /// (check [`Engine::is_available`] first). A problem too small to keep
+    /// the engine's vectors busy runs on a narrower tier of the same layout
+    /// (see [`Width`]'s `for_longest_diagonal`); the result is the same.
     ///
     /// ```
     /// use mmm_align::{best_engine, AlignMode, Scoring};
@@ -206,7 +244,10 @@ impl Engine {
         with_path: bool,
         scratch: &mut AlignScratch,
     ) -> AlignResult {
-        match (self.layout, self.width) {
+        let width = self
+            .width
+            .for_longest_diagonal(target.len().min(query.len()));
+        match (self.layout, width) {
             (Layout::Mm2, Width::Scalar) => {
                 scalar::align_mm2_with_scratch(target, query, sc, mode, with_path, scratch)
             }
@@ -232,6 +273,40 @@ impl Engine {
                 avx512::align_manymap_with_scratch(target, query, sc, mode, with_path, scratch)
             }
         }
+    }
+
+    /// Exact z-drop extension ([`crate::extend_zdrop`]) at this engine's
+    /// vector width. The extension always runs the Eq. 4 step, so `layout`
+    /// does not enter; every width returns the same score, end cell and
+    /// CIGAR as the scalar kernel.
+    ///
+    /// # Panics
+    /// If the width is unsupported on this CPU, `sc` violates
+    /// [`Scoring::fits_i8`], or `zdrop <= 0`.
+    pub fn extend_zdrop_with_scratch(
+        &self,
+        target: &[u8],
+        query: &[u8],
+        sc: &Scoring,
+        zdrop: i32,
+        with_path: bool,
+        scratch: &mut AlignScratch,
+    ) -> ExtendResult {
+        if target.is_empty() || query.is_empty() {
+            return ExtendResult::empty();
+        }
+        assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
+        assert!(zdrop > 0, "zdrop must be positive");
+        let width = self
+            .width
+            .for_longest_diagonal(target.len().min(query.len()));
+        let kernel = match width {
+            Width::Scalar => zdrop::extend_scalar,
+            Width::Sse => sse::extend_zdrop,
+            Width::Avx2 => avx2::extend_zdrop,
+            Width::Avx512 => avx512::extend_zdrop,
+        };
+        kernel(target, query, sc, zdrop, with_path, scratch)
     }
 
     /// [`Engine::align`] with scoring validation: parameters that would

@@ -28,6 +28,19 @@ pub struct ExtendResult {
     pub cigar: Cigar,
 }
 
+impl ExtendResult {
+    /// The extension that consumes nothing (empty input, or no cell scored
+    /// above zero).
+    pub(crate) fn empty() -> Self {
+        ExtendResult {
+            score: 0,
+            t_consumed: 0,
+            q_consumed: 0,
+            cigar: Cigar::new(),
+        }
+    }
+}
+
 /// Extend across `target` × `query` from their common origin, stopping at
 /// the best-scoring point on the optimal semi-global path.
 pub fn extend_align(target: &[u8], query: &[u8], sc: &Scoring, engine: Engine) -> ExtendResult {
@@ -45,12 +58,7 @@ pub fn extend_align_with_scratch(
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
     if target.is_empty() || query.is_empty() {
-        return ExtendResult {
-            score: 0,
-            t_consumed: 0,
-            q_consumed: 0,
-            cigar: Cigar::new(),
-        };
+        return ExtendResult::empty();
     }
     let r = engine.align_with_scratch(target, query, sc, AlignMode::SemiGlobal, true, scratch);
     // `with_path = true` always yields a path; an absent one degrades to an

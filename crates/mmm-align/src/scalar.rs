@@ -85,7 +85,7 @@ pub fn align_mm2_with_scratch(
         } else {
             (x[st - 1] as i32, v[st - 1] as i32)
         };
-        let mut dir_row = dir.as_deref_mut().map(|d| d.row_mut(r));
+        let mut dir_row = dir.as_deref_mut().map(|d| d.push_row());
         for t in st..=en {
             let s = sc.subst(target[t], query[r - t]);
             let (un, vn, xn, yn, d) = cell_update(s, xlast, vlast, y[t] as i32, u[t] as i32, q, qe);
@@ -187,7 +187,7 @@ pub fn align_manymap_with_scratch(
     let geom = Eq4::new(tlen, qlen);
     for r in 0..geom.diagonals() {
         let (st, en) = geom.band(r);
-        let mut dir_row = dir.as_deref_mut().map(|d| d.row_mut(r));
+        let mut dir_row = dir.as_deref_mut().map(|d| d.push_row());
         for t in st..=en {
             let tp = geom.tprime(r, t); // Eq. 4: t' = t - r + |Q|
             let s = sc.subst(target[t], query[r - t]);

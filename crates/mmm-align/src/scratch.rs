@@ -3,11 +3,12 @@
 //! Every kernel variant needs the same working set per call: the `u/v/x/y`
 //! difference vectors (plus `x2/y2` for two-piece gaps), the reversed query
 //! for diagonal-contiguous SIMD loads, the 32-bit exact-score column for
-//! z-drop extension, the quadratic [`DirMatrix`] for with-path alignment,
-//! and a run-length CIGAR. The paper charges the DP itself as the dominant
-//! cost (65% of CPU time, Table 2) — paying a fresh heap allocation for each
-//! of these on *every* `align` call is pure overhead, and exactly what
-//! minimap2 avoids with its per-thread kmalloc pools.
+//! z-drop extension, the [`DirMatrix`] for with-path alignment (one row per
+//! diagonal the DP reaches), and a run-length CIGAR. The paper charges the
+//! DP itself as the dominant cost (65% of CPU time, Table 2) — paying a fresh
+//! heap allocation for each of these on *every* `align` call is pure
+//! overhead, and exactly what minimap2 avoids with its per-thread kmalloc
+//! pools.
 //!
 //! [`AlignScratch`] owns all of those buffers grow-only: a kernel entered
 //! through a `*_with_scratch` entry point resizes (never shrinks) the
@@ -60,6 +61,10 @@ pub struct AlignScratch {
     pub(crate) f32: Vec<i32>,
     /// Reversed query for diagonal-contiguous access.
     pub(crate) qr: Vec<u8>,
+    /// Copy of the target for the SIMD kernels, with the slack their last
+    /// step of a diagonal may read past it (the caller's slice cannot be
+    /// padded in place).
+    pub(crate) tpad: Vec<u8>,
     /// Direction-matrix backing store for with-path alignment.
     pub(crate) dir: DirMatrix,
     /// Recycled CIGAR storage, handed out to with-path calls.
@@ -118,6 +123,7 @@ impl AlignScratch {
             + (self.h32.capacity() + self.e32.capacity() + self.f32.capacity())
                 * std::mem::size_of::<i32>()
             + self.qr.capacity()
+            + self.tpad.capacity()
             + self.dir.heap_bytes()
             + self.seq_bufs.iter().map(|b| b.capacity()).sum::<usize>()
     }

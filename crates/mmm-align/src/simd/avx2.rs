@@ -7,16 +7,138 @@
 
 use core::arch::x86_64::*;
 
-use crate::diff::{backtrack_into, cell_update, degenerate, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
+use super::{isa_fns, kernel, Consts, Isa};
+use crate::diff::degenerate;
+use crate::extend::ExtendResult;
 use crate::score::Scoring;
-use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
+use crate::scratch::AlignScratch;
 use crate::types::{AlignMode, AlignResult};
-
-const L: usize = 32;
 
 /// Runtime support check for this module's kernels.
 pub fn available() -> bool {
     is_x86_feature_detected!("avx2")
+}
+
+/// Shift a 256-bit register left by one byte, filling byte 0 with zero.
+/// AVX2 has no cross-lane byte shift, so this costs a `vperm2i128` plus a
+/// `vpalignr` — a direct port of ksw2's `pslldq` pays this on every operand.
+///
+/// # Safety
+/// Requires AVX2; only called from `#[target_feature(enable = "avx2")]` fns.
+#[inline(always)]
+unsafe fn shl1_zero(v: __m256i) -> __m256i {
+    let lo_to_hi = _mm256_permute2x128_si256(v, v, 0x08); // [0, v_lo]
+    _mm256_alignr_epi8(v, lo_to_hi, 15)
+}
+
+/// `[v[31]]` in byte 0, zeros elsewhere — the carry produced by ksw2's
+/// `psrldq(v, 15)`, again needing a lane fix-up on AVX2.
+///
+/// # Safety
+/// Requires AVX2; only called from `#[target_feature(enable = "avx2")]` fns.
+#[inline(always)]
+unsafe fn shr15_carry(v: __m256i) -> __m256i {
+    let hi_to_lo = _mm256_permute2x128_si256(v, v, 0x81); // [v_hi, 0]
+    _mm256_bsrli_epi128(hi_to_lo, 15)
+}
+
+/// The 256-bit tier. A diagonal's last step loads and stores whole vectors
+/// over arrays padded by one vector, blending the stored lanes against a
+/// lane-index mask.
+struct Avx2;
+
+impl Isa for Avx2 {
+    type V = __m256i;
+    type W = __m256i;
+    type M = __m256i;
+    type MW = __m256i;
+    const L: usize = 32;
+    const PAD: usize = 32;
+
+    isa_fns! {
+        fn splat(x: i8) -> __m256i { _mm256_set1_epi8(x) }
+        fn load(p: *const u8) -> __m256i { _mm256_loadu_si256(p as *const __m256i) }
+        fn store(p: *mut u8, v: __m256i) { _mm256_storeu_si256(p as *mut __m256i, v) }
+        fn tail(n: usize) -> __m256i {
+            let lane = _mm256_setr_epi8(
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                23, 24, 25, 26, 27, 28, 29, 30, 31,
+            );
+            _mm256_cmpgt_epi8(_mm256_set1_epi8(n as i8), lane)
+        }
+        fn load_tail(p: *const u8, _m: __m256i) -> __m256i {
+            _mm256_loadu_si256(p as *const __m256i)
+        }
+        fn store_tail(p: *mut u8, m: __m256i, new: __m256i, old: __m256i) {
+            _mm256_storeu_si256(p as *mut __m256i, _mm256_blendv_epi8(old, new, m))
+        }
+        fn store_dir_tail(p: *mut u8, _m: __m256i, d: __m256i) {
+            _mm256_storeu_si256(p as *mut __m256i, d)
+        }
+
+        fn adds(a: __m256i, b: __m256i) -> __m256i { _mm256_adds_epi8(a, b) }
+        fn subs(a: __m256i, b: __m256i) -> __m256i { _mm256_subs_epi8(a, b) }
+        fn max(a: __m256i, b: __m256i) -> __m256i { _mm256_max_epi8(a, b) }
+        fn subst(tv: __m256i, qv: __m256i, k: &Consts<__m256i>) -> __m256i {
+            let eqm = _mm256_cmpeq_epi8(tv, qv);
+            let amb =
+                _mm256_or_si256(_mm256_cmpeq_epi8(tv, k.vfour), _mm256_cmpeq_epi8(qv, k.vfour));
+            _mm256_blendv_epi8(_mm256_blendv_epi8(k.vmis, k.vmatch, eqm), k.vambi, amb)
+        }
+        fn dir_bits(
+            s: __m256i, a: __m256i, b: __m256i, za: __m256i, xt: __m256i, yt: __m256i,
+            k: &Consts<__m256i>,
+        ) -> __m256i {
+            let mut d = _mm256_and_si256(_mm256_cmpgt_epi8(a, s), k.src_e);
+            d = _mm256_blendv_epi8(d, k.src_f, _mm256_cmpgt_epi8(b, za));
+            d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(xt, k.zero), k.e_cont));
+            _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(yt, k.zero), k.f_cont))
+        }
+
+        // ksw2's shift idiom extended to 256 bits: carry vector plus
+        // lane-crossing emulation, five shuffle/logic ops per operand.
+        fn shift_in(cur: __m256i, carry: __m256i) -> __m256i {
+            _mm256_or_si256(shl1_zero(cur), carry)
+        }
+        fn carry_out(cur: __m256i) -> __m256i { shr15_carry(cur) }
+        fn carry_from(x: i8) -> __m256i { _mm256_insert_epi8(_mm256_setzero_si256(), x, 0) }
+
+        fn widen4(v: __m256i) -> [__m256i; 4] {
+            let (lo, hi) = (_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+            [
+                _mm256_cvtepi8_epi32(lo),
+                _mm256_cvtepi8_epi32(_mm_bsrli_si128(lo, 8)),
+                _mm256_cvtepi8_epi32(hi),
+                _mm256_cvtepi8_epi32(_mm_bsrli_si128(hi, 8)),
+            ]
+        }
+        fn w_splat(x: i32) -> __m256i { _mm256_set1_epi32(x) }
+        fn w_load(p: *const i32) -> __m256i { _mm256_loadu_si256(p as *const __m256i) }
+        fn w_store(p: *mut i32, w: __m256i) { _mm256_storeu_si256(p as *mut __m256i, w) }
+        fn w_tail(n: usize) -> __m256i {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(n.min(8) as i32), lane)
+        }
+        fn w_load_tail(p: *const i32, _m: __m256i) -> __m256i {
+            _mm256_loadu_si256(p as *const __m256i)
+        }
+        fn w_store_tail(p: *mut i32, m: __m256i, new: __m256i, old: __m256i) {
+            _mm256_storeu_si256(p as *mut __m256i, _mm256_blendv_epi8(old, new, m))
+        }
+        fn w_select(m: __m256i, a: __m256i, b: __m256i) -> __m256i {
+            _mm256_blendv_epi8(b, a, m)
+        }
+        fn w_add(a: __m256i, b: __m256i) -> __m256i { _mm256_add_epi32(a, b) }
+        fn w_max(a: __m256i, b: __m256i) -> __m256i { _mm256_max_epi32(a, b) }
+        fn w_reduce_max(w: __m256i) -> i32 {
+            let m = _mm_max_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256(w, 1));
+            let m = _mm_max_epi32(m, _mm_shuffle_epi32(m, 0b01_00_11_10));
+            _mm_cvtsi128_si32(_mm_max_epi32(m, _mm_shuffle_epi32(m, 0b10_11_00_01)))
+        }
+        fn w_eq_bits(w: __m256i, x: __m256i) -> u32 {
+            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(w, x))) as u32
+        }
+    }
 }
 
 /// Equation (3) layout with the two-instruction cross-lane byte shift.
@@ -77,27 +199,19 @@ pub fn align_manymap_with_scratch(
     unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
 }
 
-/// Shift a 256-bit register left by one byte, filling byte 0 with zero.
-/// AVX2 has no cross-lane byte shift, so this costs a `vperm2i128` plus a
-/// `vpalignr` — a direct port of ksw2's `pslldq` pays this on every operand.
-///
-/// # Safety
-/// Requires AVX2; only called from `#[target_feature(enable = "avx2")]` fns.
-#[inline(always)]
-unsafe fn shl1_zero(v: __m256i) -> __m256i {
-    let lo_to_hi = _mm256_permute2x128_si256(v, v, 0x08); // [0, v_lo]
-    _mm256_alignr_epi8(v, lo_to_hi, 15)
-}
-
-/// `[v[31]]` in byte 0, zeros elsewhere — the carry produced by ksw2's
-/// `psrldq(v, 15)`, again needing a lane fix-up on AVX2.
-///
-/// # Safety
-/// Requires AVX2; only called from `#[target_feature(enable = "avx2")]` fns.
-#[inline(always)]
-unsafe fn shr15_carry(v: __m256i) -> __m256i {
-    let hi_to_lo = _mm256_permute2x128_si256(v, v, 0x81); // [v_hi, 0]
-    _mm256_bsrli_epi128(hi_to_lo, 15)
+/// Exact z-drop extension on the Equation (4) step; the inputs are checked
+/// by [`crate::Engine::extend_zdrop_with_scratch`], the only caller.
+pub(crate) fn extend_zdrop(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
+    assert!(available(), "AVX2 not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { zdrop_inner(target, query, sc, zdrop, with_path, scratch) }
 }
 
 /// # Safety
@@ -112,154 +226,7 @@ unsafe fn mm2_inner(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    let (tlen, qlen) = (target.len(), query.len());
-    let (q, e) = (sc.q, sc.e);
-    let qe = q + e;
-
-    let AlignScratch {
-        u,
-        v,
-        x,
-        y,
-        qr,
-        dir,
-        cigars,
-        ..
-    } = scratch;
-    reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(v, tlen, 0i8);
-    reset_fill(x, tlen, 0i8);
-    reset_fill(y, tlen, -qe as i8);
-    u[0] = -qe as i8;
-
-    let mut dir = if with_path {
-        dir.reset(tlen, qlen);
-        Some(dir)
-    } else {
-        None
-    };
-    let mut tracker = Tracker::new(tlen, qlen);
-
-    let vmatch = _mm256_set1_epi8(sc.a as i8);
-    let vmis = _mm256_set1_epi8(-sc.b as i8);
-    let vambi = _mm256_set1_epi8(-sc.ambi as i8);
-    let vfour = _mm256_set1_epi8(4);
-    let vq = _mm256_set1_epi8(q as i8);
-    let vqe = _mm256_set1_epi8(qe as i8);
-    let zero = _mm256_setzero_si256();
-    let d1 = _mm256_set1_epi8(SRC_E as i8);
-    let d2 = _mm256_set1_epi8(SRC_F as i8);
-    let d4 = _mm256_set1_epi8(E_CONT as i8);
-    let d8 = _mm256_set1_epi8(F_CONT as i8);
-
-    for r in 0..tlen + qlen - 1 {
-        let st = r.saturating_sub(qlen - 1);
-        let en = r.min(tlen - 1);
-        let (mut xlast, mut vlast) = if st == 0 {
-            (-qe, if r == 0 { -qe } else { -e })
-        } else {
-            (x[st - 1] as i32, v[st - 1] as i32)
-        };
-        let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
-        let mut t = st;
-
-        // ksw2's shift idiom extended to 256 bits: carry vector + lane-crossing
-        // emulation, five shuffle/logic ops per operand per iteration.
-        let mut xcarry = _mm256_insert_epi8(_mm256_setzero_si256(), xlast as i8, 0);
-        let mut vcarry = _mm256_insert_epi8(_mm256_setzero_si256(), vlast as i8, 0);
-        let mut xtop = xlast;
-        let mut vtop = vlast;
-        for _ in 0..n / L {
-            let tv = _mm256_loadu_si256(target.as_ptr().add(t) as *const __m256i);
-            let qv = _mm256_loadu_si256(qr.as_ptr().add(t - st + qbase) as *const __m256i);
-            let eqm = _mm256_cmpeq_epi8(tv, qv);
-            let amb = _mm256_or_si256(_mm256_cmpeq_epi8(tv, vfour), _mm256_cmpeq_epi8(qv, vfour));
-            let mut s = _mm256_blendv_epi8(vmis, vmatch, eqm);
-            s = _mm256_blendv_epi8(s, vambi, amb);
-
-            let xcur = _mm256_loadu_si256(x.as_ptr().add(t) as *const __m256i);
-            let vcur = _mm256_loadu_si256(v.as_ptr().add(t) as *const __m256i);
-            let ut = _mm256_loadu_si256(u.as_ptr().add(t) as *const __m256i);
-            let yt = _mm256_loadu_si256(y.as_ptr().add(t) as *const __m256i);
-            let xsh = _mm256_or_si256(shl1_zero(xcur), xcarry);
-            let vsh = _mm256_or_si256(shl1_zero(vcur), vcarry);
-            xcarry = shr15_carry(xcur);
-            vcarry = shr15_carry(vcur);
-            xtop = _mm256_extract_epi8(xcur, 31) as i8 as i32;
-            vtop = _mm256_extract_epi8(vcur, 31) as i8 as i32;
-
-            let a = _mm256_adds_epi8(xsh, vsh);
-            let b = _mm256_adds_epi8(yt, ut);
-            let za = _mm256_max_epi8(s, a);
-            let z = _mm256_max_epi8(za, b);
-            let un = _mm256_subs_epi8(z, vsh);
-            let vn = _mm256_subs_epi8(z, ut);
-            let xt = _mm256_adds_epi8(_mm256_subs_epi8(a, z), vq);
-            let yt2 = _mm256_adds_epi8(_mm256_subs_epi8(b, z), vq);
-            let xn = _mm256_subs_epi8(_mm256_max_epi8(xt, zero), vqe);
-            let yn = _mm256_subs_epi8(_mm256_max_epi8(yt2, zero), vqe);
-
-            _mm256_storeu_si256(u.as_mut_ptr().add(t) as *mut __m256i, un);
-            _mm256_storeu_si256(v.as_mut_ptr().add(t) as *mut __m256i, vn);
-            _mm256_storeu_si256(x.as_mut_ptr().add(t) as *mut __m256i, xn);
-            _mm256_storeu_si256(y.as_mut_ptr().add(t) as *mut __m256i, yn);
-
-            if let Some(row) = dir_row.as_deref_mut() {
-                let mut d = _mm256_and_si256(_mm256_cmpgt_epi8(a, s), d1);
-                d = _mm256_blendv_epi8(d, d2, _mm256_cmpgt_epi8(b, za));
-                d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(xt, zero), d4));
-                d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(yt2, zero), d8));
-                _mm256_storeu_si256(row.as_mut_ptr().add(t - st) as *mut __m256i, d);
-            }
-            t += L;
-        }
-        if t > st {
-            xlast = xtop;
-            vlast = vtop;
-        }
-        while t <= en {
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) =
-                cell_update(s, xlast, vlast, y[t] as i32, u[t] as i32, q, qe);
-            xlast = x[t] as i32;
-            vlast = v[t] as i32;
-            u[t] = unw;
-            v[t] = vnw;
-            x[t] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
-        }
-        tracker.diag(
-            r,
-            st,
-            en,
-            u[st] as i32,
-            u[en] as i32,
-            v[0] as i32,
-            v[en] as i32,
-            qe,
-        );
-    }
-
-    let (score, end_i, end_j) = tracker.finalize(mode);
-    let cigar = dir.map(|d| {
-        let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
-        c
-    });
-    AlignResult {
-        score,
-        end_i,
-        end_j,
-        cigar,
-        cells: tlen as u64 * qlen as u64,
-    }
+    kernel::fill_mm2::<Avx2>(target, query, sc, mode, with_path, scratch)
 }
 
 /// # Safety
@@ -274,135 +241,22 @@ unsafe fn manymap_inner(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    let (tlen, qlen) = (target.len(), query.len());
-    let (q, e) = (sc.q, sc.e);
-    let qe = q + e;
+    kernel::fill_manymap::<Avx2>(target, query, sc, mode, with_path, scratch)
+}
 
-    let AlignScratch {
-        u,
-        v,
-        x,
-        y,
-        qr,
-        dir,
-        cigars,
-        ..
-    } = scratch;
-    reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(y, tlen, -qe as i8);
-    u[0] = -qe as i8;
-    reset_fill(v, qlen + 1, -e as i8);
-    reset_fill(x, qlen + 1, -qe as i8);
-    v[qlen] = -qe as i8;
-
-    let mut dir = if with_path {
-        dir.reset(tlen, qlen);
-        Some(dir)
-    } else {
-        None
-    };
-    let mut tracker = Tracker::new(tlen, qlen);
-
-    let vmatch = _mm256_set1_epi8(sc.a as i8);
-    let vmis = _mm256_set1_epi8(-sc.b as i8);
-    let vambi = _mm256_set1_epi8(-sc.ambi as i8);
-    let vfour = _mm256_set1_epi8(4);
-    let vq = _mm256_set1_epi8(q as i8);
-    let vqe = _mm256_set1_epi8(qe as i8);
-    let zero = _mm256_setzero_si256();
-    let d1 = _mm256_set1_epi8(SRC_E as i8);
-    let d2 = _mm256_set1_epi8(SRC_F as i8);
-    let d4 = _mm256_set1_epi8(E_CONT as i8);
-    let d8 = _mm256_set1_epi8(F_CONT as i8);
-
-    for r in 0..tlen + qlen - 1 {
-        let st = r.saturating_sub(qlen - 1);
-        let en = r.min(tlen - 1);
-        let off = st + qlen - r;
-        let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
-        let mut t = st;
-
-        for _ in 0..n / L {
-            let tp = t - st + off;
-            let tv = _mm256_loadu_si256(target.as_ptr().add(t) as *const __m256i);
-            let qv = _mm256_loadu_si256(qr.as_ptr().add(t - st + qbase) as *const __m256i);
-            let eqm = _mm256_cmpeq_epi8(tv, qv);
-            let amb = _mm256_or_si256(_mm256_cmpeq_epi8(tv, vfour), _mm256_cmpeq_epi8(qv, vfour));
-            let mut s = _mm256_blendv_epi8(vmis, vmatch, eqm);
-            s = _mm256_blendv_epi8(s, vambi, amb);
-
-            let xt0 = _mm256_loadu_si256(x.as_ptr().add(tp) as *const __m256i);
-            let vt0 = _mm256_loadu_si256(v.as_ptr().add(tp) as *const __m256i);
-            let ut = _mm256_loadu_si256(u.as_ptr().add(t) as *const __m256i);
-            let yt = _mm256_loadu_si256(y.as_ptr().add(t) as *const __m256i);
-
-            let a = _mm256_adds_epi8(xt0, vt0);
-            let b = _mm256_adds_epi8(yt, ut);
-            let za = _mm256_max_epi8(s, a);
-            let z = _mm256_max_epi8(za, b);
-            let un = _mm256_subs_epi8(z, vt0);
-            let vn = _mm256_subs_epi8(z, ut);
-            let xt = _mm256_adds_epi8(_mm256_subs_epi8(a, z), vq);
-            let yt2 = _mm256_adds_epi8(_mm256_subs_epi8(b, z), vq);
-            let xn = _mm256_subs_epi8(_mm256_max_epi8(xt, zero), vqe);
-            let yn = _mm256_subs_epi8(_mm256_max_epi8(yt2, zero), vqe);
-
-            _mm256_storeu_si256(u.as_mut_ptr().add(t) as *mut __m256i, un);
-            _mm256_storeu_si256(v.as_mut_ptr().add(tp) as *mut __m256i, vn);
-            _mm256_storeu_si256(x.as_mut_ptr().add(tp) as *mut __m256i, xn);
-            _mm256_storeu_si256(y.as_mut_ptr().add(t) as *mut __m256i, yn);
-
-            if let Some(row) = dir_row.as_deref_mut() {
-                let mut d = _mm256_and_si256(_mm256_cmpgt_epi8(a, s), d1);
-                d = _mm256_blendv_epi8(d, d2, _mm256_cmpgt_epi8(b, za));
-                d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(xt, zero), d4));
-                d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(yt2, zero), d8));
-                _mm256_storeu_si256(row.as_mut_ptr().add(t - st) as *mut __m256i, d);
-            }
-            t += L;
-        }
-        while t <= en {
-            let tp = t - st + off;
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) = cell_update(
-                s,
-                x[tp] as i32,
-                v[tp] as i32,
-                y[t] as i32,
-                u[t] as i32,
-                q,
-                qe,
-            );
-            u[t] = unw;
-            v[tp] = vnw;
-            x[tp] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
-        }
-        let v_st0 = v[qlen - r.min(qlen)] as i32;
-        let v_en = v[en + qlen - r] as i32;
-        tracker.diag(r, st, en, u[st] as i32, u[en] as i32, v_st0, v_en, qe);
-    }
-
-    let (score, end_i, end_j) = tracker.finalize(mode);
-    let cigar = dir.map(|d| {
-        let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
-        c
-    });
-    AlignResult {
-        score,
-        end_i,
-        end_j,
-        cigar,
-        cells: tlen as u64 * qlen as u64,
-    }
+/// # Safety
+/// Caller must ensure AVX2 is available — `extend_zdrop` above asserts
+/// `available()` before dispatching here.
+#[target_feature(enable = "avx2")]
+unsafe fn zdrop_inner(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
+    kernel::extend_zdrop::<Avx2>(target, query, sc, zdrop, with_path, scratch)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.
@@ -423,23 +277,8 @@ mod tests {
 
     #[test]
     fn handles_vector_boundary_lengths() {
-        if !available() {
-            return;
-        }
-        for len in [31usize, 32, 33, 63, 64, 65, 96] {
-            let t: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 4) as u8).collect();
-            let q: Vec<u8> = (0..len).map(|i| ((i * 5 + 1) % 4) as u8).collect();
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
-            assert_eq!(
-                align_mm2(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
+        if available() {
+            super::super::tests::check_vector_boundary_lengths(32, align_mm2, align_manymap);
         }
     }
 

@@ -1,20 +1,22 @@
-//! 512-bit (AVX-512BW + VBMI) kernels — 64 cells per instruction.
+//! 512-bit (AVX-512BW) kernels — 64 cells per instruction.
 //!
 //! Comparisons produce `__mmask64` k-registers rather than byte vectors, so
-//! the select/blend structure differs slightly from the narrower widths. The
-//! Eq. 3 kernel ports ksw2's byte-shift idiom directly: AVX-512BW still only
+//! the select/blend structure differs slightly from the narrower widths, and
+//! a diagonal's last step is truly masked: loads and stores under a k-mask
+//! touch only the live lanes, so this tier needs no padding. The Eq. 3
+//! kernel ports ksw2's byte-shift idiom directly: AVX-512BW still only
 //! shifts bytes within 128-bit lanes, so each shifted operand costs a
 //! `vpslldq` + `vpsrldq` + qword permute + two ORs. The Eq. 4 kernel needs
 //! no shuffle at all.
 
 use core::arch::x86_64::*;
 
-use crate::diff::{backtrack_into, cell_update, degenerate, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
+use super::{isa_fns, kernel, Consts, Isa};
+use crate::diff::degenerate;
+use crate::extend::ExtendResult;
 use crate::score::Scoring;
-use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
+use crate::scratch::AlignScratch;
 use crate::types::{AlignMode, AlignResult};
-
-const L: usize = 64;
 
 /// Runtime support check for this module's kernels.
 pub fn available() -> bool {
@@ -47,7 +49,95 @@ unsafe fn shr63_carry(v: __m512i) -> __m512i {
     _mm512_maskz_permutexvar_epi64(0b0000_0001, idx, crossers)
 }
 
-/// Equation (3) layout; the byte shift is one `vpermt2b`.
+/// The 512-bit tier. A diagonal's last step runs under a k-mask.
+struct Avx512;
+
+impl Isa for Avx512 {
+    type V = __m512i;
+    type W = __m512i;
+    type M = __mmask64;
+    type MW = __mmask16;
+    const L: usize = 64;
+    const PAD: usize = 0;
+
+    isa_fns! {
+        fn splat(x: i8) -> __m512i { _mm512_set1_epi8(x) }
+        fn load(p: *const u8) -> __m512i { _mm512_loadu_si512(p as *const __m512i) }
+        fn store(p: *mut u8, v: __m512i) { _mm512_storeu_si512(p as *mut __m512i, v) }
+        fn tail(n: usize) -> __mmask64 { (1u64 << n) - 1 }
+        // Masked-off lanes neither fault nor store.
+        fn load_tail(p: *const u8, m: __mmask64) -> __m512i {
+            _mm512_maskz_loadu_epi8(m, p as *const i8)
+        }
+        fn store_tail(p: *mut u8, m: __mmask64, new: __m512i, _old: __m512i) {
+            _mm512_mask_storeu_epi8(p as *mut i8, m, new)
+        }
+        fn store_dir_tail(p: *mut u8, m: __mmask64, d: __m512i) {
+            _mm512_mask_storeu_epi8(p as *mut i8, m, d)
+        }
+
+        fn adds(a: __m512i, b: __m512i) -> __m512i { _mm512_adds_epi8(a, b) }
+        fn subs(a: __m512i, b: __m512i) -> __m512i { _mm512_subs_epi8(a, b) }
+        fn max(a: __m512i, b: __m512i) -> __m512i { _mm512_max_epi8(a, b) }
+        fn subst(tv: __m512i, qv: __m512i, k: &Consts<__m512i>) -> __m512i {
+            let eqm = _mm512_cmpeq_epi8_mask(tv, qv);
+            let amb = _mm512_cmpeq_epi8_mask(tv, k.vfour) | _mm512_cmpeq_epi8_mask(qv, k.vfour);
+            _mm512_mask_blend_epi8(amb, _mm512_mask_blend_epi8(eqm, k.vmis, k.vmatch), k.vambi)
+        }
+        fn dir_bits(
+            s: __m512i, a: __m512i, b: __m512i, za: __m512i, xt: __m512i, yt: __m512i,
+            k: &Consts<__m512i>,
+        ) -> __m512i {
+            let mut d = _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(a, s), k.src_e);
+            d = _mm512_mask_blend_epi8(_mm512_cmpgt_epi8_mask(b, za), d, k.src_f);
+            d = _mm512_or_si512(
+                d,
+                _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(xt, k.zero), k.e_cont),
+            );
+            _mm512_or_si512(
+                d,
+                _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(yt, k.zero), k.f_cont),
+            )
+        }
+
+        // ksw2's shift idiom at 512 bits: within-lane shift, lane-cross
+        // permute, carry OR — per operand, per iteration.
+        fn shift_in(cur: __m512i, carry: __m512i) -> __m512i {
+            _mm512_or_si512(shl1_zero(cur), carry)
+        }
+        fn carry_out(cur: __m512i) -> __m512i { shr63_carry(cur) }
+        fn carry_from(x: i8) -> __m512i { _mm512_maskz_set1_epi8(1, x) }
+
+        fn widen4(v: __m512i) -> [__m512i; 4] {
+            [
+                _mm512_cvtepi8_epi32(_mm512_castsi512_si128(v)),
+                _mm512_cvtepi8_epi32(_mm512_extracti32x4_epi32(v, 1)),
+                _mm512_cvtepi8_epi32(_mm512_extracti32x4_epi32(v, 2)),
+                _mm512_cvtepi8_epi32(_mm512_extracti32x4_epi32(v, 3)),
+            ]
+        }
+        fn w_splat(x: i32) -> __m512i { _mm512_set1_epi32(x) }
+        fn w_load(p: *const i32) -> __m512i { _mm512_loadu_si512(p as *const __m512i) }
+        fn w_store(p: *mut i32, w: __m512i) { _mm512_storeu_si512(p as *mut __m512i, w) }
+        fn w_tail(n: usize) -> __mmask16 { ((1u32 << n.min(16)) - 1) as __mmask16 }
+        fn w_load_tail(p: *const i32, m: __mmask16) -> __m512i {
+            _mm512_maskz_loadu_epi32(m, p)
+        }
+        fn w_store_tail(p: *mut i32, m: __mmask16, new: __m512i, _old: __m512i) {
+            _mm512_mask_storeu_epi32(p, m, new)
+        }
+        fn w_select(m: __mmask16, a: __m512i, b: __m512i) -> __m512i {
+            _mm512_mask_blend_epi32(m, b, a)
+        }
+        fn w_add(a: __m512i, b: __m512i) -> __m512i { _mm512_add_epi32(a, b) }
+        fn w_max(a: __m512i, b: __m512i) -> __m512i { _mm512_max_epi32(a, b) }
+        fn w_reduce_max(w: __m512i) -> i32 { _mm512_reduce_max_epi32(w) }
+        fn w_eq_bits(w: __m512i, x: __m512i) -> u32 { _mm512_cmpeq_epi32_mask(w, x) as u32 }
+    }
+}
+
+/// Equation (3) layout; the byte shift is a within-lane shift plus a qword
+/// permute.
 pub fn align_mm2(
     target: &[u8],
     query: &[u8],
@@ -72,7 +162,7 @@ pub fn align_mm2_with_scratch(
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
-    // SAFETY: features checked above.
+    // SAFETY: feature checked above.
     unsafe { mm2_inner(target, query, sc, mode, with_path, scratch) }
 }
 
@@ -101,19 +191,28 @@ pub fn align_manymap_with_scratch(
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
-    // SAFETY: features checked above.
+    // SAFETY: feature checked above.
     unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
 }
 
-#[inline(always)]
-unsafe fn extract_last(v: __m512i) -> i32 {
-    let lane = _mm512_extracti32x4_epi32(v, 3);
-    _mm_extract_epi8(lane, 15) as i8 as i32
+/// Exact z-drop extension on the Equation (4) step; the inputs are checked
+/// by [`crate::Engine::extend_zdrop_with_scratch`], the only caller.
+pub(crate) fn extend_zdrop(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
+    assert!(available(), "AVX-512BW not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { zdrop_inner(target, query, sc, zdrop, with_path, scratch) }
 }
 
 /// # Safety
-/// Caller must ensure AVX-512F/BW are available — the public wrappers above
-/// assert `available()` before dispatching here.
+/// Caller must ensure AVX-512F/BW are available — the public wrappers above assert
+/// `available()` before dispatching here.
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn mm2_inner(
     target: &[u8],
@@ -123,165 +222,12 @@ unsafe fn mm2_inner(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    let (tlen, qlen) = (target.len(), query.len());
-    let (q, e) = (sc.q, sc.e);
-    let qe = q + e;
-
-    let AlignScratch {
-        u,
-        v,
-        x,
-        y,
-        qr,
-        dir,
-        cigars,
-        ..
-    } = scratch;
-    reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(v, tlen, 0i8);
-    reset_fill(x, tlen, 0i8);
-    reset_fill(y, tlen, -qe as i8);
-    u[0] = -qe as i8;
-
-    let mut dir = if with_path {
-        dir.reset(tlen, qlen);
-        Some(dir)
-    } else {
-        None
-    };
-    let mut tracker = Tracker::new(tlen, qlen);
-
-    let vmatch = _mm512_set1_epi8(sc.a as i8);
-    let vmis = _mm512_set1_epi8(-sc.b as i8);
-    let vambi = _mm512_set1_epi8(-sc.ambi as i8);
-    let vfour = _mm512_set1_epi8(4);
-    let vq = _mm512_set1_epi8(q as i8);
-    let vqe = _mm512_set1_epi8(qe as i8);
-    let zero = _mm512_setzero_si512();
-    let d1 = _mm512_set1_epi8(SRC_E as i8);
-    let d2 = _mm512_set1_epi8(SRC_F as i8);
-    let d4 = _mm512_set1_epi8(E_CONT as i8);
-    let d8 = _mm512_set1_epi8(F_CONT as i8);
-
-    for r in 0..tlen + qlen - 1 {
-        let st = r.saturating_sub(qlen - 1);
-        let en = r.min(tlen - 1);
-        let (mut xlast, mut vlast) = if st == 0 {
-            (-qe, if r == 0 { -qe } else { -e })
-        } else {
-            (x[st - 1] as i32, v[st - 1] as i32)
-        };
-        let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
-        let mut t = st;
-
-        let mut xcarry = _mm512_maskz_set1_epi8(1, xlast as i8);
-        let mut vcarry = _mm512_maskz_set1_epi8(1, vlast as i8);
-        let mut xtop = xlast;
-        let mut vtop = vlast;
-        for _ in 0..n / L {
-            let tv = _mm512_loadu_si512(target.as_ptr().add(t) as *const __m512i);
-            let qv = _mm512_loadu_si512(qr.as_ptr().add(t - st + qbase) as *const __m512i);
-            let eqm = _mm512_cmpeq_epi8_mask(tv, qv);
-            let amb = _mm512_cmpeq_epi8_mask(tv, vfour) | _mm512_cmpeq_epi8_mask(qv, vfour);
-            let mut s = _mm512_mask_blend_epi8(eqm, vmis, vmatch);
-            s = _mm512_mask_blend_epi8(amb, s, vambi);
-
-            let xcur = _mm512_loadu_si512(x.as_ptr().add(t) as *const __m512i);
-            let vcur = _mm512_loadu_si512(v.as_ptr().add(t) as *const __m512i);
-            let ut = _mm512_loadu_si512(u.as_ptr().add(t) as *const __m512i);
-            let yt = _mm512_loadu_si512(y.as_ptr().add(t) as *const __m512i);
-            // ksw2's shift idiom at 512 bits: within-lane shift, lane-cross
-            // permute, carry OR — per operand, per iteration.
-            let xsh = _mm512_or_si512(shl1_zero(xcur), xcarry);
-            let vsh = _mm512_or_si512(shl1_zero(vcur), vcarry);
-            xcarry = shr63_carry(xcur);
-            vcarry = shr63_carry(vcur);
-            xtop = extract_last(xcur);
-            vtop = extract_last(vcur);
-
-            let a = _mm512_adds_epi8(xsh, vsh);
-            let b = _mm512_adds_epi8(yt, ut);
-            let za = _mm512_max_epi8(s, a);
-            let z = _mm512_max_epi8(za, b);
-            let un = _mm512_subs_epi8(z, vsh);
-            let vn = _mm512_subs_epi8(z, ut);
-            let xt = _mm512_adds_epi8(_mm512_subs_epi8(a, z), vq);
-            let yt2 = _mm512_adds_epi8(_mm512_subs_epi8(b, z), vq);
-            let xn = _mm512_subs_epi8(_mm512_max_epi8(xt, zero), vqe);
-            let yn = _mm512_subs_epi8(_mm512_max_epi8(yt2, zero), vqe);
-
-            _mm512_storeu_si512(u.as_mut_ptr().add(t) as *mut __m512i, un);
-            _mm512_storeu_si512(v.as_mut_ptr().add(t) as *mut __m512i, vn);
-            _mm512_storeu_si512(x.as_mut_ptr().add(t) as *mut __m512i, xn);
-            _mm512_storeu_si512(y.as_mut_ptr().add(t) as *mut __m512i, yn);
-
-            if let Some(row) = dir_row.as_deref_mut() {
-                let mut d = _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(a, s), d1);
-                d = _mm512_mask_blend_epi8(_mm512_cmpgt_epi8_mask(b, za), d, d2);
-                d = _mm512_or_si512(
-                    d,
-                    _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(xt, zero), d4),
-                );
-                d = _mm512_or_si512(
-                    d,
-                    _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(yt2, zero), d8),
-                );
-                _mm512_storeu_si512(row.as_mut_ptr().add(t - st) as *mut __m512i, d);
-            }
-            t += L;
-        }
-        if t > st {
-            xlast = xtop;
-            vlast = vtop;
-        }
-        while t <= en {
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) =
-                cell_update(s, xlast, vlast, y[t] as i32, u[t] as i32, q, qe);
-            xlast = x[t] as i32;
-            vlast = v[t] as i32;
-            u[t] = unw;
-            v[t] = vnw;
-            x[t] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
-        }
-        tracker.diag(
-            r,
-            st,
-            en,
-            u[st] as i32,
-            u[en] as i32,
-            v[0] as i32,
-            v[en] as i32,
-            qe,
-        );
-    }
-
-    let (score, end_i, end_j) = tracker.finalize(mode);
-    let cigar = dir.map(|d| {
-        let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
-        c
-    });
-    AlignResult {
-        score,
-        end_i,
-        end_j,
-        cigar,
-        cells: tlen as u64 * qlen as u64,
-    }
+    kernel::fill_mm2::<Avx512>(target, query, sc, mode, with_path, scratch)
 }
 
 /// # Safety
-/// Caller must ensure AVX-512F/BW are available — the public wrappers above
-/// assert `available()` before dispatching here.
+/// Caller must ensure AVX-512F/BW are available — the public wrappers above assert
+/// `available()` before dispatching here.
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn manymap_inner(
     target: &[u8],
@@ -291,141 +237,22 @@ unsafe fn manymap_inner(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    let (tlen, qlen) = (target.len(), query.len());
-    let (q, e) = (sc.q, sc.e);
-    let qe = q + e;
+    kernel::fill_manymap::<Avx512>(target, query, sc, mode, with_path, scratch)
+}
 
-    let AlignScratch {
-        u,
-        v,
-        x,
-        y,
-        qr,
-        dir,
-        cigars,
-        ..
-    } = scratch;
-    reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(y, tlen, -qe as i8);
-    u[0] = -qe as i8;
-    reset_fill(v, qlen + 1, -e as i8);
-    reset_fill(x, qlen + 1, -qe as i8);
-    v[qlen] = -qe as i8;
-
-    let mut dir = if with_path {
-        dir.reset(tlen, qlen);
-        Some(dir)
-    } else {
-        None
-    };
-    let mut tracker = Tracker::new(tlen, qlen);
-
-    let vmatch = _mm512_set1_epi8(sc.a as i8);
-    let vmis = _mm512_set1_epi8(-sc.b as i8);
-    let vambi = _mm512_set1_epi8(-sc.ambi as i8);
-    let vfour = _mm512_set1_epi8(4);
-    let vq = _mm512_set1_epi8(q as i8);
-    let vqe = _mm512_set1_epi8(qe as i8);
-    let zero = _mm512_setzero_si512();
-    let d1 = _mm512_set1_epi8(SRC_E as i8);
-    let d2 = _mm512_set1_epi8(SRC_F as i8);
-    let d4 = _mm512_set1_epi8(E_CONT as i8);
-    let d8 = _mm512_set1_epi8(F_CONT as i8);
-
-    for r in 0..tlen + qlen - 1 {
-        let st = r.saturating_sub(qlen - 1);
-        let en = r.min(tlen - 1);
-        let off = st + qlen - r;
-        let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
-        let mut t = st;
-
-        for _ in 0..n / L {
-            let tp = t - st + off;
-            let tv = _mm512_loadu_si512(target.as_ptr().add(t) as *const __m512i);
-            let qv = _mm512_loadu_si512(qr.as_ptr().add(t - st + qbase) as *const __m512i);
-            let eqm = _mm512_cmpeq_epi8_mask(tv, qv);
-            let amb = _mm512_cmpeq_epi8_mask(tv, vfour) | _mm512_cmpeq_epi8_mask(qv, vfour);
-            let mut s = _mm512_mask_blend_epi8(eqm, vmis, vmatch);
-            s = _mm512_mask_blend_epi8(amb, s, vambi);
-
-            let xt0 = _mm512_loadu_si512(x.as_ptr().add(tp) as *const __m512i);
-            let vt0 = _mm512_loadu_si512(v.as_ptr().add(tp) as *const __m512i);
-            let ut = _mm512_loadu_si512(u.as_ptr().add(t) as *const __m512i);
-            let yt = _mm512_loadu_si512(y.as_ptr().add(t) as *const __m512i);
-
-            let a = _mm512_adds_epi8(xt0, vt0);
-            let b = _mm512_adds_epi8(yt, ut);
-            let za = _mm512_max_epi8(s, a);
-            let z = _mm512_max_epi8(za, b);
-            let un = _mm512_subs_epi8(z, vt0);
-            let vn = _mm512_subs_epi8(z, ut);
-            let xt = _mm512_adds_epi8(_mm512_subs_epi8(a, z), vq);
-            let yt2 = _mm512_adds_epi8(_mm512_subs_epi8(b, z), vq);
-            let xn = _mm512_subs_epi8(_mm512_max_epi8(xt, zero), vqe);
-            let yn = _mm512_subs_epi8(_mm512_max_epi8(yt2, zero), vqe);
-
-            _mm512_storeu_si512(u.as_mut_ptr().add(t) as *mut __m512i, un);
-            _mm512_storeu_si512(v.as_mut_ptr().add(tp) as *mut __m512i, vn);
-            _mm512_storeu_si512(x.as_mut_ptr().add(tp) as *mut __m512i, xn);
-            _mm512_storeu_si512(y.as_mut_ptr().add(t) as *mut __m512i, yn);
-
-            if let Some(row) = dir_row.as_deref_mut() {
-                let mut d = _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(a, s), d1);
-                d = _mm512_mask_blend_epi8(_mm512_cmpgt_epi8_mask(b, za), d, d2);
-                d = _mm512_or_si512(
-                    d,
-                    _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(xt, zero), d4),
-                );
-                d = _mm512_or_si512(
-                    d,
-                    _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(yt2, zero), d8),
-                );
-                _mm512_storeu_si512(row.as_mut_ptr().add(t - st) as *mut __m512i, d);
-            }
-            t += L;
-        }
-        while t <= en {
-            let tp = t - st + off;
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) = cell_update(
-                s,
-                x[tp] as i32,
-                v[tp] as i32,
-                y[t] as i32,
-                u[t] as i32,
-                q,
-                qe,
-            );
-            u[t] = unw;
-            v[tp] = vnw;
-            x[tp] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
-        }
-        let v_st0 = v[qlen - r.min(qlen)] as i32;
-        let v_en = v[en + qlen - r] as i32;
-        tracker.diag(r, st, en, u[st] as i32, u[en] as i32, v_st0, v_en, qe);
-    }
-
-    let (score, end_i, end_j) = tracker.finalize(mode);
-    let cigar = dir.map(|d| {
-        let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
-        c
-    });
-    AlignResult {
-        score,
-        end_i,
-        end_j,
-        cigar,
-        cells: tlen as u64 * qlen as u64,
-    }
+/// # Safety
+/// Caller must ensure AVX-512F/BW are available — `extend_zdrop` above asserts
+/// `available()` before dispatching here.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn zdrop_inner(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
+    kernel::extend_zdrop::<Avx512>(target, query, sc, zdrop, with_path, scratch)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.
@@ -446,23 +273,8 @@ mod tests {
 
     #[test]
     fn handles_vector_boundary_lengths() {
-        if !available() {
-            return;
-        }
-        for len in [63usize, 64, 65, 127, 128, 129, 192] {
-            let t: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 4) as u8).collect();
-            let q: Vec<u8> = (0..len).map(|i| ((i * 5 + 1) % 4) as u8).collect();
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
-            assert_eq!(
-                align_mm2(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
+        if available() {
+            super::super::tests::check_vector_boundary_lengths(64, align_mm2, align_manymap);
         }
     }
 

@@ -2,16 +2,104 @@
 
 use core::arch::x86_64::*;
 
-use crate::diff::{backtrack_into, cell_update, degenerate, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
+use super::{isa_fns, kernel, Consts, Isa};
+use crate::diff::degenerate;
+use crate::extend::ExtendResult;
 use crate::score::Scoring;
-use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
+use crate::scratch::AlignScratch;
 use crate::types::{AlignMode, AlignResult};
-
-const L: usize = 16;
 
 /// Runtime support check for this module's kernels.
 pub fn available() -> bool {
     is_x86_feature_detected!("sse4.1")
+}
+
+/// The 128-bit tier. A diagonal's last step loads and stores whole vectors
+/// over arrays padded by one vector, blending the stored lanes against a
+/// lane-index mask.
+struct Sse;
+
+impl Isa for Sse {
+    type V = __m128i;
+    type W = __m128i;
+    type M = __m128i;
+    type MW = __m128i;
+    const L: usize = 16;
+    const PAD: usize = 16;
+
+    isa_fns! {
+        fn splat(x: i8) -> __m128i { _mm_set1_epi8(x) }
+        fn load(p: *const u8) -> __m128i { _mm_loadu_si128(p as *const __m128i) }
+        fn store(p: *mut u8, v: __m128i) { _mm_storeu_si128(p as *mut __m128i, v) }
+        fn tail(n: usize) -> __m128i {
+            let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            _mm_cmpgt_epi8(_mm_set1_epi8(n as i8), lane)
+        }
+        fn load_tail(p: *const u8, _m: __m128i) -> __m128i { _mm_loadu_si128(p as *const __m128i) }
+        fn store_tail(p: *mut u8, m: __m128i, new: __m128i, old: __m128i) {
+            _mm_storeu_si128(p as *mut __m128i, _mm_blendv_epi8(old, new, m))
+        }
+        fn store_dir_tail(p: *mut u8, _m: __m128i, d: __m128i) {
+            _mm_storeu_si128(p as *mut __m128i, d)
+        }
+
+        fn adds(a: __m128i, b: __m128i) -> __m128i { _mm_adds_epi8(a, b) }
+        fn subs(a: __m128i, b: __m128i) -> __m128i { _mm_subs_epi8(a, b) }
+        fn max(a: __m128i, b: __m128i) -> __m128i { _mm_max_epi8(a, b) }
+        fn subst(tv: __m128i, qv: __m128i, k: &Consts<__m128i>) -> __m128i {
+            let eqm = _mm_cmpeq_epi8(tv, qv);
+            let amb = _mm_or_si128(_mm_cmpeq_epi8(tv, k.vfour), _mm_cmpeq_epi8(qv, k.vfour));
+            _mm_blendv_epi8(_mm_blendv_epi8(k.vmis, k.vmatch, eqm), k.vambi, amb)
+        }
+        fn dir_bits(
+            s: __m128i, a: __m128i, b: __m128i, za: __m128i, xt: __m128i, yt: __m128i,
+            k: &Consts<__m128i>,
+        ) -> __m128i {
+            let mut d = _mm_and_si128(_mm_cmpgt_epi8(a, s), k.src_e);
+            d = _mm_blendv_epi8(d, k.src_f, _mm_cmpgt_epi8(b, za));
+            d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(xt, k.zero), k.e_cont));
+            _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(yt, k.zero), k.f_cont))
+        }
+
+        // Eq. 3's shift is one `pslldq` + `por` per operand, plus a `psrldq`
+        // for the next carry.
+        fn shift_in(cur: __m128i, carry: __m128i) -> __m128i {
+            _mm_or_si128(_mm_bslli_si128(cur, 1), carry)
+        }
+        fn carry_out(cur: __m128i) -> __m128i { _mm_bsrli_si128(cur, 15) }
+        fn carry_from(x: i8) -> __m128i { _mm_insert_epi8(_mm_setzero_si128(), x as i32, 0) }
+
+        fn widen4(v: __m128i) -> [__m128i; 4] {
+            [
+                _mm_cvtepi8_epi32(v),
+                _mm_cvtepi8_epi32(_mm_bsrli_si128(v, 4)),
+                _mm_cvtepi8_epi32(_mm_bsrli_si128(v, 8)),
+                _mm_cvtepi8_epi32(_mm_bsrli_si128(v, 12)),
+            ]
+        }
+        fn w_splat(x: i32) -> __m128i { _mm_set1_epi32(x) }
+        fn w_load(p: *const i32) -> __m128i { _mm_loadu_si128(p as *const __m128i) }
+        fn w_store(p: *mut i32, w: __m128i) { _mm_storeu_si128(p as *mut __m128i, w) }
+        fn w_tail(n: usize) -> __m128i {
+            _mm_cmpgt_epi32(_mm_set1_epi32(n.min(4) as i32), _mm_setr_epi32(0, 1, 2, 3))
+        }
+        fn w_load_tail(p: *const i32, _m: __m128i) -> __m128i {
+            _mm_loadu_si128(p as *const __m128i)
+        }
+        fn w_store_tail(p: *mut i32, m: __m128i, new: __m128i, old: __m128i) {
+            _mm_storeu_si128(p as *mut __m128i, _mm_blendv_epi8(old, new, m))
+        }
+        fn w_select(m: __m128i, a: __m128i, b: __m128i) -> __m128i { _mm_blendv_epi8(b, a, m) }
+        fn w_add(a: __m128i, b: __m128i) -> __m128i { _mm_add_epi32(a, b) }
+        fn w_max(a: __m128i, b: __m128i) -> __m128i { _mm_max_epi32(a, b) }
+        fn w_reduce_max(w: __m128i) -> i32 {
+            let m = _mm_max_epi32(w, _mm_shuffle_epi32(w, 0b01_00_11_10));
+            _mm_cvtsi128_si32(_mm_max_epi32(m, _mm_shuffle_epi32(m, 0b10_11_00_01)))
+        }
+        fn w_eq_bits(w: __m128i, x: __m128i) -> u32 {
+            _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(w, x))) as u32
+        }
+    }
 }
 
 /// Equation (3) layout, vectorized with the `palignr` byte-shift
@@ -73,6 +161,21 @@ pub fn align_manymap_with_scratch(
     unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
 }
 
+/// Exact z-drop extension on the Equation (4) step; the inputs are checked
+/// by [`crate::Engine::extend_zdrop_with_scratch`], the only caller.
+pub(crate) fn extend_zdrop(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
+    assert!(available(), "SSE4.1 not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { zdrop_inner(target, query, sc, zdrop, with_path, scratch) }
+}
+
 /// # Safety
 /// Caller must ensure SSE4.1 is available — the public wrappers above assert
 /// `available()` before dispatching here.
@@ -85,158 +188,7 @@ unsafe fn mm2_inner(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    let (tlen, qlen) = (target.len(), query.len());
-    let (q, e) = (sc.q, sc.e);
-    let qe = q + e;
-
-    let AlignScratch {
-        u,
-        v,
-        x,
-        y,
-        qr,
-        dir,
-        cigars,
-        ..
-    } = scratch;
-    reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(v, tlen, 0i8);
-    reset_fill(x, tlen, 0i8);
-    reset_fill(y, tlen, -qe as i8);
-    u[0] = -qe as i8;
-
-    let mut dir = if with_path {
-        dir.reset(tlen, qlen);
-        Some(dir)
-    } else {
-        None
-    };
-    let mut tracker = Tracker::new(tlen, qlen);
-
-    let vmatch = _mm_set1_epi8(sc.a as i8);
-    let vmis = _mm_set1_epi8(-sc.b as i8);
-    let vambi = _mm_set1_epi8(-sc.ambi as i8);
-    let vfour = _mm_set1_epi8(4);
-    let vq = _mm_set1_epi8(q as i8);
-    let vqe = _mm_set1_epi8(qe as i8);
-    let zero = _mm_setzero_si128();
-    let d1 = _mm_set1_epi8(SRC_E as i8);
-    let d2 = _mm_set1_epi8(SRC_F as i8);
-    let d4 = _mm_set1_epi8(E_CONT as i8);
-    let d8 = _mm_set1_epi8(F_CONT as i8);
-
-    for r in 0..tlen + qlen - 1 {
-        let st = r.saturating_sub(qlen - 1);
-        let en = r.min(tlen - 1);
-        let (mut xlast, mut vlast) = if st == 0 {
-            (-qe, if r == 0 { -qe } else { -e })
-        } else {
-            (x[st - 1] as i32, v[st - 1] as i32)
-        };
-        let qbase = st + qlen - 1 - r; // qr index of the first cell
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
-        let mut t = st;
-
-        // ksw2's shift idiom: the byte entering lane 0 is carried in a
-        // separate vector; each operand costs a pslldq + por (plus a psrldq
-        // to produce the next carry) — the extra shift instructions of
-        // Figure 3a.
-        let mut xcarry = _mm_insert_epi8(_mm_setzero_si128(), xlast, 0);
-        let mut vcarry = _mm_insert_epi8(_mm_setzero_si128(), vlast, 0);
-        let mut xtop = xlast; // old X[t-1] for the scalar tail
-        let mut vtop = vlast;
-        for _ in 0..n / L {
-            let tv = _mm_loadu_si128(target.as_ptr().add(t) as *const __m128i);
-            let qv = _mm_loadu_si128(qr.as_ptr().add(t - st + qbase) as *const __m128i);
-            let eqm = _mm_cmpeq_epi8(tv, qv);
-            let amb = _mm_or_si128(_mm_cmpeq_epi8(tv, vfour), _mm_cmpeq_epi8(qv, vfour));
-            let mut s = _mm_blendv_epi8(vmis, vmatch, eqm);
-            s = _mm_blendv_epi8(s, vambi, amb);
-
-            let xcur = _mm_loadu_si128(x.as_ptr().add(t) as *const __m128i);
-            let vcur = _mm_loadu_si128(v.as_ptr().add(t) as *const __m128i);
-            let ut = _mm_loadu_si128(u.as_ptr().add(t) as *const __m128i);
-            let yt = _mm_loadu_si128(y.as_ptr().add(t) as *const __m128i);
-            // Figure 3a: the shifted load of the previous diagonal's X/V.
-            let xsh = _mm_or_si128(_mm_bslli_si128(xcur, 1), xcarry);
-            let vsh = _mm_or_si128(_mm_bslli_si128(vcur, 1), vcarry);
-            xcarry = _mm_bsrli_si128(xcur, 15);
-            vcarry = _mm_bsrli_si128(vcur, 15);
-            xtop = _mm_extract_epi8(xcur, 15) as i8 as i32;
-            vtop = _mm_extract_epi8(vcur, 15) as i8 as i32;
-
-            let a = _mm_adds_epi8(xsh, vsh);
-            let b = _mm_adds_epi8(yt, ut);
-            let za = _mm_max_epi8(s, a);
-            let z = _mm_max_epi8(za, b);
-            let un = _mm_subs_epi8(z, vsh);
-            let vn = _mm_subs_epi8(z, ut);
-            let xt = _mm_adds_epi8(_mm_subs_epi8(a, z), vq);
-            let yt2 = _mm_adds_epi8(_mm_subs_epi8(b, z), vq);
-            let xn = _mm_subs_epi8(_mm_max_epi8(xt, zero), vqe);
-            let yn = _mm_subs_epi8(_mm_max_epi8(yt2, zero), vqe);
-
-            _mm_storeu_si128(u.as_mut_ptr().add(t) as *mut __m128i, un);
-            _mm_storeu_si128(v.as_mut_ptr().add(t) as *mut __m128i, vn);
-            _mm_storeu_si128(x.as_mut_ptr().add(t) as *mut __m128i, xn);
-            _mm_storeu_si128(y.as_mut_ptr().add(t) as *mut __m128i, yn);
-
-            if let Some(row) = dir_row.as_deref_mut() {
-                let mut d = _mm_and_si128(_mm_cmpgt_epi8(a, s), d1);
-                d = _mm_blendv_epi8(d, d2, _mm_cmpgt_epi8(b, za));
-                d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(xt, zero), d4));
-                d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(yt2, zero), d8));
-                _mm_storeu_si128(row.as_mut_ptr().add(t - st) as *mut __m128i, d);
-            }
-            t += L;
-        }
-        if t > st {
-            // Hand the last old X/V lane to the scalar tail.
-            xlast = xtop;
-            vlast = vtop;
-        }
-        while t <= en {
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) =
-                cell_update(s, xlast, vlast, y[t] as i32, u[t] as i32, q, qe);
-            xlast = x[t] as i32;
-            vlast = v[t] as i32;
-            u[t] = unw;
-            v[t] = vnw;
-            x[t] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
-        }
-        tracker.diag(
-            r,
-            st,
-            en,
-            u[st] as i32,
-            u[en] as i32,
-            v[0] as i32,
-            v[en] as i32,
-            qe,
-        );
-    }
-
-    let (score, end_i, end_j) = tracker.finalize(mode);
-    let cigar = dir.map(|d| {
-        let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
-        c
-    });
-    AlignResult {
-        score,
-        end_i,
-        end_j,
-        cigar,
-        cells: tlen as u64 * qlen as u64,
-    }
+    kernel::fill_mm2::<Sse>(target, query, sc, mode, with_path, scratch)
 }
 
 /// # Safety
@@ -251,136 +203,22 @@ unsafe fn manymap_inner(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    let (tlen, qlen) = (target.len(), query.len());
-    let (q, e) = (sc.q, sc.e);
-    let qe = q + e;
+    kernel::fill_manymap::<Sse>(target, query, sc, mode, with_path, scratch)
+}
 
-    let AlignScratch {
-        u,
-        v,
-        x,
-        y,
-        qr,
-        dir,
-        cigars,
-        ..
-    } = scratch;
-    reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(y, tlen, -qe as i8);
-    u[0] = -qe as i8;
-    reset_fill(v, qlen + 1, -e as i8);
-    reset_fill(x, qlen + 1, -qe as i8);
-    v[qlen] = -qe as i8;
-
-    let mut dir = if with_path {
-        dir.reset(tlen, qlen);
-        Some(dir)
-    } else {
-        None
-    };
-    let mut tracker = Tracker::new(tlen, qlen);
-
-    let vmatch = _mm_set1_epi8(sc.a as i8);
-    let vmis = _mm_set1_epi8(-sc.b as i8);
-    let vambi = _mm_set1_epi8(-sc.ambi as i8);
-    let vfour = _mm_set1_epi8(4);
-    let vq = _mm_set1_epi8(q as i8);
-    let vqe = _mm_set1_epi8(qe as i8);
-    let zero = _mm_setzero_si128();
-    let d1 = _mm_set1_epi8(SRC_E as i8);
-    let d2 = _mm_set1_epi8(SRC_F as i8);
-    let d4 = _mm_set1_epi8(E_CONT as i8);
-    let d8 = _mm_set1_epi8(F_CONT as i8);
-
-    for r in 0..tlen + qlen - 1 {
-        let st = r.saturating_sub(qlen - 1);
-        let en = r.min(tlen - 1);
-        let off = st + qlen - r; // t' of the first cell
-        let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
-        let mut t = st;
-
-        for _ in 0..n / L {
-            let tp = t - st + off;
-            let tv = _mm_loadu_si128(target.as_ptr().add(t) as *const __m128i);
-            let qv = _mm_loadu_si128(qr.as_ptr().add(t - st + qbase) as *const __m128i);
-            let eqm = _mm_cmpeq_epi8(tv, qv);
-            let amb = _mm_or_si128(_mm_cmpeq_epi8(tv, vfour), _mm_cmpeq_epi8(qv, vfour));
-            let mut s = _mm_blendv_epi8(vmis, vmatch, eqm);
-            s = _mm_blendv_epi8(s, vambi, amb);
-
-            // Figure 3b: one plain load per operand, no shifts.
-            let xt0 = _mm_loadu_si128(x.as_ptr().add(tp) as *const __m128i);
-            let vt0 = _mm_loadu_si128(v.as_ptr().add(tp) as *const __m128i);
-            let ut = _mm_loadu_si128(u.as_ptr().add(t) as *const __m128i);
-            let yt = _mm_loadu_si128(y.as_ptr().add(t) as *const __m128i);
-
-            let a = _mm_adds_epi8(xt0, vt0);
-            let b = _mm_adds_epi8(yt, ut);
-            let za = _mm_max_epi8(s, a);
-            let z = _mm_max_epi8(za, b);
-            let un = _mm_subs_epi8(z, vt0);
-            let vn = _mm_subs_epi8(z, ut);
-            let xt = _mm_adds_epi8(_mm_subs_epi8(a, z), vq);
-            let yt2 = _mm_adds_epi8(_mm_subs_epi8(b, z), vq);
-            let xn = _mm_subs_epi8(_mm_max_epi8(xt, zero), vqe);
-            let yn = _mm_subs_epi8(_mm_max_epi8(yt2, zero), vqe);
-
-            _mm_storeu_si128(u.as_mut_ptr().add(t) as *mut __m128i, un);
-            _mm_storeu_si128(v.as_mut_ptr().add(tp) as *mut __m128i, vn);
-            _mm_storeu_si128(x.as_mut_ptr().add(tp) as *mut __m128i, xn);
-            _mm_storeu_si128(y.as_mut_ptr().add(t) as *mut __m128i, yn);
-
-            if let Some(row) = dir_row.as_deref_mut() {
-                let mut d = _mm_and_si128(_mm_cmpgt_epi8(a, s), d1);
-                d = _mm_blendv_epi8(d, d2, _mm_cmpgt_epi8(b, za));
-                d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(xt, zero), d4));
-                d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(yt2, zero), d8));
-                _mm_storeu_si128(row.as_mut_ptr().add(t - st) as *mut __m128i, d);
-            }
-            t += L;
-        }
-        while t <= en {
-            let tp = t - st + off;
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) = cell_update(
-                s,
-                x[tp] as i32,
-                v[tp] as i32,
-                y[t] as i32,
-                u[t] as i32,
-                q,
-                qe,
-            );
-            u[t] = unw;
-            v[tp] = vnw;
-            x[tp] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
-        }
-        let v_st0 = v[qlen - r.min(qlen)] as i32;
-        let v_en = v[en + qlen - r] as i32;
-        tracker.diag(r, st, en, u[st] as i32, u[en] as i32, v_st0, v_en, qe);
-    }
-
-    let (score, end_i, end_j) = tracker.finalize(mode);
-    let cigar = dir.map(|d| {
-        let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
-        c
-    });
-    AlignResult {
-        score,
-        end_i,
-        end_j,
-        cigar,
-        cells: tlen as u64 * qlen as u64,
-    }
+/// # Safety
+/// Caller must ensure SSE4.1 is available — `extend_zdrop` above asserts
+/// `available()` before dispatching here.
+#[target_feature(enable = "sse4.1")]
+unsafe fn zdrop_inner(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
+    kernel::extend_zdrop::<Sse>(target, query, sc, zdrop, with_path, scratch)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.
@@ -441,23 +279,8 @@ mod tests {
 
     #[test]
     fn handles_vector_boundary_lengths() {
-        if !available() {
-            return;
-        }
-        // Lengths straddling the 16-lane chunk boundary.
-        for len in [15usize, 16, 17, 31, 32, 33, 48] {
-            let (t, q) = random_pair(len as u64, len, 2);
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
-            assert_eq!(
-                align_mm2(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
+        if available() {
+            super::super::tests::check_vector_boundary_lengths(16, align_mm2, align_manymap);
         }
     }
 

@@ -333,7 +333,7 @@ pub fn align_manymap_2p_with_scratch(
         let st = r.saturating_sub(qlen - 1);
         let en = r.min(tlen - 1);
         let off = st + qlen - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
+        let mut dir_row = dir.as_mut().map(|d| d.push_row());
         for t in st..=en {
             let tp = t - st + off;
             let s = sc.subst(target[t], query[r - t]);

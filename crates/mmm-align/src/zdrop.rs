@@ -11,10 +11,20 @@
 //! swept downward.
 //!
 //! The kernel itself is the dependency-free Eq. 4 layout, so the extension
-//! inherits manymap's memory behaviour.
+//! inherits manymap's memory behaviour — and its vector lanes: the SIMD
+//! tiers run the same in-place step as the fill kernels, then the 32-bit
+//! pass sixteen lanes at a time and one max-reduce per diagonal
+//! (`simd::kernel::extend_zdrop`). This file keeps the scalar kernel, which
+//! is the `Width::Scalar` path and the oracle of the differential tests.
+//!
+//! Tie rule, identical on every tier: the best cell is the first diagonal
+//! that reaches the overall maximum and the smallest `t` on it.
+//!
+//! The direction matrix grows one diagonal at a time, so an extension that
+//! z-drops early has touched (and holds) only the rows it computed.
 
-use crate::cigar::Cigar;
-use crate::diff::{backtrack_into, cell_update, Tracker};
+use crate::diff::{backtrack_into, cell_update};
+use crate::dispatch::best_engine;
 use crate::extend::ExtendResult;
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, AlignScratch};
@@ -41,7 +51,8 @@ pub fn extend_zdrop(
     )
 }
 
-/// [`extend_zdrop`] with caller-provided buffers.
+/// [`extend_zdrop`] with caller-provided buffers, on the widest available
+/// vector tier ([`crate::Engine::extend_zdrop_with_scratch`] picks another).
 pub fn extend_zdrop_with_scratch(
     target: &[u8],
     query: &[u8],
@@ -50,16 +61,20 @@ pub fn extend_zdrop_with_scratch(
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
-    if target.is_empty() || query.is_empty() {
-        return ExtendResult {
-            score: 0,
-            t_consumed: 0,
-            q_consumed: 0,
-            cigar: Cigar::new(),
-        };
-    }
-    assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
-    assert!(zdrop > 0, "zdrop must be positive");
+    best_engine().extend_zdrop_with_scratch(target, query, sc, zdrop, with_path, scratch)
+}
+
+/// The scalar extension: the `Width::Scalar` kernel and the oracle the
+/// vector kernels in [`crate::simd`] are tested against. Inputs are
+/// non-empty and checked by [`crate::Engine::extend_zdrop_with_scratch`].
+pub(crate) fn extend_scalar(
+    target: &[u8],
+    query: &[u8],
+    sc: &Scoring,
+    zdrop: i32,
+    with_path: bool,
+    scratch: &mut AlignScratch,
+) -> ExtendResult {
     let (tlen, qlen) = (target.len(), query.len());
     let (q, e) = (sc.q, sc.e);
     let qe = q + e;
@@ -93,14 +108,13 @@ pub fn extend_zdrop_with_scratch(
     } else {
         None
     };
-    let mut tracker = Tracker::new(tlen, qlen); // keeps invariants exercised
     let mut best = (i32::MIN, 0usize, 0usize); // (score, i, j)
 
     for r in 0..tlen + qlen - 1 {
         let st = r.saturating_sub(qlen - 1);
         let en = r.min(tlen - 1);
         let off = st + qlen - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
+        let mut dir_row = dir.as_mut().map(|d| d.push_row());
         let mut diag_best = i32::MIN;
         for t in st..=en {
             let tp = t - st + off;
@@ -134,26 +148,15 @@ pub fn extend_zdrop_with_scratch(
                 best = (h, t, r - t);
             }
         }
-        let v_st0 = v[qlen - r.min(qlen)] as i32;
-        let v_en = v[en + qlen - r] as i32;
-        tracker.diag(r, st, en, u[st] as i32, u[en] as i32, v_st0, v_en, qe);
 
         // z-drop: the whole frontier fell too far below the best cell.
         if best.0 - diag_best > zdrop {
             break;
         }
     }
-    // The tracker's global invariant only holds if we ran to completion;
-    // consume it without asserting.
-    let _ = tracker;
 
     if best.0 <= 0 {
-        return ExtendResult {
-            score: 0,
-            t_consumed: 0,
-            q_consumed: 0,
-            cigar: Cigar::new(),
-        };
+        return ExtendResult::empty();
     }
     let cigar = dir
         .map(|d| {
@@ -173,12 +176,10 @@ pub fn extend_zdrop_with_scratch(
 /// Convenience: minimap2's default z-drop for long reads (`-z 400`).
 pub const DEFAULT_ZDROP: i32 = 400;
 
-#[allow(unused_imports)]
-use crate::types::AlignResult; // referenced by docs
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{Engine, Layout, Width};
 
     const SC: Scoring = Scoring::MAP_ONT;
 
@@ -232,16 +233,27 @@ mod tests {
 
     #[test]
     fn matches_max_cell_reference_without_zdrop() {
-        for (len, seed) in [(40usize, 1u64), (120, 2), (300, 3)] {
-            let (t, q) = noisy(len, seed);
-            let (score, bi, bj) = reference_extension(&t, &q, &SC);
-            let r = extend_zdrop(&t, &q, &SC, i32::MAX, true);
-            assert_eq!(r.score, score.max(0), "len={len}");
-            if score > 0 {
-                assert_eq!((r.t_consumed, r.q_consumed), (bi, bj), "len={len}");
-                assert_eq!(r.cigar.score(&t, &q, &SC), r.score);
-                assert_eq!(r.cigar.target_len() as usize, r.t_consumed);
-                assert_eq!(r.cigar.query_len() as usize, r.q_consumed);
+        // The scalar oracle, and every width as `Engine` dispatches it,
+        // against an independent full-matrix DP (`simd::tests` holds the
+        // tiers' own kernels to the oracle).
+        for width in Width::ALL.into_iter().filter(|w| w.is_available()) {
+            let engine = Engine::new(Layout::Manymap, width);
+            let mut scratch = AlignScratch::new();
+            for (len, seed) in [(40usize, 1u64), (120, 2), (300, 3)] {
+                let (t, q) = noisy(len, seed);
+                let (score, bi, bj) = reference_extension(&t, &q, &SC);
+                let r = engine.extend_zdrop_with_scratch(&t, &q, &SC, i32::MAX, true, &mut scratch);
+                assert_eq!(r.score, score.max(0), "{width:?} len={len}");
+                if score > 0 {
+                    assert_eq!(
+                        (r.t_consumed, r.q_consumed),
+                        (bi, bj),
+                        "{width:?} len={len}"
+                    );
+                    assert_eq!(r.cigar.score(&t, &q, &SC), r.score);
+                    assert_eq!(r.cigar.target_len() as usize, r.t_consumed);
+                    assert_eq!(r.cigar.query_len() as usize, r.q_consumed);
+                }
             }
         }
     }

@@ -7,7 +7,9 @@
 //! compute the same recurrence, and every SIMD width must be bit-compatible
 //! with scalar). Layout/dependency bugs in these kernels are silent
 //! wrong-answer bugs, not crashes — this is the harness that makes them
-//! loud.
+//! loud. The z-drop extension rides the same stream: each engine's
+//! `extend_zdrop_with_scratch` (a vector kernel per width) against the
+//! scalar extension, on score, consumed prefixes and CIGAR.
 //!
 //! The oracle also audits the PR-1 zero-allocation contract: each engine
 //! keeps one scratch arena across the whole stream, and replaying the
@@ -27,7 +29,9 @@
 //! per-base reads, and end-to-end PAF output of a packed-index mapper vs.
 //! a legacy-index mapper across every available engine — all bit-exact.
 
-use mmm_align::{AlignMode, AlignResult, AlignScratch, Engine, Layout, Scoring, Width};
+use mmm_align::{
+    AlignMode, AlignResult, AlignScratch, Engine, ExtendResult, Layout, Scoring, Width,
+};
 use mmm_exec::{prepare, AlignJob, BackendKind, BackendOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,6 +39,11 @@ use rand::{Rng, SeedableRng};
 /// Lane-boundary lengths every run must cover (the off-by-one surface of
 /// the 16/32/64-lane kernels), before the random sizes start.
 const EDGE_LENS: [usize; 10] = [1, 2, 15, 16, 17, 31, 32, 33, 63, 65];
+
+/// Lengths past which `Engine` stops handing a problem to a narrower tier
+/// (its longest diagonal fills eight 32- resp. 64-lane vectors): without
+/// these the stream would only ever run the 128-bit kernels.
+const LONG_LENS: [usize; 3] = [300, 560, 700];
 
 struct Case {
     target: Vec<u8>,
@@ -80,13 +89,15 @@ fn make_cases(cases: usize, seed: u64) -> Vec<Case> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(cases);
     for i in 0..cases {
-        let tlen = if i < EDGE_LENS.len() {
-            EDGE_LENS[i]
-        } else {
-            rng.random_range(1usize..160)
+        let long = i
+            .checked_sub(EDGE_LENS.len())
+            .and_then(|k| LONG_LENS.get(k));
+        let tlen = match (EDGE_LENS.get(i), long) {
+            (Some(&len), _) | (_, Some(&len)) => len,
+            _ => rng.random_range(1usize..160),
         };
         let target = random_seq(&mut rng, tlen);
-        let query = if rng.random_bool(0.75) {
+        let query = if long.is_some() || rng.random_bool(0.75) {
             mutate(&mut rng, &target)
         } else {
             let qlen = rng.random_range(1usize..160);
@@ -126,6 +137,25 @@ fn diff(i: usize, case: &Case, engine: Engine, got: &AlignResult, want: &AlignRe
     )
 }
 
+/// Tight, minimap2's default and disabled: the extension stops on a
+/// different diagonal under each.
+const ZDROPS: [i32; 3] = [50, 400, i32::MAX];
+
+/// Extension of case `i` on `engine`, with a path and score-only.
+fn extend_both(
+    i: usize,
+    case: &Case,
+    engine: Engine,
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+) -> (ExtendResult, ExtendResult) {
+    let zdrop = ZDROPS[i % ZDROPS.len()];
+    let mut run = |with_path| {
+        engine.extend_zdrop_with_scratch(&case.target, &case.query, sc, zdrop, with_path, scratch)
+    };
+    (run(true), run(false))
+}
+
 /// Run the oracle. Returns a one-line summary on success and a full
 /// reproduction recipe (case index, seed, engine) on the first divergence.
 pub fn run(cases: usize, seed: u64) -> Result<String, String> {
@@ -140,9 +170,21 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     // Pass 1: differential check, one persistent scratch per engine.
     let mut scratches: Vec<AlignScratch> = engines.iter().map(|_| AlignScratch::new()).collect();
     let mut golds: Vec<AlignResult> = Vec::with_capacity(stream.len());
+    let mut gold_scratch = AlignScratch::new();
     for (i, case) in stream.iter().enumerate() {
         let gold = gold_engine.align(&case.target, &case.query, &sc, case.mode, true);
+        let gold_ext = extend_both(i, case, gold_engine, &sc, &mut gold_scratch);
         for (engine, scratch) in engines.iter().zip(scratches.iter_mut()) {
+            let ext = extend_both(i, case, *engine, &sc, scratch);
+            if ext != gold_ext {
+                return Err(format!(
+                    "{}: z-drop extension differs from the scalar kernel\n  gold: {:?}\n  got:  {:?}",
+                    describe(i, case, *engine),
+                    gold_ext,
+                    ext
+                ));
+            }
+            scratch.recycle(ext.0.cigar);
             let got =
                 engine.align_with_scratch(&case.target, &case.query, &sc, case.mode, true, scratch);
             if got != gold {
@@ -173,11 +215,9 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     // Pass 2: replay against the warmed arenas — results must be identical
     // (scratch reuse is observationally pure), and replaying the identical
     // stream must leave `heap_bytes` exactly where pass 1 left it. The
-    // comparison is end-of-stream to end-of-stream, not per-case: the
-    // direction matrix reports its *current* size (it is re-sized per case),
-    // so only the stream-end snapshots are comparable — and the linear
-    // buffers report capacity, which is grow-only, so any hot-path
-    // allocation during the replay shows up as end-state growth.
+    // buffers (direction rows included) report capacity, which is grow-only,
+    // so any hot-path allocation during the replay shows up as end-state
+    // growth.
     let high_water: Vec<usize> = scratches.iter().map(AlignScratch::heap_bytes).collect();
     for (i, case) in stream.iter().enumerate() {
         for (engine, scratch) in engines.iter().zip(scratches.iter_mut()) {
@@ -189,6 +229,8 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
                     describe(i, case, *engine)
                 ));
             }
+            let (ext, _) = extend_both(i, case, *engine, &sc, scratch);
+            scratch.recycle(ext.cigar);
         }
     }
     for ((engine, scratch), hw) in engines.iter().zip(&scratches).zip(&high_water) {
