@@ -21,6 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+echo "==> benchmark harness builds against this tree (writes only benchmark/target/)"
+cargo build --release --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace (tier-1's root package plus every crate, bench and xtask)"
 cargo test --workspace -q
 

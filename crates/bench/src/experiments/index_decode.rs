@@ -1,14 +1,12 @@
-//! Posting-list decode throughput and packed-vs-legacy map throughput
-//! (ROADMAP item 2: the bit-packed resident index).
+//! Posting-list decode throughput and the packed index under the mapper.
 //!
 //! Two tables: (1) raw block-unpack bandwidth per SIMD tier — the FOR/delta
 //! field decoder and the 2-bit→nt4 reference decoder, each forced to
 //! scalar, AVX2, and the best available tier through the pure
-//! `*_unless` dispatch forms; (2) the whole pipeline over the same reads
-//! with a packed-format index vs. a legacy flat index (both mmap-loaded),
-//! so the resident-size win and its end-to-end cost show up side by side.
-//! [`run_with_json`] serializes both tables for the committed
-//! `BENCH_index_decode.json` baseline.
+//! `*_unless` dispatch forms; (2) the whole pipeline over an mmap-loaded
+//! index, with its posting bytes next to the 8-bytes-per-hit floor a flat
+//! hit array would need. [`run_with_json`] serializes both tables for the
+//! committed `BENCH_index_decode.json` baseline.
 
 use std::time::Instant;
 
@@ -16,7 +14,7 @@ use manymap::baselines::BaselineId;
 use manymap::{profile_run, ExecConfig, ProfileConfig};
 use mmm_align::DisabledTiers;
 use mmm_index::unpack;
-use mmm_index::{save_index, IndexFormat, MinimizerIndex};
+use mmm_index::{save_index, MinimizerIndex};
 use mmm_io::Stage;
 use mmm_seq::PackedSeq;
 
@@ -61,9 +59,10 @@ struct DecodeRow {
 }
 
 struct MapRow {
-    format: &'static str,
     index_bytes: usize,
     posting_bytes: usize,
+    /// What the same hits cost as one `u64` each.
+    flat_posting_bytes: usize,
     load_seconds: f64,
     map_seconds: f64,
     reads_per_sec: f64,
@@ -140,7 +139,7 @@ fn decode_rows(quick: bool) -> Vec<DecodeRow> {
     out
 }
 
-fn map_rows(quick: bool) -> Result<Vec<MapRow>, String> {
+fn map_row(quick: bool) -> Result<MapRow, String> {
     let n_reads = if quick { 40 } else { 300 };
     let ds = macrodata::pacbio(800_000, n_reads);
     let opts = BaselineId::Manymap.map_opts();
@@ -149,47 +148,38 @@ fn map_rows(quick: bool) -> Result<Vec<MapRow>, String> {
         .reads_fasta()
         .map_err(|e| format!("in-memory fasta failed: {e}"))?;
 
-    let mut rows = Vec::new();
-    for (label, fmt) in [
-        ("packed", IndexFormat::Packed),
-        ("legacy", IndexFormat::Legacy),
-    ] {
-        let index = MinimizerIndex::build_with_format(&[ds.reference()], &opts.idx, fmt)
-            .map_err(|e| format!("{label} index build failed: {e}"))?;
-        let posting_bytes = index.posting_bytes();
-        let idx_path = std::env::temp_dir().join(format!(
-            "bench-index-decode-{label}-{}.mmx",
-            std::process::id()
-        ));
-        save_index(&index, &idx_path).map_err(|e| format!("{label} save failed: {e}"))?;
-        drop(index);
+    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx)
+        .map_err(|e| format!("index build failed: {e}"))?;
+    let posting_bytes = index.posting_bytes();
+    let flat_posting_bytes = index.num_positions() * 8;
+    let idx_path =
+        std::env::temp_dir().join(format!("bench-index-decode-{}.mmx", std::process::id()));
+    save_index(&index, &idx_path).map_err(|e| format!("save failed: {e}"))?;
+    drop(index);
 
-        let cfg = ProfileConfig {
-            opts,
-            use_mmap: true,
-            sort_by_length: true,
-            exec: ExecConfig::new(&opts, 1),
-        };
-        let res = profile_run(&idx_path, &fasta, &cfg);
-        let _ = std::fs::remove_file(&idx_path);
-        let res = res.map_err(|e| format!("{label} run failed: {e}"))?;
-        let map_seconds =
-            (res.timer.get(Stage::SeedChain) + res.timer.get(Stage::Align)).as_secs_f64();
-        rows.push(MapRow {
-            format: label,
-            index_bytes: res.index_bytes,
-            posting_bytes,
-            load_seconds: res.timer.get(Stage::LoadIndex).as_secs_f64(),
-            map_seconds,
-            reads_per_sec: if map_seconds > 0.0 {
-                res.reads as f64 / map_seconds
-            } else {
-                0.0
-            },
-            mappings: res.mappings,
-        });
-    }
-    Ok(rows)
+    let cfg = ProfileConfig {
+        opts,
+        use_mmap: true,
+        sort_by_length: true,
+        exec: ExecConfig::new(&opts, 1),
+    };
+    let res = profile_run(&idx_path, &fasta, &cfg);
+    let _ = std::fs::remove_file(&idx_path);
+    let res = res.map_err(|e| format!("run failed: {e}"))?;
+    let map_seconds = (res.timer.get(Stage::SeedChain) + res.timer.get(Stage::Align)).as_secs_f64();
+    Ok(MapRow {
+        index_bytes: res.index_bytes,
+        posting_bytes,
+        flat_posting_bytes,
+        load_seconds: res.timer.get(Stage::LoadIndex).as_secs_f64(),
+        map_seconds,
+        reads_per_sec: if map_seconds > 0.0 {
+            res.reads as f64 / map_seconds
+        } else {
+            0.0
+        },
+        mappings: res.mappings,
+    })
 }
 
 pub fn run(quick: bool) -> String {
@@ -200,8 +190,8 @@ pub fn run(quick: bool) -> String {
 /// document the `index_decode` binary writes to `BENCH_index_decode.json`.
 pub fn run_with_json(quick: bool) -> (String, String) {
     let decode = decode_rows(quick);
-    let maps = match map_rows(quick) {
-        Ok(rows) => rows,
+    let r = match map_row(quick) {
+        Ok(row) => row,
         Err(e) => {
             let msg = format!("index_decode: {e}");
             return (msg.clone(), format!("{{\"error\": {msg:?}}}"));
@@ -227,50 +217,32 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         &decode_table,
     );
 
-    let map_table: Vec<Vec<String>> = maps
-        .iter()
-        .map(|r| {
-            vec![
-                r.format.to_string(),
-                format!("{:.2}", r.index_bytes as f64 / 1e6),
-                format!("{:.2}", r.posting_bytes as f64 / 1e6),
-                format!("{:.3}", r.load_seconds),
-                format!("{:.3}", r.map_seconds),
-                format!("{:.1}", r.reads_per_sec),
-                format!("{}", r.mappings),
-            ]
-        })
-        .collect();
     out.push_str(&format_table(
-        "Index decode — end-to-end map throughput, packed vs. legacy index",
+        "Index decode — end-to-end map throughput on the packed index",
         &[
-            "format",
             "resident MB",
             "postings MB",
+            "flat floor MB",
             "load (s)",
             "map (s)",
             "reads/s",
             "mappings",
         ],
-        &map_table,
+        &[vec![
+            format!("{:.2}", r.index_bytes as f64 / 1e6),
+            format!("{:.2}", r.posting_bytes as f64 / 1e6),
+            format!("{:.2}", r.flat_posting_bytes as f64 / 1e6),
+            format!("{:.3}", r.load_seconds),
+            format!("{:.3}", r.map_seconds),
+            format!("{:.1}", r.reads_per_sec),
+            format!("{}", r.mappings),
+        ]],
     ));
-    let agree = maps.windows(2).all(|w| w[0].mappings == w[1].mappings);
-    out.push_str(&format!(
-        "mapping agreement across index formats: {}\n",
-        if agree { "identical" } else { "MISMATCH" }
-    ));
-    if let [p, l] = &maps[..] {
-        if p.posting_bytes > 0 {
-            out.push_str(&format!(
-                "posting section: {:.2}x smaller packed; map throughput x{:.2} vs legacy\n",
-                l.posting_bytes as f64 / p.posting_bytes as f64,
-                if l.reads_per_sec > 0.0 {
-                    p.reads_per_sec / l.reads_per_sec
-                } else {
-                    0.0
-                }
-            ));
-        }
+    if r.posting_bytes > 0 {
+        out.push_str(&format!(
+            "posting section: {:.2}x smaller than 8 bytes per hit\n",
+            r.flat_posting_bytes as f64 / r.posting_bytes as f64
+        ));
     }
     out.push_str(
         "paper: the KNL result is a bandwidth story — a smaller resident index \
@@ -279,15 +251,14 @@ pub fn run_with_json(quick: bool) -> (String, String) {
     out.push_str(crate::SCALE_NOTE);
     out.push('\n');
 
-    (out, json_report(quick, &decode, &maps, agree))
+    (out, json_report(quick, &decode, &r))
 }
 
 /// Hand-rolled JSON (the workspace takes no serialization dependency).
-fn json_report(quick: bool, decode: &[DecodeRow], maps: &[MapRow], agree: bool) -> String {
+fn json_report(quick: bool, decode: &[DecodeRow], r: &MapRow) -> String {
     let mut j = String::from("{\n");
     j.push_str("  \"experiment\": \"index_decode\",\n");
     j.push_str(&format!("  \"quick\": {quick},\n"));
-    j.push_str(&format!("  \"mapping_agreement\": {agree},\n"));
     j.push_str("  \"decode_tiers\": [\n");
     for (i, r) in decode.iter().enumerate() {
         j.push_str("    {\n");
@@ -319,25 +290,17 @@ fn json_report(quick: bool, decode: &[DecodeRow], maps: &[MapRow], agree: bool) 
         });
     }
     j.push_str("  ],\n");
-    j.push_str("  \"map_runs\": [\n");
-    for (i, r) in maps.iter().enumerate() {
-        j.push_str("    {\n");
-        j.push_str(&format!("      \"format\": \"{}\",\n", r.format));
-        j.push_str(&format!("      \"index_bytes\": {},\n", r.index_bytes));
-        j.push_str(&format!("      \"posting_bytes\": {},\n", r.posting_bytes));
-        j.push_str(&format!("      \"load_seconds\": {:.6},\n", r.load_seconds));
-        j.push_str(&format!("      \"map_seconds\": {:.6},\n", r.map_seconds));
-        j.push_str(&format!(
-            "      \"reads_per_sec\": {:.2},\n",
-            r.reads_per_sec
-        ));
-        j.push_str(&format!("      \"mappings\": {}\n", r.mappings));
-        j.push_str(if i + 1 == maps.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    j.push_str("  ]\n}\n");
+    j.push_str("  \"map_run\": {\n");
+    j.push_str(&format!("    \"index_bytes\": {},\n", r.index_bytes));
+    j.push_str(&format!("    \"posting_bytes\": {},\n", r.posting_bytes));
+    j.push_str(&format!(
+        "    \"flat_posting_bytes\": {},\n",
+        r.flat_posting_bytes
+    ));
+    j.push_str(&format!("    \"load_seconds\": {:.6},\n", r.load_seconds));
+    j.push_str(&format!("    \"map_seconds\": {:.6},\n", r.map_seconds));
+    j.push_str(&format!("    \"reads_per_sec\": {:.2},\n", r.reads_per_sec));
+    j.push_str(&format!("    \"mappings\": {}\n", r.mappings));
+    j.push_str("  }\n}\n");
     j
 }

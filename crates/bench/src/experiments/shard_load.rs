@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use mmm_index::{
-    build_sharded, load_index_mmap, save_index, IdxOpts, IndexFormat, MinimizerIndex, ShardedIndex,
+    build_sharded, load_index_mmap, save_index, IdxOpts, MinimizerIndex, ShardedIndex,
 };
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_chromosomes, GenomeOpts};
@@ -60,8 +60,8 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
 
     // Flat baseline: one image, trailing-xxh validated inside the parse.
     let flat_path = dir.join(format!("bench-shard-load-flat-{tag}.mmx"));
-    let flat = MinimizerIndex::build_with_format(&refs, &opts, IndexFormat::Packed)
-        .map_err(|e| format!("flat build failed: {e}"))?;
+    let flat =
+        MinimizerIndex::build(&refs, &opts).map_err(|e| format!("flat build failed: {e}"))?;
     save_index(&flat, &flat_path).map_err(|e| format!("flat save failed: {e}"))?;
     drop(flat);
     let file_bytes = std::fs::metadata(&flat_path).map_or(0, |m| m.len());
@@ -85,7 +85,7 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
 
     for n_shards in [2usize, 8] {
         let manifest = dir.join(format!("bench-shard-load-s{n_shards}-{tag}.mmx"));
-        let report = build_sharded(&refs, &opts, IndexFormat::Packed, n_shards, &manifest)
+        let report = build_sharded(&refs, &opts, n_shards, &manifest)
             .map_err(|e| format!("sharded({n_shards}) build failed: {e}"))?;
         let file_bytes = report.manifest_bytes + report.shard_bytes.iter().sum::<u64>();
         let shard_files: Vec<PathBuf> = report.shard_files.clone();

@@ -3,8 +3,7 @@
 //! A minimap2-style interface over the library:
 //!
 //! ```sh
-//! manymap index  ref.fa ref.mmx [--preset map-pb|map-ont]
-//!                [--index-format packed|legacy] [--shards N]
+//! manymap index  ref.fa ref.mmx [--preset map-pb|map-ont] [--shards N]
 //! manymap map    ref.mmx reads.fq [shared flags] [--sam] [--no-mmap]
 //!                [--fail-fast] [--inject-panic <read-name>]
 //! manymap map    ref.fa  reads.fq   # index built on the fly
@@ -12,12 +11,15 @@
 //!
 //! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
 //! `mmm-serve daemon` parses too: `--preset map-pb|map-ont`, `--engine
-//! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--prefilter
-//! off|safe|aggressive`, `--index-format packed|legacy`, `--threads N`,
+//! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--threads N` (≥ 1),
 //! `--backend cpu|gpu-sim`, `--inject-backend-fault <plan>`,
 //! `--backend-retries N`, `--batch-deadline-ms N`, `--sched fifo|bins`,
 //! `--mem-budget BYTES[K|M|G]`. Any other `--flag`, a value flag with no
 //! value, or a malformed number is a usage error naming the flag (exit 1).
+//!
+//! `index` takes a FASTA reference and writes the one `.mmx` image version
+//! (v2, bit-packed postings); an image of another version is a typed
+//! "rebuild with `manymap index`" error at load.
 //!
 //! Sharded indexes (DESIGN.md §15): `index --shards N` splits the
 //! reference into `N` contiguous target ranges, one checksummed `MMXS`
@@ -48,11 +50,6 @@
 //! of stalling a device batch. Batch budgets: `MMM_SCHED_BATCH_CELLS`,
 //! `MMM_SCHED_BATCH_JOBS`. Scheduling is pure reordering, so stdout is
 //! byte-identical to the default fifo dispatch.
-//!
-//! Pre-alignment filtering: `--prefilter safe|aggressive` (or
-//! `MMM_PREFILTER`) rejects candidate chains whose anchored sample windows
-//! show no real-mapping evidence, before their DP jobs are planned.
-//! Rejections are counted and reported on stderr. Default `off`.
 //!
 //! Fault behavior: fatal input problems (unreadable files, corrupt index,
 //! a byte stream dying mid-file) abort with a nonzero exit and a message
@@ -85,7 +82,7 @@ use manymap::session::{self, Args, Flag, MapSession, Planned};
 use manymap::{load_index_any, MapError, MapReadError};
 use mmm_align::{AlignResult, AlignScratch};
 use mmm_exec::{BackendStats, StatsReport, StderrSink};
-use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex, ShardOpenOpts};
+use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex};
 use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
 
@@ -113,11 +110,10 @@ fn index_report(output: &str, idx: &MinimizerIndex) -> String {
     };
     format!(
         "[manymap] wrote {output}: {} minimizers over {} sequence(s); \
-         {} postings, {posting_bytes} posting byte(s) ({shrink}), \
+         packed postings, {posting_bytes} posting byte(s) ({shrink}), \
          decode tier {}",
         idx.num_minimizers(),
         idx.seqs.len(),
-        idx.format().label(),
         mmm_index::unpack::best_tier_label(),
     )
 }
@@ -138,27 +134,22 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         }
         Some(n) => n,
     };
+    if input.ends_with(".mmx") {
+        return Err(MapError::Usage(format!(
+            "{input}: index needs a FASTA reference, not an existing .mmx"
+        )));
+    }
+    let refs = session::read_refs(Path::new(input))?;
     if n_shards > 1 {
-        if input.ends_with(".mmx") {
-            return Err(MapError::Usage(
-                "--shards needs a FASTA reference to split, not an existing .mmx".into(),
-            ));
-        }
-        let refs = session::read_refs(Path::new(input))?;
         eprintln!(
             "[manymap] indexing {} reference sequence(s) into {n_shards} shard(s)...",
             refs.len()
         );
-        let report = build_sharded(
-            &refs,
-            &opts.idx,
-            opts.index_format,
-            n_shards,
-            Path::new(output),
-        )
-        .map_err(|e| MapError::Index {
-            path: output.to_string(),
-            source: e,
+        let report = build_sharded(&refs, &opts.idx, n_shards, Path::new(output)).map_err(|e| {
+            MapError::Index {
+                path: output.to_string(),
+                source: e,
+            }
         })?;
         let shard_bytes: u64 = report.shard_bytes.iter().sum();
         eprintln!(
@@ -169,14 +160,10 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         );
         return Ok(());
     }
-    let mmap = !args.has("no-mmap");
-    let AnyIndex::Flat(idx) =
-        load_index_any(Path::new(input), &opts, ShardOpenOpts::default(), mmap)?
-    else {
-        return Err(MapError::Usage(format!(
-            "{input}: already a sharded index; nothing to write"
-        )));
-    };
+    let idx = MinimizerIndex::build(&refs, &opts.idx).map_err(|e| MapError::Index {
+        path: input.to_string(),
+        source: e,
+    })?;
     save_index(&idx, Path::new(output)).map_err(|e| MapError::Io {
         path: output.to_string(),
         source: e,
@@ -235,8 +222,6 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     let backend_quarantined = AtomicUsize::new(0);
     // Reads left without any seeds by a quarantined index shard.
     let shard_degraded = AtomicUsize::new(0);
-    // Chains the pre-alignment filter rejected before planning.
-    let prefilter_rejected = AtomicUsize::new(0);
 
     // A worker panic or a quarantined backend job degrades the read instead
     // of killing the run: the handler reports the offending read once and
@@ -289,12 +274,7 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
          planned: &Planned,
          results: &Vec<AlignResult>| {
             match session::finalize(planned, rec, results, scratch, sam) {
-                Ok(done) => {
-                    if done.prefilter_rejected > 0 {
-                        prefilter_rejected.fetch_add(done.prefilter_rejected, Ordering::Relaxed);
-                    }
-                    done.lines
-                }
+                Ok(lines) => lines,
                 Err(e) => {
                     match e {
                         MapReadError::ReadTooLong { .. } => &too_long,
@@ -346,13 +326,6 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         report.backend_block(&bstats, session.backend_label());
     }
     session.shard_report(&mut report);
-    let pf = prefilter_rejected.load(Ordering::Relaxed);
-    if pf > 0 {
-        report.line(format!(
-            "prefilter ({}): {pf} candidate chain(s) rejected before planning",
-            opts.prefilter.label()
-        ));
-    }
     let (tl, ar, pk, bq, sd) = (
         too_long.load(Ordering::Relaxed),
         align_rejected.load(Ordering::Relaxed),
@@ -394,7 +367,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_index::IndexFormat;
     use mmm_seq::nt4_decode;
     use mmm_simreads::{generate_genome, GenomeOpts};
 
@@ -422,12 +394,9 @@ mod tests {
             seed: 41,
             ..Default::default()
         });
-        let single = MinimizerIndex::build_with_format(
-            &[SeqRecord::new("chr1", g)],
-            &mmm_index::IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-        )
-        .unwrap();
+        let single =
+            MinimizerIndex::build(&[SeqRecord::new("chr1", g)], &mmm_index::IdxOpts::MAP_ONT)
+                .unwrap();
         let line = index_report("out.mmx", &single);
         assert!(!line.contains("inf") && !line.contains("NaN"), "{line}");
         if single.posting_bytes() == 0 {
@@ -441,12 +410,9 @@ mod tests {
             seed: 42,
             ..Default::default()
         });
-        let normal = MinimizerIndex::build_with_format(
-            &[SeqRecord::new("chr1", g)],
-            &mmm_index::IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-        )
-        .unwrap();
+        let normal =
+            MinimizerIndex::build(&[SeqRecord::new("chr1", g)], &mmm_index::IdxOpts::MAP_ONT)
+                .unwrap();
         if normal.posting_bytes() > 0 {
             let line = index_report("out.mmx", &normal);
             assert!(line.contains("x vs flat"), "{line}");

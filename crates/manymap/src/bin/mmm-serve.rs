@@ -12,10 +12,10 @@
 //!
 //! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
 //! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
-//! `--engine`, `--no-cigar`, `--max-read-len`, `--prefilter`,
-//! `--index-format`, `--sched`, `--mem-budget`, `--inject-backend-fault`,
-//! `--backend-retries`, `--batch-deadline-ms`); any other `--flag` or a
-//! malformed value is a usage error naming the flag (exit 1).
+//! `--engine`, `--no-cigar`, `--max-read-len`, `--sched`, `--mem-budget`,
+//! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`);
+//! any other `--flag`, a malformed value or `--threads 0` is a usage error
+//! naming the flag (exit 1).
 //!
 //! `<ref.mmx>` may be a flat index image or a sharded manifest (DESIGN.md
 //! §15); `--mem-budget` caps shard residency. `reload` swaps the daemon to
@@ -31,7 +31,7 @@
 //! Environment variables are the `manymap` CLI's, read by the same code:
 //! `MMM_BACKEND`, `MMM_GPU_MEM`, `MMM_GPU_STREAMS`, `MMM_FAULT_PLAN`,
 //! `MMM_BACKEND_RETRIES`, `MMM_SCHED`, `MMM_SCHED_BATCH_CELLS`,
-//! `MMM_SCHED_BATCH_JOBS`, `MMM_PREFILTER`.
+//! `MMM_SCHED_BATCH_JOBS`.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;

@@ -3,7 +3,7 @@
 //! For each read: collect minimizer anchors from the index, chain them,
 //! select primary/secondary chains, then produce base-level alignments by
 //! globally filling the segments between adjacent anchors and extending
-//! both chain ends with score-peak-trimmed semi-global alignment. All
+//! both chain ends with exact z-drop extension. All
 //! base-level work goes through the configured [`mmm_align::Engine`], so a
 //! single flag switches the whole mapper between minimap2's kernels and
 //! manymap's.
@@ -13,7 +13,7 @@ use std::ops::Range;
 use mmm_align::{AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
 use mmm_chain::select::SelectedChain;
 use mmm_chain::{chain_anchors, select_chains, Chain};
-use mmm_exec::{align_jobs_with_scratch, AlignJob, PrefilterProbe, PREFILTER_WINDOW};
+use mmm_exec::{align_jobs_with_scratch, AlignJob};
 use mmm_index::{IndexRef, ShardUnavailable};
 use mmm_seq::revcomp4;
 
@@ -75,9 +75,6 @@ pub struct ReadPlan {
     selected: Vec<SelectedChain>,
     /// The query's reverse complement, when any selected chain is reverse.
     q_rc: Option<Vec<u8>>,
-    /// Chains discarded by the pre-alignment filter (zero with `--prefilter
-    /// off`); surfaced so the CLI can report rejection counts per run.
-    prefilter_rejected: usize,
     /// Deferred gap-fill problems. The dispatcher takes these (e.g. with
     /// `std::mem::take`), runs them through a backend, and hands the
     /// results — one per job, in order — to the finalize phase.
@@ -99,16 +96,6 @@ impl ReadPlan {
         } else {
             Some(query)
         }
-    }
-
-    /// Number of selected chains.
-    pub fn num_chains(&self) -> usize {
-        self.selected.len()
-    }
-
-    /// Chains rejected by the pre-alignment filter before planning.
-    pub fn prefilter_rejected(&self) -> usize {
-        self.prefilter_rejected
     }
 }
 
@@ -303,13 +290,11 @@ impl<'a> Mapper<'a> {
         Ok(())
     }
 
-    /// Seeding and chaining (the paper's "Seed & Chain" stage), followed by
-    /// the optional pre-alignment filter: a plan with no jobs yet. Filtering
-    /// happens here — before any job is described — so every execution path
-    /// sees the identical chain set at any fixed `--prefilter` setting.
+    /// Seeding and chaining (the paper's "Seed & Chain" stage): a plan with
+    /// no jobs yet. Chain selection is the only candidate filter.
     fn seed_chain(&self, query: &[u8]) -> Result<ReadPlan, MapReadError> {
         let anchors = self.index.collect_anchors(query)?;
-        let mut selected = if anchors.is_empty() {
+        let selected = if anchors.is_empty() {
             Vec::new()
         } else {
             let chains = chain_anchors(anchors, &self.opts.chain);
@@ -319,64 +304,12 @@ impl<'a> Mapper<'a> {
             .iter()
             .any(|s| s.chain.rev)
             .then(|| revcomp4(query));
-        let before = selected.len();
-        if self.opts.prefilter.min_match_run().is_some() {
-            selected.retain(|sel| {
-                let qseq: &[u8] = match (sel.chain.rev, q_rc.as_deref()) {
-                    (true, Some(rc)) => rc,
-                    (true, None) => return true,
-                    (false, _) => query,
-                };
-                !self
-                    .probe_chain(&sel.chain, qseq)
-                    .rejects(self.opts.prefilter)
-            });
-        }
         Ok(ReadPlan {
-            prefilter_rejected: before - selected.len(),
             selected,
             q_rc,
             jobs: Vec::new(),
             job_shards: Vec::new(),
         })
-    }
-
-    /// Sample anchored windows over one chain for the pre-alignment
-    /// filter: short stretches starting right after an anchor's end base,
-    /// where reference and query are in exact register. Up to eight evenly
-    /// spaced anchors are probed so the cost stays O(1) per chain while the
-    /// match-run statistic sees enough independent windows.
-    fn probe_chain(&self, chain: &Chain, qseq: &[u8]) -> PrefilterProbe {
-        let mut probe = PrefilterProbe::default();
-        let n = chain.anchors.len();
-        let picks: [usize; 8] = std::array::from_fn(|i| (i * (n - 1)) / 7);
-        let mut last = usize::MAX;
-        // One window buffer shared by all probes: `ref_window_into` resizes
-        // it in place, so at most one allocation per chain, not per window.
-        let mut rbuf = Vec::with_capacity(PREFILTER_WINDOW);
-        for &i in &picks {
-            if i == last {
-                continue; // short chains repeat indices; sample each once
-            }
-            last = i;
-            let a = chain.anchors[i];
-            let (rs, qs) = (a.rpos as usize + 1, a.qpos as usize + 1);
-            if qs >= qseq.len() {
-                continue;
-            }
-            let qe = (qs + PREFILTER_WINDOW).min(qseq.len());
-            if self
-                .index
-                .ref_window_into(chain.rid, rs, rs + (qe - qs), &mut rbuf)
-                .is_err()
-            {
-                // A shard lost mid-probe: skip the window. The read's seeds
-                // already passed `collect_anchors`, so this is transient.
-                continue;
-            }
-            probe.observe(&rbuf, &qseq[qs..qe]);
-        }
-        probe
     }
 
     /// Decode a reference window into a buffer leased from `scratch` (hand
@@ -782,89 +715,6 @@ mod tests {
         let ms =
             mapper.finalize_read_with_scratch(&other[..800], &plan, &[], &mut AlignScratch::new());
         assert!(ms.is_empty());
-    }
-
-    /// A read that seeds real anchors but is random noise everywhere else:
-    /// keep short exact stretches of the genome in register and corrupt
-    /// every other base, so chains form yet every anchored Hamming window
-    /// samples ~100% mismatch.
-    fn decoy_read(g: &[u8], start: usize, len: usize) -> Vec<u8> {
-        g[start..start + len]
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| if i % 40 < 16 { b } else { (b + 1) % 4 })
-            .collect()
-    }
-
-    #[test]
-    fn prefilter_rejects_decoy_chains_and_counts_them() {
-        let g = genome(100_000, 0.0, 21);
-        let idx = build_index(&g, &IdxOpts::MAP_ONT);
-        let decoy = decoy_read(&g, 30_000, 4_000);
-
-        let off = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
-        let chained = off.plan_read(&decoy).unwrap();
-        assert!(chained.num_chains() > 0, "decoy must still chain");
-        assert_eq!(chained.prefilter_rejected(), 0);
-
-        let safe = Mapper::new(
-            &idx,
-            crate::opts::MapOpts::map_ont().with_prefilter(mmm_exec::PrefilterMode::Safe),
-        );
-        let filtered = safe.plan_read(&decoy).unwrap();
-        assert_eq!(filtered.num_chains(), 0, "noise windows must reject");
-        assert!(filtered.prefilter_rejected() > 0);
-
-        // An exact read passes untouched even under the aggressive knob.
-        let real = g[30_000..34_000].to_vec();
-        let aggr = Mapper::new(
-            &idx,
-            crate::opts::MapOpts::map_ont().with_prefilter(mmm_exec::PrefilterMode::Aggressive),
-        );
-        let kept = aggr.plan_read(&real).unwrap();
-        assert!(kept.num_chains() > 0);
-        assert_eq!(kept.prefilter_rejected(), 0);
-    }
-
-    #[test]
-    fn prefilter_keeps_noisy_but_real_reads() {
-        // Simulated platform error rates sit far below the safe cut, so
-        // `safe` must not change any honest read's output. `aggressive`
-        // openly trades recall, but it must never drop a primary mapping.
-        let g = genome(150_000, 0.0, 22);
-        let idx = build_index(&g, &IdxOpts::MAP_PB);
-        let reads = sim(&g, Platform::PacBio, 15, 6);
-        let off = Mapper::new(&idx, crate::opts::MapOpts::map_pb());
-        let safe = Mapper::new(
-            &idx,
-            crate::opts::MapOpts::map_pb().with_prefilter(mmm_exec::PrefilterMode::Safe),
-        );
-        let aggr = Mapper::new(
-            &idx,
-            crate::opts::MapOpts::map_pb().with_prefilter(mmm_exec::PrefilterMode::Aggressive),
-        );
-        for r in &reads {
-            let a = off.map_read(&r.seq);
-            let b = safe.map_read(&r.seq);
-            assert_eq!(a, b, "safe prefilter changed an honest read");
-            let c = aggr.map_read(&r.seq);
-            assert_eq!(
-                a.iter().filter(|m| m.primary).count(),
-                c.iter().filter(|m| m.primary).count(),
-                "aggressive prefilter dropped a primary mapping"
-            );
-        }
-    }
-
-    #[test]
-    fn planned_path_matches_monolithic_with_prefilter_enabled() {
-        use mmm_exec::{BackendKind, PrefilterMode};
-        let g = genome(120_000, 0.05, 23);
-        let idx = build_index(&g, &IdxOpts::MAP_ONT);
-        let reads = sim(&g, Platform::Nanopore, 8, 7);
-        let mopts = crate::opts::MapOpts::map_ont().with_prefilter(PrefilterMode::Safe);
-        let mapper = Mapper::new(&idx, mopts);
-        assert_backend_matches_inline(&mapper, BackendKind::GpuSim, &reads);
     }
 
     #[test]

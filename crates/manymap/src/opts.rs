@@ -2,8 +2,8 @@
 
 use mmm_align::{best_engine, Engine, Scoring};
 use mmm_chain::{ChainOpts, SelectOpts};
-use mmm_exec::{PrefilterMode, MAX_PLAN_SEGMENT};
-use mmm_index::{IdxOpts, IndexFormat};
+use mmm_exec::MAX_PLAN_SEGMENT;
+use mmm_index::IdxOpts;
 
 /// All knobs of one mapping run.
 #[derive(Clone, Copy, Debug)]
@@ -28,15 +28,6 @@ pub struct MapOpts {
     /// Reads longer than this are rejected per-read (degraded to unmapped)
     /// rather than aligned; guards worker memory against pathological input.
     pub max_read_len: usize,
-    /// Pre-alignment candidate filter (`--prefilter`): reject chains whose
-    /// anchored Hamming windows look like random noise before any DP is
-    /// planned for them. `Off` by default so baseline output is unchanged.
-    pub prefilter: PrefilterMode,
-    /// Posting-list storage for indexes built in-process
-    /// (`--index-format`): FOR/delta bit-packed blocks (the default) or the
-    /// legacy flat `u64` hit array. Query results are identical either way;
-    /// only resident size and the on-disk version byte differ.
-    pub index_format: IndexFormat,
 }
 
 impl MapOpts {
@@ -56,8 +47,6 @@ impl MapOpts {
             max_fill: MAX_PLAN_SEGMENT,
             zdrop: mmm_align::DEFAULT_ZDROP,
             max_read_len: 100_000_000,
-            prefilter: PrefilterMode::Off,
-            index_format: IndexFormat::default(),
         }
     }
 
@@ -79,18 +68,6 @@ impl MapOpts {
     /// Toggle CIGAR production.
     pub fn cigar(mut self, on: bool) -> Self {
         self.with_cigar = on;
-        self
-    }
-
-    /// Select a pre-alignment filter mode.
-    pub fn with_prefilter(mut self, mode: PrefilterMode) -> Self {
-        self.prefilter = mode;
-        self
-    }
-
-    /// Select the posting-list storage format for in-process index builds.
-    pub fn with_index_format(mut self, format: IndexFormat) -> Self {
-        self.index_format = format;
         self
     }
 }
@@ -132,15 +109,8 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let o = MapOpts::map_ont()
-            .cigar(false)
-            .with_prefilter(PrefilterMode::Safe)
-            .with_index_format(IndexFormat::Legacy);
-        assert!(!o.with_cigar);
-        assert_eq!(o.prefilter, PrefilterMode::Safe);
-        assert_eq!(o.index_format, IndexFormat::Legacy);
-        assert_eq!(MapOpts::map_pb().prefilter, PrefilterMode::Off);
-        assert_eq!(MapOpts::map_pb().index_format, IndexFormat::Packed);
+        assert!(MapOpts::map_ont().with_cigar);
+        assert!(!MapOpts::map_ont().cigar(false).with_cigar);
     }
 
     #[test]

@@ -331,15 +331,7 @@ fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineE
          results: &Vec<AlignResult>|
          -> Routed {
             match session::finalize(planned, &item.rec, results, scratch, false) {
-                Ok(done) => {
-                    if done.prefilter_rejected > 0 {
-                        if let Some(t) = ctx.registry.get(item.tenant) {
-                            t.prefilter_rejected
-                                .fetch_add(done.prefilter_rejected as u64, Ordering::Relaxed);
-                        }
-                    }
-                    (item.tenant, item.accepted_at, done.lines)
-                }
+                Ok(lines) => (item.tenant, item.accepted_at, lines),
                 Err(_) => {
                     if let Some(t) = ctx.registry.get(item.tenant) {
                         t.degraded.fetch_add(1, Ordering::Relaxed);

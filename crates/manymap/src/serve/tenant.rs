@@ -113,8 +113,6 @@ pub struct TenantState {
     pub quarantined: AtomicU64,
     /// Reads degraded for any other reason (panic, over length limit).
     pub degraded: AtomicU64,
-    /// Candidate chains the pre-alignment filter rejected.
-    pub prefilter_rejected: AtomicU64,
     /// The client sent END (or the daemon is draining): no more reads.
     pub ended: AtomicBool,
     /// Accept-to-deliver latency per read.
@@ -134,7 +132,6 @@ impl TenantState {
             sent: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
-            prefilter_rejected: AtomicU64::new(0),
             ended: AtomicBool::new(false),
             latency: LatencyHistogram::default(),
         }
@@ -166,14 +163,13 @@ impl TenantState {
     pub fn summary(&self) -> String {
         format!(
             "tenant {}: {} accepted, {} sent, {} in flight, {} quarantined, \
-             {} degraded, {} prefilter-rejected, latency {}",
+             {} degraded, latency {}",
             self.name,
             self.accepted.load(Ordering::Relaxed),
             self.sent.load(Ordering::Relaxed),
             self.in_flight(),
             self.quarantined.load(Ordering::Relaxed),
             self.degraded.load(Ordering::Relaxed),
-            self.prefilter_rejected.load(Ordering::Relaxed),
             self.latency.slo_summary()
         )
     }

@@ -22,10 +22,10 @@ use std::time::Duration;
 use mmm_align::{best_mm2_engine, AlignResult, AlignScratch};
 use mmm_exec::{
     prepare_supervised, AlignBackend, AlignJob, BackendKind, BackendOptions, BackendStats,
-    FaultPlan, JobOutcome, PrefilterMode, SchedConfig, SchedMode, SessionFactory, ShardSessions,
-    StatsReport, SupervisorConfig,
+    FaultPlan, JobOutcome, SchedConfig, SchedMode, SessionFactory, ShardSessions, StatsReport,
+    SupervisorConfig,
 };
-use mmm_index::{load_index, AnyIndex, IndexError, IndexFormat, MinimizerIndex, ShardOpenOpts};
+use mmm_index::{load_index, AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts};
 use mmm_pipeline::{lock_unpoisoned, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
 
@@ -48,8 +48,6 @@ pub const SHARED_FLAGS: &[Flag] = &[
     ("engine", true),
     ("no-cigar", false),
     ("max-read-len", true),
-    ("prefilter", true),
-    ("index-format", true),
     ("threads", true),
     ("backend", true),
     ("inject-backend-fault", true),
@@ -170,8 +168,8 @@ impl ExecConfig {
     }
 }
 
-/// The mapping parameters named by [`SHARED_FLAGS`] (`--prefilter` falls
-/// back to `MMM_PREFILTER`); all `manymap index` needs of the table.
+/// The mapping parameters named by [`SHARED_FLAGS`]; all `manymap index`
+/// needs of the table.
 pub fn map_opts(args: &Args) -> Result<MapOpts, MapError> {
     let usage = MapError::Usage;
     let mut map = match args.get("preset") {
@@ -190,27 +188,19 @@ pub fn map_opts(args: &Args) -> Result<MapOpts, MapError> {
     if let Some(n) = args.num("max-read-len")? {
         map.max_read_len = n;
     }
-    map.prefilter = match args.get("prefilter") {
-        Some(v) => PrefilterMode::parse(v),
-        None => PrefilterMode::from_env().unwrap_or(Ok(PrefilterMode::Off)),
-    }
-    .map_err(usage)?;
-    if let Some(v) = args.get("index-format") {
-        map.index_format = IndexFormat::parse(v)
-            .ok_or_else(|| usage(format!("--index-format {v:?}: expected packed or legacy")))?;
-    }
     Ok(map)
 }
 
 /// Build the mapping and execution configuration from [`SHARED_FLAGS`] and
 /// the environment. An explicit flag wins over its environment variable
-/// (`MMM_BACKEND`, `MMM_PREFILTER`, `MMM_FAULT_PLAN`, `MMM_BACKEND_RETRIES`,
-/// `MMM_SCHED`, `MMM_SCHED_BATCH_CELLS`, `MMM_SCHED_BATCH_JOBS`);
-/// `MMM_GPU_MEM` and `MMM_GPU_STREAMS` have no flag.
+/// (`MMM_BACKEND`, `MMM_FAULT_PLAN`, `MMM_BACKEND_RETRIES`, `MMM_SCHED`,
+/// `MMM_SCHED_BATCH_CELLS`, `MMM_SCHED_BATCH_JOBS`); `MMM_GPU_MEM` and
+/// `MMM_GPU_STREAMS` have no flag.
 pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     let usage = MapError::Usage;
     let map = map_opts(args)?;
     let threads = match args.num("threads")? {
+        Some(0) => return Err(usage("--threads 0: expected an integer >= 1".into())),
         Some(n) => n,
         None => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -267,9 +257,9 @@ pub fn read_refs(path: &Path) -> Result<Vec<SeqRecord>, MapError> {
 
 /// Open a reference of any shape: a flat `.mmx` image, a v3 shard manifest
 /// (opened lazily with `shard_opts`), or a FASTA indexed in memory with
-/// `map`'s seeding parameters and posting format. `mmap = false` reads a
-/// flat image through buffered I/O instead (the paper's §4.4.2 comparison);
-/// a manifest is always mmap-backed.
+/// `map`'s seeding parameters. `mmap = false` reads a flat image through
+/// buffered I/O instead (the paper's §4.4.2 comparison); a manifest is
+/// always mmap-backed.
 pub fn load_index_any(
     path: &Path,
     map: &MapOpts,
@@ -282,7 +272,7 @@ pub fn load_index_any(
     };
     if path.extension().is_none_or(|e| e != "mmx") {
         let refs = read_refs(path)?;
-        return MinimizerIndex::build_with_format(&refs, &map.idx, map.index_format)
+        return MinimizerIndex::build(&refs, &map.idx)
             .map(AnyIndex::Flat)
             .map_err(index_err);
     }
@@ -531,15 +521,6 @@ pub fn dispatch(
         .collect())
 }
 
-/// A finalized read: its output records and the plan-time filter count.
-pub struct Finalized {
-    /// PAF or SAM lines, each newline-terminated (empty for a read that
-    /// maps nowhere).
-    pub lines: String,
-    /// Candidate chains the pre-alignment filter rejected for this read.
-    pub prefilter_rejected: usize,
-}
-
 /// The mapping half of the finalize stage: splice the backend's results
 /// into the read's chain walks, against the session the read was planned
 /// on. A read whose plan was rejected comes back as that error; the caller
@@ -580,23 +561,17 @@ pub fn format_records(planned: &Planned, rec: &SeqRecord, ms: &[Mapping], sam: b
     lines
 }
 
-/// The finalize stage: [`finalize_mappings`], then [`format_records`].
+/// The finalize stage: [`finalize_mappings`], then [`format_records`] —
+/// the read's PAF or SAM lines (empty for a read that maps nowhere).
 pub fn finalize<'p>(
     planned: &'p Planned,
     rec: &SeqRecord,
     results: &[AlignResult],
     scratch: &mut AlignScratch,
     sam: bool,
-) -> Result<Finalized, &'p MapReadError> {
+) -> Result<String, &'p MapReadError> {
     let ms = finalize_mappings(planned, results, scratch)?;
-    let prefilter_rejected = planned
-        .plan
-        .as_ref()
-        .map_or(0, ReadPlan::prefilter_rejected);
-    Ok(Finalized {
-        lines: format_records(planned, rec, &ms, sam),
-        prefilter_rejected,
-    })
+    Ok(format_records(planned, rec, &ms, sam))
 }
 
 /// The record emitted for a degraded read: SAM or PAF unmapped placeholder.
@@ -618,7 +593,7 @@ mod tests {
 
     #[test]
     fn flags_land_in_map_opts_and_exec_config() {
-        let argv = "--preset map-pb --no-cigar --index-format legacy --threads 3 \
+        let argv = "--preset map-pb --no-cigar --threads 3 \
                     --backend gpu-sim --sched bins --backend-retries 0 \
                     --batch-deadline-ms 250 --mem-budget 64K \
                     --inject-backend-fault missing-shard:shards=1";
@@ -626,7 +601,6 @@ mod tests {
         let (map, exec) = map_config(&args).unwrap();
         assert_eq!(map.idx.k, 19);
         assert!(!map.with_cigar);
-        assert_eq!(map.index_format, IndexFormat::Legacy);
         assert_eq!(exec.backend.threads, 3);
         assert_eq!(exec.kind, BackendKind::GpuSim);
         assert_eq!(exec.sched.mode, SchedMode::Bins);
@@ -639,27 +613,6 @@ mod tests {
         let shard_opts = exec.shard_open_opts();
         assert_eq!(shard_opts.mem_budget, Some(64 << 10));
         assert!(shard_opts.hook.is_some());
-    }
-
-    /// A FASTA reference is indexed in memory with the run's seeding
-    /// parameters *and* posting format (the daemon's old loader dropped
-    /// the format).
-    #[test]
-    fn fasta_reference_is_indexed_with_the_requested_format() {
-        let dir = std::env::temp_dir().join(format!("mmm-session-fa-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let fa = dir.join("ref.fa");
-        let seq = "ACGTTGCATGCCGATAGCTAGCTTAGGCATCGAT".repeat(40);
-        std::fs::write(&fa, format!(">chr1\n{seq}\n")).unwrap();
-        for format in [IndexFormat::Packed, IndexFormat::Legacy] {
-            let map = MapOpts::map_ont().with_index_format(format);
-            let index = load_index_any(&fa, &map, ShardOpenOpts::default(), true).unwrap();
-            let AnyIndex::Flat(idx) = index else {
-                panic!("a FASTA builds a flat index");
-            };
-            assert_eq!(idx.format(), format);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One dispatch batch holding reads planned against two different
@@ -703,9 +656,7 @@ mod tests {
         let mut scratch = AlignScratch::new();
         let mut solo = |rec: &SeqRecord| {
             let (p, r) = dispatch(vec![new.plan(rec)], &stats).unwrap().remove(0);
-            finalize(&p, rec, &r.unwrap(), &mut scratch, false)
-                .unwrap()
-                .lines
+            finalize(&p, rec, &r.unwrap(), &mut scratch, false).unwrap()
         };
         let expect: Vec<String> = reads.iter().map(&mut solo).collect();
 
@@ -727,9 +678,7 @@ mod tests {
                 assert!(quarantine_reason(msg).is_some(), "{msg}");
                 assert!(Arc::ptr_eq(&p.session, &old));
             } else {
-                let lines = finalize(p, rec, r.as_ref().unwrap(), &mut scratch, false)
-                    .unwrap()
-                    .lines;
+                let lines = finalize(p, rec, r.as_ref().unwrap(), &mut scratch, false).unwrap();
                 assert_eq!(lines, expect[i], "read {i} got another read's results");
             }
         }

@@ -303,7 +303,7 @@ fn fail_fast_aborts_on_first_quarantine() {
     );
 }
 
-// --- length-binned scheduling + prefiltering (DESIGN.md §11) ------------
+// --- length-binned scheduling (DESIGN.md §11) ----------------------------
 
 /// The scheduler acceptance bar: `--sched bins` must be byte-invisible in
 /// stdout (PAF and SAM), including on a shrunken device where it routes
@@ -407,42 +407,6 @@ fn scheduled_dispatch_survives_chaos() {
     let stderr = String::from_utf8_lossy(&chaos.stderr);
     assert!(stderr.contains("binned batch(es)"), "stderr: {stderr}");
     assert!(stderr.contains("supervisor gpu-sim:"), "stderr: {stderr}");
-}
-
-/// `--prefilter safe` leaves honest simulated reads untouched (stdout
-/// identical, nothing rejected); an unknown mode is a usage error.
-#[test]
-fn prefilter_flag_smoke() {
-    let fx = fixture("prefilter");
-    let off = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
-    let safe = run_map(
-        &fx.index,
-        &fx.reads,
-        &["--backend", "cpu", "--prefilter", "safe"],
-        &[],
-    );
-    assert!(safe.status.success());
-    assert_eq!(
-        off.stdout, safe.stdout,
-        "safe prefilter changed honest reads"
-    );
-
-    let env = run_map(
-        &fx.index,
-        &fx.reads,
-        &["--backend", "cpu"],
-        &[("MMM_PREFILTER", "safe")],
-    );
-    assert!(env.status.success());
-    assert_eq!(off.stdout, env.stdout);
-
-    let bad = run_map(&fx.index, &fx.reads, &["--prefilter", "psychic"], &[]);
-    assert!(!bad.status.success());
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(
-        stderr.contains("unknown prefilter mode"),
-        "stderr: {stderr}"
-    );
 }
 
 /// A malformed fault plan is a usage error, reported before any mapping.

@@ -228,6 +228,7 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     };
     for bad in [
         &["--threads", "abc"][..],
+        &["--threads", "0"],
         &["--max-read-len", "1e6"],
         &["--backend-retries", "-1"],
         &["--preset", "pacbio"],
@@ -236,6 +237,12 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     ] {
         expect_usage(run_map(&fx.index, &fx.reads, bad), "manymap", bad[0]);
         expect_usage(daemon(bad), "mmm-serve", bad[0]);
+    }
+    // The retired forks' flags are gone from the table, not deprecated.
+    for gone in [&["--prefilter", "safe"][..], &["--index-format", "legacy"]] {
+        let unknown = format!("unknown flag {}", gone[0]);
+        expect_usage(run_map(&fx.index, &fx.reads, gone), "manymap", &unknown);
+        expect_usage(daemon(gone), "mmm-serve", &unknown);
     }
     // Each binary takes the shared table plus its own flags only.
     expect_usage(
@@ -246,4 +253,26 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     expect_usage(daemon(&["--sam"]), "mmm-serve", "--sam");
     expect_usage(daemon(&["--fail-fast"]), "mmm-serve", "--fail-fast");
     assert!(!sock.exists(), "a usage error must come before the bind");
+}
+
+/// `manymap index` builds from a FASTA reference; an existing `.mmx` is a
+/// usage error with and without `--shards` (re-saving a loaded image was a
+/// file copy).
+#[test]
+fn index_rejects_an_mmx_input_in_both_branches() {
+    let fx = fixture("index-mmx");
+    for extra in [&[][..], &["--shards", "2"]] {
+        let out_path = fx.dir.join("again.mmx");
+        let out = Command::new(env!("CARGO_BIN_EXE_manymap"))
+            .arg("index")
+            .arg(&fx.index)
+            .arg(&out_path)
+            .args(extra)
+            .output()
+            .expect("spawn manymap");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains("needs a FASTA reference"), "{stderr}");
+        assert!(!out_path.exists(), "{extra:?} wrote an index");
+    }
 }

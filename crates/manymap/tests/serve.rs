@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use manymap::serve::{encode_read, read_frame, serve, write_frame, Frame, Op, ServeOpts};
 use manymap::{load_index_any, ExecConfig, MapOpts};
 use mmm_exec::BufferSink;
-use mmm_index::{build_sharded, save_index, AnyIndex, IdxOpts, IndexFormat, MinimizerIndex};
+use mmm_index::{build_sharded, save_index, AnyIndex, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{
     generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
@@ -109,7 +109,7 @@ fn sharded_fixture(tag: &str) -> Fixture {
         .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
         .collect();
     let index = dir.join("sharded.mmx");
-    build_sharded(&refs, &IdxOpts::MAP_ONT, IndexFormat::Packed, 4, &index).unwrap();
+    build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &index).unwrap();
 
     let mut records = Vec::new();
     for (ci, g) in chroms.iter().enumerate() {

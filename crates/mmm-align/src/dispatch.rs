@@ -8,13 +8,13 @@
 
 use std::sync::OnceLock;
 
-use crate::extend::ExtendResult;
 use crate::scalar;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
 use crate::simd::{avx2, avx512, sse};
 use crate::types::{AlignError, AlignMode, AlignResult};
 use crate::zdrop;
+use crate::zdrop::ExtendResult;
 
 /// SIMD tiers turned off by the `MMM_DISABLE_SIMD` environment override —
 /// the escape hatch for debugging a suspect kernel in production and for

@@ -14,7 +14,6 @@
 //! * [`simd`] — hand-vectorized x86-64 kernels with runtime dispatch;
 //! * [`diff`] — shared machinery (direction matrix, boundary score
 //!   tracking, CIGAR backtracking);
-//! * [`extend`] — best-prefix extension built on the kernels;
 //! * [`zdrop`] — exact z-drop extension (ksw2 semantics), the mapper's
 //!   end-extension engine;
 //! * [`banded`] — banded global alignment (minimap2's `-r`);
@@ -25,7 +24,6 @@ pub mod banded;
 pub mod cigar;
 pub mod diff;
 pub mod dispatch;
-pub mod extend;
 pub mod fullmatrix;
 pub mod layout;
 pub mod scalar;
@@ -42,12 +40,8 @@ pub use dispatch::{
     best_engine, best_engine_unless, best_mm2_engine, parse_disable_list, DisabledTiers, Engine,
     Layout, Width,
 };
-pub use extend::{
-    extend_align, extend_align_with_scratch, trim_to_best_prefix, trim_to_best_prefix_into,
-    ExtendResult,
-};
 pub use score::Scoring;
 pub use scratch::AlignScratch;
 pub use twopiece::{align_manymap_2p, align_manymap_2p_with_scratch, fullmatrix2, Scoring2};
 pub use types::{AlignError, AlignMode, AlignResult};
-pub use zdrop::{extend_zdrop, extend_zdrop_with_scratch, DEFAULT_ZDROP};
+pub use zdrop::{extend_zdrop, extend_zdrop_with_scratch, ExtendResult, DEFAULT_ZDROP};

@@ -14,10 +14,10 @@ use core::ptr;
 
 use super::{Consts, Isa};
 use crate::diff::{backtrack_into, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
-use crate::extend::ExtendResult;
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
 use crate::types::{AlignMode, AlignResult};
+use crate::zdrop::ExtendResult;
 
 /// # Safety
 /// See [`Isa`].

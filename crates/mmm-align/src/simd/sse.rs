@@ -4,10 +4,10 @@ use core::arch::x86_64::*;
 
 use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
-use crate::extend::ExtendResult;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
 use crate::types::{AlignMode, AlignResult};
+use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
 pub fn available() -> bool {

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use super::{avx2, avx512, sse};
-use crate::extend::ExtendResult;
 use crate::zdrop::extend_scalar;
+use crate::zdrop::ExtendResult;
 use crate::{scalar, AlignMode, AlignResult, AlignScratch, Scoring, Width};
 
 /// The fill-kernel signature the tiers share (`align_mm2`, `align_manymap`).

@@ -1,12 +1,13 @@
 //! Exact z-drop extension — ksw2/minimap2's real extension semantics.
 //!
-//! [`crate::extend`] approximates extension by trimming the semi-global
-//! path to its best prefix. This module implements the exact version: the
-//! alignment starts at (0,0), may end at *any* cell, and the DP stops
-//! early once every cell of a diagonal scores more than `zdrop` below the
-//! best cell seen so far (minimap2's `-z`). Absolute scores are
-//! reconstructed per diagonal from the difference recurrence with one
-//! extra O(width) 32-bit pass — the same trick ksw2's exact mode uses:
+//! At the ends of a chain the remaining read tail is extended across a
+//! reference window: the alignment starts at (0,0), may end at *any* cell,
+//! and the DP stops early once every cell of a diagonal scores more than
+//! `zdrop` below the best cell seen so far (minimap2's `-z`), so the
+//! alignment ends where the score peaks instead of being dragged through
+//! a noisy tail. Absolute scores are reconstructed per diagonal from the
+//! difference recurrence with one extra O(width) 32-bit pass — the same
+//! trick ksw2's exact mode uses:
 //! `H(r,t) = H(r-1,t-1) + z(r,t)`, which telescopes in place when `t` is
 //! swept downward.
 //!
@@ -23,11 +24,37 @@
 //! The direction matrix grows one diagonal at a time, so an extension that
 //! z-drops early has touched (and holds) only the rows it computed.
 
+use crate::cigar::Cigar;
 use crate::diff::{backtrack_into, cell_update};
 use crate::dispatch::best_engine;
-use crate::extend::ExtendResult;
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, AlignScratch};
+
+/// Result of an end extension.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExtendResult {
+    /// Score at the best cell.
+    pub score: i32,
+    /// Target bases consumed up to the best cell.
+    pub t_consumed: usize,
+    /// Query bases consumed up to the best cell.
+    pub q_consumed: usize,
+    /// The path ending at the best cell (empty without `with_path`).
+    pub cigar: Cigar,
+}
+
+impl ExtendResult {
+    /// The extension that consumes nothing (empty input, or no cell scored
+    /// above zero).
+    pub(crate) fn empty() -> Self {
+        ExtendResult {
+            score: 0,
+            t_consumed: 0,
+            q_consumed: 0,
+            cigar: Cigar::new(),
+        }
+    }
+}
 
 /// Extension alignment with exact per-cell scores and z-drop termination.
 ///

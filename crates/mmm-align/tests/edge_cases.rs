@@ -7,8 +7,7 @@
 
 use mmm_align::diff::{DirMatrix, Tracker};
 use mmm_align::{
-    align_manymap_2p, extend_align, extend_zdrop, AlignError, AlignMode, AlignScratch, Engine,
-    Scoring, Scoring2,
+    align_manymap_2p, extend_zdrop, AlignError, AlignMode, AlignScratch, Engine, Scoring, Scoring2,
 };
 
 /// `q + e` big enough that the Suzuki–Kasahara deltas overflow `i8`
@@ -105,7 +104,7 @@ fn empty_inputs_take_the_degenerate_path_in_every_kernel() {
     let r = align_manymap_2p(&seq, &[], &Scoring2::LONG_READ, AlignMode::Global, true);
     assert_eq!(r.cigar.unwrap().target_len() as usize, seq.len());
     assert_eq!(extend_zdrop(&[], &seq, &sc, 100, true).score, 0);
-    let ext = extend_align(&[], &[], &sc, mmm_align::best_engine());
+    let ext = extend_zdrop(&[], &[], &sc, 100, true);
     assert_eq!((ext.t_consumed, ext.q_consumed), (0, 0));
 }
 

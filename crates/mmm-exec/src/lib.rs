@@ -24,7 +24,6 @@ pub mod backend;
 pub mod cpu;
 pub mod error;
 pub mod fault;
-pub mod filter;
 pub mod gpu;
 pub mod health;
 pub mod job;
@@ -40,7 +39,6 @@ pub use error::BackendError;
 pub use fault::{
     FaultAction, FaultClass, FaultPlan, ShardFaultAction, ShardFaultClass, SHARD_SECTION_NAMES,
 };
-pub use filter::{PrefilterMode, PrefilterProbe, PREFILTER_MIN_SAMPLED, PREFILTER_WINDOW};
 pub use gpu::GpuSimtBackend;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use job::{AlignJob, MAX_PLAN_SEGMENT};

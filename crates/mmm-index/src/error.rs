@@ -36,7 +36,7 @@ pub enum IndexError {
     HitBudget { what: String },
     /// The file is an `MMX` index, but of a version this build does not
     /// speak. Distinct from [`IndexError::Corrupt`] so tooling can tell
-    /// "regenerate your index" apart from "your file is damaged".
+    /// "rebuild your index" apart from "your file is damaged".
     Version { found: u8, expected: u8 },
     /// A posting bucket exceeds the packed-block field budget
     /// (`off:37 | count:20 | width:7`). In practice this means a single
@@ -129,8 +129,8 @@ impl fmt::Display for IndexError {
             IndexError::Version { found, expected } => {
                 write!(
                     f,
-                    "unsupported index version {found} (this build expects \
-                     version {expected} or older): regenerate the index"
+                    "unsupported index version {found} (this build reads \
+                     version {expected}): rebuild the index with `manymap index`"
                 )
             }
             IndexError::PostingBudget { what } => {

@@ -5,7 +5,7 @@ use mmm_seq::{PackedSeq, SeqRecord};
 
 use crate::error::IndexError;
 use crate::minimizer::{minimizers, minimizers_hpc, Minimizer};
-use crate::postings::{IndexFormat, PackedPostings, PostingCursor, Postings};
+use crate::postings::{PackedPostings, PostingCursor};
 use crate::unpack;
 
 /// Index construction parameters.
@@ -97,16 +97,15 @@ pub struct MinimizerIndex {
     /// Homopolymer-compressed sketching (queries must match).
     pub hpc: bool,
     pub seqs: Vec<RefSeq>,
-    /// Posting lists: minimizer hash → packed reference hits, in either
-    /// the flat (legacy) or FOR/delta bit-packed representation.
-    pub(crate) postings: Postings,
+    /// Posting lists: minimizer hash → packed reference hits, FOR/delta
+    /// bit-packed per bucket.
+    pub(crate) postings: PackedPostings,
     /// Seeding ignores minimizers with more occurrences than this.
     pub max_occ: u32,
 }
 
 impl MinimizerIndex {
-    /// Build the index over a set of reference records, in the default
-    /// ([`IndexFormat::Packed`]) posting-list representation.
+    /// Build the index over a set of reference records.
     ///
     /// Fails with [`IndexError::HitBudget`] when the reference set exceeds
     /// the packed-hit representation ([`MAX_REF_SEQS`] sequences of up to
@@ -114,18 +113,6 @@ impl MinimizerIndex {
     /// into the wrong reference or strand and mismap every read that seeds
     /// there, so over-budget inputs must fail loudly at build time.
     pub fn build(refs: &[SeqRecord], opts: &IdxOpts) -> Result<Self, IndexError> {
-        Self::build_with_format(refs, opts, IndexFormat::Packed)
-    }
-
-    /// [`MinimizerIndex::build`] with an explicit posting-list format.
-    /// The two formats answer every query identically (the xtask oracle's
-    /// `packed_crosscheck` pass holds them bit-exact); they differ only in
-    /// resident bytes and on-disk version.
-    pub fn build_with_format(
-        refs: &[SeqRecord],
-        opts: &IdxOpts,
-        format: IndexFormat,
-    ) -> Result<Self, IndexError> {
         check_hit_budget(refs.len(), refs.iter().map(|r| (r.name.as_str(), r.len())))?;
         // Collect (hash, packed hit) pairs across all references.
         let mut pairs: Vec<(u64, u64)> = Vec::new();
@@ -142,35 +129,11 @@ impl MinimizerIndex {
         }
         pairs.sort_unstable();
 
-        let postings = match format {
-            IndexFormat::Packed => Postings::Packed(PackedPostings::from_sorted_pairs(&pairs)?),
-            IndexFormat::Legacy => {
-                let mut map = std::collections::HashMap::with_capacity(pairs.len() / 2 + 1);
-                let mut positions = Vec::with_capacity(pairs.len());
-                let mut i = 0;
-                while i < pairs.len() {
-                    let h = pairs[i].0;
-                    let start = positions.len() as u64;
-                    let mut j = i;
-                    while j < pairs.len() && pairs[j].0 == h {
-                        positions.push(pairs[j].1);
-                        j += 1;
-                    }
-                    map.insert(h, (start, (j - i) as u32));
-                    i = j;
-                }
-                Postings::Flat { map, positions }
-            }
-        };
-
-        let max_occ = match &postings {
-            Postings::Flat { map, .. } => {
-                occurrence_cutoff(map.values().map(|&(_, c)| c), opts.occ_frac)
-            }
-            Postings::Packed(p) => {
-                occurrence_cutoff(p.map.values().map(|r| r.count() as u32), opts.occ_frac)
-            }
-        };
+        let postings = PackedPostings::from_sorted_pairs(&pairs)?;
+        let max_occ = occurrence_cutoff(
+            postings.map.values().map(|r| r.count() as u32),
+            opts.occ_frac,
+        );
         Ok(MinimizerIndex {
             k: opts.k,
             w: opts.w,
@@ -179,11 +142,6 @@ impl MinimizerIndex {
             postings,
             max_occ,
         })
-    }
-
-    /// Which posting-list representation this index holds.
-    pub fn format(&self) -> IndexFormat {
-        self.postings.format()
     }
 
     /// Hits recorded for one minimizer hash (0 when absent) — one map
@@ -220,9 +178,9 @@ impl MinimizerIndex {
         self.postings.num_hits() as usize
     }
 
-    /// Bytes of the hit-carrying posting section — the quantity the packed
-    /// format shrinks. The flat-format equivalent of the same index is
-    /// always `num_positions() * 8`.
+    /// Bytes of the hit-carrying posting section — the quantity packing
+    /// shrinks. A flat `u64`-per-hit array of the same index is
+    /// `num_positions() * 8`.
     pub fn posting_bytes(&self) -> usize {
         self.postings.posting_bytes()
     }
@@ -411,7 +369,6 @@ mod tests {
     fn build_and_lookup_round_trip() {
         let g = random_genome(20_000, 11);
         let idx = build_one(&g, &IdxOpts::MAP_ONT);
-        assert_eq!(idx.format(), IndexFormat::Packed);
         assert!(idx.num_minimizers() > 1000);
         // Every stored minimizer must be findable.
         let ms = minimizers(&g, idx.k, idx.w);
@@ -421,34 +378,6 @@ mod tests {
             idx.decode_hits_into(m.hash, &mut hits);
             assert!(!hits.is_empty());
         }
-    }
-
-    #[test]
-    fn packed_and_legacy_answer_queries_identically() {
-        let g = random_genome(30_000, 21);
-        let rec = SeqRecord::new("chr1", nt4_decode(&g));
-        let packed = MinimizerIndex::build_with_format(
-            std::slice::from_ref(&rec),
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-        )
-        .unwrap();
-        let legacy =
-            MinimizerIndex::build_with_format(&[rec], &IdxOpts::MAP_ONT, IndexFormat::Legacy)
-                .unwrap();
-        assert_eq!(packed.format(), IndexFormat::Packed);
-        assert_eq!(legacy.format(), IndexFormat::Legacy);
-        assert_eq!(packed.max_occ, legacy.max_occ);
-        assert_eq!(packed.sorted_hashes(), legacy.sorted_hashes());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for &h in packed.sorted_hashes().iter().take(500) {
-            packed.decode_hits_into(h, &mut a);
-            legacy.decode_hits_into(h, &mut b);
-            assert_eq!(a, b);
-        }
-        // Anchors — the mapper-facing surface — must agree exactly.
-        let q = &g[4_000..6_000];
-        assert_eq!(packed.collect_anchors(q), legacy.collect_anchors(q));
     }
 
     #[test]
@@ -464,21 +393,13 @@ mod tests {
                 )
             })
             .collect();
-        let packed =
-            MinimizerIndex::build_with_format(&recs, &IdxOpts::MAP_ONT, IndexFormat::Packed)
-                .unwrap();
-        let legacy =
-            MinimizerIndex::build_with_format(&recs, &IdxOpts::MAP_ONT, IndexFormat::Legacy)
-                .unwrap();
-        assert_eq!(packed.num_positions(), legacy.num_positions());
-        assert_eq!(legacy.posting_bytes(), legacy.num_positions() * 8);
+        let packed = MinimizerIndex::build(&recs, &IdxOpts::MAP_ONT).unwrap();
+        let flat_bytes = packed.num_positions() * 8;
         assert!(
-            packed.posting_bytes() * 2 <= legacy.posting_bytes(),
-            "packed {} vs legacy {}: shrink below 2x",
-            packed.posting_bytes(),
-            legacy.posting_bytes()
+            packed.posting_bytes() * 2 <= flat_bytes,
+            "packed {} vs flat {flat_bytes}: shrink below 2x",
+            packed.posting_bytes()
         );
-        assert!(packed.heap_bytes() < legacy.heap_bytes());
     }
 
     #[test]

@@ -25,10 +25,7 @@ pub mod xxh;
 pub use error::IndexError;
 pub use index::{check_hit_budget, IdxOpts, MinimizerIndex, RefSeq, MAX_REF_LEN, MAX_REF_SEQS};
 pub use minimizer::{hash64, minimizers, Minimizer};
-pub use postings::{
-    BucketRef, IndexFormat, PackedPostings, PostingCursor, Postings, MAX_BLOCK_WORDS,
-    MAX_BUCKET_HITS,
-};
+pub use postings::{BucketRef, PackedPostings, PostingCursor, MAX_BLOCK_WORDS, MAX_BUCKET_HITS};
 pub use serialize::{load_index, load_index_mmap, parse_index, save_index, LoadStats};
 pub use shard::{
     build_sharded, shard_section_ranges, AnyIndex, IndexRef, ShardBuildReport, ShardFaultHook,

@@ -1,16 +1,16 @@
-//! Posting-list storage: flat (legacy) and bit-packed FOR/delta (v2).
+//! Posting-list storage: bit-packed FOR/delta buckets (the v2 image).
 //!
-//! The legacy layout stores every hit as a full `u64` in one `positions`
-//! array with `(offset, count)` map values. The packed layout (DESIGN.md
-//! §14) keeps the same one-map-probe access pattern but stores each
-//! bucket as **base + bit-packed deltas**: hits within a bucket are
-//! strictly increasing, so the bucket is encoded as its first hit (FOR
-//! base) followed by `count − 1` successive differences packed at the
-//! bucket's minimum sufficient bit width. Map values become
-//! [`BucketRef`] — the same 16 bytes the legacy `(u64, u32)` value pads
-//! to, so the map costs nothing extra and the whole saving lands in the
-//! hit array. Singleton buckets (the common case under minimizer
-//! sketching) need zero block words: their one hit *is* the base.
+//! A flat layout would store every hit as a full `u64` in one array with
+//! `(offset, count)` map values. The packed layout (DESIGN.md §14) keeps
+//! that one-map-probe access pattern but stores each bucket as **base +
+//! bit-packed deltas**: hits within a bucket are strictly increasing, so
+//! the bucket is encoded as its first hit (FOR base) followed by
+//! `count − 1` successive differences packed at the bucket's minimum
+//! sufficient bit width. Map values are [`BucketRef`] — the same 16 bytes
+//! a `(u64, u32)` value pads to, so the map costs nothing extra and the
+//! whole saving lands in the hit array. Singleton buckets (the common case
+//! under minimizer sketching) need zero block words: their one hit *is*
+//! the base.
 //!
 //! Decoding goes through [`unpack`]'s tiered kernels
 //! (scalar / AVX2 / AVX-512 VBMI) into caller-reused buffers, or
@@ -30,40 +30,10 @@ pub const MAX_BLOCK_WORDS: u64 = 1 << 37;
 /// refuses (typed [`IndexError::PostingBudget`]) rather than truncate.
 pub const MAX_BUCKET_HITS: u64 = (1 << 20) - 1;
 
-/// Which posting-list representation an index is built with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum IndexFormat {
-    /// FOR/delta bit-packed blocks (the v2 on-disk format, the default).
-    #[default]
-    Packed,
-    /// One `u64` per hit (the v1 on-disk format).
-    Legacy,
-}
-
-impl IndexFormat {
-    /// Parse a CLI/profile spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "packed" => Some(IndexFormat::Packed),
-            "legacy" | "flat" => Some(IndexFormat::Legacy),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            IndexFormat::Packed => "packed",
-            IndexFormat::Legacy => "legacy",
-        }
-    }
-}
-
 /// Packed map value: the bucket's FOR base (its first hit) plus a bit
 /// field `ocw` packing the block-word offset (37 bits, `[63:27]`), hit
 /// count (20 bits, `[26:7]`), and delta bit width (7 bits, `[6:0]`).
-/// 16 bytes total — identical to what the legacy `(u64, u32)` map value
-/// pads to, so swapping it in is free.
+/// 16 bytes total — what a flat `(u64, u32)` map value would pad to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketRef {
     /// First (smallest) hit of the bucket.
@@ -235,192 +205,99 @@ impl PackedPostings {
         Ok(())
     }
 
-    /// Bytes of the hit-carrying section (map excluded): the delta block
-    /// pool. The legacy equivalent is `n_hits * 8`.
-    pub fn posting_bytes(&self) -> usize {
-        self.blocks.len() * 8
-    }
-}
-
-/// Either posting-list representation behind one query API. The mapper
-/// only sees [`Postings::count`] / [`Postings::decode_into`] /
-/// [`Postings::cursor`], so flipping `--index-format` changes storage,
-/// never behavior.
-#[derive(Debug)]
-pub enum Postings {
-    /// Legacy flat layout: `(offset, count)` into one `u64` hit array.
-    Flat {
-        map: HashMap<u64, (u64, u32)>,
-        positions: Vec<u64>,
-    },
-    /// FOR/delta bit-packed blocks.
-    Packed(PackedPostings),
-}
-
-impl Default for Postings {
-    fn default() -> Self {
-        Postings::Packed(PackedPostings::default())
-    }
-}
-
-impl Postings {
-    /// Which format this store holds.
-    pub fn format(&self) -> IndexFormat {
-        match self {
-            Postings::Flat { .. } => IndexFormat::Legacy,
-            Postings::Packed(_) => IndexFormat::Packed,
-        }
-    }
-
     /// Number of distinct minimizer hashes.
     pub fn num_keys(&self) -> usize {
-        match self {
-            Postings::Flat { map, .. } => map.len(),
-            Postings::Packed(p) => p.map.len(),
-        }
+        self.map.len()
     }
 
     /// Total number of stored hits.
     pub fn num_hits(&self) -> u64 {
-        match self {
-            Postings::Flat { positions, .. } => positions.len() as u64,
-            Postings::Packed(p) => p.n_hits,
-        }
+        self.n_hits
     }
 
     /// Hits recorded for `hash` (0 when absent) — one map probe, no decode.
     pub fn count(&self, hash: u64) -> usize {
-        match self {
-            Postings::Flat { map, .. } => map.get(&hash).map_or(0, |&(_, c)| c as usize),
-            Postings::Packed(p) => p.map.get(&hash).map_or(0, |r| r.count() as usize),
-        }
+        self.map.get(&hash).map_or(0, |r| r.count() as usize)
     }
 
     /// Decode the bucket for `hash` into `out` (cleared and refilled;
     /// empty when the hash is absent). With a reused `out` this is the
     /// allocation-free bulk query path.
     pub fn decode_into(&self, hash: u64, out: &mut Vec<u64>) {
-        match self {
-            Postings::Flat { map, positions } => {
-                out.clear();
-                if let Some(&(off, cnt)) = map.get(&hash) {
-                    out.extend_from_slice(&positions[off as usize..off as usize + cnt as usize]);
-                }
-            }
-            Postings::Packed(p) => match p.map.get(&hash) {
-                Some(&r) => p.decode_ref_into(r, out),
-                None => out.clear(),
-            },
+        match self.map.get(&hash) {
+            Some(&r) => self.decode_ref_into(r, out),
+            None => out.clear(),
         }
     }
 
     /// Stream the bucket for `hash` without materializing it.
     pub fn cursor(&self, hash: u64) -> PostingCursor<'_> {
-        match self {
-            Postings::Flat { map, positions } => {
-                let hits = match map.get(&hash) {
-                    Some(&(off, cnt)) => &positions[off as usize..off as usize + cnt as usize],
-                    None => &[],
-                };
-                PostingCursor::Flat(hits.iter())
-            }
-            Postings::Packed(p) => match p.map.get(&hash) {
-                Some(&r) => PostingCursor::Packed {
-                    blocks: &p.blocks[r.off() as usize..],
-                    width: r.width(),
-                    bit: 0,
-                    prev: r.base,
-                    remaining: r.count(),
-                    first: true,
-                },
-                None => PostingCursor::Flat([].iter()),
-            },
+        // An absent hash reads as a zero-hit bucket: `next` ends on
+        // `remaining` before it touches `blocks`.
+        let r = self.map.get(&hash).copied();
+        let r = r.unwrap_or(BucketRef { base: 0, ocw: 0 });
+        PostingCursor {
+            blocks: &self.blocks[r.off() as usize..],
+            width: r.width(),
+            bit: 0,
+            prev: r.base,
+            remaining: r.count(),
+            first: true,
         }
     }
 
     /// All minimizer hashes in sorted order (allocates; test/serialize
     /// convenience, not a hot path).
     pub fn sorted_hashes(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = match self {
-            Postings::Flat { map, .. } => map.keys().copied().collect(),
-            Postings::Packed(p) => p.map.keys().copied().collect(),
-        };
+        let mut keys: Vec<u64> = self.map.keys().copied().collect();
         keys.sort_unstable();
         keys
     }
 
-    /// Bytes of the hit-carrying section (the part the packed layout
-    /// shrinks); the map is excluded because both formats pay the same
-    /// 16-byte padded value per key.
+    /// Bytes of the hit-carrying section (map excluded): the delta block
+    /// pool. A flat `u64`-per-hit array of the same hits is `n_hits * 8`.
     pub fn posting_bytes(&self) -> usize {
-        match self {
-            Postings::Flat { positions, .. } => positions.len() * 8,
-            Postings::Packed(p) => p.posting_bytes(),
-        }
+        self.blocks.len() * 8
     }
 
-    /// Resident heap bytes (map + hit storage).
+    /// Resident heap bytes (map + delta blocks).
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            Postings::Flat { map, positions } => map.len() * 24 + positions.len() * 8,
-            Postings::Packed(p) => p.map.len() * 24 + p.blocks.len() * 8,
-        }
+        self.map.len() * 24 + self.blocks.len() * 8
     }
 }
 
 /// Streaming decoder over one posting bucket, yielding packed hits in
-/// increasing order. The packed variant holds a bit cursor into the
-/// bucket's delta block and the running prefix sum — no buffer, no
-/// allocation.
-pub enum PostingCursor<'a> {
-    /// Legacy: iterate the flat hit slice.
-    Flat(std::slice::Iter<'a, u64>),
-    /// Packed: FOR base + running delta decode.
-    Packed {
-        blocks: &'a [u64],
-        width: u32,
-        bit: usize,
-        prev: u64,
-        remaining: u64,
-        first: bool,
-    },
+/// increasing order: a bit cursor into the bucket's delta block and the
+/// running prefix sum — no buffer, no allocation.
+pub struct PostingCursor<'a> {
+    blocks: &'a [u64],
+    width: u32,
+    bit: usize,
+    prev: u64,
+    remaining: u64,
+    first: bool,
 }
 
 impl Iterator for PostingCursor<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        match self {
-            PostingCursor::Flat(it) => it.next().copied(),
-            PostingCursor::Packed {
-                blocks,
-                width,
-                bit,
-                prev,
-                remaining,
-                first,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                if *first {
-                    *first = false;
-                    return Some(*prev);
-                }
-                let d = unpack::read_field(blocks, *bit, *width);
-                *bit += *width as usize;
-                *prev = prev.wrapping_add(d);
-                Some(*prev)
-            }
+        if self.remaining == 0 {
+            return None;
         }
+        self.remaining -= 1;
+        if self.first {
+            self.first = false;
+            return Some(self.prev);
+        }
+        let d = unpack::read_field(self.blocks, self.bit, self.width);
+        self.bit += self.width as usize;
+        self.prev = self.prev.wrapping_add(d);
+        Some(self.prev)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            PostingCursor::Flat(it) => it.len(),
-            PostingCursor::Packed { remaining, .. } => *remaining as usize,
-        };
+        let n = self.remaining as usize;
         (n, Some(n))
     }
 }
@@ -432,41 +309,31 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn flat_from_pairs(pairs: &[(u64, u64)]) -> Postings {
-        let mut map = HashMap::new();
-        let mut positions = Vec::new();
-        let mut start = 0usize;
-        while start < pairs.len() {
-            let hash = pairs[start].0;
-            let mut end = start + 1;
-            while end < pairs.len() && pairs[end].0 == hash {
-                end += 1;
-            }
-            map.insert(hash, (positions.len() as u64, (end - start) as u32));
-            positions.extend(pairs[start..end].iter().map(|&(_, h)| h));
-            start = end;
-        }
-        Postings::Flat { map, positions }
-    }
-
+    /// The reference is the input itself: `pairs` grouped by hash is what
+    /// every query of the packed store must give back.
     fn assert_equivalent(pairs: &[(u64, u64)]) {
-        let flat = flat_from_pairs(pairs);
-        let packed = Postings::Packed(PackedPostings::from_sorted_pairs(pairs).unwrap());
-        assert_eq!(flat.num_keys(), packed.num_keys());
-        assert_eq!(flat.num_hits(), packed.num_hits());
-        assert_eq!(flat.sorted_hashes(), packed.sorted_hashes());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for &h in &flat.sorted_hashes() {
-            assert_eq!(flat.count(h), packed.count(h), "count for {h}");
-            flat.decode_into(h, &mut a);
-            packed.decode_into(h, &mut b);
-            assert_eq!(a, b, "decode for {h}");
-            let via_cursor: Vec<u64> = packed.cursor(h).collect();
-            assert_eq!(via_cursor, a, "cursor for {h}");
-            assert_eq!(packed.cursor(h).len(), a.len());
+        let packed = PackedPostings::from_sorted_pairs(pairs).unwrap();
+        let mut want: Vec<(u64, Vec<u64>)> = Vec::new();
+        for &(hash, hit) in pairs {
+            match want.last_mut() {
+                Some((h, hits)) if *h == hash => hits.push(hit),
+                _ => want.push((hash, vec![hit])),
+            }
         }
-        // Absent hashes behave identically too.
+        assert_eq!(packed.num_keys(), want.len());
+        assert_eq!(packed.num_hits(), pairs.len() as u64);
+        let hashes: Vec<u64> = want.iter().map(|&(h, _)| h).collect();
+        assert_eq!(packed.sorted_hashes(), hashes);
+        let mut b = Vec::new();
+        for (h, hits) in &want {
+            assert_eq!(packed.count(*h), hits.len(), "count for {h}");
+            packed.decode_into(*h, &mut b);
+            assert_eq!(&b, hits, "decode for {h}");
+            let via_cursor: Vec<u64> = packed.cursor(*h).collect();
+            assert_eq!(&via_cursor, hits, "cursor for {h}");
+            assert_eq!(packed.cursor(*h).len(), hits.len());
+        }
+        // An absent hash is an empty bucket on every query.
         let absent = 0xDEAD_BEEF_0BAD_F00Du64;
         assert_eq!(packed.count(absent), 0);
         packed.decode_into(absent, &mut b);
@@ -476,7 +343,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        let p = Postings::Packed(PackedPostings::from_sorted_pairs(&[]).unwrap());
+        let p = PackedPostings::from_sorted_pairs(&[]).unwrap();
         assert_eq!(p.num_keys(), 0);
         assert_eq!(p.num_hits(), 0);
         assert_eq!(p.posting_bytes(), 0);
@@ -538,15 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn format_parse_and_label() {
-        assert_eq!(IndexFormat::parse("packed"), Some(IndexFormat::Packed));
-        assert_eq!(IndexFormat::parse("legacy"), Some(IndexFormat::Legacy));
-        assert_eq!(IndexFormat::parse("flat"), Some(IndexFormat::Legacy));
-        assert_eq!(IndexFormat::parse("zip"), None);
-        assert_eq!(IndexFormat::default().label(), "packed");
-    }
-
-    #[test]
     fn posting_bytes_shrink_on_clustered_hits() {
         // Clustered hits (small deltas) — the realistic minimizer case —
         // must shrink well below the flat 8-bytes-per-hit floor.
@@ -556,13 +414,12 @@ mod tests {
                 pairs.push((h, (h << 20) + i * 97));
             }
         }
-        let flat = flat_from_pairs(&pairs);
-        let packed = Postings::Packed(PackedPostings::from_sorted_pairs(&pairs).unwrap());
+        let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
+        let flat_bytes = pairs.len() * 8;
         assert!(
-            packed.posting_bytes() * 2 <= flat.posting_bytes(),
-            "packed {} vs flat {}",
-            packed.posting_bytes(),
-            flat.posting_bytes()
+            packed.posting_bytes() * 2 <= flat_bytes,
+            "packed {} vs flat {flat_bytes}",
+            packed.posting_bytes()
         );
         assert_equivalent(&pairs);
     }

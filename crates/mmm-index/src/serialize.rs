@@ -1,20 +1,16 @@
 //! Index serialization and the two loading paths of §4.4.2.
 //!
 //! The on-disk format mirrors minimap2's `.mmi` in spirit: a magic header,
-//! per-sequence metadata and packed bases, then the minimizer table. Two
-//! versions share the `MMX` magic prefix, with the fourth byte naming the
-//! version:
+//! per-sequence metadata and packed bases, then the minimizer table. The
+//! fourth byte after the `MMX` magic prefix names the version, and there is
+//! one image version, **v2** (`MMX\x02`, DESIGN.md §14): `(base, ocw)`
+//! [`BucketRef`] map values plus a pool of FOR/delta bit-packed block
+//! words, zero-padded so the pool sits 8-byte aligned in the file (mmap'd
+//! `u64` loads never straddle).
 //!
-//! * **v1** (`MMX\x01`) — the legacy flat layout: `(offset, count)` map
-//!   values into one `u64`-per-hit positions array;
-//! * **v2** (`MMX\x02`) — the packed layout (DESIGN.md §14):
-//!   `(base, ocw)` [`BucketRef`] map values plus a pool of FOR/delta
-//!   bit-packed block words, zero-padded so the pool sits 8-byte aligned
-//!   in the file (mmap'd `u64` loads never straddle).
-//!
-//! An `MMX` file of any *other* version is a typed
-//! [`IndexError::Version`] naming the found and expected versions — a
-//! future format is "regenerate your index", never "corrupt".
+//! An `MMX` file of any *other* version — the retired flat v1 layout or a
+//! future format — is a typed [`IndexError::Version`] naming the found and
+//! expected versions: "rebuild your index", never "corrupt".
 //!
 //! Crucially the format is identical for both loaders; only the I/O
 //! mechanism differs:
@@ -34,15 +30,13 @@ use mmm_seq::PackedSeq;
 
 use crate::error::IndexError;
 use crate::index::{MinimizerIndex, RefSeq};
-use crate::postings::{BucketRef, PackedPostings, Postings};
+use crate::postings::{BucketRef, PackedPostings};
 
 /// Shared magic prefix; the fourth byte is the format version.
 const MAGIC_PREFIX: &[u8; 3] = b"MMX";
-/// v1: flat posting lists.
-const VERSION_FLAT: u8 = 1;
-/// v2: FOR/delta bit-packed posting blocks — the newest *flat* version
-/// this build writes and reads.
-const VERSION_PACKED: u8 = 2;
+/// v2: FOR/delta bit-packed posting blocks — the one image version this
+/// build writes and reads (v1 was the retired `u64`-per-hit layout).
+pub(crate) const VERSION_PACKED: u8 = 2;
 /// v3: the sharded-index manifest (per-shard files + checksums). Parsed by
 /// the sharded loader in [`crate::shard`], not by [`parse_index`]; the
 /// dispatch here only recognizes the byte so the flat loaders can say
@@ -81,7 +75,7 @@ impl<W: Write> Write for CountingWriter<W> {
 /// reported by [`write_index_image`]. Offsets are image-relative and
 /// half-open: `header` is `[0, header_end)`, `seqs` is
 /// `[header_end, seqs_end)`, `map` is `[seqs_end, map_end)` and the pool
-/// (v1 positions / v2 packed blocks) runs `[map_end, total)`. The v3 shard
+/// (packed blocks) runs `[map_end, total)`. The v3 shard
 /// container checksums each range independently so corruption reports can
 /// name the damaged section.
 #[derive(Clone, Copy, Debug)]
@@ -92,8 +86,7 @@ pub(crate) struct SectionBounds {
     pub total: u64,
 }
 
-/// Write the index to `path`, in the on-disk version matching its
-/// resident format (v1 for legacy/flat, v2 for packed).
+/// Write the index to `path` as a v2 image.
 pub fn save_index(idx: &MinimizerIndex, path: &Path) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     let mut w = BufWriter::with_capacity(1 << 20, f);
@@ -101,7 +94,7 @@ pub fn save_index(idx: &MinimizerIndex, path: &Path) -> io::Result<()> {
     w.flush()
 }
 
-/// Serialize `idx` into `out` (the v1/v2 image both loaders parse) and
+/// Serialize `idx` into `out` (the v2 image both loaders parse) and
 /// report the section boundaries. The image is self-contained: parsing it
 /// from offset 0 of any [`ByteSource`] reproduces the index, which is how
 /// the v3 shard container embeds it after its checksum directory.
@@ -110,12 +103,8 @@ pub(crate) fn write_index_image<W: Write>(
     out: W,
 ) -> io::Result<SectionBounds> {
     let mut w = CountingWriter { w: out, pos: 0 };
-    let version = match &idx.postings {
-        Postings::Flat { .. } => VERSION_FLAT,
-        Postings::Packed(_) => VERSION_PACKED,
-    };
     w.write_all(MAGIC_PREFIX)?;
-    w.write_all(&[version])?;
+    w.write_all(&[VERSION_PACKED])?;
     w.write_all(&(idx.k as u32).to_le_bytes())?;
     w.write_all(&(idx.w as u32).to_le_bytes())?;
     w.write_all(&(idx.hpc as u32).to_le_bytes())?;
@@ -134,50 +123,28 @@ pub(crate) fn write_index_image<W: Write>(
     let seqs_end = w.pos;
     // Minimizer table: keys sorted for determinism, then the per-key
     // values, then the hit-carrying section.
-    let map_end;
-    match &idx.postings {
-        Postings::Flat { map, positions } => {
-            let mut keys: Vec<u64> = map.keys().copied().collect();
-            keys.sort_unstable();
-            w.write_all(&(keys.len() as u64).to_le_bytes())?;
-            for &k in &keys {
-                w.write_all(&k.to_le_bytes())?;
-            }
-            for &k in &keys {
-                let (off, cnt) = map[&k];
-                w.write_all(&off.to_le_bytes())?;
-                w.write_all(&(cnt as u64).to_le_bytes())?;
-            }
-            map_end = w.pos;
-            w.write_all(&(positions.len() as u64).to_le_bytes())?;
-            for &p in positions {
-                w.write_all(&p.to_le_bytes())?;
-            }
-        }
-        Postings::Packed(p) => {
-            let mut keys: Vec<u64> = p.map.keys().copied().collect();
-            keys.sort_unstable();
-            w.write_all(&(keys.len() as u64).to_le_bytes())?;
-            for &k in &keys {
-                w.write_all(&k.to_le_bytes())?;
-            }
-            for &k in &keys {
-                let r = p.map[&k];
-                w.write_all(&r.base.to_le_bytes())?;
-                w.write_all(&r.ocw.to_le_bytes())?;
-            }
-            map_end = w.pos;
-            w.write_all(&p.n_hits.to_le_bytes())?;
-            // Zero-pad so the block pool (after its 8-byte length prefix)
-            // starts 8-byte aligned in the file: an mmap'd parse can then
-            // read block words without straddling.
-            let pad = (8 - (w.pos % 8) as usize) % 8;
-            w.write_all(&[0u8; 7][..pad])?;
-            w.write_all(&(p.blocks.len() as u64).to_le_bytes())?;
-            for &b in &p.blocks {
-                w.write_all(&b.to_le_bytes())?;
-            }
-        }
+    let p = &idx.postings;
+    let mut keys: Vec<u64> = p.map.keys().copied().collect();
+    keys.sort_unstable();
+    w.write_all(&(keys.len() as u64).to_le_bytes())?;
+    for &k in &keys {
+        w.write_all(&k.to_le_bytes())?;
+    }
+    for &k in &keys {
+        let r = p.map[&k];
+        w.write_all(&r.base.to_le_bytes())?;
+        w.write_all(&r.ocw.to_le_bytes())?;
+    }
+    let map_end = w.pos;
+    w.write_all(&p.n_hits.to_le_bytes())?;
+    // Zero-pad so the block pool (after its 8-byte length prefix) starts
+    // 8-byte aligned in the file: an mmap'd parse can then read block
+    // words without straddling.
+    let pad = (8 - (w.pos % 8) as usize) % 8;
+    w.write_all(&[0u8; 7][..pad])?;
+    w.write_all(&(p.blocks.len() as u64).to_le_bytes())?;
+    for &b in &p.blocks {
+        w.write_all(&b.to_le_bytes())?;
     }
     w.flush()?;
     Ok(SectionBounds {
@@ -218,8 +185,7 @@ fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Header fields shared by both versions (everything after the magic, up
-/// to the minimizer table).
+/// Header fields (everything after the magic, up to the minimizer table).
 struct Header {
     k: usize,
     w: usize,
@@ -275,49 +241,6 @@ fn check_rid(hit: u64, n_seqs: usize, what: &str) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// v1 body: flat `(offset, count)` map + `u64`-per-hit positions array.
-fn parse_v1_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
-    let h = parse_header(src)?;
-    // Each key contributes 8 bytes to the key array and 16 to (off, cnt).
-    let n_keys = bounded_count(src, 24, "minimizer key")?;
-    let keys = {
-        let mut v = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            v.push(src.take_u64()?);
-        }
-        v
-    };
-    let mut map = HashMap::with_capacity(n_keys);
-    for &key in &keys {
-        let off = src.take_u64()?;
-        let cnt = src.take_u64()? as u32;
-        map.insert(key, (off, cnt));
-    }
-    let positions = src.take_u64_vec()?;
-    // Every (off, cnt) range must lie inside the positions array, or the
-    // first lookup of that key would panic.
-    for (&key, &(off, cnt)) in &map {
-        let end = off.checked_add(cnt as u64);
-        if end.is_none() || end.unwrap_or(u64::MAX) > positions.len() as u64 {
-            return Err(corrupt(format!(
-                "minimizer {key:#x} claims hits {off}..{off}+{cnt}, but only {} exist",
-                positions.len()
-            )));
-        }
-    }
-    for (i, &p) in positions.iter().enumerate() {
-        check_rid(p, h.seqs.len(), &format!("packed hit {i}")).map_err(corrupt)?;
-    }
-    Ok(MinimizerIndex {
-        k: h.k,
-        w: h.w,
-        hpc: h.hpc,
-        seqs: h.seqs,
-        postings: Postings::Flat { map, positions },
-        max_occ: h.max_occ,
-    })
 }
 
 /// v2 body: `(base, ocw)` bucket refs + zero-padded packed block pool.
@@ -398,7 +321,7 @@ fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
         w: h.w,
         hpc: h.hpc,
         seqs: h.seqs,
-        postings: Postings::Packed(postings),
+        postings,
         max_occ: h.max_occ,
     })
 }
@@ -422,7 +345,6 @@ pub fn parse_index<S: ByteSource>(src: &mut S) -> Result<MinimizerIndex, IndexEr
         });
     }
     let body = match magic[3] {
-        VERSION_FLAT => parse_v1_body(src),
         VERSION_PACKED => parse_v2_body(src),
         VERSION_SHARDED => {
             // A manifest is a different artifact, not an unknown version:
@@ -495,8 +417,11 @@ pub fn load_index_mmap(path: &Path) -> Result<(MinimizerIndex, LoadStats), Index
         path: path.to_path_buf(),
         source: e,
     })?;
-    // The v1/v2 container predates the shard directory scheme.
-    // xtask-allow: mmap-checksum — parse_index validates the trailing xxh64 itself.
+    // A flat v2 image carries no checksum (only the v3 shard container
+    // does). `parse_index` bounds- and budget-checks every field, which
+    // keeps a damaged file from panicking — not from mapping wrong: a
+    // flipped byte that stays in range loads (ROADMAP item 5).
+    // xtask-allow: mmap-checksum — no checksum exists in a flat v2 image; parse_index bounds-checks only.
     let mut src = SliceSource::new(&map);
     let idx = parse_index(&mut src).map_err(|e| tag_manifest_path(e, path))?;
     let bytes = src.position() as u64;
@@ -514,7 +439,6 @@ pub fn load_index_mmap(path: &Path) -> Result<(MinimizerIndex, LoadStats), Index
 mod tests {
     use super::*;
     use crate::index::IdxOpts;
-    use crate::postings::IndexFormat;
     use mmm_seq::{nt4_decode, SeqRecord};
 
     fn sample_records() -> Vec<SeqRecord> {
@@ -533,11 +457,6 @@ mod tests {
 
     fn sample_index() -> MinimizerIndex {
         MinimizerIndex::build(&sample_records(), &IdxOpts::MAP_ONT).unwrap()
-    }
-
-    fn sample_index_legacy() -> MinimizerIndex {
-        MinimizerIndex::build_with_format(&sample_records(), &IdxOpts::MAP_ONT, IndexFormat::Legacy)
-            .unwrap()
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -571,7 +490,6 @@ mod tests {
         let p = tmp("buffered");
         save_index(&idx, &p).unwrap();
         let (back, stats) = load_index(&p).unwrap();
-        assert_eq!(back.format(), IndexFormat::Packed);
         assert_same(&idx, &back);
         // The fragmented loader issues many reads — that is the point.
         assert!(stats.read_calls > 1000, "read_calls={}", stats.read_calls);
@@ -584,56 +502,27 @@ mod tests {
         let p = tmp("mmap");
         save_index(&idx, &p).unwrap();
         let (back, stats) = load_index_mmap(&p).unwrap();
-        assert_eq!(back.format(), IndexFormat::Packed);
         assert_same(&idx, &back);
         assert_eq!(stats.read_calls, 1);
         std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
-    fn round_trip_legacy_v1() {
-        let idx = sample_index_legacy();
-        let p = tmp("legacy");
-        save_index(&idx, &p).unwrap();
-        // The file leads with the v1 magic.
-        let head = std::fs::read(&p).unwrap();
-        assert_eq!(&head[..4], b"MMX\x01");
-        let (a, _) = load_index(&p).unwrap();
-        let (b, _) = load_index_mmap(&p).unwrap();
-        assert_eq!(a.format(), IndexFormat::Legacy);
-        assert_eq!(b.format(), IndexFormat::Legacy);
-        assert_same(&idx, &a);
-        assert_same(&idx, &b);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn packed_file_is_smaller() {
-        let (pp, pl) = (tmp("size-packed"), tmp("size-legacy"));
-        save_index(&sample_index(), &pp).unwrap();
-        save_index(&sample_index_legacy(), &pl).unwrap();
-        let (bp, bl) = (
-            std::fs::metadata(&pp).unwrap().len(),
-            std::fs::metadata(&pl).unwrap().len(),
+        // Smaller than the same index with 8 bytes per hit in place of the
+        // block pool (what the flat layout spent on its positions array).
+        let idx = sample_index();
+        let p = tmp("size-packed");
+        save_index(&idx, &p).unwrap();
+        let image = std::fs::read(&p).unwrap();
+        std::fs::remove_file(&p).unwrap();
+        assert_eq!(&image[..4], b"MMX\x02");
+        let flat = image.len() - idx.posting_bytes() + idx.num_positions() * 8;
+        assert!(
+            image.len() < flat,
+            "packed {} vs flat {flat} bytes",
+            image.len()
         );
-        assert!(bp < bl, "packed {bp} vs legacy {bl} bytes");
-        std::fs::remove_file(&pp).unwrap();
-        std::fs::remove_file(&pl).unwrap();
-    }
-
-    #[test]
-    fn formats_cross_agree_after_round_trip() {
-        let (pp, pl) = (tmp("cross-packed"), tmp("cross-legacy"));
-        save_index(&sample_index(), &pp).unwrap();
-        save_index(&sample_index_legacy(), &pl).unwrap();
-        let (a, _) = load_index_mmap(&pp).unwrap();
-        let (b, _) = load_index_mmap(&pl).unwrap();
-        assert_same(&a, &b);
-        // And the mapper-facing surface agrees.
-        let q = a.seqs[0].seq.slice(5_000, 6_000);
-        assert_eq!(a.collect_anchors(&q), b.collect_anchors(&q));
-        std::fs::remove_file(&pp).unwrap();
-        std::fs::remove_file(&pl).unwrap();
     }
 
     #[test]
@@ -675,28 +564,57 @@ mod tests {
 
     #[test]
     fn unknown_mmx_version_is_typed_not_corrupt() {
+        use crate::shard::{AnyIndex, ShardOpenOpts};
         // MMX-prefixed files of other versions name found vs. expected —
-        // distinct from corruption, so tooling can say "regenerate".
-        // (Version 3 is the sharded manifest, tested separately below.)
-        for found in [0u8, 4, 42] {
+        // distinct from corruption, so tooling can say "rebuild". Version 1
+        // is the retired flat layout. (Version 3 is the sharded manifest,
+        // tested separately below.)
+        let assert_version = |e: IndexError, found: u8| {
+            assert!(
+                matches!(e, IndexError::Version { found: f, expected: 2 } if f == found),
+                "{e}"
+            );
+            assert!(!e.is_corrupt());
+            let s = e.to_string();
+            assert!(s.contains(&format!("version {found}")), "{s}");
+            assert!(s.contains("version 2"), "{s}");
+            assert!(s.contains("manymap index"), "{s}");
+        };
+        for found in [0u8, 1, 4, 42] {
             let p = tmp(&format!("version-{found}"));
             let mut bytes = b"MMX".to_vec();
             bytes.push(found);
             bytes.extend_from_slice(&[0u8; 64]); // junk body, never parsed
             std::fs::write(&p, &bytes).unwrap();
             for r in [load_index(&p), load_index_mmap(&p)] {
-                let e = r.unwrap_err();
-                assert!(
-                    matches!(e, IndexError::Version { found: f, expected: 2 } if f == found),
-                    "{e}"
-                );
-                assert!(!e.is_corrupt());
-                let s = e.to_string();
-                assert!(s.contains(&format!("version {found}")), "{s}");
-                assert!(s.contains("version 2"), "{s}");
+                assert_version(r.unwrap_err(), found);
             }
+            let e = AnyIndex::open_mmap(&p, ShardOpenOpts::default()).unwrap_err();
+            assert_version(e, found);
             std::fs::remove_file(&p).unwrap();
         }
+        // A manifest whose format byte says its shards hold v1 images: the
+        // same typed error, before any shard file is looked for.
+        let m = crate::shard::ShardManifest {
+            k: 15,
+            w: 10,
+            hpc: false,
+            max_occ: 10,
+            seq_names: vec![],
+            seq_lens: vec![],
+            shards: vec![],
+        };
+        let mut bytes = crate::shard::serialize_manifest(&m);
+        let n = bytes.len();
+        assert_eq!(bytes[28..32], 2u32.to_le_bytes(), "format byte moved");
+        bytes[28] = 1;
+        let sum = crate::xxh::xxh64(&bytes[12..n - 8], 0);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let p = tmp("manifest-format-1");
+        std::fs::write(&p, &bytes).unwrap();
+        let e = AnyIndex::open_mmap(&p, ShardOpenOpts::default()).unwrap_err();
+        assert_version(e, 1);
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
@@ -726,29 +644,22 @@ mod tests {
         // write's zero padding (or a truncation of a larger index whose
         // early length prefixes still fit) produced a "valid" index. The
         // declared sections must span the file exactly.
-        for legacy in [false, true] {
-            let idx = if legacy {
-                sample_index_legacy()
-            } else {
-                sample_index()
-            };
-            let p = tmp(&format!("trailing-{legacy}"));
-            save_index(&idx, &p).unwrap();
-            let clean = std::fs::read(&p).unwrap();
-            // The untampered file still loads.
-            assert!(load_index(&p).is_ok());
-            for pad in [1usize, 8, 4096] {
-                let mut torn = clean.clone();
-                torn.resize(clean.len() + pad, 0);
-                std::fs::write(&p, &torn).unwrap();
-                for r in [load_index(&p), load_index_mmap(&p)] {
-                    let e = r.unwrap_err();
-                    assert!(e.is_corrupt(), "legacy={legacy} pad={pad}: {e}");
-                    assert!(e.to_string().contains("before the end of the file"), "{e}");
-                }
+        let p = tmp("trailing");
+        save_index(&sample_index(), &p).unwrap();
+        let clean = std::fs::read(&p).unwrap();
+        // The untampered file still loads.
+        assert!(load_index(&p).is_ok());
+        for pad in [1usize, 8, 4096] {
+            let mut torn = clean.clone();
+            torn.resize(clean.len() + pad, 0);
+            std::fs::write(&p, &torn).unwrap();
+            for r in [load_index(&p), load_index_mmap(&p)] {
+                let e = r.unwrap_err();
+                assert!(e.is_corrupt(), "pad={pad}: {e}");
+                assert!(e.to_string().contains("before the end of the file"), "{e}");
             }
-            std::fs::remove_file(&p).unwrap();
         }
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
@@ -783,32 +694,6 @@ mod tests {
         assert!(parse_index(&mut src).is_ok());
         assert_eq!(bytes.len() % 8, 0, "v2 files end 8-aligned");
         std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn v1_out_of_range_offsets_rejected() {
-        // Forge a minimal v1 image whose (off, cnt) points past the
-        // positions array.
-        let mut b = Vec::new();
-        b.extend_from_slice(b"MMX\x01");
-        for v in [15u32, 10, 0, 100] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        b.extend_from_slice(&1u64.to_le_bytes()); // n_seqs
-        b.extend_from_slice(&1u64.to_le_bytes()); // name len
-        b.push(b'c');
-        b.extend_from_slice(&16u64.to_le_bytes()); // seq len
-        b.extend_from_slice(&1u64.to_le_bytes()); // n words
-        b.extend_from_slice(&0u32.to_le_bytes());
-        b.extend_from_slice(&1u64.to_le_bytes()); // n_keys
-        b.extend_from_slice(&7u64.to_le_bytes()); // key
-        b.extend_from_slice(&5u64.to_le_bytes()); // off (past end!)
-        b.extend_from_slice(&9u64.to_le_bytes()); // cnt
-        b.extend_from_slice(&1u64.to_le_bytes()); // n_positions
-        b.extend_from_slice(&0u64.to_le_bytes()); // one hit
-        let e = parse_index(&mut SliceSource::new(&b)).unwrap_err();
-        assert!(e.is_corrupt(), "{e}");
-        assert!(e.to_string().contains("claims hits"), "{e}");
     }
 
     #[test]

@@ -40,8 +40,7 @@ use mmm_seq::SeqRecord;
 use crate::error::IndexError;
 use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, sketch};
 use crate::index::{IdxOpts, MinimizerIndex};
-use crate::postings::IndexFormat;
-use crate::serialize::{parse_index, write_index_image, SectionBounds};
+use crate::serialize::{parse_index, write_index_image, SectionBounds, VERSION_PACKED};
 use crate::xxh::xxh64;
 
 /// Magic of a per-shard container file.
@@ -50,7 +49,7 @@ const SHARD_CONTAINER_VERSION: u32 = 1;
 /// Bytes covered by the directory hash: magic, version, rid_start and the
 /// four section entries.
 pub(crate) const SHARD_DIR_LEN: usize = 112;
-/// Offset of the embedded v1/v2 index image (8-aligned).
+/// Offset of the embedded v2 index image (8-aligned).
 pub(crate) const SHARD_IMAGE_OFF: usize = 120;
 /// Section names, in file order. Index `i` seeds section `i`'s XXH64 so
 /// two sections with identical bytes still get distinct digests.
@@ -234,7 +233,7 @@ fn io_to_corrupt(e: io::Error) -> IndexError {
 
 /// Validate and parse an `MMXS` container from bytes (typically a memory
 /// map). Checksum verification happens first; only then is the embedded
-/// v1/v2 image handed to [`parse_index`].
+/// v2 image handed to [`parse_index`].
 pub(crate) fn parse_shard_bytes(bytes: &[u8]) -> Result<(MinimizerIndex, ShardDir), IndexError> {
     let dir = verify_checksums(bytes)?;
     let mut src = SliceSource::new(&bytes[SHARD_IMAGE_OFF..]);
@@ -340,7 +339,6 @@ pub struct ShardManifest {
     /// Global occurrence cutoff, computed over the *merged* per-minimizer
     /// counts of all shards — the key to byte-identity with a flat build.
     pub max_occ: u32,
-    pub format: IndexFormat,
     pub seq_names: Vec<String>,
     pub seq_lens: Vec<u64>,
     pub shards: Vec<ShardMeta>,
@@ -366,11 +364,8 @@ pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
     p.extend_from_slice(&(m.w as u32).to_le_bytes());
     p.extend_from_slice(&(m.hpc as u32).to_le_bytes());
     p.extend_from_slice(&m.max_occ.to_le_bytes());
-    let fmt: u32 = match m.format {
-        IndexFormat::Legacy => 1,
-        IndexFormat::Packed => 2,
-    };
-    p.extend_from_slice(&fmt.to_le_bytes());
+    // The image version of the shards' embedded index images.
+    p.extend_from_slice(&u32::from(VERSION_PACKED).to_le_bytes());
     p.extend_from_slice(&(m.seq_names.len() as u64).to_le_bytes());
     for (name, len) in m.seq_names.iter().zip(&m.seq_lens) {
         put_bytes(&mut p, name.as_bytes());
@@ -453,13 +448,19 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
     let w = take!(take_u32) as usize;
     let hpc = take!(take_u32) != 0;
     let max_occ = take!(take_u32);
-    let format = match take!(take_u32) {
-        1 => IndexFormat::Legacy,
-        2 => IndexFormat::Packed,
+    match take!(take_u32) {
+        f if f == u32::from(VERSION_PACKED) => {}
+        // Shards of the retired flat layout: rebuild, as for a v1 image.
+        1 => {
+            return Err(IndexError::Version {
+                found: 1,
+                expected: VERSION_PACKED,
+            })
+        }
         f => {
             return Err(corrupt(format!("unknown posting format {f} in manifest")));
         }
-    };
+    }
     let n_seqs = take!(take_u64) as usize;
     let mut seq_names = Vec::new();
     let mut seq_lens = Vec::new();
@@ -523,7 +524,6 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
         w,
         hpc,
         max_occ,
-        format,
         seq_names,
         seq_lens,
         shards,
@@ -591,7 +591,6 @@ fn write_err(path: &Path, e: io::Error) -> IndexError {
 pub fn build_sharded(
     refs: &[SeqRecord],
     opts: &IdxOpts,
-    format: IndexFormat,
     n_shards: usize,
     manifest_path: &Path,
 ) -> Result<ShardBuildReport, IndexError> {
@@ -601,11 +600,7 @@ pub fn build_sharded(
 
     let mut shards: Vec<MinimizerIndex> = Vec::with_capacity(cuts.len());
     for &(start, count) in &cuts {
-        shards.push(MinimizerIndex::build_with_format(
-            &refs[start..start + count],
-            opts,
-            format,
-        )?);
+        shards.push(MinimizerIndex::build(&refs[start..start + count], opts)?);
     }
 
     // Global occurrence cutoff: merge (hash, count) across shards and sum
@@ -681,7 +676,6 @@ pub fn build_sharded(
         w: opts.w,
         hpc: opts.hpc,
         max_occ,
-        format,
         seq_names: refs.iter().map(|r| r.name.clone()).collect(),
         seq_lens: refs.iter().map(|r| r.len() as u64).collect(),
         shards: metas,
@@ -1425,8 +1419,8 @@ impl AnyIndex {
         }
     }
 
-    /// Open `path` as whichever index family it is: flat v1/v2 through the
-    /// mmap loader, a v3 manifest through the sharded loader with `opts`.
+    /// Open `path` as whichever index family it is: a flat v2 image through
+    /// the mmap loader, a v3 manifest through the sharded loader with `opts`.
     pub fn open_mmap(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
         match crate::serialize::load_index_mmap(path) {
             Ok((idx, _)) => Ok(AnyIndex::Flat(idx)),
@@ -1516,7 +1510,6 @@ mod tests {
             w: 10,
             hpc: false,
             max_occ: 77,
-            format: IndexFormat::Packed,
             seq_names: vec!["chr1".into(), "chr2".into(), "chr3".into()],
             seq_lens: vec![100, 200, 300],
             shards: vec![
@@ -1582,7 +1575,6 @@ mod tests {
             w: 10,
             hpc: false,
             max_occ: 1,
-            format: IndexFormat::Packed,
             seq_names: vec!["c".into()],
             seq_lens: vec![10],
             shards: vec![ShardMeta {
@@ -1607,8 +1599,7 @@ mod tests {
         let refs = multi_chrom(5, 30_000, 40);
         let opts = IdxOpts::MAP_ONT;
         let flat = MinimizerIndex::build(&refs, &opts).unwrap();
-        let report =
-            build_sharded(&refs, &opts, IndexFormat::Packed, 3, &d.join("ref.mmx")).unwrap();
+        let report = build_sharded(&refs, &opts, 3, &d.join("ref.mmx")).unwrap();
         assert_eq!(report.n_shards, 3);
         assert_eq!(report.n_seqs, 5);
         // The global cutoff must equal the flat build's.
@@ -1671,7 +1662,7 @@ mod tests {
         let refs = multi_chrom(3, 12_000, 77);
         let opts = IdxOpts::MAP_ONT;
         let flat = MinimizerIndex::build(&refs, &opts).unwrap();
-        build_sharded(&refs, &opts, IndexFormat::Packed, 2, &d.join("r.mmx")).unwrap();
+        build_sharded(&refs, &opts, 2, &d.join("r.mmx")).unwrap();
         let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
 
         let fr: IndexRef = (&flat).into();
@@ -1780,14 +1771,7 @@ mod tests {
     fn transient_fault_retries_then_succeeds() {
         let d = tmp_dir("retry");
         let refs = multi_chrom(2, 10_000, 3);
-        build_sharded(
-            &refs,
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            2,
-            &d.join("r.mmx"),
-        )
-        .unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 2, &d.join("r.mmx")).unwrap();
         let sh = open_with_script(&d.join("r.mmx"), vec![(0, 0, ShardLoadFault::Io)]);
         // Attempt 0 faults, attempt 1 succeeds.
         assert!(sh.ensure_shard(0).is_ok());
@@ -1807,14 +1791,7 @@ mod tests {
         // everywhere degrade.
         let d = tmp_dir("partial");
         let refs = multi_chrom(3, 12_000, 41);
-        build_sharded(
-            &refs,
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            3,
-            &d.join("r.mmx"),
-        )
-        .unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 3, &d.join("r.mmx")).unwrap();
         let flat = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
         let sh = open_with_script(&d.join("r.mmx"), vec![(1, 0, ShardLoadFault::Missing)]);
 
@@ -1837,14 +1814,7 @@ mod tests {
     fn persistent_faults_quarantine_with_reason() {
         let d = tmp_dir("quarantine");
         let refs = multi_chrom(4, 8_000, 13);
-        build_sharded(
-            &refs,
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            4,
-            &d.join("r.mmx"),
-        )
-        .unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
 
         // Missing file: immediate quarantine, no retries.
         let sh = open_with_script(&d.join("r.mmx"), vec![(1, 0, ShardLoadFault::Missing)]);
@@ -1899,14 +1869,7 @@ mod tests {
     fn slow_io_delays_but_loads() {
         let d = tmp_dir("slow");
         let refs = multi_chrom(1, 6_000, 5);
-        build_sharded(
-            &refs,
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            1,
-            &d.join("r.mmx"),
-        )
-        .unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 1, &d.join("r.mmx")).unwrap();
         let sh = open_with_script(
             &d.join("r.mmx"),
             vec![(0, 0, ShardLoadFault::SlowIo(Duration::from_millis(5)))],
@@ -1921,14 +1884,7 @@ mod tests {
     fn mem_budget_evicts_lru_and_reloads() {
         let d = tmp_dir("budget");
         let refs = multi_chrom(4, 20_000, 21);
-        build_sharded(
-            &refs,
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            4,
-            &d.join("r.mmx"),
-        )
-        .unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
         // Budget fits roughly one shard.
         let probe = ShardedIndex::open(&d.join("r.mmx")).unwrap();
         let one = probe.ensure_shard(0).unwrap().heap_bytes();
@@ -1967,14 +1923,7 @@ mod tests {
         // even though the new file is internally self-consistent.
         let d = tmp_dir("generation");
         let refs = multi_chrom(2, 9_000, 31);
-        build_sharded(
-            &refs,
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            2,
-            &d.join("r.mmx"),
-        )
-        .unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 2, &d.join("r.mmx")).unwrap();
         // Overwrite shard 1 with a *valid* container built from different
         // content but the same geometry.
         let other = multi_chrom(2, 9_000, 32);
@@ -1990,14 +1939,7 @@ mod tests {
     #[test]
     fn empty_reference_set_builds_and_opens() {
         let d = tmp_dir("empty");
-        let r = build_sharded(
-            &[],
-            &IdxOpts::MAP_ONT,
-            IndexFormat::Packed,
-            4,
-            &d.join("e.mmx"),
-        )
-        .unwrap();
+        let r = build_sharded(&[], &IdxOpts::MAP_ONT, 4, &d.join("e.mmx")).unwrap();
         assert_eq!(r.n_shards, 1);
         assert_eq!(r.n_seqs, 0);
         let sh = ShardedIndex::open(&d.join("e.mmx")).unwrap();

@@ -10,9 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mmm_index::{
-    build_sharded, shard_section_ranges, IdxOpts, IndexFormat, ShardedIndex, SHARD_SECTIONS,
-};
+use mmm_index::{build_sharded, shard_section_ranges, IdxOpts, ShardedIndex, SHARD_SECTIONS};
 use mmm_seq::{nt4_decode, SeqRecord};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -42,7 +40,6 @@ fn build(dir: &Path, n_shards: usize) -> PathBuf {
     build_sharded(
         &refs(n_shards, 9_000, 77),
         &IdxOpts::MAP_ONT,
-        IndexFormat::Packed,
         n_shards,
         &manifest,
     )

@@ -5,7 +5,7 @@
 //! must surface as a typed [`IndexError`], and a clean mid-stream I/O error
 //! must be distinguishable from corruption.
 
-use mmm_index::{parse_index, save_index, IdxOpts, IndexError, IndexFormat, MinimizerIndex};
+use mmm_index::{parse_index, save_index, IdxOpts, IndexError, MinimizerIndex};
 use mmm_io::{ByteSource, FaultMode, FaultSource, SliceSource};
 use mmm_seq::SeqRecord;
 use proptest::prelude::*;
@@ -19,20 +19,9 @@ fn must_fail(r: Result<MinimizerIndex, IndexError>, ctx: &str) -> IndexError {
     }
 }
 
-/// Build a small two-sequence index in `format` and return it with its
-/// on-disk bytes.
-fn sample(format: IndexFormat) -> (MinimizerIndex, Vec<u8>) {
-    let refs = vec![
-        SeqRecord::new(
-            "chrA",
-            b"ACGTACGTAGGCTAGCTAGGACTGACTGATCGATCGTACG".repeat(40),
-        ),
-        SeqRecord::new(
-            "chrB",
-            b"TTGACCAGTTGACCAGCCGGAATTCCGGTTAACCGGTTAA".repeat(25),
-        ),
-    ];
-    let idx = MinimizerIndex::build_with_format(&refs, &IdxOpts::MAP_ONT, format).unwrap();
+/// Build the index of `refs` and return it with its on-disk bytes.
+fn image_of(refs: &[SeqRecord]) -> (MinimizerIndex, Vec<u8>) {
+    let idx = MinimizerIndex::build(refs, &IdxOpts::MAP_ONT).unwrap();
     let path = std::env::temp_dir().join(format!(
         "mmm-truncated-index-{}-{:?}.mmx",
         std::process::id(),
@@ -44,9 +33,23 @@ fn sample(format: IndexFormat) -> (MinimizerIndex, Vec<u8>) {
     (idx, bytes)
 }
 
-/// On-disk bytes of the default (packed, v2) index.
+/// A small two-sequence index with its on-disk bytes.
+fn sample() -> (MinimizerIndex, Vec<u8>) {
+    image_of(&[
+        SeqRecord::new(
+            "chrA",
+            b"ACGTACGTAGGCTAGCTAGGACTGACTGATCGATCGTACG".repeat(40),
+        ),
+        SeqRecord::new(
+            "chrB",
+            b"TTGACCAGTTGACCAGCCGGAATTCCGGTTAACCGGTTAA".repeat(25),
+        ),
+    ])
+}
+
+/// On-disk bytes of the sample index.
 fn serialized_index() -> Vec<u8> {
-    sample(IndexFormat::Packed).1
+    sample().1
 }
 
 #[test]
@@ -106,14 +109,21 @@ fn hostile_length_prefixes_are_rejected_without_allocating() {
 /// into `seqs`, so letting one through would panic (or mismap) at seeding.
 #[test]
 fn out_of_range_packed_rid_is_corruption() {
-    // v1 layout: the positions array is the last section
-    // ([u64 count][u64 words...]). Patch the final word to a hit with
-    // rid = 2^24 - 1 (far past 2 seqs).
-    let (_, bytes) = sample(IndexFormat::Legacy);
+    // Two copies of one sequence: every bucket holds hits of both
+    // references, so its deltas are 40 bits wide (one step from rid 0 to
+    // rid 1). The block pool is the last section and a field spans at most
+    // two words: all-ones in the final two makes the last bucket's last
+    // delta 2^40 - 1, which carries that hit from rid 1 to a reference
+    // past the 2-sequence table.
+    let seq = b"ACGTACGTAGGCTAGCTAGGACTGACTGATCGATCGTACG".repeat(40);
+    let refs = [
+        SeqRecord::new("chrA", seq.clone()),
+        SeqRecord::new("chrB", seq),
+    ];
+    let (_, bytes) = image_of(&refs);
     let mut patched = bytes.clone();
     let n = patched.len();
-    let hostile: u64 = ((1u64 << 24) - 1) << 40;
-    patched[n - 8..].copy_from_slice(&hostile.to_le_bytes());
+    patched[n - 16..].fill(0xFF);
     let e = must_fail(
         parse_index(&mut SliceSource::new(&patched)),
         "out-of-range rid",
@@ -128,7 +138,7 @@ fn out_of_range_v2_bucket_base_is_corruption() {
     // base in the (base, ocw) array. Locate a real bucket base in the
     // image by byte pattern and patch it to a hostile rid — the load-time
     // decode walk must reject it.
-    let (idx, bytes) = sample(IndexFormat::Packed);
+    let (idx, bytes) = sample();
     // Replay the v2 layout to the first (base, ocw) pair: magic(4) +
     // opts(16) + n_seqs(8) + per-seq records + n_keys(8) + keys.
     let mut at = 28usize;

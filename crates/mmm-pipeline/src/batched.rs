@@ -6,9 +6,9 @@
 //!
 //! 1. **plan** — per item, on the worker pool: seed, chain, and describe
 //!    the DP problems the item needs (returns `M`, e.g. a set of
-//!    `AlignJob`s plus everything needed to resume). Hopeless candidate
-//!    chains are rejected here by the pre-alignment filter
-//!    (`mmm_exec::filter`), so every later stage sees the same job list;
+//!    `AlignJob`s plus everything needed to resume). Chaining is the only
+//!    candidate filter, so the job list is fixed here for every later
+//!    stage;
 //! 2. **dispatch** — once per batch, on the compute thread: ship every
 //!    item's jobs to the backend, get `D` (e.g. the `AlignResult`s) back.
 //!    The dispatch closure may interpose the length-binned scheduler

@@ -483,8 +483,8 @@ fn rule_index_simd_confined(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 /// would hand unvalidated disk bytes to the kernels. The check is lexical
 /// — the definition or an earlier call both satisfy it — so a file that
 /// never touches the checksum layer at all (a new load path) is exactly
-/// the one that gets flagged. Sites whose integrity story lives elsewhere
-/// (e.g. the legacy trailing-xxh scheme) carry a justified
+/// the one that gets flagged. A site with no checksum to route through
+/// (the flat v2 image carries none) says so in a justified
 /// `xtask-allow: mmap-checksum`.
 fn rule_mmap_checksum(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     if !ctx.rel.to_string_lossy().contains("mmm-index/src/") {
@@ -1017,10 +1017,10 @@ fn backend_stats_literals(views: &[LineView]) -> Vec<StatsLiteral> {
 }
 
 /// `stats-forwarding`: in any file implementing `AlignBackend`, and in
-/// every module of the executor crate (the supervisor, scheduler, and
-/// prefilter all build or merge the same counters without implementing the
-/// trait), a `BackendStats { .. }` literal must either name every field the
-/// struct declares or forward the remainder from a non-default base
+/// every module of the executor crate (the supervisor and scheduler build
+/// or merge the same counters without implementing the trait), a
+/// `BackendStats { .. }` literal must either name every field the struct
+/// declares or forward the remainder from a non-default base
 /// (`..inner_stats`). A `..Default::default()` tail compiles cleanly when a
 /// later PR adds a counter, and silently reports it as zero — exactly the
 /// accounting drift this rule makes loud. Sites where zeroes are provably
@@ -1343,13 +1343,12 @@ mod tests {
 
     #[test]
     fn stats_forwarding_covers_executor_modules_without_an_impl() {
-        // The scheduler and prefilter modules never write `impl AlignBackend
+        // The scheduler and supervisor modules never write `impl AlignBackend
         // for`, but they sit on the dispatch path; a defaulted literal there
         // is the same accounting drift the rule exists for.
         let plain = "fn f() {\n    let s = BackendStats { batches: 1, ..Default::default() };\n}\n";
         for rel in [
             "crates/mmm-exec/src/sched.rs",
-            "crates/mmm-exec/src/filter.rs",
             "crates/mmm-exec/src/supervisor.rs",
         ] {
             let v = check_stats_forwarding_at(rel, plain);
@@ -1516,9 +1515,9 @@ mod tests {
         assert!(check_snippet("crates/mmm-io/src/lib.rs", bad).is_empty());
         let test = "#[cfg(test)]\nmod tests {\n    fn f() { let s = SliceSource::new(&b); }\n}\n";
         assert!(check_snippet("crates/mmm-index/src/serialize.rs", test).is_empty());
-        // A justified allow covers a site whose integrity check lives
-        // elsewhere (the legacy trailing-xxh parse).
-        let allowed = "fn load(map: &Mmap) {\n    // xtask-allow: mmap-checksum — parse_index validates the trailing xxh64 itself.\n    let src = SliceSource::new(&map);\n}\n";
+        // A justified allow covers a site with no checksum to route
+        // through (the flat v2 image).
+        let allowed = "fn load(map: &Mmap) {\n    // xtask-allow: mmap-checksum — no checksum exists in a flat v2 image.\n    let src = SliceSource::new(&map);\n}\n";
         assert!(check_snippet("crates/mmm-index/src/newpath.rs", allowed).is_empty());
     }
 

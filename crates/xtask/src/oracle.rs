@@ -24,10 +24,10 @@
 //! gold bit-for-bit, in job order.
 //!
 //! A fourth pass (`packed_crosscheck`) audits the bit-packed resident
-//! storage: packed vs. flat posting-list decode, every SIMD unpack tier
-//! vs. the scalar gold at every bit width, packed-reference slices vs.
-//! per-base reads, and end-to-end PAF output of a packed-index mapper vs.
-//! a legacy-index mapper across every available engine — all bit-exact.
+//! storage: every SIMD unpack tier vs. the scalar gold at every bit width,
+//! every posting bucket's bulk and per-tier decode vs. the streaming
+//! cursor, packed-reference slices vs. per-base reads, and end-to-end PAF
+//! output of the mapper across every available engine — all bit-exact.
 
 use mmm_align::{
     AlignMode, AlignResult, AlignScratch, Engine, ExtendResult, Layout, Scoring, Width,
@@ -271,18 +271,19 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
 }
 
 /// The packed-storage differential pass: every layer that decodes packed
-/// bits must agree bit-exactly with its scalar / flat / allocating gold.
+/// bits must agree bit-exactly with its scalar / streaming gold.
 ///
 /// (a) `unpack_fields` on every SIMD tier vs. the scalar decoder, at every
 ///     bit width 1..=64 and assorted field counts (including the 8-lane
-///     boundary). (b) A packed-format index vs. a legacy flat index built
-///     from the same multi-chromosome reference: identical hash sets, hit
-///     lists (bulk decode and cursor), and occurrence counts. (c) Packed
-///     reference windows vs. per-base reads, with `unpack_nt4` checked on
-///     every tier. (d) End-to-end: mapping the same reads over both index
-///     formats with every available engine must produce byte-identical PAF.
+///     boundary). (b) Every bucket of an index over a multi-chromosome
+///     reference: the bulk decode, and the bucket's delta block unpacked
+///     on every tier, vs. the streaming cursor (the scalar `read_field`
+///     walk), plus `hit_count`. (c) Packed reference windows vs. per-base
+///     reads, with `unpack_nt4` checked on every tier. (d) End-to-end:
+///     mapping the same reads with every available engine must produce
+///     byte-identical PAF.
 fn packed_crosscheck(seed: u64) -> Result<String, String> {
-    use manymap::index::{unpack, IdxOpts, IndexFormat, MinimizerIndex};
+    use manymap::index::{unpack, IdxOpts, MinimizerIndex};
     use manymap::seq::nt4_decode;
     use manymap::seq::SeqRecord;
     use manymap::{paf_line, MapOpts, Mapper};
@@ -333,54 +334,64 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         }
     }
 
-    // (b) Packed vs. flat postings over a multi-chromosome reference.
-    let genomes: Vec<Vec<u8>> = (0..3).map(|_| random_seq(&mut rng, 30_000)).collect();
+    // (b) Every bucket of a multi-chromosome index: bulk decode, and its
+    // deltas on every tier, vs. the streaming cursor.
+    // Repeat-bearing on purpose, or nearly every bucket is a singleton
+    // with nothing to unpack: chr1 repeats its own head (small deltas) and
+    // chr2 is a noisy copy of chr0 (deltas that span reference ids).
+    let mut genomes: Vec<Vec<u8>> = (0..2).map(|_| random_seq(&mut rng, 30_000)).collect();
+    let head = genomes[1][..5_000].to_vec();
+    genomes[1].extend(head);
+    genomes.push(mutate(&mut rng, &genomes[0]));
     let refs: Vec<SeqRecord> = genomes
         .iter()
         .enumerate()
         .map(|(c, g)| SeqRecord::new(format!("chr{c}"), nt4_decode(g)))
         .collect();
-    let build = |fmt| {
-        MinimizerIndex::build_with_format(&refs, &IdxOpts::MAP_ONT, fmt)
-            .map_err(|e| format!("packed_crosscheck: index build failed: {e}"))
-    };
-    let packed = build(IndexFormat::Packed)?;
-    let legacy = build(IndexFormat::Legacy)?;
+    let packed = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
+        .map_err(|e| format!("packed_crosscheck: index build failed: {e}"))?;
     let hashes = packed.sorted_hashes();
-    if hashes != legacy.sorted_hashes() {
-        return Err(
-            "packed_crosscheck: packed and legacy indexes sketch different hash sets".into(),
-        );
-    }
-    let (mut a, mut b) = (Vec::new(), Vec::new());
+    let mut bulk = Vec::new();
     for &h in &hashes {
-        packed.decode_hits_into(h, &mut a);
-        legacy.decode_hits_into(h, &mut b);
-        if a != b {
-            return Err(format!(
-                "packed_crosscheck: hit lists differ for hash {h:#x} \
-                 (packed {} vs legacy {} hits)",
-                a.len(),
-                b.len()
-            ));
-        }
         let streamed: Vec<u64> = packed.hit_cursor(h).collect();
-        if streamed != a {
+        packed.decode_hits_into(h, &mut bulk);
+        if bulk != streamed {
             return Err(format!(
-                "packed_crosscheck: cursor decode differs from bulk decode for hash {h:#x}"
+                "packed_crosscheck: bulk decode differs from cursor decode for hash {h:#x}"
             ));
         }
-        if packed.hit_count(h) != a.len() {
+        if packed.hit_count(h) != streamed.len() {
             return Err(format!(
                 "packed_crosscheck: hit_count disagrees with decode for hash {h:#x}"
             ));
         }
+        // The bucket's delta block, re-packed at its minimal width the way
+        // the builder packs it, must unpack to the same deltas on every tier.
+        let deltas: Vec<u64> = streamed.windows(2).map(|w| w[1] - w[0]).collect();
+        let Some(&widest) = deltas.iter().max() else {
+            continue;
+        };
+        let width = (64 - widest.leading_zeros()).max(1);
+        let mut words = vec![0u64; unpack::words_for(deltas.len() as u64, width) as usize];
+        unpack::write_fields(&mut words, 0, width, &deltas);
+        for (label, disabled) in tiers {
+            let mut got = vec![0u64; deltas.len()];
+            unpack::unpack_fields_unless(disabled, &words, width, &mut got);
+            if got != deltas {
+                return Err(format!(
+                    "packed_crosscheck: tier {label} diverges on the {}-hit, \
+                     {width}-bit bucket of hash {h:#x}",
+                    streamed.len()
+                ));
+            }
+        }
     }
-    if packed.posting_bytes() >= legacy.posting_bytes() {
+    let flat_bytes = packed.num_positions() * 8;
+    if packed.posting_bytes() >= flat_bytes {
         return Err(format!(
-            "packed_crosscheck: packed postings ({} B) are no smaller than flat ({} B)",
-            packed.posting_bytes(),
-            legacy.posting_bytes()
+            "packed_crosscheck: packed postings ({} B) are no smaller than \
+             8 bytes per hit ({flat_bytes} B)",
+            packed.posting_bytes()
         ));
     }
 
@@ -411,8 +422,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         }
     }
 
-    // (d) End-to-end: same reads, both index formats, every engine —
-    // byte-identical PAF.
+    // (d) End-to-end: same reads, every engine — byte-identical PAF.
     let reads: Vec<(String, Vec<u8>)> = (0..10)
         .map(|i| {
             let g = &genomes[i % genomes.len()];
@@ -427,40 +437,37 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         .collect();
     let tnames: Vec<String> = packed.seqs.iter().map(|s| s.name.clone()).collect();
     let tlens: Vec<usize> = packed.seqs.iter().map(|s| s.seq.len()).collect();
-    let mut mapped = 0usize;
-    for &engine in &engines {
-        let opts = MapOpts::map_ont().with_engine(engine);
-        let map_all = |idx: &MinimizerIndex| -> String {
-            let mapper = Mapper::new(idx, opts);
-            let mut out = String::new();
-            for (name, read) in &reads {
-                for m in mapper.map_read(read) {
-                    out.push_str(&paf_line(
-                        name,
-                        read.len(),
-                        &tnames[m.rid as usize],
-                        tlens[m.rid as usize],
-                        &m,
-                    ));
-                    out.push('\n');
-                }
+    let map_all = |engine: Engine| -> String {
+        let mapper = Mapper::new(&packed, MapOpts::map_ont().with_engine(engine));
+        let mut out = String::new();
+        for (name, read) in &reads {
+            for m in mapper.map_read(read) {
+                out.push_str(&paf_line(
+                    name,
+                    read.len(),
+                    &tnames[m.rid as usize],
+                    tlens[m.rid as usize],
+                    &m,
+                ));
+                out.push('\n');
             }
-            out
-        };
-        let from_packed = map_all(&packed);
-        let from_legacy = map_all(&legacy);
-        if from_packed != from_legacy {
-            return Err(format!(
-                "packed_crosscheck: PAF output diverges between index formats \
-                 on {}:\npacked:\n{from_packed}\nlegacy:\n{from_legacy}",
-                engine.label()
-            ));
         }
-        mapped = from_packed.lines().count();
-        if mapped == 0 {
+        out
+    };
+    let gold = map_all(engines[0]);
+    if gold.is_empty() {
+        return Err(format!(
+            "packed_crosscheck: no read mapped on {} — the end-to-end \
+             comparison checked nothing",
+            engines[0].label()
+        ));
+    }
+    for &engine in &engines[1..] {
+        let got = map_all(engine);
+        if got != gold {
             return Err(format!(
-                "packed_crosscheck: no read mapped on {} — the end-to-end \
-                 comparison checked nothing",
+                "packed_crosscheck: PAF output diverges between engines:\n{}:\n{gold}\n{}:\n{got}",
+                engines[0].label(),
                 engine.label()
             ));
         }
@@ -468,9 +475,9 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
     Ok(format!(
         "packed ok ({} hashes, {} mapping(s) x {} engines, postings {} -> {} B)",
         hashes.len(),
-        mapped,
+        gold.lines().count(),
         engines.len(),
-        legacy.posting_bytes(),
+        flat_bytes,
         packed.posting_bytes()
     ))
 }

@@ -73,10 +73,8 @@ fn main() {
         |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
         |plans| session::dispatch(plans, &backend_stats),
         |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
-            match session::finalize(p, rec, results, scratch, false) {
-                Ok(done) => done.lines,
-                Err(_) => session::unmapped_record(rec, false),
-            }
+            session::finalize(p, rec, results, scratch, false)
+                .unwrap_or_else(|_| session::unmapped_record(rec, false))
         },
         |rec| rec.len(),
         |lines| {

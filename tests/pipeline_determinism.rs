@@ -71,9 +71,7 @@ fn pipeline_paf(
         |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
         |plans| session::dispatch(plans, &stats),
         |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
-            session::finalize(p, rec, results, scratch, false)
-                .expect("no read is rejected")
-                .lines
+            session::finalize(p, rec, results, scratch, false).expect("no read is rejected")
         },
         |rec| rec.len(),
         |lines| {
