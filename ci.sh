@@ -38,7 +38,7 @@ for tiers in avx512 avx512,avx2; do
     MMM_DISABLE_SIMD=$tiers cargo test -q -p manymap --test hpc_mapping
 done
 
-echo "==> shard gate: release-binary sharded/flat byte-identity, missing-shard chaos"
+echo "==> shard gate: release-binary sharded/flat byte-identity (cpu and device backend), missing-shard chaos"
 cargo build --release -q -p mmm-simreads -p manymap --bins
 SHARD_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-shard-ci.XXXXXX")
 trap 'rm -rf "$SHARD_WORK"' EXIT
@@ -53,6 +53,11 @@ target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --mem-budget 64K >"$SHARD_WORK/sharded.paf" 2>/dev/null
 cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded.paf" \
     || { echo "ci: sharded mapping diverged from flat"; exit 1; }
+# The sharded index under the device backend and the binned scheduler.
+target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 --backend gpu-sim --sched bins >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null
+cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded-gpu.paf" \
+    || { echo "ci: sharded gpu-sim/bins mapping diverged from flat"; exit 1; }
 # Chaos gate: a dead shard must degrade its reads and exit 0, not crash.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --inject-backend-fault missing-shard:shards=1 \

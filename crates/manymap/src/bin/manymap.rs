@@ -13,9 +13,10 @@
 //! `mmm-serve daemon` parses too: `--preset map-pb|map-ont`, `--engine
 //! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--threads N` (≥ 1),
 //! `--backend cpu|gpu-sim`, `--inject-backend-fault <plan>`,
-//! `--backend-retries N`, `--batch-deadline-ms N`, `--sched fifo|bins`,
-//! `--mem-budget BYTES[K|M|G]`. Any other `--flag`, a value flag with no
-//! value, or a malformed number is a usage error naming the flag (exit 1).
+//! `--backend-retries N`, `--batch-deadline-ms N` (≥ 1), `--sched
+//! fifo|bins`, `--mem-budget BYTES[K|M|G]`. Any other `--flag`, a value
+//! flag with no value, a flag given twice, or a malformed number is a usage
+//! error naming the flag (exit 1).
 //!
 //! `index` takes a FASTA reference and writes the one `.mmx` image version
 //! (v2, bit-packed postings); an image of another version is a typed
@@ -26,9 +27,10 @@
 //! container each, published atomically behind a v3 manifest. `map` opens
 //! either shape transparently; over a manifest, shards mmap on first touch,
 //! `--mem-budget` bounds resident shard bytes with LRU eviction, and each
-//! shard is its own fault domain — a corrupt or missing shard quarantines
-//! with a typed reason and only the reads whose seeds touch it degrade to
-//! unmapped records. Shard chaos runs through the same
+//! shard is its own storage fault domain — a corrupt or missing shard
+//! quarantines with a typed reason and only the reads whose seeds touch it
+//! degrade to unmapped records. Compute is not sharded: the run has one
+//! backend session whatever the shard count. Shard chaos runs through the same
 //! `--inject-backend-fault` plan string using the shard rule classes
 //! (`corrupt-section`/`missing-shard`/`torn-tail`/`slow-io`, keyed by
 //! `shards=`), bridged into the shard loader.
@@ -59,12 +61,14 @@
 //! triggers a deliberate worker panic on the named read, for exercising the
 //! degradation path end-to-end.
 //!
-//! Supervised execution (DESIGN.md §10): every backend session runs under
-//! the `mmm-exec` supervisor — failed batches are split and retried with
-//! backoff (`--backend-retries N`, `MMM_BACKEND_RETRIES`), hung submissions
-//! are killed by a watchdog (`--batch-deadline-ms N`), and a repeatedly
-//! failing device backend is demoted to the CPU by a circuit breaker. Jobs
-//! that fail everywhere quarantine their read to an unmapped record.
+//! Supervised execution (DESIGN.md §10): the run opens one backend session,
+//! before it reads the index (so a bad backend fails first), and every
+//! dispatch goes through it under the `mmm-exec` supervisor — failed
+//! batches are split and retried with backoff (`--backend-retries N`,
+//! `MMM_BACKEND_RETRIES`), hung submissions are killed by a watchdog
+//! (`--batch-deadline-ms N`), and a repeatedly failing device backend is
+//! demoted to the CPU by a circuit breaker. Jobs that fail everywhere
+//! quarantine their read to an unmapped record.
 //! `--fail-fast` restores the old fatal behaviour.
 //! `--inject-backend-fault <plan>` (or `MMM_FAULT_PLAN`) installs a
 //! deterministic fault schedule, e.g. `launch-fail:batches=0..2` or
@@ -81,7 +85,7 @@ use manymap::sam::write_sam_header;
 use manymap::session::{self, Args, Flag, MapSession, Planned};
 use manymap::{load_index_any, MapError, MapReadError};
 use mmm_align::{AlignResult, AlignScratch};
-use mmm_exec::{BackendStats, StatsReport, StderrSink};
+use mmm_exec::{StatsReport, StderrSink};
 use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex};
 use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
@@ -178,16 +182,19 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
             "usage: manymap map <ref.mmx|ref.fa> <reads.fq>".into(),
         ));
     };
-    let (opts, mut exec) = session::map_config(args)?;
-    exec.supervisor.fail_fast = args.has("fail-fast");
-    let threads = exec.backend.threads;
+    let (opts, mut exec_cfg) = session::map_config(args)?;
+    exec_cfg.supervisor.fail_fast = args.has("fail-fast");
+    let threads = exec_cfg.backend.threads;
     let sam = args.has("sam");
     let inject_panic = args.get("inject-panic");
+    // The run's one backend session, opened first: a backend that cannot
+    // be prepared fails before the index is read.
+    let exec = exec_cfg.open()?;
 
     let index = load_index_any(
         Path::new(ref_path),
         &opts,
-        exec.shard_open_opts(),
+        exec_cfg.shard_open_opts(),
         !args.has("no-mmap"),
     )?;
     if let AnyIndex::Sharded(s) = &index {
@@ -197,8 +204,7 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
             s.num_seqs()
         );
     }
-    let session = Arc::new(MapSession::new(0, index, opts, &exec)?);
-    let backend_stats = Mutex::new(BackendStats::default());
+    let session = Arc::new(MapSession::new(0, index, opts));
 
     let f = File::open(reads_path).map_err(|e| MapError::Io {
         path: reads_path.to_string(),
@@ -268,7 +274,7 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
             }
             session.plan(rec)
         },
-        |plans| session::dispatch(plans, &backend_stats),
+        |plans| session::dispatch(plans, &exec),
         |scratch: &mut AlignScratch,
          rec: &SeqRecord,
          planned: &Planned,
@@ -321,10 +327,7 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         stats.compute_seconds,
         stats.in_seconds + stats.out_seconds
     ));
-    {
-        let bstats = lock_unpoisoned(&backend_stats);
-        report.backend_block(&bstats, session.backend_label());
-    }
+    report.backend_block(&lock_unpoisoned(&exec.stats), exec.backend.label());
     session.shard_report(&mut report);
     let (tl, ar, pk, bq, sd) = (
         too_long.load(Ordering::Relaxed),

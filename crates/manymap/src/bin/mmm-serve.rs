@@ -14,8 +14,8 @@
 //! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
 //! `--engine`, `--no-cigar`, `--max-read-len`, `--sched`, `--mem-budget`,
 //! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`);
-//! any other `--flag`, a malformed value or `--threads 0` is a usage error
-//! naming the flag (exit 1).
+//! any other `--flag`, a flag given twice, a malformed value, `--threads 0`
+//! or `--batch-deadline-ms 0` is a usage error naming the flag (exit 1).
 //!
 //! `<ref.mmx>` may be a flat index image or a sharded manifest (DESIGN.md
 //! §15); `--mem-budget` caps shard residency. `reload` swaps the daemon to
@@ -23,7 +23,9 @@
 //! omit the path to re-open the path the daemon was started with.
 //!
 //! The daemon accepts many concurrent tenant streams over the unix socket
-//! and runs them through one shared pipeline and backend session; each
+//! and runs them through one shared pipeline and one backend session —
+//! opened before the index is read or the socket bound, and kept for the
+//! daemon's whole lifetime, across every `reload`; each
 //! tenant's output is byte-identical to a solo `manymap map` run of the
 //! same reads. SIGTERM/SIGINT (or `mmm-serve drain`) flushes every
 //! accepted read, emits a final stats report on stderr, and exits.
@@ -84,6 +86,9 @@ fn cmd_daemon(args: &Args) -> Result<(), MapError> {
     }
     opts.index_path = Some(PathBuf::from(ref_path));
 
+    // The daemon's one backend session, for its whole lifetime: opened
+    // before the index is read or the socket bound, kept across `reload`.
+    let exec = opts.exec.open()?;
     let index = load_index_any(
         Path::new(ref_path),
         &opts.map,
@@ -91,7 +96,7 @@ fn cmd_daemon(args: &Args) -> Result<(), MapError> {
         true,
     )?;
     serve::signal::install_drain_handler();
-    serve::serve(index, &opts, &StderrSink)
+    serve::serve(index, exec, &opts, &StderrSink)
 }
 
 fn connect(socket: &str) -> Result<UnixStream, MapError> {

@@ -26,7 +26,7 @@
 //!
 //! // `map_read` is plan → execute → finalize with the backend inlined. A
 //! // pipeline runs the phases itself and hands `plan.jobs` to any
-//! // `mmm_exec::AlignBackend` (see `session::MapSession`).
+//! // `mmm_exec::AlignBackend` (see `session::dispatch`).
 //! let plan = mapper.plan_read(&read).unwrap();
 //! let mut scratch = mmm_align::AlignScratch::new();
 //! let (engine, scoring) = (mapper.opts.engine, mapper.opts.scoring);
@@ -53,7 +53,7 @@ pub use mapper::{MapReadError, Mapper, Mapping, ReadPlan};
 pub use opts::{parse_byte_size, MapOpts};
 pub use paf::{paf_line, paf_unmapped, write_paf};
 pub use profile::{profile_run, ProfileConfig, ProfileResult};
-pub use session::{load_index_any, ExecConfig, MapSession};
+pub use session::{load_index_any, ExecConfig, ExecSession, MapSession};
 pub use shard_bridge::PlanShardFaults;
 
 // Re-export the substrate crates so downstream users need one dependency.

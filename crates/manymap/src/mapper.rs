@@ -79,11 +79,6 @@ pub struct ReadPlan {
     /// `std::mem::take`), runs them through a backend, and hands the
     /// results — one per job, in order — to the finalize phase.
     pub jobs: Vec<AlignJob>,
-    /// The index shard each job's reference window came from, parallel to
-    /// `jobs` (all zeros over a flat index). A shard-aware dispatcher can
-    /// route each job to that shard's backend session
-    /// ([`mmm_exec::ShardSessions`]); flat dispatchers ignore it.
-    pub job_shards: Vec<u32>,
 }
 
 impl ReadPlan {
@@ -208,14 +203,14 @@ impl<'a> Mapper<'a> {
             )));
         }
         let mut plan = self.seed_chain(query)?;
-        let (mut jobs, mut job_shards) = (Vec::new(), Vec::new());
+        let mut jobs = Vec::new();
         for sel in &plan.selected {
             let Some(qseq) = plan.strand(query, sel) else {
                 continue;
             };
-            self.plan_chain_jobs(&sel.chain, qseq, &mut jobs, &mut job_shards)?;
+            self.plan_chain_jobs(&sel.chain, qseq, &mut jobs)?;
         }
-        (plan.jobs, plan.job_shards) = (jobs, job_shards);
+        plan.jobs = jobs;
         Ok(plan)
     }
 
@@ -276,15 +271,12 @@ impl<'a> Mapper<'a> {
         chain: &Chain,
         qseq: &[u8],
         jobs: &mut Vec<AlignJob>,
-        job_shards: &mut Vec<u32>,
     ) -> Result<(), MapReadError> {
-        let shard = self.index.shard_of(chain.rid);
         for gap in self.chain_gaps(chain) {
             if gap.kind == GapKind::Fill {
                 let rseg = self.index.ref_window(chain.rid, gap.r.start, gap.r.end)?;
                 let qseg = qseq[gap.q].to_vec();
                 jobs.push(AlignJob::global(rseg, qseg, self.opts.with_cigar));
-                job_shards.push(shard);
             }
         }
         Ok(())
@@ -308,7 +300,6 @@ impl<'a> Mapper<'a> {
             selected,
             q_rc,
             jobs: Vec::new(),
-            job_shards: Vec::new(),
         })
     }
 

@@ -87,7 +87,7 @@ pub fn parse_byte_size(flag: &str, v: &str) -> Result<usize, String> {
         .parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
-        .map(|n| n * mult)
+        .and_then(|n| n.checked_mul(mult))
         .ok_or_else(|| {
             format!("{flag} {v:?}: expected a positive byte count (K/M/G suffix allowed)")
         })
@@ -121,8 +121,13 @@ mod tests {
         assert_eq!(parse_byte_size("--mem-budget", "2G").unwrap(), 2 << 30);
         assert!(parse_byte_size("--mem-budget", "0").is_err());
         assert!(parse_byte_size("--mem-budget", "").is_err());
-        let e = parse_byte_size("--mem-budget", "lots").unwrap_err();
-        assert!(e.contains("--mem-budget"), "{e}");
+        for bad in ["lots", "99999999999G"] {
+            let e = parse_byte_size("--mem-budget", bad).unwrap_err();
+            assert!(
+                e.contains("--mem-budget") && e.contains("expected a positive byte count"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

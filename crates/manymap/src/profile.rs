@@ -11,7 +11,7 @@
 //! ([`session::format_records`] and the write).
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mmm_align::AlignScratch;
 use mmm_exec::BackendStats;
@@ -61,6 +61,7 @@ pub fn profile_run(
     cfg: &ProfileConfig,
 ) -> Result<ProfileResult, MapError> {
     let mut timer = StageTimer::new();
+    let exec = cfg.exec.open()?;
 
     let index = timer.time(Stage::LoadIndex, || {
         load_index_any(
@@ -71,8 +72,7 @@ pub fn profile_run(
         )
     })?;
     let index_bytes = index.as_index_ref().heap_bytes();
-    let session = Arc::new(MapSession::new(0, index, cfg.opts, &cfg.exec)?);
-    let backend_stats = Mutex::new(BackendStats::default());
+    let session = Arc::new(MapSession::new(0, index, cfg.opts));
 
     let mut reader = FastxReader::new(std::io::Cursor::new(query_fastx));
     let (mut reads, mut mappings) = (0usize, 0usize);
@@ -98,7 +98,7 @@ pub fn profile_run(
             batch.iter().map(|rec| session.plan(rec)).collect()
         });
         let dealt = timer
-            .time(Stage::Align, || session::dispatch(plans, &backend_stats))
+            .time(Stage::Align, || session::dispatch(plans, &exec))
             .map_err(|e| MapError::Pipeline(PipelineError::Dispatch(e)))?;
         for (rec, (planned, results)) in batch.iter().zip(dealt) {
             // A rejected plan or a quarantined job degrades the read to an
@@ -118,7 +118,7 @@ pub fn profile_run(
         }
     }
 
-    let backend_stats = *lock_unpoisoned(&backend_stats);
+    let backend_stats = *lock_unpoisoned(&exec.stats);
     Ok(ProfileResult {
         timer,
         reads,

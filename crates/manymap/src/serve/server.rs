@@ -38,14 +38,15 @@
 //! session writers deliver everything before `DONE` — no accepted read is
 //! ever dropped.
 //!
-//! Live reload: the index, its target tables, and the per-shard backend
-//! sessions live together in one immutable [`MapSession`] — one index
-//! generation — behind an `Arc`-swap. The `RELOAD` opcode opens a fresh
-//! generation (flat or sharded manifest) and swaps it in for new accepts,
-//! while every read already in the pipeline carries the `Arc` of the
-//! generation it was planned against through dispatch and finalize — so a
-//! mid-run reload loses zero accepted reads and never mixes indexes within
-//! one read.
+//! Live reload: the index and its target tables live together in one
+//! immutable [`MapSession`] — one index generation — behind an `Arc`-swap.
+//! The `RELOAD` opcode opens a fresh generation (flat or sharded manifest)
+//! and swaps it in for new accepts, while every read already in the
+//! pipeline carries the `Arc` of the generation it was planned against
+//! through to finalize — so a mid-run reload loses zero accepted reads and
+//! never mixes indexes within one read. The backend session
+//! ([`ExecSession`]) is the daemon's, not the generation's: a reload never
+//! touches it, so a demoted device stays demoted.
 
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -56,12 +57,12 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use mmm_align::{AlignResult, AlignScratch};
-use mmm_exec::{BackendStats, StatsReport, StatsSink};
+use mmm_exec::{StatsReport, StatsSink};
 use mmm_index::AnyIndex;
 use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_from_queue, BoundedQueue};
 use mmm_seq::SeqRecord;
 
-use crate::session::{self, load_index_any, ExecConfig, MapSession, Planned};
+use crate::session::{self, load_index_any, ExecConfig, ExecSession, MapSession, Planned};
 use crate::{MapError, MapOpts};
 
 use super::proto::{decode_read, read_frame_poll, write_frame, FramePoll, Op};
@@ -91,8 +92,8 @@ pub struct ServeOpts {
     pub drr: DrrConfig,
     /// Mapping parameters (shared by every tenant).
     pub map: MapOpts,
-    /// Backend, supervisor, scheduler and shard-residency settings of the
-    /// shared session; applied again to every reloaded generation.
+    /// The settings the daemon's backend session was opened with; a
+    /// reload reads only the shard-residency budget and shard fault rules.
     pub exec: ExecConfig,
     /// Where the daemon's index was loaded from. Enables the `RELOAD`
     /// opcode with an empty payload (re-open the same path); `None` means
@@ -129,9 +130,9 @@ struct Ctx {
     pipeline_done: AtomicBool,
     /// Session readers currently serving a tenant (post-HELLO, pre-END).
     active_readers: AtomicUsize,
-    /// Backend counters merged across every dispatch, for the stats
-    /// endpoint and the final report.
-    backend_stats: Mutex<BackendStats>,
+    /// The one backend session every dispatch goes through, whatever
+    /// generation planned the reads.
+    exec: ExecSession,
     /// The generation new accepts plan against. `RELOAD` replaces the
     /// `Arc`; reads already planned keep the clone they took.
     generation: Mutex<Arc<MapSession>>,
@@ -182,20 +183,22 @@ impl Ctx {
             self.reloads.load(Ordering::Acquire)
         ));
         gen.shard_report(&mut r);
-        let stats = lock_unpoisoned(&self.backend_stats);
-        r.backend_block(&stats, gen.backend_label());
+        let stats = lock_unpoisoned(&self.exec.stats);
+        r.backend_block(&stats, self.exec.backend.label());
         r
     }
 }
 
-/// Bind the socket, run the daemon, and block until a drain completes.
-/// The final stats report goes through `sink` (the daemon binary passes a
-/// stderr sink; tests pass a buffer).
-pub fn serve(index: AnyIndex, opts: &ServeOpts, sink: &dyn StatsSink) -> Result<(), MapError> {
-    // Generation 0: building it eagerly (sessions included) makes a
-    // misconfigured backend fail before the socket ever exists.
-    let gen0 = MapSession::new(0, index, opts.map, &opts.exec)?;
-
+/// Bind the socket, run the daemon over `exec` (opened by the caller, so a
+/// misconfigured backend fails before the index is loaded), and block until
+/// a drain completes. The final stats report goes through `sink` (the
+/// daemon binary passes a stderr sink; tests pass a buffer).
+pub fn serve(
+    index: AnyIndex,
+    exec: ExecSession,
+    opts: &ServeOpts,
+    sink: &dyn StatsSink,
+) -> Result<(), MapError> {
     // A stale socket file from a dead daemon would make bind fail.
     let _ = std::fs::remove_file(&opts.socket);
     let listener = UnixListener::bind(&opts.socket).map_err(|e| MapError::Io {
@@ -213,8 +216,8 @@ pub fn serve(index: AnyIndex, opts: &ServeOpts, sink: &dyn StatsSink) -> Result<
         local_drain: AtomicBool::new(false),
         pipeline_done: AtomicBool::new(false),
         active_readers: AtomicUsize::new(0),
-        backend_stats: Mutex::new(BackendStats::default()),
-        generation: Mutex::new(Arc::new(gen0)),
+        exec,
+        generation: Mutex::new(Arc::new(MapSession::new(0, index, opts.map))),
         reloads: AtomicU64::new(0),
         fatal: Mutex::new(None),
         started: Instant::now(),
@@ -324,7 +327,7 @@ fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineE
         |_scratch: &mut AlignScratch, item: &ServeItem| -> Planned {
             ctx.generation().plan(&item.rec)
         },
-        |plans| session::dispatch(plans, &ctx.backend_stats),
+        |plans| session::dispatch(plans, &ctx.exec),
         |scratch: &mut AlignScratch,
          item: &ServeItem,
          planned: &Planned,
@@ -383,11 +386,11 @@ fn push_with_backoff(ctx: &Ctx, t: &TenantState, mut item: ServeItem) -> bool {
     }
 }
 
-/// Open the requested (or original) index, build a complete new
-/// generation — index, target tables, per-shard sessions — and swap it in.
-/// In-flight reads keep the `Arc` of the generation they were planned
-/// against, so nothing accepted is ever lost or mixed across generations;
-/// a failed reload leaves the current generation serving.
+/// Open the requested (or original) index, build a new generation — index
+/// and target tables — and swap it in. In-flight reads keep the `Arc` of
+/// the generation they were planned against, so nothing accepted is ever
+/// lost or mixed across generations; a failed reload leaves the current
+/// generation serving.
 fn reload_generation(ctx: &Ctx, opts: &ServeOpts, requested: &str) -> Result<String, String> {
     let path: PathBuf = if requested.is_empty() {
         opts.index_path.clone().ok_or_else(|| {
@@ -401,7 +404,7 @@ fn reload_generation(ctx: &Ctx, opts: &ServeOpts, requested: &str) -> Result<Str
     let index = load_index_any(&path, &opts.map, opts.exec.shard_open_opts(), true)
         .map_err(|e| e.to_string())?;
     let id = ctx.reloads.fetch_add(1, Ordering::AcqRel) + 1;
-    let gen = MapSession::new(id, index, opts.map, &opts.exec).map_err(|e| e.to_string())?;
+    let gen = MapSession::new(id, index, opts.map);
     let desc = gen.describe();
     *lock_unpoisoned(&ctx.generation) = Arc::new(gen);
     Ok(format!("reloaded {desc} from {}", path.display()))

@@ -2,14 +2,17 @@
 //!
 //! `manymap map` and the `mmm-serve` daemon run the same production path:
 //! parse one flag+env table into [`MapOpts`] + [`ExecConfig`], open the
-//! reference with [`load_index_any`], stand up a [`MapSession`] (index,
-//! target tables, one supervised backend session per index shard), and hand
-//! [`MapSession::plan`] / [`dispatch`] / [`finalize`] to the batched
-//! pipeline (`mmm_pipeline::try_run_three_thread_batched_*`) as its three
-//! stages. The CLI holds one `Arc<MapSession>` for the run; the daemon
-//! swaps the `Arc` on `RELOAD`. Every planned read carries the session it
-//! was planned against, so [`dispatch`] groups a batch by session — the CLI
-//! is the one-group case.
+//! run's one backend session with [`ExecConfig::open`] (an [`ExecSession`]:
+//! one device, one circuit breaker, for the life of the process), open the
+//! reference with [`load_index_any`] into a [`MapSession`] (one index
+//! generation: index + target tables), and hand [`MapSession::plan`] /
+//! [`dispatch`] / [`finalize`] to the batched pipeline
+//! (`mmm_pipeline::try_run_three_thread_batched_*`) as its three stages.
+//! The CLI holds one `Arc<MapSession>` for the run; the daemon swaps the
+//! `Arc` on `RELOAD` and keeps the [`ExecSession`]. An alignment job owns
+//! its bytes, so [`dispatch`] sends a whole batch as one submission whatever
+//! generations planned it; every planned read carries the generation it was
+//! planned against only so [`finalize`] splices against the same index.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -21,9 +24,8 @@ use std::time::Duration;
 
 use mmm_align::{best_mm2_engine, AlignResult, AlignScratch};
 use mmm_exec::{
-    prepare_supervised, AlignBackend, AlignJob, BackendKind, BackendOptions, BackendStats,
-    FaultPlan, JobOutcome, SchedConfig, SchedMode, SessionFactory, ShardSessions, StatsReport,
-    SupervisorConfig,
+    prepare_supervised, AlignJob, BackendKind, BackendOptions, BackendStats, FaultPlan, JobOutcome,
+    SchedConfig, SchedMode, StatsReport, SupervisedBackend, SupervisorConfig,
 };
 use mmm_index::{load_index, AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts};
 use mmm_pipeline::{lock_unpoisoned, DynError};
@@ -66,8 +68,8 @@ pub struct Args {
 impl Args {
     /// Split `argv` (program name already skipped) into positionals and
     /// flags. A `--flag` must be in [`SHARED_FLAGS`] or the binary's `own`
-    /// table; anything else, or a value flag with no value, is a usage
-    /// error naming the flag.
+    /// table; anything else, a value flag with no value, or a flag given
+    /// twice is a usage error naming the flag.
     pub fn parse(argv: impl IntoIterator<Item = String>, own: &[Flag]) -> Result<Args, MapError> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
@@ -87,7 +89,9 @@ impl Args {
             } else {
                 String::new()
             };
-            flags.insert(name.to_string(), val);
+            if flags.insert(name.to_string(), val).is_some() {
+                return Err(MapError::Usage(format!("--{name}: given more than once")));
+            }
         }
         Ok(Args { positional, flags })
     }
@@ -166,6 +170,30 @@ impl ExecConfig {
                 .and_then(PlanShardFaults::from_plan),
         }
     }
+
+    /// Open the run's backend session. A backend that cannot be prepared
+    /// (e.g. scoring that overflows the 8-bit kernels) fails here, before
+    /// an index is opened or a socket bound.
+    pub fn open(&self) -> Result<ExecSession, MapError> {
+        let backend = prepare_supervised(self.kind, &self.backend, self.supervisor.clone())
+            .map_err(|e| MapError::Usage(e.to_string()))?;
+        Ok(ExecSession {
+            backend,
+            sched: self.sched.clone(),
+            stats: Mutex::default(),
+        })
+    }
+}
+
+/// The run's one backend session (DESIGN.md §12.0, §15.3): the supervised
+/// backend — one device, one circuit breaker, one watchdog — the scheduler
+/// settings its submissions go through, and the counters every [`dispatch`]
+/// merges into. It belongs to the process, not to an index: the daemon
+/// keeps it across every `RELOAD`, so a demoted device stays demoted.
+pub struct ExecSession {
+    pub backend: SupervisedBackend,
+    pub sched: SchedConfig,
+    pub stats: Mutex<BackendStats>,
 }
 
 /// The mapping parameters named by [`SHARED_FLAGS`]; all `manymap index`
@@ -222,8 +250,15 @@ pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     if let Some(n) = args.num("backend-retries")? {
         exec.supervisor.max_retries = n;
     }
-    if let Some(ms) = args.num("batch-deadline-ms")? {
-        exec.supervisor.batch_deadline = Some(Duration::from_millis(ms));
+    // A zero deadline would abandon every submit the moment it is made.
+    match args.num("batch-deadline-ms")? {
+        Some(0) => {
+            return Err(usage(
+                "--batch-deadline-ms 0: expected an integer >= 1".into(),
+            ))
+        }
+        Some(ms) => exec.supervisor.batch_deadline = Some(Duration::from_millis(ms)),
+        None => {}
     }
     exec.sched = SchedConfig::from_env().map_err(usage)?;
     if let Some(v) = args.get("sched") {
@@ -286,52 +321,31 @@ pub fn load_index_any(
     AnyIndex::open_mmap(path, shard_opts).map_err(index_err)
 }
 
-/// An open reference ready to map against: the index, its target tables,
-/// and one supervised backend session per index shard (one for a flat
-/// index), so each shard's compute fault domain mirrors its index-side
-/// quarantine. Immutable once built; the daemon's live reload builds a new
-/// one and swaps the `Arc`.
+/// An open reference ready to map against — one index generation: the
+/// index and its target tables. Immutable once built; the daemon's live
+/// reload builds a new one and swaps the `Arc`.
 pub struct MapSession {
     id: u64,
     index: AnyIndex,
     map: MapOpts,
     tnames: Vec<String>,
     tlens: Vec<usize>,
-    sessions: ShardSessions,
-    sched: SchedConfig,
-    backend_label: &'static str,
 }
 
 impl MapSession {
-    /// Stand up the backend sessions over `index`. Session 0 is created
-    /// eagerly, so a bad backend choice fails here, before any mapping.
     /// `id` numbers the daemon's index generations (0 for a CLI run).
-    pub fn new(
-        id: u64,
-        index: AnyIndex,
-        map: MapOpts,
-        exec: &ExecConfig,
-    ) -> Result<MapSession, MapError> {
+    pub fn new(id: u64, index: AnyIndex, map: MapOpts) -> MapSession {
         let iref = index.as_index_ref();
         let rids = 0..iref.num_seqs() as u32;
         let tnames = rids.clone().map(|r| iref.seq_name(r).to_string()).collect();
         let tlens = rids.map(|r| iref.seq_len(r)).collect();
-        let (kind, bopts, sup) = (exec.kind, exec.backend.clone(), exec.supervisor.clone());
-        let factory: SessionFactory =
-            Box::new(move |_shard| prepare_supervised(kind, &bopts, sup.clone()));
-        let backend_err = |e: mmm_exec::BackendError| MapError::Usage(e.to_string());
-        let sessions = ShardSessions::new(iref.num_shards(), factory).map_err(backend_err)?;
-        let backend_label = sessions.primary().map_err(backend_err)?.label();
-        Ok(MapSession {
+        MapSession {
             id,
             index,
             map,
             tnames,
             tlens,
-            sessions,
-            sched: exec.sched.clone(),
-            backend_label,
-        })
+        }
     }
 
     pub fn index(&self) -> &AnyIndex {
@@ -343,15 +357,9 @@ impl MapSession {
         (&self.tnames, &self.tlens)
     }
 
-    /// The primary backend's name, for run summaries.
-    pub fn backend_label(&self) -> &'static str {
-        self.backend_label
-    }
-
-    /// The shard fault-domain report (nothing over a flat index): only
-    /// lines for shards that did anything interesting, plus one summary
-    /// line each for the index and the backend sessions, so a clean run
-    /// stays compact.
+    /// The shard fault-domain report (nothing over a flat index): one
+    /// summary line, plus a line for each shard that did anything
+    /// interesting, so a clean run stays compact.
     pub fn shard_report(&self, report: &mut StatsReport) {
         let AnyIndex::Sharded(sharded) = &self.index else {
             return;
@@ -381,14 +389,6 @@ impl MapSession {
                 ));
             }
         }
-        let sess = self.sessions.health();
-        let routed: u64 = sess.iter().map(|s| s.jobs).sum();
-        let sess_quarantined: u64 = sess.iter().map(|s| s.quarantined).sum();
-        report.line(format!(
-            "shard sessions: {} created, {routed} job(s) routed, \
-             {sess_quarantined} job(s) quarantined",
-            sess.iter().filter(|s| s.created).count()
-        ));
     }
 
     pub fn describe(&self) -> String {
@@ -437,79 +437,56 @@ pub fn quarantine_reason(msg: &str) -> Option<&str> {
     msg.strip_prefix(QUARANTINE_PREFIX)
 }
 
-/// The dispatch stage: take every read's jobs (and their shard tags), make
-/// one submission per session present in the batch — a reload can land
-/// mid-batch, and each job must run through the shard sessions of the
-/// index whose reference windows it carries — then deal the per-job
-/// outcomes back out per read, in job order. A read with any quarantined
-/// job comes back `Err` (see [`quarantine_reason`]) and degrades through
-/// the pipeline's panic handler; a fail-fast supervisor surfaces the first
-/// unrecovered error as a fatal whole-batch `Err`. Backend counters are
-/// merged into `stats`.
+/// The dispatch stage: move every read's jobs into one submission to the
+/// run's backend session, then deal the per-job outcomes back out per read,
+/// in job order. A job owns its target and query bytes, so reads planned on
+/// two index generations (a reload landed mid-batch) share the submission.
+/// A read with any quarantined job comes back `Err` (see
+/// [`quarantine_reason`]) and degrades through the pipeline's panic
+/// handler; a fail-fast supervisor surfaces the first unrecovered error as
+/// a fatal whole-batch `Err`. Backend counters are merged into
+/// `exec.stats`; a batch with no jobs submits nothing.
 #[allow(clippy::type_complexity)]
 pub fn dispatch(
     mut plans: Vec<Planned>,
-    stats: &Mutex<BackendStats>,
+    exec: &ExecSession,
 ) -> Result<Vec<(Planned, Result<Vec<AlignResult>, String>)>, DynError> {
-    struct Group {
-        session: Arc<MapSession>,
-        jobs: Vec<AlignJob>,
-        shards: Vec<u32>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    // Per read: which group its jobs went to, and how many.
-    let mut counts: Vec<(usize, usize)> = Vec::with_capacity(plans.len());
-    for p in &mut plans {
-        let entry = match p.plan.as_mut() {
-            Ok(plan) if !plan.jobs.is_empty() => {
-                let gi = groups
-                    .iter()
-                    .position(|g| Arc::ptr_eq(&g.session, &p.session))
-                    .unwrap_or_else(|| {
-                        groups.push(Group {
-                            session: Arc::clone(&p.session),
-                            jobs: Vec::new(),
-                            shards: Vec::new(),
-                        });
-                        groups.len() - 1
-                    });
-                // Taken, not drained in place: the plan must not pin an
-                // empty job buffer until its read is finalized.
-                let jobs = std::mem::take(&mut plan.jobs);
-                let n = jobs.len();
-                groups[gi].jobs.extend(jobs);
-                groups[gi]
-                    .shards
-                    .extend(std::mem::take(&mut plan.job_shards));
-                (gi, n)
-            }
-            _ => (0, 0),
-        };
-        counts.push(entry);
-    }
-    let mut outcomes: Vec<std::vec::IntoIter<JobOutcome>> = Vec::with_capacity(groups.len());
-    for g in groups {
-        let s = &g.session;
-        let (os, bstats) = s
-            .sessions
-            .submit_sharded(g.jobs, &g.shards, &s.sched)
+    let mut jobs: Vec<AlignJob> = Vec::new();
+    let counts: Vec<usize> = plans
+        .iter_mut()
+        .map(|p| {
+            // Taken, not drained in place: the plan must not pin an empty
+            // job buffer until its read is finalized.
+            let taken = p
+                .plan
+                .as_mut()
+                .map(|plan| std::mem::take(&mut plan.jobs))
+                .unwrap_or_default();
+            let n = taken.len();
+            jobs.extend(taken);
+            n
+        })
+        .collect();
+    let mut outcomes = Vec::new().into_iter();
+    if !jobs.is_empty() {
+        let (os, bstats) = exec
+            .backend
+            .submit_scheduled(jobs, &exec.sched)
             .map_err(|e| -> DynError { Box::new(e) })?;
-        lock_unpoisoned(stats).merge(&bstats);
-        outcomes.push(os.into_iter());
+        lock_unpoisoned(&exec.stats).merge(&bstats);
+        outcomes = os.into_iter();
     }
     Ok(plans
         .into_iter()
         .zip(counts)
-        .map(|(p, (gi, n))| {
+        .map(|(p, n)| {
             let mut results = Vec::with_capacity(n);
             let mut quarantine = None;
-            if n > 0 {
-                for o in outcomes[gi].by_ref().take(n) {
-                    match o {
-                        JobOutcome::Done(r) => results.push(r),
-                        JobOutcome::Quarantined { reason } => {
-                            quarantine.get_or_insert(reason);
-                        }
+            for o in outcomes.by_ref().take(n) {
+                match o {
+                    JobOutcome::Done(r) => results.push(r),
+                    JobOutcome::Quarantined { reason } => {
+                        quarantine.get_or_insert(reason);
                     }
                 }
             }
@@ -615,11 +592,13 @@ mod tests {
         assert!(shard_opts.hook.is_some());
     }
 
-    /// One dispatch batch holding reads planned against two different
-    /// sessions (a reload landed mid-batch), one job quarantined: every
-    /// read gets its own results back and exactly one read degrades.
+    /// One dispatch batch holding reads planned on two index generations
+    /// (a reload landed mid-batch) is one backend submission; every read
+    /// gets its own results back and finalizes against the generation that
+    /// planned it. Under a failing backend exactly the reads that had jobs
+    /// degrade.
     #[test]
-    fn dispatch_deals_results_across_sessions_and_degrades_one_read() {
+    fn dispatch_sends_one_submission_across_generations() {
         let genome = generate_genome(&GenomeOpts {
             len: 60_000,
             repeat_frac: 0.0,
@@ -627,19 +606,15 @@ mod tests {
             ..Default::default()
         });
         let map = MapOpts::map_ont();
-        let open = |id: u64, exec: &ExecConfig| {
+        let open = |id: u64, tname: &str| {
             let idx =
-                MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &map.idx)
+                MinimizerIndex::build(&[SeqRecord::new(tname, nt4_decode(&genome))], &map.idx)
                     .unwrap();
-            Arc::new(MapSession::new(id, AnyIndex::Flat(idx), map, exec).unwrap())
+            Arc::new(MapSession::new(id, AnyIndex::Flat(idx), map))
         };
-        let clean = ExecConfig::new(&map, 2);
-        let mut failing = clean.clone();
-        failing.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
-        failing.supervisor.max_retries = 0;
-        let (old, new) = (open(0, &failing), open(1, &clean));
+        let (old, new) = (open(0, "old_chr"), open(1, "chr1"));
 
-        let reads: Vec<SeqRecord> = simulate_reads(
+        let mut reads: Vec<SeqRecord> = simulate_reads(
             &genome,
             &SimOpts {
                 platform: Platform::Nanopore,
@@ -650,40 +625,74 @@ mod tests {
         .into_iter()
         .map(|r| SeqRecord::new(r.name, nt4_decode(&r.seq)))
         .collect();
-
-        // What each read maps to on its own, through the clean session.
-        let stats = Mutex::new(BackendStats::default());
-        let mut scratch = AlignScratch::new();
-        let mut solo = |rec: &SeqRecord| {
-            let (p, r) = dispatch(vec![new.plan(rec)], &stats).unwrap().remove(0);
-            finalize(&p, rec, &r.unwrap(), &mut scratch, false).unwrap()
+        // A read that seeds nowhere plans no jobs.
+        reads.push(SeqRecord::new("junk", vec![b'A'; 400]));
+        // Read 1 was planned before the reload.
+        let plan_all = || -> Vec<Planned> {
+            let gen = |i| if i == 1 { &old } else { &new };
+            reads
+                .iter()
+                .enumerate()
+                .map(|(i, r)| gen(i).plan(r))
+                .collect()
         };
-        let expect: Vec<String> = reads.iter().map(&mut solo).collect();
 
-        // Read 1 was planned before the reload, on the failing session;
-        // cut it down to exactly one job.
-        let mut plans: Vec<Planned> = reads.iter().map(|r| new.plan(r)).collect();
-        plans[1] = old.plan(&reads[1]);
-        let p1 = plans[1].plan.as_mut().unwrap();
-        assert!(!p1.jobs.is_empty(), "fixture read must need gap fills");
-        p1.jobs.truncate(1);
-        p1.job_shards.truncate(1);
+        // What each read maps to alone, on the generation that plans it.
+        let clean = ExecConfig::new(&map, 2);
+        let exec = clean.open().unwrap();
+        let mut scratch = AlignScratch::new();
+        let expect: Vec<String> = plan_all()
+            .into_iter()
+            .zip(&reads)
+            .map(|(planned, rec)| {
+                let (p, r) = dispatch(vec![planned], &exec).unwrap().remove(0);
+                finalize(&p, rec, &r.unwrap(), &mut scratch, false).unwrap()
+            })
+            .collect();
+        assert!(expect[0].contains("\tchr1\t"), "{}", expect[0]);
+        assert!(expect[1].contains("\told_chr\t"), "{}", expect[1]);
+        assert!(expect[4].is_empty(), "{}", expect[4]);
 
-        let stats = Mutex::new(BackendStats::default());
-        let dealt = dispatch(plans, &stats).unwrap();
-        assert_eq!(dealt.len(), 4);
+        let exec = clean.open().unwrap();
+        let dealt = dispatch(plan_all(), &exec).unwrap();
+        assert_eq!(lock_unpoisoned(&exec.stats).batches, 1);
+        assert_eq!(dealt.len(), reads.len());
         for (i, ((p, r), rec)) in dealt.iter().zip(&reads).enumerate() {
-            if i == 1 {
-                let msg = r.as_ref().expect_err("read 1 must degrade");
-                assert!(quarantine_reason(msg).is_some(), "{msg}");
-                assert!(Arc::ptr_eq(&p.session, &old));
-            } else {
-                let lines = finalize(p, rec, r.as_ref().unwrap(), &mut scratch, false).unwrap();
-                assert_eq!(lines, expect[i], "read {i} got another read's results");
+            let lines = finalize(p, rec, r.as_ref().unwrap(), &mut scratch, false).unwrap();
+            assert_eq!(lines, expect[i], "read {i} got another read's results");
+        }
+
+        let mut failing = clean;
+        failing.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
+        failing.supervisor.max_retries = 0;
+        let exec = failing.open().unwrap();
+        let plans = plan_all();
+        let njobs: Vec<usize> = plans
+            .iter()
+            .map(|p| p.plan.as_ref().unwrap().jobs.len())
+            .collect();
+        assert!(njobs[1] > 0 && njobs[4] == 0, "{njobs:?}");
+        for ((_, r), &n) in dispatch(plans, &exec).unwrap().iter().zip(&njobs) {
+            match r {
+                Ok(results) => assert!(n == 0 && results.is_empty()),
+                Err(msg) => assert!(n > 0 && quarantine_reason(msg).is_some(), "{msg}"),
             }
         }
-        assert_eq!(lock_unpoisoned(&stats).quarantined, 1);
-        assert_eq!(old.sessions.health()[0].quarantined, 1);
-        assert_eq!(new.sessions.health()[0].quarantined, 0);
+        let stats = *lock_unpoisoned(&exec.stats);
+        assert_eq!(stats.quarantined, njobs.iter().sum::<usize>() as u64);
+        assert_eq!(stats.batches, 1);
+    }
+
+    /// A backend that cannot be prepared fails when the run's session is
+    /// opened — before any index is.
+    #[test]
+    fn scoring_that_overflows_i8_fails_at_backend_open() {
+        let mut map = MapOpts::map_ont();
+        map.scoring.q = 100;
+        assert!(!map.scoring.fits_i8());
+        let Err(MapError::Usage(msg)) = ExecConfig::new(&map, 1).open() else {
+            panic!("an overflowing scoring must not open a backend");
+        };
+        assert!(msg.contains("overflow"), "{msg}");
     }
 }

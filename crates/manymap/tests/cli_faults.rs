@@ -68,14 +68,14 @@ fn fixture(tag: &str) -> Fixture {
 }
 
 fn run_map(index: &Path, reads: &Path, extra: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_manymap"))
-        .arg("map")
-        .arg(index)
-        .arg(reads)
-        .args(["--threads", "2"])
-        .args(extra)
-        .output()
-        .expect("spawn manymap")
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_manymap"));
+    cmd.arg("map").arg(index).arg(reads);
+    // A repeated flag is a usage error, so the default yields to `extra`.
+    if !extra.contains(&"--threads") {
+        cmd.args(["--threads", "2"]);
+    }
+    cmd.args(extra);
+    cmd.output().expect("spawn manymap")
 }
 
 #[test]
@@ -199,14 +199,17 @@ fn oversized_reads_degrade_with_count() {
     );
 }
 
-/// Malformed flag values and unknown flags are usage errors (exit 1, flag
-/// named, nothing on stdout) in both binaries — regression: `manymap map`
-/// used to fall back to the default on `--threads abc` and to read a
-/// mistyped `--thread 4` as a boolean plus a stray positional.
+/// Malformed flag values, unknown flags and repeated flags are usage errors
+/// (exit 1, flag named, nothing on stdout) in both binaries — regression:
+/// `manymap map` used to fall back to the default on `--threads abc`, to
+/// read a mistyped `--thread 4` as a boolean plus a stray positional, to
+/// keep the last of `--threads 2 --threads 1` silently, and to run
+/// `--batch-deadline-ms 0` with every submit abandoned at once.
 #[test]
 fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     let fx = fixture("flags");
     let sock = fx.dir.join("never-bound.sock");
+    let map = |extra: &[&str]| run_map(&fx.index, &fx.reads, extra);
     let daemon = |extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_mmm-serve"))
             .arg("daemon")
@@ -217,39 +220,51 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
             .output()
             .expect("spawn mmm-serve")
     };
-    let expect_usage = |out: Output, prog: &str, flag: &str| {
+    let expect_usage = |out: Output, prog: &str, why: &str| {
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{prog} {flag}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{prog} {why}: {stderr}");
         assert!(
-            stderr.starts_with(&format!("{prog}: ")) && stderr.contains(flag),
-            "{prog} must name {flag}: {stderr}"
+            stderr.starts_with(&format!("{prog}: ")) && stderr.contains(why),
+            "{prog} must say {why:?}: {stderr}"
         );
-        assert!(out.stdout.is_empty(), "{prog} {flag} wrote to stdout");
+        assert!(out.stdout.is_empty(), "{prog} {why} wrote to stdout");
     };
-    for bad in [
-        &["--threads", "abc"][..],
-        &["--threads", "0"],
-        &["--max-read-len", "1e6"],
-        &["--backend-retries", "-1"],
-        &["--preset", "pacbio"],
-        &["--thread", "4"],
-        &["--mem-budget"],
+    for (bad, why) in [
+        (&["--threads", "abc"][..], "--threads \"abc\": not a number"),
+        (&["--threads", "0"], "--threads 0: expected an integer >= 1"),
+        (
+            &["--batch-deadline-ms", "0"],
+            "--batch-deadline-ms 0: expected an integer >= 1",
+        ),
+        (&["--max-read-len", "1e6"], "--max-read-len"),
+        (&["--backend-retries", "-1"], "--backend-retries"),
+        (&["--preset", "pacbio"], "--preset"),
+        (&["--thread", "4"], "unknown flag --thread"),
+        (&["--mem-budget"], "--mem-budget: missing value"),
+        (
+            &["--mem-budget", "99999999999G"],
+            "--mem-budget \"99999999999G\": expected a positive byte count",
+        ),
+        (
+            &["--threads", "2", "--threads", "1"],
+            "--threads: given more than once",
+        ),
+        (
+            &["--no-cigar", "--no-cigar"],
+            "--no-cigar: given more than once",
+        ),
     ] {
-        expect_usage(run_map(&fx.index, &fx.reads, bad), "manymap", bad[0]);
-        expect_usage(daemon(bad), "mmm-serve", bad[0]);
+        expect_usage(map(bad), "manymap", why);
+        expect_usage(daemon(bad), "mmm-serve", why);
     }
     // The retired forks' flags are gone from the table, not deprecated.
     for gone in [&["--prefilter", "safe"][..], &["--index-format", "legacy"]] {
         let unknown = format!("unknown flag {}", gone[0]);
-        expect_usage(run_map(&fx.index, &fx.reads, gone), "manymap", &unknown);
+        expect_usage(map(gone), "manymap", &unknown);
         expect_usage(daemon(gone), "mmm-serve", &unknown);
     }
     // Each binary takes the shared table plus its own flags only.
-    expect_usage(
-        run_map(&fx.index, &fx.reads, &["--socket", "x"]),
-        "manymap",
-        "--socket",
-    );
+    expect_usage(map(&["--socket", "x"]), "manymap", "--socket");
     expect_usage(daemon(&["--sam"]), "mmm-serve", "--sam");
     expect_usage(daemon(&["--fail-fast"]), "mmm-serve", "--fail-fast");
     assert!(!sock.exists(), "a usage error must come before the bind");

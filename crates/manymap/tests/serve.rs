@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use manymap::serve::{encode_read, read_frame, serve, write_frame, Frame, Op, ServeOpts};
 use manymap::{load_index_any, ExecConfig, MapOpts};
-use mmm_exec::BufferSink;
+use mmm_exec::{BackendKind, BufferSink, FaultPlan};
 use mmm_index::{build_sharded, save_index, AnyIndex, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{
@@ -409,7 +409,8 @@ fn slow_consumer_is_throttled_without_wedging_others() {
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon = s.spawn(|| serve(AnyIndex::Flat(idx), &opts, &sink));
+        let daemon =
+            s.spawn(|| serve(AnyIndex::Flat(idx), opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         // Tenant "slow" ships every read but never reads a reply.
@@ -493,7 +494,8 @@ fn drain_flushes_accepted_reads_before_exit() {
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon = s.spawn(|| serve(AnyIndex::Flat(idx), &opts, &sink));
+        let daemon =
+            s.spawn(|| serve(AnyIndex::Flat(idx), opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         // An open-ended session: reads in flight, END never sent.
@@ -664,17 +666,21 @@ fn sigterm_while_admission_capped_flushes_accepted_reads() {
 /// swap receives every record, output before and after the swap is
 /// byte-identical (same index content), a reload of a bad path is refused
 /// while the current generation keeps serving, and the stats report
-/// accounts for the generations.
+/// accounts for the generations. The backend session is the daemon's, not
+/// the generation's: a device whose every launch fails is demoted by the
+/// circuit breaker once, and the new generation does not un-demote it.
 #[test]
 fn live_reload_swaps_generations_without_dropping_reads() {
     let fx = fixture("reload", 8);
     let mut opts = serve_opts(&fx);
     opts.index_path = Some(fx.index.clone());
+    opts.exec.kind = BackendKind::GpuSim;
+    opts.exec.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
     let index = load_index_any(&fx.index, &opts.map, opts.exec.shard_open_opts(), true).unwrap();
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon = s.spawn(|| serve(index, &opts, &sink));
+        let daemon = s.spawn(|| serve(index, opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         // Tenant "straddle" ships all its reads, then the daemon reloads
@@ -731,6 +737,10 @@ fn live_reload_swaps_generations_without_dropping_reads() {
         assert!(
             report.contains("generation 1") && report.contains("1 reload(s)"),
             "stats must account for the reload: {report}"
+        );
+        assert!(
+            report.contains(" 1 breaker-trips"),
+            "the breaker's verdict must survive the reload: {report}"
         );
 
         let f = admin(&fx.socket(), Op::Drain);
@@ -808,7 +818,8 @@ fn admission_cap_refuses_then_recovers() {
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon = s.spawn(|| serve(AnyIndex::Flat(idx), &opts, &sink));
+        let daemon =
+            s.spawn(|| serve(AnyIndex::Flat(idx), opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         let mut first = UnixStream::connect(fx.socket()).unwrap();

@@ -7,7 +7,9 @@
 //! 1. **Byte-identity**: `map` over a sharded manifest produces output
 //!    byte-identical to `map` over the flat `.mmx` built from the same
 //!    FASTA — including when `--mem-budget` is set below the total
-//!    resident size, forcing LRU eviction and reload mid-run.
+//!    resident size, forcing LRU eviction and reload mid-run, and on the
+//!    device backend with and without a compute-plane fault: the run has
+//!    one backend session whatever the shard count.
 //! 2. **Fault containment**: every persistent `FaultPlan` shard class
 //!    (`corrupt-section`, `missing-shard`, `torn-tail`) quarantines only
 //!    the targeted shard; reads from its chromosome degrade to unmapped
@@ -173,6 +175,40 @@ fn sharded_output_is_byte_identical_to_flat() {
         stderr.contains("evictions=") || stderr.contains("0 quarantined"),
         "stderr: {stderr}"
     );
+
+    // The device backend over the sharded index, clean and with its first
+    // submit failing (no retries: the whole batch reroutes to the CPU
+    // standby). The fixture's reads fit one dispatch, so the run's one
+    // backend session reports one batch, all of it rerouted.
+    let launch_fail = [
+        "--backend-retries",
+        "0",
+        "--inject-backend-fault",
+        "launch-fail:batches=0..1",
+    ];
+    for fault in [&[][..], &launch_fail] {
+        let out = run_map(
+            &fx.sharded,
+            &fx.reads,
+            &[&["--backend", "gpu-sim"], fault].concat(),
+        );
+        assert_eq!(out.stdout, base.stdout, "gpu-sim {fault:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let blocks: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.contains("backend gpu-sim: "))
+            .collect();
+        assert_eq!(blocks.len(), 1, "stderr: {stderr}");
+        let (_, counts) = blocks[0].split_once("backend gpu-sim: ").unwrap();
+        let (jobs, _) = counts
+            .split_once(" jobs in 1 batches")
+            .unwrap_or_else(|| panic!("one dispatch must be one batch: {counts}"));
+        assert_eq!(
+            stderr.contains(&format!(" {jobs} rerouted")),
+            !fault.is_empty(),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 #[test]

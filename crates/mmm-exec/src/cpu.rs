@@ -2,9 +2,10 @@
 //! with one recycled [`AlignScratch`] arena per worker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use mmm_align::{AlignResult, AlignScratch, Engine, Scoring};
+use mmm_pipeline::lock_unpoisoned;
 use mmm_pipeline::pool::with_worker_pool;
 
 use crate::backend::{AlignBackend, BackendOptions};
@@ -36,7 +37,7 @@ struct ScratchLease<'a> {
 
 impl<'a> ScratchLease<'a> {
     fn take(home: &'a Mutex<Vec<AlignScratch>>) -> Self {
-        let scratch = lock_spares(home).pop().unwrap_or_default();
+        let scratch = lock_unpoisoned(home).pop().unwrap_or_default();
         ScratchLease {
             home,
             scratch: Some(scratch),
@@ -47,14 +48,9 @@ impl<'a> ScratchLease<'a> {
 impl Drop for ScratchLease<'_> {
     fn drop(&mut self) {
         if let Some(s) = self.scratch.take() {
-            lock_spares(self.home).push(s);
+            lock_unpoisoned(self.home).push(s);
         }
     }
-}
-
-fn lock_spares(home: &Mutex<Vec<AlignScratch>>) -> std::sync::MutexGuard<'_, Vec<AlignScratch>> {
-    // The spare list is plain data; a panicked pusher can't corrupt it.
-    home.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Host SIMD execution session.

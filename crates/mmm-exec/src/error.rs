@@ -26,13 +26,10 @@ pub enum BackendError {
     WrongResultCount { expected: usize, got: usize },
     /// The supervisor's watchdog abandoned the batch at its deadline.
     DeadlineExceeded,
-    /// One or more jobs failed on every available backend; the supervisor
-    /// quarantined them. Only surfaced through the plain `AlignBackend`
-    /// trait — `submit_supervised` reports quarantines per job instead.
+    /// One or more jobs failed on every available backend. Only a
+    /// `fail_fast` supervisor surfaces this — otherwise `submit_supervised`
+    /// reports quarantines per job instead.
     Quarantined { jobs: usize },
-    /// A session could not be configured or constructed — e.g. a per-shard
-    /// session factory failed. The string carries the sticky reason.
-    Config(String),
 }
 
 impl fmt::Display for BackendError {
@@ -65,9 +62,6 @@ impl fmt::Display for BackendError {
                     f,
                     "{jobs} job(s) failed on every backend and were quarantined"
                 )
-            }
-            BackendError::Config(reason) => {
-                write!(f, "backend session configuration: {reason}")
             }
         }
     }

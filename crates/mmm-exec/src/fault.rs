@@ -40,6 +40,8 @@
 
 use std::time::Duration;
 
+use crate::{splitmix64_mix, SPLITMIX64_GAMMA};
+
 /// What kind of backend failure to inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultClass {
@@ -141,10 +143,7 @@ impl Selector {
             Selector::Seeded { p_ppm, seed } => {
                 // splitmix64 keyed by (seed, submit): the same pair always
                 // draws the same value, independent of call order.
-                let mut z = seed ^ submit.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
+                let z = splitmix64_mix(seed ^ submit.wrapping_mul(SPLITMIX64_GAMMA));
                 (z % 1_000_000) < p_ppm
             }
         }

@@ -28,7 +28,6 @@ pub mod gpu;
 pub mod health;
 pub mod job;
 pub mod sched;
-pub mod shard_sessions;
 pub mod sink;
 pub mod stats;
 pub mod supervisor;
@@ -43,7 +42,19 @@ pub use gpu::GpuSimtBackend;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use job::{AlignJob, MAX_PLAN_SEGMENT};
 pub use sched::{plan_schedule, Route, SchedBatch, SchedConfig, SchedMode, SchedulePlan};
-pub use shard_sessions::{SessionFactory, ShardSessionHealth, ShardSessions};
 pub use sink::{BufferSink, StatsReport, StatsSink, StderrSink};
 pub use stats::BackendStats;
 pub use supervisor::{JobOutcome, SupervisedBackend, SupervisorConfig};
+
+/// splitmix64's increment. Every seeded, replayable draw in this crate (the
+/// fault plan's Bernoulli selector, the supervisor's backoff jitter, the
+/// scheduler's test-only batch permutation) keys the generator its own way
+/// with this and finishes with [`splitmix64_mix`].
+const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64's output mix.
+fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

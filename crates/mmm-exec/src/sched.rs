@@ -18,6 +18,7 @@
 //! tests enforce it end to end.
 
 use crate::job::AlignJob;
+use crate::{splitmix64_mix, SPLITMIX64_GAMMA};
 
 /// Scheduling policy for a supervised submission.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -143,16 +144,6 @@ impl SchedulePlan {
     }
 }
 
-/// Splitmix64 step — same generator family as the fault plan and the
-/// supervisor backoff, keyed independently, so permuted dispatch orders are
-/// replayable.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// log2 size class of a job — jobs in one bin differ by at most 2x in DP
 /// cells, which keeps stream occupancy even within a device batch.
 fn size_class(cells: u64) -> u32 {
@@ -232,7 +223,7 @@ pub fn plan_schedule<F: Fn(&AlignJob) -> bool>(
 fn permute(batches: &mut [SchedBatch], seed: u64) {
     let mut state = seed;
     for k in (1..batches.len()).rev() {
-        state = splitmix64(state);
+        state = splitmix64_mix(state.wrapping_add(SPLITMIX64_GAMMA));
         let j = (state % (k as u64 + 1)) as usize;
         batches.swap(k, j);
     }

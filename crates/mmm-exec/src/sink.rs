@@ -13,6 +13,8 @@
 use std::io::Write;
 use std::sync::Mutex;
 
+use mmm_pipeline::lock_unpoisoned;
+
 use crate::stats::BackendStats;
 
 /// Destination for fully-assembled stats reports. Implementations must
@@ -55,29 +57,18 @@ impl BufferSink {
 
     /// All reports delivered so far, in delivery order.
     pub fn reports(&self) -> Vec<String> {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock_unpoisoned(&self.reports).clone()
     }
 
     /// Drain the captured reports.
     pub fn take(&self) -> Vec<String> {
-        std::mem::take(
-            &mut self
-                .reports
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
+        std::mem::take(&mut lock_unpoisoned(&self.reports))
     }
 }
 
 impl StatsSink for BufferSink {
     fn write_report(&self, report: &str) {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(report.to_string());
+        lock_unpoisoned(&self.reports).push(report.to_string());
     }
 }
 

@@ -24,6 +24,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use mmm_align::AlignResult;
+use mmm_pipeline::lock_unpoisoned;
 
 use crate::backend::AlignBackend;
 use crate::error::BackendError;
@@ -31,6 +32,7 @@ use crate::health::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::job::AlignJob;
 use crate::sched::{plan_schedule, Route, SchedConfig, SchedMode};
 use crate::stats::BackendStats;
+use crate::{splitmix64_mix, SPLITMIX64_GAMMA};
 
 /// Injectable time source so backoff-heavy paths are testable without
 /// real sleeping. The watchdog deadline itself uses the real
@@ -59,13 +61,13 @@ pub struct TestClock {
 
 impl TestClock {
     pub fn sleeps(&self) -> Vec<Duration> {
-        lock(&self.slept).clone()
+        lock_unpoisoned(&self.slept).clone()
     }
 }
 
 impl Clock for TestClock {
     fn sleep(&self, d: Duration) {
-        lock(&self.slept).push(d);
+        lock_unpoisoned(&self.slept).push(d);
     }
 }
 
@@ -161,12 +163,6 @@ struct Runner {
     tx: mpsc::Sender<RunnerWork>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Supervisor state is plain data; a panicking backend thread cannot
-    // leave it half-updated in a way recovery would observe.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn spawn_runner(late: Arc<AtomicU64>) -> Option<Runner> {
     let (tx, rx) = mpsc::channel::<RunnerWork>();
     let spawned = std::thread::Builder::new()
@@ -174,7 +170,7 @@ fn spawn_runner(late: Arc<AtomicU64>) -> Option<Runner> {
         .spawn(move || {
             while let Ok((backend, jobs, slot)) = rx.recv() {
                 let res = backend.submit(jobs);
-                let mut st = lock(&slot.state);
+                let mut st = lock_unpoisoned(&slot.state);
                 match *st {
                     SlotState::Pending => {
                         *st = SlotState::Done(res);
@@ -190,15 +186,6 @@ fn spawn_runner(late: Arc<AtomicU64>) -> Option<Runner> {
             }
         });
     spawned.ok().map(|_| Runner { tx })
-}
-
-/// Splitmix64 step — the same generator the fault plan uses, keyed
-/// differently, so backoff schedules are replayable.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A supervised backend session (DESIGN.md §10).
@@ -243,9 +230,14 @@ impl SupervisedBackend {
         }
     }
 
+    /// The primary backend's name, for run summaries.
+    pub fn label(&self) -> &'static str {
+        self.primary.label()
+    }
+
     /// Current breaker state (stats, tests).
     pub fn breaker_state(&self) -> BreakerState {
-        lock(&self.breaker).state()
+        lock_unpoisoned(&self.breaker).state()
     }
 
     /// Deterministic backoff before retry `attempt` of job `salt`.
@@ -255,8 +247,8 @@ impl SupervisedBackend {
         let jitter_ns = if base.is_zero() {
             0
         } else {
-            splitmix64(self.cfg.backoff_seed ^ salt.rotate_left(17) ^ attempt as u64)
-                % base.as_nanos().max(1) as u64
+            let key = self.cfg.backoff_seed ^ salt.rotate_left(17) ^ attempt as u64;
+            splitmix64_mix(key.wrapping_add(SPLITMIX64_GAMMA)) % base.as_nanos().max(1) as u64
         };
         base * exp + Duration::from_nanos(jitter_ns)
     }
@@ -294,7 +286,7 @@ impl SupervisedBackend {
         deadline: Duration,
         stats: &mut BackendStats,
     ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
-        let mut runner = lock(&self.runner);
+        let mut runner = lock_unpoisoned(&self.runner);
         if runner.is_none() {
             *runner = spawn_runner(Arc::clone(&self.late));
         }
@@ -312,7 +304,7 @@ impl SupervisedBackend {
             return backend.submit(jobs);
         }
 
-        let guard = lock(&slot.state);
+        let guard = lock_unpoisoned(&slot.state);
         let (mut st, timeout) = self
             .cv_wait(&slot, guard, deadline)
             .unwrap_or_else(PoisonError::into_inner);
@@ -368,7 +360,7 @@ impl SupervisedBackend {
         let cells: u64 = jobs.iter().map(AlignJob::cells).sum();
         let mut inner = BackendStats::default();
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
-        let trips_before = lock(&self.breaker).trips();
+        let trips_before = lock_unpoisoned(&self.breaker).trips();
 
         let mut pending: Vec<usize> = (0..n).collect();
         if n > 0 {
@@ -392,7 +384,7 @@ impl SupervisedBackend {
         stats.batches = 1;
         stats.jobs = n as u64;
         stats.cells = cells;
-        stats.breaker_trips = lock(&self.breaker).trips() - trips_before;
+        stats.breaker_trips = lock_unpoisoned(&self.breaker).trips() - trips_before;
         let late_total = self.late.load(Ordering::Relaxed);
         stats.late_results = late_total - self.late_reported.swap(late_total, Ordering::Relaxed);
         let quarantined = outcomes
@@ -503,20 +495,20 @@ impl SupervisedBackend {
         outcomes: &mut [Option<JobOutcome>],
         stats: &mut BackendStats,
     ) -> Result<Vec<usize>, BackendError> {
-        if !lock(&self.breaker).allow_primary() {
+        if !lock_unpoisoned(&self.breaker).allow_primary() {
             return Ok(pending);
         }
         let batch: Vec<AlignJob> = pending.iter().map(|&i| jobs[i].clone()).collect();
         match self.guarded_submit(&self.primary, batch, stats) {
             Ok(results) => {
-                lock(&self.breaker).record(true);
+                lock_unpoisoned(&self.breaker).record(true);
                 for (&i, r) in pending.iter().zip(results) {
                     outcomes[i] = Some(JobOutcome::Done(r));
                 }
                 return Ok(Vec::new());
             }
             Err(e) => {
-                lock(&self.breaker).record(false);
+                lock_unpoisoned(&self.breaker).record(false);
                 if self.cfg.fail_fast {
                     return Err(e);
                 }
@@ -533,14 +525,14 @@ impl SupervisedBackend {
         let mut still: Vec<usize> = Vec::new();
         'jobs: for &i in &pending {
             for attempt in 0..self.cfg.max_retries {
-                if !lock(&self.breaker).allow_primary() {
+                if !lock_unpoisoned(&self.breaker).allow_primary() {
                     break;
                 }
                 self.clock.sleep(self.backoff(attempt, i as u64));
                 stats.retries += 1;
                 match self.guarded_submit(&self.primary, vec![jobs[i].clone()], stats) {
                     Ok(mut results) => {
-                        lock(&self.breaker).record(true);
+                        lock_unpoisoned(&self.breaker).record(true);
                         if let Some(r) = results.pop() {
                             outcomes[i] = Some(JobOutcome::Done(r));
                             stats.retried_ok += 1;
@@ -548,7 +540,7 @@ impl SupervisedBackend {
                         }
                     }
                     Err(e) => {
-                        lock(&self.breaker).record(false);
+                        lock_unpoisoned(&self.breaker).record(false);
                         if self.cfg.fail_fast {
                             return Err(e);
                         }
@@ -588,7 +580,7 @@ impl SupervisedBackend {
 
         stats.rerouted += pending.len() as u64;
         let standby = Arc::clone(standby);
-        lock(&self.breaker).note_standby_submit();
+        lock_unpoisoned(&self.breaker).note_standby_submit();
         let batch: Vec<AlignJob> = pending.iter().map(|&i| jobs[i].clone()).collect();
         match self.guarded_submit(&standby, batch, stats) {
             Ok(results) => {
@@ -604,7 +596,7 @@ impl SupervisedBackend {
 
         let mut still = Vec::new();
         for &i in &pending {
-            lock(&self.breaker).note_standby_submit();
+            lock_unpoisoned(&self.breaker).note_standby_submit();
             match self.guarded_submit(&standby, vec![jobs[i].clone()], stats) {
                 Ok(mut results) => {
                     if let Some(r) = results.pop() {
@@ -624,41 +616,6 @@ impl SupervisedBackend {
             }
         }
         Ok(still)
-    }
-}
-
-impl AlignBackend for SupervisedBackend {
-    fn label(&self) -> &'static str {
-        self.primary.label()
-    }
-
-    /// Eligibility is the primary's: supervision changes recovery, not
-    /// what the device can natively execute.
-    fn device_eligible(&self, job: &AlignJob) -> bool {
-        self.primary.device_eligible(job)
-    }
-
-    /// The plain trait surface: quarantines become a single typed error,
-    /// because this signature has no per-job channel. Callers that can
-    /// degrade per job should use
-    /// [`submit_supervised`](SupervisedBackend::submit_supervised).
-    fn submit(
-        &self,
-        jobs: Vec<AlignJob>,
-    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
-        let (outcomes, stats) = self.submit_supervised(jobs)?;
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut quarantined = 0usize;
-        for o in outcomes {
-            match o {
-                JobOutcome::Done(r) => results.push(r),
-                JobOutcome::Quarantined { .. } => quarantined += 1,
-            }
-        }
-        if quarantined > 0 {
-            return Err(BackendError::Quarantined { jobs: quarantined });
-        }
-        Ok((results, stats))
     }
 }
 
@@ -844,14 +801,11 @@ mod tests {
             Arc::new(TestClock::default()),
         );
         let jobs = test_jobs(2);
-        let (outcomes, stats) = sup.submit_supervised(jobs.clone()).expect("supervised");
+        let (outcomes, stats) = sup.submit_supervised(jobs).expect("supervised");
         assert_eq!(stats.quarantined, 2);
         for o in &outcomes {
             assert!(matches!(o, JobOutcome::Quarantined { .. }), "{o:?}");
         }
-        // The plain trait surface reports the same thing as a typed error.
-        let err = sup.submit(jobs).expect_err("quarantine error");
-        assert_eq!(err, BackendError::Quarantined { jobs: 2 });
     }
 
     #[test]

@@ -1345,14 +1345,6 @@ impl<'a> IndexRef<'a> {
         }
     }
 
-    /// Which fault domain serves `rid` (always 0 for flat).
-    pub fn shard_of(self, rid: u32) -> u32 {
-        match self {
-            IndexRef::Flat(_) => 0,
-            IndexRef::Sharded(i) => i.shard_of(rid) as u32,
-        }
-    }
-
     pub fn collect_anchors(self, query: &[u8]) -> Result<Vec<Anchor>, ShardUnavailable> {
         match self {
             IndexRef::Flat(i) => Ok(i.collect_anchors(query)),
@@ -1673,7 +1665,6 @@ mod tests {
         assert_eq!(fr.seq_len(1), sr.seq_len(1));
         assert_eq!(fr.num_shards(), 1);
         assert_eq!(sr.num_shards(), 2);
-        assert_eq!(fr.shard_of(2), 0);
         let g = flat.ref_window(1, 0, 12_000);
         let q = &g[2_000..3_500];
         assert_eq!(

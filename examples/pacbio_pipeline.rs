@@ -12,7 +12,6 @@ use std::sync::{Arc, Mutex};
 use manymap::session::{self, Planned};
 use manymap::{ExecConfig, MapOpts, MapSession};
 use mmm_align::{AlignResult, AlignScratch};
-use mmm_exec::BackendStats;
 use mmm_index::{AnyIndex, IdxOpts, MinimizerIndex};
 use mmm_pipeline::try_run_three_thread_batched_with_state;
 use mmm_seq::{nt4_decode, SeqRecord};
@@ -49,8 +48,8 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let exec = ExecConfig::new(&opts, threads);
-    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts, &exec).unwrap());
+    let exec = ExecConfig::new(&opts, threads).open().unwrap();
+    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts));
 
     // Feed the pipeline in batches of ~64 reads, named by read id.
     let mut batches: Vec<Vec<SeqRecord>> = reads
@@ -65,13 +64,12 @@ fn main() {
         .collect();
     batches.reverse();
 
-    let backend_stats = Mutex::new(BackendStats::default());
     let paf = Mutex::new(String::new());
     let stats = try_run_three_thread_batched_with_state(
         move || Ok(batches.pop()),
         |_worker| AlignScratch::new(),
         |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
-        |plans| session::dispatch(plans, &backend_stats),
+        |plans| session::dispatch(plans, &exec),
         |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
             session::finalize(p, rec, results, scratch, false)
                 .unwrap_or_else(|_| session::unmapped_record(rec, false))

@@ -7,7 +7,6 @@ use std::sync::{Arc, Mutex};
 use manymap::session::{self, Planned};
 use manymap::{write_paf, ExecConfig, MapOpts, MapSession, Mapper};
 use mmm_align::{AlignResult, AlignScratch};
-use mmm_exec::BackendStats;
 use mmm_index::{AnyIndex, MinimizerIndex};
 use mmm_pipeline::try_run_three_thread_batched_with_state;
 use mmm_seq::{nt4_decode, SeqRecord};
@@ -35,8 +34,7 @@ fn workload() -> (Arc<MapSession>, Vec<SeqRecord>) {
         .into_iter()
         .map(|r| SeqRecord::new(r.name, nt4_decode(&r.seq)))
         .collect();
-    let exec = ExecConfig::new(&opts, 4);
-    let session = MapSession::new(0, AnyIndex::Flat(index), opts, &exec).unwrap();
+    let session = MapSession::new(0, AnyIndex::Flat(index), opts);
     (Arc::new(session), reads)
 }
 
@@ -63,13 +61,13 @@ fn pipeline_paf(
 ) -> String {
     let mut batches: Vec<Vec<SeqRecord>> = reads.chunks(7).map(|c| c.to_vec()).collect();
     batches.reverse();
-    let stats = Mutex::new(BackendStats::default());
+    let exec = ExecConfig::new(&MapOpts::map_ont(), 4).open().unwrap();
     let out = Mutex::new(String::new());
     try_run_three_thread_batched_with_state(
         move || Ok(batches.pop()),
         |_| AlignScratch::new(),
         |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
-        |plans| session::dispatch(plans, &stats),
+        |plans| session::dispatch(plans, &exec),
         |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
             session::finalize(p, rec, results, scratch, false).expect("no read is rejected")
         },
