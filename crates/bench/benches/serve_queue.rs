@@ -7,6 +7,7 @@
 //! machine-readable baseline to `BENCH_serve_queue.json` (override the
 //! path with `BENCH_JSON_OUT`; set it empty to skip). Set `BENCH_QUICK=1`
 //! for a fast smoke run.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

@@ -11,12 +11,15 @@
 //!
 //! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
 //! `mmm-serve daemon` parses too: `--preset map-pb|map-ont`, `--engine
-//! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--threads N` (≥ 1),
-//! `--backend cpu|gpu-sim`, `--inject-backend-fault <plan>`,
-//! `--backend-retries N`, `--batch-deadline-ms N` (≥ 1), `--sched
-//! fifo|bins`, `--mem-budget BYTES[K|M|G]`. Any other `--flag`, a value
-//! flag with no value, a flag given twice, or a malformed number is a usage
-//! error naming the flag (exit 1).
+//! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--threads N` (1 to
+//! `session::MAX_THREADS`), `--backend cpu|gpu-sim`,
+//! `--inject-backend-fault <plan>`, `--backend-retries N`,
+//! `--batch-deadline-ms N` (≥ 1), `--sched fifo|bins`, `--mem-budget
+//! BYTES[K|M|G]`. Each subcommand is parsed against its own table (`index`:
+//! `session::INDEX_FLAGS`; `map`: the shared table plus
+//! `session::MAP_FLAGS`): any other `--flag`, a value flag with no value, a
+//! flag given twice, or a malformed number is a usage error naming the flag
+//! (exit 1). Flags are the only configuration channel.
 //!
 //! `index` takes a FASTA reference and writes the one `.mmx` image version
 //! (v2, bit-packed postings); an image of another version is a typed
@@ -38,20 +41,19 @@
 //! Output (PAF by default, SAM with `--sam`) goes to stdout; stage timings
 //! and a per-backend execution summary to stderr.
 //!
-//! Backend selection: `--backend` (or the `MMM_BACKEND` environment
-//! variable) routes the batched gap-fill alignment work to the CPU SIMD
-//! executor or the simulated GPU/SIMT runner. All backends are
-//! bit-identical, so the choice never changes stdout. `MMM_GPU_MEM` (bytes)
-//! and `MMM_GPU_STREAMS` shrink the simulated device — useful to force the
-//! oversized-pair CPU fallback path.
+//! Backend selection: `--backend` routes the batched gap-fill alignment
+//! work to the CPU SIMD executor or the simulated GPU/SIMT runner. All
+//! backends are bit-identical, so the choice never changes stdout. The
+//! environment variables `MMM_GPU_MEM` (bytes) and `MMM_GPU_STREAMS` size
+//! the simulated device (there is no flag for either) — useful to force
+//! the oversized-pair CPU fallback path.
 //!
-//! Scheduling (DESIGN.md §11): `--sched bins` (or `MMM_SCHED=bins`) bins
-//! each dispatch's jobs by DP-matrix size before submission — similarly
-//! sized jobs batch together for even stream occupancy, and jobs the device
-//! statically cannot take are routed to the host executor pre-batch instead
-//! of stalling a device batch. Batch budgets: `MMM_SCHED_BATCH_CELLS`,
-//! `MMM_SCHED_BATCH_JOBS`. Scheduling is pure reordering, so stdout is
-//! byte-identical to the default fifo dispatch.
+//! Scheduling (DESIGN.md §11): `--sched bins` bins each dispatch's jobs by
+//! DP-matrix size before submission — similarly sized jobs batch together
+//! for even stream occupancy, and jobs the device statically cannot take
+//! are routed to the host executor pre-batch instead of stalling a device
+//! batch. Scheduling is pure reordering, so stdout is byte-identical to
+//! the default fifo dispatch.
 //!
 //! Fault behavior: fatal input problems (unreadable files, corrupt index,
 //! a byte stream dying mid-file) abort with a nonzero exit and a message
@@ -64,15 +66,14 @@
 //! Supervised execution (DESIGN.md §10): the run opens one backend session,
 //! before it reads the index (so a bad backend fails first), and every
 //! dispatch goes through it under the `mmm-exec` supervisor — failed
-//! batches are split and retried with backoff (`--backend-retries N`,
-//! `MMM_BACKEND_RETRIES`), hung submissions are killed by a watchdog
-//! (`--batch-deadline-ms N`), and a repeatedly failing device backend is
-//! demoted to the CPU by a circuit breaker. Jobs that fail everywhere
-//! quarantine their read to an unmapped record.
-//! `--fail-fast` restores the old fatal behaviour.
-//! `--inject-backend-fault <plan>` (or `MMM_FAULT_PLAN`) installs a
-//! deterministic fault schedule, e.g. `launch-fail:batches=0..2` or
-//! `hang:ms=500:every=3` — see `mmm_exec::FaultPlan` for the grammar.
+//! batches are split and retried with backoff (`--backend-retries N`),
+//! hung submissions are killed by a watchdog (`--batch-deadline-ms N`), and
+//! a repeatedly failing device backend is demoted to the CPU by a circuit
+//! breaker. Jobs that fail everywhere quarantine their read to an unmapped
+//! record. `--fail-fast` restores the old fatal behaviour.
+//! `--inject-backend-fault <plan>` installs a deterministic fault schedule,
+//! e.g. `launch-fail:batches=0..2` or `hang:ms=500:every=3` — see
+//! `mmm_exec::FaultPlan` for the grammar.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -82,22 +83,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use manymap::sam::write_sam_header;
-use manymap::session::{self, Args, Flag, MapSession, Planned};
+use manymap::session::{self, Args, MapSession, Planned, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
 use manymap::{load_index_any, MapError, MapReadError};
 use mmm_align::{AlignResult, AlignScratch};
 use mmm_exec::{StatsReport, StderrSink};
 use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex};
 use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
-
-/// Flags of this binary on top of `session::SHARED_FLAGS`.
-const OWN_FLAGS: &[Flag] = &[
-    ("sam", false),
-    ("no-mmap", false),
-    ("fail-fast", false),
-    ("inject-panic", true),
-    ("shards", true),
-];
 
 /// The `index` summary line. The compaction ratio is only meaningful when
 /// both sides are nonzero: an empty reference (no minimizers) has no flat
@@ -349,15 +341,16 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
 }
 
 fn main() -> ExitCode {
-    let result = Args::parse(std::env::args().skip(1), OWN_FLAGS).and_then(|args| {
-        match args.positional.first().map(|s| s.as_str()) {
-            Some("index") => cmd_index(&args),
-            Some("map") => cmd_map(&args),
-            _ => Err(MapError::Usage(
-                "usage: manymap <index|map> ... (see crate docs)".into(),
-            )),
-        }
-    });
+    // The subcommand comes first and names the table its flags are
+    // checked against; it stays `positional[0]`.
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = match argv.first().map(String::as_str) {
+        Some("index") => Args::parse(argv, &[INDEX_FLAGS]).and_then(|a| cmd_index(&a)),
+        Some("map") => Args::parse(argv, &[SHARED_FLAGS, MAP_FLAGS]).and_then(|a| cmd_map(&a)),
+        _ => Err(MapError::Usage(
+            "usage: manymap <index|map> ... (see crate docs)".into(),
+        )),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -14,8 +14,10 @@
 //! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
 //! `--engine`, `--no-cigar`, `--max-read-len`, `--sched`, `--mem-budget`,
 //! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`);
-//! any other `--flag`, a flag given twice, a malformed value, `--threads 0`
-//! or `--batch-deadline-ms 0` is a usage error naming the flag (exit 1).
+//! any other `--flag`, a flag given twice, a malformed value, `--threads`
+//! outside 1 to `session::MAX_THREADS` or `--batch-deadline-ms 0` is a
+//! usage error naming the flag (exit 1). Only `daemon` takes flags
+//! (`session::DAEMON_FLAGS` on top of the shared table).
 //!
 //! `<ref.mmx>` may be a flat index image or a sharded manifest (DESIGN.md
 //! §15); `--mem-budget` caps shard residency. `reload` swaps the daemon to
@@ -31,9 +33,7 @@
 //! accepted read, emits a final stats report on stderr, and exits.
 //!
 //! Environment variables are the `manymap` CLI's, read by the same code:
-//! `MMM_BACKEND`, `MMM_GPU_MEM`, `MMM_GPU_STREAMS`, `MMM_FAULT_PLAN`,
-//! `MMM_BACKEND_RETRIES`, `MMM_SCHED`, `MMM_SCHED_BATCH_CELLS`,
-//! `MMM_SCHED_BATCH_JOBS`.
+//! `MMM_GPU_MEM` and `MMM_GPU_STREAMS`, which size the simulated device.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
@@ -41,20 +41,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use manymap::serve::{self, encode_read, read_frame, write_frame, Frame, Op, ServeOpts};
-use manymap::session::{self, Args, Flag};
+use manymap::session::{self, Args, Flag, DAEMON_FLAGS, SHARED_FLAGS};
 use manymap::{load_index_any, MapError};
 use mmm_exec::StderrSink;
 use mmm_seq::FastxReader;
-
-/// Flags of this binary on top of `session::SHARED_FLAGS`.
-const OWN_FLAGS: &[Flag] = &[
-    ("socket", true),
-    ("max-tenants", true),
-    ("inq-reads", true),
-    ("outq-records", true),
-    ("quantum-bases", true),
-    ("batch-bases", true),
-];
 
 fn cmd_daemon(args: &Args) -> Result<(), MapError> {
     let [ref_path] = &args.positional[1..] else {
@@ -277,7 +267,13 @@ fn cmd_admin(args: &Args, op: Op, expect: Op) -> Result<(), MapError> {
 }
 
 fn main() -> ExitCode {
-    let result = Args::parse(std::env::args().skip(1), OWN_FLAGS).and_then(|args| {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // Only `daemon` takes flags; the client and admin subcommands take none.
+    let tables: &[&[Flag]] = match argv.first().map(String::as_str) {
+        Some("daemon") => &[SHARED_FLAGS, DAEMON_FLAGS],
+        _ => &[],
+    };
+    let result = Args::parse(argv, tables).and_then(|args| {
         match args.positional.first().map(|s| s.as_str()) {
             Some("daemon") => cmd_daemon(&args),
             Some("client") => cmd_client(&args),

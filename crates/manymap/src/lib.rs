@@ -35,8 +35,6 @@
 //! assert_eq!(mappings, same);
 //! ```
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod baselines;
 pub mod error;
 pub mod mapper;

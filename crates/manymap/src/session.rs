@@ -1,7 +1,7 @@
 //! One map session, two front ends (DESIGN.md §12).
 //!
 //! `manymap map` and the `mmm-serve` daemon run the same production path:
-//! parse one flag+env table into [`MapOpts`] + [`ExecConfig`], open the
+//! parse one flag table into [`MapOpts`] + [`ExecConfig`], open the
 //! run's one backend session with [`ExecConfig::open`] (an [`ExecSession`]:
 //! one device, one circuit breaker, for the life of the process), open the
 //! reference with [`load_index_any`] into a [`MapSession`] (one index
@@ -44,7 +44,8 @@ pub const MAP_BATCH_BASES: usize = 4_000_000;
 /// value.
 pub type Flag = (&'static str, bool);
 
-/// The flags both binaries accept; [`map_config`] reads all of them.
+/// The flags `manymap map` and `mmm-serve daemon` both accept;
+/// [`map_config`] reads all of them.
 pub const SHARED_FLAGS: &[Flag] = &[
     ("preset", true),
     ("engine", true),
@@ -59,6 +60,32 @@ pub const SHARED_FLAGS: &[Flag] = &[
     ("mem-budget", true),
 ];
 
+/// What `manymap map` accepts on top of [`SHARED_FLAGS`].
+pub const MAP_FLAGS: &[Flag] = &[
+    ("sam", false),
+    ("no-mmap", false),
+    ("fail-fast", false),
+    ("inject-panic", true),
+];
+
+/// Everything `manymap index` accepts.
+pub const INDEX_FLAGS: &[Flag] = &[("preset", true), ("shards", true)];
+
+/// What `mmm-serve daemon` accepts on top of [`SHARED_FLAGS`].
+pub const DAEMON_FLAGS: &[Flag] = &[
+    ("socket", true),
+    ("max-tenants", true),
+    ("inq-reads", true),
+    ("outq-records", true),
+    ("quantum-bases", true),
+    ("batch-bases", true),
+];
+
+/// Most workers a run may ask for (`--threads`). Both pools spawn that many
+/// OS threads, and a spawn the OS refuses aborts the process; the paper's
+/// widest machine, the KNL, has 272 hardware threads.
+pub const MAX_THREADS: usize = 1024;
+
 /// A parsed command line: positionals in order, flags by name.
 pub struct Args {
     pub positional: Vec<String>,
@@ -67,10 +94,13 @@ pub struct Args {
 
 impl Args {
     /// Split `argv` (program name already skipped) into positionals and
-    /// flags. A `--flag` must be in [`SHARED_FLAGS`] or the binary's `own`
-    /// table; anything else, a value flag with no value, or a flag given
-    /// twice is a usage error naming the flag.
-    pub fn parse(argv: impl IntoIterator<Item = String>, own: &[Flag]) -> Result<Args, MapError> {
+    /// flags. A `--flag` must be in one of the subcommand's `tables`;
+    /// anything else, a value flag with no value, or a flag given twice is
+    /// a usage error naming the flag.
+    pub fn parse(
+        argv: impl IntoIterator<Item = String>,
+        tables: &[&[Flag]],
+    ) -> Result<Args, MapError> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
         let mut it = argv.into_iter();
@@ -79,7 +109,7 @@ impl Args {
                 positional.push(a);
                 continue;
             };
-            let Some(&(_, takes_value)) = SHARED_FLAGS.iter().chain(own).find(|f| f.0 == name)
+            let Some(&(_, takes_value)) = tables.iter().copied().flatten().find(|f| f.0 == name)
             else {
                 return Err(MapError::Usage(format!("unknown flag --{name}")));
             };
@@ -219,34 +249,34 @@ pub fn map_opts(args: &Args) -> Result<MapOpts, MapError> {
     Ok(map)
 }
 
-/// Build the mapping and execution configuration from [`SHARED_FLAGS`] and
-/// the environment. An explicit flag wins over its environment variable
-/// (`MMM_BACKEND`, `MMM_FAULT_PLAN`, `MMM_BACKEND_RETRIES`, `MMM_SCHED`,
-/// `MMM_SCHED_BATCH_CELLS`, `MMM_SCHED_BATCH_JOBS`); `MMM_GPU_MEM` and
-/// `MMM_GPU_STREAMS` have no flag.
+/// Build the mapping and execution configuration from [`SHARED_FLAGS`].
+/// Flags are the only channel, bar the simulated device's size, which has
+/// no flag: `MMM_GPU_MEM` and `MMM_GPU_STREAMS`.
 pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     let usage = MapError::Usage;
     let map = map_opts(args)?;
     let threads = match args.num("threads")? {
-        Some(0) => return Err(usage("--threads 0: expected an integer >= 1".into())),
+        Some(n) if !(1..=MAX_THREADS).contains(&n) => {
+            return Err(usage(format!(
+                "--threads {n}: expected an integer in 1..={MAX_THREADS}"
+            )))
+        }
         Some(n) => n,
         None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
     };
     let mut exec = ExecConfig::new(&map, threads);
-    exec.kind = match args.get("backend") {
-        Some(v) => BackendKind::parse(v),
-        None => BackendKind::from_env().unwrap_or(Ok(BackendKind::Cpu)),
+    if let Some(v) = args.get("backend") {
+        exec.kind = BackendKind::parse(v).map_err(|e| usage(format!("--backend: {e}")))?;
     }
-    .map_err(|e| usage(e.to_string()))?;
     exec.backend.device_mem = env_num("MMM_GPU_MEM")?;
     exec.backend.streams = env_num("MMM_GPU_STREAMS")?;
-    exec.backend.fault = match args.get("inject-backend-fault") {
-        Some(text) => Some(FaultPlan::parse(text).map_err(usage)?),
-        None => FaultPlan::from_env().transpose().map_err(usage)?,
-    };
-    exec.supervisor = SupervisorConfig::from_env().map_err(usage)?;
+    if let Some(text) = args.get("inject-backend-fault") {
+        let plan = FaultPlan::parse(text)
+            .map_err(|e| usage(format!("--inject-backend-fault {text:?}: {e}")))?;
+        exec.backend.fault = Some(plan);
+    }
     if let Some(n) = args.num("backend-retries")? {
         exec.supervisor.max_retries = n;
     }
@@ -260,9 +290,8 @@ pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
         Some(ms) => exec.supervisor.batch_deadline = Some(Duration::from_millis(ms)),
         None => {}
     }
-    exec.sched = SchedConfig::from_env().map_err(usage)?;
     if let Some(v) = args.get("sched") {
-        exec.sched.mode = SchedMode::parse(v).map_err(usage)?;
+        exec.sched.mode = SchedMode::parse(v).map_err(|e| usage(format!("--sched: {e}")))?;
     }
     exec.mem_budget = args
         .get("mem-budget")
@@ -574,7 +603,7 @@ mod tests {
                     --backend gpu-sim --sched bins --backend-retries 0 \
                     --batch-deadline-ms 250 --mem-budget 64K \
                     --inject-backend-fault missing-shard:shards=1";
-        let args = Args::parse(argv.split_whitespace().map(String::from), &[]).unwrap();
+        let args = Args::parse(argv.split_whitespace().map(String::from), &[SHARED_FLAGS]).unwrap();
         let (map, exec) = map_config(&args).unwrap();
         assert_eq!(map.idx.k, 19);
         assert!(!map.with_cigar);

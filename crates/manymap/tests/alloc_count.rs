@@ -11,6 +11,7 @@
 //! thread-local so parallel test threads can't perturb it.
 // Exercises whatever SIMD decode tier the host offers, which Miri cannot.
 #![cfg(not(miri))]
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

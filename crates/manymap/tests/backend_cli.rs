@@ -5,6 +5,7 @@
 //! including when a shrunken simulated device forces oversized pairs
 //! through the CPU-fallback path, and the stderr summary must account for
 //! the backend's work.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,6 +77,9 @@ fn run_map(index: &Path, reads: &Path, extra: &[&str], envs: &[(&str, &str)]) ->
     cmd.output().expect("spawn manymap")
 }
 
+/// Both dispatch modes; the output-identity cases run under each.
+const SCHEDS: [&str; 2] = ["fifo", "bins"];
+
 /// Fallback count from the stderr summary line
 /// (`... N cpu-fallbacks, ...`).
 fn fallbacks_in(stderr: &str) -> u64 {
@@ -97,23 +101,25 @@ fn gpu_sim_stdout_is_byte_identical_to_cpu() {
             &[&["--backend", "cpu"], format].concat(),
             &[],
         );
-        let gpu = run_map(
-            &fx.index,
-            &fx.reads,
-            &[&["--backend", "gpu-sim"], format].concat(),
-            &[],
-        );
         assert!(cpu.status.success());
-        assert!(gpu.status.success());
         assert!(!cpu.stdout.is_empty(), "no records produced");
-        assert_eq!(
-            cpu.stdout, gpu.stdout,
-            "backend choice must never change output ({format:?})"
-        );
-        let stderr = String::from_utf8_lossy(&gpu.stderr);
-        assert!(stderr.contains("backend gpu-sim:"), "stderr: {stderr}");
         let cpu_err = String::from_utf8_lossy(&cpu.stderr);
         assert!(cpu_err.contains("backend cpu:"), "stderr: {cpu_err}");
+        for sched in SCHEDS {
+            let gpu = run_map(
+                &fx.index,
+                &fx.reads,
+                &[&["--backend", "gpu-sim", "--sched", sched], format].concat(),
+                &[],
+            );
+            assert!(gpu.status.success());
+            assert_eq!(
+                cpu.stdout, gpu.stdout,
+                "backend choice must never change output ({format:?}, {sched})"
+            );
+            let stderr = String::from_utf8_lossy(&gpu.stderr);
+            assert!(stderr.contains("backend gpu-sim:"), "stderr: {stderr}");
+        }
     }
 }
 
@@ -122,16 +128,15 @@ fn shrunken_device_forces_fallbacks_but_not_divergence() {
     let fx = fixture("fallback");
     let cpu = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
     // 16 KB of simulated device memory: any nontrivial with-path gap fill
-    // overflows it and must be routed to the CPU executor. Pin fifo
-    // dispatch: the in-submit fallback counter this test asserts on is
-    // exactly what the binned scheduler eliminates (oversized jobs are
-    // host-routed pre-batch), so an inherited MMM_SCHED=bins would
-    // legitimately report zero fallbacks.
+    // overflows it and must be routed to the CPU executor. Fifo dispatch
+    // (the default) only: the in-submit fallback counter this test asserts
+    // on is exactly what the binned scheduler eliminates (oversized jobs
+    // are host-routed pre-batch).
     let gpu = run_map(
         &fx.index,
         &fx.reads,
         &["--backend", "gpu-sim"],
-        &[("MMM_GPU_MEM", "16384"), ("MMM_SCHED", "fifo")],
+        &[("MMM_GPU_MEM", "16384")],
     );
     assert!(gpu.status.success());
     assert_eq!(
@@ -143,15 +148,6 @@ fn shrunken_device_forces_fallbacks_but_not_divergence() {
         fallbacks_in(&stderr) >= 1,
         "shrunken device must exercise the fallback path: {stderr}"
     );
-}
-
-#[test]
-fn backend_env_var_selects_backend() {
-    let fx = fixture("env");
-    let out = run_map(&fx.index, &fx.reads, &[], &[("MMM_BACKEND", "gpu-sim")]);
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("backend gpu-sim:"), "stderr: {stderr}");
 }
 
 #[test]
@@ -174,36 +170,40 @@ fn total_gpu_failure_is_invisible_in_stdout() {
     let fx = fixture("chaos-total");
     let clean = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
     assert!(clean.status.success());
-    let chaos = run_map(
-        &fx.index,
-        &fx.reads,
-        &[
-            "--backend",
-            "gpu-sim",
-            "--inject-backend-fault",
-            "launch-fail",
-        ],
-        &[],
-    );
-    assert!(
-        chaos.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&chaos.stderr)
-    );
-    assert_eq!(
-        clean.stdout, chaos.stdout,
-        "a fully failing primary must reroute, not corrupt output"
-    );
-    let stderr = String::from_utf8_lossy(&chaos.stderr);
-    assert!(
-        stderr.contains("supervisor gpu-sim:"),
-        "supervisor summary missing: {stderr}"
-    );
-    assert!(
-        stderr.contains("breaker-trips") && !stderr.contains("0 breaker-trips"),
-        "breaker must trip under a 100%-failing plan: {stderr}"
-    );
-    assert!(stderr.contains("rerouted"), "stderr: {stderr}");
+    for sched in SCHEDS {
+        let chaos = run_map(
+            &fx.index,
+            &fx.reads,
+            &[
+                "--backend",
+                "gpu-sim",
+                "--inject-backend-fault",
+                "launch-fail",
+                "--sched",
+                sched,
+            ],
+            &[],
+        );
+        assert!(
+            chaos.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&chaos.stderr)
+        );
+        assert_eq!(
+            clean.stdout, chaos.stdout,
+            "a fully failing primary must reroute, not corrupt output ({sched})"
+        );
+        let stderr = String::from_utf8_lossy(&chaos.stderr);
+        assert!(
+            stderr.contains("supervisor gpu-sim:"),
+            "supervisor summary missing: {stderr}"
+        );
+        assert!(
+            stderr.contains("breaker-trips") && !stderr.contains("0 breaker-trips"),
+            "breaker must trip under a 100%-failing plan: {stderr}"
+        );
+        assert!(stderr.contains("rerouted"), "stderr: {stderr}");
+    }
 }
 
 /// A hung primary submit must be abandoned at the batch deadline and the
@@ -212,36 +212,43 @@ fn total_gpu_failure_is_invisible_in_stdout() {
 fn hung_batch_is_killed_at_the_deadline() {
     let fx = fixture("chaos-hang");
     let clean = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
-    let start = std::time::Instant::now();
-    let out = run_map(
-        &fx.index,
-        &fx.reads,
-        &[
-            "--backend",
-            "gpu-sim",
-            "--inject-backend-fault",
-            "hang:ms=30000:batches=0..1",
-            "--batch-deadline-ms",
-            "250",
-        ],
-        &[],
-    );
-    let wall = start.elapsed();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        wall < std::time::Duration::from_secs(20),
-        "watchdog failed to cut the 30s hang short (wall={wall:?})"
-    );
-    assert_eq!(clean.stdout, out.stdout, "deadline reroute changed output");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("deadline-kills") && !stderr.contains("0 deadline-kills"),
-        "stderr: {stderr}"
-    );
+    for sched in SCHEDS {
+        let start = std::time::Instant::now();
+        let out = run_map(
+            &fx.index,
+            &fx.reads,
+            &[
+                "--backend",
+                "gpu-sim",
+                "--inject-backend-fault",
+                "hang:ms=30000:batches=0..1",
+                "--batch-deadline-ms",
+                "250",
+                "--sched",
+                sched,
+            ],
+            &[],
+        );
+        let wall = start.elapsed();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            wall < std::time::Duration::from_secs(20),
+            "watchdog failed to cut the 30s hang short (wall={wall:?}, {sched})"
+        );
+        assert_eq!(
+            clean.stdout, out.stdout,
+            "deadline reroute changed output ({sched})"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("deadline-kills") && !stderr.contains("0 deadline-kills"),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 /// With a CPU primary there is no standby: a plan that fails every submit
@@ -253,11 +260,15 @@ fn exhausted_ladder_quarantines_reads_as_unmapped() {
     let out = run_map(
         &fx.index,
         &fx.reads,
-        &["--backend", "cpu"],
         &[
-            ("MMM_FAULT_PLAN", "launch-fail"),
-            ("MMM_BACKEND_RETRIES", "1"),
+            "--backend",
+            "cpu",
+            "--inject-backend-fault",
+            "launch-fail",
+            "--backend-retries",
+            "1",
         ],
+        &[],
     );
     assert!(
         out.status.success(),
@@ -353,21 +364,9 @@ fn scheduled_dispatch_is_byte_identical_to_fifo() {
     }
 }
 
-/// `MMM_SCHED=bins` selects the scheduler without the flag; an unknown
-/// mode is a usage error.
 #[test]
-fn sched_env_var_and_validation() {
-    let fx = fixture("sched-env");
-    let out = run_map(
-        &fx.index,
-        &fx.reads,
-        &["--backend", "gpu-sim"],
-        &[("MMM_SCHED", "bins")],
-    );
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("binned batch(es)"), "stderr: {stderr}");
-
+fn unknown_sched_mode_is_a_usage_error() {
+    let fx = fixture("sched-unknown");
     let bad = run_map(&fx.index, &fx.reads, &["--sched", "zigzag"], &[]);
     assert!(!bad.status.success());
     let stderr = String::from_utf8_lossy(&bad.stderr);

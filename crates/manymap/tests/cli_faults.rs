@@ -5,16 +5,21 @@
 //! converted mid-file errors into silent EOF (truncated output, exit 0).
 //! Per-read faults (`--inject-panic`, oversized reads) must degrade to
 //! unmapped records, exit 0, and be counted on stderr.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
+use manymap::session::{Flag, DAEMON_FLAGS, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
 use mmm_index::{save_index, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
 struct Fixture {
     dir: PathBuf,
+    ref_fa: PathBuf,
     index: PathBuf,
     reads: PathBuf,
     read_names: Vec<String>,
@@ -37,8 +42,12 @@ fn fixture(tag: &str) -> Fixture {
         seed: 7,
         ..Default::default()
     });
-    let idx = MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
-        .unwrap();
+    let refs = [SeqRecord::new("chr1", nt4_decode(&g))];
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &refs, 0).unwrap();
+    let ref_fa = dir.join("ref.fa");
+    std::fs::write(&ref_fa, &fasta).unwrap();
+    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
     let index = dir.join("ref.mmx");
     save_index(&idx, &index).unwrap();
 
@@ -61,6 +70,7 @@ fn fixture(tag: &str) -> Fixture {
 
     Fixture {
         dir,
+        ref_fa,
         index,
         reads,
         read_names: sims.iter().map(|r| r.name.clone()).collect(),
@@ -199,75 +209,240 @@ fn oversized_reads_degrade_with_count() {
     );
 }
 
-/// Malformed flag values, unknown flags and repeated flags are usage errors
-/// (exit 1, flag named, nothing on stdout) in both binaries — regression:
-/// `manymap map` used to fall back to the default on `--threads abc`, to
-/// read a mistyped `--thread 4` as a boolean plus a stray positional, to
-/// keep the last of `--threads 2 --threads 1` silently, and to run
-/// `--batch-deadline-ms 0` with every submit abandoned at once.
+/// How long any one flag-table run may take, daemon drain included.
+const RUN_LIMIT: Duration = Duration::from_secs(20);
+
+/// Run `cmd` from inside `dir` to its exit, stdout and stderr captured
+/// through files (a pipe nobody drains would block a chatty child). It must
+/// exit by itself within [`RUN_LIMIT`] — a signal or a hang fails the test.
+/// A daemon is told to drain as soon as `socket` is bound.
+fn run_to_exit(mut cmd: Command, dir: &Path, socket: Option<&Path>) -> Output {
+    let (out_path, err_path) = (dir.join("run.stdout"), dir.join("run.stderr"));
+    let mut child = cmd
+        .current_dir(dir)
+        .stdout(File::create(&out_path).unwrap())
+        .stderr(File::create(&err_path).unwrap())
+        .spawn()
+        .expect("spawn");
+    let deadline = Instant::now() + RUN_LIMIT;
+    let mut drained = false;
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if let Some(sock) = socket.filter(|s| !drained && s.exists()) {
+            drained = Command::new(env!("CARGO_BIN_EXE_mmm-serve"))
+                .arg("drain")
+                .arg(sock)
+                .output()
+                .is_ok_and(|o| o.status.success());
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{cmd:?}: still running after {RUN_LIMIT:?}");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    if let Some(sock) = socket {
+        let _ = std::fs::remove_file(sock);
+    }
+    Output {
+        status,
+        stdout: std::fs::read(out_path).unwrap(),
+        stderr: std::fs::read(err_path).unwrap(),
+    }
+}
+
+/// One subcommand of one binary and the flag tables it parses.
+struct Sub {
+    /// Binary name: the prefix of every message it prints on failure.
+    prog: &'static str,
+    exe: &'static str,
+    positional: Vec<PathBuf>,
+    /// Flags every run carries unless the case sets the same flag itself
+    /// (a repeated flag is a usage error).
+    base: Vec<(&'static str, String)>,
+    tables: Vec<&'static [Flag]>,
+}
+
+impl Sub {
+    fn describe(&self, extra: &[&str]) -> String {
+        format!("{} {:?} {extra:?}", self.prog, self.positional[0])
+    }
+
+    /// Run with `extra` appended; the outcome must be a clean exit 0, or
+    /// exit 1 with nothing on stdout and a message that starts with the
+    /// binary's name.
+    fn run(&self, dir: &Path, extra: &[&str]) -> (Output, String) {
+        let mut args: Vec<&str> = Vec::new();
+        for (flag, value) in &self.base {
+            if !extra.contains(flag) {
+                args.extend([flag, value.as_str()]);
+            }
+        }
+        args.extend(extra);
+        // A daemon that boots is drained through the socket it was given.
+        let socket = args
+            .iter()
+            .position(|a| *a == "--socket")
+            .and_then(|i| args.get(i + 1))
+            .map(|path| dir.join(path));
+        let mut cmd = Command::new(self.exe);
+        cmd.args(&self.positional).args(&args);
+        let out = run_to_exit(cmd, dir, socket.as_deref());
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let what = self.describe(extra);
+        match out.status.code() {
+            Some(0) => {}
+            Some(1) => {
+                assert!(
+                    stderr.starts_with(&format!("{}: ", self.prog)),
+                    "{what}: {stderr}"
+                );
+                assert!(out.stdout.is_empty(), "{what}: wrote to stdout: {stderr}");
+            }
+            other => panic!("{what}: exit {other:?} ({}): {stderr}", out.status),
+        }
+        (out, stderr)
+    }
+
+    /// [`Sub::run`] where the only acceptable outcome is a usage error whose
+    /// message contains `why`.
+    fn expect_usage(&self, dir: &Path, extra: &[&str], why: &str) {
+        let (out, stderr) = self.run(dir, extra);
+        let what = self.describe(extra);
+        assert_eq!(out.status.code(), Some(1), "{what}: accepted");
+        assert!(stderr.contains(why), "{what} must say {why:?}: {stderr}");
+    }
+}
+
+/// Every value flag of every subcommand's own table × {missing value,
+/// `abc`, `-1`, `0`, `1000000`, a 21-digit number, given twice}, and every
+/// boolean flag given twice: the run exits 0 or 1 within [`RUN_LIMIT`],
+/// never by signal, and an exit 1 names the flag. Only a free-text flag may
+/// accept `abc`, `-1` or the 21-digit number. Regression: `--threads abc`
+/// once fell back to the default, `--threads 2 --threads 1` kept the last,
+/// `--batch-deadline-ms 0` abandoned every submit at once, `--threads
+/// 1000000` died by SIGABRT in `thread::spawn`, `index --sam --threads 0`
+/// and `map --shards 3` were accepted and ignored.
 #[test]
 fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     let fx = fixture("flags");
-    let sock = fx.dir.join("never-bound.sock");
-    let map = |extra: &[&str]| run_map(&fx.index, &fx.reads, extra);
-    let daemon = |extra: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_mmm-serve"))
-            .arg("daemon")
-            .arg(&fx.index)
-            .arg("--socket")
-            .arg(&sock)
-            .args(extra)
-            .output()
-            .expect("spawn mmm-serve")
+    let manymap = env!("CARGO_BIN_EXE_manymap");
+    let threads = ("--threads", "2".to_string());
+    let map = Sub {
+        prog: "manymap",
+        exe: manymap,
+        positional: vec!["map".into(), fx.index.clone(), fx.reads.clone()],
+        base: vec![threads.clone()],
+        tables: vec![SHARED_FLAGS, MAP_FLAGS],
     };
-    let expect_usage = |out: Output, prog: &str, why: &str| {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{prog} {why}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("{prog}: ")) && stderr.contains(why),
-            "{prog} must say {why:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{prog} {why} wrote to stdout");
+    let index = Sub {
+        prog: "manymap",
+        exe: manymap,
+        positional: vec!["index".into(), fx.ref_fa.clone(), "out.mmx".into()],
+        base: vec![],
+        tables: vec![INDEX_FLAGS],
     };
-    for (bad, why) in [
-        (&["--threads", "abc"][..], "--threads \"abc\": not a number"),
-        (&["--threads", "0"], "--threads 0: expected an integer >= 1"),
-        (
-            &["--batch-deadline-ms", "0"],
-            "--batch-deadline-ms 0: expected an integer >= 1",
-        ),
-        (&["--max-read-len", "1e6"], "--max-read-len"),
-        (&["--backend-retries", "-1"], "--backend-retries"),
-        (&["--preset", "pacbio"], "--preset"),
-        (&["--thread", "4"], "unknown flag --thread"),
-        (&["--mem-budget"], "--mem-budget: missing value"),
-        (
-            &["--mem-budget", "99999999999G"],
-            "--mem-budget \"99999999999G\": expected a positive byte count",
-        ),
-        (
-            &["--threads", "2", "--threads", "1"],
-            "--threads: given more than once",
-        ),
-        (
-            &["--no-cigar", "--no-cigar"],
-            "--no-cigar: given more than once",
-        ),
-    ] {
-        expect_usage(map(bad), "manymap", why);
-        expect_usage(daemon(bad), "mmm-serve", why);
+    let daemon = Sub {
+        prog: "mmm-serve",
+        exe: env!("CARGO_BIN_EXE_mmm-serve"),
+        positional: vec!["daemon".into(), fx.index.clone()],
+        base: vec![("--socket", "daemon.sock".to_string()), threads],
+        tables: vec![SHARED_FLAGS, DAEMON_FLAGS],
+    };
+
+    // Any string is a read name or a socket path.
+    const FREE_TEXT: [&str; 2] = ["inject-panic", "socket"];
+    const NEVER_VALID: [&str; 3] = ["abc", "-1", "100000000000000000000"];
+    for sub in [&map, &index, &daemon] {
+        for &(name, takes_value) in sub.tables.iter().copied().flatten() {
+            let flag = format!("--{name}");
+            if !takes_value {
+                sub.expect_usage(&fx.dir, &[&flag, &flag], &flag);
+                continue;
+            }
+            sub.expect_usage(&fx.dir, &[&flag], &format!("{flag}: missing value"));
+            sub.expect_usage(&fx.dir, &[&flag, "1", &flag, "1"], &flag);
+            for value in NEVER_VALID {
+                if FREE_TEXT.contains(&name) {
+                    sub.run(&fx.dir, &[&flag, value]);
+                } else {
+                    sub.expect_usage(&fx.dir, &[&flag, value], &flag);
+                }
+            }
+            for value in ["0", "1000000"] {
+                let (out, stderr) = sub.run(&fx.dir, &[&flag, value]);
+                assert!(
+                    out.status.success() || stderr.contains(&flag),
+                    "{} {flag} {value} must name the flag: {stderr}",
+                    sub.prog
+                );
+            }
+        }
     }
-    // The retired forks' flags are gone from the table, not deprecated.
-    for gone in [&["--prefilter", "safe"][..], &["--index-format", "legacy"]] {
-        let unknown = format!("unknown flag {}", gone[0]);
-        expect_usage(map(gone), "manymap", &unknown);
-        expect_usage(daemon(gone), "mmm-serve", &unknown);
+
+    // Values the generator lets through either way but that must be refused,
+    // the near-miss spellings, and the flags of retired forks (gone from the
+    // table, not deprecated).
+    for sub in [&map, &daemon] {
+        for (bad, why) in [
+            (&["--threads", "0"][..], "--threads 0: expected an integer"),
+            (&["--threads", "1000000"], "--threads 1000000: expected"),
+            (
+                &["--batch-deadline-ms", "0"],
+                "--batch-deadline-ms 0: expected an integer >= 1",
+            ),
+            (&["--max-read-len", "1e6"], "--max-read-len"),
+            (&["--preset", "pacbio"], "--preset"),
+            (&["--thread", "4"], "unknown flag --thread"),
+            (
+                &["--mem-budget", "99999999999G"],
+                "--mem-budget \"99999999999G\": expected a positive byte count",
+            ),
+            (&["--prefilter", "safe"], "unknown flag --prefilter"),
+            (&["--index-format", "legacy"], "unknown flag --index-format"),
+        ] {
+            sub.expect_usage(&fx.dir, bad, why);
+        }
     }
-    // Each binary takes the shared table plus its own flags only.
-    expect_usage(map(&["--socket", "x"]), "manymap", "--socket");
-    expect_usage(daemon(&["--sam"]), "mmm-serve", "--sam");
-    expect_usage(daemon(&["--fail-fast"]), "mmm-serve", "--fail-fast");
-    assert!(!sock.exists(), "a usage error must come before the bind");
+    // Each subcommand takes its own table only.
+    map.expect_usage(&fx.dir, &["--socket", "x"], "unknown flag --socket");
+    map.expect_usage(&fx.dir, &["--shards", "3"], "unknown flag --shards");
+    index.expect_usage(&fx.dir, &["--sam"], "unknown flag --sam");
+    index.expect_usage(&fx.dir, &["--threads", "0"], "unknown flag --threads");
+    index.expect_usage(&fx.dir, &["--shards", "0"], "--shards 0: expected");
+    daemon.expect_usage(&fx.dir, &["--sam"], "unknown flag --sam");
+    daemon.expect_usage(&fx.dir, &["--fail-fast"], "unknown flag --fail-fast");
+    assert!(
+        !fx.dir.join("daemon.sock").exists(),
+        "a usage error must come before the bind"
+    );
+}
+
+/// The six variables that used to twin a flag are not read: a run with
+/// them set is the bare run.
+#[test]
+fn retired_environment_twins_are_ignored() {
+    let fx = fixture("env-twins");
+    let bare = run_map(&fx.index, &fx.reads, &[]);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_manymap"));
+    cmd.arg("map").arg(&fx.index).arg(&fx.reads);
+    cmd.args(["--threads", "2"])
+        .env("MMM_BACKEND", "gpu-sim")
+        .env("MMM_SCHED", "bins")
+        .env("MMM_FAULT_PLAN", "launch-fail")
+        .env("MMM_BACKEND_RETRIES", "0")
+        .env("MMM_SCHED_BATCH_CELLS", "1")
+        .env("MMM_SCHED_BATCH_JOBS", "1");
+    let out = cmd.output().expect("spawn manymap");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("backend cpu:"), "stderr: {stderr}");
+    assert!(!stderr.contains("binned batch(es)"), "stderr: {stderr}");
+    assert!(!bare.stdout.is_empty());
+    assert_eq!(out.stdout, bare.stdout);
 }
 
 /// `manymap index` builds from a FASTA reference; an existing `.mmx` is a

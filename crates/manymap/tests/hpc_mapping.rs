@@ -1,6 +1,7 @@
 //! Homopolymer-compressed seeding through the whole mapper: the map-pb
 //! preset (HPC on) must anchor insertion-heavy PacBio reads at least as
 //! well as plain seeding, and mapping results must stay coordinate-correct.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use manymap::{MapOpts, Mapper};
 use mmm_index::{IdxOpts, MinimizerIndex};

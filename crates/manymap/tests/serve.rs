@@ -5,6 +5,7 @@
 //! including under an injected backend fault plan — a slow consumer must
 //! not wedge the other tenants, and a drain must flush every accepted
 //! read before the daemon exits.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
@@ -143,16 +144,13 @@ fn sharded_fixture(tag: &str) -> Fixture {
 }
 
 /// Solo CLI run — the byte-identity reference.
-fn run_cli(index: &Path, reads: &Path, envs: &[(&str, &str)], extra: &[&str]) -> Output {
+fn run_cli(index: &Path, reads: &Path, extra: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_manymap"));
     cmd.arg("map")
         .arg(index)
         .arg(reads)
         .args(["--threads", "2", "--backend", "cpu"])
         .args(extra);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
     let out = cmd.output().expect("spawn manymap");
     assert!(
         out.status.success(),
@@ -281,7 +279,7 @@ fn serve_opts(fx: &Fixture) -> ServeOpts {
 #[test]
 fn four_tenants_are_byte_identical_to_solo_cli() {
     let fx = fixture("parity", 8);
-    let solo = run_cli(&fx.index, &fx.reads, &[], &[]);
+    let solo = run_cli(&fx.index, &fx.reads, &[]);
     assert!(!solo.stdout.is_empty(), "solo CLI produced no records");
 
     let daemon = spawn_daemon(&fx, &[]);
@@ -342,26 +340,20 @@ fn four_tenants_are_byte_identical_to_solo_cli() {
 #[test]
 fn injected_faults_stay_byte_identical_and_accounted() {
     let fx = fixture("chaos", 8);
-    let envs = [
-        ("MMM_FAULT_PLAN", "launch-fail"),
-        ("MMM_BACKEND_RETRIES", "1"),
+    let plan = [
+        "--inject-backend-fault",
+        "launch-fail",
+        "--backend-retries",
+        "1",
     ];
-    let solo = run_cli(&fx.index, &fx.reads, &envs, &[]);
+    let solo = run_cli(&fx.index, &fx.reads, &plan);
     let solo_text = String::from_utf8_lossy(&solo.stdout);
     assert!(
         solo_text.lines().all(|l| l.contains("tp:A:U")),
         "fault plan did not quarantine the solo run: {solo_text}"
     );
 
-    let daemon = spawn_daemon(
-        &fx,
-        &[
-            "--inject-backend-fault",
-            "launch-fail",
-            "--backend-retries",
-            "1",
-        ],
-    );
+    let daemon = spawn_daemon(&fx, &plan);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|i| {
@@ -758,8 +750,8 @@ fn live_reload_swaps_generations_without_dropping_reads() {
 fn shard_fault_rules_apply_at_boot_and_across_reload() {
     let fx = sharded_fixture("shardfault");
     let plan = ["--inject-backend-fault", "missing-shard:shards=1"];
-    let solo = run_cli(&fx.index, &fx.reads, &[], &plan);
-    let healthy = run_cli(&fx.index, &fx.reads, &[], &[]);
+    let solo = run_cli(&fx.index, &fx.reads, &plan);
+    let healthy = run_cli(&fx.index, &fx.reads, &[]);
     let degraded = |out: &[u8]| {
         String::from_utf8_lossy(out)
             .lines()

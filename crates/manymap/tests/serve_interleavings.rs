@@ -22,6 +22,7 @@
 //!
 //! Broken variants keep the checker honest: a creditless scheduler that
 //! wedges the writer, and a drain handler that abandons queued reads.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

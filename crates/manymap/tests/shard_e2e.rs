@@ -17,6 +17,7 @@
 //!    healthy run. `slow-io` delays loads but changes nothing.
 //! 3. **Determinism**: a seeded chaos run replays to identical stdout and
 //!    identical fault counters.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

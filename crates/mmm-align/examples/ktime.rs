@@ -1,3 +1,5 @@
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mmm_align::{AlignMode, Engine, Scoring, Width};
 use std::time::Instant;
 

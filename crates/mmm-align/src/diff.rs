@@ -353,87 +353,6 @@ pub fn backtrack_into(dir: &DirMatrix, end_i: usize, end_j: usize, cig: &mut Cig
     cig.reverse();
 }
 
-/// Reconstruct a CIGAR from a two-piece direction matrix (see
-/// [`crate::twopiece`]): bits 0–2 select the source of `z` (0 diag, 1 E,
-/// 2 F, 3 E2, 4 F2); bits 3–6 are the continuation flags of E/F/E2/F2.
-pub fn backtrack2(dir: &DirMatrix, end_i: usize, end_j: usize) -> Cigar {
-    let mut cig = Cigar::new();
-    backtrack2_into(dir, end_i, end_j, &mut cig);
-    cig
-}
-
-/// [`backtrack2`] writing into caller-provided (recyclable) CIGAR storage.
-pub fn backtrack2_into(dir: &DirMatrix, end_i: usize, end_j: usize, cig: &mut Cigar) {
-    cig.clear();
-    let mut i = end_i as isize;
-    let mut j = end_j as isize;
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        M,
-        Gap { del: bool, cont_bit: u8 },
-    }
-    let mut st = St::M;
-    while i >= 0 && j >= 0 {
-        match st {
-            St::M => match dir.get(i as usize, j as usize) & 0b111 {
-                0 => {
-                    cig.push(CigarOp::Match, 1);
-                    i -= 1;
-                    j -= 1;
-                }
-                1 => {
-                    st = St::Gap {
-                        del: true,
-                        cont_bit: 8,
-                    }
-                }
-                2 => {
-                    st = St::Gap {
-                        del: false,
-                        cont_bit: 16,
-                    }
-                }
-                3 => {
-                    st = St::Gap {
-                        del: true,
-                        cont_bit: 32,
-                    }
-                }
-                _ => {
-                    st = St::Gap {
-                        del: false,
-                        cont_bit: 64,
-                    }
-                }
-            },
-            St::Gap { del, cont_bit } => {
-                if del {
-                    cig.push(CigarOp::Del, 1);
-                    let cont = i > 0 && dir.get(i as usize - 1, j as usize) & cont_bit != 0;
-                    i -= 1;
-                    if !cont {
-                        st = St::M;
-                    }
-                } else {
-                    cig.push(CigarOp::Ins, 1);
-                    let cont = j > 0 && dir.get(i as usize, j as usize - 1) & cont_bit != 0;
-                    j -= 1;
-                    if !cont {
-                        st = St::M;
-                    }
-                }
-            }
-        }
-    }
-    if i >= 0 {
-        cig.push(CigarOp::Del, i as u32 + 1);
-    }
-    if j >= 0 {
-        cig.push(CigarOp::Ins, j as u32 + 1);
-    }
-    cig.reverse();
-}
-
 /// One difference-recurrence cell update (Eq. 3/4 right-hand sides), shared
 /// by the scalar kernels and the scalar tails of the SIMD kernels so every
 /// code path computes bit-identical values.

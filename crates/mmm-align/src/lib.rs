@@ -15,12 +15,8 @@
 //! * [`diff`] — shared machinery (direction matrix, boundary score
 //!   tracking, CIGAR backtracking);
 //! * [`zdrop`] — exact z-drop extension (ksw2 semantics), the mapper's
-//!   end-extension engine;
-//! * [`banded`] — banded global alignment (minimap2's `-r`);
-//! * [`twopiece`] — two-piece affine gaps (minimap2's `-O4,24 -E2,1`),
-//!   Eq. 4 carried over to the five-state recurrence.
+//!   end-extension engine.
 
-pub mod banded;
 pub mod cigar;
 pub mod diff;
 pub mod dispatch;
@@ -30,11 +26,9 @@ pub mod scalar;
 pub mod score;
 pub mod scratch;
 pub mod simd;
-pub mod twopiece;
 pub mod types;
 pub mod zdrop;
 
-pub use banded::{align_banded, align_banded_with_scratch};
 pub use cigar::{Cigar, CigarOp};
 pub use dispatch::{
     best_engine, best_engine_unless, best_mm2_engine, parse_disable_list, DisabledTiers, Engine,
@@ -42,6 +36,5 @@ pub use dispatch::{
 };
 pub use score::Scoring;
 pub use scratch::AlignScratch;
-pub use twopiece::{align_manymap_2p, align_manymap_2p_with_scratch, fullmatrix2, Scoring2};
 pub use types::{AlignError, AlignMode, AlignResult};
 pub use zdrop::{extend_zdrop, extend_zdrop_with_scratch, ExtendResult, DEFAULT_ZDROP};

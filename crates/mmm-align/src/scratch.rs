@@ -1,14 +1,13 @@
 //! Reusable allocation arena for the alignment hot path.
 //!
 //! Every kernel variant needs the same working set per call: the `u/v/x/y`
-//! difference vectors (plus `x2/y2` for two-piece gaps), the reversed query
-//! for diagonal-contiguous SIMD loads, the 32-bit exact-score column for
-//! z-drop extension, the [`DirMatrix`] for with-path alignment (one row per
-//! diagonal the DP reaches), and a run-length CIGAR. The paper charges the
-//! DP itself as the dominant cost (65% of CPU time, Table 2) — paying a fresh
-//! heap allocation for each of these on *every* `align` call is pure
-//! overhead, and exactly what minimap2 avoids with its per-thread kmalloc
-//! pools.
+//! difference vectors, the reversed query for diagonal-contiguous SIMD
+//! loads, the 32-bit exact-score column for z-drop extension, the
+//! [`DirMatrix`] for with-path alignment (one row per diagonal the DP
+//! reaches), and a run-length CIGAR. The paper charges the DP itself as the
+//! dominant cost (65% of CPU time, Table 2) — paying a fresh heap allocation
+//! for each of these on *every* `align` call is pure overhead, and exactly
+//! what minimap2 avoids with its per-thread kmalloc pools.
 //!
 //! [`AlignScratch`] owns all of those buffers grow-only: a kernel entered
 //! through a `*_with_scratch` entry point resizes (never shrinks) the
@@ -48,17 +47,8 @@ pub struct AlignScratch {
     pub(crate) x: Vec<i8>,
     /// `y` differences, indexed by `t`.
     pub(crate) y: Vec<i8>,
-    /// Second-piece `x` for two-piece affine gaps.
-    pub(crate) x2: Vec<i8>,
-    /// Second-piece `y` for two-piece affine gaps.
-    pub(crate) y2: Vec<i8>,
-    /// Exact 32-bit scores per target row (z-drop extension); also the `H`
-    /// band of the banded aligner.
+    /// Exact 32-bit scores per target row (z-drop extension).
     pub(crate) h32: Vec<i32>,
-    /// `E` band of the banded aligner.
-    pub(crate) e32: Vec<i32>,
-    /// `F` band of the banded aligner.
-    pub(crate) f32: Vec<i32>,
     /// Reversed query for diagonal-contiguous access.
     pub(crate) qr: Vec<u8>,
     /// Copy of the target for the SIMD kernels, with the slack their last
@@ -118,10 +108,7 @@ impl AlignScratch {
             + self.v.capacity()
             + self.x.capacity()
             + self.y.capacity()
-            + self.x2.capacity()
-            + self.y2.capacity()
-            + (self.h32.capacity() + self.e32.capacity() + self.f32.capacity())
-                * std::mem::size_of::<i32>()
+            + self.h32.capacity() * std::mem::size_of::<i32>()
             + self.qr.capacity()
             + self.tpad.capacity()
             + self.dir.heap_bytes()

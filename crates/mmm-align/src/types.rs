@@ -44,8 +44,9 @@ pub enum AlignMode {
     /// Both ends free: maximum over the last row and last column.
     SemiGlobal,
     /// The query must be fully consumed; the target may have an unaligned
-    /// suffix (maximum over the last column, `j = |Q|-1`). This is the mode
-    /// the mapper uses to extend a read end across a reference window.
+    /// suffix (maximum over the last column, `j = |Q|-1`). The mapper never
+    /// submits this mode (it extends read ends with z-drop, [`crate::zdrop`]);
+    /// the kernels keep it for the xtask oracle's mode sweep.
     TargetSuffixFree,
     /// The target must be fully consumed; the query may have an unaligned
     /// suffix (maximum over the last row, `i = |T|-1`).

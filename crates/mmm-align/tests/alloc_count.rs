@@ -7,14 +7,12 @@
 //! thread-local so the other tests in this binary can't perturb it.
 // Drives every available SIMD tier, which Miri cannot execute.
 #![cfg(not(miri))]
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mmm_align::{
-    align_banded_with_scratch, align_manymap_2p_with_scratch, extend_zdrop_with_scratch, AlignMode,
-    AlignScratch, Engine, Scoring, Scoring2,
-};
+use mmm_align::{extend_zdrop_with_scratch, AlignMode, AlignScratch, Engine, Scoring};
 
 struct CountingAlloc;
 
@@ -74,7 +72,7 @@ const MODES: [AlignMode; 4] = [
 ];
 
 /// One full sweep of the hot path: every available engine × mode × output,
-/// plus the two-piece and z-drop kernels. CIGARs go back into the pool.
+/// plus the z-drop kernel. CIGARs go back into the pool.
 fn sweep(engines: &[Engine], t: &[u8], q: &[u8], scratch: &mut AlignScratch) -> i64 {
     let sc = Scoring::MAP_ONT;
     let mut acc = 0i64;
@@ -89,21 +87,9 @@ fn sweep(engines: &[Engine], t: &[u8], q: &[u8], scratch: &mut AlignScratch) -> 
             }
         }
     }
-    let r2 =
-        align_manymap_2p_with_scratch(t, q, &Scoring2::LONG_READ, AlignMode::Global, true, scratch);
-    acc += r2.score as i64;
-    if let Some(c) = r2.cigar {
-        scratch.recycle(c);
-    }
     let rz = extend_zdrop_with_scratch(t, q, &sc, i32::MAX, true, scratch);
     acc += rz.score as i64;
     scratch.recycle(rz.cigar);
-    let rb = align_banded_with_scratch(t, q, &sc, 64, true, scratch)
-        .expect("band covers the corner for this workload");
-    acc += rb.score as i64;
-    if let Some(c) = rb.cigar {
-        scratch.recycle(c);
-    }
     acc
 }
 

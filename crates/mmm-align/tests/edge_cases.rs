@@ -4,11 +4,10 @@
 //! underflowing the diagonal bookkeeping.
 // Drives every available SIMD tier, which Miri cannot execute.
 #![cfg(not(miri))]
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::diff::{DirMatrix, Tracker};
-use mmm_align::{
-    align_manymap_2p, extend_zdrop, AlignError, AlignMode, AlignScratch, Engine, Scoring, Scoring2,
-};
+use mmm_align::{extend_zdrop, AlignError, AlignMode, AlignScratch, Engine, Scoring};
 
 /// `q + e` big enough that the Suzuki–Kasahara deltas overflow `i8`
 /// (`2(q+e)+b = 130 > 127`) — the kind of parameters that used to wrap
@@ -100,9 +99,7 @@ fn empty_inputs_take_the_degenerate_path_in_every_kernel() {
             }
         }
     }
-    // The satellite kernels share the same gate.
-    let r = align_manymap_2p(&seq, &[], &Scoring2::LONG_READ, AlignMode::Global, true);
-    assert_eq!(r.cigar.unwrap().target_len() as usize, seq.len());
+    // The z-drop extension shares the same gate.
     assert_eq!(extend_zdrop(&[], &seq, &sc, 100, true).score, 0);
     let ext = extend_zdrop(&[], &[], &sc, 100, true);
     assert_eq!((ext.t_consumed, ext.q_consumed), (0, 0));

@@ -1,12 +1,9 @@
 //! Integration matrix over the whole kernel zoo: every engine × every mode
-//! × both outputs on workloads shaped like real inter-anchor fills, plus
-//! the relationships between the one-piece, two-piece and banded aligners.
+//! × both outputs on workloads shaped like real inter-anchor fills.
 // Drives every available SIMD tier, which Miri cannot execute.
 #![cfg(not(miri))]
 
-use mmm_align::{
-    align_banded, align_manymap_2p, fullmatrix2, AlignMode, Engine, Scoring, Scoring2,
-};
+use mmm_align::{AlignMode, Engine, Scoring};
 
 fn fill_like_pair(len: usize, indel_every: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut s = seed | 1;
@@ -60,60 +57,6 @@ fn all_engines_agree_on_fill_workloads() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn two_piece_upgrades_long_indels_without_hurting_clean_pairs() {
-    let sc1 = Scoring::MAP_ONT;
-    let sc2 = Scoring2::LONG_READ;
-    // Clean pair: identical scores (no gaps at all).
-    let t: Vec<u8> = (0..400).map(|i| ((i * 7 + 3) % 4) as u8).collect();
-    let one = mmm_align::best_engine()
-        .align(&t, &t, &sc1, AlignMode::Global, false)
-        .score;
-    let two = align_manymap_2p(&t, &t, &sc2, AlignMode::Global, false).score;
-    assert_eq!(one, two);
-
-    // 80-base deletion: the two-piece model pays q2 + 80·e2 = 104 instead
-    // of 164, so its score must be exactly 60 higher.
-    let mut tt = t.clone();
-    let ins: Vec<u8> = (0..80).map(|i| ((i * 5 + 1) % 4) as u8).collect();
-    tt.splice(200..200, ins);
-    let one = mmm_align::best_engine()
-        .align(&tt, &t, &sc1, AlignMode::Global, false)
-        .score;
-    let two = align_manymap_2p(&tt, &t, &sc2, AlignMode::Global, false).score;
-    assert_eq!(two - one, (4 + 80 * 2) - (24 + 80));
-}
-
-#[test]
-fn banded_matches_simd_kernels_when_band_is_sufficient() {
-    let sc = Scoring::MAP_ONT;
-    let (t, q) = fill_like_pair(800, 23, 9);
-    let full = mmm_align::best_engine().align(&t, &q, &sc, AlignMode::Global, true);
-    // The pair has ~35 scattered 1-base indels; a ±64 band easily holds
-    // the optimum.
-    let banded = align_banded(&t, &q, &sc, 64, true).expect("band connects the corner");
-    assert_eq!(banded.score, full.score);
-    assert_eq!(
-        banded.cigar.as_ref().unwrap().score(&t, &q, &sc),
-        banded.score
-    );
-    assert!(banded.cells < full.cells / 3);
-}
-
-#[test]
-fn two_piece_reference_and_kernel_agree_on_fill_workloads() {
-    let sc = Scoring2::LONG_READ;
-    for (len, every, seed) in [(90usize, 7usize, 4u64), (300, 13, 5)] {
-        let (t, q) = fill_like_pair(len, every, seed);
-        for mode in MODES {
-            let a = align_manymap_2p(&t, &q, &sc, mode, true);
-            let b = fullmatrix2(&t, &q, &sc, mode, true);
-            assert_eq!(a.score, b.score, "mode={mode:?}");
-            assert_eq!(a.cigar, b.cigar, "mode={mode:?}");
         }
     }
 }

@@ -56,11 +56,6 @@ impl BackendKind {
         }
     }
 
-    /// The `MMM_BACKEND` environment selection, if set.
-    pub fn from_env() -> Option<Result<Self, BackendError>> {
-        std::env::var("MMM_BACKEND").ok().map(|v| Self::parse(&v))
-    }
-
     /// Name as accepted by [`parse`](Self::parse).
     pub fn label(self) -> &'static str {
         match self {

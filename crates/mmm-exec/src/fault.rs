@@ -4,7 +4,7 @@
 //! the chaos plane the supervisor (DESIGN.md §10) is tested against. Plans
 //! are pure data: given the same plan and the same submit index the same
 //! fault fires, so a failing chaos run is replayable from its plan string
-//! alone (pass it back via `--inject-backend-fault` or `MMM_FAULT_PLAN`).
+//! alone (pass it back via `--inject-backend-fault`).
 //!
 //! # Grammar
 //!
@@ -347,13 +347,6 @@ impl FaultPlan {
             return Err("fault plan: empty plan".into());
         }
         Ok(FaultPlan { rules, shard_rules })
-    }
-
-    /// The `MMM_FAULT_PLAN` environment plan, if set.
-    pub fn from_env() -> Option<Result<FaultPlan, String>> {
-        std::env::var("MMM_FAULT_PLAN")
-            .ok()
-            .map(|v| Self::parse(&v))
     }
 
     /// The action (first matching rule) for the backend's `submit` number

@@ -18,8 +18,6 @@
 //! so backend choice changes *throughput accounting*, never output. The
 //! xtask differential oracle enforces this cross-backend (DESIGN.md §9).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod backend;
 pub mod cpu;
 pub mod error;

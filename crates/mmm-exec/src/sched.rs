@@ -40,11 +40,6 @@ impl SchedMode {
         }
     }
 
-    /// The `MMM_SCHED` environment selection, if set.
-    pub fn from_env() -> Option<Result<Self, String>> {
-        std::env::var("MMM_SCHED").ok().map(|v| Self::parse(&v))
-    }
-
     /// Name as accepted by [`parse`](Self::parse).
     pub fn label(self) -> &'static str {
         match self {
@@ -81,30 +76,6 @@ impl Default for SchedConfig {
             max_batch_jobs: 512,
             permute_seed: None,
         }
-    }
-}
-
-impl SchedConfig {
-    /// Defaults with `MMM_SCHED`, `MMM_SCHED_BATCH_CELLS` and
-    /// `MMM_SCHED_BATCH_JOBS` applied on top, if set.
-    pub fn from_env() -> Result<Self, String> {
-        let mut cfg = SchedConfig::default();
-        if let Some(mode) = SchedMode::from_env() {
-            cfg.mode = mode?;
-        }
-        if let Ok(v) = std::env::var("MMM_SCHED_BATCH_CELLS") {
-            cfg.max_batch_cells = v
-                .trim()
-                .parse()
-                .map_err(|_| format!("MMM_SCHED_BATCH_CELLS={v:?} is not an integer"))?;
-        }
-        if let Ok(v) = std::env::var("MMM_SCHED_BATCH_JOBS") {
-            cfg.max_batch_jobs = v
-                .trim()
-                .parse()
-                .map_err(|_| format!("MMM_SCHED_BATCH_JOBS={v:?} is not an integer"))?;
-        }
-        Ok(cfg)
     }
 }
 

@@ -72,8 +72,7 @@ impl Clock for TestClock {
 }
 
 /// Supervisor tuning. [`Default`] keeps retries cheap enough for tests;
-/// the CLI maps `--backend-retries`, `--batch-deadline-ms` and
-/// `MMM_BACKEND_RETRIES` onto this.
+/// the CLI maps `--backend-retries` and `--batch-deadline-ms` onto this.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// Per-job attempts on the primary after a failed batch (0 = reroute
@@ -103,20 +102,6 @@ impl Default for SupervisorConfig {
             breaker: BreakerConfig::default(),
             fail_fast: false,
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// Apply `MMM_BACKEND_RETRIES` on top of the defaults, if set.
-    pub fn from_env() -> Result<Self, String> {
-        let mut cfg = SupervisorConfig::default();
-        if let Ok(v) = std::env::var("MMM_BACKEND_RETRIES") {
-            cfg.max_retries = v
-                .trim()
-                .parse()
-                .map_err(|_| format!("MMM_BACKEND_RETRIES={v:?} is not an integer"))?;
-        }
-        Ok(cfg)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Backend behaviour tests: CPU/GPU parity against the scalar gold,
 //! oversized-pair fallback accounting, mempool steady state across batches,
 //! and stream round-robin occupancy.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::{AlignMode, Layout, Scoring, Width};
 use mmm_exec::{prepare, AlignJob, BackendKind, BackendOptions, BackendStats, GpuSimtBackend};

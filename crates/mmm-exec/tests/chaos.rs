@@ -14,6 +14,7 @@
 //! 3. **determinism** — the same seeded plan over the same job stream
 //!    produces the same outcomes and the same counters on a fresh
 //!    session (chaos runs are replayable bug reports).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::time::Duration;
 

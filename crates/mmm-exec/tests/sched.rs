@@ -15,6 +15,7 @@
 //!    scheduler, the counters still reconcile exactly: outcomes cover
 //!    every job, `quarantined` equals the quarantined outcomes observed,
 //!    and a standby-equipped gpu-sim session quarantines nothing.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::{Layout, Scoring, Width};
 use mmm_exec::{

@@ -11,8 +11,6 @@
 //! reads (minimap2's loader) or a single memory map (manymap's §4.4.2
 //! optimization) — the two sides of the index-loading experiments.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod error;
 pub mod index;
 pub mod minimizer;

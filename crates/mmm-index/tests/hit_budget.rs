@@ -5,6 +5,7 @@
 //! reference #2^24 silently wrapped into reference #0's hits and mismapped
 //! every read seeding there. `MinimizerIndex::build` must refuse such sets
 //! with a typed error instead.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_index::{check_hit_budget, IdxOpts, IndexError, MinimizerIndex, MAX_REF_SEQS};
 use mmm_seq::SeqRecord;

@@ -7,6 +7,7 @@
 //! validated before any parsed value escapes the crate, that each failure
 //! carries its section name, and that a quarantined shard never poisons
 //! its neighbors.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::{Path, PathBuf};
 

@@ -4,6 +4,7 @@
 //! may make [`parse_index`] panic or allocate unboundedly. Every failure
 //! must surface as a typed [`IndexError`], and a clean mid-stream I/O error
 //! must be distinguishable from corruption.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_index::{parse_index, save_index, IdxOpts, IndexError, MinimizerIndex};
 use mmm_io::{ByteSource, FaultMode, FaultSource, SliceSource};

@@ -17,8 +17,6 @@
 //!   the shard builder so a crashed build never leaves a parseable
 //!   partial index.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod atomic;
 pub mod buffered;
 pub mod fault;

@@ -17,8 +17,6 @@
 //! the same thing with an identity dispatch. Output order is always the
 //! input order, regardless of scheduling (tested).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod batched;
 pub mod error;
 pub mod fault;

@@ -7,6 +7,7 @@
 //! invariants: a typed error comes back (never a deadlock, never a poisoned
 //! mutex), and with a panic handler installed the run completes with the
 //! failure counted.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

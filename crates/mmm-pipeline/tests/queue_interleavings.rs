@@ -26,6 +26,7 @@
 //! `if`-guarded wait (the condvar-wait-in-loop bug), a `close` that uses
 //! `notify_one` (strands all but one parked waiter), and an
 //! unsynchronized `RaceCell` ledger (a write-write data race).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,6 +1,7 @@
 //! Pipeline stress tests: ordering and completeness under adversarial
 //! batch shapes, thread counts and workload skew. The pipeline runs per
 //! item — the batched pipeline with an identity dispatch.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Mutex;
 

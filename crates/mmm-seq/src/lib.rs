@@ -14,8 +14,6 @@
 //! Everything here is deliberately free of dependencies so the hot aligner
 //! crates stay lightweight.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 pub mod encode;
 pub mod error;
 pub mod fasta;

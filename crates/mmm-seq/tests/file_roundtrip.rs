@@ -1,5 +1,6 @@
 //! File-level round trips through real temp files (the unit tests use
 //! in-memory buffers; these exercise the OS path end to end).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};

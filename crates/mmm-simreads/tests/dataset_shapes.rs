@@ -2,6 +2,7 @@
 //! statistical properties the experiments rely on (Table 4's profile
 //! contrasts), across seeds — not just for the single seed the unit tests
 //! pin.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_simreads::{
     evaluate, generate_genome, simulate_reads, GenomeOpts, MappingCall, Platform, SimOpts,

@@ -10,7 +10,6 @@
 //! | `target-feature-gate` | `#[target_feature]` fns are private `unsafe fn`s inside `mmm-align/src/simd/` or `mmm-index/src/unpack.rs`, reachable only through the dispatch gate |
 //! | `no-transmute` | `std::mem::transmute` is banned outright |
 //! | `raw-ptr-arith` | raw-pointer arithmetic only in `simd/`, `unpack.rs` and `mmap.rs` |
-//! | `no-unwrap` | no `unwrap`/`expect` in non-test lib code |
 //! | `scratch-variant` | every public kernel (`align_*`/`extend_*`/`fill_*`) in mmm-align and mmm-exec has a `*_with_scratch` variant |
 //! | `stats-forwarding` | `BackendStats` literals in `AlignBackend` impl files must name every field or forward from a non-default base |
 //! | `stats-sink` | no ad-hoc `print!`/`eprintln!` in the daemon (`manymap/src/serve/`) — reports go through `StatsSink` or the wire protocol |
@@ -25,12 +24,11 @@ use std::path::{Path, PathBuf};
 
 use crate::lex::{has_word, scan, LineView};
 
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 11] = [
     "safety-comment",
     "target-feature-gate",
     "no-transmute",
     "raw-ptr-arith",
-    "no-unwrap",
     "scratch-variant",
     "stats-forwarding",
     "stats-sink",
@@ -507,32 +505,6 @@ fn rule_mmap_checksum(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                 "`SliceSource::new` in mmm-index with no `verify_checksums` \
                  above it — mmap-derived bytes must pass the checksum layer \
                  before any parsed value leaves this crate (DESIGN.md §15.2)"
-                    .into(),
-            );
-        }
-    }
-}
-
-/// `no-unwrap`: lib code must propagate errors (the panic-free mapping
-/// pipeline contract); `unwrap`/`expect` stay confined to test code.
-fn rule_no_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let rel = ctx.rel.to_string_lossy();
-    let is_lib = rel.starts_with("crates/") && rel.contains("/src/");
-    if !is_lib {
-        return;
-    }
-    for (idx, v) in ctx.views.iter().enumerate() {
-        if ctx.test_lines[idx] {
-            continue;
-        }
-        if v.code.contains(".unwrap()") || v.code.contains(".expect(") {
-            emit(
-                ctx,
-                out,
-                "no-unwrap",
-                idx + 1,
-                "unwrap/expect in non-test lib code — return an error or use \
-                 the poison-tolerant helpers (see mmm-pipeline::sync)"
                     .into(),
             );
         }
@@ -1132,7 +1104,6 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
         rule_target_feature(&ctx, &mut out);
         rule_no_transmute(&ctx, &mut out);
         rule_raw_ptr(&ctx, &mut out);
-        rule_no_unwrap(&ctx, &mut out);
         rule_stats_sink(&ctx, &mut out);
         rule_lock_order(&ctx, &mut out);
         rule_condvar_wait_loop(&ctx, &mut out);
@@ -1166,7 +1137,6 @@ mod tests {
         rule_target_feature(&ctx, &mut out);
         rule_no_transmute(&ctx, &mut out);
         rule_raw_ptr(&ctx, &mut out);
-        rule_no_unwrap(&ctx, &mut out);
         rule_stats_sink(&ctx, &mut out);
         rule_lock_order(&ctx, &mut out);
         rule_condvar_wait_loop(&ctx, &mut out);
@@ -1205,27 +1175,10 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_lib_flagged_in_tests_ok() {
-        let src =
-            "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn g() { y.unwrap(); }\n}\n";
-        let v = check_snippet("crates/a/src/lib.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "no-unwrap");
-        assert_eq!(v[0].line, 1);
-        // Same line in an integration test file: fine.
-        assert!(check_snippet("crates/a/tests/t.rs", "fn f() { x.unwrap(); }\n").is_empty());
-    }
-
-    #[test]
     fn cfg_all_test_blocks_are_test_code() {
-        let src = "#[cfg(all(test, not(miri)))]\nmod tests {\n    fn g() { y.unwrap(); }\n}\n";
-        assert!(check_snippet("crates/a/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f() { x.unwrap_or_else(|e| e.into_inner()); }\n";
-        assert!(check_snippet("crates/a/src/lib.rs", src).is_empty());
+        let src =
+            "#[cfg(all(test, not(miri)))]\nmod tests {\n    fn g() { println!(\"dbg\"); }\n}\n";
+        assert!(check_snippet("crates/manymap/src/serve/proto.rs", src).is_empty());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!    invariants clippy can't: justified `// SAFETY:` comments on every
 //!    `unsafe` site, `#[target_feature]` confined behind the dispatch gate,
 //!    no `transmute`, raw-pointer arithmetic only in `simd/`, `unpack.rs`
-//!    and `mmap.rs`, no `unwrap`/`expect` in non-test lib code, SIMD
-//!    intrinsics in `mmm-index` confined to `unpack.rs`, and a
-//!    `*_with_scratch` variant for every public kernel.
+//!    and `mmap.rs`, SIMD intrinsics in `mmm-index` confined to
+//!    `unpack.rs`, and a `*_with_scratch` variant for every public kernel.
+//!    (`unwrap`/`expect` outside tests is clippy's, denied workspace-wide
+//!    in the root `Cargo.toml`.)
 //! 2. `oracle` — the differential kernel oracle: every available SIMD tier
 //!    against the scalar manymap gold, plus the zero-allocation
 //!    scratch-arena steady-state check, the backend execution seam, and

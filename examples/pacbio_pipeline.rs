@@ -6,6 +6,7 @@
 //! ```sh
 //! cargo run --release --example pacbio_pipeline
 //! ```
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::{Arc, Mutex};
 

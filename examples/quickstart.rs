@@ -3,6 +3,7 @@
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use manymap::{paf_line, MapOpts, Mapper};
 use mmm_index::{IdxOpts, MinimizerIndex};

@@ -1,17 +1,15 @@
-//! Structural-variant detection — the downstream task minimap2's two-piece
-//! gap model exists for (and the motivation behind tools like NGMLR).
+//! Structural-variant detection — the downstream task long-read mappers
+//! are judged on (and the motivation behind tools like NGMLR).
 //!
 //! A donor genome is derived from the reference by planting one deletion
 //! and one insertion. Reads simulated from the donor are mapped back to
 //! the reference; mappings whose CIGARs contain long indel runs vote for
-//! SV breakpoints. The gap regions are then re-aligned with the two-piece
-//! affine kernel, which charges long gaps `q2 + l·e2` instead of
-//! `q + l·e` and therefore keeps them as single events instead of
-//! splitting them.
+//! SV breakpoints.
 //!
 //! ```sh
 //! cargo run --release --example sv_detection
 //! ```
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;
 
@@ -99,42 +97,4 @@ fn main() {
         }
     }
     println!("\ndeletion recovered: {found_del};  insertion recovered: {found_ins}");
-
-    // Refine the deletion locus with the two-piece model: one long gap
-    // should survive as a single event with a better score than one-piece.
-    let window_ref = &reference[DEL_POS - 300..DEL_POS + DEL_LEN + 300];
-    let window_donor = &donor[DEL_POS - 300..DEL_POS + 300];
-    let two = mmm_align::align_manymap_2p(
-        window_ref,
-        window_donor,
-        &mmm_align::Scoring2::LONG_READ,
-        mmm_align::AlignMode::Global,
-        true,
-    );
-    let one = mmm_align::best_engine().align(
-        window_ref,
-        window_donor,
-        &mmm_align::Scoring::MAP_ONT,
-        mmm_align::AlignMode::Global,
-        true,
-    );
-    let longest_del = |c: &mmm_align::Cigar| {
-        c.runs()
-            .iter()
-            .filter(|(op, _)| *op == CigarOp::Del)
-            .map(|&(_, l)| l)
-            .max()
-            .unwrap_or(0)
-    };
-    println!(
-        "\ntwo-piece refinement at the deletion: score {} (longest D run {}), one-piece score {} (longest D run {})",
-        two.score,
-        longest_del(two.cigar.as_ref().unwrap()),
-        one.score,
-        longest_del(one.cigar.as_ref().unwrap()),
-    );
-    println!(
-        "(two-piece keeps the {DEL_LEN} bp deletion as one event and scores it {} points higher)",
-        two.score - one.score
-    );
 }

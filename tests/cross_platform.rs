@@ -1,6 +1,7 @@
 //! Cross-platform integration: the three processors agree functionally and
 //! their simulated performance relations hold (the paper's headline
 //! claims as invariants).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::{best_engine, best_mm2_engine, AlignMode, Scoring};
 use mmm_gpu::{simulate_batch, DeviceSpec, GpuKernelKind, KernelJob, StreamConfig};

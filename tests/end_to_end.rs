@@ -1,4 +1,5 @@
 //! End-to-end integration: genome → index → serialize → map → evaluate.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use manymap::{MapOpts, Mapper};
 use mmm_index::{load_index, load_index_mmap, save_index, MinimizerIndex};

@@ -1,6 +1,7 @@
 //! The production pipeline (a `MapSession`'s plan → dispatch → finalize
 //! stages on the batched 3-thread pipeline) must produce PAF byte-identical
 //! to a serial run, regardless of thread count or batch sorting.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::{Arc, Mutex};
 

@@ -1,11 +1,10 @@
 //! Cross-crate property tests: invariants that must hold for arbitrary
 //! inputs, spanning index → chain → align.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 
-use mmm_align::{
-    align_manymap_2p, best_engine, fullmatrix2, AlignMode, Cigar, CigarOp, Scoring, Scoring2,
-};
+use mmm_align::{best_engine, AlignMode, Scoring};
 use mmm_chain::{chain_anchors, ChainOpts};
 use mmm_index::{IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
@@ -136,53 +135,4 @@ proptest! {
             }
         }
     }
-
-    /// The two-piece kernel's backtrack (backtrack2) produces paths that
-    /// re-score — under the two-piece gap model — to the score of the
-    /// 32-bit two-piece reference.
-    #[test]
-    fn twopiece_backtrack_rescores_under_the_two_piece_model(
-        t in proptest::collection::vec(0u8..4, 5..150),
-        q in proptest::collection::vec(0u8..4, 5..150),
-    ) {
-        let sc = Scoring2::LONG_READ;
-        for mode in [AlignMode::Global, AlignMode::SemiGlobal] {
-            let r = align_manymap_2p(&t, &q, &sc, mode, true);
-            let gold = fullmatrix2(&t, &q, &sc, mode, false);
-            prop_assert_eq!(r.score, gold.score, "mode={:?}", mode);
-            let cigar = r.cigar.expect("with_path must produce a cigar");
-            prop_assert_eq!(score2(&cigar, &t, &q, &sc), r.score, "mode={:?}", mode);
-            if mode == AlignMode::Global {
-                prop_assert_eq!(cigar.target_len() as usize, t.len());
-                prop_assert_eq!(cigar.query_len() as usize, q.len());
-            }
-        }
-    }
-}
-
-/// Re-derive a path's score under the two-piece gap model
-/// `gap(l) = min(q + l·e, q2 + l·e2)`.
-fn score2(cigar: &Cigar, target: &[u8], query: &[u8], sc: &Scoring2) -> i32 {
-    let (mut i, mut j, mut s) = (0usize, 0usize, 0i32);
-    for &(op, len) in cigar.runs() {
-        match op {
-            CigarOp::Match => {
-                for _ in 0..len {
-                    s += sc.subst(target[i], query[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-            CigarOp::Del => {
-                s -= sc.gap_cost(len);
-                i += len as usize;
-            }
-            CigarOp::Ins => {
-                s -= sc.gap_cost(len);
-                j += len as usize;
-            }
-            CigarOp::SoftClip => j += len as usize,
-        }
-    }
-    s
 }
