@@ -12,7 +12,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> xtask verify: lints, kernel oracle, proto fuzzer, miri, interleavings"
+echo "==> xtask verify: lints, kernel oracle, protocol + file-format fuzzer, miri, interleavings"
 cargo run -p xtask -- verify
 
 echo "==> cargo doc (workspace, warnings are errors)"
@@ -37,7 +37,7 @@ for tiers in avx512 avx512,avx2; do
     MMM_DISABLE_SIMD=$tiers cargo test -q -p manymap --test hpc_mapping
 done
 
-echo "==> shard gate: release-binary sharded/flat byte-identity (cpu and device backend), missing-shard chaos"
+echo "==> shard gate: release-binary sharded/flat byte-identity (cpu and device backend), missing-shard chaos, one flipped byte is fatal"
 cargo build --release -q -p mmm-simreads -p manymap --bins
 SHARD_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-shard-ci.XXXXXX")
 trap 'rm -rf "$SHARD_WORK"' EXIT
@@ -65,6 +65,39 @@ grep -q "4 total, 1 quarantined" "$SHARD_WORK/chaos.stderr" \
     || { echo "ci: shard chaos gate missing quarantine report"; cat "$SHARD_WORK/chaos.stderr"; exit 1; }
 grep -q $'\ttp:A:U' "$SHARD_WORK/degraded.paf" \
     || { echo "ci: quarantined shard produced no degraded reads"; exit 1; }
+# Integrity gate: the single-file index is a checksummed container too, so
+# one flipped byte (offset 50 000, mid-file) must be fatal, never a changed PAF.
+cp "$SHARD_WORK/flat.mmx" "$SHARD_WORK/flipped.mmx"
+printf '\377' | dd of="$SHARD_WORK/flipped.mmx" bs=1 seek=50000 conv=notrunc status=none
+cmp -s "$SHARD_WORK/flat.mmx" "$SHARD_WORK/flipped.mmx" \
+    && { echo "ci: the flipped byte was already 0xff"; exit 1; }
+if target/release/manymap map "$SHARD_WORK/flipped.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 >"$SHARD_WORK/flipped.paf" 2>"$SHARD_WORK/flipped.stderr"; then
+    echo "ci: a single-file index with a flipped byte was accepted"; exit 1
+fi
+grep -q "^manymap: .*checksum mismatch" "$SHARD_WORK/flipped.stderr" \
+    || { echo "ci: flipped byte not reported as a checksum mismatch"; cat "$SHARD_WORK/flipped.stderr"; exit 1; }
+[ ! -s "$SHARD_WORK/flipped.paf" ] \
+    || { echo "ci: a refused index still produced output"; exit 1; }
+
+echo "==> selection ratchet: primaries/read and wrong primaries at MAPQ >= 40 may only go down"
+# ROADMAP item 1c: on the default repeat-bearing 1 Mbp genome the mapper
+# emits many primaries per read, most of them wrong. The two counts below
+# are this tree's; chain selection work pulls them down, and nothing may
+# push them up unnoticed. The gate changes no output.
+RATCHET_PRIMARIES_PER_READ=16.07
+RATCHET_WRONG_MAPQ40=2180
+target/release/simreads --reads 200 --seed 42 \
+    --out-ref "$SHARD_WORK/sel-ref.fa" --out-reads "$SHARD_WORK/sel-reads.fa" >/dev/null
+target/release/manymap index "$SHARD_WORK/sel-ref.fa" "$SHARD_WORK/sel.mmx" --preset map-pb 2>/dev/null
+target/release/manymap map "$SHARD_WORK/sel.mmx" "$SHARD_WORK/sel-reads.fa" \
+    --preset map-pb --threads 2 >"$SHARD_WORK/sel.paf" 2>/dev/null
+target/release/mapeval "$SHARD_WORK/sel.paf" | tee "$SHARD_WORK/sel.eval" | sed -n '1,7p'
+awk -v ppr="$RATCHET_PRIMARIES_PER_READ" -v w40="$RATCHET_WRONG_MAPQ40" '
+    /^primaries\/read:/ { if ($2 + 0 > ppr + 0) { print "ci: primaries/read " $2 " exceeds the ratchet " ppr; bad = 1 } seen++ }
+    /^wrong primaries at MAPQ >= 40:/ { if ($NF + 0 > w40 + 0) { print "ci: wrong primaries at MAPQ >= 40 " $NF " exceeds the ratchet " w40; bad = 1 } seen++ }
+    END { if (seen != 2) { print "ci: mapeval summary not understood"; bad = 1 } exit bad }
+' "$SHARD_WORK/sel.eval"
 rm -rf "$SHARD_WORK"
 trap - EXIT
 

@@ -107,7 +107,6 @@ fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
             exec.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
             let cfg = ProfileConfig {
                 opts,
-                use_mmap: true,
                 sort_by_length: true,
                 exec,
             };

@@ -159,7 +159,6 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
 
     let cfg = ProfileConfig {
         opts,
-        use_mmap: true,
         sort_by_length: true,
         exec: ExecConfig::new(&opts, 1),
     };

@@ -1,19 +1,20 @@
 //! Sharded-index load and integrity-check cost (DESIGN.md §15).
 //!
-//! The v3 shard container checksums every section and validates them on
-//! first touch, so the robustness layer has a measurable price: manifest
-//! open, cold first-touch (mmap + xxh64 sweep + parse of every shard),
-//! and warm re-touch (the `Arc` cache hit). This experiment puts those
-//! numbers next to the flat mmap image over the same multi-chromosome
-//! reference, at 1 (flat), 2, and 8 shards, so a regression in either the
-//! checksum sweep or the shard cache shows up as a row-level jump in
+//! Every index file is a container that checksums each section and is
+//! validated on first touch, so the robustness layer has a measurable
+//! price: manifest open, cold first-touch (mmap + xxh64 sweep + parse of
+//! every file), and warm re-touch (the `Arc` cache hit). This experiment
+//! puts those numbers side by side over the same multi-chromosome
+//! reference, as one single-file container (flat) and at 2 and 8 shards —
+//! all opened the way `manymap map` opens them — so a regression in either
+//! the checksum sweep or the shard cache shows up as a row-level jump in
 //! `BENCH_shard_load.json`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use mmm_index::{
-    build_sharded, load_index_mmap, save_index, IdxOpts, MinimizerIndex, ShardedIndex,
+    build_sharded, save_index, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts, ShardedIndex,
 };
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_chromosomes, GenomeOpts};
@@ -58,7 +59,7 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
     let tag = std::process::id();
     let mut out = Vec::new();
 
-    // Flat baseline: one image, trailing-xxh validated inside the parse.
+    // Flat baseline: one container, verified and parsed whole at open.
     let flat_path = dir.join(format!("bench-shard-load-flat-{tag}.mmx"));
     let flat =
         MinimizerIndex::build(&refs, &opts).map_err(|e| format!("flat build failed: {e}"))?;
@@ -69,9 +70,10 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
     let mut resident = 0;
     for _ in 0..samples {
         let start = Instant::now();
-        let (idx, _) = load_index_mmap(&flat_path).map_err(|e| format!("flat load failed: {e}"))?;
+        let idx = AnyIndex::open_mmap(&flat_path, ShardOpenOpts::default())
+            .map_err(|e| format!("flat load failed: {e}"))?;
         touch.push(start.elapsed().as_secs_f64());
-        resident = idx.heap_bytes();
+        resident = idx.as_index_ref().heap_bytes();
     }
     let _ = std::fs::remove_file(&flat_path);
     out.push(Row {

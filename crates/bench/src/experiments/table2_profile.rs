@@ -3,9 +3,10 @@
 //!
 //! The CPU column is *measured*: a single-threaded run of the production
 //! `MapSession` stages (`manymap::profile_run`) in the minimap2
-//! configuration (Eq. 3 SSE kernel, buffered index loading, CPU backend)
-//! over the scaled PacBio dataset. The KNL column applies the calibrated
-//! per-stage slowdowns of the machine model. Paper shape: Align dominates
+//! configuration (Eq. 3 SSE kernel, CPU backend) over the scaled PacBio
+//! dataset; Load Index is measured through the one mmap loader. The KNL
+//! column applies the calibrated per-stage slowdowns of the machine model
+//! (its read-vs-mmap factor lives there, in `mmm-knl`). Paper shape: Align dominates
 //! (65% on CPU, 83% on KNL) and every stage is several times slower on one
 //! KNL core.
 
@@ -31,7 +32,6 @@ fn profile(quick: bool) -> Result<ProfileResult, String> {
     save_index(&index, &idx_path).map_err(|e| format!("index serialization failed: {e}"))?;
     let cfg = ProfileConfig {
         opts,
-        use_mmap: false,
         sort_by_length: false,
         exec: ExecConfig::new(&opts, 1),
     };

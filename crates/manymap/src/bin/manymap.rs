@@ -4,8 +4,8 @@
 //!
 //! ```sh
 //! manymap index  ref.fa ref.mmx [--preset map-pb|map-ont] [--shards N]
-//! manymap map    ref.mmx reads.fq [shared flags] [--sam] [--no-mmap]
-//!                [--fail-fast] [--inject-panic <read-name>]
+//! manymap map    ref.mmx reads.fq [shared flags] [--sam] [--fail-fast]
+//!                [--inject-panic <read-name>]
 //! manymap map    ref.fa  reads.fq   # index built on the fly
 //! ```
 //!
@@ -21,18 +21,23 @@
 //! flag given twice, or a malformed number is a usage error naming the flag
 //! (exit 1). Flags are the only configuration channel.
 //!
-//! `index` takes a FASTA reference and writes the one `.mmx` image version
-//! (v2, bit-packed postings); an image of another version is a typed
-//! "rebuild with `manymap index`" error at load.
+//! `index` takes a FASTA reference and writes one kind of file: the
+//! section-checksummed `MMXS` container around the one image version (v2,
+//! bit-packed postings), published atomically. `map` memory-maps an index
+//! and verifies every byte before parsing any: a damaged file is a fatal
+//! error naming the section, and a file of another version — or a bare
+//! image with no container, as earlier builds wrote — is a typed "rebuild
+//! with `manymap index`" error. A reference is an index iff it starts with
+//! `MMX`, whatever its name; anything else is read as FASTA/FASTQ.
 //!
 //! Sharded indexes (DESIGN.md §15): `index --shards N` splits the
-//! reference into `N` contiguous target ranges, one checksummed `MMXS`
-//! container each, published atomically behind a v3 manifest. `map` opens
-//! either shape transparently; over a manifest, shards mmap on first touch,
-//! `--mem-budget` bounds resident shard bytes with LRU eviction, and each
-//! shard is its own storage fault domain — a corrupt or missing shard
-//! quarantines with a typed reason and only the reads whose seeds touch it
-//! degrade to unmapped records. Compute is not sharded: the run has one
+//! reference into `N` contiguous target ranges, one container each, behind
+//! a v3 manifest. `map` opens either shape transparently (the leading magic
+//! says which); over a manifest, shards mmap on first touch, `--mem-budget`
+//! bounds resident shard bytes with LRU eviction, and each shard is its own
+//! storage fault domain — a corrupt or missing shard quarantines with a
+//! typed reason and only the reads whose seeds touch it degrade to
+//! unmapped records. Compute is not sharded: the run has one
 //! backend session whatever the shard count. Shard chaos runs through the same
 //! `--inject-backend-fault` plan string using the shard rule classes
 //! (`corrupt-section`/`missing-shard`/`torn-tail`/`slow-io`, keyed by
@@ -130,9 +135,9 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         }
         Some(n) => n,
     };
-    if input.ends_with(".mmx") {
+    if session::is_index_file(Path::new(input))? {
         return Err(MapError::Usage(format!(
-            "{input}: index needs a FASTA reference, not an existing .mmx"
+            "{input}: index needs a FASTA reference, not an existing index"
         )));
     }
     let refs = session::read_refs(Path::new(input))?;
@@ -183,12 +188,7 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     // be prepared fails before the index is read.
     let exec = exec_cfg.open()?;
 
-    let index = load_index_any(
-        Path::new(ref_path),
-        &opts,
-        exec_cfg.shard_open_opts(),
-        !args.has("no-mmap"),
-    )?;
+    let index = load_index_any(Path::new(ref_path), &opts, exec_cfg.shard_open_opts())?;
     if let AnyIndex::Sharded(s) = &index {
         eprintln!(
             "[manymap] opened shard manifest: {} shard(s) over {} sequence(s)",

@@ -19,10 +19,14 @@
 //! usage error naming the flag (exit 1). Only `daemon` takes flags
 //! (`session::DAEMON_FLAGS` on top of the shared table).
 //!
-//! `<ref.mmx>` may be a flat index image or a sharded manifest (DESIGN.md
-//! §15); `--mem-budget` caps shard residency. `reload` swaps the daemon to
+//! `<ref.mmx>` may be a single-file index or a sharded manifest (DESIGN.md
+//! §15), opened exactly as `manymap map` opens it — memory-mapped, every
+//! byte checksum-verified, the content and not the name deciding what it
+//! is; `--mem-budget` caps shard residency. `reload` swaps the daemon to
 //! a freshly opened index generation without dropping any in-flight read:
-//! omit the path to re-open the path the daemon was started with.
+//! omit the path to re-open the path the daemon was started with. A
+//! reload the loader refuses (damaged file, bare image, missing path)
+//! answers `ERR` and leaves the current generation serving.
 //!
 //! The daemon accepts many concurrent tenant streams over the unix socket
 //! and runs them through one shared pipeline and one backend session —
@@ -79,12 +83,7 @@ fn cmd_daemon(args: &Args) -> Result<(), MapError> {
     // The daemon's one backend session, for its whole lifetime: opened
     // before the index is read or the socket bound, kept across `reload`.
     let exec = opts.exec.open()?;
-    let index = load_index_any(
-        Path::new(ref_path),
-        &opts.map,
-        opts.exec.shard_open_opts(),
-        true,
-    )?;
+    let index = load_index_any(Path::new(ref_path), &opts.map, opts.exec.shard_open_opts())?;
     serve::signal::install_drain_handler();
     serve::serve(index, exec, &opts, &StderrSink)
 }

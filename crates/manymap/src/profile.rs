@@ -4,7 +4,7 @@
 //! [`profile_run`] is the third client of [`MapSession`] (after `manymap
 //! map` and the daemon): it runs the session's stages single-threaded, one
 //! read batch at a time, and charges each to the paper's five-way
-//! breakdown: *Load Index* (either I/O path), *Load Query* (FASTA/FASTQ
+//! breakdown: *Load Index* (the one mmap loader), *Load Query* (FASTA/FASTQ
 //! parsing), *Seed & Chain* ([`MapSession::plan`]: nt4 encoding, seeding,
 //! chaining, job planning), *Align* ([`session::dispatch`] through the
 //! configured backend plus [`session::finalize_mappings`]), *Output*
@@ -27,9 +27,6 @@ use crate::session::{self, load_index_any, ExecConfig, MapSession, Planned, MAP_
 #[derive(Clone, Debug)]
 pub struct ProfileConfig {
     pub opts: MapOpts,
-    /// Load the index through `mmap` (manymap, §4.4.2) instead of
-    /// fragmented buffered reads (minimap2).
-    pub use_mmap: bool,
     /// Sort each batch by descending read length before aligning
     /// (manymap's load-balance tweak, §4.4.4); records then leave in that
     /// order too.
@@ -64,12 +61,7 @@ pub fn profile_run(
     let exec = cfg.exec.open()?;
 
     let index = timer.time(Stage::LoadIndex, || {
-        load_index_any(
-            index_path,
-            &cfg.opts,
-            cfg.exec.shard_open_opts(),
-            cfg.use_mmap,
-        )
+        load_index_any(index_path, &cfg.opts, cfg.exec.shard_open_opts())
     })?;
     let index_bytes = index.as_index_ref().heap_bytes();
     let session = Arc::new(MapSession::new(0, index, cfg.opts));
@@ -171,7 +163,6 @@ mod tests {
     fn config(opts: MapOpts) -> ProfileConfig {
         ProfileConfig {
             opts,
-            use_mmap: false,
             sort_by_length: true,
             exec: ExecConfig::new(&opts, 1),
         }
@@ -181,24 +172,14 @@ mod tests {
     fn profiles_all_stages() {
         let (path, _, fasta) = fixture("stages");
         let cpu = config(MapOpts::map_ont());
-        let mut gold = None;
-        for use_mmap in [false, true] {
-            let cfg = ProfileConfig {
-                use_mmap,
-                ..cpu.clone()
-            };
-            let res = profile_run(&path, &fasta, &cfg).unwrap();
-            assert_eq!(res.reads, 10);
-            assert!(res.mappings >= 8, "mappings={}", res.mappings);
-            assert!(!res.output.is_empty());
-            assert!(res.index_bytes > 0);
-            let total = res.timer.total().as_secs_f64();
-            assert!(total > 0.0);
-            // Align must dominate Load Query for this workload.
-            assert!(res.timer.get(Stage::Align) > res.timer.get(Stage::LoadQuery));
-            gold = Some(res);
-        }
-        let gold = gold.unwrap();
+        let gold = profile_run(&path, &fasta, &cpu).unwrap();
+        assert_eq!(gold.reads, 10);
+        assert!(gold.mappings >= 8, "mappings={}", gold.mappings);
+        assert!(!gold.output.is_empty());
+        assert!(gold.index_bytes > 0);
+        assert!(gold.timer.total().as_secs_f64() > 0.0);
+        // Align must dominate Load Query for this workload.
+        assert!(gold.timer.get(Stage::Align) > gold.timer.get(Stage::LoadQuery));
 
         // Every execution configuration a user can pick produces the same
         // stream and reports its execution counters.

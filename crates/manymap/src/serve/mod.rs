@@ -16,6 +16,12 @@
 //! the same reads, including under injected backend fault plans — the
 //! serve test suite enforces both.
 
+// The daemon's only channels to the outside are the wire protocol and the
+// `StatsSink` handed to `serve`: a stray `eprintln!` would interleave with
+// the assembled report, or vanish when a test runs the daemon in-process
+// against a `BufferSink`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod proto;
 pub mod sched;
 pub mod server;

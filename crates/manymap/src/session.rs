@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -27,7 +27,7 @@ use mmm_exec::{
     prepare_supervised, AlignJob, BackendKind, BackendOptions, BackendStats, FaultPlan, JobOutcome,
     SchedConfig, SchedMode, StatsReport, SupervisedBackend, SupervisorConfig,
 };
-use mmm_index::{load_index, AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts};
+use mmm_index::{AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts, MAGIC_PREFIX};
 use mmm_pipeline::{lock_unpoisoned, DynError};
 use mmm_seq::{FastxReader, SeqRecord};
 
@@ -61,12 +61,7 @@ pub const SHARED_FLAGS: &[Flag] = &[
 ];
 
 /// What `manymap map` accepts on top of [`SHARED_FLAGS`].
-pub const MAP_FLAGS: &[Flag] = &[
-    ("sam", false),
-    ("no-mmap", false),
-    ("fail-fast", false),
-    ("inject-panic", true),
-];
+pub const MAP_FLAGS: &[Flag] = &[("sam", false), ("fail-fast", false), ("inject-panic", true)];
 
 /// Everything `manymap index` accepts.
 pub const INDEX_FLAGS: &[Flag] = &[("preset", true), ("shards", true)];
@@ -319,35 +314,39 @@ pub fn read_refs(path: &Path) -> Result<Vec<SeqRecord>, MapError> {
     Ok(refs)
 }
 
-/// Open a reference of any shape: a flat `.mmx` image, a v3 shard manifest
-/// (opened lazily with `shard_opts`), or a FASTA indexed in memory with
-/// `map`'s seeding parameters. `mmap = false` reads a flat image through
-/// buffered I/O instead (the paper's §4.4.2 comparison); a manifest is
-/// always mmap-backed.
+/// Whether the file at `path` is an index (it starts with `MMX`) rather
+/// than a FASTA/FASTQ. The content decides, never the file name.
+pub fn is_index_file(path: &Path) -> Result<bool, MapError> {
+    let mut magic = Vec::with_capacity(MAGIC_PREFIX.len());
+    File::open(path)
+        .and_then(|f| f.take(MAGIC_PREFIX.len() as u64).read_to_end(&mut magic))
+        .map_err(|e| MapError::Io {
+            path: path.display().to_string(),
+            source: e,
+        })?;
+    Ok(magic == MAGIC_PREFIX)
+}
+
+/// Open a reference of any shape: an index file — a single-file container
+/// or a shard manifest (opened lazily with `shard_opts`), both memory-mapped
+/// and checksum-verified — or a FASTA indexed in memory with `map`'s seeding
+/// parameters.
 pub fn load_index_any(
     path: &Path,
     map: &MapOpts,
     shard_opts: ShardOpenOpts,
-    mmap: bool,
 ) -> Result<AnyIndex, MapError> {
     let index_err = |e: IndexError| MapError::Index {
         path: path.display().to_string(),
         source: e,
     };
-    if path.extension().is_none_or(|e| e != "mmx") {
-        let refs = read_refs(path)?;
-        return MinimizerIndex::build(&refs, &map.idx)
-            .map(AnyIndex::Flat)
-            .map_err(index_err);
+    if is_index_file(path)? {
+        return AnyIndex::open_mmap(path, shard_opts).map_err(index_err);
     }
-    if !mmap {
-        match load_index(path) {
-            Ok((idx, _)) => return Ok(AnyIndex::Flat(idx)),
-            Err(IndexError::ShardedManifest { .. }) => {}
-            Err(e) => return Err(index_err(e)),
-        }
-    }
-    AnyIndex::open_mmap(path, shard_opts).map_err(index_err)
+    let refs = read_refs(path)?;
+    MinimizerIndex::build(&refs, &map.idx)
+        .map(AnyIndex::Flat)
+        .map_err(index_err)
 }
 
 /// An open reference ready to map against — one index generation: the

@@ -13,7 +13,10 @@ use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
 use manymap::session::{Flag, DAEMON_FLAGS, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
-use mmm_index::{save_index, IdxOpts, MinimizerIndex};
+use mmm_index::{
+    container_section_ranges, save_index, write_index_image, IdxOpts, MinimizerIndex,
+    CONTAINER_SECTIONS,
+};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -21,6 +24,9 @@ struct Fixture {
     dir: PathBuf,
     ref_fa: PathBuf,
     index: PathBuf,
+    /// The index's embedded image with no container around it: what the
+    /// parent build wrote as a single-file `.mmx`.
+    bare_image: Vec<u8>,
     reads: PathBuf,
     read_names: Vec<String>,
 }
@@ -50,6 +56,8 @@ fn fixture(tag: &str) -> Fixture {
     let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
     let index = dir.join("ref.mmx");
     save_index(&idx, &index).unwrap();
+    let mut bare_image = Vec::new();
+    write_index_image(&idx, &mut bare_image);
 
     let sims = simulate_reads(
         &g,
@@ -72,6 +80,7 @@ fn fixture(tag: &str) -> Fixture {
         dir,
         ref_fa,
         index,
+        bare_image,
         reads,
         read_names: sims.iter().map(|r| r.name.clone()).collect(),
     }
@@ -101,24 +110,6 @@ fn healthy_run_exits_zero_and_maps() {
 }
 
 #[test]
-fn truncated_index_exits_nonzero_with_message() {
-    let fx = fixture("truncidx");
-    let bytes = std::fs::read(&fx.index).unwrap();
-    let bad = fx.dir.join("bad.mmx");
-    std::fs::write(&bad, &bytes[..bytes.len() / 2]).unwrap();
-
-    let out = run_map(&bad, &fx.reads, &[]);
-    assert!(!out.status.success(), "truncated index must be fatal");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("manymap:") && stderr.contains("bad.mmx"),
-        "stderr: {stderr}"
-    );
-    assert!(stderr.contains("corrupt"), "stderr: {stderr}");
-    assert!(out.stdout.is_empty(), "no output on a fatal index error");
-}
-
-#[test]
 fn garbage_index_exits_nonzero_with_message() {
     let fx = fixture("badmagic");
     let bad = fx.dir.join("garbage.mmx");
@@ -128,6 +119,125 @@ fn garbage_index_exits_nonzero_with_message() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("garbage.mmx"), "stderr: {stderr}");
+}
+
+/// A fatal index error: exit 1, a message from `manymap:` that names the
+/// file, nothing on stdout.
+fn assert_fatal(out: &Output, file: &str, what: &str) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+    assert!(stderr.starts_with("manymap: "), "{what}: {stderr}");
+    assert!(stderr.contains(file), "{what}: {stderr}");
+    assert!(out.stdout.is_empty(), "{what}: wrote to stdout");
+    stderr
+}
+
+/// No single-byte change to a single-file index is accepted, no truncation
+/// or extension, and no file without checksums: every byte sits behind one
+/// that is verified before any of it is parsed, and the error names the
+/// damaged section. Regression: the parent's single-file `.mmx` was a bare image,
+/// so a flipped bit that stayed in range loaded, exited 0 and changed the
+/// output.
+#[test]
+fn single_file_index_corruption_sweep_is_fatal_and_names_the_section() {
+    let fx = fixture("sweep");
+    let pristine = std::fs::read(&fx.index).unwrap();
+    let sections = container_section_ranges(&pristine).unwrap();
+    let len = pristine.len();
+    // What an error at byte `at` must name: the directory, or the section
+    // holding the byte. The four magic bytes decide what kind of file this
+    // is at all, so damage there is some other typed refusal.
+    let mut regions = vec![(4..120, "directory")];
+    regions.extend(
+        (sections.iter().zip(CONTAINER_SECTIONS))
+            .map(|(&(s, e), name)| (s as usize..e as usize, name)),
+    );
+    let owner = |at: usize| {
+        regions
+            .iter()
+            .find(|(r, _)| r.contains(&at))
+            .map(|&(_, n)| n)
+    };
+    let bad = fx.dir.join("bad.mmx");
+    let check = |bytes: &[u8], names: Option<&str>, what: String| {
+        std::fs::write(&bad, bytes).unwrap();
+        let stderr = assert_fatal(&run_map(&bad, &fx.reads, &[]), "bad.mmx", &what);
+        if let Some(name) = names {
+            assert!(stderr.contains(name), "{what} must name {name}: {stderr}");
+        }
+    };
+
+    // Seeded offsets: the whole directory region at a stride, both ends of
+    // every section plus a spread inside it, and the last byte.
+    let mut state = 0x5EED_u64;
+    let mut next = |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    let mut offsets: Vec<usize> = (0..120)
+        .step_by(5)
+        .chain([4, 7, 8, 111, 112, 119])
+        .collect();
+    for &(s, e) in &sections {
+        let (s, e) = (s as usize, e as usize);
+        offsets.extend([s, e - 1]);
+        offsets.extend((0..45).map(|_| s + next(e - s)));
+    }
+    offsets.push(len - 1);
+    assert!(offsets.len() >= 200, "{} offsets", offsets.len());
+    for at in offsets {
+        let mut bytes = pristine.clone();
+        bytes[at] ^= 1 << next(8);
+        check(&bytes, owner(at), format!("flip at {at}"));
+    }
+
+    // Truncation at every class of cut, and bytes past the end.
+    let mut cuts = vec![0, 3, 4, 5, 21, 100, 119, 120, len / 2, len - 9, len - 1];
+    cuts.extend(sections.iter().map(|&(_, e)| e as usize - 1));
+    for cut in cuts {
+        check(&pristine[..cut], owner(cut), format!("cut at {cut}"));
+    }
+    for pad in [1usize, 8, 4096] {
+        let mut bytes = pristine.clone();
+        bytes.resize(len + pad, 0);
+        check(&bytes, Some("pool"), format!("{pad} trailing byte(s)"));
+    }
+
+    // A bare v2 image — the parent's single-file format — has no checksum
+    // to verify: a rebuild hint, as for a retired version, never "corrupt".
+    check(
+        &fx.bare_image,
+        Some("no checksum container: rebuild the index with `manymap index`"),
+        "bare image".into(),
+    );
+
+    // The pristine bytes still map.
+    std::fs::write(&bad, &pristine).unwrap();
+    assert!(run_map(&bad, &fx.reads, &[]).status.success());
+}
+
+/// A reference is an index iff it starts with `MMX`, whatever it is
+/// called. Regression: the name decided, so a copied `ref.idx` was parsed
+/// as FASTA ("expected '>' or '@' header") and a FASTA named `x.mmx` was
+/// refused as a corrupt index ("bad index magic").
+#[test]
+fn reference_kind_is_sniffed_from_content_not_name() {
+    let fx = fixture("sniff");
+    let gold = run_map(&fx.index, &fx.reads, &[]);
+    assert!(gold.status.success() && !gold.stdout.is_empty());
+
+    let renamed_index = fx.dir.join("ref.idx");
+    std::fs::copy(&fx.index, &renamed_index).unwrap();
+    let fasta_named_mmx = fx.dir.join("x.mmx");
+    std::fs::copy(&fx.ref_fa, &fasta_named_mmx).unwrap();
+    for reference in [&renamed_index, &fasta_named_mmx] {
+        let out = run_map(reference, &fx.reads, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{}: {stderr}", reference.display());
+        assert_eq!(out.stdout, gold.stdout, "{}", reference.display());
+    }
 }
 
 /// Regression: the old reader closure used `.ok()?`, so a read file dying
@@ -403,6 +513,7 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
             ),
             (&["--prefilter", "safe"], "unknown flag --prefilter"),
             (&["--index-format", "legacy"], "unknown flag --index-format"),
+            (&["--no-mmap"], "unknown flag --no-mmap"),
         ] {
             sub.expect_usage(&fx.dir, bad, why);
         }
@@ -445,24 +556,29 @@ fn retired_environment_twins_are_ignored() {
     assert_eq!(out.stdout, bare.stdout);
 }
 
-/// `manymap index` builds from a FASTA reference; an existing `.mmx` is a
-/// usage error with and without `--shards` (re-saving a loaded image was a
-/// file copy).
+/// `manymap index` builds from a FASTA reference; an existing index —
+/// under any name: the content is sniffed — is a usage error with and
+/// without `--shards` (re-saving a loaded image was a file copy, and
+/// `index ref.idx out.mmx` used to parse the index as FASTA).
 #[test]
-fn index_rejects_an_mmx_input_in_both_branches() {
+fn index_rejects_an_index_input_in_both_branches() {
     let fx = fixture("index-mmx");
-    for extra in [&[][..], &["--shards", "2"]] {
-        let out_path = fx.dir.join("again.mmx");
-        let out = Command::new(env!("CARGO_BIN_EXE_manymap"))
-            .arg("index")
-            .arg(&fx.index)
-            .arg(&out_path)
-            .args(extra)
-            .output()
-            .expect("spawn manymap");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
-        assert!(stderr.contains("needs a FASTA reference"), "{stderr}");
-        assert!(!out_path.exists(), "{extra:?} wrote an index");
+    let renamed = fx.dir.join("ref.idx");
+    std::fs::copy(&fx.index, &renamed).unwrap();
+    for input in [&fx.index, &renamed] {
+        for extra in [&[][..], &["--shards", "2"]] {
+            let out_path = fx.dir.join("again.mmx");
+            let out = Command::new(env!("CARGO_BIN_EXE_manymap"))
+                .arg("index")
+                .arg(input)
+                .arg(&out_path)
+                .args(extra)
+                .output()
+                .expect("spawn manymap");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+            assert!(stderr.contains("needs a FASTA reference"), "{stderr}");
+            assert!(!out_path.exists(), "{extra:?} wrote an index");
+        }
     }
 }

@@ -121,8 +121,11 @@ fn hpc_flag_survives_serialization_and_affects_queries() {
         MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
     let p = std::env::temp_dir().join(format!("hpc-idx-{}.mmx", std::process::id()));
     mmm_index::save_index(&index, &p).unwrap();
-    let (back, _) = mmm_index::load_index_mmap(&p).unwrap();
+    let back = mmm_index::AnyIndex::open_mmap(&p, Default::default());
     std::fs::remove_file(&p).unwrap();
+    let Ok(mmm_index::AnyIndex::Flat(back)) = back else {
+        panic!("a single-file index opens flat: {back:?}")
+    };
     assert!(back.hpc);
     let read = g[10_000..14_000].to_vec();
     assert_eq!(index.collect_anchors(&read), back.collect_anchors(&read));

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use manymap::serve::{encode_read, read_frame, serve, write_frame, Frame, Op, ServeOpts};
 use manymap::{load_index_any, ExecConfig, MapOpts};
 use mmm_exec::{BackendKind, BufferSink, FaultPlan};
-use mmm_index::{build_sharded, save_index, AnyIndex, IdxOpts, MinimizerIndex};
+use mmm_index::{build_sharded, save_index, write_index_image, AnyIndex, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{
     generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
@@ -668,7 +668,7 @@ fn live_reload_swaps_generations_without_dropping_reads() {
     opts.index_path = Some(fx.index.clone());
     opts.exec.kind = BackendKind::GpuSim;
     opts.exec.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
-    let index = load_index_any(&fx.index, &opts.map, opts.exec.shard_open_opts(), true).unwrap();
+    let index = load_index_any(&fx.index, &opts.map, opts.exec.shard_open_opts()).unwrap();
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
@@ -739,6 +739,68 @@ fn live_reload_swaps_generations_without_dropping_reads() {
         assert_eq!(f.op, Op::Ok);
         daemon.join().unwrap().unwrap();
     });
+}
+
+/// The daemon opens an index exactly as `manymap map` does — through the
+/// one checksummed loader — at boot and on every `RELOAD`. A bare v2 image
+/// (the parent's single-file format) is the typed rebuild error in both
+/// places; a `RELOAD` of a damaged container is refused naming the section;
+/// and after each refusal the old generation still answers, byte for byte.
+#[test]
+fn unverifiable_index_is_refused_at_boot_and_reload_keeps_the_old_generation() {
+    let fx = fixture("badreload", 4);
+    let bare = fx.dir.join("bare.mmx");
+    let genome = SeqRecord::new("chr1", nt4_decode(&fx.genome));
+    let idx = MinimizerIndex::build(&[genome], &IdxOpts::MAP_ONT).unwrap();
+    let mut image = Vec::new();
+    write_index_image(&idx, &mut image);
+    std::fs::write(&bare, &image).unwrap();
+    let damaged = fx.dir.join("damaged.mmx");
+    let mut bytes = std::fs::read(&fx.index).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x04;
+    std::fs::write(&damaged, &bytes).unwrap();
+
+    // Boot: refused before the socket is bound.
+    let boot = serve_bin()
+        .arg("daemon")
+        .arg(&bare)
+        .arg("--socket")
+        .arg(fx.socket())
+        .output()
+        .expect("spawn mmm-serve daemon");
+    let stderr = String::from_utf8_lossy(&boot.stderr);
+    assert_eq!(boot.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("mmm-serve: "), "{stderr}");
+    assert!(
+        stderr.contains("no checksum container")
+            && stderr.contains("rebuild the index with `manymap index`"),
+        "{stderr}"
+    );
+    assert!(!fx.socket().exists(), "refused boot must not bind");
+
+    let daemon = spawn_daemon(&fx, &[]);
+    let before = run_client(&fx.socket(), "before", &fx.reads);
+    assert!(before.status.success() && !before.stdout.is_empty());
+    for (path, why) in [
+        (&bare, "no checksum container"),
+        (&damaged, "checksum mismatch in"),
+    ] {
+        let reload = serve_bin()
+            .arg("reload")
+            .arg(fx.socket())
+            .arg(path)
+            .output()
+            .expect("spawn mmm-serve reload");
+        let stderr = String::from_utf8_lossy(&reload.stderr);
+        assert_eq!(reload.status.code(), Some(1), "{path:?}: {stderr}");
+        assert!(stderr.contains(why), "{path:?}: {stderr}");
+        let after = run_client(&fx.socket(), "after", &fx.reads);
+        assert!(after.status.success());
+        assert_eq!(after.stdout, before.stdout, "after refusing {path:?}");
+    }
+    let stderr = drain_and_join(&fx, daemon);
+    assert!(stderr.contains("0 reload(s)"), "daemon report: {stderr}");
 }
 
 /// Shard-class fault rules reach the daemon's index loader, at boot and on

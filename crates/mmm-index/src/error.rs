@@ -12,7 +12,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
-/// Errors from [`crate::load_index`] / [`crate::load_index_mmap`] /
+/// Errors from [`crate::AnyIndex::open_mmap`], the shard loader and
 /// [`crate::parse_index`].
 #[derive(Debug)]
 pub enum IndexError {
@@ -43,12 +43,12 @@ pub enum IndexError {
     /// minimizer with ≥ 2^20 occurrences — beyond any repeat the occurrence
     /// cutoff would keep — so the builder refuses rather than truncating.
     PostingBudget { what: String },
-    /// The file is a v3 sharded-index manifest (`MMX\x03`), which the flat
-    /// loaders cannot open directly. Distinct from [`IndexError::Version`]:
-    /// the file is from *this* build's format family, it just needs the
-    /// sharded loader ([`crate::ShardedIndex::open`]).
-    ShardedManifest { path: PathBuf },
-    /// A v3 section checksum did not match: the bytes of `section` were
+    /// The file is a bare v2 image (`MMX\x02` at offset 0), which earlier
+    /// builds wrote as a single-file index. It carries no checksum, so
+    /// nothing in it can be verified: like [`IndexError::Version`] this is
+    /// "rebuild your index", never "your file is damaged".
+    NoContainer,
+    /// A section checksum did not match: the bytes of `section` were
     /// altered after the build (bit rot, torn write, hostile edit).
     /// Detected on first touch, before any parsed value reaches a kernel.
     Checksum { section: &'static str, what: String },
@@ -60,7 +60,8 @@ impl IndexError {
     /// `InvalidData` and `UnexpectedEof` mean the bytes themselves are wrong
     /// (hostile length prefix, truncated file) — that is corruption, not an
     /// I/O fault.
-    pub(crate) fn from_parse(offset: Option<u64>, e: io::Error) -> Self {
+    pub(crate) fn from_parse(offset: u64, e: io::Error) -> Self {
+        let offset = Some(offset);
         match e.kind() {
             io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof => IndexError::Corrupt {
                 offset,
@@ -136,12 +137,11 @@ impl fmt::Display for IndexError {
             IndexError::PostingBudget { what } => {
                 write!(f, "posting list over the packed-block budget: {what}")
             }
-            IndexError::ShardedManifest { path } => {
+            IndexError::NoContainer => {
                 write!(
                     f,
-                    "{} is a v3 sharded-index manifest; open it with the \
-                     sharded loader (it is not a flat index)",
-                    path.display()
+                    "bare v2 index image with no checksum container: rebuild \
+                     the index with `manymap index`"
                 )
             }
             IndexError::Checksum { section, what } => {
@@ -159,7 +159,7 @@ impl std::error::Error for IndexError {
             | IndexError::HitBudget { .. }
             | IndexError::Version { .. }
             | IndexError::PostingBudget { .. }
-            | IndexError::ShardedManifest { .. }
+            | IndexError::NoContainer
             | IndexError::Checksum { .. } => None,
         }
     }
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn classification() {
         let e = IndexError::from_parse(
-            Some(20),
+            20,
             io::Error::new(io::ErrorKind::InvalidData, "length prefix 999 exceeds file"),
         );
         assert!(e.is_corrupt());
@@ -180,7 +180,7 @@ mod tests {
         assert!(s.contains("corrupt index at byte 20"), "{s}");
         assert!(s.contains("length prefix"), "{s}");
 
-        let e = IndexError::from_parse(Some(4), io::Error::other("disk on fire"));
+        let e = IndexError::from_parse(4, io::Error::other("disk on fire"));
         assert!(!e.is_corrupt());
         assert!(e.to_string().contains("index read failed at byte 4"));
 
@@ -202,11 +202,10 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("bucket map"), "{s}");
 
-        let e = IndexError::ShardedManifest {
-            path: PathBuf::from("ref.mmx"),
-        };
+        let e = IndexError::NoContainer;
         assert!(!e.is_corrupt());
-        assert!(e.to_string().contains("sharded"), "{e}");
+        assert!(!e.is_transient());
+        assert!(e.to_string().contains("manymap index"), "{e}");
 
         // The transient/persistent split drives the shard retry ladder.
         assert!(IndexError::Io {

@@ -6,10 +6,10 @@
 //! sketched with the same function and each shared minimizer becomes an
 //! anchor for chaining.
 //!
-//! The index serializes to a binary format modeled on minimap2's `.mmi` and
-//! can be loaded through either I/O path of [`mmm_io`]: fragmented buffered
-//! reads (minimap2's loader) or a single memory map (manymap's §4.4.2
-//! optimization) — the two sides of the index-loading experiments.
+//! The index serializes to a binary image modeled on minimap2's `.mmi`,
+//! always inside a section-checksummed container ([`serialize`]), and is
+//! loaded one way: a single memory map (manymap's §4.4.2 optimization),
+//! verified whole before it is parsed ([`AnyIndex::open_mmap`]).
 
 pub mod error;
 pub mod index;
@@ -24,10 +24,13 @@ pub use error::IndexError;
 pub use index::{check_hit_budget, IdxOpts, MinimizerIndex, RefSeq, MAX_REF_LEN, MAX_REF_SEQS};
 pub use minimizer::{hash64, minimizers, Minimizer};
 pub use postings::{BucketRef, PackedPostings, PostingCursor, MAX_BLOCK_WORDS, MAX_BUCKET_HITS};
-pub use serialize::{load_index, load_index_mmap, parse_index, save_index, LoadStats};
+pub use serialize::{
+    container_section_ranges, parse_index, save_index, write_index_image, CONTAINER_SECTIONS,
+    MAGIC_PREFIX,
+};
 pub use shard::{
-    build_sharded, shard_section_ranges, AnyIndex, IndexRef, ShardBuildReport, ShardFaultHook,
-    ShardHealth, ShardLoadFault, ShardManifest, ShardMeta, ShardOpenOpts, ShardUnavailable,
-    ShardedIndex, SHARD_LOAD_ATTEMPTS, SHARD_SECTIONS,
+    build_sharded, AnyIndex, IndexRef, ShardBuildReport, ShardFaultHook, ShardHealth,
+    ShardLoadFault, ShardManifest, ShardMeta, ShardOpenOpts, ShardUnavailable, ShardedIndex,
+    SHARD_LOAD_ATTEMPTS,
 };
 pub use xxh::xxh64;

@@ -1,158 +1,298 @@
-//! Index serialization and the two loading paths of §4.4.2.
+//! The on-disk formats, and the one way a file becomes an index.
 //!
-//! The on-disk format mirrors minimap2's `.mmi` in spirit: a magic header,
-//! per-sequence metadata and packed bases, then the minimizer table. The
-//! fourth byte after the `MMX` magic prefix names the version, and there is
-//! one image version, **v2** (`MMX\x02`, DESIGN.md §14): `(base, ocw)`
-//! [`BucketRef`] map values plus a pool of FOR/delta bit-packed block
-//! words, zero-padded so the pool sits 8-byte aligned in the file (mmap'd
-//! `u64` loads never straddle).
+//! * The **image** (v2, `MMX\x02`, DESIGN.md §14) mirrors minimap2's `.mmi`
+//!   in spirit: a magic header, per-sequence metadata and packed bases, then
+//!   the minimizer table — `(base, ocw)` [`BucketRef`] map values plus a
+//!   pool of FOR/delta bit-packed block words, zero-padded so the pool sits
+//!   8-byte aligned (mmap'd `u64` loads never straddle). The fourth byte
+//!   after the `MMX` prefix names the version; an image of any *other*
+//!   version is a typed [`IndexError::Version`] — "rebuild your index",
+//!   never "corrupt". An image is never a file by itself.
+//! * The **container** (`MMXS`, DESIGN.md §15.2) is what every index file
+//!   is: a 120-byte directory (magic, version, first reference id, four
+//!   `(offset, length, xxh64)` section entries, and a hash of all of that)
+//!   followed by one embedded image. [`save_index`] writes a single-file
+//!   index as one container; `build_sharded` writes one per shard. A bare
+//!   image in a file is a typed [`IndexError::NoContainer`].
+//! * The **manifest** (`MMX\x03`) ties the containers of a sharded index
+//!   together: length-prefixed payload plus a trailing xxh64.
 //!
-//! An `MMX` file of any *other* version — the retired flat v1 layout or a
-//! future format — is a typed [`IndexError::Version`] naming the found and
-//! expected versions: "rebuild your index", never "corrupt".
-//!
-//! Crucially the format is identical for both loaders; only the I/O
-//! mechanism differs:
-//!
-//! * [`load_index`] replays minimap2's fragmented loader — one small
-//!   `read` per field through a [`mmm_io::ChunkedReader`];
-//! * [`load_index_mmap`] is manymap's path: `mmap(2)` the file once and
-//!   parse in place with zero-copy bulk array reads.
+//! Reading is one path: `Mmap::open` → `verify_checksums` (every byte of
+//! the file, before any of it is interpreted) → [`parse_index`] over the
+//! embedded image. There is no unchecked reader.
 
 use std::collections::HashMap;
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::Path;
-use std::time::Instant;
 
-use mmm_io::{ByteSource, ChunkedReader, Mmap, SliceSource};
+use mmm_io::{write_atomic, ByteSource, SliceSource};
 use mmm_seq::PackedSeq;
 
 use crate::error::IndexError;
 use crate::index::{MinimizerIndex, RefSeq};
 use crate::postings::{BucketRef, PackedPostings};
+use crate::shard::{Bloom, ShardManifest, ShardMeta};
+use crate::xxh::xxh64;
 
-/// Shared magic prefix; the fourth byte is the format version.
-const MAGIC_PREFIX: &[u8; 3] = b"MMX";
+/// Shared magic prefix of everything this crate writes; the fourth byte
+/// names the kind (`\x02` image, `\x03` manifest, `S` container).
+pub const MAGIC_PREFIX: &[u8; 3] = b"MMX";
 /// v2: FOR/delta bit-packed posting blocks — the one image version this
 /// build writes and reads (v1 was the retired `u64`-per-hit layout).
 pub(crate) const VERSION_PACKED: u8 = 2;
-/// v3: the sharded-index manifest (per-shard files + checksums). Parsed by
-/// the sharded loader in [`crate::shard`], not by [`parse_index`]; the
-/// dispatch here only recognizes the byte so the flat loaders can say
-/// "use the sharded loader" instead of "unknown version".
-pub(crate) const VERSION_SHARDED: u8 = 3;
 
-/// Timing and syscall statistics from a load, consumed by the Table 2 /
-/// Figure 11 harnesses.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LoadStats {
-    pub seconds: f64,
-    pub read_calls: u64,
-    pub bytes: u64,
-}
+/// Magic of a container file.
+const CONTAINER_MAGIC: [u8; 4] = *b"MMXS";
+const CONTAINER_VERSION: u32 = 1;
+/// Bytes covered by the directory hash: magic, version, rid_start and the
+/// four section entries.
+const CONTAINER_DIR_LEN: usize = 112;
+/// Offset of the embedded index image (8-aligned).
+const CONTAINER_IMAGE_OFF: usize = 120;
+/// Section names, in file order. Index `i` seeds section `i`'s XXH64 so
+/// two sections with identical bytes still get distinct digests.
+pub const CONTAINER_SECTIONS: [&str; 4] = ["header", "seqs", "map", "pool"];
 
-/// `Write` adapter that tracks the absolute file position, so the v2
-/// writer can compute the zero-pad that 8-byte-aligns the block pool.
-struct CountingWriter<W: Write> {
-    w: W,
-    pos: u64,
-}
+/// Magic of a shard manifest.
+pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"MMX\x03";
 
-impl<W: Write> Write for CountingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.w.write(buf)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.w.flush()
-    }
-}
-
-/// Byte boundaries of the four sections of one serialized index image,
-/// reported by [`write_index_image`]. Offsets are image-relative and
-/// half-open: `header` is `[0, header_end)`, `seqs` is
-/// `[header_end, seqs_end)`, `map` is `[seqs_end, map_end)` and the pool
-/// (packed blocks) runs `[map_end, total)`. The v3 shard
-/// container checksums each range independently so corruption reports can
-/// name the damaged section.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SectionBounds {
-    pub header_end: u64,
-    pub seqs_end: u64,
-    pub map_end: u64,
-    pub total: u64,
-}
-
-/// Write the index to `path` as a v2 image.
+/// Write `idx` to `path` as a single-file index: one container, atomically.
 pub fn save_index(idx: &MinimizerIndex, path: &Path) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    let mut w = BufWriter::with_capacity(1 << 20, f);
-    write_index_image(idx, &mut w)?;
-    w.flush()
+    write_container(idx, 0, path).map(|_| ())
 }
 
-/// Serialize `idx` into `out` (the v2 image both loaders parse) and
-/// report the section boundaries. The image is self-contained: parsing it
-/// from offset 0 of any [`ByteSource`] reproduces the index, which is how
-/// the v3 shard container embeds it after its checksum directory.
-pub(crate) fn write_index_image<W: Write>(
-    idx: &MinimizerIndex,
-    out: W,
-) -> io::Result<SectionBounds> {
-    let mut w = CountingWriter { w: out, pos: 0 };
-    w.write_all(MAGIC_PREFIX)?;
-    w.write_all(&[VERSION_PACKED])?;
-    w.write_all(&(idx.k as u32).to_le_bytes())?;
-    w.write_all(&(idx.w as u32).to_le_bytes())?;
-    w.write_all(&(idx.hpc as u32).to_le_bytes())?;
-    w.write_all(&idx.max_occ.to_le_bytes())?;
-    w.write_all(&(idx.seqs.len() as u64).to_le_bytes())?;
-    let header_end = w.pos;
+/// Append `idx` to `out` as a v2 image and report the image-relative
+/// `[start, end)` byte ranges of its four sections, in
+/// [`CONTAINER_SECTIONS`] order (the container checksums each range
+/// independently so corruption reports can name the damaged section). The
+/// image is self-contained: parsing it from offset 0 of any [`ByteSource`]
+/// reproduces the index, which is how the container embeds it after its
+/// checksum directory (and how the hostile-input suites get at the bare
+/// image).
+pub fn write_index_image(idx: &MinimizerIndex, out: &mut Vec<u8>) -> [(u64, u64); 4] {
+    let start = out.len();
+    let pos = |out: &Vec<u8>| (out.len() - start) as u64;
+    out.extend_from_slice(MAGIC_PREFIX);
+    out.push(VERSION_PACKED);
+    out.extend_from_slice(&(idx.k as u32).to_le_bytes());
+    out.extend_from_slice(&(idx.w as u32).to_le_bytes());
+    out.extend_from_slice(&(idx.hpc as u32).to_le_bytes());
+    out.extend_from_slice(&idx.max_occ.to_le_bytes());
+    out.extend_from_slice(&(idx.seqs.len() as u64).to_le_bytes());
+    let header_end = pos(out);
     for s in &idx.seqs {
-        w.write_all(&(s.name.len() as u64).to_le_bytes())?;
-        w.write_all(s.name.as_bytes())?;
-        w.write_all(&(s.seq.len() as u64).to_le_bytes())?;
-        w.write_all(&(s.seq.words().len() as u64).to_le_bytes())?;
+        out.extend_from_slice(&(s.name.len() as u64).to_le_bytes());
+        out.extend_from_slice(s.name.as_bytes());
+        out.extend_from_slice(&(s.seq.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(s.seq.words().len() as u64).to_le_bytes());
         for &word in s.seq.words() {
-            w.write_all(&word.to_le_bytes())?;
+            out.extend_from_slice(&word.to_le_bytes());
         }
     }
-    let seqs_end = w.pos;
+    let seqs_end = pos(out);
     // Minimizer table: keys sorted for determinism, then the per-key
     // values, then the hit-carrying section.
     let p = &idx.postings;
     let mut keys: Vec<u64> = p.map.keys().copied().collect();
     keys.sort_unstable();
-    w.write_all(&(keys.len() as u64).to_le_bytes())?;
+    out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
     for &k in &keys {
-        w.write_all(&k.to_le_bytes())?;
+        out.extend_from_slice(&k.to_le_bytes());
     }
     for &k in &keys {
         let r = p.map[&k];
-        w.write_all(&r.base.to_le_bytes())?;
-        w.write_all(&r.ocw.to_le_bytes())?;
+        out.extend_from_slice(&r.base.to_le_bytes());
+        out.extend_from_slice(&r.ocw.to_le_bytes());
     }
-    let map_end = w.pos;
-    w.write_all(&p.n_hits.to_le_bytes())?;
+    let map_end = pos(out);
+    out.extend_from_slice(&p.n_hits.to_le_bytes());
     // Zero-pad so the block pool (after its 8-byte length prefix) starts
-    // 8-byte aligned in the file: an mmap'd parse can then read block
+    // 8-byte aligned in the image: an mmap'd parse can then read block
     // words without straddling.
-    let pad = (8 - (w.pos % 8) as usize) % 8;
-    w.write_all(&[0u8; 7][..pad])?;
-    w.write_all(&(p.blocks.len() as u64).to_le_bytes())?;
+    let pad = (8 - (pos(out) % 8) as usize) % 8;
+    out.extend_from_slice(&[0u8; 7][..pad]);
+    out.extend_from_slice(&(p.blocks.len() as u64).to_le_bytes());
     for &b in &p.blocks {
-        w.write_all(&b.to_le_bytes())?;
+        out.extend_from_slice(&b.to_le_bytes());
     }
-    w.flush()?;
-    Ok(SectionBounds {
-        header_end,
-        seqs_end,
-        map_end,
-        total: w.pos,
+    [
+        (0, header_end),
+        (header_end, seqs_end),
+        (seqs_end, map_end),
+        (map_end, pos(out)),
+    ]
+}
+
+/// Serialize `idx` into a container at `path`, atomically. Returns
+/// `(file_len, dir_hash)`; the directory hash transitively covers every
+/// byte of the file (it hashes the section digests), so a manifest can pin
+/// the exact shard generation with eight bytes.
+pub(crate) fn write_container(
+    idx: &MinimizerIndex,
+    rid_start: u32,
+    path: &Path,
+) -> io::Result<(u64, u64)> {
+    // The image goes straight behind a directory-sized gap, filled in once
+    // the section boundaries and digests are known.
+    let mut file = vec![0u8; CONTAINER_IMAGE_OFF];
+    let sections = write_index_image(idx, &mut file);
+    let mut dir = Vec::with_capacity(CONTAINER_IMAGE_OFF);
+    dir.extend_from_slice(&CONTAINER_MAGIC);
+    dir.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
+    dir.extend_from_slice(&(rid_start as u64).to_le_bytes());
+    let image = &file[CONTAINER_IMAGE_OFF..];
+    for (i, &(s, e)) in sections.iter().enumerate() {
+        let digest = xxh64(&image[s as usize..e as usize], i as u64);
+        dir.extend_from_slice(&(CONTAINER_IMAGE_OFF as u64 + s).to_le_bytes());
+        dir.extend_from_slice(&(e - s).to_le_bytes());
+        dir.extend_from_slice(&digest.to_le_bytes());
+    }
+    debug_assert_eq!(dir.len(), CONTAINER_DIR_LEN);
+    let dir_hash = xxh64(&dir, 0);
+    dir.extend_from_slice(&dir_hash.to_le_bytes());
+    file[..CONTAINER_IMAGE_OFF].copy_from_slice(&dir);
+    write_atomic(path, &file)?;
+    Ok((file.len() as u64, dir_hash))
+}
+
+/// Validated container directory: rid base plus absolute section ranges.
+#[derive(Debug)]
+pub(crate) struct ContainerDir {
+    pub rid_start: u64,
+    pub dir_hash: u64,
+    pub sections: [(u64, u64); 4],
+}
+
+/// What a file that does not start with the container magic is: a bare
+/// image this build used to write (no checksum to verify — rebuild), an
+/// `MMX` file of some other version, or not an index at all.
+fn foreign_magic(bytes: &[u8]) -> IndexError {
+    match bytes {
+        [b'M', b'M', b'X', VERSION_PACKED, ..] => IndexError::NoContainer,
+        [b'M', b'M', b'X', found, ..] => IndexError::Version {
+            found: *found,
+            expected: VERSION_PACKED,
+        },
+        _ => IndexError::Corrupt {
+            offset: Some(0),
+            what: "bad index magic (want \"MMXS\")".into(),
+        },
+    }
+}
+
+/// Validate a container end-to-end *before* any byte of it is parsed:
+/// magic, directory hash, version, section contiguity against the real
+/// file length, and all four section digests. Every mmap-derived slice
+/// must pass through here before it leaves this crate (enforced by the
+/// xtask `mmap-checksum` lint).
+pub(crate) fn verify_checksums(bytes: &[u8]) -> Result<ContainerDir, IndexError> {
+    let corrupt = |what: String| IndexError::Corrupt { offset: None, what };
+    if !bytes.starts_with(&CONTAINER_MAGIC) {
+        return Err(foreign_magic(bytes));
+    }
+    if bytes.len() < CONTAINER_IMAGE_OFF {
+        return Err(corrupt(format!(
+            "index file is {} bytes, smaller than the {CONTAINER_IMAGE_OFF}-byte \
+             container directory; the file is torn or was truncated",
+            bytes.len()
+        )));
+    }
+    let stored_dir = le_u64(bytes, CONTAINER_DIR_LEN);
+    let computed_dir = xxh64(&bytes[..CONTAINER_DIR_LEN], 0);
+    if stored_dir != computed_dir {
+        return Err(IndexError::Checksum {
+            section: "directory",
+            what: format!("stored {stored_dir:#018x}, computed {computed_dir:#018x}"),
+        });
+    }
+    // Behind the directory hash, so a flipped bit here is a checksum
+    // mismatch and only a container some other build wrote is a version.
+    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != CONTAINER_VERSION {
+        return Err(IndexError::Version {
+            found: version.min(u8::MAX as u32) as u8,
+            expected: CONTAINER_VERSION as u8,
+        });
+    }
+    let rid_start = le_u64(bytes, 8);
+    let mut sections = [(0u64, 0u64); 4];
+    let mut cursor = CONTAINER_IMAGE_OFF as u64;
+    for (i, sec) in sections.iter_mut().enumerate() {
+        let entry = 16 + i * 24;
+        let (off, len, digest) = (
+            le_u64(bytes, entry),
+            le_u64(bytes, entry + 8),
+            le_u64(bytes, entry + 16),
+        );
+        if off != cursor {
+            return Err(corrupt(format!(
+                "{} section starts at byte {off}, expected {cursor} \
+                 (sections must be contiguous)",
+                CONTAINER_SECTIONS[i]
+            )));
+        }
+        let end = off.checked_add(len).ok_or_else(|| {
+            corrupt(format!(
+                "{} section length overflows",
+                CONTAINER_SECTIONS[i]
+            ))
+        })?;
+        if end > bytes.len() as u64 {
+            return Err(corrupt(format!(
+                "{} section ends at byte {end} but the file is {} bytes; \
+                 the file is torn or was truncated",
+                CONTAINER_SECTIONS[i],
+                bytes.len()
+            )));
+        }
+        let computed = xxh64(&bytes[off as usize..end as usize], i as u64);
+        if computed != digest {
+            return Err(IndexError::Checksum {
+                section: CONTAINER_SECTIONS[i],
+                what: format!("stored {digest:#018x}, computed {computed:#018x}"),
+            });
+        }
+        *sec = (off, end);
+        cursor = end;
+    }
+    if cursor != bytes.len() as u64 {
+        return Err(corrupt(format!(
+            "pool section ends at byte {cursor} but the file is {} bytes; \
+             trailing bytes are not allowed",
+            bytes.len()
+        )));
+    }
+    Ok(ContainerDir {
+        rid_start,
+        dir_hash: stored_dir,
+        sections,
     })
+}
+
+/// Absolute `[start, end)` byte ranges of the four sections of a container,
+/// in [`CONTAINER_SECTIONS`] order. Validates the whole container first.
+/// Exists for the corruption-sweep tests and tooling that needs to aim at a
+/// specific section; the mapper never calls it.
+pub fn container_section_ranges(bytes: &[u8]) -> Result<[(u64, u64); 4], IndexError> {
+    Ok(verify_checksums(bytes)?.sections)
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]` (the caller has checked
+/// the length).
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(b)
+}
+
+/// Validate and parse a container from bytes (a memory map). Checksum
+/// verification happens first; only then is the embedded image handed to
+/// [`parse_index`].
+pub(crate) fn parse_container(bytes: &[u8]) -> Result<(MinimizerIndex, ContainerDir), IndexError> {
+    let dir = verify_checksums(bytes)?;
+    let mut src = SliceSource::new(&bytes[CONTAINER_IMAGE_OFF..]);
+    let idx = parse_index(&mut src)?;
+    Ok((idx, dir))
 }
 
 /// Read a `u64` element count and sanity-check it against the bytes left in
@@ -162,16 +302,11 @@ pub(crate) fn write_index_image<W: Write>(
 /// instead of a multi-gigabyte allocation.
 fn bounded_count<S: ByteSource>(src: &mut S, min_bytes_each: u64, what: &str) -> io::Result<usize> {
     let n = src.take_u64()?;
-    if let Some(rem) = src.remaining_hint() {
-        match n.checked_mul(min_bytes_each) {
-            Some(need) if need <= rem => {}
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{what} count {n} exceeds the {rem} bytes remaining"),
-                ))
-            }
-        }
+    let rem = src.remaining_hint();
+    if n.checked_mul(min_bytes_each).is_none_or(|need| need > rem) {
+        return Err(corrupt(format!(
+            "{what} count {n} exceeds the {rem} bytes remaining"
+        )));
     }
     usize::try_from(n).map_err(|_| {
         io::Error::new(
@@ -265,19 +400,11 @@ fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
     // Consume the alignment pad: the writer zero-fills to the next 8-byte
     // file boundary so the block pool's words are 8-byte aligned. Nonzero
     // pad bytes mean the image was not produced by this writer.
-    let pos = src
-        .stream_position()
-        .ok_or_else(|| corrupt("v2 index needs a position-tracking source".into()))?;
-    let pad = (8 - (pos % 8) as usize) % 8;
+    let pad = (8 - (src.stream_position() % 8) as usize) % 8;
     let mut padb = [0u8; 7];
     src.take_exact(&mut padb[..pad])?;
     if padb[..pad].iter().any(|&b| b != 0) {
         return Err(corrupt("nonzero block-pool alignment padding".into()));
-    }
-    if let Some(p) = src.stream_position() {
-        if p % 8 != 0 {
-            return Err(corrupt(format!("block pool misaligned at byte {p}")));
-        }
     }
     let blocks = src.take_u64_vec()?;
     let postings = PackedPostings {
@@ -326,7 +453,8 @@ fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
     })
 }
 
-/// Parse an index image from any [`ByteSource`].
+/// Parse an index image from any [`ByteSource`] — in production the bytes
+/// behind a container directory that `verify_checksums` has accepted.
 ///
 /// All failures are typed: a malformed or truncated image yields
 /// [`IndexError::Corrupt`] with the byte offset where parsing stopped, a
@@ -340,19 +468,12 @@ pub fn parse_index<S: ByteSource>(src: &mut S) -> Result<MinimizerIndex, IndexEr
     }
     if magic[..3] != MAGIC_PREFIX[..] {
         return Err(IndexError::Corrupt {
-            offset: src.stream_position(),
+            offset: Some(src.stream_position()),
             what: "bad index magic".into(),
         });
     }
     let body = match magic[3] {
         VERSION_PACKED => parse_v2_body(src),
-        VERSION_SHARDED => {
-            // A manifest is a different artifact, not an unknown version:
-            // the loaders re-tag this with the offending path.
-            return Err(IndexError::ShardedManifest {
-                path: std::path::PathBuf::new(),
-            });
-        }
         found => {
             return Err(IndexError::Version {
                 found,
@@ -366,79 +487,191 @@ pub fn parse_index<S: ByteSource>(src: &mut S) -> Result<MinimizerIndex, IndexEr
     // interrupted write, or truncated from a larger index whose early
     // length prefixes still happened to fit. Accepting them would let a
     // damaged file masquerade as a (different) valid index.
-    if let Some(rem) = src.remaining_hint() {
-        if rem > 0 {
-            return Err(IndexError::Corrupt {
-                offset: src.stream_position(),
-                what: format!(
-                    "index sections end {rem} byte(s) before the end of the \
-                     file; the image is torn or was truncated from a larger \
-                     index"
-                ),
-            });
-        }
+    let rem = src.remaining_hint();
+    if rem > 0 {
+        return Err(IndexError::Corrupt {
+            offset: Some(src.stream_position()),
+            what: format!(
+                "index sections end {rem} byte(s) before the end of the \
+                 file; the image is torn or was truncated from a larger \
+                 index"
+            ),
+        });
     }
     Ok(idx)
 }
 
-/// [`parse_index`] has no path; fill in which file turned out to be a
-/// sharded manifest so the caller's "use the sharded loader" hint names it.
-fn tag_manifest_path(e: IndexError, path: &Path) -> IndexError {
-    match e {
-        IndexError::ShardedManifest { .. } => IndexError::ShardedManifest {
-            path: path.to_path_buf(),
-        },
-        e => e,
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    out.extend_from_slice(&(b.len() as u64).to_le_bytes());
+    out.extend_from_slice(b);
+}
+
+/// Serialize a manifest: magic, `u64` payload length, payload, trailing
+/// XXH64 of the payload. The explicit length makes a torn tail detectable
+/// even before the checksum is consulted.
+pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
+    let mut p = Vec::new();
+    p.extend_from_slice(&(m.k as u32).to_le_bytes());
+    p.extend_from_slice(&(m.w as u32).to_le_bytes());
+    p.extend_from_slice(&(m.hpc as u32).to_le_bytes());
+    p.extend_from_slice(&m.max_occ.to_le_bytes());
+    // The image version of the shards' embedded index images.
+    p.extend_from_slice(&u32::from(VERSION_PACKED).to_le_bytes());
+    p.extend_from_slice(&(m.seq_names.len() as u64).to_le_bytes());
+    for (name, len) in m.seq_names.iter().zip(&m.seq_lens) {
+        put_bytes(&mut p, name.as_bytes());
+        p.extend_from_slice(&len.to_le_bytes());
     }
+    p.extend_from_slice(&(m.shards.len() as u64).to_le_bytes());
+    for s in &m.shards {
+        put_bytes(&mut p, s.path.as_bytes());
+        p.extend_from_slice(&(s.rid_start as u64).to_le_bytes());
+        p.extend_from_slice(&(s.rid_count as u64).to_le_bytes());
+        p.extend_from_slice(&s.file_len.to_le_bytes());
+        p.extend_from_slice(&s.dir_hash.to_le_bytes());
+        p.extend_from_slice(&(s.bloom.words().len() as u64).to_le_bytes());
+        for &w in s.bloom.words() {
+            p.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    let mut out = Vec::with_capacity(12 + p.len() + 8);
+    out.extend_from_slice(&MANIFEST_MAGIC);
+    out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+    out.extend_from_slice(&p);
+    out.extend_from_slice(&xxh64(&p, 0).to_le_bytes());
+    out
 }
 
-/// minimap2's loading path: fragmented buffered reads.
-pub fn load_index(path: &Path) -> Result<(MinimizerIndex, LoadStats), IndexError> {
-    let start = Instant::now();
-    let mut r = ChunkedReader::open(path, 16 * 1024).map_err(|e| IndexError::Open {
-        path: path.to_path_buf(),
-        source: e,
-    })?;
-    let idx = parse_index(&mut r).map_err(|e| tag_manifest_path(e, path))?;
-    Ok((
-        idx,
-        LoadStats {
-            seconds: start.elapsed().as_secs_f64(),
-            read_calls: r.read_calls(),
-            bytes: r.bytes_read(),
-        },
-    ))
-}
+/// Parse and validate a v3 manifest. The payload checksum is verified
+/// before a single field is interpreted.
+pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> {
+    let corrupt = |what: String| IndexError::Corrupt { offset: None, what };
+    if bytes.len() < 12 {
+        return Err(corrupt(format!(
+            "manifest is {} bytes, smaller than its 12-byte header",
+            bytes.len()
+        )));
+    }
+    if bytes[0..4] != MANIFEST_MAGIC {
+        return Err(corrupt("bad manifest magic (want \"MMX\\x03\")".into()));
+    }
+    let plen = le_u64(bytes, 4);
+    let want = 12u64.checked_add(plen).and_then(|v| v.checked_add(8));
+    if want != Some(bytes.len() as u64) {
+        return Err(corrupt(format!(
+            "manifest declares a {plen}-byte payload but the file is {} \
+             bytes; the manifest is torn or was truncated",
+            bytes.len()
+        )));
+    }
+    let payload = &bytes[12..12 + plen as usize];
+    let stored = le_u64(bytes, 12 + plen as usize);
+    let computed = xxh64(payload, 0);
+    if stored != computed {
+        return Err(IndexError::Checksum {
+            section: "manifest",
+            what: format!("stored {stored:#018x}, computed {computed:#018x}"),
+        });
+    }
 
-/// manymap's loading path: one `mmap`, zero-copy parse (§4.4.2).
-pub fn load_index_mmap(path: &Path) -> Result<(MinimizerIndex, LoadStats), IndexError> {
-    let start = Instant::now();
-    let map = Mmap::open(path).map_err(|e| IndexError::Open {
-        path: path.to_path_buf(),
-        source: e,
-    })?;
-    // A flat v2 image carries no checksum (only the v3 shard container
-    // does). `parse_index` bounds- and budget-checks every field, which
-    // keeps a damaged file from panicking — not from mapping wrong: a
-    // flipped byte that stays in range loads (ROADMAP item 5).
-    // xtask-allow: mmap-checksum — no checksum exists in a flat v2 image; parse_index bounds-checks only.
-    let mut src = SliceSource::new(&map);
-    let idx = parse_index(&mut src).map_err(|e| tag_manifest_path(e, path))?;
-    let bytes = src.position() as u64;
-    Ok((
-        idx,
-        LoadStats {
-            seconds: start.elapsed().as_secs_f64(),
-            read_calls: 1,
-            bytes,
-        },
-    ))
+    let mut src = SliceSource::new(payload);
+    macro_rules! take {
+        ($m:ident) => {{
+            let pos = src.stream_position();
+            src.$m().map_err(|e| IndexError::from_parse(pos, e))?
+        }};
+    }
+    let k = take!(take_u32) as usize;
+    let w = take!(take_u32) as usize;
+    let hpc = take!(take_u32) != 0;
+    let max_occ = take!(take_u32);
+    match take!(take_u32) {
+        f if f == u32::from(VERSION_PACKED) => {}
+        // Shards of the retired flat layout: rebuild, as for a v1 image.
+        1 => {
+            return Err(IndexError::Version {
+                found: 1,
+                expected: VERSION_PACKED,
+            })
+        }
+        f => {
+            return Err(corrupt(format!("unknown posting format {f} in manifest")));
+        }
+    }
+    let n_seqs = take!(take_u64) as usize;
+    let mut seq_names = Vec::new();
+    let mut seq_lens = Vec::new();
+    for _ in 0..n_seqs {
+        let name = take!(take_bytes);
+        let name =
+            String::from_utf8(name).map_err(|_| corrupt("reference name is not UTF-8".into()))?;
+        seq_names.push(name);
+        seq_lens.push(take!(take_u64));
+    }
+    let n_shards = take!(take_u64) as usize;
+    let mut shards = Vec::new();
+    let mut next_rid = 0u64;
+    for i in 0..n_shards {
+        let path = String::from_utf8(take!(take_bytes))
+            .map_err(|_| corrupt(format!("shard {i} path is not UTF-8")))?;
+        if path.is_empty() || path.contains('/') || path.contains('\\') || path.contains("..") {
+            // A hostile manifest must not be able to point a shard outside
+            // its own directory.
+            return Err(corrupt(format!(
+                "shard {i} path {path:?} is not a bare file name"
+            )));
+        }
+        let rid_start = take!(take_u64);
+        let rid_count = take!(take_u64);
+        if rid_start != next_rid {
+            return Err(corrupt(format!(
+                "shard {i} starts at rid {rid_start}, expected {next_rid} \
+                 (shards must tile the reference set contiguously)"
+            )));
+        }
+        next_rid = rid_start
+            .checked_add(rid_count)
+            .ok_or_else(|| corrupt(format!("shard {i} rid range overflows")))?;
+        let file_len = take!(take_u64);
+        let dir_hash = take!(take_u64);
+        let bloom = Bloom::from_words(take!(take_u64_vec));
+        shards.push(ShardMeta {
+            path,
+            rid_start: rid_start as u32,
+            rid_count: rid_count as u32,
+            file_len,
+            dir_hash,
+            bloom,
+        });
+    }
+    if next_rid != n_seqs as u64 {
+        return Err(corrupt(format!(
+            "shards cover {next_rid} reference ids but the manifest lists \
+             {n_seqs} sequences"
+        )));
+    }
+    if src.remaining() != 0 {
+        return Err(corrupt(format!(
+            "{} unparsed byte(s) after the shard table",
+            src.remaining()
+        )));
+    }
+    Ok(ShardManifest {
+        k,
+        w,
+        hpc,
+        max_occ,
+        seq_names,
+        seq_lens,
+        shards,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::IdxOpts;
+    use crate::shard::{AnyIndex, ShardOpenOpts};
     use mmm_seq::{nt4_decode, SeqRecord};
 
     fn sample_records() -> Vec<SeqRecord> {
@@ -463,6 +696,14 @@ mod tests {
         std::env::temp_dir().join(format!("mmm-index-{name}-{}", std::process::id()))
     }
 
+    /// The one file reader, as every caller outside this crate reaches it.
+    fn open(p: &Path) -> Result<MinimizerIndex, IndexError> {
+        match AnyIndex::open_mmap(p, ShardOpenOpts::default())? {
+            AnyIndex::Flat(idx) => Ok(idx),
+            AnyIndex::Sharded(_) => panic!("{} opened as a manifest", p.display()),
+        }
+    }
+
     fn assert_same(a: &MinimizerIndex, b: &MinimizerIndex) {
         assert_eq!(a.k, b.k);
         assert_eq!(a.w, b.w);
@@ -485,26 +726,17 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_buffered() {
-        let idx = sample_index();
-        let p = tmp("buffered");
-        save_index(&idx, &p).unwrap();
-        let (back, stats) = load_index(&p).unwrap();
-        assert_same(&idx, &back);
-        // The fragmented loader issues many reads — that is the point.
-        assert!(stats.read_calls > 1000, "read_calls={}", stats.read_calls);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn round_trip_mmap() {
         let idx = sample_index();
         let p = tmp("mmap");
         save_index(&idx, &p).unwrap();
-        let (back, stats) = load_index_mmap(&p).unwrap();
-        assert_same(&idx, &back);
-        assert_eq!(stats.read_calls, 1);
+        let back = open(&p).unwrap();
         std::fs::remove_file(&p).unwrap();
+        assert_same(&idx, &back);
+        // And it answers queries the same.
+        let q = back.seqs[0].seq.slice(5_000, 6_000);
+        assert_eq!(idx.collect_anchors(&q), back.collect_anchors(&q));
+        assert!(!idx.collect_anchors(&q).is_empty());
     }
 
     #[test]
@@ -514,61 +746,108 @@ mod tests {
         let idx = sample_index();
         let p = tmp("size-packed");
         save_index(&idx, &p).unwrap();
-        let image = std::fs::read(&p).unwrap();
+        let file = std::fs::read(&p).unwrap();
         std::fs::remove_file(&p).unwrap();
-        assert_eq!(&image[..4], b"MMX\x02");
-        let flat = image.len() - idx.posting_bytes() + idx.num_positions() * 8;
+        assert_eq!(file[..4], CONTAINER_MAGIC);
+        assert_eq!(&file[CONTAINER_IMAGE_OFF..][..4], b"MMX\x02");
+        let flat = file.len() - idx.posting_bytes() + idx.num_positions() * 8;
         assert!(
-            image.len() < flat,
+            file.len() < flat,
             "packed {} vs flat {flat} bytes",
-            image.len()
+            file.len()
         );
     }
 
     #[test]
-    fn both_loaders_agree() {
+    fn container_round_trip_and_section_corruption() {
         let idx = sample_index();
-        let p = tmp("agree");
-        save_index(&idx, &p).unwrap();
-        let (a, _) = load_index(&p).unwrap();
-        let (b, _) = load_index_mmap(&p).unwrap();
-        assert_same(&a, &b);
+        let p = tmp("container");
+        let (len, dir_hash) = write_container(&idx, 7, &p).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
         std::fs::remove_file(&p).unwrap();
-    }
+        assert_eq!(bytes.len() as u64, len);
 
-    #[test]
-    fn queries_survive_round_trip() {
-        let idx = sample_index();
-        let p = tmp("query");
-        save_index(&idx, &p).unwrap();
-        let (back, _) = load_index_mmap(&p).unwrap();
-        let q = back.seqs[0].seq.slice(5_000, 6_000);
-        let a1 = idx.collect_anchors(&q);
-        let a2 = back.collect_anchors(&q);
-        assert_eq!(a1, a2);
-        assert!(!a1.is_empty());
-        std::fs::remove_file(&p).unwrap();
+        let (back, dir) = parse_container(&bytes).unwrap();
+        assert_eq!(dir.rid_start, 7);
+        assert_eq!(dir.dir_hash, dir_hash);
+        assert_same(&idx, &back);
+
+        // Flip the first and last byte of each section: the error names it.
+        for (i, &(s, e)) in dir.sections.iter().enumerate() {
+            for off in [s, e - 1] {
+                let mut bad = bytes.clone();
+                bad[off as usize] ^= 0x01;
+                match parse_container(&bad).unwrap_err() {
+                    IndexError::Checksum { section, .. } => {
+                        assert_eq!(section, CONTAINER_SECTIONS[i], "offset {off}")
+                    }
+                    other => panic!("section {i} offset {off}: {other}"),
+                }
+            }
+        }
+        // Torn tail: the directory span check catches it.
+        let err = parse_container(&bytes[..bytes.len() - 5]).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        // Directory damage is its own section — the version field included,
+        // which sits behind the directory hash.
+        for off in [4usize, 9, 119] {
+            let mut bad = bytes.clone();
+            bad[off] ^= 0x10;
+            assert!(
+                matches!(
+                    parse_container(&bad).unwrap_err(),
+                    IndexError::Checksum {
+                        section: "directory",
+                        ..
+                    }
+                ),
+                "offset {off}"
+            );
+        }
     }
 
     #[test]
     fn corrupt_magic_rejected() {
         let p = tmp("corrupt");
-        std::fs::write(&p, b"NOPE").unwrap();
-        for r in [load_index(&p), load_index_mmap(&p)] {
-            let e = r.unwrap_err();
+        for bytes in [&b"NOPE"[..], b"MM", b""] {
+            std::fs::write(&p, bytes).unwrap();
+            let e = open(&p).unwrap_err();
             assert!(e.is_corrupt(), "{e}");
             assert!(e.to_string().contains("bad index magic"), "{e}");
         }
         std::fs::remove_file(&p).unwrap();
     }
 
+    /// What the parent build wrote as a single-file index: the image with
+    /// no container around it. There is nothing to verify it against, so it
+    /// is refused with a rebuild hint — not parsed, not called corrupt.
+    #[test]
+    fn bare_image_file_is_a_typed_rebuild_error() {
+        let idx = sample_index();
+        let mut image = Vec::new();
+        write_index_image(&idx, &mut image);
+        assert!(parse_index(&mut SliceSource::new(&image)).is_ok());
+        let p = tmp("bare-v2");
+        // Whole, truncated to the magic, and damaged: the same answer.
+        let mut flipped = image.clone();
+        flipped[image.len() / 2] ^= 0x10;
+        for bytes in [&image[..], &image[..4], &flipped[..]] {
+            std::fs::write(&p, bytes).unwrap();
+            let e = open(&p).unwrap_err();
+            assert!(matches!(e, IndexError::NoContainer), "{e}");
+            assert!(!e.is_corrupt());
+            let s = e.to_string();
+            assert!(s.contains("no checksum container"), "{s}");
+            assert!(s.contains("rebuild the index with `manymap index`"), "{s}");
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
     #[test]
     fn unknown_mmx_version_is_typed_not_corrupt() {
-        use crate::shard::{AnyIndex, ShardOpenOpts};
         // MMX-prefixed files of other versions name found vs. expected —
         // distinct from corruption, so tooling can say "rebuild". Version 1
-        // is the retired flat layout. (Version 3 is the sharded manifest,
-        // tested separately below.)
+        // is the retired flat layout.
         let assert_version = |e: IndexError, found: u8| {
             assert!(
                 matches!(e, IndexError::Version { found: f, expected: 2 } if f == found),
@@ -586,16 +865,15 @@ mod tests {
             bytes.push(found);
             bytes.extend_from_slice(&[0u8; 64]); // junk body, never parsed
             std::fs::write(&p, &bytes).unwrap();
-            for r in [load_index(&p), load_index_mmap(&p)] {
-                assert_version(r.unwrap_err(), found);
-            }
-            let e = AnyIndex::open_mmap(&p, ShardOpenOpts::default()).unwrap_err();
+            assert_version(open(&p).unwrap_err(), found);
+            // The same byte inside a container is the embedded image's.
+            let e = parse_index(&mut SliceSource::new(&bytes)).unwrap_err();
             assert_version(e, found);
             std::fs::remove_file(&p).unwrap();
         }
         // A manifest whose format byte says its shards hold v1 images: the
         // same typed error, before any shard file is looked for.
-        let m = crate::shard::ShardManifest {
+        let m = ShardManifest {
             k: 15,
             w: 10,
             hpc: false,
@@ -604,11 +882,11 @@ mod tests {
             seq_lens: vec![],
             shards: vec![],
         };
-        let mut bytes = crate::shard::serialize_manifest(&m);
+        let mut bytes = serialize_manifest(&m);
         let n = bytes.len();
         assert_eq!(bytes[28..32], 2u32.to_le_bytes(), "format byte moved");
         bytes[28] = 1;
-        let sum = crate::xxh::xxh64(&bytes[12..n - 8], 0);
+        let sum = xxh64(&bytes[12..n - 8], 0);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let p = tmp("manifest-format-1");
         std::fs::write(&p, &bytes).unwrap();
@@ -618,66 +896,28 @@ mod tests {
     }
 
     #[test]
-    fn v3_manifest_magic_routes_to_the_sharded_loader() {
-        // A v3 manifest handed to a flat loader is neither "unknown
-        // version" nor "corrupt": it is a typed redirect naming the file.
-        let p = tmp("v3-route");
-        let mut bytes = b"MMX\x03".to_vec();
-        bytes.extend_from_slice(&[0u8; 64]);
-        std::fs::write(&p, &bytes).unwrap();
-        for r in [load_index(&p), load_index_mmap(&p)] {
-            let e = r.unwrap_err();
-            assert!(
-                matches!(&e, IndexError::ShardedManifest { path } if *path == p),
-                "{e}"
-            );
-            assert!(!e.is_corrupt());
-            assert!(e.to_string().contains("sharded"), "{e}");
-        }
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn trailing_bytes_after_declared_sections_are_rejected() {
         // Regression: the parser used to stop at the end of the declared
         // block pool and silently ignore anything after it, so a torn
         // write's zero padding (or a truncation of a larger index whose
         // early length prefixes still fit) produced a "valid" index. The
-        // declared sections must span the file exactly.
+        // declared sections must span the image — and the file — exactly.
         let p = tmp("trailing");
         save_index(&sample_index(), &p).unwrap();
         let clean = std::fs::read(&p).unwrap();
         // The untampered file still loads.
-        assert!(load_index(&p).is_ok());
-        for pad in [1usize, 8, 4096] {
+        assert!(open(&p).is_ok());
+        // Zero padding, and the nonzero tail of a larger, overwritten index.
+        for (pad, fill) in [(1usize, 0u8), (8, 0), (4096, 0), (1024, 0xA7)] {
             let mut torn = clean.clone();
-            torn.resize(clean.len() + pad, 0);
+            torn.resize(clean.len() + pad, fill);
             std::fs::write(&p, &torn).unwrap();
-            for r in [load_index(&p), load_index_mmap(&p)] {
-                let e = r.unwrap_err();
-                assert!(e.is_corrupt(), "pad={pad}: {e}");
-                assert!(e.to_string().contains("before the end of the file"), "{e}");
-            }
+            let e = open(&p).unwrap_err();
+            assert!(e.is_corrupt(), "pad={pad}: {e}");
+            assert!(e.to_string().contains("trailing bytes"), "{e}");
+            let e = parse_index(&mut SliceSource::new(&torn[CONTAINER_IMAGE_OFF..])).unwrap_err();
+            assert!(e.to_string().contains("before the end of the file"), "{e}");
         }
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn truncated_suffix_with_refitting_prefix_is_rejected() {
-        // A *larger* index truncated such that a smaller one's sections
-        // still parse: simulate by writing a small index followed by the
-        // tail of a big one (what a partially overwritten file looks
-        // like). The parse of the small image succeeds but must then be
-        // rejected for not reaching EOF.
-        let small = sample_index();
-        let p = tmp("refit");
-        save_index(&small, &p).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        let tail: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
-        bytes.extend_from_slice(&tail);
-        std::fs::write(&p, &bytes).unwrap();
-        let e = load_index_mmap(&p).unwrap_err();
-        assert!(e.is_corrupt(), "{e}");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -687,22 +927,20 @@ mod tests {
         let p = tmp("aligned");
         save_index(&idx, &p).unwrap();
         let bytes = std::fs::read(&p).unwrap();
-        // File parses; by construction the pool length prefix sits at an
-        // 8-aligned offset. Recover it by replaying the loader's math on
-        // a raw slice parse.
-        let mut src = SliceSource::new(&bytes);
+        // The image starts 8-aligned behind the directory and, by
+        // construction, puts the pool length prefix at an 8-aligned offset.
+        assert_eq!(CONTAINER_IMAGE_OFF % 8, 0);
+        let mut src = SliceSource::new(&bytes[CONTAINER_IMAGE_OFF..]);
         assert!(parse_index(&mut src).is_ok());
-        assert_eq!(bytes.len() % 8, 0, "v2 files end 8-aligned");
+        assert_eq!(bytes.len() % 8, 0, "index files end 8-aligned");
         std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn v2_truncations_and_bitflips_are_typed() {
         let idx = sample_index();
-        let p = tmp("v2-fault");
-        save_index(&idx, &p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
+        let mut bytes = Vec::new();
+        write_index_image(&idx, &mut bytes);
         // Truncation at a spread of offsets: typed corruption, no panic.
         for cut in [
             5usize,
@@ -722,8 +960,9 @@ mod tests {
         let n = evil.len();
         evil[n - 12] ^= 0xff; // inside the block pool: decode walk sees it
         let mut src = SliceSource::new(&evil);
-        // Either rejected as corrupt, or it decodes to different (still
-        // in-range) hits — both are sound; what is forbidden is a panic.
+        // Behind no checksum (a bare image only tests and the fuzzer can
+        // hand to the parser) it is either rejected as corrupt or decodes
+        // to different, still in-range hits — what is forbidden is a panic.
         let _ = parse_index(&mut src);
     }
 }

@@ -1,14 +1,17 @@
-//! Sharded mmap'd index: v3 manifest, per-shard fault domains, graceful
-//! degradation (DESIGN.md §15).
+//! Sharded mmap'd index: residency, per-shard fault domains, graceful
+//! degradation (DESIGN.md §15) — and [`AnyIndex::open_mmap`], the one way a
+//! path becomes an index.
 //!
 //! The paper's KNL result makes beyond-RAM references servable by letting
 //! the index page in on demand (§4.4.2). This module generalizes that into
 //! *target-range shards*: the reference set is split into contiguous rid
 //! ranges, each built into its own `MMXS` container file, with a small
-//! `MMX\x03` manifest tying the generation together. Every byte of every
-//! shard sits behind an XXH64 checksum that is verified on first touch, so
-//! a torn write, a truncated file, or a flipped bit is detected *before*
-//! any parsed value reaches a kernel.
+//! `MMX\x03` manifest tying the generation together (both byte layouts
+//! live in [`crate::serialize`]; a single-file index is one such container
+//! with no manifest). Every byte of every file sits behind an XXH64
+//! checksum that is verified on first touch, so a torn write, a truncated
+//! file, or a flipped bit is detected *before* any parsed value reaches a
+//! kernel.
 //!
 //! A shard is also a fault domain. Loading runs a small supervisor ladder:
 //! transient I/O faults are retried with a deterministic backoff; anything
@@ -34,26 +37,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use mmm_chain::Anchor;
-use mmm_io::{write_atomic, ByteSource, Mmap, SliceSource};
+use mmm_io::{write_atomic, Mmap};
 use mmm_seq::SeqRecord;
 
 use crate::error::IndexError;
 use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, sketch};
 use crate::index::{IdxOpts, MinimizerIndex};
-use crate::serialize::{parse_index, write_index_image, SectionBounds, VERSION_PACKED};
-use crate::xxh::xxh64;
-
-/// Magic of a per-shard container file.
-pub(crate) const SHARD_MAGIC: [u8; 4] = *b"MMXS";
-const SHARD_CONTAINER_VERSION: u32 = 1;
-/// Bytes covered by the directory hash: magic, version, rid_start and the
-/// four section entries.
-pub(crate) const SHARD_DIR_LEN: usize = 112;
-/// Offset of the embedded v2 index image (8-aligned).
-pub(crate) const SHARD_IMAGE_OFF: usize = 120;
-/// Section names, in file order. Index `i` seeds section `i`'s XXH64 so
-/// two sections with identical bytes still get distinct digests.
-pub const SHARD_SECTIONS: [&str; 4] = ["header", "seqs", "map", "pool"];
+use crate::serialize::{
+    container_section_ranges, parse_container, parse_manifest, serialize_manifest, write_container,
+    MANIFEST_MAGIC,
+};
 
 /// Load attempts per shard before the fault ladder gives up: one initial
 /// try plus two retries with deterministic backoff.
@@ -72,173 +65,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // must not wedge every later read of that shard: the protected state
     // is a load-state machine whose every transition is valid to observe.
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-// ---------------------------------------------------------------------------
-// Shard container file (MMXS)
-// ---------------------------------------------------------------------------
-
-/// Image-relative `[start, end)` byte ranges of the four sections.
-fn section_ranges(b: &SectionBounds) -> [(u64, u64); 4] {
-    [
-        (0, b.header_end),
-        (b.header_end, b.seqs_end),
-        (b.seqs_end, b.map_end),
-        (b.map_end, b.total),
-    ]
-}
-
-/// Serialize `idx` into an `MMXS` shard container at `path`, atomically.
-/// Returns `(file_len, dir_hash)`; the directory hash transitively covers
-/// every byte of the file (it hashes the section digests), so the manifest
-/// can pin the exact shard generation with eight bytes.
-pub(crate) fn write_shard_file(
-    idx: &MinimizerIndex,
-    rid_start: u32,
-    path: &Path,
-) -> io::Result<(u64, u64)> {
-    let mut image = Vec::new();
-    let bounds = write_index_image(idx, &mut image)?;
-    debug_assert_eq!(bounds.total as usize, image.len());
-    let mut file = Vec::with_capacity(SHARD_IMAGE_OFF + image.len());
-    file.extend_from_slice(&SHARD_MAGIC);
-    file.extend_from_slice(&SHARD_CONTAINER_VERSION.to_le_bytes());
-    file.extend_from_slice(&(rid_start as u64).to_le_bytes());
-    for (i, (s, e)) in section_ranges(&bounds).iter().enumerate() {
-        let off = SHARD_IMAGE_OFF as u64 + s;
-        let len = e - s;
-        let digest = xxh64(&image[*s as usize..*e as usize], i as u64);
-        file.extend_from_slice(&off.to_le_bytes());
-        file.extend_from_slice(&len.to_le_bytes());
-        file.extend_from_slice(&digest.to_le_bytes());
-    }
-    debug_assert_eq!(file.len(), SHARD_DIR_LEN);
-    let dir_hash = xxh64(&file[..SHARD_DIR_LEN], 0);
-    file.extend_from_slice(&dir_hash.to_le_bytes());
-    file.extend_from_slice(&image);
-    write_atomic(path, &file)?;
-    Ok((file.len() as u64, dir_hash))
-}
-
-/// Validated shard directory: rid base plus absolute section ranges.
-#[derive(Debug)]
-pub(crate) struct ShardDir {
-    pub rid_start: u64,
-    pub dir_hash: u64,
-    pub sections: [(u64, u64); 4],
-}
-
-/// Validate an `MMXS` container end-to-end *before* any byte of it is
-/// parsed: magic, version, directory hash, section contiguity against the
-/// real file length, and all four section digests. Every mmap-derived
-/// slice must pass through here before it leaves this crate (enforced by
-/// the xtask `mmap-checksum` lint).
-pub(crate) fn verify_checksums(bytes: &[u8]) -> Result<ShardDir, IndexError> {
-    let corrupt = |what: String| IndexError::Corrupt { offset: None, what };
-    if bytes.len() < SHARD_IMAGE_OFF {
-        return Err(corrupt(format!(
-            "shard file is {} bytes, smaller than the {SHARD_IMAGE_OFF}-byte \
-             container header",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != SHARD_MAGIC {
-        return Err(corrupt(format!(
-            "bad shard magic {:02x?} (want \"MMXS\")",
-            &bytes[0..4]
-        )));
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != SHARD_CONTAINER_VERSION {
-        return Err(IndexError::Version {
-            found: version.min(u8::MAX as u32) as u8,
-            expected: SHARD_CONTAINER_VERSION as u8,
-        });
-    }
-    let stored_dir = u64::from_le_bytes([
-        bytes[112], bytes[113], bytes[114], bytes[115], bytes[116], bytes[117], bytes[118],
-        bytes[119],
-    ]);
-    let computed_dir = xxh64(&bytes[..SHARD_DIR_LEN], 0);
-    if stored_dir != computed_dir {
-        return Err(IndexError::Checksum {
-            section: "directory",
-            what: format!("stored {stored_dir:#018x}, computed {computed_dir:#018x}"),
-        });
-    }
-    let mut src = SliceSource::new(&bytes[8..SHARD_DIR_LEN]);
-    let rid_start = src.take_u64().map_err(io_to_corrupt)?;
-    let mut sections = [(0u64, 0u64); 4];
-    let mut cursor = SHARD_IMAGE_OFF as u64;
-    for (i, sec) in sections.iter_mut().enumerate() {
-        let off = src.take_u64().map_err(io_to_corrupt)?;
-        let len = src.take_u64().map_err(io_to_corrupt)?;
-        let digest = src.take_u64().map_err(io_to_corrupt)?;
-        if off != cursor {
-            return Err(corrupt(format!(
-                "{} section starts at byte {off}, expected {cursor} \
-                 (sections must be contiguous)",
-                SHARD_SECTIONS[i]
-            )));
-        }
-        let end = off
-            .checked_add(len)
-            .ok_or_else(|| corrupt(format!("{} section length overflows", SHARD_SECTIONS[i])))?;
-        if end > bytes.len() as u64 {
-            return Err(corrupt(format!(
-                "{} section ends at byte {end} but the file is {} bytes; \
-                 the shard is torn or was truncated",
-                SHARD_SECTIONS[i],
-                bytes.len()
-            )));
-        }
-        let computed = xxh64(&bytes[off as usize..end as usize], i as u64);
-        if computed != digest {
-            return Err(IndexError::Checksum {
-                section: SHARD_SECTIONS[i],
-                what: format!("stored {digest:#018x}, computed {computed:#018x}"),
-            });
-        }
-        *sec = (off, end);
-        cursor = end;
-    }
-    if cursor != bytes.len() as u64 {
-        return Err(corrupt(format!(
-            "shard sections end at byte {cursor} but the file is {} bytes; \
-             trailing bytes are not allowed",
-            bytes.len()
-        )));
-    }
-    Ok(ShardDir {
-        rid_start,
-        dir_hash: stored_dir,
-        sections,
-    })
-}
-
-/// Absolute `[start, end)` byte ranges of the four sections of a shard
-/// container, in [`SHARD_SECTIONS`] order. Validates the whole container
-/// first. Exists for the corruption-sweep tests and tooling that needs to
-/// aim at a specific section; the mapper never calls it.
-pub fn shard_section_ranges(bytes: &[u8]) -> Result<[(u64, u64); 4], IndexError> {
-    Ok(verify_checksums(bytes)?.sections)
-}
-
-fn io_to_corrupt(e: io::Error) -> IndexError {
-    IndexError::Corrupt {
-        offset: None,
-        what: e.to_string(),
-    }
-}
-
-/// Validate and parse an `MMXS` container from bytes (typically a memory
-/// map). Checksum verification happens first; only then is the embedded
-/// v2 image handed to [`parse_index`].
-pub(crate) fn parse_shard_bytes(bytes: &[u8]) -> Result<(MinimizerIndex, ShardDir), IndexError> {
-    let dir = verify_checksums(bytes)?;
-    let mut src = SliceSource::new(&bytes[SHARD_IMAGE_OFF..]);
-    let idx = parse_index(&mut src)?;
-    Ok((idx, dir))
 }
 
 // ---------------------------------------------------------------------------
@@ -309,8 +135,6 @@ impl Bloom {
 // Manifest (MMX\x03)
 // ---------------------------------------------------------------------------
 
-const MANIFEST_MAGIC: [u8; 4] = [b'M', b'M', b'X', 3];
-
 /// One shard entry of a [`ShardManifest`].
 #[derive(Clone, Debug)]
 pub struct ShardMeta {
@@ -348,186 +172,6 @@ impl ShardManifest {
     pub fn num_seqs(&self) -> usize {
         self.seq_names.len()
     }
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-/// Serialize a manifest: magic, `u64` payload length, payload, trailing
-/// XXH64 of the payload. The explicit length makes a torn tail detectable
-/// even before the checksum is consulted.
-pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
-    let mut p = Vec::new();
-    p.extend_from_slice(&(m.k as u32).to_le_bytes());
-    p.extend_from_slice(&(m.w as u32).to_le_bytes());
-    p.extend_from_slice(&(m.hpc as u32).to_le_bytes());
-    p.extend_from_slice(&m.max_occ.to_le_bytes());
-    // The image version of the shards' embedded index images.
-    p.extend_from_slice(&u32::from(VERSION_PACKED).to_le_bytes());
-    p.extend_from_slice(&(m.seq_names.len() as u64).to_le_bytes());
-    for (name, len) in m.seq_names.iter().zip(&m.seq_lens) {
-        put_bytes(&mut p, name.as_bytes());
-        p.extend_from_slice(&len.to_le_bytes());
-    }
-    p.extend_from_slice(&(m.shards.len() as u64).to_le_bytes());
-    for s in &m.shards {
-        put_bytes(&mut p, s.path.as_bytes());
-        p.extend_from_slice(&(s.rid_start as u64).to_le_bytes());
-        p.extend_from_slice(&(s.rid_count as u64).to_le_bytes());
-        p.extend_from_slice(&s.file_len.to_le_bytes());
-        p.extend_from_slice(&s.dir_hash.to_le_bytes());
-        p.extend_from_slice(&(s.bloom.words().len() as u64).to_le_bytes());
-        for &w in s.bloom.words() {
-            p.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-    let mut out = Vec::with_capacity(12 + p.len() + 8);
-    out.extend_from_slice(&MANIFEST_MAGIC);
-    out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-    out.extend_from_slice(&p);
-    out.extend_from_slice(&xxh64(&p, 0).to_le_bytes());
-    out
-}
-
-/// Parse and validate a v3 manifest. The payload checksum is verified
-/// before a single field is interpreted.
-pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> {
-    let corrupt = |what: String| IndexError::Corrupt { offset: None, what };
-    if bytes.len() < 12 {
-        return Err(corrupt(format!(
-            "manifest is {} bytes, smaller than its 12-byte header",
-            bytes.len()
-        )));
-    }
-    if bytes[0..3] != MANIFEST_MAGIC[0..3] {
-        return Err(corrupt("bad manifest magic (want \"MMX\\x03\")".into()));
-    }
-    if bytes[3] != 3 {
-        return Err(corrupt(format!(
-            "this is a flat v{} index, not a v3 sharded manifest; open it \
-             with the flat loader",
-            bytes[3]
-        )));
-    }
-    let plen = u64::from_le_bytes([
-        bytes[4], bytes[5], bytes[6], bytes[7], bytes[8], bytes[9], bytes[10], bytes[11],
-    ]);
-    let want = 12u64.checked_add(plen).and_then(|v| v.checked_add(8));
-    if want != Some(bytes.len() as u64) {
-        return Err(corrupt(format!(
-            "manifest declares a {plen}-byte payload but the file is {} \
-             bytes; the manifest is torn or was truncated",
-            bytes.len()
-        )));
-    }
-    let payload = &bytes[12..12 + plen as usize];
-    let stored = u64::from_le_bytes({
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[12 + plen as usize..]);
-        b
-    });
-    let computed = xxh64(payload, 0);
-    if stored != computed {
-        return Err(IndexError::Checksum {
-            section: "manifest",
-            what: format!("stored {stored:#018x}, computed {computed:#018x}"),
-        });
-    }
-
-    let mut src = SliceSource::new(payload);
-    let parse = |e: io::Error, src_pos: Option<u64>| IndexError::from_parse(src_pos, e);
-    macro_rules! take {
-        ($m:ident) => {{
-            let pos = src.stream_position();
-            src.$m().map_err(|e| parse(e, pos))?
-        }};
-    }
-    let k = take!(take_u32) as usize;
-    let w = take!(take_u32) as usize;
-    let hpc = take!(take_u32) != 0;
-    let max_occ = take!(take_u32);
-    match take!(take_u32) {
-        f if f == u32::from(VERSION_PACKED) => {}
-        // Shards of the retired flat layout: rebuild, as for a v1 image.
-        1 => {
-            return Err(IndexError::Version {
-                found: 1,
-                expected: VERSION_PACKED,
-            })
-        }
-        f => {
-            return Err(corrupt(format!("unknown posting format {f} in manifest")));
-        }
-    }
-    let n_seqs = take!(take_u64) as usize;
-    let mut seq_names = Vec::new();
-    let mut seq_lens = Vec::new();
-    for _ in 0..n_seqs {
-        let name = take!(take_bytes);
-        let name =
-            String::from_utf8(name).map_err(|_| corrupt("reference name is not UTF-8".into()))?;
-        seq_names.push(name);
-        seq_lens.push(take!(take_u64));
-    }
-    let n_shards = take!(take_u64) as usize;
-    let mut shards = Vec::new();
-    let mut next_rid = 0u64;
-    for i in 0..n_shards {
-        let path = String::from_utf8(take!(take_bytes))
-            .map_err(|_| corrupt(format!("shard {i} path is not UTF-8")))?;
-        if path.is_empty() || path.contains('/') || path.contains('\\') || path.contains("..") {
-            // A hostile manifest must not be able to point a shard outside
-            // its own directory.
-            return Err(corrupt(format!(
-                "shard {i} path {path:?} is not a bare file name"
-            )));
-        }
-        let rid_start = take!(take_u64);
-        let rid_count = take!(take_u64);
-        if rid_start != next_rid {
-            return Err(corrupt(format!(
-                "shard {i} starts at rid {rid_start}, expected {next_rid} \
-                 (shards must tile the reference set contiguously)"
-            )));
-        }
-        next_rid = rid_start
-            .checked_add(rid_count)
-            .ok_or_else(|| corrupt(format!("shard {i} rid range overflows")))?;
-        let file_len = take!(take_u64);
-        let dir_hash = take!(take_u64);
-        let bloom = Bloom::from_words(take!(take_u64_vec));
-        shards.push(ShardMeta {
-            path,
-            rid_start: rid_start as u32,
-            rid_count: rid_count as u32,
-            file_len,
-            dir_hash,
-            bloom,
-        });
-    }
-    if next_rid != n_seqs as u64 {
-        return Err(corrupt(format!(
-            "shards cover {next_rid} reference ids but the manifest lists \
-             {n_seqs} sequences"
-        )));
-    }
-    if src.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{} unparsed byte(s) after the shard table",
-            src.remaining()
-        )));
-    }
-    Ok(ShardManifest {
-        k,
-        w,
-        hpc,
-        max_occ,
-        seq_names,
-        seq_lens,
-        shards,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +302,7 @@ pub fn build_sharded(
             dir.join(&rel)
         };
         let (file_len, dir_hash) =
-            write_shard_file(idx, start as u32, &path).map_err(|e| write_err(&path, e))?;
+            write_container(idx, start as u32, &path).map_err(|e| write_err(&path, e))?;
         metas.push(ShardMeta {
             path: rel,
             rid_start: start as u32,
@@ -821,13 +465,13 @@ impl ShardedIndex {
     /// Open a v3 manifest. Only the manifest is read (and fully checksum-
     /// verified); shard files load on first touch.
     pub fn open_with(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
-        let map = Mmap::open(path).map_err(|e| IndexError::Open {
-            path: path.to_path_buf(),
-            source: e,
-        })?;
-        let manifest = parse_manifest(map.as_slice())?;
+        let map = open_map(path)?;
+        Ok(Self::from_manifest(parse_manifest(&map)?, path, opts))
+    }
+
+    fn from_manifest(manifest: ShardManifest, path: &Path, opts: ShardOpenOpts) -> Self {
         let n = manifest.shards.len();
-        Ok(ShardedIndex {
+        ShardedIndex {
             manifest,
             dir: path.parent().map(Path::to_path_buf).unwrap_or_default(),
             slots: (0..n).map(|_| Mutex::new(Slot::Unloaded)).collect(),
@@ -837,7 +481,7 @@ impl ShardedIndex {
                 bytes: 0,
             }),
             opts,
-        })
+        }
     }
 
     pub fn manifest(&self) -> &ShardManifest {
@@ -1017,23 +661,20 @@ impl ShardedIndex {
             Some(ShardLoadFault::SlowIo(d)) => std::thread::sleep(d),
             _ => {}
         }
-        let map = Mmap::open(path).map_err(|e| IndexError::Open {
-            path: path.to_path_buf(),
-            source: e,
-        })?;
+        let map = open_map(path)?;
         let bytes = map.as_slice();
         let (idx, dir) = match fault {
             Some(ShardLoadFault::CorruptSection(s)) => {
                 let mut v = bytes.to_vec();
                 let off = injected_flip_offset(&v, s);
                 v[off] ^= 0xFF;
-                parse_shard_bytes(&v)?
+                parse_container(&v)?
             }
             Some(ShardLoadFault::TornTail) => {
                 let keep = bytes.len().saturating_sub(9);
-                parse_shard_bytes(&bytes[..keep])?
+                parse_container(&bytes[..keep])?
             }
-            _ => parse_shard_bytes(bytes)?,
+            _ => parse_container(bytes)?,
         };
         // Bind the file to the manifest generation: the directory hash
         // covers the section digests, which cover every remaining byte.
@@ -1235,25 +876,10 @@ impl ShardedIndex {
     }
 }
 
-/// Pick the byte to flip for an injected `CorruptSection(s)` fault: the
-/// first byte of the section per the (trusted, we wrote it) directory, or
-/// byte 0 if the directory cannot be read.
+/// The byte to flip for an injected `CorruptSection(s)` fault: the first
+/// byte of the section, or byte 0 if the file is already damaged.
 fn injected_flip_offset(bytes: &[u8], section: usize) -> usize {
-    if bytes.len() < SHARD_DIR_LEN {
-        return 0;
-    }
-    let base = 16 + section.min(3) * 24;
-    let off = u64::from_le_bytes([
-        bytes[base],
-        bytes[base + 1],
-        bytes[base + 2],
-        bytes[base + 3],
-        bytes[base + 4],
-        bytes[base + 5],
-        bytes[base + 6],
-        bytes[base + 7],
-    ]) as usize;
-    off.min(bytes.len().saturating_sub(1))
+    container_section_ranges(bytes).map_or(0, |r| r[section.min(3)].0 as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -1411,17 +1037,29 @@ impl AnyIndex {
         }
     }
 
-    /// Open `path` as whichever index family it is: a flat v2 image through
-    /// the mmap loader, a v3 manifest through the sharded loader with `opts`.
+    /// Open `path` as whichever index file its leading magic says it is: a
+    /// single-file container, verified and parsed whole into
+    /// [`AnyIndex::Flat`], or a manifest, opened lazily with `opts` into
+    /// [`AnyIndex::Sharded`]. Anything else — a bare image, another
+    /// version, not an index — is the typed error `parse_container` gives.
     pub fn open_mmap(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
-        match crate::serialize::load_index_mmap(path) {
-            Ok((idx, _)) => Ok(AnyIndex::Flat(idx)),
-            Err(IndexError::ShardedManifest { .. }) => {
-                Ok(AnyIndex::Sharded(ShardedIndex::open_with(path, opts)?))
-            }
-            Err(e) => Err(e),
+        let map = open_map(path)?;
+        if map.starts_with(&MANIFEST_MAGIC) {
+            let manifest = parse_manifest(&map)?;
+            return Ok(AnyIndex::Sharded(ShardedIndex::from_manifest(
+                manifest, path, opts,
+            )));
         }
+        let (idx, _) = parse_container(&map)?;
+        Ok(AnyIndex::Flat(idx))
     }
+}
+
+fn open_map(path: &Path) -> Result<Mmap, IndexError> {
+    Mmap::open(path).map_err(|e| IndexError::Open {
+        path: path.to_path_buf(),
+        source: e,
+    })
 }
 
 #[cfg(test)]
@@ -1553,11 +1191,11 @@ mod tests {
             "{e}"
         );
 
-        // A flat index fed to the manifest parser is told where to go.
-        let mut flat = bytes.clone();
-        flat[3] = 2;
-        let e = parse_manifest(&flat).unwrap_err();
-        assert!(e.to_string().contains("flat"), "{e}");
+        // Anything but the manifest magic is refused by name.
+        let mut other = bytes.clone();
+        other[3] = b'S';
+        let e = parse_manifest(&other).unwrap_err();
+        assert!(e.to_string().contains("bad manifest magic"), "{e}");
     }
 
     #[test]
@@ -1683,52 +1321,6 @@ mod tests {
         crate::serialize::save_index(&flat, &flat_path).unwrap();
         let any = AnyIndex::open_mmap(&flat_path, ShardOpenOpts::default()).unwrap();
         assert!(matches!(any, AnyIndex::Flat(_)));
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
-    fn shard_file_round_trip_and_section_corruption() {
-        let refs = multi_chrom(1, 8_000, 9);
-        let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
-        let d = tmp_dir("container");
-        let p = d.join("one.mmxs");
-        let (len, dir_hash) = write_shard_file(&idx, 7, &p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        assert_eq!(bytes.len() as u64, len);
-
-        let (back, dir) = parse_shard_bytes(&bytes).unwrap();
-        assert_eq!(dir.rid_start, 7);
-        assert_eq!(dir.dir_hash, dir_hash);
-        assert_eq!(back.seqs.len(), 1);
-        assert_eq!(back.sorted_hashes(), idx.sorted_hashes());
-
-        // Flip the first byte of each section: the error names it.
-        for (i, &(s, e)) in dir.sections.iter().enumerate() {
-            for off in [s, e - 1] {
-                let mut bad = bytes.clone();
-                bad[off as usize] ^= 0x01;
-                let err = parse_shard_bytes(&bad).unwrap_err();
-                match err {
-                    IndexError::Checksum { section, .. } => {
-                        assert_eq!(section, SHARD_SECTIONS[i], "offset {off}")
-                    }
-                    other => panic!("section {i} offset {off}: {other}"),
-                }
-            }
-        }
-        // Torn tail: the directory span check catches it.
-        let err = parse_shard_bytes(&bytes[..bytes.len() - 5]).unwrap_err();
-        assert!(err.is_corrupt(), "{err}");
-        // Directory damage is its own section.
-        let mut bad = bytes.clone();
-        bad[9] ^= 0x10;
-        assert!(matches!(
-            parse_shard_bytes(&bad).unwrap_err(),
-            IndexError::Checksum {
-                section: "directory",
-                ..
-            }
-        ));
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -1919,7 +1511,7 @@ mod tests {
         // content but the same geometry.
         let other = multi_chrom(2, 9_000, 32);
         let idx = MinimizerIndex::build(&other[1..2], &IdxOpts::MAP_ONT).unwrap();
-        write_shard_file(&idx, 1, &d.join("r.mmx.s001")).unwrap();
+        write_container(&idx, 1, &d.join("r.mmx.s001")).unwrap();
         let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
         assert!(sh.ensure_shard(0).is_ok());
         let e = sh.ensure_shard(1).unwrap_err();

@@ -1,7 +1,7 @@
 //! On-disk corruption sweep over the v3 sharded format, end to end through
 //! the public mmap path (DESIGN.md §15).
 //!
-//! The shard.rs unit tests cover `parse_shard_bytes` in isolation; this
+//! The serialize.rs unit tests cover `parse_container` in isolation; this
 //! suite corrupts *files* and drives `ShardedIndex::open` /
 //! `ensure_shard`, proving that every checksummed byte of every section is
 //! validated before any parsed value escapes the crate, that each failure
@@ -11,7 +11,9 @@
 
 use std::path::{Path, PathBuf};
 
-use mmm_index::{build_sharded, shard_section_ranges, IdxOpts, ShardedIndex, SHARD_SECTIONS};
+use mmm_index::{
+    build_sharded, container_section_ranges, IdxOpts, ShardedIndex, CONTAINER_SECTIONS,
+};
 use mmm_seq::{nt4_decode, SeqRecord};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -57,7 +59,7 @@ fn every_shard_section_byte_is_covered() {
     let manifest = build(&d, 2);
     let shard_path = d.join("ref.mmx.s000");
     let pristine = std::fs::read(&shard_path).unwrap();
-    let ranges = shard_section_ranges(&pristine).unwrap();
+    let ranges = container_section_ranges(&pristine).unwrap();
 
     for (i, &(start, end)) in ranges.iter().enumerate() {
         assert!(end > start, "section {i} is empty");
@@ -70,10 +72,10 @@ fn every_shard_section_byte_is_covered() {
             let e = sh.ensure_shard(0).unwrap_err();
             assert_eq!(e.shard, 0);
             assert!(
-                e.reason.contains(SHARD_SECTIONS[i]),
+                e.reason.contains(CONTAINER_SECTIONS[i]),
                 "section {i} offset {off}: reason {:?} does not name {:?}",
                 e.reason,
-                SHARD_SECTIONS[i]
+                CONTAINER_SECTIONS[i]
             );
             // Fault containment: the sibling shard is untouched.
             assert!(sh.ensure_shard(1).is_ok());

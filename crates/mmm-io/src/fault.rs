@@ -2,10 +2,10 @@
 //!
 //! [`FaultSource`] wraps any [`ByteSource`] and misbehaves after delivering a
 //! configured number of bytes — either with a mid-stream I/O error or with a
-//! premature end-of-input. Every failure mode of the index deserializer and
-//! the loaders is pinned by tests built on this wrapper (plus plain
-//! truncated [`crate::SliceSource`]s), so regressions in error propagation
-//! surface as test failures instead of field panics.
+//! premature end-of-input. Every failure mode of the index deserializer is
+//! pinned by tests built on this wrapper (plus plain truncated
+//! [`crate::SliceSource`]s), so regressions in error propagation surface as
+//! test failures instead of field panics.
 
 use std::io;
 
@@ -73,20 +73,17 @@ impl<S: ByteSource> ByteSource for FaultSource<S> {
     // No `borrow_exact` override: forcing every read through `take_exact`
     // keeps the fault accounting exact.
 
-    fn stream_position(&self) -> Option<u64> {
-        Some(self.delivered)
+    fn stream_position(&self) -> u64 {
+        self.delivered
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
+    fn remaining_hint(&self) -> u64 {
         match self.mode {
             // Truncation shortens the stream, so it tightens the bound.
-            FaultMode::Truncate => {
-                let until_fault = self.fail_after.saturating_sub(self.delivered);
-                Some(match self.inner.remaining_hint() {
-                    Some(r) => r.min(until_fault),
-                    None => until_fault,
-                })
-            }
+            FaultMode::Truncate => self
+                .inner
+                .remaining_hint()
+                .min(self.fail_after.saturating_sub(self.delivered)),
             // A device error is not a length bound: the stream still holds
             // its full content, reads just fail. Capping the hint here would
             // make bounds checks misreport the fault as corruption.
@@ -127,9 +124,9 @@ mod tests {
     fn remaining_hint_respects_fault_point() {
         let data: Vec<u8> = vec![0; 32];
         let s = FaultSource::new(SliceSource::new(&data), 10, FaultMode::Truncate);
-        assert_eq!(s.remaining_hint(), Some(10));
+        assert_eq!(s.remaining_hint(), 10);
         let s = FaultSource::new(SliceSource::new(&data), 100, FaultMode::Error);
-        assert_eq!(s.remaining_hint(), Some(32));
+        assert_eq!(s.remaining_hint(), 32);
     }
 
     #[test]

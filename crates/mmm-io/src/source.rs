@@ -1,24 +1,18 @@
-//! The cursor abstraction shared by the two index-loading paths.
+//! The cursor abstraction the index deserializer is written against.
 //!
-//! The index deserializer is written once against [`ByteSource`]; plugging in
-//! a [`SliceSource`] over an [`crate::Mmap`] gives the manymap path, plugging
-//! in a [`crate::ChunkedReader`] gives the minimap2 path. This mirrors how
-//! the paper changes *only* the I/O mechanism while keeping the format fixed.
+//! Every source is bounded: a [`SliceSource`] over bytes already in memory
+//! (an [`crate::Mmap`] in production), or a [`crate::FaultSource`] wrapped
+//! around one. A source therefore always knows its position and how many
+//! bytes are left, and every length prefix is checked against that bound
+//! before anything is allocated for it.
 
 use std::io;
 
-/// Initial capacity granted to length-prefixed reads whose source cannot
-/// bound its remaining bytes: growth past this point is paid for by actual
-/// delivered bytes, so a hostile prefix hits `UnexpectedEof` before it can
-/// drive an out-of-memory abort.
-const UNBOUNDED_PREALLOC: usize = 1 << 16;
-
-fn corrupt(offset: Option<u64>, msg: impl std::fmt::Display) -> io::Error {
-    let at = match offset {
-        Some(o) => format!(" at byte {o}"),
-        None => String::new(),
-    };
-    io::Error::new(io::ErrorKind::InvalidData, format!("{msg}{at}"))
+fn corrupt(offset: u64, msg: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{msg} at byte {offset}"),
+    )
 }
 
 /// A forward-only cursor over bytes.
@@ -27,24 +21,20 @@ pub trait ByteSource {
     fn take_exact(&mut self, buf: &mut [u8]) -> io::Result<()>;
 
     /// Borrow the next `n` bytes zero-copy if the source supports it
-    /// (the mmap path does; streaming sources return `None`).
+    /// (a slice does; a fault wrapper returns `None` so that every read is
+    /// counted).
     fn borrow_exact(&mut self, _n: usize) -> Option<&[u8]> {
         None
     }
 
-    /// Bytes consumed so far, when the source tracks it (used to locate
-    /// corruption in error messages).
-    fn stream_position(&self) -> Option<u64> {
-        None
-    }
+    /// Bytes consumed so far (locates corruption in error messages).
+    fn stream_position(&self) -> u64;
 
-    /// Upper bound on the bytes still available, when cheaply knowable.
-    /// Length-prefixed reads validate their prefix against this bound, so a
-    /// corrupt or hostile prefix is a typed [`io::ErrorKind::InvalidData`]
-    /// instead of a multi-gigabyte allocation.
-    fn remaining_hint(&self) -> Option<u64> {
-        None
-    }
+    /// Upper bound on the bytes still available. Length-prefixed reads
+    /// validate their prefix against this bound, so a corrupt or hostile
+    /// prefix is a typed [`io::ErrorKind::InvalidData`] instead of a
+    /// multi-gigabyte allocation.
+    fn remaining_hint(&self) -> u64;
 
     /// Little-endian u64.
     fn take_u64(&mut self) -> io::Result<u64> {
@@ -60,11 +50,6 @@ pub trait ByteSource {
         Ok(u32::from_le_bytes(b))
     }
 
-    /// Little-endian i32.
-    fn take_i32(&mut self) -> io::Result<i32> {
-        Ok(self.take_u32()? as i32)
-    }
-
     /// Read a `u64` element-count prefix for elements of `elem_size` bytes,
     /// validating it against [`remaining_hint`](Self::remaining_hint) and
     /// rejecting byte-size overflow.
@@ -77,13 +62,12 @@ pub trait ByteSource {
                 format!("length prefix {n} (x{elem_size} bytes) overflows"),
             )
         })?;
-        if let Some(rem) = self.remaining_hint() {
-            if bytes > rem {
-                return Err(corrupt(
-                    at,
-                    format!("length prefix {n} ({bytes} bytes) exceeds the {rem} bytes remaining"),
-                ));
-            }
+        let rem = self.remaining_hint();
+        if bytes > rem {
+            return Err(corrupt(
+                at,
+                format!("length prefix {n} ({bytes} bytes) exceeds the {rem} bytes remaining"),
+            ));
         }
         usize::try_from(n)
             .map_err(|_| corrupt(at, format!("length prefix {n} exceeds the address space")))
@@ -95,23 +79,9 @@ pub trait ByteSource {
         if let Some(raw) = self.borrow_exact(n) {
             return Ok(raw.to_vec());
         }
-        if self.remaining_hint().is_some() {
-            // The prefix was validated against the remaining length above.
-            let mut v = vec![0u8; n];
-            self.take_exact(&mut v)?;
-            return Ok(v);
-        }
-        // Unbounded source: grow with delivered bytes instead of trusting
-        // the prefix up front.
-        let mut v = Vec::with_capacity(n.min(UNBOUNDED_PREALLOC));
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(UNBOUNDED_PREALLOC);
-            let old = v.len();
-            v.resize(old + take, 0);
-            self.take_exact(&mut v[old..])?;
-            left -= take;
-        }
+        // The prefix was validated against the remaining length above.
+        let mut v = vec![0u8; n];
+        self.take_exact(&mut v)?;
         Ok(v)
     }
 
@@ -128,12 +98,7 @@ pub trait ByteSource {
             }
             return Ok(v);
         }
-        let bounded = self.remaining_hint().is_some();
-        let mut v = Vec::with_capacity(if bounded {
-            n
-        } else {
-            n.min(UNBOUNDED_PREALLOC / 8)
-        });
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.take_u64()?);
         }
@@ -152,12 +117,7 @@ pub trait ByteSource {
             }
             return Ok(v);
         }
-        let bounded = self.remaining_hint().is_some();
-        let mut v = Vec::with_capacity(if bounded {
-            n
-        } else {
-            n.min(UNBOUNDED_PREALLOC / 4)
-        });
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.take_u32()?);
         }
@@ -165,7 +125,7 @@ pub trait ByteSource {
     }
 }
 
-/// In-memory source over a byte slice (the mmap path).
+/// In-memory source over a byte slice (in production, a memory map).
 pub struct SliceSource<'a> {
     data: &'a [u8],
     pos: usize,
@@ -175,11 +135,6 @@ impl<'a> SliceSource<'a> {
     /// Cursor starting at the beginning of `data`.
     pub fn new(data: &'a [u8]) -> Self {
         SliceSource { data, pos: 0 }
-    }
-
-    /// Current offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Bytes left.
@@ -215,26 +170,12 @@ impl ByteSource for SliceSource<'_> {
         Some(s)
     }
 
-    fn stream_position(&self) -> Option<u64> {
-        Some(self.pos as u64)
+    fn stream_position(&self) -> u64 {
+        self.pos as u64
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining() as u64)
-    }
-}
-
-impl ByteSource for crate::ChunkedReader {
-    fn take_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.read_exact(buf)
-    }
-
-    fn stream_position(&self) -> Option<u64> {
-        Some(self.bytes_read())
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        self.remaining()
+    fn remaining_hint(&self) -> u64 {
+        self.remaining() as u64
     }
 }
 
@@ -269,20 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reader_source_parses_same_format() {
-        use std::io::Write;
-        let d = sample();
-        let p = std::env::temp_dir().join(format!("mmm-io-src-{}", std::process::id()));
-        std::fs::File::create(&p).unwrap().write_all(&d).unwrap();
-        let mut r = crate::ChunkedReader::open(&p, 4096).unwrap();
-        assert_eq!(r.take_u64_vec().unwrap(), vec![10, 20, 30]);
-        assert_eq!(r.take_bytes().unwrap(), b"hi");
-        // Streaming path issues one read per element: 1 (len) + 3 + 1 (len) + 1.
-        assert_eq!(r.read_calls(), 6);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn u32_vec_round_trip() {
         let mut d = Vec::new();
         d.extend_from_slice(&2u64.to_le_bytes());
@@ -312,20 +239,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hostile_length_prefix_on_file_source() {
-        use std::io::Write;
-        let mut d = Vec::new();
-        d.extend_from_slice(&(1u64 << 59).to_le_bytes());
-        d.extend_from_slice(b"tail");
-        let p = std::env::temp_dir().join(format!("mmm-io-hostile-{}", std::process::id()));
-        std::fs::File::create(&p).unwrap().write_all(&d).unwrap();
-        let mut r = crate::ChunkedReader::open(&p, 4096).unwrap();
-        let e = r.take_u64_vec().unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&p).unwrap();
-    }
-
     /// Errors from bounded reads name the offending offset.
     #[test]
     fn bound_error_names_offset() {
@@ -335,23 +248,5 @@ mod tests {
         let mut s = SliceSource::new(&d);
         let e = s.take_bytes().unwrap_err();
         assert!(e.to_string().contains("at byte 0"), "{e}");
-    }
-
-    /// A source with no remaining bound still fails with EOF (not OOM) on a
-    /// large-but-plausible prefix: growth is paid for by delivered bytes.
-    #[test]
-    fn unbounded_source_hits_eof_not_oom() {
-        struct Unhinted<'a>(SliceSource<'a>);
-        impl ByteSource for Unhinted<'_> {
-            fn take_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-                self.0.take_exact(buf)
-            }
-        }
-        let mut d = Vec::new();
-        d.extend_from_slice(&(1u64 << 33).to_le_bytes()); // 8 GiB claimed
-        d.extend_from_slice(&[0u8; 64]);
-        let mut s = Unhinted(SliceSource::new(&d));
-        let e = s.take_bytes().unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -8,15 +8,18 @@
 //! |------|-----------|
 //! | `safety-comment` | every `unsafe` site carries a `// SAFETY:` comment naming the invariant |
 //! | `target-feature-gate` | `#[target_feature]` fns are private `unsafe fn`s inside `mmm-align/src/simd/` or `mmm-index/src/unpack.rs`, reachable only through the dispatch gate |
-//! | `no-transmute` | `std::mem::transmute` is banned outright |
 //! | `raw-ptr-arith` | raw-pointer arithmetic only in `simd/`, `unpack.rs` and `mmap.rs` |
 //! | `scratch-variant` | every public kernel (`align_*`/`extend_*`/`fill_*`) in mmm-align and mmm-exec has a `*_with_scratch` variant |
 //! | `stats-forwarding` | `BackendStats` literals in `AlignBackend` impl files must name every field or forward from a non-default base |
-//! | `stats-sink` | no ad-hoc `print!`/`eprintln!` in the daemon (`manymap/src/serve/`) — reports go through `StatsSink` or the wire protocol |
 //! | `lock-order` | no file acquires two named mutexes in both orders (AB *and* BA) — a static deadlock smell the loom-lite lock-order detector confirms dynamically |
 //! | `condvar-wait-loop` | every condvar wait (`.wait(g)` / `.wait_timeout(..)` / `wait_unpoisoned(..)`) sits inside a `while`/`loop` re-check, never an `if` |
 //! | `index-simd-confined` | SIMD intrinsics (`core::arch`, `_mm*` tokens) inside mmm-index live only in `src/unpack.rs`, the audited decode module |
-//! | `mmap-checksum` | inside mmm-index, `SliceSource::new(` sits below a `verify_checksums(` reference in the same file — mmap-derived bytes are integrity-checked before any parsed value escapes the crate (DESIGN.md §15.2) |
+//! | `mmap-checksum` | inside mmm-index, `SliceSource::new(` sits below a `verify_checksums(` reference in the same file — mmap-derived bytes are integrity-checked before any parsed value escapes the crate (DESIGN.md §15.2); zero allow sites: every index file is a checksummed container |
+//!
+//! What clippy can express is left to clippy, which resolves paths instead
+//! of matching text: `std::mem::transmute` is a `disallowed-methods` entry
+//! in `clippy.toml`, and the daemon's "no `print!`/`eprintln!`" is
+//! `clippy::print_stdout`/`print_stderr`, denied on `manymap::serve`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -24,14 +27,12 @@ use std::path::{Path, PathBuf};
 
 use crate::lex::{has_word, scan, LineView};
 
-pub const RULES: [&str; 11] = [
+pub const RULES: [&str; 9] = [
     "safety-comment",
     "target-feature-gate",
-    "no-transmute",
     "raw-ptr-arith",
     "scratch-variant",
     "stats-forwarding",
-    "stats-sink",
     "lock-order",
     "condvar-wait-loop",
     "index-simd-confined",
@@ -393,22 +394,6 @@ fn rule_target_feature(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-/// `no-transmute`: `transmute` is never acceptable in this codebase — the
-/// kernels reinterpret memory through typed slices and `_mm_*` intrinsics.
-fn rule_no_transmute(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    for (idx, v) in ctx.views.iter().enumerate() {
-        if has_word(&v.code, "transmute") {
-            emit(
-                ctx,
-                out,
-                "no-transmute",
-                idx + 1,
-                "`transmute` is banned; use typed loads/stores or intrinsics".into(),
-            );
-        }
-    }
-}
-
 /// `raw-ptr-arith`: `.add( / .sub( / .offset( / from_raw_parts` inside
 /// `unsafe` regions are confined to the SIMD kernels (align `simd/`, index
 /// `unpack.rs`) and `mmap.rs`, where the bounds invariants are documented
@@ -474,16 +459,14 @@ fn rule_index_simd_confined(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 }
 
 /// `mmap-checksum`: inside mmm-index, every `SliceSource::new(` site must
-/// sit below a `verify_checksums(` reference in the same file. The v3
-/// shard containers checksum every section and the directory that names
-/// them (DESIGN.md §15.2); a parser that wraps mmap-derived bytes in a
-/// `SliceSource` without routing them through `verify_checksums` first
-/// would hand unvalidated disk bytes to the kernels. The check is lexical
-/// — the definition or an earlier call both satisfy it — so a file that
-/// never touches the checksum layer at all (a new load path) is exactly
-/// the one that gets flagged. A site with no checksum to route through
-/// (the flat v2 image carries none) says so in a justified
-/// `xtask-allow: mmap-checksum`.
+/// sit below a `verify_checksums(` reference in the same file. Every
+/// index file is a container that checksums each section and the directory
+/// that names them (DESIGN.md §15.2); a parser that wraps mmap-derived
+/// bytes in a `SliceSource` without routing them through `verify_checksums`
+/// first would hand unvalidated disk bytes to the kernels. The check is
+/// lexical — the definition or an earlier call both satisfy it — so a file
+/// that never touches the checksum layer at all (a new load path) is
+/// exactly the one that gets flagged. No site is excused.
 fn rule_mmap_checksum(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     if !ctx.rel.to_string_lossy().contains("mmm-index/src/") {
         return;
@@ -506,37 +489,6 @@ fn rule_mmap_checksum(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                  above it — mmap-derived bytes must pass the checksum layer \
                  before any parsed value leaves this crate (DESIGN.md §15.2)"
                     .into(),
-            );
-        }
-    }
-}
-
-/// `stats-sink`: the daemon's only channels to the outside are the wire
-/// protocol and the `StatsSink` passed into `serve` — a stray
-/// `eprintln!` in `manymap/src/serve/` would interleave with the assembled
-/// report (or vanish entirely when a test runs the daemon in-process
-/// against a `BufferSink`). Writing to the process streams directly is
-/// therefore banned in the serve module; tests are exempt.
-fn rule_stats_sink(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.rel.to_string_lossy().contains("manymap/src/serve/") {
-        return;
-    }
-    const MACROS: [&str; 4] = ["eprintln!", "eprint!", "println!", "print!"];
-    for (idx, v) in ctx.views.iter().enumerate() {
-        if ctx.test_lines[idx] {
-            continue;
-        }
-        if let Some(m) = MACROS.iter().find(|m| v.code.contains(*m)) {
-            emit(
-                ctx,
-                out,
-                "stats-sink",
-                idx + 1,
-                format!(
-                    "`{m}` in the serve module — daemon output must go through \
-                     the StatsSink handed to `serve` (or a protocol frame), \
-                     never straight to the process streams"
-                ),
             );
         }
     }
@@ -1102,9 +1054,7 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
         };
         rule_safety_comment(&ctx, &mut out);
         rule_target_feature(&ctx, &mut out);
-        rule_no_transmute(&ctx, &mut out);
         rule_raw_ptr(&ctx, &mut out);
-        rule_stats_sink(&ctx, &mut out);
         rule_lock_order(&ctx, &mut out);
         rule_condvar_wait_loop(&ctx, &mut out);
         rule_index_simd_confined(&ctx, &mut out);
@@ -1135,9 +1085,7 @@ mod tests {
         };
         rule_safety_comment(&ctx, &mut out);
         rule_target_feature(&ctx, &mut out);
-        rule_no_transmute(&ctx, &mut out);
         rule_raw_ptr(&ctx, &mut out);
-        rule_stats_sink(&ctx, &mut out);
         rule_lock_order(&ctx, &mut out);
         rule_condvar_wait_loop(&ctx, &mut out);
         rule_index_simd_confined(&ctx, &mut out);
@@ -1168,17 +1116,9 @@ mod tests {
     }
 
     #[test]
-    fn transmute_is_flagged() {
-        let src = "// SAFETY: irrelevant.\nfn f() { let x = std::mem::transmute(y); }\n";
-        let v = check_snippet("crates/a/src/lib.rs", src);
-        assert!(v.iter().any(|v| v.rule == "no-transmute"), "{v:?}");
-    }
-
-    #[test]
     fn cfg_all_test_blocks_are_test_code() {
-        let src =
-            "#[cfg(all(test, not(miri)))]\nmod tests {\n    fn g() { println!(\"dbg\"); }\n}\n";
-        assert!(check_snippet("crates/manymap/src/serve/proto.rs", src).is_empty());
+        let src = "#[cfg(all(test, not(miri)))]\nmod tests {\n    fn g() { let s = SliceSource::new(&b); }\n}\n";
+        assert!(check_snippet("crates/mmm-index/src/newpath.rs", src).is_empty());
     }
 
     #[test]
@@ -1317,25 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_sink_bans_process_streams_in_serve_only() {
-        let src = "fn f() { eprintln!(\"oops\"); }\n";
-        let v = check_snippet("crates/manymap/src/serve/server.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "stats-sink");
-        // Outside the serve module the CLI may still talk to stderr.
-        assert!(check_snippet("crates/manymap/src/bin/manymap.rs", src).is_empty());
-        // Test code inside the serve module is exempt.
-        let test = "#[cfg(test)]\nmod tests {\n    fn g() { println!(\"dbg\"); }\n}\n";
-        assert!(check_snippet("crates/manymap/src/serve/proto.rs", test).is_empty());
-        // A mention in prose (comment) is not a call.
-        let prose = "//! Never eprintln! here; use StatsSink.\nfn f() {}\n";
-        assert!(check_snippet("crates/manymap/src/serve/mod.rs", prose).is_empty());
-        // A justified allow still works.
-        let allowed = "fn f() {\n    // xtask-allow: stats-sink — pre-socket bind failure has no sink yet.\n    eprintln!(\"boot\");\n}\n";
-        assert!(check_snippet("crates/manymap/src/serve/server.rs", allowed).is_empty());
-    }
-
-    #[test]
     fn lock_order_inversion_is_flagged() {
         let src = "fn f(s: &S) {\n    let a = s.left.lock();\n    let b = s.right.lock();\n    drop(b);\n    drop(a);\n}\nfn g(s: &S) {\n    let b = s.right.lock();\n    let a = s.left.lock();\n    drop(a);\n    drop(b);\n}\n";
         let v = check_snippet("crates/a/src/lib.rs", src);
@@ -1468,10 +1389,6 @@ mod tests {
         assert!(check_snippet("crates/mmm-io/src/lib.rs", bad).is_empty());
         let test = "#[cfg(test)]\nmod tests {\n    fn f() { let s = SliceSource::new(&b); }\n}\n";
         assert!(check_snippet("crates/mmm-index/src/serialize.rs", test).is_empty());
-        // A justified allow covers a site with no checksum to route
-        // through (the flat v2 image).
-        let allowed = "fn load(map: &Mmap) {\n    // xtask-allow: mmap-checksum — no checksum exists in a flat v2 image.\n    let src = SliceSource::new(&map);\n}\n";
-        assert!(check_snippet("crates/mmm-index/src/newpath.rs", allowed).is_empty());
     }
 
     #[test]

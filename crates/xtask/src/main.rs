@@ -6,19 +6,23 @@
 //! 1. `lint` — custom source lints over `crates/` and `shims/` enforcing the
 //!    invariants clippy can't: justified `// SAFETY:` comments on every
 //!    `unsafe` site, `#[target_feature]` confined behind the dispatch gate,
-//!    no `transmute`, raw-pointer arithmetic only in `simd/`, `unpack.rs`
-//!    and `mmap.rs`, SIMD intrinsics in `mmm-index` confined to
-//!    `unpack.rs`, and a `*_with_scratch` variant for every public kernel.
-//!    (`unwrap`/`expect` outside tests is clippy's, denied workspace-wide
-//!    in the root `Cargo.toml`.)
+//!    raw-pointer arithmetic only in `simd/`, `unpack.rs` and `mmap.rs`,
+//!    SIMD intrinsics in `mmm-index` confined to `unpack.rs`, every
+//!    mmap-derived byte behind `verify_checksums`, and a `*_with_scratch`
+//!    variant for every public kernel. (What clippy can express is
+//!    clippy's: `unwrap`/`expect` outside tests in the root `Cargo.toml`,
+//!    `transmute` in `clippy.toml`, process-stream prints in the daemon on
+//!    `manymap::serve`.)
 //! 2. `oracle` — the differential kernel oracle: every available SIMD tier
 //!    against the scalar manymap gold, plus the zero-allocation
 //!    scratch-arena steady-state check, the backend execution seam, and
 //!    the packed-vs-flat posting/decode/mapping crosscheck.
-//! 3. `fuzz` — the seeded structure-aware protocol fuzzer: hostile
-//!    length-prefixed frames (truncated, bit-flipped, oversized, unknown
-//!    opcodes, byte soup) against `serve::proto` decoding, asserting typed
-//!    errors, no panics, and round-trip identity on valid frames.
+//! 3. `fuzz` — the seeded structure-aware fuzzer of every byte format the
+//!    binaries read: hostile length-prefixed frames against `serve::proto`,
+//!    hostile FASTA/FASTQ against `mmm_seq::FastxReader`, and damaged index
+//!    containers (bit flips, truncations, forged section lengths) through
+//!    `AnyIndex::open_mmap`, asserting typed errors, no panics, no damaged
+//!    index accepted, and round-trip identity on valid inputs.
 //! 4. `miri` — the Miri-clean subset (`cargo +nightly miri test` on
 //!    `mmm-align`'s scalar/layout tests, `mmm-pipeline`'s queue tests, and
 //!    the `serve::proto` codec; SIMD intrinsics are cfg-gated out under
@@ -267,7 +271,7 @@ fn verify(root: &Path) -> Result<(), String> {
     run_lints(root)?;
     println!("xtask verify: [2/5] differential kernel oracle");
     run_oracle(&[])?;
-    println!("xtask verify: [3/5] protocol fuzzer");
+    println!("xtask verify: [3/5] protocol and file-format fuzzer");
     run_fuzz(&[])?;
     println!("xtask verify: [4/5] Miri subset");
     run_miri(root)?;
@@ -285,7 +289,7 @@ fn print_help() {
          verify               run every pass (lint, oracle, fuzz, miri, interleave)\n  \
          lint                 custom source lints (SAFETY comments, unsafe hygiene,\n                       lock order, condvar-wait loops)\n  \
          oracle [--cases N] [--seed S]\n                       differential SIMD oracle vs scalar gold\n  \
-         fuzz [--cases N] [--seed S]\n                       hostile-frame fuzzer for the serve wire protocol\n  \
+         fuzz [--cases N] [--seed S]\n                       hostile-input fuzzer: serve wire protocol, FASTA/FASTQ\n                       reader, index container loader\n  \
          miri                 Miri-clean subset (skipped if Miri is unavailable)\n  \
          interleave           loom-lite schedule enumeration (pipeline, queue,\n                       DRR credit, signal drain, watchdog)\n  \
          help                 this text"
