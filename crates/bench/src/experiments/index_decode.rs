@@ -1,11 +1,14 @@
 //! Posting-list decode throughput and the packed index under the mapper.
 //!
-//! Two tables: (1) raw block-unpack bandwidth per SIMD tier — the FOR/delta
+//! Three tables: (1) raw block-unpack bandwidth per SIMD tier — the FOR/delta
 //! field decoder and the 2-bit→nt4 reference decoder, each forced to
 //! scalar, AVX2, and the best available tier through the pure
-//! `*_unless` dispatch forms; (2) the whole pipeline over an mmap-loaded
-//! index, with its posting bytes next to the 8-bytes-per-hit floor a flat
-//! hit array would need. [`run_with_json`] serializes both tables for the
+//! `*_unless` dispatch forms; (2) lookup alone — ns per `hit_count` probe,
+//! present and absent hashes in random order, over a whole-genome-sized
+//! key array and a shard-sized one, so the seeding layer's probe cost has a
+//! number of its own; (3) the whole pipeline over an mmap-loaded index,
+//! with its posting bytes next to the 8-bytes-per-hit floor a flat hit
+//! array would need. [`run_with_json`] serializes the tables for the
 //! committed `BENCH_index_decode.json` baseline.
 
 use std::time::Instant;
@@ -14,9 +17,10 @@ use manymap::baselines::BaselineId;
 use manymap::{profile_run, ExecConfig, ProfileConfig};
 use mmm_align::DisabledTiers;
 use mmm_index::unpack;
-use mmm_index::{save_index, MinimizerIndex};
+use mmm_index::{save_index, IdxOpts, MinimizerIndex};
 use mmm_io::Stage;
-use mmm_seq::PackedSeq;
+use mmm_seq::{nt4_decode, SeqRecord};
+use mmm_simreads::{generate_genome, GenomeOpts};
 
 use crate::{format_table, macrodata};
 
@@ -56,6 +60,14 @@ struct DecodeRow {
     fields_gbps: Vec<f64>,
     /// GB/s of decoded nt4 bases from the 2-bit reference.
     nt4_gbps: f64,
+}
+
+/// Probe cost of one index: the seeding layer pays one of these per query
+/// minimizer.
+struct LookupRow {
+    keys: usize,
+    hit_ns: f64,
+    miss_ns: f64,
 }
 
 struct MapRow {
@@ -111,8 +123,7 @@ fn decode_rows(quick: bool) -> Vec<DecodeRow> {
         })
         .collect();
     let n_bases = 1 << 16;
-    let bases: Vec<u8> = (0..n_bases).map(|_| (next() & 3) as u8).collect();
-    let refseq = PackedSeq::from_nt4_lossy(&bases);
+    let packed_bases: Vec<u8> = (0..n_bases / 4).map(|_| next() as u8).collect();
 
     let mut out = Vec::new();
     let mut field_buf = vec![0u64; n_fields];
@@ -126,7 +137,7 @@ fn decode_rows(quick: bool) -> Vec<DecodeRow> {
             }));
         }
         let nt4_gbps = gbps(n_bases, budget, || {
-            unpack::unpack_nt4_unless(t.disabled, refseq.words(), 0, n_bases, &mut base_buf);
+            unpack::unpack_nt4_unless(t.disabled, &packed_bases, 0, n_bases, &mut base_buf);
             std::hint::black_box(base_buf[n_bases - 1]);
         });
         out.push(DecodeRow {
@@ -137,6 +148,65 @@ fn decode_rows(quick: bool) -> Vec<DecodeRow> {
         });
     }
     out
+}
+
+/// ns per probe over `probes`, which are all present (`hit`) or all absent.
+fn probe_ns(idx: &MinimizerIndex, probes: &[u64], hit: bool, rounds: usize) -> f64 {
+    let t0 = Instant::now();
+    let mut found = 0usize;
+    for _ in 0..rounds {
+        for &h in probes {
+            found += usize::from(idx.hit_count(std::hint::black_box(h)) > 0);
+        }
+    }
+    let dt = t0.elapsed().as_secs_f64();
+    assert_eq!(found, if hit { probes.len() * rounds } else { 0 });
+    dt * 1e9 / (probes.len() * rounds) as f64
+}
+
+/// One row per genome length: 8 Mbp gives ≈ 1.5 M map-ont keys (a flat
+/// index of the size ISSUE 24 measured), 2 Mbp ≈ 0.37 M (one of its four
+/// shards). Probes are visited in a scrambled order, as a read's
+/// minimizers arrive; the absent ones are uniform over the hash range.
+fn lookup_rows(quick: bool) -> Result<Vec<LookupRow>, String> {
+    let scale = if quick { 8 } else { 1 };
+    let mut rows = Vec::new();
+    for len in [8_000_000 / scale, 2_000_000 / scale] {
+        let genome = generate_genome(&GenomeOpts {
+            len,
+            repeat_frac: 0.0,
+            seed: 11,
+            ..Default::default()
+        });
+        let idx = MinimizerIndex::build(
+            &[SeqRecord::new("chr1", nt4_decode(&genome))],
+            &IdxOpts::MAP_ONT,
+        )
+        .map_err(|e| format!("lookup index build failed: {e}"))?;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let n = 200_000usize;
+        let keys: Vec<u64> = idx.hashes().collect();
+        let hits: Vec<u64> = (0..n).map(|_| keys[next() as usize % keys.len()]).collect();
+        // Absent hashes from the same 2k-bit range the present ones fill.
+        let mask = (1u64 << (2 * idx.k)) - 1;
+        let misses: Vec<u64> = std::iter::repeat_with(|| next() & mask)
+            .filter(|&h| idx.hit_count(h) == 0)
+            .take(n)
+            .collect();
+        let rounds = if quick { 2 } else { 10 };
+        rows.push(LookupRow {
+            keys: keys.len(),
+            hit_ns: probe_ns(&idx, &hits, true, rounds),
+            miss_ns: probe_ns(&idx, &misses, false, rounds),
+        });
+    }
+    Ok(rows)
 }
 
 fn map_row(quick: bool) -> Result<MapRow, String> {
@@ -189,8 +259,8 @@ pub fn run(quick: bool) -> String {
 /// document the `index_decode` binary writes to `BENCH_index_decode.json`.
 pub fn run_with_json(quick: bool) -> (String, String) {
     let decode = decode_rows(quick);
-    let r = match map_row(quick) {
-        Ok(row) => row,
+    let (lookups, r) = match lookup_rows(quick).and_then(|l| Ok((l, map_row(quick)?))) {
+        Ok(rows) => rows,
         Err(e) => {
             let msg = format!("index_decode: {e}");
             return (msg.clone(), format!("{{\"error\": {msg:?}}}"));
@@ -216,10 +286,26 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         &decode_table,
     );
 
+    let lookup_table: Vec<Vec<String>> = lookups
+        .iter()
+        .map(|l| {
+            vec![
+                l.keys.to_string(),
+                format!("{:.1}", l.hit_ns),
+                format!("{:.1}", l.miss_ns),
+            ]
+        })
+        .collect();
+    out.push_str(&format_table(
+        "Index decode — lookup alone (random order, one probe per minimizer)",
+        &["keys", "hit ns/probe", "miss ns/probe"],
+        &lookup_table,
+    ));
+
     out.push_str(&format_table(
         "Index decode — end-to-end map throughput on the packed index",
         &[
-            "resident MB",
+            "index MB",
             "postings MB",
             "flat floor MB",
             "load (s)",
@@ -250,11 +336,11 @@ pub fn run_with_json(quick: bool) -> (String, String) {
     out.push_str(crate::SCALE_NOTE);
     out.push('\n');
 
-    (out, json_report(quick, &decode, &r))
+    (out, json_report(quick, &decode, &lookups, &r))
 }
 
 /// Hand-rolled JSON (the workspace takes no serialization dependency).
-fn json_report(quick: bool, decode: &[DecodeRow], r: &MapRow) -> String {
+fn json_report(quick: bool, decode: &[DecodeRow], lookups: &[LookupRow], r: &MapRow) -> String {
     let mut j = String::from("{\n");
     j.push_str("  \"experiment\": \"index_decode\",\n");
     j.push_str(&format!("  \"quick\": {quick},\n"));
@@ -287,6 +373,17 @@ fn json_report(quick: bool, decode: &[DecodeRow], r: &MapRow) -> String {
         } else {
             "    },\n"
         });
+    }
+    j.push_str("  ],\n");
+    j.push_str("  \"lookup\": [\n");
+    for (i, l) in lookups.iter().enumerate() {
+        j.push_str(&format!(
+            "    {{\"keys\": {}, \"hit_ns\": {:.1}, \"miss_ns\": {:.1}}}{}\n",
+            l.keys,
+            l.hit_ns,
+            l.miss_ns,
+            if i + 1 < lookups.len() { "," } else { "" }
+        ));
     }
     j.push_str("  ],\n");
     j.push_str("  \"map_run\": {\n");

@@ -2,8 +2,12 @@
 //!
 //! Every index file is a container that checksums each section and is
 //! validated on first touch, so the robustness layer has a measurable
-//! price: manifest open, cold first-touch (mmap + xxh64 sweep + parse of
-//! every file), and warm re-touch (the `Arc` cache hit). This experiment
+//! price: manifest open, cold first-touch (mmap + xxh64 sweep + structural
+//! validation of every file — nothing is copied, so this is what opening an
+//! index costs), and warm re-touch (the `Arc` cache hit). Beside the times,
+//! what a loaded index occupies: bytes mapped (page cache, the kernel's to
+//! reclaim) and bytes on the heap (lookup directories and sequence tables),
+//! separately. This experiment
 //! puts those numbers side by side over the same multi-chromosome
 //! reference, as one single-file container (flat) and at 2 and 8 shards —
 //! all opened the way `manymap map` opens them — so a regression in either
@@ -27,7 +31,8 @@ struct Row {
     open_s: f64,
     touch_s: f64,
     warm_s: f64,
-    resident_bytes: usize,
+    mapped_bytes: usize,
+    heap_bytes: usize,
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -59,7 +64,7 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
     let tag = std::process::id();
     let mut out = Vec::new();
 
-    // Flat baseline: one container, verified and parsed whole at open.
+    // Flat baseline: one container, verified and validated whole at open.
     let flat_path = dir.join(format!("bench-shard-load-flat-{tag}.mmx"));
     let flat =
         MinimizerIndex::build(&refs, &opts).map_err(|e| format!("flat build failed: {e}"))?;
@@ -67,13 +72,15 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
     drop(flat);
     let file_bytes = std::fs::metadata(&flat_path).map_or(0, |m| m.len());
     let mut touch = Vec::new();
-    let mut resident = 0;
+    let (mut mapped, mut heap) = (0, 0);
     for _ in 0..samples {
         let start = Instant::now();
         let idx = AnyIndex::open_mmap(&flat_path, ShardOpenOpts::default())
             .map_err(|e| format!("flat load failed: {e}"))?;
         touch.push(start.elapsed().as_secs_f64());
-        resident = idx.as_index_ref().heap_bytes();
+        if let AnyIndex::Flat(idx) = &idx {
+            (mapped, heap) = (idx.image_len(), idx.heap_bytes());
+        }
     }
     let _ = std::fs::remove_file(&flat_path);
     out.push(Row {
@@ -82,7 +89,8 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
         open_s: 0.0,
         touch_s: median(touch),
         warm_s: 0.0,
-        resident_bytes: resident,
+        mapped_bytes: mapped,
+        heap_bytes: heap,
     });
 
     for n_shards in [2usize, 8] {
@@ -93,7 +101,7 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
         let shard_files: Vec<PathBuf> = report.shard_files.clone();
 
         let (mut open, mut touch, mut warm) = (Vec::new(), Vec::new(), Vec::new());
-        let mut resident = 0;
+        let (mut mapped, mut heap) = (0, 0);
         for _ in 0..samples {
             let start = Instant::now();
             let sh = ShardedIndex::open(&manifest)
@@ -106,12 +114,15 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
             }
             touch.push(start.elapsed().as_secs_f64());
             let start = Instant::now();
+            (mapped, heap) = (0, 0);
             for s in 0..sh.num_shards() {
-                sh.ensure_shard(s)
+                let idx = sh
+                    .ensure_shard(s)
                     .map_err(|e| format!("sharded({n_shards}) warm shard {s}: {}", e.reason))?;
+                mapped += idx.image_len();
+                heap += idx.heap_bytes();
             }
             warm.push(start.elapsed().as_secs_f64());
-            resident = sh.resident_bytes();
         }
         let _ = std::fs::remove_file(&manifest);
         for f in shard_files {
@@ -123,7 +134,8 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
             open_s: median(open),
             touch_s: median(touch),
             warm_s: median(warm),
-            resident_bytes: resident,
+            mapped_bytes: mapped,
+            heap_bytes: heap,
         });
     }
     Ok(out)
@@ -153,7 +165,8 @@ pub fn run_with_json(quick: bool) -> (String, String) {
                 format!("{:.3}", r.open_s * 1e3),
                 format!("{:.3}", r.touch_s * 1e3),
                 format!("{:.3}", r.warm_s * 1e3),
-                format!("{:.2}", r.resident_bytes as f64 / 1e6),
+                format!("{:.2}", r.mapped_bytes as f64 / 1e6),
+                format!("{:.2}", r.heap_bytes as f64 / 1e6),
             ]
         })
         .collect();
@@ -165,7 +178,8 @@ pub fn run_with_json(quick: bool) -> (String, String) {
             "open (ms)",
             "first-touch (ms)",
             "warm (ms)",
-            "resident MB",
+            "mapped MB",
+            "heap MB",
         ],
         &table,
     );
@@ -174,13 +188,14 @@ pub fn run_with_json(quick: bool) -> (String, String) {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"variant\": {:?}, \"file_bytes\": {}, \"open_s\": {:.6}, \
-             \"touch_s\": {:.6}, \"warm_s\": {:.6}, \"resident_bytes\": {}}}{}\n",
+             \"touch_s\": {:.6}, \"warm_s\": {:.6}, \"mapped_bytes\": {}, \"heap_bytes\": {}}}{}\n",
             r.variant,
             r.file_bytes,
             r.open_s,
             r.touch_s,
             r.warm_s,
-            r.resident_bytes,
+            r.mapped_bytes,
+            r.heap_bytes,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

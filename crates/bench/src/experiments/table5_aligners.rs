@@ -74,7 +74,7 @@ pub fn run(quick: bool) -> String {
         // RAM: index + one read batch + fixed per-thread working buffers
         // (~4 MB × 40 threads of DP state and batch bookkeeping).
         let batch_bytes: usize = reads.iter().take(64).map(|r| r.len() * 2).sum();
-        let ram = (index.heap_bytes() + batch_bytes) as f64 / 1e6 + 160.0;
+        let ram = (index.image_len() + batch_bytes) as f64 / 1e6 + 160.0;
 
         if id.gpu_capable() {
             gpu_note = format!(
@@ -87,7 +87,7 @@ pub fn run(quick: bool) -> String {
             id.name().to_string(),
             format!("{:.3}", acc.error_rate_pct()),
             format!("{:.0}%", 100.0 * acc.mapped_frac()),
-            format!("{:.1}", index.heap_bytes() as f64 / 1e6),
+            format!("{:.1}", index.image_len() as f64 / 1e6),
             format!("{cpu:.3}"),
             format!("{knl:.3}"),
             format!("{ram:.0}"),

@@ -14,8 +14,8 @@
 //! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--threads N` (1 to
 //! `session::MAX_THREADS`), `--backend cpu|gpu-sim`,
 //! `--inject-backend-fault <plan>`, `--backend-retries N`,
-//! `--batch-deadline-ms N` (≥ 1), `--sched fifo|bins`, `--mem-budget
-//! BYTES[K|M|G]`. Each subcommand is parsed against its own table (`index`:
+//! `--batch-deadline-ms N` (≥ 1), `--sched fifo|bins`. Each subcommand is
+//! parsed against its own table (`index`:
 //! `session::INDEX_FLAGS`; `map`: the shared table plus
 //! `session::MAP_FLAGS`): any other `--flag`, a value flag with no value, a
 //! flag given twice, or a malformed number is a usage error naming the flag
@@ -23,8 +23,11 @@
 //!
 //! `index` takes a FASTA reference and writes one kind of file: the
 //! section-checksummed `MMXS` container around the one image version (v2,
-//! bit-packed postings), published atomically. `map` memory-maps an index
-//! and verifies every byte before parsing any: a damaged file is a fatal
+//! bit-packed postings), published atomically (temp file + rename: a file
+//! is replaced, never rewritten, so a running `map` or daemon keeps the
+//! generation it mapped). `map` memory-maps an index, checksums every byte
+//! and validates every offset before following any, then queries the
+//! mapping where it lies — opening copies nothing: a damaged file is a fatal
 //! error naming the section, and a file of another version — or a bare
 //! image with no container, as earlier builds wrote — is a typed "rebuild
 //! with `manymap index`" error. A reference is an index iff it starts with
@@ -33,9 +36,9 @@
 //! Sharded indexes (DESIGN.md §15): `index --shards N` splits the
 //! reference into `N` contiguous target ranges, one container each, behind
 //! a v3 manifest. `map` opens either shape transparently (the leading magic
-//! says which); over a manifest, shards mmap on first touch, `--mem-budget`
-//! bounds resident shard bytes with LRU eviction, and each shard is its own
-//! storage fault domain — a corrupt or missing shard quarantines with a
+//! says which); over a manifest, shards mmap on first touch and stay
+//! mapped (residency is the page cache's business: there is no budget flag),
+//! and each shard is its own storage fault domain — a corrupt or missing shard quarantines with a
 //! typed reason and only the reads whose seeds touch it degrade to
 //! unmapped records. Compute is not sharded: the run has one
 //! backend session whatever the shard count. Shard chaos runs through the same
@@ -114,7 +117,7 @@ fn index_report(output: &str, idx: &MinimizerIndex) -> String {
          packed postings, {posting_bytes} posting byte(s) ({shrink}), \
          decode tier {}",
         idx.num_minimizers(),
-        idx.seqs.len(),
+        idx.num_seqs(),
         mmm_index::unpack::best_tier_label(),
     )
 }

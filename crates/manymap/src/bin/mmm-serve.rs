@@ -12,7 +12,7 @@
 //!
 //! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
 //! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
-//! `--engine`, `--no-cigar`, `--max-read-len`, `--sched`, `--mem-budget`,
+//! `--engine`, `--no-cigar`, `--max-read-len`, `--sched`,
 //! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`);
 //! any other `--flag`, a flag given twice, a malformed value, `--threads`
 //! outside 1 to `session::MAX_THREADS` or `--batch-deadline-ms 0` is a
@@ -21,10 +21,12 @@
 //!
 //! `<ref.mmx>` may be a single-file index or a sharded manifest (DESIGN.md
 //! §15), opened exactly as `manymap map` opens it — memory-mapped, every
-//! byte checksum-verified, the content and not the name deciding what it
-//! is; `--mem-budget` caps shard residency. `reload` swaps the daemon to
-//! a freshly opened index generation without dropping any in-flight read:
-//! omit the path to re-open the path the daemon was started with. A
+//! byte checksum-verified, queried where it is mapped, the content and not
+//! the name deciding what it is. `reload` swaps the daemon to a freshly
+//! opened index generation without dropping any in-flight read: omit the
+//! path to re-open the path the daemon was started with. Index files are
+//! replaced (temp + rename), never rewritten, so `manymap index` over the
+//! served path changes nothing until `reload`. A
 //! reload the loader refuses (damaged file, bare image, missing path)
 //! answers `ERR` and leaves the current generation serving.
 //!

@@ -20,7 +20,7 @@
 //!
 //! // Map a read.
 //! let mapper = Mapper::new(&index, MapOpts::map_ont());
-//! let read = index.seqs[0].seq.slice(100, 1100);
+//! let read = index.ref_window(0, 100, 1100);
 //! let mappings = mapper.map_read(&read);
 //! assert!(!mappings.is_empty());
 //!
@@ -48,7 +48,7 @@ pub mod shard_bridge;
 
 pub use error::MapError;
 pub use mapper::{MapReadError, Mapper, Mapping, ReadPlan};
-pub use opts::{parse_byte_size, MapOpts};
+pub use opts::MapOpts;
 pub use paf::{paf_line, paf_unmapped, write_paf};
 pub use profile::{profile_run, ProfileConfig, ProfileResult};
 pub use session::{load_index_any, ExecConfig, ExecSession, MapSession};

@@ -72,27 +72,6 @@ impl MapOpts {
     }
 }
 
-/// Parse a byte-size flag value: a positive integer with an optional
-/// binary `K`/`M`/`G` suffix (case-insensitive). `flag` names the flag in
-/// the error message. Shared by the `manymap --mem-budget` and
-/// `mmm-serve --mem-budget` parsers so both CLIs accept the same syntax.
-pub fn parse_byte_size(flag: &str, v: &str) -> Result<usize, String> {
-    let (digits, mult) = match v.as_bytes().last() {
-        Some(b'K' | b'k') => (&v[..v.len() - 1], 1usize << 10),
-        Some(b'M' | b'm') => (&v[..v.len() - 1], 1usize << 20),
-        Some(b'G' | b'g') => (&v[..v.len() - 1], 1usize << 30),
-        _ => (v, 1),
-    };
-    digits
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .and_then(|n| n.checked_mul(mult))
-        .ok_or_else(|| {
-            format!("{flag} {v:?}: expected a positive byte count (K/M/G suffix allowed)")
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,23 +90,6 @@ mod tests {
     fn builders_apply() {
         assert!(MapOpts::map_ont().with_cigar);
         assert!(!MapOpts::map_ont().cigar(false).with_cigar);
-    }
-
-    #[test]
-    fn byte_sizes_parse_suffixes_and_name_the_flag() {
-        assert_eq!(parse_byte_size("--mem-budget", "4096").unwrap(), 4096);
-        assert_eq!(parse_byte_size("--mem-budget", "64K").unwrap(), 64 << 10);
-        assert_eq!(parse_byte_size("--mem-budget", "8m").unwrap(), 8 << 20);
-        assert_eq!(parse_byte_size("--mem-budget", "2G").unwrap(), 2 << 30);
-        assert!(parse_byte_size("--mem-budget", "0").is_err());
-        assert!(parse_byte_size("--mem-budget", "").is_err());
-        for bad in ["lots", "99999999999G"] {
-            let e = parse_byte_size("--mem-budget", bad).unwrap_err();
-            assert!(
-                e.contains("--mem-budget") && e.contains("expected a positive byte count"),
-                "{e}"
-            );
-        }
     }
 
     #[test]

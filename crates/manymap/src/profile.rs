@@ -44,7 +44,7 @@ pub struct ProfileResult {
     pub mappings: usize,
     /// The PAF stream: what `manymap map` writes to stdout for these reads.
     pub output: Vec<u8>,
-    /// Bytes of index state resident after loading.
+    /// Bytes of index image (the paper's "Index Size").
     pub index_bytes: usize,
     /// Execution counters merged across every dispatch.
     pub backend_stats: BackendStats,
@@ -63,7 +63,7 @@ pub fn profile_run(
     let index = timer.time(Stage::LoadIndex, || {
         load_index_any(index_path, &cfg.opts, cfg.exec.shard_open_opts())
     })?;
-    let index_bytes = index.as_index_ref().heap_bytes();
+    let index_bytes = index.as_index_ref().image_len();
     let session = Arc::new(MapSession::new(0, index, cfg.opts));
 
     let mut reader = FastxReader::new(std::io::Cursor::new(query_fastx));

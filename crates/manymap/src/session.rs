@@ -33,7 +33,7 @@ use mmm_seq::{FastxReader, SeqRecord};
 
 use crate::mapper::{MapReadError, Mapping, ReadPlan};
 use crate::sam::{sam_line, sam_unmapped};
-use crate::{paf_line, paf_unmapped, parse_byte_size, MapError, MapOpts, Mapper, PlanShardFaults};
+use crate::{paf_line, paf_unmapped, MapError, MapOpts, Mapper, PlanShardFaults};
 
 /// Bases per read batch in `manymap map`, [`crate::profile_run`] and (by
 /// default) the daemon: one plan → dispatch → finalize round, hence one
@@ -57,7 +57,6 @@ pub const SHARED_FLAGS: &[Flag] = &[
     ("backend-retries", true),
     ("batch-deadline-ms", true),
     ("sched", true),
-    ("mem-budget", true),
 ];
 
 /// What `manymap map` accepts on top of [`SHARED_FLAGS`].
@@ -152,8 +151,7 @@ fn env_num<T: FromStr>(name: &str) -> Result<Option<T>, MapError> {
 }
 
 /// How a run executes its alignment jobs: which backend, under which
-/// supervisor and scheduler settings, with which shard residency budget.
-/// The fault plan inside `backend` drives both the backend submit rules
+/// supervisor and scheduler settings. The fault plan inside `backend` drives both the backend submit rules
 /// and, through [`ExecConfig::shard_open_opts`], the shard-load rules.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
@@ -162,13 +160,11 @@ pub struct ExecConfig {
     pub backend: BackendOptions,
     pub supervisor: SupervisorConfig,
     pub sched: SchedConfig,
-    /// Resident-byte budget for a sharded index (`--mem-budget`).
-    pub mem_budget: Option<usize>,
 }
 
 impl ExecConfig {
     /// The defaults: CPU backend with `map`'s scoring and engine on
-    /// `threads` workers, default supervisor, fifo dispatch, no budget.
+    /// `threads` workers, default supervisor, fifo dispatch.
     pub fn new(map: &MapOpts, threads: usize) -> Self {
         let mut backend = BackendOptions::new(map.scoring);
         backend.engine = map.engine;
@@ -178,16 +174,13 @@ impl ExecConfig {
             backend,
             supervisor: SupervisorConfig::default(),
             sched: SchedConfig::default(),
-            mem_budget: None,
         }
     }
 
     /// Options for opening a sharded index under this configuration: the
-    /// residency budget plus the fault plan's shard rules bridged into the
-    /// shard loader.
+    /// fault plan's shard rules bridged into the shard loader.
     pub fn shard_open_opts(&self) -> ShardOpenOpts {
         ShardOpenOpts {
-            mem_budget: self.mem_budget,
             hook: self
                 .backend
                 .fault
@@ -288,10 +281,6 @@ pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     if let Some(v) = args.get("sched") {
         exec.sched.mode = SchedMode::parse(v).map_err(|e| usage(format!("--sched: {e}")))?;
     }
-    exec.mem_budget = args
-        .get("mem-budget")
-        .map(|v| parse_byte_size("--mem-budget", v).map_err(usage))
-        .transpose()?;
     Ok((map, exec))
 }
 
@@ -328,9 +317,9 @@ pub fn is_index_file(path: &Path) -> Result<bool, MapError> {
 }
 
 /// Open a reference of any shape: an index file — a single-file container
-/// or a shard manifest (opened lazily with `shard_opts`), both memory-mapped
-/// and checksum-verified — or a FASTA indexed in memory with `map`'s seeding
-/// parameters.
+/// or a shard manifest (opened lazily with `shard_opts`), both memory-mapped,
+/// checksum-verified and queried where they are mapped — or a FASTA indexed
+/// in memory with `map`'s seeding parameters.
 pub fn load_index_any(
     path: &Path,
     map: &MapOpts,
@@ -393,17 +382,17 @@ impl MapSession {
             return;
         };
         let health = sharded.health();
-        let quarantined = health.iter().filter(|h| h.state == "quarantined").count();
+        let count = |state| health.iter().filter(|h| h.state == state).count();
         report.line(format!(
-            "shards: {} total, {} quarantined, {} resident byte(s)",
+            "shards: {} total, {} quarantined, {} loaded",
             health.len(),
-            quarantined,
-            sharded.resident_bytes()
+            count("quarantined"),
+            count("loaded")
         ));
         for h in &health {
-            if h.state == "quarantined" || h.retries > 0 || h.evictions > 0 {
+            if h.state == "quarantined" || h.retries > 0 {
                 report.line(format!(
-                    "shard {}: {}{}; loads={}, retries={}, io_faults={}, evictions={}",
+                    "shard {}: {}{}; loads={}, retries={}, io_faults={}",
                     h.shard,
                     h.state,
                     h.reason
@@ -412,8 +401,7 @@ impl MapSession {
                         .unwrap_or_default(),
                     h.loads,
                     h.retries,
-                    h.io_faults,
-                    h.evictions
+                    h.io_faults
                 ));
             }
         }
@@ -600,7 +588,7 @@ mod tests {
     fn flags_land_in_map_opts_and_exec_config() {
         let argv = "--preset map-pb --no-cigar --threads 3 \
                     --backend gpu-sim --sched bins --backend-retries 0 \
-                    --batch-deadline-ms 250 --mem-budget 64K \
+                    --batch-deadline-ms 250 \
                     --inject-backend-fault missing-shard:shards=1";
         let args = Args::parse(argv.split_whitespace().map(String::from), &[SHARED_FLAGS]).unwrap();
         let (map, exec) = map_config(&args).unwrap();
@@ -615,9 +603,7 @@ mod tests {
             Some(Duration::from_millis(250))
         );
         // The one fault plan reaches the shard loader too.
-        let shard_opts = exec.shard_open_opts();
-        assert_eq!(shard_opts.mem_budget, Some(64 << 10));
-        assert!(shard_opts.hook.is_some());
+        assert!(exec.shard_open_opts().hook.is_some());
     }
 
     /// One dispatch batch holding reads planned on two index generations

@@ -7,8 +7,12 @@
 //! time, so it must stay allocation-free once warm and must hold only the
 //! rows a z-drop extension actually computed.
 //!
-//! A counting global allocator makes the claim checkable; the counter is
-//! thread-local so parallel test threads can't perturb it.
+//! The index has a claim of the same kind: opening a file allocates what
+//! the lookup directory and the sequence table need and *nothing
+//! proportional to the file* — the image is queried where it is mapped.
+//!
+//! A counting global allocator makes the claims checkable; the counters are
+//! thread-local so parallel test threads can't perturb them.
 // Exercises whatever SIMD decode tier the host offers, which Miri cannot.
 #![cfg(not(miri))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -19,7 +23,7 @@ use std::cell::Cell;
 use manymap::{MapOpts, Mapper};
 use mmm_align::{AlignMode, AlignScratch, Engine, Scoring, DEFAULT_ZDROP};
 use mmm_exec::align_jobs_with_scratch;
-use mmm_index::{IdxOpts, MinimizerIndex};
+use mmm_index::{save_index, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
 use mmm_simreads::{generate_genome, GenomeOpts};
 
@@ -27,6 +31,7 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: pure pass-through to `System` plus a thread-local counter bump —
@@ -35,6 +40,7 @@ thread_local! {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         // SAFETY: same layout the caller passed, forwarded to `System`.
         unsafe { System.alloc(layout) }
     }
@@ -46,6 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + new_size as u64));
         // SAFETY: `ptr`/`layout` come from a matching `alloc` on `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,6 +63,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+/// Bytes requested on this thread so far (frees are not subtracted).
+fn bytes_on_this_thread() -> u64 {
+    BYTES.with(|c| c.get())
 }
 
 fn fixture() -> (MinimizerIndex, Vec<Vec<u8>>) {
@@ -215,4 +227,66 @@ fn direction_rows_grow_on_demand_and_are_reused() {
             engine.label()
         );
     }
+}
+
+/// Opening an index file costs a checksum pass and a validation walk, not a
+/// second copy of the index: the bytes allocated inside `open_mmap` are a
+/// small fraction of the file, and the same whether the reference yields
+/// 200 thousand keys or twice that (the parent tree allocated more than the
+/// file's length — a hash-map entry per key, a copy of pool and reference).
+#[test]
+fn opening_an_index_allocates_nothing_proportional_to_it() {
+    let g = generate_genome(&GenomeOpts {
+        len: 1_200_000,
+        repeat_frac: 0.0,
+        seed: 31,
+        ..Default::default()
+    });
+    let refs = [SeqRecord::new("chr1", nt4_decode(&g))];
+    let path = std::env::temp_dir().join(format!("mmm-alloc-open-{}.mmx", std::process::id()));
+    // One reference at two sketch densities: w = 10, then w = 5.
+    let mut spent = Vec::new();
+    for w in [10, 5] {
+        let built = MinimizerIndex::build(
+            &refs,
+            &IdxOpts {
+                w,
+                ..IdxOpts::MAP_ONT
+            },
+        )
+        .unwrap();
+        save_index(&built, &path).unwrap();
+        let (keys, file_len) = (
+            built.num_minimizers(),
+            std::fs::metadata(&path).unwrap().len(),
+        );
+        drop(built);
+        assert!(keys >= 100_000, "w={w}: only {keys} keys");
+
+        let before = bytes_on_this_thread();
+        let opened = AnyIndex::open_mmap(&path, ShardOpenOpts::default()).unwrap();
+        let bytes = bytes_on_this_thread() - before;
+        let AnyIndex::Flat(idx) = &opened else {
+            panic!("a single-file index opens flat");
+        };
+        assert_eq!(idx.num_minimizers(), keys);
+        assert!(
+            bytes < file_len / 8,
+            "w={w}: opening a {file_len}-byte file of {keys} keys allocated {bytes} bytes"
+        );
+        spent.push((keys, bytes));
+    }
+    std::fs::remove_file(&path).unwrap();
+    let [(sparse_keys, sparse), (dense_keys, dense)] = spent[..] else {
+        unreachable!()
+    };
+    assert!(
+        dense_keys > sparse_keys * 3 / 2,
+        "{sparse_keys} vs {dense_keys} keys"
+    );
+    assert!(
+        dense <= sparse + 1024,
+        "allocation grew with the key count: {sparse} bytes at {sparse_keys} keys, \
+         {dense} at {dense_keys}"
+    );
 }

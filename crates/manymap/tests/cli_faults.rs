@@ -507,10 +507,7 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
             (&["--max-read-len", "1e6"], "--max-read-len"),
             (&["--preset", "pacbio"], "--preset"),
             (&["--thread", "4"], "unknown flag --thread"),
-            (
-                &["--mem-budget", "99999999999G"],
-                "--mem-budget \"99999999999G\": expected a positive byte count",
-            ),
+            (&["--mem-budget", "64K"], "unknown flag --mem-budget"),
             (&["--prefilter", "safe"], "unknown flag --prefilter"),
             (&["--index-format", "legacy"], "unknown flag --index-format"),
             (&["--no-mmap"], "unknown flag --no-mmap"),

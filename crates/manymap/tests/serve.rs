@@ -803,6 +803,64 @@ fn unverifiable_index_is_refused_at_boot_and_reload_keeps_the_old_generation() {
     assert!(stderr.contains("0 reload(s)"), "daemon report: {stderr}");
 }
 
+/// A generation reads its index where the file is mapped, which is only
+/// sound because index files are *replaced* (temp + rename: a new inode),
+/// never rewritten in place (DESIGN.md §15). `manymap index` over the very
+/// path a running daemon serves from must therefore leave the old
+/// generation answering byte-identically — it still maps the old inode —
+/// until `RELOAD`, and the new one after.
+#[test]
+fn reindexing_the_served_path_changes_nothing_until_reload() {
+    let fx = fixture("reindex", 6);
+    let daemon = spawn_daemon(&fx, &[]);
+    let before = run_client(&fx.socket(), "before", &fx.reads);
+    assert!(before.status.success() && !before.stdout.is_empty());
+
+    // The same bases under another name: every mapped record changes.
+    let renamed = fx.dir.join("renamed.fa");
+    let mut fasta = Vec::new();
+    let rec = SeqRecord::new("chrRenamed", nt4_decode(&fx.genome));
+    write_fasta(&mut fasta, &[rec], 80).unwrap();
+    std::fs::write(&renamed, &fasta).unwrap();
+    let reindex = Command::new(env!("CARGO_BIN_EXE_manymap"))
+        .arg("index")
+        .arg(&renamed)
+        .arg(&fx.index)
+        .output()
+        .expect("spawn manymap index");
+    assert!(
+        reindex.status.success(),
+        "{}",
+        String::from_utf8_lossy(&reindex.stderr)
+    );
+    let solo = run_cli(&fx.index, &fx.reads, &[]);
+    assert_ne!(solo.stdout, before.stdout, "the new index must differ");
+
+    let during = run_client(&fx.socket(), "during", &fx.reads);
+    assert!(during.status.success());
+    assert_eq!(
+        during.stdout, before.stdout,
+        "the served generation changed under a re-index of its path"
+    );
+
+    let reload = serve_bin()
+        .arg("reload")
+        .arg(fx.socket())
+        .output()
+        .expect("spawn mmm-serve reload");
+    assert!(
+        reload.status.success(),
+        "{}",
+        String::from_utf8_lossy(&reload.stderr)
+    );
+    let after = run_client(&fx.socket(), "after", &fx.reads);
+    assert!(after.status.success());
+    assert_eq!(after.stdout, solo.stdout, "the reloaded generation");
+
+    let stderr = drain_and_join(&fx, daemon);
+    assert!(stderr.contains("1 reload(s)"), "daemon report: {stderr}");
+}
+
 /// Shard-class fault rules reach the daemon's index loader, at boot and on
 /// every `RELOAD` (regression: the daemon used to open with default shard
 /// options, so `missing-shard:shards=1` was a silent no-op). Over a 4-shard

@@ -1,19 +1,20 @@
 //! Typed errors for index loading and parsing.
 //!
-//! The deserializer distinguishes three failure classes so callers can
-//! report them precisely: the file could not be opened at all, the byte
-//! stream died mid-parse (a device-level fault), or the bytes arrived fine
-//! but do not describe a valid index (corruption/truncation). The latter two
-//! carry the byte offset where parsing stopped, so a truncated or
-//! bit-flipped `.mmx` file is reported as "corrupt index at byte N", never
-//! as a panic or an out-of-memory abort.
+//! Opening an index distinguishes three failure classes so callers can
+//! report them precisely: the file could not be opened at all, a read
+//! failed for a reason a retry could cure (today only the shard loader's
+//! injected I/O faults — a mapped image is not read through a stream), or
+//! the bytes are there but do not describe a valid index
+//! (corruption/truncation). The last carries the offset where validation
+//! stopped, so a truncated or bit-flipped `.mmx` file is reported as
+//! "corrupt index at byte N", never as a panic or an out-of-memory abort.
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
 /// Errors from [`crate::AnyIndex::open_mmap`], the shard loader and
-/// [`crate::parse_index`].
+/// [`crate::MinimizerIndex::from_image_bytes`].
 #[derive(Debug)]
 pub enum IndexError {
     /// The index file could not be opened or mapped.

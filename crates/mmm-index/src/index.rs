@@ -1,11 +1,26 @@
-//! The minimizer index: hash table + packed reference sequences.
+//! The minimizer index: a validated view over one v2 image.
+//!
+//! [`MinimizerIndex::build`] sketches the references, sorts the
+//! `(hash, hit)` pairs and writes the image once — header, packed
+//! sequences, sorted keys, bucket refs, block pool (`serialize`,
+//! `postings`). From then on the image *is* the index: a
+//! [`MinimizerIndex`] owns the bytes — the builder's buffer, or the mapped
+//! file once its checksums have passed — and keeps only where things lie in
+//! them (one small record per sequence, the table's offsets, a radix
+//! directory of `len / 8` bytes). Lookups, posting decode and reference
+//! windows read the bytes in place; saving a built index and loading a
+//! saved one copy nothing.
+
+use std::fmt;
 
 use mmm_chain::Anchor;
+use mmm_io::Mmap;
 use mmm_seq::{PackedSeq, SeqRecord};
 
 use crate::error::IndexError;
 use crate::minimizer::{minimizers, minimizers_hpc, Minimizer};
-use crate::postings::{PackedPostings, PostingCursor};
+use crate::postings::{BucketRef, PackedPostings, PostingCursor};
+use crate::serialize::{self, VerifiedMap, CONTAINER_IMAGE_OFF};
 use crate::unpack;
 
 /// Index construction parameters.
@@ -46,13 +61,6 @@ impl Default for IdxOpts {
     }
 }
 
-/// One indexed reference sequence.
-#[derive(Clone, Debug)]
-pub struct RefSeq {
-    pub name: String,
-    pub seq: PackedSeq,
-}
-
 /// Packed-hit bit budget: a hit is `rid << 40 | pos << 1 | strand`, so the
 /// reference id gets the top 24 bits and the position the middle 39. At
 /// most this many reference sequences fit in one index.
@@ -89,23 +97,80 @@ pub(crate) fn unpack_hit(h: u64) -> (u32, u32, bool) {
     )
 }
 
+/// The one owner of an image's bytes. Either way [`Image::bytes`] starts
+/// 8-byte aligned, which is what lets the block pool be read as words
+/// where it lies.
+pub(crate) enum Image {
+    /// The buffer a build wrote; the image starts at `start`, the first
+    /// 8-byte boundary of the allocation (a `Vec<u8>` promises none).
+    Built { buf: Vec<u8>, start: usize },
+    /// A checksum-verified container file: page aligned, image at byte 120.
+    Mapped(Mmap),
+}
+
+impl Image {
+    /// An owned, aligned copy of `image` — what a build keeps, and how
+    /// tests and the hostile-input suites put bytes behind an index.
+    pub(crate) fn from_bytes(image: &[u8]) -> Self {
+        let mut buf: Vec<u8> = Vec::with_capacity(image.len() + 7);
+        let start = buf.as_ptr().align_offset(8);
+        buf.resize(start, 0);
+        // Within capacity: the buffer, and so the boundary, does not move.
+        buf.extend_from_slice(image);
+        Image::Built { buf, start }
+    }
+
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            Image::Built { buf, start } => &buf[*start..],
+            Image::Mapped(map) => &map[CONTAINER_IMAGE_OFF..],
+        }
+    }
+}
+
+/// Where one reference sequence lies in the image.
+pub(crate) struct SeqSpan {
+    /// Offset and length of the name (validated UTF-8).
+    pub(crate) name: usize,
+    pub(crate) name_len: usize,
+    /// Bases.
+    pub(crate) len: usize,
+    /// Offset of the 2-bit packed bases (`len.div_ceil(4)` bytes are used).
+    pub(crate) words: usize,
+}
+
 /// The minimizer hash index (minimap2's `mm_idx_t`).
-#[derive(Debug)]
 pub struct MinimizerIndex {
     pub k: usize,
     pub w: usize,
     /// Homopolymer-compressed sketching (queries must match).
     pub hpc: bool,
-    pub seqs: Vec<RefSeq>,
-    /// Posting lists: minimizer hash → packed reference hits, FOR/delta
-    /// bit-packed per bucket.
-    pub(crate) postings: PackedPostings,
-    /// Seeding ignores minimizers with more occurrences than this.
+    /// Seeding ignores minimizers with more occurrences than this. A
+    /// sharded build re-cuts it globally, so it is the one header value
+    /// [`crate::write_index_image`] writes from the field.
     pub max_occ: u32,
+    pub(crate) image: Image,
+    pub(crate) seqs: Vec<SeqSpan>,
+    /// Posting lists: minimizer hash → packed reference hits, FOR/delta
+    /// bit-packed per bucket — offsets into `image` plus the lookup
+    /// directory.
+    pub(crate) postings: PackedPostings,
+}
+
+impl fmt::Debug for MinimizerIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MinimizerIndex")
+            .field("n_seqs", &self.num_seqs())
+            .field("n_minimizers", &self.num_minimizers())
+            .field("image_len", &self.image_len())
+            .finish()
+    }
 }
 
 impl MinimizerIndex {
-    /// Build the index over a set of reference records.
+    /// Build the index over a set of reference records: write its image
+    /// once, straight from the sorted `(hash, hit)` pairs, and open it.
     ///
     /// Fails with [`IndexError::HitBudget`] when the reference set exceeds
     /// the packed-hit representation ([`MAX_REF_SEQS`] sequences of up to
@@ -114,58 +179,105 @@ impl MinimizerIndex {
     /// there, so over-budget inputs must fail loudly at build time.
     pub fn build(refs: &[SeqRecord], opts: &IdxOpts) -> Result<Self, IndexError> {
         check_hit_budget(refs.len(), refs.iter().map(|r| (r.name.as_str(), r.len())))?;
+        let mut image = Vec::new();
+        serialize::write_header(&mut image, opts, refs.len());
         // Collect (hash, packed hit) pairs across all references.
         let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut seqs = Vec::with_capacity(refs.len());
         for (rid, r) in refs.iter().enumerate() {
             let nt4 = r.nt4();
             for m in sketch(&nt4, opts.k, opts.w, opts.hpc) {
                 pairs.push((m.hash, pack_hit(rid as u32, m.pos, m.rev)));
             }
-            seqs.push(RefSeq {
-                name: r.name.clone(),
-                seq: PackedSeq::from_nt4_lossy(&nt4),
-            });
+            let packed = PackedSeq::from_nt4_lossy(&nt4);
+            serialize::write_seq(&mut image, &r.name, packed.len(), packed.words());
         }
         pairs.sort_unstable();
-
-        let postings = PackedPostings::from_sorted_pairs(&pairs)?;
-        let max_occ = occurrence_cutoff(
-            postings.map.values().map(|r| r.count() as u32),
-            opts.occ_frac,
-        );
-        Ok(MinimizerIndex {
-            k: opts.k,
-            w: opts.w,
-            hpc: opts.hpc,
-            seqs,
-            postings,
-            max_occ,
-        })
+        PackedPostings::emit(&pairs, &mut image)?;
+        let counts = pairs.chunk_by(|a, b| a.0 == b.0).map(|b| b.len() as u32);
+        serialize::set_max_occ(&mut image, occurrence_cutoff(counts, opts.occ_frac));
+        drop(pairs);
+        Self::from_image_bytes(&image)
     }
 
-    /// Hits recorded for one minimizer hash (0 when absent) — one map
-    /// probe, no decode.
+    /// Open a copy of `image` (a bare v2 image, as
+    /// [`crate::write_index_image`] gives) behind the structural validation
+    /// a mapped file gets — everything but the container's checksums.
+    pub fn from_image_bytes(image: &[u8]) -> Result<Self, IndexError> {
+        serialize::open_image(Image::from_bytes(image))
+    }
+
+    /// Open the image of a mapped container where it lies. Takes only what
+    /// the checksum pass returns, so an unverified mapping cannot get here.
+    pub(crate) fn from_verified(v: VerifiedMap) -> Result<Self, IndexError> {
+        serialize::open_image(Image::Mapped(v.into_map()))
+    }
+
+    /// Number of reference sequences.
+    pub fn num_seqs(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// Name of reference `rid`.
+    pub fn seq_name(&self, rid: u32) -> &str {
+        let s = &self.seqs[rid as usize];
+        // Validated as UTF-8 at open, so the fallback is never taken.
+        std::str::from_utf8(&self.image.bytes()[s.name..s.name + s.name_len]).unwrap_or_default()
+    }
+
+    /// Length of reference `rid` in bases.
+    pub fn seq_len(&self, rid: u32) -> usize {
+        self.seqs[rid as usize].len
+    }
+
+    /// The 2-bit packed bases of reference `rid` where they lie in the
+    /// image: 4 bases per byte, base `i` at bits `2 * (i % 4)` of byte
+    /// `i / 4` — what [`unpack::unpack_nt4`] decodes.
+    pub fn seq_packed(&self, rid: u32) -> &[u8] {
+        let s = &self.seqs[rid as usize];
+        &self.image.bytes()[s.words..s.words + s.len.div_ceil(4)]
+    }
+
+    /// The bucket of one minimizer hash, `None` when the index does not
+    /// hold it — the one probe a seed costs. Its `count()` is the hit
+    /// count; [`MinimizerIndex::cursor`] streams the hits.
+    #[inline]
+    pub fn lookup(&self, hash: u64) -> Option<BucketRef> {
+        self.postings.lookup(self.image.bytes(), hash)
+    }
+
+    /// Stream the hits of a bucket [`MinimizerIndex::lookup`] returned,
+    /// without materializing them.
+    #[inline]
+    pub fn cursor(&self, r: BucketRef) -> PostingCursor<'_> {
+        self.postings.cursor(self.image.bytes(), r)
+    }
+
+    /// Hits recorded for one minimizer hash (0 when absent) — one probe, no
+    /// decode.
     pub fn hit_count(&self, hash: u64) -> usize {
-        self.postings.count(hash)
+        self.lookup(hash).map_or(0, |r| r.count() as usize)
     }
 
     /// Decode the hits for one minimizer hash into `out` (cleared and
     /// refilled; empty when the hash is absent). Reusing `out` across
     /// calls makes bulk queries allocation-free.
     pub fn decode_hits_into(&self, hash: u64, out: &mut Vec<u64>) {
-        self.postings.decode_into(hash, out);
+        match self.lookup(hash) {
+            Some(r) => self.postings.decode_into(self.image.bytes(), r, out),
+            None => out.clear(),
+        }
     }
 
-    /// Stream the hits for one minimizer hash without materializing them.
+    /// Stream the hits for one minimizer hash without materializing them
+    /// (nothing when the hash is absent).
     pub fn hit_cursor(&self, hash: u64) -> PostingCursor<'_> {
-        self.postings.cursor(hash)
+        self.cursor(self.lookup(hash).unwrap_or(BucketRef { base: 0, ocw: 0 }))
     }
 
-    /// All minimizer hashes in sorted order (allocates; serialization and
-    /// cross-checking, not a mapping-path call).
-    pub fn sorted_hashes(&self) -> Vec<u64> {
-        self.postings.sorted_hashes()
+    /// All minimizer hashes, ascending, read from the image's key array
+    /// (serialization and cross-checking, not a mapping-path call).
+    pub fn hashes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.postings.hashes(self.image.bytes())
     }
 
     /// Number of distinct minimizers.
@@ -191,28 +303,38 @@ impl MinimizerIndex {
     /// reference are skipped (the repeat filter, minimap2 `-f`).
     pub fn collect_anchors(&self, query: &[u8]) -> Vec<Anchor> {
         let qlen = query.len() as u32;
+        let image = self.image.bytes();
         let mut anchors = Vec::new();
         for m in sketch(query, self.k, self.w, self.hpc) {
-            let n = self.postings.count(m.hash);
-            if n == 0 || n as u32 > self.max_occ {
+            let Some(r) = self.postings.lookup(image, m.hash) else {
+                continue;
+            };
+            if r.count() > u64::from(self.max_occ) {
                 continue;
             }
-            for h in self.postings.cursor(m.hash) {
+            for h in self.postings.cursor(image, r) {
                 anchors.push(anchor_from_hit(&m, h, qlen, self.k, self.hpc, 0));
             }
         }
         anchors
     }
 
-    /// Approximate in-memory footprint in bytes (the paper's "Index Size"
-    /// column of Table 5).
+    /// Length of the image in bytes: the index's size, in memory and (plus
+    /// the container's 120-byte directory) on disk — the paper's "Index
+    /// Size" column of Table 5.
+    pub fn image_len(&self) -> usize {
+        self.image.bytes().len()
+    }
+
+    /// Heap bytes the index owns: the lookup directory, one record per
+    /// sequence, and — for a built index only — the image buffer. A mapped
+    /// index's image is page cache, not heap.
     pub fn heap_bytes(&self) -> usize {
-        let seq_bytes: usize = self
-            .seqs
-            .iter()
-            .map(|s| s.seq.heap_bytes() + s.name.capacity())
-            .sum();
-        seq_bytes + self.postings.heap_bytes()
+        let image = match &self.image {
+            Image::Built { buf, .. } => buf.capacity(),
+            Image::Mapped(_) => 0,
+        };
+        image + self.postings.heap_bytes() + self.seqs.len() * std::mem::size_of::<SeqSpan>()
     }
 
     /// Extract a forward-strand window `[start, end)` of reference `rid`
@@ -226,16 +348,16 @@ impl MinimizerIndex {
 
     /// Extract a forward-strand window `[start, end)` of reference `rid`
     /// into `out` (cleared and refilled), decoding the 2-bit packed
-    /// reference through the tiered SIMD unpack kernels. Bounds are
-    /// clamped to the sequence length, matching
+    /// reference where it lies through the tiered SIMD unpack kernels.
+    /// Bounds are clamped to the sequence length, matching
     /// [`MinimizerIndex::ref_window`].
     pub fn ref_window_into(&self, rid: u32, start: usize, end: usize, out: &mut Vec<u8>) {
-        let s = &self.seqs[rid as usize].seq;
-        let start = start.min(s.len());
-        let end = end.min(s.len()).max(start);
+        let len = self.seq_len(rid);
+        let start = start.min(len);
+        let end = end.min(len).max(start);
         out.clear();
         out.resize(end - start, 0);
-        unpack::unpack_nt4(s.words(), start, end, out);
+        unpack::unpack_nt4(self.seq_packed(rid), start, end, out);
     }
 
     /// Fetch one reference base (nt4), or `None` past the end — the
@@ -243,8 +365,7 @@ impl MinimizerIndex {
     /// buffer at all.
     #[inline]
     pub fn ref_base(&self, rid: u32, pos: usize) -> Option<u8> {
-        let s = &self.seqs[rid as usize].seq;
-        (pos < s.len()).then(|| s.get(pos))
+        (pos < self.seq_len(rid)).then(|| (self.seq_packed(rid)[pos >> 2] >> ((pos & 3) << 1)) & 3)
     }
 }
 

@@ -2,14 +2,16 @@
 //!
 //! The seeding substrate of the aligner (§3.1): references are sketched with
 //! `(k, w)` minimizers (Roberts et al.), stored 2-bit packed alongside a
-//! hash table from minimizer hash to reference positions. Queries are
+//! sorted table from minimizer hash to reference positions. Queries are
 //! sketched with the same function and each shared minimizer becomes an
 //! anchor for chaining.
 //!
-//! The index serializes to a binary image modeled on minimap2's `.mmi`,
-//! always inside a section-checksummed container ([`serialize`]), and is
-//! loaded one way: a single memory map (manymap's §4.4.2 optimization),
-//! verified whole before it is parsed ([`AnyIndex::open_mmap`]).
+//! The index is one binary image modeled on minimap2's `.mmi`, written once
+//! by the builder and queried where it lies — in the builder's buffer, or
+//! in a file, always inside a section-checksummed container
+//! ([`serialize`]), opened one way: a single memory map (manymap's §4.4.2
+//! optimization), every byte checksummed and every offset validated before
+//! a query follows one, nothing copied ([`AnyIndex::open_mmap`]).
 
 pub mod error;
 pub mod index;
@@ -21,12 +23,11 @@ pub mod unpack;
 pub mod xxh;
 
 pub use error::IndexError;
-pub use index::{check_hit_budget, IdxOpts, MinimizerIndex, RefSeq, MAX_REF_LEN, MAX_REF_SEQS};
+pub use index::{check_hit_budget, IdxOpts, MinimizerIndex, MAX_REF_LEN, MAX_REF_SEQS};
 pub use minimizer::{hash64, minimizers, Minimizer};
-pub use postings::{BucketRef, PackedPostings, PostingCursor, MAX_BLOCK_WORDS, MAX_BUCKET_HITS};
+pub use postings::{BucketRef, PostingCursor, MAX_BLOCK_WORDS, MAX_BUCKET_HITS};
 pub use serialize::{
-    container_section_ranges, parse_index, save_index, write_index_image, CONTAINER_SECTIONS,
-    MAGIC_PREFIX,
+    container_section_ranges, save_index, write_index_image, CONTAINER_SECTIONS, MAGIC_PREFIX,
 };
 pub use shard::{
     build_sharded, AnyIndex, IndexRef, ShardBuildReport, ShardFaultHook, ShardHealth,

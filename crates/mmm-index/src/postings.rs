@@ -1,24 +1,34 @@
-//! Posting-list storage: bit-packed FOR/delta buckets (the v2 image).
+//! The minimizer table of a v2 image, written once and queried where it
+//! lies (DESIGN.md §14).
 //!
-//! A flat layout would store every hit as a full `u64` in one array with
-//! `(offset, count)` map values. The packed layout (DESIGN.md §14) keeps
-//! that one-map-probe access pattern but stores each bucket as **base +
-//! bit-packed deltas**: hits within a bucket are strictly increasing, so
-//! the bucket is encoded as its first hit (FOR base) followed by
-//! `count − 1` successive differences packed at the bucket's minimum
-//! sufficient bit width. Map values are [`BucketRef`] — the same 16 bytes
-//! a `(u64, u32)` value pads to, so the map costs nothing extra and the
-//! whole saving lands in the hit array. Singleton buckets (the common case
-//! under minimizer sketching) need zero block words: their one hit *is*
+//! The table is three arrays: the distinct minimizer hashes in ascending
+//! order, one [`BucketRef`] per hash, and a pool of bit-packed delta
+//! blocks. A bucket is stored as **base + bit-packed deltas**: its hits are
+//! strictly increasing, so it is its first hit (FOR base, in the
+//! `BucketRef`) followed by `count − 1` successive differences packed at
+//! the bucket's minimum sufficient bit width. Singleton buckets (the common
+//! case under minimizer sketching) need zero pool words: their one hit *is*
 //! the base.
 //!
-//! Decoding goes through [`unpack`]'s tiered kernels
-//! (scalar / AVX2 / AVX-512 VBMI) into caller-reused buffers, or
-//! streaming through a [`PostingCursor`] without materializing anything.
+//! `PackedPostings::emit` writes those arrays straight from the builder's
+//! sorted `(hash, hit)` pairs; `PackedPostings::open` validates them in a
+//! built buffer or a mapped file and keeps only their offsets plus a small
+//! radix directory; a lookup is a directory read and a short binary search
+//! of the key array. Keys and bucket refs sit at whatever offset the
+//! variable-length sequence names left them and are read as little-endian
+//! bytes; the pool is padded to 8-byte alignment and is read as `u64` words
+//! in place — bulk through [`unpack`]'s tiered kernels
+//! (scalar / AVX2 / AVX-512 VBMI) into caller-reused buffers, or streaming
+//! through a [`PostingCursor`] without materializing anything.
 
-use std::collections::HashMap;
+use std::io;
+
+use mmm_io::mmap::as_words;
+use mmm_io::SliceSource;
 
 use crate::error::IndexError;
+use crate::index::unpack_hit;
+use crate::serialize::{corrupt, le_u64};
 use crate::unpack;
 
 /// Block-word offsets carry 37 bits: a packed index may hold up to 2^37
@@ -80,15 +90,6 @@ impl BucketRef {
     }
 }
 
-/// The packed posting store: one [`BucketRef`] per distinct minimizer
-/// hash plus a shared pool of bit-packed delta blocks.
-#[derive(Debug, Default)]
-pub struct PackedPostings {
-    pub(crate) map: HashMap<u64, BucketRef>,
-    pub(crate) blocks: Vec<u64>,
-    pub(crate) n_hits: u64,
-}
-
 /// Minimum bits that represent `v` (0 → 1: widths are 1..=64 so packed
 /// fields always advance).
 #[inline]
@@ -96,21 +97,58 @@ fn bits_for(v: u64) -> u32 {
     (64 - v.leading_zeros()).max(1)
 }
 
+/// Bits of a hash (counted from the widest key's top bit) that index the
+/// radix directory of an index over `total_len` reference bases: one slot
+/// per 32 bases, rounded up to a power of two, between 2^10 and 2^24 slots.
+/// Sized from the reference — a `(w, k)` sketch keeps about `2 / (w + 1)`
+/// minimizers per base, so a slot holds a handful of keys whatever the
+/// genome's size — and not from the key count: opening allocates `len / 8`
+/// bytes (1 MiB for 8 Mbp) however dense the sketch is.
+fn radix_bits(total_len: u64) -> u32 {
+    (total_len / 32)
+        .next_power_of_two()
+        .trailing_zeros()
+        .clamp(10, 24)
+}
+/// Probes a lookup spends stepping key by key from its interpolated guess
+/// before it falls back to bisection.
+const NEAR: u32 = 8;
+
+/// Where the minimizer table lies inside a v2 image — byte offsets, never
+/// copies — plus the one structure built at open: the radix directory over
+/// the sorted key array. Every query takes the image bytes the offsets
+/// were validated against ([`PackedPostings::open`]).
+#[derive(Debug)]
+pub(crate) struct PackedPostings {
+    /// Offset of the sorted key array; the `(base, ocw)` array follows it.
+    keys: usize,
+    n_keys: usize,
+    /// Offset of the first block-pool word (8-byte aligned).
+    pool: usize,
+    pool_words: usize,
+    n_hits: u64,
+    /// `hash >> shift` is a key's directory slot.
+    shift: u32,
+    /// `dir[s]..dir[s + 1]` are the indices of the keys in slot `s`.
+    dir: Vec<u32>,
+}
+
 impl PackedPostings {
-    /// Build from `(hash, hit)` pairs sorted by hash then hit — exactly
-    /// the builder's post-sort stream. Hits within a bucket must be
-    /// non-decreasing (strictly increasing in practice).
-    pub fn from_sorted_pairs(pairs: &[(u64, u64)]) -> Result<Self, IndexError> {
-        let mut map = HashMap::new();
+    /// Append the minimizer table of `pairs` — `(hash, hit)` sorted by hash
+    /// then hit, exactly the builder's post-sort stream — to the image
+    /// under construction in `out` (which starts at image offset 0): key
+    /// count, sorted keys, `(base, ocw)` per key, then hit count, zero pad
+    /// to an 8-byte image offset, and the block pool behind its word count.
+    /// Returns the offset where the pool section (the hit count) starts.
+    pub(crate) fn emit(pairs: &[(u64, u64)], out: &mut Vec<u8>) -> Result<usize, IndexError> {
+        let buckets = || pairs.chunk_by(|a, b| a.0 == b.0);
+        let n_keys = buckets().count();
+        out.extend_from_slice(&(n_keys as u64).to_le_bytes());
+        let keys = out.len();
+        let refs = keys + 8 * n_keys;
+        out.resize(refs + 16 * n_keys, 0);
         let mut blocks: Vec<u64> = Vec::new();
-        let mut start = 0usize;
-        while start < pairs.len() {
-            let hash = pairs[start].0;
-            let mut end = start + 1;
-            while end < pairs.len() && pairs[end].0 == hash {
-                end += 1;
-            }
-            let bucket = &pairs[start..end];
+        for (i, bucket) in buckets().enumerate() {
             let count = bucket.len() as u64;
             if count > MAX_BUCKET_HITS {
                 return Err(IndexError::PostingBudget {
@@ -120,7 +158,7 @@ impl PackedPostings {
                 });
             }
             let base = bucket[0].1;
-            let mut r = if count == 1 {
+            let r = if count == 1 {
                 BucketRef::new(0, 1, 0)
             } else {
                 let mut width = 1u32;
@@ -151,124 +189,283 @@ impl PackedPostings {
                 }
                 BucketRef::new(off, count, width)
             };
-            r.base = base;
-            map.insert(hash, r);
-            start = end;
+            out[keys + 8 * i..][..8].copy_from_slice(&bucket[0].0.to_le_bytes());
+            out[refs + 16 * i..][..8].copy_from_slice(&base.to_le_bytes());
+            out[refs + 16 * i + 8..][..8].copy_from_slice(&r.ocw.to_le_bytes());
+        }
+        let map_end = out.len();
+        out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        // Zero-pad so the block pool (after its 8-byte length prefix) starts
+        // 8-byte aligned in the image: its words are then read in place.
+        let pad = (8 - out.len() % 8) % 8;
+        out.extend_from_slice(&[0u8; 7][..pad]);
+        out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
+        for b in blocks {
+            out.extend_from_slice(&b.to_le_bytes());
+        }
+        Ok(map_end)
+    }
+
+    /// Locate and validate the minimizer table `src` stands at, which must
+    /// run to the end of the image, over an index of `n_seqs` sequences of
+    /// `total_len` bases in all. A checksum only says the bytes are the
+    /// ones that were written, so everything a query later relies on is
+    /// checked here, in order: counts bounded by the bytes left; keys
+    /// strictly increasing (what the search assumes); zero pad; the pool
+    /// 8-byte aligned where it lies; no trailing bytes; then every bucket —
+    /// shape and field budgets, pool bounds, overflow-free delta sums, every
+    /// hit's rid below `n_seqs` — and bucket counts summing to the stored
+    /// hit count. After this the queries below cannot go out of bounds.
+    pub(crate) fn open(
+        src: &mut SliceSource<'_>,
+        n_seqs: usize,
+        total_len: u64,
+    ) -> io::Result<Self> {
+        // Each key contributes 8 bytes to the key array and 16 to (base, ocw).
+        let n_keys = src.take_len_prefix(24)?;
+        if u32::try_from(n_keys).is_err() {
+            return Err(corrupt(format!(
+                "{n_keys} minimizer keys exceed the 2^32 the lookup directory addresses"
+            )));
+        }
+        let keys = src.position();
+        let key_bytes = src.take_slice(8 * n_keys)?;
+        let key = |i: usize| le_u64(key_bytes, 8 * i);
+        if let Some(i) = (1..n_keys).find(|&i| key(i - 1) >= key(i)) {
+            return Err(corrupt(format!(
+                "minimizer keys are not strictly increasing (key {i}, {:#x}, follows {:#x})",
+                key(i),
+                key(i - 1)
+            )));
+        }
+        let bits = radix_bits(total_len);
+        let shift =
+            (64 - n_keys.checked_sub(1).map_or(0, key).leading_zeros()).saturating_sub(bits);
+        let mut dir = vec![0u32; (1 << bits) + 1];
+        let mut slot = 0usize;
+        for i in 0..n_keys {
+            // Sorted, so no key is wider than the last: its slot exists.
+            while slot <= (key(i) >> shift) as usize {
+                dir[slot] = i as u32;
+                slot += 1;
+            }
+        }
+        dir[slot..].fill(n_keys as u32);
+
+        let ref_bytes = src.take_slice(16 * n_keys)?;
+        let n_hits = src.take_u64()?;
+        // The writer zero-fills to the next 8-byte image offset; anything
+        // else there means the image was not produced by this writer.
+        let pad = src.take_slice((8 - src.position() % 8) % 8)?;
+        if pad.iter().any(|&b| b != 0) {
+            return Err(corrupt("nonzero block-pool alignment padding".into()));
+        }
+        let pool_words = src.take_len_prefix(8)?;
+        let pool = src.position();
+        let Some(blocks) = as_words(src.take_slice(8 * pool_words)?) else {
+            return Err(corrupt(
+                "the block pool is not 8-byte aligned in memory".into(),
+            ));
+        };
+        // Bytes past the pool mean the image was torn, zero-padded by an
+        // interrupted write, or truncated from a larger index whose early
+        // length prefixes still happened to fit.
+        if src.remaining() > 0 {
+            return Err(corrupt(format!(
+                "index sections end {} byte(s) before the end of the file; \
+                 the image is torn or was truncated from a larger index",
+                src.remaining()
+            )));
+        }
+
+        let mut total: u64 = 0;
+        for i in 0..n_keys {
+            let r = BucketRef {
+                base: le_u64(ref_bytes, 16 * i),
+                ocw: le_u64(ref_bytes, 16 * i + 8),
+            };
+            let bad = |what: String| corrupt(format!("minimizer {:#x}: {what}", key(i)));
+            let count = r.count();
+            if count == 0 || (count > 1 && r.width() == 0) || r.width() > 64 {
+                return Err(bad(format!(
+                    "invalid bucket shape (count {count}, width {})",
+                    r.width()
+                )));
+            }
+            if r.off()
+                .checked_add(r.block_words())
+                .is_none_or(|end| end > pool_words as u64)
+            {
+                return Err(bad(format!(
+                    "delta block {}..+{} exceeds the {pool_words}-word pool",
+                    r.off(),
+                    r.block_words()
+                )));
+            }
+            total = total.saturating_add(count);
+            // Deltas are unsigned, so a running sum that ever steps down
+            // has wrapped past `u64::MAX`.
+            let mut prev = r.base;
+            for hit in PostingCursor::new(blocks, r) {
+                if hit < prev {
+                    return Err(bad("delta sum overflows u64".into()));
+                }
+                let (rid, _, _) = unpack_hit(hit);
+                if rid as usize >= n_seqs {
+                    return Err(bad(format!(
+                        "packed hit names reference {rid}, but only {n_seqs} sequence(s) exist"
+                    )));
+                }
+                prev = hit;
+            }
+        }
+        if total != n_hits {
+            return Err(corrupt(format!(
+                "bucket counts sum to {total}, header claims {n_hits} hits"
+            )));
         }
         Ok(PackedPostings {
-            map,
-            blocks,
-            n_hits: pairs.len() as u64,
+            keys,
+            n_keys,
+            pool,
+            pool_words,
+            n_hits,
+            shift,
+            dir,
         })
     }
 
-    /// Decode one bucket into `out` (cleared and refilled). Infallible on
-    /// refs produced by this store — load-time validation has already
-    /// walked every bucket.
-    pub fn decode_ref_into(&self, r: BucketRef, out: &mut Vec<u64>) {
+    /// Offset of the key-count field: where the `seqs` section ends and
+    /// the `map` section starts.
+    pub(crate) fn map_start(&self) -> usize {
+        self.keys - 8
+    }
+
+    /// Offset of the hit-count field: where the `pool` section starts.
+    pub(crate) fn pool_start(&self) -> usize {
+        self.keys + 24 * self.n_keys
+    }
+
+    /// Number of distinct minimizer hashes.
+    pub(crate) fn num_keys(&self) -> usize {
+        self.n_keys
+    }
+
+    /// Total number of stored hits.
+    pub(crate) fn num_hits(&self) -> u64 {
+        self.n_hits
+    }
+
+    /// Bytes of the hit-carrying section (keys and bucket refs excluded):
+    /// the delta block pool. A flat `u64`-per-hit array of the same hits
+    /// is `n_hits * 8`.
+    pub(crate) fn posting_bytes(&self) -> usize {
+        self.pool_words * 8
+    }
+
+    /// Heap bytes this view owns: the radix directory.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.dir.len() * 4
+    }
+
+    /// All minimizer hashes, ascending, read from the image's key array.
+    pub(crate) fn hashes<'a>(&self, image: &'a [u8]) -> impl ExactSizeIterator<Item = u64> + 'a {
+        image[self.keys..self.keys + 8 * self.n_keys]
+            .chunks_exact(8)
+            .map(|c| le_u64(c, 0))
+    }
+
+    /// The bucket of `hash`, or `None` when the index does not hold it: one
+    /// directory read, then a search of that slot's run of the sorted key
+    /// array that starts where interpolation says the key should be. The
+    /// keys of one slot are close to evenly spread, so the guess is within
+    /// a few keys of the answer and the first [`NEAR`] probes step to the
+    /// adjacent key — one cache line, where bisecting a crowded slot (the
+    /// low ones: minimizers are window *minima*) touches three. A slot
+    /// whose keys clump falls back to bisection, so the bound stays
+    /// logarithmic whatever the image holds.
+    #[inline]
+    pub(crate) fn lookup(&self, image: &[u8], hash: u64) -> Option<BucketRef> {
+        let slot = usize::try_from(hash >> self.shift).ok()?;
+        let (mut lo, mut hi) = (
+            *self.dir.get(slot)? as usize,
+            *self.dir.get(slot + 1)? as usize,
+        );
+        if lo == hi {
+            return None;
+        }
+        let keys = &image[self.keys..self.keys + 24 * self.n_keys];
+        // How far into the slot's value range `hash` lies, scaled to its
+        // key count: in `lo..hi` because the fraction is below 1.
+        let into = (hash - ((slot as u64) << self.shift)) as u128;
+        let mut i = lo + ((into * (hi - lo) as u128) >> self.shift) as usize;
+        let mut near = NEAR;
+        loop {
+            let above = match le_u64(keys, 8 * i).cmp(&hash) {
+                std::cmp::Ordering::Equal => {
+                    let at = 8 * self.n_keys + 16 * i;
+                    return Some(BucketRef {
+                        base: le_u64(keys, at),
+                        ocw: le_u64(keys, at + 8),
+                    });
+                }
+                std::cmp::Ordering::Less => {
+                    lo = i + 1;
+                    true
+                }
+                std::cmp::Ordering::Greater => {
+                    hi = i;
+                    false
+                }
+            };
+            if lo == hi {
+                return None;
+            }
+            i = match (near, above) {
+                (0, _) => lo + (hi - lo) / 2,
+                (_, true) => lo,
+                (_, false) => hi - 1,
+            };
+            near = near.saturating_sub(1);
+        }
+    }
+
+    /// The block pool, where it lies.
+    #[inline]
+    fn blocks<'a>(&self, image: &'a [u8]) -> &'a [u64] {
+        // Aligned and whole by `open`'s check, so the fallback is never taken.
+        as_words(&image[self.pool..self.pool + 8 * self.pool_words]).unwrap_or_default()
+    }
+
+    /// Stream bucket `r` (a [`PackedPostings::lookup`] result) without
+    /// materializing it.
+    #[inline]
+    pub(crate) fn cursor<'a>(&self, image: &'a [u8], r: BucketRef) -> PostingCursor<'a> {
+        PostingCursor::new(self.blocks(image), r)
+    }
+
+    /// Decode bucket `r` into `out` (cleared and refilled) through the
+    /// tiered unpack kernels. With a reused `out` this is the
+    /// allocation-free bulk query path; infallible on a validated image.
+    pub(crate) fn decode_into(&self, image: &[u8], r: BucketRef, out: &mut Vec<u64>) {
         let count = r.count() as usize;
         out.clear();
         out.resize(count, 0);
         out[0] = r.base;
         if count > 1 {
-            let block = &self.blocks[r.off() as usize..];
+            let block = &self.blocks(image)[r.off() as usize..];
             unpack::unpack_fields(block, r.width(), &mut out[1..]);
             for i in 1..count {
                 out[i] = out[i - 1].wrapping_add(out[i]);
             }
         }
     }
-
-    /// Walk one bucket with checked arithmetic, feeding each decoded hit
-    /// to `visit`. Used by load-time validation, where a hostile file
-    /// could otherwise wrap deltas past `u64::MAX`.
-    pub fn walk_checked(
-        &self,
-        r: BucketRef,
-        mut visit: impl FnMut(u64) -> Result<(), String>,
-    ) -> Result<(), String> {
-        visit(r.base)?;
-        if r.count() > 1 {
-            let block = self
-                .blocks
-                .get(r.off() as usize..)
-                .ok_or("bucket offset past delta blocks")?;
-            let mut prev = r.base;
-            let mut bit = 0usize;
-            for _ in 1..r.count() {
-                let d = unpack::read_field(block, bit, r.width());
-                bit += r.width() as usize;
-                prev = prev.checked_add(d).ok_or("delta sum overflows u64")?;
-                visit(prev)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of distinct minimizer hashes.
-    pub fn num_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Total number of stored hits.
-    pub fn num_hits(&self) -> u64 {
-        self.n_hits
-    }
-
-    /// Hits recorded for `hash` (0 when absent) — one map probe, no decode.
-    pub fn count(&self, hash: u64) -> usize {
-        self.map.get(&hash).map_or(0, |r| r.count() as usize)
-    }
-
-    /// Decode the bucket for `hash` into `out` (cleared and refilled;
-    /// empty when the hash is absent). With a reused `out` this is the
-    /// allocation-free bulk query path.
-    pub fn decode_into(&self, hash: u64, out: &mut Vec<u64>) {
-        match self.map.get(&hash) {
-            Some(&r) => self.decode_ref_into(r, out),
-            None => out.clear(),
-        }
-    }
-
-    /// Stream the bucket for `hash` without materializing it.
-    pub fn cursor(&self, hash: u64) -> PostingCursor<'_> {
-        // An absent hash reads as a zero-hit bucket: `next` ends on
-        // `remaining` before it touches `blocks`.
-        let r = self.map.get(&hash).copied();
-        let r = r.unwrap_or(BucketRef { base: 0, ocw: 0 });
-        PostingCursor {
-            blocks: &self.blocks[r.off() as usize..],
-            width: r.width(),
-            bit: 0,
-            prev: r.base,
-            remaining: r.count(),
-            first: true,
-        }
-    }
-
-    /// All minimizer hashes in sorted order (allocates; test/serialize
-    /// convenience, not a hot path).
-    pub fn sorted_hashes(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.map.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Bytes of the hit-carrying section (map excluded): the delta block
-    /// pool. A flat `u64`-per-hit array of the same hits is `n_hits * 8`.
-    pub fn posting_bytes(&self) -> usize {
-        self.blocks.len() * 8
-    }
-
-    /// Resident heap bytes (map + delta blocks).
-    pub fn heap_bytes(&self) -> usize {
-        self.map.len() * 24 + self.blocks.len() * 8
-    }
 }
 
 /// Streaming decoder over one posting bucket, yielding packed hits in
 /// increasing order: a bit cursor into the bucket's delta block and the
-/// running prefix sum — no buffer, no allocation.
+/// running prefix sum — no buffer, no allocation. The one walk: open-time
+/// validation runs it too.
 pub struct PostingCursor<'a> {
     blocks: &'a [u64],
     width: u32,
@@ -276,6 +473,21 @@ pub struct PostingCursor<'a> {
     prev: u64,
     remaining: u64,
     first: bool,
+}
+
+impl<'a> PostingCursor<'a> {
+    /// A cursor over bucket `r` of the pool `blocks`. A zero-hit `r` (an
+    /// absent hash) ends on `remaining` before it touches `blocks`.
+    fn new(blocks: &'a [u64], r: BucketRef) -> Self {
+        PostingCursor {
+            blocks: blocks.get(r.off() as usize..).unwrap_or_default(),
+            width: r.width(),
+            bit: 0,
+            prev: r.base,
+            remaining: r.count(),
+            first: true,
+        }
+    }
 }
 
 impl Iterator for PostingCursor<'_> {
@@ -307,12 +519,29 @@ impl ExactSizeIterator for PostingCursor<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Image;
     use proptest::prelude::*;
 
-    /// The reference is the input itself: `pairs` grouped by hash is what
-    /// every query of the packed store must give back.
+    /// The table of `pairs` emitted as an image with no sequences before
+    /// it, in an aligned buffer, and the view `open` gives over it.
+    fn table(pairs: &[(u64, u64)]) -> Result<(Image, PackedPostings), IndexError> {
+        let mut out = Vec::new();
+        PackedPostings::emit(pairs, &mut out)?;
+        let image = Image::from_bytes(&out);
+        // Hits may name any of the 2^24 references.
+        // A directory slot per key or so, as a real index has.
+        let total_len = 64 * pairs.len() as u64;
+        let p = PackedPostings::open(&mut SliceSource::new(image.bytes()), 1 << 24, total_len)
+            .map_err(|e| IndexError::from_parse(0, e))?;
+        Ok((image, p))
+    }
+
+    /// The reference is the input itself — a naive model: `pairs` grouped
+    /// by hash is what every query of the table must give back, and every
+    /// hash that is not in `pairs` must miss.
     fn assert_equivalent(pairs: &[(u64, u64)]) {
-        let packed = PackedPostings::from_sorted_pairs(pairs).unwrap();
+        let (image, p) = table(pairs).unwrap();
+        let image = image.bytes();
         let mut want: Vec<(u64, Vec<u64>)> = Vec::new();
         for &(hash, hit) in pairs {
             match want.last_mut() {
@@ -320,30 +549,40 @@ mod tests {
                 _ => want.push((hash, vec![hit])),
             }
         }
-        assert_eq!(packed.num_keys(), want.len());
-        assert_eq!(packed.num_hits(), pairs.len() as u64);
+        assert_eq!(p.num_keys(), want.len());
+        assert_eq!(p.num_hits(), pairs.len() as u64);
         let hashes: Vec<u64> = want.iter().map(|&(h, _)| h).collect();
-        assert_eq!(packed.sorted_hashes(), hashes);
+        assert_eq!(p.hashes(image).collect::<Vec<_>>(), hashes);
         let mut b = Vec::new();
         for (h, hits) in &want {
-            assert_eq!(packed.count(*h), hits.len(), "count for {h}");
-            packed.decode_into(*h, &mut b);
+            let r = p
+                .lookup(image, *h)
+                .unwrap_or_else(|| panic!("{h:#x} missed"));
+            assert_eq!(r.count() as usize, hits.len(), "count for {h}");
+            p.decode_into(image, r, &mut b);
             assert_eq!(&b, hits, "decode for {h}");
-            let via_cursor: Vec<u64> = packed.cursor(*h).collect();
+            let via_cursor: Vec<u64> = p.cursor(image, r).collect();
             assert_eq!(&via_cursor, hits, "cursor for {h}");
-            assert_eq!(packed.cursor(*h).len(), hits.len());
+            assert_eq!(p.cursor(image, r).len(), hits.len());
         }
-        // An absent hash is an empty bucket on every query.
-        let absent = 0xDEAD_BEEF_0BAD_F00Du64;
-        assert_eq!(packed.count(absent), 0);
-        packed.decode_into(absent, &mut b);
-        assert!(b.is_empty());
-        assert_eq!(packed.cursor(absent).count(), 0);
+        // Absent hashes: below, between and above the keys, and the two
+        // ends of the hash space.
+        let absent = hashes
+            .iter()
+            .flat_map(|&h| [h.wrapping_sub(1), h.wrapping_add(1)])
+            .chain([0, 1, u64::MAX, u64::MAX - 1, 0xDEAD_BEEF_0BAD_F00D]);
+        for h in absent {
+            assert_eq!(
+                p.lookup(image, h).is_some(),
+                hashes.binary_search(&h).is_ok(),
+                "lookup of {h:#x}"
+            );
+        }
     }
 
     #[test]
     fn empty_store() {
-        let p = PackedPostings::from_sorted_pairs(&[]).unwrap();
+        let (_, p) = table(&[]).unwrap();
         assert_eq!(p.num_keys(), 0);
         assert_eq!(p.num_hits(), 0);
         assert_eq!(p.posting_bytes(), 0);
@@ -353,9 +592,8 @@ mod tests {
     #[test]
     fn singleton_buckets_use_no_block_words() {
         let pairs = [(1u64, 100u64), (2, 7), (9, u64::MAX)];
-        let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
-        assert_eq!(packed.blocks.len(), 0);
-        assert_eq!(packed.posting_bytes(), 0);
+        let (_, p) = table(&pairs).unwrap();
+        assert_eq!(p.posting_bytes(), 0);
         assert_equivalent(&pairs);
     }
 
@@ -374,6 +612,31 @@ mod tests {
     }
 
     #[test]
+    fn lookup_matches_the_model_at_the_edges_of_the_key_space() {
+        // One key; the two ends of the hash space, alone and together.
+        assert_equivalent(&[(77, 5)]);
+        assert_equivalent(&[(0, 5)]);
+        assert_equivalent(&[(u64::MAX, 5)]);
+        assert_equivalent(&[(0, 1), (0, 9), (u64::MAX, 2)]);
+        // All keys share their top bits: one directory slot holds them all
+        // and the binary search does the whole job.
+        let crowded: Vec<(u64, u64)> = (0..3_000u64).map(|i| ((1 << 60) | (i * 3), i)).collect();
+        assert_equivalent(&crowded);
+        // Keys spread over the whole 64-bit space, more than one per slot.
+        let mut spread: Vec<(u64, u64)> = (0..100_000u64)
+            .map(|i| (i.wrapping_mul(0x0002_9E37_79B9_7F4A), i))
+            .collect();
+        spread.sort_unstable();
+        spread.dedup_by_key(|p| p.0);
+        assert_equivalent(&spread);
+        // Narrow hashes (2k bits, as minimizers are): the directory is cut
+        // from the widest key's top bit, not bit 63.
+        let mut narrow: Vec<(u64, u64)> = (0..5_000u64).map(|i| (i * 211 % (1 << 22), i)).collect();
+        narrow.sort_unstable();
+        assert_equivalent(&narrow);
+    }
+
+    #[test]
     fn adversarial_widths_round_trip() {
         // Deltas forced to exactly 1, 7, 8, and 39 significant bits, plus
         // empty-adjacent and singleton buckets (satellite requirement).
@@ -386,8 +649,8 @@ mod tests {
                 hit += delta;
             }
             pairs.push((78, 5)); // trailing singleton
-            let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
-            let r = packed.map[&77];
+            let (image, p) = table(&pairs).unwrap();
+            let r = p.lookup(image.bytes(), 77).unwrap();
             assert_eq!(r.width(), width, "width {width}");
             assert_equivalent(&pairs);
         }
@@ -414,12 +677,12 @@ mod tests {
                 pairs.push((h, (h << 20) + i * 97));
             }
         }
-        let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
+        let (_, p) = table(&pairs).unwrap();
         let flat_bytes = pairs.len() * 8;
         assert!(
-            packed.posting_bytes() * 2 <= flat_bytes,
+            p.posting_bytes() * 2 <= flat_bytes,
             "packed {} vs flat {flat_bytes}",
-            packed.posting_bytes()
+            p.posting_bytes()
         );
         assert_equivalent(&pairs);
     }
@@ -427,44 +690,59 @@ mod tests {
     #[test]
     fn oversized_bucket_is_refused() {
         let pairs: Vec<(u64, u64)> = (0..=MAX_BUCKET_HITS).map(|i| (1u64, i * 2)).collect();
-        let err = PackedPostings::from_sorted_pairs(&pairs).unwrap_err();
+        let err = PackedPostings::emit(&pairs, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, IndexError::PostingBudget { .. }), "{err}");
         assert!(err.to_string().contains("packed-block budget"), "{err}");
     }
 
-    #[test]
-    fn walk_checked_matches_decode() {
-        let pairs = [(3u64, 9u64), (3, 9 + 300), (3, 9 + 300 + 5)];
-        let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
-        let r = packed.map[&3];
-        let mut walked = Vec::new();
-        packed
-            .walk_checked(r, |h| {
-                walked.push(h);
-                Ok(())
-            })
-            .unwrap();
-        let mut decoded = Vec::new();
-        packed.decode_ref_into(r, &mut decoded);
-        assert_eq!(walked, decoded);
+    /// Re-open the table of `pairs` after `patch` edited its bytes.
+    fn reopen(pairs: &[(u64, u64)], patch: impl FnOnce(&mut Vec<u8>)) -> io::Error {
+        let mut out = Vec::new();
+        PackedPostings::emit(pairs, &mut out).unwrap();
+        patch(&mut out);
+        let image = Image::from_bytes(&out);
+        PackedPostings::open(&mut SliceSource::new(image.bytes()), 1 << 24, 0).unwrap_err()
     }
 
     #[test]
-    fn walk_checked_catches_overflow() {
-        // Hand-forge a bucket whose delta wraps past u64::MAX.
-        let mut blocks = vec![0u64; 1];
-        unpack::write_fields(&mut blocks, 0, 64, &[u64::MAX]);
-        let p = PackedPostings {
-            map: HashMap::new(),
-            blocks,
-            n_hits: 2,
-        };
-        let mut r = BucketRef::new(0, 2, 64);
-        r.base = 5;
-        assert!(p
-            .walk_checked(r, |_| Ok(()))
-            .unwrap_err()
-            .contains("overflow"));
+    fn open_refuses_what_a_query_would_trip_over() {
+        let pairs = [(3u64, 9u64), (3, 9 + 300), (7, 1), (9, 2)];
+        // Layout: n_keys(8) keys(3×8) refs(3×16) n_hits(8) n_words(8) pool.
+        let (keys, refs) = (8usize, 32usize);
+        // Swapped keys, then a duplicated one: the binary search needs
+        // them strictly increasing.
+        for (a, b) in [(7u64, 3u64), (3, 3)] {
+            let e = reopen(&pairs, |out| {
+                out[keys..keys + 8].copy_from_slice(&a.to_le_bytes());
+                out[keys + 8..keys + 16].copy_from_slice(&b.to_le_bytes());
+            });
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                e.to_string().contains("not strictly increasing (key 1,"),
+                "{e}"
+            );
+        }
+        // A delta that wraps the running sum past u64::MAX: the 9-bit field
+        // of bucket 3 re-declared 64 bits wide over an all-ones word.
+        let e = reopen(&pairs, |out| {
+            let ocw = BucketRef::new(0, 2, 64).ocw;
+            out[refs + 8..refs + 16].copy_from_slice(&ocw.to_le_bytes());
+            let n = out.len();
+            out[n - 8..].fill(0xFF);
+        });
+        assert!(e.to_string().contains("overflow"), "{e}");
+        // A bucket that points past the pool.
+        let e = reopen(&pairs, |out| {
+            let ocw = BucketRef::new(1, 2, 9).ocw;
+            out[refs + 8..refs + 16].copy_from_slice(&ocw.to_le_bytes());
+        });
+        assert!(e.to_string().contains("exceeds the 1-word pool"), "{e}");
+        // Counts that do not add up to the stored hit count.
+        let e = reopen(&pairs, |out| {
+            let n_hits = refs + 3 * 16;
+            out[n_hits..n_hits + 8].copy_from_slice(&5u64.to_le_bytes());
+        });
+        assert!(e.to_string().contains("bucket counts sum to 4"), "{e}");
     }
 
     proptest! {
@@ -472,13 +750,16 @@ mod tests {
         #[test]
         fn random_sorted_pairs_round_trip(
             hashes in proptest::collection::vec(0u64..16, 0..400),
-            hits in proptest::collection::vec(0u64..1_000_000_000_000, 0..400)
+            hits in proptest::collection::vec(0u64..1_000_000_000_000, 0..400),
+            spread in 0u32..60
         ) {
+            // `spread` moves the same few keys from one directory slot
+            // (0) to the top of the hash space.
             let n = hashes.len().min(hits.len());
             let mut pairs: Vec<(u64, u64)> = hashes[..n]
                 .iter()
                 .zip(&hits[..n])
-                .map(|(&h, &p)| (h, p))
+                .map(|(&h, &p)| (h << spread, p))
                 .collect();
             pairs.sort_unstable();
             assert_equivalent(&pairs);

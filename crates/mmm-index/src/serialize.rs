@@ -2,12 +2,13 @@
 //!
 //! * The **image** (v2, `MMX\x02`, DESIGN.md §14) mirrors minimap2's `.mmi`
 //!   in spirit: a magic header, per-sequence metadata and packed bases, then
-//!   the minimizer table — `(base, ocw)` [`BucketRef`] map values plus a
+//!   the minimizer table — sorted keys, `(base, ocw)` bucket refs and a
 //!   pool of FOR/delta bit-packed block words, zero-padded so the pool sits
-//!   8-byte aligned (mmap'd `u64` loads never straddle). The fourth byte
-//!   after the `MMX` prefix names the version; an image of any *other*
-//!   version is a typed [`IndexError::Version`] — "rebuild your index",
-//!   never "corrupt". An image is never a file by itself.
+//!   8-byte aligned. It is also the *in-memory* index: the builder writes
+//!   these bytes once and a [`MinimizerIndex`] is a validated view over
+//!   them, so writing a file wraps bytes that already exist. An image of
+//!   any *other* version is a typed [`IndexError::Version`] — "rebuild your
+//!   index", never "corrupt". An image is never a file by itself.
 //! * The **container** (`MMXS`, DESIGN.md §15.2) is what every index file
 //!   is: a 120-byte directory (magic, version, first reference id, four
 //!   `(offset, length, xxh64)` section entries, and a hash of all of that)
@@ -17,20 +18,20 @@
 //! * The **manifest** (`MMX\x03`) ties the containers of a sharded index
 //!   together: length-prefixed payload plus a trailing xxh64.
 //!
-//! Reading is one path: `Mmap::open` → `verify_checksums` (every byte of
-//! the file, before any of it is interpreted) → [`parse_index`] over the
-//! embedded image. There is no unchecked reader.
+//! Reading is one path: `Mmap::open` → `VerifiedMap::verify` (every byte
+//! checksummed before any is interpreted) → `open_image` (every offset,
+//! count and bucket a query will follow validated where it lies; nothing
+//! copied). Checksums detect damage, they do not authenticate, so the
+//! second step trusts nothing the first let through.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use mmm_io::{write_atomic, ByteSource, SliceSource};
-use mmm_seq::PackedSeq;
+use mmm_io::{write_atomic, Mmap, SliceSource};
 
 use crate::error::IndexError;
-use crate::index::{MinimizerIndex, RefSeq};
-use crate::postings::{BucketRef, PackedPostings};
+use crate::index::{IdxOpts, Image, MinimizerIndex, SeqSpan};
+use crate::postings::PackedPostings;
 use crate::shard::{Bloom, ShardManifest, ShardMeta};
 use crate::xxh::xxh64;
 
@@ -40,6 +41,12 @@ pub const MAGIC_PREFIX: &[u8; 3] = b"MMX";
 /// v2: FOR/delta bit-packed posting blocks — the one image version this
 /// build writes and reads (v1 was the retired `u64`-per-hit layout).
 pub(crate) const VERSION_PACKED: u8 = 2;
+/// Image offset of the header's `max_occ` field: the one header value that
+/// is re-cut after a build (`build_sharded`'s global cutoff).
+const MAX_OCC_AT: usize = 16;
+/// Length of the image header: magic, `k`, `w`, `hpc`, `max_occ`, and the
+/// sequence count.
+const HEADER_LEN: usize = 28;
 
 /// Magic of a container file.
 const CONTAINER_MAGIC: [u8; 4] = *b"MMXS";
@@ -48,7 +55,7 @@ const CONTAINER_VERSION: u32 = 1;
 /// four section entries.
 const CONTAINER_DIR_LEN: usize = 112;
 /// Offset of the embedded index image (8-aligned).
-const CONTAINER_IMAGE_OFF: usize = 120;
+pub(crate) const CONTAINER_IMAGE_OFF: usize = 120;
 /// Section names, in file order. Index `i` seeds section `i`'s XXH64 so
 /// two sections with identical bytes still get distinct digests.
 pub const CONTAINER_SECTIONS: [&str; 4] = ["header", "seqs", "map", "pool"];
@@ -61,69 +68,60 @@ pub fn save_index(idx: &MinimizerIndex, path: &Path) -> io::Result<()> {
     write_container(idx, 0, path).map(|_| ())
 }
 
-/// Append `idx` to `out` as a v2 image and report the image-relative
+/// Start an image in `out`: the header of an index over `n_seqs`
+/// sequences, `max_occ` still zero. The builder follows it with one
+/// [`write_seq`] per sequence, the minimizer table
+/// ([`PackedPostings::emit`]) and [`set_max_occ`].
+pub(crate) fn write_header(out: &mut Vec<u8>, opts: &IdxOpts, n_seqs: usize) {
+    out.extend_from_slice(MAGIC_PREFIX);
+    out.push(VERSION_PACKED);
+    for field in [opts.k as u32, opts.w as u32, opts.hpc as u32, 0] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&(n_seqs as u64).to_le_bytes());
+    debug_assert_eq!(out.len(), HEADER_LEN);
+}
+
+/// Set the header's `max_occ` (the builder knows the cutoff only once
+/// every sequence is sketched).
+pub(crate) fn set_max_occ(image: &mut [u8], max_occ: u32) {
+    image[MAX_OCC_AT..][..4].copy_from_slice(&max_occ.to_le_bytes());
+}
+
+/// Append one sequence record: name, base count, and the 2-bit packed
+/// bases as little-endian `u32` words (16 bases each).
+pub(crate) fn write_seq(out: &mut Vec<u8>, name: &str, len: usize, words: &[u32]) {
+    out.extend_from_slice(&(name.len() as u64).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    for &word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Append `idx`'s v2 image to `out` and report the image-relative
 /// `[start, end)` byte ranges of its four sections, in
 /// [`CONTAINER_SECTIONS`] order (the container checksums each range
 /// independently so corruption reports can name the damaged section). The
-/// image is self-contained: parsing it from offset 0 of any [`ByteSource`]
-/// reproduces the index, which is how the container embeds it after its
-/// checksum directory (and how the hostile-input suites get at the bare
-/// image).
+/// bytes are the ones `idx` reads, with the header's `max_occ` set from the
+/// field; [`MinimizerIndex::from_image_bytes`] over them reproduces the
+/// index, which is how the hostile-input suites get at the bare image.
 pub fn write_index_image(idx: &MinimizerIndex, out: &mut Vec<u8>) -> [(u64, u64); 4] {
     let start = out.len();
-    let pos = |out: &Vec<u8>| (out.len() - start) as u64;
-    out.extend_from_slice(MAGIC_PREFIX);
-    out.push(VERSION_PACKED);
-    out.extend_from_slice(&(idx.k as u32).to_le_bytes());
-    out.extend_from_slice(&(idx.w as u32).to_le_bytes());
-    out.extend_from_slice(&(idx.hpc as u32).to_le_bytes());
-    out.extend_from_slice(&idx.max_occ.to_le_bytes());
-    out.extend_from_slice(&(idx.seqs.len() as u64).to_le_bytes());
-    let header_end = pos(out);
-    for s in &idx.seqs {
-        out.extend_from_slice(&(s.name.len() as u64).to_le_bytes());
-        out.extend_from_slice(s.name.as_bytes());
-        out.extend_from_slice(&(s.seq.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(s.seq.words().len() as u64).to_le_bytes());
-        for &word in s.seq.words() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-    }
-    let seqs_end = pos(out);
-    // Minimizer table: keys sorted for determinism, then the per-key
-    // values, then the hit-carrying section.
-    let p = &idx.postings;
-    let mut keys: Vec<u64> = p.map.keys().copied().collect();
-    keys.sort_unstable();
-    out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-    for &k in &keys {
-        out.extend_from_slice(&k.to_le_bytes());
-    }
-    for &k in &keys {
-        let r = p.map[&k];
-        out.extend_from_slice(&r.base.to_le_bytes());
-        out.extend_from_slice(&r.ocw.to_le_bytes());
-    }
-    let map_end = pos(out);
-    out.extend_from_slice(&p.n_hits.to_le_bytes());
-    // Zero-pad so the block pool (after its 8-byte length prefix) starts
-    // 8-byte aligned in the image: an mmap'd parse can then read block
-    // words without straddling.
-    let pad = (8 - (pos(out) % 8) as usize) % 8;
-    out.extend_from_slice(&[0u8; 7][..pad]);
-    out.extend_from_slice(&(p.blocks.len() as u64).to_le_bytes());
-    for &b in &p.blocks {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
+    out.extend_from_slice(idx.image.bytes());
+    set_max_occ(&mut out[start..], idx.max_occ);
+    let (map, pool) = (idx.postings.map_start(), idx.postings.pool_start());
     [
-        (0, header_end),
-        (header_end, seqs_end),
-        (seqs_end, map_end),
-        (map_end, pos(out)),
+        (0, HEADER_LEN),
+        (HEADER_LEN, map),
+        (map, pool),
+        (pool, out.len() - start),
     ]
+    .map(|(s, e)| (s as u64, e as u64))
 }
 
-/// Serialize `idx` into a container at `path`, atomically. Returns
+/// Wrap `idx`'s image in a container at `path`, atomically. Returns
 /// `(file_len, dir_hash)`; the directory hash transitively covers every
 /// byte of the file (it hashes the section digests), so a manifest can pin
 /// the exact shard generation with eight bytes.
@@ -133,7 +131,7 @@ pub(crate) fn write_container(
     path: &Path,
 ) -> io::Result<(u64, u64)> {
     // The image goes straight behind a directory-sized gap, filled in once
-    // the section boundaries and digests are known.
+    // the section digests are known.
     let mut file = vec![0u8; CONTAINER_IMAGE_OFF];
     let sections = write_index_image(idx, &mut file);
     let mut dir = Vec::with_capacity(CONTAINER_IMAGE_OFF);
@@ -180,11 +178,9 @@ fn foreign_magic(bytes: &[u8]) -> IndexError {
     }
 }
 
-/// Validate a container end-to-end *before* any byte of it is parsed:
+/// Validate a container end-to-end *before* any byte of it is interpreted:
 /// magic, directory hash, version, section contiguity against the real
-/// file length, and all four section digests. Every mmap-derived slice
-/// must pass through here before it leaves this crate (enforced by the
-/// xtask `mmap-checksum` lint).
+/// file length, and all four section digests.
 pub(crate) fn verify_checksums(bytes: &[u8]) -> Result<ContainerDir, IndexError> {
     let corrupt = |what: String| IndexError::Corrupt { offset: None, what };
     if !bytes.starts_with(&CONTAINER_MAGIC) {
@@ -269,6 +265,34 @@ pub(crate) fn verify_checksums(bytes: &[u8]) -> Result<ContainerDir, IndexError>
     })
 }
 
+/// A mapped container file every byte of which has passed its checksum —
+/// the only thing [`MinimizerIndex::from_verified`] accepts, and
+/// [`VerifiedMap::verify`] is its only constructor: no mapped byte reaches
+/// a query without having gone through [`verify_checksums`].
+pub(crate) struct VerifiedMap {
+    map: Mmap,
+    dir: ContainerDir,
+}
+
+impl VerifiedMap {
+    /// Run the checksum pass over `map` (under the sequential read-ahead it
+    /// was opened with), then tell the kernel the lookups that follow probe
+    /// it at random.
+    pub(crate) fn verify(map: Mmap) -> Result<Self, IndexError> {
+        let dir = verify_checksums(&map)?;
+        map.advise_random();
+        Ok(VerifiedMap { map, dir })
+    }
+
+    pub(crate) fn dir(&self) -> &ContainerDir {
+        &self.dir
+    }
+
+    pub(crate) fn into_map(self) -> Mmap {
+        self.map
+    }
+}
+
 /// Absolute `[start, end)` byte ranges of the four sections of a container,
 /// in [`CONTAINER_SECTIONS`] order. Validates the whole container first.
 /// Exists for the corruption-sweep tests and tooling that needs to aim at a
@@ -278,227 +302,94 @@ pub fn container_section_ranges(bytes: &[u8]) -> Result<[(u64, u64); 4], IndexEr
 }
 
 /// The little-endian `u64` at `bytes[at..at + 8]` (the caller has checked
-/// the length).
-fn le_u64(bytes: &[u8], at: usize) -> u64 {
+/// the length). Everything in an image that follows the variable-length
+/// sequence names is read this way: it has no alignment to rely on.
+#[inline(always)]
+pub(crate) fn le_u64(bytes: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&bytes[at..at + 8]);
     u64::from_le_bytes(b)
 }
 
-/// Validate and parse a container from bytes (a memory map). Checksum
-/// verification happens first; only then is the embedded image handed to
-/// [`parse_index`].
-pub(crate) fn parse_container(bytes: &[u8]) -> Result<(MinimizerIndex, ContainerDir), IndexError> {
-    let dir = verify_checksums(bytes)?;
-    let mut src = SliceSource::new(&bytes[CONTAINER_IMAGE_OFF..]);
-    let idx = parse_index(&mut src)?;
-    Ok((idx, dir))
-}
-
-/// Read a `u64` element count and sanity-check it against the bytes left in
-/// the source. Every counted element occupies at least `min_bytes_each`
-/// bytes on disk, so a count that claims more data than remains is corrupt —
-/// rejecting it here turns a hostile/bit-flipped prefix into `InvalidData`
-/// instead of a multi-gigabyte allocation.
-fn bounded_count<S: ByteSource>(src: &mut S, min_bytes_each: u64, what: &str) -> io::Result<usize> {
-    let n = src.take_u64()?;
-    let rem = src.remaining_hint();
-    if n.checked_mul(min_bytes_each).is_none_or(|need| need > rem) {
-        return Err(corrupt(format!(
-            "{what} count {n} exceeds the {rem} bytes remaining"
-        )));
-    }
-    usize::try_from(n).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{what} count {n} does not fit in memory"),
-        )
-    })
-}
-
-fn corrupt(msg: String) -> io::Error {
+pub(crate) fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Header fields (everything after the magic, up to the minimizer table).
-struct Header {
-    k: usize,
-    w: usize,
-    hpc: bool,
-    max_occ: u32,
-    seqs: Vec<RefSeq>,
-}
-
-fn parse_header<S: ByteSource>(src: &mut S) -> io::Result<Header> {
-    let k = src.take_u32()? as usize;
-    let w = src.take_u32()? as usize;
-    let hpc = src.take_u32()? != 0;
-    let max_occ = src.take_u32()?;
-    // Each sequence record is at least 24 bytes (three u64 length fields).
-    let n_seqs = bounded_count(src, 24, "sequence")?;
-    let mut seqs = Vec::with_capacity(n_seqs);
-    for _ in 0..n_seqs {
-        let name = String::from_utf8_lossy(&src.take_bytes()?).into_owned();
-        let len = src.take_u64()? as usize;
-        let words = src.take_u32_vec()?;
-        // `PackedSeq::from_raw` asserts this invariant; a corrupt image must
-        // surface as a typed error, not a panic.
-        if words.len() != len.div_ceil(16) {
-            return Err(corrupt(format!(
-                "sequence '{name}': {} packed words cannot hold {len} bases",
-                words.len()
-            )));
-        }
-        seqs.push(RefSeq {
-            name,
-            seq: PackedSeq::from_raw(words, len),
+/// Turn image bytes — a built buffer, or a mapped file that passed its
+/// checksums — into an index *without copying them*: walk the header and
+/// the sequence records to find where everything lies, then let
+/// [`PackedPostings::open`] validate the minimizer table. Validated here,
+/// in order: magic and version; sketch parameters in the range the sketcher
+/// asserts; the sequence count and every name and word count bounded by the
+/// bytes left; names UTF-8; each sequence's word count what its length
+/// needs. A malformed or truncated image is [`IndexError::Corrupt`] with
+/// the image offset where reading stopped; this never panics and allocates
+/// nothing proportional to the image but one record per sequence.
+pub(crate) fn open_image(image: Image) -> Result<MinimizerIndex, IndexError> {
+    let mut src = SliceSource::new(image.bytes());
+    let at = |src: &SliceSource, e| IndexError::from_parse(src.position() as u64, e);
+    let magic = src.take_slice(4).map_err(|e| at(&src, e))?;
+    if magic[..3] != MAGIC_PREFIX[..] {
+        return Err(at(&src, corrupt("bad index magic".into())));
+    }
+    if magic[3] != VERSION_PACKED {
+        return Err(IndexError::Version {
+            found: magic[3],
+            expected: VERSION_PACKED,
         });
     }
-    Ok(Header {
+    let (k, w, hpc, max_occ, seqs, postings) = parse_v2_body(&mut src).map_err(|e| at(&src, e))?;
+    Ok(MinimizerIndex {
         k,
         w,
         hpc,
         max_occ,
+        image,
         seqs,
+        postings,
     })
 }
 
-/// Validate one packed hit's reference id against the sequence table — the
-/// same bit-budget contract `MinimizerIndex::build` enforces. Every rid is
-/// used as a direct index into the table, so a corrupt or hostile image
-/// carrying an out-of-range rid must surface as typed corruption here, not
-/// as a panic (or silent mismap) at seeding time.
-fn check_rid(hit: u64, n_seqs: usize, what: &str) -> Result<(), String> {
-    let (rid, _, _) = crate::index::unpack_hit(hit);
-    if rid as usize >= n_seqs {
-        return Err(format!(
-            "{what} names reference {rid}, but only {n_seqs} sequence(s) exist"
-        ));
-    }
-    Ok(())
-}
+type V2Body = (usize, usize, bool, u32, Vec<SeqSpan>, PackedPostings);
 
-/// v2 body: `(base, ocw)` bucket refs + zero-padded packed block pool.
-fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
-    let h = parse_header(src)?;
-    // Each key contributes 8 bytes to the key array and 16 to (base, ocw).
-    let n_keys = bounded_count(src, 24, "minimizer key")?;
-    let keys = {
-        let mut v = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            v.push(src.take_u64()?);
-        }
-        v
-    };
-    let mut map = HashMap::with_capacity(n_keys);
-    for &key in &keys {
-        let base = src.take_u64()?;
-        let ocw = src.take_u64()?;
-        map.insert(key, BucketRef { base, ocw });
-    }
-    let n_hits = src.take_u64()?;
-    // Consume the alignment pad: the writer zero-fills to the next 8-byte
-    // file boundary so the block pool's words are 8-byte aligned. Nonzero
-    // pad bytes mean the image was not produced by this writer.
-    let pad = (8 - (src.stream_position() % 8) as usize) % 8;
-    let mut padb = [0u8; 7];
-    src.take_exact(&mut padb[..pad])?;
-    if padb[..pad].iter().any(|&b| b != 0) {
-        return Err(corrupt("nonzero block-pool alignment padding".into()));
-    }
-    let blocks = src.take_u64_vec()?;
-    let postings = PackedPostings {
-        map,
-        blocks,
-        n_hits,
-    };
-    // Walk every bucket before accepting the image: field budgets, block
-    // bounds, overflow-free delta sums, and in-budget reference ids. After
-    // this walk the infallible decode path cannot be surprised.
-    let mut total: u64 = 0;
-    for (&key, &r) in &postings.map {
-        let count = r.count();
-        if count == 0 || (count > 1 && r.width() == 0) || r.width() > 64 {
-            return Err(corrupt(format!(
-                "minimizer {key:#x}: invalid bucket shape (count {count}, width {})",
-                r.width()
-            )));
-        }
-        let end = r.off().checked_add(r.block_words());
-        if end.is_none() || end.unwrap_or(u64::MAX) > postings.blocks.len() as u64 {
-            return Err(corrupt(format!(
-                "minimizer {key:#x}: delta block {}..+{} exceeds the {}-word pool",
-                r.off(),
-                r.block_words(),
-                postings.blocks.len()
-            )));
-        }
-        total = total.saturating_add(count);
-        postings
-            .walk_checked(r, |hit| check_rid(hit, h.seqs.len(), "packed hit"))
-            .map_err(|e| corrupt(format!("minimizer {key:#x}: {e}")))?;
-    }
-    if total != n_hits {
+fn parse_v2_body(src: &mut SliceSource<'_>) -> io::Result<V2Body> {
+    let k = src.take_u32()? as usize;
+    let w = src.take_u32()? as usize;
+    let hpc = src.take_u32()? != 0;
+    let max_occ = src.take_u32()?;
+    // The sketcher asserts these ranges; a query must not be what finds out.
+    if !(4..=28).contains(&k) || !(1..256).contains(&w) {
         return Err(corrupt(format!(
-            "bucket counts sum to {total}, header claims {n_hits} hits"
+            "sketch parameters k={k}, w={w} are outside k in 4..=28, w in 1..=255"
         )));
     }
-    Ok(MinimizerIndex {
-        k: h.k,
-        w: h.w,
-        hpc: h.hpc,
-        seqs: h.seqs,
-        postings,
-        max_occ: h.max_occ,
-    })
-}
-
-/// Parse an index image from any [`ByteSource`] — in production the bytes
-/// behind a container directory that `verify_checksums` has accepted.
-///
-/// All failures are typed: a malformed or truncated image yields
-/// [`IndexError::Corrupt`] with the byte offset where parsing stopped, a
-/// recognized-but-unsupported `MMX` version yields [`IndexError::Version`],
-/// and a device fault yields [`IndexError::Io`]. This never panics and
-/// never allocates more than the source can actually deliver.
-pub fn parse_index<S: ByteSource>(src: &mut S) -> Result<MinimizerIndex, IndexError> {
-    let mut magic = [0u8; 4];
-    if let Err(e) = src.take_exact(&mut magic) {
-        return Err(IndexError::from_parse(src.stream_position(), e));
-    }
-    if magic[..3] != MAGIC_PREFIX[..] {
-        return Err(IndexError::Corrupt {
-            offset: Some(src.stream_position()),
-            what: "bad index magic".into(),
-        });
-    }
-    let body = match magic[3] {
-        VERSION_PACKED => parse_v2_body(src),
-        found => {
-            return Err(IndexError::Version {
-                found,
-                expected: VERSION_PACKED,
-            })
+    // Each sequence record is at least 24 bytes (three u64 length fields).
+    let n_seqs = src.take_len_prefix(24)?;
+    let (mut seqs, mut total_len) = (Vec::new(), 0u64);
+    for _ in 0..n_seqs {
+        let name = src.position() + 8;
+        let Ok(name_str) = std::str::from_utf8(src.take_bytes()?) else {
+            return Err(corrupt("reference name is not UTF-8".into()));
+        };
+        let len = src.take_u64()?;
+        let n_words = src.take_len_prefix(4)?;
+        if n_words as u64 != len.div_ceil(16) {
+            return Err(corrupt(format!(
+                "sequence '{name_str}': {n_words} packed words cannot hold {len} bases"
+            )));
         }
-    };
-    let idx = body.map_err(|e| IndexError::from_parse(src.stream_position(), e))?;
-    // The declared sections must span the whole source: bytes past the end
-    // of the final section mean the image was torn, zero-padded by an
-    // interrupted write, or truncated from a larger index whose early
-    // length prefixes still happened to fit. Accepting them would let a
-    // damaged file masquerade as a (different) valid index.
-    let rem = src.remaining_hint();
-    if rem > 0 {
-        return Err(IndexError::Corrupt {
-            offset: Some(src.stream_position()),
-            what: format!(
-                "index sections end {rem} byte(s) before the end of the \
-                 file; the image is torn or was truncated from a larger \
-                 index"
-            ),
+        seqs.push(SeqSpan {
+            name,
+            name_len: name_str.len(),
+            // At most 16 bases per word of an image that is in memory.
+            len: len as usize,
+            words: src.position(),
         });
+        src.take_slice(4 * n_words)?;
+        total_len += len;
     }
-    Ok(idx)
+    let postings = PackedPostings::open(src, n_seqs, total_len)?;
+    Ok((k, w, hpc, max_occ, seqs, postings))
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
@@ -577,7 +468,7 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
     let mut src = SliceSource::new(payload);
     macro_rules! take {
         ($m:ident) => {{
-            let pos = src.stream_position();
+            let pos = src.position() as u64;
             src.$m().map_err(|e| IndexError::from_parse(pos, e))?
         }};
     }
@@ -602,18 +493,18 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
     let mut seq_names = Vec::new();
     let mut seq_lens = Vec::new();
     for _ in 0..n_seqs {
-        let name = take!(take_bytes);
-        let name =
-            String::from_utf8(name).map_err(|_| corrupt("reference name is not UTF-8".into()))?;
-        seq_names.push(name);
+        let name = std::str::from_utf8(take!(take_bytes))
+            .map_err(|_| corrupt("reference name is not UTF-8".into()))?;
+        seq_names.push(name.to_string());
         seq_lens.push(take!(take_u64));
     }
     let n_shards = take!(take_u64) as usize;
     let mut shards = Vec::new();
     let mut next_rid = 0u64;
     for i in 0..n_shards {
-        let path = String::from_utf8(take!(take_bytes))
-            .map_err(|_| corrupt(format!("shard {i} path is not UTF-8")))?;
+        let path = std::str::from_utf8(take!(take_bytes))
+            .map_err(|_| corrupt(format!("shard {i} path is not UTF-8")))?
+            .to_string();
         if path.is_empty() || path.contains('/') || path.contains('\\') || path.contains("..") {
             // A hostile manifest must not be able to point a shard outside
             // its own directory.
@@ -709,20 +600,29 @@ mod tests {
         assert_eq!(a.w, b.w);
         assert_eq!(a.hpc, b.hpc);
         assert_eq!(a.max_occ, b.max_occ);
-        assert_eq!(a.seqs.len(), b.seqs.len());
-        for (x, y) in a.seqs.iter().zip(&b.seqs) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.seq, y.seq);
+        assert_eq!(a.num_seqs(), b.num_seqs());
+        for rid in 0..a.num_seqs() as u32 {
+            assert_eq!(a.seq_name(rid), b.seq_name(rid));
+            assert_eq!(a.seq_len(rid), b.seq_len(rid));
+            assert_eq!(a.seq_packed(rid), b.seq_packed(rid));
         }
-        assert_eq!(a.num_minimizers(), b.num_minimizers());
-        assert_eq!(a.num_positions(), b.num_positions());
+        // The same bytes, in a buffer or in a mapping.
+        assert_eq!(a.image.bytes(), b.image.bytes());
+        assert!(a.hashes().eq(b.hashes()));
         // Spot-check decoded posting lists agree.
         let (mut ha, mut hb) = (Vec::new(), Vec::new());
-        for &k in a.sorted_hashes().iter().take(100) {
+        for k in a.hashes().take(100) {
             a.decode_hits_into(k, &mut ha);
             b.decode_hits_into(k, &mut hb);
             assert_eq!(ha, hb);
         }
+    }
+
+    /// Validate container bytes, then open the image inside them.
+    fn parse_container(bytes: &[u8]) -> Result<(MinimizerIndex, ContainerDir), IndexError> {
+        let dir = verify_checksums(bytes)?;
+        let idx = MinimizerIndex::from_image_bytes(&bytes[CONTAINER_IMAGE_OFF..])?;
+        Ok((idx, dir))
     }
 
     #[test]
@@ -734,7 +634,7 @@ mod tests {
         std::fs::remove_file(&p).unwrap();
         assert_same(&idx, &back);
         // And it answers queries the same.
-        let q = back.seqs[0].seq.slice(5_000, 6_000);
+        let q = back.ref_window(0, 5_000, 6_000);
         assert_eq!(idx.collect_anchors(&q), back.collect_anchors(&q));
         assert!(!idx.collect_anchors(&q).is_empty());
     }
@@ -826,7 +726,7 @@ mod tests {
         let idx = sample_index();
         let mut image = Vec::new();
         write_index_image(&idx, &mut image);
-        assert!(parse_index(&mut SliceSource::new(&image)).is_ok());
+        assert!(MinimizerIndex::from_image_bytes(&image).is_ok());
         let p = tmp("bare-v2");
         // Whole, truncated to the magic, and damaged: the same answer.
         let mut flipped = image.clone();
@@ -867,7 +767,7 @@ mod tests {
             std::fs::write(&p, &bytes).unwrap();
             assert_version(open(&p).unwrap_err(), found);
             // The same byte inside a container is the embedded image's.
-            let e = parse_index(&mut SliceSource::new(&bytes)).unwrap_err();
+            let e = MinimizerIndex::from_image_bytes(&bytes).unwrap_err();
             assert_version(e, found);
             std::fs::remove_file(&p).unwrap();
         }
@@ -915,7 +815,7 @@ mod tests {
             let e = open(&p).unwrap_err();
             assert!(e.is_corrupt(), "pad={pad}: {e}");
             assert!(e.to_string().contains("trailing bytes"), "{e}");
-            let e = parse_index(&mut SliceSource::new(&torn[CONTAINER_IMAGE_OFF..])).unwrap_err();
+            let e = MinimizerIndex::from_image_bytes(&torn[CONTAINER_IMAGE_OFF..]).unwrap_err();
             assert!(e.to_string().contains("before the end of the file"), "{e}");
         }
         std::fs::remove_file(&p).unwrap();
@@ -930,39 +830,14 @@ mod tests {
         // The image starts 8-aligned behind the directory and, by
         // construction, puts the pool length prefix at an 8-aligned offset.
         assert_eq!(CONTAINER_IMAGE_OFF % 8, 0);
-        let mut src = SliceSource::new(&bytes[CONTAINER_IMAGE_OFF..]);
-        assert!(parse_index(&mut src).is_ok());
         assert_eq!(bytes.len() % 8, 0, "index files end 8-aligned");
+        // The pool's word count sits at the last 8-aligned offset before
+        // the pool: the words behind it are read in place.
+        let pool_bytes = idx.posting_bytes();
+        assert!(pool_bytes > 0);
+        let count_at = bytes.len() - pool_bytes - 8;
+        assert_eq!(count_at % 8, 0);
+        assert_eq!(le_u64(&bytes, count_at), pool_bytes as u64 / 8);
         std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn v2_truncations_and_bitflips_are_typed() {
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        write_index_image(&idx, &mut bytes);
-        // Truncation at a spread of offsets: typed corruption, no panic.
-        for cut in [
-            5usize,
-            21,
-            100,
-            bytes.len() / 2,
-            bytes.len() - 9,
-            bytes.len() - 1,
-        ] {
-            let mut src = SliceSource::new(&bytes[..cut]);
-            let e = parse_index(&mut src).unwrap_err();
-            assert!(e.is_corrupt(), "cut at {cut}: {e}");
-        }
-        // Flip bits in the bucket-ref region: the checked walk or the
-        // budget checks must catch anything that decodes out of range.
-        let mut evil = bytes.clone();
-        let n = evil.len();
-        evil[n - 12] ^= 0xff; // inside the block pool: decode walk sees it
-        let mut src = SliceSource::new(&evil);
-        // Behind no checksum (a bare image only tests and the fuzzer can
-        // hand to the parser) it is either rejected as corrupt or decodes
-        // to different, still in-range hits — what is forbidden is a panic.
-        let _ = parse_index(&mut src);
     }
 }

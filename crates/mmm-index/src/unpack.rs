@@ -298,48 +298,50 @@ unsafe fn unpack_fields_avx512(words: &[u64], width: u32, out: &mut [u64]) {
     }
 }
 
-/// Scalar gold: decode 2-bit packed bases `start..end` (16 bases per `u32`
-/// word, base `i` at bits `2*(i%16)`) into nt4 bytes. `out` must be
-/// `end - start` long.
-pub fn unpack_nt4_scalar(words: &[u32], start: usize, end: usize, out: &mut [u8]) {
+/// Scalar gold: decode 2-bit packed bases `start..end` into nt4 bytes.
+/// `packed` holds 4 bases per byte, base `i` at bits `2*(i%4)` of byte
+/// `i/4` — the little-endian bytes of the image's `u32` words (16 bases
+/// each), read where they lie: they follow variable-length names and have
+/// no alignment. `out` must be `end - start` long.
+pub fn unpack_nt4_scalar(packed: &[u8], start: usize, end: usize, out: &mut [u8]) {
     debug_assert_eq!(out.len(), end - start);
     for (slot, i) in out.iter_mut().zip(start..end) {
-        *slot = ((words[i >> 4] >> ((i & 15) << 1)) & 3) as u8;
+        *slot = (packed[i >> 2] >> ((i & 3) << 1)) & 3;
     }
 }
 
 /// Decode 2-bit packed bases `start..end` into nt4 bytes on the widest
 /// allowed SIMD tier. Bit-identical to [`unpack_nt4_scalar`].
-pub fn unpack_nt4(words: &[u32], start: usize, end: usize, out: &mut [u8]) {
-    unpack_nt4_unless(env_disabled(), words, start, end, out)
+pub fn unpack_nt4(packed: &[u8], start: usize, end: usize, out: &mut [u8]) {
+    unpack_nt4_unless(env_disabled(), packed, start, end, out)
 }
 
 /// [`unpack_nt4`] against an explicit disable mask.
 pub fn unpack_nt4_unless(
     disabled: DisabledTiers,
-    words: &[u32],
+    packed: &[u8],
     start: usize,
     end: usize,
     out: &mut [u8],
 ) {
     debug_assert_eq!(out.len(), end - start);
-    debug_assert!(start <= end && end <= words.len() * 16);
+    debug_assert!(start <= end && end <= packed.len() * 4);
     #[cfg(target_arch = "x86_64")]
     if end - start >= 64 {
         if !disabled.avx512 && avx512_available() {
             // SAFETY: avx512_available() confirmed AVX-512BW+VBMI at
             // runtime; bounds are validated inside the kernel.
-            unsafe { unpack_nt4_avx512(words, start, end, out) };
+            unsafe { unpack_nt4_avx512(packed, start, end, out) };
             return;
         }
         if !disabled.avx2 && avx2_available() {
             // SAFETY: avx2_available() confirmed AVX2 at runtime; bounds
             // are validated inside the kernel.
-            unsafe { unpack_nt4_avx2(words, start, end, out) };
+            unsafe { unpack_nt4_avx2(packed, start, end, out) };
             return;
         }
     }
-    unpack_nt4_scalar(words, start, end, out);
+    unpack_nt4_scalar(packed, start, end, out);
 }
 
 /// AVX2 nt4 expansion: 8 packed bytes → 32 nt4 bases per step. The 8
@@ -351,18 +353,18 @@ pub fn unpack_nt4_unless(
 ///
 /// # Safety
 /// Caller must ensure AVX2 is available, `out.len() == end - start`, and
-/// `end <= words.len() * 16`.
+/// `end <= packed.len() * 4`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn unpack_nt4_avx2(words: &[u32], start: usize, end: usize, out: &mut [u8]) {
+unsafe fn unpack_nt4_avx2(packed: &[u8], start: usize, end: usize, out: &mut [u8]) {
     use core::arch::x86_64::*;
     // Scalar head up to a whole packed byte (4-base boundary).
     let head = (4 - (start & 3)) & 3;
     let head = head.min(end - start);
-    unpack_nt4_scalar(words, start, start + head, &mut out[..head]);
+    unpack_nt4_scalar(packed, start, start + head, &mut out[..head]);
     let mut o = head; // output cursor
-    let bytes = words.as_ptr() as *const u8;
-    let bytes_len = words.len() * 4;
+    let bytes = packed.as_ptr();
+    let bytes_len = packed.len();
     let spread = _mm256_setr_epi8(
         0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, // lane 0: bytes 0..4
         4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, // lane 1: bytes 4..8
@@ -374,7 +376,7 @@ unsafe fn unpack_nt4_avx2(words: &[u32], start: usize, end: usize, out: &mut [u8
     while o + 32 <= end - start && (start + o) / 4 + 8 <= bytes_len {
         let b = (start + o) / 4; // whole-byte aligned by the head skip
                                  // SAFETY: b + 8 <= bytes_len by the loop bound, so the 8-byte
-                                 // load stays inside the word buffer.
+                                 // load stays inside the packed buffer.
         let src = _mm_loadl_epi64(bytes.add(b) as *const __m128i);
         let v = _mm256_broadcastsi128_si256(src);
         let sp = _mm256_shuffle_epi8(v, spread);
@@ -392,7 +394,7 @@ unsafe fn unpack_nt4_avx2(words: &[u32], start: usize, end: usize, out: &mut [u8
         _mm256_storeu_si256(out.as_mut_ptr().add(o) as *mut __m256i, r);
         o += 32;
     }
-    unpack_nt4_scalar(words, start + o, end, &mut out[o..]);
+    unpack_nt4_scalar(packed, start + o, end, &mut out[o..]);
 }
 
 /// AVX-512 VBMI nt4 expansion: 16 packed bytes → 64 nt4 bases per step,
@@ -401,17 +403,17 @@ unsafe fn unpack_nt4_avx2(words: &[u32], start: usize, end: usize, out: &mut [u8
 ///
 /// # Safety
 /// Caller must ensure AVX-512BW+VBMI are available,
-/// `out.len() == end - start`, and `end <= words.len() * 16`.
+/// `out.len() == end - start`, and `end <= packed.len() * 4`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn unpack_nt4_avx512(words: &[u32], start: usize, end: usize, out: &mut [u8]) {
+unsafe fn unpack_nt4_avx512(packed: &[u8], start: usize, end: usize, out: &mut [u8]) {
     use core::arch::x86_64::*;
     let head = (4 - (start & 3)) & 3;
     let head = head.min(end - start);
-    unpack_nt4_scalar(words, start, start + head, &mut out[..head]);
+    unpack_nt4_scalar(packed, start, start + head, &mut out[..head]);
     let mut o = head;
-    let bytes = words.as_ptr() as *const u8;
-    let bytes_len = words.len() * 4;
+    let bytes = packed.as_ptr();
+    let bytes_len = packed.len();
     let mut idx = [0u8; 64];
     for (i, b) in idx.iter_mut().enumerate() {
         *b = (i / 4) as u8;
@@ -426,7 +428,7 @@ unsafe fn unpack_nt4_avx512(words: &[u32], start: usize, end: usize, out: &mut [
     while o + 64 <= end - start && (start + o) / 4 + 16 <= bytes_len {
         let b = (start + o) / 4;
         // SAFETY: b + 16 <= bytes_len by the loop bound, so the 16-byte
-        // load stays inside the word buffer.
+        // load stays inside the packed buffer.
         let src = _mm_loadu_si128(bytes.add(b) as *const __m128i);
         let v = _mm512_broadcast_i32x4(src);
         let sp = _mm512_permutexvar_epi8(vidx, v);
@@ -444,7 +446,7 @@ unsafe fn unpack_nt4_avx512(words: &[u32], start: usize, end: usize, out: &mut [
         _mm512_storeu_si512(out.as_mut_ptr().add(o) as *mut __m512i, r);
         o += 64;
     }
-    unpack_nt4_scalar(words, start + o, end, &mut out[o..]);
+    unpack_nt4_scalar(packed, start + o, end, &mut out[o..]);
 }
 
 #[cfg(all(test, not(miri)))]
@@ -520,10 +522,11 @@ mod tests {
     fn nt4_tiers_match_scalar() {
         let mut state = 7u64;
         let n_bases = 1000usize;
-        let mut words = vec![0u32; n_bases.div_ceil(16)];
-        for w in words.iter_mut() {
-            *w = xorshift(&mut state) as u32;
-        }
+        // An odd offset into the buffer: the image gives no alignment.
+        let buf: Vec<u8> = (0..1 + n_bases.div_ceil(4))
+            .map(|_| xorshift(&mut state) as u8)
+            .collect();
+        let words = &buf[1..];
         let ranges = [
             (0usize, n_bases),
             (1, n_bases - 1),
@@ -537,11 +540,11 @@ mod tests {
         ];
         for &(s, e) in &ranges {
             let mut gold = vec![0u8; e - s];
-            unpack_nt4_scalar(&words, s, e, &mut gold);
+            unpack_nt4_scalar(words, s, e, &mut gold);
             assert!(gold.iter().all(|&b| b < 4));
             for d in masks() {
                 let mut got = vec![0u8; e - s];
-                unpack_nt4_unless(d, &words, s, e, &mut got);
+                unpack_nt4_unless(d, words, s, e, &mut got);
                 assert_eq!(got, gold, "range {s}..{e} mask={d:?}");
             }
         }

@@ -5,26 +5,25 @@
 //! Every index file is opened that one way (the read-vs-mmap factor of the
 //! paper's KNL column is `mmm-knl`'s machine model, not a second reader):
 //!
-//! * [`mmap::Mmap`] — a real `mmap(2)` wrapper (read-only, with
-//!   `madvise(MADV_SEQUENTIAL)`), the one way an index file is opened;
-//! * [`source::ByteSource`] — the bounded cursor the index deserializer is
-//!   written against: a [`SliceSource`] over mapped bytes, or a
-//!   [`FaultSource`] around one;
+//! * [`mmap::Mmap`] — a real `mmap(2)` wrapper (read-only; sequential
+//!   read-ahead for the checksum pass, then `advise_random` for the lookups
+//!   that read the mapping in place), the one way an index file is opened,
+//!   and [`mmap::as_words`], the one place mapped bytes become `u64`s;
+//! * [`source::SliceSource`] — the bounded, borrowing cursor the index
+//!   formats are read through: every length prefix is checked against the
+//!   bytes left before anything is sized by it;
 //! * [`timer`] — stage timers used by every breakdown experiment
 //!   (Table 2, Figure 11);
-//! * [`fault`] — fault-injection wrappers used by the robustness suite;
 //! * [`atomic`] — crash-safe temp-file-plus-rename publication, used by
 //!   the shard builder so a crashed build never leaves a parseable
 //!   partial index.
 
 pub mod atomic;
-pub mod fault;
 pub mod mmap;
 pub mod source;
 pub mod timer;
 
 pub use atomic::write_atomic;
-pub use fault::{FaultMode, FaultSource};
 pub use mmap::Mmap;
-pub use source::{ByteSource, SliceSource};
+pub use source::SliceSource;
 pub use timer::{Stage, StageTimer};

@@ -1,8 +1,13 @@
 //! Read-only memory mapping of files.
 //!
 //! This is the substrate behind the paper's §4.4.2 optimization: the on-disk
-//! index is mapped into the address space and parsed in place, turning the
-//! original fragmented read pattern into sequential page-fault-driven reads.
+//! index is mapped into the address space and *queried* in place. A mapping
+//! has two phases, and the kernel is told which one it is in: it opens under
+//! `MADV_SEQUENTIAL` for the one front-to-back checksum pass, and
+//! [`Mmap::advise_random`] switches it to `MADV_RANDOM` once lookups start
+//! probing it (read-ahead on every probe, and early reclaim behind it, are
+//! right for the first phase and wrong for the second). [`as_words`] is the
+//! one place bytes become `u64` words.
 //! Only `mmap`, `munmap` and `madvise` are used, declared directly against
 //! the platform C library — the build environment has no registry access, so
 //! we do not depend on the `libc` crate for three symbols.
@@ -21,6 +26,7 @@ mod sys {
     // Values from the Linux UAPI headers; stable ABI on every Linux target.
     pub const PROT_READ: c_int = 0x1;
     pub const MAP_PRIVATE: c_int = 0x02;
+    pub const MADV_RANDOM: c_int = 1;
     pub const MADV_SEQUENTIAL: c_int = 2;
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
@@ -79,13 +85,26 @@ impl Mmap {
         if p == sys::MAP_FAILED {
             return Err(io::Error::last_os_error());
         }
-        // Sequential advice matches the index parser's access pattern; best
-        // effort, failure is harmless.
+        // Sequential advice matches the checksum pass every mapping starts
+        // with; best effort, failure is harmless.
         // SAFETY: p/len describe the mapping we just created.
         unsafe {
             sys::madvise(p, len, sys::MADV_SEQUENTIAL);
         }
         Ok(Mmap { ptr: p, len })
+    }
+
+    /// Tell the kernel the sequential pass is over and the mapping is now
+    /// probed at random (index lookups). Best effort, like the advice
+    /// [`Mmap::open`] gives.
+    pub fn advise_random(&self) {
+        if !self.ptr.is_null() {
+            // SAFETY: ptr/len describe the live mapping owned by self;
+            // madvise only changes paging policy.
+            unsafe {
+                sys::madvise(self.ptr, self.len, sys::MADV_RANDOM);
+            }
+        }
     }
 
     /// The mapped bytes.
@@ -110,6 +129,18 @@ impl Mmap {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
+
+/// View `bytes` as native `u64` words where they lie: `Some` iff the slice
+/// starts 8-byte aligned and is a whole number of words. The index reads
+/// its posting pool through this (the image format pads the pool to an
+/// 8-byte file offset, and mappings are page aligned); everything that is
+/// not aligned in the format is read as little-endian bytes instead.
+pub fn as_words(bytes: &[u8]) -> Option<&[u64]> {
+    // SAFETY: every bit pattern is a valid `u64`, and `align_to` only puts
+    // correctly aligned, in-bounds memory in the middle slice.
+    let (head, words, tail) = unsafe { bytes.align_to::<u64>() };
+    (head.is_empty() && tail.is_empty()).then_some(words)
 }
 
 impl std::ops::Deref for Mmap {
@@ -170,6 +201,36 @@ mod tests {
         let m = Mmap::open(&p).unwrap();
         assert_eq!(&*m, &data[..]);
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn advice_changes_no_bytes() {
+        let p = tmpfile("advise", b"lookups probe at random");
+        let m = Mmap::open(&p).unwrap();
+        m.advise_random();
+        assert_eq!(&*m, b"lookups probe at random");
+        std::fs::remove_file(&p).unwrap();
+        // An empty mapping has nothing to advise.
+        Mmap::open(&tmpfile("advise-empty", b""))
+            .unwrap()
+            .advise_random();
+    }
+
+    #[test]
+    fn words_only_where_aligned_and_whole() {
+        let words = [0x0807_0605_0403_0201u64, u64::MAX, 0];
+        let mut bytes = Vec::new();
+        for w in words {
+            bytes.extend_from_slice(&w.to_ne_bytes());
+        }
+        // Place the 24 bytes at an 8-aligned address inside a buffer.
+        let mut buf = vec![0u8; bytes.len() + 8];
+        let at = buf.as_ptr().align_offset(8);
+        buf[at..at + bytes.len()].copy_from_slice(&bytes);
+        assert_eq!(as_words(&buf[at..at + 24]), Some(&words[..]));
+        assert_eq!(as_words(&buf[at..at]), Some(&[][..]));
+        assert_eq!(as_words(&buf[at + 1..at + 9]), None, "misaligned start");
+        assert_eq!(as_words(&buf[at..at + 23]), None, "ragged tail");
     }
 
     #[test]

@@ -1,131 +1,21 @@
-//! The cursor abstraction the index deserializer is written against.
+//! The bounded cursor the index formats are read through.
 //!
-//! Every source is bounded: a [`SliceSource`] over bytes already in memory
-//! (an [`crate::Mmap`] in production), or a [`crate::FaultSource`] wrapped
-//! around one. A source therefore always knows its position and how many
-//! bytes are left, and every length prefix is checked against that bound
-//! before anything is allocated for it.
+//! A [`SliceSource`] stands over bytes that are already in memory — a
+//! memory map, or a buffer — and *borrows* what it reads: fields come back
+//! as values, arrays as sub-slices of the source. It always knows its
+//! position and how many bytes are left, and every length prefix is checked
+//! against that bound before anything is sized by it.
 
 use std::io;
 
-fn corrupt(offset: u64, msg: impl std::fmt::Display) -> io::Error {
+fn corrupt(offset: usize, msg: impl std::fmt::Display) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("{msg} at byte {offset}"),
     )
 }
 
-/// A forward-only cursor over bytes.
-pub trait ByteSource {
-    /// Fill `buf` completely or fail.
-    fn take_exact(&mut self, buf: &mut [u8]) -> io::Result<()>;
-
-    /// Borrow the next `n` bytes zero-copy if the source supports it
-    /// (a slice does; a fault wrapper returns `None` so that every read is
-    /// counted).
-    fn borrow_exact(&mut self, _n: usize) -> Option<&[u8]> {
-        None
-    }
-
-    /// Bytes consumed so far (locates corruption in error messages).
-    fn stream_position(&self) -> u64;
-
-    /// Upper bound on the bytes still available. Length-prefixed reads
-    /// validate their prefix against this bound, so a corrupt or hostile
-    /// prefix is a typed [`io::ErrorKind::InvalidData`] instead of a
-    /// multi-gigabyte allocation.
-    fn remaining_hint(&self) -> u64;
-
-    /// Little-endian u64.
-    fn take_u64(&mut self) -> io::Result<u64> {
-        let mut b = [0u8; 8];
-        self.take_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Little-endian u32.
-    fn take_u32(&mut self) -> io::Result<u32> {
-        let mut b = [0u8; 4];
-        self.take_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Read a `u64` element-count prefix for elements of `elem_size` bytes,
-    /// validating it against [`remaining_hint`](Self::remaining_hint) and
-    /// rejecting byte-size overflow.
-    fn take_len_prefix(&mut self, elem_size: u64) -> io::Result<usize> {
-        let at = self.stream_position();
-        let n = self.take_u64()?;
-        let bytes = n.checked_mul(elem_size).ok_or_else(|| {
-            corrupt(
-                at,
-                format!("length prefix {n} (x{elem_size} bytes) overflows"),
-            )
-        })?;
-        let rem = self.remaining_hint();
-        if bytes > rem {
-            return Err(corrupt(
-                at,
-                format!("length prefix {n} ({bytes} bytes) exceeds the {rem} bytes remaining"),
-            ));
-        }
-        usize::try_from(n)
-            .map_err(|_| corrupt(at, format!("length prefix {n} exceeds the address space")))
-    }
-
-    /// A `u64`-prefixed byte string.
-    fn take_bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.take_len_prefix(1)?;
-        if let Some(raw) = self.borrow_exact(n) {
-            return Ok(raw.to_vec());
-        }
-        // The prefix was validated against the remaining length above.
-        let mut v = vec![0u8; n];
-        self.take_exact(&mut v)?;
-        Ok(v)
-    }
-
-    /// A `u64`-prefixed vector of little-endian u64s. Uses the zero-copy path
-    /// when available (single large copy instead of per-element reads).
-    fn take_u64_vec(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.take_len_prefix(8)?;
-        if let Some(raw) = self.borrow_exact(n * 8) {
-            let mut v = Vec::with_capacity(n);
-            for c in raw.chunks_exact(8) {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(c);
-                v.push(u64::from_le_bytes(b));
-            }
-            return Ok(v);
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.take_u64()?);
-        }
-        Ok(v)
-    }
-
-    /// A `u64`-prefixed vector of little-endian u32s.
-    fn take_u32_vec(&mut self) -> io::Result<Vec<u32>> {
-        let n = self.take_len_prefix(4)?;
-        if let Some(raw) = self.borrow_exact(n * 4) {
-            let mut v = Vec::with_capacity(n);
-            for c in raw.chunks_exact(4) {
-                let mut b = [0u8; 4];
-                b.copy_from_slice(c);
-                v.push(u32::from_le_bytes(b));
-            }
-            return Ok(v);
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.take_u32()?);
-        }
-        Ok(v)
-    }
-}
-
-/// In-memory source over a byte slice (in production, a memory map).
+/// A forward-only cursor over a byte slice.
 pub struct SliceSource<'a> {
     data: &'a [u8],
     pos: usize,
@@ -137,45 +27,86 @@ impl<'a> SliceSource<'a> {
         SliceSource { data, pos: 0 }
     }
 
+    /// Bytes consumed so far (locates corruption in error messages).
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Bytes left.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
-}
 
-impl ByteSource for SliceSource<'_> {
-    fn take_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        if self.remaining() < buf.len() {
+    /// The next `n` bytes, where they lie, or `UnexpectedEof`.
+    pub fn take_slice(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if self.remaining() < n {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 format!(
-                    "slice source exhausted at byte {} ({} wanted, {} left)",
+                    "slice source exhausted at byte {} ({n} wanted, {} left)",
                     self.pos,
-                    buf.len(),
                     self.remaining()
                 ),
             ));
         }
-        buf.copy_from_slice(&self.data[self.pos..self.pos + buf.len()]);
-        self.pos += buf.len();
-        Ok(())
-    }
-
-    fn borrow_exact(&mut self, n: usize) -> Option<&[u8]> {
-        if self.remaining() < n {
-            return None;
-        }
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
-        Some(s)
+        Ok(s)
     }
 
-    fn stream_position(&self) -> u64 {
-        self.pos as u64
+    /// Little-endian u64.
+    pub fn take_u64(&mut self) -> io::Result<u64> {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(self.take_slice(8)?);
+        Ok(u64::from_le_bytes(b))
     }
 
-    fn remaining_hint(&self) -> u64 {
-        self.remaining() as u64
+    /// Little-endian u32.
+    pub fn take_u32(&mut self) -> io::Result<u32> {
+        let mut b = [0u8; 4];
+        b.copy_from_slice(self.take_slice(4)?);
+        Ok(u32::from_le_bytes(b))
+    }
+
+    /// Read a `u64` element-count prefix for elements of at least
+    /// `elem_size` bytes each, validating it against the bytes left and
+    /// rejecting byte-size overflow: a corrupt or hostile prefix is a typed
+    /// [`io::ErrorKind::InvalidData`], never a multi-gigabyte allocation.
+    pub fn take_len_prefix(&mut self, elem_size: u64) -> io::Result<usize> {
+        let at = self.pos;
+        let n = self.take_u64()?;
+        let bytes = n.checked_mul(elem_size).ok_or_else(|| {
+            corrupt(
+                at,
+                format!("length prefix {n} (x{elem_size} bytes) overflows"),
+            )
+        })?;
+        let rem = self.remaining() as u64;
+        if bytes > rem {
+            return Err(corrupt(
+                at,
+                format!("length prefix {n} ({bytes} bytes) exceeds the {rem} bytes remaining"),
+            ));
+        }
+        // `n <= rem`, which is a `usize`.
+        Ok(n as usize)
+    }
+
+    /// A `u64`-prefixed byte string.
+    pub fn take_bytes(&mut self) -> io::Result<&'a [u8]> {
+        let n = self.take_len_prefix(1)?;
+        self.take_slice(n)
+    }
+
+    /// A `u64`-prefixed vector of little-endian u64s.
+    pub fn take_u64_vec(&mut self) -> io::Result<Vec<u64>> {
+        let n = self.take_len_prefix(8)?;
+        let words = self.take_slice(n * 8)?.chunks_exact(8).map(|c| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(c);
+            u64::from_le_bytes(b)
+        });
+        Ok(words.collect())
     }
 }
 
@@ -199,6 +130,7 @@ mod tests {
         let d = sample();
         let mut s = SliceSource::new(&d);
         assert_eq!(s.take_u64_vec().unwrap(), vec![10, 20, 30]);
+        assert_eq!(s.position(), 32);
         assert_eq!(s.take_bytes().unwrap(), b"hi");
         assert_eq!(s.remaining(), 0);
     }
@@ -206,17 +138,13 @@ mod tests {
     #[test]
     fn slice_source_eof() {
         let mut s = SliceSource::new(b"abc");
-        assert!(s.take_u64().is_err());
-    }
-
-    #[test]
-    fn u32_vec_round_trip() {
-        let mut d = Vec::new();
-        d.extend_from_slice(&2u64.to_le_bytes());
-        d.extend_from_slice(&1u32.to_le_bytes());
-        d.extend_from_slice(&2u32.to_le_bytes());
-        let mut s = SliceSource::new(&d);
-        assert_eq!(s.take_u32_vec().unwrap(), vec![1, 2]);
+        let e = s.take_u64().unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(
+            s.take_u32().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert_eq!(s.take_slice(3).unwrap(), b"abc");
     }
 
     /// A hostile length prefix must yield `InvalidData`, not an allocation
@@ -227,14 +155,9 @@ mod tests {
             let mut d = Vec::new();
             d.extend_from_slice(&n.to_le_bytes());
             d.extend_from_slice(b"tiny");
-            let mut s = SliceSource::new(&d);
-            let e = s.take_bytes().unwrap_err();
+            let e = SliceSource::new(&d).take_bytes().unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "n={n}");
-            let mut s = SliceSource::new(&d);
-            let e = s.take_u64_vec().unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "n={n}");
-            let mut s = SliceSource::new(&d);
-            let e = s.take_u32_vec().unwrap_err();
+            let e = SliceSource::new(&d).take_u64_vec().unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "n={n}");
         }
     }

@@ -3,7 +3,7 @@
 //! These wrap caller-supplied stage callbacks to fail deterministically, so
 //! tests can drive every degradation path of the fallible pipelines: a
 //! reader that errors on the k-th batch, and a map stage that panics on
-//! chosen items. (Byte-level faults live in `mmm_io::FaultSource`.)
+//! chosen items.
 
 use crate::error::DynError;
 

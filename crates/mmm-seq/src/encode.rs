@@ -153,12 +153,6 @@ impl PackedSeq {
         &self.words
     }
 
-    /// Rebuild from serialized parts.
-    pub fn from_raw(words: Vec<u32>, len: usize) -> Self {
-        assert!(words.len() == len.div_ceil(16), "word count mismatch");
-        PackedSeq { words, len }
-    }
-
     /// Heap bytes used by the packed representation.
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * 4
@@ -258,14 +252,6 @@ mod tests {
         p.slice_revcomp_into(1, 20, &mut buf);
         assert_eq!(buf.capacity(), cap);
         assert_eq!(buf.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn packed_serial_round_trip() {
-        let seq = to_nt4(b"ACGTACGTTGCA");
-        let p = PackedSeq::from_nt4_lossy(&seq);
-        let q = PackedSeq::from_raw(p.words().to_vec(), p.len());
-        assert_eq!(p, q);
     }
 
     #[test]

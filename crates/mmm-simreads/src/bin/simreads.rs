@@ -1,8 +1,8 @@
 //! `simreads` — generate a synthetic reference and long-read dataset.
 //!
 //! ```sh
-//! simreads --genome 1000000 --reads 2000 --platform pacbio \
-//!          --out-ref ref.fa --out-reads reads.fa [--seed 42] [--chroms N]
+//! simreads [--genome 1000000] [--reads 2000] [--platform pacbio|ont|nanopore]
+//!          [--out-ref ref.fa] [--out-reads reads.fa] [--seed 42] [--chroms 1]
 //! ```
 //!
 //! Read names encode the ground truth as
@@ -13,6 +13,11 @@
 //! (`chr1..chrN`, lengths summing to `--genome`) with reads sampled from
 //! each in proportion to its length — the fixture the sharded-index suite
 //! uses, since shards split on sequence boundaries (DESIGN.md §15).
+//!
+//! The command line is checked against one flag table before anything is
+//! generated or written: an unknown flag, a flag with no value or given
+//! twice, a malformed number, a zero count or an unknown platform is
+//! `simreads: …` on stderr and exit 1; `--help` prints the usage and exits 0.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -21,34 +26,93 @@ use std::process::ExitCode;
 use mmm_seq::{nt4_decode, write_fasta, DatasetStats, SeqRecord};
 use mmm_simreads::{generate_chromosomes, simulate_reads, GenomeOpts, Platform, SimOpts};
 
-fn arg(flags: &std::collections::HashMap<String, String>, k: &str, default: &str) -> String {
-    flags.get(k).cloned().unwrap_or_else(|| default.to_string())
+const USAGE: &str = "usage: simreads [--genome BASES] [--reads N] \
+    [--platform pacbio|ont|nanopore] [--seed N] [--chroms N] \
+    [--out-ref ref.fa] [--out-reads reads.fa]";
+
+/// Every flag, each taking one value, with its default.
+const FLAGS: [(&str, &str); 7] = [
+    ("genome", "1000000"),
+    ("reads", "2000"),
+    ("platform", "pacbio"),
+    ("seed", "42"),
+    ("chroms", "1"),
+    ("out-ref", "ref.fa"),
+    ("out-reads", "reads.fa"),
+];
+
+/// What to generate and where to write it.
+struct Opts {
+    genome_len: usize,
+    n_reads: usize,
+    platform: Platform,
+    seed: u64,
+    n_chroms: usize,
+    out_ref: String,
+    out_reads: String,
+}
+
+/// `Ok(None)` is `--help`.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Opts>, String> {
+    let mut values = FLAGS.map(|(_, default)| default.to_string());
+    let mut given = [false; FLAGS.len()];
+    let mut it = argv.into_iter();
+    while let Some(a) = it.next() {
+        if a == "--help" {
+            return Ok(None);
+        }
+        let Some(name) = a.strip_prefix("--") else {
+            return Err(format!("unexpected argument {a:?}"));
+        };
+        let Some(slot) = FLAGS.iter().position(|f| f.0 == name) else {
+            return Err(format!("unknown flag {a}"));
+        };
+        values[slot] = it.next().ok_or_else(|| format!("{a}: missing value"))?;
+        if std::mem::replace(&mut given[slot], true) {
+            return Err(format!("{a}: given more than once"));
+        }
+    }
+    let [genome, reads, platform, seed, chroms, out_ref, out_reads] = values;
+    // A count: a positive integer.
+    let count = |flag: &str, v: &str| match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("--{flag} {v:?}: expected an integer >= 1")),
+    };
+    Ok(Some(Opts {
+        genome_len: count("genome", &genome)?,
+        n_reads: count("reads", &reads)?,
+        platform: match platform.as_str() {
+            "pacbio" => Platform::PacBio,
+            "ont" | "nanopore" => Platform::Nanopore,
+            v => {
+                return Err(format!(
+                    "--platform {v:?}: expected pacbio, ont or nanopore"
+                ))
+            }
+        },
+        seed: seed
+            .parse()
+            .map_err(|_| format!("--seed {seed:?}: not a number"))?,
+        n_chroms: count("chroms", &chroms)?,
+        out_ref,
+        out_reads,
+    }))
 }
 
 fn main() -> ExitCode {
-    let mut flags = std::collections::HashMap::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            flags.insert(name.to_string(), it.next().unwrap_or_default());
+    let o = match parse(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-    }
-
-    let genome_len: usize = arg(&flags, "genome", "1000000")
-        .parse()
-        .unwrap_or(1_000_000);
-    let n_reads: usize = arg(&flags, "reads", "2000").parse().unwrap_or(2_000);
-    let seed: u64 = arg(&flags, "seed", "42").parse().unwrap_or(42);
-    let n_chroms: usize = arg(&flags, "chroms", "1")
-        .parse::<usize>()
-        .unwrap_or(1)
-        .max(1);
-    let platform = match arg(&flags, "platform", "pacbio").as_str() {
-        "ont" | "nanopore" => Platform::Nanopore,
-        _ => Platform::PacBio,
+        Err(e) => {
+            eprintln!("simreads: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    let out_ref = arg(&flags, "out-ref", "ref.fa");
-    let out_reads = arg(&flags, "out-reads", "reads.fa");
+    let (genome_len, n_reads, platform, seed) = (o.genome_len, o.n_reads, o.platform, o.seed);
+    let (out_ref, out_reads) = (o.out_ref, o.out_reads);
 
     let chroms = generate_chromosomes(
         &GenomeOpts {
@@ -56,7 +120,7 @@ fn main() -> ExitCode {
             seed,
             ..Default::default()
         },
-        n_chroms,
+        o.n_chroms,
     );
 
     // Reads per chromosome, proportional to its length (the remainder

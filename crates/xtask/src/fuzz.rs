@@ -9,7 +9,10 @@
 //! lists the families), and a sink that feeds a variant to the real decoder
 //! under `catch_unwind`. A typed `Err` is the correct answer for hostile
 //! input; any panic is a finding — and for the index, where every byte
-//! sits behind a checksum, so is a damaged file that loads.
+//! sits behind a checksum, so is a damaged file that loads. Checksums
+//! detect, they do not authenticate: one family re-seals its damage behind
+//! recomputed digests, so the structural validation that runs after the
+//! checksum pass is fuzzed too — what it lets through is queried in full.
 //!
 //! The sweep core is generic over the corpora so a unit test can hand it a
 //! deliberately broken decoder (one that trusts a length prefix or a line
@@ -23,7 +26,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use manymap::index::{save_index, xxh64, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts};
+use manymap::index::{
+    container_section_ranges, save_index, xxh64, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts,
+};
 use manymap::seq::{write_fasta, write_fastq, FastxReader, SeqRecord};
 use manymap::serve::proto::{decode_read, encode_read, read_frame, write_frame, Op, MAX_FRAME};
 
@@ -380,8 +385,7 @@ impl IndexCorpus {
             // Valid file → the one loader → the same index back.
             match AnyIndex::open_mmap(&scratch, ShardOpenOpts::default()) {
                 Ok(AnyIndex::Flat(back))
-                    if back.seqs.len() == built.seqs.len()
-                        && back.sorted_hashes() == built.sorted_hashes() => {}
+                    if back.num_seqs() == built.num_seqs() && back.hashes().eq(built.hashes()) => {}
                 other => {
                     return Err(format!(
                         "fuzz index {n}: container round-trip lost identity: {other:?}"
@@ -394,21 +398,36 @@ impl IndexCorpus {
     }
 
     /// Write `bytes` where a user's index would sit and open it the way the
-    /// binaries do. Anything but the untouched file must be refused.
+    /// binaries do. Anything whose checksums do not hold must be refused;
+    /// a re-sealed variant the structural validation accepts (a flipped
+    /// base is a different, valid index) must answer every query.
     fn open_hostile(&self, bytes: &[u8]) -> Result<(), String> {
         std::fs::write(&self.scratch, bytes).map_err(|e| format!("writing the variant: {e}"))?;
-        match AnyIndex::open_mmap(&self.scratch, ShardOpenOpts::default()) {
-            Ok(_) if !self.files.iter().any(|f| f == bytes) => {
-                Err("a damaged container loaded".into())
-            }
-            _ => Ok(()),
+        let Ok(opened) = AnyIndex::open_mmap(&self.scratch, ShardOpenOpts::default()) else {
+            return Ok(());
+        };
+        if container_section_ranges(bytes).is_err() {
+            return Err("a damaged container loaded".into());
         }
+        if let AnyIndex::Flat(idx) = opened {
+            let mut window = Vec::new();
+            for rid in 0..idx.num_seqs() as u32 {
+                idx.ref_window_into(rid, 0, idx.seq_len(rid), &mut window);
+            }
+            if idx
+                .hashes()
+                .any(|h| idx.hit_cursor(h).count() != idx.hit_count(h))
+            {
+                return Err("an accepted image decodes inconsistently".into());
+            }
+        }
+        Ok(())
     }
 }
 
 /// One hostile variant of a valid container file.
 fn mutate_container(rng: &mut Rng, valid: &[u8]) -> (&'static str, Vec<u8>) {
-    match rng.below(8) {
+    match rng.below(10) {
         0..=2 => ("bit-flipped", bit_flipped(rng, valid)),
         3 | 4 => ("truncated", valid[..rng.below(valid.len().max(1))].to_vec()),
         5 | 6 => {
@@ -426,6 +445,30 @@ fn mutate_container(rng: &mut Rng, valid: &[u8]) -> (&'static str, Vec<u8>) {
             let hash = xxh64(&m[..DIR_HASHED_LEN], 0);
             m[DIR_HASHED_LEN..DIR_HASHED_LEN + 8].copy_from_slice(&hash.to_le_bytes());
             ("forged-section-length", m)
+        }
+        7 | 8 => {
+            // Damage the image, then recompute every digest the directory
+            // holds: only the structural validation stands behind these.
+            let mut m = valid.to_vec();
+            let image_off = DIR_HASHED_LEN + 8;
+            for _ in 0..1 + rng.below(3) {
+                let at = image_off + rng.below(m.len() - image_off);
+                m[at] = if rng.below(2) == 0 {
+                    m[at] ^ (1 << rng.below(8))
+                } else {
+                    rng.byte()
+                };
+            }
+            // `valid` is a container the corpus round-tripped.
+            let sections = container_section_ranges(valid).unwrap_or_default();
+            for (i, &(start, end)) in sections.iter().enumerate() {
+                let digest = xxh64(&m[start as usize..end as usize], i as u64);
+                let at = DIR_ENTRIES_OFF + i * 24 + 16;
+                m[at..at + 8].copy_from_slice(&digest.to_le_bytes());
+            }
+            let hash = xxh64(&m[..DIR_HASHED_LEN], 0);
+            m[DIR_HASHED_LEN..DIR_HASHED_LEN + 8].copy_from_slice(&hash.to_le_bytes());
+            ("resealed", m)
         }
         _ => {
             let mut m = valid.to_vec();

@@ -350,9 +350,8 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         .collect();
     let packed = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
         .map_err(|e| format!("packed_crosscheck: index build failed: {e}"))?;
-    let hashes = packed.sorted_hashes();
     let mut bulk = Vec::new();
-    for &h in &hashes {
+    for h in packed.hashes() {
         let streamed: Vec<u64> = packed.hit_cursor(h).collect();
         packed.decode_hits_into(h, &mut bulk);
         if bulk != streamed {
@@ -398,7 +397,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
     // (c) Packed reference slices vs. per-base reads, every nt4 tier.
     let mut win = Vec::new();
     for (rid, g) in genomes.iter().enumerate() {
-        let words = packed.seqs[rid].seq.words();
+        let words = packed.seq_packed(rid as u32);
         for _ in 0..16 {
             let start = rng.random_range(0usize..g.len());
             let end = (start + rng.random_range(1usize..300)).min(g.len());
@@ -435,8 +434,9 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         .into_iter()
         .filter(Engine::is_available)
         .collect();
-    let tnames: Vec<String> = packed.seqs.iter().map(|s| s.name.clone()).collect();
-    let tlens: Vec<usize> = packed.seqs.iter().map(|s| s.seq.len()).collect();
+    let rids = 0..packed.num_seqs() as u32;
+    let tnames: Vec<&str> = rids.clone().map(|r| packed.seq_name(r)).collect();
+    let tlens: Vec<usize> = rids.map(|r| packed.seq_len(r)).collect();
     let map_all = |engine: Engine| -> String {
         let mapper = Mapper::new(&packed, MapOpts::map_ont().with_engine(engine));
         let mut out = String::new();
@@ -445,7 +445,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
                 out.push_str(&paf_line(
                     name,
                     read.len(),
-                    &tnames[m.rid as usize],
+                    tnames[m.rid as usize],
                     tlens[m.rid as usize],
                     &m,
                 ));
@@ -474,7 +474,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
     }
     Ok(format!(
         "packed ok ({} hashes, {} mapping(s) x {} engines, postings {} -> {} B)",
-        hashes.len(),
+        packed.num_minimizers(),
         gold.lines().count(),
         engines.len(),
         flat_bytes,

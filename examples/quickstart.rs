@@ -48,7 +48,7 @@ fn main() {
                 paf_line(
                     &r.name,
                     r.seq.len(),
-                    &index.seqs[m.rid as usize].name,
+                    index.seq_name(m.rid),
                     genome.len(),
                     &m
                 )
