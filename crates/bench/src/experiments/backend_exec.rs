@@ -105,11 +105,7 @@ fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
                 exec.sched.mode = SchedMode::Bins;
             }
             exec.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
-            let cfg = ProfileConfig {
-                opts,
-                sort_by_length: true,
-                exec,
-            };
+            let cfg = ProfileConfig { opts, exec };
             let res = profile_run(&idx_path, &fasta, &cfg)
                 .map_err(|e| format!("{label} run failed: {e}"))?;
             Ok(Row {

@@ -229,7 +229,6 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
 
     let cfg = ProfileConfig {
         opts,
-        sort_by_length: true,
         exec: ExecConfig::new(&opts, 1),
     };
     let res = profile_run(&idx_path, &fasta, &cfg);

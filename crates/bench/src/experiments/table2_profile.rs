@@ -32,7 +32,6 @@ fn profile(quick: bool) -> Result<ProfileResult, String> {
     save_index(&index, &idx_path).map_err(|e| format!("index serialization failed: {e}"))?;
     let cfg = ProfileConfig {
         opts,
-        sort_by_length: false,
         exec: ExecConfig::new(&opts, 1),
     };
     let res = profile_run(&idx_path, &fasta, &cfg);

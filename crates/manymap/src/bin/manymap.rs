@@ -300,7 +300,6 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         },
         Some(&on_panic),
         threads,
-        true,
     )
     .map_err(MapError::Pipeline)?;
 

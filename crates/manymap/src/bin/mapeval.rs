@@ -7,6 +7,8 @@
 //! interval counting as correct) plus a MAPQ-stratified breakdown. Every
 //! `tp:A:P` record is judged: a read that carries a right primary and a
 //! wrong one counts once on each side, whatever the order of its lines.
+//! A PAF with no such record to judge is an error (exit 1), not a clean
+//! score: ci.sh's selection ratchet reads this output.
 //!
 //! ```sh
 //! simreads --out-ref ref.fa --out-reads reads.fa
@@ -54,13 +56,15 @@ struct Summary {
 }
 
 /// Judge every `tp:A:P` record of `paf` against the truth in its query
-/// name. A mid-stream read error is returned with the count of lines read
-/// before it: stats over a partial PAF would look plausible but be wrong.
-fn evaluate(paf: impl BufRead) -> Result<Summary, (u64, std::io::Error)> {
+/// name. Refuses what would judge nothing or judge it wrongly: a PAF with
+/// no primary that carries a truth (empty, all `tp:A:U`, or not from
+/// `simreads`) would print zero wrong primaries and pass any ratchet, and
+/// stats over a PAF cut by a read error would look plausible but be wrong.
+fn evaluate(paf: impl BufRead) -> Result<Summary, String> {
     let mut s = Summary::default();
     let mut seen: HashSet<String> = HashSet::new();
     for line in paf.lines() {
-        let line = line.map_err(|e| (s.lines, e))?;
+        let line = line.map_err(|e| format!("read error after line {}: {e}", s.lines))?;
         s.lines += 1;
         let cols: Vec<&str> = line.split('\t').collect();
         if cols.len() < 12 {
@@ -92,21 +96,35 @@ fn evaluate(paf: impl BufRead) -> Result<Summary, (u64, std::io::Error)> {
         }
     }
     s.reads = seen.len() as u64;
+    if s.primaries == 0 {
+        return Err("no primary record carries simreads truth".into());
+    }
     Ok(s)
 }
 
+/// The one positional argument: a PAF path, or `-` for stdin.
+fn parse_args(args: &[String]) -> Result<&str, String> {
+    match args {
+        [] => Err("missing the PAF to judge".into()),
+        [flag, ..] if flag.starts_with('-') && flag != "-" => Err(format!("unknown flag {flag}")),
+        [path] => Ok(path),
+        [_, extra, ..] => Err(format!("unexpected argument {extra}")),
+    }
+}
+
 fn main() -> ExitCode {
-    let path = match std::env::args().nth(1) {
-        Some(p) => p,
-        None => {
-            eprintln!("usage: mapeval <out.paf|->");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = match parse_args(&args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("mapeval: {e}\nusage: mapeval <out.paf|->");
             return ExitCode::FAILURE;
         }
     };
     let reader: Box<dyn BufRead> = if path == "-" {
         Box::new(BufReader::new(std::io::stdin()))
     } else {
-        match std::fs::File::open(&path) {
+        match std::fs::File::open(path) {
             Ok(f) => Box::new(BufReader::new(f)),
             Err(e) => {
                 eprintln!("mapeval: {path}: {e}");
@@ -116,8 +134,8 @@ fn main() -> ExitCode {
     };
     let s = match evaluate(reader) {
         Ok(s) => s,
-        Err((lines, e)) => {
-            eprintln!("mapeval: {path}: read error after line {lines}: {e}");
+        Err(e) => {
+            eprintln!("mapeval: {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -171,5 +189,31 @@ mod tests {
             assert_eq!(s.strata[&40], (1, 1));
             assert_eq!(s.strata[&60], (1, 0));
         }
+    }
+
+    /// A PAF that judges no primary would pass every ratchet vacuously.
+    #[test]
+    fn nothing_to_judge_is_refused() {
+        let unmapped = "read0!chr1!1000!3000!+\t2000\t0\t0\t*\t*\t0\t0\t0\t0\t0\t0\ttp:A:U\n";
+        for paf in ["", unmapped, "not a paf line\n"] {
+            let err = evaluate(paf.as_bytes()).unwrap_err();
+            assert_eq!(err, "no primary record carries simreads truth", "{paf:?}");
+        }
+    }
+
+    #[test]
+    fn one_path_and_no_flags() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_args(&args(&["out.paf"])), Ok("out.paf"));
+        assert_eq!(parse_args(&args(&["-"])), Ok("-"));
+        assert!(parse_args(&args(&[])).is_err());
+        assert_eq!(
+            parse_args(&args(&["--help"])),
+            Err("unknown flag --help".into())
+        );
+        assert_eq!(
+            parse_args(&args(&["a.paf", "b.paf"])),
+            Err("unexpected argument b.paf".into())
+        );
     }
 }

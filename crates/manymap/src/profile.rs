@@ -3,7 +3,8 @@
 //!
 //! [`profile_run`] is the third client of [`MapSession`] (after `manymap
 //! map` and the daemon): it runs the session's stages single-threaded, one
-//! read batch at a time, and charges each to the paper's five-way
+//! read batch at a time in input order — so its output is `manymap map`'s
+//! stdout — and charges each to the paper's five-way
 //! breakdown: *Load Index* (the one mmap loader), *Load Query* (FASTA/FASTQ
 //! parsing), *Seed & Chain* ([`MapSession::plan`]: nt4 encoding, seeding,
 //! chaining, job planning), *Align* ([`session::dispatch`] through the
@@ -27,10 +28,6 @@ use crate::session::{self, load_index_any, ExecConfig, MapSession, Planned, MAP_
 #[derive(Clone, Debug)]
 pub struct ProfileConfig {
     pub opts: MapOpts,
-    /// Sort each batch by descending read length before aligning
-    /// (manymap's load-balance tweak, §4.4.4); records then leave in that
-    /// order too.
-    pub sort_by_length: bool,
     /// Backend, supervisor and scheduler settings, exactly as `manymap map`
     /// would run them.
     pub exec: ExecConfig,
@@ -72,7 +69,7 @@ pub fn profile_run(
     // Single-threaded run: one scratch arena serves every chain walk.
     let mut scratch = AlignScratch::new();
     loop {
-        let mut batch = timer
+        let batch = timer
             .time(Stage::LoadQuery, || reader.next_batch(MAP_BATCH_BASES))
             .map_err(|e| MapError::Seq {
                 path: "<query buffer>".into(),
@@ -80,9 +77,6 @@ pub fn profile_run(
             })?;
         if batch.is_empty() {
             break;
-        }
-        if cfg.sort_by_length {
-            batch.sort_by_key(|r| std::cmp::Reverse(r.len()));
         }
         reads += batch.len();
 
@@ -163,7 +157,6 @@ mod tests {
     fn config(opts: MapOpts) -> ProfileConfig {
         ProfileConfig {
             opts,
-            sort_by_length: true,
             exec: ExecConfig::new(&opts, 1),
         }
     }

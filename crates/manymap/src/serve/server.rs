@@ -361,7 +361,6 @@ fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineE
         },
         Some(&on_panic),
         threads,
-        true,
     )
     .map(|_stats| ())
 }

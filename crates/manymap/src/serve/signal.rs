@@ -5,6 +5,7 @@
 //! `AtomicBool`, which the accept loop, session readers, and scheduler all
 //! poll. Everything async-signal-unsafe (logging, queue work, joins)
 //! happens on normal threads after the flag is observed.
+#![expect(unsafe_code, reason = "`signal(2)` FFI; the handler stores one flag")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -20,7 +21,6 @@ extern "C" fn on_signal(_sig: i32) {
     DRAIN.store(true, Ordering::SeqCst);
 }
 
-// xtask-allow(missing-safety-doc): documented at the call site below.
 extern "C" {
     /// libc `signal(2)`. The return value (the previous handler) is a
     /// pointer-sized integer we never call through, so `usize` suffices.

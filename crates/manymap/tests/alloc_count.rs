@@ -16,6 +16,7 @@
 // Exercises whatever SIMD decode tier the host offers, which Miri cannot.
 #![cfg(not(miri))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(unsafe_code, reason = "a counting allocator forwarding to `System`")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

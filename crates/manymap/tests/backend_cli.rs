@@ -444,7 +444,6 @@ fn profile_run_output_is_cli_stdout() {
         assert!(cli.status.success());
         let cfg = ProfileConfig {
             opts,
-            sort_by_length: false,
             exec: ExecConfig::new(&opts, 1),
         };
         let res = profile_run(&fx.index, &fasta, &cfg).unwrap();

@@ -67,9 +67,16 @@ fn fixture(tag: &str) -> Fixture {
             seed: 11,
         },
     );
+    // Named as `simreads` names reads, so `mapeval` can judge the output.
     let recs: Vec<SeqRecord> = sims
         .iter()
-        .map(|r| SeqRecord::new(r.name.clone(), nt4_decode(&r.seq)))
+        .enumerate()
+        .map(|(i, r)| {
+            let o = &r.origin;
+            let strand = if o.rev { '-' } else { '+' };
+            let name = format!("read{i}!chr1!{}!{}!{strand}", o.start, o.end);
+            SeqRecord::new(name, nt4_decode(&r.seq))
+        })
         .collect();
     let mut fasta = Vec::new();
     write_fasta(&mut fasta, &recs, 0).unwrap();
@@ -82,7 +89,7 @@ fn fixture(tag: &str) -> Fixture {
         index,
         bare_image,
         reads,
-        read_names: sims.iter().map(|r| r.name.clone()).collect(),
+        read_names: recs.into_iter().map(|r| r.name).collect(),
     }
 }
 
@@ -577,5 +584,63 @@ fn index_rejects_an_index_input_in_both_branches() {
             assert!(stderr.contains("needs a FASTA reference"), "{stderr}");
             assert!(!out_path.exists(), "{extra:?} wrote an index");
         }
+    }
+}
+
+/// `mapeval` judges something or fails. A `manymap map` that exits 0 and
+/// maps nothing (every read over `--max-read-len`), or an empty PAF, used
+/// to print zero wrong primaries and pass ci.sh's selection ratchet; a
+/// second path was silently ignored and `--help` was opened as a file.
+#[test]
+fn mapeval_refuses_nothing_to_judge_and_stray_arguments() {
+    let fx = fixture("mapeval");
+    let mapeval = |args: &[&Path]| {
+        Command::new(env!("CARGO_BIN_EXE_mapeval"))
+            .args(args)
+            .output()
+            .expect("spawn mapeval")
+    };
+    let paf = |name: &str, out: Output| {
+        assert!(out.status.success());
+        let path = fx.dir.join(name);
+        std::fs::write(&path, out.stdout).unwrap();
+        path
+    };
+    let mapped = paf("mapped.paf", run_map(&fx.index, &fx.reads, &[]));
+    let out = mapeval(&[&mapped]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("wrong primaries at MAPQ >= 40:"));
+
+    let unmapped = paf(
+        "unmapped.paf",
+        run_map(&fx.index, &fx.reads, &["--max-read-len", "50"]),
+    );
+    let empty = fx.dir.join("empty.paf");
+    std::fs::write(&empty, "").unwrap();
+    for path in [unmapped.as_path(), &empty] {
+        let out = mapeval(&[path]);
+        assert_eq!(out.status.code(), Some(1), "{path:?}");
+        assert!(out.stdout.is_empty(), "{path:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "mapeval: {}: no primary record carries simreads truth\n",
+                path.display()
+            )
+        );
+    }
+
+    for (args, why) in [
+        (&[mapped.as_path(), &empty][..], "unexpected argument"),
+        (&[Path::new("--help")][..], "unknown flag --help"),
+    ] {
+        let out = mapeval(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            stderr.contains(why) && stderr.contains("usage: mapeval"),
+            "{stderr}"
+        );
     }
 }

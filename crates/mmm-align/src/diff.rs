@@ -18,6 +18,7 @@
 //! `z` (0 = diagonal/substitution, 1 = E-term ⇒ `D`, 2 = F-term ⇒ `I`);
 //! bit 2 is set when the E gap *continues* into the next row (the
 //! `max(0, ·)` in Eq. 3 selected the non-zero branch); bit 3 likewise for F.
+#![expect(unsafe_code, reason = "uninitialized rows, written before `get`")]
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::score::Scoring;

@@ -48,6 +48,7 @@
 //! Naming note: the paper's baseline tier is "SSE2"; our 128-bit kernels use
 //! SSE4.1 (`pblendvb`/`pmaxsb`), universally available on x86-64 since 2008.
 //! We keep the paper's tier labels in the harnesses.
+#![expect(unsafe_code, reason = "SIMD kernels, reached only via `available()`")]
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;

@@ -8,6 +8,7 @@
 // Drives every available SIMD tier, which Miri cannot execute.
 #![cfg(not(miri))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(unsafe_code, reason = "a counting allocator forwarding to `System`")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -192,7 +192,6 @@ impl AlignBackend for CpuSimdBackend {
             results.pop();
         }
         // The CPU backend owns no device or supervisor counters.
-        // xtask-allow: stats-forwarding — every omitted field is correctly zero for a raw CPU session.
         let stats = BackendStats {
             batches: 1,
             jobs: jobs.len() as u64,

@@ -178,7 +178,6 @@ impl AlignBackend for GpuSimtBackend {
 
         // Supervisor counters (retries, trips, quarantines…) belong to
         // SupervisedBackend; a raw device session reports them as zero.
-        // xtask-allow: stats-forwarding — only supervisor counters are omitted, correctly zero here.
         let stats = BackendStats {
             batches: 1,
             jobs: total as u64,

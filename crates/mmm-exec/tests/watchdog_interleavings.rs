@@ -29,10 +29,16 @@
 //!    and result-arrives-after-poison are specific schedules inside this
 //!    enumeration).
 //!
-//! A deliberately broken variant — the historical bug shape where the
-//! runner publishes `Done` *without* checking for `Abandoned` — asserts
-//! that the checker catches double-completion, so a regression in the
-//! model itself cannot silently pass.
+//! The compute thread also holds `SupervisedBackend::runner` (the runner
+//! handle's mutex) across the whole wait, as `watched_submit` does from
+//! its first line to its return — the tree's only nested acquisition
+//! (`runner` → `slot.state`), so the lock-order detector sees it here.
+//!
+//! Two deliberately broken variants keep the model honest: the historical
+//! bug shape where the runner publishes `Done` *without* checking for
+//! `Abandoned` must be caught as a double-completion, and a runner that
+//! takes `runner` while holding `slot` must be caught as a lock-order
+//! inversion — so a regression in the model itself cannot silently pass.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -46,18 +52,34 @@ const PENDING: usize = 0;
 const DONE: usize = 1;
 const ABANDONED: usize = 2;
 
-/// One explored execution of the rendezvous. `runner_checks_poison`
-/// selects the real protocol (`true`) or the broken historical variant
-/// that overwrites the slot unconditionally (`false`).
-fn rendezvous_execution(runner_checks_poison: bool) {
+/// What the runner thread does once its backend call returns.
+#[derive(Clone, Copy, PartialEq)]
+enum Runner {
+    /// The real protocol: publish `Done` only over `Pending`.
+    Real,
+    /// Broken: publish `Done` unconditionally, over a poisoned slot too.
+    PublishesOverPoison,
+    /// Broken: take the `runner` mutex while holding `slot` — the inverse
+    /// of the compute thread's order.
+    LocksRunnerUnderSlot,
+}
+
+/// One explored execution of the rendezvous with the given runner.
+fn rendezvous_execution(variant: Runner) {
     // (slot state, deadline fired?) — both live under the one slot mutex,
     // exactly as `wait_timeout_while` evaluates timeout and predicate
     // under the lock in the real code.
     let slot = Arc::new(Mutex::new((PENDING, false)));
     let cv = Arc::new(Condvar::new());
+    // `SupervisedBackend::runner`: `true` while a runner handle is held.
+    let runner_handle = Arc::new(Mutex::new(true));
     let late = Arc::new(AtomicUsize::new(0));
     let delivered = Arc::new(AtomicUsize::new(0));
     let killed = Arc::new(AtomicUsize::new(0));
+
+    // Compute thread (the `watched_submit` caller): lock the runner handle
+    // first and hold it until the decision, as the real code does.
+    let mut handle = runner_handle.lock();
 
     // Runner: the backend call returns at some arbitrary point and the
     // result is published under the lock.
@@ -65,9 +87,13 @@ fn rendezvous_execution(runner_checks_poison: bool) {
         let slot = Arc::clone(&slot);
         let cv = Arc::clone(&cv);
         let late = Arc::clone(&late);
+        let runner_handle = Arc::clone(&runner_handle);
         thread::spawn(move || {
             let mut st = slot.lock();
-            if !runner_checks_poison {
+            if variant == Runner::LocksRunnerUnderSlot {
+                drop(runner_handle.lock());
+            }
+            if variant == Runner::PublishesOverPoison {
                 // Broken variant: publish unconditionally.
                 st.0 = DONE;
                 cv.notify_all();
@@ -100,7 +126,7 @@ fn rendezvous_execution(runner_checks_poison: bool) {
         })
     };
 
-    // Compute thread (the `watched_submit` caller): wait until the slot
+    // Compute thread, still holding the runner handle: wait until the slot
     // leaves `Pending` or the deadline fires; `Done` wins a tie.
     {
         let mut st = slot.lock();
@@ -113,18 +139,24 @@ fn rendezvous_execution(runner_checks_poison: bool) {
                 break;
             }
             if st.1 {
-                // Timed out while still pending: poison and reroute.
+                // Timed out while still pending: poison, drop the wedged
+                // runner's handle, and reroute.
                 assert_eq!(st.0, PENDING, "slot corrupted before poison");
                 st.0 = ABANDONED;
+                *handle = false;
                 killed.fetch_add(1);
                 break;
             }
             st = cv.wait(st);
         }
     }
+    drop(handle);
 
     runner.join();
     timer.join();
+
+    // The handle is dropped exactly when the call was abandoned.
+    assert_eq!(*runner_handle.lock(), killed.load() == 0);
 
     // No orphaned completion: once everyone is done the slot is always
     // `Abandoned` — either the waiter consumed the result (and replaced it)
@@ -145,7 +177,7 @@ fn rendezvous_execution(runner_checks_poison: bool) {
         1,
         "the batch must be decided exactly once (delivered={delivered}, killed={killed})"
     );
-    if runner_checks_poison {
+    if variant != Runner::PublishesOverPoison {
         assert_eq!(
             delivered + late,
             1,
@@ -173,7 +205,7 @@ fn exhaustive() -> Builder {
 
 #[test]
 fn watchdog_rendezvous_is_safe_under_every_schedule() {
-    let report: Report = exhaustive().check(|| rendezvous_execution(true));
+    let report: Report = exhaustive().check(|| rendezvous_execution(Runner::Real));
     assert!(report.complete, "exploration truncated: {report:?}");
     // Sanity: the model has real concurrency to explore (deadline before
     // submit finishes, result after poison, notify before wait, ...).
@@ -186,13 +218,31 @@ fn watchdog_rendezvous_is_safe_under_every_schedule() {
 #[test]
 fn checker_catches_unconditional_publish() {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        exhaustive().check(|| rendezvous_execution(false))
+        exhaustive().check(|| rendezvous_execution(Runner::PublishesOverPoison))
     }));
     assert!(
         outcome.is_err(),
         "the broken variant explored clean — the model no longer distinguishes \
          poisoned slots from pending ones"
     );
+}
+
+/// Canary: a runner that takes `runner` while holding `slot` inverts the
+/// compute thread's `runner` → `slot` order, and the dynamic lock-order
+/// detector must say so — the nested acquisition is really under it.
+#[test]
+fn checker_catches_runner_lock_under_slot() {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        exhaustive().check(|| rendezvous_execution(Runner::LocksRunnerUnderSlot))
+    }));
+    let msg = match outcome {
+        Ok(report) => panic!("the inverted lock order explored clean: {report:?}"),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    };
+    assert!(msg.contains("lock-order inversion"), "{msg}");
 }
 
 /// Directed replay of the two schedules the ISSUE names, as plain unit
@@ -213,6 +263,6 @@ fn named_schedules_hold() {
         max_preemptions: Some(2),
         ..Builder::default()
     }
-    .check(|| rendezvous_execution(true));
+    .check(|| rendezvous_execution(Runner::Real));
     assert!(report.schedules > 0);
 }

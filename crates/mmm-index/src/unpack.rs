@@ -22,8 +22,9 @@
 //! `packed_crosscheck` pass enforces this on every machine.
 //!
 //! This is the only module in `mmm-index` allowed to contain SIMD
-//! intrinsics or raw-pointer arithmetic (enforced by the xtask
-//! `packed-simd-confinement` and `raw-pointer-arithmetic` lints).
+//! intrinsics or raw-pointer arithmetic: the workspace denies
+//! `unsafe_code`, and this module alone expects it.
+#![expect(unsafe_code, reason = "SIMD decode, reached only via `available()`")]
 
 use std::sync::OnceLock;
 

@@ -11,6 +11,7 @@
 //! Only `mmap`, `munmap` and `madvise` are used, declared directly against
 //! the platform C library — the build environment has no registry access, so
 //! we do not depend on the `libc` crate for three symbols.
+#![expect(unsafe_code, reason = "`mmap(2)` FFI over a read-only owned mapping")]
 
 use std::ffi::{c_int, c_void};
 use std::fs::File;
@@ -54,9 +55,11 @@ pub struct Mmap {
     len: usize,
 }
 
-// SAFETY: the mapping is read-only and owned; sharing references across
-// threads is no different from sharing a `&[u8]`.
+// SAFETY: the mapping is owned; moving it to another thread moves the
+// only handle that unmaps it, like moving a `Box<[u8]>`.
 unsafe impl Send for Mmap {}
+// SAFETY: the mapping is read-only; sharing references across threads is
+// no different from sharing a `&[u8]`.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {

@@ -79,7 +79,6 @@ fn run_batch<I, M, D, R>(
     dispatch: &mut (dyn FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError> + Send),
     len_of: &(dyn Fn(&I) -> usize + Sync),
     on_item_panic: PanicHandler<'_, I, R>,
-    sort_by_len: bool,
 ) -> Result<(Vec<R>, usize), PipelineError>
 where
     I: Send + Sync,
@@ -92,17 +91,13 @@ where
     out.resize_with(n, || None);
     let mut failed = 0usize;
 
-    // Phase 1: plan every item (longest first when requested — long reads
-    // carry the most alignment work, so they anchor the schedule).
+    // Phase 1: plan every item, longest first — long reads carry the most
+    // alignment work, so they anchor the schedule. Results come back in
+    // item order whatever the processing order.
     let plan_items: Vec<Step<I, M, D>> = batch.into_iter().map(Step::Plan).collect();
-    let order = if sort_by_len {
-        sort_indices_by_len_desc(&plan_items, |s| match s {
-            Step::Plan(i) => len_of(i),
-            Step::Fin(i, _, _) => len_of(i),
-        })
-    } else {
-        (0..n).collect()
-    };
+    let order = sort_indices_by_len_desc(&plan_items, |s| match s {
+        Step::Plan(i) | Step::Fin(i, _, _) => len_of(i),
+    });
     let outcome = pool.run_batch_catching(&plan_items, &order);
     let mut panic_msg: Vec<Option<String>> = Vec::with_capacity(n);
     panic_msg.resize_with(n, || None);
@@ -260,7 +255,6 @@ pub fn try_run_three_thread_batched_with_state<
     mut write_batch: FOut,
     on_item_panic: PanicHandler<'_, I, R>,
     threads: usize,
-    sort_by_len: bool,
 ) -> Result<PipelineStats, PipelineError>
 where
     I: Send + Sync,
@@ -328,14 +322,7 @@ where
             while let Ok(batch) = in_rx.recv() {
                 let t0 = Instant::now();
                 let n = batch.len();
-                let settled = run_batch(
-                    pool,
-                    batch,
-                    &mut dispatch,
-                    &len_of,
-                    on_item_panic,
-                    sort_by_len,
-                );
+                let settled = run_batch(pool, batch, &mut dispatch, &len_of, on_item_panic);
                 let results = match settled {
                     Ok((results, failed)) => {
                         let mut s = lock_unpoisoned(&stats);
@@ -407,7 +394,6 @@ pub fn try_run_three_thread_batched_from_queue<
     write_batch: FOut,
     on_item_panic: PanicHandler<'_, I, R>,
     threads: usize,
-    sort_by_len: bool,
 ) -> Result<PipelineStats, PipelineError>
 where
     I: Send + Sync,
@@ -435,7 +421,6 @@ where
         write_batch,
         on_item_panic,
         threads,
-        sort_by_len,
     )
 }
 
@@ -467,7 +452,6 @@ mod tests {
             },
             None,
             threads,
-            false,
         )
         .unwrap();
         (out.into_inner().unwrap(), stats)
@@ -501,7 +485,6 @@ mod tests {
             },
             None,
             4,
-            true,
         )
         .unwrap();
         assert_eq!(out.into_inner().unwrap(), vec![5, 1, 9, 3]);
@@ -537,7 +520,6 @@ mod tests {
             },
             Some(&handler),
             2,
-            false,
         )
         .unwrap();
         assert_eq!(stats.failed_items, 1);
@@ -569,7 +551,6 @@ mod tests {
             },
             Some(&handler),
             2,
-            false,
         )
         .unwrap();
         assert_eq!(stats.failed_items, 1);
@@ -594,7 +575,6 @@ mod tests {
             |_r| Ok(()),
             None,
             2,
-            false,
         )
         .unwrap_err();
         match err {
@@ -618,7 +598,6 @@ mod tests {
             |_r| Ok(()),
             None,
             2,
-            false,
         )
         .unwrap_err();
         match err {
@@ -659,7 +638,6 @@ mod tests {
             },
             Some(&handler),
             2,
-            false,
         )
         .unwrap();
         assert_eq!(stats.failed_items, 1);
@@ -690,7 +668,6 @@ mod tests {
             |_r| Ok(()),
             None,
             2,
-            false,
         )
         .unwrap_err();
         match err {
@@ -718,7 +695,6 @@ mod tests {
             |_r| Ok(()),
             None,
             2,
-            false,
         )
         .unwrap_err();
         assert!(matches!(err, PipelineError::Dispatch(_)));
@@ -762,7 +738,6 @@ mod tests {
                 },
                 None,
                 3,
-                false,
             )
             .unwrap();
             assert_eq!(stats.batches, 3);
@@ -790,7 +765,6 @@ mod tests {
             |_r| Ok(()),
             None,
             2,
-            false,
         )
         .unwrap();
         assert_eq!(stats.batches, 0);
@@ -817,7 +791,6 @@ mod tests {
             |_r| Ok(()),
             None,
             2,
-            false,
         )
         .unwrap_err();
         assert!(matches!(err, PipelineError::Read(_)));

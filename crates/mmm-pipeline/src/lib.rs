@@ -35,4 +35,4 @@ pub use pipeline::{PanicHandler, PipelineStats};
 pub use pool::{with_worker_pool, BatchOutcome, ItemPanic, WorkerPool};
 pub use queue::{BoundedQueue, PopError, PushError};
 pub use sort::sort_indices_by_len_desc;
-pub use sync::{lock_unpoisoned, wait_unpoisoned};
+pub use sync::{lock_unpoisoned, wait_while_unpoisoned};

@@ -20,12 +20,13 @@
 //! what makes the lifetime-erased pointers sound: no worker can still hold a
 //! stale job (or touch the shared index counter for an old epoch) after
 //! the call returns, so the borrowed batch may be freed immediately.
+#![expect(unsafe_code, reason = "pointers valid until the check-in barrier")]
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+use crate::sync::{lock_unpoisoned, wait_while_unpoisoned};
 
 /// A panic caught while a worker processed one item.
 #[derive(Clone, Debug)]
@@ -183,10 +184,11 @@ impl<I: Sync, R: Send> WorkerPool<'_, I, R> {
         // Check-in barrier: every worker must finish serving this epoch
         // before the borrows behind the job pointers can be released.
         let mut panics = {
-            let mut g = lock_unpoisoned(&self.shared.slot);
-            while g.checked_in != self.threads {
-                g = wait_unpoisoned(&self.shared.done_cv, g);
-            }
+            let mut g = wait_while_unpoisoned(
+                &self.shared.done_cv,
+                lock_unpoisoned(&self.shared.slot),
+                |s| s.checked_in != self.threads,
+            );
             g.job = None;
             std::mem::take(&mut g.panics)
         };
@@ -267,23 +269,19 @@ where
                     std::panic::catch_unwind(AssertUnwindSafe(|| make_state(w))).ok();
                 let mut seen_epoch = 0u64;
                 loop {
-                    // Wait for a fresh epoch (or shutdown) and copy its job.
+                    // Wait for a fresh epoch carrying a job (or shutdown)
+                    // and copy its job.
                     let job = {
-                        let mut g = lock_unpoisoned(&shared.slot);
-                        loop {
-                            if g.shutdown {
-                                return;
-                            }
-                            if g.epoch != seen_epoch {
-                                seen_epoch = g.epoch;
-                                if let Some(j) = g.job {
-                                    break j;
-                                }
-                                // A published epoch always carries a job;
-                                // tolerate a missing one by waiting on.
-                            }
-                            g = wait_unpoisoned(&shared.work_cv, g);
-                        }
+                        let g = wait_while_unpoisoned(
+                            &shared.work_cv,
+                            lock_unpoisoned(&shared.slot),
+                            |s| !s.shutdown && (s.epoch == seen_epoch || s.job.is_none()),
+                        );
+                        let Some(j) = g.job.filter(|_| !g.shutdown) else {
+                            return;
+                        };
+                        seen_epoch = g.epoch;
+                        j
                     };
                     // Check in even if `map` panics below: a missing check-in
                     // would leave the submitter waiting forever, masking the
@@ -301,7 +299,6 @@ where
                         // checks in below; `k < len` bounds both reads, and
                         // `order` is a permutation so `idx` is in range and
                         // claimed by exactly one worker.
-                        // xtask-allow: raw-ptr-arith — claim-counter distribution needs untracked shared slices; bounds barrier-protected as documented above
                         let idx = unsafe { *job.order.add(k) };
                         let outcome = match state.as_mut() {
                             Some(st) => std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -309,9 +306,7 @@ where
                                 // uniquely claimed, so the result write is
                                 // race-free.
                                 unsafe {
-                                    // xtask-allow: raw-ptr-arith — uniquely claimed idx, barrier-bounded read
                                     let r = map(st, &*job.items.add(idx));
-                                    // xtask-allow: raw-ptr-arith — uniquely claimed idx, race-free write
                                     *job.results.add(idx) = Some(r);
                                 }
                             })),

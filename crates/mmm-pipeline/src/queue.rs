@@ -24,10 +24,10 @@
 //! lock-free buys nothing; correct blocking and wakeup is the whole game.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+use crate::sync::{lock_unpoisoned, wait_while_unpoisoned};
 
 /// Why a push was refused. Carries the item back so the caller can reroute
 /// it (e.g. report the failure to the tenant that sent it).
@@ -111,19 +111,16 @@ impl<T> BoundedQueue<T> {
     /// Block until there is room, then enqueue. Fails only when the queue
     /// is (or becomes, while waiting) closed.
     pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut g = lock_unpoisoned(&self.inner);
-        loop {
-            if g.closed {
-                return Err(PushError::Closed(item));
-            }
-            if g.items.len() < self.capacity {
-                g.items.push_back(item);
-                drop(g);
-                self.items.notify_one();
-                return Ok(());
-            }
-            g = wait_unpoisoned(&self.space, g);
+        let mut g = wait_while_unpoisoned(&self.space, lock_unpoisoned(&self.inner), |q| {
+            !q.closed && q.items.len() >= self.capacity
+        });
+        if g.closed {
+            return Err(PushError::Closed(item));
         }
+        g.items.push_back(item);
+        drop(g);
+        self.items.notify_one();
+        Ok(())
     }
 
     /// Enqueue without blocking: `Full` when at capacity, `Closed` after
@@ -146,52 +143,39 @@ impl<T> BoundedQueue<T> {
     /// Block until an item arrives. `None` means closed **and** drained:
     /// every item ever pushed has been handed to some consumer.
     pub fn pop(&self) -> Option<T> {
-        let mut g = lock_unpoisoned(&self.inner);
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                drop(g);
-                self.space.notify_one();
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = wait_unpoisoned(&self.items, g);
-        }
+        let g = wait_while_unpoisoned(&self.items, lock_unpoisoned(&self.inner), |q| {
+            !q.closed && q.items.is_empty()
+        });
+        self.take_front(g)
     }
 
     /// Like [`pop`](Self::pop) with a deadline, for consumers that also
-    /// poll something else (a drain flag, a socket).
+    /// poll something else (a drain flag, a socket). The deadline is
+    /// absolute: a wakeup whose item a faster consumer took waits on only
+    /// for the time left.
     pub fn pop_timeout(&self, timeout: Duration) -> Result<T, PopError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = lock_unpoisoned(&self.inner);
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                drop(g);
-                self.space.notify_one();
-                return Ok(item);
-            }
-            if g.closed {
-                return Err(PopError::Closed);
-            }
-            let now = std::time::Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Err(PopError::TimedOut);
-            };
-            let (guard, _timeout_hit) = self
-                .items
-                .wait_timeout(g, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            g = guard;
+        let (g, _) = self
+            .items
+            .wait_timeout_while(lock_unpoisoned(&self.inner), timeout, |q| {
+                !q.closed && q.items.is_empty()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if g.closed && g.items.is_empty() {
+            return Err(PopError::Closed);
         }
+        self.take_front(g).ok_or(PopError::TimedOut)
     }
 
     /// Dequeue without blocking.
     pub fn try_pop(&self) -> Option<T> {
-        let item = lock_unpoisoned(&self.inner).items.pop_front();
+        self.take_front(lock_unpoisoned(&self.inner))
+    }
+
+    /// Pop the front item under `g`, releasing the lock before waking a
+    /// producer.
+    fn take_front(&self, mut g: MutexGuard<'_, Inner<T>>) -> Option<T> {
+        let item = g.items.pop_front();
+        drop(g);
         if item.is_some() {
             self.space.notify_one();
         }

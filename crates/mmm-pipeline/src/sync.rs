@@ -15,11 +15,17 @@ pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Wait on `cv`, recovering the guard if the mutex was poisoned while
-/// parked.
-pub fn wait_unpoisoned<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    // xtask-allow: condvar-wait-loop — the wait primitive itself; callers re-check in a loop, enforced at their sites.
-    cv.wait(g).unwrap_or_else(PoisonError::into_inner)
+/// Wait on `cv` while `pred` holds, recovering the guard if the mutex was
+/// poisoned while parked. The predicate is re-checked after every wakeup,
+/// so a spurious or raced-away one cannot return early; the bare
+/// `Condvar::wait` is a `disallowed-methods` entry in `clippy.toml`.
+pub fn wait_while_unpoisoned<'a, T>(
+    cv: &Condvar,
+    g: MutexGuard<'a, T>,
+    pred: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    cv.wait_while(g, pred)
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ fn double(_: &mut (), x: &u32) -> u64 {
     *x as u64 * 2
 }
 
-/// Run `map` per item on 4 workers, unsorted.
+/// Run `map` per item on 4 workers.
 fn per_item(
     read: impl FnMut() -> Result<Option<Vec<u32>>, DynError> + Send,
     map: impl Fn(&mut (), &u32) -> u64 + Sync,
@@ -54,7 +54,6 @@ fn per_item(
         write,
         on_panic,
         4,
-        false,
     )
 }
 

@@ -17,7 +17,6 @@ fn run<R: Send>(
     map: impl Fn(&u64) -> R + Sync,
     len_of: impl Fn(&u64) -> usize + Sync,
     threads: usize,
-    sort_by_len: bool,
 ) -> (Vec<R>, PipelineStats) {
     batches.reverse();
     let out = Mutex::new(Vec::new());
@@ -34,7 +33,6 @@ fn run<R: Send>(
         },
         None,
         threads,
-        sort_by_len,
     )
     .unwrap();
     (out.into_inner().unwrap(), stats)
@@ -44,7 +42,7 @@ fn run<R: Send>(
 fn many_tiny_batches_keep_order() {
     // 100 batches of 1 item stress the channel/ordering machinery.
     let input: Vec<Vec<u64>> = (0..100).map(|i| vec![i]).collect();
-    let (out, stats) = run(input, |&x| x, |_| 1, 4, true);
+    let (out, stats) = run(input, |&x| x, |_| 1, 4);
     assert_eq!(stats.batches, 100);
     assert_eq!(out, (0..100).collect::<Vec<u64>>());
 }
@@ -65,7 +63,7 @@ fn skewed_work_is_complete_and_ordered() {
         }
         (x, acc)
     };
-    let (out, _) = run(batches, work, |&x| (x % 97) as usize, 4, true);
+    let (out, _) = run(batches, work, |&x| (x % 97) as usize, 4);
     let ids: Vec<u64> = out.into_iter().map(|(x, _)| x).collect();
     assert_eq!(ids, (0..300).collect::<Vec<u64>>());
 }
@@ -88,7 +86,7 @@ fn pool_handles_more_threads_than_items() {
 fn stats_account_every_item_exactly_once() {
     let batches: Vec<Vec<u64>> = (0..7).map(|b| vec![b; (b as usize % 3) + 1]).collect();
     let expect_items: usize = batches.iter().map(|b| b.len()).sum();
-    let (out, stats) = run(batches, |&x| x, |_| 1, 2, false);
+    let (out, stats) = run(batches, |&x| x, |_| 1, 2);
     assert_eq!(stats.batches, 7);
     assert_eq!(stats.items, expect_items);
     assert_eq!(stats.failed_items, 0);
@@ -99,7 +97,7 @@ fn stats_account_every_item_exactly_once() {
 #[test]
 fn large_single_batch_parallelism() {
     let batch: Vec<u64> = (0..10_000).collect();
-    let (got, _) = run(vec![batch], |&x| x * 2, |&x| x as usize, 8, true);
+    let (got, _) = run(vec![batch], |&x| x * 2, |&x| x as usize, 8);
     assert_eq!(got.len(), 10_000);
     assert!(got.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
 }

@@ -1,41 +1,35 @@
-//! `cargo run -p xtask -- verify` — the repo's own static-analysis and
-//! soundness gate (see DESIGN.md §8).
+//! `cargo run -p xtask -- verify` — the repo's own soundness gate, the
+//! checks no compiler lint can make (see DESIGN.md §8).
 //!
-//! Sub-passes, each also runnable on its own:
+//! The static invariants are the build's: `unsafe_code` is denied in the
+//! root `Cargo.toml` except in the nine modules that `#![expect]` it, clippy
+//! requires `// SAFETY:` on every unsafe block and `# Safety` on every
+//! `unsafe fn`, and `clippy.toml` disallows `transmute` and the bare
+//! `Condvar::wait`/`wait_timeout` (DESIGN.md §8.1). What is left here
+//! runs code. Sub-passes, each also runnable on its own:
 //!
-//! 1. `lint` — custom source lints over `crates/` and `shims/` enforcing the
-//!    invariants clippy can't: justified `// SAFETY:` comments on every
-//!    `unsafe` site, `#[target_feature]` confined behind the dispatch gate,
-//!    raw-pointer arithmetic only in `simd/`, `unpack.rs` and `mmap.rs`,
-//!    SIMD intrinsics in `mmm-index` confined to `unpack.rs`, every
-//!    mmap-derived byte behind `verify_checksums`, and a `*_with_scratch`
-//!    variant for every public kernel. (What clippy can express is
-//!    clippy's: `unwrap`/`expect` outside tests in the root `Cargo.toml`,
-//!    `transmute` in `clippy.toml`, process-stream prints in the daemon on
-//!    `manymap::serve`.)
-//! 2. `oracle` — the differential kernel oracle: every available SIMD tier
+//! 1. `oracle` — the differential kernel oracle: every available SIMD tier
 //!    against the scalar manymap gold, plus the zero-allocation
 //!    scratch-arena steady-state check, the backend execution seam, and
 //!    the packed-vs-flat posting/decode/mapping crosscheck.
-//! 3. `fuzz` — the seeded structure-aware fuzzer of every byte format the
+//! 2. `fuzz` — the seeded structure-aware fuzzer of every byte format the
 //!    binaries read: hostile length-prefixed frames against `serve::proto`,
 //!    hostile FASTA/FASTQ against `mmm_seq::FastxReader`, and damaged index
 //!    containers (bit flips, truncations, forged section lengths) through
 //!    `AnyIndex::open_mmap`, asserting typed errors, no panics, no damaged
 //!    index accepted, and round-trip identity on valid inputs.
-//! 4. `miri` — the Miri-clean subset (`cargo +nightly miri test` on
+//! 3. `miri` — the Miri-clean subset (`cargo +nightly miri test` on
 //!    `mmm-align`'s scalar/layout tests, `mmm-pipeline`'s queue tests, and
 //!    the `serve::proto` codec; SIMD intrinsics are cfg-gated out under
 //!    Miri). Skipped with a notice when the toolchain has no Miri — this
 //!    build environment is offline and cannot install components.
-//! 5. `interleave` — the loom-lite interleaving checker (with the
+//! 4. `interleave` — the loom-lite interleaving checker (with the
 //!    happens-before race detector and lock-order detector on) over the
 //!    pipeline condvar hand-off, the `BoundedQueue` protocol, the DRR
-//!    credit gate, the signal-drain flush, and the watchdog rendezvous.
+//!    credit gate, the signal-drain flush, and the watchdog rendezvous
+//!    with the supervisor's one nested lock.
 
 mod fuzz;
-mod lex;
-mod lints;
 mod oracle;
 
 use std::path::{Path, PathBuf};
@@ -48,25 +42,6 @@ fn workspace_root() -> PathBuf {
         Some(root) => root.to_path_buf(),
         None => PathBuf::from("."),
     }
-}
-
-fn run_lints(root: &Path) -> Result<(), String> {
-    let violations = lints::run(root)?;
-    if violations.is_empty() {
-        println!(
-            "xtask lint: {} rules clean over crates/ and shims/",
-            lints::RULES.len()
-        );
-        return Ok(());
-    }
-    for v in &violations {
-        eprintln!("{v}");
-    }
-    Err(format!(
-        "{} lint violation(s); suppress a justified exception with \
-         `// xtask-allow: <rule> — <why>` (DESIGN.md §8)",
-        violations.len()
-    ))
 }
 
 fn run_oracle(args: &[String]) -> Result<(), String> {
@@ -267,15 +242,13 @@ fn run_interleave(root: &Path) -> Result<(), String> {
 }
 
 fn verify(root: &Path) -> Result<(), String> {
-    println!("xtask verify: [1/5] source lints");
-    run_lints(root)?;
-    println!("xtask verify: [2/5] differential kernel oracle");
+    println!("xtask verify: [1/4] differential kernel oracle");
     run_oracle(&[])?;
-    println!("xtask verify: [3/5] protocol and file-format fuzzer");
+    println!("xtask verify: [2/4] protocol and file-format fuzzer");
     run_fuzz(&[])?;
-    println!("xtask verify: [4/5] Miri subset");
+    println!("xtask verify: [3/4] Miri subset");
     run_miri(root)?;
-    println!("xtask verify: [5/5] interleaving checker");
+    println!("xtask verify: [4/4] interleaving checker");
     run_interleave(root)?;
     println!("xtask verify: all passes clean");
     Ok(())
@@ -283,15 +256,15 @@ fn verify(root: &Path) -> Result<(), String> {
 
 fn print_help() {
     println!(
-        "xtask — repo-native verification\n\n\
+        "xtask — repo-native verification (static invariants are the build's:\n\
+         workspace lint levels and clippy.toml, DESIGN.md §8.1)\n\n\
          USAGE: cargo run -p xtask -- <command>\n\n\
          COMMANDS:\n  \
-         verify               run every pass (lint, oracle, fuzz, miri, interleave)\n  \
-         lint                 custom source lints (SAFETY comments, unsafe hygiene,\n                       lock order, condvar-wait loops)\n  \
+         verify               run every pass (oracle, fuzz, miri, interleave)\n  \
          oracle [--cases N] [--seed S]\n                       differential SIMD oracle vs scalar gold\n  \
          fuzz [--cases N] [--seed S]\n                       hostile-input fuzzer: serve wire protocol, FASTA/FASTQ\n                       reader, index container loader\n  \
          miri                 Miri-clean subset (skipped if Miri is unavailable)\n  \
-         interleave           loom-lite schedule enumeration (pipeline, queue,\n                       DRR credit, signal drain, watchdog)\n  \
+         interleave           loom-lite schedule enumeration (pipeline, queue,\n                       DRR credit, signal drain, watchdog + nested lock)\n  \
          help                 this text"
     );
 }
@@ -302,7 +275,6 @@ fn main() -> ExitCode {
     let root = workspace_root();
     let result = match cmd {
         "verify" => verify(&root),
-        "lint" => run_lints(&root),
         "oracle" => run_oracle(&args[1..]),
         "fuzz" => run_fuzz(&args[1..]),
         "miri" => run_miri(&root),
@@ -319,5 +291,78 @@ fn main() -> ExitCode {
             eprintln!("xtask: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::workspace_root;
+    use std::path::PathBuf;
+
+    /// The manifest of every workspace member: the root package plus each
+    /// directory the root `members` list names (`dir/*` globs expanded).
+    fn member_manifests() -> Vec<PathBuf> {
+        let root = workspace_root();
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        let members = manifest
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("members"))
+            .expect("the root Cargo.toml lists its members");
+        let mut out = vec![root.join("Cargo.toml")];
+        for pattern in members.split('"').skip(1).step_by(2) {
+            match pattern.strip_suffix("/*") {
+                Some(dir) => {
+                    for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                        let m = entry.unwrap().path().join("Cargo.toml");
+                        if m.is_file() {
+                            out.push(m);
+                        }
+                    }
+                }
+                None => out.push(root.join(pattern).join("Cargo.toml")),
+            }
+        }
+        out
+    }
+
+    /// Whether a manifest sets `workspace = true` in its `[lints]` table.
+    fn inherits_workspace_lints(manifest: &str) -> bool {
+        let mut in_lints = false;
+        manifest.lines().map(str::trim).any(|line| {
+            if line.starts_with('[') {
+                in_lints = line == "[lints]";
+                return false;
+            }
+            in_lints && line.replace(' ', "") == "workspace=true"
+        })
+    }
+
+    #[test]
+    fn lints_table_is_read_by_section() {
+        assert!(inherits_workspace_lints(
+            "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"
+        ));
+        assert!(!inherits_workspace_lints("[package]\nname = \"x\"\n"));
+        // `workspace = true` in another table is a dependency, not the lints.
+        assert!(!inherits_workspace_lints(
+            "[lints.clippy]\nunwrap_used = \"allow\"\n[dependencies.rand]\nworkspace = true\n"
+        ));
+    }
+
+    /// The lint levels in the root `Cargo.toml` (`unsafe_code`, the SAFETY
+    /// documentation lints, `unwrap_used`/`expect_used`) bind only the
+    /// members that opt in; a new crate that forgets is unchecked.
+    #[test]
+    fn every_member_inherits_the_workspace_lints() {
+        let manifests = member_manifests();
+        assert!(manifests.len() > 10, "members not found: {manifests:?}");
+        let missing: Vec<&PathBuf> = manifests
+            .iter()
+            .filter(|m| !inherits_workspace_lints(&std::fs::read_to_string(m).unwrap()))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "add `[lints]\\nworkspace = true` to {missing:?}"
+        );
     }
 }

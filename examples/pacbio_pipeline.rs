@@ -82,7 +82,6 @@ fn main() {
         },
         None,
         threads,
-        true, // long reads first
     )
     .unwrap();
 

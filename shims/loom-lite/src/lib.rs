@@ -61,6 +61,7 @@
 //! Determinism contract: the model closure must behave identically given the
 //! same schedule (no OS time, no OS randomness, no real threads); violations
 //! are detected and reported as `nondeterministic model`.
+#![expect(unsafe_code, reason = "`UnsafeCell`s, one model thread at a time")]
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::BTreeSet;
@@ -316,9 +317,9 @@ fn park_until_active(exec: &Exec, mut g: OsGuard<'_, Inner>, me: usize) {
         return;
     }
     let cv = Arc::clone(&g.cvs[me]);
-    while g.failure.is_none() && g.active != me {
-        g = cv.wait(g).unwrap_or_else(|e| e.into_inner());
-    }
+    g = cv
+        .wait_while(g, |i| i.failure.is_none() && i.active != me)
+        .unwrap_or_else(|e| e.into_inner());
     if g.failure.is_some() {
         drop(g);
         std::panic::panic_any(AbortSignal);
@@ -1073,12 +1074,11 @@ impl Builder {
             let exec2 = Arc::clone(&exec);
             let fc = Arc::clone(&f);
             worker_main(exec2, 0, move || fc());
-            {
-                let mut g = with_inner(&exec);
-                while !g.done && g.failure.is_none() {
-                    g = exec.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-                }
-            }
+            drop(
+                exec.cv
+                    .wait_while(with_inner(&exec), |i| !i.done && i.failure.is_none())
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
             // Children may still be between "spawned" and "exited"; drain
             // until the registry stays empty.
             loop {

@@ -1,6 +1,7 @@
 //! The production pipeline (a `MapSession`'s plan → dispatch → finalize
 //! stages on the batched 3-thread pipeline) must produce PAF byte-identical
-//! to a serial run, regardless of thread count or batch sorting.
+//! to a serial run, regardless of thread count or of the longest-first
+//! order it processes each batch in.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::{Arc, Mutex};
@@ -53,14 +54,14 @@ fn serial_paf(session: &MapSession, reads: &[SeqRecord]) -> String {
     String::from_utf8(out).unwrap()
 }
 
-/// The reads through the session's stages, in batches of 7.
+/// The reads through the session's stages, in batches of `batch` reads.
 fn pipeline_paf(
     session: &Arc<MapSession>,
     reads: &[SeqRecord],
     threads: usize,
-    sort: bool,
+    batch: usize,
 ) -> String {
-    let mut batches: Vec<Vec<SeqRecord>> = reads.chunks(7).map(|c| c.to_vec()).collect();
+    let mut batches: Vec<Vec<SeqRecord>> = reads.chunks(batch).map(|c| c.to_vec()).collect();
     batches.reverse();
     let exec = ExecConfig::new(&MapOpts::map_ont(), 4).open().unwrap();
     let out = Mutex::new(String::new());
@@ -79,7 +80,6 @@ fn pipeline_paf(
         },
         None,
         threads,
-        sort,
     )
     .unwrap();
     out.into_inner().unwrap()
@@ -95,22 +95,31 @@ fn thread_count_does_not_change_paf() {
     );
     for threads in [1, 4] {
         assert_eq!(
-            pipeline_paf(&session, &reads, threads, true),
+            pipeline_paf(&session, &reads, threads, 7),
             expect,
             "threads={threads}"
         );
     }
 }
 
+/// Every batch is processed longest first; output order is input order
+/// whether a batch holds a few reads or all of them.
 #[test]
 fn batch_sorting_does_not_change_paf() {
     let (session, reads) = workload();
     let expect = serial_paf(&session, &reads);
-    for sort in [false, true] {
+    for batch in [7, reads.len()] {
+        // The sort must really reorder something for this to mean anything.
+        assert!(
+            reads
+                .chunks(batch)
+                .any(|c| c.windows(2).any(|w| w[0].len() < w[1].len())),
+            "batch={batch} is already longest first"
+        );
         assert_eq!(
-            pipeline_paf(&session, &reads, 4, sort),
+            pipeline_paf(&session, &reads, 4, batch),
             expect,
-            "sort={sort}"
+            "batch={batch}"
         );
     }
 }
