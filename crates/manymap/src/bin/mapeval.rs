@@ -17,7 +17,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::process::ExitCode;
 
 /// The true origin encoded in a `simreads` query name.
@@ -112,6 +112,50 @@ fn parse_args(args: &[String]) -> Result<&str, String> {
     }
 }
 
+/// The report `mapeval` prints: the summary, then one row per MAPQ decade.
+fn render(s: &Summary) -> String {
+    let pct = |num: u64, den: u64| 100.0 * num as f64 / den.max(1) as f64;
+    let mut r = format!(
+        "paf lines:        {}\n\
+         reads:            {}\n\
+         primary records:  {}\n\
+         primaries/read:   {:.2}\n\
+         wrong primaries:  {}\n\
+         error rate:       {:.3}%\n\
+         wrong primaries at MAPQ >= 40: {}\n\
+         \n\
+         mapq   primaries   wrong   err%\n",
+        s.lines,
+        s.reads,
+        s.primaries,
+        s.primaries as f64 / s.reads.max(1) as f64,
+        s.wrong,
+        pct(s.wrong, s.primaries),
+        s.wrong_mapq40,
+    );
+    for (b, (m, w)) in &s.strata {
+        r += &format!(
+            "{:>2}-{:>2} {:>11} {:>7}  {:>5.2}\n",
+            b,
+            b + 9,
+            m,
+            w,
+            pct(*w, *m)
+        );
+    }
+    r
+}
+
+/// Write the report in one piece. A reader that closed early
+/// (`mapeval out.paf | head`) has all it wanted, so a broken pipe is a
+/// quiet success; any other write error is reported.
+fn write_report(w: &mut impl Write, report: &str) -> Result<(), String> {
+    match w.write_all(report.as_bytes()).and_then(|()| w.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing the report: {e}")),
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let path = match parse_args(&args) {
@@ -139,30 +183,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    let pct = |num: u64, den: u64| 100.0 * num as f64 / den.max(1) as f64;
-    println!("paf lines:        {}", s.lines);
-    println!("reads:            {}", s.reads);
-    println!("primary records:  {}", s.primaries);
-    println!(
-        "primaries/read:   {:.2}",
-        s.primaries as f64 / s.reads.max(1) as f64
-    );
-    println!("wrong primaries:  {}", s.wrong);
-    println!("error rate:       {:.3}%", pct(s.wrong, s.primaries));
-    println!("wrong primaries at MAPQ >= 40: {}", s.wrong_mapq40);
-    println!("\nmapq   primaries   wrong   err%");
-    for (b, (m, w)) in &s.strata {
-        println!(
-            "{:>2}-{:>2} {:>11} {:>7}  {:>5.2}",
-            b,
-            b + 9,
-            m,
-            w,
-            pct(*w, *m)
-        );
+    match write_report(&mut std::io::stdout().lock(), &render(&s)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("mapeval: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -199,6 +226,40 @@ mod tests {
             let err = evaluate(paf.as_bytes()).unwrap_err();
             assert_eq!(err, "no primary record carries simreads truth", "{paf:?}");
         }
+    }
+
+    /// A writer whose reader has gone away, as `mapeval out.paf | head`
+    /// leaves stdout.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_is_a_quiet_exit_and_other_write_errors_are_not() {
+        let q = "read0!chr1!1000!3000!+";
+        let paf =
+            format!("{q}\t2000\t0\t2000\t+\tchr1\t900000\t1010\t3010\t1900\t2000\t60\ttp:A:P\n");
+        let report = render(&evaluate(paf.as_bytes()).unwrap());
+        assert_eq!(write_report(&mut ClosedPipe, &report), Ok(()));
+        let mut full = [0u8; 16];
+        let err = write_report(&mut &mut full[..], &report).unwrap_err();
+        assert!(err.starts_with("writing the report: "), "{err}");
+        let mut out = Vec::new();
+        assert_eq!(write_report(&mut out, &report), Ok(()));
+        assert_eq!(String::from_utf8(out).unwrap(), report);
+        assert!(report.starts_with("paf lines:        1\nreads:            1\n"));
+        assert!(report.contains("\nwrong primaries at MAPQ >= 40: 0\n\nmapq   primaries"));
+        assert!(
+            report.ends_with("\n60-69           1       0   0.00\n"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -11,6 +11,10 @@ pub struct Anchor {
     /// Position of the last base of the match on the query (on the strand
     /// given by `rev`).
     pub qpos: u32,
+    /// Length of the read the anchor came from. A reverse anchor's `qpos`
+    /// counts from the read's far end, so chain selection needs this to
+    /// compare chains on opposite strands in read coordinates.
+    pub qlen: u32,
     /// True when the minimizer matched the reverse-complemented query.
     pub rev: bool,
     /// Match span in bases (the k-mer length).
@@ -36,35 +40,19 @@ mod tests {
 
     #[test]
     fn sorting_groups_by_rid_and_strand() {
+        let a = |rid, rpos, qpos, rev| Anchor {
+            rid,
+            rpos,
+            qpos,
+            qlen: 100,
+            rev,
+            span: 15,
+        };
         let mut v = vec![
-            Anchor {
-                rid: 1,
-                rpos: 5,
-                qpos: 1,
-                rev: false,
-                span: 15,
-            },
-            Anchor {
-                rid: 0,
-                rpos: 9,
-                qpos: 2,
-                rev: true,
-                span: 15,
-            },
-            Anchor {
-                rid: 0,
-                rpos: 3,
-                qpos: 3,
-                rev: false,
-                span: 15,
-            },
-            Anchor {
-                rid: 0,
-                rpos: 7,
-                qpos: 1,
-                rev: false,
-                span: 15,
-            },
+            a(1, 5, 1, false),
+            a(0, 9, 2, true),
+            a(0, 3, 3, false),
+            a(0, 7, 1, false),
         ];
         sort_anchors(&mut v);
         assert_eq!(v[0].rpos, 3);

@@ -74,6 +74,19 @@ impl Chain {
         let last = &self.anchors[self.anchors.len() - 1];
         (first.qpos + 1 - first.span as u32, last.qpos + 1)
     }
+
+    /// Query interval covered, in forward read coordinates: a reverse
+    /// chain's [`Chain::query_range`] mirrored through the read length its
+    /// anchors carry, so chains on both strands compare.
+    pub fn read_range(&self) -> (u32, u32) {
+        let (s, e) = self.query_range();
+        if self.rev {
+            let qlen = self.anchors[0].qlen;
+            (qlen - e, qlen - s)
+        } else {
+            (s, e)
+        }
+    }
 }
 
 /// Gap cost γ: 0.01·span·|g| + 0.5·log2(|g|), as in the minimap2 paper.
@@ -92,7 +105,7 @@ fn gap_cost(gap: u32, span: u8) -> i32 {
 /// ```
 /// use mmm_chain::{chain_anchors, Anchor, ChainOpts};
 /// let anchors: Vec<Anchor> = (0..5)
-///     .map(|k| Anchor { rid: 0, rpos: 1000 + 100 * k, qpos: 14 + 100 * k, rev: false, span: 15 })
+///     .map(|k| Anchor { rid: 0, rpos: 1000 + 100 * k, qpos: 14 + 100 * k, qlen: 500, rev: false, span: 15 })
 ///     .collect();
 /// let chains = chain_anchors(anchors, &ChainOpts::default());
 /// assert_eq!(chains[0].anchors.len(), 5);
@@ -201,6 +214,7 @@ mod tests {
             rid,
             rpos,
             qpos,
+            qlen: 10_000,
             rev: false,
             span: 15,
         }
@@ -243,11 +257,8 @@ mod tests {
     fn different_strands_never_chain_together() {
         let mut a = diagonal_anchors(4, 1000, 14);
         a.extend((0..4).map(|k| Anchor {
-            rid: 0,
-            rpos: 1400 + 100 * k,
-            qpos: 500 + 100 * k,
             rev: true,
-            span: 15,
+            ..mk(0, 1400 + 100 * k, 500 + 100 * k)
         }));
         let opts = ChainOpts {
             min_score: 10,
@@ -323,5 +334,12 @@ mod tests {
         let (qs, qe) = chains[0].query_range();
         assert_eq!(qs, 140 + 1 - 15);
         assert_eq!(qe, 541);
+        assert_eq!(chains[0].read_range(), (qs, qe));
+        // The same anchors on the reverse strand cover the mirror interval
+        // of the 10 kb read.
+        let mut rc = chains[0].clone();
+        rc.rev = true;
+        rc.anchors.iter_mut().for_each(|a| a.rev = true);
+        assert_eq!(rc.read_range(), (10_000 - 541, 10_000 - 126));
     }
 }

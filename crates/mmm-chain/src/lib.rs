@@ -4,8 +4,8 @@
 //! chaining finds colinear subsets that form approximate alignments
 //! (minimap2 §"chaining", reproduced here with the same score function,
 //! the `h`-predecessor window and max-skip heuristics), then selects
-//! primary/secondary chains by reference-interval overlap and assigns
-//! mapping quality.
+//! primary/secondary chains by query-interval overlap and assigns mapping
+//! quality.
 
 pub mod anchor;
 pub mod chain;

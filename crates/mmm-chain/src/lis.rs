@@ -107,6 +107,7 @@ mod tests {
             rid: 0,
             rpos,
             qpos,
+            qlen: 30_000,
             rev: false,
             span: 15,
         }
@@ -137,11 +138,8 @@ mod tests {
     fn groups_by_strand() {
         let mut a: Vec<Anchor> = (0..3).map(|k| mk(100 * (k + 1), 50 * (k + 1))).collect();
         a.extend((0..4).map(|k| Anchor {
-            rid: 0,
-            rpos: 100 * (k + 1),
-            qpos: 50 * (k + 1),
             rev: true,
-            span: 15,
+            ..mk(100 * (k + 1), 50 * (k + 1))
         }));
         let chains = chain_lis(a, 1);
         assert_eq!(chains.len(), 2);

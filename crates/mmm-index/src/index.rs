@@ -389,6 +389,7 @@ pub(crate) fn anchor_from_hit(
             rid: rid + rid_offset,
             rpos,
             qpos: m.pos,
+            qlen,
             rev: false,
             span,
         }
@@ -400,6 +401,7 @@ pub(crate) fn anchor_from_hit(
             rid: rid + rid_offset,
             rpos,
             qpos: qlen - 1 - (m.pos + 1 - span as u32),
+            qlen,
             rev: true,
             span,
         }

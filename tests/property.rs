@@ -60,6 +60,7 @@ proptest! {
                 rid: rnd() % 2,
                 rpos: 100 + rnd() % 50_000,
                 qpos: 100 + rnd() % 5_000,
+                qlen: 5_100,
                 rev: rnd() % 2 == 0,
                 span: 15,
             })
