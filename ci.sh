@@ -129,6 +129,24 @@ echo "==> serve gate: boot daemon, 4 concurrent clients, clean drain"
 echo "==> serve ingestion bench: quick smoke (baseline lives in BENCH_serve_queue.json)"
 BENCH_QUICK=1 BENCH_JSON_OUT="" cargo bench -p bench --bench serve_queue
 
+echo "==> Table 2's shape: five stage rows from map_reads' own stage times, Align the largest"
+# The CPU column is one `session::map_reads` run at one thread; the paper
+# has Align at 65.4 % of it, ahead of every other stage.
+T2=$(BENCH_QUICK=1 cargo run -q --release -p bench --bin table2)
+echo "$T2"
+echo "$T2" | awk '
+    BEGIN { n = split("Load Index|Load Query|Seed & Chain|Align|Output", stage, "|") }
+    {
+        row = $0; sub(/^ +/, "", row)
+        for (i = 1; i <= n; i++) if (index(row, stage[i] " ") == 1 && NF >= 5) { cpu[i] = $(NF - 3) + 0; seen[i] = 1 }
+    }
+    END {
+        for (i = 1; i <= n; i++) if (!seen[i]) { print "ci: table2 printed no " stage[i] " row"; bad = 1 }
+        for (i = 1; i <= n; i++) if (i != 4 && seen[i] && cpu[i] >= cpu[4]) { print "ci: table2 " stage[i] " (" cpu[i] " s) is not below Align (" cpu[4] " s)"; bad = 1 }
+        exit bad
+    }
+'
+
 echo "==> index decode bench: quick smoke (baseline lives in BENCH_index_decode.json)"
 BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin index_decode
 

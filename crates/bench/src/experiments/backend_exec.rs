@@ -1,27 +1,31 @@
 //! Backend execution comparison — the unified `AlignBackend` seam run
 //! end-to-end (DESIGN.md §9, §11).
 //!
-//! One dataset, five executions of the production `MapSession` path, each
-//! an `ExecConfig` a user can pick on the command line (every session
-//! supervised, as in `manymap map`): the CPU SIMD backend, the simulated
-//! GPU/SIMT backend with fifo and with length-binned dispatch, and a
-//! shrunken-device pair that forces the oversized-pair fallback path with
+//! One dataset, five runs of `manymap map`'s pipeline (`session::map_reads`
+//! at one thread), each under an `ExecConfig` a user can pick on the
+//! command line (every session supervised): the CPU SIMD backend, the
+//! simulated GPU/SIMT backend with fifo and with length-binned dispatch, and
+//! a shrunken-device pair that forces the oversized-pair fallback path with
 //! and without the scheduler routing those giants to the host pre-batch.
 //! (The bare-backend vs. supervised vs. binned submit seam is timed by
 //! `benchmark/`'s `exec.submit_*_s` layer metrics.) All variants must agree
 //! on every mapping (the backends are bit-identical); the table reports
 //! what each one did — jobs, DP cells, fallbacks, pool traffic — alongside
-//! the per-stage seconds, and [`run_with_json`] additionally serializes the
-//! counters plus the scheduled-vs-unscheduled jobs/sec and fallback-rate
-//! deltas for the committed `BENCH_backend_exec.json` baseline.
+//! its Align seconds (dispatch plus finalize), and [`run_with_json`]
+//! additionally serializes the counters plus the scheduled-vs-unscheduled
+//! jobs/sec and fallback-rate deltas for the committed
+//! `BENCH_backend_exec.json` baseline.
+
+use std::sync::Arc;
 
 use manymap::baselines::BaselineId;
-use manymap::{profile_run, ExecConfig, ProfileConfig};
+use manymap::session::map_reads;
+use manymap::{ExecConfig, MapSession};
 use mmm_exec::{BackendKind, BackendStats, SchedMode};
-use mmm_index::{save_index, MinimizerIndex};
-use mmm_io::Stage;
+use mmm_index::{AnyIndex, MinimizerIndex};
+use mmm_pipeline::lock_unpoisoned;
 
-use crate::{format_table, macrodata};
+use crate::{format_table, macrodata, mapped_records};
 
 /// Simulated device memory for the shrunken-device rows: small enough that
 /// real gap-fill jobs straddle the fit/fallback boundary (same constant as
@@ -84,7 +88,7 @@ pub fn run(quick: bool) -> String {
     run_with_json(quick).0
 }
 
-/// One profiled run per [`VARIANTS`] entry over a shared index and read set.
+/// One run per [`VARIANTS`] entry over a shared index and read set.
 fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
     let ds = macrodata::pacbio(800_000, n_reads);
     let opts = BaselineId::Manymap.map_opts();
@@ -93,31 +97,30 @@ fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
     let fasta = ds
         .reads_fasta()
         .map_err(|e| format!("in-memory fasta failed: {e}"))?;
-    let idx_path = std::env::temp_dir().join(format!("bench-backend-{}.mmx", std::process::id()));
-    save_index(&index, &idx_path).map_err(|e| format!("index serialization failed: {e}"))?;
+    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts));
 
-    let rows = VARIANTS
+    VARIANTS
         .into_iter()
         .map(|(label, kind, bins, tiny)| {
-            let mut exec = ExecConfig::new(&opts, 1);
-            exec.kind = kind;
+            let mut cfg = ExecConfig::new(&opts, 1);
+            cfg.kind = kind;
             if bins {
-                exec.sched.mode = SchedMode::Bins;
+                cfg.sched.mode = SchedMode::Bins;
             }
-            exec.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
-            let cfg = ProfileConfig { opts, exec };
-            let res = profile_run(&idx_path, &fasta, &cfg)
+            cfg.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
+            let exec = cfg.open().map_err(|e| format!("{label}: {e}"))?;
+            let mut out = Vec::new();
+            let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None)
                 .map_err(|e| format!("{label} run failed: {e}"))?;
+            let stats = *lock_unpoisoned(&exec.stats);
             Ok(Row {
                 label,
-                mappings: res.mappings,
-                align_seconds: res.timer.get(Stage::Align).as_secs_f64(),
-                stats: res.backend_stats,
+                mappings: mapped_records(&out),
+                align_seconds: run.stats.dispatch_seconds + run.stats.finalize_seconds,
+                stats,
             })
         })
-        .collect();
-    let _ = std::fs::remove_file(&idx_path);
-    rows
+        .collect()
 }
 
 /// Run the comparison; returns the human table and the JSON document the

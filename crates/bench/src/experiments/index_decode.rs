@@ -11,18 +11,19 @@
 //! array would need. [`run_with_json`] serializes the tables for the
 //! committed `BENCH_index_decode.json` baseline.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use manymap::baselines::BaselineId;
-use manymap::{profile_run, ExecConfig, ProfileConfig};
+use manymap::session::{load_index_any, map_reads};
+use manymap::{ExecConfig, MapSession};
 use mmm_align::DisabledTiers;
 use mmm_index::unpack;
 use mmm_index::{save_index, IdxOpts, MinimizerIndex};
-use mmm_io::Stage;
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, GenomeOpts};
 
-use crate::{format_table, macrodata};
+use crate::{format_table, macrodata, mapped_records};
 
 /// Bit widths the field-decode rows sweep: the small widths clustered
 /// references actually produce, one mid width, and the worst case.
@@ -227,26 +228,32 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
     save_index(&index, &idx_path).map_err(|e| format!("save failed: {e}"))?;
     drop(index);
 
-    let cfg = ProfileConfig {
-        opts,
-        exec: ExecConfig::new(&opts, 1),
-    };
-    let res = profile_run(&idx_path, &fasta, &cfg);
+    let cfg = ExecConfig::new(&opts, 1);
+    let exec = cfg.open().map_err(|e| e.to_string())?;
+    let t0 = Instant::now();
+    let index = load_index_any(&idx_path, &opts, cfg.shard_open_opts());
+    let load_seconds = t0.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&idx_path);
-    let res = res.map_err(|e| format!("run failed: {e}"))?;
-    let map_seconds = (res.timer.get(Stage::SeedChain) + res.timer.get(Stage::Align)).as_secs_f64();
+    let index = index.map_err(|e| format!("load failed: {e}"))?;
+    let index_bytes = index.as_index_ref().image_len();
+    let session = Arc::new(MapSession::new(0, index, opts));
+    let mut out = Vec::new();
+    let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None)
+        .map_err(|e| format!("run failed: {e}"))?;
+    let s = run.stats;
+    let map_seconds = s.plan_seconds + s.dispatch_seconds + s.finalize_seconds;
     Ok(MapRow {
-        index_bytes: res.index_bytes,
+        index_bytes,
         posting_bytes,
         flat_posting_bytes,
-        load_seconds: res.timer.get(Stage::LoadIndex).as_secs_f64(),
+        load_seconds,
         map_seconds,
         reads_per_sec: if map_seconds > 0.0 {
-            res.reads as f64 / map_seconds
+            s.items as f64 / map_seconds
         } else {
             0.0
         },
-        mappings: res.mappings,
+        mappings: mapped_records(&out),
     })
 }
 

@@ -122,6 +122,14 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
+/// Mapping records in a PAF stream: every line but the unmapped
+/// placeholders of degraded reads.
+pub fn mapped_records(paf: &[u8]) -> usize {
+    paf.split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty() && !l.ends_with(b"tp:A:U"))
+        .count()
+}
+
 pub mod experiments;
 
 /// Macro-dataset bundle shared by the Table 2/5 and Figure 9/10/11 bins.
@@ -191,7 +199,8 @@ pub mod macrodata {
             SeqRecord::new("chr1", nt4_decode(&self.genome))
         }
 
-        /// The reads as an in-memory FASTA — `profile_run`'s query input.
+        /// The reads as an in-memory FASTA, the input `session::map_reads`
+        /// takes in place of a reads file.
         pub fn reads_fasta(&self) -> std::io::Result<Vec<u8>> {
             let recs: Vec<SeqRecord> = self
                 .reads

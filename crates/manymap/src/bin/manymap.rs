@@ -67,7 +67,8 @@
 //! a byte stream dying mid-file) abort with a nonzero exit and a message
 //! naming the file and byte offset. Per-read problems (an oversized read, a
 //! worker panic) degrade that read to an unmapped record, are counted, and
-//! reported on stderr; the run still exits 0. `--inject-panic <read-name>`
+//! reported on stderr; the run still exits 0, as it does when the reader of
+//! stdout closes it early (`manymap map … | head`). `--inject-panic <read-name>`
 //! triggers a deliberate worker panic on the named read, for exercising the
 //! degradation path end-to-end.
 //!
@@ -84,20 +85,16 @@
 //! `mmm_exec::FaultPlan` for the grammar.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use manymap::sam::write_sam_header;
-use manymap::session::{self, Args, MapSession, Planned, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
-use manymap::{load_index_any, MapError, MapReadError};
-use mmm_align::{AlignResult, AlignScratch};
+use manymap::session::{self, Args, MapSession, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
+use manymap::{load_index_any, MapError};
 use mmm_exec::{StatsReport, StderrSink};
 use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex};
-use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state, DynError};
-use mmm_seq::{FastxReader, SeqRecord};
+use mmm_pipeline::{lock_unpoisoned, PipelineError};
 
 /// The `index` summary line. The compaction ratio is only meaningful when
 /// both sides are nonzero: an empty reference (no minimizers) has no flat
@@ -205,137 +202,57 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         path: reads_path.to_string(),
         source: e,
     })?;
-    let reader = Mutex::new(FastxReader::new(BufReader::new(f)));
-    let mut out = BufWriter::new(std::io::stdout());
-    if sam {
-        let (tnames, tlens) = session.targets();
-        write_sam_header(&mut out, tnames, tlens).map_err(|e| MapError::Io {
-            path: "stdout".into(),
-            source: e,
-        })?;
-    }
-    let out = Mutex::new(out);
-
-    // Per-read degradation counters, reported on stderr after the run.
-    let too_long = AtomicUsize::new(0);
-    let align_rejected = AtomicUsize::new(0);
-    let panicked = AtomicUsize::new(0);
-    let backend_quarantined = AtomicUsize::new(0);
-    // Reads left without any seeds by a quarantined index shard.
-    let shard_degraded = AtomicUsize::new(0);
-
-    // A worker panic or a quarantined backend job degrades the read instead
-    // of killing the run: the handler reports the offending read once and
-    // substitutes an unmapped record, so output still accounts for every
-    // input read.
-    let on_panic = |rec: &SeqRecord, msg: &str| -> String {
-        if let Some(reason) = session::quarantine_reason(msg) {
-            backend_quarantined.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "manymap: read '{}' degraded to unmapped: backend quarantined its jobs ({reason})",
-                rec.name
-            );
-        } else {
-            panicked.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "manymap: worker panicked on read '{}' ({msg}); emitting unmapped record",
-                rec.name
-            );
-        }
-        session::unmapped_record(rec, sam)
-    };
-
-    // The batched pipeline: plan (seed/chain/describe DP jobs, on the
-    // worker pool) → dispatch (one backend submission per read batch) →
-    // finalize (splice results, extend ends, format records, on the pool).
-    let stats = try_run_three_thread_batched_with_state(
-        // A mid-file read error (device fault, malformed record) aborts the
-        // run with the file name and position — it is never EOF.
-        || {
-            let batch = lock_unpoisoned(&reader)
-                .next_batch(session::MAP_BATCH_BASES)
-                .map_err(|e| -> DynError { format!("{reads_path}: {e}").into() })?;
-            Ok((!batch.is_empty()).then_some(batch))
-        },
-        // One scratch arena per persistent worker: the alignment hot path
-        // stops allocating once the buffers have grown to the batch's
-        // largest problem.
-        |_worker| AlignScratch::new(),
-        // Plan: panics here (including --inject-panic) degrade exactly the
-        // one read they hit, and its jobs never reach the backend.
-        |_scratch: &mut AlignScratch, rec: &SeqRecord| -> Planned {
-            if inject_panic == Some(rec.name.as_str()) {
-                panic!("injected panic for read '{}'", rec.name);
-            }
-            session.plan(rec)
-        },
-        |plans| session::dispatch(plans, &exec),
-        |scratch: &mut AlignScratch,
-         rec: &SeqRecord,
-         planned: &Planned,
-         results: &Vec<AlignResult>| {
-            match session::finalize(planned, rec, results, scratch, sam) {
-                Ok(lines) => lines,
-                Err(e) => {
-                    match e {
-                        MapReadError::ReadTooLong { .. } => &too_long,
-                        MapReadError::Align(_) => &align_rejected,
-                        MapReadError::ShardUnavailable(_) => &shard_degraded,
-                    }
-                    .fetch_add(1, Ordering::Relaxed);
-                    eprintln!("manymap: read '{}' degraded to unmapped: {e}", rec.name);
-                    session::unmapped_record(rec, sam)
-                }
-            }
-        },
-        |rec| rec.len(),
-        // A write error (e.g. a closed pipe, a full disk) aborts the run.
-        |results| {
-            let mut w = lock_unpoisoned(&out);
-            for lines in results {
-                w.write_all(lines.as_bytes())
-                    .map_err(|e| -> DynError { format!("writing output: {e}").into() })?;
-            }
-            Ok(())
-        },
-        Some(&on_panic),
+    let run = session::map_reads(
+        BufReader::new(f),
+        std::io::stdout(),
+        &session,
+        &exec,
+        sam,
         threads,
-    )
-    .map_err(MapError::Pipeline)?;
-
-    lock_unpoisoned(&out).flush().map_err(|e| MapError::Io {
-        path: "stdout".into(),
-        source: e,
-    })?;
+        inject_panic,
+    );
+    let run = match run {
+        // The reader of stdout has all it wanted (`manymap map … | head`).
+        Err(MapError::OutputClosed) => return Ok(()),
+        // A mid-file read error (device fault, malformed record) aborts the
+        // run naming the file and position — it is never EOF.
+        Err(MapError::Pipeline(PipelineError::Read(e))) => {
+            let named = format!("{reads_path}: {e}").into();
+            return Err(MapError::Pipeline(PipelineError::Read(named)));
+        }
+        r => r?,
+    };
+    let stats = run.stats;
 
     // The run summary is assembled into one report and delivered as a
     // single stderr write (DESIGN.md §12): concurrent sessions sharing a
     // stderr serialize at report granularity instead of interleaving lines.
-    // Rendering is byte-identical to the old eprintln!-per-line output.
     let mut report = StatsReport::new("[manymap] ");
     report.line(format!(
-        "mapped {} reads in {:.2}s wall ({} threads; compute {:.2}s, I/O {:.2}s)",
+        "mapped {} reads in {:.2}s wall ({} threads; compute {:.2}s, I/O {:.2}s; \
+         plan {:.2}s, dispatch {:.2}s, finalize {:.2}s)",
         stats.items,
         stats.wall_seconds,
         threads,
         stats.compute_seconds,
-        stats.in_seconds + stats.out_seconds
+        stats.in_seconds + stats.out_seconds,
+        stats.plan_seconds,
+        stats.dispatch_seconds,
+        stats.finalize_seconds,
     ));
     report.backend_block(&lock_unpoisoned(&exec.stats), exec.backend.label());
     session.shard_report(&mut report);
-    let (tl, ar, pk, bq, sd) = (
-        too_long.load(Ordering::Relaxed),
-        align_rejected.load(Ordering::Relaxed),
-        panicked.load(Ordering::Relaxed),
-        backend_quarantined.load(Ordering::Relaxed),
-        shard_degraded.load(Ordering::Relaxed),
-    );
-    if tl + ar + pk + bq + sd > 0 {
+    if run.degraded() > 0 {
         report.line(format!(
-            "{} read(s) degraded to unmapped: {tl} over the length limit, \
-             {ar} alignment-rejected, {pk} worker panic(s), {bq} backend-quarantined, \
-             {sd} on quarantined shard(s)",
-            tl + ar + pk + bq + sd
+            "{} read(s) degraded to unmapped: {} over the length limit, \
+             {} alignment-rejected, {} worker panic(s), {} backend-quarantined, \
+             {} on quarantined shard(s)",
+            run.degraded(),
+            run.too_long,
+            run.align_rejected,
+            run.panicked,
+            run.backend_quarantined,
+            run.shard_degraded,
         ));
     }
     report.emit(&StderrSink);
@@ -365,7 +282,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_seq::nt4_decode;
+    use mmm_seq::{nt4_decode, SeqRecord};
     use mmm_simreads::{generate_genome, GenomeOpts};
 
     /// Regression: the shrink-vs-flat fragment used to print a meaningless

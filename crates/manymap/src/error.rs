@@ -27,6 +27,9 @@ pub enum MapError {
     Pipeline(PipelineError),
     /// Bad invocation or unusable input (reported without a source chain).
     Usage(String),
+    /// The output's reader went away (a closed pipe, as in `manymap map …
+    /// | head`): it has all it wanted, so the run stops without an error.
+    OutputClosed,
 }
 
 impl fmt::Display for MapError {
@@ -37,6 +40,7 @@ impl fmt::Display for MapError {
             MapError::Index { path, source } => write!(f, "{path}: {source}"),
             MapError::Pipeline(e) => write!(f, "{e}"),
             MapError::Usage(msg) => write!(f, "{msg}"),
+            MapError::OutputClosed => write!(f, "output closed by its reader"),
         }
     }
 }
@@ -48,7 +52,7 @@ impl std::error::Error for MapError {
             MapError::Seq { source, .. } => Some(source),
             MapError::Index { source, .. } => Some(source),
             MapError::Pipeline(e) => Some(e),
-            MapError::Usage(_) => None,
+            MapError::Usage(_) | MapError::OutputClosed => None,
         }
     }
 }

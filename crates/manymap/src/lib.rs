@@ -40,7 +40,6 @@ pub mod error;
 pub mod mapper;
 pub mod opts;
 pub mod paf;
-pub mod profile;
 pub mod sam;
 pub mod serve;
 pub mod session;
@@ -50,7 +49,6 @@ pub use error::MapError;
 pub use mapper::{MapReadError, Mapper, Mapping, ReadPlan};
 pub use opts::MapOpts;
 pub use paf::{paf_line, paf_unmapped, write_paf};
-pub use profile::{profile_run, ProfileConfig, ProfileResult};
 pub use session::{load_index_any, ExecConfig, ExecSession, MapSession};
 pub use shard_bridge::PlanShardFaults;
 

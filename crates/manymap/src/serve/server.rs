@@ -93,7 +93,7 @@ pub struct ServeOpts {
     /// Mapping parameters (shared by every tenant).
     pub map: MapOpts,
     /// The settings the daemon's backend session was opened with; a
-    /// reload reads only the shard-residency budget and shard fault rules.
+    /// reload reads only the fault plan's shard rules.
     pub exec: ExecConfig,
     /// Where the daemon's index was loaded from. Enables the `RELOAD`
     /// opcode with an empty payload (re-open the same path); `None` means

@@ -6,17 +6,20 @@
 //! one device, one circuit breaker, for the life of the process), open the
 //! reference with [`load_index_any`] into a [`MapSession`] (one index
 //! generation: index + target tables), and hand [`MapSession::plan`] /
-//! [`dispatch`] / [`finalize`] to the batched pipeline
-//! (`mmm_pipeline::try_run_three_thread_batched_*`) as its three stages.
-//! The CLI holds one `Arc<MapSession>` for the run; the daemon swaps the
-//! `Arc` on `RELOAD` and keeps the [`ExecSession`]. An alignment job owns
-//! its bytes, so [`dispatch`] sends a whole batch as one submission whatever
-//! generations planned it; every planned read carries the generation it was
-//! planned against only so [`finalize`] splices against the same index.
+//! [`dispatch`] / [`finalize`] to the batched pipeline as its three stages.
+//! The pipeline is wired twice: [`map_reads`] feeds it from a FASTA/FASTQ
+//! stream and writes one output stream (`manymap map`, the example, the
+//! benches), and the daemon feeds it from its scheduler's queue and routes
+//! records to tenants. The CLI holds one `Arc<MapSession>` for the run; the
+//! daemon swaps the `Arc` on `RELOAD` and keeps the [`ExecSession`]. An
+//! alignment job owns its bytes, so [`dispatch`] sends a whole batch as one
+//! submission whatever generations planned it; every planned read carries
+//! the generation it was planned against only so [`finalize`] splices
+//! against the same index.
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -28,16 +31,18 @@ use mmm_exec::{
     SchedConfig, SchedMode, StatsReport, SupervisedBackend, SupervisorConfig,
 };
 use mmm_index::{AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts, MAGIC_PREFIX};
-use mmm_pipeline::{lock_unpoisoned, DynError};
+use mmm_pipeline::{
+    lock_unpoisoned, try_run_three_thread_batched_with_state, DynError, PipelineError,
+    PipelineStats,
+};
 use mmm_seq::{FastxReader, SeqRecord};
 
-use crate::mapper::{MapReadError, Mapping, ReadPlan};
-use crate::sam::{sam_line, sam_unmapped};
+use crate::mapper::{MapReadError, ReadPlan};
+use crate::sam::{sam_line, sam_unmapped, write_sam_header};
 use crate::{paf_line, paf_unmapped, MapError, MapOpts, Mapper, PlanShardFaults};
 
-/// Bases per read batch in `manymap map`, [`crate::profile_run`] and (by
-/// default) the daemon: one plan → dispatch → finalize round, hence one
-/// backend submission.
+/// Bases per read batch in [`map_reads`] and (by default) the daemon: one
+/// plan → dispatch → finalize round, hence one backend submission.
 pub const MAP_BATCH_BASES: usize = 4_000_000;
 
 /// A command-line flag: its name (without `--`) and whether it takes a
@@ -514,29 +519,26 @@ pub fn dispatch(
         .collect())
 }
 
-/// The mapping half of the finalize stage: splice the backend's results
-/// into the read's chain walks, against the session the read was planned
-/// on. A read whose plan was rejected comes back as that error; the caller
-/// accounts for it and emits [`unmapped_record`].
-pub fn finalize_mappings<'p>(
+/// The finalize stage: splice the backend's results into the read's chain
+/// walks, against the session the read was planned on, and format one
+/// newline-terminated PAF or SAM line per mapping (nothing for a read that
+/// maps nowhere). A read whose plan was rejected comes back as that error;
+/// the caller accounts for it and emits [`unmapped_record`].
+pub fn finalize<'p>(
     planned: &'p Planned,
+    rec: &SeqRecord,
     results: &[AlignResult],
     scratch: &mut AlignScratch,
-) -> Result<Vec<Mapping>, &'p MapReadError> {
+    sam: bool,
+) -> Result<String, &'p MapReadError> {
     let plan = planned.plan.as_ref()?;
-    Ok(planned
-        .session
-        .mapper()
-        .finalize_read_with_scratch(&planned.nt4, plan, results, scratch))
-}
-
-/// The formatting half of the finalize stage: one newline-terminated PAF
-/// or SAM line per mapping.
-pub fn format_records(planned: &Planned, rec: &SeqRecord, ms: &[Mapping], sam: bool) -> String {
     let s = &planned.session;
     let nt4 = &planned.nt4;
+    let ms = s
+        .mapper()
+        .finalize_read_with_scratch(nt4, plan, results, scratch);
     let mut lines = String::new();
-    for m in ms {
+    for m in &ms {
         if sam {
             lines.push_str(&sam_line(&rec.name, nt4, &s.tnames, m));
         } else {
@@ -551,20 +553,151 @@ pub fn format_records(planned: &Planned, rec: &SeqRecord, ms: &[Mapping], sam: b
         }
         lines.push('\n');
     }
-    lines
+    Ok(lines)
 }
 
-/// The finalize stage: [`finalize_mappings`], then [`format_records`] —
-/// the read's PAF or SAM lines (empty for a read that maps nowhere).
-pub fn finalize<'p>(
-    planned: &'p Planned,
-    rec: &SeqRecord,
-    results: &[AlignResult],
-    scratch: &mut AlignScratch,
+/// What one [`map_reads`] run did: the pipeline's counts and per-phase
+/// seconds, and the reads it degraded to an unmapped record, by reason.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MapReport {
+    pub stats: PipelineStats,
+    /// Reads over `MapOpts::max_read_len`.
+    pub too_long: usize,
+    /// Reads the alignment kernels refused.
+    pub align_rejected: usize,
+    /// Reads whose plan or finalize panicked.
+    pub panicked: usize,
+    /// Reads with a job the backend supervisor quarantined.
+    pub backend_quarantined: usize,
+    /// Reads left without any seeds by a quarantined index shard.
+    pub shard_degraded: usize,
+}
+
+impl MapReport {
+    /// Reads degraded to an unmapped record, whatever the reason.
+    pub fn degraded(&self) -> usize {
+        self.too_long
+            + self.align_rejected
+            + self.panicked
+            + self.backend_quarantined
+            + self.shard_degraded
+    }
+}
+
+/// `manymap map` once the index is open: map every FASTA/FASTQ record of
+/// `reads` against `session` and write PAF — SAM with its header when
+/// `sam` — to `out`. The batched pipeline reads batches of
+/// [`MAP_BATCH_BASES`] on its own thread, runs [`MapSession::plan`] and
+/// [`finalize`] on `threads` workers (one scratch arena each) and
+/// [`dispatch`] through `exec` between them, and writes in input order on
+/// its own thread; [`MapReport::stats`] times each of those stages.
+///
+/// A read the mapper rejects, whose job the supervisor quarantines, or
+/// whose plan or finalize panics (`inject_panic` names a read to panic on)
+/// is reported on stderr, counted in the [`MapReport`], and written as its
+/// [`unmapped_record`]. A read error or a fail-fast backend failure ends
+/// the run; so does a closed output, as [`MapError::OutputClosed`].
+pub fn map_reads(
+    reads: impl BufRead + Send,
+    out: impl Write + Send,
+    session: &Arc<MapSession>,
+    exec: &ExecSession,
     sam: bool,
-) -> Result<String, &'p MapReadError> {
-    let ms = finalize_mappings(planned, results, scratch)?;
-    Ok(format_records(planned, rec, &ms, sam))
+    threads: usize,
+    inject_panic: Option<&str>,
+) -> Result<MapReport, MapError> {
+    let output_error = |e: std::io::Error| match e.kind() {
+        ErrorKind::BrokenPipe => MapError::OutputClosed,
+        _ => MapError::Io {
+            path: "output".into(),
+            source: e,
+        },
+    };
+    let mut out = BufWriter::new(out);
+    if sam {
+        let (tnames, tlens) = session.targets();
+        write_sam_header(&mut out, tnames, tlens).map_err(output_error)?;
+    }
+    let out = Mutex::new(out);
+    let reader = Mutex::new(FastxReader::new(reads));
+    let report = Mutex::new(MapReport::default());
+
+    // A worker panic or a quarantined backend job degrades the read instead
+    // of killing the run, so output still accounts for every input read.
+    let on_panic = |rec: &SeqRecord, msg: &str| -> String {
+        let mut r = lock_unpoisoned(&report);
+        if let Some(reason) = quarantine_reason(msg) {
+            r.backend_quarantined += 1;
+            eprintln!(
+                "manymap: read '{}' degraded to unmapped: backend quarantined its jobs ({reason})",
+                rec.name
+            );
+        } else {
+            r.panicked += 1;
+            eprintln!(
+                "manymap: worker panicked on read '{}' ({msg}); emitting unmapped record",
+                rec.name
+            );
+        }
+        unmapped_record(rec, sam)
+    };
+
+    let stats = try_run_three_thread_batched_with_state(
+        || {
+            let batch = lock_unpoisoned(&reader).next_batch(MAP_BATCH_BASES)?;
+            Ok((!batch.is_empty()).then_some(batch))
+        },
+        |_worker| AlignScratch::new(),
+        // Panics here degrade exactly the one read they hit, and its jobs
+        // never reach the backend.
+        |_scratch: &mut AlignScratch, rec: &SeqRecord| -> Planned {
+            if inject_panic == Some(rec.name.as_str()) {
+                panic!("injected panic for read '{}'", rec.name);
+            }
+            session.plan(rec)
+        },
+        |plans| dispatch(plans, exec),
+        |scratch: &mut AlignScratch,
+         rec: &SeqRecord,
+         planned: &Planned,
+         results: &Vec<AlignResult>| {
+            finalize(planned, rec, results, scratch, sam).unwrap_or_else(|e| {
+                let mut r = lock_unpoisoned(&report);
+                *match e {
+                    MapReadError::ReadTooLong { .. } => &mut r.too_long,
+                    MapReadError::Align(_) => &mut r.align_rejected,
+                    MapReadError::ShardUnavailable(_) => &mut r.shard_degraded,
+                } += 1;
+                eprintln!("manymap: read '{}' degraded to unmapped: {e}", rec.name);
+                unmapped_record(rec, sam)
+            })
+        },
+        |rec| rec.len(),
+        |results| {
+            let mut w = lock_unpoisoned(&out);
+            for lines in results {
+                w.write_all(lines.as_bytes())?;
+            }
+            Ok(())
+        },
+        Some(&on_panic),
+        threads,
+    )
+    .map_err(|e| match e {
+        // The writer fails only with the output's own I/O errors.
+        PipelineError::Write(e) => match e.downcast::<std::io::Error>() {
+            Ok(e) => output_error(*e),
+            Err(e) => MapError::Pipeline(PipelineError::Write(e)),
+        },
+        e => MapError::Pipeline(e),
+    })?;
+    lock_unpoisoned(&out).flush().map_err(output_error)?;
+
+    let mut report = report
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    report.stats = stats;
+    Ok(report)
 }
 
 /// The record emitted for a degraded read: SAM or PAF unmapped placeholder.
@@ -708,5 +841,91 @@ mod tests {
             panic!("an overflowing scoring must not open a backend");
         };
         assert!(msg.contains("overflow"), "{msg}");
+    }
+
+    /// A session over a 120 kbp genome and ten simulated ONT reads as FASTA.
+    fn ten_reads(opts: MapOpts) -> (Arc<MapSession>, Vec<SeqRecord>, Vec<u8>) {
+        let g = generate_genome(&GenomeOpts {
+            len: 120_000,
+            repeat_frac: 0.0,
+            seed: 21,
+            ..Default::default()
+        });
+        let idx =
+            MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+        let recs: Vec<SeqRecord> = simulate_reads(
+            &g,
+            &SimOpts {
+                platform: Platform::Nanopore,
+                num_reads: 10,
+                seed: 2,
+            },
+        )
+        .into_iter()
+        .map(|r| SeqRecord::new(r.name, nt4_decode(&r.seq)))
+        .collect();
+        let mut fasta = Vec::new();
+        mmm_seq::write_fasta(&mut fasta, &recs, 0).unwrap();
+        let session = Arc::new(MapSession::new(0, AnyIndex::Flat(idx), opts));
+        (session, recs, fasta)
+    }
+
+    /// Every execution configuration a user can pick writes the same
+    /// records, runs jobs, needs no supervisor intervention, and times the
+    /// phases it ran.
+    #[test]
+    fn every_exec_config_maps_reads_identically() {
+        let opts = MapOpts::map_ont();
+        let (session, _, fasta) = ten_reads(opts);
+        let cpu = ExecConfig::new(&opts, 1);
+        let mut gpu = cpu.clone();
+        gpu.kind = BackendKind::GpuSim;
+        let mut gpu_bins = gpu.clone();
+        gpu_bins.sched.mode = SchedMode::Bins;
+        let mut gold: Option<Vec<u8>> = None;
+        for (tag, cfg) in [("cpu", cpu), ("gpu-sim", gpu), ("gpu-sim+bins", gpu_bins)] {
+            let exec = cfg.open().unwrap();
+            let mut out = Vec::new();
+            let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None).unwrap();
+            assert_eq!((run.stats.items, run.degraded()), (10, 0), "{tag}");
+            assert!(run.stats.plan_seconds > 0.0, "{tag}: {run:?}");
+            assert!(run.stats.dispatch_seconds > 0.0, "{tag}: {run:?}");
+            assert!(run.stats.finalize_seconds > 0.0, "{tag}: {run:?}");
+            let bstats = *lock_unpoisoned(&exec.stats);
+            assert!(bstats.jobs > 0, "{tag} must execute jobs");
+            assert!(!bstats.supervised_activity(), "{tag}: {bstats:?}");
+            let binned = cfg.sched.mode == SchedMode::Bins;
+            assert_eq!(bstats.sched_batches > 0, binned, "{tag}: {bstats:?}");
+            let gold = gold.get_or_insert_with(|| out.clone());
+            assert_eq!(&out, gold, "{tag}");
+        }
+        let gold = String::from_utf8(gold.unwrap()).unwrap();
+        assert!(gold.lines().count() >= 8, "{gold}");
+    }
+
+    /// A read the plan stage rejects still leaves its one record, and the
+    /// report counts it as too long.
+    #[test]
+    fn read_over_the_length_limit_is_written_unmapped_and_counted() {
+        let (_, recs, _) = ten_reads(MapOpts::map_ont());
+        let mut lens: Vec<usize> = recs.iter().map(SeqRecord::len).collect();
+        lens.sort_unstable();
+        assert!(lens[8] < lens[9], "fixture needs one strictly longest read");
+        let mut opts = MapOpts::map_ont();
+        opts.max_read_len = lens[9] - 1;
+        let (session, _, fasta) = ten_reads(opts);
+        let exec = ExecConfig::new(&opts, 1).open().unwrap();
+        let mut out = Vec::new();
+        let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None).unwrap();
+        assert_eq!((run.too_long, run.degraded()), (1, 1), "{run:?}");
+
+        let out = String::from_utf8(out).unwrap();
+        let names: std::collections::HashSet<&str> =
+            out.lines().map(|l| l.split('\t').next().unwrap()).collect();
+        assert_eq!(names.len(), 10, "every read leaves a record");
+        let longest = recs.iter().max_by_key(|r| r.len()).unwrap();
+        let unmapped: Vec<&str> = out.lines().filter(|l| l.ends_with("tp:A:U")).collect();
+        assert_eq!(unmapped.len(), 1, "{out}");
+        assert!(unmapped[0].starts_with(&format!("{}\t", longest.name)));
     }
 }

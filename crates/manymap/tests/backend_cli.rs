@@ -423,37 +423,3 @@ fn malformed_fault_plan_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("fault"), "stderr: {stderr}");
 }
-
-/// `profile_run` is a third client of the session stages the CLI runs: its
-/// output buffer is `manymap map --threads 1` stdout byte for byte,
-/// including the unmapped record of a read over `--max-read-len`.
-#[test]
-fn profile_run_output_is_cli_stdout() {
-    use manymap::{profile_run, ExecConfig, MapOpts, ProfileConfig};
-    let fx = fixture("profile");
-    let fasta = std::fs::read(&fx.reads).unwrap();
-    for max_read_len in [None, Some(3_000usize)] {
-        let mut opts = MapOpts::map_ont();
-        let mut flags = vec!["--threads".to_string(), "1".to_string()];
-        if let Some(n) = max_read_len {
-            opts.max_read_len = n;
-            flags.extend(["--max-read-len".to_string(), n.to_string()]);
-        }
-        let flags: Vec<&str> = flags.iter().map(String::as_str).collect();
-        let cli = run_map(&fx.index, &fx.reads, &flags, &[]);
-        assert!(cli.status.success());
-        let cfg = ProfileConfig {
-            opts,
-            exec: ExecConfig::new(&opts, 1),
-        };
-        let res = profile_run(&fx.index, &fasta, &cfg).unwrap();
-        assert!(res.mappings > 0);
-        let degraded = String::from_utf8_lossy(&res.output).contains("tp:A:U");
-        assert_eq!(degraded, max_read_len.is_some(), "fixture must cross 3 kb");
-        assert_eq!(
-            String::from_utf8_lossy(&res.output),
-            String::from_utf8_lossy(&cli.stdout),
-            "max_read_len={max_read_len:?}"
-        );
-    }
-}

@@ -8,8 +8,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use manymap::session::{Flag, DAEMON_FLAGS, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
@@ -643,4 +644,39 @@ fn mapeval_refuses_nothing_to_judge_and_stray_arguments() {
             "{stderr}"
         );
     }
+}
+
+/// A reader that closes stdout early (`manymap map … | head`) has all it
+/// wanted: the run stops, exits 0 and reports no error. The SAM here is
+/// several times a pipe buffer, so writes are still pending at the close.
+#[test]
+fn closed_stdout_is_a_quiet_exit_zero() {
+    let fx = fixture("closedpipe");
+    let fasta = std::fs::read(&fx.reads).unwrap();
+    let many = fx.dir.join("many.fa");
+    let copies: Vec<String> = (0..8)
+        .map(|c| String::from_utf8_lossy(&fasta).replace(">read", &format!(">c{c}_read")))
+        .collect();
+    std::fs::write(&many, copies.concat()).unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_manymap"))
+        .arg("map")
+        .arg(&fx.index)
+        .arg(&many)
+        .args(["--sam", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn manymap");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("@HD"), "{first}");
+    drop(stdout);
+
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+    assert!(!stderr.contains("manymap:"), "{stderr}");
 }

@@ -1,7 +1,6 @@
 //! The CPU SIMD backend: batches over the persistent worker-pool machinery
 //! with one recycled [`AlignScratch`] arena per worker.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use mmm_align::{AlignResult, AlignScratch, Engine, Scoring};
@@ -87,73 +86,30 @@ impl CpuSimdBackend {
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cells()));
 
-        let threads = self.threads.min(jobs.len());
-        if threads <= 1 {
-            // No fan-out: run on the calling thread, catching kernel panics
-            // so a backend bug surfaces as a typed error, not an unwind
-            // through the pipeline.
-            let mut lease = ScratchLease::take(&self.spares);
-            let mut results: Vec<Option<AlignResult>> = (0..jobs.len()).map(|_| None).collect();
-            for &i in &order {
-                let j = &jobs[i];
-                let scratch = match lease.scratch.as_mut() {
-                    Some(s) => s,
-                    None => {
-                        return Err(BackendError::JobPanic {
-                            index: i,
-                            message: "scratch arena lost after a previous panic".into(),
-                        })
-                    }
-                };
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    self.engine.align_with_scratch(
-                        &j.target,
-                        &j.query,
-                        &self.scoring,
-                        j.mode,
-                        j.with_path,
-                        scratch,
-                    )
-                }));
-                match out {
-                    Ok(r) => results[i] = Some(r),
-                    Err(payload) => {
-                        // The arena may be mid-resize; discard it.
-                        lease.scratch = None;
-                        return Err(BackendError::JobPanic {
-                            index: i,
-                            message: panic_text(payload),
-                        });
-                    }
-                }
-            }
-            return Ok(results.into_iter().flatten().collect());
-        }
-
         let engine = self.engine;
         let sc = self.scoring;
         let outcome = with_worker_pool(
-            threads,
+            self.threads.min(jobs.len()),
             |_| ScratchLease::take(&self.spares),
             |lease: &mut ScratchLease<'_>, job: &AlignJob| {
-                // A worker whose arena was lost to a panic is rebuilt by the
-                // pool (make_state reruns); the expect-free unwrap below is
-                // the panic the pool catches per item.
-                let scratch = match lease.scratch.as_mut() {
-                    Some(s) => s,
-                    None => panic!("scratch arena missing"),
-                };
-                engine.align_with_scratch(
+                // The arena leaves the lease for the call and returns only
+                // if the kernel does: one that panicked may be mid-resize,
+                // so it is dropped, and the pool rebuilds the worker's lease.
+                let mut scratch = lease.scratch.take().unwrap_or_default();
+                let r = engine.align_with_scratch(
                     &job.target,
                     &job.query,
                     &sc,
                     job.mode,
                     job.with_path,
-                    scratch,
-                )
+                    &mut scratch,
+                );
+                lease.scratch = Some(scratch);
+                r
             },
             |pool| pool.run_batch_catching(jobs, &order),
         );
+        // Panics come back sorted by job index.
         if let Some(p) = outcome.panics.first() {
             return Err(BackendError::JobPanic {
                 index: p.index,
@@ -163,16 +119,6 @@ impl CpuSimdBackend {
         let results: Vec<AlignResult> = outcome.results.into_iter().flatten().collect();
         debug_assert_eq!(results.len(), jobs.len());
         Ok(results)
-    }
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -182,7 +182,7 @@ impl AlignBackend for GpuSimtBackend {
             batches: 1,
             jobs: total as u64,
             cells,
-            fallbacks: routed as u64 + gstats.fallbacks as u64,
+            fallbacks: routed as u64,
             max_stream_concurrency: gstats.max_concurrency,
             bytes_pooled: gstats.bytes_pooled,
             pool_rejections: gstats.pool_rejections,
@@ -190,12 +190,9 @@ impl AlignBackend for GpuSimtBackend {
             // Routed fallbacks run concurrently with the device batch;
             // `routed_seconds` is only the host wall time that was NOT
             // hidden under it — the fallbacks' honest critical-path cost.
-            fallback_seconds: gstats.fallback_seconds + routed_seconds,
+            fallback_seconds: routed_seconds,
             fallback_too_long: too_long,
             fallback_non_global: non_global,
-            // Scheduler-detected placement fallbacks: device-memory pressure
-            // at launch time rather than a statically oversized pair.
-            fallback_mempool: gstats.fallbacks as u64,
             ..Default::default()
         };
         Ok((results, stats))

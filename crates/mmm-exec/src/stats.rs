@@ -32,8 +32,6 @@ pub struct BackendStats {
     /// Fallbacks caused by a non-global boundary mode the device kernels do
     /// not implement.
     pub fallback_non_global: u64,
-    /// Fallbacks caused by device-memory pressure at placement time.
-    pub fallback_mempool: u64,
     /// Supervisor: per-job retry attempts issued after a batch failure.
     pub retries: u64,
     /// Supervisor: jobs that ultimately succeeded after at least one failure.
@@ -75,7 +73,6 @@ impl BackendStats {
         self.fallback_seconds += other.fallback_seconds;
         self.fallback_too_long += other.fallback_too_long;
         self.fallback_non_global += other.fallback_non_global;
-        self.fallback_mempool += other.fallback_mempool;
         self.retries += other.retries;
         self.retried_ok += other.retried_ok;
         self.rerouted += other.rerouted;
@@ -117,8 +114,8 @@ impl BackendStats {
             ));
             if self.fallbacks > 0 {
                 line.push_str(&format!(
-                    " [fallback reasons: {} too-long, {} non-global, {} mempool]",
-                    self.fallback_too_long, self.fallback_non_global, self.fallback_mempool,
+                    " [fallback reasons: {} too-long, {} non-global]",
+                    self.fallback_too_long, self.fallback_non_global,
                 ));
             }
         }
@@ -214,13 +211,12 @@ mod tests {
         let s = BackendStats {
             fallbacks: 3,
             fallback_too_long: 1,
-            fallback_non_global: 0,
-            fallback_mempool: 2,
+            fallback_non_global: 2,
             ..Default::default()
         };
         let line = s.summary("gpu-sim");
         assert!(line.contains("1 too-long"), "{line}");
-        assert!(line.contains("2 mempool"), "{line}");
+        assert!(line.contains("2 non-global"), "{line}");
         let clean = BackendStats::default().summary("gpu-sim");
         assert!(!clean.contains("fallback reasons"), "{clean}");
     }

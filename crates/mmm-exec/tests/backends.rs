@@ -4,7 +4,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::{AlignMode, Layout, Scoring, Width};
-use mmm_exec::{prepare, AlignJob, BackendKind, BackendOptions, BackendStats, GpuSimtBackend};
+use mmm_exec::{
+    prepare, AlignBackend, AlignJob, BackendError, BackendKind, BackendOptions, BackendStats,
+    CpuSimdBackend, GpuSimtBackend,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,11 +107,11 @@ fn mempool_reaches_steady_state_across_batches() {
     let opts = BackendOptions::new(SC);
     let gpu = GpuSimtBackend::new(&opts);
     let jobs = job_stream(16, 0xABCD, 300);
-    let (_, first) = mmm_exec::AlignBackend::submit(&gpu, jobs.clone()).unwrap();
+    let (_, first) = gpu.submit(jobs.clone()).unwrap();
     let peak = gpu.pool_peak_used();
     assert!(peak > 0, "warm-up must touch the pool");
     for _ in 0..3 {
-        let (_, stats) = mmm_exec::AlignBackend::submit(&gpu, jobs.clone()).unwrap();
+        let (_, stats) = gpu.submit(jobs.clone()).unwrap();
         assert_eq!(stats.bytes_pooled, first.bytes_pooled);
     }
     assert_eq!(
@@ -133,7 +136,7 @@ fn streams_fill_round_robin() {
             AlignJob::global(t, q, false)
         })
         .collect();
-    let (_, stats) = mmm_exec::AlignBackend::submit(&gpu, jobs).unwrap();
+    let (_, stats) = gpu.submit(jobs).unwrap();
     assert_eq!(stats.fallbacks, 0);
     let per_job = stats.bytes_pooled / 8;
     assert_eq!(
@@ -141,6 +144,29 @@ fn streams_fill_round_robin() {
         4 * per_job,
         "peak occupancy must span all four stream slabs"
     );
+}
+
+/// Every kernel asserts on a scoring that overflows 8-bit arithmetic. The
+/// backend reports the lowest panicking job index at any thread count, not
+/// the first job it happened to run (the longest, here job 2).
+#[test]
+fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
+    let mut sc = SC;
+    sc.q = 100;
+    assert!(!sc.fits_i8());
+    let mut rng = StdRng::seed_from_u64(3);
+    let jobs: Vec<AlignJob> = [40, 60, 300, 80]
+        .into_iter()
+        .map(|len| AlignJob::global(random_seq(&mut rng, len), random_seq(&mut rng, len), true))
+        .collect();
+    for threads in [1, 2] {
+        let mut opts = BackendOptions::new(sc);
+        opts.threads = threads;
+        match CpuSimdBackend::new(&opts).submit(jobs.clone()) {
+            Err(BackendError::JobPanic { index: 0, .. }) => {}
+            other => panic!("threads={threads}: {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -15,6 +15,14 @@ pub enum GpuError {
     /// The scoring parameters overflow the 8-bit device arithmetic the
     /// kernels are modeled on (same contract as the CPU SIMD tiers).
     ScoringOverflow,
+    /// A job's kernel footprint exceeds device memory: it can never be
+    /// placed, so the batch is refused (the caller routes such jobs to the
+    /// host before submitting).
+    DoesNotFit {
+        index: usize,
+        footprint: u64,
+        global_mem: u64,
+    },
 }
 
 impl fmt::Display for GpuError {
@@ -28,6 +36,14 @@ impl fmt::Display for GpuError {
             GpuError::ScoringOverflow => {
                 write!(f, "scoring parameters overflow 8-bit device arithmetic")
             }
+            GpuError::DoesNotFit {
+                index,
+                footprint,
+                global_mem,
+            } => write!(
+                f,
+                "job {index} needs {footprint} bytes of device memory; the device has {global_mem}"
+            ),
         }
     }
 }

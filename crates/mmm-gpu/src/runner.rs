@@ -1,19 +1,21 @@
-//! The GPU-backed batch aligner the mapper and harnesses call.
+//! The GPU-backed batch aligner the device backend calls.
 //!
 //! Wraps [`crate::stream::simulate_batch`] behind the same result types the
-//! CPU path returns, and implements §4.5.2's CPU fallback: jobs whose
-//! footprint cannot fit on the device are executed with the host's best
-//! kernel instead, and their time is charged separately. The aligner is
+//! CPU path returns. It takes only jobs the device can hold: §4.5.2's CPU
+//! fallback for the rest is the caller's (`mmm-exec`'s `GpuSimtBackend`
+//! routes them to its host executor), and a batch with a job whose
+//! footprint exceeds device memory is refused whole. The aligner is
 //! resident: one per-stream [`MemoryPool`] survives across batches, so the
 //! warm-up allocations of the first batch are the only ones ever made.
 
 use std::sync::{Mutex, PoisonError};
 
-use mmm_align::types::{AlignMode, AlignResult};
-use mmm_align::{best_engine, Scoring};
+use mmm_align::types::AlignResult;
+use mmm_align::Scoring;
 
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
+use crate::kernel::kernel_footprint;
 use crate::mempool::MemoryPool;
 use crate::stream::{schedule_runs_with_pool, try_execute_jobs, KernelJob, StreamConfig};
 
@@ -24,10 +26,6 @@ pub struct GpuBatchStats {
     pub jobs: usize,
     /// Simulated device wall time.
     pub device_seconds: f64,
-    /// Real host time spent on CPU fallbacks.
-    pub fallback_seconds: f64,
-    /// Number of jobs that fell back to the CPU.
-    pub fallbacks: usize,
     /// Peak kernel concurrency.
     pub max_concurrency: usize,
     /// Aggregate device GCUPS.
@@ -85,16 +83,28 @@ impl GpuAligner {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Align a batch of pairs; oversize problems run on the host CPU.
+    /// Align a batch of pairs on the device.
     ///
-    /// An invalid launch configuration or overflowing scoring is a typed
-    /// [`GpuError`] — never a panic, never a silently dropped job.
+    /// An invalid launch configuration, overflowing scoring, or a job whose
+    /// footprint exceeds device memory is a typed [`GpuError`] — never a
+    /// panic, never a silently dropped job — and leaves the pool empty.
     pub fn align_batch(
         &self,
         jobs: Vec<KernelJob>,
     ) -> Result<(Vec<AlignResult>, GpuBatchStats), GpuError> {
         if self.config.streams == 0 {
             return Err(GpuError::NoStreams);
+        }
+        let global_mem = self.device.global_mem;
+        for (index, j) in jobs.iter().enumerate() {
+            let footprint = kernel_footprint(j.target.len(), j.query.len(), j.with_path);
+            if footprint > global_mem {
+                return Err(GpuError::DoesNotFit {
+                    index,
+                    footprint,
+                    global_mem,
+                });
+            }
         }
         let runs = try_execute_jobs(
             &jobs,
@@ -107,28 +117,10 @@ impl GpuAligner {
             let mut pool = self.lock_pool();
             schedule_runs_with_pool(&jobs, runs, &self.config, &self.device, &mut pool)
         };
-        let mut results: Vec<AlignResult> = report.runs.iter().map(|r| r.result.clone()).collect();
-
-        // Re-run fallbacks on the real CPU with the best host kernel.
-        let engine = best_engine();
-        let mut fallback_seconds = 0.0;
-        for &i in &report.fallbacks {
-            let start = std::time::Instant::now();
-            results[i] = engine.align(
-                &jobs[i].target,
-                &jobs[i].query,
-                &self.scoring,
-                AlignMode::Global,
-                jobs[i].with_path,
-            );
-            fallback_seconds += start.elapsed().as_secs_f64();
-        }
-
+        let results: Vec<AlignResult> = report.runs.iter().map(|r| r.result.clone()).collect();
         let stats = GpuBatchStats {
             jobs: jobs.len(),
             device_seconds: report.sim_seconds,
-            fallback_seconds,
-            fallbacks: report.fallbacks.len(),
             max_concurrency: report.max_concurrency,
             gcups: report.gcups(),
             bytes_pooled: report.bytes_pooled,
@@ -147,6 +139,7 @@ impl GpuAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_align::AlignMode;
 
     #[test]
     fn batch_results_match_cpu() {
@@ -161,7 +154,6 @@ mod tests {
         let (results, stats) = aligner.align_batch(jobs.clone()).unwrap();
         assert_eq!(results.len(), 6);
         assert_eq!(stats.jobs, 6);
-        assert_eq!(stats.fallbacks, 0);
         assert!(stats.device_seconds > 0.0);
         assert!(stats.bytes_pooled > 0);
         for (r, j) in results.iter().zip(&jobs) {
@@ -176,34 +168,36 @@ mod tests {
         }
     }
 
+    /// A 64 MB device cannot hold a 6 kbp with-path kernel (~72 MB): the
+    /// whole batch is refused with a typed error naming the job, and
+    /// nothing is left in the pool.
     #[test]
-    fn oversize_job_falls_back_and_matches_cpu() {
-        // A 64 MB device cannot hold a 6 kbp with-path kernel (~72 MB):
-        // the job must come back through the CPU-fallback path with the
-        // identical functional answer.
+    fn oversize_job_is_refused() {
         let dev = DeviceSpec {
             global_mem: 64 << 20,
             ..DeviceSpec::V100
         };
         let aligner = GpuAligner::with_config(dev, StreamConfig::default(), Scoring::MAP_ONT);
-        let t: Vec<u8> = (0..6_000).map(|i| ((i * 7 + 1) % 4) as u8).collect();
-        let q: Vec<u8> = (0..6_000).map(|i| ((i * 5 + 2) % 4) as u8).collect();
         let small = KernelJob {
             target: vec![0, 1, 2, 3],
             query: vec![0, 1, 2, 3],
             with_path: true,
         };
         let big = KernelJob {
-            target: t.clone(),
-            query: q.clone(),
+            target: (0..6_000).map(|i| ((i * 7 + 1) % 4) as u8).collect(),
+            query: (0..6_000).map(|i| ((i * 5 + 2) % 4) as u8).collect(),
             with_path: true,
         };
-        let (results, stats) = aligner.align_batch(vec![small, big]).unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(stats.fallbacks, 1);
-        let gold =
-            mmm_align::scalar::align_manymap(&t, &q, &Scoring::MAP_ONT, AlignMode::Global, true);
-        assert_eq!(results[1], gold);
+        let err = aligner.align_batch(vec![small, big]).unwrap_err();
+        assert_eq!(
+            err,
+            GpuError::DoesNotFit {
+                index: 1,
+                footprint: kernel_footprint(6_000, 6_000, true),
+                global_mem: 64 << 20,
+            }
+        );
+        assert_eq!(aligner.pool_used(), 0);
     }
 
     #[test]

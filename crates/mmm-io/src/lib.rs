@@ -12,8 +12,6 @@
 //! * [`source::SliceSource`] — the bounded, borrowing cursor the index
 //!   formats are read through: every length prefix is checked against the
 //!   bytes left before anything is sized by it;
-//! * [`timer`] — stage timers used by every breakdown experiment
-//!   (Table 2, Figure 11);
 //! * [`atomic`] — crash-safe temp-file-plus-rename publication, used by
 //!   the shard builder so a crashed build never leaves a parseable
 //!   partial index.
@@ -21,9 +19,7 @@
 pub mod atomic;
 pub mod mmap;
 pub mod source;
-pub mod timer;
 
 pub use atomic::write_atomic;
 pub use mmap::Mmap;
 pub use source::SliceSource;
-pub use timer::{Stage, StageTimer};

@@ -71,7 +71,8 @@ fn record_error(slot: &Mutex<Option<PipelineError>>, e: PipelineError) {
 }
 
 /// Run one batch through plan → dispatch → finalize. Returns results in
-/// original item order plus the number of degraded items.
+/// original item order plus the batch's degraded-item count and phase
+/// seconds (the other [`PipelineStats`] fields stay zero).
 #[allow(clippy::type_complexity)]
 fn run_batch<I, M, D, R>(
     pool: &crate::pool::WorkerPool<'_, Step<I, M, D>, StepOut<M, R>>,
@@ -79,7 +80,7 @@ fn run_batch<I, M, D, R>(
     dispatch: &mut (dyn FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError> + Send),
     len_of: &(dyn Fn(&I) -> usize + Sync),
     on_item_panic: PanicHandler<'_, I, R>,
-) -> Result<(Vec<R>, usize), PipelineError>
+) -> Result<(Vec<R>, PipelineStats), PipelineError>
 where
     I: Send + Sync,
     M: Send + Sync,
@@ -90,6 +91,7 @@ where
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let mut failed = 0usize;
+    let mut phase = Instant::now();
 
     // Phase 1: plan every item, longest first — long reads carry the most
     // alignment work, so they anchor the schedule. Results come back in
@@ -139,6 +141,9 @@ where
         }
     }
 
+    let plan_seconds = phase.elapsed().as_secs_f64();
+    phase = Instant::now();
+
     // Phase 2: one backend submission for the whole batch, serial on the
     // compute thread.
     let expected = plans.len();
@@ -177,6 +182,8 @@ where
             },
         }
     }
+    let dispatch_seconds = phase.elapsed().as_secs_f64();
+    phase = Instant::now();
 
     // Phase 3: finalize survivors on the pool.
     let fin_order: Vec<usize> = (0..fin_steps.len()).collect();
@@ -213,8 +220,15 @@ where
         }
     }
 
+    let times = PipelineStats {
+        failed_items: failed,
+        plan_seconds,
+        dispatch_seconds,
+        finalize_seconds: phase.elapsed().as_secs_f64(),
+        ..Default::default()
+    };
     // Every slot is filled: survivors by phase 3, failures by the handler.
-    Ok((out.into_iter().flatten().collect(), failed))
+    Ok((out.into_iter().flatten().collect(), times))
 }
 
 /// The batched manymap pipeline: reader thread → {plan on the pool →
@@ -324,12 +338,15 @@ where
                 let n = batch.len();
                 let settled = run_batch(pool, batch, &mut dispatch, &len_of, on_item_panic);
                 let results = match settled {
-                    Ok((results, failed)) => {
+                    Ok((results, b)) => {
                         let mut s = lock_unpoisoned(&stats);
                         s.compute_seconds += t0.elapsed().as_secs_f64();
+                        s.plan_seconds += b.plan_seconds;
+                        s.dispatch_seconds += b.dispatch_seconds;
+                        s.finalize_seconds += b.finalize_seconds;
                         s.batches += 1;
                         s.items += n;
-                        s.failed_items += failed;
+                        s.failed_items += b.failed_items;
                         results
                     }
                     Err(fatal) => {
@@ -466,6 +483,39 @@ mod tests {
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.items, 5);
         assert_eq!(stats.failed_items, 0);
+    }
+
+    /// Each phase is charged its own wall time: a dispatch that sleeps
+    /// 30 ms per batch shows up in `dispatch_seconds` only, and the three
+    /// phases fit inside `compute_seconds`.
+    #[test]
+    fn phase_seconds_charge_the_phase_that_spent_them() {
+        let nap = std::time::Duration::from_millis(30);
+        let stats = try_run_three_thread_batched_with_state(
+            feeder(vec![vec![1u64, 2], vec![3], vec![4, 5, 6]]),
+            |_| (),
+            |(), &x: &u64| x,
+            |plans: Vec<u64>| {
+                std::thread::sleep(nap);
+                Ok(plans.into_iter().map(|m| (m, Ok(()))).collect())
+            },
+            |(), _item, m: &u64, _d: &()| *m,
+            |_| 1,
+            |_r| Ok(()),
+            None,
+            2,
+        )
+        .unwrap();
+        assert_eq!(stats.batches, 3);
+        assert!(
+            stats.dispatch_seconds >= 3.0 * nap.as_secs_f64(),
+            "{stats:?}"
+        );
+        // Not even one batch's nap leaked into another phase.
+        assert!(stats.plan_seconds < nap.as_secs_f64(), "{stats:?}");
+        assert!(stats.finalize_seconds < nap.as_secs_f64(), "{stats:?}");
+        let phases = stats.plan_seconds + stats.dispatch_seconds + stats.finalize_seconds;
+        assert!(phases <= stats.compute_seconds, "{stats:?}");
     }
 
     #[test]

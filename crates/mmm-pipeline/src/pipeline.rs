@@ -11,6 +11,12 @@ pub struct PipelineStats {
     pub failed_items: usize,
     pub in_seconds: f64,
     pub compute_seconds: f64,
+    /// The batched pipeline's three compute phases, wall time on the
+    /// compute thread: plan, dispatch and finalize, each within
+    /// `compute_seconds`.
+    pub plan_seconds: f64,
+    pub dispatch_seconds: f64,
+    pub finalize_seconds: f64,
     pub out_seconds: f64,
     pub wall_seconds: f64,
 }

@@ -1,21 +1,19 @@
 //! The paper's macro workload in miniature: map a simulated PacBio dataset
-//! the way `manymap map` and `mmm-serve` do — a `MapSession`'s plan →
-//! dispatch → finalize stages on the batched 3-thread pipeline — and report
-//! accuracy plus the stage overlap statistics.
+//! the way `manymap map` does — `session::map_reads`, a `MapSession`'s plan
+//! → dispatch → finalize stages on the batched 3-thread pipeline — and
+//! report accuracy plus the per-stage times.
 //!
 //! ```sh
 //! cargo run --release --example pacbio_pipeline
 //! ```
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use manymap::session::{self, Planned};
+use manymap::session::map_reads;
 use manymap::{ExecConfig, MapOpts, MapSession};
-use mmm_align::{AlignResult, AlignScratch};
 use mmm_index::{AnyIndex, IdxOpts, MinimizerIndex};
-use mmm_pipeline::try_run_three_thread_batched_with_state;
-use mmm_seq::{nt4_decode, SeqRecord};
+use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{
     evaluate, generate_genome, simulate_reads, GenomeOpts, MappingCall, Platform, SimOpts,
 };
@@ -52,41 +50,19 @@ fn main() {
     let exec = ExecConfig::new(&opts, threads).open().unwrap();
     let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts));
 
-    // Feed the pipeline in batches of ~64 reads, named by read id.
-    let mut batches: Vec<Vec<SeqRecord>> = reads
-        .chunks(64)
+    // The reads as FASTA, named by read id.
+    let recs: Vec<SeqRecord> = reads
+        .iter()
         .enumerate()
-        .map(|(b, c)| {
-            c.iter()
-                .enumerate()
-                .map(|(i, r)| SeqRecord::new((b * 64 + i).to_string(), nt4_decode(&r.seq)))
-                .collect()
-        })
+        .map(|(i, r)| SeqRecord::new(i.to_string(), nt4_decode(&r.seq)))
         .collect();
-    batches.reverse();
-
-    let paf = Mutex::new(String::new());
-    let stats = try_run_three_thread_batched_with_state(
-        move || Ok(batches.pop()),
-        |_worker| AlignScratch::new(),
-        |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
-        |plans| session::dispatch(plans, &exec),
-        |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
-            session::finalize(p, rec, results, scratch, false)
-                .unwrap_or_else(|_| session::unmapped_record(rec, false))
-        },
-        |rec| rec.len(),
-        |lines| {
-            paf.lock().unwrap().extend(lines);
-            Ok(())
-        },
-        None,
-        threads,
-    )
-    .unwrap();
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &recs, 0).unwrap();
+    let mut paf = Vec::new();
+    let run = map_reads(&fasta[..], &mut paf, &session, &exec, false, threads, None).unwrap();
 
     // A read's first primary PAF record is its mapping call.
-    let paf = paf.into_inner().unwrap();
+    let paf = String::from_utf8(paf).unwrap();
     let mut calls: Vec<MappingCall> = Vec::new();
     for line in paf.lines().filter(|l| l.contains("tp:A:P")) {
         let f: Vec<&str> = line.split('\t').collect();
@@ -106,12 +82,17 @@ fn main() {
 
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
     let summary = evaluate(&calls, &truths);
+    let s = run.stats;
     println!(
-        "pipeline: {} batches, {:.2}s wall ({:.2}s compute, {:.2}s I/O overlap)",
-        stats.batches,
-        stats.wall_seconds,
-        stats.compute_seconds,
-        stats.in_seconds + stats.out_seconds
+        "pipeline: {} batch(es), {:.2}s wall; compute {:.2}s (plan {:.2}s, dispatch {:.2}s, \
+         finalize {:.2}s), I/O {:.2}s overlapped",
+        s.batches,
+        s.wall_seconds,
+        s.compute_seconds,
+        s.plan_seconds,
+        s.dispatch_seconds,
+        s.finalize_seconds,
+        s.in_seconds + s.out_seconds
     );
     println!(
         "accuracy: {}/{} mapped, error rate {:.3}%",
