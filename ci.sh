@@ -91,6 +91,26 @@ grep -q "^manymap: .*checksum mismatch" "$SHARD_WORK/flipped.stderr" \
 [ ! -s "$SHARD_WORK/flipped.paf" ] \
     || { echo "ci: a refused index still produced output"; exit 1; }
 
+echo "==> lane groups: default mapping equals the forced-scalar per-pair gold, and it grouped"
+# The CPU backend aligns small gap fills one job per vector lane; forced
+# scalar aligns every job alone. Their output must be the same bytes, and
+# the default run must say it grouped, so the gate cannot pass by not
+# grouping at all.
+target/release/simreads --genome 500000 --reads 120 --platform ont --seed 3 \
+    --out-ref "$SHARD_WORK/lane-ref.fa" --out-reads "$SHARD_WORK/lane-reads.fa" >/dev/null
+target/release/manymap index "$SHARD_WORK/lane-ref.fa" "$SHARD_WORK/lane.mmx" 2>/dev/null
+for flag in --sam --no-cigar; do
+    target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-reads.fa" $flag \
+        >"$SHARD_WORK/lane-default.out" 2>"$SHARD_WORK/lane-default.err"
+    MMM_DISABLE_SIMD=all target/release/manymap map "$SHARD_WORK/lane.mmx" \
+        "$SHARD_WORK/lane-reads.fa" $flag >"$SHARD_WORK/lane-scalar.out" 2>/dev/null
+    cmp "$SHARD_WORK/lane-default.out" "$SHARD_WORK/lane-scalar.out" \
+        || { echo "ci: lane-grouped mapping ($flag) differs from the forced-scalar gold"; exit 1; }
+    grep -Eq "^\[manymap\] backend cpu: .*, [1-9][0-9]* jobs in [1-9][0-9]* lane groups" \
+        "$SHARD_WORK/lane-default.err" \
+        || { echo "ci: the default run ($flag) grouped no jobs"; cat "$SHARD_WORK/lane-default.err"; exit 1; }
+done
+
 echo "==> selection ratchet and MAPQ calibration on a repeat-bearing genome"
 # The default 1 Mbp simreads genome carries 2 kb repeat copies. Chain
 # selection masks by query overlap, so every read gets one primary and no

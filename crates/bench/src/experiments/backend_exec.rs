@@ -10,7 +10,8 @@
 //! (The bare-backend vs. supervised vs. binned submit seam is timed by
 //! `benchmark/`'s `exec.submit_*_s` layer metrics.) All variants must agree
 //! on every mapping (the backends are bit-identical); the table reports
-//! what each one did — jobs, DP cells, fallbacks, pool traffic — alongside
+//! what each one did — jobs, DP cells, fallbacks, pool traffic, jobs the
+//! host executor ran in lane groups — alongside
 //! its Align seconds (dispatch plus finalize), and [`run_with_json`]
 //! additionally serializes the counters plus the scheduled-vs-unscheduled
 //! jobs/sec and fallback-rate deltas for the committed
@@ -149,6 +150,8 @@ pub fn run_with_json(quick: bool) -> (String, String) {
                 format!("{}", r.stats.sched_batches),
                 format!("{}", r.stats.sched_host_jobs),
                 format!("{:.1}", r.stats.bytes_pooled as f64 / 1e6),
+                format!("{}", r.stats.grouped_jobs),
+                format!("{}", r.stats.lane_groups),
             ]
         })
         .collect();
@@ -169,6 +172,8 @@ pub fn run_with_json(quick: bool) -> (String, String) {
             "sched batches",
             "host-routed",
             "MB pooled",
+            "grouped",
+            "lane groups",
         ],
         &table_rows,
     );
@@ -230,9 +235,14 @@ fn json_report(quick: bool, n_reads: usize, agree: bool, rows: &[Row]) -> String
             r.stats.sched_batches
         ));
         j.push_str(&format!(
-            "      \"sched_host_jobs\": {}\n",
+            "      \"sched_host_jobs\": {},\n",
             r.stats.sched_host_jobs
         ));
+        j.push_str(&format!(
+            "      \"grouped_jobs\": {},\n",
+            r.stats.grouped_jobs
+        ));
+        j.push_str(&format!("      \"lane_groups\": {}\n", r.stats.lane_groups));
         j.push_str(if i + 1 == rows.len() {
             "    }\n"
         } else {

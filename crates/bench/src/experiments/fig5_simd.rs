@@ -5,19 +5,19 @@
 //! instruction set. Paper shape: manymap ≥ minimap2 everywhere, largest
 //! gain on AVX2 (its cross-lane byte shift is the most expensive).
 //!
-//! Two rows the paper does not have, because the mapper does not live on
-//! 4 kb pairs: the production-size fill (68×68 is the mapper's median gap
-//! fill, `exec.cells / exec.jobs` on the benchmark's `ont_unique`), where
-//! almost every diagonal is shorter than a vector and a wider tier is only
-//! as good as its masked tail step; and the z-drop extension the mapper runs
-//! at every chain end.
+//! Two tables the paper does not have, because the mapper does not live on
+//! 4 kb pairs: the production-size fill (44×44, the median gap fill on the
+//! benchmark's `ont_unique`), where almost every diagonal is shorter than a
+//! vector, a wider tier is only as good as its masked tail step, and a lane
+//! group of one pair per lane sidesteps the diagonal; and the z-drop
+//! extension the mapper runs at every chain end.
 
 use std::time::Instant;
 
 #[cfg(target_arch = "x86_64")]
 use mmm_align::simd;
 use mmm_align::{
-    AlignMode, AlignResult, AlignScratch, Engine, Layout, Scoring, Width, DEFAULT_ZDROP,
+    AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Layout, Scoring, Width, DEFAULT_ZDROP,
 };
 
 use crate::{format_table, measure_gcups, noisy_pair, samples_for};
@@ -37,37 +37,64 @@ fn secs_per_call(samples: usize, reps: usize, mut call: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// The mapper's median gap fill: 68×68, global, with path — per ISA and
-/// layout as `Engine` dispatches it, and (last column) on the tier's own
-/// Eq. 4 kernel. `Engine` hands a problem whose longest diagonal is under
-/// eight of a tier's vectors to the next narrower tier, because short
-/// diagonals are bound by the store → load latency between them, which the
-/// wider accesses lengthen; the last column is what that rule avoids.
+/// Side of the production-size fill: the median of a gap fill's longer side
+/// on the benchmark's `ont_unique` (p90 108, p99 199).
+const FILL_SIDE: usize = 44;
+
+/// Pairs per production-size batch: one 64-lane group.
+const FILL_PAIRS: usize = 64;
+
+/// The mapper's median gap fill, 44×44, global, with path, over a batch of
+/// 64 such pairs — per ISA and layout as `Engine` dispatches it pair by
+/// pair, on the tier's own Eq. 4 kernel, and in the tier's lane groups (one
+/// pair per byte lane, what the CPU backend runs). `Engine` hands a problem
+/// whose longest diagonal is under eight of a tier's vectors to the next
+/// narrower tier, because short diagonals are bound by the store → load
+/// latency between them, which the wider accesses lengthen; the own-kernel
+/// column is what that rule avoids, and the lane groups avoid the chain.
 fn production_fill_table(quick: bool) -> String {
-    let (t, q) = noisy_pair(68, 17);
-    let (t, q) = (&t[..68], &q[..q.len().min(68)]);
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..FILL_PAIRS)
+        .map(|k| {
+            let (mut t, mut q) = noisy_pair(FILL_SIDE + 8, 17 + k as u64);
+            t.truncate(FILL_SIDE);
+            q.truncate(FILL_SIDE);
+            (t, q)
+        })
+        .collect();
     let sc = Scoring::MAP_ONT;
-    let cells = (t.len() * q.len()) as f64;
-    let (samples, reps) = if quick { (3, 200) } else { (9, 5_000) };
-    let time = |kernel: &mut dyn FnMut(&mut AlignScratch) -> AlignResult| {
+    let cells =
+        pairs.iter().map(|(t, q)| t.len() * q.len()).sum::<usize>() as f64 / FILL_PAIRS as f64;
+    let (samples, reps) = if quick { (3, 4) } else { (9, 100) };
+    // Seconds per job of `batch`, one call over all the pairs.
+    let time = |batch: &mut dyn FnMut(&mut AlignScratch, &mut Vec<AlignResult>)| {
         let mut scratch = AlignScratch::new();
+        let mut out = Vec::with_capacity(FILL_PAIRS);
         secs_per_call(samples, reps, || {
-            if let Some(c) = std::hint::black_box(kernel(&mut scratch)).cigar {
-                scratch.recycle(c);
+            batch(&mut scratch, &mut out);
+            for r in std::hint::black_box(&mut out).drain(..) {
+                if let Some(c) = r.cigar {
+                    scratch.recycle(c);
+                }
             }
+        }) / FILL_PAIRS as f64
+    };
+    type PairKernel<'a> = &'a dyn Fn(&[u8], &[u8], &mut AlignScratch) -> AlignResult;
+    let per_pair = |kernel: PairKernel<'_>| {
+        time(&mut |scratch, out| {
+            out.extend(pairs.iter().map(|(t, q)| kernel(t, q, scratch)));
         })
     };
     let mut rows = Vec::new();
     for width in [Width::Sse, Width::Avx2, Width::Avx512] {
         let mut row = vec![width.label().to_string()];
         if !width.is_available() {
-            row.extend(std::iter::repeat_n("-".to_string(), 5));
+            row.extend(std::iter::repeat_n("-".to_string(), 7));
             rows.push(row);
             continue;
         }
         for layout in [Layout::Mm2, Layout::Manymap] {
             let engine = Engine::new(layout, width);
-            let secs = time(&mut |scratch| {
+            let secs = per_pair(&|t, q, scratch| {
                 engine.align_with_scratch(t, q, &sc, AlignMode::Global, true, scratch)
             });
             row.push(format!("{:.2}", secs * 1e6));
@@ -80,16 +107,30 @@ fn production_fill_table(quick: bool) -> String {
                 Width::Avx2 => simd::avx2::align_manymap_with_scratch,
                 _ => simd::sse::align_manymap_with_scratch,
             };
-            let secs = time(&mut |scratch| own(t, q, &sc, AlignMode::Global, true, scratch));
+            let secs = per_pair(&|t, q, scratch| own(t, q, &sc, AlignMode::Global, true, scratch));
             row.push(format!("{:.2}", secs * 1e6));
         }
+        let engine = Engine::new(Layout::Manymap, width);
+        let jobs: Vec<GroupJob<'_>> = pairs
+            .iter()
+            .map(|(t, q)| GroupJob {
+                target: t,
+                query: q,
+                with_path: true,
+            })
+            .collect();
+        let secs = time(&mut |scratch, out| {
+            for group in jobs.chunks(width.lanes()) {
+                engine.align_group_with_scratch(group, &sc, scratch, out);
+            }
+        });
+        row.push(format!("{:.2}", secs * 1e6));
+        row.push(format!("{:.3}", cells / secs / 1e9));
         rows.push(row);
     }
     format_table(
         &format!(
-            "Figure 5c — production-size fill, {}x{} global with path",
-            t.len(),
-            q.len()
+            "Figure 5c — production-size fill, {FILL_PAIRS} pairs of {FILL_SIDE}x{FILL_SIDE} global with path"
         ),
         &[
             "ISA",
@@ -98,6 +139,8 @@ fn production_fill_table(quick: bool) -> String {
             "manymap us/job",
             "Gcells/s",
             "own kernel us/job",
+            "lane groups us/job",
+            "Gcells/s",
         ],
         &rows,
     )

@@ -11,8 +11,8 @@
 //! * [`Tracker`] — 32-bit score recovery along the diagonal boundary cells
 //!   (the difference recurrence only keeps 8-bit deltas; absolute scores are
 //!   rebuilt incrementally at the `st`/`en` edges of each diagonal);
-//! * [`backtrack`] — the state-machine CIGAR reconstruction shared by every
-//!   with-path kernel.
+//! * [`backtrack_into`] — the state-machine CIGAR reconstruction shared by
+//!   every with-path kernel, over a direction-byte accessor.
 //!
 //! Direction byte layout (one byte per cell): bits 0–1 hold the source of
 //! `z` (0 = diagonal/substitution, 1 = E-term ⇒ `D`, 2 = F-term ⇒ `I`);
@@ -293,16 +293,16 @@ impl Tracker {
     }
 }
 
-/// Reconstruct the CIGAR from a direction matrix, starting at cell
-/// `(end_i, end_j)` and walking back to the `(0,0)` boundary.
-pub fn backtrack(dir: &DirMatrix, end_i: usize, end_j: usize) -> Cigar {
-    let mut cig = Cigar::new();
-    backtrack_into(dir, end_i, end_j, &mut cig);
-    cig
-}
-
-/// [`backtrack`] writing into caller-provided (recyclable) CIGAR storage.
-pub fn backtrack_into(dir: &DirMatrix, end_i: usize, end_j: usize, cig: &mut Cigar) {
+/// Reconstruct the CIGAR into caller-provided (recyclable) storage, starting
+/// at cell `(end_i, end_j)` and walking back to the `(0,0)` boundary.
+/// `dir(i, j)` is the direction byte of cell `(i, j)`: a [`DirMatrix`]'s
+/// [`get`](DirMatrix::get), or a lane of a lane group's direction block.
+pub fn backtrack_into(
+    dir: impl Fn(usize, usize) -> u8,
+    end_i: usize,
+    end_j: usize,
+    cig: &mut Cigar,
+) {
     cig.clear();
     let mut i = end_i as isize;
     let mut j = end_j as isize;
@@ -315,7 +315,7 @@ pub fn backtrack_into(dir: &DirMatrix, end_i: usize, end_j: usize, cig: &mut Cig
     let mut state = State::M;
     while i >= 0 && j >= 0 {
         match state {
-            State::M => match dir.get(i as usize, j as usize) & SRC_MASK {
+            State::M => match dir(i as usize, j as usize) & SRC_MASK {
                 SRC_DIAG => {
                     cig.push(CigarOp::Match, 1);
                     i -= 1;
@@ -329,7 +329,7 @@ pub fn backtrack_into(dir: &DirMatrix, end_i: usize, end_j: usize, cig: &mut Cig
                 // gap step is the E_CONT bit of cell (i-1, j). (`j >= 0`
                 // holds throughout the loop, so only `i` needs guarding.)
                 cig.push(CigarOp::Del, 1);
-                let cont = i > 0 && dir.get(i as usize - 1, j as usize) & E_CONT != 0;
+                let cont = i > 0 && dir(i as usize - 1, j as usize) & E_CONT != 0;
                 i -= 1;
                 if !cont {
                     state = State::M;
@@ -337,7 +337,7 @@ pub fn backtrack_into(dir: &DirMatrix, end_i: usize, end_j: usize, cig: &mut Cig
             }
             State::F => {
                 cig.push(CigarOp::Ins, 1);
-                let cont = j > 0 && dir.get(i as usize, j as usize - 1) & F_CONT != 0;
+                let cont = j > 0 && dir(i as usize, j as usize - 1) & F_CONT != 0;
                 j -= 1;
                 if !cont {
                     state = State::M;

@@ -12,7 +12,7 @@ use crate::scalar;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
 use crate::simd::{avx2, avx512, sse};
-use crate::types::{AlignError, AlignMode, AlignResult};
+use crate::types::{AlignError, AlignMode, AlignResult, GroupJob};
 use crate::zdrop;
 use crate::zdrop::ExtendResult;
 
@@ -133,9 +133,13 @@ impl Width {
     /// narrow kernel finishes a short diagonal sooner in four steps than a
     /// wide one in one. On the AVX-512 build host the 256-bit fill overtakes
     /// the 128-bit one between 150 and 200 cells and the 512-bit one the
-    /// 256-bit one between 512 and 700; at the mapper's median gap fill,
-    /// 68×68, the 512-bit kernel is 1.4x slower than the 128-bit one.
-    /// Every tier computes the same bytes, so only speed depends on this.
+    /// 256-bit one between 512 and 700. The mapper's gap fills are far
+    /// shorter (on the benchmark's `ont_unique`, a fill's longer side has
+    /// median 44, p90 108, p99 199), and at 44×44 the 512-bit kernel is
+    /// 1.2–1.4x slower than the 128-bit one (`fig5`, table 5c); the CPU
+    /// backend runs most of them in lane groups instead
+    /// ([`Engine::align_group_with_scratch`]). Every tier computes the same
+    /// bytes, so only speed depends on this.
     fn for_longest_diagonal(self, longest: usize) -> Width {
         let mut pick = self;
         for w in [Width::Avx512, Width::Avx2, Width::Sse] {
@@ -273,6 +277,47 @@ impl Engine {
                 avx512::align_manymap_with_scratch(target, query, sc, mode, with_path, scratch)
             }
         }
+    }
+
+    /// Jobs per [`Engine::align_group_with_scratch`] call — the byte lanes of
+    /// this engine's vector — or `None` for an engine that aligns pair by
+    /// pair: the scalar tier and the minimap2 layout.
+    pub fn group_lanes(&self) -> Option<usize> {
+        match (self.layout, self.width) {
+            (Layout::Manymap, Width::Sse | Width::Avx2 | Width::Avx512) => Some(self.width.lanes()),
+            _ => None,
+        }
+    }
+
+    /// Global alignment of a lane group: `jobs[l]` runs in byte lane `l` of
+    /// this engine's own tier (never a narrower one), over the group's padded
+    /// `max|T| × max|Q|` matrix. Appends one result per job to `out`, in job
+    /// order, each equal to what [`Engine::align_with_scratch`] returns for
+    /// it in [`AlignMode::Global`]. When a job keeps its path, the
+    /// direction block takes half a byte of the scratch per padded cell.
+    ///
+    /// # Panics
+    /// If the engine has no group kernel ([`Engine::group_lanes`] is `None`)
+    /// or its tier is unsupported on this CPU, `jobs` is empty or holds more
+    /// jobs than lanes, a job has an empty side, or `sc` violates
+    /// [`Scoring::fits_i8`].
+    pub fn align_group_with_scratch(
+        &self,
+        jobs: &[GroupJob<'_>],
+        sc: &Scoring,
+        scratch: &mut AlignScratch,
+        out: &mut Vec<AlignResult>,
+    ) {
+        let kernel = match (self.layout, self.width) {
+            (Layout::Manymap, Width::Sse) => sse::align_group_with_scratch,
+            (Layout::Manymap, Width::Avx2) => avx2::align_group_with_scratch,
+            (Layout::Manymap, Width::Avx512) => avx512::align_group_with_scratch,
+            _ => panic!(
+                "{} aligns pair by pair: it has no group kernel",
+                self.label()
+            ),
+        };
+        kernel(jobs, sc, scratch, out)
     }
 
     /// Exact z-drop extension ([`crate::extend_zdrop`]) at this engine's

@@ -36,5 +36,5 @@ pub use dispatch::{
 };
 pub use score::Scoring;
 pub use scratch::AlignScratch;
-pub use types::{AlignError, AlignMode, AlignResult};
+pub use types::{AlignError, AlignMode, AlignResult, GroupJob};
 pub use zdrop::{extend_zdrop, extend_zdrop_with_scratch, ExtendResult, DEFAULT_ZDROP};

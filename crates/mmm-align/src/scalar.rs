@@ -116,7 +116,7 @@ pub fn align_mm2_with_scratch(
     let (score, end_i, end_j) = tracker.finalize(mode);
     let cigar = dir.map(|d| {
         let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
+        backtrack_into(|i, j| d.get(i, j), end_i, end_j, &mut c);
         c
     });
     AlignResult {
@@ -218,7 +218,7 @@ pub fn align_manymap_with_scratch(
     let (score, end_i, end_j) = tracker.finalize(mode);
     let cigar = dir.map(|d| {
         let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(d, end_i, end_j, &mut c);
+        backtrack_into(|i, j| d.get(i, j), end_i, end_j, &mut c);
         c
     });
     AlignResult {

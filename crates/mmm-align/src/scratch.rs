@@ -41,7 +41,8 @@ use crate::diff::DirMatrix;
 pub struct AlignScratch {
     /// `u` differences, indexed by `t` (length `|T|`).
     pub(crate) u: Vec<i8>,
-    /// `v` differences (`|T|` for Eq. 3, `|Q|+1` for Eq. 4).
+    /// `v` differences (`|T|` for Eq. 3, `|Q|+1` for Eq. 4; a lane group's
+    /// column array, `maxQ · L` lane-interleaved).
     pub(crate) v: Vec<i8>,
     /// `x` differences (same sizing as `v`).
     pub(crate) x: Vec<i8>,
@@ -49,14 +50,19 @@ pub struct AlignScratch {
     pub(crate) y: Vec<i8>,
     /// Exact 32-bit scores per target row (z-drop extension).
     pub(crate) h32: Vec<i32>,
-    /// Reversed query for diagonal-contiguous access.
+    /// Reversed query for diagonal-contiguous access (a lane group's
+    /// queries, transposed to `[j][lane]`).
     pub(crate) qr: Vec<u8>,
     /// Copy of the target for the SIMD kernels, with the slack their last
     /// step of a diagonal may read past it (the caller's slice cannot be
-    /// padded in place).
+    /// padded in place); a lane group's targets, transposed to `[i][lane]`.
     pub(crate) tpad: Vec<u8>,
     /// Direction-matrix backing store for with-path alignment.
     pub(crate) dir: DirMatrix,
+    /// A lane group's direction bytes, `[i][j / 2][lane]`, two cells per
+    /// byte. Grow-only and never cleared: a group's fill writes every byte
+    /// its traceback reads.
+    pub(crate) block: Vec<u8>,
     /// Recycled CIGAR storage, handed out to with-path calls.
     pub(crate) cigars: Vec<Cigar>,
     /// Recycled nt4 decode buffers for packed-reference windows. The mapper
@@ -112,6 +118,7 @@ impl AlignScratch {
             + self.qr.capacity()
             + self.tpad.capacity()
             + self.dir.heap_bytes()
+            + self.block.capacity()
             + self.seq_bufs.iter().map(|b| b.capacity()).sum::<usize>()
     }
 }

@@ -11,7 +11,7 @@ use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult};
+use crate::types::{AlignMode, AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
@@ -93,6 +93,12 @@ impl Isa for Avx2 {
             d = _mm256_blendv_epi8(d, k.src_f, _mm256_cmpgt_epi8(b, za));
             d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(xt, k.zero), k.e_cont));
             _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(yt, k.zero), k.f_cont))
+        }
+
+        // A 16-bit shift moves each byte's low nibble up; the nibble it
+        // pushes into the next byte is zero.
+        fn nibble_pair(lo: __m256i, hi: __m256i) -> __m256i {
+            _mm256_or_si256(lo, _mm256_slli_epi16(hi, 4))
         }
 
         // ksw2's shift idiom extended to 256 bits: carry vector plus
@@ -214,6 +220,19 @@ pub(crate) fn extend_zdrop(
     unsafe { zdrop_inner(target, query, sc, zdrop, with_path, scratch) }
 }
 
+/// A lane group of up to 32 global jobs, one per byte lane (see
+/// [`crate::Engine::align_group_with_scratch`]).
+pub(crate) fn align_group_with_scratch(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    assert!(available(), "AVX2 not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { group_inner(jobs, sc, scratch, out) }
+}
+
 /// # Safety
 /// Caller must ensure AVX2 is available — the public wrappers above assert
 /// `available()` before dispatching here.
@@ -257,6 +276,19 @@ unsafe fn zdrop_inner(
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
     kernel::extend_zdrop::<Avx2>(target, query, sc, zdrop, with_path, scratch)
+}
+
+/// # Safety
+/// Caller must ensure AVX2 is available — `align_group_with_scratch` above
+/// asserts `available()` before dispatching here.
+#[target_feature(enable = "avx2")]
+unsafe fn group_inner(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    kernel::fill_group::<Avx2>(jobs, sc, scratch, out)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.

@@ -15,7 +15,7 @@ use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult};
+use crate::types::{AlignMode, AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
@@ -98,6 +98,12 @@ impl Isa for Avx512 {
                 d,
                 _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(yt, k.zero), k.f_cont),
             )
+        }
+
+        // A 16-bit shift moves each byte's low nibble up; the nibble it
+        // pushes into the next byte is zero.
+        fn nibble_pair(lo: __m512i, hi: __m512i) -> __m512i {
+            _mm512_or_si512(lo, _mm512_slli_epi16(hi, 4))
         }
 
         // ksw2's shift idiom at 512 bits: within-lane shift, lane-cross
@@ -210,6 +216,19 @@ pub(crate) fn extend_zdrop(
     unsafe { zdrop_inner(target, query, sc, zdrop, with_path, scratch) }
 }
 
+/// A lane group of up to 64 global jobs, one per byte lane (see
+/// [`crate::Engine::align_group_with_scratch`]).
+pub(crate) fn align_group_with_scratch(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    assert!(available(), "AVX-512BW not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { group_inner(jobs, sc, scratch, out) }
+}
+
 /// # Safety
 /// Caller must ensure AVX-512F/BW are available — the public wrappers above assert
 /// `available()` before dispatching here.
@@ -253,6 +272,19 @@ unsafe fn zdrop_inner(
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
     kernel::extend_zdrop::<Avx512>(target, query, sc, zdrop, with_path, scratch)
+}
+
+/// # Safety
+/// Caller must ensure AVX-512F/BW are available — `align_group_with_scratch`
+/// above asserts `available()` before dispatching here.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn group_inner(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    kernel::fill_group::<Avx512>(jobs, sc, scratch, out)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.

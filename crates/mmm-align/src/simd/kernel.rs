@@ -1,4 +1,5 @@
-//! The fill kernels and the z-drop extension, written once over [`Isa`].
+//! The fill kernels, the lane-group fill and the z-drop extension, written
+//! once over [`Isa`].
 //!
 //! Everything here is `#[inline(always)]` and carries no target feature of
 //! its own: each tier instantiates these functions inside its
@@ -16,7 +17,7 @@ use super::{Consts, Isa};
 use crate::diff::{backtrack_into, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
-use crate::types::{AlignMode, AlignResult};
+use crate::types::{AlignMode, AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// # Safety
@@ -448,7 +449,7 @@ fn finish_fill(
     let (score, end_i, end_j) = tracker.finalize(mode);
     let cigar = with_path.then(|| {
         let mut c = AlignScratch::take_cigar(&mut scratch.cigars);
-        backtrack_into(&scratch.dir, end_i, end_j, &mut c);
+        backtrack_into(|i, j| scratch.dir.get(i, j), end_i, end_j, &mut c);
         c
     });
     AlignResult {
@@ -457,6 +458,219 @@ fn finish_fill(
         end_j,
         cigar,
         cells: tlen as u64 * qlen as u64,
+    }
+}
+
+/// Most lanes any tier has (AVX-512's 64).
+const MAX_LANES: usize = 64;
+
+/// Raw views of a lane group's working set: targets and queries transposed
+/// to `[pos][lane]`, the up neighbours' `x`/`v` as `[j][lane]` columns, and
+/// the direction block as `[i][j / 2][lane]`, two cells per byte — column
+/// `j` in the low nibble when even, the high one when odd (null when no job
+/// keeps a path).
+struct GroupPtrs {
+    target: *const u8,
+    query: *const u8,
+    x: *mut u8,
+    v: *mut u8,
+    dir: *mut u8,
+}
+
+/// The cell vector at column offset `o` of a row whose target bases are
+/// `tv`: reads and writes back the up neighbours' `x`/`v`, takes the left
+/// neighbour's `u`/`y` and leaves this cell's in their place. Returns the
+/// direction bytes (zero unless `PATH`).
+///
+/// # Safety
+/// See [`Isa`]; `p`'s query, `x` and `v` hold a cell vector at `o`.
+#[inline(always)]
+unsafe fn group_cell<I: Isa, const PATH: bool>(
+    p: &GroupPtrs,
+    k: &Consts<I::V>,
+    tv: I::V,
+    o: usize,
+    u: &mut I::V,
+    y: &mut I::V,
+) -> I::V {
+    let s = I::subst(tv, I::load(p.query.add(o)), k);
+    let x_in = I::load(p.x.add(o));
+    let v_in = I::load(p.v.add(o));
+    let c = cell::<I>(s, x_in, v_in, *y, *u, k, PATH);
+    I::store(p.x.add(o), c.x);
+    I::store(p.v.add(o), c.v);
+    *u = c.u;
+    *y = c.y;
+    c.dir
+}
+
+/// Row `i` of a lane group, `qcols` (even) cell vectors left to right, two
+/// per direction-block store. `u`/`y` enter as column `-1`'s values and
+/// carry each cell's left neighbour in registers.
+///
+/// # Safety
+/// See [`Isa`]; `p` holds at least `i + 1` target rows, `qcols` query, `x`
+/// and `v` columns and, with `PATH`, `i + 1` direction rows of `qcols / 2`
+/// vectors.
+#[inline(always)]
+unsafe fn group_row<I: Isa, const PATH: bool>(
+    p: &GroupPtrs,
+    k: &Consts<I::V>,
+    i: usize,
+    qcols: usize,
+    mut u: I::V,
+    mut y: I::V,
+) {
+    let tv = I::load(p.target.add(i * I::L));
+    let dir = if PATH {
+        p.dir.add(i * qcols / 2 * I::L)
+    } else {
+        p.dir
+    };
+    let mut o = 0;
+    while o < qcols * I::L {
+        let lo = group_cell::<I, PATH>(p, k, tv, o, &mut u, &mut y);
+        let hi = group_cell::<I, PATH>(p, k, tv, o + I::L, &mut u, &mut y);
+        if PATH {
+            I::store(dir.add(o / 2), I::nibble_pair(lo, hi));
+        }
+        o += 2 * I::L;
+    }
+}
+
+/// Inter-sequence global fill: lane `l` of every vector holds `jobs[l]`,
+/// and the kernel walks the group's padded `maxT × maxQ` matrix (`maxQ`
+/// rounded up to even) row by row
+/// (`i` over the targets, `j` over the queries) — so consecutive steps pass
+/// the left neighbour in registers, not through memory. A cell with
+/// `i ≥ |T_l|` or `j ≥ |Q_l|` is dead: it is computed over padding and never
+/// read, because every DP dependency points up or left. Appends one result
+/// per job to `out`, equal to the per-pair kernels' `AlignMode::Global`
+/// result.
+///
+/// # Panics
+/// Unless `1 ≤ jobs.len() ≤ L`, every side is non-empty and `sc.fits_i8()`.
+///
+/// # Safety
+/// See [`Isa`].
+#[inline(always)]
+pub(super) unsafe fn fill_group<I: Isa>(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    const { assert!(I::L <= MAX_LANES) };
+    let lanes = I::L;
+    assert!(
+        (1..=lanes).contains(&jobs.len()),
+        "a lane group holds 1..={lanes} jobs, not {}",
+        jobs.len()
+    );
+    assert!(
+        jobs.iter()
+            .all(|j| !j.target.is_empty() && !j.query.is_empty()),
+        "a lane group's jobs must have non-empty sides"
+    );
+    assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
+    let tmax = jobs.iter().map(|j| j.target.len()).max().unwrap_or(0);
+    // Query columns, rounded up to pairs: an odd group gets one dead column.
+    let qcols = jobs
+        .iter()
+        .map(|j| j.query.len())
+        .max()
+        .unwrap_or(0)
+        .next_multiple_of(2);
+    let with_path = jobs.iter().any(|j| j.with_path);
+    let (e, qe) = (sc.e, sc.q + sc.e);
+    let k = consts::<I>(sc);
+    let AlignScratch {
+        v,
+        x,
+        qr,
+        tpad,
+        block,
+        cigars,
+        ..
+    } = scratch;
+    // Padding lanes and positions read base 0; their cells are dead.
+    reset_fill(tpad, tmax * lanes, 0);
+    reset_fill(qr, qcols * lanes, 0);
+    for (l, job) in jobs.iter().enumerate() {
+        for (i, &b) in job.target.iter().enumerate() {
+            tpad[i * lanes + l] = b;
+        }
+        for (j, &b) in job.query.iter().enumerate() {
+            qr[j * lanes + l] = b;
+        }
+    }
+    // Row -1: x(-1, j) = -(q+e); v(-1, 0) = -(q+e) opens the row's gap,
+    // v(-1, j > 0) = -e extends it.
+    reset_fill(x, qcols * lanes, -qe as i8);
+    reset_fill(v, qcols * lanes, -e as i8);
+    v[..lanes].fill(-qe as i8);
+    let half = qcols / 2;
+    if with_path && block.len() < tmax * half * lanes {
+        block.resize(tmax * half * lanes, 0);
+    }
+    let p = GroupPtrs {
+        target: tpad.as_ptr(),
+        query: qr.as_ptr(),
+        x: x.as_mut_ptr().cast(),
+        v: v.as_mut_ptr().cast(),
+        dir: if with_path {
+            block.as_mut_ptr()
+        } else {
+            ptr::null_mut()
+        },
+    };
+
+    // Lanes in the order their last row comes, so each lane's score is
+    // summed right after that row, while `v` still holds it.
+    let mut by_rows = [0usize; MAX_LANES];
+    let by_rows = &mut by_rows[..jobs.len()];
+    for (l, slot) in by_rows.iter_mut().enumerate() {
+        *slot = l;
+    }
+    by_rows.sort_unstable_by_key(|&l| jobs[l].target.len());
+    let mut scores = [0i32; MAX_LANES];
+    let mut ended = 0;
+    let (open, extend) = (I::splat(-qe as i8), I::splat(-e as i8));
+    for i in 0..tmax {
+        // u(i, -1) and y(i, -1): column -1's gap opens at row 0.
+        let u = if i == 0 { open } else { extend };
+        if with_path {
+            group_row::<I, true>(&p, &k, i, qcols, u, open);
+        } else {
+            group_row::<I, false>(&p, &k, i, qcols, u, open);
+        }
+        // H(i, |Q_l| - 1) = H(i, -1) + Σ_j v(i, j), exact in i32.
+        while let Some(&l) = by_rows.get(ended) {
+            if jobs[l].target.len() != i + 1 {
+                break;
+            }
+            let h = -sc.gap_cost(i as u32 + 1);
+            scores[l] = (0..jobs[l].query.len()).fold(h, |h, j| h + at(p.v, j * lanes + l));
+            ended += 1;
+        }
+    }
+
+    for (l, job) in jobs.iter().enumerate() {
+        let (tlen, qlen) = (job.target.len(), job.query.len());
+        let cigar = job.with_path.then(|| {
+            let mut c = AlignScratch::take_cigar(cigars);
+            let dir =
+                |i: usize, j: usize| (block[(i * half + j / 2) * lanes + l] >> (j % 2 * 4)) & 0xf;
+            backtrack_into(dir, tlen - 1, qlen - 1, &mut c);
+            c
+        });
+        out.push(AlignResult {
+            score: scores[l],
+            end_i: tlen - 1,
+            end_j: qlen - 1,
+            cigar,
+            cells: tlen as u64 * qlen as u64,
+        });
     }
 }
 
@@ -545,7 +759,7 @@ pub(super) unsafe fn extend_zdrop<I: Isa>(
     let mut cigar = Default::default();
     if with_path {
         cigar = AlignScratch::take_cigar(&mut scratch.cigars);
-        backtrack_into(&scratch.dir, best.1, best.2, &mut cigar);
+        backtrack_into(|i, j| scratch.dir.get(i, j), best.1, best.2, &mut cigar);
     }
     ExtendResult {
         score: best.0,

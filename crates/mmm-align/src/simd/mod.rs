@@ -15,14 +15,17 @@
 //!   unaligned load and every result a plain store to the same offset — the
 //!   single-instruction load of Figure 3b;
 //! * the z-drop extension is the Equation (4) step plus a 32-bit exact-score
-//!   pass per diagonal.
+//!   pass per diagonal;
+//! * the lane-group fill runs the same cell step across sequences: byte
+//!   lane `l` holds job `l` of a group of global jobs, walked row by row
+//!   over the group's padded matrix, so short fills fill whole vectors.
 //!
 //! **No cell runs in a scalar loop.** The `n % L` cells that end a diagonal
 //! are one more vector step whose dead lanes are masked (ksw2 pads its
 //! arrays and computes whole vectors to the end of every diagonal for the
-//! same reason — at the mapper's median 68×68 fill only 9 of 135 diagonals
-//! reach 64 lanes). How the dead lanes are kept out of memory is the tier's
-//! business, stated by `Isa::PAD`:
+//! same reason — the mapper's median gap fill is 44×44, whose 87 diagonals
+//! never reach 64 lanes). How the dead lanes are kept out of memory is the
+//! tier's business, stated by `Isa::PAD`:
 //!
 //! * AVX-512BW (`PAD = 0`): `_mm512_maskz_loadu_epi8` /
 //!   `_mm512_mask_storeu_epi8` under a k-mask. Masked-off lanes neither
@@ -161,6 +164,10 @@ pub(crate) trait Isa {
             yt: Self::V,
             k: &Consts<Self::V>,
         ) -> Self::V;
+
+        /// `lo | hi << 4` in every byte lane, both below 16: two cells'
+        /// direction bytes in one.
+        fn nibble_pair(lo: Self::V, hi: Self::V) -> Self::V;
 
         /// Eq. 3's `t-1` access: `cur` shifted up one byte lane, `carry`'s
         /// byte 0 entering lane 0.

@@ -6,7 +6,7 @@ use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult};
+use crate::types::{AlignMode, AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
@@ -59,6 +59,12 @@ impl Isa for Sse {
             d = _mm_blendv_epi8(d, k.src_f, _mm_cmpgt_epi8(b, za));
             d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(xt, k.zero), k.e_cont));
             _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(yt, k.zero), k.f_cont))
+        }
+
+        // A 16-bit shift moves each byte's low nibble up; the nibble it
+        // pushes into the next byte is zero.
+        fn nibble_pair(lo: __m128i, hi: __m128i) -> __m128i {
+            _mm_or_si128(lo, _mm_slli_epi16(hi, 4))
         }
 
         // Eq. 3's shift is one `pslldq` + `por` per operand, plus a `psrldq`
@@ -176,6 +182,19 @@ pub(crate) fn extend_zdrop(
     unsafe { zdrop_inner(target, query, sc, zdrop, with_path, scratch) }
 }
 
+/// A lane group of up to 16 global jobs, one per byte lane (see
+/// [`crate::Engine::align_group_with_scratch`]).
+pub(crate) fn align_group_with_scratch(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    assert!(available(), "SSE4.1 not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { group_inner(jobs, sc, scratch, out) }
+}
+
 /// # Safety
 /// Caller must ensure SSE4.1 is available — the public wrappers above assert
 /// `available()` before dispatching here.
@@ -219,6 +238,19 @@ unsafe fn zdrop_inner(
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
     kernel::extend_zdrop::<Sse>(target, query, sc, zdrop, with_path, scratch)
+}
+
+/// # Safety
+/// Caller must ensure SSE4.1 is available — `align_group_with_scratch`
+/// above asserts `available()` before dispatching here.
+#[target_feature(enable = "sse4.1")]
+unsafe fn group_inner(
+    jobs: &[GroupJob<'_>],
+    sc: &Scoring,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) {
+    kernel::fill_group::<Sse>(jobs, sc, scratch, out)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.

@@ -1,6 +1,9 @@
 //! Tests shared by the three tiers, run against each tier's *own* kernels
 //! (`Engine` would hand the short problems here to a narrower tier).
 //!
+//! Each tier's lane-group fill must return, job for job, the scalar
+//! per-pair kernel's global result: score, end cell, CIGAR and cells.
+//!
 //! The vector z-drop extensions must return the scalar kernel's score,
 //! consumed prefix lengths and CIGAR — including its tie rule (first diagonal
 //! that reaches the maximum, smallest `t` on it) and the diagonal it z-drops
@@ -11,7 +14,7 @@ use proptest::prelude::*;
 use super::{avx2, avx512, sse};
 use crate::zdrop::extend_scalar;
 use crate::zdrop::ExtendResult;
-use crate::{scalar, AlignMode, AlignResult, AlignScratch, Scoring, Width};
+use crate::{scalar, AlignMode, AlignResult, AlignScratch, GroupJob, Scoring, Width};
 
 /// The fill-kernel signature the tiers share (`align_mm2`, `align_manymap`).
 type Fill = fn(&[u8], &[u8], &Scoring, AlignMode, bool) -> AlignResult;
@@ -62,6 +65,133 @@ fn tiers() -> Vec<(Width, Extend)> {
 
 const ZDROPS: [i32; 3] = [50, 400, i32::MAX];
 
+/// A tier's lane-group kernel.
+type Group = fn(&[GroupJob<'_>], &Scoring, &mut AlignScratch, &mut Vec<AlignResult>);
+
+/// The lane-group kernels this CPU can run.
+fn group_tiers() -> Vec<(Width, Group)> {
+    let all: [(Width, Group, bool); 3] = [
+        (Width::Sse, sse::align_group_with_scratch, sse::available()),
+        (
+            Width::Avx2,
+            avx2::align_group_with_scratch,
+            avx2::available(),
+        ),
+        (
+            Width::Avx512,
+            avx512::align_group_with_scratch,
+            avx512::available(),
+        ),
+    ];
+    all.into_iter()
+        .filter(|t| t.2)
+        .map(|t| (t.0, t.1))
+        .collect()
+}
+
+/// `(target, query, with_path)` problems, cut in order into lane groups of
+/// every available tier's width, against the scalar per-pair gold.
+fn assert_groups_match_scalar(pairs: &[(Vec<u8>, Vec<u8>, bool)], what: &str) {
+    let sc = Scoring::MAP_ONT;
+    let mut scratch = AlignScratch::new();
+    let jobs: Vec<GroupJob<'_>> = pairs
+        .iter()
+        .map(|(t, q, with_path)| GroupJob {
+            target: t,
+            query: q,
+            with_path: *with_path,
+        })
+        .collect();
+    for (width, group) in group_tiers() {
+        let mut got = Vec::new();
+        for chunk in jobs.chunks(width.lanes()) {
+            group(chunk, &sc, &mut scratch, &mut got);
+        }
+        assert_eq!(got.len(), jobs.len(), "{what}: {}", width.label());
+        for (k, (job, r)) in jobs.iter().zip(&got).enumerate() {
+            let gold =
+                scalar::align_manymap(job.target, job.query, &sc, AlignMode::Global, job.with_path);
+            let (tlen, qlen, path) = (job.target.len(), job.query.len(), job.with_path);
+            assert_eq!(
+                *r,
+                gold,
+                "{what}: job {k} ({tlen}x{qlen}, path {path}) on {}",
+                width.label()
+            );
+        }
+        for r in got {
+            if let Some(c) = r.cigar {
+                scratch.recycle(c);
+            }
+        }
+    }
+}
+
+/// Every `|T|, |Q|` in `1..=L + 1` of the widest available tier, which
+/// covers the narrower tiers' ranges too — each group mixes sizes — with and
+/// without a path.
+#[test]
+fn group_lane_boundary_lengths_match_scalar() {
+    let Some(lanes) = group_tiers().last().map(|t| t.0.lanes()) else {
+        return;
+    };
+    let mut rng = Lcg(11);
+    let mut pairs = Vec::new();
+    for tlen in 1..=lanes + 1 {
+        for qlen in 1..=lanes + 1 {
+            let t = rng.bases(tlen);
+            let mut q = pacbio_like(&t, &mut rng);
+            q.resize(qlen, 2);
+            for with_path in [false, true] {
+                pairs.push((t.clone(), q.clone(), with_path));
+            }
+        }
+    }
+    assert_groups_match_scalar(&pairs, "boundary");
+}
+
+/// Groups of 1, `L − 1`, `L` and `L + 1` jobs (the last one a full group
+/// and a group of one) with mixed sizes and paths; a group of more jobs than
+/// lanes is refused.
+#[test]
+fn group_sizes_around_the_lane_count_match_scalar() {
+    let mut rng = Lcg(5);
+    for (width, group) in group_tiers() {
+        let l = width.lanes();
+        for n in [1, l - 1, l, l + 1] {
+            let pairs: Vec<_> = (0..n)
+                .map(|k| {
+                    let t = rng.some_bases(150);
+                    (t.clone(), pacbio_like(&t, &mut rng), k % 3 != 0)
+                })
+                .collect();
+            assert_groups_match_scalar(&pairs, &format!("{n} jobs"));
+        }
+        let t = [1u8; 8];
+        let over: Vec<GroupJob<'_>> = (0..=l)
+            .map(|_| GroupJob {
+                target: &t,
+                query: &t,
+                with_path: true,
+            })
+            .collect();
+        let refused = std::panic::catch_unwind(|| {
+            group(
+                &over,
+                &Scoring::MAP_ONT,
+                &mut AlignScratch::new(),
+                &mut Vec::new(),
+            )
+        });
+        assert!(
+            refused.is_err(),
+            "{}: a group of {} jobs ran",
+            width.label(),
+            l + 1
+        );
+    }
+}
+
 struct Lcg(u64);
 
 impl Lcg {
@@ -75,6 +205,12 @@ impl Lcg {
 
     fn bases(&mut self, n: usize) -> Vec<u8> {
         (0..n).map(|_| (self.next() % 4) as u8).collect()
+    }
+
+    /// `1..=max` random bases.
+    fn some_bases(&mut self, max: usize) -> Vec<u8> {
+        let n = 1 + self.next() % max;
+        self.bases(n)
     }
 }
 
@@ -201,5 +337,24 @@ proptest! {
         q in proptest::collection::vec(0u8..5, 1..150),
     ) {
         assert_widths_match_scalar(&t, &q, "unrelated");
+    }
+
+    // Lane groups of gap-fill-like jobs: noisy copies with indels, some
+    // unrelated or ambiguous, paths mixed within a group.
+    #[test]
+    fn random_group_mixes_match_scalar(seed in 0u64..u64::MAX, n in 1usize..80) {
+        let mut rng = Lcg(seed);
+        let pairs: Vec<_> = (0..n)
+            .map(|_| {
+                let t = rng.some_bases(200);
+                let q = match rng.next() % 4 {
+                    0 => rng.some_bases(200),
+                    1 => pacbio_like(&t, &mut rng).iter().map(|&b| if rng.next().is_multiple_of(20) { 4 } else { b }).collect(),
+                    _ => pacbio_like(&t, &mut rng),
+                };
+                (t, q, !rng.next().is_multiple_of(4))
+            })
+            .collect();
+        assert_groups_match_scalar(&pairs, "mix");
     }
 }

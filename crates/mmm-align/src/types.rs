@@ -69,6 +69,16 @@ pub struct AlignResult {
     pub cells: u64,
 }
 
+/// One global-mode problem of a lane group
+/// ([`crate::Engine::align_group_with_scratch`]): both sides non-empty.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GroupJob<'a> {
+    pub target: &'a [u8],
+    pub query: &'a [u8],
+    /// Whether the caller needs the CIGAR.
+    pub with_path: bool,
+}
+
 impl AlignResult {
     /// GCUPS (giga cell updates per second) for this alignment given its
     /// runtime — the micro-benchmark metric of §5.1.2.

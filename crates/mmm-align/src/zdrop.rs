@@ -188,7 +188,7 @@ pub(crate) fn extend_scalar(
     let cigar = dir
         .map(|d| {
             let mut c = AlignScratch::take_cigar(cigars);
-            backtrack_into(d, best.1, best.2, &mut c);
+            backtrack_into(|i, j| d.get(i, j), best.1, best.2, &mut c);
             c
         })
         .unwrap_or_default();

@@ -13,7 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mmm_align::{extend_zdrop_with_scratch, AlignMode, AlignScratch, Engine, Scoring};
+use mmm_align::{
+    extend_zdrop_with_scratch, AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Scoring,
+};
 
 struct CountingAlloc;
 
@@ -125,6 +127,79 @@ fn hot_path_allocates_nothing_after_warmup() {
         after - before,
         0,
         "hot path allocated {} time(s) after warm-up",
+        after - before
+    );
+}
+
+/// One lane group per engine that has a group kernel: a full group of
+/// noisy pairs up to `max_len`, paths mixed. Results and CIGARs go back.
+fn group_sweep(
+    engines: &[Engine],
+    pairs: &[(Vec<u8>, Vec<u8>)],
+    scratch: &mut AlignScratch,
+    out: &mut Vec<AlignResult>,
+) -> i64 {
+    let mut acc = 0i64;
+    for e in engines {
+        let Some(lanes) = e.group_lanes() else {
+            continue;
+        };
+        for chunk in pairs.chunks(lanes) {
+            let mut jobs = [GroupJob::default(); 64];
+            for (k, ((t, q), job)) in chunk.iter().zip(&mut jobs).enumerate() {
+                *job = GroupJob {
+                    target: t,
+                    query: q,
+                    with_path: k % 3 != 0,
+                };
+            }
+            e.align_group_with_scratch(&jobs[..chunk.len()], &Scoring::MAP_ONT, scratch, out);
+            // Last in, first out: lane `k` of the next group gets lane `k`'s
+            // CIGAR back.
+            for r in out.drain(..).rev() {
+                acc += r.score as i64;
+                if let Some(c) = r.cigar {
+                    scratch.recycle(c);
+                }
+            }
+        }
+    }
+    acc
+}
+
+#[test]
+fn lane_groups_allocate_nothing_after_warmup() {
+    let engines: Vec<Engine> = Engine::all()
+        .into_iter()
+        .filter(|e| e.is_available())
+        .collect();
+    // 64 gap-fill-sized pairs, 16 to 127 bases: full groups on every tier.
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> =
+        (0..64).map(|k| noisy(16 + k * 7 % 112, k as u64)).collect();
+    let smaller: Vec<(Vec<u8>, Vec<u8>)> = pairs
+        .iter()
+        .map(|(t, q)| (t[..t.len() / 2].to_vec(), q.clone()))
+        .collect();
+    let mut scratch = AlignScratch::new();
+    let mut out = Vec::new();
+    let mut run = |scratch: &mut AlignScratch| {
+        let mut acc = 0i64;
+        for _ in 0..3 {
+            acc += group_sweep(&engines, &pairs, scratch, &mut out);
+            acc += group_sweep(&engines, &smaller[..37], scratch, &mut out);
+        }
+        acc
+    };
+    // Warm-up: one full cycle grows every buffer and every pooled CIGAR.
+    std::hint::black_box(run(&mut scratch));
+
+    let before = allocs_on_this_thread();
+    std::hint::black_box(run(&mut scratch));
+    let after = allocs_on_this_thread();
+    assert_eq!(
+        after - before,
+        0,
+        "lane groups allocated {} time(s) after warm-up",
         after - before
     );
 }

@@ -1,9 +1,15 @@
 //! The CPU SIMD backend: batches over the persistent worker-pool machinery
 //! with one recycled [`AlignScratch`] arena per worker.
+//!
+//! Small global jobs run in lane groups, one job per vector lane
+//! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
+//! larger ones, of a narrower tier; the rest run pair by pair. Both return
+//! the same bytes, so the split changes speed, never results.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
-use mmm_align::{AlignResult, AlignScratch, Engine, Scoring};
+use mmm_align::{AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
 use mmm_pipeline::lock_unpoisoned;
 use mmm_pipeline::pool::with_worker_pool;
 
@@ -24,6 +30,107 @@ pub fn align_jobs_with_scratch(
     jobs.iter()
         .map(|j| engine.align_with_scratch(&j.target, &j.query, sc, j.mode, j.with_path, scratch))
         .collect()
+}
+
+/// Padded cells a lane group may span (`lanes × max|T| × max|Q|`). Its
+/// direction block, held by each worker's arena, takes half a byte per
+/// cell — 512 KiB, by which every worker's peak RSS may grow (DESIGN
+/// §4.1c). It caps a grouped job's longer side at `√(GROUP_CELLS / lanes)`:
+/// 128, 181 and 256 at 64, 32 and 16 lanes.
+const GROUP_CELLS: usize = 1 << 20;
+
+/// A lane group whose live cells fall below this share of the cells it
+/// computes runs pair by pair instead — in practice a batch's last,
+/// part-filled group of a tier (DESIGN §4.1c has the measurement).
+const MIN_OCCUPANCY: f64 = 0.5;
+
+/// One worker-pool item: a run of [`Plan::jobs`] aligned as one lane group
+/// by `group`'s kernel, or (`group == None`) a single job aligned alone.
+struct Unit {
+    span: Range<usize>,
+    group: Option<Engine>,
+    /// Cells the item computes, padding included: its scheduling weight.
+    cells: u64,
+}
+
+/// How a batch runs: job indices in unit order, the units (each a run of
+/// them, in order), and the lane-group counters.
+struct Plan {
+    jobs: Vec<usize>,
+    units: Vec<Unit>,
+    stats: BackendStats,
+}
+
+impl Plan {
+    /// Group what pays to group. A job is groupable when it is global with
+    /// both sides non-empty; it goes to the widest group tier — `engine`'s
+    /// own, or a narrower one still available — whose cap fits its longer
+    /// side, or runs alone when none does. Each tier sorts
+    /// its jobs by (longer side, shorter side), cuts them into groups of its
+    /// lanes and keeps each group that is full enough. An engine without a
+    /// group kernel runs every job alone.
+    fn new(jobs: &[AlignJob], engine: Engine) -> Plan {
+        let own = engine.group_lanes().unwrap_or(0);
+        let tiers: Vec<(Engine, usize)> = [Width::Avx512, Width::Avx2, Width::Sse]
+            .into_iter()
+            .filter(|&w| w.lanes() <= own && (w == engine.width || w.is_available()))
+            .map(|w| {
+                (
+                    Engine::new(engine.layout, w),
+                    (GROUP_CELLS / w.lanes()).isqrt(),
+                )
+            })
+            .collect();
+        let mut plan = Plan {
+            jobs: Vec::with_capacity(jobs.len()),
+            units: Vec::new(),
+            stats: BackendStats::default(),
+        };
+        let mut tiered: Vec<Vec<usize>> = vec![Vec::new(); tiers.len()];
+        for (i, j) in jobs.iter().enumerate() {
+            let side = j.target.len().max(j.query.len());
+            let groupable = j.mode == AlignMode::Global && j.target.len().min(j.query.len()) > 0;
+            match tiers.iter().position(|&(_, cap)| side <= cap) {
+                Some(t) if groupable => tiered[t].push(i),
+                _ => plan.push(&[i], None, j.cells()),
+            }
+        }
+        for (&(group, _), mut small) in tiers.iter().zip(tiered) {
+            let lanes = group.width.lanes();
+            small.sort_by_key(|&i| {
+                let (t, q) = (jobs[i].target.len(), jobs[i].query.len());
+                (t.max(q), t.min(q))
+            });
+            for ids in small.chunks(lanes) {
+                let tmax = ids.iter().map(|&i| jobs[i].target.len()).max();
+                let qmax = ids.iter().map(|&i| jobs[i].query.len()).max();
+                let padded = (lanes * tmax.unwrap_or(0) * qmax.unwrap_or(0)) as u64;
+                let live: u64 = ids.iter().map(|&i| jobs[i].cells()).sum();
+                if (live as f64) < MIN_OCCUPANCY * padded as f64 {
+                    for &i in ids {
+                        plan.push(&[i], None, jobs[i].cells());
+                    }
+                    continue;
+                }
+                plan.push(ids, Some(group), padded);
+                plan.stats.grouped_jobs += ids.len() as u64;
+                plan.stats.lane_groups += 1;
+                plan.stats.lane_cells += padded;
+                plan.stats.grouped_cells += live;
+            }
+        }
+        plan
+    }
+
+    fn push(&mut self, ids: &[usize], group: Option<Engine>, cells: u64) {
+        let at = self.jobs.len();
+        self.jobs.extend_from_slice(ids);
+        self.units.push(Unit {
+            span: at..self.jobs.len(),
+            group,
+            cells,
+        });
+    }
 }
 
 /// Borrow a scratch arena from the backend's spare pool, returning it on
@@ -74,51 +181,93 @@ impl CpuSimdBackend {
         }
     }
 
-    /// Run a batch and return the results in job order; used both by
-    /// [`submit`](AlignBackend::submit) and as the device backends'
-    /// fallback executor.
-    pub(crate) fn execute(&self, jobs: &[AlignJob]) -> Result<Vec<AlignResult>, BackendError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
+    /// Run a batch and return the results in job order, with the batch's
+    /// lane-group counters (the other fields are the caller's); used both by
+    /// [`submit`](AlignBackend::submit) and as the device backends' fallback
+    /// executor.
+    pub(crate) fn execute(
+        &self,
+        jobs: &[AlignJob],
+    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+        let plan = Plan::new(jobs, self.engine);
+        if plan.units.is_empty() {
+            return Ok((Vec::new(), plan.stats));
         }
         // Longest first: big DP problems anchor the schedule, small ones
         // backfill (the same policy the per-read pipeline uses).
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cells()));
-
+        let mut order: Vec<usize> = (0..plan.units.len()).collect();
+        order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].cells));
         let engine = self.engine;
         let sc = self.scoring;
         let outcome = with_worker_pool(
-            self.threads.min(jobs.len()),
+            self.threads.min(plan.units.len()),
             |_| ScratchLease::take(&self.spares),
-            |lease: &mut ScratchLease<'_>, job: &AlignJob| {
+            |lease: &mut ScratchLease<'_>, unit: &Unit| {
                 // The arena leaves the lease for the call and returns only
                 // if the kernel does: one that panicked may be mid-resize,
                 // so it is dropped, and the pool rebuilds the worker's lease.
                 let mut scratch = lease.scratch.take().unwrap_or_default();
-                let r = engine.align_with_scratch(
-                    &job.target,
-                    &job.query,
-                    &sc,
-                    job.mode,
-                    job.with_path,
-                    &mut scratch,
-                );
+                let ids = &plan.jobs[unit.span.clone()];
+                let mut out = Vec::with_capacity(ids.len());
+                if let Some(group) = unit.group {
+                    let members: Vec<GroupJob<'_>> = ids
+                        .iter()
+                        .map(|&i| GroupJob {
+                            target: &jobs[i].target,
+                            query: &jobs[i].query,
+                            with_path: jobs[i].with_path,
+                        })
+                        .collect();
+                    group.align_group_with_scratch(&members, &sc, &mut scratch, &mut out);
+                } else {
+                    for &i in ids {
+                        let j = &jobs[i];
+                        out.push(engine.align_with_scratch(
+                            &j.target,
+                            &j.query,
+                            &sc,
+                            j.mode,
+                            j.with_path,
+                            &mut scratch,
+                        ));
+                    }
+                }
                 lease.scratch = Some(scratch);
-                r
+                out
             },
-            |pool| pool.run_batch_catching(jobs, &order),
+            |pool| pool.run_batch_catching(&plan.units, &order),
         );
-        // Panics come back sorted by job index.
-        if let Some(p) = outcome.panics.first() {
+        // A panicked unit reports its lowest job; the batch reports the
+        // lowest of those.
+        let panicked = outcome
+            .panics
+            .iter()
+            .map(|p| {
+                let lowest = plan.jobs[plan.units[p.index].span.clone()].iter().min();
+                (lowest.copied().unwrap_or(p.index), &p.message)
+            })
+            .min_by_key(|&(index, _)| index);
+        if let Some((index, message)) = panicked {
             return Err(BackendError::JobPanic {
-                index: p.index,
-                message: p.message.clone(),
+                index,
+                message: message.clone(),
             });
         }
-        let results: Vec<AlignResult> = outcome.results.into_iter().flatten().collect();
+        // Units are in `plan.jobs` order, so the flattened results are too:
+        // `results[p]` belongs to job `at[p]`. Follow the permutation's
+        // cycles to put every result at its job's index, in place.
+        let mut results: Vec<AlignResult> =
+            outcome.results.into_iter().flatten().flatten().collect();
+        let mut at = plan.jobs;
+        for p in 0..results.len() {
+            while at[p] != p {
+                let q = at[p];
+                results.swap(p, q);
+                at.swap(p, q);
+            }
+        }
         debug_assert_eq!(results.len(), jobs.len());
-        Ok(results)
+        Ok((results, plan.stats))
     }
 }
 
@@ -133,7 +282,7 @@ impl AlignBackend for CpuSimdBackend {
     ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
         let drop_last = self.fault.begin_submit()?;
         let cells: u64 = jobs.iter().map(AlignJob::cells).sum();
-        let mut results = self.execute(&jobs)?;
+        let (mut results, lanes) = self.execute(&jobs)?;
         if drop_last {
             results.pop();
         }
@@ -142,7 +291,7 @@ impl AlignBackend for CpuSimdBackend {
             batches: 1,
             jobs: jobs.len() as u64,
             cells,
-            ..Default::default()
+            ..lanes
         };
         Ok((results, stats))
     }

@@ -137,9 +137,9 @@ impl AlignBackend for GpuSimtBackend {
         // honest cost of the fallbacks is only the host wall time NOT
         // hidden under the device batch.
         let routed = host_jobs.len();
-        let (host_results, routed_seconds, device_results, gstats) = if host_jobs.is_empty() {
+        let (host_out, routed_seconds, device_results, gstats) = if host_jobs.is_empty() {
             let (device_results, gstats) = self.aligner.align_batch(device_jobs)?;
-            (Vec::new(), 0.0, device_results, gstats)
+            (Default::default(), 0.0, device_results, gstats)
         } else {
             let start = std::time::Instant::now();
             let (host_out, device_out, device_wall) = std::thread::scope(|scope| {
@@ -156,12 +156,13 @@ impl AlignBackend for GpuSimtBackend {
                 (host, device, device_wall)
             });
             let total_wall = start.elapsed().as_secs_f64();
-            let host_results = host_out?;
+            let host_out = host_out?;
             let (device_results, gstats) = device_out?;
             // Wall time the fallbacks added beyond the device batch itself.
             let exposed = (total_wall - device_wall).max(0.0);
-            (host_results, exposed, device_results, gstats)
+            (host_out, exposed, device_results, gstats)
         };
+        let (host_results, host_lanes) = host_out;
 
         let mut results: Vec<Option<AlignResult>> = (0..total).map(|_| None).collect();
         for (i, r) in device_idx.into_iter().zip(device_results) {
@@ -193,7 +194,8 @@ impl AlignBackend for GpuSimtBackend {
             fallback_seconds: routed_seconds,
             fallback_too_long: too_long,
             fallback_non_global: non_global,
-            ..Default::default()
+            // The host route's lane-group counters.
+            ..host_lanes
         };
         Ok((results, stats))
     }

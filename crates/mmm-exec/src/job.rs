@@ -39,9 +39,11 @@ impl AlignJob {
         }
     }
 
-    /// DP matrix size — the scheduling weight used for longest-first
-    /// ordering and throughput accounting.
+    /// DP cells, `|T|·|Q|` — what the kernels compute and
+    /// [`AlignResult::cells`](mmm_align::AlignResult::cells) counts; the
+    /// scheduling weight for longest-first ordering and the throughput
+    /// numerator.
     pub fn cells(&self) -> u64 {
-        (self.target.len() as u64 + 1) * (self.query.len() as u64 + 1)
+        self.target.len() as u64 * self.query.len() as u64
     }
 }

@@ -55,6 +55,16 @@ pub struct BackendStats {
     /// modes). Distinct from `fallbacks` (detected inside a device submit)
     /// and `rerouted` (a supervisor *recovery* action).
     pub sched_host_jobs: u64,
+    /// Host executor: jobs aligned in lane groups, one job per vector lane.
+    pub grouped_jobs: u64,
+    /// Host executor: lane groups run.
+    pub lane_groups: u64,
+    /// Host executor: cells the lane groups computed, padding included
+    /// (`lanes × max|T| × max|Q|` per group).
+    pub lane_cells: u64,
+    /// Host executor: live cells of the grouped jobs (`Σ |T|·|Q|`); over
+    /// `lane_cells` it is the groups' occupancy.
+    pub grouped_cells: u64,
 }
 
 impl BackendStats {
@@ -82,6 +92,10 @@ impl BackendStats {
         self.late_results += other.late_results;
         self.sched_batches += other.sched_batches;
         self.sched_host_jobs += other.sched_host_jobs;
+        self.grouped_jobs += other.grouped_jobs;
+        self.lane_groups += other.lane_groups;
+        self.lane_cells += other.lane_cells;
+        self.grouped_cells += other.grouped_cells;
     }
 
     /// Did the supervisor intervene at all during the run?
@@ -123,6 +137,14 @@ impl BackendStats {
             line.push_str(&format!(
                 ", scheduler: {} binned batch(es), {} host-routed job(s)",
                 self.sched_batches, self.sched_host_jobs,
+            ));
+        }
+        if self.lane_groups > 0 {
+            line.push_str(&format!(
+                ", {} jobs in {} lane groups (occupancy {:.1} %)",
+                self.grouped_jobs,
+                self.lane_groups,
+                100.0 * self.grouped_cells as f64 / self.lane_cells as f64,
             ));
         }
         line
@@ -242,6 +264,36 @@ mod tests {
         s.merge(&other);
         assert_eq!(s.sched_batches, 4);
         assert_eq!(s.sched_host_jobs, 6);
+    }
+
+    #[test]
+    fn lane_group_counters_merge_and_render() {
+        let mut s = BackendStats {
+            grouped_jobs: 100,
+            lane_groups: 2,
+            lane_cells: 8_000,
+            grouped_cells: 7_000,
+            ..Default::default()
+        };
+        s.merge(&BackendStats {
+            grouped_jobs: 28,
+            lane_groups: 1,
+            lane_cells: 2_000,
+            grouped_cells: 1_000,
+            ..Default::default()
+        });
+        assert_eq!(
+            (s.grouped_jobs, s.lane_groups, s.lane_cells, s.grouped_cells),
+            (128, 3, 10_000, 8_000)
+        );
+        let line = s.summary("cpu");
+        assert!(
+            line.ends_with(", 128 jobs in 3 lane groups (occupancy 80.0 %)"),
+            "{line}"
+        );
+        assert!(!BackendStats::default()
+            .summary("cpu")
+            .contains("lane groups"));
     }
 
     #[test]

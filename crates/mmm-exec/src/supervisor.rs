@@ -128,7 +128,7 @@ struct ResultSlot {
 
 enum SlotState {
     Pending,
-    Done(Result<(Vec<AlignResult>, BackendStats), BackendError>),
+    Done(Box<Result<(Vec<AlignResult>, BackendStats), BackendError>>),
     Abandoned,
 }
 
@@ -158,7 +158,7 @@ fn spawn_runner(late: Arc<AtomicU64>) -> Option<Runner> {
                 let mut st = lock_unpoisoned(&slot.state);
                 match *st {
                     SlotState::Pending => {
-                        *st = SlotState::Done(res);
+                        *st = SlotState::Done(Box::new(res));
                         slot.cv.notify_all();
                     }
                     // The watchdog already gave up on this call; the result
@@ -302,7 +302,7 @@ impl SupervisedBackend {
             return Err(BackendError::DeadlineExceeded);
         }
         match std::mem::replace(&mut *st, SlotState::Abandoned) {
-            SlotState::Done(res) => res,
+            SlotState::Done(res) => *res,
             // Pending here would mean a spurious non-timeout wake with no
             // result; treat as a kill to stay safe.
             _ => {

@@ -1,12 +1,12 @@
 //! Backend behaviour tests: CPU/GPU parity against the scalar gold,
 //! oversized-pair fallback accounting, mempool steady state across batches,
-//! and stream round-robin occupancy.
+//! stream round-robin occupancy, and the CPU backend's lane groups.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmm_align::{AlignMode, Layout, Scoring, Width};
+use mmm_align::{AlignMode, AlignScratch, Engine, Layout, Scoring, Width};
 use mmm_exec::{
-    prepare, AlignBackend, AlignJob, BackendError, BackendKind, BackendOptions, BackendStats,
-    CpuSimdBackend, GpuSimtBackend,
+    align_jobs_with_scratch, prepare, AlignBackend, AlignJob, BackendError, BackendKind,
+    BackendOptions, BackendStats, CpuSimdBackend, GpuSimtBackend,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +26,28 @@ fn job_stream(n: usize, seed: u64, max_len: usize) -> Vec<AlignJob> {
             let t = random_seq(&mut rng, tlen);
             let q = random_seq(&mut rng, qlen);
             AlignJob::global(t, q, i % 2 == 0)
+        })
+        .collect()
+}
+
+/// Gap-fill-shaped jobs: a target of 20 to `max_len` bases and a query
+/// that copies it with a substitution or indel every 16 bases on average.
+fn fill_stream(n: usize, seed: u64, max_len: usize) -> Vec<AlignJob> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let tlen = rng.random_range(20..max_len);
+            let t = random_seq(&mut rng, tlen);
+            let mut q = Vec::with_capacity(tlen + tlen / 8);
+            for &b in &t {
+                match rng.random_range(0u32..48) {
+                    0 => q.push(rng.random_range(0u32..4) as u8),
+                    1 => q.extend([b, rng.random_range(0u32..4) as u8]),
+                    2 => {}
+                    _ => q.push(b),
+                }
+            }
+            AlignJob::global(t, q, i % 4 != 0)
         })
         .collect()
 }
@@ -181,6 +203,97 @@ fn stats_merge_accumulates_across_batches() {
     assert_eq!(acc.batches, 3);
     assert_eq!(acc.jobs, 15);
     assert!(acc.cells > 0);
+}
+
+/// `BackendStats.cells` counts what the kernels count: `|T|·|Q|` per job,
+/// the sum of the results' `cells` (empty sides included).
+#[test]
+fn submit_cells_equal_the_results_cells() {
+    let mut jobs = job_stream(20, 0xCE11, 90);
+    jobs.push(AlignJob::global(Vec::new(), vec![1, 2, 3], true));
+    jobs.push(AlignJob::global(vec![0, 1], Vec::new(), false));
+    for kind in [BackendKind::Cpu, BackendKind::GpuSim] {
+        let (results, stats) = prepare(kind, &BackendOptions::new(SC))
+            .unwrap()
+            .submit(jobs.clone())
+            .unwrap();
+        let cells: u64 = results.iter().map(|r| r.cells).sum();
+        assert_eq!(stats.cells, cells, "{kind:?}");
+    }
+}
+
+/// The engines that align small global jobs in lane groups.
+fn group_engines() -> Vec<Engine> {
+    [Width::Sse, Width::Avx2, Width::Avx512]
+        .into_iter()
+        .map(|w| Engine::new(Layout::Manymap, w))
+        .filter(Engine::is_available)
+        .collect()
+}
+
+/// Three lane groups' worth of small global jobs all run grouped, at any
+/// thread count, and equal the scalar gold.
+#[test]
+fn small_global_batches_run_in_lane_groups() {
+    for engine in group_engines() {
+        let lanes = engine.group_lanes().unwrap();
+        let jobs = fill_stream(3 * lanes, 0x1A4E, 60);
+        for threads in [1, 2] {
+            let mut opts = BackendOptions::new(SC);
+            opts.engine = engine;
+            opts.threads = threads;
+            let (results, stats) = CpuSimdBackend::new(&opts).submit(jobs.clone()).unwrap();
+            assert_eq!(stats.grouped_jobs, 3 * lanes as u64, "{}", engine.label());
+            assert_eq!(stats.lane_groups, 3, "{}", engine.label());
+            for (i, (r, j)) in results.iter().zip(&jobs).enumerate() {
+                assert_eq!(*r, scalar_gold(j), "{} job {i}", engine.label());
+            }
+        }
+    }
+}
+
+/// One batch mixing every routing case — empty sides, non-global modes,
+/// jobs above every tier's cap, small global jobs, and a part-filled
+/// leftover — returns per job what the inline per-pair path returns.
+#[test]
+fn mixed_batches_equal_the_per_pair_path() {
+    let mut rng = StdRng::seed_from_u64(0x3117);
+    let mut jobs = fill_stream(150, 0x3118, 240);
+    jobs.extend(job_stream(20, 0x3119, 120));
+    jobs.push(AlignJob::global(Vec::new(), random_seq(&mut rng, 30), true));
+    jobs.push(AlignJob::global(random_seq(&mut rng, 30), Vec::new(), true));
+    for mode in [AlignMode::SemiGlobal, AlignMode::QuerySuffixFree] {
+        jobs.push(AlignJob {
+            target: random_seq(&mut rng, 40),
+            query: random_seq(&mut rng, 50),
+            mode,
+            with_path: true,
+        });
+    }
+    jobs.push(AlignJob::global(
+        random_seq(&mut rng, 300),
+        random_seq(&mut rng, 280),
+        true,
+    ));
+    jobs.push(AlignJob::global(
+        random_seq(&mut rng, 20),
+        random_seq(&mut rng, 500),
+        false,
+    ));
+    for engine in group_engines() {
+        let mut opts = BackendOptions::new(SC);
+        opts.engine = engine;
+        opts.threads = 2;
+        let (results, stats) = CpuSimdBackend::new(&opts).submit(jobs.clone()).unwrap();
+        let inline = align_jobs_with_scratch(engine, &jobs, &SC, &mut AlignScratch::new());
+        assert_eq!(results, inline, "{}", engine.label());
+        assert!(stats.grouped_jobs > 0, "{}: {stats:?}", engine.label());
+        assert!(
+            stats.grouped_jobs <= jobs.len() as u64 - 6,
+            "{}: {stats:?}",
+            engine.label()
+        );
+    }
 }
 
 #[test]

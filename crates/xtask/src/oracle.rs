@@ -21,7 +21,9 @@
 //! (mmm-exec): the CPU SIMD session, the simulated GPU/SIMT session, and a
 //! gpu-sim session on a shrunken device that forces part of the stream
 //! across the oversized-pair fallback boundary — all must return the scalar
-//! gold bit-for-bit, in job order.
+//! gold bit-for-bit, in job order. A CPU session per SIMD tier then runs
+//! gap-fill-shaped jobs in lane groups (two full groups and a leftover)
+//! against the same gold.
 //!
 //! A fourth pass (`packed_crosscheck`) audits the bit-packed resident
 //! storage: every SIMD unpack tier vs. the scalar gold at every bit width,
@@ -564,7 +566,73 @@ fn backend_crosscheck(
         notes.push(format!("{label} ok ({} fallbacks)", stats.fallbacks));
     }
     notes.push(scheduled_crosscheck(&jobs(), golds, sc)?);
+    notes.push(group_crosscheck(sc)?);
     Ok(notes.join(", "))
+}
+
+/// The CPU backend's lane groups (DESIGN.md §4.1c): per available group
+/// tier, a session at that tier takes gap-fill-shaped global jobs — two
+/// full groups plus a three-quarter leftover, paths mixed — and must return
+/// the scalar gold per job, having grouped at least the two full groups.
+fn group_crosscheck(sc: &Scoring) -> Result<String, String> {
+    let mut rng = StdRng::seed_from_u64(0x6A0E);
+    let gold_engine = Engine::new(Layout::Manymap, Width::Scalar);
+    let mut notes = Vec::new();
+    for width in [Width::Sse, Width::Avx2, Width::Avx512] {
+        let engine = Engine::new(Layout::Manymap, width);
+        if !engine.is_available() {
+            continue;
+        }
+        let lanes = width.lanes();
+        let jobs: Vec<AlignJob> = (0..2 * lanes + 3 * lanes / 4)
+            .map(|i| {
+                let tlen = rng.random_range(8usize..64);
+                let target = random_seq(&mut rng, tlen);
+                let query = mutate(&mut rng, &target);
+                AlignJob::global(target, query, i % 5 != 0)
+            })
+            .collect();
+        let mut opts = BackendOptions::new(*sc);
+        opts.engine = engine;
+        opts.threads = 2;
+        let label = engine.label();
+        let (results, stats) = prepare(BackendKind::Cpu, &opts)
+            .and_then(|b| b.submit(jobs.clone()))
+            .map_err(|e| format!("lane groups on {label}: {e}"))?;
+        for (i, (got, job)) in results.iter().zip(&jobs).enumerate() {
+            let want = gold_engine.align(&job.target, &job.query, sc, job.mode, job.with_path);
+            if *got != want {
+                return Err(format!(
+                    "lane groups on {label}, job {i} (|T|={}, |Q|={}): diverges from scalar gold\n  \
+                     gold: score={} end=({},{})\n  got:  score={} end=({},{})",
+                    job.target.len(),
+                    job.query.len(),
+                    want.score,
+                    want.end_i,
+                    want.end_j,
+                    got.score,
+                    got.end_i,
+                    got.end_j,
+                ));
+            }
+        }
+        if results.len() != jobs.len() || stats.lane_groups < 2 {
+            return Err(format!(
+                "lane groups on {label}: {} results for {} jobs, {} groups — \
+                 the full groups did not run grouped",
+                results.len(),
+                jobs.len(),
+                stats.lane_groups
+            ));
+        }
+        notes.push(format!(
+            "{} {}/{} grouped",
+            width.label(),
+            stats.grouped_jobs,
+            jobs.len()
+        ));
+    }
+    Ok(format!("lane groups ok ({})", notes.join(", ")))
 }
 
 /// The same stream through the length-binned scheduler (DESIGN.md §11):
