@@ -1,15 +1,19 @@
 //! Posting-list decode throughput and the packed index under the mapper.
 //!
-//! Three tables: (1) raw block-unpack bandwidth per SIMD tier — the FOR/delta
+//! Four tables: (1) raw block-unpack bandwidth per SIMD tier — the FOR/delta
 //! field decoder and the 2-bit→nt4 reference decoder, each forced to
 //! scalar, AVX2, and the best available tier through the pure
-//! `*_unless` dispatch forms; (2) lookup alone — ns per `hit_count` probe,
-//! present and absent hashes in random order, over a whole-genome-sized
-//! key array and a shard-sized one, so the seeding layer's probe cost has a
-//! number of its own; (3) the whole pipeline over an mmap-loaded index,
-//! with its posting bytes next to the 8-bytes-per-hit floor a flat hit
-//! array would need. [`run_with_json`] serializes the tables for the
-//! committed `BENCH_index_decode.json` baseline.
+//! `*_unless` dispatch forms; (2) sketch alone — Mbases/s of the minimizer
+//! sketcher over an ONT read set at both presets, and of the whole sharded
+//! seeding call (`ShardedIndex::collect_anchors`: sketch, bloom probes,
+//! lookups, anchors) over 1 kb fragments and decoys; (3) lookup alone — ns
+//! per `hit_count` probe, present and absent hashes in random order, over a
+//! whole-genome-sized key array and a shard-sized one, so the seeding
+//! layer's probe cost has a number of its own; (4) the whole pipeline over
+//! an mmap-loaded index, with its posting bytes next to the
+//! 8-bytes-per-hit floor a flat hit array would need. [`run_with_json`]
+//! serializes the tables for the committed `BENCH_index_decode.json`
+//! baseline.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,10 +22,13 @@ use manymap::baselines::BaselineId;
 use manymap::session::{load_index_any, map_reads};
 use manymap::{ExecConfig, MapSession};
 use mmm_align::DisabledTiers;
+use mmm_index::minimizer::{minimizers, minimizers_hpc};
 use mmm_index::unpack;
-use mmm_index::{save_index, IdxOpts, MinimizerIndex};
+use mmm_index::{build_sharded, save_index, IdxOpts, MinimizerIndex, ShardedIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
-use mmm_simreads::{generate_genome, GenomeOpts};
+use mmm_simreads::{
+    generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
+};
 
 use crate::{format_table, macrodata, mapped_records};
 
@@ -61,6 +68,26 @@ struct DecodeRow {
     fields_gbps: Vec<f64>,
     /// GB/s of decoded nt4 bases from the 2-bit reference.
     nt4_gbps: f64,
+}
+
+/// Throughput of one seeding-layer call over a read set.
+struct SketchRow {
+    what: &'static str,
+    reads: usize,
+    bases: usize,
+    /// Minimizers sketched, or anchors collected.
+    out: usize,
+    seconds: f64,
+}
+
+impl SketchRow {
+    fn mbases_per_s(&self) -> f64 {
+        if self.seconds > 0.0 {
+            self.bases as f64 / self.seconds / 1e6
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Probe cost of one index: the seeding layer pays one of these per query
@@ -165,6 +192,122 @@ fn probe_ns(idx: &MinimizerIndex, probes: &[u64], hit: bool, rounds: usize) -> f
     dt * 1e9 / (probes.len() * rounds) as f64
 }
 
+/// Best-of-`rounds` seconds of `f` over `reads`; `f` returns a count that
+/// must repeat across rounds.
+fn best_of(rounds: usize, reads: &[Vec<u8>], mut f: impl FnMut(&[u8]) -> usize) -> (usize, f64) {
+    let mut best = f64::INFINITY;
+    let mut count = None;
+    for _ in 0..rounds {
+        let t0 = Instant::now();
+        let n: usize = reads.iter().map(|r| f(std::hint::black_box(r))).sum();
+        best = best.min(t0.elapsed().as_secs_f64());
+        assert!(count.is_none_or(|c| c == n), "a sketch did not repeat");
+        count = Some(n);
+    }
+    (count.unwrap_or(0), best)
+}
+
+/// The sketcher alone over a seeded ONT read set, at map-ont (k15 w10) and
+/// map-pb (k19 w10, HPC); then the whole sharded seeding call on
+/// `frag_screen`'s shape: a 4-shard index of 8 Mbp in 4 chromosomes, ONT
+/// reads cut into 1 kb fragments, and three times as many 1 kb decoys from
+/// an unrelated genome.
+fn sketch_rows(quick: bool) -> Result<Vec<SketchRow>, String> {
+    let scale = if quick { 8 } else { 1 };
+    let rounds = if quick { 3 } else { 9 };
+    let reads: Vec<Vec<u8>> = macrodata::nanopore(2_000_000, 400 / scale)
+        .reads
+        .into_iter()
+        .map(|r| r.seq)
+        .collect();
+    let bases = reads.iter().map(Vec::len).sum();
+    let mut rows = Vec::new();
+    for (what, opts, sketch) in [
+        (
+            "sketch map-ont (k15 w10)",
+            IdxOpts::MAP_ONT,
+            minimizers as fn(&[u8], usize, usize) -> _,
+        ),
+        (
+            "sketch map-pb (k19 w10 HPC)",
+            IdxOpts::MAP_PB,
+            minimizers_hpc,
+        ),
+    ] {
+        let (out, seconds) = best_of(rounds, &reads, |r| sketch(r, opts.k, opts.w).len());
+        rows.push(SketchRow {
+            what,
+            reads: reads.len(),
+            bases,
+            out,
+            seconds,
+        });
+    }
+
+    let chroms = generate_chromosomes(
+        &GenomeOpts {
+            len: 8_000_000 / scale,
+            repeat_frac: 0.0,
+            seed: 11,
+            ..Default::default()
+        },
+        4,
+    );
+    let decoy_genome = generate_genome(&GenomeOpts {
+        len: 2_000_000 / scale,
+        repeat_frac: 0.0,
+        seed: 12,
+        ..Default::default()
+    });
+    let mut frags: Vec<Vec<u8>> = Vec::new();
+    for (i, chrom) in chroms.iter().enumerate() {
+        let sim = SimOpts {
+            platform: Platform::Nanopore,
+            num_reads: 60 / scale,
+            seed: 20 + i as u64,
+        };
+        for read in simulate_reads(chrom, &sim) {
+            frags.extend(read.seq.chunks_exact(1_000).map(<[u8]>::to_vec));
+        }
+    }
+    let decoys = 3 * frags.len();
+    frags.extend(
+        decoy_genome
+            .chunks_exact(1_000)
+            .cycle()
+            .step_by(7)
+            .take(decoys)
+            .map(<[u8]>::to_vec),
+    );
+    let refs: Vec<SeqRecord> = chroms
+        .iter()
+        .enumerate()
+        .map(|(i, c)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(c)))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("bench-sketch-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("scratch dir: {e}"))?;
+    let manifest = dir.join("ref.mmx");
+    let seeded = build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &manifest)
+        .map_err(|e| format!("sharded build failed: {e}"))
+        .and_then(|_| ShardedIndex::open(&manifest).map_err(|e| format!("open failed: {e}")))
+        .map(|sh| {
+            // A warm-up round loads every shard the fragments touch.
+            best_of(rounds + 1, &frags, |r| {
+                sh.collect_anchors(r).map_or(0, |a| a.len())
+            })
+        });
+    let _ = std::fs::remove_dir_all(&dir);
+    let (anchors, seconds) = seeded?;
+    rows.push(SketchRow {
+        what: "collect_anchors, 4 shards (1 kb frags + 3x decoys)",
+        reads: frags.len(),
+        bases: frags.iter().map(Vec::len).sum(),
+        out: anchors,
+        seconds,
+    });
+    Ok(rows)
+}
+
 /// One row per genome length: 8 Mbp gives ≈ 1.5 M map-ont keys (a flat
 /// index of the size ISSUE 24 measured), 2 Mbp ≈ 0.37 M (one of its four
 /// shards). Probes are visited in a scrambled order, as a read's
@@ -265,7 +408,8 @@ pub fn run(quick: bool) -> String {
 /// document the `index_decode` binary writes to `BENCH_index_decode.json`.
 pub fn run_with_json(quick: bool) -> (String, String) {
     let decode = decode_rows(quick);
-    let (lookups, r) = match lookup_rows(quick).and_then(|l| Ok((l, map_row(quick)?))) {
+    let rows = sketch_rows(quick).and_then(|s| Ok((s, lookup_rows(quick)?, map_row(quick)?)));
+    let (sketches, lookups, r) = match rows {
         Ok(rows) => rows,
         Err(e) => {
             let msg = format!("index_decode: {e}");
@@ -291,6 +435,32 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         &headers,
         &decode_table,
     );
+
+    let sketch_table: Vec<Vec<String>> = sketches
+        .iter()
+        .map(|s| {
+            vec![
+                s.what.to_string(),
+                s.reads.to_string(),
+                format!("{:.2}", s.bases as f64 / 1e6),
+                s.out.to_string(),
+                format!("{:.4}", s.seconds),
+                format!("{:.1}", s.mbases_per_s()),
+            ]
+        })
+        .collect();
+    out.push_str(&format_table(
+        "Index decode — sketch alone (ONT reads, one thread, best of rounds)",
+        &[
+            "call",
+            "reads",
+            "Mbases",
+            "minimizers / anchors",
+            "seconds",
+            "Mbases/s",
+        ],
+        &sketch_table,
+    ));
 
     let lookup_table: Vec<Vec<String>> = lookups
         .iter()
@@ -342,11 +512,17 @@ pub fn run_with_json(quick: bool) -> (String, String) {
     out.push_str(crate::SCALE_NOTE);
     out.push('\n');
 
-    (out, json_report(quick, &decode, &lookups, &r))
+    (out, json_report(quick, &decode, &sketches, &lookups, &r))
 }
 
 /// Hand-rolled JSON (the workspace takes no serialization dependency).
-fn json_report(quick: bool, decode: &[DecodeRow], lookups: &[LookupRow], r: &MapRow) -> String {
+fn json_report(
+    quick: bool,
+    decode: &[DecodeRow],
+    sketches: &[SketchRow],
+    lookups: &[LookupRow],
+    r: &MapRow,
+) -> String {
     let mut j = String::from("{\n");
     j.push_str("  \"experiment\": \"index_decode\",\n");
     j.push_str(&format!("  \"quick\": {quick},\n"));
@@ -379,6 +555,20 @@ fn json_report(quick: bool, decode: &[DecodeRow], lookups: &[LookupRow], r: &Map
         } else {
             "    },\n"
         });
+    }
+    j.push_str("  ],\n");
+    j.push_str("  \"sketch\": [\n");
+    for (i, s) in sketches.iter().enumerate() {
+        j.push_str(&format!(
+            "    {{\"call\": {:?}, \"reads\": {}, \"bases\": {}, \"out\": {}, \"seconds\": {:.6}, \"mbases_per_s\": {:.1}}}{}\n",
+            s.what,
+            s.reads,
+            s.bases,
+            s.out,
+            s.seconds,
+            s.mbases_per_s(),
+            if i + 1 < sketches.len() { "," } else { "" }
+        ));
     }
     j.push_str("  ],\n");
     j.push_str("  \"lookup\": [\n");

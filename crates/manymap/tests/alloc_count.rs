@@ -10,6 +10,8 @@
 //! The index has a claim of the same kind: opening a file allocates what
 //! the lookup directory and the sequence table need and *nothing
 //! proportional to the file* — the image is queried where it is mapped.
+//! Sketching a sequence allocates its output and one block of scratch,
+//! nothing proportional to the sequence.
 //!
 //! A counting global allocator makes the claims checkable; the counters are
 //! thread-local so parallel test threads can't perturb them.
@@ -24,6 +26,7 @@ use std::cell::Cell;
 use manymap::{MapOpts, Mapper};
 use mmm_align::{AlignMode, AlignScratch, Engine, Scoring, DEFAULT_ZDROP};
 use mmm_exec::align_jobs_with_scratch;
+use mmm_index::minimizer::{minimizers, minimizers_hpc, Minimizer};
 use mmm_index::{save_index, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
 use mmm_simreads::{generate_genome, GenomeOpts};
@@ -290,4 +293,37 @@ fn opening_an_index_allocates_nothing_proportional_to_it() {
         "allocation grew with the key count: {sparse} bytes at {sparse_keys} keys, \
          {dense} at {dense_keys}"
     );
+}
+
+/// The sketcher works over fixed blocks of positions, so sketching a
+/// reference requests the minimizers it returns plus a block of scratch —
+/// not a candidate per base, which at 16 bytes a base was 64 MB here and
+/// ≈ 4 GB for a human chromosome 1.
+#[test]
+fn sketching_allocates_its_output_not_its_input() {
+    let g = generate_genome(&GenomeOpts {
+        len: 4_000_000,
+        repeat_frac: 0.0,
+        seed: 13,
+        ..Default::default()
+    });
+    for hpc in [false, true] {
+        let before = bytes_on_this_thread();
+        let ms = if hpc {
+            minimizers_hpc(&g, 19, 10)
+        } else {
+            minimizers(&g, 15, 10)
+        };
+        let bytes = bytes_on_this_thread() - before;
+        let output = (ms.capacity() * std::mem::size_of::<Minimizer>()) as u64;
+        assert!(
+            ms.len() > 500_000,
+            "hpc={hpc}: only {} minimizers",
+            ms.len()
+        );
+        assert!(
+            bytes <= output + (1 << 20),
+            "hpc={hpc}: sketching 4 Mbp requested {bytes} bytes for a {output}-byte output"
+        );
+    }
 }

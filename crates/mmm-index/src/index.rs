@@ -18,7 +18,7 @@ use mmm_io::Mmap;
 use mmm_seq::{PackedSeq, SeqRecord};
 
 use crate::error::IndexError;
-use crate::minimizer::{minimizers, minimizers_hpc, Minimizer};
+use crate::minimizer::{for_each_minimizer, minimizers, minimizers_hpc, Minimizer};
 use crate::postings::{BucketRef, PackedPostings, PostingCursor};
 use crate::serialize::{self, VerifiedMap, CONTAINER_IMAGE_OFF};
 use crate::unpack;
@@ -185,9 +185,9 @@ impl MinimizerIndex {
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         for (rid, r) in refs.iter().enumerate() {
             let nt4 = r.nt4();
-            for m in sketch(&nt4, opts.k, opts.w, opts.hpc) {
+            for_each_minimizer(&nt4, opts.k, opts.w, opts.hpc, |m| {
                 pairs.push((m.hash, pack_hit(rid as u32, m.pos, m.rev)));
-            }
+            });
             let packed = PackedSeq::from_nt4_lossy(&nt4);
             serialize::write_seq(&mut image, &r.name, packed.len(), packed.words());
         }

@@ -5,8 +5,13 @@
 //! 64-bit mix so that low-complexity k-mers (poly-A etc.) do not dominate;
 //! each k-mer is taken on its canonical strand (the lexicographically
 //! smaller of forward/reverse-complement encodings); strand-symmetric
-//! k-mers are skipped, and windows containing ambiguous bases produce no
-//! minimizers.
+//! k-mers and k-mers spanning an ambiguous base are skipped.
+//!
+//! The sketcher runs over fixed blocks of [`SKETCH_BLOCK`] k-mer positions
+//! in three phases (DESIGN.md §14.5): roll the canonical codes into a flat
+//! array, hash the whole array in a loop with no carried state (which the
+//! compiler vectorizes), then take the window minimum over it. Scratch
+//! memory is one block, whatever the sequence length.
 
 /// One minimizer: hash value, position of the k-mer's *last* base, the
 /// strand whose encoding was canonical, and the number of original bases
@@ -38,10 +43,31 @@ pub fn hash64(key: u64, mask: u64) -> u64 {
     k
 }
 
+/// k-mer positions sketched per block. The block's codes and hashes
+/// (16 bytes a position, plus the `w - 1` carried ones) stay in L1.
+pub const SKETCH_BLOCK: usize = 1024;
+
+/// "No k-mer here" (ambiguous base, too few bases, or a strand-symmetric
+/// k-mer), as a code and as a hash. No real hash reaches it: a hash has
+/// `2k <= 56` bits.
+const NONE: u64 = u64::MAX;
+
+/// The strand bit of a canonical code: set when the reverse complement was
+/// the smaller encoding. It lies above any `2k`-bit code and below bit 63,
+/// which only [`NONE`] sets.
+const REV: u64 = 1 << 62;
+
 /// Sketch `seq` (nt4 codes) with `(k, w)` minimizers.
 ///
-/// Consecutive windows sharing the same minimizer emit it once, matching
-/// minimap2's output density (~`2/(w+1)` of positions).
+/// Every window of `w` consecutive k-mer positions contributes its
+/// minimum-hash k-mer, and a minimizer shared by consecutive windows is
+/// emitted once, so the density is about `2/(w+1)` of the positions, as in
+/// minimap2's `mm_sketch`. Where the two differ:
+/// - on a tie only the leftmost copy of the minimum is emitted; minimap2
+///   emits every copy;
+/// - an ambiguous base or a strand-symmetric k-mer leaves a position with
+///   no k-mer inside the window; minimap2 restarts the window after an
+///   ambiguous base and drops a symmetric k-mer's position altogether.
 ///
 /// ```
 /// use mmm_index::minimizers;
@@ -52,7 +78,7 @@ pub fn hash64(key: u64, mask: u64) -> u64 {
 /// assert!(ms.windows(2).all(|p| p[0].pos < p[1].pos));
 /// ```
 pub fn minimizers(seq: &[u8], k: usize, w: usize) -> Vec<Minimizer> {
-    minimizers_impl(seq, k, w, false)
+    sketch_to_vec(seq, k, w, false)
 }
 
 /// Sketch with homopolymer compression (minimap2's `-H`, the `map-pb`
@@ -60,115 +86,188 @@ pub fn minimizers(seq: &[u8], k: usize, w: usize) -> Vec<Minimizer> {
 /// extraction, which suits PacBio CLR's indel-dominant error profile.
 /// Positions and spans are reported in *original* coordinates.
 pub fn minimizers_hpc(seq: &[u8], k: usize, w: usize) -> Vec<Minimizer> {
-    minimizers_impl(seq, k, w, true)
+    sketch_to_vec(seq, k, w, true)
 }
 
-fn minimizers_impl(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> {
+fn sketch_to_vec(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> {
+    // The expected count plus an eighth, so a sketch rarely reallocates.
+    let expect = seq.len() / (w + 1) * 2;
+    let mut out = Vec::with_capacity(expect + expect / 8 + 16);
+    for_each_minimizer(seq, k, w, hpc, |m| out.push(m));
+    out
+}
+
+/// Hand each minimizer of `seq` to `emit`, in order — what [`minimizers`]
+/// (or, with `hpc`, [`minimizers_hpc`]) returns, without the `Vec`.
+pub(crate) fn for_each_minimizer(
+    seq: &[u8],
+    k: usize,
+    w: usize,
+    hpc: bool,
+    emit: impl FnMut(Minimizer),
+) {
     assert!((4..=28).contains(&k), "k must be in [4, 28]");
     assert!((1..256).contains(&w), "w must be in [1, 255]");
-    let mut out = Vec::with_capacity(seq.len() / (w + 1) * 2 + 16);
+    if hpc {
+        sketch::<true>(seq, k, w, emit);
+    } else {
+        sketch::<false>(seq, k, w, emit);
+    }
+}
+
+/// Hash of a code: [`hash64`] of the canonical k-mer, or [`NONE`]. Written
+/// without a branch, so a loop over codes vectorizes.
+#[inline(always)]
+fn hash_code(code: u64, mask: u64) -> u64 {
+    hash64(code & mask, mask) | (code >> 63).wrapping_neg()
+}
+
+/// The one sketcher. A *position* is one base, or under `HPC` one run of a
+/// base (an ambiguous base is always a position of its own); position `g`
+/// carries the k-mer that ends there, or [`NONE`]. Slot `j` of the block
+/// buffers holds position `base + j`.
+fn sketch<const HPC: bool>(seq: &[u8], k: usize, w: usize, mut emit: impl FnMut(Minimizer)) {
     if seq.len() < k {
-        return out;
+        return;
     }
     let mask: u64 = (1 << (2 * k)) - 1;
     let shift = 2 * (k - 1);
-    let (mut fwd, mut rc) = (0u64, 0u64);
-    let mut l = 0usize; // (compressed) bases since the last ambiguous base
+    // A sequence shorter than a block is one block of its own length.
+    let cap = (w - 1 + SKETCH_BLOCK).min(seq.len());
+    let mut codes = vec![0u64; cap];
+    let mut hashes = vec![0u64; cap];
+    // Under HPC a position's end and span are not implied by its index.
+    let mut ends = vec![0u32; if HPC { cap } else { 0 }];
+    let mut spans = vec![0u8; if HPC { cap } else { 0 }];
 
-    // Per-candidate (hash, original end pos, rev, original span);
-    // u64::MAX marks "no k-mer". Under HPC one candidate is produced per
-    // *compressed* position (the last original base of its run).
-    let mut cands: Vec<Minimizer> = Vec::with_capacity(seq.len());
-    // Original start positions of the last k compressed symbols.
-    let mut starts: std::collections::VecDeque<u32> =
-        std::collections::VecDeque::with_capacity(k + 1);
-    let mut i = 0usize;
+    // Carried across blocks: the rolling k-mer, the bases since the last
+    // ambiguous one, the original starts of the last k HPC runs, the last
+    // `w - 1` positions (`kept` slots at the front) and the window minimum.
+    let (mut fwd, mut rc, mut l) = (0u64, 0u64, 0usize);
+    let mut run_starts = [0u32; 32];
+    let (mut base, mut kept, mut i) = (0usize, 0usize, 0usize);
+    let (mut min_at, mut min_hash) = (0usize, NONE);
+    let mut last_emitted = usize::MAX;
+    // The first full window ends at position k - 1 + w - 1.
+    let first_full = k + w - 2;
+
     while i < seq.len() {
-        let c = seq[i];
-        // With HPC, consume the whole run of identical bases.
-        let run_start = i;
-        let mut run_end = i + 1;
-        if hpc && c < 4 {
-            while run_end < seq.len() && seq[run_end] == c {
-                run_end += 1;
-            }
-        }
-        if c < 4 {
-            fwd = ((fwd << 2) | c as u64) & mask;
-            rc = (rc >> 2) | ((3 - c as u64) << shift);
-            l += 1;
-            starts.push_back(run_start as u32);
-            if starts.len() > k {
-                starts.pop_front();
+        // Phase 1: roll the canonical codes of the block's positions.
+        let mut n = kept;
+        if HPC {
+            while n < cap && i < seq.len() {
+                let c = seq[i];
+                let mut end = i;
+                if c < 4 {
+                    while end + 1 < seq.len() && seq[end + 1] == c {
+                        end += 1;
+                    }
+                    fwd = ((fwd << 2) | c as u64) & mask;
+                    rc = (rc >> 2) | ((3 - c as u64) << shift);
+                    run_starts[l % 32] = i as u32;
+                    l += 1;
+                } else {
+                    l = 0;
+                }
+                let valid = l >= k && fwd != rc;
+                codes[n] = canonical(valid, fwd, rc);
+                ends[n] = end as u32;
+                spans[n] = if valid {
+                    (end - run_starts[(l - k) % 32] as usize + 1).min(255) as u8
+                } else {
+                    0
+                };
+                i = end + 1;
+                n += 1;
             }
         } else {
-            l = 0;
-            starts.clear();
-        }
-        let end = run_end - 1;
-        // `l >= k` guarantees `starts` holds k tracked symbol starts; the
-        // match keeps that invariant panic-free even if it ever broke.
-        let m = match starts.front() {
-            Some(&start) if l >= k && fwd != rc => {
-                let (key, rev) = if fwd < rc { (fwd, false) } else { (rc, true) };
-                Minimizer {
-                    hash: hash64(key, mask),
-                    pos: end as u32,
-                    rev,
-                    span: (end - start as usize + 1).min(255) as u8,
+            let take = (cap - kept).min(seq.len() - i);
+            for (code, &c) in codes[kept..kept + take].iter_mut().zip(&seq[i..i + take]) {
+                if c < 4 {
+                    fwd = ((fwd << 2) | c as u64) & mask;
+                    rc = (rc >> 2) | ((3 - c as u64) << shift);
+                    l += 1;
+                } else {
+                    l = 0;
                 }
+                *code = canonical(l >= k && fwd != rc, fwd, rc);
             }
-            _ => Minimizer {
-                hash: u64::MAX,
-                pos: end as u32,
-                rev: false,
-                span: 0,
-            },
-        };
-        cands.push(m);
-        i = run_end;
-    }
+            i += take;
+            n += take;
+        }
 
-    // Sliding-window minimum with a monotonic deque over candidate hashes.
-    // The deque keeps indices with non-decreasing hash; ties keep the
-    // earliest (leftmost) k-mer, like minimap2's default.
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut last_emitted: Option<(u64, u32)> = None;
-    for i in 0..cands.len() {
-        while let Some(&b) = deque.back() {
-            if cands[b].hash > cands[i].hash {
-                deque.pop_back();
-            } else {
-                break;
-            }
+        // Phase 2: hash them, one independent lane per position.
+        for (h, &code) in hashes[kept..n].iter_mut().zip(&codes[kept..n]) {
+            *h = hash_code(code, mask);
         }
-        deque.push_back(i);
-        while let Some(&f) = deque.front() {
-            if f + w <= i {
-                deque.pop_front();
-            } else {
-                break;
-            }
-        }
-        // First full window ends at index k-1+w-1; emit from there on. The
-        // deque is never empty here (index i was just pushed).
-        if i + 1 >= k + w - 1 {
-            if let Some(&front) = deque.front() {
-                let best = cands[front];
-                if best.hash != u64::MAX && last_emitted != Some((best.hash, best.pos)) {
-                    out.push(best);
-                    last_emitted = Some((best.hash, best.pos));
+
+        // Phase 3: the leftmost window minimum, rescanned only when the
+        // current one leaves the window.
+        for j in kept..n {
+            let g = base + j;
+            let h = hashes[j];
+            if h < min_hash {
+                (min_at, min_hash) = (g, h);
+            } else if min_at + w <= g {
+                // Right to left, so `<=` lands on the leftmost minimum. A
+                // window with no k-mer (an N run) needs no scan.
+                let lo = g + 1 - w - base;
+                let (mut at, mut best) = (j, h);
+                if min_hash == NONE {
+                    at = lo;
+                } else {
+                    for s in (lo..j).rev() {
+                        let x = hashes[s];
+                        at = if x <= best { s } else { at };
+                        best = best.min(x);
+                    }
                 }
+                (min_at, min_hash) = (base + at, best);
+            }
+            if g >= first_full && min_hash != NONE && min_at != last_emitted {
+                let s = min_at - base;
+                emit(Minimizer {
+                    hash: min_hash,
+                    pos: if HPC { ends[s] } else { min_at as u32 },
+                    rev: codes[s] & REV != 0,
+                    span: if HPC { spans[s] } else { k as u8 },
+                });
+                last_emitted = min_at;
             }
         }
+
+        // Carry the last `w - 1` positions: every window still to come
+        // starts at or after the first of them.
+        kept = (w - 1).min(n);
+        codes.copy_within(n - kept..n, 0);
+        hashes.copy_within(n - kept..n, 0);
+        if HPC {
+            ends.copy_within(n - kept..n, 0);
+            spans.copy_within(n - kept..n, 0);
+        }
+        base += n - kept;
     }
-    out
 }
+
+/// The code of a position: the smaller strand encoding, tagged [`REV`]
+/// when that is the reverse complement, or [`NONE`].
+#[inline(always)]
+fn canonical(valid: bool, fwd: u64, rc: u64) -> u64 {
+    match (valid, fwd < rc) {
+        (false, _) => NONE,
+        (true, true) => fwd,
+        (true, false) => rc | REV,
+    }
+}
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmm_seq::{revcomp4, to_nt4};
+    use proptest::prelude::*;
 
     #[test]
     fn hash_is_invertible_shaped() {
@@ -295,5 +394,87 @@ mod tests {
     fn deterministic() {
         let seq = to_nt4(b"ACGTTGCAACGGTCATACGTTGCAACGGTCATGGCCTTAA");
         assert_eq!(minimizers(&seq, 11, 5), minimizers(&seq, 11, 5));
+    }
+
+    fn sketch(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> {
+        if hpc {
+            minimizers_hpc(seq, k, w)
+        } else {
+            minimizers(seq, k, w)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The sketcher equals the brute-force model on sequences built to
+        /// hit its edges: N runs, long homopolymers, every `(k, w)`.
+        #[test]
+        fn sketch_equals_the_model(
+            seed in 0u64..u64::MAX,
+            len in 0usize..3_000,
+            k in 4usize..29,
+            w in 1usize..256,
+            hpc in proptest::bool::ANY,
+        ) {
+            let seq = model::hostile_seq(seed, len);
+            prop_assert_eq!(
+                sketch(&seq, k, w, hpc),
+                model::sketch(&seq, k, w, hpc),
+                "seed {} len {} k {} w {} hpc {}", seed, len, k, w, hpc
+            );
+        }
+    }
+
+    /// Lengths where an off-by-one would show: shorter than a k-mer, one
+    /// k-mer, one short of the first full window, the first full window,
+    /// and one block of positions either side of its boundary.
+    #[test]
+    fn sketch_equals_the_model_on_edge_lengths() {
+        for (k, w) in [(15, 10), (19, 10), (5, 1), (11, 5), (28, 255), (4, 3)] {
+            let block = w - 1 + SKETCH_BLOCK;
+            let lens = [
+                k - 1,
+                k,
+                k + w - 2,
+                k + w - 1,
+                block - 1,
+                block,
+                block + 1,
+                2 * block - w + 1,
+                2 * block,
+            ];
+            for (seed, len) in lens.into_iter().enumerate() {
+                for hpc in [false, true] {
+                    // Plain random bases, where HPC positions are runs.
+                    let seq = model::random_seq(seed as u64, len);
+                    assert_eq!(
+                        sketch(&seq, k, w, hpc),
+                        model::sketch(&seq, k, w, hpc),
+                        "k {k} w {w} len {len} hpc {hpc}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pure_homopolymers_and_n_runs_equal_the_model() {
+        for (k, w) in [(15, 10), (5, 1), (28, 255), (4, 3)] {
+            for hpc in [false, true] {
+                for seq in [vec![0u8; 3_000], vec![4u8; 3_000], {
+                    let mut s = vec![2u8; 1_500];
+                    s.extend(std::iter::repeat_n(4u8, 700));
+                    s.extend(model::random_seq(9, 1_500));
+                    s
+                }] {
+                    assert_eq!(
+                        sketch(&seq, k, w, hpc),
+                        model::sketch(&seq, k, w, hpc),
+                        "k {k} w {w} hpc {hpc}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -110,16 +110,35 @@ impl Bloom {
         Bloom { words }
     }
 
+    /// The two probe hashes of minimizer hash `h`, before masking to a
+    /// filter's size: every filter probes the same two, so a caller testing
+    /// one `h` against many filters computes them once.
     #[inline]
-    fn probes(h: u64, bits: u64) -> [u64; 2] {
-        [
-            splitmix64(h) & (bits - 1),
-            splitmix64(h ^ 0xC2B2_AE3D_27D4_EB4F) & (bits - 1),
-        ]
+    pub(crate) fn probe_hashes(h: u64) -> [u64; 2] {
+        [splitmix64(h), splitmix64(h ^ 0xC2B2_AE3D_27D4_EB4F)]
     }
 
+    /// The two bits `h` sets in a filter of `bits` (a power of two) bits.
     #[inline]
-    pub(crate) fn contains(&self, h: u64) -> bool {
+    fn probes(h: u64, bits: u64) -> [u64; 2] {
+        Self::probe_hashes(h).map(|p| p & (bits - 1))
+    }
+
+    /// Whether the hash [`Bloom::probe_hashes`] gave `probes` for may be in
+    /// the filter.
+    #[inline]
+    pub(crate) fn contains_hashed(&self, probes: [u64; 2]) -> bool {
+        let bits = (self.words.len() * 64) as u64;
+        !self.words.is_empty()
+            && probes.iter().all(|&p| {
+                let bit = p & (bits - 1);
+                self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
+            })
+    }
+
+    /// The one-filter form of [`Bloom::contains_hashed`].
+    #[cfg(test)]
+    fn contains(&self, h: u64) -> bool {
         if self.words.is_empty() {
             return false;
         }
@@ -732,38 +751,41 @@ impl ShardedIndex {
     /// whenever their minimizers don't co-occur in the dead shard.
     pub fn collect_anchors(&self, query: &[u8]) -> Result<Vec<Anchor>, ShardUnavailable> {
         let qlen = query.len() as u32;
-        let ns = self.num_shards();
+        let shards = &self.manifest.shards;
         let ms = sketch(query, self.manifest.k, self.manifest.w, self.manifest.hpc);
-        let mut touched = vec![false; ns];
-        let cands: Vec<Vec<u32>> = ms
-            .iter()
-            .map(|m| {
-                (0..ns as u32)
-                    .filter(|&s| self.manifest.shards[s as usize].bloom.contains(m.hash))
-                    .inspect(|&s| touched[s as usize] = true)
-                    .collect()
-            })
-            .collect();
-        let mut loaded: Vec<Option<Arc<MinimizerIndex>>> = vec![None; ns];
-        let mut skipped: Option<ShardUnavailable> = None;
-        for (s, t) in touched.iter().enumerate() {
-            if *t {
-                match self.ensure_shard(s) {
-                    Ok(idx) => loaded[s] = Some(idx),
-                    Err(e) => skipped = skipped.or(Some(e)),
+        // Row `i` of `cands` is minimizer `i`'s bloom-positive shards as a
+        // bitmask, `row` words wide; `touched` is their union.
+        let row = shards.len().div_ceil(64).max(1);
+        let mut cands = vec![0u64; ms.len() * row];
+        let mut touched = vec![0u64; row];
+        for (m, bits) in ms.iter().zip(cands.chunks_exact_mut(row)) {
+            let probes = Bloom::probe_hashes(m.hash);
+            for (s, meta) in shards.iter().enumerate() {
+                if meta.bloom.contains_hashed(probes) {
+                    bits[s / 64] |= 1 << (s % 64);
                 }
+            }
+            for (t, b) in touched.iter_mut().zip(bits.iter()) {
+                *t |= b;
+            }
+        }
+        let mut loaded: Vec<Option<Arc<MinimizerIndex>>> = vec![None; shards.len()];
+        let mut skipped: Option<ShardUnavailable> = None;
+        for s in set_bits(&touched) {
+            match self.ensure_shard(s) {
+                Ok(idx) => loaded[s] = Some(idx),
+                Err(e) => skipped = skipped.or(Some(e)),
             }
         }
         let mut anchors = Vec::new();
         // One probe per candidate shard: the bucket found for the count is
         // the bucket streamed.
         let mut found: Vec<(&MinimizerIndex, u32, BucketRef)> = Vec::new();
-        for (m, cand) in ms.iter().zip(&cands) {
+        for (m, bits) in ms.iter().zip(cands.chunks_exact(row)) {
             found.clear();
-            found.extend(cand.iter().filter_map(|&s| {
-                let idx = loaded[s as usize].as_deref()?;
-                let rid_start = self.manifest.shards[s as usize].rid_start;
-                Some((idx, rid_start, idx.lookup(m.hash)?))
+            found.extend(set_bits(bits).filter_map(|s| {
+                let idx = loaded[s].as_deref()?;
+                Some((idx, shards[s].rid_start, idx.lookup(m.hash)?))
             }));
             let total: u64 = found.iter().map(|(_, _, r)| r.count()).sum();
             if total == 0 || total > self.manifest.max_occ as u64 {
@@ -812,6 +834,18 @@ impl ShardedIndex {
         let idx = self.ensure_shard(s)?;
         Ok(idx.ref_base(rid - self.manifest.shards[s].rid_start, pos))
     }
+}
+
+/// The indices of the set bits of a little-endian bitmask, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (bit < 64).then_some(i * 64 + bit)
+        })
+    })
 }
 
 /// The byte to flip for an injected `CorruptSection(s)` fault: the first
@@ -1071,6 +1105,37 @@ mod tests {
             .count();
         assert!(fp < 1000, "false-positive rate too high: {fp}/10000");
         assert!(!Bloom::build(std::iter::empty()).contains(42));
+    }
+
+    /// `collect_anchors` hashes a minimizer once and masks the two probes
+    /// per shard; that must be what each shard's filter answers alone.
+    #[test]
+    fn probes_hashed_once_answer_like_each_filter() {
+        let d = tmp_dir("probes");
+        let refs = multi_chrom(4, 20_000, 21);
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
+        let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
+        let blooms: Vec<&Bloom> = sh.manifest().shards.iter().map(|s| &s.bloom).collect();
+        assert_eq!(blooms.len(), 4);
+        // Every shard's own keys (present in one filter, mostly absent from
+        // the others), then fresh hashes.
+        let mut hashes: Vec<u64> = (0..4)
+            .flat_map(|s| sh.ensure_shard(s).unwrap().hashes().collect::<Vec<_>>())
+            .collect();
+        hashes.extend((0..20_000u64).map(|i| splitmix64(i ^ 0x5EED)));
+        let mut positive = 0;
+        for &h in &hashes {
+            let probes = Bloom::probe_hashes(h);
+            for b in &blooms {
+                assert_eq!(b.contains_hashed(probes), b.contains(h), "hash {h:#x}");
+                positive += usize::from(b.contains(h));
+            }
+        }
+        assert!(positive >= hashes.len() - 20_000, "{positive} positives");
+        let empty = Bloom::from_words(Vec::new());
+        assert!(!empty.contains_hashed(Bloom::probe_hashes(42)));
+        assert!(!empty.contains(42));
+        std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]

@@ -36,7 +36,7 @@ use manymap::serve::proto::{decode_read, encode_read, read_frame, write_frame, O
 pub struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         Rng(seed)
     }
 
@@ -254,7 +254,7 @@ fn bit_flipped(rng: &mut Rng, valid: &[u8]) -> Vec<u8> {
 
 /// Valid records → FASTA (randomly wrapped) or FASTQ text → the same
 /// records back.
-fn valid_fastx(rng: &mut Rng, case: u64) -> Result<Vec<u8>, String> {
+pub fn valid_fastx(rng: &mut Rng, case: u64) -> Result<Vec<u8>, String> {
     let fastq = rng.below(2) == 0;
     let records: Vec<SeqRecord> = (0..1 + rng.below(4))
         .map(|_| {

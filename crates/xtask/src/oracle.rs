@@ -30,13 +30,23 @@
 //! every posting bucket's bulk and per-tier decode vs. the streaming
 //! cursor, packed-reference slices vs. per-base reads, and end-to-end PAF
 //! output of the mapper across every available engine — all bit-exact.
+//!
+//! A fifth pass (`sketch_crosscheck`) holds the minimizer sketcher to the
+//! brute-force model its unit tests use, over the fuzzer's FASTA/FASTQ
+//! reads and lengths either side of the sketch block boundary.
 
+use manymap::index::minimizer::{hash64, minimizers, minimizers_hpc, Minimizer, SKETCH_BLOCK};
 use mmm_align::{
     AlignMode, AlignResult, AlignScratch, Engine, ExtendResult, Layout, Scoring, Width,
 };
 use mmm_exec::{prepare, AlignJob, BackendKind, BackendOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+// The brute-force sketch model `mmm-index`'s own tests use; it names
+// `hash64` and `Minimizer` through this module.
+#[path = "../../mmm-index/src/minimizer/model.rs"]
+mod sketch_model;
 
 /// Lane-boundary lengths every run must cover (the off-by-one surface of
 /// the 16/32/64-lane kernels), before the random sizes start.
@@ -257,18 +267,77 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     // the rest stays on-device.
     let backend_note = backend_crosscheck(&stream, &golds, &sc)?;
 
+    // Pass 5: the sketcher against its brute-force model.
+    let sketch_note = sketch_crosscheck(seed)?;
+
     let labels: Vec<String> = engines
         .iter()
         .zip(&high_water)
         .map(|(e, hw)| format!("{} ({hw} B)", e.label()))
         .collect();
     Ok(format!(
-        "{} cases x {} engines agree with scalar manymap gold; steady-state scratch: {}; backends: {}; {}",
+        "{} cases x {} engines agree with scalar manymap gold; steady-state scratch: {}; backends: {}; {}; {}",
         stream.len(),
         engines.len(),
         labels.join(", "),
         backend_note,
-        packed_note
+        packed_note,
+        sketch_note
+    ))
+}
+
+/// `(k, w, hpc)`: the map-ont and map-pb presets, and HPC at map-ont's k.
+const SKETCH_PARAMS: [(usize, usize, bool); 3] = [(15, 10, false), (19, 10, true), (15, 10, true)];
+
+/// The sketch differential pass: `minimizers`/`minimizers_hpc` against the
+/// brute-force model on the FASTA/FASTQ reads the fuzzer generates (random
+/// bases with `N`s, each read alone and each file's reads joined), and on
+/// lengths either side of the sketcher's block boundary.
+fn sketch_crosscheck(seed: u64) -> Result<String, String> {
+    use manymap::seq::FastxReader;
+
+    let mut rng = crate::fuzz::Rng::new(seed);
+    let mut seqs: Vec<Vec<u8>> = Vec::new();
+    for case in 0..64 {
+        let text = crate::fuzz::valid_fastx(&mut rng, case)?;
+        let records = FastxReader::new(std::io::Cursor::new(text))
+            .read_all()
+            .map_err(|e| format!("sketch pass: case {case}: {e}"))?;
+        seqs.extend(records.iter().map(|r| r.nt4()));
+        seqs.push(records.iter().flat_map(|r| r.nt4()).collect());
+    }
+    // At w = 10 the first block holds 9 + SKETCH_BLOCK positions, each
+    // later one SKETCH_BLOCK more.
+    let first = 9 + SKETCH_BLOCK;
+    for (i, len) in [first - 1, first, first + 1, first + SKETCH_BLOCK]
+        .into_iter()
+        .enumerate()
+    {
+        seqs.push(sketch_model::random_seq(seed ^ i as u64, len));
+        seqs.push(sketch_model::hostile_seq(seed ^ i as u64, 4 * len));
+    }
+    let mut emitted = 0;
+    for seq in &seqs {
+        for (k, w, hpc) in SKETCH_PARAMS {
+            let got = if hpc {
+                minimizers_hpc(seq, k, w)
+            } else {
+                minimizers(seq, k, w)
+            };
+            if got != sketch_model::sketch(seq, k, w, hpc) {
+                return Err(format!(
+                    "sketch (k={k}, w={w}, hpc={hpc}) of a {}-base sequence differs \
+                     from the brute-force model (seed {seed})",
+                    seq.len()
+                ));
+            }
+            emitted += got.len();
+        }
+    }
+    Ok(format!(
+        "sketch: {} sequences x {} parameter sets equal the model ({emitted} minimizers)",
+        seqs.len(),
+        SKETCH_PARAMS.len()
     ))
 }
 
