@@ -111,6 +111,24 @@ for flag in --sam --no-cigar; do
         || { echo "ci: the default run ($flag) grouped no jobs"; cat "$SHARD_WORK/lane-default.err"; exit 1; }
 done
 
+echo "==> streaming: a multi-batch ONT set maps to the same SAM at one and two threads"
+# `manymap map` cuts its input into MAP_BATCH_BASES batches and writes each
+# batch's records as it finishes. The thread count must not change a byte,
+# and the set must span several batches, so the gate cannot pass on one.
+target/release/simreads --genome 2000000 --reads 500 --platform ont --seed 5 \
+    --out-ref "$SHARD_WORK/stream-ref.fa" --out-reads "$SHARD_WORK/stream-reads.fa" >/dev/null
+target/release/manymap index "$SHARD_WORK/stream-ref.fa" "$SHARD_WORK/stream.mmx" 2>/dev/null
+for t in 1 2; do
+    target/release/manymap map "$SHARD_WORK/stream.mmx" "$SHARD_WORK/stream-reads.fa" --sam \
+        --threads $t >"$SHARD_WORK/stream-t$t.sam" 2>"$SHARD_WORK/stream-t$t.err"
+    batches=$(sed -n 's/^\[manymap\] backend cpu: [0-9]* jobs in \([0-9]*\) batches.*/\1/p' \
+        "$SHARD_WORK/stream-t$t.err")
+    [ "${batches:-0}" -ge 4 ] \
+        || { echo "ci: the streaming set ran in ${batches:-no} batch(es) at --threads $t, expected >= 4"; cat "$SHARD_WORK/stream-t$t.err"; exit 1; }
+done
+cmp "$SHARD_WORK/stream-t1.sam" "$SHARD_WORK/stream-t2.sam" \
+    || { echo "ci: streamed SAM differs between --threads 1 and --threads 2"; exit 1; }
+
 echo "==> selection ratchet and MAPQ calibration on a repeat-bearing genome"
 # The default 1 Mbp simreads genome carries 2 kb repeat copies. Chain
 # selection masks by query overlap, so every read gets one primary and no

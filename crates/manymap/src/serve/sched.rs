@@ -28,9 +28,10 @@ use mmm_pipeline::BoundedQueue;
 
 use super::tenant::{ServeItem, TenantRegistry, TenantState};
 
-/// Scheduler tuning. Defaults match the CLI's batch geometry: the CLI
-/// reads 4 Mbase batches, and the quantum is sized so a handful of tenants
-/// fill one batch per round.
+/// Scheduler tuning. Defaults match the CLI's batch geometry: batches of
+/// [`MAP_BATCH_BASES`](crate::session::MAP_BATCH_BASES), so a backlogged
+/// daemon streams records as the CLI does, and a quantum of about four
+/// batches, so one round moves a few batches per backlogged tenant.
 #[derive(Clone, Copy, Debug)]
 pub struct DrrConfig {
     /// Bases added to each backlogged tenant's deficit per round.

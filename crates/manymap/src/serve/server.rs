@@ -74,8 +74,9 @@ use super::tenant::{ServeItem, TenantRegistry, TenantState};
 /// flag and shutdown state.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Daemon configuration. `Default` matches the CLI's geometry (4 Mbase
-/// batches) with queue bounds sized for interactive tenants.
+/// Daemon configuration. [`ServeOpts::new`] matches the CLI's geometry
+/// (batches of [`session::MAP_BATCH_BASES`]) with queue bounds sized for
+/// interactive tenants.
 pub struct ServeOpts {
     /// Path of the unix socket to bind (removed and re-created).
     pub socket: PathBuf,

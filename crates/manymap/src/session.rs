@@ -42,8 +42,11 @@ use crate::sam::{sam_line, sam_unmapped, write_sam_header};
 use crate::{paf_line, paf_unmapped, MapError, MapOpts, Mapper, PlanShardFaults};
 
 /// Bases per read batch in [`map_reads`] and (by default) the daemon: one
-/// plan → dispatch → finalize round, hence one backend submission.
-pub const MAP_BATCH_BASES: usize = 4_000_000;
+/// plan → dispatch → finalize round, hence one backend submission. Small
+/// enough that records leave batch by batch and memory follows the batch,
+/// not the input; large enough that a submission still fills its lane
+/// groups (DESIGN.md §9.2 has the measured trade-off).
+pub const MAP_BATCH_BASES: usize = 256_000;
 
 /// A command-line flag: its name (without `--`) and whether it takes a
 /// value.
@@ -590,7 +593,10 @@ impl MapReport {
 /// [`MAP_BATCH_BASES`] on its own thread, runs [`MapSession::plan`] and
 /// [`finalize`] on `threads` workers (one scratch arena each) and
 /// [`dispatch`] through `exec` between them, and writes in input order on
-/// its own thread; [`MapReport::stats`] times each of those stages.
+/// its own thread; [`MapReport::stats`] times each of those stages. Each
+/// batch's records are flushed to `out` when the batch is written, so
+/// output streams, and at most seven batches are in memory whatever the
+/// length of `reads` (see `mmm_pipeline::batched`).
 ///
 /// A read the mapper rejects, whose job the supervisor quarantines, or
 /// whose plan or finalize panics (`inject_panic` names a read to panic on)
@@ -678,6 +684,7 @@ pub fn map_reads(
             for lines in results {
                 w.write_all(lines.as_bytes())?;
             }
+            w.flush()?;
             Ok(())
         },
         Some(&on_panic),
@@ -774,6 +781,11 @@ mod tests {
         .collect();
         // A read that seeds nowhere plans no jobs.
         reads.push(SeqRecord::new("junk", vec![b'A'; 400]));
+        let bases: usize = reads.iter().map(SeqRecord::len).sum();
+        assert!(
+            bases < MAP_BATCH_BASES,
+            "the hand-built batch ({bases} bases) must be one `map_reads` could cut"
+        );
         // Read 1 was planned before the reload.
         let plan_all = || -> Vec<Planned> {
             let gen = |i| if i == 1 { &old } else { &new };

@@ -10,6 +10,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use manymap::session::MAP_BATCH_BASES;
 use mmm_index::{save_index, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
@@ -55,6 +56,12 @@ fn fixture(tag: &str) -> Fixture {
         .iter()
         .map(|r| SeqRecord::new(r.name.clone(), nt4_decode(&r.seq)))
         .collect();
+    // The `batches=0..1` fault plans below fault the run's only submission.
+    let bases: usize = recs.iter().map(SeqRecord::len).sum();
+    assert!(
+        bases < MAP_BATCH_BASES,
+        "the fault plans assume the reads ({bases} bases) fit one map batch"
+    );
     let mut fasta = Vec::new();
     write_fasta(&mut fasta, &recs, 0).unwrap();
     let reads = dir.join("reads.fa");

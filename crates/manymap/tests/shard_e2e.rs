@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use manymap::session::MAP_BATCH_BASES;
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{generate_chromosomes, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -87,6 +88,11 @@ fn fixture(tag: &str) -> Fixture {
             recs.push(SeqRecord::new(name, nt4_decode(&r.seq)));
         }
     }
+    let bases: usize = recs.iter().map(SeqRecord::len).sum();
+    assert!(
+        bases < MAP_BATCH_BASES,
+        "the tests below assume the reads ({bases} bases) fit one map batch"
+    );
     let reads = dir.join("reads.fa");
     let mut fa = Vec::new();
     write_fasta(&mut fa, &recs, 0).unwrap();
@@ -165,8 +171,9 @@ fn sharded_output_is_byte_identical_to_flat() {
 
     // The device backend over the sharded index, clean and with its first
     // submit failing (no retries: the whole batch reroutes to the CPU
-    // standby). The fixture's reads fit one dispatch, so the run's one
-    // backend session reports one batch, all of it rerouted.
+    // standby). The fixture's reads fit one map batch (the fixture asserts
+    // it), so the run's one backend session reports one batch, all of it
+    // rerouted.
     let launch_fail = [
         "--backend-retries",
         "0",

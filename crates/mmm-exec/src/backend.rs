@@ -26,6 +26,17 @@ pub trait AlignBackend: Send + Sync {
     fn submit(&self, jobs: Vec<AlignJob>)
         -> Result<(Vec<AlignResult>, BackendStats), BackendError>;
 
+    /// [`submit`](Self::submit) for a batch the caller keeps (the
+    /// supervisor still needs the jobs if the attempt fails). The default
+    /// copies them into `submit`; a backend that only reads its jobs
+    /// overrides it to skip the copy.
+    fn submit_borrowed(
+        &self,
+        jobs: &[AlignJob],
+    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+        self.submit(jobs.to_vec())
+    }
+
     /// Whether this backend can execute `job` natively, without routing it
     /// through an internal host fallback. The batch scheduler
     /// (`crate::sched`) uses this to send statically ineligible jobs —

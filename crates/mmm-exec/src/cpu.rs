@@ -280,9 +280,17 @@ impl AlignBackend for CpuSimdBackend {
         &self,
         jobs: Vec<AlignJob>,
     ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+        self.submit_borrowed(&jobs)
+    }
+
+    /// Execution only reads the jobs, so a borrowed batch costs no copy.
+    fn submit_borrowed(
+        &self,
+        jobs: &[AlignJob],
+    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
         let drop_last = self.fault.begin_submit()?;
         let cells: u64 = jobs.iter().map(AlignJob::cells).sum();
-        let (mut results, lanes) = self.execute(&jobs)?;
+        let (mut results, lanes) = self.execute(jobs)?;
         if drop_last {
             results.pop();
         }

@@ -238,20 +238,20 @@ impl SupervisedBackend {
         base * exp + Duration::from_nanos(jitter_ns)
     }
 
-    /// One backend call, watched. Without a deadline this is a plain
-    /// `submit`; with one, the call runs on the runner thread and is
-    /// abandoned (slot poisoned, runner replaced) if it outlives the
-    /// budget.
+    /// One backend call, watched. Without a deadline the backend borrows
+    /// the jobs; with one, the call runs on the runner thread, which may
+    /// outlive it and so gets its own copy, and is abandoned (slot
+    /// poisoned, runner replaced) if it outlives the budget.
     fn guarded_submit(
         &self,
         backend: &Arc<dyn AlignBackend>,
-        jobs: Vec<AlignJob>,
+        jobs: &[AlignJob],
         stats: &mut BackendStats,
     ) -> Result<Vec<AlignResult>, BackendError> {
         let expected = jobs.len();
         let outcome = match self.cfg.batch_deadline {
-            None => backend.submit(jobs),
-            Some(deadline) => self.watched_submit(backend, jobs, deadline, stats),
+            None => backend.submit_borrowed(jobs),
+            Some(deadline) => self.watched_submit(backend, jobs.to_vec(), deadline, stats),
         };
         let (results, inner) = outcome?;
         stats.merge(&inner);
@@ -347,10 +347,9 @@ impl SupervisedBackend {
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
         let trips_before = lock_unpoisoned(&self.breaker).trips();
 
-        let mut pending: Vec<usize> = (0..n).collect();
         if n > 0 {
-            pending = self.primary_phase(&jobs, pending, &mut outcomes, &mut inner)?;
-            pending = self.standby_phase(&jobs, pending, &mut outcomes, &mut inner)?;
+            let pending = self.primary_phase(&jobs, &mut outcomes, &mut inner)?;
+            let pending = self.standby_phase(&jobs, pending, &mut outcomes, &mut inner)?;
             for &i in &pending {
                 // fail_fast would have returned already; whatever reason the
                 // phases recorded stands, but a job can only reach here with
@@ -451,7 +450,7 @@ impl SupervisedBackend {
         let cells: u64 = jobs.iter().map(AlignJob::cells).sum();
         let n = jobs.len();
         let mut stats = BackendStats::default();
-        match self.guarded_submit(&standby, jobs.clone(), &mut stats) {
+        match self.guarded_submit(&standby, &jobs, &mut stats) {
             Ok(results) => {
                 stats.batches = 1;
                 stats.jobs = n as u64;
@@ -476,19 +475,18 @@ impl SupervisedBackend {
     fn primary_phase(
         &self,
         jobs: &[AlignJob],
-        pending: Vec<usize>,
         outcomes: &mut [Option<JobOutcome>],
         stats: &mut BackendStats,
     ) -> Result<Vec<usize>, BackendError> {
+        let pending: Vec<usize> = (0..jobs.len()).collect();
         if !lock_unpoisoned(&self.breaker).allow_primary() {
             return Ok(pending);
         }
-        let batch: Vec<AlignJob> = pending.iter().map(|&i| jobs[i].clone()).collect();
-        match self.guarded_submit(&self.primary, batch, stats) {
+        match self.guarded_submit(&self.primary, jobs, stats) {
             Ok(results) => {
                 lock_unpoisoned(&self.breaker).record(true);
-                for (&i, r) in pending.iter().zip(results) {
-                    outcomes[i] = Some(JobOutcome::Done(r));
+                for (o, r) in outcomes.iter_mut().zip(results) {
+                    *o = Some(JobOutcome::Done(r));
                 }
                 return Ok(Vec::new());
             }
@@ -515,7 +513,7 @@ impl SupervisedBackend {
                 }
                 self.clock.sleep(self.backoff(attempt, i as u64));
                 stats.retries += 1;
-                match self.guarded_submit(&self.primary, vec![jobs[i].clone()], stats) {
+                match self.guarded_submit(&self.primary, std::slice::from_ref(&jobs[i]), stats) {
                     Ok(mut results) => {
                         lock_unpoisoned(&self.breaker).record(true);
                         if let Some(r) = results.pop() {
@@ -567,7 +565,7 @@ impl SupervisedBackend {
         let standby = Arc::clone(standby);
         lock_unpoisoned(&self.breaker).note_standby_submit();
         let batch: Vec<AlignJob> = pending.iter().map(|&i| jobs[i].clone()).collect();
-        match self.guarded_submit(&standby, batch, stats) {
+        match self.guarded_submit(&standby, &batch, stats) {
             Ok(results) => {
                 for (&i, r) in pending.iter().zip(results) {
                     outcomes[i] = Some(JobOutcome::Done(r));
@@ -582,7 +580,7 @@ impl SupervisedBackend {
         let mut still = Vec::new();
         for &i in &pending {
             lock_unpoisoned(&self.breaker).note_standby_submit();
-            match self.guarded_submit(&standby, vec![jobs[i].clone()], stats) {
+            match self.guarded_submit(&standby, std::slice::from_ref(&jobs[i]), stats) {
                 Ok(mut results) => {
                     if let Some(r) = results.pop() {
                         outcomes[i] = Some(JobOutcome::Done(r));
@@ -653,6 +651,54 @@ mod tests {
         assert_eq!(stats.jobs, 4);
         assert_eq!(stats.batches, 1);
         assert!(!stats.supervised_activity(), "{stats:?}");
+    }
+
+    /// A primary that only lends its jobs: the owning `submit` panics.
+    struct BorrowOnly(Arc<dyn AlignBackend>);
+
+    impl AlignBackend for BorrowOnly {
+        fn label(&self) -> &'static str {
+            "borrow-only"
+        }
+
+        fn submit(
+            &self,
+            _jobs: Vec<AlignJob>,
+        ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+            panic!("a clean supervised batch copied its jobs into `submit`");
+        }
+
+        fn submit_borrowed(
+            &self,
+            jobs: &[AlignJob],
+        ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+            self.0.submit_borrowed(jobs)
+        }
+    }
+
+    /// With no watchdog deadline armed, the primary attempt borrows the
+    /// batch: neither a supervised nor a fifo-scheduled submission (what
+    /// `manymap map` calls) reaches the owning `submit`.
+    #[test]
+    fn clean_batch_lends_its_jobs_to_the_primary() {
+        let sup = SupervisedBackend::with_clock(
+            Arc::new(BorrowOnly(cpu_with_plan(None))),
+            None,
+            SupervisorConfig::default(),
+            Arc::new(TestClock::default()),
+        );
+        let jobs = test_jobs(4);
+        let gold: Vec<JobOutcome> = expected_results(&jobs)
+            .into_iter()
+            .map(JobOutcome::Done)
+            .collect();
+        let (outcomes, stats) = sup.submit_supervised(jobs.clone()).expect("supervised");
+        assert_eq!(outcomes, gold);
+        assert!(!stats.supervised_activity(), "{stats:?}");
+        let (outcomes, _) = sup
+            .submit_scheduled(jobs, &SchedConfig::default())
+            .expect("scheduled");
+        assert_eq!(outcomes, gold);
     }
 
     #[test]

@@ -38,6 +38,17 @@
 //! and an error stops the run with [`PipelineError::Write`]. On error the
 //! pipeline shuts down promptly and cleanly: no deadlock, no poisoned
 //! stats, and the first failure is the one reported.
+//!
+//! The pipeline streams: a batch's results reach `write_batch` as soon as
+//! its finalize phase ends, while the reader is already filling the next
+//! batches. Memory is bounded by batches, not by the input: the channels
+//! hold 2 batches waiting for compute and 2 result batches waiting for the
+//! writer, the compute stage holds 1, and the reader and the writer each
+//! hold the one they are filling or draining — at most seven batches alive,
+//! whatever the input length. Compute does not overlap across batches:
+//! dispatch needs every plan of its batch, finalize needs dispatch's
+//! results, and the pool's `threads` workers are the run's whole compute
+//! budget, so a second batch in flight would only compete for them.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
@@ -92,14 +103,15 @@ where
     out.resize_with(n, || None);
     let mut failed = 0usize;
     let mut phase = Instant::now();
+    let step_len = |s: &Step<I, M, D>| match s {
+        Step::Plan(i) | Step::Fin(i, _, _) => len_of(i),
+    };
 
     // Phase 1: plan every item, longest first — long reads carry the most
     // alignment work, so they anchor the schedule. Results come back in
     // item order whatever the processing order.
     let plan_items: Vec<Step<I, M, D>> = batch.into_iter().map(Step::Plan).collect();
-    let order = sort_indices_by_len_desc(&plan_items, |s| match s {
-        Step::Plan(i) | Step::Fin(i, _, _) => len_of(i),
-    });
+    let order = sort_indices_by_len_desc(&plan_items, step_len);
     let outcome = pool.run_batch_catching(&plan_items, &order);
     let mut panic_msg: Vec<Option<String>> = Vec::with_capacity(n);
     panic_msg.resize_with(n, || None);
@@ -185,8 +197,10 @@ where
     let dispatch_seconds = phase.elapsed().as_secs_f64();
     phase = Instant::now();
 
-    // Phase 3: finalize survivors on the pool.
-    let fin_order: Vec<usize> = (0..fin_steps.len()).collect();
+    // Phase 3: finalize survivors on the pool, longest first for the same
+    // reason: the batch ends at a barrier, and a long read started last
+    // would finish alone while the other workers idle.
+    let fin_order = sort_indices_by_len_desc(&fin_steps, step_len);
     let outcome = pool.run_batch_catching(&fin_steps, &fin_order);
     let mut fin_msg: Vec<Option<String>> = Vec::with_capacity(fin_steps.len());
     fin_msg.resize_with(fin_steps.len(), || None);
