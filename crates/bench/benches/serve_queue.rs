@@ -1,6 +1,6 @@
 //! Throughput of the `mmm-serve` ingestion spine: the bounded MPMC queue
-//! every tenant session sits behind, and the deficit-round-robin scheduler
-//! that feeds the shared pipeline. Plain timing harness — no external
+//! every tenant session sits behind, and the deficit-round-robin pull the
+//! shared pipeline takes its batches with. Plain timing harness — no external
 //! bench crates.
 //!
 //! Run `cargo bench -p bench --bench serve_queue`. Writes the
@@ -10,8 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bench::format_table;
 use manymap::serve::{DrrConfig, DrrScheduler, ServeItem, TenantRegistry};
@@ -55,9 +54,10 @@ fn queue_mops(cap: usize, producers: usize, consumers: usize, n: usize) -> f64 {
     n as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 
-/// Run the DRR scheduler over `tenants` backlogs of `reads_per` reads each
-/// (mixed lengths), with a consumer thread draining the pipeline queue and
-/// acking deliveries; returns million reads scheduled per second.
+/// Pull every read of `tenants` backlogs of `reads_per` reads each (mixed
+/// lengths) through the DRR scheduler, as the daemon's compute stage does,
+/// acking each read as sent so the credit gate keeps granting; returns
+/// million reads scheduled per second.
 fn drr_mops(tenants: usize, reads_per: usize) -> f64 {
     let reg = TenantRegistry::new(tenants, reads_per, 256);
     let mut ts = Vec::new();
@@ -76,33 +76,22 @@ fn drr_mops(tenants: usize, reads_per: usize) -> f64 {
         t.ended.store(true, Ordering::Release);
         ts.push(t);
     }
-    let pipe: BoundedQueue<Vec<ServeItem>> = BoundedQueue::new(4);
-    let pipe = &pipe;
-    let reg = &reg;
-    let ts: Vec<Arc<_>> = ts;
-    let ts = &ts;
     let n = tenants * reads_per;
+    let mut sched = DrrScheduler::new(DrrConfig {
+        quantum_bases: 100_000,
+        batch_bases: 1_000_000,
+    });
 
     let start = Instant::now();
-    std::thread::scope(|s| {
-        // The "pipeline": drain batches and ack each read as sent so the
-        // scheduler's credit gate keeps granting.
-        s.spawn(move || {
-            let mut got = 0usize;
-            while let Some(batch) = pipe.pop() {
-                for item in batch {
-                    ts[item.tenant].sent.fetch_add(1, Ordering::AcqRel);
-                    got += 1;
-                }
-            }
-            assert_eq!(got, n, "scheduler lost reads");
-        });
-        let mut sched = DrrScheduler::new(DrrConfig {
-            quantum_bases: 100_000,
-            batch_bases: 1_000_000,
-        });
-        sched.run(reg, pipe, || true);
-    });
+    let mut got = 0usize;
+    while let Some(batch) = sched.pull(&reg, || true, Duration::from_millis(1)) {
+        for item in batch {
+            ts[item.tenant].sent.fetch_add(1, Ordering::AcqRel);
+            got += 1;
+        }
+        reg.wake();
+    }
+    assert_eq!(got, n, "scheduler lost reads");
     n as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 

@@ -6,35 +6,41 @@
 //! monopolize the backend (alignment cost scales with bases, not reads);
 //! deficit round robin charges each tenant for the bases it ships:
 //!
-//! * every round, each backlogged tenant's deficit grows by the quantum;
+//! * tenants take turns; at the start of its turn a backlogged tenant's
+//!   deficit grows by the quantum;
 //! * the tenant dequeues reads while its deficit lasts, paying each read's
-//!   length (one read of overshoot is allowed — [`BoundedQueue`] has no
-//!   peek, and bounding overshoot by the max read length keeps long-run
-//!   fairness intact);
+//!   length (one read of overshoot is allowed — the input queue, a
+//!   [`mmm_pipeline::BoundedQueue`], has no peek, and bounding overshoot by
+//!   the max read length keeps long-run fairness intact);
 //! * a tenant with an empty queue loses its deficit (standard DRR: credit
 //!   does not accrue while idle);
 //! * a tenant without **output credit** (its in-flight count has reached
 //!   its output queue's capacity) is skipped entirely: a slow consumer
 //!   stops being scheduled instead of wedging the shared pipeline writer.
 //!
-//! Dequeued reads are packed into batches of at most `batch_bases` and
-//! pushed to the pipeline's input queue — a blocking push, so the pipeline
-//! itself backpressures the scheduler.
+//! The scheduler has no thread of its own: the shared pipeline's compute
+//! stage calls [`DrrScheduler::pull`] each time it is free for a batch, and
+//! the pull takes what is queued, up to `batch_bases`, in DRR order. A read
+//! that arrives while a batch computes waits in its tenant's queue and
+//! joins the next batch, so a busy daemon forms full batches rather than
+//! one-read ones. When nothing is schedulable the pull sleeps on the
+//! registry's wake signal; the cursor and the deficits carry from one pull
+//! to the next, so fairness in bases does not depend on where batches end.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-use mmm_pipeline::BoundedQueue;
+use std::time::Duration;
 
 use super::tenant::{ServeItem, TenantRegistry, TenantState};
 
 /// Scheduler tuning. Defaults match the CLI's batch geometry: batches of
 /// [`MAP_BATCH_BASES`](crate::session::MAP_BATCH_BASES), so a backlogged
 /// daemon streams records as the CLI does, and a quantum of about four
-/// batches, so one round moves a few batches per backlogged tenant.
+/// batches, so one turn moves a few batches of a backlogged tenant.
 #[derive(Clone, Copy, Debug)]
 pub struct DrrConfig {
-    /// Bases added to each backlogged tenant's deficit per round.
+    /// Bases added to a backlogged tenant's deficit at the start of its
+    /// turn.
     pub quantum_bases: usize,
     /// Target bases per pipeline batch.
     pub batch_bases: usize,
@@ -49,13 +55,16 @@ impl Default for DrrConfig {
     }
 }
 
-/// Per-round scheduler state (the deficit ledger), separate from the
-/// registry so only the scheduler thread touches it.
+/// The deficit ledger and the round-robin cursor, owned by the pipeline's
+/// compute thread.
 pub struct DrrScheduler {
     cfg: DrrConfig,
     deficits: Vec<usize>,
-    /// Round-robin cursor so the same tenant does not lead every round.
+    /// The tenant whose turn it is. A turn cut short by a full batch
+    /// carries over to the next pull.
     next: usize,
+    /// The tenant at `next` has been granted this turn's quantum.
+    granted: bool,
 }
 
 impl DrrScheduler {
@@ -64,6 +73,7 @@ impl DrrScheduler {
             cfg,
             deficits: Vec::new(),
             next: 0,
+            granted: false,
         }
     }
 
@@ -73,92 +83,79 @@ impl DrrScheduler {
         (t.outq.capacity() as u64).saturating_sub(t.in_flight())
     }
 
-    /// Run one DRR round over `tenants`, pushing full batches into
-    /// `pipe_in`. Returns the number of reads scheduled this round.
-    ///
-    /// `pipe_in.push` blocks when the pipeline is behind; that is the
-    /// intended backpressure edge, not a failure. A closed pipeline queue
-    /// ends the round early (daemon shutdown).
-    pub fn round(
-        &mut self,
-        tenants: &[Arc<TenantState>],
-        pipe_in: &BoundedQueue<Vec<ServeItem>>,
-    ) -> usize {
-        if self.deficits.len() < tenants.len() {
-            self.deficits.resize(tenants.len(), 0);
-        }
+    /// Take one batch from `tenants`' input queues in DRR order: turns go
+    /// round until the batch holds `batch_bases` or every tenant in a row
+    /// had nothing schedulable. Empty when nothing is.
+    fn next_batch(&mut self, tenants: &[Arc<TenantState>]) -> Vec<ServeItem> {
         let n = tenants.len();
-        if n == 0 {
-            return 0;
+        if self.deficits.len() < n {
+            self.deficits.resize(n, 0);
         }
         let mut batch: Vec<ServeItem> = Vec::new();
-        let mut batch_bases = 0usize;
-        let mut scheduled = 0usize;
-        let start = self.next % n;
-        self.next = self.next.wrapping_add(1);
-        for k in 0..n {
-            let t = &tenants[(start + k) % n];
+        let mut bases = 0usize;
+        let mut idle_turns = 0;
+        while idle_turns < n {
+            let t = &tenants[self.next % n];
             let d = &mut self.deficits[t.id];
+            let mut credit = Self::credit(t);
+            let mut moved = false;
             if t.inq.is_empty() {
                 *d = 0; // idle flows do not accrue credit
-                continue;
-            }
-            *d = d.saturating_add(self.cfg.quantum_bases);
-            let mut credit = Self::credit(t);
-            while *d > 0 && credit > 0 {
-                let Some(item) = t.inq.try_pop() else {
-                    *d = 0;
-                    break;
-                };
-                let len = item.rec.len();
-                *d = d.saturating_sub(len.max(1));
-                credit -= 1;
-                t.scheduled.fetch_add(1, Ordering::AcqRel);
-                batch_bases += len;
-                batch.push(item);
-                scheduled += 1;
-                if batch_bases >= self.cfg.batch_bases {
-                    if pipe_in.push(std::mem::take(&mut batch)).is_err() {
-                        return scheduled; // pipeline shut down
+            } else if credit > 0 {
+                if !self.granted {
+                    *d = d.saturating_add(self.cfg.quantum_bases);
+                    self.granted = true;
+                }
+                while *d > 0 && credit > 0 {
+                    let Some(item) = t.inq.try_pop() else {
+                        *d = 0;
+                        break;
+                    };
+                    let len = item.rec.len();
+                    *d = d.saturating_sub(len.max(1));
+                    credit -= 1;
+                    t.scheduled.fetch_add(1, Ordering::AcqRel);
+                    bases += len;
+                    batch.push(item);
+                    moved = true;
+                    if bases >= self.cfg.batch_bases {
+                        return batch; // the turn goes on next pull
                     }
-                    batch_bases = 0;
                 }
             }
+            self.next = (self.next + 1) % n;
+            self.granted = false;
+            idle_turns = if moved { 0 } else { idle_turns + 1 };
         }
-        if !batch.is_empty() {
-            let _ = pipe_in.push(batch);
-        }
-        scheduled
+        batch
     }
 
-    /// The blocking scheduler loop. Runs until `stop()` goes true *and*
-    /// every tenant queue has been flushed, then closes `pipe_in` so the
-    /// pipeline drains and returns — the SIGTERM guarantee: every accepted
-    /// read is flushed before exit.
-    pub fn run(
+    /// The shared pipeline's input: block until a batch is schedulable and
+    /// return it, or return `None` once `stop()` holds and every input
+    /// queue is empty — the drain guarantee: every accepted read is
+    /// scheduled before the pipeline ends.
+    ///
+    /// When nothing is schedulable the pull waits on the registry's wake
+    /// signal, whose epoch it read before scanning; `poll` bounds the wait
+    /// so a stop that nobody signals (SIGTERM) is still seen.
+    pub fn pull(
         &mut self,
         registry: &TenantRegistry,
-        pipe_in: &BoundedQueue<Vec<ServeItem>>,
         stop: impl Fn() -> bool,
-    ) {
+        poll: Duration,
+    ) -> Option<Vec<ServeItem>> {
         loop {
-            // A closed pipeline queue means the pipeline itself is gone
-            // (fatal dispatch error): stop scheduling instead of pushing
-            // into the void.
-            if pipe_in.is_closed() {
-                return;
-            }
+            let seen = registry.wake_epoch();
             let tenants = registry.snapshot();
-            let moved = self.round(&tenants, pipe_in);
-            if moved == 0 {
-                if stop() && tenants.iter().all(|t| t.inq.is_empty()) {
-                    break;
-                }
-                // Idle: nothing schedulable (no input, or no output credit).
-                std::thread::sleep(std::time::Duration::from_millis(2));
+            let batch = self.next_batch(&tenants);
+            if !batch.is_empty() {
+                return Some(batch);
             }
+            if stop() && tenants.iter().all(|t| t.inq.is_empty()) {
+                return None;
+            }
+            registry.wait_for_wake(seen, poll);
         }
-        pipe_in.close();
     }
 }
 
@@ -191,31 +188,58 @@ mod tests {
         (reg, ts)
     }
 
-    /// Equal backlogs get near-equal base shares per round, regardless of
+    /// Every batch up to the end of the backlog, each read acked as sent
+    /// so output credit never runs out.
+    fn drain_batches(s: &mut DrrScheduler, ts: &[Arc<TenantState>]) -> Vec<Vec<ServeItem>> {
+        let batches = std::iter::from_fn(|| Some(s.next_batch(ts)).filter(|b| !b.is_empty()));
+        batches
+            .inspect(|b| {
+                for it in b {
+                    ts[it.tenant].sent.fetch_add(1, Ordering::AcqRel);
+                }
+            })
+            .collect()
+    }
+
+    /// Equal backlogs get near-equal base shares per batch, regardless of
     /// read length mix.
     #[test]
     fn drr_shares_bases_not_reads() {
         // Tenant 0 ships 10k-base reads, tenant 1 ships 1k-base reads.
         let (_reg, ts) = registry_with(&[&[10_000; 20], &[1_000; 200]]);
-        let pipe: BoundedQueue<Vec<ServeItem>> = BoundedQueue::new(64);
         let mut s = DrrScheduler::new(DrrConfig {
             quantum_bases: 10_000,
-            batch_bases: 1_000_000,
+            batch_bases: 40_000,
         });
-        s.round(&ts, &pipe);
-        // One round, one quantum each: ~1 long read vs ~10 short reads.
-        let mut by_tenant = [0usize; 2];
-        while let Some(b) = pipe.try_pop() {
-            for it in b {
+        // One quantum per turn: ~1 long read per ~10 short ones.
+        for batch in drain_batches(&mut s, &ts).iter().take(4) {
+            let mut by_tenant = [0usize; 2];
+            for it in batch {
                 by_tenant[it.tenant] += it.rec.len();
             }
+            let (a, b) = (by_tenant[0] as f64, by_tenant[1] as f64);
+            assert!(a > 0.0 && b > 0.0, "{by_tenant:?}");
+            assert!(
+                (a / b) < 2.5 && (b / a) < 2.5,
+                "base shares too skewed: {by_tenant:?}"
+            );
         }
-        let (a, b) = (by_tenant[0] as f64, by_tenant[1] as f64);
-        assert!(a > 0.0 && b > 0.0);
-        assert!(
-            (a / b) < 2.5 && (b / a) < 2.5,
-            "base shares too skewed: {by_tenant:?}"
-        );
+    }
+
+    /// A turn cut short by a full batch resumes at the next pull: the same
+    /// tenant leads it, on the quantum it was already granted.
+    #[test]
+    fn a_full_batch_carries_the_turn_to_the_next_pull() {
+        let (_reg, ts) = registry_with(&[&[100; 10], &[100; 10]]);
+        let mut s = DrrScheduler::new(DrrConfig {
+            quantum_bases: 500,
+            batch_bases: 300,
+        });
+        let tenants = |b: &[ServeItem]| b.iter().map(|i| i.tenant).collect::<Vec<_>>();
+        assert_eq!(tenants(&s.next_batch(&ts)), [0, 0, 0]);
+        assert_eq!(tenants(&s.next_batch(&ts)), [0, 0, 1]);
+        assert_eq!(tenants(&s.next_batch(&ts)), [1, 1, 1]);
+        assert_eq!(tenants(&s.next_batch(&ts)), [1, 0, 0]);
     }
 
     /// A tenant without output credit is skipped; others still progress.
@@ -224,29 +248,26 @@ mod tests {
         let (_reg, ts) = registry_with(&[&[100; 8], &[100; 8]]);
         // Tenant 0 is "slow": its output queue is already fully committed.
         ts[0].scheduled.store(64, Ordering::Release);
-        let pipe: BoundedQueue<Vec<ServeItem>> = BoundedQueue::new(64);
         let mut s = DrrScheduler::new(DrrConfig::default());
-        let n = s.round(&ts, &pipe);
-        assert_eq!(n, 8, "only the healthy tenant was scheduled");
-        let batch = pipe.try_pop().unwrap();
+        let batch = s.next_batch(&ts);
+        assert_eq!(batch.len(), 8, "only the healthy tenant was scheduled");
         assert!(batch.iter().all(|i| i.tenant == 1));
         assert_eq!(ts[0].inq.len(), 8, "slow tenant's backlog is untouched");
+        assert!(s.next_batch(&ts).is_empty());
     }
 
     /// Batches respect the base budget (with single-read overshoot).
     #[test]
     fn batches_split_at_the_base_budget() {
         let (_reg, ts) = registry_with(&[&[600; 10]]);
-        let pipe: BoundedQueue<Vec<ServeItem>> = BoundedQueue::new(64);
         let mut s = DrrScheduler::new(DrrConfig {
             quantum_bases: 100_000,
             batch_bases: 1_000,
         });
-        s.round(&ts, &pipe);
-        let mut sizes = Vec::new();
-        while let Some(b) = pipe.try_pop() {
-            sizes.push(b.iter().map(|i| i.rec.len()).sum::<usize>());
-        }
+        let sizes: Vec<usize> = drain_batches(&mut s, &ts)
+            .iter()
+            .map(|b| b.iter().map(|i| i.rec.len()).sum())
+            .collect();
         assert!(sizes.len() >= 5, "{sizes:?}");
         for s in &sizes {
             assert!(
@@ -256,22 +277,43 @@ mod tests {
         }
     }
 
-    /// `run` flushes every queued read after `stop` flips, then closes the
-    /// pipeline queue — the drain contract.
+    /// `pull` hands out every queued read after `stop` flips, then ends
+    /// with `None` — the drain contract.
     #[test]
-    fn run_drains_then_closes() {
+    fn pull_drains_then_ends() {
         let (reg, ts) = registry_with(&[&[50; 30], &[50; 30]]);
         for t in &ts {
             t.ended.store(true, Ordering::Release);
         }
-        let pipe: BoundedQueue<Vec<ServeItem>> = BoundedQueue::new(64);
-        let mut s = DrrScheduler::new(DrrConfig::default());
-        s.run(&reg, &pipe, || true);
+        let mut s = DrrScheduler::new(DrrConfig {
+            quantum_bases: 1_000,
+            batch_bases: 500,
+        });
+        let poll = Duration::from_millis(1);
         let mut total = 0;
-        while let Some(b) = pipe.try_pop() {
+        while let Some(b) = s.pull(&reg, || true, poll) {
             total += b.len();
         }
-        assert_eq!(total, 60, "every accepted read was flushed");
-        assert!(pipe.is_closed());
+        assert_eq!(total, 60, "every accepted read was pulled");
+    }
+
+    /// A pull with nothing queued sleeps until a reader queues a read and
+    /// wakes it, far sooner than its poll timeout.
+    #[test]
+    fn a_pull_wakes_when_a_read_is_queued() {
+        let (reg, ts) = registry_with(&[&[]]);
+        let mut s = DrrScheduler::new(DrrConfig::default());
+        let poll = Duration::from_secs(30);
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(ts[0].inq.push(item(0, 70)).is_ok());
+                reg.wake();
+            });
+            let batch = s.pull(&reg, || false, poll).unwrap();
+            assert_eq!(batch.len(), 1);
+        });
+        assert!(t0.elapsed() < Duration::from_secs(10));
     }
 }

@@ -5,38 +5,46 @@
 //! has exited):
 //!
 //! ```text
-//! accept loop ──spawns──▶ session reader ─┬─▶ tenant.inq ─┐
-//!                         (per connection) │              │  DRR
-//!                         session writer ◀─┤  tenant.outq │ scheduler
-//!                         (per tenant)     │       ▲      ▼
-//!                                          │   pipeline writer ◀─ plan →
-//!                                          │            dispatch → finalize
-//!                                          └──────── (shared, one backend)
+//! accept loop ──spawns──▶ session reader ──push──▶ tenant.inq ──┐
+//!                         (per connection)                      │ DRR pull
+//!                                                               ▼
+//!                         session writer ◀── tenant.outq ◀── pipeline: plan →
+//!                         (per tenant)                       dispatch → finalize
+//!                                                            → pipeline writer
 //! ```
 //!
 //! * **session reader** — speaks the frame protocol, pushes accepted reads
 //!   into its tenant's bounded input queue (blocking = per-tenant
 //!   backpressure to the client's socket);
-//! * **DRR scheduler** — [`super::sched`]: fair, credit-gated batching
-//!   across tenants into the pipeline's input queue;
 //! * **pipeline** — the same plan → dispatch → finalize stages as the CLI
 //!   ([`crate::session`], driven by
-//!   [`mmm_pipeline::try_run_three_thread_batched_from_queue`]), running
-//!   every tenant's reads through ONE supervised backend session;
-//!   its writer routes each finalized record to the owning tenant's output
-//!   queue and stamps the latency histogram;
+//!   [`mmm_pipeline::try_run_three_thread_batched_with_state`]), running
+//!   every tenant's reads through ONE supervised backend session. Its
+//!   compute stage pulls each batch when it is free for one:
+//!   [`DrrScheduler::pull`] takes a fair, credit-gated batch from the
+//!   tenants' input queues (see [`super::sched`]). Its writer routes each
+//!   finalized record to the owning tenant's output queue and stamps the
+//!   latency histogram;
 //! * **session writer** — drains its tenant's output queue to the socket
 //!   as `REC` frames (submission order), then reports `DONE`.
+//!
+//! A pull with nothing schedulable sleeps on the registry's wake signal
+//! (an epoch and a condvar). A session reader signals when it queues a read
+//! and when it ends, a session writer when it frees output credit, and
+//! `DRAIN` when it starts a drain; a SIGTERM raises no signal, so the wait
+//! is bounded by `POLL` (50 ms). Every hop is bounded: the tenant queues by
+//! `--inq-reads` and `--outq-records`, the pipeline by its one batch in
+//! compute and two result batches before its writer.
 //!
 //! Output is byte-identical to a solo `manymap map` run of the same reads:
 //! mapping is per-read deterministic, the scheduler only reorders *between*
 //! reads, and each read's records are formatted by the same code paths.
 //!
 //! Draining: SIGTERM/SIGINT (via [`super::signal`]) or the `DRAIN` opcode
-//! stops the accept loop and session readers, the scheduler flushes every
-//! accepted read and closes the pipeline queue, the pipeline drains, and
-//! session writers deliver everything before `DONE` — no accepted read is
-//! ever dropped.
+//! stops the accept loop and session readers; the pipeline keeps pulling
+//! until no reader is active and every input queue is empty, then ends,
+//! and session writers deliver everything before `DONE` — no accepted read
+//! is ever dropped.
 //!
 //! Live reload: the index and its target tables live together in one
 //! immutable [`MapSession`] — one index generation — behind an `Arc`-swap.
@@ -59,7 +67,7 @@ use std::time::{Duration, Instant};
 use mmm_align::{AlignResult, AlignScratch};
 use mmm_exec::{StatsReport, StatsSink};
 use mmm_index::AnyIndex;
-use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_from_queue, BoundedQueue};
+use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state};
 use mmm_seq::SeqRecord;
 
 use crate::session::{self, load_index_any, ExecConfig, ExecSession, MapSession, Planned};
@@ -70,8 +78,8 @@ use super::sched::{DrrConfig, DrrScheduler};
 use super::signal;
 use super::tenant::{ServeItem, TenantRegistry, TenantState};
 
-/// How long a session reader or writer parks before re-checking the drain
-/// flag and shutdown state.
+/// How long a session reader or writer, or a pull with nothing to
+/// schedule, parks before re-checking the drain flag and shutdown state.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Daemon configuration. [`ServeOpts::new`] matches the CLI's geometry
@@ -122,12 +130,11 @@ impl ServeOpts {
 /// Shared daemon state, borrowed by every thread in the scope.
 struct Ctx {
     registry: TenantRegistry,
-    pipe_in: BoundedQueue<Vec<ServeItem>>,
     /// Set by the `DRAIN` opcode (signal-initiated drains use the global
     /// flag in [`super::signal`]).
     local_drain: AtomicBool,
-    /// The pipeline thread exited (normally or fatally); nothing will pop
-    /// `pipe_in` or fill `outq`s anymore.
+    /// The pipeline thread exited (normally or fatally); nothing will pull
+    /// from `inq`s or fill `outq`s anymore.
     pipeline_done: AtomicBool,
     /// Session readers currently serving a tenant (post-HELLO, pre-END).
     active_readers: AtomicUsize,
@@ -213,7 +220,6 @@ pub fn serve(
 
     let ctx = Ctx {
         registry: TenantRegistry::new(opts.max_tenants, opts.inq_reads, opts.outq_records),
-        pipe_in: BoundedQueue::new(4),
         local_drain: AtomicBool::new(false),
         pipeline_done: AtomicBool::new(false),
         active_readers: AtomicUsize::new(0),
@@ -228,26 +234,18 @@ pub fn serve(
     std::thread::scope(|s| {
         // The shared pipeline.
         s.spawn(move || {
-            let result = run_pipeline(ctx, opts.threads);
+            let result = run_pipeline(ctx, opts);
             ctx.pipeline_done.store(true, Ordering::Release);
             if let Err(e) = result {
                 record_fatal(ctx, MapError::Pipeline(e));
                 // Nothing will consume queues anymore: force a drain and
                 // unblock every parked session thread.
                 ctx.local_drain.store(true, Ordering::Release);
-                ctx.pipe_in.close();
             }
             for t in ctx.registry.snapshot() {
                 t.inq.close();
                 t.outq.close();
             }
-        });
-
-        // The fair scheduler: feeds the pipeline until drained.
-        s.spawn(move || {
-            DrrScheduler::new(opts.drr).run(&ctx.registry, &ctx.pipe_in, || {
-                ctx.draining() && ctx.active_readers.load(Ordering::Acquire) == 0
-            });
         });
 
         // The accept loop, on this thread.
@@ -275,8 +273,8 @@ pub fn serve(
                 }
             }
         }
-        // Scope join: sessions, scheduler, and pipeline all wind down via
-        // the drain flag and queue closures.
+        // Scope join: sessions and pipeline all wind down via the drain
+        // flag and queue closures.
     });
 
     let _ = std::fs::remove_file(&opts.socket);
@@ -297,11 +295,11 @@ fn record_fatal(ctx: &Ctx, e: MapError) {
 
 type Routed = (usize, Instant, String);
 
-/// Run the shared pipeline over the daemon's input queue until the queue
-/// is closed and drained: the [`crate::session`] stages the CLI runs, with
-/// a writer that routes records to tenant output queues instead of stdout
-/// (serve output is PAF).
-fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineError> {
+/// Run the shared pipeline, pulling batches from the tenants' input queues,
+/// until a drain has emptied them: the [`crate::session`] stages the CLI
+/// runs, with a writer that routes records to tenant output queues instead
+/// of stdout (serve output is PAF).
+fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), mmm_pipeline::PipelineError> {
     let degraded = |item: &ServeItem| -> Routed {
         (
             item.tenant,
@@ -322,8 +320,10 @@ fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineE
         degraded(item)
     };
 
-    try_run_three_thread_batched_from_queue(
-        &ctx.pipe_in,
+    let mut drr = DrrScheduler::new(opts.drr);
+    let drained = || ctx.draining() && ctx.active_readers.load(Ordering::Acquire) == 0;
+    try_run_three_thread_batched_with_state(
+        || Ok(drr.pull(&ctx.registry, drained, POLL)),
         |_worker| AlignScratch::new(),
         |_scratch: &mut AlignScratch, item: &ServeItem| -> Planned {
             ctx.generation().plan(&item.rec)
@@ -361,7 +361,7 @@ fn run_pipeline(ctx: &Ctx, threads: usize) -> Result<(), mmm_pipeline::PipelineE
             Ok(())
         },
         Some(&on_panic),
-        threads,
+        opts.threads,
     )
     .map(|_stats| ())
 }
@@ -490,6 +490,7 @@ fn session_reader<'scope>(
                         break; // pipeline gone; writer reports the failure
                     }
                     t.accepted.fetch_add(1, Ordering::AcqRel);
+                    ctx.registry.wake();
                 }
                 (Op::End, Some(_)) => break,
                 (Op::Stats, None) => {
@@ -499,6 +500,7 @@ fn session_reader<'scope>(
                 }
                 (Op::Drain, None) => {
                     ctx.local_drain.store(true, Ordering::Release);
+                    ctx.registry.wake();
                     let _ = write_frame(&mut stream, Op::Ok, b"draining");
                     return;
                 }
@@ -530,6 +532,8 @@ fn session_reader<'scope>(
     if let Some(t) = tenant {
         t.ended.store(true, Ordering::Release);
         ctx.active_readers.fetch_sub(1, Ordering::AcqRel);
+        // A draining pull may be waiting for the last reader to end.
+        ctx.registry.wake();
     }
 }
 
@@ -539,14 +543,16 @@ fn session_writer(ctx: &Ctx, t: &TenantState, mut stream: UnixStream) {
     loop {
         match t.outq.pop_timeout(POLL) {
             Ok(lines) => {
-                if write_frame(&mut stream, Op::Rec, lines.as_bytes()).is_err() {
+                let written = write_frame(&mut stream, Op::Rec, lines.as_bytes()).is_ok();
+                // Sent or not, the record's output credit is free again.
+                t.sent.fetch_add(1, Ordering::AcqRel);
+                ctx.registry.wake();
+                if !written {
                     // Client gone: stop sending, but keep accounting so the
                     // scheduler's credit math stays consistent.
-                    t.sent.fetch_add(1, Ordering::AcqRel);
                     drain_silently(ctx, t);
                     return;
                 }
-                t.sent.fetch_add(1, Ordering::AcqRel);
             }
             Err(mmm_pipeline::PopError::TimedOut) => {
                 if t.ended.load(Ordering::Acquire)
@@ -582,6 +588,7 @@ fn drain_silently(ctx: &Ctx, t: &TenantState) {
         match t.outq.pop_timeout(POLL) {
             Ok(_) => {
                 t.sent.fetch_add(1, Ordering::AcqRel);
+                ctx.registry.wake();
             }
             Err(mmm_pipeline::PopError::Closed) => return,
             Err(mmm_pipeline::PopError::TimedOut) => {

@@ -12,10 +12,16 @@
 //!   credit (`outq` capacity minus in-flight reads), so the pipeline's
 //!   writer never blocks on a slow consumer and one stalled tenant cannot
 //!   wedge the shared pipeline.
+//!
+//! The registry also carries the daemon's **wake signal**, an epoch under a
+//! mutex plus a condvar. The pipeline's pull waits on it when nothing is
+//! schedulable; whoever may have made something schedulable bumps it: a
+//! session reader that queued a read or ended, a session writer that freed
+//! output credit, a `DRAIN`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use mmm_pipeline::{lock_unpoisoned, BoundedQueue};
 use mmm_seq::SeqRecord;
@@ -175,9 +181,13 @@ impl TenantState {
     }
 }
 
-/// The tenant registry: admission control plus the stats snapshot.
+/// The tenant registry: admission control, the stats snapshot, and the
+/// wake signal.
 pub struct TenantRegistry {
     tenants: Mutex<Vec<Arc<TenantState>>>,
+    /// The wake epoch: bumped by every [`wake`](Self::wake).
+    wake: Mutex<u64>,
+    wake_cv: Condvar,
     pub max_tenants: usize,
     pub inq_reads: usize,
     pub outq_records: usize,
@@ -187,6 +197,8 @@ impl TenantRegistry {
     pub fn new(max_tenants: usize, inq_reads: usize, outq_records: usize) -> Self {
         TenantRegistry {
             tenants: Mutex::new(Vec::new()),
+            wake: Mutex::new(0),
+            wake_cv: Condvar::new(),
             max_tenants: max_tenants.max(1),
             inq_reads: inq_reads.max(1),
             outq_records: outq_records.max(1),
@@ -225,6 +237,29 @@ impl TenantRegistry {
     pub fn get(&self, id: usize) -> Option<Arc<TenantState>> {
         lock_unpoisoned(&self.tenants).get(id).cloned()
     }
+
+    /// Something a waiting pull may be waiting for happened: a read was
+    /// queued, output credit was freed, a session ended, a drain began.
+    pub fn wake(&self) {
+        *lock_unpoisoned(&self.wake) += 1;
+        self.wake_cv.notify_all();
+    }
+
+    /// The current wake epoch. Read it *before* scanning the queues and
+    /// hand it to [`wait_for_wake`](Self::wait_for_wake): a wake that lands
+    /// between the scan and the wait has already moved the epoch, so the
+    /// wait returns at once instead of sleeping through it.
+    pub fn wake_epoch(&self) -> u64 {
+        *lock_unpoisoned(&self.wake)
+    }
+
+    /// Block until the wake epoch moves past `seen`, or `timeout` passes.
+    pub fn wait_for_wake(&self, seen: u64, timeout: Duration) {
+        let parked = self
+            .wake_cv
+            .wait_timeout_while(lock_unpoisoned(&self.wake), timeout, |e| *e == seen);
+        drop(parked);
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +295,21 @@ mod tests {
         a.ended.store(true, Ordering::Release);
         let _c = reg.admit("c").unwrap();
         assert_eq!(reg.snapshot().len(), 3);
+    }
+
+    /// A wake between reading the epoch and waiting is not lost, and a
+    /// wait with no wake ends at its timeout.
+    #[test]
+    fn wait_for_wake_returns_once_the_epoch_moved() {
+        let reg = TenantRegistry::new(1, 1, 1);
+        let seen = reg.wake_epoch();
+        reg.wake();
+        let t0 = Instant::now();
+        reg.wait_for_wake(seen, Duration::from_secs(10));
+        assert!(t0.elapsed() < Duration::from_secs(5), "the wake was lost");
+        let t0 = Instant::now();
+        reg.wait_for_wake(reg.wake_epoch(), Duration::from_millis(20));
+        assert!(t0.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]

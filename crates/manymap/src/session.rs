@@ -9,8 +9,8 @@
 //! [`dispatch`] / [`finalize`] to the batched pipeline as its three stages.
 //! The pipeline is wired twice: [`map_reads`] feeds it from a FASTA/FASTQ
 //! stream and writes one output stream (`manymap map`, the example, the
-//! benches), and the daemon feeds it from its scheduler's queue and routes
-//! records to tenants. The CLI holds one `Arc<MapSession>` for the run; the
+//! benches), and the daemon's pipeline pulls fair batches from its
+//! tenants' queues and routes records to tenants. The CLI holds one `Arc<MapSession>` for the run; the
 //! daemon swaps the `Arc` on `RELOAD` and keeps the [`ExecSession`]. An
 //! alignment job owns its bytes, so [`dispatch`] sends a whole batch as one
 //! submission whatever generations planned it; every planned read carries
@@ -22,8 +22,9 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mmm_align::{best_mm2_engine, AlignResult, AlignScratch};
 use mmm_exec::{
@@ -35,7 +36,7 @@ use mmm_pipeline::{
     lock_unpoisoned, try_run_three_thread_batched_with_state, DynError, PipelineError,
     PipelineStats,
 };
-use mmm_seq::{FastxReader, SeqRecord};
+use mmm_seq::{FastxReader, SeqError, SeqRecord};
 
 use crate::mapper::{MapReadError, ReadPlan};
 use crate::sam::{sam_line, sam_unmapped, write_sam_header};
@@ -589,14 +590,16 @@ impl MapReport {
 
 /// `manymap map` once the index is open: map every FASTA/FASTQ record of
 /// `reads` against `session` and write PAF — SAM with its header when
-/// `sam` — to `out`. The batched pipeline reads batches of
-/// [`MAP_BATCH_BASES`] on its own thread, runs [`MapSession::plan`] and
-/// [`finalize`] on `threads` workers (one scratch arena each) and
-/// [`dispatch`] through `exec` between them, and writes in input order on
-/// its own thread; [`MapReport::stats`] times each of those stages. Each
-/// batch's records are flushed to `out` when the batch is written, so
+/// `sam` — to `out`. A reader thread parses batches of
+/// [`MAP_BATCH_BASES`], at most two ahead of the batched pipeline, which
+/// pulls them, runs [`MapSession::plan`] and [`finalize`] on `threads`
+/// workers (one scratch arena each) and [`dispatch`] through `exec` between
+/// them, and writes in input order on its own thread; [`MapReport::stats`]
+/// times each of those stages (`in_seconds` is the reader's parse time).
+/// Each batch's records are flushed to `out` when the batch is written, so
 /// output streams, and at most seven batches are in memory whatever the
-/// length of `reads` (see `mmm_pipeline::batched`).
+/// length of `reads`: 2 in the read-ahead channel, 1 being parsed, and the
+/// pipeline's 4 (see `mmm_pipeline::batched`).
 ///
 /// A read the mapper rejects, whose job the supervisor quarantines, or
 /// whose plan or finalize panics (`inject_panic` names a read to panic on)
@@ -625,7 +628,6 @@ pub fn map_reads(
         write_sam_header(&mut out, tnames, tlens).map_err(output_error)?;
     }
     let out = Mutex::new(out);
-    let reader = Mutex::new(FastxReader::new(reads));
     let report = Mutex::new(MapReport::default());
 
     // A worker panic or a quarantined backend job degrades the read instead
@@ -648,49 +650,83 @@ pub fn map_reads(
         unmapped_record(rec, sam)
     };
 
-    let stats = try_run_three_thread_batched_with_state(
-        || {
-            let batch = lock_unpoisoned(&reader).next_batch(MAP_BATCH_BASES)?;
-            Ok((!batch.is_empty()).then_some(batch))
-        },
-        |_worker| AlignScratch::new(),
-        // Panics here degrade exactly the one read they hit, and its jobs
-        // never reach the backend.
-        |_scratch: &mut AlignScratch, rec: &SeqRecord| -> Planned {
-            if inject_panic == Some(rec.name.as_str()) {
-                panic!("injected panic for read '{}'", rec.name);
+    // Read-ahead: the parser runs on its own thread, at most two batches
+    // ahead of the compute stage that pulls them.
+    let (batch_tx, batch_rx) = sync_channel::<Result<Vec<SeqRecord>, SeqError>>(2);
+    let read_ahead = move || -> f64 {
+        let mut reader = FastxReader::new(reads);
+        let mut parse_seconds = 0.0;
+        loop {
+            let t0 = Instant::now();
+            let batch = reader.next_batch(MAP_BATCH_BASES);
+            parse_seconds += t0.elapsed().as_secs_f64();
+            let failed = batch.is_err();
+            match batch {
+                // End of input: dropping the sender tells the pipeline.
+                Ok(b) if b.is_empty() => return parse_seconds,
+                // A parse error is the last batch sent; a failed send means
+                // the pipeline stopped pulling.
+                batch => {
+                    if batch_tx.send(batch).is_err() || failed {
+                        return parse_seconds;
+                    }
+                }
             }
-            session.plan(rec)
-        },
-        |plans| dispatch(plans, exec),
-        |scratch: &mut AlignScratch,
-         rec: &SeqRecord,
-         planned: &Planned,
-         results: &Vec<AlignResult>| {
-            finalize(planned, rec, results, scratch, sam).unwrap_or_else(|e| {
-                let mut r = lock_unpoisoned(&report);
-                *match e {
-                    MapReadError::ReadTooLong { .. } => &mut r.too_long,
-                    MapReadError::Align(_) => &mut r.align_rejected,
-                    MapReadError::ShardUnavailable(_) => &mut r.shard_degraded,
-                } += 1;
-                eprintln!("manymap: read '{}' degraded to unmapped: {e}", rec.name);
-                unmapped_record(rec, sam)
-            })
-        },
-        |rec| rec.len(),
-        |results| {
-            let mut w = lock_unpoisoned(&out);
-            for lines in results {
-                w.write_all(lines.as_bytes())?;
-            }
-            w.flush()?;
-            Ok(())
-        },
-        Some(&on_panic),
-        threads,
-    )
-    .map_err(|e| match e {
+        }
+    };
+    let next_batch = move || match batch_rx.recv() {
+        Ok(batch) => Ok(Some(batch?)),
+        Err(_) => Ok(None), // the reader reached end of input
+    };
+
+    let (stats, parse_seconds) = std::thread::scope(|scope| {
+        let reader = scope.spawn(read_ahead);
+        let stats = try_run_three_thread_batched_with_state(
+            next_batch,
+            |_worker| AlignScratch::new(),
+            // Panics here degrade exactly the one read they hit, and its jobs
+            // never reach the backend.
+            |_scratch: &mut AlignScratch, rec: &SeqRecord| -> Planned {
+                if inject_panic == Some(rec.name.as_str()) {
+                    panic!("injected panic for read '{}'", rec.name);
+                }
+                session.plan(rec)
+            },
+            |plans| dispatch(plans, exec),
+            |scratch: &mut AlignScratch,
+             rec: &SeqRecord,
+             planned: &Planned,
+             results: &Vec<AlignResult>| {
+                finalize(planned, rec, results, scratch, sam).unwrap_or_else(|e| {
+                    let mut r = lock_unpoisoned(&report);
+                    *match e {
+                        MapReadError::ReadTooLong { .. } => &mut r.too_long,
+                        MapReadError::Align(_) => &mut r.align_rejected,
+                        MapReadError::ShardUnavailable(_) => &mut r.shard_degraded,
+                    } += 1;
+                    eprintln!("manymap: read '{}' degraded to unmapped: {e}", rec.name);
+                    unmapped_record(rec, sam)
+                })
+            },
+            |rec| rec.len(),
+            |results| {
+                let mut w = lock_unpoisoned(&out);
+                for lines in results {
+                    w.write_all(lines.as_bytes())?;
+                }
+                w.flush()?;
+                Ok(())
+            },
+            Some(&on_panic),
+            threads,
+        );
+        // The pipeline dropped its end of the channel, so the reader stops.
+        let parse_seconds = reader
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (stats, parse_seconds)
+    });
+    let mut stats = stats.map_err(|e| match e {
         // The writer fails only with the output's own I/O errors.
         PipelineError::Write(e) => match e.downcast::<std::io::Error>() {
             Ok(e) => output_error(*e),
@@ -698,6 +734,7 @@ pub fn map_reads(
         },
         e => MapError::Pipeline(e),
     })?;
+    stats.in_seconds = parse_seconds;
     lock_unpoisoned(&out).flush().map_err(output_error)?;
 
     let mut report = report

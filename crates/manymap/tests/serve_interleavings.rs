@@ -1,9 +1,9 @@
-//! Model-checked interleavings of the serve layer's two scheduling
-//! protocols (`serve/sched.rs`, `serve/signal.rs`), explored with the
-//! vendored `loom-lite` scheduler. Every schedule also runs under the
+//! Model-checked interleavings of the serve layer's scheduling protocols
+//! (`serve/sched.rs`, `serve/tenant.rs`, `serve/server.rs`), explored with
+//! the vendored `loom-lite` scheduler. Every schedule also runs under the
 //! happens-before race detector and the lock-order detector.
 //!
-//! Two protocols are modelled:
+//! Four protocols are modelled:
 //!
 //! * **DRR output-credit gating** — the deficit-round-robin scheduler
 //!   forwards a tenant's reads into the shared pipeline only while
@@ -14,14 +14,24 @@
 //!   consumer caps its own tenant at `outq_capacity` in-flight reads and
 //!   never wedges the writer or starves the fast tenant.
 //!
+//! * **the pull's wake signal** — the pipeline's compute stage pulls a
+//!   batch (`DrrScheduler::pull`) and, when nothing is schedulable, waits on
+//!   the registry's wake epoch (`TenantRegistry::{wake_epoch,
+//!   wait_for_wake, wake}`). It reads the epoch *before* scanning the
+//!   queues and waits only while the epoch is unchanged, so a READ pushed
+//!   between the scan and the wait, or output credit a session writer frees
+//!   there, still wakes it — on every interleaving, with no timeout to fall
+//!   back on.
+//!
 //! * **signal-drain flush** — SIGTERM flips an atomic drain flag; session
 //!   readers stop accepting new frames, but every read already accepted
-//!   into a tenant input queue must still be forwarded before the
-//!   scheduler shuts the pipeline down, on every interleaving of reader,
-//!   signal, and scheduler.
+//!   into a tenant input queue must still be pulled before the pull returns
+//!   `None` (draining, no active reader, every input queue empty), on every
+//!   interleaving of reader, signal, and pull.
 //!
 //! Broken variants keep the checker honest: a creditless scheduler that
-//! wedges the writer, and a drain handler that abandons queued reads.
+//! wedges the writer, a pull that reads the epoch after its scan and
+//! sleeps through a wake, and a drain handler that abandons queued reads.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
@@ -104,28 +114,6 @@ impl ModelQueue {
                 return None;
             }
             g = self.items_cv.wait(g);
-        }
-    }
-
-    /// `BoundedQueue::pop_timeout`, one abstract timeout per call. In the
-    /// model the timeout fires only at quiescence, which is exactly the
-    /// real scheduler's poll-again-after-sleep idle loop.
-    fn pop_timed(&self) -> Option<usize> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(item) = g.0.pop_front() {
-                drop(g);
-                self.space_cv.notify_one();
-                return Some(item);
-            }
-            if g.1 {
-                return None;
-            }
-            let (g2, timed_out) = self.items_cv.wait_timeout(g, Duration::from_millis(1));
-            g = g2;
-            if timed_out {
-                return None;
-            }
         }
     }
 
@@ -281,23 +269,164 @@ fn canary_creditless_scheduler_is_caught() {
     );
 }
 
+/// The registry's wake signal (`TenantRegistry::{wake, wake_epoch,
+/// wait_for_wake}`): an epoch under a mutex plus a condvar. The model's
+/// wait has no timeout — the real one's `POLL` would only turn a lost wake
+/// into a 50 ms stall, which is the bug these models rule out.
+struct Wake {
+    epoch: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl Wake {
+    fn new() -> Self {
+        Wake {
+            epoch: Mutex::new(0),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn wake(&self) {
+        *self.epoch.lock() += 1;
+        self.cv.notify_all();
+    }
+
+    fn epoch(&self) -> usize {
+        *self.epoch.lock()
+    }
+
+    fn wait_for_wake(&self, seen: usize) {
+        let mut g = self.epoch.lock();
+        while *g == seen {
+            g = self.cv.wait(g);
+        }
+    }
+
+    /// [`wait_for_wake`](Self::wait_for_wake) bounded by the real `POLL`
+    /// timeout, which the model fires at quiescence.
+    fn wait_for_wake_or_poll(&self, seen: usize) {
+        let mut g = self.epoch.lock();
+        while *g == seen {
+            let (g2, timed_out) = self.cv.wait_timeout(g, Duration::from_millis(50));
+            g = g2;
+            if timed_out {
+                return;
+            }
+        }
+    }
+}
+
+/// One pull as `DrrScheduler::pull` runs it, over one tenant: read the
+/// epoch, scan (a read is schedulable when queued and the tenant has
+/// credit), and wait while the epoch is unchanged. `epoch_after_scan` is
+/// the broken variant that reads the epoch only once the scan came up
+/// empty.
+fn pull_one(wake: &Wake, tenant: &Tenant, epoch_after_scan: bool) -> usize {
+    loop {
+        let early = wake.epoch();
+        if tenant.credit() > 0 {
+            if let Some(r) = tenant.inq.try_pop() {
+                tenant.scheduled.fetch_add(1);
+                return r;
+            }
+        }
+        let seen = if epoch_after_scan {
+            wake.epoch()
+        } else {
+            early
+        };
+        wake.wait_for_wake(seen);
+    }
+}
+
+/// A session reader pushes a READ and signals while the pull scans and
+/// waits; the pull must still take the read.
+fn read_wake_execution(epoch_after_scan: bool) {
+    let wake = Arc::new(Wake::new());
+    let tenant = Arc::new(Tenant::new(&[], 1));
+    let reader = {
+        let (wake, tenant) = (Arc::clone(&wake), Arc::clone(&tenant));
+        thread::spawn(move || {
+            tenant.inq.push(7).expect("inq never closes");
+            wake.wake();
+        })
+    };
+    assert_eq!(pull_one(&wake, &tenant, epoch_after_scan), 7);
+    reader.join();
+}
+
+/// A tenant's read is queued but its output credit is spent; its session
+/// writer sends a record, freeing the credit, and signals. The pull must
+/// take the read.
+fn credit_wake_execution(epoch_after_scan: bool) {
+    let wake = Arc::new(Wake::new());
+    let tenant = Arc::new(Tenant::new(&[9], 1));
+    tenant.scheduled.fetch_add(1); // one read in flight: credit 0
+    let writer = {
+        let (wake, tenant) = (Arc::clone(&wake), Arc::clone(&tenant));
+        thread::spawn(move || {
+            tenant.sent.fetch_add(1);
+            wake.wake();
+        })
+    };
+    assert_eq!(pull_one(&wake, &tenant, epoch_after_scan), 9);
+    writer.join();
+}
+
+/// A READ pushed between the pull's scan and its wait is still pulled,
+/// on every schedule.
+#[test]
+fn a_read_pushed_during_the_scan_is_pulled() {
+    let report = model(|| read_wake_execution(false));
+    assert!(report.complete, "exploration truncated: {report:?}");
+    assert!(report.schedules > 3, "{report:?}");
+}
+
+/// Output credit freed by a session writer wakes a credit-blocked pull.
+#[test]
+fn freed_credit_wakes_a_credit_blocked_pull() {
+    let report = model(|| credit_wake_execution(false));
+    assert!(report.complete, "exploration truncated: {report:?}");
+    assert!(report.schedules > 3, "{report:?}");
+}
+
+/// Canary: a pull that reads the epoch after its scan sleeps through a wake
+/// that lands in between, and the checker must find that schedule.
+#[test]
+fn canary_epoch_read_after_the_scan_is_caught() {
+    for execution in [read_wake_execution, credit_wake_execution] {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            model(move || execution(true));
+        }));
+        let msg = match result {
+            Ok(_) => panic!("the late epoch read explored clean"),
+            Err(p) => p.downcast_ref::<String>().cloned().unwrap_or_default(),
+        };
+        assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
+    }
+}
+
 /// One explored execution of the signal-drain protocol. `flush_backlog`
-/// selects the real shutdown (`true`: drain the input queue before
-/// stopping) or the broken variant that stops the moment the flag flips.
+/// selects the real pull (`true`: end only once draining, no reader is
+/// active and the input queue is empty) or the broken variant that stops
+/// the moment the flag flips.
 fn drain_execution(flush_backlog: bool) {
     let inq = Arc::new(ModelQueue::new(2));
+    let wake = Arc::new(Wake::new());
     let drain = Arc::new(AtomicBool::new(false));
-    let ended = Arc::new(AtomicBool::new(false));
+    let active_readers = Arc::new(AtomicUsize::new(1));
     let accepted = Arc::new(AtomicUsize::new(0));
 
     // Session reader: accepts frames until the drain flag is observed,
     // then ends the session. A push already past the drain check is an
-    // *accepted* read — the flush guarantee covers it.
+    // *accepted* read — the flush guarantee covers it. Each push, and the
+    // session's end, signals the pull.
     let reader = {
-        let (inq, drain, ended, accepted) = (
+        let (inq, wake, drain, active_readers, accepted) = (
             Arc::clone(&inq),
+            Arc::clone(&wake),
             Arc::clone(&drain),
-            Arc::clone(&ended),
+            Arc::clone(&active_readers),
             Arc::clone(&accepted),
         );
         thread::spawn(move || {
@@ -307,13 +436,15 @@ fn drain_execution(flush_backlog: bool) {
                 }
                 inq.push(r).expect("inq never closes");
                 accepted.fetch_add(1);
+                wake.wake();
             }
-            ended.store(true);
+            active_readers.store(0);
+            wake.wake();
         })
     };
 
     // The SIGTERM handler: flips the flag at an arbitrary point relative
-    // to every reader/scheduler step.
+    // to every reader/pull step, and signals nothing.
     let signal = {
         let drain = Arc::clone(&drain);
         thread::spawn(move || {
@@ -321,9 +452,11 @@ fn drain_execution(flush_backlog: bool) {
         })
     };
 
-    // The scheduler loop (`DrrScheduler::run`): poll the tenant queue;
-    // on an idle poll, stop only once draining, the session has ended,
-    // and — the property under test — the input queue is empty.
+    // The pipeline's pulls (`DrrScheduler::pull`): take what is queued;
+    // with nothing queued, end only once draining, no reader is active
+    // and — the property under test — the input queue is empty; otherwise
+    // wait for a wake, or the `POLL` timeout that lets an unsignalled
+    // SIGTERM be seen (modelled as a timeout that fires at quiescence).
     let mut forwarded = 0usize;
     loop {
         if !flush_backlog && drain.load() {
@@ -331,14 +464,15 @@ fn drain_execution(flush_backlog: bool) {
             // abandoning whatever the reader already queued.
             break;
         }
-        match inq.pop_timed() {
-            Some(_r) => forwarded += 1,
-            None => {
-                if drain.load() && ended.load() && inq.is_empty() {
-                    break;
-                }
-            }
+        let seen = wake.epoch();
+        if inq.try_pop().is_some() {
+            forwarded += 1;
+            continue;
         }
+        if drain.load() && active_readers.load() == 0 && inq.is_empty() {
+            break;
+        }
+        wake.wait_for_wake_or_poll(seen);
     }
 
     reader.join();
@@ -351,10 +485,9 @@ fn drain_execution(flush_backlog: bool) {
 }
 
 /// Every accepted read survives a SIGTERM that lands at any point in the
-/// reader/scheduler interleaving; the scheduler never shuts down early
-/// and never hangs (the timed pop's quiescence timeout models the real
-/// poll loop). CHESS preemption bound 2 — the unbounded space exceeds
-/// the schedule budget.
+/// reader/pull interleaving; the pull never ends early and never hangs
+/// (the timed wait's quiescence timeout models the real `POLL`). CHESS
+/// preemption bound 2 — the unbounded space exceeds the schedule budget.
 #[test]
 fn drain_flag_flushes_every_accepted_read() {
     let report = Builder {

@@ -1,17 +1,19 @@
-//! The CPU SIMD backend: batches over the persistent worker-pool machinery
-//! with one recycled [`AlignScratch`] arena per worker.
+//! The CPU SIMD backend: a session owns `threads` persistent workers
+//! ([`WorkerPool`]), each with one [`AlignScratch`] arena, started by the
+//! first submit and joined when the backend is dropped — so a daemon or a
+//! streaming run that submits once per read batch spawns its workers once.
 //!
 //! Small global jobs run in lane groups, one job per vector lane
 //! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
-//! larger ones, of a narrower tier; the rest run pair by pair. Both return
-//! the same bytes, so the split changes speed, never results.
+//! larger ones, of a narrower tier; a group too empty for its tier moves on
+//! to the next narrower one, and what no tier groups runs pair by pair. All
+//! of them return the same bytes, so the split changes speed, never
+//! results.
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use mmm_align::{AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
-use mmm_pipeline::lock_unpoisoned;
-use mmm_pipeline::pool::with_worker_pool;
+use mmm_pipeline::WorkerPool;
 
 use crate::backend::{AlignBackend, BackendOptions};
 use crate::error::BackendError;
@@ -40,8 +42,10 @@ pub fn align_jobs_with_scratch(
 const GROUP_CELLS: usize = 1 << 20;
 
 /// A lane group whose live cells fall below this share of the cells it
-/// computes runs pair by pair instead — in practice a batch's last,
-/// part-filled group of a tier (DESIGN §4.1c has the measurement).
+/// computes is not run at its tier — in practice a batch's last,
+/// part-filled group of a tier. Its jobs join the next narrower tier, whose
+/// fewer lanes they may fill, or run pair by pair after the narrowest
+/// (DESIGN §4.1c has the measurement).
 const MIN_OCCUPANCY: f64 = 0.5;
 
 /// One worker-pool item: a run of [`Plan::jobs`] aligned as one lane group
@@ -65,9 +69,11 @@ impl Plan {
     /// Group what pays to group. A job is groupable when it is global with
     /// both sides non-empty; it goes to the widest group tier — `engine`'s
     /// own, or a narrower one still available — whose cap fits its longer
-    /// side, or runs alone when none does. Each tier sorts
+    /// side, or runs alone when none does. Each tier, widest first, sorts
     /// its jobs by (longer side, shorter side), cuts them into groups of its
-    /// lanes and keeps each group that is full enough. An engine without a
+    /// lanes and keeps each group that is full enough. A group that is not
+    /// cascades its jobs to the next narrower tier (whose cap is larger, so
+    /// they fit); after the narrowest they run alone. An engine without a
     /// group kernel runs every job alone.
     fn new(jobs: &[AlignJob], engine: Engine) -> Plan {
         let own = engine.group_lanes().unwrap_or(0);
@@ -95,11 +101,13 @@ impl Plan {
                 _ => plan.push(&[i], None, j.cells()),
             }
         }
-        for (&(group, _), mut small) in tiers.iter().zip(tiered) {
+        for t in 0..tiers.len() {
+            let group = tiers[t].0;
             let lanes = group.width.lanes();
+            let mut small = std::mem::take(&mut tiered[t]);
             small.sort_by_key(|&i| {
-                let (t, q) = (jobs[i].target.len(), jobs[i].query.len());
-                (t.max(q), t.min(q))
+                let (tl, ql) = (jobs[i].target.len(), jobs[i].query.len());
+                (tl.max(ql), tl.min(ql))
             });
             for ids in small.chunks(lanes) {
                 let tmax = ids.iter().map(|&i| jobs[i].target.len()).max();
@@ -107,8 +115,13 @@ impl Plan {
                 let padded = (lanes * tmax.unwrap_or(0) * qmax.unwrap_or(0)) as u64;
                 let live: u64 = ids.iter().map(|&i| jobs[i].cells()).sum();
                 if (live as f64) < MIN_OCCUPANCY * padded as f64 {
-                    for &i in ids {
-                        plan.push(&[i], None, jobs[i].cells());
+                    match tiered.get_mut(t + 1) {
+                        Some(narrower) => narrower.extend_from_slice(ids),
+                        None => {
+                            for &i in ids {
+                                plan.push(&[i], None, jobs[i].cells());
+                            }
+                        }
                     }
                     continue;
                 }
@@ -133,39 +146,14 @@ impl Plan {
     }
 }
 
-/// Borrow a scratch arena from the backend's spare pool, returning it on
-/// drop — so arenas stay warm across batches even though the worker threads
-/// themselves are scoped to one batch.
-struct ScratchLease<'a> {
-    home: &'a Mutex<Vec<AlignScratch>>,
-    scratch: Option<AlignScratch>,
-}
-
-impl<'a> ScratchLease<'a> {
-    fn take(home: &'a Mutex<Vec<AlignScratch>>) -> Self {
-        let scratch = lock_unpoisoned(home).pop().unwrap_or_default();
-        ScratchLease {
-            home,
-            scratch: Some(scratch),
-        }
-    }
-}
-
-impl Drop for ScratchLease<'_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            lock_unpoisoned(self.home).push(s);
-        }
-    }
-}
-
 /// Host SIMD execution session.
 pub struct CpuSimdBackend {
     engine: Engine,
     scoring: Scoring,
-    threads: usize,
-    /// Warm scratch arenas recycled across submits.
-    spares: Mutex<Vec<AlignScratch>>,
+    /// The session's workers, one scratch arena each. Submits from several
+    /// threads (a device backend's host fallback, the supervisor's watchdog
+    /// runner) take turns on it.
+    pool: WorkerPool<AlignScratch>,
     /// Chaos-testing schedule for this session's `submit` calls.
     fault: FaultHook,
 }
@@ -175,10 +163,15 @@ impl CpuSimdBackend {
         CpuSimdBackend {
             engine: opts.engine,
             scoring: opts.scoring,
-            threads: opts.threads.max(1),
-            spares: Mutex::new(Vec::new()),
+            pool: WorkerPool::new(opts.threads, |_| AlignScratch::new()),
             fault: FaultHook::new(opts.fault.clone()),
         }
+    }
+
+    /// Worker threads this session has spawned: none before its first
+    /// submit, then its thread count however many batches it runs.
+    pub fn threads_spawned(&self) -> usize {
+        self.pool.threads_spawned()
     }
 
     /// Run a batch and return the results in job order, with the batch's
@@ -199,14 +192,12 @@ impl CpuSimdBackend {
         order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].cells));
         let engine = self.engine;
         let sc = self.scoring;
-        let outcome = with_worker_pool(
-            self.threads.min(plan.units.len()),
-            |_| ScratchLease::take(&self.spares),
-            |lease: &mut ScratchLease<'_>, unit: &Unit| {
-                // The arena leaves the lease for the call and returns only
-                // if the kernel does: one that panicked may be mid-resize,
-                // so it is dropped, and the pool rebuilds the worker's lease.
-                let mut scratch = lease.scratch.take().unwrap_or_default();
+        // A kernel that panics may leave its arena mid-resize; the pool
+        // rebuilds that worker's arena before its next unit.
+        let outcome = self.pool.run_batch_catching(
+            &plan.units,
+            &order,
+            |scratch: &mut AlignScratch, unit: &Unit| {
                 let ids = &plan.jobs[unit.span.clone()];
                 let mut out = Vec::with_capacity(ids.len());
                 if let Some(group) = unit.group {
@@ -218,7 +209,7 @@ impl CpuSimdBackend {
                             with_path: jobs[i].with_path,
                         })
                         .collect();
-                    group.align_group_with_scratch(&members, &sc, &mut scratch, &mut out);
+                    group.align_group_with_scratch(&members, &sc, scratch, &mut out);
                 } else {
                     for &i in ids {
                         let j = &jobs[i];
@@ -228,14 +219,12 @@ impl CpuSimdBackend {
                             &sc,
                             j.mode,
                             j.with_path,
-                            &mut scratch,
+                            scratch,
                         ));
                     }
                 }
-                lease.scratch = Some(scratch);
                 out
             },
-            |pool| pool.run_batch_catching(&plan.units, &order),
         );
         // A panicked unit reports its lowest job; the batch reports the
         // lowest of those.

@@ -7,9 +7,9 @@
 //! KNL. This crate is that seam: the mapper emits batches of [`AlignJob`]s
 //! and an [`AlignBackend`] session executes them —
 //!
-//! * [`CpuSimdBackend`] fans a batch across the worker-pool machinery with
-//!   one recycled scratch arena per worker (the PR-1 zero-allocation
-//!   contract);
+//! * [`CpuSimdBackend`] fans a batch across the session's persistent
+//!   worker pool, one recycled scratch arena per worker (the
+//!   zero-allocation contract, DESIGN.md §4.2c);
 //! * [`GpuSimtBackend`] feeds the simulated SIMT device and routes
 //!   oversized or unsupported jobs back to the CPU executor.
 //!

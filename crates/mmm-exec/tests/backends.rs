@@ -170,7 +170,8 @@ fn streams_fill_round_robin() {
 
 /// Every kernel asserts on a scoring that overflows 8-bit arithmetic. The
 /// backend reports the lowest panicking job index at any thread count, not
-/// the first job it happened to run (the longest, here job 2).
+/// the first job it happened to run (the longest, here job 2), and the
+/// panicked batch leaves the session's workers serving the next one.
 #[test]
 fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
     let mut sc = SC;
@@ -184,10 +185,38 @@ fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
     for threads in [1, 2] {
         let mut opts = BackendOptions::new(sc);
         opts.threads = threads;
-        match CpuSimdBackend::new(&opts).submit(jobs.clone()) {
-            Err(BackendError::JobPanic { index: 0, .. }) => {}
-            other => panic!("threads={threads}: {other:?}"),
+        let backend = CpuSimdBackend::new(&opts);
+        for submit in 0..2 {
+            match backend.submit(jobs.clone()) {
+                Err(BackendError::JobPanic { index: 0, .. }) => {}
+                other => panic!("threads={threads}, submit {submit}: {other:?}"),
+            }
         }
+        assert_eq!(backend.threads_spawned(), threads);
+    }
+}
+
+/// One session spawns its workers on the first submit and keeps them: 24
+/// submits of every size, at 1 and 2 threads, spawn exactly `threads`.
+#[test]
+fn a_cpu_session_spawns_its_workers_once() {
+    for threads in [1, 2] {
+        let mut opts = BackendOptions::new(SC);
+        opts.threads = threads;
+        let backend = CpuSimdBackend::new(&opts);
+        assert_eq!(backend.threads_spawned(), 0, "no submit, no threads");
+        for seed in 0..24u64 {
+            let jobs = fill_stream(1 + seed as usize % 5 * 20, seed, 90);
+            let (results, _) = backend.submit(jobs.clone()).unwrap();
+            for (i, (r, j)) in results.iter().zip(&jobs).enumerate() {
+                assert_eq!(
+                    *r,
+                    scalar_gold(j),
+                    "threads={threads} submit {seed} job {i}"
+                );
+            }
+        }
+        assert_eq!(backend.threads_spawned(), threads);
     }
 }
 
@@ -248,6 +277,34 @@ fn small_global_batches_run_in_lane_groups() {
             for (i, (r, j)) in results.iter().zip(&jobs).enumerate() {
                 assert_eq!(*r, scalar_gold(j), "{} job {i}", engine.label());
             }
+        }
+    }
+}
+
+/// 20 small jobs fill under half of an AVX-512 lane group (64 lanes) but
+/// most of an AVX2 one (32): the part-filled group cascades to the
+/// narrower tier instead of running pair by pair. Skipped where the engine
+/// has no narrower group tier.
+#[test]
+fn a_part_filled_group_cascades_to_a_narrower_tier() {
+    let engine = Engine::new(Layout::Manymap, Width::Avx512);
+    if !engine.is_available() || !Width::Avx2.is_available() {
+        eprintln!("skipped: no AVX-512 engine with an AVX2 tier below it");
+        return;
+    }
+    let jobs: Vec<AlignJob> = fill_stream(20, 0xCA5C, 60)
+        .into_iter()
+        .map(|j| AlignJob::global(j.target[..20].to_vec(), j.query[..20].to_vec(), j.with_path))
+        .collect();
+    for threads in [1, 2] {
+        let mut opts = BackendOptions::new(SC);
+        opts.engine = engine;
+        opts.threads = threads;
+        let (results, stats) = CpuSimdBackend::new(&opts).submit(jobs.clone()).unwrap();
+        assert_eq!(stats.grouped_jobs, 20, "{stats:?}");
+        assert_eq!(stats.lane_groups, 1, "{stats:?}");
+        for (i, (r, j)) in results.iter().zip(&jobs).enumerate() {
+            assert_eq!(*r, scalar_gold(j), "job {i}");
         }
     }
 }

@@ -1,5 +1,6 @@
-//! The 3-thread pipeline: reader thread → compute stage → writer thread,
-//! with the compute stage split into plan → (schedule →) dispatch →
+//! The batched pipeline: a pulled batch → compute stage → writer thread
+//! (the reader thread of the paper's 3-thread design is the caller's), with
+//! the compute stage split into plan → (schedule →) dispatch →
 //! finalize so a whole batch's base-level alignment can be executed by a
 //! *backend* (CPU SIMD lanes, the simulated GPU, eventually real
 //! accelerators) in one submission:
@@ -31,24 +32,27 @@
 //! ([`PipelineError::Dispatch`]) — that is the `--fail-fast` escape hatch
 //! and the contract-violation path (wrong result count).
 //!
-//! Reader and writer run on their own threads, coupled to the compute
-//! stage by bounded channels: `read_batch` returns the next batch,
-//! `Ok(None)` at end of input, or an error that stops the run with
-//! [`PipelineError::Read`]; `write_batch` consumes results in batch order,
-//! and an error stops the run with [`PipelineError::Write`]. On error the
-//! pipeline shuts down promptly and cleanly: no deadlock, no poisoned
-//! stats, and the first failure is the one reported.
+//! The compute stage *pulls* its input: `next_batch` runs on the compute
+//! thread whenever the previous batch has gone to the writer, and returns
+//! the next batch, `Ok(None)` at end of input, or an error that stops the
+//! run with [`PipelineError::Read`]. A caller that wants read-ahead runs
+//! its own reader thread behind a bounded channel (`manymap map` does); a
+//! caller that forms batches from queued work (the `mmm-serve` daemon)
+//! forms each one only when compute is free to take it. The writer runs on
+//! its own thread behind a bounded channel: `write_batch` consumes results
+//! in batch order, and an error stops the run with
+//! [`PipelineError::Write`]. On error the pipeline shuts down promptly and
+//! cleanly: no deadlock, no poisoned stats, and the first failure is the
+//! one reported.
 //!
 //! The pipeline streams: a batch's results reach `write_batch` as soon as
-//! its finalize phase ends, while the reader is already filling the next
-//! batches. Memory is bounded by batches, not by the input: the channels
-//! hold 2 batches waiting for compute and 2 result batches waiting for the
-//! writer, the compute stage holds 1, and the reader and the writer each
-//! hold the one they are filling or draining — at most seven batches alive,
-//! whatever the input length. Compute does not overlap across batches:
-//! dispatch needs every plan of its batch, finalize needs dispatch's
-//! results, and the pool's `threads` workers are the run's whole compute
-//! budget, so a second batch in flight would only compete for them.
+//! its finalize phase ends. Inside the pipeline memory is bounded by
+//! batches, not by the input: the compute stage holds 1, the channel holds
+//! 2 result batches waiting for the writer, and the writer holds the one it
+//! is draining. Compute does not overlap across batches: dispatch needs
+//! every plan of its batch, finalize needs dispatch's results, and the
+//! pool's `threads` workers are the run's whole compute budget, so a second
+//! batch in flight would only compete for them.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
@@ -56,23 +60,9 @@ use std::time::Instant;
 
 use crate::error::{DynError, PipelineError};
 use crate::pipeline::{PanicHandler, PipelineStats};
-use crate::pool::with_worker_pool;
-use crate::queue::BoundedQueue;
+use crate::pool::WorkerPool;
 use crate::sort::sort_indices_by_len_desc;
 use crate::sync::lock_unpoisoned;
-
-/// Internal pool item: the two per-item phases share one worker pool, so
-/// the pool's item type is this enum.
-enum Step<I, M, D> {
-    Plan(I),
-    Fin(I, M, D),
-}
-
-/// Internal pool result matching [`Step`].
-enum StepOut<M, R> {
-    Planned(M),
-    Final(R),
-}
 
 fn record_error(slot: &Mutex<Option<PipelineError>>, e: PipelineError) {
     let mut g = lock_unpoisoned(slot);
@@ -81,15 +71,41 @@ fn record_error(slot: &Mutex<Option<PipelineError>>, e: PipelineError) {
     }
 }
 
+/// The per-item panic messages of a pool batch, by item index.
+fn panic_messages<R>(outcome: &crate::pool::BatchOutcome<R>) -> Vec<Option<String>> {
+    let mut msg: Vec<Option<String>> = Vec::with_capacity(outcome.results.len());
+    msg.resize_with(outcome.results.len(), || None);
+    for p in &outcome.panics {
+        msg[p.index] = Some(p.message.clone());
+    }
+    msg
+}
+
+/// Degrade one failed item through the handler, or fail the run with
+/// `fatal` when there is none.
+fn degrade<I, R>(
+    on_item_panic: PanicHandler<'_, I, R>,
+    item: &I,
+    message: String,
+    fatal: impl FnOnce(String) -> PipelineError,
+) -> Result<R, PipelineError> {
+    match on_item_panic {
+        Some(handler) => Ok(handler(item, &message)),
+        None => Err(fatal(message)),
+    }
+}
+
 /// Run one batch through plan → dispatch → finalize. Returns results in
 /// original item order plus the batch's degraded-item count and phase
 /// seconds (the other [`PipelineStats`] fields stay zero).
 #[allow(clippy::type_complexity)]
-fn run_batch<I, M, D, R>(
-    pool: &crate::pool::WorkerPool<'_, Step<I, M, D>, StepOut<M, R>>,
+fn run_batch<I, M, D, R, S, FPlan, FFin, FLen>(
+    pool: &WorkerPool<S>,
     batch: Vec<I>,
-    dispatch: &mut (dyn FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError> + Send),
-    len_of: &(dyn Fn(&I) -> usize + Sync),
+    plan: &FPlan,
+    dispatch: &mut dyn FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>,
+    finalize: &FFin,
+    len_of: &FLen,
     on_item_panic: PanicHandler<'_, I, R>,
 ) -> Result<(Vec<R>, PipelineStats), PipelineError>
 where
@@ -97,60 +113,44 @@ where
     M: Send + Sync,
     D: Send + Sync,
     R: Send,
+    S: 'static,
+    FPlan: Fn(&mut S, &I) -> M + Sync,
+    FFin: Fn(&mut S, &I, &M, &D) -> R + Sync,
+    FLen: Fn(&I) -> usize + Sync,
 {
     let n = batch.len();
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let mut failed = 0usize;
     let mut phase = Instant::now();
-    let step_len = |s: &Step<I, M, D>| match s {
-        Step::Plan(i) | Step::Fin(i, _, _) => len_of(i),
-    };
+    let abandoned = || "item abandoned by the worker pool".to_string();
 
     // Phase 1: plan every item, longest first — long reads carry the most
     // alignment work, so they anchor the schedule. Results come back in
     // item order whatever the processing order.
-    let plan_items: Vec<Step<I, M, D>> = batch.into_iter().map(Step::Plan).collect();
-    let order = sort_indices_by_len_desc(&plan_items, step_len);
-    let outcome = pool.run_batch_catching(&plan_items, &order);
-    let mut panic_msg: Vec<Option<String>> = Vec::with_capacity(n);
-    panic_msg.resize_with(n, || None);
-    for p in &outcome.panics {
-        panic_msg[p.index] = Some(p.message.clone());
-    }
+    let order = sort_indices_by_len_desc(&batch, len_of);
+    let outcome = pool.run_batch_catching(&batch, &order, plan);
+    let mut panic_msg = panic_messages(&outcome);
 
     // Collect survivors for dispatch; degrade plan-phase failures now.
     let mut fin_idx: Vec<usize> = Vec::with_capacity(n);
     let mut fin_items: Vec<I> = Vec::with_capacity(n);
     let mut plans: Vec<M> = Vec::with_capacity(n);
-    for (idx, (step, res)) in plan_items.into_iter().zip(outcome.results).enumerate() {
-        let Step::Plan(item) = step else {
-            continue; // phase-1 items are always Plan
-        };
-        match res {
-            Some(StepOut::Planned(m)) => {
-                fin_idx.push(idx);
-                fin_items.push(item);
-                plans.push(m);
-            }
-            _ => {
-                let msg = panic_msg[idx]
-                    .take()
-                    .unwrap_or_else(|| "item abandoned by the worker pool".to_string());
-                match on_item_panic {
-                    Some(handler) => {
-                        out[idx] = Some(handler(&item, &msg));
-                        failed += 1;
-                    }
-                    None => {
-                        return Err(PipelineError::WorkerPanic {
-                            item_index: idx,
-                            message: msg,
-                        })
-                    }
-                }
-            }
+    for (idx, (item, res)) in batch.into_iter().zip(outcome.results).enumerate() {
+        if let Some(m) = res {
+            fin_idx.push(idx);
+            fin_items.push(item);
+            plans.push(m);
+            continue;
         }
+        let msg = panic_msg[idx].take().unwrap_or_else(abandoned);
+        out[idx] = Some(degrade(on_item_panic, &item, msg, |message| {
+            PipelineError::WorkerPanic {
+                item_index: idx,
+                message,
+            }
+        })?);
+        failed += 1;
     }
 
     let plan_seconds = phase.elapsed().as_secs_f64();
@@ -172,26 +172,23 @@ where
 
     // Per-item dispatch failures degrade like panics; survivors go on to
     // finalize. `fin_map[k]` is the original index of finalize step `k`.
-    let mut fin_steps: Vec<Step<I, M, D>> = Vec::with_capacity(expected);
+    let mut fin_steps: Vec<(I, M, D)> = Vec::with_capacity(expected);
     let mut fin_map: Vec<usize> = Vec::with_capacity(expected);
     for ((idx, item), (m, dres)) in fin_idx.into_iter().zip(fin_items).zip(dispatched) {
         match dres {
             Ok(d) => {
                 fin_map.push(idx);
-                fin_steps.push(Step::Fin(item, m, d));
+                fin_steps.push((item, m, d));
             }
-            Err(message) => match on_item_panic {
-                Some(handler) => {
-                    out[idx] = Some(handler(&item, &message));
-                    failed += 1;
-                }
-                None => {
-                    return Err(PipelineError::DispatchItem {
+            Err(message) => {
+                out[idx] = Some(degrade(on_item_panic, &item, message, |message| {
+                    PipelineError::DispatchItem {
                         item_index: idx,
                         message,
-                    })
-                }
-            },
+                    }
+                })?);
+                failed += 1;
+            }
         }
     }
     let dispatch_seconds = phase.elapsed().as_secs_f64();
@@ -200,38 +197,25 @@ where
     // Phase 3: finalize survivors on the pool, longest first for the same
     // reason: the batch ends at a barrier, and a long read started last
     // would finish alone while the other workers idle.
-    let fin_order = sort_indices_by_len_desc(&fin_steps, step_len);
-    let outcome = pool.run_batch_catching(&fin_steps, &fin_order);
-    let mut fin_msg: Vec<Option<String>> = Vec::with_capacity(fin_steps.len());
-    fin_msg.resize_with(fin_steps.len(), || None);
-    for p in &outcome.panics {
-        fin_msg[p.index] = Some(p.message.clone());
-    }
-    for (k, (step, res)) in fin_steps.into_iter().zip(outcome.results).enumerate() {
+    let fin_order = sort_indices_by_len_desc(&fin_steps, |(i, _, _)| len_of(i));
+    let outcome = pool.run_batch_catching(&fin_steps, &fin_order, |st, (i, m, d)| {
+        finalize(st, i, m, d)
+    });
+    let mut fin_msg = panic_messages(&outcome);
+    for (k, ((item, _, _), res)) in fin_steps.into_iter().zip(outcome.results).enumerate() {
         let idx = fin_map[k];
-        match res {
-            Some(StepOut::Final(r)) => out[idx] = Some(r),
-            _ => {
-                let Step::Fin(item, _, _) = step else {
-                    continue; // phase-2 items are always Fin
-                };
-                let msg = fin_msg[k]
-                    .take()
-                    .unwrap_or_else(|| "item abandoned by the worker pool".to_string());
-                match on_item_panic {
-                    Some(handler) => {
-                        out[idx] = Some(handler(&item, &msg));
-                        failed += 1;
-                    }
-                    None => {
-                        return Err(PipelineError::WorkerPanic {
-                            item_index: idx,
-                            message: msg,
-                        })
-                    }
-                }
-            }
+        if let Some(r) = res {
+            out[idx] = Some(r);
+            continue;
         }
+        let msg = fin_msg[k].take().unwrap_or_else(abandoned);
+        out[idx] = Some(degrade(on_item_panic, &item, msg, |message| {
+            PipelineError::WorkerPanic {
+                item_index: idx,
+                message,
+            }
+        })?);
+        failed += 1;
     }
 
     let times = PipelineStats {
@@ -245,12 +229,15 @@ where
     Ok((out.into_iter().flatten().collect(), times))
 }
 
-/// The batched manymap pipeline: reader thread → {plan on the pool →
+/// The batched manymap pipeline: {pull a batch → plan on the pool →
 /// dispatch on the compute thread → finalize on the pool} → writer thread.
 ///
 /// See the module docs for phase semantics. Generic over:
 /// * `I` — input item (a read), `M` — per-item plan, `D` — per-item
-///   dispatch result, `R` — output record, `S` — per-worker state;
+///   dispatch result, `R` — output record, `S` — per-worker state, built
+///   by `make_state(worker_idx)` on each of `threads` pool workers;
+/// * `next_batch()` runs on the compute thread each time it is free for a
+///   batch; `Ok(None)` ends the run;
 /// * `plan(&mut S, &I) -> M` and `finalize(&mut S, &I, &M, &D) -> R` run on
 ///   the worker pool with panic isolation;
 /// * `dispatch(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>`
@@ -274,7 +261,7 @@ pub fn try_run_three_thread_batched_with_state<
     FLen,
     FOut,
 >(
-    mut read_batch: FIn,
+    mut next_batch: FIn,
     make_state: FState,
     plan: FPlan,
     mut dispatch: FDispatch,
@@ -289,10 +276,11 @@ where
     M: Send + Sync,
     D: Send + Sync,
     R: Send,
-    FIn: FnMut() -> Result<Option<Vec<I>>, DynError> + Send,
-    FState: Fn(usize) -> S + Sync,
+    S: 'static,
+    FIn: FnMut() -> Result<Option<Vec<I>>, DynError>,
+    FState: Fn(usize) -> S + Send + Sync + 'static,
     FPlan: Fn(&mut S, &I) -> M + Sync,
-    FDispatch: FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError> + Send,
+    FDispatch: FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>,
     FFin: Fn(&mut S, &I, &M, &D) -> R + Sync,
     FLen: Fn(&I) -> usize + Sync,
     FOut: FnMut(Vec<R>) -> Result<(), DynError> + Send,
@@ -300,84 +288,75 @@ where
     let stats = Mutex::new(PipelineStats::default());
     let failure = Mutex::new(None::<PipelineError>);
     let wall = Instant::now();
+    let pool = WorkerPool::new(threads, make_state);
 
-    let step = |st: &mut S, item: &Step<I, M, D>| match item {
-        Step::Plan(i) => StepOut::Planned(plan(st, i)),
-        Step::Fin(i, m, d) => StepOut::Final(finalize(st, i, m, d)),
-    };
-
-    with_worker_pool(threads, make_state, step, |pool| {
-        let (in_tx, in_rx) = sync_channel::<Vec<I>>(2);
+    std::thread::scope(|scope| {
         let (out_tx, out_rx) = sync_channel::<Vec<R>>(2);
+        let stats_ref = &stats;
+        let failure_ref = &failure;
 
-        std::thread::scope(|scope| {
-            let stats_ref = &stats;
-            let failure_ref = &failure;
-            // Reader.
-            scope.spawn(move || loop {
+        // Writer.
+        let writer = scope.spawn(move || {
+            while let Ok(out) = out_rx.recv() {
                 let t0 = Instant::now();
-                let batch = read_batch();
-                lock_unpoisoned(stats_ref).in_seconds += t0.elapsed().as_secs_f64();
-                match batch {
-                    Ok(Some(b)) => {
-                        if in_tx.send(b).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        record_error(failure_ref, PipelineError::Read(e));
-                        break;
-                    }
-                }
-            });
-
-            // Writer.
-            let writer = scope.spawn(move || {
-                while let Ok(out) = out_rx.recv() {
-                    let t0 = Instant::now();
-                    let r = write_batch(out);
-                    lock_unpoisoned(stats_ref).out_seconds += t0.elapsed().as_secs_f64();
-                    if let Err(e) = r {
-                        record_error(failure_ref, PipelineError::Write(e));
-                        break;
-                    }
-                }
-            });
-
-            // Compute stage: plan/finalize on the pool, dispatch here.
-            let in_rx = in_rx;
-            while let Ok(batch) = in_rx.recv() {
-                let t0 = Instant::now();
-                let n = batch.len();
-                let settled = run_batch(pool, batch, &mut dispatch, &len_of, on_item_panic);
-                let results = match settled {
-                    Ok((results, b)) => {
-                        let mut s = lock_unpoisoned(&stats);
-                        s.compute_seconds += t0.elapsed().as_secs_f64();
-                        s.plan_seconds += b.plan_seconds;
-                        s.dispatch_seconds += b.dispatch_seconds;
-                        s.finalize_seconds += b.finalize_seconds;
-                        s.batches += 1;
-                        s.items += n;
-                        s.failed_items += b.failed_items;
-                        results
-                    }
-                    Err(fatal) => {
-                        record_error(&failure, fatal);
-                        break;
-                    }
-                };
-                if out_tx.send(results).is_err() {
+                let r = write_batch(out);
+                lock_unpoisoned(stats_ref).out_seconds += t0.elapsed().as_secs_f64();
+                if let Err(e) = r {
+                    record_error(failure_ref, PipelineError::Write(e));
                     break;
                 }
             }
-            drop(in_rx);
-            drop(out_tx);
-            if let Err(payload) = writer.join() {
-                std::panic::resume_unwind(payload);
-            }
         });
+
+        // Compute stage, on this thread: pull a batch whenever the last one
+        // has gone to the writer; plan/finalize on the pool, dispatch here.
+        loop {
+            let t0 = Instant::now();
+            let pulled = next_batch();
+            lock_unpoisoned(&stats).in_seconds += t0.elapsed().as_secs_f64();
+            let batch = match pulled {
+                Ok(Some(b)) => b,
+                Ok(None) => break,
+                Err(e) => {
+                    record_error(&failure, PipelineError::Read(e));
+                    break;
+                }
+            };
+            let t0 = Instant::now();
+            let n = batch.len();
+            let results = match run_batch(
+                &pool,
+                batch,
+                &plan,
+                &mut dispatch,
+                &finalize,
+                &len_of,
+                on_item_panic,
+            ) {
+                Ok((results, b)) => {
+                    let mut s = lock_unpoisoned(&stats);
+                    s.compute_seconds += t0.elapsed().as_secs_f64();
+                    s.plan_seconds += b.plan_seconds;
+                    s.dispatch_seconds += b.dispatch_seconds;
+                    s.finalize_seconds += b.finalize_seconds;
+                    s.batches += 1;
+                    s.items += n;
+                    s.failed_items += b.failed_items;
+                    results
+                }
+                Err(fatal) => {
+                    record_error(&failure, fatal);
+                    break;
+                }
+            };
+            if out_tx.send(results).is_err() {
+                break;
+            }
+        }
+        drop(out_tx);
+        if let Err(payload) = writer.join() {
+            std::panic::resume_unwind(payload);
+        }
     });
 
     if let Some(e) = lock_unpoisoned(&failure).take() {
@@ -388,71 +367,6 @@ where
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     s.wall_seconds = wall.elapsed().as_secs_f64();
     Ok(s)
-}
-
-/// The batched pipeline fed from a [`BoundedQueue`] instead of a reader
-/// closure — the serve daemon's entry point (DESIGN.md §12).
-///
-/// A scheduler thread (or any producer set) pushes item batches into
-/// `input`; this function consumes them through the identical plan →
-/// dispatch → finalize machinery as
-/// [`try_run_three_thread_batched_with_state`] and returns once `input` is
-/// **closed and drained** — so `input.close()` is the drain signal: every
-/// batch accepted before the close is planned, dispatched, finalized, and
-/// written before this function returns. The queue's bounded capacity is
-/// the pipeline-facing backpressure edge: producers block (or observe
-/// `Full` via `try_push`) once the pipeline falls behind.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_three_thread_batched_from_queue<
-    I,
-    M,
-    D,
-    R,
-    S,
-    FState,
-    FPlan,
-    FDispatch,
-    FFin,
-    FLen,
-    FOut,
->(
-    input: &BoundedQueue<Vec<I>>,
-    make_state: FState,
-    plan: FPlan,
-    dispatch: FDispatch,
-    finalize: FFin,
-    len_of: FLen,
-    write_batch: FOut,
-    on_item_panic: PanicHandler<'_, I, R>,
-    threads: usize,
-) -> Result<PipelineStats, PipelineError>
-where
-    I: Send + Sync,
-    M: Send + Sync,
-    D: Send + Sync,
-    R: Send,
-    FState: Fn(usize) -> S + Sync,
-    FPlan: Fn(&mut S, &I) -> M + Sync,
-    FDispatch: FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError> + Send,
-    FFin: Fn(&mut S, &I, &M, &D) -> R + Sync,
-    FLen: Fn(&I) -> usize + Sync,
-    FOut: FnMut(Vec<R>) -> Result<(), DynError> + Send,
-{
-    // `pop` blocks until a batch arrives and returns `None` only when the
-    // queue is closed *and* drained, which is exactly the reader contract
-    // (`Ok(None)` = end of input). Queue consumption can never itself fail,
-    // so the reader closure is infallible.
-    try_run_three_thread_batched_with_state(
-        || Ok(input.pop()),
-        make_state,
-        plan,
-        dispatch,
-        finalize,
-        len_of,
-        write_batch,
-        on_item_panic,
-        threads,
-    )
 }
 
 #[cfg(test)]
@@ -772,67 +686,6 @@ mod tests {
         let (got, stats) = run_simple(vec![vec![], vec![8]], 2);
         assert_eq!(got, vec![170]);
         assert_eq!(stats.batches, 2);
-    }
-
-    /// The queue-fed variant: a live producer pushes batches while the
-    /// pipeline runs; `close()` drains and terminates it. Results preserve
-    /// push order.
-    #[test]
-    fn queue_fed_pipeline_drains_on_close() {
-        let input: BoundedQueue<Vec<u64>> = BoundedQueue::new(2);
-        let out = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let input = &input;
-            scope.spawn(move || {
-                for b in [vec![1u64, 2, 3], vec![4, 5], vec![6]] {
-                    input.push(b).unwrap();
-                }
-                input.close();
-            });
-            let stats = try_run_three_thread_batched_from_queue(
-                input,
-                |_| (),
-                |(), &x: &u64| x * 2,
-                |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(m + 1))).collect()),
-                |(), _item: &u64, _m: &u64, d: &u64| d * 10,
-                |_| 1,
-                |r| {
-                    out.lock().unwrap().extend(r);
-                    Ok(())
-                },
-                None,
-                3,
-            )
-            .unwrap();
-            assert_eq!(stats.batches, 3);
-            assert_eq!(stats.items, 6);
-        });
-        assert_eq!(
-            out.into_inner().unwrap(),
-            vec![30, 50, 70, 90, 110, 130] // (2x+1)*10
-        );
-    }
-
-    /// Closing an already-empty queue ends the run immediately with zero
-    /// batches — the idle-daemon shutdown path.
-    #[test]
-    fn queue_fed_pipeline_handles_immediate_close() {
-        let input: BoundedQueue<Vec<u64>> = BoundedQueue::new(1);
-        input.close();
-        let stats = try_run_three_thread_batched_from_queue(
-            &input,
-            |_| (),
-            |(), &x: &u64| x,
-            |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
-            |(), _item, m: &u64, _d: &()| *m,
-            |_| 1,
-            |_r| Ok(()),
-            None,
-            2,
-        )
-        .unwrap();
-        assert_eq!(stats.batches, 0);
-        assert_eq!(stats.items, 0);
     }
 
     #[test]

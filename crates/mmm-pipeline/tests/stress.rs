@@ -6,8 +6,7 @@
 use std::sync::Mutex;
 
 use mmm_pipeline::{
-    sort_indices_by_len_desc, try_run_three_thread_batched_with_state, with_worker_pool,
-    PipelineStats,
+    sort_indices_by_len_desc, try_run_three_thread_batched_with_state, PipelineStats, WorkerPool,
 };
 
 /// Map every item of `batches` through the pipeline; returns the output in
@@ -72,12 +71,7 @@ fn skewed_work_is_complete_and_ordered() {
 fn pool_handles_more_threads_than_items() {
     let items = vec![10u32, 20];
     let order = sort_indices_by_len_desc(&items, |&x| x as usize);
-    let out = with_worker_pool(
-        64,
-        |_| (),
-        |(), &x: &u32| x + 1,
-        |pool| pool.run_batch_catching(&items, &order),
-    );
+    let out = WorkerPool::new(64, |_| ()).run_batch_catching(&items, &order, |(), &x: &u32| x + 1);
     assert!(out.panics.is_empty(), "{:?}", out.panics);
     assert_eq!(out.results, vec![Some(11), Some(21)]);
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The mmm-serve CI gate: boot the daemon, run 4 concurrent tenants, and
 # demand (a) every tenant's output byte-identical to a solo `manymap map`
-# run, (b) a live stats endpoint that accounts for all of them, and (c) a
-# clean drain that flushes everything and exits 0. Uses the release
+# run, (b) a live stats endpoint that accounts for all of them, (c) a
+# clean drain that flushes everything and exits 0, and (d) a backend that
+# still aligns most small gap fills in lane groups when the daemon's
+# batches are small. Uses the release
 # binaries, building the three it needs (the tier-1 build only covers the
 # root package).
 set -euo pipefail
@@ -114,5 +116,39 @@ grep -q "\[mmm-serve\] up " "$WORK/daemon.stderr" || {
     echo "serve_gate: final report missing"; cat "$WORK/daemon.stderr"; exit 1
 }
 [[ -S "$SOCK" ]] && { echo "serve_gate: drained daemon left its socket"; exit 1; }
+
+echo "  -> small batches: a second daemon, --batch-bases 5000"
+# A daemon whose batches hold one or two reads: its lane groups are part
+# filled, and a group too empty for its tier must cascade to a narrower
+# one instead of running pair by pair. The final report's backend line is
+# `backend cpu: N jobs in B batches, …, G jobs in L lane groups (…)`;
+# measured 12649 of 13390 jobs (94 %) grouped, 47 % without the cascade.
+MIN_GROUPED_PCT=85
+"$BIN/mmm-serve" daemon "$WORK/ref.mmx" --socket "$SOCK" \
+    --threads 2 --backend cpu --batch-bases 5000 2>"$WORK/daemon-small.stderr" &
+DAEMON_PID=$!
+for _ in $(seq 1 200); do
+    [[ -S "$SOCK" ]] && break
+    kill -0 "$DAEMON_PID" 2>/dev/null || { cat "$WORK/daemon-small.stderr"; exit 1; }
+    sleep 0.05
+done
+"$BIN/mmm-serve" client "$SOCK" small "$WORK/reads-big.fa" >"$WORK/small.paf" 2>/dev/null
+cmp -s "$WORK/solo-big.paf" "$WORK/small.paf" || {
+    echo "serve_gate: small-batch daemon output diverged from the solo CLI"; exit 1
+}
+"$BIN/mmm-serve" drain "$SOCK" >/dev/null
+wait "$DAEMON_PID" || { echo "serve_gate: daemon exited non-zero"; cat "$WORK/daemon-small.stderr"; exit 1; }
+DAEMON_PID=""
+read -r JOBS GROUPED < <(sed -nE \
+    's/.*backend cpu: ([0-9]+) jobs in .*, ([0-9]+) jobs in [0-9]+ lane groups.*/\1 \2/p' \
+    "$WORK/daemon-small.stderr") || true
+[[ -n "${GROUPED:-}" && "${JOBS:-0}" -gt 0 ]] || {
+    echo "serve_gate: no lane-group count in the daemon's report"; cat "$WORK/daemon-small.stderr"; exit 1
+}
+GROUPED_PCT=$((100 * GROUPED / JOBS))
+echo "  -> $GROUPED of $JOBS jobs in lane groups ($GROUPED_PCT %, gate >= $MIN_GROUPED_PCT %)"
+((GROUPED_PCT >= MIN_GROUPED_PCT)) || {
+    echo "serve_gate: only $GROUPED_PCT % of the daemon's jobs ran in lane groups"; exit 1
+}
 
 echo "  serve gate OK"
