@@ -63,11 +63,11 @@ target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 >"$SHARD_WORK/sharded.paf" 2>/dev/null
 cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded.paf" \
     || { echo "ci: sharded mapping diverged from flat"; exit 1; }
-# The sharded index under the device backend and the binned scheduler.
+# The sharded index under the device backend.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
-    --threads 2 --backend gpu-sim --sched bins >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null
+    --threads 2 --backend gpu-sim >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null
 cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded-gpu.paf" \
-    || { echo "ci: sharded gpu-sim/bins mapping diverged from flat"; exit 1; }
+    || { echo "ci: sharded gpu-sim mapping diverged from flat"; exit 1; }
 # Chaos gate: a dead shard must degrade its reads and exit 0, not crash.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --inject-backend-fault missing-shard:shards=1 \

@@ -1,20 +1,17 @@
 //! Backend execution comparison — the unified `AlignBackend` seam run
 //! end-to-end (DESIGN.md §9, §11).
 //!
-//! One dataset, five runs of `manymap map`'s pipeline (`session::map_reads`
+//! One dataset, three runs of `manymap map`'s pipeline (`session::map_reads`
 //! at one thread), each under an `ExecConfig` a user can pick on the
 //! command line (every session supervised): the CPU SIMD backend, the
-//! simulated GPU/SIMT backend with fifo and with length-binned dispatch, and
-//! a shrunken-device pair that forces the oversized-pair fallback path with
-//! and without the scheduler routing those giants to the host pre-batch.
-//! (The bare-backend vs. supervised vs. binned submit seam is timed by
-//! `benchmark/`'s `exec.submit_*_s` layer metrics.) All variants must agree
-//! on every mapping (the backends are bit-identical); the table reports
-//! what each one did — jobs, DP cells, fallbacks, pool traffic, jobs the
-//! host executor ran in lane groups — alongside
-//! its Align seconds (dispatch plus finalize), and [`run_with_json`]
-//! additionally serializes the counters plus the scheduled-vs-unscheduled
-//! jobs/sec and fallback-rate deltas for the committed
+//! simulated GPU/SIMT backend, and a shrunken device that forces the
+//! oversized-pair fallback path. (The bare-backend vs. supervised vs.
+//! binned submit seam is timed by `benchmark/`'s `exec.submit_*_s` layer
+//! metrics.) All variants must agree on every mapping (the backends are
+//! bit-identical); the table reports what each one did — jobs, DP cells,
+//! fallbacks, pool traffic, jobs the host executor ran in lane groups —
+//! alongside its Align seconds (dispatch plus finalize), and
+//! [`run_with_json`] additionally serializes the counters for the committed
 //! `BENCH_backend_exec.json` baseline.
 
 use std::sync::Arc;
@@ -22,7 +19,7 @@ use std::sync::Arc;
 use manymap::baselines::BaselineId;
 use manymap::session::map_reads;
 use manymap::{ExecConfig, MapSession};
-use mmm_exec::{BackendKind, BackendStats, SchedMode};
+use mmm_exec::{BackendKind, BackendStats};
 use mmm_index::{AnyIndex, MinimizerIndex};
 use mmm_pipeline::lock_unpoisoned;
 
@@ -33,23 +30,15 @@ use crate::{format_table, macrodata, mapped_records};
 /// the xtask oracle's tiny-device session).
 const TINY_DEVICE_MEM: u64 = 16_384;
 
-/// The execution configurations compared:
-/// `(label, backend, binned scheduler, shrunken device)`.
-const VARIANTS: [(&str, BackendKind, bool, bool); 5] = [
-    ("cpu", BackendKind::Cpu, false, false),
-    ("gpu-sim", BackendKind::GpuSim, false, false),
-    ("gpu-sim+sched", BackendKind::GpuSim, true, false),
+/// The execution configurations compared: `(label, backend, shrunken
+/// device)`.
+const VARIANTS: [(&str, BackendKind, bool); 3] = [
+    ("cpu", BackendKind::Cpu, false),
+    ("gpu-sim", BackendKind::GpuSim, false),
     // Shrunken device: some gap fills no longer fit, so the in-submit
-    // fallback path (fifo) vs. pre-batch host routing (scheduled) becomes
-    // visible in the fallback-rate delta.
-    ("gpu-tiny", BackendKind::GpuSim, false, true),
-    ("gpu-tiny+sched", BackendKind::GpuSim, true, true),
+    // fallback path becomes visible in the fallback rate.
+    ("gpu-tiny", BackendKind::GpuSim, true),
 ];
-
-/// `(scheduled, unscheduled)` rows whose jobs/s and fallback rate are
-/// compared.
-const SCHED_PAIRS: [(&str, &str); 2] =
-    [("gpu-sim+sched", "gpu-sim"), ("gpu-tiny+sched", "gpu-tiny")];
 
 struct Row {
     label: &'static str,
@@ -62,15 +51,6 @@ impl Row {
     fn jobs_per_sec(&self) -> f64 {
         if self.align_seconds > 0.0 {
             self.stats.jobs as f64 / self.align_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// This row's jobs/s over `base`'s (0 when `base` ran no jobs).
-    fn jobs_per_sec_ratio(&self, base: &Row) -> f64 {
-        if base.jobs_per_sec() > 0.0 {
-            self.jobs_per_sec() / base.jobs_per_sec()
         } else {
             0.0
         }
@@ -102,12 +82,9 @@ fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
 
     VARIANTS
         .into_iter()
-        .map(|(label, kind, bins, tiny)| {
+        .map(|(label, kind, tiny)| {
             let mut cfg = ExecConfig::new(&opts, 1);
             cfg.kind = kind;
-            if bins {
-                cfg.sched.mode = SchedMode::Bins;
-            }
             cfg.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
             let exec = cfg.open().map_err(|e| format!("{label}: {e}"))?;
             let mut out = Vec::new();
@@ -147,8 +124,6 @@ pub fn run_with_json(quick: bool) -> (String, String) {
                 format!("{:.0}", r.jobs_per_sec()),
                 format!("{:.2}", r.stats.cells as f64 / 1e9),
                 format!("{}", r.stats.fallbacks),
-                format!("{}", r.stats.sched_batches),
-                format!("{}", r.stats.sched_host_jobs),
                 format!("{:.1}", r.stats.bytes_pooled as f64 / 1e6),
                 format!("{}", r.stats.grouped_jobs),
                 format!("{}", r.stats.lane_groups),
@@ -169,8 +144,6 @@ pub fn run_with_json(quick: bool) -> (String, String) {
             "jobs/s",
             "Gcells",
             "fallbacks",
-            "sched batches",
-            "host-routed",
             "MB pooled",
             "grouped",
             "lane groups",
@@ -182,19 +155,6 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         "mapping agreement across backends: {}\n",
         if agree { "identical" } else { "MISMATCH" }
     ));
-    for (sched, fifo) in SCHED_PAIRS {
-        if let (Some(s), Some(f)) = (
-            rows.iter().find(|r| r.label == sched),
-            rows.iter().find(|r| r.label == fifo),
-        ) {
-            out.push_str(&format!(
-                "{sched} vs {fifo}: jobs/s x{:.2}, fallback rate {:.3} -> {:.3}\n",
-                s.jobs_per_sec_ratio(f),
-                f.fallback_rate(),
-                s.fallback_rate(),
-            ));
-        }
-    }
     out.push_str("paper: one pipeline, interchangeable processors (§4.5); backend choice changes accounting, never output\n");
     out.push_str(crate::SCALE_NOTE);
     out.push('\n');
@@ -203,7 +163,7 @@ pub fn run_with_json(quick: bool) -> (String, String) {
 }
 
 /// Hand-rolled JSON (the workspace takes no serialization dependency):
-/// per-variant counters plus scheduled-vs-unscheduled deltas.
+/// per-variant counters.
 fn json_report(quick: bool, n_reads: usize, agree: bool, rows: &[Row]) -> String {
     let mut j = String::from("{\n");
     j.push_str("  \"experiment\": \"backend_exec\",\n");
@@ -231,45 +191,11 @@ fn json_report(quick: bool, n_reads: usize, agree: bool, rows: &[Row]) -> String
             r.fallback_rate()
         ));
         j.push_str(&format!(
-            "      \"sched_batches\": {},\n",
-            r.stats.sched_batches
-        ));
-        j.push_str(&format!(
-            "      \"sched_host_jobs\": {},\n",
-            r.stats.sched_host_jobs
-        ));
-        j.push_str(&format!(
             "      \"grouped_jobs\": {},\n",
             r.stats.grouped_jobs
         ));
         j.push_str(&format!("      \"lane_groups\": {}\n", r.stats.lane_groups));
         j.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"deltas\": [\n");
-    for (i, (sched, fifo)) in SCHED_PAIRS.into_iter().enumerate() {
-        let (Some(s), Some(f)) = (
-            rows.iter().find(|r| r.label == sched),
-            rows.iter().find(|r| r.label == fifo),
-        ) else {
-            continue;
-        };
-        j.push_str("    {\n");
-        j.push_str(&format!("      \"scheduled\": \"{sched}\",\n"));
-        j.push_str(&format!("      \"unscheduled\": \"{fifo}\",\n"));
-        j.push_str(&format!(
-            "      \"jobs_per_sec_ratio\": {:.4},\n",
-            s.jobs_per_sec_ratio(f)
-        ));
-        j.push_str(&format!(
-            "      \"fallback_rate_delta\": {:.6}\n",
-            s.fallback_rate() - f.fallback_rate()
-        ));
-        j.push_str(if i + 1 == SCHED_PAIRS.len() {
             "    }\n"
         } else {
             "    },\n"

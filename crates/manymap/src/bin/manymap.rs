@@ -14,7 +14,7 @@
 //! mm2|manymap`, `--no-cigar`, `--max-read-len N`, `--threads N` (1 to
 //! `session::MAX_THREADS`), `--backend cpu|gpu-sim`,
 //! `--inject-backend-fault <plan>`, `--backend-retries N`,
-//! `--batch-deadline-ms N` (≥ 1), `--sched fifo|bins`. Each subcommand is
+//! `--batch-deadline-ms N` (≥ 1). Each subcommand is
 //! parsed against its own table (`index`:
 //! `session::INDEX_FLAGS`; `map`: the shared table plus
 //! `session::MAP_FLAGS`): any other `--flag`, a value flag with no value, a
@@ -55,13 +55,6 @@
 //! environment variables `MMM_GPU_MEM` (bytes) and `MMM_GPU_STREAMS` size
 //! the simulated device (there is no flag for either) — useful to force
 //! the oversized-pair CPU fallback path.
-//!
-//! Scheduling (DESIGN.md §11): `--sched bins` bins each dispatch's jobs by
-//! DP-matrix size before submission — similarly sized jobs batch together
-//! for even stream occupancy, and jobs the device statically cannot take
-//! are routed to the host executor pre-batch instead of stalling a device
-//! batch. Scheduling is pure reordering, so stdout is byte-identical to
-//! the default fifo dispatch.
 //!
 //! Fault behavior: fatal input problems (unreadable files, corrupt index,
 //! a byte stream dying mid-file) abort with a nonzero exit and a message

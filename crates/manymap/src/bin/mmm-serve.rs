@@ -12,7 +12,7 @@
 //!
 //! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
 //! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
-//! `--engine`, `--no-cigar`, `--max-read-len`, `--sched`,
+//! `--engine`, `--no-cigar`, `--max-read-len`,
 //! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`);
 //! any other `--flag`, a flag given twice, a malformed value, `--threads`
 //! outside 1 to `session::MAX_THREADS` or `--batch-deadline-ms 0` is a

@@ -26,7 +26,7 @@
 //!
 //! // `map_read` is plan → execute → finalize with the backend inlined. A
 //! // pipeline runs the phases itself and hands `plan.jobs` to any
-//! // `mmm_exec::AlignBackend` (see `session::dispatch`).
+//! // `mmm_exec::AlignBackend` (see `session::run`).
 //! let plan = mapper.plan_read(&read).unwrap();
 //! let mut scratch = mmm_align::AlignScratch::new();
 //! let (engine, scoring) = (mapper.opts.engine, mapper.opts.scoring);

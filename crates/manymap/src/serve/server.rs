@@ -16,15 +16,13 @@
 //! * **session reader** — speaks the frame protocol, pushes accepted reads
 //!   into its tenant's bounded input queue (blocking = per-tenant
 //!   backpressure to the client's socket);
-//! * **pipeline** — the same plan → dispatch → finalize stages as the CLI
-//!   ([`crate::session`], driven by
-//!   [`mmm_pipeline::try_run_three_thread_batched_with_state`]), running
-//!   every tenant's reads through ONE supervised backend session. Its
-//!   compute stage pulls each batch when it is free for one:
-//!   [`DrrScheduler::pull`] takes a fair, credit-gated batch from the
-//!   tenants' input queues (see [`super::sched`]). Its writer routes each
-//!   finalized record to the owning tenant's output queue and stamps the
-//!   latency histogram;
+//! * **pipeline** — the CLI's own runner, [`session::run`], running every
+//!   tenant's reads through ONE supervised backend session. Its compute
+//!   stage pulls each batch when it is free for one: [`DrrScheduler::pull`]
+//!   takes a fair, credit-gated batch from the tenants' input queues (see
+//!   [`super::sched`]). Its sink routes each record to the owning tenant's
+//!   output queue and stamps the latency histogram, and its tally counts
+//!   each degraded read against its tenant;
 //! * **session writer** — drains its tenant's output queue to the socket
 //!   as `REC` frames (submission order), then reports `DONE`.
 //!
@@ -64,13 +62,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use mmm_align::{AlignResult, AlignScratch};
 use mmm_exec::{StatsReport, StatsSink};
 use mmm_index::AnyIndex;
-use mmm_pipeline::{lock_unpoisoned, try_run_three_thread_batched_with_state};
+use mmm_pipeline::{lock_unpoisoned, PipelineError};
 use mmm_seq::SeqRecord;
 
-use crate::session::{self, load_index_any, ExecConfig, ExecSession, MapSession, Planned};
+use crate::session::{self, load_index_any, Degraded, ExecConfig, ExecSession, MapSession};
 use crate::{MapError, MapOpts};
 
 use super::proto::{decode_read, read_frame_poll, write_frame, FramePoll, Op};
@@ -293,75 +290,45 @@ fn record_fatal(ctx: &Ctx, e: MapError) {
     }
 }
 
-type Routed = (usize, Instant, String);
-
 /// Run the shared pipeline, pulling batches from the tenants' input queues,
-/// until a drain has emptied them: the [`crate::session`] stages the CLI
-/// runs, with a writer that routes records to tenant output queues instead
-/// of stdout (serve output is PAF).
-fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), mmm_pipeline::PipelineError> {
-    let degraded = |item: &ServeItem| -> Routed {
-        (
-            item.tenant,
-            item.accepted_at,
-            session::unmapped_record(&item.rec, false),
-        )
-    };
-    // A quarantined or panicked read degrades to an unmapped record and is
-    // counted against its tenant — never fatal, never cross-tenant.
-    let on_panic = |item: &ServeItem, msg: &str| -> Routed {
-        if let Some(t) = ctx.registry.get(item.tenant) {
-            if session::quarantine_reason(msg).is_some() {
-                t.quarantined.fetch_add(1, Ordering::Relaxed);
-            } else {
-                t.degraded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        degraded(item)
-    };
-
+/// until a drain has emptied them: [`session::run`], as the CLI runs it,
+/// with a sink that routes records to tenant output queues instead of
+/// stdout (serve output is PAF).
+fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), PipelineError> {
     let mut drr = DrrScheduler::new(opts.drr);
     let drained = || ctx.draining() && ctx.active_readers.load(Ordering::Acquire) == 0;
-    try_run_three_thread_batched_with_state(
+    session::run(
+        || ctx.generation(),
+        &ctx.exec,
+        false, // PAF
+        None,  // no injected panic
+        opts.threads,
         || Ok(drr.pull(&ctx.registry, drained, POLL)),
-        |_worker| AlignScratch::new(),
-        |_scratch: &mut AlignScratch, item: &ServeItem| -> Planned {
-            ctx.generation().plan(&item.rec)
-        },
-        |plans| session::dispatch(plans, &ctx.exec),
-        |scratch: &mut AlignScratch,
-         item: &ServeItem,
-         planned: &Planned,
-         results: &Vec<AlignResult>|
-         -> Routed {
-            match session::finalize(planned, &item.rec, results, scratch, false) {
-                Ok(lines) => (item.tenant, item.accepted_at, lines),
-                Err(_) => {
-                    if let Some(t) = ctx.registry.get(item.tenant) {
-                        t.degraded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    degraded(item)
-                }
+        // A degraded read is counted against its tenant — never fatal,
+        // never cross-tenant.
+        |item: &ServeItem, why: Degraded<'_>| {
+            if let Some(t) = ctx.registry.get(item.tenant) {
+                let counter = match why {
+                    Degraded::BackendQuarantined(_) => &t.quarantined,
+                    _ => &t.degraded,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
         },
-        |item| item.rec.len(),
-        // Writer: route each record to its tenant's output queue. The
-        // scheduler's credit gate guarantees a free slot, so this push
-        // cannot block on a slow consumer.
-        |results: Vec<Routed>| {
-            for (tid, accepted_at, lines) in results {
+        // Route each record to its tenant's output queue. The scheduler's
+        // credit gate guarantees a free slot, so this push cannot block on
+        // a slow consumer.
+        |records: Vec<((usize, Instant), String)>| {
+            for ((tid, accepted_at), lines) in records {
                 let Some(t) = ctx.registry.get(tid) else {
                     continue;
                 };
                 t.latency
                     .record_micros(accepted_at.elapsed().as_micros() as u64);
                 let _ = t.outq.push(lines);
-                t.delivered.fetch_add(1, Ordering::AcqRel);
             }
             Ok(())
         },
-        Some(&on_panic),
-        opts.threads,
     )
     .map(|_stats| ())
 }

@@ -26,12 +26,26 @@ use std::time::{Duration, Instant};
 use mmm_pipeline::{lock_unpoisoned, BoundedQueue};
 use mmm_seq::SeqRecord;
 
+use crate::session::Item;
+
 /// One read travelling through the shared pipeline, tagged with its tenant
 /// and acceptance time (for the latency histogram).
 pub struct ServeItem {
     pub tenant: usize,
     pub rec: SeqRecord,
     pub accepted_at: Instant,
+}
+
+/// The pipeline routes each record by its tenant and stamps its latency
+/// from its acceptance time.
+impl Item for ServeItem {
+    type Tag = (usize, Instant);
+    fn record(&self) -> &SeqRecord {
+        &self.rec
+    }
+    fn tag(&self) -> (usize, Instant) {
+        (self.tenant, self.accepted_at)
+    }
 }
 
 /// A fixed-size log₂ latency histogram: bucket `i` counts samples in
@@ -110,8 +124,6 @@ pub struct TenantState {
     pub accepted: AtomicU64,
     /// Reads handed to the pipeline by the scheduler.
     pub scheduled: AtomicU64,
-    /// Records routed into `outq` by the pipeline writer.
-    pub delivered: AtomicU64,
     /// Records actually written to the tenant's socket by its session
     /// writer.
     pub sent: AtomicU64,
@@ -134,7 +146,6 @@ impl TenantState {
             outq: BoundedQueue::new(outq_records),
             accepted: AtomicU64::new(0),
             scheduled: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
             sent: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -144,9 +155,10 @@ impl TenantState {
     }
 
     /// Reads scheduled but not yet *sent to the socket* — the scheduler's
-    /// credit gate. Measured against `sent` (not `delivered`): records can
-    /// pile up in `outq` behind a client that stops reading, and each such
-    /// record still occupies the output slot its scheduling reserved. With
+    /// credit gate. Measured against `sent`, not against what reached
+    /// `outq`: records can pile up in `outq` behind a client that stops
+    /// reading, and each such record still occupies the output slot its
+    /// scheduling reserved. With
     /// `in_flight` capped at `outq.capacity()`, the pipeline writer's push
     /// into `outq` always finds room, so a slow consumer starves only
     /// itself — never the shared pipeline.
@@ -154,15 +166,6 @@ impl TenantState {
         self.scheduled
             .load(Ordering::Acquire)
             .saturating_sub(self.sent.load(Ordering::Acquire))
-    }
-
-    /// The session is fully settled: no more input, nothing in flight,
-    /// every accepted read scheduled, finalized, and sent.
-    pub fn settled(&self) -> bool {
-        self.ended.load(Ordering::Acquire)
-            && self.inq.is_empty()
-            && self.sent.load(Ordering::Acquire) == self.accepted.load(Ordering::Acquire)
-            && self.scheduled.load(Ordering::Acquire) == self.accepted.load(Ordering::Acquire)
     }
 
     /// One stats line for the report / DONE summary.
@@ -313,19 +316,14 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_and_settled_track_counters() {
+    fn in_flight_tracks_counters() {
         let t = TenantState::new(0, "t".into(), 4, 4);
-        assert!(!t.settled());
         t.accepted.store(3, Ordering::Release);
         t.scheduled.store(3, Ordering::Release);
-        t.delivered.store(3, Ordering::Release);
         t.sent.store(1, Ordering::Release);
         t.ended.store(true, Ordering::Release);
         // Two records delivered to the output queue but unread by the
         // client still count as in flight: their output slots are held.
         assert_eq!(t.in_flight(), 2);
-        assert!(!t.settled());
-        t.sent.store(3, Ordering::Release);
-        assert!(t.settled());
     }
 }

@@ -5,17 +5,22 @@
 //! run's one backend session with [`ExecConfig::open`] (an [`ExecSession`]:
 //! one device, one circuit breaker, for the life of the process), open the
 //! reference with [`load_index_any`] into a [`MapSession`] (one index
-//! generation: index + target tables), and hand [`MapSession::plan`] /
-//! [`dispatch`] / [`finalize`] to the batched pipeline as its three stages.
-//! The pipeline is wired twice: [`map_reads`] feeds it from a FASTA/FASTQ
-//! stream and writes one output stream (`manymap map`, the example, the
-//! benches), and the daemon's pipeline pulls fair batches from its
-//! tenants' queues and routes records to tenants. The CLI holds one `Arc<MapSession>` for the run; the
-//! daemon swaps the `Arc` on `RELOAD` and keeps the [`ExecSession`]. An
-//! alignment job owns its bytes, so [`dispatch`] sends a whole batch as one
+//! generation: index + target tables), and map reads with [`run`].
+//!
+//! [`run`] is the one wiring of the batched pipeline: it owns the plan,
+//! dispatch and finalize stages and turns every read that cannot be mapped
+//! into its [`unmapped_record`] plus a typed [`Degraded`] reason. A front
+//! end supplies only its batch pull, its [`Item`] type (the read's record,
+//! and the tag its sink routes by), a tally for degraded reads, and the
+//! record sink: [`map_reads`] pulls from a FASTA/FASTQ read-ahead thread
+//! and writes one output stream (`manymap map`, the example, the benches);
+//! the daemon pulls fair batches from its tenants' queues and routes
+//! records to tenants. The CLI plans every read on one `Arc<MapSession>`;
+//! the daemon swaps the `Arc` on `RELOAD` and keeps the [`ExecSession`].
+//! An alignment job owns its bytes, so dispatch sends a whole batch as one
 //! submission whatever generations planned it; every planned read carries
-//! the generation it was planned against only so [`finalize`] splices
-//! against the same index.
+//! the generation it was planned against only so finalize splices against
+//! the same index.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -29,13 +34,10 @@ use std::time::{Duration, Instant};
 use mmm_align::{best_mm2_engine, AlignResult, AlignScratch};
 use mmm_exec::{
     prepare_supervised, AlignJob, BackendKind, BackendOptions, BackendStats, FaultPlan, JobOutcome,
-    SchedConfig, SchedMode, StatsReport, SupervisedBackend, SupervisorConfig,
+    StatsReport, SupervisedBackend, SupervisorConfig,
 };
 use mmm_index::{AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts, MAGIC_PREFIX};
-use mmm_pipeline::{
-    lock_unpoisoned, try_run_three_thread_batched_with_state, DynError, PipelineError,
-    PipelineStats,
-};
+use mmm_pipeline::{lock_unpoisoned, DynError, ItemFailure, PipelineError, PipelineStats};
 use mmm_seq::{FastxReader, SeqError, SeqRecord};
 
 use crate::mapper::{MapReadError, ReadPlan};
@@ -65,7 +67,6 @@ pub const SHARED_FLAGS: &[Flag] = &[
     ("inject-backend-fault", true),
     ("backend-retries", true),
     ("batch-deadline-ms", true),
-    ("sched", true),
 ];
 
 /// What `manymap map` accepts on top of [`SHARED_FLAGS`].
@@ -160,20 +161,20 @@ fn env_num<T: FromStr>(name: &str) -> Result<Option<T>, MapError> {
 }
 
 /// How a run executes its alignment jobs: which backend, under which
-/// supervisor and scheduler settings. The fault plan inside `backend` drives both the backend submit rules
-/// and, through [`ExecConfig::shard_open_opts`], the shard-load rules.
+/// supervisor settings. The fault plan inside `backend` drives both the
+/// backend submit rules and, through [`ExecConfig::shard_open_opts`], the
+/// shard-load rules.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     pub kind: BackendKind,
     /// `backend.threads` is also the pipeline's worker count.
     pub backend: BackendOptions,
     pub supervisor: SupervisorConfig,
-    pub sched: SchedConfig,
 }
 
 impl ExecConfig {
     /// The defaults: CPU backend with `map`'s scoring and engine on
-    /// `threads` workers, default supervisor, fifo dispatch.
+    /// `threads` workers, default supervisor.
     pub fn new(map: &MapOpts, threads: usize) -> Self {
         let mut backend = BackendOptions::new(map.scoring);
         backend.engine = map.engine;
@@ -182,7 +183,6 @@ impl ExecConfig {
             kind: BackendKind::Cpu,
             backend,
             supervisor: SupervisorConfig::default(),
-            sched: SchedConfig::default(),
         }
     }
 
@@ -206,20 +206,18 @@ impl ExecConfig {
             .map_err(|e| MapError::Usage(e.to_string()))?;
         Ok(ExecSession {
             backend,
-            sched: self.sched.clone(),
             stats: Mutex::default(),
         })
     }
 }
 
 /// The run's one backend session (DESIGN.md §12.0, §15.3): the supervised
-/// backend — one device, one circuit breaker, one watchdog — the scheduler
-/// settings its submissions go through, and the counters every [`dispatch`]
-/// merges into. It belongs to the process, not to an index: the daemon
-/// keeps it across every `RELOAD`, so a demoted device stays demoted.
+/// backend — one device, one circuit breaker, one watchdog — and the
+/// counters every dispatch merges into. It belongs to the process, not to
+/// an index: the daemon keeps it across every `RELOAD`, so a demoted device
+/// stays demoted.
 pub struct ExecSession {
     pub backend: SupervisedBackend,
-    pub sched: SchedConfig,
     pub stats: Mutex<BackendStats>,
 }
 
@@ -286,9 +284,6 @@ pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
         }
         Some(ms) => exec.supervisor.batch_deadline = Some(Duration::from_millis(ms)),
         None => {}
-    }
-    if let Some(v) = args.get("sched") {
-        exec.sched.mode = SchedMode::parse(v).map_err(|e| usage(format!("--sched: {e}")))?;
     }
     Ok((map, exec))
 }
@@ -431,12 +426,12 @@ impl MapSession {
     }
 
     /// The plan stage: seed, chain, and describe the read's DP jobs.
-    pub fn plan(self: &Arc<Self>, rec: &SeqRecord) -> Planned {
+    fn plan(self: Arc<Self>, rec: &SeqRecord) -> Planned {
         let nt4 = rec.nt4();
         let plan = self.mapper().plan_read(&nt4);
         Planned {
             nt4,
-            session: Arc::clone(self),
+            session: self,
             plan,
         }
     }
@@ -446,33 +441,23 @@ impl MapSession {
 /// session it was planned against (finalize must splice reference windows
 /// and target names from the *same* index the plan used, even if a reload
 /// swapped sessions in between), and the plan itself.
-pub struct Planned {
-    pub nt4: Vec<u8>,
-    pub session: Arc<MapSession>,
-    pub plan: Result<ReadPlan, MapReadError>,
-}
-
-/// Marks a dispatch failure as a backend quarantine, so the pipeline's
-/// panic handler can tell it from a worker panic.
-const QUARANTINE_PREFIX: &str = "backend: ";
-
-/// The quarantine reason, if `msg` (as handed to the pipeline's panic
-/// handler) came from [`dispatch`] rather than from a worker panic.
-pub fn quarantine_reason(msg: &str) -> Option<&str> {
-    msg.strip_prefix(QUARANTINE_PREFIX)
+struct Planned {
+    nt4: Vec<u8>,
+    session: Arc<MapSession>,
+    plan: Result<ReadPlan, MapReadError>,
 }
 
 /// The dispatch stage: move every read's jobs into one submission to the
 /// run's backend session, then deal the per-job outcomes back out per read,
 /// in job order. A job owns its target and query bytes, so reads planned on
 /// two index generations (a reload landed mid-batch) share the submission.
-/// A read with any quarantined job comes back `Err` (see
-/// [`quarantine_reason`]) and degrades through the pipeline's panic
-/// handler; a fail-fast supervisor surfaces the first unrecovered error as
-/// a fatal whole-batch `Err`. Backend counters are merged into
-/// `exec.stats`; a batch with no jobs submits nothing.
+/// A read with any quarantined job comes back `Err` with the first
+/// quarantine reason, which the pipeline hands back to [`run`] as that
+/// read's dispatch failure; a fail-fast supervisor surfaces the first
+/// unrecovered error as a fatal whole-batch `Err`. Backend counters are
+/// merged into `exec.stats`; a batch with no jobs submits nothing.
 #[allow(clippy::type_complexity)]
-pub fn dispatch(
+fn dispatch(
     mut plans: Vec<Planned>,
     exec: &ExecSession,
 ) -> Result<Vec<(Planned, Result<Vec<AlignResult>, String>)>, DynError> {
@@ -496,7 +481,7 @@ pub fn dispatch(
     if !jobs.is_empty() {
         let (os, bstats) = exec
             .backend
-            .submit_scheduled(jobs, &exec.sched)
+            .submit_supervised(jobs)
             .map_err(|e| -> DynError { Box::new(e) })?;
         lock_unpoisoned(&exec.stats).merge(&bstats);
         outcomes = os.into_iter();
@@ -517,7 +502,7 @@ pub fn dispatch(
             }
             match quarantine {
                 None => (p, Ok(results)),
-                Some(reason) => (p, Err(format!("{QUARANTINE_PREFIX}{reason}"))),
+                Some(reason) => (p, Err(reason)),
             }
         })
         .collect())
@@ -527,8 +512,8 @@ pub fn dispatch(
 /// walks, against the session the read was planned on, and format one
 /// newline-terminated PAF or SAM line per mapping (nothing for a read that
 /// maps nowhere). A read whose plan was rejected comes back as that error;
-/// the caller accounts for it and emits [`unmapped_record`].
-pub fn finalize<'p>(
+/// [`run`] degrades it to its [`unmapped_record`].
+fn finalize<'p>(
     planned: &'p Planned,
     rec: &SeqRecord,
     results: &[AlignResult],
@@ -560,6 +545,96 @@ pub fn finalize<'p>(
     Ok(lines)
 }
 
+/// A read as a front end queues it for [`run`]: its record, and the tag
+/// the front end's sink routes the read's records by.
+pub trait Item: Send + Sync {
+    type Tag: Send;
+    fn record(&self) -> &SeqRecord;
+    fn tag(&self) -> Self::Tag;
+}
+
+/// `manymap map`'s item: the record alone, written to one stream.
+impl Item for SeqRecord {
+    type Tag = ();
+    fn record(&self) -> &SeqRecord {
+        self
+    }
+    fn tag(&self) {}
+}
+
+/// Why a read left [`run`] as its [`unmapped_record`] instead of its
+/// mappings.
+#[derive(Debug)]
+pub enum Degraded<'a> {
+    /// The mapper rejected the read: over `MapOpts::max_read_len`, refused
+    /// by the alignment kernels, or left without seeds by a quarantined
+    /// index shard.
+    Rejected(&'a MapReadError),
+    /// The read's plan or finalize panicked, with this message.
+    Panicked(&'a str),
+    /// The backend supervisor quarantined one of the read's jobs, for this
+    /// reason.
+    BackendQuarantined(&'a str),
+}
+
+/// Map reads through the batched pipeline — the one wiring of plan →
+/// dispatch → finalize, for both front ends. Each batch `next_batch` pulls
+/// is planned on `threads` workers (one scratch arena each) against the
+/// index generation `generation` returns, dispatched as one submission
+/// through `exec`, finalized as PAF (SAM when `sam`), and handed to `sink`
+/// in input order with each read's tag; [`PipelineStats`] times each
+/// stage.
+///
+/// A read the mapper rejects, whose job the supervisor quarantines, or
+/// whose plan or finalize panics (`inject_panic` names a read to panic on)
+/// reaches `tally` with its [`Degraded`] reason, and `sink` gets its
+/// [`unmapped_record`], so output accounts for every read. A pull error, a
+/// fail-fast backend failure or a sink error ends the run.
+#[allow(clippy::too_many_arguments)]
+pub fn run<I: Item>(
+    generation: impl Fn() -> Arc<MapSession> + Sync,
+    exec: &ExecSession,
+    sam: bool,
+    inject_panic: Option<&str>,
+    threads: usize,
+    next_batch: impl FnMut() -> Result<Option<Vec<I>>, DynError>,
+    tally: impl Fn(&I, Degraded<'_>) + Sync,
+    sink: impl FnMut(Vec<(I::Tag, String)>) -> Result<(), DynError> + Send,
+) -> Result<PipelineStats, PipelineError> {
+    let degrade = |item: &I, why: Degraded<'_>| -> (I::Tag, String) {
+        tally(item, why);
+        (item.tag(), unmapped_record(item.record(), sam))
+    };
+    let on_failure = |item: &I, failure: ItemFailure| match failure {
+        ItemFailure::Panicked(msg) => degrade(item, Degraded::Panicked(&msg)),
+        ItemFailure::Dispatch(reason) => degrade(item, Degraded::BackendQuarantined(&reason)),
+    };
+    mmm_pipeline::run(
+        next_batch,
+        |_worker| AlignScratch::new(),
+        // Panics here degrade exactly the one read they hit, and its jobs
+        // never reach the backend.
+        |_scratch: &mut AlignScratch, item: &I| -> Planned {
+            let rec = item.record();
+            if inject_panic == Some(rec.name.as_str()) {
+                panic!("injected panic for read '{}'", rec.name);
+            }
+            generation().plan(rec)
+        },
+        |plans| dispatch(plans, exec),
+        |scratch: &mut AlignScratch, item: &I, planned: &Planned, results: &Vec<AlignResult>| {
+            match finalize(planned, item.record(), results, scratch, sam) {
+                Ok(lines) => (item.tag(), lines),
+                Err(e) => degrade(item, Degraded::Rejected(e)),
+            }
+        },
+        |item| item.record().len(),
+        sink,
+        &on_failure,
+        threads,
+    )
+}
+
 /// What one [`map_reads`] run did: the pipeline's counts and per-phase
 /// seconds, and the reads it degraded to an unmapped record, by reason.
 #[derive(Clone, Copy, Debug, Default)]
@@ -588,24 +663,20 @@ impl MapReport {
     }
 }
 
-/// `manymap map` once the index is open: map every FASTA/FASTQ record of
-/// `reads` against `session` and write PAF — SAM with its header when
+/// `manymap map` once the index is open: [`run`] every FASTA/FASTQ record
+/// of `reads` against `session` and write PAF — SAM with its header when
 /// `sam` — to `out`. A reader thread parses batches of
-/// [`MAP_BATCH_BASES`], at most two ahead of the batched pipeline, which
-/// pulls them, runs [`MapSession::plan`] and [`finalize`] on `threads`
-/// workers (one scratch arena each) and [`dispatch`] through `exec` between
-/// them, and writes in input order on its own thread; [`MapReport::stats`]
-/// times each of those stages (`in_seconds` is the reader's parse time).
-/// Each batch's records are flushed to `out` when the batch is written, so
-/// output streams, and at most seven batches are in memory whatever the
-/// length of `reads`: 2 in the read-ahead channel, 1 being parsed, and the
-/// pipeline's 4 (see `mmm_pipeline::batched`).
+/// [`MAP_BATCH_BASES`], at most two ahead of the pipeline, which pulls
+/// them; [`MapReport::stats`] times the stages (`in_seconds` is the
+/// reader's parse time). Each batch's records are flushed to `out` when the
+/// batch is written, so output streams, and at most seven batches are in
+/// memory whatever the length of `reads`: 2 in the read-ahead channel, 1
+/// being parsed, and the pipeline's 4 (see `mmm_pipeline::batched`).
 ///
-/// A read the mapper rejects, whose job the supervisor quarantines, or
-/// whose plan or finalize panics (`inject_panic` names a read to panic on)
-/// is reported on stderr, counted in the [`MapReport`], and written as its
-/// [`unmapped_record`]. A read error or a fail-fast backend failure ends
-/// the run; so does a closed output, as [`MapError::OutputClosed`].
+/// Each degraded read is reported on stderr and counted in the
+/// [`MapReport`] by its reason. A read error or a fail-fast backend
+/// failure ends the run; so does a closed output, as
+/// [`MapError::OutputClosed`].
 pub fn map_reads(
     reads: impl BufRead + Send,
     out: impl Write + Send,
@@ -627,27 +698,33 @@ pub fn map_reads(
         let (tnames, tlens) = session.targets();
         write_sam_header(&mut out, tnames, tlens).map_err(output_error)?;
     }
-    let out = Mutex::new(out);
     let report = Mutex::new(MapReport::default());
-
-    // A worker panic or a quarantined backend job degrades the read instead
-    // of killing the run, so output still accounts for every input read.
-    let on_panic = |rec: &SeqRecord, msg: &str| -> String {
+    let tally = |rec: &SeqRecord, why: Degraded<'_>| {
         let mut r = lock_unpoisoned(&report);
-        if let Some(reason) = quarantine_reason(msg) {
-            r.backend_quarantined += 1;
-            eprintln!(
-                "manymap: read '{}' degraded to unmapped: backend quarantined its jobs ({reason})",
-                rec.name
-            );
-        } else {
-            r.panicked += 1;
-            eprintln!(
-                "manymap: worker panicked on read '{}' ({msg}); emitting unmapped record",
-                rec.name
-            );
+        let name = &rec.name;
+        match why {
+            Degraded::Rejected(e) => {
+                *match e {
+                    MapReadError::ReadTooLong { .. } => &mut r.too_long,
+                    MapReadError::Align(_) => &mut r.align_rejected,
+                    MapReadError::ShardUnavailable(_) => &mut r.shard_degraded,
+                } += 1;
+                eprintln!("manymap: read '{name}' degraded to unmapped: {e}");
+            }
+            Degraded::Panicked(msg) => {
+                r.panicked += 1;
+                eprintln!(
+                    "manymap: worker panicked on read '{name}' ({msg}); emitting unmapped record"
+                );
+            }
+            Degraded::BackendQuarantined(reason) => {
+                r.backend_quarantined += 1;
+                eprintln!(
+                    "manymap: read '{name}' degraded to unmapped: backend quarantined its jobs \
+                     ({reason})"
+                );
+            }
         }
-        unmapped_record(rec, sam)
     };
 
     // Read-ahead: the parser runs on its own thread, at most two batches
@@ -678,47 +755,25 @@ pub fn map_reads(
         Ok(batch) => Ok(Some(batch?)),
         Err(_) => Ok(None), // the reader reached end of input
     };
+    let sink = |records: Vec<((), String)>| {
+        for ((), lines) in records {
+            out.write_all(lines.as_bytes())?;
+        }
+        out.flush()?;
+        Ok(())
+    };
 
     let (stats, parse_seconds) = std::thread::scope(|scope| {
         let reader = scope.spawn(read_ahead);
-        let stats = try_run_three_thread_batched_with_state(
-            next_batch,
-            |_worker| AlignScratch::new(),
-            // Panics here degrade exactly the one read they hit, and its jobs
-            // never reach the backend.
-            |_scratch: &mut AlignScratch, rec: &SeqRecord| -> Planned {
-                if inject_panic == Some(rec.name.as_str()) {
-                    panic!("injected panic for read '{}'", rec.name);
-                }
-                session.plan(rec)
-            },
-            |plans| dispatch(plans, exec),
-            |scratch: &mut AlignScratch,
-             rec: &SeqRecord,
-             planned: &Planned,
-             results: &Vec<AlignResult>| {
-                finalize(planned, rec, results, scratch, sam).unwrap_or_else(|e| {
-                    let mut r = lock_unpoisoned(&report);
-                    *match e {
-                        MapReadError::ReadTooLong { .. } => &mut r.too_long,
-                        MapReadError::Align(_) => &mut r.align_rejected,
-                        MapReadError::ShardUnavailable(_) => &mut r.shard_degraded,
-                    } += 1;
-                    eprintln!("manymap: read '{}' degraded to unmapped: {e}", rec.name);
-                    unmapped_record(rec, sam)
-                })
-            },
-            |rec| rec.len(),
-            |results| {
-                let mut w = lock_unpoisoned(&out);
-                for lines in results {
-                    w.write_all(lines.as_bytes())?;
-                }
-                w.flush()?;
-                Ok(())
-            },
-            Some(&on_panic),
+        let stats = run(
+            || Arc::clone(session),
+            exec,
+            sam,
+            inject_panic,
             threads,
+            next_batch,
+            tally,
+            sink,
         );
         // The pipeline dropped its end of the channel, so the reader stops.
         let parse_seconds = reader
@@ -735,7 +790,7 @@ pub fn map_reads(
         e => MapError::Pipeline(e),
     })?;
     stats.in_seconds = parse_seconds;
-    lock_unpoisoned(&out).flush().map_err(output_error)?;
+    out.flush().map_err(output_error)?;
 
     let mut report = report
         .into_inner()
@@ -764,7 +819,7 @@ mod tests {
     #[test]
     fn flags_land_in_map_opts_and_exec_config() {
         let argv = "--preset map-pb --no-cigar --threads 3 \
-                    --backend gpu-sim --sched bins --backend-retries 0 \
+                    --backend gpu-sim --backend-retries 0 \
                     --batch-deadline-ms 250 \
                     --inject-backend-fault missing-shard:shards=1";
         let args = Args::parse(argv.split_whitespace().map(String::from), &[SHARED_FLAGS]).unwrap();
@@ -773,7 +828,6 @@ mod tests {
         assert!(!map.with_cigar);
         assert_eq!(exec.backend.threads, 3);
         assert_eq!(exec.kind, BackendKind::GpuSim);
-        assert_eq!(exec.sched.mode, SchedMode::Bins);
         assert_eq!(exec.supervisor.max_retries, 0);
         assert_eq!(
             exec.supervisor.batch_deadline,
@@ -829,7 +883,7 @@ mod tests {
             reads
                 .iter()
                 .enumerate()
-                .map(|(i, r)| gen(i).plan(r))
+                .map(|(i, r)| Arc::clone(gen(i)).plan(r))
                 .collect()
         };
 
@@ -871,7 +925,7 @@ mod tests {
         for ((_, r), &n) in dispatch(plans, &exec).unwrap().iter().zip(&njobs) {
             match r {
                 Ok(results) => assert!(n == 0 && results.is_empty()),
-                Err(msg) => assert!(n > 0 && quarantine_reason(msg).is_some(), "{msg}"),
+                Err(reason) => assert!(n > 0, "{reason}"),
             }
         }
         let stats = *lock_unpoisoned(&exec.stats);
@@ -929,10 +983,8 @@ mod tests {
         let cpu = ExecConfig::new(&opts, 1);
         let mut gpu = cpu.clone();
         gpu.kind = BackendKind::GpuSim;
-        let mut gpu_bins = gpu.clone();
-        gpu_bins.sched.mode = SchedMode::Bins;
         let mut gold: Option<Vec<u8>> = None;
-        for (tag, cfg) in [("cpu", cpu), ("gpu-sim", gpu), ("gpu-sim+bins", gpu_bins)] {
+        for (tag, cfg) in [("cpu", cpu), ("gpu-sim", gpu)] {
             let exec = cfg.open().unwrap();
             let mut out = Vec::new();
             let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None).unwrap();
@@ -943,13 +995,112 @@ mod tests {
             let bstats = *lock_unpoisoned(&exec.stats);
             assert!(bstats.jobs > 0, "{tag} must execute jobs");
             assert!(!bstats.supervised_activity(), "{tag}: {bstats:?}");
-            let binned = cfg.sched.mode == SchedMode::Bins;
-            assert_eq!(bstats.sched_batches > 0, binned, "{tag}: {bstats:?}");
             let gold = gold.get_or_insert_with(|| out.clone());
             assert_eq!(&out, gold, "{tag}");
         }
         let gold = String::from_utf8(gold.unwrap()).unwrap();
         assert!(gold.lines().count() >= 8, "{gold}");
+    }
+
+    /// One batch through [`run`] with a read over the length limit, an
+    /// injected panic, and — under `launch-fail` with no retries — every
+    /// read with a job quarantined: each degraded read leaves exactly its
+    /// unmapped record and reaches the tally once, with its own reason.
+    /// Every other read maps as `map_read` does, on that backend and on a
+    /// healthy one.
+    #[test]
+    fn run_degrades_each_read_with_its_own_reason() {
+        let (_, recs, _) = ten_reads(MapOpts::map_ont());
+        let longest = recs.iter().map(SeqRecord::len).max().unwrap();
+        let mut opts = MapOpts::map_ont();
+        opts.max_read_len = longest - 1;
+        let (session, mut recs, _) = ten_reads(opts);
+        // A read that seeds nowhere plans no jobs.
+        recs.push(SeqRecord::new("junk", vec![b'A'; 400]));
+        let too_long = recs.iter().position(|r| r.len() == longest).unwrap();
+        let panicked = (too_long + 1) % 10;
+
+        let mapper = Mapper::new(session.index().as_index_ref(), opts);
+        let (tnames, tlens) = session.targets();
+        let map_read = |rec: &SeqRecord| {
+            let mut out = Vec::new();
+            let nt4 = rec.nt4();
+            let ms = mapper.map_read(&nt4);
+            crate::write_paf(&mut out, &rec.name, nt4.len(), tnames, tlens, &ms).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+
+        // Each read's records, and the reason each degraded read was
+        // tallied with.
+        let run_batch = |exec: &ExecSession| {
+            let tallied = Mutex::new(vec![None; recs.len()]);
+            let mut records = Vec::new();
+            let mut batch = Some(recs.clone());
+            let stats = run(
+                || Arc::clone(&session),
+                exec,
+                false,
+                Some(recs[panicked].name.as_str()),
+                2,
+                || Ok(batch.take()),
+                |rec: &SeqRecord, why: Degraded<'_>| {
+                    let reason = match why {
+                        Degraded::Rejected(MapReadError::ReadTooLong { .. }) => "too long",
+                        Degraded::Panicked(msg) => {
+                            assert!(msg.contains("injected panic"), "{msg}");
+                            "panicked"
+                        }
+                        Degraded::BackendQuarantined(reason) => {
+                            assert!(!reason.is_empty());
+                            "quarantined"
+                        }
+                        other => panic!("{}: unexpected {other:?}", rec.name),
+                    };
+                    let i = recs.iter().position(|r| r.name == rec.name).unwrap();
+                    let mut t = lock_unpoisoned(&tallied);
+                    assert!(t[i].is_none(), "{} tallied twice", rec.name);
+                    t[i] = Some(reason);
+                },
+                |rs: Vec<((), String)>| {
+                    records.extend(rs.into_iter().map(|((), lines)| lines));
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!((stats.batches, records.len()), (1, recs.len()));
+            (records, tallied.into_inner().unwrap())
+        };
+
+        let mut failing = ExecConfig::new(&opts, 2);
+        failing.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
+        failing.supervisor.max_retries = 0;
+        let (records, tallied) = run_batch(&failing.open().unwrap());
+        assert_eq!(tallied[too_long], Some("too long"));
+        assert_eq!(tallied[panicked], Some("panicked"));
+        let quarantined = tallied
+            .iter()
+            .filter(|t| **t == Some("quarantined"))
+            .count();
+        assert!(quarantined >= 6, "{tallied:?}");
+        assert_eq!(tallied[10], None, "a read with no jobs is clean");
+        for (i, rec) in recs.iter().enumerate() {
+            let expect = match tallied[i] {
+                Some(_) => unmapped_record(rec, false),
+                None => map_read(rec),
+            };
+            assert_eq!(records[i], expect, "{}", rec.name);
+        }
+
+        let (records, tallied) = run_batch(&ExecConfig::new(&opts, 2).open().unwrap());
+        for (i, rec) in recs.iter().enumerate() {
+            if i == too_long || i == panicked {
+                assert_eq!(records[i], unmapped_record(rec, false));
+                continue;
+            }
+            assert_eq!(tallied[i], None, "{}", rec.name);
+            assert_eq!(records[i], map_read(rec), "{}", rec.name);
+        }
+        assert!(records.iter().filter(|r| r.contains("\ttp:A:P")).count() >= 6);
     }
 
     /// A read the plan stage rejects still leaves its one record, and the

@@ -84,9 +84,6 @@ fn run_map(index: &Path, reads: &Path, extra: &[&str], envs: &[(&str, &str)]) ->
     cmd.output().expect("spawn manymap")
 }
 
-/// Both dispatch modes; the output-identity cases run under each.
-const SCHEDS: [&str; 2] = ["fifo", "bins"];
-
 /// Fallback count from the stderr summary line
 /// (`... N cpu-fallbacks, ...`).
 fn fallbacks_in(stderr: &str) -> u64 {
@@ -112,21 +109,19 @@ fn gpu_sim_stdout_is_byte_identical_to_cpu() {
         assert!(!cpu.stdout.is_empty(), "no records produced");
         let cpu_err = String::from_utf8_lossy(&cpu.stderr);
         assert!(cpu_err.contains("backend cpu:"), "stderr: {cpu_err}");
-        for sched in SCHEDS {
-            let gpu = run_map(
-                &fx.index,
-                &fx.reads,
-                &[&["--backend", "gpu-sim", "--sched", sched], format].concat(),
-                &[],
-            );
-            assert!(gpu.status.success());
-            assert_eq!(
-                cpu.stdout, gpu.stdout,
-                "backend choice must never change output ({format:?}, {sched})"
-            );
-            let stderr = String::from_utf8_lossy(&gpu.stderr);
-            assert!(stderr.contains("backend gpu-sim:"), "stderr: {stderr}");
-        }
+        let gpu = run_map(
+            &fx.index,
+            &fx.reads,
+            &[&["--backend", "gpu-sim"], format].concat(),
+            &[],
+        );
+        assert!(gpu.status.success());
+        assert_eq!(
+            cpu.stdout, gpu.stdout,
+            "backend choice must never change output ({format:?})"
+        );
+        let stderr = String::from_utf8_lossy(&gpu.stderr);
+        assert!(stderr.contains("backend gpu-sim:"), "stderr: {stderr}");
     }
 }
 
@@ -135,10 +130,7 @@ fn shrunken_device_forces_fallbacks_but_not_divergence() {
     let fx = fixture("fallback");
     let cpu = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
     // 16 KB of simulated device memory: any nontrivial with-path gap fill
-    // overflows it and must be routed to the CPU executor. Fifo dispatch
-    // (the default) only: the in-submit fallback counter this test asserts
-    // on is exactly what the binned scheduler eliminates (oversized jobs
-    // are host-routed pre-batch).
+    // overflows it and must be routed to the CPU executor.
     let gpu = run_map(
         &fx.index,
         &fx.reads,
@@ -177,40 +169,36 @@ fn total_gpu_failure_is_invisible_in_stdout() {
     let fx = fixture("chaos-total");
     let clean = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
     assert!(clean.status.success());
-    for sched in SCHEDS {
-        let chaos = run_map(
-            &fx.index,
-            &fx.reads,
-            &[
-                "--backend",
-                "gpu-sim",
-                "--inject-backend-fault",
-                "launch-fail",
-                "--sched",
-                sched,
-            ],
-            &[],
-        );
-        assert!(
-            chaos.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&chaos.stderr)
-        );
-        assert_eq!(
-            clean.stdout, chaos.stdout,
-            "a fully failing primary must reroute, not corrupt output ({sched})"
-        );
-        let stderr = String::from_utf8_lossy(&chaos.stderr);
-        assert!(
-            stderr.contains("supervisor gpu-sim:"),
-            "supervisor summary missing: {stderr}"
-        );
-        assert!(
-            stderr.contains("breaker-trips") && !stderr.contains("0 breaker-trips"),
-            "breaker must trip under a 100%-failing plan: {stderr}"
-        );
-        assert!(stderr.contains("rerouted"), "stderr: {stderr}");
-    }
+    let chaos = run_map(
+        &fx.index,
+        &fx.reads,
+        &[
+            "--backend",
+            "gpu-sim",
+            "--inject-backend-fault",
+            "launch-fail",
+        ],
+        &[],
+    );
+    assert!(
+        chaos.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&chaos.stderr)
+    );
+    assert_eq!(
+        clean.stdout, chaos.stdout,
+        "a fully failing primary must reroute, not corrupt output"
+    );
+    let stderr = String::from_utf8_lossy(&chaos.stderr);
+    assert!(
+        stderr.contains("supervisor gpu-sim:"),
+        "supervisor summary missing: {stderr}"
+    );
+    assert!(
+        stderr.contains("breaker-trips") && !stderr.contains("0 breaker-trips"),
+        "breaker must trip under a 100%-failing plan: {stderr}"
+    );
+    assert!(stderr.contains("rerouted"), "stderr: {stderr}");
 }
 
 /// A hung primary submit must be abandoned at the batch deadline and the
@@ -219,43 +207,36 @@ fn total_gpu_failure_is_invisible_in_stdout() {
 fn hung_batch_is_killed_at_the_deadline() {
     let fx = fixture("chaos-hang");
     let clean = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
-    for sched in SCHEDS {
-        let start = std::time::Instant::now();
-        let out = run_map(
-            &fx.index,
-            &fx.reads,
-            &[
-                "--backend",
-                "gpu-sim",
-                "--inject-backend-fault",
-                "hang:ms=30000:batches=0..1",
-                "--batch-deadline-ms",
-                "250",
-                "--sched",
-                sched,
-            ],
-            &[],
-        );
-        let wall = start.elapsed();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            wall < std::time::Duration::from_secs(20),
-            "watchdog failed to cut the 30s hang short (wall={wall:?}, {sched})"
-        );
-        assert_eq!(
-            clean.stdout, out.stdout,
-            "deadline reroute changed output ({sched})"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("deadline-kills") && !stderr.contains("0 deadline-kills"),
-            "stderr: {stderr}"
-        );
-    }
+    let start = std::time::Instant::now();
+    let out = run_map(
+        &fx.index,
+        &fx.reads,
+        &[
+            "--backend",
+            "gpu-sim",
+            "--inject-backend-fault",
+            "hang:ms=30000:batches=0..1",
+            "--batch-deadline-ms",
+            "250",
+        ],
+        &[],
+    );
+    let wall = start.elapsed();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        wall < std::time::Duration::from_secs(20),
+        "watchdog failed to cut the 30s hang short (wall={wall:?})"
+    );
+    assert_eq!(clean.stdout, out.stdout, "deadline reroute changed output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("deadline-kills") && !stderr.contains("0 deadline-kills"),
+        "stderr: {stderr}"
+    );
 }
 
 /// With a CPU primary there is no standby: a plan that fails every submit
@@ -320,100 +301,6 @@ fn fail_fast_aborts_on_first_quarantine() {
         stderr.contains("injected fault launch-fail"),
         "stderr: {stderr}"
     );
-}
-
-// --- length-binned scheduling (DESIGN.md §11) ----------------------------
-
-/// The scheduler acceptance bar: `--sched bins` must be byte-invisible in
-/// stdout (PAF and SAM), including on a shrunken device where it routes
-/// oversized jobs to the host pre-batch, and the stderr summary must
-/// account for the binned batches.
-#[test]
-fn scheduled_dispatch_is_byte_identical_to_fifo() {
-    let fx = fixture("sched");
-    for format in [&[][..], &["--sam"][..]] {
-        let inline_cpu = run_map(
-            &fx.index,
-            &fx.reads,
-            &[&["--backend", "cpu"], format].concat(),
-            &[],
-        );
-        assert!(inline_cpu.status.success());
-        for envs in [&[][..], &[("MMM_GPU_MEM", "16384")][..]] {
-            let sched = run_map(
-                &fx.index,
-                &fx.reads,
-                &[&["--backend", "gpu-sim", "--sched", "bins"], format].concat(),
-                envs,
-            );
-            assert!(
-                sched.status.success(),
-                "stderr: {}",
-                String::from_utf8_lossy(&sched.stderr)
-            );
-            assert_eq!(
-                inline_cpu.stdout, sched.stdout,
-                "scheduling must never change output ({format:?}, {envs:?})"
-            );
-            let stderr = String::from_utf8_lossy(&sched.stderr);
-            assert!(
-                stderr.contains("binned batch(es)"),
-                "scheduler summary missing: {stderr}"
-            );
-            if !envs.is_empty() {
-                // The tiny device must show pre-batch host routing.
-                assert!(
-                    stderr.contains("host-routed job(s)") && !stderr.contains("0 host-routed"),
-                    "tiny device produced no host routing: {stderr}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn unknown_sched_mode_is_a_usage_error() {
-    let fx = fixture("sched-unknown");
-    let bad = run_map(&fx.index, &fx.reads, &["--sched", "zigzag"], &[]);
-    assert!(!bad.status.success());
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(
-        stderr.contains("unknown scheduler mode"),
-        "stderr: {stderr}"
-    );
-}
-
-/// The scheduler under a fault plan: supervision still absorbs the faults
-/// and stdout stays identical to a clean CPU run.
-#[test]
-fn scheduled_dispatch_survives_chaos() {
-    let fx = fixture("sched-chaos");
-    let clean = run_map(&fx.index, &fx.reads, &["--backend", "cpu"], &[]);
-    let chaos = run_map(
-        &fx.index,
-        &fx.reads,
-        &[
-            "--backend",
-            "gpu-sim",
-            "--sched",
-            "bins",
-            "--inject-backend-fault",
-            "launch-fail:every=2",
-        ],
-        &[],
-    );
-    assert!(
-        chaos.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&chaos.stderr)
-    );
-    assert_eq!(
-        clean.stdout, chaos.stdout,
-        "faults under the scheduler must not reach stdout"
-    );
-    let stderr = String::from_utf8_lossy(&chaos.stderr);
-    assert!(stderr.contains("binned batch(es)"), "stderr: {stderr}");
-    assert!(stderr.contains("supervisor gpu-sim:"), "stderr: {stderr}");
 }
 
 /// A malformed fault plan is a usage error, reported before any mapping.

@@ -519,6 +519,7 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
             (&["--prefilter", "safe"], "unknown flag --prefilter"),
             (&["--index-format", "legacy"], "unknown flag --index-format"),
             (&["--no-mmap"], "unknown flag --no-mmap"),
+            (&["--sched", "bins"], "unknown flag --sched"),
         ] {
             sub.expect_usage(&fx.dir, bad, why);
         }

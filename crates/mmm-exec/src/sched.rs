@@ -14,8 +14,15 @@
 //! one scheduled batch, and the executor scatters per-job outcomes back to
 //! their original positions, so callers observe the same one-result-per-job
 //! in-order contract as an unscheduled submit. Output (PAF/SAM) is
-//! byte-identical by construction; the xtask oracle and the backend CLI
-//! tests enforce it end to end.
+//! byte-identical by construction; the xtask oracle and `tests/sched.rs`
+//! enforce it.
+//!
+//! The scheduler is library-only: `manymap map` and `mmm-serve` submit
+//! through [`SupervisedBackend::submit_supervised`] directly, since lane
+//! groups fill best from one unbinned batch. The benchmark harness's trace
+//! still times a binned submission against it.
+//!
+//! [`SupervisedBackend::submit_supervised`]: crate::SupervisedBackend::submit_supervised
 
 use crate::job::AlignJob;
 use crate::{splitmix64_mix, SPLITMIX64_GAMMA};
@@ -28,25 +35,6 @@ pub enum SchedMode {
     Fifo,
     /// Length-binned batches with per-backend routing.
     Bins,
-}
-
-impl SchedMode {
-    /// Parse a `--sched` value.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "fifo" => Ok(SchedMode::Fifo),
-            "bins" => Ok(SchedMode::Bins),
-            other => Err(format!("unknown scheduler mode {other:?} (fifo|bins)")),
-        }
-    }
-
-    /// Name as accepted by [`parse`](Self::parse).
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedMode::Fifo => "fifo",
-            SchedMode::Bins => "bins",
-        }
-    }
 }
 
 /// Scheduler tuning. The defaults keep batches large enough to amortize
@@ -316,14 +304,5 @@ mod tests {
         assert_eq!(orders(&a), orders(&b), "same seed must replay");
         let c = plan_schedule(&jobs, |_| true, &cfg(Some(8)));
         assert_ne!(orders(&a), orders(&c), "different seed should shuffle");
-    }
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        assert_eq!(SchedMode::parse("fifo").unwrap(), SchedMode::Fifo);
-        assert_eq!(SchedMode::parse("bins").unwrap(), SchedMode::Bins);
-        assert!(SchedMode::parse("magic").is_err());
-        assert_eq!(SchedMode::Bins.label(), "bins");
-        assert_eq!(SchedMode::default(), SchedMode::Fifo);
     }
 }

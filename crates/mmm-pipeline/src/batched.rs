@@ -1,9 +1,9 @@
 //! The batched pipeline: a pulled batch → compute stage → writer thread
 //! (the reader thread of the paper's 3-thread design is the caller's), with
-//! the compute stage split into plan → (schedule →) dispatch →
-//! finalize so a whole batch's base-level alignment can be executed by a
-//! *backend* (CPU SIMD lanes, the simulated GPU, eventually real
-//! accelerators) in one submission:
+//! the compute stage split into plan → dispatch → finalize so a whole
+//! batch's base-level alignment can be executed by a *backend* (CPU SIMD
+//! lanes, the simulated GPU, eventually real accelerators) in one
+//! submission:
 //!
 //! 1. **plan** — per item, on the worker pool: seed, chain, and describe
 //!    the DP problems the item needs (returns `M`, e.g. a set of
@@ -12,23 +12,19 @@
 //!    stage;
 //! 2. **dispatch** — once per batch, on the compute thread: ship every
 //!    item's jobs to the backend, get `D` (e.g. the `AlignResult`s) back.
-//!    The dispatch closure may interpose the length-binned scheduler
-//!    (`mmm_exec::sched`, `SupervisedBackend::submit_scheduled`): jobs are
-//!    binned by DP-matrix size, batches sized per backend, device-ineligible
-//!    giants routed to the host standby, and the outcomes scattered back to
-//!    their original indices — so this stage's contract (result `i` belongs
-//!    to job `i`) is untouched by any reordering inside it;
+//!    Its contract is one result per plan, in plan order, whatever the
+//!    backend reorders inside it;
 //! 3. **finalize** — per item, on the worker pool again: splice the
 //!    backend's results into the item's output (returns `R`).
 //!
 //! Both per-item phases run on the *same* persistent pool (one worker-state
-//! build per run, zero per-batch spawns) and keep PR-2's panic isolation: a
-//! panic in `plan` or `finalize` degrades that one item through the
-//! [`PanicHandler`]; items that fail in `plan` are excluded from dispatch.
-//! Dispatch reports per item: each plan comes back with
-//! `Result<D, String>`, and a failed item degrades through the same
-//! [`PanicHandler`] instead of killing the run (the supervised backend's
-//! quarantine channel). A whole-batch `Err` from dispatch stays fatal
+//! build per run, zero per-batch spawns) and isolate panics: a panic in
+//! `plan` or `finalize` degrades that one item through the run's
+//! [`FailureHandler`] ([`ItemFailure::Panicked`]); items that fail in
+//! `plan` are excluded from dispatch. Dispatch reports per item: each plan
+//! comes back with `Result<D, String>`, and a failed item degrades through
+//! the same handler ([`ItemFailure::Dispatch`], the supervised backend's
+//! quarantine channel). A whole-batch `Err` from dispatch is fatal
 //! ([`PipelineError::Dispatch`]) — that is the `--fail-fast` escape hatch
 //! and the contract-violation path (wrong result count).
 //!
@@ -59,7 +55,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::error::{DynError, PipelineError};
-use crate::pipeline::{PanicHandler, PipelineStats};
+use crate::pipeline::{FailureHandler, ItemFailure, PipelineStats};
 use crate::pool::WorkerPool;
 use crate::sort::sort_indices_by_len_desc;
 use crate::sync::lock_unpoisoned;
@@ -81,20 +77,6 @@ fn panic_messages<R>(outcome: &crate::pool::BatchOutcome<R>) -> Vec<Option<Strin
     msg
 }
 
-/// Degrade one failed item through the handler, or fail the run with
-/// `fatal` when there is none.
-fn degrade<I, R>(
-    on_item_panic: PanicHandler<'_, I, R>,
-    item: &I,
-    message: String,
-    fatal: impl FnOnce(String) -> PipelineError,
-) -> Result<R, PipelineError> {
-    match on_item_panic {
-        Some(handler) => Ok(handler(item, &message)),
-        None => Err(fatal(message)),
-    }
-}
-
 /// Run one batch through plan → dispatch → finalize. Returns results in
 /// original item order plus the batch's degraded-item count and phase
 /// seconds (the other [`PipelineStats`] fields stay zero).
@@ -106,7 +88,7 @@ fn run_batch<I, M, D, R, S, FPlan, FFin, FLen>(
     dispatch: &mut dyn FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>,
     finalize: &FFin,
     len_of: &FLen,
-    on_item_panic: PanicHandler<'_, I, R>,
+    on_failure: FailureHandler<'_, I, R>,
 ) -> Result<(Vec<R>, PipelineStats), PipelineError>
 where
     I: Send + Sync,
@@ -144,12 +126,7 @@ where
             continue;
         }
         let msg = panic_msg[idx].take().unwrap_or_else(abandoned);
-        out[idx] = Some(degrade(on_item_panic, &item, msg, |message| {
-            PipelineError::WorkerPanic {
-                item_index: idx,
-                message,
-            }
-        })?);
+        out[idx] = Some(on_failure(&item, ItemFailure::Panicked(msg)));
         failed += 1;
     }
 
@@ -180,13 +157,8 @@ where
                 fin_map.push(idx);
                 fin_steps.push((item, m, d));
             }
-            Err(message) => {
-                out[idx] = Some(degrade(on_item_panic, &item, message, |message| {
-                    PipelineError::DispatchItem {
-                        item_index: idx,
-                        message,
-                    }
-                })?);
+            Err(reason) => {
+                out[idx] = Some(on_failure(&item, ItemFailure::Dispatch(reason)));
                 failed += 1;
             }
         }
@@ -209,12 +181,7 @@ where
             continue;
         }
         let msg = fin_msg[k].take().unwrap_or_else(abandoned);
-        out[idx] = Some(degrade(on_item_panic, &item, msg, |message| {
-            PipelineError::WorkerPanic {
-                item_index: idx,
-                message,
-            }
-        })?);
+        out[idx] = Some(on_failure(&item, ItemFailure::Panicked(msg)));
         failed += 1;
     }
 
@@ -243,24 +210,12 @@ where
 /// * `dispatch(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>`
 ///   runs serially per batch and must return exactly one `(plan, result)`
 ///   pair per plan, in order; a per-item `Err(String)` degrades that item
-///   through the panic handler (fatal
-///   [`PipelineError::DispatchItem`] without one). A whole-batch `Err`
-///   aborts the run with [`PipelineError::Dispatch`].
+///   through `on_failure`. A whole-batch `Err` aborts the run with
+///   [`PipelineError::Dispatch`];
+/// * `on_failure(&I, ItemFailure) -> R` stands in for every item that
+///   panicked or failed dispatch.
 #[allow(clippy::too_many_arguments)]
-pub fn try_run_three_thread_batched_with_state<
-    I,
-    M,
-    D,
-    R,
-    S,
-    FIn,
-    FState,
-    FPlan,
-    FDispatch,
-    FFin,
-    FLen,
-    FOut,
->(
+pub fn run<I, M, D, R, S, FIn, FState, FPlan, FDispatch, FFin, FLen, FOut>(
     mut next_batch: FIn,
     make_state: FState,
     plan: FPlan,
@@ -268,7 +223,7 @@ pub fn try_run_three_thread_batched_with_state<
     finalize: FFin,
     len_of: FLen,
     mut write_batch: FOut,
-    on_item_panic: PanicHandler<'_, I, R>,
+    on_failure: FailureHandler<'_, I, R>,
     threads: usize,
 ) -> Result<PipelineStats, PipelineError>
 where
@@ -331,7 +286,7 @@ where
                 &mut dispatch,
                 &finalize,
                 &len_of,
-                on_item_panic,
+                on_failure,
             ) {
                 Ok((results, b)) => {
                     let mut s = lock_unpoisoned(&stats);
@@ -373,6 +328,11 @@ where
 mod tests {
     use super::*;
 
+    /// The handler of a run in which no item may fail.
+    fn no_failure(item: &u64, why: ItemFailure) -> u64 {
+        panic!("item {item} failed: {why:?}")
+    }
+
     fn feeder(
         mut data: Vec<Vec<u64>>,
     ) -> impl FnMut() -> Result<Option<Vec<u64>>, DynError> + Send {
@@ -384,7 +344,7 @@ mod tests {
     /// dispatched value by 10 — so every stage's contribution is visible.
     fn run_simple(input: Vec<Vec<u64>>, threads: usize) -> (Vec<u64>, PipelineStats) {
         let out = Mutex::new(Vec::new());
-        let stats = try_run_three_thread_batched_with_state(
+        let stats = run(
             feeder(input),
             |_| (),
             |(), &x: &u64| x * 2,
@@ -395,7 +355,7 @@ mod tests {
                 out.lock().unwrap().extend(r);
                 Ok(())
             },
-            None,
+            &no_failure,
             threads,
         )
         .unwrap();
@@ -419,7 +379,7 @@ mod tests {
     #[test]
     fn phase_seconds_charge_the_phase_that_spent_them() {
         let nap = std::time::Duration::from_millis(30);
-        let stats = try_run_three_thread_batched_with_state(
+        let stats = run(
             feeder(vec![vec![1u64, 2], vec![3], vec![4, 5, 6]]),
             |_| (),
             |(), &x: &u64| x,
@@ -430,7 +390,7 @@ mod tests {
             |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
             |_r| Ok(()),
-            None,
+            &no_failure,
             2,
         )
         .unwrap();
@@ -450,7 +410,7 @@ mod tests {
     fn sorted_compute_keeps_output_order() {
         let input = vec![vec![5u64, 1, 9, 3]];
         let out = Mutex::new(Vec::new());
-        try_run_three_thread_batched_with_state(
+        run(
             feeder(input),
             |_| (),
             |(), &x: &u64| x,
@@ -461,7 +421,7 @@ mod tests {
                 out.lock().unwrap().extend(r);
                 Ok(())
             },
-            None,
+            &no_failure,
             4,
         )
         .unwrap();
@@ -473,8 +433,8 @@ mod tests {
         let input = vec![vec![1u64, 7, 3]];
         let out = Mutex::new(Vec::new());
         let seen_by_dispatch = Mutex::new(Vec::new());
-        let handler = |item: &u64, _msg: &str| item * 1000;
-        let stats = try_run_three_thread_batched_with_state(
+        let handler = |item: &u64, _why: ItemFailure| item * 1000;
+        let stats = run(
             feeder(input),
             |_| (),
             |(), &x: &u64| {
@@ -496,7 +456,7 @@ mod tests {
                 out.lock().unwrap().extend(r);
                 Ok(())
             },
-            Some(&handler),
+            &handler,
             2,
         )
         .unwrap();
@@ -510,8 +470,8 @@ mod tests {
     fn finalize_panic_degrades_one_item() {
         let input = vec![vec![1u64, 2, 3, 4]];
         let out = Mutex::new(Vec::new());
-        let handler = |item: &u64, _msg: &str| item + 900;
-        let stats = try_run_three_thread_batched_with_state(
+        let handler = |item: &u64, _why: ItemFailure| item + 900;
+        let stats = run(
             feeder(input),
             |_| (),
             |(), &x: &u64| x,
@@ -527,7 +487,7 @@ mod tests {
                 out.lock().unwrap().extend(r);
                 Ok(())
             },
-            Some(&handler),
+            &handler,
             2,
         )
         .unwrap();
@@ -536,35 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn panic_without_handler_is_fatal_with_item_index() {
-        let input = vec![vec![1u64, 7, 3]];
-        let err = try_run_three_thread_batched_with_state(
-            feeder(input),
-            |_| (),
-            |(), &x: &u64| {
-                if x == 7 {
-                    panic!("bad read");
-                }
-                x
-            },
-            |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
-            |(), _item, m: &u64, _d: &()| *m,
-            |_| 1,
-            |_r| Ok(()),
-            None,
-            2,
-        )
-        .unwrap_err();
-        match err {
-            PipelineError::WorkerPanic { item_index, .. } => assert_eq!(item_index, 1),
-            other => panic!("expected WorkerPanic, got {other}"),
-        }
-    }
-
-    #[test]
     fn dispatch_error_is_fatal() {
         let input = vec![vec![1u64, 2], vec![3, 4]];
-        let err = try_run_three_thread_batched_with_state(
+        let err = run(
             feeder(input),
             |_| (),
             |(), &x: &u64| x,
@@ -574,7 +508,7 @@ mod tests {
             |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
             |_r| Ok(()),
-            None,
+            &no_failure,
             2,
         )
         .unwrap_err();
@@ -588,11 +522,14 @@ mod tests {
     fn per_item_dispatch_error_degrades_that_item_only() {
         let input = vec![vec![1u64, 7, 3]];
         let out = Mutex::new(Vec::new());
-        let handler = |item: &u64, msg: &str| {
-            assert!(msg.contains("quarantined"), "handler saw {msg:?}");
+        let handler = |item: &u64, why: ItemFailure| {
+            let ItemFailure::Dispatch(reason) = why else {
+                panic!("handler saw {why:?}");
+            };
+            assert!(reason.contains("quarantined"), "handler saw {reason:?}");
             item * 100
         };
-        let stats = try_run_three_thread_batched_with_state(
+        let stats = run(
             feeder(input),
             |_| (),
             |(), &x: &u64| x,
@@ -614,7 +551,7 @@ mod tests {
                 out.lock().unwrap().extend(r);
                 Ok(())
             },
-            Some(&handler),
+            &handler,
             2,
         )
         .unwrap();
@@ -623,47 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn per_item_dispatch_error_without_handler_is_fatal_with_index() {
-        let input = vec![vec![1u64, 7, 3]];
-        let err = try_run_three_thread_batched_with_state(
-            feeder(input),
-            |_| (),
-            |(), &x: &u64| x,
-            |plans: Vec<u64>| {
-                Ok(plans
-                    .into_iter()
-                    .map(|m| {
-                        if m == 7 {
-                            (m, Err("job quarantined".to_string()))
-                        } else {
-                            (m, Ok(()))
-                        }
-                    })
-                    .collect())
-            },
-            |(), _item, m: &u64, _d: &()| *m,
-            |_| 1,
-            |_r| Ok(()),
-            None,
-            2,
-        )
-        .unwrap_err();
-        match err {
-            PipelineError::DispatchItem {
-                item_index,
-                message,
-            } => {
-                assert_eq!(item_index, 1);
-                assert!(message.contains("quarantined"));
-            }
-            other => panic!("expected DispatchItem, got {other}"),
-        }
-    }
-
-    #[test]
     fn short_dispatch_result_is_fatal_not_silent() {
         let input = vec![vec![1u64, 2, 3]];
-        let err = try_run_three_thread_batched_with_state(
+        let err = run(
             feeder(input),
             |_| (),
             |(), &x: &u64| x,
@@ -671,7 +570,7 @@ mod tests {
             |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
             |_r| Ok(()),
-            None,
+            &no_failure,
             2,
         )
         .unwrap_err();
@@ -691,7 +590,7 @@ mod tests {
     #[test]
     fn read_error_stops_run() {
         let mut calls = 0;
-        let err = try_run_three_thread_batched_with_state(
+        let err = run(
             move || {
                 calls += 1;
                 if calls > 2 {
@@ -706,7 +605,7 @@ mod tests {
             |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
             |_r| Ok(()),
-            None,
+            &no_failure,
             2,
         )
         .unwrap_err();

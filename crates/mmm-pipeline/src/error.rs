@@ -1,10 +1,10 @@
 //! Typed pipeline errors.
 //!
-//! The pipeline entry point
-//! ([`crate::try_run_three_thread_batched_with_state`]) reports exactly
-//! which stage failed. Stage callbacks return [`DynError`] so any error type flows
-//! through the pipeline unchanged; the pipeline wraps it with the stage that
-//! produced it.
+//! The pipeline entry point ([`crate::run`]) reports exactly which stage
+//! stopped the run. Stage callbacks return [`DynError`] so any error type
+//! flows through the pipeline unchanged; the pipeline wraps it with the
+//! stage that produced it. A failure of one item is not an error: it
+//! degrades through the run's [`crate::FailureHandler`].
 
 use std::fmt;
 
@@ -19,16 +19,10 @@ pub enum PipelineError {
     /// The output stage failed; results already handed to the writer may be
     /// partially emitted.
     Write(DynError),
-    /// A worker panicked on one item and no per-item degradation handler
-    /// was installed.
-    WorkerPanic { item_index: usize, message: String },
     /// The batched pipeline's dispatch stage (e.g. an alignment backend)
     /// failed for a whole batch. Dispatch errors are fatal: unlike a
-    /// per-item panic there is no single item to degrade.
+    /// per-item failure there is no single item to degrade.
     Dispatch(DynError),
-    /// Dispatch failed for one item and no per-item degradation handler was
-    /// installed (the supervised backend reports quarantined jobs this way).
-    DispatchItem { item_index: usize, message: String },
 }
 
 impl fmt::Display for PipelineError {
@@ -36,18 +30,7 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Read(e) => write!(f, "pipeline input failed: {e}"),
             PipelineError::Write(e) => write!(f, "pipeline output failed: {e}"),
-            PipelineError::WorkerPanic {
-                item_index,
-                message,
-            } => write!(
-                f,
-                "worker panicked while processing item {item_index}: {message}"
-            ),
             PipelineError::Dispatch(e) => write!(f, "pipeline dispatch failed: {e}"),
-            PipelineError::DispatchItem {
-                item_index,
-                message,
-            } => write!(f, "dispatch failed for item {item_index}: {message}"),
         }
     }
 }
@@ -58,7 +41,6 @@ impl std::error::Error for PipelineError {
             PipelineError::Read(e) | PipelineError::Write(e) | PipelineError::Dispatch(e) => {
                 Some(e.as_ref())
             }
-            PipelineError::WorkerPanic { .. } | PipelineError::DispatchItem { .. } => None,
         }
     }
 }
@@ -71,11 +53,8 @@ mod tests {
     fn display_names_stage() {
         let e = PipelineError::Read("disk gone".into());
         assert!(e.to_string().contains("input failed"));
-        let e = PipelineError::WorkerPanic {
-            item_index: 4,
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("item 4"));
-        assert!(e.to_string().contains("boom"));
+        let e = PipelineError::Dispatch("device on fire".into());
+        assert!(e.to_string().contains("dispatch failed"));
+        assert!(e.to_string().contains("device on fire"));
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! manymap's 3-thread design: a reader thread and a writer thread around
 //! the compute stage, joined by bounded channels, so input and output
-//! overlap computation *and* each other (the writer is the pipeline's; the
-//! reader belongs to the caller, `manymap map`'s read-ahead); each batch is
-//! sorted by read length so long reads start first (better load balance).
+//! overlap computation *and* each other; each batch is sorted by read
+//! length so long reads start first (better load balance). The writer
+//! thread is the pipeline's; the reader is the caller's (`manymap map` runs
+//! a read-ahead thread behind a bounded channel, the `mmm-serve` daemon
+//! forms each batch from its tenants' queues when compute is free).
 //! (minimap2's 2-thread alternating design is compared against it where
 //! the paper measures it — `mmm_knl::simulate_pipeline`, Fig. 11 — not
 //! with a second set of real threads.)
 //!
-//! There is one pipeline, [`batched`]: plan → dispatch → finalize, generic
+//! There is one pipeline, [`run`]: plan → dispatch → finalize, generic
 //! over item/plan/result types, whose compute stage pulls each batch from a
 //! caller closure when it is free for one. Its per-item phases run on a
 //! persistent worker pool ([`pool::WorkerPool`]): compute threads are
@@ -21,17 +23,15 @@
 
 pub mod batched;
 pub mod error;
-pub mod fault;
 pub mod pipeline;
 pub mod pool;
 pub mod queue;
 pub mod sort;
 pub mod sync;
 
-pub use batched::try_run_three_thread_batched_with_state;
+pub use batched::run;
 pub use error::{DynError, PipelineError};
-pub use fault::{failing_every, panicking_map};
-pub use pipeline::{PanicHandler, PipelineStats};
+pub use pipeline::{FailureHandler, ItemFailure, PipelineStats};
 pub use pool::{BatchOutcome, ItemPanic, WorkerPool};
 pub use queue::{BoundedQueue, PopError, PushError};
 pub use sort::sort_indices_by_len_desc;

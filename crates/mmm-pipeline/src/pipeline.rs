@@ -1,4 +1,4 @@
-//! Types shared by the pipeline entry points in [`crate::batched`].
+//! Types shared with the pipeline entry point, [`crate::run`].
 
 /// Aggregate timings of a pipeline run. Stage seconds are summed across
 /// batches (stages overlap, so they may exceed `wall_seconds`).
@@ -6,8 +6,8 @@
 pub struct PipelineStats {
     pub batches: usize,
     pub items: usize,
-    /// Items whose worker panicked and that were degraded through the
-    /// `on_item_panic` handler instead of producing a real result.
+    /// Items that failed and were degraded through the [`FailureHandler`]
+    /// instead of producing a real result.
     pub failed_items: usize,
     pub in_seconds: f64,
     pub compute_seconds: f64,
@@ -21,9 +21,16 @@ pub struct PipelineStats {
     pub wall_seconds: f64,
 }
 
-/// Handler invoked for an item whose worker panicked: receives the item and
-/// the panic message, returns the substitute result (e.g. an "unmapped"
-/// record). Installing one turns worker panics into per-item degradation;
-/// without one the first panic aborts the run with
-/// [`crate::PipelineError::WorkerPanic`].
-pub type PanicHandler<'a, I, R> = Option<&'a (dyn Fn(&I, &str) -> R + Sync)>;
+/// Why one item failed inside the pipeline.
+#[derive(Debug)]
+pub enum ItemFailure {
+    /// `plan` or `finalize` panicked on the item, with this message.
+    Panicked(String),
+    /// `dispatch` reported the item failed, with this reason.
+    Dispatch(String),
+}
+
+/// Handler invoked for an item that failed: receives the item and why,
+/// returns the substitute result (e.g. an "unmapped" record). A failed
+/// item degrades; it never stops the run.
+pub type FailureHandler<'a, I, R> = &'a (dyn Fn(&I, ItemFailure) -> R + Sync);

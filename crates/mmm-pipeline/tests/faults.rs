@@ -1,21 +1,54 @@
 //! Fault-injection suite for the batch pipeline.
 //!
-//! Drives every degradation path with the adapters from
-//! `mmm_pipeline::fault`: a reader erroring mid-run, a worker panicking
-//! mid-batch, a writer failing. The pipeline runs per item here — the
-//! batched pipeline with an identity dispatch and the map in finalize. The
-//! invariants: a typed error comes back (never a deadlock, never a poisoned
-//! mutex), and with a panic handler installed the run completes with the
-//! failure counted.
+//! Drives every degradation path with the adapters below: a reader erroring
+//! mid-run, a worker panicking mid-batch, a writer failing. The pipeline
+//! runs per item here — the batched pipeline with an identity dispatch and
+//! the map in finalize. The invariants: a typed error comes back (never a
+//! deadlock, never a poisoned mutex), and a panicking item completes the
+//! run through the failure handler, counted.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mmm_pipeline::{
-    failing_every, panicking_map, try_run_three_thread_batched_with_state, DynError, PanicHandler,
-    PipelineError, PipelineStats,
-};
+use mmm_pipeline::{DynError, FailureHandler, ItemFailure, PipelineError, PipelineStats};
+
+/// Wrap a batch reader so every `every`-th call (1-based) returns an error
+/// instead of a batch. With `every = 3` the reader yields two real batches,
+/// then fails.
+fn failing_every<I, F>(
+    mut read: F,
+    every: usize,
+) -> impl FnMut() -> Result<Option<Vec<I>>, DynError> + Send
+where
+    F: FnMut() -> Result<Option<Vec<I>>, DynError> + Send,
+{
+    let every = every.max(1);
+    let mut calls = 0usize;
+    move || {
+        calls += 1;
+        if calls.is_multiple_of(every) {
+            Err(format!("injected reader fault at batch {calls}").into())
+        } else {
+            read()
+        }
+    }
+}
+
+/// Wrap a map stage so items selected by `should_panic` panic instead of
+/// producing a result — a stand-in for a latent bug tripping on one read.
+fn panicking_map<S, I, R, M, P>(map: M, should_panic: P) -> impl Fn(&mut S, &I) -> R + Sync
+where
+    M: Fn(&mut S, &I) -> R + Sync,
+    P: Fn(&I) -> bool + Sync,
+{
+    move |state, item| {
+        if should_panic(item) {
+            panic!("injected worker panic");
+        }
+        map(state, item)
+    }
+}
 
 /// A reader producing `n_batches` batches of `batch` consecutive u32s.
 fn counting_reader(
@@ -37,14 +70,19 @@ fn double(_: &mut (), x: &u32) -> u64 {
     *x as u64 * 2
 }
 
+/// The handler of a run in which no item may fail.
+fn no_failure(item: &u32, why: ItemFailure) -> u64 {
+    panic!("item {item} failed: {why:?}")
+}
+
 /// Run `map` per item on 4 workers.
 fn per_item(
     read: impl FnMut() -> Result<Option<Vec<u32>>, DynError> + Send,
     map: impl Fn(&mut (), &u32) -> u64 + Sync,
     write: impl FnMut(Vec<u64>) -> Result<(), DynError> + Send,
-    on_panic: PanicHandler<'_, u32, u64>,
+    on_failure: FailureHandler<'_, u32, u64>,
 ) -> Result<PipelineStats, PipelineError> {
-    try_run_three_thread_batched_with_state(
+    mmm_pipeline::run(
         read,
         |_| (),
         |(), _: &u32| (),
@@ -52,37 +90,38 @@ fn per_item(
         |st: &mut (), item: &u32, (): &(), (): &()| map(st, item),
         |_| 1,
         write,
-        on_panic,
+        on_failure,
         4,
     )
 }
 
 #[test]
-fn worker_panic_without_handler_is_typed() {
-    let err = per_item(
-        counting_reader(4, 16),
-        panicking_map(double, |&x| x == 37),
-        |_| Ok(()),
-        None,
-    )
-    .unwrap_err();
-    let PipelineError::WorkerPanic {
-        item_index,
-        message,
-    } = err
-    else {
-        panic!("wrong variant: {err}");
-    };
-    // Index is batch-local: 37 is item 5 of the third batch (32..48).
-    assert_eq!(item_index, 5);
-    assert!(message.contains("injected worker panic"), "{message}");
+fn failing_every_counts_calls() {
+    let mut batches = vec![vec![1u32], vec![2], vec![3]];
+    batches.reverse();
+    let mut r = failing_every(move || Ok(batches.pop()), 3);
+    assert_eq!(r().unwrap(), Some(vec![1]));
+    assert_eq!(r().unwrap(), Some(vec![2]));
+    let err = r().unwrap_err();
+    assert!(err.to_string().contains("batch 3"), "{err}");
+}
+
+#[test]
+fn panicking_map_passes_through() {
+    let m = panicking_map(|(), &x: &u32| x * 2, |&x| x == 9);
+    assert_eq!(m(&mut (), &4), 8);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m(&mut (), &9)));
+    assert!(caught.is_err());
 }
 
 #[test]
 fn worker_panic_with_handler_degrades_and_counts() {
     let substituted = AtomicUsize::new(0);
-    let on_panic = |item: &u32, msg: &str| -> u64 {
+    let on_failure = |item: &u32, why: ItemFailure| -> u64 {
         substituted.fetch_add(1, Ordering::Relaxed);
+        let ItemFailure::Panicked(msg) = why else {
+            panic!("not a panic: {why:?}");
+        };
         assert!(msg.contains("injected worker panic"), "{msg}");
         assert_eq!(*item, 37);
         u64::MAX
@@ -95,7 +134,7 @@ fn worker_panic_with_handler_degrades_and_counts() {
             out.lock().unwrap().extend(rs);
             Ok(())
         },
-        Some(&on_panic),
+        &on_failure,
     )
     .unwrap();
     assert_eq!(stats.items, 64);
@@ -121,7 +160,7 @@ fn writer_error_aborts_with_typed_error() {
             }
             Ok(())
         },
-        None,
+        &no_failure,
     )
     .unwrap_err();
     let PipelineError::Write(e) = err else {
@@ -145,7 +184,7 @@ fn reader_error_aborts_with_typed_error_across_repeats() {
                 written.fetch_add(rs.len(), Ordering::Relaxed);
                 Ok(())
             },
-            None,
+            &no_failure,
         )
         .unwrap_err();
         let PipelineError::Read(e) = err else {

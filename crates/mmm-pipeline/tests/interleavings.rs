@@ -11,7 +11,9 @@
 //!   worker claims nothing but still checks in);
 //! * the 3-thread pipeline's bounded-channel stage coupling, abstracted as
 //!   two capacity-2 condvar ring buffers (`sync_channel(2)` in the real
-//!   code).
+//!   code: the caller's read-ahead channel in front of `mmm_pipeline::run`,
+//!   as `manymap map` runs it, and the pipeline's own channel to its
+//!   writer).
 //!
 //! One further model is deliberately broken — a near-miss variant of the
 //! pool protocol — and asserts that the checker *catches* it, so a
@@ -318,7 +320,8 @@ impl BoundedQueue {
 
 /// One explored execution of the 3-stage pipeline: reader → compute → writer
 /// over two capacity-2 queues, with EOF propagating as channel closure
-/// (dropping `in_tx` / `out_tx` in the real code).
+/// (the caller's reader dropping its sender, then `run` dropping `out_tx`,
+/// in the real code).
 fn three_stage_execution(n_batches: usize) {
     let chan_in = Arc::new(BoundedQueue::new(2));
     let chan_out = Arc::new(BoundedQueue::new(2));
@@ -344,7 +347,7 @@ fn three_stage_execution(n_batches: usize) {
             }
         })
     };
-    // Compute stage runs on this thread, like the real pipeline.
+    // Compute stage runs on this thread and pulls each batch, like `run`.
     while let Some(b) = chan_in.recv() {
         if !chan_out.send(b * 10) {
             break;

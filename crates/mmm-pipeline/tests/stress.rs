@@ -5,9 +5,7 @@
 
 use std::sync::Mutex;
 
-use mmm_pipeline::{
-    sort_indices_by_len_desc, try_run_three_thread_batched_with_state, PipelineStats, WorkerPool,
-};
+use mmm_pipeline::{sort_indices_by_len_desc, ItemFailure, PipelineStats, WorkerPool};
 
 /// Map every item of `batches` through the pipeline; returns the output in
 /// write order plus the run's stats.
@@ -19,7 +17,8 @@ fn run<R: Send>(
 ) -> (Vec<R>, PipelineStats) {
     batches.reverse();
     let out = Mutex::new(Vec::new());
-    let stats = try_run_three_thread_batched_with_state(
+    let no_failure = |item: &u64, why: ItemFailure| -> R { panic!("item {item} failed: {why:?}") };
+    let stats = mmm_pipeline::run(
         move || Ok(batches.pop()),
         |_| (),
         |(), _: &u64| (),
@@ -30,7 +29,7 @@ fn run<R: Send>(
             out.lock().unwrap().extend(r);
             Ok(())
         },
-        None,
+        &no_failure,
         threads,
     )
     .unwrap();

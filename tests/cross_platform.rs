@@ -82,22 +82,22 @@ fn headline_claim_gpu_kernel_speedup() {
 #[test]
 fn headline_claim_cpu_kernel_speedup() {
     // CPU micro: manymap ≥ minimap2 (measured; the margin depends on the
-    // host, §5.2.1 reports 1.1–2.2×). Use medians to tame timing noise.
+    // host, §5.2.1 reports 1.1–2.2×). The engines alternate round by round,
+    // so a burst of load from elsewhere hits both, and each is judged by its
+    // fastest run, the one least disturbed. 50 rounds (≈ 0.3 s) outlast the
+    // tests this binary runs beside it, so some rounds run on a quiet core.
     let sc = Scoring::MAP_PB;
     let (t, q) = &pairs(1, 4_000)[0];
-    let measure = |e: mmm_align::Engine| {
-        let mut v: Vec<f64> = (0..7)
-            .map(|_| {
-                let s = std::time::Instant::now();
-                std::hint::black_box(e.align(t, q, &sc, AlignMode::Global, false));
-                s.elapsed().as_secs_f64()
-            })
-            .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[3]
+    let time = |e: mmm_align::Engine| {
+        let s = std::time::Instant::now();
+        std::hint::black_box(e.align(t, q, &sc, AlignMode::Global, false));
+        s.elapsed().as_secs_f64()
     };
-    let many = measure(best_engine());
-    let mm2 = measure(best_mm2_engine());
+    let (mut many, mut mm2) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..50 {
+        many = many.min(time(best_engine()));
+        mm2 = mm2.min(time(best_mm2_engine()));
+    }
     // Generous noise margin: manymap must not be meaningfully slower.
     assert!(many < mm2 * 1.15, "manymap {many} vs minimap2 {mm2}");
 }

@@ -1,16 +1,14 @@
-//! The production pipeline (a `MapSession`'s plan → dispatch → finalize
-//! stages on the batched 3-thread pipeline) must produce PAF byte-identical
-//! to a serial run, regardless of thread count or of the longest-first
-//! order it processes each batch in.
+//! The production pipeline (`session::run`: plan → dispatch → finalize on
+//! the batched 3-thread pipeline) must produce PAF byte-identical to a
+//! serial run, regardless of thread count or of the longest-first order it
+//! processes each batch in.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use manymap::session::{self, Planned};
+use manymap::session::{self, Degraded};
 use manymap::{write_paf, ExecConfig, MapOpts, MapSession, Mapper};
-use mmm_align::{AlignResult, AlignScratch};
 use mmm_index::{AnyIndex, MinimizerIndex};
-use mmm_pipeline::try_run_three_thread_batched_with_state;
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -54,7 +52,7 @@ fn serial_paf(session: &MapSession, reads: &[SeqRecord]) -> String {
     String::from_utf8(out).unwrap()
 }
 
-/// The reads through the session's stages, in batches of `batch` reads.
+/// The reads through the session's runner, in batches of `batch` reads.
 fn pipeline_paf(
     session: &Arc<MapSession>,
     reads: &[SeqRecord],
@@ -64,25 +62,22 @@ fn pipeline_paf(
     let mut batches: Vec<Vec<SeqRecord>> = reads.chunks(batch).map(|c| c.to_vec()).collect();
     batches.reverse();
     let exec = ExecConfig::new(&MapOpts::map_ont(), 4).open().unwrap();
-    let out = Mutex::new(String::new());
-    try_run_three_thread_batched_with_state(
-        move || Ok(batches.pop()),
-        |_| AlignScratch::new(),
-        |_: &mut AlignScratch, rec: &SeqRecord| session.plan(rec),
-        |plans| session::dispatch(plans, &exec),
-        |scratch: &mut AlignScratch, rec: &SeqRecord, p: &Planned, results: &Vec<AlignResult>| {
-            session::finalize(p, rec, results, scratch, false).expect("no read is rejected")
-        },
-        |rec| rec.len(),
-        |lines| {
-            out.lock().unwrap().extend(lines);
-            Ok(())
-        },
+    let mut out = String::new();
+    session::run(
+        || Arc::clone(session),
+        &exec,
+        false,
         None,
         threads,
+        move || Ok(batches.pop()),
+        |rec: &SeqRecord, why: Degraded<'_>| panic!("read {} degraded: {why:?}", rec.name),
+        |records| {
+            out.extend(records.into_iter().map(|((), lines)| lines));
+            Ok(())
+        },
     )
     .unwrap();
-    out.into_inner().unwrap()
+    out
 }
 
 #[test]
