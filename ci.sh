@@ -30,8 +30,8 @@ cargo build --release --manifest-path benchmark/Cargo.toml
 echo "==> cargo test --workspace (tier-1's root package plus every crate, bench and xtask)"
 cargo test --workspace -q
 
-echo "==> env-variant reruns: forced-scalar decode + align, each narrower SIMD tier"
-MMM_DISABLE_SIMD=all cargo test -q -p mmm-index -p mmm-align
+echo "==> env-variant reruns: forced-scalar align, each narrower SIMD tier"
+MMM_DISABLE_SIMD=all cargo test -q -p mmm-align
 MMM_DISABLE_SIMD=all cargo test -q -p manymap --test hpc_mapping
 # The AVX2/SSE kernels end a diagonal by pad + blend, AVX-512 by k-masks; on
 # an AVX-512 host only these reruns put the narrower tiers under the mapper.

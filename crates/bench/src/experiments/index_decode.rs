@@ -1,9 +1,10 @@
 //! Posting-list decode throughput and the packed index under the mapper.
 //!
-//! Four tables: (1) raw block-unpack bandwidth per SIMD tier — the FOR/delta
-//! field decoder and the 2-bit→nt4 reference decoder, each forced to
-//! scalar, AVX2, and the best available tier through the pure
-//! `*_unless` dispatch forms; (2) sketch alone — Mbases/s of the minimizer
+//! Four tables: (1) the two decoders alone — the posting cursor's walk
+//! (Mhits/s) per delta bit width over the multi-hit buckets of a
+//! tandem-repeat index, and the reference window decoder (`unpack_nt4`,
+//! the 256-entry table) beside its per-base scalar gold at the window
+//! lengths the mapper fetches and a long one; (2) sketch alone — Mbases/s of the minimizer
 //! sketcher over an ONT read set at both presets, and of the whole sharded
 //! seeding call (`ShardedIndex::collect_anchors`: sketch, bloom probes,
 //! lookups, anchors) over 1 kb fragments and decoys; (3) lookup alone — ns
@@ -21,10 +22,9 @@ use std::time::Instant;
 use manymap::baselines::BaselineId;
 use manymap::session::{load_index_any, map_reads};
 use manymap::{ExecConfig, MapSession};
-use mmm_align::DisabledTiers;
 use mmm_index::minimizer::{minimizers, minimizers_hpc};
 use mmm_index::unpack;
-use mmm_index::{build_sharded, save_index, IdxOpts, MinimizerIndex, ShardedIndex};
+use mmm_index::{build_sharded, save_index, BucketRef, IdxOpts, MinimizerIndex, ShardedIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{
     generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
@@ -32,42 +32,30 @@ use mmm_simreads::{
 
 use crate::{format_table, macrodata, mapped_records};
 
-/// Bit widths the field-decode rows sweep: the small widths clustered
-/// references actually produce, one mid width, and the worst case.
-const WIDTHS: [u32; 5] = [4, 8, 16, 32, 57];
+/// Tandem-repeat units the cursor rows are built from: a unit of `u`
+/// bases repeated end to end leaves each of its minimizers one bucket whose
+/// deltas are all `2u` (a packed hit is `pos << 1 | strand`), so the
+/// buckets of chromosome `i` pack at `bits(2u)` bits: 7, 11, 14 and 17.
+const REPEAT_UNITS: [usize; 4] = [60, 1_000, 8_000, 60_000];
 
-struct TierSpec {
-    label: &'static str,
-    disabled: DisabledTiers,
+/// Window lengths the window-decode rows time: the mapper's gap fills and
+/// extension windows are 15–170 bases, and the benchmark trace decodes
+/// kb-long record spans.
+const WINDOW_LENS: [usize; 5] = [16, 64, 128, 512, 4_096];
+
+/// The posting cursor over every multi-hit bucket of one delta width.
+struct CursorRow {
+    width: u32,
+    buckets: usize,
+    hits: usize,
+    mhits_per_s: f64,
 }
 
-fn tiers() -> Vec<TierSpec> {
-    vec![
-        TierSpec {
-            label: "scalar",
-            disabled: DisabledTiers::ALL_SIMD,
-        },
-        TierSpec {
-            label: "avx2",
-            disabled: DisabledTiers {
-                avx512: true,
-                ..DisabledTiers::NONE
-            },
-        },
-        TierSpec {
-            label: "best",
-            disabled: DisabledTiers::NONE,
-        },
-    ]
-}
-
-struct DecodeRow {
-    tier: &'static str,
-    resolved: &'static str,
-    /// GB/s of decoded u64 fields, per sweep width.
-    fields_gbps: Vec<f64>,
-    /// GB/s of decoded nt4 bases from the 2-bit reference.
-    nt4_gbps: f64,
+/// The window decoder beside its scalar gold at one window length.
+struct WindowRow {
+    bases: usize,
+    scalar_gbases_per_s: f64,
+    table_gbases_per_s: f64,
 }
 
 /// Throughput of one seeding-layer call over a read set.
@@ -109,73 +97,114 @@ struct MapRow {
     mappings: usize,
 }
 
-/// Time `f` over enough repetitions to fill ~`budget_bytes` of decoded
-/// output; returns GB/s of decoded bytes.
-fn gbps(bytes_per_call: usize, budget_bytes: usize, mut f: impl FnMut()) -> f64 {
-    let reps = (budget_bytes / bytes_per_call.max(1)).max(4);
+/// Time `f` over enough repetitions to produce ~`budget` units of output
+/// at `per_call` units a call; returns units per second.
+fn rate(per_call: usize, budget: usize, mut f: impl FnMut()) -> f64 {
+    let reps = (budget / per_call.max(1)).max(4);
     let t0 = Instant::now();
     for _ in 0..reps {
         f();
     }
     let dt = t0.elapsed().as_secs_f64();
     if dt > 0.0 {
-        (reps * bytes_per_call) as f64 / dt / 1e9
+        (reps * per_call) as f64 / dt
     } else {
         0.0
     }
 }
 
-fn decode_rows(quick: bool) -> Vec<DecodeRow> {
-    let n_fields = 4_096usize;
-    let budget = if quick { 1 << 24 } else { 1 << 28 };
-
-    // Deterministic pseudo-random field values (an LCG; the bench crate
-    // deliberately keeps the decode inputs dependency-free).
-    let mut state = 0x1234_5678_9ABC_DEF0u64;
-    let mut next = move || {
+/// Random bytes from an LCG's top bits (its low bits repeat within a few
+/// kb; the bench crate keeps the decode inputs dependency-free).
+fn lcg_bytes(mut state: u64) -> impl FnMut() -> u8 {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        state
-    };
+        (state >> 56) as u8
+    }
+}
 
-    // One packed block per width, plus one packed reference sequence.
-    let packed_blocks: Vec<Vec<u64>> = WIDTHS
+/// One chromosome per [`REPEAT_UNITS`] entry, each ≈ 240 kb of its unit
+/// repeated; then every bucket of ≥ 2 hits, grouped by delta width, walked
+/// by the cursor the seeding layer uses.
+fn cursor_rows(quick: bool) -> Result<Vec<CursorRow>, String> {
+    let mut next = lcg_bytes(0x1234_5678_9ABC_DEF0);
+    let refs: Vec<SeqRecord> = REPEAT_UNITS
         .iter()
-        .map(|&w| {
-            let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-            let vals: Vec<u64> = (0..n_fields).map(|_| next() & mask).collect();
-            let mut words = vec![0u64; unpack::words_for(n_fields as u64, w) as usize];
-            unpack::write_fields(&mut words, 0, w, &vals);
-            words
+        .enumerate()
+        .map(|(i, &u)| {
+            let unit: Vec<u8> = (0..u).map(|_| next() & 3).collect();
+            let chrom: Vec<u8> = unit
+                .iter()
+                .cycle()
+                .take(240_000.max(4 * u))
+                .copied()
+                .collect();
+            SeqRecord::new(format!("chr{i}"), nt4_decode(&chrom))
         })
         .collect();
-    let n_bases = 1 << 16;
-    let packed_bases: Vec<u8> = (0..n_bases / 4).map(|_| next() as u8).collect();
-
-    let mut out = Vec::new();
-    let mut field_buf = vec![0u64; n_fields];
-    let mut base_buf = vec![0u8; n_bases];
-    for t in tiers() {
-        let mut fields_gbps = Vec::new();
-        for (words, &w) in packed_blocks.iter().zip(&WIDTHS) {
-            fields_gbps.push(gbps(n_fields * 8, budget, || {
-                unpack::unpack_fields_unless(t.disabled, words, w, &mut field_buf);
-                std::hint::black_box(field_buf[n_fields - 1]);
-            }));
+    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
+        .map_err(|e| format!("cursor index build failed: {e}"))?;
+    let mut by_width: Vec<(u32, Vec<BucketRef>)> = Vec::new();
+    for h in idx.hashes() {
+        let Some(r) = idx.lookup(h).filter(|r| r.count() > 1) else {
+            continue;
+        };
+        match by_width.iter_mut().find(|(w, _)| *w == r.width()) {
+            Some((_, rs)) => rs.push(r),
+            None => by_width.push((r.width(), vec![r])),
         }
-        let nt4_gbps = gbps(n_bases, budget, || {
-            unpack::unpack_nt4_unless(t.disabled, &packed_bases, 0, n_bases, &mut base_buf);
-            std::hint::black_box(base_buf[n_bases - 1]);
-        });
-        out.push(DecodeRow {
-            tier: t.label,
-            resolved: unpack::best_tier_label_unless(t.disabled),
-            fields_gbps,
-            nt4_gbps,
-        });
     }
-    out
+    by_width.sort_by_key(|(w, _)| *w);
+    let budget = if quick { 1 << 24 } else { 1 << 28 };
+    Ok(by_width
+        .into_iter()
+        .map(|(width, buckets)| {
+            let hits: usize = buckets.iter().map(|r| r.count() as usize).sum();
+            let mhits_per_s = rate(hits, budget, || {
+                let sum = buckets
+                    .iter()
+                    .flat_map(|&r| idx.cursor(r))
+                    .fold(0u64, u64::wrapping_add);
+                std::hint::black_box(sum);
+            }) / 1e6;
+            CursorRow {
+                width,
+                buckets: buckets.len(),
+                hits,
+                mhits_per_s,
+            }
+        })
+        .collect())
+}
+
+/// Both window decoders over windows of each [`WINDOW_LENS`] length, their
+/// starts stepping through a 64 kbase packed sequence so every start
+/// offset mod 4 comes up.
+fn window_rows(quick: bool) -> Vec<WindowRow> {
+    let budget = if quick { 1 << 24 } else { 1 << 28 };
+    let mut next = lcg_bytes(0x9E37_79B9_7F4A_7C15);
+    let n_bases = 1usize << 16;
+    let packed: Vec<u8> = (0..n_bases / 4).map(|_| next()).collect();
+    let mut buf = vec![0u8; *WINDOW_LENS.last().unwrap_or(&0)];
+    WINDOW_LENS
+        .iter()
+        .map(|&len| {
+            let mut time = |decode: fn(&[u8], usize, usize, &mut [u8])| {
+                let mut start = 0usize;
+                rate(len, budget, || {
+                    start = (start + 4_099) % (n_bases - len);
+                    decode(&packed, start, start + len, &mut buf[..len]);
+                    std::hint::black_box(buf[len - 1]);
+                }) / 1e9
+            };
+            WindowRow {
+                bases: len,
+                scalar_gbases_per_s: time(unpack::unpack_nt4_scalar),
+                table_gbases_per_s: time(unpack::unpack_nt4),
+            }
+        })
+        .collect()
 }
 
 /// ns per probe over `probes`, which are all present (`hit`) or all absent.
@@ -407,9 +436,10 @@ pub fn run(quick: bool) -> String {
 /// Run the decode + map comparison; returns the human tables and the JSON
 /// document the `index_decode` binary writes to `BENCH_index_decode.json`.
 pub fn run_with_json(quick: bool) -> (String, String) {
-    let decode = decode_rows(quick);
-    let rows = sketch_rows(quick).and_then(|s| Ok((s, lookup_rows(quick)?, map_row(quick)?)));
-    let (sketches, lookups, r) = match rows {
+    let windows = window_rows(quick);
+    let rows = cursor_rows(quick)
+        .and_then(|c| Ok((c, sketch_rows(quick)?, lookup_rows(quick)?, map_row(quick)?)));
+    let (cursors, sketches, lookups, r) = match rows {
         Ok(rows) => rows,
         Err(e) => {
             let msg = format!("index_decode: {e}");
@@ -417,24 +447,40 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         }
     };
 
-    let decode_table: Vec<Vec<String>> = decode
+    let cursor_table: Vec<Vec<String>> = cursors
         .iter()
-        .map(|r| {
-            let mut row = vec![r.tier.to_string(), r.resolved.to_string()];
-            row.extend(r.fields_gbps.iter().map(|g| format!("{g:.2}")));
-            row.push(format!("{:.2}", r.nt4_gbps));
-            row
+        .map(|c| {
+            vec![
+                c.width.to_string(),
+                c.buckets.to_string(),
+                c.hits.to_string(),
+                format!("{:.0}", c.mhits_per_s),
+            ]
         })
         .collect();
-    let width_headers: Vec<String> = WIDTHS.iter().map(|w| format!("w={w} GB/s")).collect();
-    let mut headers: Vec<&str> = vec!["tier", "resolved"];
-    headers.extend(width_headers.iter().map(String::as_str));
-    headers.push("nt4 GB/s");
     let mut out = format_table(
-        "Index decode — packed-block unpack bandwidth per SIMD tier",
-        &headers,
-        &decode_table,
+        "Index decode — posting cursor walk per delta width (multi-hit buckets)",
+        &["width (bits)", "buckets", "hits", "Mhits/s"],
+        &cursor_table,
     );
+    let window_table: Vec<Vec<String>> = windows
+        .iter()
+        .map(|w| {
+            vec![
+                w.bases.to_string(),
+                format!("{:.2}", w.scalar_gbases_per_s),
+                format!("{:.2}", w.table_gbases_per_s),
+            ]
+        })
+        .collect();
+    out.push_str(&format_table(
+        &format!(
+            "Index decode — reference window decode ({} vs scalar gold)",
+            unpack::best_tier_label()
+        ),
+        &["window (bases)", "scalar Gbases/s", "table Gbases/s"],
+        &window_table,
+    ));
 
     let sketch_table: Vec<Vec<String>> = sketches
         .iter()
@@ -512,13 +558,17 @@ pub fn run_with_json(quick: bool) -> (String, String) {
     out.push_str(crate::SCALE_NOTE);
     out.push('\n');
 
-    (out, json_report(quick, &decode, &sketches, &lookups, &r))
+    (
+        out,
+        json_report(quick, &cursors, &windows, &sketches, &lookups, &r),
+    )
 }
 
 /// Hand-rolled JSON (the workspace takes no serialization dependency).
 fn json_report(
     quick: bool,
-    decode: &[DecodeRow],
+    cursors: &[CursorRow],
+    windows: &[WindowRow],
     sketches: &[SketchRow],
     lookups: &[LookupRow],
     r: &MapRow,
@@ -526,35 +576,31 @@ fn json_report(
     let mut j = String::from("{\n");
     j.push_str("  \"experiment\": \"index_decode\",\n");
     j.push_str(&format!("  \"quick\": {quick},\n"));
-    j.push_str("  \"decode_tiers\": [\n");
-    for (i, r) in decode.iter().enumerate() {
-        j.push_str("    {\n");
-        j.push_str(&format!("      \"tier\": \"{}\",\n", r.tier));
-        j.push_str(&format!("      \"resolved\": \"{}\",\n", r.resolved));
-        j.push_str("      \"field_widths\": [");
-        j.push_str(
-            &WIDTHS
-                .iter()
-                .map(|w| w.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        j.push_str("],\n");
-        j.push_str("      \"field_gbps\": [");
-        j.push_str(
-            &r.fields_gbps
-                .iter()
-                .map(|g| format!("{g:.3}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        j.push_str("],\n");
-        j.push_str(&format!("      \"nt4_gbps\": {:.3}\n", r.nt4_gbps));
-        j.push_str(if i + 1 == decode.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+    j.push_str("  \"cursor_walk\": [\n");
+    for (i, c) in cursors.iter().enumerate() {
+        j.push_str(&format!(
+            "    {{\"width\": {}, \"buckets\": {}, \"hits\": {}, \"mhits_per_s\": {:.1}}}{}\n",
+            c.width,
+            c.buckets,
+            c.hits,
+            c.mhits_per_s,
+            if i + 1 < cursors.len() { "," } else { "" }
+        ));
+    }
+    j.push_str("  ],\n");
+    j.push_str(&format!(
+        "  \"window_decoder\": {:?},\n",
+        unpack::best_tier_label()
+    ));
+    j.push_str("  \"window_decode\": [\n");
+    for (i, w) in windows.iter().enumerate() {
+        j.push_str(&format!(
+            "    {{\"bases\": {}, \"scalar_gbases_per_s\": {:.3}, \"table_gbases_per_s\": {:.3}}}{}\n",
+            w.bases,
+            w.scalar_gbases_per_s,
+            w.table_gbases_per_s,
+            if i + 1 < windows.len() { "," } else { "" }
+        ));
     }
     j.push_str("  ],\n");
     j.push_str("  \"sketch\": [\n");

@@ -3,7 +3,7 @@
 //! ```sh
 //! mmm-serve daemon <ref.mmx|ref.fa> --socket /path/daemon.sock
 //!           [shared flags] [--max-tenants N] [--inq-reads N]
-//!           [--outq-records N] [--quantum-bases N] [--batch-bases N]
+//!           [--outq-records N] [--batch-bases N]
 //! mmm-serve client <socket> <tenant-name> <reads.fq>   # PAF on stdout
 //! mmm-serve stats  <socket>                            # report on stdout
 //! mmm-serve drain  <socket>                            # begin drain
@@ -73,9 +73,6 @@ fn cmd_daemon(args: &Args) -> Result<(), MapError> {
     }
     if let Some(n) = args.num("outq-records")? {
         opts.outq_records = n;
-    }
-    if let Some(n) = args.num("quantum-bases")? {
-        opts.drr.quantum_bases = n;
     }
     if let Some(n) = args.num("batch-bases")? {
         opts.drr.batch_bases = n;

@@ -85,8 +85,6 @@ const POLL: Duration = Duration::from_millis(50);
 pub struct ServeOpts {
     /// Path of the unix socket to bind (removed and re-created).
     pub socket: PathBuf,
-    /// Worker threads for the shared pipeline.
-    pub threads: usize,
     /// Live tenant sessions admitted at once.
     pub max_tenants: usize,
     /// Per-tenant input queue bound, in reads.
@@ -108,11 +106,10 @@ pub struct ServeOpts {
 }
 
 impl ServeOpts {
-    /// Pipeline workers default to `exec.backend.threads`.
+    /// Pipeline workers are `exec.backend.threads`, as in `manymap map`.
     pub fn new(socket: PathBuf, map: MapOpts, exec: ExecConfig) -> Self {
         ServeOpts {
             socket,
-            threads: exec.backend.threads,
             max_tenants: 16,
             inq_reads: 512,
             outq_records: 512,
@@ -302,7 +299,7 @@ fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), PipelineError> {
         &ctx.exec,
         false, // PAF
         None,  // no injected panic
-        opts.threads,
+        opts.exec.backend.threads,
         || Ok(drr.pull(&ctx.registry, drained, POLL)),
         // A degraded read is counted against its tenant — never fatal,
         // never cross-tenant.

@@ -81,7 +81,6 @@ pub const DAEMON_FLAGS: &[Flag] = &[
     ("max-tenants", true),
     ("inq-reads", true),
     ("outq-records", true),
-    ("quantum-bases", true),
     ("batch-bases", true),
 ];
 

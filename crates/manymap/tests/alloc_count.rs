@@ -15,7 +15,7 @@
 //!
 //! A counting global allocator makes the claims checkable; the counters are
 //! thread-local so parallel test threads can't perturb them.
-// Exercises whatever SIMD decode tier the host offers, which Miri cannot.
+// Drives the SIMD alignment kernels the host offers, which Miri cannot run.
 #![cfg(not(miri))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 #![expect(unsafe_code, reason = "a counting allocator forwarding to `System`")]

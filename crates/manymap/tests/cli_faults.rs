@@ -520,6 +520,7 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
             (&["--index-format", "legacy"], "unknown flag --index-format"),
             (&["--no-mmap"], "unknown flag --no-mmap"),
             (&["--sched", "bins"], "unknown flag --sched"),
+            (&["--quantum-bases", "1000"], "unknown flag --quantum-bases"),
         ] {
             sub.expect_usage(&fx.dir, bad, why);
         }

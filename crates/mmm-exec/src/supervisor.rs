@@ -11,7 +11,8 @@
 //!    thread — a hung submit is abandoned (its result slot poisoned, the
 //!    batch rerouted) instead of wedging the compute thread;
 //! 3. a [`CircuitBreaker`] demotes a repeatedly failing primary to the
-//!    standby mid-run, with half-open probes to re-promote it;
+//!    standby mid-run, with half-open probes to re-promote it (a session
+//!    with no standby has no breaker: its failures cost only their jobs);
 //! 4. jobs that fail on *every* backend are quarantined and surfaced as
 //!    per-job outcomes, never a fatal error (unless `fail_fast` asks for
 //!    the old behaviour).
@@ -20,7 +21,7 @@
 //! CLI and profiler can report interventions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use mmm_align::AlignResult;
@@ -179,7 +180,9 @@ pub struct SupervisedBackend {
     standby: Option<Arc<dyn AlignBackend>>,
     cfg: SupervisorConfig,
     clock: Arc<dyn Clock>,
-    breaker: Mutex<CircuitBreaker>,
+    /// Present only with a standby: a breaker demotes the primary, and with
+    /// nothing to demote to an open one could only quarantine.
+    breaker: Option<Mutex<CircuitBreaker>>,
     runner: Mutex<Option<Runner>>,
     /// Results that arrived after their slot was poisoned.
     late: Arc<AtomicU64>,
@@ -202,13 +205,15 @@ impl SupervisedBackend {
         cfg: SupervisorConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let breaker = CircuitBreaker::new(cfg.breaker);
+        let breaker = standby
+            .is_some()
+            .then(|| Mutex::new(CircuitBreaker::new(cfg.breaker)));
         SupervisedBackend {
             primary,
             standby,
             cfg,
             clock,
-            breaker: Mutex::new(breaker),
+            breaker,
             runner: Mutex::new(None),
             late: Arc::new(AtomicU64::new(0)),
             late_reported: AtomicU64::new(0),
@@ -220,9 +225,14 @@ impl SupervisedBackend {
         self.primary.label()
     }
 
-    /// Current breaker state (stats, tests).
+    /// Current breaker state (stats, tests); `Closed` with no standby.
     pub fn breaker_state(&self) -> BreakerState {
-        lock_unpoisoned(&self.breaker).state()
+        self.breaker().map_or(BreakerState::Closed, |b| b.state())
+    }
+
+    /// The breaker, locked; `None` with no standby.
+    fn breaker(&self) -> Option<MutexGuard<'_, CircuitBreaker>> {
+        self.breaker.as_ref().map(lock_unpoisoned)
     }
 
     /// Deterministic backoff before retry `attempt` of job `salt`.
@@ -345,7 +355,7 @@ impl SupervisedBackend {
         let cells: u64 = jobs.iter().map(AlignJob::cells).sum();
         let mut inner = BackendStats::default();
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
-        let trips_before = lock_unpoisoned(&self.breaker).trips();
+        let trips_before = self.breaker().map_or(0, |b| b.trips());
 
         if n > 0 {
             let pending = self.primary_phase(&jobs, &mut outcomes, &mut inner)?;
@@ -368,7 +378,7 @@ impl SupervisedBackend {
         stats.batches = 1;
         stats.jobs = n as u64;
         stats.cells = cells;
-        stats.breaker_trips = lock_unpoisoned(&self.breaker).trips() - trips_before;
+        stats.breaker_trips = self.breaker().map_or(0, |b| b.trips()) - trips_before;
         let late_total = self.late.load(Ordering::Relaxed);
         stats.late_results = late_total - self.late_reported.swap(late_total, Ordering::Relaxed);
         let quarantined = outcomes
@@ -479,19 +489,23 @@ impl SupervisedBackend {
         stats: &mut BackendStats,
     ) -> Result<Vec<usize>, BackendError> {
         let pending: Vec<usize> = (0..jobs.len()).collect();
-        if !lock_unpoisoned(&self.breaker).allow_primary() {
+        if !self.breaker().is_none_or(|b| b.allow_primary()) {
             return Ok(pending);
         }
         match self.guarded_submit(&self.primary, jobs, stats) {
             Ok(results) => {
-                lock_unpoisoned(&self.breaker).record(true);
+                if let Some(mut b) = self.breaker() {
+                    b.record(true);
+                }
                 for (o, r) in outcomes.iter_mut().zip(results) {
                     *o = Some(JobOutcome::Done(r));
                 }
                 return Ok(Vec::new());
             }
             Err(e) => {
-                lock_unpoisoned(&self.breaker).record(false);
+                if let Some(mut b) = self.breaker() {
+                    b.record(false);
+                }
                 if self.cfg.fail_fast {
                     return Err(e);
                 }
@@ -508,14 +522,16 @@ impl SupervisedBackend {
         let mut still: Vec<usize> = Vec::new();
         'jobs: for &i in &pending {
             for attempt in 0..self.cfg.max_retries {
-                if !lock_unpoisoned(&self.breaker).allow_primary() {
+                if !self.breaker().is_none_or(|b| b.allow_primary()) {
                     break;
                 }
                 self.clock.sleep(self.backoff(attempt, i as u64));
                 stats.retries += 1;
                 match self.guarded_submit(&self.primary, std::slice::from_ref(&jobs[i]), stats) {
                     Ok(mut results) => {
-                        lock_unpoisoned(&self.breaker).record(true);
+                        if let Some(mut b) = self.breaker() {
+                            b.record(true);
+                        }
                         if let Some(r) = results.pop() {
                             outcomes[i] = Some(JobOutcome::Done(r));
                             stats.retried_ok += 1;
@@ -523,7 +539,9 @@ impl SupervisedBackend {
                         }
                     }
                     Err(e) => {
-                        lock_unpoisoned(&self.breaker).record(false);
+                        if let Some(mut b) = self.breaker() {
+                            b.record(false);
+                        }
                         if self.cfg.fail_fast {
                             return Err(e);
                         }
@@ -563,7 +581,9 @@ impl SupervisedBackend {
 
         stats.rerouted += pending.len() as u64;
         let standby = Arc::clone(standby);
-        lock_unpoisoned(&self.breaker).note_standby_submit();
+        if let Some(mut b) = self.breaker() {
+            b.note_standby_submit();
+        }
         let batch: Vec<AlignJob> = pending.iter().map(|&i| jobs[i].clone()).collect();
         match self.guarded_submit(&standby, &batch, stats) {
             Ok(results) => {
@@ -579,7 +599,9 @@ impl SupervisedBackend {
 
         let mut still = Vec::new();
         for &i in &pending {
-            lock_unpoisoned(&self.breaker).note_standby_submit();
+            if let Some(mut b) = self.breaker() {
+                b.note_standby_submit();
+            }
             match self.guarded_submit(&standby, std::slice::from_ref(&jobs[i]), stats) {
                 Ok(mut results) => {
                     if let Some(r) = results.pop() {
@@ -733,6 +755,36 @@ mod tests {
         );
         sup2.submit_supervised(jobs).expect("supervised");
         assert_eq!(clock.sleeps(), clock2.sleeps(), "backoff not deterministic");
+    }
+
+    /// A session with no standby (`--backend cpu`) has nothing to demote
+    /// its primary to: three failed submits (the batch and job 0's two
+    /// retries) cost job 0 alone, and the next batch runs on the primary.
+    #[test]
+    fn no_standby_failures_quarantine_only_their_job() {
+        let sup = SupervisedBackend::with_clock(
+            cpu_with_plan(Some("launch-fail:batches=0..3")),
+            None,
+            SupervisorConfig::default(),
+            Arc::new(TestClock::default()),
+        );
+        let jobs = test_jobs(4);
+        let gold = expected_results(&jobs);
+        let (outcomes, stats) = sup.submit_supervised(jobs.clone()).expect("supervised");
+        assert!(
+            matches!(outcomes[0], JobOutcome::Quarantined { .. }),
+            "{:?}",
+            outcomes[0]
+        );
+        for (o, g) in outcomes[1..].iter().zip(&gold[1..]) {
+            assert_eq!(*o, JobOutcome::Done(g.clone()));
+        }
+        assert_eq!(stats.quarantined, 1);
+        assert_eq!(stats.breaker_trips, 0);
+        let (outcomes, stats) = sup.submit_supervised(jobs).expect("supervised");
+        let done: Vec<JobOutcome> = gold.into_iter().map(JobOutcome::Done).collect();
+        assert_eq!(outcomes, done);
+        assert!(!stats.supervised_activity(), "{stats:?}");
     }
 
     #[test]

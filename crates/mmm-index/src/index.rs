@@ -258,16 +258,6 @@ impl MinimizerIndex {
         self.lookup(hash).map_or(0, |r| r.count() as usize)
     }
 
-    /// Decode the hits for one minimizer hash into `out` (cleared and
-    /// refilled; empty when the hash is absent). Reusing `out` across
-    /// calls makes bulk queries allocation-free.
-    pub fn decode_hits_into(&self, hash: u64, out: &mut Vec<u64>) {
-        match self.lookup(hash) {
-            Some(r) => self.postings.decode_into(self.image.bytes(), r, out),
-            None => out.clear(),
-        }
-    }
-
     /// Stream the hits for one minimizer hash without materializing them
     /// (nothing when the hash is absent).
     pub fn hit_cursor(&self, hash: u64) -> PostingCursor<'_> {
@@ -348,7 +338,7 @@ impl MinimizerIndex {
 
     /// Extract a forward-strand window `[start, end)` of reference `rid`
     /// into `out` (cleared and refilled), decoding the 2-bit packed
-    /// reference where it lies through the tiered SIMD unpack kernels.
+    /// reference where it lies through [`unpack::unpack_nt4`].
     /// Bounds are clamped to the sequence length, matching
     /// [`MinimizerIndex::ref_window`].
     pub fn ref_window_into(&self, rid: u32, start: usize, end: usize, out: &mut Vec<u8>) {
@@ -495,11 +485,9 @@ mod tests {
         assert!(idx.num_minimizers() > 1000);
         // Every stored minimizer must be findable.
         let ms = minimizers(&g, idx.k, idx.w);
-        let mut hits = Vec::new();
         for m in ms.iter().take(50) {
             assert!(idx.hit_count(m.hash) > 0);
-            idx.decode_hits_into(m.hash, &mut hits);
-            assert!(!hits.is_empty());
+            assert_eq!(idx.hit_cursor(m.hash).count(), idx.hit_count(m.hash));
         }
     }
 

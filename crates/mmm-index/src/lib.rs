@@ -12,6 +12,11 @@
 //! ([`serialize`]), opened one way: a single memory map (manymap's §4.4.2
 //! optimization), every byte checksummed and every offset validated before
 //! a query follows one, nothing copied ([`AnyIndex::open_mmap`]).
+//!
+//! The crate holds no `unsafe` code: its one mapping is `mmm-io`'s, and
+//! its packed formats decode through safe table and bit-field reads
+//! ([`unpack`]).
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod index;

@@ -17,9 +17,8 @@
 //! of the key array. Keys and bucket refs sit at whatever offset the
 //! variable-length sequence names left them and are read as little-endian
 //! bytes; the pool is padded to 8-byte alignment and is read as `u64` words
-//! in place — bulk through [`unpack`]'s tiered kernels
-//! (scalar / AVX2 / AVX-512 VBMI) into caller-reused buffers, or streaming
-//! through a [`PostingCursor`] without materializing anything.
+//! in place, streaming through a [`PostingCursor`] without materializing
+//! anything.
 
 use std::io;
 
@@ -443,23 +442,6 @@ impl PackedPostings {
     pub(crate) fn cursor<'a>(&self, image: &'a [u8], r: BucketRef) -> PostingCursor<'a> {
         PostingCursor::new(self.blocks(image), r)
     }
-
-    /// Decode bucket `r` into `out` (cleared and refilled) through the
-    /// tiered unpack kernels. With a reused `out` this is the
-    /// allocation-free bulk query path; infallible on a validated image.
-    pub(crate) fn decode_into(&self, image: &[u8], r: BucketRef, out: &mut Vec<u64>) {
-        let count = r.count() as usize;
-        out.clear();
-        out.resize(count, 0);
-        out[0] = r.base;
-        if count > 1 {
-            let block = &self.blocks(image)[r.off() as usize..];
-            unpack::unpack_fields(block, r.width(), &mut out[1..]);
-            for i in 1..count {
-                out[i] = out[i - 1].wrapping_add(out[i]);
-            }
-        }
-    }
 }
 
 /// Streaming decoder over one posting bucket, yielding packed hits in
@@ -553,14 +535,11 @@ mod tests {
         assert_eq!(p.num_hits(), pairs.len() as u64);
         let hashes: Vec<u64> = want.iter().map(|&(h, _)| h).collect();
         assert_eq!(p.hashes(image).collect::<Vec<_>>(), hashes);
-        let mut b = Vec::new();
         for (h, hits) in &want {
             let r = p
                 .lookup(image, *h)
                 .unwrap_or_else(|| panic!("{h:#x} missed"));
             assert_eq!(r.count() as usize, hits.len(), "count for {h}");
-            p.decode_into(image, r, &mut b);
-            assert_eq!(&b, hits, "decode for {h}");
             let via_cursor: Vec<u64> = p.cursor(image, r).collect();
             assert_eq!(&via_cursor, hits, "cursor for {h}");
             assert_eq!(p.cursor(image, r).len(), hits.len());

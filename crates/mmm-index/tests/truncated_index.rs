@@ -208,9 +208,8 @@ fn out_of_range_v2_bucket_base_is_corruption() {
     let first = s.idx.hashes().next().unwrap();
     let at = s.table_at() + 8 + s.idx.num_minimizers() * 8;
     // Sanity: the bytes there are the first sorted bucket's FOR base.
-    let mut hits = Vec::new();
-    s.idx.decode_hits_into(first, &mut hits);
-    assert_eq!(s.image[at..at + 8], hits[0].to_le_bytes(), "layout replay");
+    let hit = s.idx.hit_cursor(first).next().unwrap();
+    assert_eq!(s.image[at..at + 8], hit.to_le_bytes(), "layout replay");
     let mut patched = s.image.clone();
     let hostile: u64 = ((1u64 << 24) - 1) << 40;
     patched[at..at + 8].copy_from_slice(&hostile.to_le_bytes());

@@ -26,10 +26,10 @@
 //! against the same gold.
 //!
 //! A fourth pass (`packed_crosscheck`) audits the bit-packed resident
-//! storage: every SIMD unpack tier vs. the scalar gold at every bit width,
-//! every posting bucket's bulk and per-tier decode vs. the streaming
-//! cursor, packed-reference slices vs. per-base reads, and end-to-end PAF
-//! output of the mapper across every available engine — all bit-exact.
+//! storage: every posting bucket's cursor walk vs. its hit count and its
+//! deltas' `write_fields`/`read_field` round trip, packed-reference windows
+//! vs. the source bases, and end-to-end PAF output of the mapper across
+//! every available engine — all bit-exact.
 //!
 //! A fifth pass (`sketch_crosscheck`) holds the minimizer sketcher to the
 //! brute-force model its unit tests use, over the fuzzer's FASTA/FASTQ
@@ -342,71 +342,23 @@ fn sketch_crosscheck(seed: u64) -> Result<String, String> {
 }
 
 /// The packed-storage differential pass: every layer that decodes packed
-/// bits must agree bit-exactly with its scalar / streaming gold.
+/// bits must agree bit-exactly with its gold.
 ///
-/// (a) `unpack_fields` on every SIMD tier vs. the scalar decoder, at every
-///     bit width 1..=64 and assorted field counts (including the 8-lane
-///     boundary). (b) Every bucket of an index over a multi-chromosome
-///     reference: the bulk decode, and the bucket's delta block unpacked
-///     on every tier, vs. the streaming cursor (the scalar `read_field`
-///     walk), plus `hit_count`. (c) Packed reference windows vs. per-base
-///     reads, with `unpack_nt4` checked on every tier. (d) End-to-end:
-///     mapping the same reads with every available engine must produce
-///     byte-identical PAF.
+/// (a) Every bucket of an index over a multi-chromosome reference: the
+///     streaming cursor vs. `hit_count`, and the bucket's deltas re-packed
+///     by `write_fields` and read back by `read_field`, the cursor's step.
+///     (b) Packed reference windows of 0–8 000 bases, at every start offset
+///     mod 4, vs. the source bases. (c) End-to-end: mapping the same reads
+///     with every available engine must produce byte-identical PAF.
 fn packed_crosscheck(seed: u64) -> Result<String, String> {
     use manymap::index::{unpack, IdxOpts, MinimizerIndex};
     use manymap::seq::nt4_decode;
     use manymap::seq::SeqRecord;
     use manymap::{paf_line, MapOpts, Mapper};
-    use mmm_align::DisabledTiers;
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let tiers: [(&str, DisabledTiers); 3] = [
-        ("scalar", DisabledTiers::ALL_SIMD),
-        (
-            "avx2",
-            DisabledTiers {
-                avx512: true,
-                ..DisabledTiers::NONE
-            },
-        ),
-        ("best", DisabledTiers::NONE),
-    ];
 
-    // (a) Field unpack: every width, every tier, bit-exact vs. scalar.
-    for width in 1..=64u32 {
-        for n in [1usize, 4, 7, 8, 9, 64, 131] {
-            let mask = if width >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
-            let vals: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & mask).collect();
-            let mut words = vec![0u64; unpack::words_for(n as u64, width) as usize];
-            unpack::write_fields(&mut words, 0, width, &vals);
-            let mut gold = vec![0u64; n];
-            unpack::unpack_fields_scalar(&words, width, &mut gold);
-            if gold != vals {
-                return Err(format!(
-                    "packed_crosscheck: scalar unpack at width {width}, n={n} \
-                     does not invert write_fields"
-                ));
-            }
-            for (label, disabled) in tiers {
-                let mut got = vec![0u64; n];
-                unpack::unpack_fields_unless(disabled, &words, width, &mut got);
-                if got != gold {
-                    return Err(format!(
-                        "packed_crosscheck: tier {label} diverges from scalar \
-                         at width {width}, n={n}"
-                    ));
-                }
-            }
-        }
-    }
-
-    // (b) Every bucket of a multi-chromosome index: bulk decode, and its
-    // deltas on every tier, vs. the streaming cursor.
+    // (a) Every bucket of a multi-chromosome index.
     // Repeat-bearing on purpose, or nearly every bucket is a singleton
     // with nothing to unpack: chr1 repeats its own head (small deltas) and
     // chr2 is a noisy copy of chr0 (deltas that span reference ids).
@@ -421,22 +373,15 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         .collect();
     let packed = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
         .map_err(|e| format!("packed_crosscheck: index build failed: {e}"))?;
-    let mut bulk = Vec::new();
     for h in packed.hashes() {
         let streamed: Vec<u64> = packed.hit_cursor(h).collect();
-        packed.decode_hits_into(h, &mut bulk);
-        if bulk != streamed {
-            return Err(format!(
-                "packed_crosscheck: bulk decode differs from cursor decode for hash {h:#x}"
-            ));
-        }
         if packed.hit_count(h) != streamed.len() {
             return Err(format!(
-                "packed_crosscheck: hit_count disagrees with decode for hash {h:#x}"
+                "packed_crosscheck: hit_count disagrees with the cursor for hash {h:#x}"
             ));
         }
-        // The bucket's delta block, re-packed at its minimal width the way
-        // the builder packs it, must unpack to the same deltas on every tier.
+        // The bucket's deltas, re-packed at their minimal width the way the
+        // builder packs them, must read back field by field.
         let deltas: Vec<u64> = streamed.windows(2).map(|w| w[1] - w[0]).collect();
         let Some(&widest) = deltas.iter().max() else {
             continue;
@@ -444,16 +389,13 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         let width = (64 - widest.leading_zeros()).max(1);
         let mut words = vec![0u64; unpack::words_for(deltas.len() as u64, width) as usize];
         unpack::write_fields(&mut words, 0, width, &deltas);
-        for (label, disabled) in tiers {
-            let mut got = vec![0u64; deltas.len()];
-            unpack::unpack_fields_unless(disabled, &words, width, &mut got);
-            if got != deltas {
-                return Err(format!(
-                    "packed_crosscheck: tier {label} diverges on the {}-hit, \
-                     {width}-bit bucket of hash {h:#x}",
-                    streamed.len()
-                ));
-            }
+        let back = (0..deltas.len()).map(|i| unpack::read_field(&words, i * width as usize, width));
+        if !back.eq(deltas.iter().copied()) {
+            return Err(format!(
+                "packed_crosscheck: read_field diverges on the {}-hit, \
+                 {width}-bit bucket of hash {h:#x}",
+                streamed.len()
+            ));
         }
     }
     let flat_bytes = packed.num_positions() * 8;
@@ -465,34 +407,29 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         ));
     }
 
-    // (c) Packed reference slices vs. per-base reads, every nt4 tier.
+    // (b) Packed reference windows vs. the source bases: the edge lengths
+    // of the table decoder's head/body/tail split, then random lengths up
+    // to 8 000, each at all four start offsets within a packed byte.
     let mut win = Vec::new();
     for (rid, g) in genomes.iter().enumerate() {
-        let words = packed.seq_packed(rid as u32);
-        for _ in 0..16 {
-            let start = rng.random_range(0usize..g.len());
-            let end = (start + rng.random_range(1usize..300)).min(g.len());
-            packed.ref_window_into(rid as u32, start, end, &mut win);
-            if win != g[start..end] {
-                return Err(format!(
-                    "packed_crosscheck: ref_window_into(chr{rid}, {start}, {end}) \
-                     diverges from the source bases"
-                ));
-            }
-            for (label, disabled) in tiers {
-                let mut got = vec![0u8; end - start];
-                unpack::unpack_nt4_unless(disabled, words, start, end, &mut got);
-                if got != win {
+        let mut lens = vec![0usize, 1, 2, 3, 4, 5, 7, 8, 9, 8_000];
+        lens.extend((0..16).map(|_| rng.random_range(0usize..8_001)));
+        for len in lens {
+            let base = 4 * rng.random_range(0usize..(g.len() - len - 4) / 4);
+            for start in base..base + 4 {
+                let end = start + len;
+                packed.ref_window_into(rid as u32, start, end, &mut win);
+                if win != g[start..end] {
                     return Err(format!(
-                        "packed_crosscheck: nt4 tier {label} diverges on \
-                         chr{rid} [{start}, {end})"
+                        "packed_crosscheck: ref_window_into(chr{rid}, {start}, {end}) \
+                         diverges from the source bases"
                     ));
                 }
             }
         }
     }
 
-    // (d) End-to-end: same reads, every engine — byte-identical PAF.
+    // (c) End-to-end: same reads, every engine — byte-identical PAF.
     let reads: Vec<(String, Vec<u8>)> = (0..10)
         .map(|i| {
             let g = &genomes[i % genomes.len()];
