@@ -40,7 +40,7 @@ for tiers in avx512 avx512,avx2; do
     MMM_DISABLE_SIMD=$tiers cargo test -q -p manymap --test hpc_mapping
 done
 
-echo "==> shard gate: release-binary sharded/flat byte-identity (cpu and device backend), missing-shard chaos, one flipped byte is fatal"
+echo "==> shard gate: release-binary sharded/flat byte-identity (cpu and device backend, slow shard), missing-shard chaos at 1 and 2 threads, one flipped byte is fatal"
 cargo build --release -q -p mmm-simreads -p manymap --bins
 SHARD_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-shard-ci.XXXXXX")
 trap 'rm -rf "$SHARD_WORK"' EXIT
@@ -76,6 +76,19 @@ grep -q "4 total, 1 quarantined" "$SHARD_WORK/chaos.stderr" \
     || { echo "ci: shard chaos gate missing quarantine report"; cat "$SHARD_WORK/chaos.stderr"; exit 1; }
 grep -q $'\ttp:A:U' "$SHARD_WORK/degraded.paf" \
     || { echo "ci: quarantined shard produced no degraded reads"; exit 1; }
+# First touch from two workers: while one sits in a slow shard 0 the other
+# loads the rest, and the mapping must not change.
+target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 --inject-backend-fault slow-io:shards=0:ms=50 \
+    >"$SHARD_WORK/slow.paf" 2>/dev/null
+cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/slow.paf" \
+    || { echo "ci: a slow shard changed the sharded mapping"; exit 1; }
+# The same dead shard degrades the same reads whatever the worker count.
+target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 1 --inject-backend-fault missing-shard:shards=1 \
+    >"$SHARD_WORK/degraded1.paf" 2>/dev/null
+cmp "$SHARD_WORK/degraded.paf" "$SHARD_WORK/degraded1.paf" \
+    || { echo "ci: the degraded mapping differs between 1 and 2 threads"; exit 1; }
 # Integrity gate: the single-file index is a checksummed container too, so
 # one flipped byte (offset 50 000, mid-file) must be fatal, never a changed PAF.
 cp "$SHARD_WORK/flat.mmx" "$SHARD_WORK/flipped.mmx"

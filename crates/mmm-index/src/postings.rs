@@ -210,11 +210,15 @@ impl PackedPostings {
     /// `total_len` bases in all. A checksum only says the bytes are the
     /// ones that were written, so everything a query later relies on is
     /// checked here, in order: counts bounded by the bytes left; keys
-    /// strictly increasing (what the search assumes); zero pad; the pool
-    /// 8-byte aligned where it lies; no trailing bytes; then every bucket —
-    /// shape and field budgets, pool bounds, overflow-free delta sums, every
-    /// hit's rid below `n_seqs` — and bucket counts summing to the stored
-    /// hit count. After this the queries below cannot go out of bounds.
+    /// strictly increasing (what the search assumes, checked in the walk
+    /// that builds the directory); zero pad; the pool 8-byte aligned where
+    /// it lies; no trailing bytes; then every bucket — shape and field
+    /// budgets (a singleton has width 0, a larger bucket a nonzero one),
+    /// pool bounds, overflow-free delta sums, every hit's rid below
+    /// `n_seqs` — and bucket counts summing to the stored hit count. A
+    /// singleton's one hit is its base, so its rid is checked there and no
+    /// cursor walks it. After this the queries below cannot go out of
+    /// bounds.
     pub(crate) fn open(
         src: &mut SliceSource<'_>,
         n_seqs: usize,
@@ -230,26 +234,30 @@ impl PackedPostings {
         let keys = src.position();
         let key_bytes = src.take_slice(8 * n_keys)?;
         let key = |i: usize| le_u64(key_bytes, 8 * i);
-        if let Some(i) = (1..n_keys).find(|&i| key(i - 1) >= key(i)) {
-            return Err(corrupt(format!(
-                "minimizer keys are not strictly increasing (key {i}, {:#x}, follows {:#x})",
-                key(i),
-                key(i - 1)
-            )));
-        }
         let bits = radix_bits(total_len);
         let shift =
             (64 - n_keys.checked_sub(1).map_or(0, key).leading_zeros()).saturating_sub(bits);
-        let mut dir = vec![0u32; (1 << bits) + 1];
-        let mut slot = 0usize;
-        for i in 0..n_keys {
-            // Sorted, so no key is wider than the last: its slot exists.
-            while slot <= (key(i) >> shift) as usize {
-                dir[slot] = i as u32;
-                slot += 1;
+        // One walk over the keys checks their order and counts the keys of
+        // each directory slot into the entry after it; a prefix sum then
+        // makes `dir[s]` the number of keys in the slots before `s`, the
+        // index of slot `s`'s first key. A key wider than the last breaks
+        // the order further on, where the walk refuses it; until then its
+        // slot is clamped to the directory.
+        let top = 1usize << bits;
+        let mut dir = vec![0u32; top + 1];
+        let mut prev = 0u64;
+        for (i, k) in key_bytes.chunks_exact(8).map(|c| le_u64(c, 0)).enumerate() {
+            if i > 0 && prev >= k {
+                return Err(corrupt(format!(
+                    "minimizer keys are not strictly increasing (key {i}, {k:#x}, follows {prev:#x})"
+                )));
             }
+            prev = k;
+            dir[((k >> shift) as usize).min(top - 1) + 1] += 1;
         }
-        dir[slot..].fill(n_keys as u32);
+        for s in 1..=top {
+            dir[s] += dir[s - 1];
+        }
 
         let ref_bytes = src.take_slice(16 * n_keys)?;
         let n_hits = src.take_u64()?;
@@ -278,45 +286,26 @@ impl PackedPostings {
         }
 
         let mut total: u64 = 0;
-        for i in 0..n_keys {
+        for (i, c) in ref_bytes.chunks_exact(16).enumerate() {
             let r = BucketRef {
-                base: le_u64(ref_bytes, 16 * i),
-                ocw: le_u64(ref_bytes, 16 * i + 8),
+                base: le_u64(c, 0),
+                ocw: le_u64(c, 8),
             };
-            let bad = |what: String| corrupt(format!("minimizer {:#x}: {what}", key(i)));
-            let count = r.count();
-            if count == 0 || (count > 1 && r.width() == 0) || r.width() > 64 {
-                return Err(bad(format!(
-                    "invalid bucket shape (count {count}, width {})",
-                    r.width()
-                )));
-            }
-            if r.off()
-                .checked_add(r.block_words())
-                .is_none_or(|end| end > pool_words as u64)
+            // Under 2^20 hits in each of under 2^32 buckets: no overflow.
+            total += r.count();
+            // A sound singleton — count 1, width 0, its (empty) block inside
+            // the pool, its one hit the base — passes on one test; anything
+            // else gets the full check, which names what is wrong.
+            let (rid, _, _) = unpack_hit(r.base);
+            if r.count() == 1
+                && r.width() == 0
+                && r.off() <= pool_words as u64
+                && (rid as usize) < n_seqs
             {
-                return Err(bad(format!(
-                    "delta block {}..+{} exceeds the {pool_words}-word pool",
-                    r.off(),
-                    r.block_words()
-                )));
+                continue;
             }
-            total = total.saturating_add(count);
-            // Deltas are unsigned, so a running sum that ever steps down
-            // has wrapped past `u64::MAX`.
-            let mut prev = r.base;
-            for hit in PostingCursor::new(blocks, r) {
-                if hit < prev {
-                    return Err(bad("delta sum overflows u64".into()));
-                }
-                let (rid, _, _) = unpack_hit(hit);
-                if rid as usize >= n_seqs {
-                    return Err(bad(format!(
-                        "packed hit names reference {rid}, but only {n_seqs} sequence(s) exist"
-                    )));
-                }
-                prev = hit;
-            }
+            check_bucket(r, blocks, n_seqs)
+                .map_err(|what| corrupt(format!("minimizer {:#x}: {what}", key(i))))?;
         }
         if total != n_hits {
             return Err(corrupt(format!(
@@ -444,10 +433,52 @@ impl PackedPostings {
     }
 }
 
+/// Everything [`PackedPostings::open`] requires of bucket `r` over the pool
+/// `blocks` of an index of `n_seqs` sequences: its shape (count ≥ 1; width
+/// 0 for a singleton, 1..=64 otherwise), its block inside the pool, a delta
+/// sum that never wraps, and every hit's rid below `n_seqs`. The walk is
+/// the [`PostingCursor`] seeding uses.
+fn check_bucket(r: BucketRef, blocks: &[u64], n_seqs: usize) -> Result<(), String> {
+    let count = r.count();
+    if count == 0 || (count > 1) != (r.width() > 0) || r.width() > 64 {
+        return Err(format!(
+            "invalid bucket shape (count {count}, width {})",
+            r.width()
+        ));
+    }
+    let pool_words = blocks.len() as u64;
+    if r.off()
+        .checked_add(r.block_words())
+        .is_none_or(|end| end > pool_words)
+    {
+        return Err(format!(
+            "delta block {}..+{} exceeds the {pool_words}-word pool",
+            r.off(),
+            r.block_words()
+        ));
+    }
+    // Deltas are unsigned, so a running sum that ever steps down has
+    // wrapped past `u64::MAX`.
+    let mut prev = r.base;
+    for hit in PostingCursor::new(blocks, r) {
+        if hit < prev {
+            return Err("delta sum overflows u64".into());
+        }
+        let (rid, _, _) = unpack_hit(hit);
+        if rid as usize >= n_seqs {
+            return Err(format!(
+                "packed hit names reference {rid}, but only {n_seqs} sequence(s) exist"
+            ));
+        }
+        prev = hit;
+    }
+    Ok(())
+}
+
 /// Streaming decoder over one posting bucket, yielding packed hits in
 /// increasing order: a bit cursor into the bucket's delta block and the
 /// running prefix sum — no buffer, no allocation. The one walk: open-time
-/// validation runs it too.
+/// validation runs it over every bucket of more than one hit.
 pub struct PostingCursor<'a> {
     blocks: &'a [u64],
     width: u32,

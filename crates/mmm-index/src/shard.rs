@@ -35,7 +35,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
 use mmm_chain::Anchor;
@@ -45,6 +45,7 @@ use mmm_seq::SeqRecord;
 use crate::error::IndexError;
 use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, sketch};
 use crate::index::{IdxOpts, MinimizerIndex};
+use crate::minimizer::Minimizer;
 use crate::postings::BucketRef;
 use crate::serialize::{
     container_section_ranges, parse_manifest, serialize_manifest, verify_checksums,
@@ -124,32 +125,54 @@ impl Bloom {
         Self::probe_hashes(h).map(|p| p & (bits - 1))
     }
 
-    /// Whether the hash [`Bloom::probe_hashes`] gave `probes` for may be in
-    /// the filter.
-    #[inline]
-    pub(crate) fn contains_hashed(&self, probes: [u64; 2]) -> bool {
-        let bits = (self.words.len() * 64) as u64;
-        !self.words.is_empty()
-            && probes.iter().all(|&p| {
-                let bit = p & (bits - 1);
-                self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
-            })
+    /// This filter as the seeding pass reads it: its words and the mask
+    /// that cuts a probe hash to a bit of them.
+    pub(crate) fn view(&self) -> BloomView<'_> {
+        const EMPTY: [u64; 1] = [0];
+        match self.words.len() {
+            // A filter with no words holds nothing: one zero word answers
+            // that without a branch per probe.
+            0 => BloomView {
+                words: &EMPTY,
+                mask: 63,
+            },
+            n => BloomView {
+                words: &self.words,
+                mask: (n as u64 * 64) - 1,
+            },
+        }
     }
 
-    /// The one-filter form of [`Bloom::contains_hashed`].
+    /// Whether `h` may be in the filter: the one-filter form of the
+    /// seeding pass's probe.
     #[cfg(test)]
     fn contains(&self, h: u64) -> bool {
-        if self.words.is_empty() {
-            return false;
-        }
-        let bits = (self.words.len() * 64) as u64;
-        Self::probes(h, bits)
-            .iter()
-            .all(|&bit| self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0)
+        self.view().test(Self::probe_hashes(h)) != 0
     }
 
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
+    }
+}
+
+/// One filter's words and probe mask, borrowed for a read's probe pass.
+#[derive(Clone, Copy)]
+pub(crate) struct BloomView<'a> {
+    words: &'a [u64],
+    /// `bits − 1` over the words' bits. A parsed manifest's word count need
+    /// not be a power of two; the mask keeps every probe inside the words
+    /// all the same.
+    mask: u64,
+}
+
+impl BloomView<'_> {
+    /// 1 if both bits of `probes` ([`Bloom::probe_hashes`]) are set, else
+    /// 0: both words are read and ANDed, with no early exit to mispredict.
+    #[inline(always)]
+    pub(crate) fn test(self, probes: [u64; 2]) -> u64 {
+        let [a, b] = probes.map(|p| p & self.mask);
+        let word = |bit: u64| self.words[(bit / 64) as usize] >> (bit % 64);
+        word(a) & word(b) & 1
     }
 }
 
@@ -569,9 +592,18 @@ impl ShardedIndex {
     /// Get shard `shard` loaded, running the fault ladder if needed:
     /// transient errors retry with deterministic backoff; persistent ones
     /// (missing file, any checksum or manifest mismatch) quarantine the
-    /// shard so later reads fail fast with the recorded reason.
+    /// shard so later reads fail fast with the recorded reason. Waits while
+    /// another thread holds the slot, e.g. while it loads the shard.
     pub fn ensure_shard(&self, shard: usize) -> Result<Arc<MinimizerIndex>, ShardUnavailable> {
-        let mut slot = lock(&self.slots[shard]);
+        self.ensure_locked(shard, lock(&self.slots[shard]))
+    }
+
+    /// [`ShardedIndex::ensure_shard`] once the caller holds the slot.
+    fn ensure_locked(
+        &self,
+        shard: usize,
+        mut slot: MutexGuard<'_, Slot>,
+    ) -> Result<Arc<MinimizerIndex>, ShardUnavailable> {
         match &*slot {
             Slot::Loaded(a) => return Ok(a.clone()),
             Slot::Quarantined(r) => {
@@ -735,6 +767,12 @@ impl ShardedIndex {
     /// index's rid-sorted posting lists, and (4) anchor geometry goes
     /// through the one shared `anchor_from_hit`.
     ///
+    /// Two passes over the read's minimizers: a branch-free probe of every
+    /// shard filter gives each minimizer its bloom-positive shards as a
+    /// bitmask, whose union is loaded (`touch`, free slots first); then the
+    /// (minimizer, shard) lookups are resolved in one tight loop and the
+    /// hits of each minimizer that passes the cutoff decode shard by shard.
+    ///
     /// Degraded coverage: an unavailable shard (quarantined, or faulting
     /// right now) is *skipped*, not fatal — losing a shard loses exactly
     /// that shard's slice of the reference space. The read becomes an
@@ -750,57 +788,48 @@ impl ShardedIndex {
     /// would have filtered it — surviving reads stay byte-identical
     /// whenever their minimizers don't co-occur in the dead shard.
     pub fn collect_anchors(&self, query: &[u8]) -> Result<Vec<Anchor>, ShardUnavailable> {
-        let qlen = query.len() as u32;
-        let shards = &self.manifest.shards;
-        let ms = sketch(query, self.manifest.k, self.manifest.w, self.manifest.hpc);
-        // Row `i` of `cands` is minimizer `i`'s bloom-positive shards as a
-        // bitmask, `row` words wide; `touched` is their union.
-        let row = shards.len().div_ceil(64).max(1);
-        let mut cands = vec![0u64; ms.len() * row];
+        let m = &self.manifest;
+        let ms = sketch(query, m.k, m.w, m.hpc);
+        let row = m.shards.len().div_ceil(64).max(1);
+        let cands = self.bloom_rows(&ms, row);
         let mut touched = vec![0u64; row];
-        for (m, bits) in ms.iter().zip(cands.chunks_exact_mut(row)) {
-            let probes = Bloom::probe_hashes(m.hash);
-            for (s, meta) in shards.iter().enumerate() {
-                if meta.bloom.contains_hashed(probes) {
-                    bits[s / 64] |= 1 << (s % 64);
-                }
-            }
-            for (t, b) in touched.iter_mut().zip(bits.iter()) {
+        for bits in cands.chunks_exact(row) {
+            for (t, b) in touched.iter_mut().zip(bits) {
                 *t |= b;
             }
         }
-        let mut loaded: Vec<Option<Arc<MinimizerIndex>>> = vec![None; shards.len()];
-        let mut skipped: Option<ShardUnavailable> = None;
-        for s in set_bits(&touched) {
-            match self.ensure_shard(s) {
-                Ok(idx) => loaded[s] = Some(idx),
-                Err(e) => skipped = skipped.or(Some(e)),
+        let (loaded, skipped) = self.touch(&touched);
+        // The (minimizer, shard) lookups in minimizer then shard order,
+        // listed first and then resolved in one tight loop: the probes are
+        // independent, so their cache misses overlap. Only hits are kept,
+        // and the bucket a count came from is the bucket streamed.
+        let mut wanted: Vec<(u32, u32)> = Vec::new();
+        for (i, bits) in cands.chunks_exact(row).enumerate() {
+            for s in set_bits(bits).filter(|&s| loaded[s].is_some()) {
+                wanted.push((i as u32, s as u32));
             }
         }
+        let mut found: Vec<(u32, &MinimizerIndex, u32, BucketRef)> =
+            Vec::with_capacity(wanted.len());
+        for &(i, s) in &wanted {
+            let Some(idx) = loaded[s as usize].as_deref() else {
+                continue;
+            };
+            if let Some(r) = idx.lookup(ms[i as usize].hash) {
+                found.push((i, idx, m.shards[s as usize].rid_start, r));
+            }
+        }
+        let qlen = query.len() as u32;
         let mut anchors = Vec::new();
-        // One probe per candidate shard: the bucket found for the count is
-        // the bucket streamed.
-        let mut found: Vec<(&MinimizerIndex, u32, BucketRef)> = Vec::new();
-        for (m, bits) in ms.iter().zip(cands.chunks_exact(row)) {
-            found.clear();
-            found.extend(set_bits(bits).filter_map(|s| {
-                let idx = loaded[s].as_deref()?;
-                Some((idx, shards[s].rid_start, idx.lookup(m.hash)?))
-            }));
-            let total: u64 = found.iter().map(|(_, _, r)| r.count()).sum();
-            if total == 0 || total > self.manifest.max_occ as u64 {
+        for group in found.chunk_by(|a, b| a.0 == b.0) {
+            let total: u64 = group.iter().map(|&(_, _, _, r)| r.count()).sum();
+            if total > u64::from(m.max_occ) {
                 continue;
             }
-            for &(idx, rid_start, r) in &found {
+            let mz = &ms[group[0].0 as usize];
+            for &(_, idx, rid_start, r) in group {
                 for h in idx.cursor(r) {
-                    anchors.push(anchor_from_hit(
-                        m,
-                        h,
-                        qlen,
-                        self.manifest.k,
-                        self.manifest.hpc,
-                        rid_start,
-                    ));
+                    anchors.push(anchor_from_hit(mz, h, qlen, m.k, m.hpc, rid_start));
                 }
             }
         }
@@ -810,6 +839,53 @@ impl ShardedIndex {
             }
         }
         Ok(anchors)
+    }
+
+    /// Row `i` of the result is minimizer `i`'s bloom-positive shards as a
+    /// bitmask, `row` words wide. Each minimizer's two probe hashes are
+    /// computed once; then one filter at a time tests all of them, with no
+    /// early exit, so the filter's lines stay in cache across the read.
+    fn bloom_rows(&self, ms: &[Minimizer], row: usize) -> Vec<u64> {
+        let probes: Vec<[u64; 2]> = ms.iter().map(|mz| Bloom::probe_hashes(mz.hash)).collect();
+        let mut cands = vec![0u64; ms.len() * row];
+        for (s, meta) in self.manifest.shards.iter().enumerate() {
+            let view = meta.bloom.view();
+            for (&p, bits) in probes.iter().zip(cands.chunks_exact_mut(row)) {
+                bits[s / 64] |= view.test(p) << (s % 64);
+            }
+        }
+        cands
+    }
+
+    /// Load the shards of the bitmask `touched`. A worker first takes every
+    /// slot that is free and loads those still unloaded, so two workers
+    /// touching a cold index load different shards; only then does it wait,
+    /// in ascending order, on the slots another worker holds. Returns each
+    /// shard's index (`None` where unavailable or untouched) and the
+    /// lowest-numbered shard that is unavailable.
+    fn touch(
+        &self,
+        touched: &[u64],
+    ) -> (Vec<Option<Arc<MinimizerIndex>>>, Option<ShardUnavailable>) {
+        let mut loaded: Vec<Option<Arc<MinimizerIndex>>> = vec![None; self.num_shards()];
+        let mut skipped: Option<ShardUnavailable> = None;
+        let mut record = |s: usize, got: Result<Arc<MinimizerIndex>, ShardUnavailable>| match got {
+            Ok(idx) => loaded[s] = Some(idx),
+            Err(e) if skipped.as_ref().is_none_or(|p| p.shard > e.shard) => skipped = Some(e),
+            Err(_) => {}
+        };
+        let mut busy = Vec::new();
+        for s in set_bits(touched) {
+            match self.slots[s].try_lock() {
+                Ok(slot) => record(s, self.ensure_locked(s, slot)),
+                Err(TryLockError::Poisoned(p)) => record(s, self.ensure_locked(s, p.into_inner())),
+                Err(TryLockError::WouldBlock) => busy.push(s),
+            }
+        }
+        for s in busy {
+            record(s, self.ensure_shard(s));
+        }
+        (loaded, skipped)
     }
 
     /// Forward-strand window of global reference `rid` into `out`
@@ -1107,34 +1183,72 @@ mod tests {
         assert!(!Bloom::build(std::iter::empty()).contains(42));
     }
 
-    /// `collect_anchors` hashes a minimizer once and masks the two probes
-    /// per shard; that must be what each shard's filter answers alone.
+    /// The one-filter answer as it was written before the probe pass: both
+    /// masked bits set, checked one after the other.
+    fn contains_model(b: &Bloom, h: u64) -> bool {
+        let bits = (b.words().len() * 64) as u64;
+        !b.words().is_empty()
+            && Bloom::probe_hashes(h).iter().all(|&p| {
+                let bit = p & (bits - 1);
+                b.words()[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
+            })
+    }
+
+    /// `collect_anchors` hashes a minimizer once and tests the two probes
+    /// against every filter in one pass; each minimizer's bitmask must be
+    /// what each shard's filter answers alone.
     #[test]
-    fn probes_hashed_once_answer_like_each_filter() {
+    fn probe_pass_answers_like_each_filter() {
         let d = tmp_dir("probes");
         let refs = multi_chrom(4, 20_000, 21);
         build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
         let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
         let blooms: Vec<&Bloom> = sh.manifest().shards.iter().map(|s| &s.bloom).collect();
         assert_eq!(blooms.len(), 4);
-        // Every shard's own keys (present in one filter, mostly absent from
-        // the others), then fresh hashes.
+        // 5 000 of the shards' own keys (present in one filter, mostly
+        // absent from the others), then 5 000 fresh hashes.
         let mut hashes: Vec<u64> = (0..4)
-            .flat_map(|s| sh.ensure_shard(s).unwrap().hashes().collect::<Vec<_>>())
+            .flat_map(|s| {
+                sh.ensure_shard(s)
+                    .unwrap()
+                    .hashes()
+                    .take(1_250)
+                    .collect::<Vec<_>>()
+            })
             .collect();
-        hashes.extend((0..20_000u64).map(|i| splitmix64(i ^ 0x5EED)));
+        assert_eq!(hashes.len(), 5_000);
+        hashes.extend((0..5_000u64).map(|i| splitmix64(i ^ 0x5EED)));
+        let ms: Vec<Minimizer> = hashes
+            .iter()
+            .map(|&hash| Minimizer {
+                hash,
+                pos: 0,
+                rev: false,
+                span: 15,
+            })
+            .collect();
+        let rows = sh.bloom_rows(&ms, 1);
         let mut positive = 0;
-        for &h in &hashes {
-            let probes = Bloom::probe_hashes(h);
+        for (&h, &row) in hashes.iter().zip(&rows) {
+            let want: u64 = (0..4)
+                .map(|s| u64::from(contains_model(blooms[s], h)) << s)
+                .sum();
+            assert_eq!(row, want, "hash {h:#x}");
             for b in &blooms {
-                assert_eq!(b.contains_hashed(probes), b.contains(h), "hash {h:#x}");
-                positive += usize::from(b.contains(h));
+                assert_eq!(b.contains(h), contains_model(b, h), "hash {h:#x}");
             }
+            positive += row.count_ones() as usize;
         }
-        assert!(positive >= hashes.len() - 20_000, "{positive} positives");
+        assert!(positive >= 5_000, "{positive} positives");
+        assert!(positive < 5_000 + 4 * 5_000 / 10, "{positive} positives");
         let empty = Bloom::from_words(Vec::new());
-        assert!(!empty.contains_hashed(Bloom::probe_hashes(42)));
         assert!(!empty.contains(42));
+        assert_eq!(empty.view().test(Bloom::probe_hashes(42)), 0);
+        // A parsed manifest's filter need not be a power of two words.
+        let odd = Bloom::from_words(vec![u64::MAX, 0, u64::MAX]);
+        for &h in &hashes {
+            assert_eq!(odd.contains(h), contains_model(&odd, h), "hash {h:#x}");
+        }
         std::fs::remove_dir_all(&d).unwrap();
     }
 

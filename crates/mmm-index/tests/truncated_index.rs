@@ -15,7 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmm_index::{
-    write_index_image, xxh64, AnyIndex, IdxOpts, IndexError, MinimizerIndex, ShardOpenOpts,
+    write_index_image, xxh64, AnyIndex, BucketRef, IdxOpts, IndexError, MinimizerIndex,
+    ShardOpenOpts,
 };
 use mmm_seq::SeqRecord;
 use proptest::prelude::*;
@@ -216,6 +217,65 @@ fn out_of_range_v2_bucket_base_is_corruption() {
     let e = must_fail(s.open(&patched), "out-of-range v2 base rid");
     assert!(e.is_corrupt(), "{e}");
     assert!(e.to_string().contains("names reference"), "{e}");
+}
+
+/// A singleton bucket — one hit, stored as its base, no delta block — is
+/// checked without walking a cursor over it, so each of its three
+/// constraints must still hold on its own: its base names a reference in
+/// the table, its width is 0, and its block offset lies inside the pool.
+#[test]
+fn hostile_singleton_buckets_are_corruption() {
+    // Random bases: nearly every minimizer occurs once.
+    let mut state = 17u64;
+    let seq: Vec<u8> = (0..3_000)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            b"ACGT"[((state >> 33) % 4) as usize]
+        })
+        .collect();
+    let s = Sample::of(&[
+        SeqRecord::new("chrA", seq[..1_500].to_vec()),
+        SeqRecord::new("chrB", seq[1_500..].to_vec()),
+    ]);
+    let (i, hash) = s
+        .idx
+        .hashes()
+        .enumerate()
+        .find(|&(_, h)| s.idx.hit_count(h) == 1)
+        .expect("a singleton bucket");
+    // Layout replay: bucket `i`'s (base, ocw) pair holds its one hit and a
+    // count-1, width-0 shape.
+    let at = s.table_at() + 8 + s.idx.num_minimizers() * 8 + 16 * i;
+    let r = s.idx.lookup(hash).unwrap();
+    assert_eq!((r.count(), r.width()), (1, 0));
+    assert_eq!(s.image[at..at + 8], r.base.to_le_bytes(), "layout replay");
+    assert_eq!(
+        s.image[at + 8..at + 16],
+        r.ocw.to_le_bytes(),
+        "layout replay"
+    );
+    assert_eq!(s.idx.hit_cursor(hash).collect::<Vec<_>>(), vec![r.base]);
+    let pool_words = s.idx.posting_bytes() as u64 / 8;
+
+    let past_table = (2u64 << 40) | (r.base & ((1 << 40) - 1));
+    let wide = BucketRef::new(0, 1, 5).ocw;
+    let far = BucketRef::new(pool_words + 1, 1, 0).ocw;
+    for (what, field, value, want) in [
+        ("rid past the table", 0, past_table, "names reference 2"),
+        (
+            "nonzero width",
+            8,
+            wide,
+            "invalid bucket shape (count 1, width 5)",
+        ),
+        ("offset past the pool", 8, far, "exceeds the"),
+    ] {
+        let mut patched = s.image.clone();
+        patched[at + field..at + field + 8].copy_from_slice(&value.to_le_bytes());
+        let e = must_fail(s.open(&patched), what);
+        assert!(e.is_corrupt(), "{what}: {e}");
+        assert!(e.to_string().contains(want), "{what}: {e}");
+    }
 }
 
 /// The lookup binary-searches the key array, which a hash map never
