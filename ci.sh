@@ -68,6 +68,15 @@ target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --backend gpu-sim >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null
 cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded-gpu.paf" \
     || { echo "ci: sharded gpu-sim mapping diverged from flat"; exit 1; }
+# The device backend's one fallback route: on a 16 KiB device the with-path
+# fills whose footprint does not fit run on the host, and the mapping must
+# not change.
+MMM_GPU_MEM=16384 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 --backend gpu-sim >"$SHARD_WORK/sharded-gpu-tiny.paf" 2>"$SHARD_WORK/gpu-tiny.stderr"
+cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded-gpu-tiny.paf" \
+    || { echo "ci: gpu-sim with host fallbacks diverged from flat"; exit 1; }
+grep -Eq " [1-9][0-9]* cpu-fallbacks" "$SHARD_WORK/gpu-tiny.stderr" \
+    || { echo "ci: the 16 KiB device reported no cpu-fallbacks"; cat "$SHARD_WORK/gpu-tiny.stderr"; exit 1; }
 # Chaos gate: a dead shard must degrade its reads and exit 0, not crash.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --inject-backend-fault missing-shard:shards=1 \

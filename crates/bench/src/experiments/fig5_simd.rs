@@ -107,7 +107,7 @@ fn production_fill_table(quick: bool) -> String {
                 Width::Avx2 => simd::avx2::align_manymap_with_scratch,
                 _ => simd::sse::align_manymap_with_scratch,
             };
-            let secs = per_pair(&|t, q, scratch| own(t, q, &sc, AlignMode::Global, true, scratch));
+            let secs = per_pair(&|t, q, scratch| own(t, q, &sc, true, scratch));
             row.push(format!("{:.2}", secs * 1e6));
         }
         let engine = Engine::new(Layout::Manymap, width);

@@ -69,6 +69,14 @@ mod tests {
         }
     }
 
+    /// `section=` resolves to an index into `mmm_exec::SHARD_SECTION_NAMES`,
+    /// and the loader corrupts that index of `mmm_index::CONTAINER_SECTIONS`:
+    /// `mmm-exec` cannot see the index crate, so its copy is checked here.
+    #[test]
+    fn section_names_match_the_container_sections() {
+        assert_eq!(mmm_exec::SHARD_SECTION_NAMES, mmm_index::CONTAINER_SECTIONS);
+    }
+
     #[test]
     fn attempts_bound_limits_injection_to_early_attempts() {
         // `attempts=2` fires on 0-based attempts 0 and 1 only, so the

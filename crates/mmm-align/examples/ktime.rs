@@ -1,6 +1,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmm_align::{AlignMode, Engine, Scoring, Width};
+use mmm_align::{Engine, Scoring, Width};
 use std::time::Instant;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         for _ in 0..5 {
             let start = Instant::now();
             for _ in 0..8 {
-                std::hint::black_box(e.align(&t, &q, &sc, AlignMode::Global, false));
+                std::hint::black_box(e.align(&t, &q, &sc, false));
             }
             samples.push(start.elapsed().as_secs_f64() / 8.0);
         }

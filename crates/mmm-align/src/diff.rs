@@ -22,7 +22,7 @@
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::score::Scoring;
-use crate::types::{AlignMode, AlignResult};
+use crate::types::AlignResult;
 use std::mem::MaybeUninit;
 
 /// `z` came from the substitution term.
@@ -188,48 +188,22 @@ impl DirMatrix {
     }
 }
 
-/// Rebuilds absolute 32-bit scores along each diagonal's first (`st`) and
-/// last (`en`) cells and tracks the best last-row / last-column cell for the
-/// free-end modes.
+/// Rebuilds the absolute 32-bit global score along each diagonal's first
+/// (`st`) and last (`en`) cells.
 ///
 /// Identities used (derived from the definitions of `u`, `v`):
 /// `H(r,en) = H(r-1,en) + u(r,en)` while the `en` cell walks down column 0,
 /// and `H(r,en) = H(r-1,en) + v(r,en)` once it walks along the last row;
 /// symmetrically for the `st` cell with `v` (first row) and `u` (last
-/// column).
+/// column). Both walks end at the corner cell `(|T|-1, |Q|-1)`, so each
+/// checks the other.
+#[derive(Default)]
 pub struct Tracker {
     hen: i32,
     hst: i32,
-    row_best: (i32, usize, usize),
-    col_best: (i32, usize, usize),
-    tlen: usize,
-    qlen: usize,
 }
 
 impl Tracker {
-    /// Tracker for a `|T| × |Q|` problem.
-    ///
-    /// # Panics
-    /// If either dimension is zero: `diag`'s boundary identities divide the
-    /// walk at `tlen - 1` / `qlen - 1`, which underflow for empty inputs.
-    /// Kernels route empty inputs through `degenerate()` before building a
-    /// `Tracker`.
-    pub fn new(tlen: usize, qlen: usize) -> Self {
-        assert!(
-            tlen > 0 && qlen > 0,
-            "Tracker is undefined for empty inputs ({tlen}x{qlen}); \
-             kernels must take their degenerate() path first"
-        );
-        Tracker {
-            hen: 0,
-            hst: 0,
-            row_best: (i32::MIN / 4, 0, 0),
-            col_best: (i32::MIN / 4, 0, 0),
-            tlen,
-            qlen,
-        }
-    }
-
     /// Account diagonal `r` after its cells are written. `u_st`, `u_en` are
     /// the freshly written `u` values at `t = st`/`t = en`; `v_st` / `v_en`
     /// the freshly written `v` values (callers pass the layout-appropriate
@@ -263,49 +237,29 @@ impl Tracker {
                 self.hst += u_st; // walking down the last column
             }
         }
-        if en == self.tlen - 1 && self.hen > self.row_best.0 {
-            self.row_best = (self.hen, en, r - en);
-        }
-        if r - st == self.qlen - 1 && self.hst > self.col_best.0 {
-            self.col_best = (self.hst, st, r - st);
-        }
     }
 
-    /// Resolve the score and end cell for `mode`.
-    pub fn finalize(&self, mode: AlignMode) -> (i32, usize, usize) {
-        match mode {
-            AlignMode::Global => {
-                debug_assert_eq!(self.hen, self.hst, "both walks must meet at the corner");
-                (self.hen, self.tlen - 1, self.qlen - 1)
-            }
-            AlignMode::QuerySuffixFree => self.row_best,
-            AlignMode::TargetSuffixFree => self.col_best,
-            // Prefer the last-row cell on ties, matching the reference
-            // implementation's scan order.
-            AlignMode::SemiGlobal => {
-                if self.col_best.0 > self.row_best.0 {
-                    self.col_best
-                } else {
-                    self.row_best
-                }
-            }
-        }
+    /// The score of the corner cell, once the last diagonal is accounted.
+    pub fn finalize(&self) -> i32 {
+        debug_assert_eq!(self.hen, self.hst, "both walks must meet at the corner");
+        self.hen
     }
 }
 
 /// Reconstruct the CIGAR into caller-provided (recyclable) storage, starting
-/// at cell `(end_i, end_j)` and walking back to the `(0,0)` boundary.
+/// at cell `(last_i, last_j)` — the corner of a fill, the best cell of a
+/// z-drop extension — and walking back to the `(0,0)` boundary.
 /// `dir(i, j)` is the direction byte of cell `(i, j)`: a [`DirMatrix`]'s
 /// [`get`](DirMatrix::get), or a lane of a lane group's direction block.
 pub fn backtrack_into(
     dir: impl Fn(usize, usize) -> u8,
-    end_i: usize,
-    end_j: usize,
+    last_i: usize,
+    last_j: usize,
     cig: &mut Cigar,
 ) {
     cig.clear();
-    let mut i = end_i as isize;
-    let mut j = end_j as isize;
+    let mut i = last_i as isize;
+    let mut j = last_j as isize;
     #[derive(PartialEq)]
     enum State {
         M,
@@ -418,11 +372,10 @@ pub(crate) fn degenerate(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
 ) -> Option<AlignResult> {
     if target.is_empty() || query.is_empty() {
-        Some(crate::fullmatrix::align(target, query, sc, mode, with_path))
+        Some(crate::fullmatrix::align(target, query, sc, with_path))
     } else {
         None
     }
@@ -462,13 +415,12 @@ mod tests {
     #[test]
     fn tracker_pure_match_path() {
         // 2x2 all-match with a=2, q=4, e=2 (qe=6): H(0,0)=2 so u(0,0)=8.
-        let mut t = Tracker::new(2, 2);
+        let mut t = Tracker::default();
         t.diag(0, 0, 0, 8, 8, 0, 0, 6);
         // r=1: en==r ⇒ hen += u_en; st==0 ⇒ hst += v_st.
         t.diag(1, 0, 1, 0, -6, -6, 0, 6);
         // r=2: single cell (1,1), en=1<r ⇒ hen += v_en; st=1>0 ⇒ hst += u_st.
         t.diag(2, 1, 1, 8, 0, 0, 8, 6);
-        let (score, i, j) = t.finalize(AlignMode::Global);
-        assert_eq!((score, i, j), (4, 1, 1));
+        assert_eq!(t.finalize(), 4);
     }
 }

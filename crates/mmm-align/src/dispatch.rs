@@ -213,32 +213,35 @@ impl Engine {
         format!("{}/{}", self.layout.label(), self.width.label())
     }
 
-    /// Run the kernel. Panics if the width is unsupported on this CPU
-    /// (check [`Engine::is_available`] first). A problem too small to keep
-    /// the engine's vectors busy runs on a narrower tier of the same layout
-    /// (see [`Width`]'s `for_longest_diagonal`); the result is the same.
+    /// Globally align `target` against `query`. Panics if the width is
+    /// unsupported on this CPU (check [`Engine::is_available`] first). A
+    /// problem too small to keep the engine's vectors busy runs on a
+    /// narrower tier of the same layout (see [`Width`]'s
+    /// `for_longest_diagonal`); the result is the same.
     ///
     /// ```
-    /// use mmm_align::{best_engine, AlignMode, Scoring};
+    /// use mmm_align::{best_engine, Scoring};
     /// let t = mmm_seq::to_nt4(b"ACGTACGT");
-    /// let r = best_engine().align(&t, &t, &Scoring::MAP_ONT, AlignMode::Global, true);
+    /// let r = best_engine().align(&t, &t, &Scoring::MAP_ONT, true);
     /// assert_eq!(r.score, 16); // 8 matches x 2
     /// assert_eq!(r.cigar.unwrap().to_string(), "8M");
     /// ```
-    pub fn align(
-        &self,
-        target: &[u8],
-        query: &[u8],
-        sc: &Scoring,
-        mode: AlignMode,
-        with_path: bool,
-    ) -> AlignResult {
-        self.align_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+    pub fn align(&self, target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+        self.align_with_scratch(
+            target,
+            query,
+            sc,
+            AlignMode::Global,
+            with_path,
+            &mut AlignScratch::new(),
+        )
     }
 
     /// [`Engine::align`] with caller-provided buffers: after one warm-up
     /// call at the largest problem size, repeated calls perform zero heap
-    /// allocations (see [`AlignScratch`]).
+    /// allocations (see [`AlignScratch`]). `mode` has one value; the
+    /// parameter stays because `benchmark/src/trace.rs` passes a job's
+    /// `mode` here (ROADMAP items 2d/7).
     pub fn align_with_scratch(
         &self,
         target: &[u8],
@@ -248,33 +251,34 @@ impl Engine {
         with_path: bool,
         scratch: &mut AlignScratch,
     ) -> AlignResult {
+        let AlignMode::Global = mode;
         let width = self
             .width
             .for_longest_diagonal(target.len().min(query.len()));
         match (self.layout, width) {
             (Layout::Mm2, Width::Scalar) => {
-                scalar::align_mm2_with_scratch(target, query, sc, mode, with_path, scratch)
+                scalar::align_mm2_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Manymap, Width::Scalar) => {
-                scalar::align_manymap_with_scratch(target, query, sc, mode, with_path, scratch)
+                scalar::align_manymap_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Mm2, Width::Sse) => {
-                sse::align_mm2_with_scratch(target, query, sc, mode, with_path, scratch)
+                sse::align_mm2_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Manymap, Width::Sse) => {
-                sse::align_manymap_with_scratch(target, query, sc, mode, with_path, scratch)
+                sse::align_manymap_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Mm2, Width::Avx2) => {
-                avx2::align_mm2_with_scratch(target, query, sc, mode, with_path, scratch)
+                avx2::align_mm2_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Manymap, Width::Avx2) => {
-                avx2::align_manymap_with_scratch(target, query, sc, mode, with_path, scratch)
+                avx2::align_manymap_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Mm2, Width::Avx512) => {
-                avx512::align_mm2_with_scratch(target, query, sc, mode, with_path, scratch)
+                avx512::align_mm2_with_scratch(target, query, sc, with_path, scratch)
             }
             (Layout::Manymap, Width::Avx512) => {
-                avx512::align_manymap_with_scratch(target, query, sc, mode, with_path, scratch)
+                avx512::align_manymap_with_scratch(target, query, sc, with_path, scratch)
             }
         }
     }
@@ -293,8 +297,8 @@ impl Engine {
     /// this engine's own tier (never a narrower one), over the group's padded
     /// `max|T| × max|Q|` matrix. Appends one result per job to `out`, in job
     /// order, each equal to what [`Engine::align_with_scratch`] returns for
-    /// it in [`AlignMode::Global`]. When a job keeps its path, the
-    /// direction block takes half a byte of the scratch per padded cell.
+    /// it. When a job keeps its path, the direction block takes half a byte
+    /// of the scratch per padded cell.
     ///
     /// # Panics
     /// If the engine has no group kernel ([`Engine::group_lanes`] is `None`)
@@ -364,10 +368,9 @@ impl Engine {
         target: &[u8],
         query: &[u8],
         sc: &Scoring,
-        mode: AlignMode,
         with_path: bool,
     ) -> Result<AlignResult, AlignError> {
-        self.try_align_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+        self.try_align_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
     }
 
     /// [`Engine::try_align`] with caller-provided buffers.
@@ -376,14 +379,13 @@ impl Engine {
         target: &[u8],
         query: &[u8],
         sc: &Scoring,
-        mode: AlignMode,
         with_path: bool,
         scratch: &mut AlignScratch,
     ) -> Result<AlignResult, AlignError> {
         if !sc.fits_i8() {
             return Err(AlignError::ScoringOverflowsI8(*sc));
         }
-        Ok(self.align_with_scratch(target, query, sc, mode, with_path, scratch))
+        Ok(self.align_with_scratch(target, query, sc, AlignMode::Global, with_path, scratch))
     }
 }
 
@@ -435,14 +437,9 @@ mod tests {
         let t = mmm_seq::to_nt4(b"ACGTTTACGGGACTACGT");
         let q = mmm_seq::to_nt4(b"ACGTTACGGGCACTAGT");
         let sc = Scoring::MAP_ONT;
-        let gold = scalar::align_manymap(&t, &q, &sc, AlignMode::Global, true);
+        let gold = scalar::align_manymap(&t, &q, &sc, true);
         for e in Engine::all().into_iter().filter(|e| e.is_available()) {
-            assert_eq!(
-                e.align(&t, &q, &sc, AlignMode::Global, true),
-                gold,
-                "{}",
-                e.label()
-            );
+            assert_eq!(e.align(&t, &q, &sc, true), gold, "{}", e.label());
         }
     }
 
@@ -513,7 +510,7 @@ mod tests {
         let t = mmm_seq::to_nt4(b"ACGTTTACGGGACTACGTTACGACT");
         let q = mmm_seq::to_nt4(b"ACGTTACGGGCACTAGTTAGACT");
         let sc = Scoring::MAP_ONT;
-        let gold = scalar::align_manymap(&t, &q, &sc, AlignMode::Global, true);
+        let gold = scalar::align_manymap(&t, &q, &sc, true);
         for d in [
             DisabledTiers::NONE,
             DisabledTiers {
@@ -528,7 +525,7 @@ mod tests {
             DisabledTiers::ALL_SIMD,
         ] {
             let e = best_engine_unless(Layout::Manymap, d);
-            assert_eq!(e.align(&t, &q, &sc, AlignMode::Global, true), gold, "{d:?}");
+            assert_eq!(e.align(&t, &q, &sc, true), gold, "{d:?}");
         }
     }
 

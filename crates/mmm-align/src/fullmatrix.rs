@@ -16,7 +16,7 @@
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::score::Scoring;
-use crate::types::{AlignMode, AlignResult};
+use crate::types::AlignResult;
 
 const NEG_INF: i32 = i32::MIN / 4;
 
@@ -35,18 +35,12 @@ impl Matrices {
     }
 }
 
-/// Align `target` against `query` (both nt4) and return score, end cell and
-/// (when `with_path`) the CIGAR.
-pub fn align(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
+/// Globally align `target` against `query` (both nt4) and return the score
+/// and (when `with_path`) the CIGAR.
+pub fn align(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
     let (tlen, qlen) = (target.len(), query.len());
     if tlen == 0 || qlen == 0 {
-        return degenerate(tlen, qlen, sc, mode, with_path);
+        return degenerate(tlen, qlen, sc, with_path);
     }
     let cols = qlen + 1;
     let mut m = Matrices {
@@ -80,93 +74,34 @@ pub fn align(
         }
     }
 
-    // Locate the end cell per mode.
-    let (score, ei1, ej1) = match mode {
-        AlignMode::Global => (m.h[m.idx(tlen, qlen)], tlen, qlen),
-        AlignMode::SemiGlobal => {
-            let mut best = (NEG_INF, tlen, qlen);
-            for j in 1..=qlen {
-                let v = m.h[m.idx(tlen, j)];
-                if v > best.0 {
-                    best = (v, tlen, j);
-                }
-            }
-            for i in 1..=tlen {
-                let v = m.h[m.idx(i, qlen)];
-                if v > best.0 {
-                    best = (v, i, qlen);
-                }
-            }
-            best
-        }
-        AlignMode::TargetSuffixFree => {
-            let mut best = (NEG_INF, tlen, qlen);
-            for i in 1..=tlen {
-                let v = m.h[m.idx(i, qlen)];
-                if v > best.0 {
-                    best = (v, i, qlen);
-                }
-            }
-            best
-        }
-        AlignMode::QuerySuffixFree => {
-            let mut best = (NEG_INF, tlen, qlen);
-            for j in 1..=qlen {
-                let v = m.h[m.idx(tlen, j)];
-                if v > best.0 {
-                    best = (v, tlen, j);
-                }
-            }
-            best
-        }
-    };
-
-    let cigar = with_path.then(|| backtrack(&m, target, query, sc, ei1, ej1));
+    let cigar = with_path.then(|| backtrack(&m, target, query, sc, tlen, qlen));
 
     AlignResult {
-        score,
-        end_i: ei1 - 1,
-        end_j: ej1 - 1,
+        score: m.h[m.idx(tlen, qlen)],
         cigar,
         cells: tlen as u64 * qlen as u64,
     }
 }
 
-/// Handle empty-sequence corner cases without touching the matrices.
-fn degenerate(
-    tlen: usize,
-    qlen: usize,
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    // With one side empty the only path is a single gap (or nothing).
-    let free_target_end =
-        matches!(mode, AlignMode::SemiGlobal | AlignMode::TargetSuffixFree) && qlen == 0;
-    let free_query_end =
-        matches!(mode, AlignMode::SemiGlobal | AlignMode::QuerySuffixFree) && tlen == 0;
-    let score = if (tlen == 0 && qlen == 0) || free_target_end || free_query_end {
-        0
-    } else if qlen == 0 {
-        -sc.gap_cost(tlen as u32)
-    } else {
-        -sc.gap_cost(qlen as u32)
-    };
+/// Handle empty-sequence corner cases without touching the matrices: with
+/// one side empty the only path is a single gap (or nothing).
+fn degenerate(tlen: usize, qlen: usize, sc: &Scoring, with_path: bool) -> AlignResult {
+    let gap = tlen.max(qlen);
     let cigar = with_path.then(|| {
         let mut c = Cigar::new();
-        if score != 0 {
-            if qlen == 0 {
-                c.push(CigarOp::Del, tlen as u32);
-            } else {
-                c.push(CigarOp::Ins, qlen as u32);
-            }
+        if qlen > 0 {
+            c.push(CigarOp::Ins, qlen as u32);
+        } else if tlen > 0 {
+            c.push(CigarOp::Del, tlen as u32);
         }
         c
     });
     AlignResult {
-        score,
-        end_i: tlen.wrapping_sub(1),
-        end_j: qlen.wrapping_sub(1),
+        score: if gap == 0 {
+            0
+        } else {
+            -sc.gap_cost(gap as u32)
+        },
         cigar,
         cells: 0,
     }
@@ -250,7 +185,7 @@ mod tests {
     #[test]
     fn identical_sequences_score_perfectly() {
         let t = nt(b"ACGTACGT");
-        let r = align(&t, &t, &SC, AlignMode::Global, true);
+        let r = align(&t, &t, &SC, true);
         assert_eq!(r.score, 16);
         assert_eq!(r.cigar.unwrap().to_string(), "8M");
     }
@@ -259,7 +194,7 @@ mod tests {
     fn single_mismatch() {
         let t = nt(b"ACGTACGT");
         let q = nt(b"ACGAACGT");
-        let r = align(&t, &q, &SC, AlignMode::Global, true);
+        let r = align(&t, &q, &SC, true);
         assert_eq!(r.score, 14 - 4);
         assert_eq!(r.cigar.unwrap().to_string(), "8M");
     }
@@ -268,7 +203,7 @@ mod tests {
     fn single_deletion() {
         let t = nt(b"ACGTACGT");
         let q = nt(b"ACGACGT"); // T deleted
-        let r = align(&t, &q, &SC, AlignMode::Global, true);
+        let r = align(&t, &q, &SC, true);
         assert_eq!(r.score, 14 - 6);
         let c = r.cigar.unwrap();
         assert_eq!(c.target_len(), 8);
@@ -280,7 +215,7 @@ mod tests {
     fn single_insertion() {
         let t = nt(b"ACGACGT");
         let q = nt(b"ACGTACGT");
-        let r = align(&t, &q, &SC, AlignMode::Global, true);
+        let r = align(&t, &q, &SC, true);
         assert_eq!(r.score, 14 - 6);
         let c = r.cigar.unwrap();
         assert_eq!(c.score(&t, &q, &SC), r.score);
@@ -291,7 +226,7 @@ mod tests {
         // Two separate 1-gaps cost 2(q+e)=12; one 2-gap costs q+2e=8.
         let t = nt(b"AAAACCAAAA");
         let q = nt(b"AAAAAAAA");
-        let r = align(&t, &q, &SC, AlignMode::Global, true);
+        let r = align(&t, &q, &SC, true);
         assert_eq!(r.score, 16 - 8);
         assert_eq!(r.cigar.unwrap().to_string(), "4M2D4M");
     }
@@ -300,80 +235,31 @@ mod tests {
     fn cigar_score_matches_reported_score() {
         let t = nt(b"ACGTTTACGGGACT");
         let q = nt(b"ACGTTACGGGCACT");
-        for mode in [AlignMode::Global, AlignMode::SemiGlobal] {
-            let r = align(&t, &q, &SC, mode, true);
-            let c = r.cigar.unwrap();
-            assert_eq!(c.score(&t, &q, &SC), r.score, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn semiglobal_trims_target_suffix() {
-        let t = nt(b"ACGTACGTTTTTTTTT");
-        let q = nt(b"ACGTACGT");
-        let r = align(&t, &q, &SC, AlignMode::SemiGlobal, true);
-        assert_eq!(r.score, 16);
-        assert_eq!(r.end_i, 7);
-        assert_eq!(r.end_j, 7);
-        assert_eq!(r.cigar.unwrap().to_string(), "8M");
-    }
-
-    #[test]
-    fn target_suffix_free_requires_full_query() {
-        let t = nt(b"ACGTAAAAAAA");
-        let q = nt(b"ACGTGG");
-        let r = align(&t, &q, &SC, AlignMode::TargetSuffixFree, true);
-        // Query must be consumed, so the GG must be aligned (mismatches or
-        // insertions), unlike SemiGlobal which would stop at 4M.
-        assert_eq!(r.end_j, 5);
-        assert!(r.score < 12);
-        assert_eq!(r.cigar.unwrap().query_len(), 6);
-    }
-
-    #[test]
-    fn query_suffix_free_requires_full_target() {
-        let t = nt(b"ACGT");
-        let q = nt(b"ACGTGGGGGG");
-        let r = align(&t, &q, &SC, AlignMode::QuerySuffixFree, true);
-        assert_eq!(r.score, 8);
-        assert_eq!(r.end_i, 3);
-        assert_eq!(r.end_j, 3);
+        let r = align(&t, &q, &SC, true);
+        let c = r.cigar.unwrap();
+        assert_eq!(c.score(&t, &q, &SC), r.score);
     }
 
     #[test]
     fn ambiguous_bases_use_ambi_penalty() {
         let t = nt(b"ACNT");
         let q = nt(b"ACGT");
-        let r = align(&t, &q, &SC, AlignMode::Global, false);
+        let r = align(&t, &q, &SC, false);
         assert_eq!(r.score, 6 - 1);
     }
 
     #[test]
     fn empty_query_is_one_deletion() {
         let t = nt(b"ACGT");
-        let r = align(&t, &[], &SC, AlignMode::Global, true);
+        let r = align(&t, &[], &SC, true);
         assert_eq!(r.score, -(4 + 4 * 2));
         assert_eq!(r.cigar.unwrap().to_string(), "4D");
     }
 
     #[test]
     fn empty_both_is_zero() {
-        let r = align(&[], &[], &SC, AlignMode::Global, true);
+        let r = align(&[], &[], &SC, true);
         assert_eq!(r.score, 0);
         assert!(r.cigar.unwrap().is_empty());
-    }
-
-    #[test]
-    fn empty_query_semiglobal_free() {
-        let r = align(&nt(b"ACGT"), &[], &SC, AlignMode::SemiGlobal, false);
-        assert_eq!(r.score, 0);
-    }
-
-    #[test]
-    fn global_equals_semiglobal_when_corner_is_best() {
-        let t = nt(b"ACGTACGT");
-        let g = align(&t, &t, &SC, AlignMode::Global, false);
-        let s = align(&t, &t, &SC, AlignMode::SemiGlobal, false);
-        assert_eq!(g.score, s.score);
     }
 }

@@ -20,18 +20,12 @@ use crate::diff::{backtrack_into, cell_update, degenerate, Tracker};
 use crate::layout::Eq4;
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, AlignScratch};
-use crate::types::{AlignMode, AlignResult};
+use crate::types::AlignResult;
 
 /// Equation (3): minimap2's layout with the intra-loop dependency resolved
 /// via temporaries.
-pub fn align_mm2(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_mm2_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_mm2(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_mm2_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_mm2`] with caller-provided buffers: zero heap allocations once
@@ -40,11 +34,10 @@ pub fn align_mm2_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
@@ -73,7 +66,7 @@ pub fn align_mm2_with_scratch(
     } else {
         None
     };
-    let mut tracker = Tracker::new(tlen, qlen);
+    let mut tracker = Tracker::default();
 
     let geom = Eq4::new(tlen, qlen);
     for r in 0..geom.diagonals() {
@@ -113,16 +106,13 @@ pub fn align_mm2_with_scratch(
         );
     }
 
-    let (score, end_i, end_j) = tracker.finalize(mode);
     let cigar = dir.map(|d| {
         let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(|i, j| d.get(i, j), end_i, end_j, &mut c);
+        backtrack_into(|i, j| d.get(i, j), tlen - 1, qlen - 1, &mut c);
         c
     });
     AlignResult {
-        score,
-        end_i,
-        end_j,
+        score: tracker.finalize(),
         cigar,
         cells: tlen as u64 * qlen as u64,
     }
@@ -130,14 +120,8 @@ pub fn align_mm2_with_scratch(
 
 /// Equation (4): manymap's transformed layout, dependency-free in-place
 /// updates.
-pub fn align_manymap(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_manymap_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_manymap(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_manymap_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_manymap`] with caller-provided buffers: zero heap allocations
@@ -146,11 +130,10 @@ pub fn align_manymap_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
@@ -182,7 +165,7 @@ pub fn align_manymap_with_scratch(
     } else {
         None
     };
-    let mut tracker = Tracker::new(tlen, qlen);
+    let mut tracker = Tracker::default();
 
     let geom = Eq4::new(tlen, qlen);
     for r in 0..geom.diagonals() {
@@ -215,16 +198,13 @@ pub fn align_manymap_with_scratch(
         tracker.diag(r, st, en, u[st] as i32, u[en] as i32, v_st0, v_en, qe);
     }
 
-    let (score, end_i, end_j) = tracker.finalize(mode);
     let cigar = dir.map(|d| {
         let mut c = AlignScratch::take_cigar(cigars);
-        backtrack_into(|i, j| d.get(i, j), end_i, end_j, &mut c);
+        backtrack_into(|i, j| d.get(i, j), tlen - 1, qlen - 1, &mut c);
         c
     });
     AlignResult {
-        score,
-        end_i,
-        end_j,
+        score: tracker.finalize(),
         cigar,
         cells: tlen as u64 * qlen as u64,
     }
@@ -242,28 +222,14 @@ mod tests {
         mmm_seq::to_nt4(s)
     }
 
-    const MODES: [AlignMode; 4] = [
-        AlignMode::Global,
-        AlignMode::SemiGlobal,
-        AlignMode::TargetSuffixFree,
-        AlignMode::QuerySuffixFree,
-    ];
-
     fn check_all(t: &[u8], q: &[u8], sc: &Scoring) {
-        for mode in MODES {
-            let gold = fullmatrix::align(t, q, sc, mode, true);
-            for (name, r) in [
-                ("mm2", align_mm2(t, q, sc, mode, true)),
-                ("manymap", align_manymap(t, q, sc, mode, true)),
-            ] {
-                assert_eq!(r.score, gold.score, "{name} score mode={mode:?}");
-                assert_eq!(
-                    (r.end_i, r.end_j),
-                    (gold.end_i, gold.end_j),
-                    "{name} end cell mode={mode:?}"
-                );
-                assert_eq!(r.cigar, gold.cigar, "{name} cigar mode={mode:?}");
-            }
+        let gold = fullmatrix::align(t, q, sc, true);
+        for (name, r) in [
+            ("mm2", align_mm2(t, q, sc, true)),
+            ("manymap", align_manymap(t, q, sc, true)),
+        ] {
+            assert_eq!(r.score, gold.score, "{name} score");
+            assert_eq!(r.cigar, gold.cigar, "{name} cigar");
         }
     }
 
@@ -290,26 +256,22 @@ mod tests {
 
     #[test]
     fn empty_inputs_match_reference() {
-        for mode in MODES {
-            let gold = fullmatrix::align(&nt(b"ACG"), &[], &SC, mode, true);
-            assert_eq!(align_mm2(&nt(b"ACG"), &[], &SC, mode, true), gold);
-            assert_eq!(
-                align_manymap(&[], &nt(b"AC"), &SC, mode, true),
-                fullmatrix::align(&[], &nt(b"AC"), &SC, mode, true)
-            );
-        }
+        let gold = fullmatrix::align(&nt(b"ACG"), &[], &SC, true);
+        assert_eq!(align_mm2(&nt(b"ACG"), &[], &SC, true), gold);
+        assert_eq!(
+            align_manymap(&[], &nt(b"AC"), &SC, true),
+            fullmatrix::align(&[], &nt(b"AC"), &SC, true)
+        );
     }
 
     #[test]
     fn score_only_equals_with_path_score() {
         let t = nt(b"ACGTTTACGGGACTAC");
         let q = nt(b"ACGTTACGGGCACTAC");
-        for mode in MODES {
-            let a = align_manymap(&t, &q, &SC, mode, false);
-            let b = align_manymap(&t, &q, &SC, mode, true);
-            assert_eq!(a.score, b.score);
-            assert!(a.cigar.is_none());
-        }
+        let a = align_manymap(&t, &q, &SC, false);
+        let b = align_manymap(&t, &q, &SC, true);
+        assert_eq!(a.score, b.score);
+        assert!(a.cigar.is_none());
     }
 
     #[test]
@@ -350,18 +312,14 @@ mod tests {
             b in 0i32..8,
             gq in 0i32..10,
             ge in 1i32..6,
-            mode_idx in 0usize..4,
         ) {
             let sc = Scoring { a, b, ambi: 1, q: gq, e: ge };
             prop_assume!(sc.fits_i8());
-            let mode = MODES[mode_idx];
-            let gold = fullmatrix::align(&t, &q, &sc, mode, true);
-            let m1 = align_mm2(&t, &q, &sc, mode, true);
-            let m2 = align_manymap(&t, &q, &sc, mode, true);
+            let gold = fullmatrix::align(&t, &q, &sc, true);
+            let m1 = align_mm2(&t, &q, &sc, true);
+            let m2 = align_manymap(&t, &q, &sc, true);
             prop_assert_eq!(m1.score, gold.score);
             prop_assert_eq!(m2.score, gold.score);
-            prop_assert_eq!((m1.end_i, m1.end_j), (gold.end_i, gold.end_j));
-            prop_assert_eq!((m2.end_i, m2.end_j), (gold.end_i, gold.end_j));
             prop_assert_eq!(m1.cigar.as_ref(), gold.cigar.as_ref());
             prop_assert_eq!(m2.cigar.as_ref(), gold.cigar.as_ref());
         }
@@ -371,7 +329,7 @@ mod tests {
             t in proptest::collection::vec(0u8..4, 1..48),
             q in proptest::collection::vec(0u8..4, 1..48),
         ) {
-            let r = align_manymap(&t, &q, &SC, AlignMode::Global, true);
+            let r = align_manymap(&t, &q, &SC, true);
             let c = r.cigar.unwrap();
             prop_assert_eq!(c.target_len(), t.len() as u64);
             prop_assert_eq!(c.query_len(), q.len() as u64);

@@ -11,7 +11,7 @@ use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult, GroupJob};
+use crate::types::{AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
@@ -148,14 +148,8 @@ impl Isa for Avx2 {
 }
 
 /// Equation (3) layout with the two-instruction cross-lane byte shift.
-pub fn align_mm2(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_mm2_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_mm2(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_mm2_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_mm2`] with caller-provided buffers.
@@ -163,28 +157,21 @@ pub fn align_mm2_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
     assert!(available(), "AVX2 not available on this CPU");
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
     // SAFETY: feature checked above.
-    unsafe { mm2_inner(target, query, sc, mode, with_path, scratch) }
+    unsafe { mm2_inner(target, query, sc, with_path, scratch) }
 }
 
 /// Equation (4) layout — plain loads and stores only.
-pub fn align_manymap(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_manymap_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_manymap(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_manymap_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_manymap`] with caller-provided buffers.
@@ -192,17 +179,16 @@ pub fn align_manymap_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
     assert!(available(), "AVX2 not available on this CPU");
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
     // SAFETY: feature checked above.
-    unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
+    unsafe { manymap_inner(target, query, sc, with_path, scratch) }
 }
 
 /// Exact z-drop extension on the Equation (4) step; the inputs are checked
@@ -241,11 +227,10 @@ unsafe fn mm2_inner(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    kernel::fill_mm2::<Avx2>(target, query, sc, mode, with_path, scratch)
+    kernel::fill_mm2::<Avx2>(target, query, sc, with_path, scratch)
 }
 
 /// # Safety
@@ -256,11 +241,10 @@ unsafe fn manymap_inner(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    kernel::fill_manymap::<Avx2>(target, query, sc, mode, with_path, scratch)
+    kernel::fill_manymap::<Avx2>(target, query, sc, with_path, scratch)
 }
 
 /// # Safety
@@ -300,13 +284,6 @@ mod tests {
 
     const SC: Scoring = Scoring::MAP_ONT;
 
-    const MODES: [AlignMode; 4] = [
-        AlignMode::Global,
-        AlignMode::SemiGlobal,
-        AlignMode::TargetSuffixFree,
-        AlignMode::QuerySuffixFree,
-    ];
-
     #[test]
     fn handles_vector_boundary_lengths() {
         if available() {
@@ -321,14 +298,12 @@ mod tests {
         fn avx2_kernels_match_scalar(
             t in proptest::collection::vec(0u8..5, 1..200),
             q in proptest::collection::vec(0u8..5, 1..200),
-            mode_idx in 0usize..4,
             with_path in proptest::bool::ANY,
         ) {
             prop_assume!(available());
-            let mode = MODES[mode_idx];
-            let gold = scalar::align_manymap(&t, &q, &SC, mode, with_path);
-            prop_assert_eq!(align_mm2(&t, &q, &SC, mode, with_path), gold.clone());
-            prop_assert_eq!(align_manymap(&t, &q, &SC, mode, with_path), gold);
+            let gold = scalar::align_manymap(&t, &q, &SC, with_path);
+            prop_assert_eq!(align_mm2(&t, &q, &SC, with_path), gold.clone());
+            prop_assert_eq!(align_manymap(&t, &q, &SC, with_path), gold);
         }
     }
 }

@@ -15,7 +15,7 @@ use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult, GroupJob};
+use crate::types::{AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
@@ -144,14 +144,8 @@ impl Isa for Avx512 {
 
 /// Equation (3) layout; the byte shift is a within-lane shift plus a qword
 /// permute.
-pub fn align_mm2(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_mm2_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_mm2(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_mm2_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_mm2`] with caller-provided buffers.
@@ -159,28 +153,21 @@ pub fn align_mm2_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
     assert!(available(), "AVX-512BW not available on this CPU");
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
     // SAFETY: feature checked above.
-    unsafe { mm2_inner(target, query, sc, mode, with_path, scratch) }
+    unsafe { mm2_inner(target, query, sc, with_path, scratch) }
 }
 
 /// Equation (4) layout — plain loads and stores only.
-pub fn align_manymap(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_manymap_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_manymap(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_manymap_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_manymap`] with caller-provided buffers.
@@ -188,17 +175,16 @@ pub fn align_manymap_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
     assert!(available(), "AVX-512BW not available on this CPU");
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
     // SAFETY: feature checked above.
-    unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
+    unsafe { manymap_inner(target, query, sc, with_path, scratch) }
 }
 
 /// Exact z-drop extension on the Equation (4) step; the inputs are checked
@@ -237,11 +223,10 @@ unsafe fn mm2_inner(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    kernel::fill_mm2::<Avx512>(target, query, sc, mode, with_path, scratch)
+    kernel::fill_mm2::<Avx512>(target, query, sc, with_path, scratch)
 }
 
 /// # Safety
@@ -252,11 +237,10 @@ unsafe fn manymap_inner(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    kernel::fill_manymap::<Avx512>(target, query, sc, mode, with_path, scratch)
+    kernel::fill_manymap::<Avx512>(target, query, sc, with_path, scratch)
 }
 
 /// # Safety
@@ -296,13 +280,6 @@ mod tests {
 
     const SC: Scoring = Scoring::MAP_ONT;
 
-    const MODES: [AlignMode; 4] = [
-        AlignMode::Global,
-        AlignMode::SemiGlobal,
-        AlignMode::TargetSuffixFree,
-        AlignMode::QuerySuffixFree,
-    ];
-
     #[test]
     fn handles_vector_boundary_lengths() {
         if available() {
@@ -317,14 +294,12 @@ mod tests {
         fn avx512_kernels_match_scalar(
             t in proptest::collection::vec(0u8..5, 1..300),
             q in proptest::collection::vec(0u8..5, 1..300),
-            mode_idx in 0usize..4,
             with_path in proptest::bool::ANY,
         ) {
             prop_assume!(available());
-            let mode = MODES[mode_idx];
-            let gold = scalar::align_manymap(&t, &q, &SC, mode, with_path);
-            prop_assert_eq!(align_mm2(&t, &q, &SC, mode, with_path), gold.clone());
-            prop_assert_eq!(align_manymap(&t, &q, &SC, mode, with_path), gold);
+            let gold = scalar::align_manymap(&t, &q, &SC, with_path);
+            prop_assert_eq!(align_mm2(&t, &q, &SC, with_path), gold.clone());
+            prop_assert_eq!(align_manymap(&t, &q, &SC, with_path), gold);
         }
     }
 }

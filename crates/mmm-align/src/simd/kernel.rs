@@ -17,7 +17,7 @@ use super::{Consts, Isa};
 use crate::diff::{backtrack_into, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
-use crate::types::{AlignMode, AlignResult, GroupJob};
+use crate::types::{AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// # Safety
@@ -305,7 +305,7 @@ unsafe fn eq4_diagonal<I: Isa, const EXT: bool>(
     hmax
 }
 
-/// Equation (4) global/free-end fill.
+/// Equation (4) global fill.
 ///
 /// # Safety
 /// See [`Isa`]; both sequences are non-empty and `sc.fits_i8()`.
@@ -314,7 +314,6 @@ pub(super) unsafe fn fill_manymap<I: Isa>(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
@@ -326,7 +325,7 @@ pub(super) unsafe fn fill_manymap<I: Isa>(
     if with_path {
         scratch.dir.reset(tlen, qlen);
     }
-    let mut tracker = Tracker::new(tlen, qlen);
+    let mut tracker = Tracker::default();
 
     for r in 0..tlen + qlen - 1 {
         let st = r.saturating_sub(qlen - 1);
@@ -341,7 +340,7 @@ pub(super) unsafe fn fill_manymap<I: Isa>(
         let v_en = at(p.v, en + qlen - r);
         tracker.diag(r, st, en, at(p.u, st), at(p.u, en), v_st0, v_en, qe);
     }
-    finish_fill(&tracker, mode, with_path, scratch, tlen, qlen)
+    finish_fill(&tracker, with_path, scratch, tlen, qlen)
 }
 
 /// One vector step of Eq. 3 at target index `t`, in place. `carry` holds
@@ -380,7 +379,7 @@ unsafe fn eq3_step<I: Isa>(
     (I::carry_out(xcur), I::carry_out(vcur))
 }
 
-/// Equation (3) global/free-end fill: the same step with `X[t-1]`/`V[t-1]`
+/// Equation (3) global fill: the same step with `X[t-1]`/`V[t-1]`
 /// shifted in from the previous vector.
 ///
 /// # Safety
@@ -390,7 +389,6 @@ pub(super) unsafe fn fill_mm2<I: Isa>(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
@@ -402,7 +400,7 @@ pub(super) unsafe fn fill_mm2<I: Isa>(
     if with_path {
         scratch.dir.reset(tlen, qlen);
     }
-    let mut tracker = Tracker::new(tlen, qlen);
+    let mut tracker = Tracker::default();
 
     for r in 0..tlen + qlen - 1 {
         let st = r.saturating_sub(qlen - 1);
@@ -434,28 +432,24 @@ pub(super) unsafe fn fill_mm2<I: Isa>(
         let (u_st, u_en) = (at(p.u, st), at(p.u, en));
         tracker.diag(r, st, en, u_st, u_en, at(p.v, 0), at(p.v, en), qe);
     }
-    finish_fill(&tracker, mode, with_path, scratch, tlen, qlen)
+    finish_fill(&tracker, with_path, scratch, tlen, qlen)
 }
 
-/// Score, end cell and (with a path) the backtracked CIGAR of a fill.
+/// Score and (with a path) the backtracked CIGAR of a fill.
 fn finish_fill(
     tracker: &Tracker,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
     tlen: usize,
     qlen: usize,
 ) -> AlignResult {
-    let (score, end_i, end_j) = tracker.finalize(mode);
     let cigar = with_path.then(|| {
         let mut c = AlignScratch::take_cigar(&mut scratch.cigars);
-        backtrack_into(|i, j| scratch.dir.get(i, j), end_i, end_j, &mut c);
+        backtrack_into(|i, j| scratch.dir.get(i, j), tlen - 1, qlen - 1, &mut c);
         c
     });
     AlignResult {
-        score,
-        end_i,
-        end_j,
+        score: tracker.finalize(),
         cigar,
         cells: tlen as u64 * qlen as u64,
     }
@@ -545,8 +539,7 @@ unsafe fn group_row<I: Isa, const PATH: bool>(
 /// the left neighbour in registers, not through memory. A cell with
 /// `i ≥ |T_l|` or `j ≥ |Q_l|` is dead: it is computed over padding and never
 /// read, because every DP dependency points up or left. Appends one result
-/// per job to `out`, equal to the per-pair kernels' `AlignMode::Global`
-/// result.
+/// per job to `out`, equal to the per-pair kernels' result.
 ///
 /// # Panics
 /// Unless `1 ≤ jobs.len() ≤ L`, every side is non-empty and `sc.fits_i8()`.
@@ -666,8 +659,6 @@ pub(super) unsafe fn fill_group<I: Isa>(
         });
         out.push(AlignResult {
             score: scores[l],
-            end_i: tlen - 1,
-            end_j: qlen - 1,
             cigar,
             cells: tlen as u64 * qlen as u64,
         });

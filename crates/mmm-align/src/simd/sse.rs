@@ -6,7 +6,7 @@ use super::{isa_fns, kernel, Consts, Isa};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
-use crate::types::{AlignMode, AlignResult, GroupJob};
+use crate::types::{AlignResult, GroupJob};
 use crate::zdrop::ExtendResult;
 
 /// Runtime support check for this module's kernels.
@@ -110,14 +110,8 @@ impl Isa for Sse {
 
 /// Equation (3) layout, vectorized with the `palignr` byte-shift
 /// (Figure 3a's access pattern).
-pub fn align_mm2(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_mm2_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_mm2(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_mm2_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_mm2`] with caller-provided buffers.
@@ -125,28 +119,21 @@ pub fn align_mm2_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
     assert!(available(), "SSE4.1 not available on this CPU");
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
     // SAFETY: feature checked above.
-    unsafe { mm2_inner(target, query, sc, mode, with_path, scratch) }
+    unsafe { mm2_inner(target, query, sc, with_path, scratch) }
 }
 
 /// Equation (4) layout, vectorized with plain loads/stores (Figure 3b).
-pub fn align_manymap(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    mode: AlignMode,
-    with_path: bool,
-) -> AlignResult {
-    align_manymap_with_scratch(target, query, sc, mode, with_path, &mut AlignScratch::new())
+pub fn align_manymap(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> AlignResult {
+    align_manymap_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
 }
 
 /// [`align_manymap`] with caller-provided buffers.
@@ -154,17 +141,16 @@ pub fn align_manymap_with_scratch(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
     assert!(available(), "SSE4.1 not available on this CPU");
-    if let Some(r) = degenerate(target, query, sc, mode, with_path) {
+    if let Some(r) = degenerate(target, query, sc, with_path) {
         return r;
     }
     assert!(sc.fits_i8(), "scoring parameters must satisfy fits_i8()");
     // SAFETY: feature checked above.
-    unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
+    unsafe { manymap_inner(target, query, sc, with_path, scratch) }
 }
 
 /// Exact z-drop extension on the Equation (4) step; the inputs are checked
@@ -203,11 +189,10 @@ unsafe fn mm2_inner(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    kernel::fill_mm2::<Sse>(target, query, sc, mode, with_path, scratch)
+    kernel::fill_mm2::<Sse>(target, query, sc, with_path, scratch)
 }
 
 /// # Safety
@@ -218,11 +203,10 @@ unsafe fn manymap_inner(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
-    mode: AlignMode,
     with_path: bool,
     scratch: &mut AlignScratch,
 ) -> AlignResult {
-    kernel::fill_manymap::<Sse>(target, query, sc, mode, with_path, scratch)
+    kernel::fill_manymap::<Sse>(target, query, sc, with_path, scratch)
 }
 
 /// # Safety
@@ -262,13 +246,6 @@ mod tests {
 
     const SC: Scoring = Scoring::MAP_ONT;
 
-    const MODES: [AlignMode; 4] = [
-        AlignMode::Global,
-        AlignMode::SemiGlobal,
-        AlignMode::TargetSuffixFree,
-        AlignMode::QuerySuffixFree,
-    ];
-
     fn random_pair(seed: u64, tlen: usize, edits: usize) -> (Vec<u8>, Vec<u8>) {
         let mut state = seed;
         let mut rnd = move || {
@@ -299,13 +276,13 @@ mod tests {
         }
         for (seed, len) in [(1u64, 64usize), (2, 100), (3, 257), (4, 500)] {
             let (t, q) = random_pair(seed, len, len / 8);
-            for mode in MODES {
-                let gold = scalar::align_manymap(&t, &q, &SC, mode, true);
-                let a = align_mm2(&t, &q, &SC, mode, true);
-                let b = align_manymap(&t, &q, &SC, mode, true);
-                assert_eq!(a, gold, "sse mm2 len={len} mode={mode:?}");
-                assert_eq!(b, gold, "sse manymap len={len} mode={mode:?}");
-            }
+            let gold = scalar::align_manymap(&t, &q, &SC, true);
+            assert_eq!(align_mm2(&t, &q, &SC, true), gold, "sse mm2 len={len}");
+            assert_eq!(
+                align_manymap(&t, &q, &SC, true),
+                gold,
+                "sse manymap len={len}"
+            );
         }
     }
 
@@ -323,14 +300,12 @@ mod tests {
         fn sse_kernels_match_scalar(
             t in proptest::collection::vec(0u8..5, 1..128),
             q in proptest::collection::vec(0u8..5, 1..128),
-            mode_idx in 0usize..4,
             with_path in proptest::bool::ANY,
         ) {
             prop_assume!(available());
-            let mode = MODES[mode_idx];
-            let gold = scalar::align_manymap(&t, &q, &SC, mode, with_path);
-            prop_assert_eq!(align_mm2(&t, &q, &SC, mode, with_path), gold.clone());
-            prop_assert_eq!(align_manymap(&t, &q, &SC, mode, with_path), gold);
+            let gold = scalar::align_manymap(&t, &q, &SC, with_path);
+            prop_assert_eq!(align_mm2(&t, &q, &SC, with_path), gold.clone());
+            prop_assert_eq!(align_manymap(&t, &q, &SC, with_path), gold);
         }
     }
 }

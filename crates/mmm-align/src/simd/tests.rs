@@ -2,7 +2,7 @@
 //! (`Engine` would hand the short problems here to a narrower tier).
 //!
 //! Each tier's lane-group fill must return, job for job, the scalar
-//! per-pair kernel's global result: score, end cell, CIGAR and cells.
+//! per-pair kernel's result: score, CIGAR and cells.
 //!
 //! The vector z-drop extensions must return the scalar kernel's score,
 //! consumed prefix lengths and CIGAR — including its tie rule (first diagonal
@@ -14,36 +14,21 @@ use proptest::prelude::*;
 use super::{avx2, avx512, sse};
 use crate::zdrop::extend_scalar;
 use crate::zdrop::ExtendResult;
-use crate::{scalar, AlignMode, AlignResult, AlignScratch, GroupJob, Scoring, Width};
+use crate::{scalar, AlignResult, AlignScratch, GroupJob, Scoring, Width};
 
 /// The fill-kernel signature the tiers share (`align_mm2`, `align_manymap`).
-type Fill = fn(&[u8], &[u8], &Scoring, AlignMode, bool) -> AlignResult;
+type Fill = fn(&[u8], &[u8], &Scoring, bool) -> AlignResult;
 
 /// Every length `1..=lanes + 1` — no full vector, exactly one, and one plus a
-/// one-lane tail — in all four modes, both layouts against the scalar gold.
+/// one-lane tail — both layouts against the scalar gold.
 pub(super) fn check_vector_boundary_lengths(lanes: usize, align_mm2: Fill, align_manymap: Fill) {
     let sc = Scoring::MAP_ONT;
     for len in 1..=lanes + 1 {
         let t: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 4) as u8).collect();
         let q: Vec<u8> = (0..len).map(|i| ((i * 5 + i / 9 + 1) % 4) as u8).collect();
-        for mode in [
-            AlignMode::Global,
-            AlignMode::SemiGlobal,
-            AlignMode::TargetSuffixFree,
-            AlignMode::QuerySuffixFree,
-        ] {
-            let gold = scalar::align_manymap(&t, &q, &sc, mode, true);
-            assert_eq!(
-                align_mm2(&t, &q, &sc, mode, true),
-                gold,
-                "mm2 len={len} {mode:?}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &sc, mode, true),
-                gold,
-                "manymap len={len} {mode:?}"
-            );
-        }
+        let gold = scalar::align_manymap(&t, &q, &sc, true);
+        assert_eq!(align_mm2(&t, &q, &sc, true), gold, "mm2 len={len}");
+        assert_eq!(align_manymap(&t, &q, &sc, true), gold, "manymap len={len}");
     }
 }
 
@@ -109,8 +94,7 @@ fn assert_groups_match_scalar(pairs: &[(Vec<u8>, Vec<u8>, bool)], what: &str) {
         }
         assert_eq!(got.len(), jobs.len(), "{what}: {}", width.label());
         for (k, (job, r)) in jobs.iter().zip(&got).enumerate() {
-            let gold =
-                scalar::align_manymap(job.target, job.query, &sc, AlignMode::Global, job.with_path);
+            let gold = scalar::align_manymap(job.target, job.query, &sc, job.with_path);
             let (tlen, qlen, path) = (job.target.len(), job.query.len(), job.with_path);
             assert_eq!(
                 *r,

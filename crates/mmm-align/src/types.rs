@@ -31,38 +31,23 @@ impl fmt::Display for AlignError {
 
 impl std::error::Error for AlignError {}
 
-/// Where the alignment is allowed to end.
-///
-/// All modes anchor the *beginning* of both sequences ("the beginnings of
-/// two sequences must be aligned", §3.2); they differ in which ends are
-/// penalty-free:
+/// The boundary mode of a gap fill. Every kernel computes global alignment
+/// (both sequences consumed, score at cell `(|T|-1, |Q|-1)`); read ends are
+/// extended by [`crate::zdrop`] instead. The type survives only as
+/// `mmm_exec::AlignJob::mode` and [`crate::Engine::align_with_scratch`]'s
+/// parameter, because `benchmark/src/trace.rs` passes one to the other
+/// (ROADMAP items 2d/7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlignMode {
-    /// Both sequences must be fully consumed; score at cell
-    /// `(|T|-1, |Q|-1)`.
+    /// Both sequences fully consumed.
     Global,
-    /// Both ends free: maximum over the last row and last column.
-    SemiGlobal,
-    /// The query must be fully consumed; the target may have an unaligned
-    /// suffix (maximum over the last column, `j = |Q|-1`). The mapper never
-    /// submits this mode (it extends read ends with z-drop, [`crate::zdrop`]);
-    /// the kernels keep it for the xtask oracle's mode sweep.
-    TargetSuffixFree,
-    /// The target must be fully consumed; the query may have an unaligned
-    /// suffix (maximum over the last row, `i = |T|-1`).
-    QuerySuffixFree,
 }
 
-/// Result of one base-level alignment.
+/// Result of one base-level global alignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AlignResult {
-    /// Alignment score under the requested mode.
+    /// Alignment score.
     pub score: i32,
-    /// Target index (inclusive) of the last aligned cell; `usize::MAX` for
-    /// degenerate empty alignments.
-    pub end_i: usize,
-    /// Query index (inclusive) of the last aligned cell.
-    pub end_j: usize,
     /// Alignment path, when a with-path kernel was used.
     pub cigar: Option<Cigar>,
     /// Number of DP cells evaluated (the numerator of GCUPS).
@@ -98,8 +83,6 @@ mod tests {
     fn gcups_definition() {
         let r = AlignResult {
             score: 0,
-            end_i: 0,
-            end_j: 0,
             cigar: None,
             cells: 2_000_000_000,
         };

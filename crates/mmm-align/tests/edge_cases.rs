@@ -6,7 +6,7 @@
 #![cfg(not(miri))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmm_align::diff::{DirMatrix, Tracker};
+use mmm_align::diff::DirMatrix;
 use mmm_align::{extend_zdrop, AlignError, AlignMode, AlignScratch, Engine, Scoring};
 
 /// `q + e` big enough that the Suzuki–Kasahara deltas overflow `i8`
@@ -20,27 +20,18 @@ const OVERFLOWING: Scoring = Scoring {
     e: 3,
 };
 
-const MODES: [AlignMode; 4] = [
-    AlignMode::Global,
-    AlignMode::SemiGlobal,
-    AlignMode::TargetSuffixFree,
-    AlignMode::QuerySuffixFree,
-];
-
 #[test]
 fn try_align_rejects_scoring_that_overflows_i8() {
     assert!(!OVERFLOWING.fits_i8());
     let (t, q) = (vec![0u8, 1, 2, 3], vec![0u8, 1, 2, 3]);
     for e in Engine::all().into_iter().filter(|e| e.is_available()) {
-        for mode in MODES {
-            let err = e.try_align(&t, &q, &OVERFLOWING, mode, true).unwrap_err();
-            assert_eq!(
-                err,
-                AlignError::ScoringOverflowsI8(OVERFLOWING),
-                "{}",
-                e.label()
-            );
-        }
+        let err = e.try_align(&t, &q, &OVERFLOWING, true).unwrap_err();
+        assert_eq!(
+            err,
+            AlignError::ScoringOverflowsI8(OVERFLOWING),
+            "{}",
+            e.label()
+        );
     }
     // Zero extension cost and non-positive match score are also rejected.
     for sc in [
@@ -53,7 +44,7 @@ fn try_align_rejects_scoring_that_overflows_i8() {
             ..Scoring::MAP_ONT
         },
     ] {
-        let err = mmm_align::best_engine().try_align(&t, &q, &sc, AlignMode::Global, false);
+        let err = mmm_align::best_engine().try_align(&t, &q, &sc, false);
         assert_eq!(err.unwrap_err(), AlignError::ScoringOverflowsI8(sc));
     }
 }
@@ -62,14 +53,9 @@ fn try_align_rejects_scoring_that_overflows_i8() {
 fn try_align_accepts_valid_scoring() {
     let (t, q) = (vec![0u8, 1, 2, 3], vec![0u8, 1, 2, 3]);
     let e = mmm_align::best_engine();
-    let r = e
-        .try_align(&t, &q, &Scoring::MAP_ONT, AlignMode::Global, true)
-        .unwrap();
+    let r = e.try_align(&t, &q, &Scoring::MAP_ONT, true).unwrap();
     assert_eq!(r.score, 8);
-    assert_eq!(
-        e.align(&t, &q, &Scoring::MAP_ONT, AlignMode::Global, true),
-        r
-    );
+    assert_eq!(e.align(&t, &q, &Scoring::MAP_ONT, true), r);
 }
 
 #[test]
@@ -85,18 +71,14 @@ fn empty_inputs_take_the_degenerate_path_in_every_kernel() {
     let seq = vec![0u8, 1, 2, 3, 0, 1];
     let mut scratch = AlignScratch::new();
     for e in Engine::all().into_iter().filter(|e| e.is_available()) {
-        for mode in MODES {
-            for (t, q) in [(&seq[..], &[][..]), (&[][..], &seq[..]), (&[][..], &[][..])] {
-                let r = e.align_with_scratch(t, q, &sc, mode, true, &mut scratch);
-                let gold = mmm_align::fullmatrix::align(t, q, &sc, mode, true);
-                assert_eq!(r, gold, "{} {mode:?} {}x{}", e.label(), t.len(), q.len());
-                let cigar = r.cigar.expect("degenerate path still yields a cigar");
-                if mode == AlignMode::Global {
-                    // A global path must still consume both sequences.
-                    assert_eq!(cigar.target_len() as usize, t.len(), "{}", e.label());
-                    assert_eq!(cigar.query_len() as usize, q.len(), "{}", e.label());
-                }
-            }
+        for (t, q) in [(&seq[..], &[][..]), (&[][..], &seq[..]), (&[][..], &[][..])] {
+            let r = e.align_with_scratch(t, q, &sc, AlignMode::Global, true, &mut scratch);
+            let gold = mmm_align::fullmatrix::align(t, q, &sc, true);
+            assert_eq!(r, gold, "{} {}x{}", e.label(), t.len(), q.len());
+            let cigar = r.cigar.expect("degenerate path still yields a cigar");
+            // A global path must still consume both sequences.
+            assert_eq!(cigar.target_len() as usize, t.len(), "{}", e.label());
+            assert_eq!(cigar.query_len() as usize, q.len(), "{}", e.label());
         }
     }
     // The z-drop extension shares the same gate.
@@ -116,10 +98,4 @@ fn dir_matrix_rejects_empty_target() {
 fn dir_matrix_reset_rejects_empty_query() {
     let mut m = DirMatrix::empty();
     m.reset(5, 0);
-}
-
-#[test]
-#[should_panic(expected = "Tracker is undefined for empty inputs")]
-fn tracker_rejects_empty_inputs() {
-    let _ = Tracker::new(0, 0);
 }

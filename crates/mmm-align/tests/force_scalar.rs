@@ -9,7 +9,7 @@
 //! masks.)
 #![cfg(not(miri))]
 
-use mmm_align::{best_engine, best_mm2_engine, AlignMode, Engine, Layout, Scoring, Width};
+use mmm_align::{best_engine, best_mm2_engine, Engine, Layout, Scoring, Width};
 
 #[test]
 fn env_override_forces_scalar_with_identical_output() {
@@ -26,17 +26,6 @@ fn env_override_forces_scalar_with_identical_output() {
     let t = mmm_seq::to_nt4(b"ACGTTTACGGGACTACGTTACGACTAGCATCAGT");
     let q = mmm_seq::to_nt4(b"ACGTTACGGGCACTAGTTAGACTAGCTCAGT");
     let sc = Scoring::MAP_ONT;
-    for mode in [
-        AlignMode::Global,
-        AlignMode::SemiGlobal,
-        AlignMode::TargetSuffixFree,
-        AlignMode::QuerySuffixFree,
-    ] {
-        let gold = mmm_align::scalar::align_manymap(&t, &q, &sc, mode, true);
-        assert_eq!(
-            best_engine().align(&t, &q, &sc, mode, true),
-            gold,
-            "{mode:?}"
-        );
-    }
+    let gold = mmm_align::scalar::align_manymap(&t, &q, &sc, true);
+    assert_eq!(best_engine().align(&t, &q, &sc, true), gold);
 }

@@ -1,9 +1,9 @@
-//! Integration matrix over the whole kernel zoo: every engine × every mode
-//! × both outputs on workloads shaped like real inter-anchor fills.
+//! Integration matrix over the whole kernel zoo: every engine × both
+//! outputs on workloads shaped like real inter-anchor fills.
 // Drives every available SIMD tier, which Miri cannot execute.
 #![cfg(not(miri))]
 
-use mmm_align::{AlignMode, Engine, Scoring};
+use mmm_align::{Engine, Scoring};
 
 fn fill_like_pair(len: usize, indel_every: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut s = seed | 1;
@@ -27,13 +27,6 @@ fn fill_like_pair(len: usize, indel_every: usize, seed: u64) -> (Vec<u8>, Vec<u8
     (t, q)
 }
 
-const MODES: [AlignMode; 4] = [
-    AlignMode::Global,
-    AlignMode::SemiGlobal,
-    AlignMode::TargetSuffixFree,
-    AlignMode::QuerySuffixFree,
-];
-
 #[test]
 fn all_engines_agree_on_fill_workloads() {
     let sc = Scoring::MAP_ONT;
@@ -44,18 +37,11 @@ fn all_engines_agree_on_fill_workloads() {
     assert!(engines.len() >= 2);
     for (len, every, seed) in [(137usize, 9usize, 1u64), (512, 17, 2), (1201, 31, 3)] {
         let (t, q) = fill_like_pair(len, every, seed);
-        for mode in MODES {
-            for with_path in [false, true] {
-                let gold = engines[0].align(&t, &q, &sc, mode, with_path);
-                for e in &engines[1..] {
-                    let r = e.align(&t, &q, &sc, mode, with_path);
-                    assert_eq!(
-                        r,
-                        gold,
-                        "{} len={len} mode={mode:?} path={with_path}",
-                        e.label()
-                    );
-                }
+        for with_path in [false, true] {
+            let gold = engines[0].align(&t, &q, &sc, with_path);
+            for e in &engines[1..] {
+                let r = e.align(&t, &q, &sc, with_path);
+                assert_eq!(r, gold, "{} len={len} path={with_path}", e.label());
             }
         }
     }
@@ -64,7 +50,7 @@ fn all_engines_agree_on_fill_workloads() {
 #[test]
 fn gcups_accounting_is_cells_based() {
     let (t, q) = fill_like_pair(256, 11, 6);
-    let r = mmm_align::best_engine().align(&t, &q, &Scoring::MAP_ONT, AlignMode::Global, false);
+    let r = mmm_align::best_engine().align(&t, &q, &Scoring::MAP_ONT, false);
     assert_eq!(r.cells, t.len() as u64 * q.len() as u64);
     assert!(r.gcups(1.0) > 0.0);
 }

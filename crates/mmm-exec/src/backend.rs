@@ -40,9 +40,9 @@ pub trait AlignBackend: Send + Sync {
     /// Whether this backend can execute `job` natively, without routing it
     /// through an internal host fallback. The batch scheduler
     /// (`crate::sched`) uses this to send statically ineligible jobs —
-    /// oversized footprints, unsupported boundary modes — straight to the
-    /// host executor instead of letting them stall a device batch. The
-    /// default claims everything, which is correct for host backends.
+    /// footprints past device memory — straight to the host executor
+    /// instead of letting them stall a device batch. The default claims
+    /// everything, which is correct for host backends.
     fn device_eligible(&self, _job: &AlignJob) -> bool {
         true
     }

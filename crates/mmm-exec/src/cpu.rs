@@ -3,7 +3,7 @@
 //! first submit and joined when the backend is dropped — so a daemon or a
 //! streaming run that submits once per read batch spawns its workers once.
 //!
-//! Small global jobs run in lane groups, one job per vector lane
+//! Small jobs run in lane groups, one job per vector lane
 //! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
 //! larger ones, of a narrower tier; a group too empty for its tier moves on
 //! to the next narrower one, and what no tier groups runs pair by pair. All
@@ -12,7 +12,7 @@
 
 use std::ops::Range;
 
-use mmm_align::{AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
+use mmm_align::{AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
 use mmm_pipeline::WorkerPool;
 
 use crate::backend::{AlignBackend, BackendOptions};
@@ -66,8 +66,8 @@ struct Plan {
 }
 
 impl Plan {
-    /// Group what pays to group. A job is groupable when it is global with
-    /// both sides non-empty; it goes to the widest group tier — `engine`'s
+    /// Group what pays to group. A job is groupable when both its sides are
+    /// non-empty; it goes to the widest group tier — `engine`'s
     /// own, or a narrower one still available — whose cap fits its longer
     /// side, or runs alone when none does. Each tier, widest first, sorts
     /// its jobs by (longer side, shorter side), cuts them into groups of its
@@ -95,7 +95,7 @@ impl Plan {
         let mut tiered: Vec<Vec<usize>> = vec![Vec::new(); tiers.len()];
         for (i, j) in jobs.iter().enumerate() {
             let side = j.target.len().max(j.query.len());
-            let groupable = j.mode == AlignMode::Global && j.target.len().min(j.query.len()) > 0;
+            let groupable = j.target.len().min(j.query.len()) > 0;
             match tiers.iter().position(|&(_, cap)| side <= cap) {
                 Some(t) if groupable => tiered[t].push(i),
                 _ => plan.push(&[i], None, j.cells()),

@@ -81,42 +81,6 @@ impl FaultClass {
     }
 }
 
-/// What kind of shard-load failure to inject (the sharded-index fault
-/// domains, DESIGN.md §15).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardFaultClass {
-    /// Flip a byte inside one checksummed section before validation.
-    CorruptSection,
-    /// The shard file is missing.
-    MissingShard,
-    /// The shard file is truncated, as a torn final write would leave it.
-    TornTail,
-    /// The load is delayed by `ms`, then completes normally.
-    SlowIo,
-}
-
-impl ShardFaultClass {
-    /// Name as written in a plan string.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardFaultClass::CorruptSection => "corrupt-section",
-            ShardFaultClass::MissingShard => "missing-shard",
-            ShardFaultClass::TornTail => "torn-tail",
-            ShardFaultClass::SlowIo => "slow-io",
-        }
-    }
-
-    /// All classes, for chaos-matrix tests.
-    pub fn all() -> [ShardFaultClass; 4] {
-        [
-            ShardFaultClass::CorruptSection,
-            ShardFaultClass::MissingShard,
-            ShardFaultClass::TornTail,
-            ShardFaultClass::SlowIo,
-        ]
-    }
-}
-
 /// Shard sections addressable by `section=`, in on-disk order.
 pub const SHARD_SECTION_NAMES: [&str; 4] = ["header", "seqs", "map", "pool"];
 
@@ -162,18 +126,15 @@ struct FaultRule {
 /// only fires on load attempts `< attempts`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ShardFaultRule {
-    class: ShardFaultClass,
+    action: ShardFaultAction,
     sel: Selector,
     attempts: u64,
-    /// `corrupt-section` target (index into [`SHARD_SECTION_NAMES`]).
-    section: usize,
-    /// `slow-io` delay.
-    delay: Duration,
 }
 
-/// What the shard loader should do for one `(shard, attempt)`, if
-/// anything. The mapper crate converts this into the index crate's fault
-/// hook — `mmm-exec` deliberately does not depend on the index.
+/// What the shard loader should do for one `(shard, attempt)`, if anything
+/// (the sharded-index fault domains, DESIGN.md §15). The mapper crate
+/// converts this into the index crate's fault hook — `mmm-exec`
+/// deliberately does not depend on the index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardFaultAction {
     /// Flip a byte of section `0..4` ([`SHARD_SECTION_NAMES`] order).
@@ -211,10 +172,11 @@ pub struct FaultPlan {
     shard_rules: Vec<ShardFaultRule>,
 }
 
-/// Which rule family a parsed class belongs to.
+/// Which rule family a parsed class belongs to. A shard class names its
+/// action; `section=` and `ms=` fill in its parameter once the rule is read.
 enum ParsedClass {
     Backend(FaultClass),
-    Shard(ShardFaultClass),
+    Shard(ShardFaultAction),
 }
 
 impl FaultPlan {
@@ -233,10 +195,10 @@ impl FaultPlan {
                 Some("mempool-full") => ParsedClass::Backend(FaultClass::MempoolFull),
                 Some("hang") => ParsedClass::Backend(FaultClass::Hang),
                 Some("wrong-len") => ParsedClass::Backend(FaultClass::WrongLen),
-                Some("corrupt-section") => ParsedClass::Shard(ShardFaultClass::CorruptSection),
-                Some("missing-shard") => ParsedClass::Shard(ShardFaultClass::MissingShard),
-                Some("torn-tail") => ParsedClass::Shard(ShardFaultClass::TornTail),
-                Some("slow-io") => ParsedClass::Shard(ShardFaultClass::SlowIo),
+                Some("corrupt-section") => ParsedClass::Shard(ShardFaultAction::CorruptSection(0)),
+                Some("missing-shard") => ParsedClass::Shard(ShardFaultAction::Missing),
+                Some("torn-tail") => ParsedClass::Shard(ShardFaultAction::TornTail),
+                Some("slow-io") => ParsedClass::Shard(ShardFaultAction::SlowIo(Duration::ZERO)),
                 other => {
                     return Err(format!(
                         "fault plan: unknown class {:?} (expected launch-fail, \
@@ -334,12 +296,18 @@ impl FaultPlan {
                     sel,
                     hang: Duration::from_millis(ms.unwrap_or(1_000)),
                 }),
-                ParsedClass::Shard(class) => shard_rules.push(ShardFaultRule {
-                    class,
+                ParsedClass::Shard(action) => shard_rules.push(ShardFaultRule {
+                    action: match action {
+                        ShardFaultAction::CorruptSection(_) => {
+                            ShardFaultAction::CorruptSection(section)
+                        }
+                        ShardFaultAction::SlowIo(_) => {
+                            ShardFaultAction::SlowIo(Duration::from_millis(ms.unwrap_or(50)))
+                        }
+                        other => other,
+                    },
                     sel,
                     attempts,
-                    section,
-                    delay: Duration::from_millis(ms.unwrap_or(50)),
                 }),
             }
         }
@@ -371,12 +339,7 @@ impl FaultPlan {
         self.shard_rules
             .iter()
             .find(|r| r.sel.fires(shard) && attempt < r.attempts)
-            .map(|r| match r.class {
-                ShardFaultClass::CorruptSection => ShardFaultAction::CorruptSection(r.section),
-                ShardFaultClass::MissingShard => ShardFaultAction::Missing,
-                ShardFaultClass::TornTail => ShardFaultAction::TornTail,
-                ShardFaultClass::SlowIo => ShardFaultAction::SlowIo(r.delay),
-            })
+            .map(|r| r.action)
     }
 
     /// True when the plan contains at least one shard rule (the mapper
@@ -577,9 +540,9 @@ mod tests {
 
     #[test]
     fn shard_class_labels_cover_the_chaos_matrix() {
-        for c in ShardFaultClass::all() {
-            let p = FaultPlan::parse(c.label()).unwrap();
-            assert!(p.shard_action(0, 0).is_some(), "{}", c.label());
+        for class in ["corrupt-section", "missing-shard", "torn-tail", "slow-io"] {
+            let p = FaultPlan::parse(class).unwrap();
+            assert!(p.shard_action(0, 0).is_some(), "{class}");
         }
         assert_eq!(SHARD_SECTION_NAMES, ["header", "seqs", "map", "pool"]);
     }

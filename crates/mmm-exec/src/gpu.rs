@@ -2,14 +2,13 @@
 //!
 //! Wraps [`GpuAligner`] — concurrent streams, a resident per-stream memory
 //! pool, the paper's §4.5 launch configuration — and routes jobs the device
-//! model cannot take (with-path footprints past device memory, or boundary
-//! modes the batch kernel does not implement) to the CPU executor, exactly
-//! the oversized-pair fallback of §4.5.2. Functional results are
-//! bit-identical to the CPU backend by construction: the simulated kernels
-//! compute with the same difference-recurrence semantics the host SIMD
-//! tiers are property-tested against.
+//! model cannot hold (with-path footprints past device memory) to the CPU
+//! executor, exactly the oversized-pair fallback of §4.5.2. Functional
+//! results are bit-identical to the CPU backend by construction: the
+//! simulated kernels compute with the same difference-recurrence semantics
+//! the host SIMD tiers are property-tested against.
 
-use mmm_align::{AlignMode, AlignResult};
+use mmm_align::AlignResult;
 use mmm_gpu::kernel::kernel_footprint;
 use mmm_gpu::{DeviceSpec, GpuAligner, KernelJob, StreamConfig};
 
@@ -19,15 +18,6 @@ use crate::error::BackendError;
 use crate::fault::FaultHook;
 use crate::job::AlignJob;
 use crate::stats::BackendStats;
-
-/// Why a job could not run on the device and was routed to the host.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FallbackReason {
-    /// Device footprint exceeds global memory — the pair is too long.
-    TooLong,
-    /// Boundary mode the batch kernel does not implement.
-    NonGlobal,
-}
 
 /// Simulated-device execution session.
 pub struct GpuSimtBackend {
@@ -60,21 +50,6 @@ impl GpuSimtBackend {
         }
     }
 
-    /// Why the device model cannot execute a job, if it can't: the batch
-    /// kernel implements global alignment only, and the job's device
-    /// footprint must fit in global memory.
-    fn fallback_reason(&self, job: &AlignJob) -> Option<FallbackReason> {
-        if job.mode != AlignMode::Global {
-            return Some(FallbackReason::NonGlobal);
-        }
-        if kernel_footprint(job.target.len(), job.query.len(), job.with_path)
-            > self.aligner.device.global_mem
-        {
-            return Some(FallbackReason::TooLong);
-        }
-        None
-    }
-
     /// Pool high-water mark since the session was prepared (bytes).
     pub fn pool_peak_used(&self) -> u64 {
         self.aligner.pool_peak_used()
@@ -86,11 +61,12 @@ impl AlignBackend for GpuSimtBackend {
         "gpu-sim"
     }
 
-    /// A job is device-eligible exactly when `submit` would not route it to
-    /// the internal host fallback — the scheduler's pre-batch routing and
-    /// the submit-time split can never disagree.
+    /// A job is device-eligible when its device footprint fits in global
+    /// memory — the test `submit` splits by, so the scheduler's pre-batch
+    /// routing and the submit-time split can never disagree.
     fn device_eligible(&self, job: &AlignJob) -> bool {
-        self.fallback_reason(job).is_none()
+        kernel_footprint(job.target.len(), job.query.len(), job.with_path)
+            <= self.aligner.device.global_mem
     }
 
     fn submit(
@@ -107,26 +83,17 @@ impl AlignBackend for GpuSimtBackend {
         let mut device_idx: Vec<usize> = Vec::new();
         let mut host_jobs: Vec<AlignJob> = Vec::new();
         let mut host_idx: Vec<usize> = Vec::new();
-        let mut too_long = 0u64;
-        let mut non_global = 0u64;
         for (i, job) in jobs.into_iter().enumerate() {
-            match self.fallback_reason(&job) {
-                None => {
-                    device_idx.push(i);
-                    device_jobs.push(KernelJob {
-                        target: job.target,
-                        query: job.query,
-                        with_path: job.with_path,
-                    });
-                }
-                Some(reason) => {
-                    match reason {
-                        FallbackReason::TooLong => too_long += 1,
-                        FallbackReason::NonGlobal => non_global += 1,
-                    }
-                    host_idx.push(i);
-                    host_jobs.push(job);
-                }
+            if self.device_eligible(&job) {
+                device_idx.push(i);
+                device_jobs.push(KernelJob {
+                    target: job.target,
+                    query: job.query,
+                    with_path: job.with_path,
+                });
+            } else {
+                host_idx.push(i);
+                host_jobs.push(job);
             }
         }
 
@@ -192,8 +159,6 @@ impl AlignBackend for GpuSimtBackend {
             // `routed_seconds` is only the host wall time that was NOT
             // hidden under it — the fallbacks' honest critical-path cost.
             fallback_seconds: routed_seconds,
-            fallback_too_long: too_long,
-            fallback_non_global: non_global,
             // The host route's lane-group counters.
             ..host_lanes
         };
@@ -230,20 +195,30 @@ mod tests {
         assert!(backend.device_eligible(&job));
     }
 
-    /// Eligibility mirrors `fallback_reason` exactly: shrinking the device
-    /// makes the same job ineligible, and non-global modes never qualify.
+    /// Eligibility tracks device memory, and `submit` trusts it to split a
+    /// batch: a job it sends to the device that the aligner then refuses
+    /// fails the whole batch. So at a device one byte under, exactly at and
+    /// one byte over a with-path job's footprint, the two fit checks agree.
     #[test]
-    fn eligibility_tracks_fallback_reason() {
-        let mut opts = BackendOptions::new(Scoring::MAP_ONT);
-        opts.device_mem = Some(16_384);
-        let tiny = GpuSimtBackend::new(&opts);
-        let big = AlignJob::global(vec![0u8; 200], vec![1u8; 200], true);
-        assert!(!tiny.device_eligible(&big));
-        let small = AlignJob::global(vec![0u8; 8], vec![1u8; 8], true);
-        assert!(tiny.device_eligible(&small));
-        let mut semi = small.clone();
-        semi.mode = AlignMode::SemiGlobal;
-        assert!(!tiny.device_eligible(&semi));
+    fn eligibility_agrees_with_the_aligner_at_the_footprint_boundary() {
+        let job = AlignJob::global(vec![0u8; 40], vec![1u8; 30], true);
+        let footprint = kernel_footprint(40, 30, true);
+        for mem in [footprint - 1, footprint, footprint + 1] {
+            let mut opts = BackendOptions::new(Scoring::MAP_ONT);
+            opts.device_mem = Some(mem);
+            let backend = GpuSimtBackend::new(&opts);
+            let device = backend.aligner.align_batch(vec![KernelJob {
+                target: job.target.clone(),
+                query: job.query.clone(),
+                with_path: job.with_path,
+            }]);
+            assert_eq!(
+                backend.device_eligible(&job),
+                device.is_ok(),
+                "device_mem {mem}, footprint {footprint}"
+            );
+            assert_eq!(device.is_ok(), mem >= footprint, "device_mem {mem}");
+        }
     }
 
     /// The overlap bugfix: with both routed host fallbacks and device work
@@ -266,16 +241,11 @@ mod tests {
             .collect();
         let (results, stats) = backend.submit(jobs.clone()).expect("submit");
         assert_eq!(results.len(), jobs.len());
-        assert!(stats.fallback_too_long >= 1, "{stats:?}");
+        assert!(stats.fallbacks >= 1, "{stats:?}");
         assert!(stats.fallbacks < stats.jobs, "{stats:?}");
         for (r, j) in results.iter().zip(&jobs) {
-            let gold = mmm_align::scalar::align_manymap(
-                &j.target,
-                &j.query,
-                &Scoring::MAP_ONT,
-                AlignMode::Global,
-                true,
-            );
+            let gold =
+                mmm_align::scalar::align_manymap(&j.target, &j.query, &Scoring::MAP_ONT, true);
             assert_eq!(*r, gold);
         }
     }

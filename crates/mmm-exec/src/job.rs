@@ -22,7 +22,9 @@ pub struct AlignJob {
     pub target: Vec<u8>,
     /// Query (read) segment, 2-bit nucleotide codes.
     pub query: Vec<u8>,
-    /// DP boundary condition.
+    /// DP boundary condition: always [`AlignMode::Global`]. The field stays
+    /// because `benchmark/src/trace.rs` passes it to
+    /// `Engine::align_with_scratch` (ROADMAP items 2d/7).
     pub mode: AlignMode,
     /// Whether the caller needs the traceback path (CIGAR).
     pub with_path: bool,

@@ -11,7 +11,7 @@
 //!   worker pool, one recycled scratch arena per worker (the
 //!   zero-allocation contract, DESIGN.md §4.2c);
 //! * [`GpuSimtBackend`] feeds the simulated SIMT device and routes
-//!   oversized or unsupported jobs back to the CPU executor.
+//!   oversized jobs back to the CPU executor.
 //!
 //! All backends are bit-identical: the simulated kernels delegate their
 //! functional pass to the same difference-recurrence engines the CPU uses,
@@ -33,9 +33,7 @@ pub mod supervisor;
 pub use backend::{prepare, prepare_supervised, AlignBackend, BackendKind, BackendOptions};
 pub use cpu::{align_jobs_with_scratch, CpuSimdBackend};
 pub use error::BackendError;
-pub use fault::{
-    FaultAction, FaultClass, FaultPlan, ShardFaultAction, ShardFaultClass, SHARD_SECTION_NAMES,
-};
+pub use fault::{FaultAction, FaultClass, FaultPlan, ShardFaultAction, SHARD_SECTION_NAMES};
 pub use gpu::GpuSimtBackend;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use job::{AlignJob, MAX_PLAN_SEGMENT};

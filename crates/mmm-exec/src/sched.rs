@@ -7,8 +7,7 @@
 //! size ([`AlignJob::cells`], log2 buckets), bins are chunked into batches
 //! under a per-batch cell and job budget, and each batch is routed to the
 //! backend that fits it best — device-eligible bins to the primary,
-//! statically ineligible giants (and unsupported boundary modes) straight
-//! to the host executor, pre-batch.
+//! statically ineligible giants straight to the host executor, pre-batch.
 //!
 //! Scheduling is pure *reordering*: every input index appears in exactly
 //! one scheduled batch, and the executor scatters per-job outcomes back to

@@ -13,9 +13,8 @@ pub struct BackendStats {
     pub jobs: u64,
     /// Total DP cells across all jobs.
     pub cells: u64,
-    /// Jobs routed to the CPU because the device could not take them
-    /// (oversized footprint or unsupported boundary mode). Always zero for
-    /// the CPU backend.
+    /// Jobs routed to the CPU because their footprint does not fit in device
+    /// memory. Always zero for the CPU backend.
     pub fallbacks: u64,
     /// Peak concurrently-executing kernels observed on the device.
     pub max_stream_concurrency: usize,
@@ -27,11 +26,6 @@ pub struct BackendStats {
     pub device_seconds: f64,
     /// Host wall time spent on fallback jobs, seconds.
     pub fallback_seconds: f64,
-    /// Fallbacks caused by a query too long for any device kernel.
-    pub fallback_too_long: u64,
-    /// Fallbacks caused by a non-global boundary mode the device kernels do
-    /// not implement.
-    pub fallback_non_global: u64,
     /// Supervisor: per-job retry attempts issued after a batch failure.
     pub retries: u64,
     /// Supervisor: jobs that ultimately succeeded after at least one failure.
@@ -51,8 +45,8 @@ pub struct BackendStats {
     /// into (zero on fifo/unscheduled submissions).
     pub sched_batches: u64,
     /// Scheduler: jobs routed pre-batch to the host executor because the
-    /// primary reported them statically ineligible (giants, unsupported
-    /// modes). Distinct from `fallbacks` (detected inside a device submit)
+    /// primary reported them statically ineligible (footprints past device
+    /// memory). Distinct from `fallbacks` (detected inside a device submit)
     /// and `rerouted` (a supervisor *recovery* action).
     pub sched_host_jobs: u64,
     /// Host executor: jobs aligned in lane groups, one job per vector lane.
@@ -81,8 +75,6 @@ impl BackendStats {
         self.pool_rejections += other.pool_rejections;
         self.device_seconds += other.device_seconds;
         self.fallback_seconds += other.fallback_seconds;
-        self.fallback_too_long += other.fallback_too_long;
-        self.fallback_non_global += other.fallback_non_global;
         self.retries += other.retries;
         self.retried_ok += other.retried_ok;
         self.rerouted += other.rerouted;
@@ -126,12 +118,6 @@ impl BackendStats {
                 self.bytes_pooled as f64 / 1e6,
                 self.pool_rejections,
             ));
-            if self.fallbacks > 0 {
-                line.push_str(&format!(
-                    " [fallback reasons: {} too-long, {} non-global]",
-                    self.fallback_too_long, self.fallback_non_global,
-                ));
-            }
         }
         if self.sched_batches > 0 {
             line.push_str(&format!(
@@ -226,21 +212,6 @@ mod tests {
         };
         assert!(s.summary("gpu-sim").contains("2 cpu-fallbacks"));
         assert!(!s.summary("cpu").contains("fallbacks"));
-    }
-
-    #[test]
-    fn summary_breaks_down_fallback_reasons_when_present() {
-        let s = BackendStats {
-            fallbacks: 3,
-            fallback_too_long: 1,
-            fallback_non_global: 2,
-            ..Default::default()
-        };
-        let line = s.summary("gpu-sim");
-        assert!(line.contains("1 too-long"), "{line}");
-        assert!(line.contains("2 non-global"), "{line}");
-        let clean = BackendStats::default().summary("gpu-sim");
-        assert!(!clean.contains("fallback reasons"), "{clean}");
     }
 
     #[test]

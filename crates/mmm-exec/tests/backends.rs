@@ -3,7 +3,7 @@
 //! stream round-robin occupancy, and the CPU backend's lane groups.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmm_align::{AlignMode, AlignScratch, Engine, Layout, Scoring, Width};
+use mmm_align::{AlignScratch, Engine, Layout, Scoring, Width};
 use mmm_exec::{
     align_jobs_with_scratch, prepare, AlignBackend, AlignJob, BackendError, BackendKind,
     BackendOptions, BackendStats, CpuSimdBackend, GpuSimtBackend,
@@ -57,7 +57,6 @@ fn scalar_gold(job: &AlignJob) -> mmm_align::AlignResult {
         &job.target,
         &job.query,
         &SC,
-        job.mode,
         job.with_path,
     )
 }
@@ -103,25 +102,6 @@ fn gpu_routes_oversized_pairs_to_cpu_and_counts_them() {
     assert_eq!(gpu_stats.fallbacks, 1, "exactly the big pair fell back");
     assert_eq!(cpu_stats.fallbacks, 0);
     assert!(gpu_stats.fallback_seconds > 0.0);
-}
-
-#[test]
-fn non_global_modes_fall_back() {
-    // The device batch kernel only implements global alignment; a
-    // semi-global job must route to the CPU executor, not crash or return
-    // a wrong-mode answer.
-    let opts = BackendOptions::new(SC);
-    let gpu = prepare(BackendKind::GpuSim, &opts).unwrap();
-    let mut rng = StdRng::seed_from_u64(11);
-    let job = AlignJob {
-        target: random_seq(&mut rng, 120),
-        query: random_seq(&mut rng, 100),
-        mode: AlignMode::SemiGlobal,
-        with_path: true,
-    };
-    let (results, stats) = gpu.submit(vec![job.clone()]).unwrap();
-    assert_eq!(results[0], scalar_gold(&job));
-    assert_eq!(stats.fallbacks, 1);
 }
 
 #[test]
@@ -309,9 +289,9 @@ fn a_part_filled_group_cascades_to_a_narrower_tier() {
     }
 }
 
-/// One batch mixing every routing case — empty sides, non-global modes,
-/// jobs above every tier's cap, small global jobs, and a part-filled
-/// leftover — returns per job what the inline per-pair path returns.
+/// One batch mixing every routing case — empty sides, jobs above every
+/// tier's cap, small jobs, and a part-filled leftover — returns per job what
+/// the inline per-pair path returns.
 #[test]
 fn mixed_batches_equal_the_per_pair_path() {
     let mut rng = StdRng::seed_from_u64(0x3117);
@@ -319,14 +299,6 @@ fn mixed_batches_equal_the_per_pair_path() {
     jobs.extend(job_stream(20, 0x3119, 120));
     jobs.push(AlignJob::global(Vec::new(), random_seq(&mut rng, 30), true));
     jobs.push(AlignJob::global(random_seq(&mut rng, 30), Vec::new(), true));
-    for mode in [AlignMode::SemiGlobal, AlignMode::QuerySuffixFree] {
-        jobs.push(AlignJob {
-            target: random_seq(&mut rng, 40),
-            query: random_seq(&mut rng, 50),
-            mode,
-            with_path: true,
-        });
-    }
     jobs.push(AlignJob::global(
         random_seq(&mut rng, 300),
         random_seq(&mut rng, 280),
@@ -346,7 +318,7 @@ fn mixed_batches_equal_the_per_pair_path() {
         assert_eq!(results, inline, "{}", engine.label());
         assert!(stats.grouped_jobs > 0, "{}: {stats:?}", engine.label());
         assert!(
-            stats.grouped_jobs <= jobs.len() as u64 - 6,
+            stats.grouped_jobs <= jobs.len() as u64 - 4,
             "{}: {stats:?}",
             engine.label()
         );

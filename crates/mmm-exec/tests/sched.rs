@@ -53,7 +53,6 @@ fn scalar_gold(job: &AlignJob) -> mmm_align::AlignResult {
         &job.target,
         &job.query,
         &SC,
-        job.mode,
         job.with_path,
     )
 }

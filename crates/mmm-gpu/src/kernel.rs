@@ -9,7 +9,7 @@
 //! memory costs, and — for the minimap2 layout — the per-chunk divergent
 //! branch and `__syncthreads` barrier of Figure 4a.
 
-use mmm_align::types::{AlignMode, AlignResult};
+use mmm_align::types::AlignResult;
 use mmm_align::{best_engine, best_mm2_engine, Scoring};
 
 use crate::device::DeviceSpec;
@@ -89,26 +89,24 @@ fn state_bytes(tlen: usize, qlen: usize) -> usize {
 /// Execute one alignment kernel on the simulated device.
 ///
 /// ```
-/// use mmm_align::{AlignMode, Scoring};
+/// use mmm_align::Scoring;
 /// use mmm_gpu::{run_kernel, DeviceSpec, GpuKernelKind};
 /// let t = mmm_seq::to_nt4(b"ACGTACGTACGT");
 /// let run = run_kernel(&t, &t, &Scoring::MAP_ONT, GpuKernelKind::Manymap,
-///                      AlignMode::Global, false, 512, &DeviceSpec::V100);
+///                      false, 512, &DeviceSpec::V100);
 /// assert_eq!(run.result.score, 24);
 /// assert!(run.used_shared && run.cycles > 0);
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn run_kernel(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
     kind: GpuKernelKind,
-    mode: AlignMode,
     with_path: bool,
     threads: usize,
     dev: &DeviceSpec,
 ) -> KernelRun {
-    match try_run_kernel(target, query, sc, kind, mode, with_path, threads, dev) {
+    match try_run_kernel(target, query, sc, kind, with_path, threads, dev) {
         Ok(run) => run,
         Err(e) => panic!("run_kernel: {e}"),
     }
@@ -117,13 +115,11 @@ pub fn run_kernel(
 /// Fallible variant of [`run_kernel`]: an invalid launch configuration or
 /// overflowing scoring comes back as a [`GpuError`] instead of a panic, so
 /// batch drivers can degrade through the pipeline's error chain.
-#[allow(clippy::too_many_arguments)]
 pub fn try_run_kernel(
     target: &[u8],
     query: &[u8],
     sc: &Scoring,
     kind: GpuKernelKind,
-    mode: AlignMode,
     with_path: bool,
     threads: usize,
     dev: &DeviceSpec,
@@ -141,8 +137,8 @@ pub fn try_run_kernel(
     // may use the fastest host kernel of the matching layout for the
     // values.
     let result = match kind {
-        GpuKernelKind::Mm2 => best_mm2_engine().align(target, query, sc, mode, with_path),
-        GpuKernelKind::Manymap => best_engine().align(target, query, sc, mode, with_path),
+        GpuKernelKind::Mm2 => best_mm2_engine().align(target, query, sc, with_path),
+        GpuKernelKind::Manymap => best_engine().align(target, query, sc, with_path),
     };
 
     let used_shared = state_bytes(tlen, qlen) <= dev.shared_mem_per_block;
@@ -187,7 +183,6 @@ pub fn try_run_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_align::AlignMode;
 
     const SC: Scoring = Scoring::MAP_ONT;
 
@@ -201,17 +196,8 @@ mod tests {
     fn results_match_cpu_kernels() {
         let (t, q) = pair(600);
         for kind in [GpuKernelKind::Mm2, GpuKernelKind::Manymap] {
-            let g = run_kernel(
-                &t,
-                &q,
-                &SC,
-                kind,
-                AlignMode::Global,
-                true,
-                512,
-                &DeviceSpec::V100,
-            );
-            let c = mmm_align::scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
+            let g = run_kernel(&t, &q, &SC, kind, true, 512, &DeviceSpec::V100);
+            let c = mmm_align::scalar::align_manymap(&t, &q, &SC, true);
             assert_eq!(g.result, c, "{kind:?}");
         }
     }
@@ -225,7 +211,6 @@ mod tests {
             &q,
             &SC,
             GpuKernelKind::Mm2,
-            AlignMode::Global,
             false,
             512,
             &DeviceSpec::V100,
@@ -235,7 +220,6 @@ mod tests {
             &q,
             &SC,
             GpuKernelKind::Manymap,
-            AlignMode::Global,
             false,
             512,
             &DeviceSpec::V100,
@@ -254,7 +238,6 @@ mod tests {
             &q8,
             &SC,
             GpuKernelKind::Manymap,
-            AlignMode::Global,
             false,
             512,
             &DeviceSpec::V100,
@@ -264,7 +247,6 @@ mod tests {
             &q32,
             &SC,
             GpuKernelKind::Manymap,
-            AlignMode::Global,
             false,
             512,
             &DeviceSpec::V100,
@@ -298,7 +280,6 @@ mod tests {
             &q,
             &SC,
             GpuKernelKind::Manymap,
-            AlignMode::Global,
             false,
             128,
             &DeviceSpec::V100,
@@ -308,7 +289,6 @@ mod tests {
             &q,
             &SC,
             GpuKernelKind::Manymap,
-            AlignMode::Global,
             false,
             512,
             &DeviceSpec::V100,

@@ -139,7 +139,6 @@ impl GpuAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_align::AlignMode;
 
     #[test]
     fn batch_results_match_cpu() {
@@ -157,13 +156,8 @@ mod tests {
         assert!(stats.device_seconds > 0.0);
         assert!(stats.bytes_pooled > 0);
         for (r, j) in results.iter().zip(&jobs) {
-            let gold = mmm_align::scalar::align_manymap(
-                &j.target,
-                &j.query,
-                &Scoring::MAP_ONT,
-                AlignMode::Global,
-                true,
-            );
+            let gold =
+                mmm_align::scalar::align_manymap(&j.target, &j.query, &Scoring::MAP_ONT, true);
             assert_eq!(*r, gold);
         }
     }

@@ -15,7 +15,6 @@
 //!   with the model's cycle counts (tested below).
 
 use mmm_align::diff::{cell_update, Tracker};
-use mmm_align::types::AlignMode;
 use mmm_align::Scoring;
 
 use crate::kernel::GpuKernelKind;
@@ -53,7 +52,7 @@ pub fn execute_block(
     let (q, e) = (sc.q, sc.e);
     let qe = q + e;
     let mut trace = SimtTrace::default();
-    let mut tracker = Tracker::new(tlen, qlen);
+    let mut tracker = Tracker::default();
 
     match kind {
         GpuKernelKind::Manymap => {
@@ -171,8 +170,7 @@ pub fn execute_block(
         }
     }
 
-    let (score, _, _) = tracker.finalize(AlignMode::Global);
-    (score, trace)
+    (tracker.finalize(), trace)
 }
 
 #[cfg(test)]
@@ -203,7 +201,7 @@ mod tests {
     fn both_kernels_compute_the_scalar_score() {
         for len in [63usize, 250, 700] {
             let (t, q) = pair(len, len as u64);
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, false).score;
+            let gold = scalar::align_manymap(&t, &q, &SC, false).score;
             for kind in [GpuKernelKind::Mm2, GpuKernelKind::Manymap] {
                 for threads in [32, 128, 512] {
                     let (score, _) = execute_block(&t, &q, &SC, kind, threads);
@@ -248,26 +246,8 @@ mod tests {
         // divergence per chunk).
         let (t, q) = pair(2_000, 5);
         let dev = DeviceSpec::V100;
-        let a = run_kernel(
-            &t,
-            &q,
-            &SC,
-            GpuKernelKind::Mm2,
-            AlignMode::Global,
-            false,
-            512,
-            &dev,
-        );
-        let b = run_kernel(
-            &t,
-            &q,
-            &SC,
-            GpuKernelKind::Manymap,
-            AlignMode::Global,
-            false,
-            512,
-            &dev,
-        );
+        let a = run_kernel(&t, &q, &SC, GpuKernelKind::Mm2, false, 512, &dev);
+        let b = run_kernel(&t, &q, &SC, GpuKernelKind::Manymap, false, 512, &dev);
         let model_ratio = a.cycles as f64 / b.cycles as f64;
         assert!(
             model_ratio > 1.5 && model_ratio < 5.0,

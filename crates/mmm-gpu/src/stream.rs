@@ -8,7 +8,6 @@
 //! stream scaling and Figure 8b's concurrency collapse for long with-path
 //! problems.
 
-use mmm_align::types::AlignMode;
 use mmm_align::Scoring;
 
 use crate::device::DeviceSpec;
@@ -97,7 +96,6 @@ pub fn try_execute_jobs(
                 &j.query,
                 sc,
                 kind,
-                AlignMode::Global,
                 j.with_path,
                 threads_per_block,
                 dev,
@@ -349,8 +347,7 @@ mod tests {
     fn results_are_functional() {
         let rep = run_streams(8, 8, 500, true);
         for (r, j) in rep.runs.iter().zip(jobs(8, 500, true)) {
-            let gold =
-                mmm_align::scalar::align_manymap(&j.target, &j.query, &SC, AlignMode::Global, true);
+            let gold = mmm_align::scalar::align_manymap(&j.target, &j.query, &SC, true);
             assert_eq!(r.result, gold);
         }
     }

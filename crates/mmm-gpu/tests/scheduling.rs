@@ -81,13 +81,7 @@ fn heterogeneous_jobs_schedule_without_loss() {
     let rep = simulate_batch(&js, &SC, &cfg, &DeviceSpec::V100);
     assert_eq!(rep.runs.len(), 12);
     for (run, job) in rep.runs.iter().zip(&js) {
-        let gold = mmm_align::best_engine().align(
-            &job.target,
-            &job.query,
-            &SC,
-            mmm_align::AlignMode::Global,
-            false,
-        );
+        let gold = mmm_align::best_engine().align(&job.target, &job.query, &SC, false);
         assert_eq!(run.result.score, gold.score);
     }
 }

@@ -15,7 +15,7 @@ use std::fmt;
 
 use mmm_chain::Anchor;
 use mmm_io::Mmap;
-use mmm_seq::{PackedSeq, SeqRecord};
+use mmm_seq::SeqRecord;
 
 use crate::error::IndexError;
 use crate::minimizer::{for_each_minimizer, minimizers, minimizers_hpc, Minimizer};
@@ -188,8 +188,7 @@ impl MinimizerIndex {
             for_each_minimizer(&nt4, opts.k, opts.w, opts.hpc, |m| {
                 pairs.push((m.hash, pack_hit(rid as u32, m.pos, m.rev)));
             });
-            let packed = PackedSeq::from_nt4_lossy(&nt4);
-            serialize::write_seq(&mut image, &r.name, packed.len(), packed.words());
+            serialize::write_seq(&mut image, &r.name, nt4.len(), &unpack::pack_nt4(&nt4));
         }
         pairs.sort_unstable();
         PackedPostings::emit(&pairs, &mut image)?;
@@ -640,5 +639,25 @@ mod tests {
         // Single-base fetch.
         assert_eq!(idx.ref_base(0, 42), Some(g[42]));
         assert_eq!(idx.ref_base(0, 1000), None);
+        // `N` packs as `A`, and windows that start, end or cross inside a
+        // packed word read back what was packed.
+        let mut with_n = random_genome(1000, 10);
+        for i in [0, 15, 16, 17, 500, 999] {
+            with_n[i] = 4;
+        }
+        let idx = build_one(&with_n, &IdxOpts::MAP_ONT);
+        let packed: Vec<u8> = with_n.iter().map(|&b| b % 4).collect();
+        for (s, e) in [
+            (0, 1000),
+            (0, 0),
+            (3, 9),
+            (15, 17),
+            (16, 32),
+            (31, 33),
+            (998, 1000),
+        ] {
+            idx.ref_window_into(0, s, e, &mut buf);
+            assert_eq!(buf, packed[s..e], "window {s}..{e}");
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! * **nt4 bases** — 2-bit packed bases expanded to nt4 bytes (the
 //!   packed-reference window decode feeding the alignment kernels):
 //!   [`unpack_nt4`] sends whole packed bytes through a 256-entry table,
-//!   checked against the per-base [`unpack_nt4_scalar`] gold.
+//!   checked against the per-base [`unpack_nt4_scalar`] gold. Its encoder,
+//!   [`pack_nt4`], is what the index builder writes.
 
 /// Mask with the low `width` bits set (`width` in `1..=64`).
 #[inline(always)]
@@ -57,6 +58,19 @@ pub fn write_fields(words: &mut [u64], bit_base: usize, width: u32, values: &[u6
         }
         bit += width as usize;
     }
+}
+
+/// Pack nt4 bases 16 to a `u32` word, base `i` at bits `2 * (i % 16)` of
+/// word `i / 16` — whose little-endian bytes are what [`unpack_nt4`]
+/// decodes. Ambiguous codes (≥ 4) pack as `A`; the index builder skips the
+/// minimizers spanning them on its own.
+pub fn pack_nt4(seq: &[u8]) -> Vec<u32> {
+    let mut words = vec![0u32; seq.len().div_ceil(16)];
+    for (i, &c) in seq.iter().enumerate() {
+        let code = if c < 4 { c as u32 } else { 0 };
+        words[i >> 4] |= code << ((i & 15) << 1);
+    }
+    words
 }
 
 /// The four nt4 bases of every packed byte, lowest bits first.

@@ -2,8 +2,8 @@
 //!
 //! This crate provides the sequence substrate every other crate builds on:
 //!
-//! * [`encode`] — the `nt4` nucleotide code (A/C/G/T/N → 0..4), 2-bit packed
-//!   sequences, reverse complement;
+//! * [`encode`] — the `nt4` nucleotide code (A/C/G/T/N → 0..4) and reverse
+//!   complement;
 //! * [`record`] — owned sequence records with optional quality strings;
 //! * [`fasta`] — a streaming FASTA/FASTQ parser in the style of `kseq.h`
 //!   (minimap2's reader), working over any [`std::io::BufRead`];
@@ -22,8 +22,7 @@ pub mod stats;
 pub mod writer;
 
 pub use encode::{
-    comp4, encode_base, nt4_decode, revcomp4, revcomp_in_place, to_nt4, PackedSeq, BASE_CHARS,
-    SEQ_NT4_TABLE,
+    comp4, encode_base, nt4_decode, revcomp4, revcomp_in_place, to_nt4, BASE_CHARS, SEQ_NT4_TABLE,
 };
 pub use error::SeqError;
 pub use fasta::{FastxFormat, FastxReader};

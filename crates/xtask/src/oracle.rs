@@ -2,12 +2,12 @@
 //!
 //! Runs every kernel variant the CPU supports — {minimap2, manymap} layout ×
 //! {scalar, SSE, AVX2, AVX-512} — over a seeded stream of random sequence
-//! pairs and diffs them against the scalar manymap gold: scores, end cells,
-//! CIGARs, and cell counts must agree *exactly* (the Eq. 3 ↔ Eq. 4 layouts
-//! compute the same recurrence, and every SIMD width must be bit-compatible
-//! with scalar). Layout/dependency bugs in these kernels are silent
-//! wrong-answer bugs, not crashes — this is the harness that makes them
-//! loud. The z-drop extension rides the same stream: each engine's
+//! pairs and diffs their global alignments against the scalar manymap gold:
+//! scores, CIGARs, and cell counts must agree *exactly* (the Eq. 3 ↔ Eq. 4
+//! layouts compute the same recurrence, and every SIMD width must be
+//! bit-compatible with scalar). Layout/dependency bugs in these kernels are
+//! silent wrong-answer bugs, not crashes — this is the harness that makes
+//! them loud. The z-drop extension rides the same stream: each engine's
 //! `extend_zdrop_with_scratch` (a vector kernel per width) against the
 //! scalar extension, on score, consumed prefixes and CIGAR.
 //!
@@ -60,7 +60,6 @@ const LONG_LENS: [usize; 3] = [300, 560, 700];
 struct Case {
     target: Vec<u8>,
     query: Vec<u8>,
-    mode: AlignMode,
 }
 
 fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
@@ -92,12 +91,6 @@ fn mutate(rng: &mut StdRng, target: &[u8]) -> Vec<u8> {
 }
 
 fn make_cases(cases: usize, seed: u64) -> Vec<Case> {
-    const MODES: [AlignMode; 4] = [
-        AlignMode::Global,
-        AlignMode::SemiGlobal,
-        AlignMode::TargetSuffixFree,
-        AlignMode::QuerySuffixFree,
-    ];
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(cases);
     for i in 0..cases {
@@ -115,19 +108,14 @@ fn make_cases(cases: usize, seed: u64) -> Vec<Case> {
             let qlen = rng.random_range(1usize..160);
             random_seq(&mut rng, qlen)
         };
-        out.push(Case {
-            target,
-            query,
-            mode: MODES[i % MODES.len()],
-        });
+        out.push(Case { target, query });
     }
     out
 }
 
 fn describe(i: usize, case: &Case, engine: Engine) -> String {
     format!(
-        "case {i} ({:?}, |T|={}, |Q|={}) on {}",
-        case.mode,
+        "case {i} (|T|={}, |Q|={}) on {}",
         case.target.len(),
         case.query.len(),
         engine.label()
@@ -136,15 +124,11 @@ fn describe(i: usize, case: &Case, engine: Engine) -> String {
 
 fn diff(i: usize, case: &Case, engine: Engine, got: &AlignResult, want: &AlignResult) -> String {
     format!(
-        "{}: differs from scalar manymap gold\n  gold: score={} end=({},{}) cigar={:?}\n  got:  score={} end=({},{}) cigar={:?}",
+        "{}: differs from scalar manymap gold\n  gold: score={} cigar={:?}\n  got:  score={} cigar={:?}",
         describe(i, case, engine),
         want.score,
-        want.end_i,
-        want.end_j,
         want.cigar.as_ref().map(|c| c.to_string()),
         got.score,
-        got.end_i,
-        got.end_j,
         got.cigar.as_ref().map(|c| c.to_string()),
     )
 }
@@ -184,7 +168,7 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     let mut golds: Vec<AlignResult> = Vec::with_capacity(stream.len());
     let mut gold_scratch = AlignScratch::new();
     for (i, case) in stream.iter().enumerate() {
-        let gold = gold_engine.align(&case.target, &case.query, &sc, case.mode, true);
+        let gold = gold_engine.align(&case.target, &case.query, &sc, true);
         let gold_ext = extend_both(i, case, gold_engine, &sc, &mut gold_scratch);
         for (engine, scratch) in engines.iter().zip(scratches.iter_mut()) {
             let ext = extend_both(i, case, *engine, &sc, scratch);
@@ -197,8 +181,14 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
                 ));
             }
             scratch.recycle(ext.0.cigar);
-            let got =
-                engine.align_with_scratch(&case.target, &case.query, &sc, case.mode, true, scratch);
+            let got = engine.align_with_scratch(
+                &case.target,
+                &case.query,
+                &sc,
+                AlignMode::Global,
+                true,
+                scratch,
+            );
             if got != gold {
                 return Err(diff(i, case, *engine, &got, &gold));
             }
@@ -208,7 +198,7 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
                 &case.target,
                 &case.query,
                 &sc,
-                case.mode,
+                AlignMode::Global,
                 false,
                 scratch,
             );
@@ -233,8 +223,14 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     let high_water: Vec<usize> = scratches.iter().map(AlignScratch::heap_bytes).collect();
     for (i, case) in stream.iter().enumerate() {
         for (engine, scratch) in engines.iter().zip(scratches.iter_mut()) {
-            let got =
-                engine.align_with_scratch(&case.target, &case.query, &sc, case.mode, true, scratch);
+            let got = engine.align_with_scratch(
+                &case.target,
+                &case.query,
+                &sc,
+                AlignMode::Global,
+                true,
+                scratch,
+            );
             if got != golds[i] {
                 return Err(format!(
                     "{}: replay with a warmed scratch changed the result",
@@ -504,12 +500,7 @@ fn backend_crosscheck(
     let jobs = || -> Vec<AlignJob> {
         stream
             .iter()
-            .map(|c| AlignJob {
-                target: c.target.clone(),
-                query: c.query.clone(),
-                mode: c.mode,
-                with_path: true,
-            })
+            .map(|c| AlignJob::global(c.target.clone(), c.query.clone(), true))
             .collect()
     };
     let mut opts = BackendOptions::new(*sc);
@@ -538,17 +529,12 @@ fn backend_crosscheck(
         for (i, (got, want)) in results.iter().zip(golds).enumerate() {
             if got != want {
                 return Err(format!(
-                    "backend {label}, case {i} ({:?}, |T|={}, |Q|={}): diverges from scalar gold\n  \
-                     gold: score={} end=({},{})\n  got:  score={} end=({},{})",
-                    stream[i].mode,
+                    "backend {label}, case {i} (|T|={}, |Q|={}): diverges from scalar gold\n  \
+                     gold: score={}\n  got:  score={}",
                     stream[i].target.len(),
                     stream[i].query.len(),
                     want.score,
-                    want.end_i,
-                    want.end_j,
                     got.score,
-                    got.end_i,
-                    got.end_j,
                 ));
             }
         }
@@ -606,19 +592,15 @@ fn group_crosscheck(sc: &Scoring) -> Result<String, String> {
             .and_then(|b| b.submit(jobs.clone()))
             .map_err(|e| format!("lane groups on {label}: {e}"))?;
         for (i, (got, job)) in results.iter().zip(&jobs).enumerate() {
-            let want = gold_engine.align(&job.target, &job.query, sc, job.mode, job.with_path);
+            let want = gold_engine.align(&job.target, &job.query, sc, job.with_path);
             if *got != want {
                 return Err(format!(
                     "lane groups on {label}, job {i} (|T|={}, |Q|={}): diverges from scalar gold\n  \
-                     gold: score={} end=({},{})\n  got:  score={} end=({},{})",
+                     gold: score={}\n  got:  score={}",
                     job.target.len(),
                     job.query.len(),
                     want.score,
-                    want.end_i,
-                    want.end_j,
                     got.score,
-                    got.end_i,
-                    got.end_j,
                 ));
             }
         }

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use mmm_align::{AlignMode, Engine, Scoring, Width};
+use mmm_align::{Engine, Scoring, Width};
 use mmm_gpu::{run_kernel, DeviceSpec, GpuKernelKind};
 
 fn noisy_pair(len: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
@@ -52,7 +52,7 @@ fn main() {
         let start = Instant::now();
         let mut score = 0;
         for _ in 0..reps {
-            score = e.align(&t, &q, &sc, AlignMode::Global, false).score;
+            score = e.align(&t, &q, &sc, false).score;
         }
         let secs = start.elapsed().as_secs_f64() / reps as f64;
         println!(
@@ -66,16 +66,7 @@ fn main() {
     // Simulated GPU kernels: one block of 512 threads each (per-kernel
     // throughput; the stream engine multiplies this by concurrency).
     for kind in [GpuKernelKind::Mm2, GpuKernelKind::Manymap] {
-        let run = run_kernel(
-            &t,
-            &q,
-            &sc,
-            kind,
-            AlignMode::Global,
-            false,
-            512,
-            &DeviceSpec::V100,
-        );
+        let run = run_kernel(&t, &q, &sc, kind, false, 512, &DeviceSpec::V100);
         println!(
             "{:<22} {:>10} {:>12.3}   (simulated; {} cycles, shared={})",
             kind.label(),

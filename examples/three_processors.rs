@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use mmm_align::{best_engine, AlignMode, Scoring};
+use mmm_align::{best_engine, Scoring};
 use mmm_gpu::{simulate_batch, DeviceSpec, GpuKernelKind, KernelJob, StreamConfig};
 use mmm_knl::{
     simulate_pipeline, AffinityPolicy, PipelineParams, WorkBatch, KNL_7210, XEON_GOLD_5115,
@@ -45,7 +45,7 @@ fn main() {
     let mut per_read = Vec::new();
     for (t, q) in &pairs {
         let t0 = Instant::now();
-        std::hint::black_box(engine.align(t, q, &sc, AlignMode::Global, false));
+        std::hint::black_box(engine.align(t, q, &sc, false));
         per_read.push(t0.elapsed().as_secs_f64());
     }
     let cpu_single = start.elapsed().as_secs_f64();

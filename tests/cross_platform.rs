@@ -3,7 +3,7 @@
 //! claims as invariants).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmm_align::{best_engine, best_mm2_engine, AlignMode, Scoring};
+use mmm_align::{best_engine, best_mm2_engine, Scoring};
 use mmm_gpu::{simulate_batch, DeviceSpec, GpuKernelKind, KernelJob, StreamConfig};
 use mmm_knl::{
     simulate_pipeline, AffinityPolicy, MemoryMode, PipelineParams, WorkBatch, KNL_7210,
@@ -37,7 +37,7 @@ fn gpu_simulation_is_bit_identical_to_cpu() {
     let cfg = StreamConfig::default();
     let rep = simulate_batch(&jobs, &sc, &cfg, &DeviceSpec::V100);
     for (run, job) in rep.runs.iter().zip(&jobs) {
-        let cpu = best_engine().align(&job.target, &job.query, &sc, AlignMode::Global, true);
+        let cpu = best_engine().align(&job.target, &job.query, &sc, true);
         assert_eq!(run.result, cpu);
     }
 }
@@ -90,7 +90,7 @@ fn headline_claim_cpu_kernel_speedup() {
     let (t, q) = &pairs(1, 4_000)[0];
     let time = |e: mmm_align::Engine| {
         let s = std::time::Instant::now();
-        std::hint::black_box(e.align(t, q, &sc, AlignMode::Global, false));
+        std::hint::black_box(e.align(t, q, &sc, false));
         s.elapsed().as_secs_f64()
     };
     let (mut many, mut mm2) = (f64::INFINITY, f64::INFINITY);

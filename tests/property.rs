@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mmm_align::{best_engine, AlignMode, Scoring};
+use mmm_align::{best_engine, Scoring};
 use mmm_chain::{chain_anchors, ChainOpts};
 use mmm_index::{IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
@@ -85,55 +85,42 @@ proptest! {
     ) {
         let sc = Scoring::MAP_ONT;
         let e = best_engine();
-        let fwd = e.align(&t, &q, &sc, AlignMode::Global, false).score;
-        let rev = e.align(&revcomp4(&t), &revcomp4(&q), &sc, AlignMode::Global, false).score;
+        let fwd = e.align(&t, &q, &sc, false).score;
+        let rev = e.align(&revcomp4(&t), &revcomp4(&q), &sc, false).score;
         prop_assert_eq!(fwd, rev);
     }
 
-    /// Global score is an upper-boundable function: semi-global ≥ global
-    /// (free ends can only help), and both are ≤ perfect-match score.
+    /// The global score lies between two paths every pair has: deleting all
+    /// of the target and inserting all of the query, and a perfect match of
+    /// the shorter sequence.
     #[test]
-    fn mode_score_ordering(
+    fn global_score_is_bounded(
         t in proptest::collection::vec(0u8..4, 5..150),
         q in proptest::collection::vec(0u8..4, 5..150),
     ) {
         let sc = Scoring::MAP_ONT;
-        let e = best_engine();
-        let global = e.align(&t, &q, &sc, AlignMode::Global, false).score;
-        let semi = e.align(&t, &q, &sc, AlignMode::SemiGlobal, false).score;
-        prop_assert!(semi >= global);
+        let score = best_engine().align(&t, &q, &sc, false).score;
+        let all_gaps = -sc.gap_cost(t.len() as u32) - sc.gap_cost(q.len() as u32);
+        prop_assert!(score >= all_gaps);
         let perfect = sc.a * t.len().min(q.len()) as i32;
-        prop_assert!(semi <= perfect);
+        prop_assert!(score <= perfect);
     }
 
-    /// Backtracked CIGARs are well-formed and re-score to the reported
-    /// score, which itself matches the 32-bit full-matrix reference — in
-    /// every alignment mode.
+    /// Backtracked CIGARs consume both sequences exactly and re-score to the
+    /// reported score, which itself matches the 32-bit full-matrix
+    /// reference.
     #[test]
     fn backtracked_cigars_rescore_to_the_reported_score(
         t in proptest::collection::vec(0u8..4, 5..180),
         q in proptest::collection::vec(0u8..4, 5..180),
     ) {
         let sc = Scoring::MAP_ONT;
-        let e = best_engine();
-        for mode in [
-            AlignMode::Global,
-            AlignMode::SemiGlobal,
-            AlignMode::TargetSuffixFree,
-            AlignMode::QuerySuffixFree,
-        ] {
-            let r = e.align(&t, &q, &sc, mode, true);
-            let gold = mmm_align::fullmatrix::align(&t, &q, &sc, mode, false);
-            prop_assert_eq!(r.score, gold.score, "mode={:?}", mode);
-            let cigar = r.cigar.expect("with_path must produce a cigar");
-            prop_assert!(cigar.target_len() as usize <= t.len());
-            prop_assert!(cigar.query_len() as usize <= q.len());
-            prop_assert_eq!(cigar.score(&t, &q, &sc), r.score, "mode={:?}", mode);
-            if mode == AlignMode::Global {
-                // A global path consumes both sequences exactly.
-                prop_assert_eq!(cigar.target_len() as usize, t.len());
-                prop_assert_eq!(cigar.query_len() as usize, q.len());
-            }
-        }
+        let r = best_engine().align(&t, &q, &sc, true);
+        let gold = mmm_align::fullmatrix::align(&t, &q, &sc, false);
+        prop_assert_eq!(r.score, gold.score);
+        let cigar = r.cigar.expect("with_path must produce a cigar");
+        prop_assert_eq!(cigar.target_len() as usize, t.len());
+        prop_assert_eq!(cigar.query_len() as usize, q.len());
+        prop_assert_eq!(cigar.score(&t, &q, &sc), r.score);
     }
 }
