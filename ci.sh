@@ -40,7 +40,7 @@ for tiers in avx512 avx512,avx2; do
     MMM_DISABLE_SIMD=$tiers cargo test -q -p manymap --test hpc_mapping
 done
 
-echo "==> shard gate: release-binary sharded/flat byte-identity (cpu and device backend, slow shard), missing-shard chaos at 1 and 2 threads, one flipped byte is fatal"
+echo "==> shard gate: release-binary sharded/flat byte-identity (every one-shard origin, cpu and device backend, slow shard), missing-shard chaos at 1 and 2 threads, one flipped byte is fatal"
 cargo build --release -q -p mmm-simreads -p manymap --bins
 SHARD_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-shard-ci.XXXXXX")
 trap 'rm -rf "$SHARD_WORK"' EXIT
@@ -63,6 +63,15 @@ target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 >"$SHARD_WORK/sharded.paf" 2>/dev/null
 cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded.paf" \
     || { echo "ci: sharded mapping diverged from flat"; exit 1; }
+# Every origin of a one-shard index maps the same bytes: the flat file at one
+# thread, a `--shards 1` manifest, and the FASTA indexed in memory.
+target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/one.mmx" --shards 1 2>/dev/null
+for origin in flat.mmx:1 one.mmx:2 ref.fa:2; do
+    target/release/manymap map "$SHARD_WORK/${origin%:*}" "$SHARD_WORK/reads.fa" \
+        --threads "${origin#*:}" >"$SHARD_WORK/origin.paf" 2>/dev/null
+    cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/origin.paf" \
+        || { echo "ci: mapping over ${origin%:*} at ${origin#*:} thread(s) diverged from flat"; exit 1; }
+done
 # The sharded index under the device backend.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --backend gpu-sim >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null

@@ -186,7 +186,7 @@ pub fn run(quick: bool) -> String {
     // A6: chaining design — minimap2's gap-cost DP vs classic LIS.
     {
         use mmm_chain::{chain_anchors, chain_lis, Anchor, ChainOpts};
-        use mmm_index::MinimizerIndex;
+        use mmm_index::ShardedIndex;
         use mmm_seq::{nt4_decode, SeqRecord};
         use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -197,7 +197,7 @@ pub fn run(quick: bool) -> String {
             seed: 77,
             ..Default::default()
         });
-        let idx = match MinimizerIndex::build(
+        let idx = match ShardedIndex::build(
             &[SeqRecord::new("chr1", nt4_decode(&g))],
             &mmm_index::IdxOpts::MAP_ONT,
         ) {
@@ -219,7 +219,7 @@ pub fn run(quick: bool) -> String {
         let mut lis_correct = 0usize;
         let mut counted = 0usize;
         for r in &reads {
-            let anchors: Vec<Anchor> = idx.collect_anchors(&r.seq);
+            let anchors: Vec<Anchor> = idx.collect_anchors(&r.seq).unwrap_or_default();
             if anchors.is_empty() {
                 continue;
             }

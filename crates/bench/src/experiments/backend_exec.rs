@@ -20,7 +20,7 @@ use manymap::baselines::BaselineId;
 use manymap::session::map_reads;
 use manymap::{ExecConfig, MapSession};
 use mmm_exec::{BackendKind, BackendStats};
-use mmm_index::{AnyIndex, MinimizerIndex};
+use mmm_index::ShardedIndex;
 use mmm_pipeline::lock_unpoisoned;
 
 use crate::{format_table, macrodata, mapped_records};
@@ -73,12 +73,12 @@ pub fn run(quick: bool) -> String {
 fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
     let ds = macrodata::pacbio(800_000, n_reads);
     let opts = BaselineId::Manymap.map_opts();
-    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx)
+    let index = ShardedIndex::build(&[ds.reference()], &opts.idx)
         .map_err(|e| format!("index build failed: {e}"))?;
     let fasta = ds
         .reads_fasta()
         .map_err(|e| format!("in-memory fasta failed: {e}"))?;
-    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts));
+    let session = Arc::new(MapSession::new(0, index, opts));
 
     VARIANTS
         .into_iter()

@@ -7,7 +7,7 @@
 //! at ≥150 threads on the I/O-heavier simulated dataset.
 
 use manymap::{MapOpts, Mapper};
-use mmm_index::MinimizerIndex;
+use mmm_index::ShardedIndex;
 use mmm_knl::{simulate_pipeline, AffinityPolicy, PipelineParams, KNL_7210};
 
 use super::fig9_scaling::{IN_COST_PER_BASE, OUT_COST_PER_READ};
@@ -26,7 +26,7 @@ pub fn run(quick: bool) -> String {
         } else {
             MapOpts::map_ont()
         };
-        let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
             Ok(i) => i,
             Err(e) => return format!("fig10_affinity: index build failed: {e}"),
         };

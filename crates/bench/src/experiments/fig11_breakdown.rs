@@ -13,7 +13,7 @@ use manymap::baselines::BaselineId;
 use manymap::Mapper;
 use mmm_align::Scoring;
 use mmm_gpu::{simulate_batch, DeviceSpec, KernelJob, StreamConfig};
-use mmm_index::MinimizerIndex;
+use mmm_index::ShardedIndex;
 use mmm_knl::{simulate_pipeline, AffinityPolicy, PipelineParams, KNL_7210, XEON_GOLD_5115};
 
 use super::fig9_scaling::{IN_COST_PER_BASE, OUT_COST_PER_READ};
@@ -30,7 +30,7 @@ pub fn run(quick: bool) -> String {
     let mut totals = std::collections::HashMap::new();
     for id in [BaselineId::Minimap2, BaselineId::Manymap] {
         let opts = id.map_opts();
-        let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
             Ok(i) => i,
             Err(e) => return format!("fig11_breakdown: index build failed: {e}"),
         };
@@ -71,7 +71,7 @@ pub fn run(quick: bool) -> String {
     // simulator (seed/chain and I/O as on the CPU).
     let gpu_total = {
         let opts = BaselineId::Manymap.map_opts();
-        let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
             Ok(i) => i,
             Err(e) => return format!("fig11_breakdown: index build failed: {e}"),
         };

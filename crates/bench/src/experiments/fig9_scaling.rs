@@ -6,7 +6,7 @@
 //! then a much flatter hyper-threading region up to 256.
 
 use manymap::{MapOpts, Mapper};
-use mmm_index::MinimizerIndex;
+use mmm_index::ShardedIndex;
 use mmm_knl::{simulate_pipeline, PipelineParams, KNL_7210};
 
 use crate::{format_table, macrodata, meter::meter_batches};
@@ -29,7 +29,7 @@ pub fn run(quick: bool) -> String {
         } else {
             MapOpts::map_ont()
         };
-        let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
             Ok(i) => i,
             Err(e) => return format!("fig9_scaling: index build failed: {e}"),
         };

@@ -318,7 +318,10 @@ fn sketch_rows(quick: bool) -> Result<Vec<SketchRow>, String> {
     let manifest = dir.join("ref.mmx");
     let seeded = build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &manifest)
         .map_err(|e| format!("sharded build failed: {e}"))
-        .and_then(|_| ShardedIndex::open(&manifest).map_err(|e| format!("open failed: {e}")))
+        .and_then(|_| {
+            ShardedIndex::open(&manifest, Default::default())
+                .map_err(|e| format!("open failed: {e}"))
+        })
         .map(|sh| {
             // A warm-up round loads every shard the fragments touch.
             best_of(rounds + 1, &frags, |r| {
@@ -407,7 +410,7 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
     let load_seconds = t0.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&idx_path);
     let index = index.map_err(|e| format!("load failed: {e}"))?;
-    let index_bytes = index.as_index_ref().image_len();
+    let index_bytes = index.image_len();
     let session = Arc::new(MapSession::new(0, index, opts));
     let mut out = Vec::new();
     let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None)

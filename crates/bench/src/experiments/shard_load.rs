@@ -25,8 +25,8 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use mmm_index::{
-    build_sharded, container_section_ranges, save_index, AnyIndex, IdxOpts, MinimizerIndex,
-    ShardOpenOpts, ShardedIndex,
+    build_sharded, container_section_ranges, save_index, IdxOpts, MinimizerIndex, ShardOpenOpts,
+    ShardedIndex,
 };
 use mmm_io::Mmap;
 use mmm_seq::{nt4_decode, SeqRecord};
@@ -85,12 +85,13 @@ fn flat_row(refs: &[SeqRecord], samples: usize, path: &Path) -> Result<Row, Stri
     for _ in 0..samples {
         verify.push(verify_files(&[path.to_path_buf()])?);
         let start = Instant::now();
-        let idx = AnyIndex::open_mmap(path, ShardOpenOpts::default())
+        let sh = ShardedIndex::open(path, ShardOpenOpts::default())
             .map_err(|e| format!("flat load failed: {e}"))?;
         touch.push(start.elapsed().as_secs_f64());
-        if let AnyIndex::Flat(idx) = &idx {
-            (mapped, heap) = (idx.image_len(), idx.heap_bytes());
-        }
+        let idx = sh
+            .ensure_shard(0)
+            .map_err(|e| format!("flat shard: {}", e.reason))?;
+        (mapped, heap) = (idx.image_len(), idx.heap_bytes());
     }
     let _ = std::fs::remove_file(path);
     let (verify_s, validate_s, touch_s) = split(verify, touch);
@@ -132,7 +133,7 @@ fn sharded_row(
     for _ in 0..samples {
         verify.push(verify_files(shard_files)?);
         let start = Instant::now();
-        let sh = ShardedIndex::open(manifest)
+        let sh = ShardedIndex::open(manifest, ShardOpenOpts::default())
             .map_err(|e| format!("sharded({n_shards}) open failed: {e}"))?;
         open.push(start.elapsed().as_secs_f64());
         let start = Instant::now();
@@ -180,7 +181,7 @@ fn two_thread_row(
     let (mut mapped, mut heap) = (0, 0);
     for _ in 0..samples {
         let start = Instant::now();
-        let sh = ShardedIndex::open(manifest)
+        let sh = ShardedIndex::open(manifest, ShardOpenOpts::default())
             .map_err(|e| format!("sharded({n_shards}) open failed: {e}"))?;
         open.push(start.elapsed().as_secs_f64());
         for wall in [&mut touch, &mut warm] {

@@ -12,7 +12,7 @@
 
 use manymap::baselines::BaselineId;
 use manymap::Mapper;
-use mmm_index::MinimizerIndex;
+use mmm_index::ShardedIndex;
 use mmm_knl::{simulate_pipeline, PipelineParams, KNL_7210, XEON_GOLD_5115};
 use mmm_simreads::{evaluate, MappingCall};
 
@@ -31,7 +31,7 @@ pub fn run(quick: bool) -> String {
     let mut gpu_note = String::new();
     for id in BaselineId::ALL {
         let opts = id.map_opts();
-        let index = match MinimizerIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
             Ok(i) => i,
             Err(e) => return format!("table5_aligners: index build failed: {e}"),
         };

@@ -86,7 +86,7 @@ use std::sync::Arc;
 use manymap::session::{self, Args, MapSession, INDEX_FLAGS, MAP_FLAGS, SHARED_FLAGS};
 use manymap::{load_index_any, MapError};
 use mmm_exec::{StatsReport, StderrSink};
-use mmm_index::{build_sharded, save_index, AnyIndex, MinimizerIndex};
+use mmm_index::{build_sharded, save_index, MinimizerIndex};
 use mmm_pipeline::{lock_unpoisoned, PipelineError};
 
 /// The `index` summary line. The compaction ratio is only meaningful when
@@ -119,14 +119,15 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         ));
     };
     let opts = session::map_opts(args)?;
-    let n_shards: usize = match args.num("shards")? {
-        None => 1,
+    // `--shards N` writes a manifest and N shard files, even at N = 1;
+    // without it, one container.
+    let n_shards = match args.num("shards")? {
         Some(0) => {
             return Err(MapError::Usage(
                 "--shards 0: expected an integer >= 1".into(),
             ))
         }
-        Some(n) => n,
+        n => n,
     };
     if session::is_index_file(Path::new(input))? {
         return Err(MapError::Usage(format!(
@@ -134,7 +135,7 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         )));
     }
     let refs = session::read_refs(Path::new(input))?;
-    if n_shards > 1 {
+    if let Some(n_shards) = n_shards {
         eprintln!(
             "[manymap] indexing {} reference sequence(s) into {n_shards} shard(s)...",
             refs.len()
@@ -182,11 +183,11 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     let exec = exec_cfg.open()?;
 
     let index = load_index_any(Path::new(ref_path), &opts, exec_cfg.shard_open_opts())?;
-    if let AnyIndex::Sharded(s) = &index {
+    if index.has_manifest() {
         eprintln!(
             "[manymap] opened shard manifest: {} shard(s) over {} sequence(s)",
-            s.num_shards(),
-            s.num_seqs()
+            index.num_shards(),
+            index.num_seqs()
         );
     }
     let session = Arc::new(MapSession::new(0, index, opts));

@@ -10,17 +10,18 @@
 //!
 //! ```
 //! use manymap::{MapOpts, Mapper};
-//! use mmm_index::{IdxOpts, MinimizerIndex};
+//! use mmm_index::{IdxOpts, MinimizerIndex, ShardedIndex};
 //! use mmm_seq::SeqRecord;
 //!
 //! // Index a reference (fails loudly if the set exceeds the packed-hit
-//! // bit budget: 2^24 sequences of up to 2^39 bases).
+//! // bit budget: 2^24 sequences of up to 2^39 bases). Built in memory, it
+//! // is a one-shard index, as a single-file `.mmx` opens.
 //! let reference = SeqRecord::new("chr1", b"ACGTACGTAGGCTAGCTAGGACTGACTGATCGATCGTACG".repeat(200));
-//! let index = MinimizerIndex::build(&[reference], &IdxOpts::MAP_ONT).unwrap();
+//! let index = ShardedIndex::build(&[reference], &IdxOpts::MAP_ONT).unwrap();
 //!
 //! // Map a read.
 //! let mapper = Mapper::new(&index, MapOpts::map_ont());
-//! let read = index.ref_window(0, 100, 1100);
+//! let read = index.ref_window(0, 100, 1100).unwrap();
 //! let mappings = mapper.map_read(&read);
 //! assert!(!mappings.is_empty());
 //!

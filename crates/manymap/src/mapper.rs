@@ -14,7 +14,7 @@ use mmm_align::{AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
 use mmm_chain::select::SelectedChain;
 use mmm_chain::{chain_anchors, select_chains, Chain};
 use mmm_exec::{align_jobs_with_scratch, AlignJob};
-use mmm_index::{IndexRef, ShardUnavailable};
+use mmm_index::{ShardUnavailable, ShardedIndex};
 use mmm_seq::revcomp4;
 
 use crate::opts::MapOpts;
@@ -139,28 +139,23 @@ pub struct Mapping {
     pub cigar: Option<Cigar>,
 }
 
-/// A reusable mapper over one index — flat in memory or sharded on disk.
+/// A reusable mapper over one index.
 ///
-/// [`IndexRef`] makes the two shapes uniform: `Mapper::new(&flat_index, …)`
-/// and `Mapper::new(&sharded_index, …)` both work, and every reference
-/// access goes through the same accessors. On a flat index shard lookups
-/// are infallible; on a sharded index a quarantined shard degrades exactly
-/// the reads it leaves with no seeds anywhere else
-/// ([`MapReadError::ShardUnavailable`]) — reads that still seed in healthy
-/// shards map normally.
+/// There is one index type, [`ShardedIndex`], whatever the reference came
+/// from: a shard manifest, a single-file `.mmx`, or a FASTA indexed in
+/// memory ([`ShardedIndex::build`]) — the last two are one shard, loaded
+/// from the start. Seeding and every reference access go through its one
+/// set of accessors. A quarantined shard degrades exactly the reads it
+/// leaves with no seeds anywhere else ([`MapReadError::ShardUnavailable`]);
+/// reads that still seed in healthy shards map normally.
 pub struct Mapper<'a> {
-    pub index: IndexRef<'a>,
+    pub index: &'a ShardedIndex,
     pub opts: MapOpts,
 }
 
 impl<'a> Mapper<'a> {
-    /// Create a mapper over a flat index, a sharded index, or an
-    /// [`IndexRef`]/[`mmm_index::AnyIndex`] already in hand.
-    pub fn new(index: impl Into<IndexRef<'a>>, opts: MapOpts) -> Self {
-        Mapper {
-            index: index.into(),
-            opts,
-        }
+    pub fn new(index: &'a ShardedIndex, opts: MapOpts) -> Self {
+        Mapper { index, opts }
     }
 
     /// Map one read (nt4, forward orientation). Returns primary first; a
@@ -506,7 +501,7 @@ fn score_segment(t: &[u8], q: &[u8], sc: &mmm_align::Scoring) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_index::{IdxOpts, MinimizerIndex};
+    use mmm_index::IdxOpts;
     use mmm_seq::{nt4_decode, SeqRecord};
     use mmm_simreads::{
         generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts, SimulatedRead,
@@ -532,8 +527,8 @@ mod tests {
         )
     }
 
-    fn build_index(genome: &[u8], opts: &IdxOpts) -> MinimizerIndex {
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], opts).unwrap()
+    fn build_index(genome: &[u8], opts: &IdxOpts) -> ShardedIndex {
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], opts).unwrap()
     }
 
     #[test]

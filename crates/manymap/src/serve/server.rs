@@ -63,7 +63,7 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use mmm_exec::{StatsReport, StatsSink};
-use mmm_index::AnyIndex;
+use mmm_index::ShardedIndex;
 use mmm_pipeline::{lock_unpoisoned, PipelineError};
 use mmm_seq::SeqRecord;
 
@@ -196,7 +196,7 @@ impl Ctx {
 /// a drain completes. The final stats report goes through `sink` (the
 /// daemon binary passes a stderr sink; tests pass a buffer).
 pub fn serve(
-    index: AnyIndex,
+    index: ShardedIndex,
     exec: ExecSession,
     opts: &ServeOpts,
     sink: &dyn StatsSink,

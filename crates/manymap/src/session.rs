@@ -36,7 +36,7 @@ use mmm_exec::{
     prepare_supervised, AlignJob, BackendKind, BackendOptions, BackendStats, FaultPlan, JobOutcome,
     StatsReport, SupervisedBackend, SupervisorConfig,
 };
-use mmm_index::{AnyIndex, IndexError, MinimizerIndex, ShardOpenOpts, MAGIC_PREFIX};
+use mmm_index::{IndexError, ShardOpenOpts, ShardedIndex, MAGIC_PREFIX};
 use mmm_pipeline::{lock_unpoisoned, DynError, ItemFailure, PipelineError, PipelineStats};
 use mmm_seq::{FastxReader, SeqError, SeqRecord};
 
@@ -319,72 +319,70 @@ pub fn is_index_file(path: &Path) -> Result<bool, MapError> {
     Ok(magic == MAGIC_PREFIX)
 }
 
-/// Open a reference of any shape: an index file — a single-file container
-/// or a shard manifest (opened lazily with `shard_opts`), both memory-mapped,
-/// checksum-verified and queried where they are mapped — or a FASTA indexed
-/// in memory with `map`'s seeding parameters.
+/// Open a reference, whatever it is, as the one index type: an index file
+/// ([`ShardedIndex::open`]: a single-file container, or a shard manifest
+/// whose shards load lazily with `shard_opts`), memory-mapped,
+/// checksum-verified and queried where it is mapped — or a FASTA indexed
+/// in memory with `map`'s seeding parameters, as one shard.
 pub fn load_index_any(
     path: &Path,
     map: &MapOpts,
     shard_opts: ShardOpenOpts,
-) -> Result<AnyIndex, MapError> {
+) -> Result<ShardedIndex, MapError> {
     let index_err = |e: IndexError| MapError::Index {
         path: path.display().to_string(),
         source: e,
     };
     if is_index_file(path)? {
-        return AnyIndex::open_mmap(path, shard_opts).map_err(index_err);
+        return ShardedIndex::open(path, shard_opts).map_err(index_err);
     }
     let refs = read_refs(path)?;
-    MinimizerIndex::build(&refs, &map.idx)
-        .map(AnyIndex::Flat)
-        .map_err(index_err)
+    ShardedIndex::build(&refs, &map.idx).map_err(index_err)
 }
 
 /// An open reference ready to map against — one index generation: the
-/// index and its target tables. Immutable once built; the daemon's live
-/// reload builds a new one and swaps the `Arc`.
+/// index (whose catalog names the targets) and the target lengths.
+/// Immutable once built; the daemon's live reload builds a new one and
+/// swaps the `Arc`.
 pub struct MapSession {
     id: u64,
-    index: AnyIndex,
+    index: ShardedIndex,
     map: MapOpts,
-    tnames: Vec<String>,
     tlens: Vec<usize>,
 }
 
 impl MapSession {
     /// `id` numbers the daemon's index generations (0 for a CLI run).
-    pub fn new(id: u64, index: AnyIndex, map: MapOpts) -> MapSession {
-        let iref = index.as_index_ref();
-        let rids = 0..iref.num_seqs() as u32;
-        let tnames = rids.clone().map(|r| iref.seq_name(r).to_string()).collect();
-        let tlens = rids.map(|r| iref.seq_len(r)).collect();
+    pub fn new(id: u64, index: ShardedIndex, map: MapOpts) -> MapSession {
+        let tlens = (0..index.num_seqs() as u32)
+            .map(|r| index.seq_len(r))
+            .collect();
         MapSession {
             id,
             index,
             map,
-            tnames,
             tlens,
         }
     }
 
-    pub fn index(&self) -> &AnyIndex {
+    pub fn index(&self) -> &ShardedIndex {
         &self.index
     }
 
     /// Target names and lengths, by reference id (the SAM header's input).
     pub fn targets(&self) -> (&[String], &[usize]) {
-        (&self.tnames, &self.tlens)
+        (&self.index.manifest().seq_names, &self.tlens)
     }
 
-    /// The shard fault-domain report (nothing over a flat index): one
-    /// summary line, plus a line for each shard that did anything
-    /// interesting, so a clean run stays compact.
+    /// The shard fault-domain report, for an index opened from a manifest
+    /// (nothing for a single-file index or a FASTA): one summary line,
+    /// plus a line for each shard that did anything interesting, so a
+    /// clean run stays compact.
     pub fn shard_report(&self, report: &mut StatsReport) {
-        let AnyIndex::Sharded(sharded) = &self.index else {
+        if !self.index.has_manifest() {
             return;
-        };
-        let health = sharded.health();
+        }
+        let health = self.index.health();
         let count = |state| health.iter().filter(|h| h.state == state).count();
         report.line(format!(
             "shards: {} total, {} quarantined, {} loaded",
@@ -411,17 +409,16 @@ impl MapSession {
     }
 
     pub fn describe(&self) -> String {
-        let iref = self.index.as_index_ref();
         format!(
             "generation {}: {} sequence(s), {} shard(s)",
             self.id,
-            iref.num_seqs(),
-            iref.num_shards()
+            self.index.num_seqs(),
+            self.index.num_shards()
         )
     }
 
     fn mapper(&self) -> Mapper<'_> {
-        Mapper::new(self.index.as_index_ref(), self.map)
+        Mapper::new(&self.index, self.map)
     }
 
     /// The plan stage: seed, chain, and describe the read's DP jobs.
@@ -525,19 +522,14 @@ fn finalize<'p>(
     let ms = s
         .mapper()
         .finalize_read_with_scratch(nt4, plan, results, scratch);
+    let (tnames, tlens) = s.targets();
     let mut lines = String::new();
     for m in &ms {
         if sam {
-            lines.push_str(&sam_line(&rec.name, nt4, &s.tnames, m));
+            lines.push_str(&sam_line(&rec.name, nt4, tnames, m));
         } else {
             let rid = m.rid as usize;
-            lines.push_str(&paf_line(
-                &rec.name,
-                nt4.len(),
-                &s.tnames[rid],
-                s.tlens[rid],
-                m,
-            ));
+            lines.push_str(&paf_line(&rec.name, nt4.len(), &tnames[rid], tlens[rid], m));
         }
         lines.push('\n');
     }
@@ -851,10 +843,9 @@ mod tests {
         });
         let map = MapOpts::map_ont();
         let open = |id: u64, tname: &str| {
-            let idx =
-                MinimizerIndex::build(&[SeqRecord::new(tname, nt4_decode(&genome))], &map.idx)
-                    .unwrap();
-            Arc::new(MapSession::new(id, AnyIndex::Flat(idx), map))
+            let idx = ShardedIndex::build(&[SeqRecord::new(tname, nt4_decode(&genome))], &map.idx)
+                .unwrap();
+            Arc::new(MapSession::new(id, idx, map))
         };
         let (old, new) = (open(0, "old_chr"), open(1, "chr1"));
 
@@ -954,7 +945,7 @@ mod tests {
             ..Default::default()
         });
         let idx =
-            MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+            ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
         let recs: Vec<SeqRecord> = simulate_reads(
             &g,
             &SimOpts {
@@ -968,7 +959,7 @@ mod tests {
         .collect();
         let mut fasta = Vec::new();
         mmm_seq::write_fasta(&mut fasta, &recs, 0).unwrap();
-        let session = Arc::new(MapSession::new(0, AnyIndex::Flat(idx), opts));
+        let session = Arc::new(MapSession::new(0, idx, opts));
         (session, recs, fasta)
     }
 
@@ -1019,7 +1010,7 @@ mod tests {
         let too_long = recs.iter().position(|r| r.len() == longest).unwrap();
         let panicked = (too_long + 1) % 10;
 
-        let mapper = Mapper::new(session.index().as_index_ref(), opts);
+        let mapper = Mapper::new(session.index(), opts);
         let (tnames, tlens) = session.targets();
         let map_read = |rec: &SeqRecord| {
             let mut out = Vec::new();

@@ -27,7 +27,7 @@ use manymap::{MapOpts, Mapper};
 use mmm_align::{AlignMode, AlignScratch, Engine, Scoring, DEFAULT_ZDROP};
 use mmm_exec::align_jobs_with_scratch;
 use mmm_index::minimizer::{minimizers, minimizers_hpc, Minimizer};
-use mmm_index::{save_index, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts};
+use mmm_index::{save_index, IdxOpts, MinimizerIndex, ShardOpenOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
 use mmm_simreads::{generate_genome, GenomeOpts};
 
@@ -74,14 +74,14 @@ fn bytes_on_this_thread() -> u64 {
     BYTES.with(|c| c.get())
 }
 
-fn fixture() -> (MinimizerIndex, Vec<Vec<u8>>) {
+fn fixture() -> (ShardedIndex, Vec<Vec<u8>>) {
     let g = generate_genome(&GenomeOpts {
         len: 80_000,
         repeat_frac: 0.0,
         seed: 77,
         ..Default::default()
     });
-    let idx = MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
+    let idx = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
         .expect("fixture fits every budget");
     // Exact-substring reads (one per strand) so every read produces chains
     // and the walk exercises match runs, gap fills, and both extensions.
@@ -147,12 +147,13 @@ fn score_only_finalize_reuses_the_arena() {
 fn ref_window_into_is_zero_alloc_after_growth() {
     let (idx, _) = fixture();
     let mut buf = Vec::new();
-    idx.ref_window_into(0, 0, 4_096, &mut buf);
+    idx.ref_window_into(0, 0, 4_096, &mut buf).unwrap();
 
     let before = allocs_on_this_thread();
     let mut acc = 0u64;
     for start in (0..64_000).step_by(1_000) {
-        idx.ref_window_into(0, start, start + 4_096, &mut buf);
+        idx.ref_window_into(0, start, start + 4_096, &mut buf)
+            .unwrap();
         acc += u64::from(buf[0]) + buf.len() as u64;
     }
     std::hint::black_box(acc);
@@ -234,7 +235,7 @@ fn direction_rows_grow_on_demand_and_are_reused() {
 }
 
 /// Opening an index file costs a checksum pass and a validation walk, not a
-/// second copy of the index: the bytes allocated inside `open_mmap` are a
+/// second copy of the index: the bytes allocated inside `open` are a
 /// small fraction of the file, and the same whether the reference yields
 /// 200 thousand keys or twice that (the parent tree allocated more than the
 /// file's length — a hash-map entry per key, a copy of pool and reference).
@@ -268,12 +269,10 @@ fn opening_an_index_allocates_nothing_proportional_to_it() {
         assert!(keys >= 100_000, "w={w}: only {keys} keys");
 
         let before = bytes_on_this_thread();
-        let opened = AnyIndex::open_mmap(&path, ShardOpenOpts::default()).unwrap();
+        let opened = ShardedIndex::open(&path, ShardOpenOpts::default()).unwrap();
         let bytes = bytes_on_this_thread() - before;
-        let AnyIndex::Flat(idx) = &opened else {
-            panic!("a single-file index opens flat");
-        };
-        assert_eq!(idx.num_minimizers(), keys);
+        assert_eq!(opened.num_shards(), 1);
+        assert_eq!(opened.ensure_shard(0).unwrap().num_minimizers(), keys);
         assert!(
             bytes < file_len / 8,
             "w={w}: opening a {file_len}-byte file of {keys} keys allocated {bytes} bytes"

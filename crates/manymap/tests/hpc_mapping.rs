@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use manymap::{MapOpts, Mapper};
-use mmm_index::{IdxOpts, MinimizerIndex};
+use mmm_index::{IdxOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -22,9 +22,8 @@ fn map_pb_preset_uses_hpc_and_maps_pacbio_reads() {
     let g = genome();
     let opts = MapOpts::map_pb();
     assert!(opts.idx.hpc, "map-pb must enable HPC, like minimap2 -H");
-    let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
-    assert!(index.hpc);
+    let index = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+    assert!(index.hpc());
     let mapper = Mapper::new(&index, opts);
     let reads = simulate_reads(
         &g,
@@ -53,7 +52,7 @@ fn map_pb_preset_uses_hpc_and_maps_pacbio_reads() {
 fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
     let g = genome();
     let rec = SeqRecord::new("chr1", nt4_decode(&g));
-    let plain = MinimizerIndex::build(
+    let plain = ShardedIndex::build(
         std::slice::from_ref(&rec),
         &IdxOpts {
             k: 19,
@@ -63,7 +62,7 @@ fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
         },
     )
     .unwrap();
-    let hpc = MinimizerIndex::build(
+    let hpc = ShardedIndex::build(
         &[rec],
         &IdxOpts {
             k: 19,
@@ -83,8 +82,8 @@ fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
     );
     let (mut plain_anchors, mut hpc_anchors) = (0usize, 0usize);
     for r in &reads {
-        plain_anchors += plain.collect_anchors(&r.seq).len();
-        hpc_anchors += hpc.collect_anchors(&r.seq).len();
+        plain_anchors += plain.collect_anchors(&r.seq).unwrap().len();
+        hpc_anchors += hpc.collect_anchors(&r.seq).unwrap().len();
     }
     // PacBio CLR errors are dominated by 1-base insertions, many of which
     // extend homopolymers — invisible to compressed k-mers. HPC must
@@ -99,8 +98,7 @@ fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
 fn hpc_mappings_are_coordinate_exact_on_clean_reads() {
     let g = genome();
     let opts = MapOpts::map_pb();
-    let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+    let index = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
     let mapper = Mapper::new(&index, opts);
     // Error-free extracts, forward and reverse-complement.
     let fwd = g[60_000..66_000].to_vec();
@@ -111,22 +109,4 @@ fn hpc_mappings_are_coordinate_exact_on_clean_reads() {
     let mr = &mapper.map_read(&rev)[0];
     assert!(mr.rev);
     assert_eq!((mr.ref_start, mr.ref_end), (120_000, 126_000));
-}
-
-#[test]
-fn hpc_flag_survives_serialization_and_affects_queries() {
-    let g = genome();
-    let opts = MapOpts::map_pb();
-    let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
-    let p = std::env::temp_dir().join(format!("hpc-idx-{}.mmx", std::process::id()));
-    mmm_index::save_index(&index, &p).unwrap();
-    let back = mmm_index::AnyIndex::open_mmap(&p, Default::default());
-    std::fs::remove_file(&p).unwrap();
-    let Ok(mmm_index::AnyIndex::Flat(back)) = back else {
-        panic!("a single-file index opens flat: {back:?}")
-    };
-    assert!(back.hpc);
-    let read = g[10_000..14_000].to_vec();
-    assert_eq!(index.collect_anchors(&read), back.collect_anchors(&read));
 }

@@ -6,7 +6,7 @@
 
 use manymap::{MapOpts, Mapper, Mapping};
 use mmm_chain::{chain_anchors, select_chains, SelectOpts};
-use mmm_index::MinimizerIndex;
+use mmm_index::ShardedIndex;
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -30,7 +30,7 @@ fn selected_chains_are_the_printed_and_the_aligned_ones() {
     });
     let opts = MapOpts::map_pb();
     let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
     let mapper = Mapper::new(&index, opts);
     // No overlap exceeds the whole shorter chain, so this mapper masks
     // nothing: it selects, and plans gap fills for, every chain.
@@ -59,7 +59,7 @@ fn selected_chains_are_the_printed_and_the_aligned_ones() {
         let plan = mapper.plan_read(&r.seq).unwrap();
 
         // Selected = printed.
-        let chains = chain_anchors(index.collect_anchors(&r.seq), &opts.chain);
+        let chains = chain_anchors(index.collect_anchors(&r.seq).unwrap(), &opts.chain);
         all_chains += chains.len();
         let mut printed: Vec<_> = ms.iter().map(|m| (m.rid, m.rev, m.chain_score)).collect();
         let mut chosen: Vec<_> = select_chains(chains, &opts.select)

@@ -16,7 +16,9 @@ use std::time::{Duration, Instant};
 use manymap::serve::{encode_read, read_frame, serve, write_frame, Frame, Op, ServeOpts};
 use manymap::{load_index_any, ExecConfig, MapOpts};
 use mmm_exec::{BackendKind, BufferSink, FaultPlan};
-use mmm_index::{build_sharded, save_index, write_index_image, AnyIndex, IdxOpts, MinimizerIndex};
+use mmm_index::{
+    build_sharded, save_index, write_index_image, IdxOpts, MinimizerIndex, ShardedIndex,
+};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{
     generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
@@ -393,7 +395,7 @@ fn slow_consumer_is_throttled_without_wedging_others() {
     let mut opts = serve_opts(&fx);
     opts.inq_reads = 8;
     opts.outq_records = 4;
-    let idx = MinimizerIndex::build(
+    let idx = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&fx.genome))],
         &IdxOpts::MAP_ONT,
     )
@@ -401,8 +403,7 @@ fn slow_consumer_is_throttled_without_wedging_others() {
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon =
-            s.spawn(|| serve(AnyIndex::Flat(idx), opts.exec.open().unwrap(), &opts, &sink));
+        let daemon = s.spawn(|| serve(idx, opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         // Tenant "slow" ships every read but never reads a reply.
@@ -478,7 +479,7 @@ fn slow_consumer_is_throttled_without_wedging_others() {
 fn drain_flushes_accepted_reads_before_exit() {
     let fx = fixture("drain", 6);
     let opts = serve_opts(&fx);
-    let idx = MinimizerIndex::build(
+    let idx = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&fx.genome))],
         &IdxOpts::MAP_ONT,
     )
@@ -486,8 +487,7 @@ fn drain_flushes_accepted_reads_before_exit() {
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon =
-            s.spawn(|| serve(AnyIndex::Flat(idx), opts.exec.open().unwrap(), &opts, &sink));
+        let daemon = s.spawn(|| serve(idx, opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         // An open-ended session: reads in flight, END never sent.
@@ -922,7 +922,7 @@ fn admission_cap_refuses_then_recovers() {
     let fx = fixture("admit", 2);
     let mut opts = serve_opts(&fx);
     opts.max_tenants = 1;
-    let idx = MinimizerIndex::build(
+    let idx = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&fx.genome))],
         &IdxOpts::MAP_ONT,
     )
@@ -930,8 +930,7 @@ fn admission_cap_refuses_then_recovers() {
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
-        let daemon =
-            s.spawn(|| serve(AnyIndex::Flat(idx), opts.exec.open().unwrap(), &opts, &sink));
+        let daemon = s.spawn(|| serve(idx, opts.exec.open().unwrap(), &opts, &sink));
         wait_for_socket(&fx.socket());
 
         let mut first = UnixStream::connect(fx.socket()).unwrap();

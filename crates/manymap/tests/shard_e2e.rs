@@ -1,20 +1,23 @@
 //! End-to-end behavior of the sharded index through the `manymap` binary
 //! (DESIGN.md §15).
 //!
-//! Three contracts, all over a multi-chromosome reference whose shards are
+//! Four contracts, all over a multi-chromosome reference whose shards are
 //! real fault domains (one chromosome per shard, distinct content):
 //!
 //! 1. **Byte-identity**: `map` over a sharded manifest produces output
 //!    byte-identical to `map` over the flat `.mmx` built from the same
 //!    FASTA — including on the device backend with and without a
 //!    compute-plane fault: the run has one backend session whatever the
-//!    shard count.
-//! 2. **Fault containment**: every persistent `FaultPlan` shard class
+//!    shard count. So do a `--shards 1` manifest and the FASTA itself.
+//! 2. **Origin**: the shard report follows where the index came from, not
+//!    its shard count — a manifest gets one, a single-file index or a
+//!    FASTA (one shard, no manifest) none.
+//! 3. **Fault containment**: every persistent `FaultPlan` shard class
 //!    (`corrupt-section`, `missing-shard`, `torn-tail`) quarantines only
 //!    the targeted shard; reads from its chromosome degrade to unmapped
 //!    while every other read's output line stays byte-identical to the
 //!    healthy run. `slow-io` delays loads but changes nothing.
-//! 3. **Determinism**: a seeded chaos run replays to identical stdout and
+//! 4. **Determinism**: a seeded chaos run replays to identical stdout and
 //!    identical fault counters.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -28,7 +31,9 @@ use mmm_simreads::{generate_chromosomes, simulate_reads, GenomeOpts, Platform, S
 
 struct Fixture {
     dir: PathBuf,
+    fasta: PathBuf,
     flat: PathBuf,
+    one_shard: PathBuf,
     sharded: PathBuf,
     reads: PathBuf,
     /// read name -> chromosome ordinal (0-based) it was sampled from.
@@ -46,8 +51,8 @@ fn manymap() -> Command {
 }
 
 /// Three distinct chromosomes, reads simulated per chromosome (so each
-/// read's owning shard is known), plus a flat and a 3-shard index built
-/// through the CLI itself.
+/// read's owning shard is known), plus a flat, a 1-shard and a 3-shard
+/// index built through the CLI itself.
 fn fixture(tag: &str) -> Fixture {
     let dir = std::env::temp_dir().join(format!("manymap-shard-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -99,8 +104,13 @@ fn fixture(tag: &str) -> Fixture {
     std::fs::write(&reads, &fa).unwrap();
 
     let flat = dir.join("flat.mmx");
+    let one_shard = dir.join("one.mmx");
     let sharded = dir.join("sharded.mmx");
-    for (out, extra) in [(&flat, &[][..]), (&sharded, &["--shards", "3"][..])] {
+    for (out, extra) in [
+        (&flat, &[][..]),
+        (&one_shard, &["--shards", "1"][..]),
+        (&sharded, &["--shards", "3"][..]),
+    ] {
         let st = manymap()
             .arg("index")
             .arg(&ref_fa)
@@ -117,7 +127,9 @@ fn fixture(tag: &str) -> Fixture {
 
     Fixture {
         dir,
+        fasta: ref_fa,
         flat,
+        one_shard,
         sharded,
         reads,
         origin,
@@ -202,6 +214,29 @@ fn sharded_output_is_byte_identical_to_flat() {
             !fault.is_empty(),
             "stderr: {stderr}"
         );
+    }
+}
+
+#[test]
+fn the_shard_report_follows_the_index_origin() {
+    let fx = fixture("origin");
+    let base = run_map(&fx.flat, &fx.reads, &[]);
+    for (index, manifest) in [(&fx.flat, false), (&fx.fasta, false), (&fx.one_shard, true)] {
+        let out = run_map(index, &fx.reads, &[]);
+        assert_eq!(out.stdout, base.stdout, "{}", index.display());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.contains("opened shard manifest"),
+            manifest,
+            "{stderr}"
+        );
+        assert_eq!(stderr.contains("shards: "), manifest, "{stderr}");
+        if manifest {
+            assert!(
+                stderr.contains("shards: 1 total, 0 quarantined, 1 loaded"),
+                "stderr: {stderr}"
+            );
+        }
     }
 }
 

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use manymap::session::{map_reads, MAP_BATCH_BASES};
 use manymap::{ExecConfig, MapOpts, MapSession};
-use mmm_index::{AnyIndex, MinimizerIndex};
+use mmm_index::ShardedIndex;
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -70,7 +70,7 @@ fn fixture() -> (Arc<MapSession>, Vec<SeqRecord>, usize) {
         seed: 31,
         ..Default::default()
     });
-    let idx = MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+    let idx = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
     // Reads over 50 kb are dropped so that no single read is a batch.
     let reads: Vec<SeqRecord> = simulate_reads(
         &g,
@@ -93,7 +93,7 @@ fn fixture() -> (Arc<MapSession>, Vec<SeqRecord>, usize) {
         })
         .unwrap();
     assert!(4 * n <= reads.len(), "simulate more reads: need {}", 4 * n);
-    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(idx), opts));
+    let session = Arc::new(MapSession::new(0, idx, opts));
     (session, reads[..4 * n].to_vec(), n)
 }
 

@@ -13,7 +13,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
-/// Errors from [`crate::AnyIndex::open_mmap`], the shard loader and
+/// Errors from [`crate::ShardedIndex::open`], the shard loader and
 /// [`crate::MinimizerIndex::from_image_bytes`].
 #[derive(Debug)]
 pub enum IndexError {

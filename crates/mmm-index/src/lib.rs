@@ -11,7 +11,12 @@
 //! in a file, always inside a section-checksummed container
 //! ([`serialize`]), opened one way: a single memory map (manymap's §4.4.2
 //! optimization), every byte checksummed and every offset validated before
-//! a query follows one, nothing copied ([`AnyIndex::open_mmap`]).
+//! a query follows one, nothing copied ([`ShardedIndex::open`]).
+//!
+//! The mapper sees one index type, [`ShardedIndex`], and seeds through its
+//! one `collect_anchors`. A manifest opens as its shards; a single-file
+//! container, or a [`MinimizerIndex::build`] result, is one shard, loaded
+//! from the start, with no filter.
 //!
 //! The crate holds no `unsafe` code: its one mapping is `mmm-io`'s, and
 //! its packed formats decode through safe table and bit-field reads

@@ -420,8 +420,10 @@ pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
         p.extend_from_slice(&(s.rid_count as u64).to_le_bytes());
         p.extend_from_slice(&s.file_len.to_le_bytes());
         p.extend_from_slice(&s.dir_hash.to_le_bytes());
-        p.extend_from_slice(&(s.bloom.words().len() as u64).to_le_bytes());
-        for &w in s.bloom.words() {
+        // `build_sharded` gives every shard it lists a filter.
+        let words = s.bloom.as_ref().map_or(&[][..], Bloom::words);
+        p.extend_from_slice(&(words.len() as u64).to_le_bytes());
+        for &w in words {
             p.extend_from_slice(&w.to_le_bytes());
         }
     }
@@ -525,7 +527,7 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
             .ok_or_else(|| corrupt(format!("shard {i} rid range overflows")))?;
         let file_len = take!(take_u64);
         let dir_hash = take!(take_u64);
-        let bloom = Bloom::from_words(take!(take_u64_vec));
+        let bloom = Some(Bloom::from_words(take!(take_u64_vec)));
         shards.push(ShardMeta {
             path,
             rid_start: rid_start as u32,
@@ -562,7 +564,7 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
 mod tests {
     use super::*;
     use crate::index::IdxOpts;
-    use crate::shard::{AnyIndex, ShardOpenOpts};
+    use crate::shard::{ShardOpenOpts, ShardedIndex};
     use mmm_seq::{nt4_decode, SeqRecord};
 
     fn sample_records() -> Vec<SeqRecord> {
@@ -588,11 +590,8 @@ mod tests {
     }
 
     /// The one file reader, as every caller outside this crate reaches it.
-    fn open(p: &Path) -> Result<MinimizerIndex, IndexError> {
-        match AnyIndex::open_mmap(p, ShardOpenOpts::default())? {
-            AnyIndex::Flat(idx) => Ok(idx),
-            AnyIndex::Sharded(_) => panic!("{} opened as a manifest", p.display()),
-        }
+    fn open(p: &Path) -> Result<ShardedIndex, IndexError> {
+        ShardedIndex::open(p, ShardOpenOpts::default())
     }
 
     fn assert_same(a: &MinimizerIndex, b: &MinimizerIndex) {
@@ -627,12 +626,14 @@ mod tests {
         let idx = sample_index();
         let p = tmp("mmap");
         save_index(&idx, &p).unwrap();
-        let back = open(&p).unwrap();
+        let sh = open(&p).unwrap();
         std::fs::remove_file(&p).unwrap();
-        assert_same(&idx, &back);
+        assert!(!sh.has_manifest());
+        let back = sh.ensure_shard(0).unwrap();
+        assert_same(&idx, back);
         // And it answers queries the same.
         let q = back.ref_window(0, 5_000, 6_000);
-        assert_eq!(idx.collect_anchors(&q), back.collect_anchors(&q));
+        assert_eq!(sh.collect_anchors(&q).unwrap(), idx.collect_anchors(&q));
         assert!(!idx.collect_anchors(&q).is_empty());
     }
 
@@ -787,7 +788,7 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let p = tmp("manifest-format-1");
         std::fs::write(&p, &bytes).unwrap();
-        let e = AnyIndex::open_mmap(&p, ShardOpenOpts::default()).unwrap_err();
+        let e = open(&p).unwrap_err();
         assert_version(e, 1);
         std::fs::remove_file(&p).unwrap();
     }

@@ -1,20 +1,21 @@
-//! Sharded mmap'd index: lazy first-touch loading, per-shard fault
-//! domains, graceful degradation (DESIGN.md §15) — and
-//! [`AnyIndex::open_mmap`], the one way a path becomes an index.
+//! The index: one type for every origin, with lazy first-touch loading,
+//! per-shard fault domains and graceful degradation (DESIGN.md §15).
 //!
 //! The paper's KNL result makes beyond-RAM references servable by letting
 //! the index page in on demand (§4.4.2). This module generalizes that into
 //! *target-range shards*: the reference set is split into contiguous rid
 //! ranges, each built into its own `MMXS` container file, with a small
 //! `MMX\x03` manifest tying the generation together (both byte layouts
-//! live in [`crate::serialize`]; a single-file index is one such container
-//! with no manifest). Every byte of every file sits behind an XXH64
-//! checksum that is verified on first touch, so a torn write, a truncated
-//! file, or a flipped bit is detected *before* any value read from it
-//! reaches a kernel. A loaded shard is a view over its mapping, not a copy:
-//! what stays resident is the page cache's decision, so there is no
-//! residency budget, no eviction and no reload here — a shard is loaded
-//! once and stays loaded.
+//! live in [`crate::serialize`]). A single-file index is one such container
+//! with no manifest, and [`ShardedIndex::open`] opens it as exactly that: a
+//! one-shard [`ShardedIndex`], loaded at open, with no filter — as is an
+//! index built in memory (`ShardedIndex::from(MinimizerIndex)`). Every
+//! byte of every file sits behind an XXH64 checksum that is verified on
+//! first touch, so a torn write, a truncated file, or a flipped bit is
+//! detected *before* any value read from it reaches a kernel. A loaded
+//! shard is a view over its mapping, not a copy: what stays resident is
+//! the page cache's decision, so there is no residency budget, no eviction
+//! and no reload here — a shard is loaded once and stays loaded.
 //!
 //! A shard is also a fault domain. Loading runs a small supervisor ladder:
 //! transient I/O faults are retried with a deterministic backoff; anything
@@ -25,17 +26,17 @@
 //! degrades at the pipeline layer exactly like any per-read fault) only
 //! when the skip left it with no anchors at all, while reads that still
 //! seed in healthy shards map normally — their output stays byte-identical
-//! to the unsharded run, which [`ShardedIndex::collect_anchors`]
+//! to the one-shard run, which [`ShardedIndex::collect_anchors`]
 //! guarantees by construction: it sums per-shard hit counts against the
-//! *global* occurrence cutoff and emits anchors through the same
-//! `crate::index::anchor_from_hit` geometry as the flat path, iterating
-//! shards in ascending rid order.
+//! *global* occurrence cutoff and emits anchors through the one
+//! `crate::index::anchor_from_hit` geometry, iterating shards in ascending
+//! rid order.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Duration;
 
 use mmm_chain::Anchor;
@@ -194,7 +195,10 @@ pub struct ShardMeta {
     /// The shard file's directory hash — transitively covers every byte,
     /// binding the manifest to this exact shard generation.
     pub dir_hash: u64,
-    pub(crate) bloom: Bloom,
+    /// The shard's minimizer filter; `None` for the one entry of an index
+    /// opened without a manifest (its path is empty and its `dir_hash` 0),
+    /// where every minimizer is a candidate.
+    pub(crate) bloom: Option<Bloom>,
 }
 
 /// The v3 manifest: global sketching parameters, the full reference
@@ -352,7 +356,7 @@ pub fn build_sharded(
             rid_count: count as u32,
             file_len,
             dir_hash,
-            bloom: Bloom::build(idx.hashes()),
+            bloom: Some(Bloom::build(idx.hashes())),
         });
         shard_files.push(path);
         shard_bytes.push(file_len);
@@ -427,19 +431,13 @@ impl fmt::Display for ShardUnavailable {
 
 impl std::error::Error for ShardUnavailable {}
 
-#[derive(Debug, Default)]
-struct ShardCounters {
-    loads: AtomicU64,
-    retries: AtomicU64,
-    io_faults: AtomicU64,
-}
-
 /// Point-in-time health of one shard, for `--shard-report` style output
 /// and counter reconciliation in the chaos suite.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardHealth {
     pub shard: usize,
-    /// Successful loads (0 or 1: a loaded shard stays loaded).
+    /// Successful loads (0 or 1: a loaded shard stays loaded; a shard
+    /// loaded at open counts its one load).
     pub loads: u64,
     /// Retries taken by the fault ladder.
     pub retries: u64,
@@ -451,26 +449,40 @@ pub struct ShardHealth {
     pub reason: Option<String>,
 }
 
-enum Slot {
-    Unloaded,
-    Loaded(Arc<MinimizerIndex>),
-    Quarantined(String),
+/// One shard's place in the index, and its fault counters. A load runs
+/// holding `quarantine`; once it succeeds the shard is read through
+/// `loaded` without taking a lock, so the reference windows a mapping
+/// decodes cost none.
+#[derive(Default)]
+struct Slot {
+    loaded: OnceLock<MinimizerIndex>,
+    /// The reason, once the fault ladder has given up on the shard.
+    quarantine: Mutex<Option<String>>,
+    loads: AtomicU64,
+    retries: AtomicU64,
+    io_faults: AtomicU64,
 }
 
-/// Options for [`ShardedIndex::open_with`].
+/// Options for [`ShardedIndex::open`].
 #[derive(Clone, Default)]
 pub struct ShardOpenOpts {
     /// Chaos-suite fault injection.
     pub hook: Option<Arc<dyn ShardFaultHook>>,
 }
 
-/// The sharded index reader: a manifest plus lazily mmap-loaded shards,
-/// each an independent fault domain.
+/// The index: a catalog plus shards, each an independent fault domain.
+///
+/// Opened from a manifest, the shards are loaded on first touch. A
+/// single-file container, or an index built in memory
+/// ([`ShardedIndex::build`], or `From<MinimizerIndex>`), is one shard
+/// loaded from the start, with no filter; its catalog is read from its
+/// image.
 pub struct ShardedIndex {
     manifest: ShardManifest,
-    dir: PathBuf,
-    slots: Vec<Mutex<Slot>>,
-    counters: Vec<ShardCounters>,
+    /// The manifest's directory, which shard paths are relative to; `None`
+    /// for an index opened without a manifest.
+    manifest_dir: Option<PathBuf>,
+    slots: Vec<Slot>,
     opts: ShardOpenOpts,
 }
 
@@ -479,36 +491,87 @@ impl fmt::Debug for ShardedIndex {
         f.debug_struct("ShardedIndex")
             .field("n_shards", &self.manifest.shards.len())
             .field("n_seqs", &self.manifest.num_seqs())
+            .field("has_manifest", &self.has_manifest())
             .finish()
     }
 }
 
-impl ShardedIndex {
-    /// Open a v3 manifest with default options (no fault hook).
-    pub fn open(path: &Path) -> Result<Self, IndexError> {
-        Self::open_with(path, ShardOpenOpts::default())
-    }
-
-    /// Open a v3 manifest. Only the manifest is read (and fully checksum-
-    /// verified); shard files load on first touch.
-    pub fn open_with(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
-        let map = open_map(path)?;
-        Ok(Self::from_manifest(parse_manifest(&map)?, path, opts))
-    }
-
-    fn from_manifest(manifest: ShardManifest, path: &Path, opts: ShardOpenOpts) -> Self {
-        let n = manifest.shards.len();
+impl From<MinimizerIndex> for ShardedIndex {
+    /// One shard holding `idx`, loaded, with no filter; the catalog is
+    /// copied from its image.
+    fn from(idx: MinimizerIndex) -> Self {
+        let n = idx.num_seqs() as u32;
+        let manifest = ShardManifest {
+            k: idx.k,
+            w: idx.w,
+            hpc: idx.hpc,
+            max_occ: idx.max_occ,
+            seq_names: (0..n).map(|r| idx.seq_name(r).to_string()).collect(),
+            seq_lens: (0..n).map(|r| idx.seq_len(r) as u64).collect(),
+            shards: vec![ShardMeta {
+                path: String::new(),
+                rid_start: 0,
+                rid_count: n,
+                file_len: (CONTAINER_IMAGE_OFF + idx.image_len()) as u64,
+                dir_hash: 0,
+                bloom: None,
+            }],
+        };
         ShardedIndex {
             manifest,
-            dir: path.parent().map(Path::to_path_buf).unwrap_or_default(),
-            slots: (0..n).map(|_| Mutex::new(Slot::Unloaded)).collect(),
-            counters: (0..n).map(|_| ShardCounters::default()).collect(),
-            opts,
+            manifest_dir: None,
+            slots: vec![Slot {
+                loaded: OnceLock::from(idx),
+                loads: AtomicU64::new(1),
+                ..Slot::default()
+            }],
+            opts: ShardOpenOpts::default(),
         }
     }
+}
 
+impl ShardedIndex {
+    /// Build an index over `refs` in memory ([`MinimizerIndex::build`]):
+    /// one shard, loaded, with no filter.
+    pub fn build(refs: &[SeqRecord], opts: &IdxOpts) -> Result<Self, IndexError> {
+        MinimizerIndex::build(refs, opts).map(Self::from)
+    }
+
+    /// Open the index file at `path` as whichever kind its leading magic
+    /// says it is — the one way a path becomes an index:
+    /// - a container: every byte checksummed and its image validated now,
+    ///   so a damaged file fails here, then queried where it is mapped as
+    ///   one loaded shard;
+    /// - a manifest: checksum-verified and parsed; its shards load on
+    ///   first touch, through `opts`' fault hook.
+    ///
+    /// Anything else — a bare image, another version, not an index — is
+    /// the typed error the checksum pass gives.
+    pub fn open(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
+        let map = open_map(path)?;
+        if !map.starts_with(&MANIFEST_MAGIC) {
+            return Ok(MinimizerIndex::from_verified(VerifiedMap::verify(map)?)?.into());
+        }
+        let manifest = parse_manifest(&map)?;
+        let n = manifest.shards.len();
+        Ok(ShardedIndex {
+            manifest,
+            manifest_dir: Some(path.parent().map(Path::to_path_buf).unwrap_or_default()),
+            slots: (0..n).map(|_| Slot::default()).collect(),
+            opts,
+        })
+    }
+
+    /// The catalog and shard table: the manifest's, or for an index opened
+    /// without one, a one-entry table read from its image.
     pub fn manifest(&self) -> &ShardManifest {
         &self.manifest
+    }
+
+    /// Whether the index was opened from a manifest file (the shard report
+    /// is printed for such an index, whatever its shard count).
+    pub fn has_manifest(&self) -> bool {
+        self.manifest_dir.is_some()
     }
 
     pub fn k(&self) -> usize {
@@ -551,8 +614,9 @@ impl ShardedIndex {
             .saturating_sub(1)
     }
 
-    /// Bytes of index image across all shards, from the manifest (no shard
-    /// is touched): each file is its image behind a 120-byte directory.
+    /// Bytes of index image across all shards — the index's size, loaded
+    /// or not (read off the shard table: each file is its image behind a
+    /// 120-byte directory).
     pub fn image_len(&self) -> usize {
         let images = self.manifest.shards.iter();
         images
@@ -562,19 +626,21 @@ impl ShardedIndex {
 
     /// Per-shard health snapshot.
     pub fn health(&self) -> Vec<ShardHealth> {
-        (0..self.num_shards())
-            .map(|i| {
-                let (state, reason) = match &*lock(&self.slots[i]) {
-                    Slot::Unloaded => ("unloaded", None),
-                    Slot::Loaded(_) => ("loaded", None),
-                    Slot::Quarantined(r) => ("quarantined", Some(r.clone())),
+        self.slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let reason = lock(&slot.quarantine).clone();
+                let state = match (slot.loaded.get(), &reason) {
+                    (Some(_), _) => "loaded",
+                    (None, Some(_)) => "quarantined",
+                    (None, None) => "unloaded",
                 };
-                let c = &self.counters[i];
                 ShardHealth {
                     shard: i,
-                    loads: c.loads.load(Ordering::Relaxed),
-                    retries: c.retries.load(Ordering::Relaxed),
-                    io_faults: c.io_faults.load(Ordering::Relaxed),
+                    loads: slot.loads.load(Ordering::Relaxed),
+                    retries: slot.retries.load(Ordering::Relaxed),
+                    io_faults: slot.io_faults.load(Ordering::Relaxed),
                     state,
                     reason,
                 }
@@ -585,7 +651,7 @@ impl ShardedIndex {
     /// Shards currently quarantined.
     pub fn quarantined(&self) -> Vec<usize> {
         (0..self.num_shards())
-            .filter(|&i| matches!(&*lock(&self.slots[i]), Slot::Quarantined(_)))
+            .filter(|&i| lock(&self.slots[i].quarantine).is_some())
             .collect()
     }
 
@@ -593,37 +659,39 @@ impl ShardedIndex {
     /// transient errors retry with deterministic backoff; persistent ones
     /// (missing file, any checksum or manifest mismatch) quarantine the
     /// shard so later reads fail fast with the recorded reason. Waits while
-    /// another thread holds the slot, e.g. while it loads the shard.
-    pub fn ensure_shard(&self, shard: usize) -> Result<Arc<MinimizerIndex>, ShardUnavailable> {
-        self.ensure_locked(shard, lock(&self.slots[shard]))
+    /// another thread holds the slot, e.g. while it loads the shard. A
+    /// loaded shard is returned without taking the lock.
+    pub fn ensure_shard(&self, shard: usize) -> Result<&MinimizerIndex, ShardUnavailable> {
+        match self.slots[shard].loaded.get() {
+            Some(idx) => Ok(idx),
+            None => self.ensure_locked(shard, lock(&self.slots[shard].quarantine)),
+        }
     }
 
     /// [`ShardedIndex::ensure_shard`] once the caller holds the slot.
     fn ensure_locked(
         &self,
         shard: usize,
-        mut slot: MutexGuard<'_, Slot>,
-    ) -> Result<Arc<MinimizerIndex>, ShardUnavailable> {
-        match &*slot {
-            Slot::Loaded(a) => return Ok(a.clone()),
-            Slot::Quarantined(r) => {
-                return Err(ShardUnavailable {
-                    shard,
-                    reason: r.clone(),
-                })
-            }
-            Slot::Unloaded => {}
+        mut quarantine: MutexGuard<'_, Option<String>>,
+    ) -> Result<&MinimizerIndex, ShardUnavailable> {
+        let slot = &self.slots[shard];
+        // Another worker may have loaded or quarantined it meanwhile.
+        if let Some(idx) = slot.loaded.get() {
+            return Ok(idx);
+        }
+        if let Some(r) = &*quarantine {
+            return Err(ShardUnavailable {
+                shard,
+                reason: r.clone(),
+            });
         }
         let meta = &self.manifest.shards[shard];
-        let path = if self.dir.as_os_str().is_empty() {
-            PathBuf::from(&meta.path)
-        } else {
-            self.dir.join(&meta.path)
-        };
+        let dir = self.manifest_dir.as_deref().unwrap_or(Path::new(""));
+        let path = dir.join(&meta.path);
         let mut last: Option<IndexError> = None;
         for attempt in 0..SHARD_LOAD_ATTEMPTS {
             if attempt > 0 {
-                self.counters[shard].retries.fetch_add(1, Ordering::Relaxed);
+                slot.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(backoff(attempt));
             }
             let fault = self
@@ -633,20 +701,16 @@ impl ShardedIndex {
                 .and_then(|h| h.on_load(shard, attempt));
             match self.load_once(shard, &path, meta, fault) {
                 Ok(idx) => {
-                    let arc = Arc::new(idx);
-                    *slot = Slot::Loaded(arc.clone());
-                    self.counters[shard].loads.fetch_add(1, Ordering::Relaxed);
-                    return Ok(arc);
+                    slot.loads.fetch_add(1, Ordering::Relaxed);
+                    return Ok(slot.loaded.get_or_init(|| idx));
                 }
                 Err(e) if e.is_transient() => {
-                    self.counters[shard]
-                        .io_faults
-                        .fetch_add(1, Ordering::Relaxed);
+                    slot.io_faults.fetch_add(1, Ordering::Relaxed);
                     last = Some(e);
                 }
                 Err(e) => {
                     let reason = e.to_string();
-                    *slot = Slot::Quarantined(reason.clone());
+                    *quarantine = Some(reason.clone());
                     return Err(ShardUnavailable { shard, reason });
                 }
             }
@@ -658,7 +722,7 @@ impl ShardedIndex {
              faults (last: {})",
             last.map(|e| e.to_string()).unwrap_or_default()
         );
-        *slot = Slot::Quarantined(reason.clone());
+        *quarantine = Some(reason.clone());
         Err(ShardUnavailable { shard, reason })
     }
 
@@ -756,9 +820,10 @@ impl ShardedIndex {
         Ok(idx)
     }
 
-    /// Collect chaining anchors for a query across all shards —
-    /// byte-identical to [`MinimizerIndex::collect_anchors`] on the same
-    /// reference set while every consulted shard is loadable.
+    /// Collect chaining anchors for a query across all shards — the one
+    /// seeding path, byte-identical to [`MinimizerIndex::collect_anchors`]
+    /// (the reference loop the tests hold it to) over the same reference
+    /// set while every consulted shard is loadable.
     ///
     /// Identity holds because (1) queries are sketched with the shared
     /// `sketch` function, (2) the repeat filter compares the *summed*
@@ -769,7 +834,8 @@ impl ShardedIndex {
     ///
     /// Two passes over the read's minimizers: a branch-free probe of every
     /// shard filter gives each minimizer its bloom-positive shards as a
-    /// bitmask, whose union is loaded (`touch`, free slots first); then the
+    /// bitmask (a shard with no filter is positive for every minimizer),
+    /// whose union is loaded (`touch`, free slots first); then the
     /// (minimizer, shard) lookups are resolved in one tight loop and the
     /// hits of each minimizer that passes the cutoff decode shard by shard.
     ///
@@ -809,25 +875,25 @@ impl ShardedIndex {
                 wanted.push((i as u32, s as u32));
             }
         }
-        let mut found: Vec<(u32, &MinimizerIndex, u32, BucketRef)> =
-            Vec::with_capacity(wanted.len());
+        let mut found: Vec<(u32, u32, BucketRef)> = Vec::with_capacity(wanted.len());
         for &(i, s) in &wanted {
-            let Some(idx) = loaded[s as usize].as_deref() else {
-                continue;
-            };
-            if let Some(r) = idx.lookup(ms[i as usize].hash) {
-                found.push((i, idx, m.shards[s as usize].rid_start, r));
+            if let Some(r) = loaded[s as usize].and_then(|idx| idx.lookup(ms[i as usize].hash)) {
+                found.push((i, s, r));
             }
         }
         let qlen = query.len() as u32;
         let mut anchors = Vec::new();
         for group in found.chunk_by(|a, b| a.0 == b.0) {
-            let total: u64 = group.iter().map(|&(_, _, _, r)| r.count()).sum();
+            let total: u64 = group.iter().map(|&(_, _, r)| r.count()).sum();
             if total > u64::from(m.max_occ) {
                 continue;
             }
             let mz = &ms[group[0].0 as usize];
-            for &(_, idx, rid_start, r) in group {
+            for &(_, s, r) in group {
+                let Some(idx) = loaded[s as usize] else {
+                    continue;
+                };
+                let rid_start = m.shards[s as usize].rid_start;
                 for h in idx.cursor(r) {
                     anchors.push(anchor_from_hit(mz, h, qlen, m.k, m.hpc, rid_start));
                 }
@@ -843,13 +909,24 @@ impl ShardedIndex {
 
     /// Row `i` of the result is minimizer `i`'s bloom-positive shards as a
     /// bitmask, `row` words wide. Each minimizer's two probe hashes are
-    /// computed once; then one filter at a time tests all of them, with no
-    /// early exit, so the filter's lines stay in cache across the read.
+    /// computed once, when the first filter needs them; then one filter at
+    /// a time tests all of them, with no early exit, so the filter's lines
+    /// stay in cache across the read. A shard with no filter is positive
+    /// for every minimizer.
     fn bloom_rows(&self, ms: &[Minimizer], row: usize) -> Vec<u64> {
-        let probes: Vec<[u64; 2]> = ms.iter().map(|mz| Bloom::probe_hashes(mz.hash)).collect();
+        let mut probes: Vec<[u64; 2]> = Vec::new();
         let mut cands = vec![0u64; ms.len() * row];
         for (s, meta) in self.manifest.shards.iter().enumerate() {
-            let view = meta.bloom.view();
+            let Some(bloom) = &meta.bloom else {
+                cands
+                    .chunks_exact_mut(row)
+                    .for_each(|bits| bits[s / 64] |= 1 << (s % 64));
+                continue;
+            };
+            if probes.len() < ms.len() {
+                probes = ms.iter().map(|mz| Bloom::probe_hashes(mz.hash)).collect();
+            }
+            let view = bloom.view();
             for (&p, bits) in probes.iter().zip(cands.chunks_exact_mut(row)) {
                 bits[s / 64] |= view.test(p) << (s % 64);
             }
@@ -863,21 +940,26 @@ impl ShardedIndex {
     /// in ascending order, on the slots another worker holds. Returns each
     /// shard's index (`None` where unavailable or untouched) and the
     /// lowest-numbered shard that is unavailable.
-    fn touch(
-        &self,
+    fn touch<'a>(
+        &'a self,
         touched: &[u64],
-    ) -> (Vec<Option<Arc<MinimizerIndex>>>, Option<ShardUnavailable>) {
-        let mut loaded: Vec<Option<Arc<MinimizerIndex>>> = vec![None; self.num_shards()];
+    ) -> (Vec<Option<&'a MinimizerIndex>>, Option<ShardUnavailable>) {
+        let mut loaded: Vec<Option<&MinimizerIndex>> = vec![None; self.num_shards()];
         let mut skipped: Option<ShardUnavailable> = None;
-        let mut record = |s: usize, got: Result<Arc<MinimizerIndex>, ShardUnavailable>| match got {
+        let mut record = |s: usize, got: Result<&'a MinimizerIndex, ShardUnavailable>| match got {
             Ok(idx) => loaded[s] = Some(idx),
             Err(e) if skipped.as_ref().is_none_or(|p| p.shard > e.shard) => skipped = Some(e),
             Err(_) => {}
         };
         let mut busy = Vec::new();
         for s in set_bits(touched) {
-            match self.slots[s].try_lock() {
-                Ok(slot) => record(s, self.ensure_locked(s, slot)),
+            let slot = &self.slots[s];
+            if let Some(idx) = slot.loaded.get() {
+                record(s, Ok(idx));
+                continue;
+            }
+            match slot.quarantine.try_lock() {
+                Ok(q) => record(s, self.ensure_locked(s, q)),
                 Err(TryLockError::Poisoned(p)) => record(s, self.ensure_locked(s, p.into_inner())),
                 Err(TryLockError::WouldBlock) => busy.push(s),
             }
@@ -888,9 +970,9 @@ impl ShardedIndex {
         (loaded, skipped)
     }
 
-    /// Forward-strand window of global reference `rid` into `out`
-    /// (cleared/refilled, clamped like the flat form), loading the owning
-    /// shard if needed.
+    /// Forward-strand window `[start, end)` of global reference `rid` into
+    /// `out` (cleared and refilled, bounds clamped to the sequence),
+    /// loading the owning shard if needed.
     pub fn ref_window_into(
         &self,
         rid: u32,
@@ -902,6 +984,18 @@ impl ShardedIndex {
         let idx = self.ensure_shard(s)?;
         idx.ref_window_into(rid - self.manifest.shards[s].rid_start, start, end, out);
         Ok(())
+    }
+
+    /// [`ShardedIndex::ref_window_into`] into a fresh vector.
+    pub fn ref_window(
+        &self,
+        rid: u32,
+        start: usize,
+        end: usize,
+    ) -> Result<Vec<u8>, ShardUnavailable> {
+        let mut out = Vec::new();
+        self.ref_window_into(rid, start, end, &mut out)?;
+        Ok(out)
     }
 
     /// One reference base, or `Ok(None)` past the end.
@@ -930,186 +1024,41 @@ fn injected_flip_offset(bytes: &[u8], section: usize) -> usize {
     container_section_ranges(bytes).map_or(0, |r| r[section.min(3)].0 as usize)
 }
 
-// ---------------------------------------------------------------------------
-// IndexRef / AnyIndex — the one surface the mapper sees
-// ---------------------------------------------------------------------------
-
-/// A borrowed view over either index shape. `Copy`, so the mapper can pass
-/// it by value; every accessor on the flat arm is infallible and the
-/// `Result` is `Ok` by construction.
-#[derive(Clone, Copy)]
-pub enum IndexRef<'a> {
-    Flat(&'a MinimizerIndex),
-    Sharded(&'a ShardedIndex),
-}
-
-impl<'a> From<&'a MinimizerIndex> for IndexRef<'a> {
-    fn from(i: &'a MinimizerIndex) -> Self {
-        IndexRef::Flat(i)
-    }
-}
-
-impl<'a> From<&'a ShardedIndex> for IndexRef<'a> {
-    fn from(i: &'a ShardedIndex) -> Self {
-        IndexRef::Sharded(i)
-    }
-}
-
-impl<'a> From<&'a AnyIndex> for IndexRef<'a> {
-    fn from(i: &'a AnyIndex) -> Self {
-        i.as_index_ref()
-    }
-}
-
-impl<'a> IndexRef<'a> {
-    pub fn k(self) -> usize {
-        match self {
-            IndexRef::Flat(i) => i.k,
-            IndexRef::Sharded(i) => i.k(),
-        }
-    }
-
-    pub fn w(self) -> usize {
-        match self {
-            IndexRef::Flat(i) => i.w,
-            IndexRef::Sharded(i) => i.w(),
-        }
-    }
-
-    pub fn hpc(self) -> bool {
-        match self {
-            IndexRef::Flat(i) => i.hpc,
-            IndexRef::Sharded(i) => i.hpc(),
-        }
-    }
-
-    pub fn max_occ(self) -> u32 {
-        match self {
-            IndexRef::Flat(i) => i.max_occ,
-            IndexRef::Sharded(i) => i.max_occ(),
-        }
-    }
-
-    pub fn num_seqs(self) -> usize {
-        match self {
-            IndexRef::Flat(i) => i.num_seqs(),
-            IndexRef::Sharded(i) => i.num_seqs(),
-        }
-    }
-
-    pub fn seq_name(self, rid: u32) -> &'a str {
-        match self {
-            IndexRef::Flat(i) => i.seq_name(rid),
-            IndexRef::Sharded(i) => i.seq_name(rid),
-        }
-    }
-
-    pub fn seq_len(self, rid: u32) -> usize {
-        match self {
-            IndexRef::Flat(i) => i.seq_len(rid),
-            IndexRef::Sharded(i) => i.seq_len(rid),
-        }
-    }
-
-    /// A flat index is one fault domain; shard count otherwise.
-    pub fn num_shards(self) -> usize {
-        match self {
-            IndexRef::Flat(_) => 1,
-            IndexRef::Sharded(i) => i.num_shards(),
-        }
-    }
-
-    pub fn collect_anchors(self, query: &[u8]) -> Result<Vec<Anchor>, ShardUnavailable> {
-        match self {
-            IndexRef::Flat(i) => Ok(i.collect_anchors(query)),
-            IndexRef::Sharded(i) => i.collect_anchors(query),
-        }
-    }
-
-    pub fn ref_window_into(
-        self,
-        rid: u32,
-        start: usize,
-        end: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), ShardUnavailable> {
-        match self {
-            IndexRef::Flat(i) => {
-                i.ref_window_into(rid, start, end, out);
-                Ok(())
-            }
-            IndexRef::Sharded(i) => i.ref_window_into(rid, start, end, out),
-        }
-    }
-
-    pub fn ref_window(
-        self,
-        rid: u32,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<u8>, ShardUnavailable> {
-        let mut out = Vec::new();
-        self.ref_window_into(rid, start, end, &mut out)?;
-        Ok(out)
-    }
-
-    pub fn ref_base(self, rid: u32, pos: usize) -> Result<Option<u8>, ShardUnavailable> {
-        match self {
-            IndexRef::Flat(i) => Ok(i.ref_base(rid, pos)),
-            IndexRef::Sharded(i) => i.ref_base(rid, pos),
-        }
-    }
-
-    /// Bytes of index image — the index's size, loaded or not (a sharded
-    /// one reads it off the manifest).
-    pub fn image_len(self) -> usize {
-        match self {
-            IndexRef::Flat(i) => i.image_len(),
-            IndexRef::Sharded(i) => i.image_len(),
-        }
-    }
-}
-
-/// An owned index of either shape, for callers (the CLI, the serve
-/// daemon) that load by path and do not care which format they got.
-#[derive(Debug)]
-pub enum AnyIndex {
-    Flat(MinimizerIndex),
-    Sharded(ShardedIndex),
-}
-
-impl AnyIndex {
-    pub fn as_index_ref(&self) -> IndexRef<'_> {
-        match self {
-            AnyIndex::Flat(i) => IndexRef::Flat(i),
-            AnyIndex::Sharded(i) => IndexRef::Sharded(i),
-        }
-    }
-
-    /// Open `path` as whichever index file its leading magic says it is: a
-    /// single-file container, every byte checksummed and its image then
-    /// validated and queried where it is mapped ([`AnyIndex::Flat`]), or a
-    /// manifest, opened lazily with `opts` into [`AnyIndex::Sharded`].
-    /// Anything else — a bare image, another version, not an index — is
-    /// the typed error the checksum pass gives.
-    pub fn open_mmap(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
-        let map = open_map(path)?;
-        if map.starts_with(&MANIFEST_MAGIC) {
-            let manifest = parse_manifest(&map)?;
-            return Ok(AnyIndex::Sharded(ShardedIndex::from_manifest(
-                manifest, path, opts,
-            )));
-        }
-        let idx = MinimizerIndex::from_verified(VerifiedMap::verify(map)?)?;
-        Ok(AnyIndex::Flat(idx))
-    }
-}
-
 fn open_map(path: &Path) -> Result<Mmap, IndexError> {
     Mmap::open(path).map_err(|e| IndexError::Open {
         path: path.to_path_buf(),
         source: e,
     })
+}
+
+// ---------------------------------------------------------------------------
+// The benchmark harness's names for the one index (ROADMAP item 7 deletes
+// both once `benchmark/src/trace.rs` stops naming them)
+// ---------------------------------------------------------------------------
+
+/// An index borrowed for a `Mapper`.
+pub type IndexRef<'a> = &'a ShardedIndex;
+
+/// An opened index. Only `Sharded` is ever built: `Flat` is uninhabited,
+/// kept so a two-arm `match` over this type still compiles.
+#[derive(Debug)]
+pub enum AnyIndex {
+    Flat(std::convert::Infallible),
+    Sharded(ShardedIndex),
+}
+
+impl AnyIndex {
+    /// [`ShardedIndex::open`].
+    pub fn open_mmap(path: &Path, opts: ShardOpenOpts) -> Result<Self, IndexError> {
+        ShardedIndex::open(path, opts).map(AnyIndex::Sharded)
+    }
+
+    pub fn as_index_ref(&self) -> IndexRef<'_> {
+        match self {
+            AnyIndex::Flat(never) => match *never {},
+            AnyIndex::Sharded(s) => s,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1202,8 +1151,13 @@ mod tests {
         let d = tmp_dir("probes");
         let refs = multi_chrom(4, 20_000, 21);
         build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
-        let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
-        let blooms: Vec<&Bloom> = sh.manifest().shards.iter().map(|s| &s.bloom).collect();
+        let sh = ShardedIndex::open(&d.join("r.mmx"), ShardOpenOpts::default()).unwrap();
+        let blooms: Vec<&Bloom> = sh
+            .manifest()
+            .shards
+            .iter()
+            .map(|s| s.bloom.as_ref().unwrap())
+            .collect();
         assert_eq!(blooms.len(), 4);
         // 5 000 of the shards' own keys (present in one filter, mostly
         // absent from the others), then 5 000 fresh hashes.
@@ -1268,7 +1222,7 @@ mod tests {
                     rid_count: 2,
                     file_len: 999,
                     dir_hash: 0xABCD,
-                    bloom: Bloom::build([1, 2, 3].into_iter()),
+                    bloom: Some(Bloom::build([1, 2, 3].into_iter())),
                 },
                 ShardMeta {
                     path: "x.mmx.s001".into(),
@@ -1276,7 +1230,7 @@ mod tests {
                     rid_count: 1,
                     file_len: 555,
                     dir_hash: 0x1234,
-                    bloom: Bloom::build([9].into_iter()),
+                    bloom: Some(Bloom::build([9].into_iter())),
                 },
             ],
         };
@@ -1332,7 +1286,7 @@ mod tests {
                 rid_count: 1,
                 file_len: 1,
                 dir_hash: 0,
-                bloom: Bloom::build(std::iter::empty()),
+                bloom: Some(Bloom::build(std::iter::empty())),
             }],
         };
         let e = parse_manifest(&serialize_manifest(&m)).unwrap_err();
@@ -1342,104 +1296,135 @@ mod tests {
         assert!(e.to_string().contains("bare file name"), "{e}");
     }
 
-    #[test]
-    fn sharded_build_loads_and_matches_flat_anchors() {
-        let d = tmp_dir("identity");
-        let refs = multi_chrom(5, 30_000, 40);
-        let opts = IdxOpts::MAP_ONT;
-        let flat = MinimizerIndex::build(&refs, &opts).unwrap();
-        let report = build_sharded(&refs, &opts, 3, &d.join("ref.mmx")).unwrap();
-        assert_eq!(report.n_shards, 3);
-        assert_eq!(report.n_seqs, 5);
-        // The global cutoff must equal the flat build's.
-        assert_eq!(report.max_occ, flat.max_occ);
-
-        let sh = ShardedIndex::open(&d.join("ref.mmx")).unwrap();
-        assert_eq!(sh.num_seqs(), 5);
-        assert_eq!(sh.max_occ(), flat.max_occ);
-        for rid in 0..5u32 {
-            assert_eq!(sh.seq_name(rid), format!("chr{}", rid + 1));
-            assert_eq!(sh.seq_len(rid), 30_000);
-            assert_eq!(sh.shard_of(rid) as u32, {
-                let mut s = 0;
-                for (i, meta) in sh.manifest().shards.iter().enumerate() {
-                    if rid >= meta.rid_start {
-                        s = i as u32;
-                    }
-                }
-                s
-            });
+    /// A two-unit repeat planted round-robin over four chromosomes of
+    /// random background: unit `i` is planted `copies[i]` times, so at two
+    /// and four shards no shard holds more than half-and-one of a unit's
+    /// copies. Returns the references and the two units.
+    fn planted(copies: [usize; 2], seed: u64) -> (Vec<SeqRecord>, [Vec<u8>; 2]) {
+        let mut bg = random_genome(200_000, seed).into_iter();
+        let mut take = |n: usize| bg.by_ref().take(n).collect::<Vec<u8>>();
+        let units = [take(300), take(300)];
+        let mut chroms: Vec<Vec<u8>> = (0..4).map(|_| take(4_000)).collect();
+        for (unit, &n) in units.iter().zip(&copies) {
+            for i in 0..n {
+                chroms[i % 4].extend_from_slice(unit);
+                chroms[i % 4].extend(take(1_500));
+            }
         }
-
-        // Anchor identity on queries drawn from every chromosome, both
-        // strands.
-        for rid in 0..5usize {
-            let g: Vec<u8> = flat.ref_window(rid as u32, 0, 30_000).to_vec();
-            let q = &g[7_000..9_000];
-            assert_eq!(
-                sh.collect_anchors(q).unwrap(),
-                flat.collect_anchors(q),
-                "fwd rid {rid}"
-            );
-            let rc = mmm_seq::revcomp4(q);
-            assert_eq!(
-                sh.collect_anchors(&rc).unwrap(),
-                flat.collect_anchors(&rc),
-                "rev rid {rid}"
-            );
-        }
-
-        // Reference windows agree across shard boundaries.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for rid in 0..5u32 {
-            flat.ref_window_into(rid, 123, 4_567, &mut a);
-            sh.ref_window_into(rid, 123, 4_567, &mut b).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(
-                sh.ref_base(rid, 29_999).unwrap(),
-                flat.ref_base(rid, 29_999)
-            );
-            assert_eq!(sh.ref_base(rid, 30_000).unwrap(), None);
-        }
-        std::fs::remove_dir_all(&d).unwrap();
+        let refs = chroms
+            .iter()
+            .enumerate()
+            .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
+            .collect();
+        (refs, units)
     }
 
+    /// The one seeding path against the reference loop, at every shard
+    /// count and origin: an in-memory build and a single-file container
+    /// (one shard, no filter) and manifests of 1, 2 and 4 shards. With
+    /// `occ_frac` 0.05 the cutoff is its floor, 10, and the two planted
+    /// units have minimizers counted exactly 10 (kept) and 11 (filtered)
+    /// over the whole reference — each split so that no shard alone
+    /// crosses the cutoff, which only a cutoff on the *summed* count gets
+    /// right. Forward and reverse-complement queries, under both presets
+    /// (map-pb sketches homopolymer-compressed).
     #[test]
-    fn index_ref_is_uniform_over_both_shapes() {
-        let d = tmp_dir("indexref");
-        let refs = multi_chrom(3, 12_000, 77);
-        let opts = IdxOpts::MAP_ONT;
-        let flat = MinimizerIndex::build(&refs, &opts).unwrap();
-        build_sharded(&refs, &opts, 2, &d.join("r.mmx")).unwrap();
-        let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
+    fn seeding_matches_the_reference_loop_at_every_shard_count() {
+        const MAX_OCC: usize = 10;
+        let d = tmp_dir("gold");
+        let open = |p: &Path| ShardedIndex::open(p, ShardOpenOpts::default()).unwrap();
+        for (p, preset) in [IdxOpts::MAP_ONT, IdxOpts::MAP_PB].into_iter().enumerate() {
+            let opts = IdxOpts {
+                occ_frac: 0.05,
+                ..preset
+            };
+            let (refs, units) = planted([MAX_OCC, MAX_OCC + 1], 70 + p as u64);
+            let gold = MinimizerIndex::build(&refs, &opts).unwrap();
+            let flat = d.join(format!("flat{p}.mmx"));
+            crate::serialize::save_index(&gold, &flat).unwrap();
+            let mut indexes = vec![
+                (0, ShardedIndex::build(&refs, &opts).unwrap()),
+                (0, open(&flat)),
+            ];
+            for n in [1, 2, 4] {
+                let path = d.join(format!("sharded{p}x{n}.mmx"));
+                build_sharded(&refs, &opts, n, &path).unwrap();
+                indexes.push((n, open(&path)));
+            }
 
-        let fr: IndexRef = (&flat).into();
-        let sr: IndexRef = (&sh).into();
-        assert_eq!(fr.k(), sr.k());
-        assert_eq!(fr.num_seqs(), sr.num_seqs());
-        assert_eq!(fr.seq_name(2), sr.seq_name(2));
-        assert_eq!(fr.seq_len(1), sr.seq_len(1));
-        assert_eq!(fr.num_shards(), 1);
-        assert_eq!(sr.num_shards(), 2);
-        let g = flat.ref_window(1, 0, 12_000);
-        let q = &g[2_000..3_500];
-        assert_eq!(
-            fr.collect_anchors(q).unwrap(),
-            sr.collect_anchors(q).unwrap()
-        );
-        assert_eq!(
-            fr.ref_window(1, 5, 105).unwrap(),
-            sr.ref_window(1, 5, 105).unwrap()
-        );
+            // The edge is there: unit 0 has minimizers counted exactly
+            // `max_occ`, unit 1 `max_occ + 1`, and only the summed count
+            // says so.
+            assert_eq!(gold.max_occ as usize, MAX_OCC);
+            for (unit, count) in units.iter().zip([MAX_OCC, MAX_OCC + 1]) {
+                let ms = sketch(unit, opts.k, opts.w, opts.hpc);
+                let at: Vec<u64> = ms
+                    .iter()
+                    .map(|m| m.hash)
+                    .filter(|&h| gold.hit_count(h) == count)
+                    .collect();
+                assert!(at.len() >= 5, "preset {p}: {} keys at {count}", at.len());
+                for (n, sh) in indexes.iter().filter(|(n, _)| *n > 1) {
+                    for &h in &at {
+                        let per_shard: Vec<usize> = (0..*n)
+                            .map(|s| sh.ensure_shard(s).unwrap().hit_count(h))
+                            .collect();
+                        assert_eq!(per_shard.iter().sum::<usize>(), count);
+                        assert!(per_shard.iter().all(|&c| c < MAX_OCC), "{per_shard:?}");
+                    }
+                }
+            }
+            assert!(gold.collect_anchors(&units[0]).len() >= MAX_OCC * 5);
+            assert!(gold.collect_anchors(&units[1]).is_empty());
 
-        // AnyIndex::open_mmap dispatches on the magic.
-        let any = AnyIndex::open_mmap(&d.join("r.mmx"), ShardOpenOpts::default()).unwrap();
-        assert!(matches!(any, AnyIndex::Sharded(_)));
-        let flat_path = d.join("flat.mmx");
-        crate::serialize::save_index(&flat, &flat_path).unwrap();
-        let any = AnyIndex::open_mmap(&flat_path, ShardOpenOpts::default()).unwrap();
-        assert!(matches!(any, AnyIndex::Flat(_)));
+            let mut queries: Vec<Vec<u8>> = units.to_vec();
+            for rid in 0..4u32 {
+                let len = gold.seq_len(rid);
+                queries.push(gold.ref_window(rid, 2_000, 6_000));
+                queries.push(gold.ref_window(rid, len - 3_000, len));
+            }
+            queries.push([gold.ref_window(0, 0, 1_500), gold.ref_window(3, 500, 2_000)].concat());
+            let rc: Vec<Vec<u8>> = queries.iter().map(|q| mmm_seq::revcomp4(q)).collect();
+            queries.extend(rc);
+            for (n, sh) in &indexes {
+                assert_eq!((sh.num_shards(), sh.has_manifest()), ((*n).max(1), *n > 0));
+                assert_eq!(
+                    (sh.k(), sh.hpc(), sh.max_occ() as usize),
+                    (opts.k, opts.hpc, MAX_OCC)
+                );
+                for (i, q) in queries.iter().enumerate() {
+                    let want = gold.collect_anchors(q);
+                    assert_eq!(
+                        sh.collect_anchors(q).unwrap(),
+                        want,
+                        "preset {p}, {n} shards, query {i}"
+                    );
+                }
+                assert_eq!(sh.num_seqs(), 4);
+                for rid in 0..4u32 {
+                    let len = gold.seq_len(rid);
+                    assert_eq!(
+                        (sh.seq_name(rid), sh.seq_len(rid)),
+                        (gold.seq_name(rid), len)
+                    );
+                    let window = sh.ref_window(rid, 123, len + 9).unwrap();
+                    assert_eq!(window, gold.ref_window(rid, 123, len));
+                    assert_eq!(
+                        sh.ref_base(rid, len - 1).unwrap(),
+                        gold.ref_base(rid, len - 1)
+                    );
+                    assert_eq!(sh.ref_base(rid, len).unwrap(), None);
+                }
+            }
+            // A shard loaded at open counts its one load.
+            assert_eq!(
+                (
+                    indexes[0].1.health()[0].loads,
+                    indexes[1].1.health()[0].loads
+                ),
+                (1, 1)
+            );
+        }
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -1457,7 +1442,7 @@ mod tests {
     }
 
     fn open_with_script(path: &Path, faults: Vec<(usize, u32, ShardLoadFault)>) -> ShardedIndex {
-        ShardedIndex::open_with(
+        ShardedIndex::open(
             path,
             ShardOpenOpts {
                 hook: Some(Arc::new(ScriptHook {
@@ -1593,7 +1578,7 @@ mod tests {
         let other = multi_chrom(2, 9_000, 32);
         let idx = MinimizerIndex::build(&other[1..2], &IdxOpts::MAP_ONT).unwrap();
         write_container(&idx, 1, &d.join("r.mmx.s001")).unwrap();
-        let sh = ShardedIndex::open(&d.join("r.mmx")).unwrap();
+        let sh = ShardedIndex::open(&d.join("r.mmx"), ShardOpenOpts::default()).unwrap();
         assert!(sh.ensure_shard(0).is_ok());
         let e = sh.ensure_shard(1).unwrap_err();
         assert!(e.reason.contains("generation"), "{}", e.reason);
@@ -1606,7 +1591,7 @@ mod tests {
         let r = build_sharded(&[], &IdxOpts::MAP_ONT, 4, &d.join("e.mmx")).unwrap();
         assert_eq!(r.n_shards, 1);
         assert_eq!(r.n_seqs, 0);
-        let sh = ShardedIndex::open(&d.join("e.mmx")).unwrap();
+        let sh = ShardedIndex::open(&d.join("e.mmx"), ShardOpenOpts::default()).unwrap();
         assert_eq!(sh.num_seqs(), 0);
         assert!(sh
             .collect_anchors(&[0, 1, 2, 3, 0, 1, 2, 3])

@@ -12,7 +12,8 @@
 use std::path::{Path, PathBuf};
 
 use mmm_index::{
-    build_sharded, container_section_ranges, IdxOpts, ShardedIndex, CONTAINER_SECTIONS,
+    build_sharded, container_section_ranges, IdxOpts, ShardOpenOpts, ShardedIndex,
+    CONTAINER_SECTIONS,
 };
 use mmm_seq::{nt4_decode, SeqRecord};
 
@@ -68,7 +69,7 @@ fn every_shard_section_byte_is_covered() {
             bad[off as usize] ^= 0x40;
             std::fs::write(&shard_path, &bad).unwrap();
 
-            let sh = ShardedIndex::open(&manifest).unwrap();
+            let sh = ShardedIndex::open(&manifest, ShardOpenOpts::default()).unwrap();
             let e = sh.ensure_shard(0).unwrap_err();
             assert_eq!(e.shard, 0);
             assert!(
@@ -83,7 +84,7 @@ fn every_shard_section_byte_is_covered() {
         }
     }
     std::fs::write(&shard_path, &pristine).unwrap();
-    let sh = ShardedIndex::open(&manifest).unwrap();
+    let sh = ShardedIndex::open(&manifest, ShardOpenOpts::default()).unwrap();
     assert!(sh.ensure_shard(0).is_ok(), "pristine bytes load again");
     std::fs::remove_dir_all(&d).unwrap();
 }
@@ -98,7 +99,7 @@ fn torn_shard_tail_quarantines_with_reason() {
     let pristine = std::fs::read(&shard_path).unwrap();
     for keep in [pristine.len() - 3, pristine.len() / 2, 16] {
         std::fs::write(&shard_path, &pristine[..keep]).unwrap();
-        let sh = ShardedIndex::open(&manifest).unwrap();
+        let sh = ShardedIndex::open(&manifest, ShardOpenOpts::default()).unwrap();
         let e = sh.ensure_shard(1).unwrap_err();
         assert!(
             e.reason.contains("torn")
@@ -130,11 +131,11 @@ fn manifest_corruption_fails_open() {
         let mut bad = pristine.clone();
         bad[off] ^= 0x01;
         std::fs::write(&manifest, &bad).unwrap();
-        let r = ShardedIndex::open(&manifest);
+        let r = ShardedIndex::open(&manifest, ShardOpenOpts::default());
         assert!(r.is_err(), "flip at {off} must not parse");
     }
     std::fs::write(&manifest, &pristine).unwrap();
-    assert!(ShardedIndex::open(&manifest).is_ok());
+    assert!(ShardedIndex::open(&manifest, ShardOpenOpts::default()).is_ok());
     std::fs::remove_dir_all(&d).unwrap();
 }
 
@@ -145,7 +146,7 @@ fn missing_shard_file_is_contained() {
     let d = tmp_dir("missing");
     let manifest = build(&d, 3);
     std::fs::remove_file(d.join("ref.mmx.s001")).unwrap();
-    let sh = ShardedIndex::open(&manifest).unwrap();
+    let sh = ShardedIndex::open(&manifest, ShardOpenOpts::default()).unwrap();
     assert!(sh.ensure_shard(0).is_ok());
     let e = sh.ensure_shard(1).unwrap_err();
     assert!(e.reason.contains("ref.mmx.s001"), "{}", e.reason);

@@ -6,9 +6,11 @@
 //! sits in a slow shard the other loads the rest instead of queueing behind
 //! it. Here two threads seed through a fresh 4-shard index whose shard 0 is
 //! delayed by an injected `SlowIo`: each shard must load exactly once, both
-//! threads must get the flat index's anchors, and the thread that did not
-//! load shard 0 must have loaded another shard. With shard 1 missing as
-//! well, every read's outcome must equal a single-threaded run's.
+//! threads must get the reference loop's anchors
+//! (`MinimizerIndex::collect_anchors` over the whole reference), and the
+//! thread that did not load shard 0 must have loaded another shard. With
+//! shard 1 missing as well, every read's outcome must equal a
+//! single-threaded run's.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::{Path, PathBuf};
@@ -48,8 +50,9 @@ fn genomes(n: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The fixture: a flat index and a 4-shard manifest over the same four
-/// chromosomes, one per shard.
+/// The fixture: the whole reference built in memory (the reference loop's
+/// index) and a 4-shard manifest over the same four chromosomes, one per
+/// shard.
 fn fixture(dir: &Path) -> (MinimizerIndex, PathBuf, Vec<Vec<u8>>) {
     let chroms = genomes(SHARDS, CHROM_LEN, 5);
     let refs: Vec<SeqRecord> = chroms
@@ -57,11 +60,11 @@ fn fixture(dir: &Path) -> (MinimizerIndex, PathBuf, Vec<Vec<u8>>) {
         .enumerate()
         .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
         .collect();
-    let flat = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
+    let gold = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
     let manifest = dir.join("ref.mmx");
     let report = build_sharded(&refs, &IdxOpts::MAP_ONT, SHARDS, &manifest).unwrap();
     assert_eq!(report.n_shards, SHARDS);
-    (flat, manifest, chroms)
+    (gold, manifest, chroms)
 }
 
 /// The reads every thread seeds: first one that spans all four
@@ -122,7 +125,7 @@ fn seed(
     let opts = ShardOpenOpts {
         hook: Some(hook.clone()),
     };
-    let sh = ShardedIndex::open_with(manifest, opts).unwrap();
+    let sh = ShardedIndex::open(manifest, opts).unwrap();
     let start = Barrier::new(threads);
     let runs = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
@@ -142,7 +145,7 @@ fn seed(
 #[test]
 fn a_worker_loads_other_shards_while_one_is_slow() {
     let d = tmp_dir("slow");
-    let (flat, manifest, chroms) = fixture(&d);
+    let (gold, manifest, chroms) = fixture(&d);
     let reads = reads(&chroms);
     let (sh, hook, runs) = seed(&manifest, None, 2, &reads);
 
@@ -151,7 +154,7 @@ fn a_worker_loads_other_shards_while_one_is_slow() {
     }
     for (_, got) in &runs {
         for (q, g) in reads.iter().zip(got) {
-            assert_eq!(g.as_ref().unwrap(), &flat.collect_anchors(q));
+            assert_eq!(g.as_ref().unwrap(), &gold.collect_anchors(q));
         }
     }
     let attempts = hook.attempts.lock().unwrap().clone();
@@ -172,12 +175,12 @@ fn a_worker_loads_other_shards_while_one_is_slow() {
 #[test]
 fn a_missing_shard_degrades_the_same_reads_on_two_threads() {
     let d = tmp_dir("missing");
-    let (flat, manifest, chroms) = fixture(&d);
+    let (gold, manifest, chroms) = fixture(&d);
     let reads = reads(&chroms);
     let (_, _, solo) = seed(&manifest, Some(1), 1, &reads);
     let solo = &solo[0].1;
     // Both outcomes occur: shard 1's own fragments fail naming it, every
-    // other chromosome's fragments map as over the flat index.
+    // other chromosome's fragments seed as in the reference loop.
     let fragments = reads.iter().zip(solo).skip(1).take(reads.len() - 9);
     for (i, (q, o)) in fragments.enumerate() {
         match (i % SHARDS, o) {
@@ -185,7 +188,7 @@ fn a_missing_shard_degrades_the_same_reads_on_two_threads() {
             (1, Ok(_)) => panic!("fragment {i} of the missing shard seeded"),
             (_, o) => assert_eq!(
                 o.as_ref().unwrap(),
-                &flat.collect_anchors(q),
+                &gold.collect_anchors(q),
                 "fragment {i}"
             ),
         }

@@ -7,7 +7,7 @@
 //! each hostile image is offered twice: bare, through
 //! [`MinimizerIndex::from_image_bytes`], and sealed into a container whose
 //! digests are recomputed to match (what a hostile or buggy writer would
-//! produce), through the loader the binaries use, [`AnyIndex::open_mmap`].
+//! produce), through the loader the binaries use, [`ShardedIndex::open`].
 //! Both run the one structural validation; `shard_corruption.rs` and
 //! `cli_faults.rs` cover damage the checksums do catch.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -15,8 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmm_index::{
-    write_index_image, xxh64, AnyIndex, BucketRef, IdxOpts, IndexError, MinimizerIndex,
-    ShardOpenOpts,
+    write_index_image, xxh64, BucketRef, IdxOpts, IndexError, MinimizerIndex, ShardOpenOpts,
+    ShardedIndex,
 };
 use mmm_seq::SeqRecord;
 use proptest::prelude::*;
@@ -43,7 +43,7 @@ fn seal(image: &[u8], sections: &[(u64, u64); 4]) -> Vec<u8> {
 }
 
 /// Open `image` both ways. The two must agree on whether it is an index.
-fn open_both(image: &[u8], sections: &[(u64, u64); 4]) -> Result<MinimizerIndex, IndexError> {
+fn open_both(image: &[u8], sections: &[(u64, u64); 4]) -> Result<ShardedIndex, IndexError> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
         "mmm-hostile-{}-{}.mmx",
@@ -51,11 +51,11 @@ fn open_both(image: &[u8], sections: &[(u64, u64); 4]) -> Result<MinimizerIndex,
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, seal(image, sections)).unwrap();
-    let mapped = AnyIndex::open_mmap(&path, ShardOpenOpts::default());
+    let mapped = ShardedIndex::open(&path, ShardOpenOpts::default());
     std::fs::remove_file(&path).unwrap();
     let bare = MinimizerIndex::from_image_bytes(image);
     match (mapped, bare) {
-        (Ok(AnyIndex::Flat(idx)), Ok(_)) => Ok(idx),
+        (Ok(idx), Ok(_)) => Ok(idx),
         (Err(m), Err(b)) => {
             assert_eq!(m.to_string(), b.to_string(), "the two opens disagree");
             Err(m)
@@ -70,7 +70,7 @@ fn open_both(image: &[u8], sections: &[(u64, u64); 4]) -> Result<MinimizerIndex,
 
 /// `expect_err` needs `Debug` on the success type; unwrap the error by
 /// hand.
-fn must_fail(r: Result<MinimizerIndex, IndexError>, ctx: &str) -> IndexError {
+fn must_fail(r: Result<ShardedIndex, IndexError>, ctx: &str) -> IndexError {
     match r {
         Ok(_) => panic!("{ctx}: hostile input opened as a full index"),
         Err(e) => e,
@@ -110,7 +110,7 @@ impl Sample {
         ])
     }
 
-    fn open(&self, image: &[u8]) -> Result<MinimizerIndex, IndexError> {
+    fn open(&self, image: &[u8]) -> Result<ShardedIndex, IndexError> {
         open_both(image, &self.sections)
     }
 
@@ -128,7 +128,8 @@ impl Sample {
 #[test]
 fn full_file_round_trips() {
     let s = Sample::small();
-    let idx = s.open(&s.image).unwrap();
+    let sh = s.open(&s.image).unwrap();
+    let idx = sh.ensure_shard(0).unwrap();
     assert_eq!(idx.num_seqs(), 2);
     assert!(idx.num_minimizers() > 0);
     assert!(idx.hashes().eq(s.idx.hashes()));
@@ -337,7 +338,8 @@ fn corruption_sweep_never_panics() {
             *b ^= 0xFF;
         }
         // What it does accept must answer every query without panicking.
-        if let Ok(idx) = s.open(&evil) {
+        if let Ok(sh) = s.open(&evil) {
+            let idx = sh.ensure_shard(0).unwrap();
             for h in idx.hashes() {
                 assert_eq!(idx.hit_cursor(h).count(), idx.hit_count(h));
             }

@@ -1,7 +1,7 @@
 //! Seeded structure-aware fuzzing of every byte format the binaries read
 //! from outside: the serve wire protocol (`manymap::serve::proto`), the
 //! FASTA/FASTQ reader (`mmm_seq::FastxReader`) and the index container
-//! (through `mmm_index::AnyIndex::open_mmap`, the one file loader).
+//! (through `mmm_index::ShardedIndex::open`, the one file loader).
 //!
 //! Each format is a [`Corpus`]: a generator of *valid* inputs from the
 //! seeded RNG that checks round-trip identity through the real codec, a
@@ -27,7 +27,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use manymap::index::{
-    container_section_ranges, save_index, xxh64, AnyIndex, IdxOpts, MinimizerIndex, ShardOpenOpts,
+    container_section_ranges, save_index, xxh64, IdxOpts, MinimizerIndex, ShardOpenOpts,
+    ShardedIndex,
 };
 use manymap::seq::{write_fasta, write_fastq, FastxReader, SeqRecord};
 use manymap::serve::proto::{decode_read, encode_read, read_frame, write_frame, Op, MAX_FRAME};
@@ -383,9 +384,12 @@ impl IndexCorpus {
                 .map_err(|e| format!("building fuzz index {n}: {e}"))?;
             save_index(&built, &scratch).map_err(|e| format!("saving fuzz index {n}: {e}"))?;
             // Valid file → the one loader → the same index back.
-            match AnyIndex::open_mmap(&scratch, ShardOpenOpts::default()) {
-                Ok(AnyIndex::Flat(back))
-                    if back.num_seqs() == built.num_seqs() && back.hashes().eq(built.hashes()) => {}
+            match ShardedIndex::open(&scratch, ShardOpenOpts::default()) {
+                Ok(back)
+                    if back.num_seqs() == built.num_seqs()
+                        && back
+                            .ensure_shard(0)
+                            .is_ok_and(|b| b.hashes().eq(built.hashes())) => {}
                 other => {
                     return Err(format!(
                         "fuzz index {n}: container round-trip lost identity: {other:?}"
@@ -403,23 +407,24 @@ impl IndexCorpus {
     /// base is a different, valid index) must answer every query.
     fn open_hostile(&self, bytes: &[u8]) -> Result<(), String> {
         std::fs::write(&self.scratch, bytes).map_err(|e| format!("writing the variant: {e}"))?;
-        let Ok(opened) = AnyIndex::open_mmap(&self.scratch, ShardOpenOpts::default()) else {
+        let Ok(opened) = ShardedIndex::open(&self.scratch, ShardOpenOpts::default()) else {
             return Ok(());
         };
         if container_section_ranges(bytes).is_err() {
             return Err("a damaged container loaded".into());
         }
-        if let AnyIndex::Flat(idx) = opened {
-            let mut window = Vec::new();
-            for rid in 0..idx.num_seqs() as u32 {
-                idx.ref_window_into(rid, 0, idx.seq_len(rid), &mut window);
-            }
-            if idx
-                .hashes()
-                .any(|h| idx.hit_cursor(h).count() != idx.hit_count(h))
-            {
-                return Err("an accepted image decodes inconsistently".into());
-            }
+        let mut window = Vec::new();
+        for rid in 0..opened.num_seqs() as u32 {
+            opened
+                .ref_window_into(rid, 0, opened.seq_len(rid), &mut window)
+                .map_err(|e| e.to_string())?;
+        }
+        let idx = opened.ensure_shard(0).map_err(|e| e.to_string())?;
+        if idx
+            .hashes()
+            .any(|h| idx.hit_cursor(h).count() != idx.hit_count(h))
+        {
+            return Err("an accepted image decodes inconsistently".into());
         }
         Ok(())
     }

@@ -17,7 +17,7 @@
 //!    binaries read: hostile length-prefixed frames against `serve::proto`,
 //!    hostile FASTA/FASTQ against `mmm_seq::FastxReader`, and damaged index
 //!    containers (bit flips, truncations, forged section lengths) through
-//!    `AnyIndex::open_mmap`, asserting typed errors, no panics, no damaged
+//!    `ShardedIndex::open`, asserting typed errors, no panics, no damaged
 //!    index accepted, and round-trip identity on valid inputs.
 //! 3. `miri` — the Miri-clean subset (`cargo +nightly miri test` on
 //!    `mmm-align`'s scalar/layout tests, `mmm-pipeline`'s queue tests, and

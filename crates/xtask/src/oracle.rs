@@ -438,11 +438,14 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         .into_iter()
         .filter(Engine::is_available)
         .collect();
-    let rids = 0..packed.num_seqs() as u32;
-    let tnames: Vec<&str> = rids.clone().map(|r| packed.seq_name(r)).collect();
-    let tlens: Vec<usize> = rids.map(|r| packed.seq_len(r)).collect();
+    let (n_keys, posting_bytes) = (packed.num_minimizers(), packed.posting_bytes());
+    // Mapped as every front end maps: through the one index type.
+    let index = manymap::index::ShardedIndex::from(packed);
+    let rids = 0..index.num_seqs() as u32;
+    let tnames: Vec<&str> = rids.clone().map(|r| index.seq_name(r)).collect();
+    let tlens: Vec<usize> = rids.map(|r| index.seq_len(r)).collect();
     let map_all = |engine: Engine| -> String {
-        let mapper = Mapper::new(&packed, MapOpts::map_ont().with_engine(engine));
+        let mapper = Mapper::new(&index, MapOpts::map_ont().with_engine(engine));
         let mut out = String::new();
         for (name, read) in &reads {
             for m in mapper.map_read(read) {
@@ -477,12 +480,10 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "packed ok ({} hashes, {} mapping(s) x {} engines, postings {} -> {} B)",
-        packed.num_minimizers(),
+        "packed ok ({n_keys} hashes, {} mapping(s) x {} engines, postings {flat_bytes} -> \
+         {posting_bytes} B)",
         gold.lines().count(),
         engines.len(),
-        flat_bytes,
-        packed.posting_bytes()
     ))
 }
 

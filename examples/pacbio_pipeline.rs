@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use manymap::session::map_reads;
 use manymap::{ExecConfig, MapOpts, MapSession};
-use mmm_index::{AnyIndex, IdxOpts, MinimizerIndex};
+use mmm_index::{IdxOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
 use mmm_simreads::{
     evaluate, generate_genome, simulate_reads, GenomeOpts, MappingCall, Platform, SimOpts,
@@ -24,7 +24,7 @@ fn main() {
         seed: 11,
         ..Default::default()
     });
-    let index = MinimizerIndex::build(
+    let index = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&genome))],
         &IdxOpts::MAP_PB,
     )
@@ -48,7 +48,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let exec = ExecConfig::new(&opts, threads).open().unwrap();
-    let session = Arc::new(MapSession::new(0, AnyIndex::Flat(index), opts));
+    let session = Arc::new(MapSession::new(0, index, opts));
 
     // The reads as FASTA, named by read id.
     let recs: Vec<SeqRecord> = reads

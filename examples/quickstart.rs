@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use manymap::{paf_line, MapOpts, Mapper};
-use mmm_index::{IdxOpts, MinimizerIndex};
+use mmm_index::{IdxOpts, MinimizerIndex, ShardedIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -28,6 +28,8 @@ fn main() {
         index.num_positions(),
         index.max_occ
     );
+    // Built in memory, it is a one-shard index, as a `.mmx` file opens.
+    let index = ShardedIndex::from(index);
 
     // 3. Simulate a handful of Nanopore reads with known origins.
     let reads = simulate_reads(

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use manymap::{MapOpts, Mapper};
 use mmm_align::CigarOp;
-use mmm_index::MinimizerIndex;
+use mmm_index::ShardedIndex;
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -43,7 +43,7 @@ fn main() {
     // Index the reference; sequence the donor.
     let opts = MapOpts::map_ont();
     let index =
-        MinimizerIndex::build(&[SeqRecord::new("ref", nt4_decode(&reference))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("ref", nt4_decode(&reference))], &opts.idx).unwrap();
     let mapper = Mapper::new(&index, opts);
     let reads = simulate_reads(
         &donor,

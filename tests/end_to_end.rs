@@ -2,7 +2,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use manymap::{MapOpts, Mapper};
-use mmm_index::{save_index, AnyIndex, MinimizerIndex, ShardOpenOpts};
+use mmm_index::{save_index, MinimizerIndex, ShardOpenOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{
     evaluate, generate_genome, simulate_reads, GenomeOpts, MappingCall, Platform, SimOpts,
@@ -52,7 +52,7 @@ fn pacbio_reads_map_accurately() {
     let (genome, reads) = dataset(Platform::PacBio, 60);
     let opts = MapOpts::map_pb();
     let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
     let mapper = Mapper::new(&index, opts);
     let calls = map_all(&mapper, &reads);
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
@@ -75,7 +75,7 @@ fn nanopore_reads_map_accurately() {
     let (genome, reads) = dataset(Platform::Nanopore, 60);
     let opts = MapOpts::map_ont();
     let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
     let mapper = Mapper::new(&index, opts);
     let calls = map_all(&mapper, &reads);
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
@@ -101,12 +101,12 @@ fn serialized_index_maps_identically() {
         MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
     let path = std::env::temp_dir().join(format!("e2e-idx-{}.mmx", std::process::id()));
     save_index(&index, &path).unwrap();
-    let mapped = AnyIndex::open_mmap(&path, ShardOpenOpts::default());
+    let mapped = ShardedIndex::open(&path, ShardOpenOpts::default()).unwrap();
     std::fs::remove_file(&path).unwrap();
-    // A single-file index opens whole, into the in-memory shape.
-    let Ok(AnyIndex::Flat(mapped)) = mapped else {
-        panic!("a single-file index opens flat: {mapped:?}")
-    };
+    // A single-file index opens whole, as one shard: the shape of the
+    // index built in memory.
+    assert_eq!(mapped.num_shards(), 1);
+    let index = ShardedIndex::from(index);
 
     let m0 = Mapper::new(&index, opts);
     let m1 = Mapper::new(&mapped, opts);
@@ -126,7 +126,7 @@ fn every_kernel_engine_maps_identically() {
     use mmm_align::Engine;
     let (genome, reads) = dataset(Platform::PacBio, 8);
     let base_opts = MapOpts::map_pb();
-    let index = MinimizerIndex::build(
+    let index = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&genome))],
         &base_opts.idx,
     )
@@ -157,7 +157,7 @@ fn paf_output_is_well_formed() {
     let (genome, reads) = dataset(Platform::Nanopore, 10);
     let opts = MapOpts::map_ont();
     let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
     let mapper = Mapper::new(&index, opts);
     for r in &reads {
         for m in mapper.map_read(&r.seq) {

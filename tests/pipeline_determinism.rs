@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use manymap::session::{self, Degraded};
 use manymap::{write_paf, ExecConfig, MapOpts, MapSession, Mapper};
-use mmm_index::{AnyIndex, MinimizerIndex};
+use mmm_index::ShardedIndex;
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
@@ -21,7 +21,7 @@ fn workload() -> (Arc<MapSession>, Vec<SeqRecord>) {
     });
     let opts = MapOpts::map_ont();
     let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
     let reads = simulate_reads(
         &genome,
         &SimOpts {
@@ -34,14 +34,14 @@ fn workload() -> (Arc<MapSession>, Vec<SeqRecord>) {
         .into_iter()
         .map(|r| SeqRecord::new(r.name, nt4_decode(&r.seq)))
         .collect();
-    let session = MapSession::new(0, AnyIndex::Flat(index), opts);
+    let session = MapSession::new(0, index, opts);
     (Arc::new(session), reads)
 }
 
 /// The serial reference: `map_read` (host-inline execution), one read at a
 /// time.
 fn serial_paf(session: &MapSession, reads: &[SeqRecord]) -> String {
-    let mapper = Mapper::new(session.index().as_index_ref(), MapOpts::map_ont());
+    let mapper = Mapper::new(session.index(), MapOpts::map_ont());
     let (tnames, tlens) = session.targets();
     let mut out = Vec::new();
     for rec in reads {

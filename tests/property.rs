@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use mmm_align::{best_engine, Scoring};
 use mmm_chain::{chain_anchors, ChainOpts};
-use mmm_index::{IdxOpts, MinimizerIndex};
+use mmm_index::{IdxOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
 
 proptest! {
@@ -26,14 +26,13 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((state >> 33) % 4) as u8
         }).collect();
-        let idx = MinimizerIndex::build(
+        let idx = ShardedIndex::build(
             &[SeqRecord::new("g", nt4_decode(&genome))],
             &IdxOpts::MAP_ONT,
-        )
-        .unwrap();
+        ).unwrap();
         let start = start.min(genome.len() - len);
         let query = genome[start..start + len].to_vec();
-        let anchors = idx.collect_anchors(&query);
+        let anchors = idx.collect_anchors(&query).unwrap();
         prop_assume!(!anchors.is_empty());
         let on_diag = anchors
             .iter()
