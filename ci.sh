@@ -46,16 +46,25 @@ SHARD_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-shard-ci.XXXXXX")
 trap 'rm -rf "$SHARD_WORK"' EXIT
 target/release/simreads --genome 240000 --chroms 4 --reads 24 --platform ont --seed 9 \
     --out-ref "$SHARD_WORK/ref.fa" --out-reads "$SHARD_WORK/reads.fa" >/dev/null
-target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/flat.mmx" 2>/dev/null
-target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/sharded.mmx" --shards 4 2>/dev/null
-# The image is written once and files wrap it: nothing re-serializes, so a
-# second `index` of the same FASTA is the same bytes, file for file (the two
-# manifests name their own shard files and so differ).
-target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/flat2.mmx" 2>/dev/null
-target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/sharded2.mmx" --shards 4 2>/dev/null
-for f in flat.mmx sharded.mmx.s000 sharded.mmx.s001 sharded.mmx.s002 sharded.mmx.s003; do
-    cmp "$SHARD_WORK/$f" "$SHARD_WORK/${f/.mmx/2.mmx}" \
-        || { echo "ci: indexing the same reference twice wrote different bytes ($f)"; exit 1; }
+target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/flat.mmx" --threads 1 2>/dev/null
+target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/sharded.mmx" --shards 4 --threads 1 2>/dev/null
+# The image is written once and files wrap it: nothing re-serializes, and
+# threads only share the work, so a second `index` of the same FASTA is the
+# same bytes, file for file, at `--threads 2` and at the default (every
+# core). Each is built under the same names in a directory of its own, so
+# the manifests, which name their shard files, compare too.
+for t in 2 default; do
+    mkdir "$SHARD_WORK/t$t"
+    threads=(--threads "$t")
+    if [ "$t" = default ]; then threads=(); fi
+    target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/t$t/flat.mmx" \
+        ${threads[@]+"${threads[@]}"} 2>/dev/null
+    target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/t$t/sharded.mmx" --shards 4 \
+        ${threads[@]+"${threads[@]}"} 2>/dev/null
+    for f in flat.mmx sharded.mmx sharded.mmx.s000 sharded.mmx.s001 sharded.mmx.s002 sharded.mmx.s003; do
+        cmp "$SHARD_WORK/$f" "$SHARD_WORK/t$t/$f" \
+            || { echo "ci: indexing the same reference at --threads $t wrote different bytes ($f)"; exit 1; }
+    done
 done
 target/release/manymap map "$SHARD_WORK/flat.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 >"$SHARD_WORK/flat.paf" 2>/dev/null

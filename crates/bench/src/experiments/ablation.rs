@@ -200,6 +200,7 @@ pub fn run(quick: bool) -> String {
         let idx = match ShardedIndex::build(
             &[SeqRecord::new("chr1", nt4_decode(&g))],
             &mmm_index::IdxOpts::MAP_ONT,
+            1,
         ) {
             Ok(i) => i,
             Err(e) => {

@@ -73,7 +73,7 @@ pub fn run(quick: bool) -> String {
 fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
     let ds = macrodata::pacbio(800_000, n_reads);
     let opts = BaselineId::Manymap.map_opts();
-    let index = ShardedIndex::build(&[ds.reference()], &opts.idx)
+    let index = ShardedIndex::build(&[ds.reference()], &opts.idx, 1)
         .map_err(|e| format!("index build failed: {e}"))?;
     let fasta = ds
         .reads_fasta()

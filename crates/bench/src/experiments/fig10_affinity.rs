@@ -26,7 +26,7 @@ pub fn run(quick: bool) -> String {
         } else {
             MapOpts::map_ont()
         };
-        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx, 1) {
             Ok(i) => i,
             Err(e) => return format!("fig10_affinity: index build failed: {e}"),
         };

@@ -30,7 +30,7 @@ pub fn run(quick: bool) -> String {
     let mut totals = std::collections::HashMap::new();
     for id in [BaselineId::Minimap2, BaselineId::Manymap] {
         let opts = id.map_opts();
-        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx, 1) {
             Ok(i) => i,
             Err(e) => return format!("fig11_breakdown: index build failed: {e}"),
         };
@@ -71,7 +71,7 @@ pub fn run(quick: bool) -> String {
     // simulator (seed/chain and I/O as on the CPU).
     let gpu_total = {
         let opts = BaselineId::Manymap.map_opts();
-        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx, 1) {
             Ok(i) => i,
             Err(e) => return format!("fig11_breakdown: index build failed: {e}"),
         };

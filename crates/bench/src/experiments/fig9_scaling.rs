@@ -29,7 +29,7 @@ pub fn run(quick: bool) -> String {
         } else {
             MapOpts::map_ont()
         };
-        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx, 1) {
             Ok(i) => i,
             Err(e) => return format!("fig9_scaling: index build failed: {e}"),
         };

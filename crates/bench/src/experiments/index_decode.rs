@@ -143,7 +143,7 @@ fn cursor_rows(quick: bool) -> Result<Vec<CursorRow>, String> {
             SeqRecord::new(format!("chr{i}"), nt4_decode(&chrom))
         })
         .collect();
-    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
+    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1)
         .map_err(|e| format!("cursor index build failed: {e}"))?;
     let mut by_width: Vec<(u32, Vec<BucketRef>)> = Vec::new();
     for h in idx.hashes() {
@@ -316,7 +316,7 @@ fn sketch_rows(quick: bool) -> Result<Vec<SketchRow>, String> {
     let dir = std::env::temp_dir().join(format!("bench-sketch-shards-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("scratch dir: {e}"))?;
     let manifest = dir.join("ref.mmx");
-    let seeded = build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &manifest)
+    let seeded = build_sharded(&refs, &IdxOpts::MAP_ONT, 4, 1, &manifest)
         .map_err(|e| format!("sharded build failed: {e}"))
         .and_then(|_| {
             ShardedIndex::open(&manifest, Default::default())
@@ -357,6 +357,7 @@ fn lookup_rows(quick: bool) -> Result<Vec<LookupRow>, String> {
         let idx = MinimizerIndex::build(
             &[SeqRecord::new("chr1", nt4_decode(&genome))],
             &IdxOpts::MAP_ONT,
+            1,
         )
         .map_err(|e| format!("lookup index build failed: {e}"))?;
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -394,7 +395,7 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
         .reads_fasta()
         .map_err(|e| format!("in-memory fasta failed: {e}"))?;
 
-    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx)
+    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx, 1)
         .map_err(|e| format!("index build failed: {e}"))?;
     let posting_bytes = index.posting_bytes();
     let flat_posting_bytes = index.num_positions() * 8;
@@ -406,7 +407,7 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
     let cfg = ExecConfig::new(&opts, 1);
     let exec = cfg.open().map_err(|e| e.to_string())?;
     let t0 = Instant::now();
-    let index = load_index_any(&idx_path, &opts, cfg.shard_open_opts());
+    let index = load_index_any(&idx_path, &opts, cfg.shard_open_opts(), 1);
     let load_seconds = t0.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&idx_path);
     let index = index.map_err(|e| format!("load failed: {e}"))?;

@@ -16,7 +16,9 @@
 //! 2, 4 and 8 shards — all opened the way `manymap map` opens them — plus
 //! the 4-shard index touched cold by two threads seeding at once, as the
 //! mapper's workers do: the wall from their release to both having their
-//! anchors. A regression in the checksum sweep, the validation walk, the
+//! anchors. Every row also times building its files at 1 and 2 threads
+//! (`build_s`, each build checked to write the 1-thread bytes). A
+//! regression in the build, the checksum sweep, the validation walk, the
 //! shard cache or concurrent first touch shows up as a row-level jump in
 //! `BENCH_shard_load.json`.
 
@@ -36,6 +38,8 @@ use crate::format_table;
 
 struct Row {
     variant: String,
+    /// Wall of building and writing the row's files at 1 and 2 threads.
+    build_s: [f64; 2],
     file_bytes: u64,
     open_s: f64,
     /// `None` on the two-thread row, whose touch is one wall.
@@ -74,11 +78,46 @@ fn verify_files(files: &[PathBuf]) -> Result<f64, String> {
     Ok(start.elapsed().as_secs_f64())
 }
 
+/// Median walls of `samples` runs of `build` (which writes files and
+/// returns their paths) at 1 and at 2 threads. Every run must write the
+/// bytes the first 1-thread run wrote.
+fn build_walls(
+    samples: usize,
+    build: impl Fn(usize) -> Result<Vec<PathBuf>, String>,
+) -> Result<[f64; 2], String> {
+    let mut gold: Option<Vec<Vec<u8>>> = None;
+    let mut walls = [0.0; 2];
+    for (wall, threads) in walls.iter_mut().zip([1, 2]) {
+        let mut times = Vec::new();
+        for _ in 0..samples {
+            let start = Instant::now();
+            let files = build(threads)?;
+            times.push(start.elapsed().as_secs_f64());
+            let bytes = files
+                .iter()
+                .map(|f| std::fs::read(f).map_err(|e| format!("{}: {e}", f.display())))
+                .collect::<Result<Vec<_>, _>>()?;
+            match &gold {
+                Some(g) if *g != bytes => {
+                    return Err(format!("the {threads}-thread build wrote other bytes"))
+                }
+                Some(_) => {}
+                None => gold = Some(bytes),
+            }
+        }
+        *wall = median(times);
+    }
+    Ok(walls)
+}
+
 fn flat_row(refs: &[SeqRecord], samples: usize, path: &Path) -> Result<Row, String> {
     let opts = IdxOpts::MAP_ONT;
-    let flat = MinimizerIndex::build(refs, &opts).map_err(|e| format!("flat build failed: {e}"))?;
-    save_index(&flat, path).map_err(|e| format!("flat save failed: {e}"))?;
-    drop(flat);
+    let build_s = build_walls(samples, |threads| {
+        let flat = MinimizerIndex::build(refs, &opts, threads)
+            .map_err(|e| format!("flat build failed: {e}"))?;
+        save_index(&flat, path).map_err(|e| format!("flat save failed: {e}"))?;
+        Ok(vec![path.to_path_buf()])
+    })?;
     let file_bytes = std::fs::metadata(path).map_or(0, |m| m.len());
     let (mut verify, mut touch) = (Vec::new(), Vec::new());
     let (mut mapped, mut heap) = (0, 0);
@@ -97,6 +136,7 @@ fn flat_row(refs: &[SeqRecord], samples: usize, path: &Path) -> Result<Row, Stri
     let (verify_s, validate_s, touch_s) = split(verify, touch);
     Ok(Row {
         variant: "flat".into(),
+        build_s,
         file_bytes,
         open_s: 0.0,
         verify_s,
@@ -126,6 +166,7 @@ fn sharded_row(
     manifest: &Path,
     shard_files: &[PathBuf],
     file_bytes: u64,
+    build_s: [f64; 2],
 ) -> Result<Row, String> {
     let (mut open, mut verify, mut touch, mut warm) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
@@ -156,6 +197,7 @@ fn sharded_row(
     let (verify_s, validate_s, touch_s) = split(verify, touch);
     Ok(Row {
         variant: format!("sharded x{n_shards}"),
+        build_s,
         file_bytes,
         open_s: median(open),
         verify_s,
@@ -175,6 +217,7 @@ fn two_thread_row(
     samples: usize,
     manifest: &Path,
     file_bytes: u64,
+    build_s: [f64; 2],
     query: &[u8],
 ) -> Result<Row, String> {
     let (mut open, mut touch, mut warm) = (Vec::new(), Vec::new(), Vec::new());
@@ -225,6 +268,7 @@ fn two_thread_row(
     }
     Ok(Row {
         variant: format!("sharded x{n_shards}, 2 threads"),
+        build_s,
         file_bytes,
         open_s: median(open),
         verify_s: None,
@@ -259,19 +303,30 @@ fn rows(quick: bool) -> Result<Vec<Row>, String> {
         .collect();
     for n_shards in [2usize, 4, 8] {
         let manifest = dir.join(format!("bench-shard-load-s{n_shards}-{tag}.mmx"));
-        let report = build_sharded(&refs, &IdxOpts::MAP_ONT, n_shards, &manifest)
-            .map_err(|e| format!("sharded({n_shards}) build failed: {e}"))?;
+        let build = |threads| {
+            build_sharded(&refs, &IdxOpts::MAP_ONT, n_shards, threads, &manifest)
+                .map_err(|e| format!("sharded({n_shards}) build failed: {e}"))
+        };
+        let build_s = build_walls(samples, |threads| {
+            let report = build(threads)?;
+            Ok([manifest.clone()]
+                .into_iter()
+                .chain(report.shard_files)
+                .collect())
+        })?;
+        let report = build(1)?;
         let file_bytes = report.manifest_bytes + report.shard_bytes.iter().sum::<u64>();
         let files = &report.shard_files;
-        let rows = sharded_row(n_shards, samples, &manifest, files, file_bytes).and_then(|r| {
-            let mut rows = vec![r];
-            if n_shards == 4 {
-                rows.push(two_thread_row(
-                    n_shards, samples, &manifest, file_bytes, &query,
-                )?);
-            }
-            Ok(rows)
-        });
+        let rows =
+            sharded_row(n_shards, samples, &manifest, files, file_bytes, build_s).and_then(|r| {
+                let mut rows = vec![r];
+                if n_shards == 4 {
+                    rows.push(two_thread_row(
+                        n_shards, samples, &manifest, file_bytes, build_s, &query,
+                    )?);
+                }
+                Ok(rows)
+            });
         let _ = std::fs::remove_file(&manifest);
         for f in files {
             let _ = std::fs::remove_file(f);
@@ -311,6 +366,8 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         .map(|r| {
             vec![
                 r.variant.clone(),
+                ms(Some(r.build_s[0])),
+                ms(Some(r.build_s[1])),
                 format!("{:.2}", r.file_bytes as f64 / 1e6),
                 ms(Some(r.open_s)),
                 ms(r.verify_s),
@@ -323,9 +380,11 @@ pub fn run_with_json(quick: bool) -> (String, String) {
         })
         .collect();
     let out = format_table(
-        "Shard load — manifest open, checksummed first-touch, warm re-touch",
+        "Shard load — build at 1 and 2 threads, manifest open, checksummed first-touch, warm re-touch",
         &[
             "variant",
+            "build 1t (ms)",
+            "build 2t (ms)",
             "disk MB",
             "open (ms)",
             "verify (ms)",
@@ -341,10 +400,13 @@ pub fn run_with_json(quick: bool) -> (String, String) {
     let mut json = String::from("{\n  \"experiment\": \"shard_load\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"variant\": {:?}, \"file_bytes\": {}, \"open_s\": {:.6}, \
+            "    {{\"variant\": {:?}, \"build_s\": {{\"threads_1\": {:.6}, \"threads_2\": {:.6}}}, \
+             \"file_bytes\": {}, \"open_s\": {:.6}, \
              \"verify_s\": {}, \"validate_s\": {}, \"touch_s\": {:.6}, \
              \"warm_s\": {:.6}, \"mapped_bytes\": {}, \"heap_bytes\": {}}}{}\n",
             r.variant,
+            r.build_s[0],
+            r.build_s[1],
             r.file_bytes,
             r.open_s,
             secs(r.verify_s),

@@ -29,7 +29,7 @@ fn profile(quick: bool) -> Result<(f64, MapReport, usize), String> {
     let n_reads = if quick { 50 } else { 800 };
     let ds = macrodata::pacbio(1_000_000, n_reads);
     let opts = BaselineId::Minimap2.map_opts();
-    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx)
+    let index = MinimizerIndex::build(&[ds.reference()], &opts.idx, 1)
         .map_err(|e| format!("index build failed: {e}"))?;
     let fasta = ds
         .reads_fasta()
@@ -39,7 +39,7 @@ fn profile(quick: bool) -> Result<(f64, MapReport, usize), String> {
     let cfg = ExecConfig::new(&opts, 1);
     let exec = cfg.open().map_err(|e| e.to_string())?;
     let t0 = Instant::now();
-    let index = load_index_any(&idx_path, &opts, cfg.shard_open_opts());
+    let index = load_index_any(&idx_path, &opts, cfg.shard_open_opts(), 1);
     let load_seconds = t0.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&idx_path);
     let session = Arc::new(MapSession::new(0, index.map_err(|e| e.to_string())?, opts));

@@ -31,7 +31,7 @@ pub fn run(quick: bool) -> String {
     let mut gpu_note = String::new();
     for id in BaselineId::ALL {
         let opts = id.map_opts();
-        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx) {
+        let index = match ShardedIndex::build(&[ds.reference()], &opts.idx, 1) {
             Ok(i) => i,
             Err(e) => return format!("table5_aligners: index build failed: {e}"),
         };

@@ -216,7 +216,7 @@ mod tests {
         );
         let om = BaselineId::Manymap.map_opts();
         let o2 = BaselineId::Minimap2.map_opts();
-        let idx = ShardedIndex::build(&[rec], &om.idx).unwrap();
+        let idx = ShardedIndex::build(&[rec], &om.idx, 1).unwrap();
         let a = Mapper::new(&idx, om);
         let b = Mapper::new(&idx, o2);
         for r in &reads {
@@ -236,8 +236,8 @@ mod tests {
         reads: &[mmm_simreads::SimulatedRead],
     ) -> (f64, f64) {
         let opts = id.map_opts();
-        let idx =
-            ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], &opts.idx).unwrap();
+        let idx = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], &opts.idx, 1)
+            .unwrap();
         let mapper = Mapper::new(&idx, opts);
         let mut calls = Vec::new();
         for (i, r) in reads.iter().enumerate() {

@@ -3,7 +3,7 @@
 //! A minimap2-style interface over the library:
 //!
 //! ```sh
-//! manymap index  ref.fa ref.mmx [--preset map-pb|map-ont] [--shards N]
+//! manymap index  ref.fa ref.mmx [--preset map-pb|map-ont] [--shards N] [--threads N]
 //! manymap map    ref.mmx reads.fq [shared flags] [--sam] [--fail-fast]
 //!                [--inject-panic <read-name>]
 //! manymap map    ref.fa  reads.fq   # index built on the fly
@@ -15,8 +15,8 @@
 //! `session::MAX_THREADS`), `--backend cpu|gpu-sim`,
 //! `--inject-backend-fault <plan>`, `--backend-retries N`,
 //! `--batch-deadline-ms N` (≥ 1). Each subcommand is
-//! parsed against its own table (`index`:
-//! `session::INDEX_FLAGS`; `map`: the shared table plus
+//! parsed against its own table (`index`: `session::INDEX_FLAGS`, which is
+//! `--preset`, `--shards N` and `--threads N`; `map`: the shared table plus
 //! `session::MAP_FLAGS`): any other `--flag`, a value flag with no value, a
 //! flag given twice, or a malformed number is a usage error naming the flag
 //! (exit 1). Flags are the only configuration channel.
@@ -25,7 +25,10 @@
 //! section-checksummed `MMXS` container around the one image version (v2,
 //! bit-packed postings), published atomically (temp file + rename: a file
 //! is replaced, never rewritten, so a running `map` or daemon keeps the
-//! generation it mapped). `map` memory-maps an index, checksums every byte
+//! generation it mapped). It builds on `--threads N` workers — `map`'s
+//! parser, bound and default (every core) — and writes the same bytes at
+//! every `N`; `map ref.fa` builds its in-memory index on its own
+//! `--threads`. `map` memory-maps an index, checksums every byte
 //! and validates every offset before following any, then queries the
 //! mapping where it lies — opening copies nothing: a damaged file is a fatal
 //! error naming the section, and a file of another version — or a bare
@@ -115,10 +118,13 @@ fn index_report(output: &str, idx: &MinimizerIndex) -> String {
 fn cmd_index(args: &Args) -> Result<(), MapError> {
     let [input, output] = &args.positional[1..] else {
         return Err(MapError::Usage(
-            "usage: manymap index <ref.fa> <out.mmx> [--shards N]".into(),
+            "usage: manymap index <ref.fa> <out.mmx> [--preset map-pb|map-ont] [--shards N] \
+             [--threads N]"
+                .into(),
         ));
     };
     let opts = session::map_opts(args)?;
+    let threads = session::threads(args)?;
     // `--shards N` writes a manifest and N shard files, even at N = 1;
     // without it, one container.
     let n_shards = match args.num("shards")? {
@@ -140,12 +146,11 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
             "[manymap] indexing {} reference sequence(s) into {n_shards} shard(s)...",
             refs.len()
         );
-        let report = build_sharded(&refs, &opts.idx, n_shards, Path::new(output)).map_err(|e| {
-            MapError::Index {
+        let report = build_sharded(&refs, &opts.idx, n_shards, threads, Path::new(output))
+            .map_err(|e| MapError::Index {
                 path: output.to_string(),
                 source: e,
-            }
-        })?;
+            })?;
         let shard_bytes: u64 = report.shard_bytes.iter().sum();
         eprintln!(
             "[manymap] wrote {output}: {} shard(s) over {} sequence(s), \
@@ -155,7 +160,7 @@ fn cmd_index(args: &Args) -> Result<(), MapError> {
         );
         return Ok(());
     }
-    let idx = MinimizerIndex::build(&refs, &opts.idx).map_err(|e| MapError::Index {
+    let idx = MinimizerIndex::build(&refs, &opts.idx, threads).map_err(|e| MapError::Index {
         path: input.to_string(),
         source: e,
     })?;
@@ -182,7 +187,12 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     // be prepared fails before the index is read.
     let exec = exec_cfg.open()?;
 
-    let index = load_index_any(Path::new(ref_path), &opts, exec_cfg.shard_open_opts())?;
+    let index = load_index_any(
+        Path::new(ref_path),
+        &opts,
+        exec_cfg.shard_open_opts(),
+        threads,
+    )?;
     if index.has_manifest() {
         eprintln!(
             "[manymap] opened shard manifest: {} shard(s) over {} sequence(s)",
@@ -288,6 +298,7 @@ mod tests {
         let empty = MinimizerIndex::build(
             &[SeqRecord::new("tiny", nt4_decode(b"ACGTACGT"))],
             &mmm_index::IdxOpts::MAP_ONT,
+            1,
         )
         .unwrap();
         assert_eq!(empty.num_positions(), 0);
@@ -303,9 +314,12 @@ mod tests {
             seed: 41,
             ..Default::default()
         });
-        let single =
-            MinimizerIndex::build(&[SeqRecord::new("chr1", g)], &mmm_index::IdxOpts::MAP_ONT)
-                .unwrap();
+        let single = MinimizerIndex::build(
+            &[SeqRecord::new("chr1", g)],
+            &mmm_index::IdxOpts::MAP_ONT,
+            1,
+        )
+        .unwrap();
         let line = index_report("out.mmx", &single);
         assert!(!line.contains("inf") && !line.contains("NaN"), "{line}");
         if single.posting_bytes() == 0 {
@@ -319,9 +333,12 @@ mod tests {
             seed: 42,
             ..Default::default()
         });
-        let normal =
-            MinimizerIndex::build(&[SeqRecord::new("chr1", g)], &mmm_index::IdxOpts::MAP_ONT)
-                .unwrap();
+        let normal = MinimizerIndex::build(
+            &[SeqRecord::new("chr1", g)],
+            &mmm_index::IdxOpts::MAP_ONT,
+            1,
+        )
+        .unwrap();
         if normal.posting_bytes() > 0 {
             let line = index_report("out.mmx", &normal);
             assert!(line.contains("x vs flat"), "{line}");

@@ -82,7 +82,12 @@ fn cmd_daemon(args: &Args) -> Result<(), MapError> {
     // The daemon's one backend session, for its whole lifetime: opened
     // before the index is read or the socket bound, kept across `reload`.
     let exec = opts.exec.open()?;
-    let index = load_index_any(Path::new(ref_path), &opts.map, opts.exec.shard_open_opts())?;
+    let index = load_index_any(
+        Path::new(ref_path),
+        &opts.map,
+        opts.exec.shard_open_opts(),
+        opts.exec.backend.threads,
+    )?;
     serve::signal::install_drain_handler();
     serve::serve(index, exec, &opts, &StderrSink)
 }

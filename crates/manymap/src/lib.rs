@@ -17,7 +17,7 @@
 //! // bit budget: 2^24 sequences of up to 2^39 bases). Built in memory, it
 //! // is a one-shard index, as a single-file `.mmx` opens.
 //! let reference = SeqRecord::new("chr1", b"ACGTACGTAGGCTAGCTAGGACTGACTGATCGATCGTACG".repeat(200));
-//! let index = ShardedIndex::build(&[reference], &IdxOpts::MAP_ONT).unwrap();
+//! let index = ShardedIndex::build(&[reference], &IdxOpts::MAP_ONT, 1).unwrap();
 //!
 //! // Map a read.
 //! let mapper = Mapper::new(&index, MapOpts::map_ont());

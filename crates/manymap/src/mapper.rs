@@ -528,7 +528,7 @@ mod tests {
     }
 
     fn build_index(genome: &[u8], opts: &IdxOpts) -> ShardedIndex {
-        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], opts).unwrap()
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(genome))], opts, 1).unwrap()
     }
 
     #[test]

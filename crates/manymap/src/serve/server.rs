@@ -365,8 +365,13 @@ fn reload_generation(ctx: &Ctx, opts: &ServeOpts, requested: &str) -> Result<Str
     } else {
         PathBuf::from(requested)
     };
-    let index =
-        load_index_any(&path, &opts.map, opts.exec.shard_open_opts()).map_err(|e| e.to_string())?;
+    let index = load_index_any(
+        &path,
+        &opts.map,
+        opts.exec.shard_open_opts(),
+        opts.exec.backend.threads,
+    )
+    .map_err(|e| e.to_string())?;
     let id = ctx.reloads.fetch_add(1, Ordering::AcqRel) + 1;
     let gen = MapSession::new(id, index, opts.map);
     let desc = gen.describe();

@@ -73,7 +73,7 @@ pub const SHARED_FLAGS: &[Flag] = &[
 pub const MAP_FLAGS: &[Flag] = &[("sam", false), ("fail-fast", false), ("inject-panic", true)];
 
 /// Everything `manymap index` accepts.
-pub const INDEX_FLAGS: &[Flag] = &[("preset", true), ("shards", true)];
+pub const INDEX_FLAGS: &[Flag] = &[("preset", true), ("shards", true), ("threads", true)];
 
 /// What `mmm-serve daemon` accepts on top of [`SHARED_FLAGS`].
 pub const DAEMON_FLAGS: &[Flag] = &[
@@ -243,24 +243,26 @@ pub fn map_opts(args: &Args) -> Result<MapOpts, MapError> {
     Ok(map)
 }
 
+/// The worker count `--threads` names (`manymap map`, `manymap index`,
+/// `mmm-serve daemon`): 1 to [`MAX_THREADS`], by default what
+/// `available_parallelism` reports.
+pub fn threads(args: &Args) -> Result<usize, MapError> {
+    match args.num("threads")? {
+        Some(n) if !(1..=MAX_THREADS).contains(&n) => Err(MapError::Usage(format!(
+            "--threads {n}: expected an integer in 1..={MAX_THREADS}"
+        ))),
+        Some(n) => Ok(n),
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+    }
+}
+
 /// Build the mapping and execution configuration from [`SHARED_FLAGS`].
 /// Flags are the only channel, bar the simulated device's size, which has
 /// no flag: `MMM_GPU_MEM` and `MMM_GPU_STREAMS`.
 pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     let usage = MapError::Usage;
     let map = map_opts(args)?;
-    let threads = match args.num("threads")? {
-        Some(n) if !(1..=MAX_THREADS).contains(&n) => {
-            return Err(usage(format!(
-                "--threads {n}: expected an integer in 1..={MAX_THREADS}"
-            )))
-        }
-        Some(n) => n,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
-    let mut exec = ExecConfig::new(&map, threads);
+    let mut exec = ExecConfig::new(&map, threads(args)?);
     if let Some(v) = args.get("backend") {
         exec.kind = BackendKind::parse(v).map_err(|e| usage(format!("--backend: {e}")))?;
     }
@@ -323,11 +325,13 @@ pub fn is_index_file(path: &Path) -> Result<bool, MapError> {
 /// ([`ShardedIndex::open`]: a single-file container, or a shard manifest
 /// whose shards load lazily with `shard_opts`), memory-mapped,
 /// checksum-verified and queried where it is mapped — or a FASTA indexed
-/// in memory with `map`'s seeding parameters, as one shard.
+/// in memory with `map`'s seeding parameters on `threads` workers, as one
+/// shard.
 pub fn load_index_any(
     path: &Path,
     map: &MapOpts,
     shard_opts: ShardOpenOpts,
+    threads: usize,
 ) -> Result<ShardedIndex, MapError> {
     let index_err = |e: IndexError| MapError::Index {
         path: path.display().to_string(),
@@ -337,7 +341,7 @@ pub fn load_index_any(
         return ShardedIndex::open(path, shard_opts).map_err(index_err);
     }
     let refs = read_refs(path)?;
-    ShardedIndex::build(&refs, &map.idx).map_err(index_err)
+    ShardedIndex::build(&refs, &map.idx, threads).map_err(index_err)
 }
 
 /// An open reference ready to map against — one index generation: the
@@ -843,8 +847,9 @@ mod tests {
         });
         let map = MapOpts::map_ont();
         let open = |id: u64, tname: &str| {
-            let idx = ShardedIndex::build(&[SeqRecord::new(tname, nt4_decode(&genome))], &map.idx)
-                .unwrap();
+            let idx =
+                ShardedIndex::build(&[SeqRecord::new(tname, nt4_decode(&genome))], &map.idx, 1)
+                    .unwrap();
             Arc::new(MapSession::new(id, idx, map))
         };
         let (old, new) = (open(0, "old_chr"), open(1, "chr1"));
@@ -945,7 +950,7 @@ mod tests {
             ..Default::default()
         });
         let idx =
-            ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+            ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx, 1).unwrap();
         let recs: Vec<SeqRecord> = simulate_reads(
             &g,
             &SimOpts {

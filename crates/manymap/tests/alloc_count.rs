@@ -81,8 +81,12 @@ fn fixture() -> (ShardedIndex, Vec<Vec<u8>>) {
         seed: 77,
         ..Default::default()
     });
-    let idx = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
-        .expect("fixture fits every budget");
+    let idx = ShardedIndex::build(
+        &[SeqRecord::new("chr1", nt4_decode(&g))],
+        &IdxOpts::MAP_ONT,
+        1,
+    )
+    .expect("fixture fits every budget");
     // Exact-substring reads (one per strand) so every read produces chains
     // and the walk exercises match runs, gap fills, and both extensions.
     let fwd: Vec<u8> = g[10_000..14_000].to_vec();
@@ -258,6 +262,7 @@ fn opening_an_index_allocates_nothing_proportional_to_it() {
                 w,
                 ..IdxOpts::MAP_ONT
             },
+            1,
         )
         .unwrap();
         save_index(&built, &path).unwrap();

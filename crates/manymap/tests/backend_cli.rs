@@ -39,8 +39,12 @@ fn fixture(tag: &str) -> Fixture {
         seed: 17,
         ..Default::default()
     });
-    let idx = MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &IdxOpts::MAP_ONT)
-        .unwrap();
+    let idx = MinimizerIndex::build(
+        &[SeqRecord::new("chr1", nt4_decode(&g))],
+        &IdxOpts::MAP_ONT,
+        1,
+    )
+    .unwrap();
     let index = dir.join("ref.mmx");
     save_index(&idx, &index).unwrap();
 

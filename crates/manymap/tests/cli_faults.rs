@@ -54,7 +54,7 @@ fn fixture(tag: &str) -> Fixture {
     write_fasta(&mut fasta, &refs, 0).unwrap();
     let ref_fa = dir.join("ref.fa");
     std::fs::write(&ref_fa, &fasta).unwrap();
-    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
+    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1).unwrap();
     let index = dir.join("ref.mmx");
     save_index(&idx, &index).unwrap();
     let mut bare_image = Vec::new();
@@ -442,8 +442,8 @@ impl Sub {
 /// accept `abc`, `-1` or the 21-digit number. Regression: `--threads abc`
 /// once fell back to the default, `--threads 2 --threads 1` kept the last,
 /// `--batch-deadline-ms 0` abandoned every submit at once, `--threads
-/// 1000000` died by SIGABRT in `thread::spawn`, `index --sam --threads 0`
-/// and `map --shards 3` were accepted and ignored.
+/// 1000000` died by SIGABRT in `thread::spawn`, `index --sam` and `map
+/// --shards 3` were accepted and ignored.
 #[test]
 fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     let fx = fixture("flags");
@@ -529,7 +529,12 @@ fn malformed_and_unknown_flags_are_usage_errors_in_both_binaries() {
     map.expect_usage(&fx.dir, &["--socket", "x"], "unknown flag --socket");
     map.expect_usage(&fx.dir, &["--shards", "3"], "unknown flag --shards");
     index.expect_usage(&fx.dir, &["--sam"], "unknown flag --sam");
-    index.expect_usage(&fx.dir, &["--threads", "0"], "unknown flag --threads");
+    // `index` parses `--threads` as `map` does.
+    index.expect_usage(
+        &fx.dir,
+        &["--threads", "0"],
+        "--threads 0: expected an integer in 1..=",
+    );
     index.expect_usage(&fx.dir, &["--shards", "0"], "--shards 0: expected");
     daemon.expect_usage(&fx.dir, &["--sam"], "unknown flag --sam");
     daemon.expect_usage(&fx.dir, &["--fail-fast"], "unknown flag --fail-fast");

@@ -22,7 +22,8 @@ fn map_pb_preset_uses_hpc_and_maps_pacbio_reads() {
     let g = genome();
     let opts = MapOpts::map_pb();
     assert!(opts.idx.hpc, "map-pb must enable HPC, like minimap2 -H");
-    let index = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+    let index =
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx, 1).unwrap();
     assert!(index.hpc());
     let mapper = Mapper::new(&index, opts);
     let reads = simulate_reads(
@@ -60,6 +61,7 @@ fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
             occ_frac: 2e-4,
             hpc: false,
         },
+        1,
     )
     .unwrap();
     let hpc = ShardedIndex::build(
@@ -70,6 +72,7 @@ fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
             occ_frac: 2e-4,
             hpc: true,
         },
+        1,
     )
     .unwrap();
     let reads = simulate_reads(
@@ -98,7 +101,8 @@ fn hpc_seeding_anchors_at_least_as_many_pacbio_reads() {
 fn hpc_mappings_are_coordinate_exact_on_clean_reads() {
     let g = genome();
     let opts = MapOpts::map_pb();
-    let index = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+    let index =
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx, 1).unwrap();
     let mapper = Mapper::new(&index, opts);
     // Error-free extracts, forward and reverse-complement.
     let fwd = g[60_000..66_000].to_vec();

@@ -30,7 +30,7 @@ fn selected_chains_are_the_printed_and_the_aligned_ones() {
     });
     let opts = MapOpts::map_pb();
     let index =
-        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx, 1).unwrap();
     let mapper = Mapper::new(&index, opts);
     // No overlap exceeds the whole shorter chain, so this mapper masks
     // nothing: it selects, and plans gap fills for, every chain.

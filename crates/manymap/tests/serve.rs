@@ -59,6 +59,7 @@ fn fixture(tag: &str, num_reads: usize) -> Fixture {
     let idx = MinimizerIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&genome))],
         &IdxOpts::MAP_ONT,
+        1,
     )
     .unwrap();
     let index = dir.join("ref.mmx");
@@ -112,7 +113,7 @@ fn sharded_fixture(tag: &str) -> Fixture {
         .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
         .collect();
     let index = dir.join("sharded.mmx");
-    build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &index).unwrap();
+    build_sharded(&refs, &IdxOpts::MAP_ONT, 4, 1, &index).unwrap();
 
     let mut records = Vec::new();
     for (ci, g) in chroms.iter().enumerate() {
@@ -398,6 +399,7 @@ fn slow_consumer_is_throttled_without_wedging_others() {
     let idx = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&fx.genome))],
         &IdxOpts::MAP_ONT,
+        1,
     )
     .unwrap();
     let sink = BufferSink::default();
@@ -482,6 +484,7 @@ fn drain_flushes_accepted_reads_before_exit() {
     let idx = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&fx.genome))],
         &IdxOpts::MAP_ONT,
+        1,
     )
     .unwrap();
     let sink = BufferSink::default();
@@ -668,7 +671,7 @@ fn live_reload_swaps_generations_without_dropping_reads() {
     opts.index_path = Some(fx.index.clone());
     opts.exec.kind = BackendKind::GpuSim;
     opts.exec.backend.fault = Some(FaultPlan::parse("launch-fail").unwrap());
-    let index = load_index_any(&fx.index, &opts.map, opts.exec.shard_open_opts()).unwrap();
+    let index = load_index_any(&fx.index, &opts.map, opts.exec.shard_open_opts(), 1).unwrap();
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {
@@ -751,7 +754,7 @@ fn unverifiable_index_is_refused_at_boot_and_reload_keeps_the_old_generation() {
     let fx = fixture("badreload", 4);
     let bare = fx.dir.join("bare.mmx");
     let genome = SeqRecord::new("chr1", nt4_decode(&fx.genome));
-    let idx = MinimizerIndex::build(&[genome], &IdxOpts::MAP_ONT).unwrap();
+    let idx = MinimizerIndex::build(&[genome], &IdxOpts::MAP_ONT, 1).unwrap();
     let mut image = Vec::new();
     write_index_image(&idx, &mut image);
     std::fs::write(&bare, &image).unwrap();
@@ -925,6 +928,7 @@ fn admission_cap_refuses_then_recovers() {
     let idx = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&fx.genome))],
         &IdxOpts::MAP_ONT,
+        1,
     )
     .unwrap();
     let sink = BufferSink::default();

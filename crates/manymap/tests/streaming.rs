@@ -70,7 +70,7 @@ fn fixture() -> (Arc<MapSession>, Vec<SeqRecord>, usize) {
         seed: 31,
         ..Default::default()
     });
-    let idx = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx).unwrap();
+    let idx = ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&g))], &opts.idx, 1).unwrap();
     // Reads over 50 kb are dropped so that no single read is a batch.
     let reads: Vec<SeqRecord> = simulate_reads(
         &g,

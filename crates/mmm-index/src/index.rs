@@ -3,7 +3,8 @@
 //! [`MinimizerIndex::build`] sketches the references, sorts the
 //! `(hash, hit)` pairs and writes the image once — header, packed
 //! sequences, sorted keys, bucket refs, block pool (`serialize`,
-//! `postings`). From then on the image *is* the index: a
+//! `postings`) — on as many workers as it is given, with the same bytes
+//! at every count. From then on the image *is* the index: a
 //! [`MinimizerIndex`] owns the bytes — the builder's buffer, or the mapped
 //! file once its checksums have passed — and keeps only where things lie in
 //! them (one small record per sequence, the table's offsets, a radix
@@ -12,6 +13,7 @@
 //! saved one copy nothing.
 
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use mmm_chain::Anchor;
 use mmm_io::Mmap;
@@ -19,8 +21,9 @@ use mmm_seq::SeqRecord;
 
 use crate::error::IndexError;
 use crate::minimizer::{for_each_minimizer, minimizers, minimizers_hpc, Minimizer};
-use crate::postings::{BucketRef, PackedPostings, PostingCursor};
+use crate::postings::{BucketRef, KeyTable, PackedPostings, PostingCursor};
 use crate::serialize::{self, VerifiedMap, CONTAINER_IMAGE_OFF};
+use crate::shard::partition;
 use crate::unpack;
 
 /// Index construction parameters.
@@ -109,8 +112,21 @@ pub(crate) enum Image {
 }
 
 impl Image {
-    /// An owned, aligned copy of `image` — what a build keeps, and how
-    /// tests and the hostile-input suites put bytes behind an index.
+    /// `image` itself when it starts 8-byte aligned, as a large allocation
+    /// does; an aligned copy otherwise — what a build keeps.
+    pub(crate) fn from_vec(image: Vec<u8>) -> Self {
+        if image.as_ptr().align_offset(8) == 0 {
+            Image::Built {
+                buf: image,
+                start: 0,
+            }
+        } else {
+            Self::from_bytes(&image)
+        }
+    }
+
+    /// An owned, aligned copy of `image` — how tests and the hostile-input
+    /// suites put bytes behind an index.
     pub(crate) fn from_bytes(image: &[u8]) -> Self {
         let mut buf: Vec<u8> = Vec::with_capacity(image.len() + 7);
         let start = buf.as_ptr().align_offset(8);
@@ -169,33 +185,83 @@ impl fmt::Debug for MinimizerIndex {
 }
 
 impl MinimizerIndex {
-    /// Build the index over a set of reference records: write its image
-    /// once, straight from the sorted `(hash, hit)` pairs, and open it.
+    /// Build the index over a set of reference records on up to `threads`
+    /// workers (at least one): write its image once, straight from the
+    /// sorted `(hash, hit)` pairs, open it and cut its occurrence threshold.
+    /// Every thread count writes the same bytes.
     ///
     /// Fails with [`IndexError::HitBudget`] when the reference set exceeds
     /// the packed-hit representation ([`MAX_REF_SEQS`] sequences of up to
     /// [`MAX_REF_LEN`] bases): packing such hits would silently wrap them
     /// into the wrong reference or strand and mismap every read that seeds
     /// there, so over-budget inputs must fail loudly at build time.
-    pub fn build(refs: &[SeqRecord], opts: &IdxOpts) -> Result<Self, IndexError> {
+    pub fn build(refs: &[SeqRecord], opts: &IdxOpts, threads: usize) -> Result<Self, IndexError> {
+        let mut idx = Self::build_table(refs, opts, threads)?;
+        let counts = idx.key_table().iter().map(|(_, count)| count).collect();
+        idx.max_occ = occurrence_cutoff(counts, opts.occ_frac);
+        // The built image is the bytes its file holds, header included.
+        if let Image::Built { buf, start } = &mut idx.image {
+            serialize::set_max_occ(&mut buf[*start..], idx.max_occ);
+        }
+        Ok(idx)
+    }
+
+    /// [`MinimizerIndex::build`] but the cutoff, which a sharded build
+    /// takes over all shards at once: `max_occ` is left 0 (the field is
+    /// what a written header holds).
+    ///
+    /// Groups of whole sequences are sketched concurrently, each group's
+    /// pairs pushed into [`SORT_BUCKETS`] buckets by the top bits of the
+    /// hash as they come (minimap2's `mm_idx_bucket`). Then the buckets are
+    /// sorted concurrently: in bucket order they are the one sorted array
+    /// the table is written from, whichever worker sketched what.
+    pub(crate) fn build_table(
+        refs: &[SeqRecord],
+        opts: &IdxOpts,
+        threads: usize,
+    ) -> Result<Self, IndexError> {
         check_hit_budget(refs.len(), refs.iter().map(|r| (r.name.as_str(), r.len())))?;
+        let lens: Vec<usize> = refs.iter().map(SeqRecord::len).collect();
+        let groups = partition(&lens, pieces(threads));
+        let shift = (2 * opts.k as u32).saturating_sub(SORT_BUCKETS.trailing_zeros());
+        let sketched = par_map(groups, threads, |(start, count)| {
+            let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); SORT_BUCKETS];
+            let seqs: Vec<(usize, Vec<u32>)> = (start..start + count)
+                .map(|rid| {
+                    let nt4 = refs[rid].nt4();
+                    for_each_minimizer(&nt4, opts.k, opts.w, opts.hpc, |m| {
+                        // A hash has `2k` bits, so the clamp is never taken;
+                        // were it, the last bucket would still sort last.
+                        let b = ((m.hash >> shift) as usize).min(SORT_BUCKETS - 1);
+                        buckets[b].push((m.hash, pack_hit(rid as u32, m.pos, m.rev)));
+                    });
+                    (nt4.len(), unpack::pack_nt4(&nt4))
+                })
+                .collect();
+            (seqs, buckets)
+        });
         let mut image = Vec::new();
         serialize::write_header(&mut image, opts, refs.len());
-        // Collect (hash, packed hit) pairs across all references.
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        for (rid, r) in refs.iter().enumerate() {
-            let nt4 = r.nt4();
-            for_each_minimizer(&nt4, opts.k, opts.w, opts.hpc, |m| {
-                pairs.push((m.hash, pack_hit(rid as u32, m.pos, m.rev)));
-            });
-            serialize::write_seq(&mut image, &r.name, nt4.len(), &unpack::pack_nt4(&nt4));
+        let mut parts: Vec<Vec<Vec<(u64, u64)>>> = vec![Vec::new(); SORT_BUCKETS];
+        let mut names = refs.iter().map(|r| r.name.as_str());
+        for (seqs, buckets) in sketched {
+            for ((len, words), name) in seqs.iter().zip(&mut names) {
+                serialize::write_seq(&mut image, name, *len, words);
+            }
+            for (part, bucket) in parts.iter_mut().zip(buckets) {
+                part.push(bucket);
+            }
         }
-        pairs.sort_unstable();
-        PackedPostings::emit(&pairs, &mut image)?;
-        let counts = pairs.chunk_by(|a, b| a.0 == b.0).map(|b| b.len() as u32);
-        serialize::set_max_occ(&mut image, occurrence_cutoff(counts, opts.occ_frac));
-        drop(pairs);
-        Self::from_image_bytes(&image)
+        let sorted = par_map(parts, threads, |part| {
+            let mut part = part.into_iter();
+            let mut bucket = part.next().unwrap_or_default();
+            part.for_each(|p| bucket.extend(p));
+            bucket.sort_unstable();
+            bucket
+        });
+        PackedPostings::emit(&sorted, &mut image)?;
+        drop(sorted);
+        serialize::open_image(Image::from_vec(image))
     }
 
     /// Open a copy of `image` (a bare v2 image, as
@@ -267,6 +333,12 @@ impl MinimizerIndex {
     /// (serialization and cross-checking, not a mapping-path call).
     pub fn hashes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.postings.hashes(self.image.bytes())
+    }
+
+    /// Every minimizer hash, ascending, with its hit count, by index: the
+    /// key array and the bucket refs where they lie in the image.
+    pub(crate) fn key_table(&self) -> KeyTable<'_> {
+        self.postings.key_table(self.image.bytes())
     }
 
     /// Number of distinct minimizers.
@@ -446,19 +518,71 @@ pub(crate) fn sketch(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer
 
 /// Occurrence threshold: the `1 - frac` quantile of per-minimizer counts
 /// (minimap2's `mm_idx_cal_max_occ`), at least 10.
-pub(crate) fn occurrence_cutoff(counts: impl Iterator<Item = u32>, frac: f64) -> u32 {
-    let mut v: Vec<u32> = counts.collect();
-    if v.is_empty() || frac <= 0.0 {
+pub(crate) fn occurrence_cutoff(mut counts: Vec<u32>, frac: f64) -> u32 {
+    if counts.is_empty() || frac <= 0.0 {
         return u32::MAX;
     }
-    if v.len() == 1 {
-        return v[0].max(10);
+    if counts.len() == 1 {
+        return counts[0].max(10);
     }
-    v.sort_unstable();
     // Drop (at least) the top `frac` fraction of keys: the cutoff is the
-    // largest kept count.
-    let drop = ((frac * v.len() as f64).ceil() as usize).clamp(1, v.len() - 1);
-    v[v.len() - 1 - drop].max(10)
+    // largest kept count, the one at that sorted position — which selection
+    // finds without sorting the rest.
+    let drop = ((frac * counts.len() as f64).ceil() as usize).clamp(1, counts.len() - 1);
+    let at = counts.len() - 1 - drop;
+    (*counts.select_nth_unstable(at).1).max(10)
+}
+
+/// How many pieces to cut work into for `threads` workers: a few each, so
+/// that one long piece does not leave the others idle behind it, and one
+/// piece when nobody shares it.
+pub(crate) fn pieces(threads: usize) -> usize {
+    if threads > 1 {
+        threads.saturating_mul(4)
+    } else {
+        1
+    }
+}
+
+/// Buckets a build sorts its `(hash, hit)` pairs in, by the top bits of the
+/// hash (a power of two).
+pub(crate) const SORT_BUCKETS: usize = 256;
+
+/// `f` of every item, on up to `threads` scoped workers that take the items
+/// in order from one queue; the results come back in item order, whichever
+/// worker ran each. With one worker, or one item, `f` runs on the caller's
+/// thread. A panic in `f` is re-raised here.
+pub(crate) fn par_map<T: Send, R: Send>(
+    items: Vec<T>,
+    threads: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // Nothing panics while the queue is locked, so it is never poisoned.
+    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some((i, item)) = next() {
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -478,7 +602,7 @@ mod tests {
 
     fn build_one(genome: &[u8], opts: &IdxOpts) -> MinimizerIndex {
         let rec = SeqRecord::new("chr1", nt4_decode(genome));
-        MinimizerIndex::build(&[rec], opts).unwrap()
+        MinimizerIndex::build(&[rec], opts, 1).unwrap()
     }
 
     #[test]
@@ -507,7 +631,7 @@ mod tests {
                 )
             })
             .collect();
-        let packed = MinimizerIndex::build(&recs, &IdxOpts::MAP_ONT).unwrap();
+        let packed = MinimizerIndex::build(&recs, &IdxOpts::MAP_ONT, 1).unwrap();
         let flat_bytes = packed.num_positions() * 8;
         assert!(
             packed.posting_bytes() * 2 <= flat_bytes,
@@ -580,14 +704,118 @@ mod tests {
         assert!(s.contains("chrBig") && s.contains("position budget"), "{s}");
     }
 
+    /// The cutoff as it was defined before selection: sort every count and
+    /// read the largest kept one.
+    fn sorted_cutoff(counts: &[u32], frac: f64) -> u32 {
+        let mut v = counts.to_vec();
+        if v.is_empty() || frac <= 0.0 {
+            return u32::MAX;
+        }
+        if v.len() == 1 {
+            return v[0].max(10);
+        }
+        v.sort_unstable();
+        let drop = ((frac * v.len() as f64).ceil() as usize).clamp(1, v.len() - 1);
+        v[v.len() - 1 - drop].max(10)
+    }
+
+    fn assert_cutoff(counts: &[u32], frac: f64) {
+        let want = sorted_cutoff(counts, frac);
+        assert_eq!(
+            occurrence_cutoff(counts.to_vec(), frac),
+            want,
+            "{} counts, frac {frac}",
+            counts.len()
+        );
+        // The order the counts come in does not matter.
+        let mut rotated = counts.to_vec();
+        rotated.rotate_left(counts.len() / 3);
+        assert_eq!(occurrence_cutoff(rotated, frac), want, "rotated");
+    }
+
+    /// Selection gives what the sort gave, at the edges where an off-by-one
+    /// would show: no counts, one, all equal, ties straddling the kept
+    /// position and either side of the floor, and `frac` at, near and past
+    /// 0 and 1.
     #[test]
-    fn occurrence_cutoff_quantile() {
-        // 999 singletons and one 1000-count repeat: cutoff at f=1e-3 keeps
-        // the quantile below the repeat.
-        let counts = std::iter::repeat_n(1u32, 999).chain(std::iter::once(1000));
-        let cut = occurrence_cutoff(counts, 1e-3);
-        assert!(cut < 1000);
-        assert!(cut >= 10);
+    fn occurrence_cutoff_matches_the_sorted_quantile() {
+        let fracs = [-1.0, 0.0, 1e-9, 2e-4, 0.1, 0.25, 0.5, 0.999, 1.0, 2.0];
+        let mut cases: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![3],
+            vec![10],
+            vec![11],
+            vec![500],
+            vec![7; 40],
+            vec![11; 40],
+            vec![u32::MAX; 3],
+            vec![1, 1000],
+            vec![1000, 1],
+        ];
+        // Ties straddling the kept position: with 100 keys and frac 0.1 the
+        // ten largest are dropped, so the answer is sorted position 89.
+        for tie in [9u32, 10, 11, 12, 40] {
+            let mut v: Vec<u32> = (0..85).map(|i| i % 7 + 1).collect();
+            v.extend(std::iter::repeat_n(tie, 10));
+            v.extend([tie + 1, tie + 5, tie + 9, 300, 301]);
+            cases.push(v.clone());
+            v.reverse();
+            cases.push(v);
+        }
+        // 999 singletons and one 1000-count repeat.
+        cases.push(std::iter::repeat_n(1, 999).chain([1000]).collect());
+        for counts in &cases {
+            for &frac in &fracs {
+                assert_cutoff(counts, frac);
+            }
+        }
+        let counts: Vec<u32> = std::iter::repeat_n(1u32, 999).chain([1000]).collect();
+        assert_eq!(occurrence_cutoff(counts, 1e-3), 10);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+        #[test]
+        fn occurrence_cutoff_is_the_sorted_quantile(
+            small in proptest::collection::vec(0u32..14, 0..300),
+            large in proptest::collection::vec(0u32..5_000, 0..20),
+            frac_ppm in 0u32..1_000_001
+        ) {
+            let counts: Vec<u32> = small.iter().chain(&large).copied().collect();
+            assert_cutoff(&counts, f64::from(frac_ppm) / 1e6);
+            assert_cutoff(&counts, f64::from(frac_ppm % 1000) / 1e6);
+        }
+    }
+
+    /// Many sequences of uneven length, so that the sketch groups, the
+    /// order their results come back in and the sort buckets all vary with
+    /// the thread count: the image is the same bytes at every count.
+    #[test]
+    fn build_is_the_same_bytes_at_every_thread_count() {
+        let mut lens: Vec<usize> = (0..23).map(|i| 200 + (i * 7_919) % 9_000).collect();
+        lens.push(40_000);
+        for opts in [IdxOpts::MAP_ONT, IdxOpts::MAP_PB] {
+            let mut g = random_genome(lens.iter().sum(), 17).into_iter();
+            let mut recs: Vec<SeqRecord> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| {
+                    SeqRecord::new(
+                        format!("c{i}"),
+                        nt4_decode(&g.by_ref().take(n).collect::<Vec<_>>()),
+                    )
+                })
+                .collect();
+            // A repeated sequence gives multi-hit buckets across groups.
+            recs.push(SeqRecord::new("again", recs[3].seq.clone()));
+            let one = MinimizerIndex::build(&recs, &opts, 1).unwrap();
+            assert!(one.num_positions() > one.num_minimizers());
+            for threads in [2, 3, 8, 64] {
+                let idx = MinimizerIndex::build(&recs, &opts, threads).unwrap();
+                assert_eq!(idx.image.bytes(), one.image.bytes(), "{threads} threads");
+                assert_eq!(idx.max_occ, one.max_occ);
+            }
+        }
     }
 
     #[test]

@@ -133,15 +133,23 @@ pub(crate) struct PackedPostings {
 }
 
 impl PackedPostings {
-    /// Append the minimizer table of `pairs` — `(hash, hit)` sorted by hash
-    /// then hit, exactly the builder's post-sort stream — to the image
-    /// under construction in `out` (which starts at image offset 0): key
-    /// count, sorted keys, `(base, ocw)` per key, then hit count, zero pad
-    /// to an 8-byte image offset, and the block pool behind its word count.
-    /// Returns the offset where the pool section (the hit count) starts.
-    pub(crate) fn emit(pairs: &[(u64, u64)], out: &mut Vec<u8>) -> Result<usize, IndexError> {
-        let buckets = || pairs.chunk_by(|a, b| a.0 == b.0);
+    /// Append the minimizer table of `runs` — `(hash, hit)` pairs sorted by
+    /// hash then hit, cut into runs that no hash straddles (the builder's
+    /// sorted buckets, in order) — to the image under construction in `out`
+    /// (which starts at image offset 0): key count, sorted keys, `(base,
+    /// ocw)` per key, then hit count, zero pad to an 8-byte image offset,
+    /// and the block pool behind its word count. Returns the offset where
+    /// the pool section (the hit count) starts.
+    pub(crate) fn emit<R: AsRef<[(u64, u64)]>>(
+        runs: &[R],
+        out: &mut Vec<u8>,
+    ) -> Result<usize, IndexError> {
+        let buckets = || {
+            runs.iter()
+                .flat_map(|run| run.as_ref().chunk_by(|a, b| a.0 == b.0))
+        };
         let n_keys = buckets().count();
+        let n_hits: usize = runs.iter().map(|run| run.as_ref().len()).sum();
         out.extend_from_slice(&(n_keys as u64).to_le_bytes());
         let keys = out.len();
         let refs = keys + 8 * n_keys;
@@ -193,7 +201,7 @@ impl PackedPostings {
             out[refs + 16 * i + 8..][..8].copy_from_slice(&r.ocw.to_le_bytes());
         }
         let map_end = out.len();
-        out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(n_hits as u64).to_le_bytes());
         // Zero-pad so the block pool (after its 8-byte length prefix) starts
         // 8-byte aligned in the image: its words are then read in place.
         let pad = (8 - out.len() % 8) % 8;
@@ -363,6 +371,16 @@ impl PackedPostings {
             .map(|c| le_u64(c, 0))
     }
 
+    /// The key array and the bucket refs where they lie, read by index.
+    pub(crate) fn key_table<'a>(&self, image: &'a [u8]) -> KeyTable<'a> {
+        let keys = &image[self.keys..self.keys + 8 * self.n_keys];
+        let refs = &image[self.keys + 8 * self.n_keys..self.keys + 24 * self.n_keys];
+        KeyTable {
+            keys: keys.as_chunks().0,
+            refs: refs.as_chunks().0,
+        }
+    }
+
     /// The bucket of `hash`, or `None` when the index does not hold it: one
     /// directory read, then a search of that slot's run of the sorted key
     /// array that starts where interpolation says the key should be. The
@@ -430,6 +448,51 @@ impl PackedPostings {
     #[inline]
     pub(crate) fn cursor<'a>(&self, image: &'a [u8], r: BucketRef) -> PostingCursor<'a> {
         PostingCursor::new(self.blocks(image), r)
+    }
+}
+
+/// A table's sorted keys and their bucket refs, where they lie in the
+/// image ([`PackedPostings::key_table`]).
+#[derive(Clone, Copy)]
+pub(crate) struct KeyTable<'a> {
+    /// One little-endian key, and one `(base, ocw)` bucket ref, an entry.
+    keys: &'a [[u8; 8]],
+    refs: &'a [[u8; 16]],
+}
+
+impl<'a> KeyTable<'a> {
+    /// Number of keys.
+    pub(crate) fn len(self) -> usize {
+        self.keys.len()
+    }
+
+    /// Keys `range` of the table.
+    pub(crate) fn slice(self, range: std::ops::Range<usize>) -> Self {
+        KeyTable {
+            keys: &self.keys[range.clone()],
+            refs: &self.refs[range],
+        }
+    }
+
+    /// Index of the first key not below `key`.
+    pub(crate) fn lower_bound(self, key: u64) -> usize {
+        self.keys.partition_point(|k| u64::from_le_bytes(*k) < key)
+    }
+
+    /// Every key, ascending, and its hit count.
+    pub(crate) fn iter(self) -> impl Iterator<Item = (u64, u32)> + 'a {
+        (0..self.len()).filter_map(move |i| self.get(i))
+    }
+
+    /// Key `i`, ascending in `i`, and its hit count; `None` past the end.
+    #[inline]
+    pub(crate) fn get(self, i: usize) -> Option<(u64, u32)> {
+        let key = self.keys.get(i)?;
+        let r = BucketRef {
+            base: 0,
+            ocw: u64::from_le_bytes(*self.refs.get(i)?.last_chunk()?),
+        };
+        Some((u64::from_le_bytes(*key), r.count() as u32))
     }
 }
 
@@ -539,7 +602,7 @@ mod tests {
     /// it, in an aligned buffer, and the view `open` gives over it.
     fn table(pairs: &[(u64, u64)]) -> Result<(Image, PackedPostings), IndexError> {
         let mut out = Vec::new();
-        PackedPostings::emit(pairs, &mut out)?;
+        PackedPostings::emit(&[pairs], &mut out)?;
         let image = Image::from_bytes(&out);
         // Hits may name any of the 2^24 references.
         // A directory slot per key or so, as a real index has.
@@ -700,7 +763,7 @@ mod tests {
     #[test]
     fn oversized_bucket_is_refused() {
         let pairs: Vec<(u64, u64)> = (0..=MAX_BUCKET_HITS).map(|i| (1u64, i * 2)).collect();
-        let err = PackedPostings::emit(&pairs, &mut Vec::new()).unwrap_err();
+        let err = PackedPostings::emit(&[pairs], &mut Vec::new()).unwrap_err();
         assert!(matches!(err, IndexError::PostingBudget { .. }), "{err}");
         assert!(err.to_string().contains("packed-block budget"), "{err}");
     }
@@ -708,7 +771,7 @@ mod tests {
     /// Re-open the table of `pairs` after `patch` edited its bytes.
     fn reopen(pairs: &[(u64, u64)], patch: impl FnOnce(&mut Vec<u8>)) -> io::Error {
         let mut out = Vec::new();
-        PackedPostings::emit(pairs, &mut out).unwrap();
+        PackedPostings::emit(&[pairs], &mut out).unwrap();
         patch(&mut out);
         let image = Image::from_bytes(&out);
         PackedPostings::open(&mut SliceSource::new(image.bytes()), 1 << 24, 0).unwrap_err()
@@ -773,6 +836,34 @@ mod tests {
                 .collect();
             pairs.sort_unstable();
             assert_equivalent(&pairs);
+            // Cut into runs at hash boundaries, as a build's sort buckets
+            // are, the table is the same bytes.
+            let mut whole = Vec::new();
+            PackedPostings::emit(&[&pairs[..]], &mut whole).unwrap();
+            let runs: Vec<&[(u64, u64)]> = pairs.chunk_by(|a, b| a.0 >> 2 == b.0 >> 2).collect();
+            let mut cut = Vec::new();
+            PackedPostings::emit(&runs, &mut cut).unwrap();
+            prop_assert_eq!(cut, whole);
         }
+    }
+
+    /// A key table read by index is the key array and the bucket counts.
+    #[test]
+    fn key_table_reads_keys_and_counts() {
+        let pairs = [(3u64, 9u64), (3, 309), (3, 400), (7, 1), (9, 2), (9, 5)];
+        let (image, p) = table(&pairs).unwrap();
+        let t = p.key_table(image.bytes());
+        assert_eq!(t.len(), 3);
+        let all: Vec<_> = (0..4).map(|i| t.get(i)).collect();
+        assert_eq!(all, [Some((3, 3)), Some((7, 1)), Some((9, 2)), None]);
+        assert_eq!(
+            [0, 3, 4, 8, 9, 10].map(|k| t.lower_bound(k)),
+            [0, 0, 1, 2, 2, 3]
+        );
+        let mid = t.slice(1..3);
+        assert_eq!(
+            (mid.len(), mid.get(0), mid.get(1)),
+            (2, Some((7, 1)), Some((9, 2)))
+        );
     }
 }

@@ -27,7 +27,7 @@
 use std::io;
 use std::path::Path;
 
-use mmm_io::{write_atomic, Mmap, SliceSource};
+use mmm_io::{stage_atomic, Mmap, SliceSource, Staged};
 
 use crate::error::IndexError;
 use crate::index::{IdxOpts, Image, MinimizerIndex, SeqSpan};
@@ -65,13 +65,14 @@ pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"MMX\x03";
 
 /// Write `idx` to `path` as a single-file index: one container, atomically.
 pub fn save_index(idx: &MinimizerIndex, path: &Path) -> io::Result<()> {
-    write_container(idx, 0, path).map(|_| ())
+    stage_container(idx, 0, path)?.0.publish()
 }
 
 /// Start an image in `out`: the header of an index over `n_seqs`
 /// sequences, `max_occ` still zero. The builder follows it with one
-/// [`write_seq`] per sequence, the minimizer table
-/// ([`PackedPostings::emit`]) and [`set_max_occ`].
+/// [`write_seq`] per sequence and the minimizer table
+/// ([`PackedPostings::emit`]); a written image takes `max_occ` from the
+/// index's field.
 pub(crate) fn write_header(out: &mut Vec<u8>, opts: &IdxOpts, n_seqs: usize) {
     out.extend_from_slice(MAGIC_PREFIX);
     out.push(VERSION_PACKED);
@@ -82,8 +83,7 @@ pub(crate) fn write_header(out: &mut Vec<u8>, opts: &IdxOpts, n_seqs: usize) {
     debug_assert_eq!(out.len(), HEADER_LEN);
 }
 
-/// Set the header's `max_occ` (the builder knows the cutoff only once
-/// every sequence is sketched).
+/// Set the header's `max_occ` — in a written image, the index's field.
 pub(crate) fn set_max_occ(image: &mut [u8], max_occ: u32) {
     image[MAX_OCC_AT..][..4].copy_from_slice(&max_occ.to_le_bytes());
 }
@@ -108,39 +108,56 @@ pub(crate) fn write_seq(out: &mut Vec<u8>, name: &str, len: usize, words: &[u32]
 /// field; [`MinimizerIndex::from_image_bytes`] over them reproduces the
 /// index, which is how the hostile-input suites get at the bare image.
 pub fn write_index_image(idx: &MinimizerIndex, out: &mut Vec<u8>) -> [(u64, u64); 4] {
-    let start = out.len();
-    out.extend_from_slice(idx.image.bytes());
-    set_max_occ(&mut out[start..], idx.max_occ);
+    let (header, body, sections) = image_parts(idx);
+    out.extend_from_slice(&header);
+    out.extend_from_slice(body);
+    sections
+}
+
+/// `idx`'s v2 image as the header — with `max_occ` set from the field —
+/// and the rest where it lies, and the image-relative ranges of its four
+/// sections.
+fn image_parts(idx: &MinimizerIndex) -> ([u8; HEADER_LEN], &[u8], [(u64, u64); 4]) {
+    let image = idx.image.bytes();
+    let mut header = [0u8; HEADER_LEN];
+    header.copy_from_slice(&image[..HEADER_LEN]);
+    set_max_occ(&mut header, idx.max_occ);
     let (map, pool) = (idx.postings.map_start(), idx.postings.pool_start());
-    [
+    let sections = [
         (0, HEADER_LEN),
         (HEADER_LEN, map),
         (map, pool),
-        (pool, out.len() - start),
+        (pool, image.len()),
     ]
-    .map(|(s, e)| (s as u64, e as u64))
+    .map(|(s, e)| (s as u64, e as u64));
+    (header, &image[HEADER_LEN..], sections)
 }
 
-/// Wrap `idx`'s image in a container at `path`, atomically. Returns
-/// `(file_len, dir_hash)`; the directory hash transitively covers every
-/// byte of the file (it hashes the section digests), so a manifest can pin
-/// the exact shard generation with eight bytes.
-pub(crate) fn write_container(
+/// Wrap `idx`'s image in a container staged for `path` (published by
+/// [`Staged::publish`], atomically). Returns it with `(file_len,
+/// dir_hash)`; the directory hash transitively covers every byte of the
+/// file (it hashes the section digests), so a manifest can pin the exact
+/// shard generation with eight bytes. The image is written from where it
+/// lies, behind the directory and its own header.
+pub(crate) fn stage_container(
     idx: &MinimizerIndex,
     rid_start: u32,
     path: &Path,
-) -> io::Result<(u64, u64)> {
-    // The image goes straight behind a directory-sized gap, filled in once
-    // the section digests are known.
-    let mut file = vec![0u8; CONTAINER_IMAGE_OFF];
-    let sections = write_index_image(idx, &mut file);
+) -> io::Result<(Staged, u64, u64)> {
+    let (header, body, sections) = image_parts(idx);
     let mut dir = Vec::with_capacity(CONTAINER_IMAGE_OFF);
     dir.extend_from_slice(&CONTAINER_MAGIC);
     dir.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
     dir.extend_from_slice(&(rid_start as u64).to_le_bytes());
-    let image = &file[CONTAINER_IMAGE_OFF..];
     for (i, &(s, e)) in sections.iter().enumerate() {
-        let digest = xxh64(&image[s as usize..e as usize], i as u64);
+        let digest = if i == 0 {
+            xxh64(&header, 0)
+        } else {
+            xxh64(
+                &body[s as usize - HEADER_LEN..e as usize - HEADER_LEN],
+                i as u64,
+            )
+        };
         dir.extend_from_slice(&(CONTAINER_IMAGE_OFF as u64 + s).to_le_bytes());
         dir.extend_from_slice(&(e - s).to_le_bytes());
         dir.extend_from_slice(&digest.to_le_bytes());
@@ -148,9 +165,12 @@ pub(crate) fn write_container(
     debug_assert_eq!(dir.len(), CONTAINER_DIR_LEN);
     let dir_hash = xxh64(&dir, 0);
     dir.extend_from_slice(&dir_hash.to_le_bytes());
-    file[..CONTAINER_IMAGE_OFF].copy_from_slice(&dir);
-    write_atomic(path, &file)?;
-    Ok((file.len() as u64, dir_hash))
+    let staged = stage_atomic(path, &[&dir, &header, body])?;
+    Ok((
+        staged,
+        (CONTAINER_IMAGE_OFF + HEADER_LEN + body.len()) as u64,
+        dir_hash,
+    ))
 }
 
 /// Validated container directory: rid base plus absolute section ranges.
@@ -582,7 +602,7 @@ mod tests {
     }
 
     fn sample_index() -> MinimizerIndex {
-        MinimizerIndex::build(&sample_records(), &IdxOpts::MAP_ONT).unwrap()
+        MinimizerIndex::build(&sample_records(), &IdxOpts::MAP_ONT, 1).unwrap()
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -660,7 +680,8 @@ mod tests {
     fn container_round_trip_and_section_corruption() {
         let idx = sample_index();
         let p = tmp("container");
-        let (len, dir_hash) = write_container(&idx, 7, &p).unwrap();
+        let (staged, len, dir_hash) = stage_container(&idx, 7, &p).unwrap();
+        staged.publish().unwrap();
         let bytes = std::fs::read(&p).unwrap();
         std::fs::remove_file(&p).unwrap();
         assert_eq!(bytes.len() as u64, len);

@@ -44,13 +44,13 @@ use mmm_io::{write_atomic, Mmap};
 use mmm_seq::SeqRecord;
 
 use crate::error::IndexError;
-use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, sketch};
+use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, par_map, pieces, sketch};
 use crate::index::{IdxOpts, MinimizerIndex};
 use crate::minimizer::Minimizer;
-use crate::postings::BucketRef;
+use crate::postings::{BucketRef, KeyTable};
 use crate::serialize::{
-    container_section_ranges, parse_manifest, serialize_manifest, verify_checksums,
-    write_container, VerifiedMap, CONTAINER_IMAGE_OFF, MANIFEST_MAGIC,
+    container_section_ranges, parse_manifest, serialize_manifest, stage_container,
+    verify_checksums, VerifiedMap, CONTAINER_IMAGE_OFF, MANIFEST_MAGIC,
 };
 
 /// Load attempts per shard before the fault ladder gives up: one initial
@@ -228,8 +228,9 @@ impl ShardManifest {
 // ---------------------------------------------------------------------------
 
 /// Split `lens` into up to `n` contiguous, length-balanced, non-empty
-/// ranges. Returns `(start, count)` per shard.
-fn partition(lens: &[usize], n: usize) -> Vec<(usize, usize)> {
+/// ranges. Returns `(start, count)` per range: a shard, or a build's group
+/// of sequences sketched together.
+pub(crate) fn partition(lens: &[usize], n: usize) -> Vec<(usize, usize)> {
     if lens.is_empty() {
         return vec![(0, 0)];
     }
@@ -275,52 +276,26 @@ fn write_err(path: &Path, e: io::Error) -> IndexError {
     }
 }
 
-/// Build a sharded index over `refs`: split into `n_shards` contiguous
-/// target ranges, build each range as its own index, compute the *global*
-/// occurrence cutoff from the merged per-minimizer counts, then publish
-/// shard files and finally the manifest — every file atomically, manifest
-/// last, so a crash at any point leaves either the previous generation or
-/// the complete new one, never a parseable partial.
+/// Build a sharded index over `refs` on up to `threads` workers: split it
+/// into `n_shards` contiguous target ranges and build each range as its own
+/// index, concurrently; take the *global* occurrence cutoff from the merged
+/// per-minimizer counts; write the shard files to temp files,
+/// concurrently, then rename them into place in shard order, and publish
+/// the manifest only once every shard file is — every file atomically,
+/// manifest last, so a crash at any point leaves either the previous
+/// generation or the complete new one, never a parseable partial. Every
+/// file is the same bytes at every thread count. A shard that fails fails
+/// the build as it would one shard after another: the error is the
+/// lowest-numbered failing shard's, the shards below it are published,
+/// those above it and the manifest are not.
 pub fn build_sharded(
     refs: &[SeqRecord],
     opts: &IdxOpts,
     n_shards: usize,
+    threads: usize,
     manifest_path: &Path,
 ) -> Result<ShardBuildReport, IndexError> {
     check_hit_budget(refs.len(), refs.iter().map(|r| (r.name.as_str(), r.len())))?;
-    let lens: Vec<usize> = refs.iter().map(|r| r.len()).collect();
-    let cuts = partition(&lens, n_shards.max(1));
-
-    let mut shards: Vec<MinimizerIndex> = Vec::with_capacity(cuts.len());
-    for &(start, count) in &cuts {
-        shards.push(MinimizerIndex::build(&refs[start..start + count], opts)?);
-    }
-
-    // Global occurrence cutoff: merge (hash, count) across shards and sum
-    // counts of minimizers that appear in several shards. The resulting
-    // multiset of per-key counts is exactly what a flat build would feed
-    // occurrence_cutoff, so the cutoff — and therefore seeding — matches.
-    let mut pairs: Vec<(u64, u32)> = Vec::new();
-    for idx in &shards {
-        pairs.extend(idx.hashes().map(|h| (h, idx.hit_count(h) as u32)));
-    }
-    pairs.sort_unstable();
-    let mut counts: Vec<u32> = Vec::new();
-    let mut i = 0;
-    while i < pairs.len() {
-        let h = pairs[i].0;
-        let mut c = 0u32;
-        while i < pairs.len() && pairs[i].0 == h {
-            c += pairs[i].1;
-            i += 1;
-        }
-        counts.push(c);
-    }
-    let max_occ = occurrence_cutoff(counts.into_iter(), opts.occ_frac);
-    for idx in &mut shards {
-        idx.max_occ = max_occ;
-    }
-
     let manifest_name = manifest_path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -333,34 +308,57 @@ pub fn build_sharded(
                 ),
             )
         })?;
-    let dir = manifest_path
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_default();
+    let dir = manifest_path.parent().unwrap_or(Path::new(""));
+    let lens: Vec<usize> = refs.iter().map(|r| r.len()).collect();
+    let cuts = partition(&lens, n_shards.max(1));
+    // One shard per worker; a worker's own build gets the threads left over
+    // when there are fewer shards than threads.
+    let workers = threads.clamp(1, cuts.len());
+    let inner = (threads / workers).max(1);
 
-    let mut metas = Vec::with_capacity(shards.len());
-    let mut shard_files = Vec::with_capacity(shards.len());
-    let mut shard_bytes = Vec::with_capacity(shards.len());
-    for (si, (idx, &(start, count))) in shards.iter().zip(&cuts).enumerate() {
-        let rel = format!("{manifest_name}.s{si:03}");
-        let path = if dir.as_os_str().is_empty() {
-            PathBuf::from(&rel)
-        } else {
-            dir.join(&rel)
-        };
-        let (file_len, dir_hash) =
-            write_container(idx, start as u32, &path).map_err(|e| write_err(&path, e))?;
-        metas.push(ShardMeta {
-            path: rel,
-            rid_start: start as u32,
-            rid_count: count as u32,
-            file_len,
-            dir_hash,
-            bloom: Some(Bloom::build(idx.hashes())),
-        });
+    let built: Vec<(MinimizerIndex, Bloom)> = par_map(cuts.clone(), workers, |(start, count)| {
+        let idx = MinimizerIndex::build_table(&refs[start..start + count], opts, inner)?;
+        let bloom = Bloom::build(idx.hashes());
+        Ok((idx, bloom))
+    })
+    .into_iter()
+    .collect::<Result<_, IndexError>>()?;
+
+    let tables: Vec<KeyTable> = built.iter().map(|(idx, _)| idx.key_table()).collect();
+    let max_occ = occurrence_cutoff(merged_counts(&tables, threads), opts.occ_frac);
+
+    let shards: Vec<_> = built.into_iter().zip(cuts).enumerate().collect();
+    let staged = par_map(
+        shards,
+        workers,
+        |(si, ((mut idx, bloom), (start, count)))| {
+            idx.max_occ = max_occ;
+            let rel = format!("{manifest_name}.s{si:03}");
+            let path = dir.join(&rel);
+            let (file, file_len, dir_hash) =
+                stage_container(&idx, start as u32, &path).map_err(|e| write_err(&path, e))?;
+            let meta = ShardMeta {
+                path: rel,
+                rid_start: start as u32,
+                rid_count: count as u32,
+                file_len,
+                dir_hash,
+                bloom: Some(bloom),
+            };
+            Ok((meta, path, file))
+        },
+    );
+    // In shard order, stopping at the first failure; the files staged above
+    // it are removed unpublished.
+    let mut metas = Vec::with_capacity(staged.len());
+    let mut shard_files = Vec::with_capacity(staged.len());
+    for shard in staged {
+        let (meta, path, file) = shard?;
+        file.publish().map_err(|e| write_err(&path, e))?;
+        metas.push(meta);
         shard_files.push(path);
-        shard_bytes.push(file_len);
     }
+    let shard_bytes = metas.iter().map(|m| m.file_len).collect();
 
     let manifest = ShardManifest {
         k: opts.k,
@@ -372,15 +370,126 @@ pub fn build_sharded(
         shards: metas,
     };
     let bytes = serialize_manifest(&manifest);
-    write_atomic(manifest_path, &bytes).map_err(|e| write_err(manifest_path, e))?;
+    write_atomic(manifest_path, &[&bytes]).map_err(|e| write_err(manifest_path, e))?;
     Ok(ShardBuildReport {
-        n_shards: cuts.len(),
+        n_shards: manifest.shards.len(),
         n_seqs: refs.len(),
         max_occ,
         shard_files,
         shard_bytes,
         manifest_bytes: bytes.len() as u64,
     })
+}
+
+/// The hit count of every distinct minimizer of the whole reference, from
+/// the shards' own sorted `(key, count)` arrays: a merge that sums the
+/// counts of a key several shards hold. The multiset is the one a flat
+/// build would cut its threshold from, so the cutoff — and therefore
+/// seeding — matches. On several threads the key space is cut into ranges
+/// of about equal size at keys of the largest shard, and the ranges merge
+/// concurrently.
+fn merged_counts(tables: &[KeyTable], threads: usize) -> Vec<u32> {
+    let n = pieces(threads);
+    let cuts: Vec<u64> = tables
+        .iter()
+        .max_by_key(|t| t.len())
+        .map_or(Vec::new(), |&t| {
+            (1..n)
+                .filter_map(|j| t.get(j * t.len() / n))
+                .map(|(key, _)| key)
+                .collect()
+        });
+    // Where each table's keys reach each cut.
+    let bounds: Vec<Vec<usize>> = tables
+        .iter()
+        .map(|&t| {
+            let at_cuts = cuts.iter().map(|&key| t.lower_bound(key));
+            std::iter::once(0).chain(at_cuts).chain([t.len()]).collect()
+        })
+        .collect();
+    let ranges: Vec<Vec<KeyTable>> = (0..=cuts.len())
+        .map(|j| {
+            let slices = tables.iter().zip(&bounds);
+            slices.map(|(&t, b)| t.slice(b[j]..b[j + 1])).collect()
+        })
+        .collect();
+    par_map(ranges, threads, |range| merge_range(&range)).concat()
+}
+
+/// [`merged_counts`] over one range of keys.
+fn merge_range(tables: &[KeyTable]) -> Vec<u32> {
+    let mut counts = Vec::with_capacity(tables.iter().map(|t| t.len()).sum());
+    merge(tables, |_, count| counts.push(count));
+    counts
+}
+
+/// Runs one [`scan`] merges at most: each step of it reads every run's
+/// head.
+const FAN_IN: usize = 8;
+
+/// Key-sorted `(key, count)` entries a merge reads by index.
+trait Run: Copy {
+    fn at(self, i: usize) -> Option<(u64, u32)>;
+}
+
+impl Run for KeyTable<'_> {
+    fn at(self, i: usize) -> Option<(u64, u32)> {
+        self.get(i)
+    }
+}
+
+impl Run for &[(u64, u32)] {
+    fn at(self, i: usize) -> Option<(u64, u32)> {
+        self.get(i).copied()
+    }
+}
+
+/// `emit` every key of `runs`, ascending, with its summed count. More runs
+/// than [`FAN_IN`] are merged in groups first, into at most [`FAN_IN`]
+/// runs, so a key passes `log_FAN_IN(runs)` scans of at most [`FAN_IN`]
+/// runs each, not one scan of all of them.
+fn merge<R: Run>(runs: &[R], emit: impl FnMut(u64, u32)) {
+    if runs.len() <= FAN_IN {
+        return scan(runs, emit);
+    }
+    let groups: Vec<Vec<(u64, u32)>> = runs
+        .chunks(runs.len().div_ceil(FAN_IN))
+        .map(merged)
+        .collect();
+    let groups: Vec<&[(u64, u32)]> = groups.iter().map(Vec::as_slice).collect();
+    scan(&groups, emit)
+}
+
+/// [`merge`] into one run.
+fn merged<R: Run>(runs: &[R]) -> Vec<(u64, u32)> {
+    let mut run = Vec::new();
+    merge(runs, |key, count| run.push((key, count)));
+    run
+}
+
+/// [`merge`] of at most [`FAN_IN`] runs. Which runs hold the next key is
+/// data, not a pattern a branch predicts, so every step reads each run's
+/// head and adds and advances by the comparison, with no branch on it. A
+/// key is a `2k`-bit hash, so `u64::MAX` stands for a run that has none
+/// left.
+fn scan<R: Run>(runs: &[R], mut emit: impl FnMut(u64, u32)) {
+    const DONE: u64 = u64::MAX;
+    let head = |r: R, i: usize| r.at(i).unwrap_or((DONE, 0));
+    let mut at = vec![0usize; runs.len()];
+    loop {
+        let key = runs.iter().zip(&at).map(|(&r, &i)| head(r, i).0).min();
+        let Some(key) = key.filter(|&k| k != DONE) else {
+            return;
+        };
+        let mut sum = 0u32;
+        for (&r, i) in runs.iter().zip(&mut at) {
+            let (k, c) = head(r, *i);
+            let here = u32::from(k == key);
+            sum = sum.saturating_add(c * here);
+            *i += here as usize;
+        }
+        emit(key, sum);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -531,10 +640,10 @@ impl From<MinimizerIndex> for ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Build an index over `refs` in memory ([`MinimizerIndex::build`]):
-    /// one shard, loaded, with no filter.
-    pub fn build(refs: &[SeqRecord], opts: &IdxOpts) -> Result<Self, IndexError> {
-        MinimizerIndex::build(refs, opts).map(Self::from)
+    /// Build an index over `refs` in memory on up to `threads` workers
+    /// ([`MinimizerIndex::build`]): one shard, loaded, with no filter.
+    pub fn build(refs: &[SeqRecord], opts: &IdxOpts, threads: usize) -> Result<Self, IndexError> {
+        MinimizerIndex::build(refs, opts, threads).map(Self::from)
     }
 
     /// Open the index file at `path` as whichever kind its leading magic
@@ -1150,7 +1259,7 @@ mod tests {
     fn probe_pass_answers_like_each_filter() {
         let d = tmp_dir("probes");
         let refs = multi_chrom(4, 20_000, 21);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, 1, &d.join("r.mmx")).unwrap();
         let sh = ShardedIndex::open(&d.join("r.mmx"), ShardOpenOpts::default()).unwrap();
         let blooms: Vec<&Bloom> = sh
             .manifest()
@@ -1319,6 +1428,54 @@ mod tests {
         (refs, units)
     }
 
+    /// The merged counts against summing each shard's `(hash, count)`
+    /// pairs in a map, as the cutoff was first taken: planted units put
+    /// keys in several shards with counts either side of the floor, and the
+    /// counts and the cutoff agree at every quantile, thread count and
+    /// shard count. Each shard's table given 5 and 30 times over stands in
+    /// for more shards than one scan merges (one and two levels of groups),
+    /// every count then 5 or 30 times the sum.
+    #[test]
+    fn merged_counts_sum_the_keys_shards_share() {
+        let (refs, _) = planted([12, 37], 5);
+        for n_shards in [2, 3, 4] {
+            let shards: Vec<MinimizerIndex> = partition(
+                &refs.iter().map(SeqRecord::len).collect::<Vec<_>>(),
+                n_shards,
+            )
+            .into_iter()
+            .map(|(start, count)| {
+                MinimizerIndex::build_table(&refs[start..start + count], &IdxOpts::MAP_ONT, 1)
+                    .unwrap()
+            })
+            .collect();
+            let mut model = std::collections::BTreeMap::<u64, u32>::new();
+            for idx in &shards {
+                for h in idx.hashes() {
+                    *model.entry(h).or_default() += idx.hit_count(h) as u32;
+                }
+            }
+            let shared = shards.iter().map(|i| i.num_minimizers()).sum::<usize>() - model.len();
+            assert!(shared > 20, "{shared} shared keys");
+            let tables: Vec<KeyTable> = shards.iter().map(|idx| idx.key_table()).collect();
+            for times in [1, 5, 30] {
+                let runs: Vec<KeyTable> = (0..times).flat_map(|_| tables.clone()).collect();
+                let mut want: Vec<u32> = model.values().map(|&c| c * times).collect();
+                want.sort_unstable();
+                for threads in [1, 2, 3, 7] {
+                    let what = format!("{n_shards} shards x {times}, {threads} threads");
+                    let mut got = merged_counts(&runs, threads);
+                    for frac in [1e-4, 2e-4, 1e-3, 3e-3, 1e-2, 0.1] {
+                        let cut = occurrence_cutoff(got.clone(), frac);
+                        assert_eq!(cut, occurrence_cutoff(want.clone(), frac), "{what}");
+                    }
+                    got.sort_unstable();
+                    assert!(got == want, "{what}: counts differ");
+                }
+            }
+        }
+    }
+
     /// The one seeding path against the reference loop, at every shard
     /// count and origin: an in-memory build and a single-file container
     /// (one shard, no filter) and manifests of 1, 2 and 4 shards. With
@@ -1339,16 +1496,16 @@ mod tests {
                 ..preset
             };
             let (refs, units) = planted([MAX_OCC, MAX_OCC + 1], 70 + p as u64);
-            let gold = MinimizerIndex::build(&refs, &opts).unwrap();
+            let gold = MinimizerIndex::build(&refs, &opts, 1).unwrap();
             let flat = d.join(format!("flat{p}.mmx"));
             crate::serialize::save_index(&gold, &flat).unwrap();
             let mut indexes = vec![
-                (0, ShardedIndex::build(&refs, &opts).unwrap()),
+                (0, ShardedIndex::build(&refs, &opts, 1).unwrap()),
                 (0, open(&flat)),
             ];
             for n in [1, 2, 4] {
                 let path = d.join(format!("sharded{p}x{n}.mmx"));
-                build_sharded(&refs, &opts, n, &path).unwrap();
+                build_sharded(&refs, &opts, n, 1, &path).unwrap();
                 indexes.push((n, open(&path)));
             }
 
@@ -1457,7 +1614,7 @@ mod tests {
     fn transient_fault_retries_then_succeeds() {
         let d = tmp_dir("retry");
         let refs = multi_chrom(2, 10_000, 3);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 2, &d.join("r.mmx")).unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 2, 1, &d.join("r.mmx")).unwrap();
         let sh = open_with_script(&d.join("r.mmx"), vec![(0, 0, ShardLoadFault::Io)]);
         // Attempt 0 faults, attempt 1 succeeds.
         assert!(sh.ensure_shard(0).is_ok());
@@ -1477,8 +1634,8 @@ mod tests {
         // everywhere degrade.
         let d = tmp_dir("partial");
         let refs = multi_chrom(3, 12_000, 41);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 3, &d.join("r.mmx")).unwrap();
-        let flat = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 3, 1, &d.join("r.mmx")).unwrap();
+        let flat = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1).unwrap();
         let sh = open_with_script(&d.join("r.mmx"), vec![(1, 0, ShardLoadFault::Missing)]);
 
         for rid in [0u32, 2] {
@@ -1500,7 +1657,7 @@ mod tests {
     fn persistent_faults_quarantine_with_reason() {
         let d = tmp_dir("quarantine");
         let refs = multi_chrom(4, 8_000, 13);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, &d.join("r.mmx")).unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, 1, &d.join("r.mmx")).unwrap();
 
         // Missing file: immediate quarantine, no retries.
         let sh = open_with_script(&d.join("r.mmx"), vec![(1, 0, ShardLoadFault::Missing)]);
@@ -1555,7 +1712,7 @@ mod tests {
     fn slow_io_delays_but_loads() {
         let d = tmp_dir("slow");
         let refs = multi_chrom(1, 6_000, 5);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 1, &d.join("r.mmx")).unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 1, 1, &d.join("r.mmx")).unwrap();
         let sh = open_with_script(
             &d.join("r.mmx"),
             vec![(0, 0, ShardLoadFault::SlowIo(Duration::from_millis(5)))],
@@ -1572,12 +1729,13 @@ mod tests {
         // even though the new file is internally self-consistent.
         let d = tmp_dir("generation");
         let refs = multi_chrom(2, 9_000, 31);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 2, &d.join("r.mmx")).unwrap();
+        build_sharded(&refs, &IdxOpts::MAP_ONT, 2, 1, &d.join("r.mmx")).unwrap();
         // Overwrite shard 1 with a *valid* container built from different
         // content but the same geometry.
         let other = multi_chrom(2, 9_000, 32);
-        let idx = MinimizerIndex::build(&other[1..2], &IdxOpts::MAP_ONT).unwrap();
-        write_container(&idx, 1, &d.join("r.mmx.s001")).unwrap();
+        let idx = MinimizerIndex::build(&other[1..2], &IdxOpts::MAP_ONT, 1).unwrap();
+        let (staged, ..) = stage_container(&idx, 1, &d.join("r.mmx.s001")).unwrap();
+        staged.publish().unwrap();
         let sh = ShardedIndex::open(&d.join("r.mmx"), ShardOpenOpts::default()).unwrap();
         assert!(sh.ensure_shard(0).is_ok());
         let e = sh.ensure_shard(1).unwrap_err();
@@ -1588,7 +1746,7 @@ mod tests {
     #[test]
     fn empty_reference_set_builds_and_opens() {
         let d = tmp_dir("empty");
-        let r = build_sharded(&[], &IdxOpts::MAP_ONT, 4, &d.join("e.mmx")).unwrap();
+        let r = build_sharded(&[], &IdxOpts::MAP_ONT, 4, 1, &d.join("e.mmx")).unwrap();
         assert_eq!(r.n_shards, 1);
         assert_eq!(r.n_seqs, 0);
         let sh = ShardedIndex::open(&d.join("e.mmx"), ShardOpenOpts::default()).unwrap();

@@ -65,12 +65,10 @@ pub fn write_fields(words: &mut [u64], bit_base: usize, width: u32, values: &[u6
 /// decodes. Ambiguous codes (≥ 4) pack as `A`; the index builder skips the
 /// minimizers spanning them on its own.
 pub fn pack_nt4(seq: &[u8]) -> Vec<u32> {
-    let mut words = vec![0u32; seq.len().div_ceil(16)];
-    for (i, &c) in seq.iter().enumerate() {
-        let code = if c < 4 { c as u32 } else { 0 };
-        words[i >> 4] |= code << ((i & 15) << 1);
-    }
-    words
+    let code = |c: u8| if c < 4 { u32::from(c) } else { 0 };
+    seq.chunks(16)
+        .map(|bases| bases.iter().rev().fold(0, |word, &c| (word << 2) | code(c)))
+        .collect()
 }
 
 /// The four nt4 bases of every packed byte, lowest bits first.

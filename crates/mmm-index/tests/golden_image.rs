@@ -1,5 +1,6 @@
 //! The on-disk format, pinned: an xxh64 of every file `manymap index` would
-//! write for one seeded reference, flat and `--shards 4`, both presets.
+//! write for one seeded reference, flat and `--shards 4`, both presets, at
+//! 1, 2 and 4 build threads.
 //!
 //! The image is no longer produced by a serializer that could be compared
 //! with a parser — the builder writes it once and the index reads it in
@@ -38,16 +39,19 @@ fn reference() -> Vec<SeqRecord> {
 }
 
 /// Digest of each file, in order: the flat index, then the sharded
-/// manifest, then its shard files.
-fn digests(opts: &IdxOpts, tag: &str) -> Vec<u64> {
-    let dir = std::env::temp_dir().join(format!("mmm-golden-{tag}-{}", std::process::id()));
+/// manifest, then its shard files, built on `threads` threads.
+fn digests(opts: &IdxOpts, threads: usize, tag: &str) -> Vec<u64> {
+    let dir = std::env::temp_dir().join(format!(
+        "mmm-golden-{tag}-t{threads}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let refs = reference();
     let flat = dir.join("flat.mmx");
-    save_index(&MinimizerIndex::build(&refs, opts).unwrap(), &flat).unwrap();
+    save_index(&MinimizerIndex::build(&refs, opts, threads).unwrap(), &flat).unwrap();
     let manifest = dir.join("golden.mmx");
-    let report = build_sharded(&refs, opts, 4, &manifest).unwrap();
+    let report = build_sharded(&refs, opts, 4, threads, &manifest).unwrap();
     assert_eq!(report.n_shards, 4);
     let out = [flat, manifest]
         .iter()
@@ -60,10 +64,18 @@ fn digests(opts: &IdxOpts, tag: &str) -> Vec<u64> {
 
 #[test]
 fn every_index_file_is_byte_identical_to_the_pinned_format() {
-    let ont = digests(&IdxOpts::MAP_ONT, "ont");
-    let pb = digests(&IdxOpts::MAP_PB, "pb");
-    assert_eq!(ont, GOLDEN_MAP_ONT, "map-ont files drifted");
-    assert_eq!(pb, GOLDEN_MAP_PB, "map-pb files drifted");
+    for threads in [1, 2, 4] {
+        let ont = digests(&IdxOpts::MAP_ONT, threads, "ont");
+        let pb = digests(&IdxOpts::MAP_PB, threads, "pb");
+        assert_eq!(
+            ont, GOLDEN_MAP_ONT,
+            "map-ont files drifted at {threads} threads"
+        );
+        assert_eq!(
+            pb, GOLDEN_MAP_PB,
+            "map-pb files drifted at {threads} threads"
+        );
+    }
 }
 
 const GOLDEN_MAP_ONT: [u64; 6] = [

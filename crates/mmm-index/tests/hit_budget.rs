@@ -17,7 +17,7 @@ use mmm_seq::SeqRecord;
 #[test]
 fn over_budget_reference_set_fails_loudly() {
     let refs = vec![SeqRecord::new(String::new(), Vec::new()); MAX_REF_SEQS + 1];
-    let err = match MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT) {
+    let err = match MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1) {
         Ok(_) => panic!("over-budget reference set built without error"),
         Err(e) => e,
     };
@@ -63,7 +63,7 @@ fn in_budget_multi_reference_build_maps_to_right_rid() {
         SeqRecord::new("chrA", mmm_seq::nt4_decode(&g0)),
         SeqRecord::new("chrB", mmm_seq::nt4_decode(&g1)),
     ];
-    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
+    let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1).unwrap();
     let anchors = idx.collect_anchors(&g1[5_000..7_000]);
     assert!(!anchors.is_empty());
     let on_b = anchors.iter().filter(|a| a.rid == 1).count();

@@ -45,6 +45,7 @@ fn build(dir: &Path, n_shards: usize) -> PathBuf {
         &refs(n_shards, 9_000, 77),
         &IdxOpts::MAP_ONT,
         n_shards,
+        1,
         &manifest,
     )
     .unwrap();

@@ -60,9 +60,9 @@ fn fixture(dir: &Path) -> (MinimizerIndex, PathBuf, Vec<Vec<u8>>) {
         .enumerate()
         .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
         .collect();
-    let gold = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT).unwrap();
+    let gold = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1).unwrap();
     let manifest = dir.join("ref.mmx");
-    let report = build_sharded(&refs, &IdxOpts::MAP_ONT, SHARDS, &manifest).unwrap();
+    let report = build_sharded(&refs, &IdxOpts::MAP_ONT, SHARDS, 1, &manifest).unwrap();
     assert_eq!(report.n_shards, SHARDS);
     (gold, manifest, chroms)
 }

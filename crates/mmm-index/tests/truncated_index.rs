@@ -86,7 +86,7 @@ struct Sample {
 
 impl Sample {
     fn of(refs: &[SeqRecord]) -> Sample {
-        let idx = MinimizerIndex::build(refs, &IdxOpts::MAP_ONT).unwrap();
+        let idx = MinimizerIndex::build(refs, &IdxOpts::MAP_ONT, 1).unwrap();
         let mut image = Vec::new();
         let sections = write_index_image(&idx, &mut image);
         Sample {

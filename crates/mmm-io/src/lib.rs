@@ -20,6 +20,6 @@ pub mod atomic;
 pub mod mmap;
 pub mod source;
 
-pub use atomic::write_atomic;
+pub use atomic::{stage_atomic, write_atomic, Staged};
 pub use mmap::Mmap;
 pub use source::SliceSource;

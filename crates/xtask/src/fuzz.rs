@@ -380,7 +380,7 @@ impl IndexCorpus {
                     SeqRecord::new(format!("ref{n}_{i}"), rng.text(len, b"ACGT"))
                 })
                 .collect();
-            let built = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
+            let built = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1)
                 .map_err(|e| format!("building fuzz index {n}: {e}"))?;
             save_index(&built, &scratch).map_err(|e| format!("saving fuzz index {n}: {e}"))?;
             // Valid file → the one loader → the same index back.

@@ -367,7 +367,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         .enumerate()
         .map(|(c, g)| SeqRecord::new(format!("chr{c}"), nt4_decode(g)))
         .collect();
-    let packed = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT)
+    let packed = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1)
         .map_err(|e| format!("packed_crosscheck: index build failed: {e}"))?;
     for h in packed.hashes() {
         let streamed: Vec<u64> = packed.hit_cursor(h).collect();

@@ -27,6 +27,7 @@ fn main() {
     let index = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&genome))],
         &IdxOpts::MAP_PB,
+        1,
     )
     .unwrap();
     let reads = simulate_reads(

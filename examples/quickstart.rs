@@ -20,7 +20,7 @@ fn main() {
     let reference = SeqRecord::new("chr1", nt4_decode(&genome));
 
     // 2. Build the minimizer index (the equivalent of `minimap2 -d ref.mmi`).
-    let index = MinimizerIndex::build(&[reference], &IdxOpts::MAP_ONT).unwrap();
+    let index = MinimizerIndex::build(&[reference], &IdxOpts::MAP_ONT, 1).unwrap();
     println!(
         "indexed {} bp: {} minimizers, {} positions, occ cutoff {}",
         genome.len(),

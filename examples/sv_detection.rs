@@ -42,8 +42,12 @@ fn main() {
 
     // Index the reference; sequence the donor.
     let opts = MapOpts::map_ont();
-    let index =
-        ShardedIndex::build(&[SeqRecord::new("ref", nt4_decode(&reference))], &opts.idx).unwrap();
+    let index = ShardedIndex::build(
+        &[SeqRecord::new("ref", nt4_decode(&reference))],
+        &opts.idx,
+        1,
+    )
+    .unwrap();
     let mapper = Mapper::new(&index, opts);
     let reads = simulate_reads(
         &donor,

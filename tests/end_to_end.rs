@@ -52,7 +52,7 @@ fn pacbio_reads_map_accurately() {
     let (genome, reads) = dataset(Platform::PacBio, 60);
     let opts = MapOpts::map_pb();
     let index =
-        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx, 1).unwrap();
     let mapper = Mapper::new(&index, opts);
     let calls = map_all(&mapper, &reads);
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
@@ -75,7 +75,7 @@ fn nanopore_reads_map_accurately() {
     let (genome, reads) = dataset(Platform::Nanopore, 60);
     let opts = MapOpts::map_ont();
     let index =
-        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx, 1).unwrap();
     let mapper = Mapper::new(&index, opts);
     let calls = map_all(&mapper, &reads);
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
@@ -97,8 +97,8 @@ fn nanopore_reads_map_accurately() {
 fn serialized_index_maps_identically() {
     let (genome, reads) = dataset(Platform::PacBio, 15);
     let opts = MapOpts::map_pb();
-    let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+    let index = MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx, 1)
+        .unwrap();
     let path = std::env::temp_dir().join(format!("e2e-idx-{}.mmx", std::process::id()));
     save_index(&index, &path).unwrap();
     let mapped = ShardedIndex::open(&path, ShardOpenOpts::default()).unwrap();
@@ -129,6 +129,7 @@ fn every_kernel_engine_maps_identically() {
     let index = ShardedIndex::build(
         &[SeqRecord::new("chr1", nt4_decode(&genome))],
         &base_opts.idx,
+        1,
     )
     .unwrap();
     let reference = Mapper::new(&index, base_opts);
@@ -157,7 +158,7 @@ fn paf_output_is_well_formed() {
     let (genome, reads) = dataset(Platform::Nanopore, 10);
     let opts = MapOpts::map_ont();
     let index =
-        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx, 1).unwrap();
     let mapper = Mapper::new(&index, opts);
     for r in &reads {
         for m in mapper.map_read(&r.seq) {

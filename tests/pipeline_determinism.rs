@@ -21,7 +21,7 @@ fn workload() -> (Arc<MapSession>, Vec<SeqRecord>) {
     });
     let opts = MapOpts::map_ont();
     let index =
-        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
+        ShardedIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx, 1).unwrap();
     let reads = simulate_reads(
         &genome,
         &SimOpts {

@@ -28,7 +28,7 @@ proptest! {
         }).collect();
         let idx = ShardedIndex::build(
             &[SeqRecord::new("g", nt4_decode(&genome))],
-            &IdxOpts::MAP_ONT,
+            &IdxOpts::MAP_ONT, 1,
         ).unwrap();
         let start = start.min(genome.len() - len);
         let query = genome[start..start + len].to_vec();
