@@ -81,6 +81,16 @@ for origin in flat.mmx:1 one.mmx:2 ref.fa:2; do
     cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/origin.paf" \
         || { echo "ci: mapping over ${origin%:*} at ${origin#*:} thread(s) diverged from flat"; exit 1; }
 done
+# Recovery gate: a failed submission is split in halves on the same backend,
+# so three failed submits cost no read: the PAF is the clean one and the
+# supervisor quarantines nothing.
+target/release/manymap map "$SHARD_WORK/flat.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 --inject-backend-fault launch-fail:batches=0..3 \
+    >"$SHARD_WORK/recovered.paf" 2>"$SHARD_WORK/recovered.stderr"
+cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/recovered.paf" \
+    || { echo "ci: three failed backend submits changed the mapping"; exit 1; }
+grep -q "supervisor cpu: .*, 0 quarantined," "$SHARD_WORK/recovered.stderr" \
+    || { echo "ci: three failed backend submits quarantined jobs"; cat "$SHARD_WORK/recovered.stderr"; exit 1; }
 # The sharded index under the device backend.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --backend gpu-sim >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null

@@ -70,8 +70,10 @@
 //!
 //! Supervised execution (DESIGN.md §10): the run opens one backend session,
 //! before it reads the index (so a bad backend fails first), and every
-//! dispatch goes through it under the `mmm-exec` supervisor — failed
-//! batches are split and retried with backoff (`--backend-retries N`),
+//! dispatch goes through it under the `mmm-exec` supervisor — a failed
+//! submission is split in halves on the backend serving it, and a single
+//! job that still fails is retried alone with backoff, up to
+//! `--backend-retries N` attempts,
 //! hung submissions are killed by a watchdog (`--batch-deadline-ms N`), and
 //! a repeatedly failing device backend is demoted to the CPU by a circuit
 //! breaker. Jobs that fail everywhere quarantine their read to an unmapped

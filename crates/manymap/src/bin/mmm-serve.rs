@@ -13,7 +13,9 @@
 //! The shared flags are `manymap::session::SHARED_FLAGS`, the one table
 //! `manymap map` parses too (`--threads`, `--backend`, `--preset`,
 //! `--engine`, `--no-cigar`, `--max-read-len`,
-//! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`);
+//! `--inject-backend-fault`, `--backend-retries`, `--batch-deadline-ms`;
+//! a failed submission is split in halves, and `--backend-retries` bounds
+//! the attempts a single job gets alone, as in `manymap map`);
 //! any other `--flag`, a flag given twice, a malformed value, `--threads`
 //! outside 1 to `session::MAX_THREADS` or `--batch-deadline-ms 0` is a
 //! usage error naming the flag (exit 1). Only `daemon` takes flags

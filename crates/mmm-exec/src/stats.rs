@@ -26,9 +26,10 @@ pub struct BackendStats {
     pub device_seconds: f64,
     /// Host wall time spent on fallback jobs, seconds.
     pub fallback_seconds: f64,
-    /// Supervisor: per-job retry attempts issued after a batch failure.
+    /// Supervisor: resubmissions after a failure, whether halves of a split
+    /// set or single-job repeats, on either backend.
     pub retries: u64,
-    /// Supervisor: jobs that ultimately succeeded after at least one failure.
+    /// Supervisor: jobs served by a resubmission or by the standby.
     pub retried_ok: u64,
     /// Supervisor: jobs rerouted from the primary to the standby backend.
     pub rerouted: u64,

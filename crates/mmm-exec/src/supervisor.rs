@@ -5,11 +5,14 @@
 //! failures into the same per-item degradation discipline the rest of the
 //! pipeline uses (DESIGN.md §10):
 //!
-//! 1. a failed batch `submit` is split and retried per job with bounded
-//!    attempts and deterministic, seeded exponential backoff;
+//! 1. a failed submission is split in halves and each half settled on the
+//!    same backend, first the primary, then the standby; a single job is
+//!    resubmitted alone a bounded number of times, with deterministic,
+//!    seeded exponential backoff between attempts;
 //! 2. an optional per-batch deadline is enforced by a watchdog runner
-//!    thread — a hung submit is abandoned (its result slot poisoned, the
-//!    batch rerouted) instead of wedging the compute thread;
+//!    thread — a hung submit is abandoned (its result slot poisoned, its
+//!    jobs never resubmitted to that backend) instead of wedging the
+//!    compute thread;
 //! 3. a [`CircuitBreaker`] demotes a repeatedly failing primary to the
 //!    standby mid-run, with half-open probes to re-promote it (a session
 //!    with no standby has no breaker: its failures cost only their jobs);
@@ -76,8 +79,9 @@ impl Clock for TestClock {
 /// the CLI maps `--backend-retries` and `--batch-deadline-ms` onto this.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Per-job attempts on the primary after a failed batch (0 = reroute
-    /// straight to the standby).
+    /// Attempts a single job gets alone on the primary once a failed
+    /// submission has been split down to it (0 = a failed batch goes to the
+    /// standby unsplit).
     pub max_retries: usize,
     /// First backoff delay; attempt `k` waits `base * 2^k` plus seeded
     /// jitter in `[0, base)`.
@@ -114,6 +118,13 @@ pub enum JobOutcome {
     /// The job failed on every available backend and was dropped; `reason`
     /// is the last error seen, for the CLI's degradation accounting.
     Quarantined { reason: String },
+}
+
+/// Which backend of a session a submission goes to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Side {
+    Primary,
+    Standby,
 }
 
 /// How a submission reached the runner thread.
@@ -300,10 +311,11 @@ impl SupervisedBackend {
         }
 
         let guard = lock_unpoisoned(&slot.state);
-        let (mut st, timeout) = self
-            .cv_wait(&slot, guard, deadline)
+        let (mut st, timeout) = slot
+            .cv
+            .wait_timeout_while(guard, deadline, |s| matches!(s, SlotState::Pending))
             .unwrap_or_else(PoisonError::into_inner);
-        if matches!(*st, SlotState::Pending) && timeout {
+        if matches!(*st, SlotState::Pending) && timeout.timed_out() {
             *st = SlotState::Abandoned;
             stats.deadline_kills += 1;
             // Drop the wedged runner: its sender disconnects, so the thread
@@ -323,28 +335,6 @@ impl SupervisedBackend {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn cv_wait<'a>(
-        &self,
-        slot: &'a ResultSlot,
-        guard: std::sync::MutexGuard<'a, SlotState>,
-        deadline: Duration,
-    ) -> Result<
-        (std::sync::MutexGuard<'a, SlotState>, bool),
-        PoisonError<(std::sync::MutexGuard<'a, SlotState>, bool)>,
-    > {
-        match slot
-            .cv
-            .wait_timeout_while(guard, deadline, |s| matches!(s, SlotState::Pending))
-        {
-            Ok((g, t)) => Ok((g, t.timed_out())),
-            Err(e) => {
-                let (g, t) = e.into_inner();
-                Ok((g, t.timed_out()))
-            }
-        }
-    }
-
     /// Execute a batch under supervision. Every job gets an outcome; the
     /// only `Err` paths are `fail_fast` aborts.
     pub fn submit_supervised(
@@ -358,15 +348,23 @@ impl SupervisedBackend {
         let trips_before = self.breaker().map_or(0, |b| b.trips());
 
         if n > 0 {
-            let pending = self.primary_phase(&jobs, &mut outcomes, &mut inner)?;
-            let pending = self.standby_phase(&jobs, pending, &mut outcomes, &mut inner)?;
-            for &i in &pending {
-                // fail_fast would have returned already; whatever reason the
-                // phases recorded stands, but a job can only reach here with
-                // no outcome if both phases were unavailable.
-                if outcomes[i].is_none() {
+            let all: Vec<usize> = (0..n).collect();
+            self.settle(Side::Primary, &jobs, &all, false, &mut outcomes, &mut inner)?;
+            let pending: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
+            if self.standby.is_some() {
+                inner.rerouted += pending.len() as u64;
+                self.settle(
+                    Side::Standby,
+                    &jobs,
+                    &pending,
+                    false,
+                    &mut outcomes,
+                    &mut inner,
+                )?;
+            } else {
+                for &i in &pending {
                     outcomes[i] = Some(JobOutcome::Quarantined {
-                        reason: "no backend available".into(),
+                        reason: "primary failed and no standby backend".into(),
                     });
                 }
             }
@@ -470,9 +468,10 @@ impl SupervisedBackend {
             Err(e) if self.cfg.fail_fast => Err(e),
             Err(_) => {
                 // The host executor refused a whole batch (injected fault,
-                // panic): degrade to the ordinary ladder, which retries and
-                // quarantines per job. The failed attempt's counters (e.g. a
-                // deadline kill) ride along.
+                // panic): degrade to the ordinary ladder, which settles the
+                // batch by halves and quarantines what no backend serves.
+                // The failed attempt's counters (e.g. a deadline kill) ride
+                // along.
                 let (outcomes, mut inner) = self.submit_supervised(jobs)?;
                 inner.merge(&stats);
                 Ok((outcomes, inner))
@@ -480,147 +479,112 @@ impl SupervisedBackend {
         }
     }
 
-    /// Whole-batch primary attempt, then bounded per-job retries. Returns
-    /// the indices still unresolved.
-    fn primary_phase(
-        &self,
-        jobs: &[AlignJob],
-        outcomes: &mut [Option<JobOutcome>],
-        stats: &mut BackendStats,
-    ) -> Result<Vec<usize>, BackendError> {
-        let pending: Vec<usize> = (0..jobs.len()).collect();
-        if !self.breaker().is_none_or(|b| b.allow_primary()) {
-            return Ok(pending);
-        }
-        match self.guarded_submit(&self.primary, jobs, stats) {
-            Ok(results) => {
-                if let Some(mut b) = self.breaker() {
-                    b.record(true);
-                }
-                for (o, r) in outcomes.iter_mut().zip(results) {
-                    *o = Some(JobOutcome::Done(r));
-                }
-                return Ok(Vec::new());
-            }
-            Err(e) => {
-                if let Some(mut b) = self.breaker() {
-                    b.record(false);
-                }
-                if self.cfg.fail_fast {
-                    return Err(e);
-                }
-                if matches!(e, BackendError::DeadlineExceeded) {
-                    // A hung backend is not retried job-by-job — each retry
-                    // could burn another full deadline. Reroute the batch.
-                    return Ok(pending);
-                }
-            }
-        }
-
-        // Per-job retry rounds with backoff; stop early if the breaker
-        // opens (each failed attempt is recorded against it).
-        let mut still: Vec<usize> = Vec::new();
-        'jobs: for &i in &pending {
-            for attempt in 0..self.cfg.max_retries {
-                if !self.breaker().is_none_or(|b| b.allow_primary()) {
-                    break;
-                }
-                self.clock.sleep(self.backoff(attempt, i as u64));
-                stats.retries += 1;
-                match self.guarded_submit(&self.primary, std::slice::from_ref(&jobs[i]), stats) {
-                    Ok(mut results) => {
-                        if let Some(mut b) = self.breaker() {
-                            b.record(true);
-                        }
-                        if let Some(r) = results.pop() {
-                            outcomes[i] = Some(JobOutcome::Done(r));
-                            stats.retried_ok += 1;
-                            continue 'jobs;
-                        }
-                    }
-                    Err(e) => {
-                        if let Some(mut b) = self.breaker() {
-                            b.record(false);
-                        }
-                        if self.cfg.fail_fast {
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            still.push(i);
-        }
-        Ok(still)
+    /// The breaker's gate before a submission on `side`; the standby is
+    /// always open.
+    fn may_submit(&self, side: Side) -> bool {
+        side == Side::Standby || self.breaker().is_none_or(|b| b.allow_primary())
     }
 
-    /// Route unresolved jobs to the standby: whole batch first, then per
-    /// job; anything that still fails is quarantined.
-    fn standby_phase(
+    /// Settle `set` (ascending job indices) on one backend (DESIGN.md
+    /// §10.1): submit it, and if that fails, sleep one backoff and settle
+    /// its left half, then its right half. A single job is resubmitted
+    /// alone until it has had its attempts alone: `max_retries` on the
+    /// primary, one on the standby. A set that hit the watchdog deadline
+    /// is not resubmitted to the same backend, and once the breaker
+    /// refuses the primary the rest of the set is left to the standby.
+    /// Jobs the primary leaves unresolved keep no outcome; jobs the standby
+    /// cannot serve are quarantined. `resubmit` says whether the first
+    /// submission of `set` is itself a retry.
+    fn settle(
         &self,
+        side: Side,
         jobs: &[AlignJob],
-        pending: Vec<usize>,
+        set: &[usize],
+        resubmit: bool,
         outcomes: &mut [Option<JobOutcome>],
         stats: &mut BackendStats,
-    ) -> Result<Vec<usize>, BackendError> {
-        if pending.is_empty() {
-            return Ok(pending);
-        }
-        let Some(standby) = self.standby.as_ref() else {
-            if self.cfg.fail_fast {
-                return Err(BackendError::Quarantined {
-                    jobs: pending.len(),
-                });
-            }
-            for &i in &pending {
-                outcomes[i] = Some(JobOutcome::Quarantined {
-                    reason: "primary failed and no standby backend".into(),
-                });
-            }
-            return Ok(pending);
+    ) -> Result<(), BackendError> {
+        let (backend, alone) = match (side, &self.standby) {
+            (Side::Primary, _) => (&self.primary, self.cfg.max_retries),
+            (Side::Standby, Some(standby)) => (standby, 1),
+            (Side::Standby, None) => return Ok(()),
         };
-
-        stats.rerouted += pending.len() as u64;
-        let standby = Arc::clone(standby);
-        if let Some(mut b) = self.breaker() {
-            b.note_standby_submit();
+        if set.is_empty() || !self.may_submit(side) {
+            return Ok(());
         }
-        let batch: Vec<AlignJob> = pending.iter().map(|&i| jobs[i].clone()).collect();
-        match self.guarded_submit(&standby, &batch, stats) {
-            Ok(results) => {
-                for (&i, r) in pending.iter().zip(results) {
-                    outcomes[i] = Some(JobOutcome::Done(r));
-                    stats.retried_ok += 1;
+        let mut failures = 0;
+        loop {
+            let retry = resubmit || failures > 0;
+            stats.retries += u64::from(retry);
+            if side == Side::Standby {
+                if let Some(mut b) = self.breaker() {
+                    b.note_standby_submit();
                 }
-                return Ok(Vec::new());
             }
-            Err(e) if self.cfg.fail_fast => return Err(e),
-            Err(_) => {}
-        }
-
-        let mut still = Vec::new();
-        for &i in &pending {
-            if let Some(mut b) = self.breaker() {
-                b.note_standby_submit();
+            let submitted = self.submit_set(backend, jobs, set, stats);
+            if side == Side::Primary {
+                if let Some(mut b) = self.breaker() {
+                    b.record(submitted.is_ok());
+                }
             }
-            match self.guarded_submit(&standby, std::slice::from_ref(&jobs[i]), stats) {
-                Ok(mut results) => {
-                    if let Some(r) = results.pop() {
+            let err = match submitted {
+                Ok(results) => {
+                    if retry || side == Side::Standby {
+                        stats.retried_ok += set.len() as u64;
+                    }
+                    for (&i, r) in set.iter().zip(results) {
                         outcomes[i] = Some(JobOutcome::Done(r));
-                        stats.retried_ok += 1;
+                    }
+                    return Ok(());
+                }
+                Err(e) if self.cfg.fail_fast => return Err(e),
+                Err(e) => e,
+            };
+            failures += 1;
+            let single = set.len() == 1;
+            // A wedged backend is not resubmitted: each try could burn
+            // another full deadline.
+            if matches!(err, BackendError::DeadlineExceeded)
+                || alone == 0
+                || (single && failures >= alone)
+            {
+                if side == Side::Standby {
+                    for &i in set {
+                        outcomes[i] = Some(JobOutcome::Quarantined {
+                            reason: format!("all backends failed, last: {err}"),
+                        });
                     }
                 }
-                Err(e) => {
-                    if self.cfg.fail_fast {
-                        return Err(e);
-                    }
-                    outcomes[i] = Some(JobOutcome::Quarantined {
-                        reason: format!("all backends failed, last: {e}"),
-                    });
-                    still.push(i);
-                }
+                return Ok(());
+            }
+            if !self.may_submit(side) {
+                return Ok(());
+            }
+            self.clock.sleep(self.backoff(failures - 1, set[0] as u64));
+            if !single {
+                let (left, right) = set.split_at(set.len() / 2);
+                self.settle(side, jobs, left, true, outcomes, stats)?;
+                return self.settle(side, jobs, right, true, outcomes, stats);
             }
         }
-        Ok(still)
+    }
+
+    /// One watched submission of the jobs at `set`: a contiguous run of
+    /// indices (every primary set) is lent in place, any other set is
+    /// gathered into one batch.
+    fn submit_set(
+        &self,
+        backend: &Arc<dyn AlignBackend>,
+        jobs: &[AlignJob],
+        set: &[usize],
+        stats: &mut BackendStats,
+    ) -> Result<Vec<AlignResult>, BackendError> {
+        let (first, last) = (set[0], set[set.len() - 1]);
+        if last - first + 1 == set.len() {
+            return self.guarded_submit(backend, &jobs[first..=last], stats);
+        }
+        let batch: Vec<AlignJob> = set.iter().map(|&i| jobs[i].clone()).collect();
+        self.guarded_submit(backend, &batch, stats)
     }
 }
 
@@ -724,9 +688,9 @@ mod tests {
     }
 
     #[test]
-    fn failed_batch_recovers_via_per_job_retries() {
-        // Submit 0 (the whole batch) fails; per-job retries (submits 1..)
-        // succeed on the same backend.
+    fn failed_batch_recovers_by_halves() {
+        // Submit 0 (the whole batch) fails; its halves (submits 1 and 2)
+        // succeed on the same backend after one backoff.
         let clock = Arc::new(TestClock::default());
         let sup = SupervisedBackend::with_clock(
             cpu_with_plan(Some("launch-fail:batches=0..1")),
@@ -740,12 +704,13 @@ mod tests {
         for (o, g) in outcomes.iter().zip(&gold) {
             assert_eq!(*o, JobOutcome::Done(g.clone()));
         }
-        assert_eq!(stats.retries, 3);
+        assert_eq!(stats.retries, 2);
         assert_eq!(stats.retried_ok, 3);
         assert_eq!(stats.quarantined, 0);
         assert_eq!(stats.jobs, 3);
-        // One backoff sleep per retry, and the schedule replays exactly.
-        assert_eq!(clock.sleeps().len(), 3);
+        // One backoff sleep before the split, and the schedule replays
+        // exactly.
+        assert_eq!(clock.sleeps().len(), 1);
         let clock2 = Arc::new(TestClock::default());
         let sup2 = SupervisedBackend::with_clock(
             cpu_with_plan(Some("launch-fail:batches=0..1")),
@@ -757,18 +722,58 @@ mod tests {
         assert_eq!(clock.sleeps(), clock2.sleeps(), "backoff not deterministic");
     }
 
+    /// A primary that fails every submission holding one poisoned job, as
+    /// a kernel bug on one input would.
+    struct Poisoned {
+        inner: Arc<dyn AlignBackend>,
+        poison: AlignJob,
+    }
+
+    impl AlignBackend for Poisoned {
+        fn label(&self) -> &'static str {
+            "poisoned"
+        }
+
+        fn submit(
+            &self,
+            jobs: Vec<AlignJob>,
+        ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+            self.submit_borrowed(&jobs)
+        }
+
+        fn submit_borrowed(
+            &self,
+            jobs: &[AlignJob],
+        ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+            let poison = &self.poison;
+            match jobs
+                .iter()
+                .position(|j| j.target == poison.target && j.query == poison.query)
+            {
+                Some(index) => Err(BackendError::JobPanic {
+                    index,
+                    message: "poisoned job".into(),
+                }),
+                None => self.inner.submit_borrowed(jobs),
+            }
+        }
+    }
+
     /// A session with no standby (`--backend cpu`) has nothing to demote
-    /// its primary to: three failed submits (the batch and job 0's two
-    /// retries) cost job 0 alone, and the next batch runs on the primary.
+    /// its primary to: a job every submission fails on costs that job
+    /// alone, and the next batch runs on the primary.
     #[test]
     fn no_standby_failures_quarantine_only_their_job() {
+        let jobs = test_jobs(4);
         let sup = SupervisedBackend::with_clock(
-            cpu_with_plan(Some("launch-fail:batches=0..3")),
+            Arc::new(Poisoned {
+                inner: cpu_with_plan(None),
+                poison: jobs[0].clone(),
+            }),
             None,
             SupervisorConfig::default(),
             Arc::new(TestClock::default()),
         );
-        let jobs = test_jobs(4);
         let gold = expected_results(&jobs);
         let (outcomes, stats) = sup.submit_supervised(jobs.clone()).expect("supervised");
         assert!(
@@ -781,8 +786,10 @@ mod tests {
         }
         assert_eq!(stats.quarantined, 1);
         assert_eq!(stats.breaker_trips, 0);
-        let (outcomes, stats) = sup.submit_supervised(jobs).expect("supervised");
-        let done: Vec<JobOutcome> = gold.into_iter().map(JobOutcome::Done).collect();
+        let (outcomes, stats) = sup
+            .submit_supervised(jobs[1..].to_vec())
+            .expect("supervised");
+        let done: Vec<JobOutcome> = gold[1..].iter().cloned().map(JobOutcome::Done).collect();
         assert_eq!(outcomes, done);
         assert!(!stats.supervised_activity(), "{stats:?}");
     }
@@ -877,18 +884,22 @@ mod tests {
 
     #[test]
     fn exhausted_backends_quarantine_instead_of_erroring() {
+        let clock = Arc::new(TestClock::default());
         let sup = SupervisedBackend::with_clock(
             cpu_with_plan(Some("launch-fail")),
             None,
             SupervisorConfig::default(),
-            Arc::new(TestClock::default()),
+            Arc::clone(&clock) as Arc<dyn Clock>,
         );
-        let jobs = test_jobs(2);
-        let (outcomes, stats) = sup.submit_supervised(jobs).expect("supervised");
-        assert_eq!(stats.quarantined, 2);
+        let n = 2;
+        let (outcomes, stats) = sup.submit_supervised(test_jobs(n)).expect("supervised");
+        assert_eq!(stats.quarantined, n as u64);
         for o in &outcomes {
             assert!(matches!(o, JobOutcome::Quarantined { .. }), "{o:?}");
         }
+        // Splitting down to single jobs waits at most `max_retries`
+        // backoffs per job.
+        assert!(clock.sleeps().len() <= 2 * n, "{:?}", clock.sleeps());
     }
 
     #[test]

@@ -14,14 +14,21 @@
 //! 3. **determinism** — the same seeded plan over the same job stream
 //!    produces the same outcomes and the same counters on a fresh
 //!    session (chaos runs are replayable bug reports).
+//!
+//! A fourth bounds the cost of recovery: one job that fails every
+//! submission holding it is isolated by splitting in halves, in at most
+//! 2⌈log₂ n⌉ + 1 retries for a batch of n.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
-use mmm_align::{Layout, Scoring, Width};
+use mmm_align::{AlignResult, Layout, Scoring, Width};
 use mmm_exec::{
-    prepare_supervised, AlignJob, BackendKind, BackendOptions, BackendStats, BreakerState,
-    FaultClass, FaultPlan, JobOutcome, SupervisedBackend, SupervisorConfig,
+    prepare, prepare_supervised, AlignBackend, AlignJob, BackendError, BackendKind, BackendOptions,
+    BackendStats, BreakerConfig, BreakerState, FaultClass, FaultPlan, JobOutcome,
+    SupervisedBackend, SupervisorConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,12 +39,12 @@ fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.random_range(0u32..4) as u8).collect()
 }
 
-fn job_stream(n: usize, seed: u64, max_len: usize) -> Vec<AlignJob> {
+fn job_stream(n: usize, seed: u64, lens: Range<usize>) -> Vec<AlignJob> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
-            let tlen = rng.random_range(1..max_len);
-            let qlen = rng.random_range(1..max_len);
+            let tlen = rng.random_range(lens.clone());
+            let qlen = rng.random_range(lens.clone());
             let t = random_seq(&mut rng, tlen);
             let q = random_seq(&mut rng, qlen);
             AlignJob::global(t, q, i % 2 == 0)
@@ -106,7 +113,7 @@ fn run_batches(
 
 #[test]
 fn every_fault_class_on_both_backends_preserves_done_results() {
-    let jobs = job_stream(12, 0xC4A05, 120);
+    let jobs = job_stream(12, 0xC4A05, 1..120);
     let golds: Vec<_> = jobs.iter().map(scalar_gold).collect();
 
     for kind in [BackendKind::Cpu, BackendKind::GpuSim] {
@@ -154,7 +161,7 @@ fn every_fault_class_on_both_backends_preserves_done_results() {
 
 #[test]
 fn seeded_chaos_runs_are_replayable() {
-    let jobs = job_stream(10, 0xD1CE, 100);
+    let jobs = job_stream(10, 0xD1CE, 1..100);
     let plan = "launch-fail:p=0.5:seed=99";
     let run = || {
         let sup = supervised(BackendKind::GpuSim, plan, None);
@@ -168,7 +175,7 @@ fn seeded_chaos_runs_are_replayable() {
 
 #[test]
 fn total_primary_failure_trips_the_breaker_and_loses_nothing() {
-    let jobs = job_stream(16, 0xF00D, 100);
+    let jobs = job_stream(16, 0xF00D, 1..100);
     let golds: Vec<_> = jobs.iter().map(scalar_gold).collect();
     let sup = supervised(BackendKind::GpuSim, "launch-fail", None);
     let (outcomes, stats) = run_batches(&sup, &jobs, 4);
@@ -193,7 +200,7 @@ fn total_primary_failure_trips_the_breaker_and_loses_nothing() {
 fn clean_plan_counts_nothing() {
     // `batches=1000..1001` never matches a real submit: the supervised
     // session must behave exactly like an unsupervised one.
-    let jobs = job_stream(8, 0xCAFE, 100);
+    let jobs = job_stream(8, 0xCAFE, 1..100);
     let golds: Vec<_> = jobs.iter().map(scalar_gold).collect();
     for kind in [BackendKind::Cpu, BackendKind::GpuSim] {
         let sup = supervised(kind, "launch-fail:batches=1000..1001", Some(60_000));
@@ -211,5 +218,110 @@ fn clean_plan_counts_nothing() {
             "{}: clean run must report no interventions: {stats:?}",
             kind.label()
         );
+    }
+}
+
+/// A primary that fails every submission holding one poisoned job, as a
+/// kernel bug on one input would; everything else runs on the CPU.
+struct Poisoned {
+    inner: Box<dyn AlignBackend>,
+    poison: AlignJob,
+}
+
+fn same_job(a: &AlignJob, b: &AlignJob) -> bool {
+    a.target == b.target && a.query == b.query
+}
+
+impl AlignBackend for Poisoned {
+    fn label(&self) -> &'static str {
+        "poisoned"
+    }
+
+    fn submit(
+        &self,
+        jobs: Vec<AlignJob>,
+    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+        self.submit_borrowed(&jobs)
+    }
+
+    fn submit_borrowed(
+        &self,
+        jobs: &[AlignJob],
+    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+        match jobs.iter().position(|j| same_job(j, &self.poison)) {
+            Some(index) => Err(BackendError::JobPanic {
+                index,
+                message: "poisoned job".into(),
+            }),
+            None => self.inner.submit_borrowed(jobs),
+        }
+    }
+}
+
+#[test]
+fn one_poisoned_job_costs_logarithmic_retries() {
+    let mut opts = BackendOptions::new(SC);
+    opts.threads = 2;
+    let cpu = || prepare(BackendKind::Cpu, &opts).expect("cpu backend");
+    // A breaker that cannot trip within the bound, so the primary keeps
+    // every job but the poisoned one.
+    let patient = BreakerConfig {
+        window: 64,
+        trip_failures: 64,
+        cooldown: 8,
+    };
+    for n in [1usize, 2, 3, 64, 1000] {
+        // 20 bases a side or more: no two jobs share their bytes, which the
+        // wrapper relies on to find the poisoned one.
+        let jobs = job_stream(n, 0xB15EC7 + n as u64, 20..80);
+        let golds: Vec<_> = jobs.iter().map(scalar_gold).collect();
+        let bound = 2 * u64::from(n.next_power_of_two().trailing_zeros()) + 1;
+        for k in [0, n / 2, n - 1] {
+            assert_eq!(jobs.iter().filter(|j| same_job(j, &jobs[k])).count(), 1);
+            for (standby, breaker) in [
+                (false, BreakerConfig::default()),
+                (true, BreakerConfig::default()),
+                (true, patient),
+            ] {
+                let tag = format!("n={n} k={k} standby={standby} breaker={breaker:?}");
+                let cfg = SupervisorConfig {
+                    backoff_base: Duration::ZERO,
+                    breaker,
+                    ..Default::default()
+                };
+                let primary = Arc::new(Poisoned {
+                    inner: cpu(),
+                    poison: jobs[k].clone(),
+                });
+                let sup = SupervisedBackend::new(
+                    primary,
+                    standby.then(|| Arc::from(cpu()) as Arc<dyn AlignBackend>),
+                    cfg,
+                );
+                let (outcomes, stats) = sup.submit_supervised(jobs.clone()).expect("supervised");
+                assert!(stats.retries <= bound, "{tag}: {} retries", stats.retries);
+                for (i, o) in outcomes.iter().enumerate() {
+                    match o {
+                        JobOutcome::Done(r) => assert_eq!(*r, golds[i], "{tag}: job {i}"),
+                        JobOutcome::Quarantined { reason } => {
+                            assert!(!standby && i == k, "{tag}: job {i} quarantined: {reason}")
+                        }
+                    }
+                }
+                if standby {
+                    assert_eq!(stats.quarantined, 0, "{tag}");
+                    assert!(stats.rerouted >= 1, "{tag}");
+                    if breaker == patient {
+                        assert_eq!(stats.rerouted, 1, "{tag}");
+                    }
+                } else {
+                    assert_eq!(stats.quarantined, 1, "{tag}");
+                    assert!(
+                        matches!(outcomes[k], JobOutcome::Quarantined { .. }),
+                        "{tag}"
+                    );
+                }
+            }
+        }
     }
 }
