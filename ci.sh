@@ -141,11 +141,12 @@ grep -q "^manymap: .*checksum mismatch" "$SHARD_WORK/flipped.stderr" \
 [ ! -s "$SHARD_WORK/flipped.paf" ] \
     || { echo "ci: a refused index still produced output"; exit 1; }
 
-echo "==> lane groups: default mapping equals the forced-scalar per-pair gold, and it grouped"
+echo "==> lane groups: default mapping equals the forced-scalar per-pair gold and gpu-sim's, and both grouped alike"
 # The CPU backend aligns small gap fills one job per vector lane; forced
 # scalar aligns every job alone. Their output must be the same bytes, and
 # the default run must say it grouped, so the gate cannot pass by not
-# grouping at all.
+# grouping at all. gpu-sim computes every job on the same host executor, so
+# its output and its lane groups must be the CPU backend's.
 target/release/simreads --genome 500000 --reads 120 --platform ont --seed 3 \
     --out-ref "$SHARD_WORK/lane-ref.fa" --out-reads "$SHARD_WORK/lane-reads.fa" >/dev/null
 target/release/manymap index "$SHARD_WORK/lane-ref.fa" "$SHARD_WORK/lane.mmx" 2>/dev/null
@@ -159,6 +160,16 @@ for flag in --sam --no-cigar; do
     grep -Eq "^\[manymap\] backend cpu: .*, [1-9][0-9]* jobs in [1-9][0-9]* lane groups" \
         "$SHARD_WORK/lane-default.err" \
         || { echo "ci: the default run ($flag) grouped no jobs"; cat "$SHARD_WORK/lane-default.err"; exit 1; }
+    target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-reads.fa" $flag \
+        --backend gpu-sim >"$SHARD_WORK/lane-gpu.out" 2>"$SHARD_WORK/lane-gpu.err"
+    cmp "$SHARD_WORK/lane-default.out" "$SHARD_WORK/lane-gpu.out" \
+        || { echo "ci: gpu-sim mapping ($flag) differs from the default run"; exit 1; }
+    cpu_groups=$(sed -n 's/^\[manymap\] backend cpu: .*, \([0-9]* jobs in [0-9]* lane groups\).*/\1/p' \
+        "$SHARD_WORK/lane-default.err")
+    gpu_groups=$(sed -n 's/^\[manymap\] backend gpu-sim: .*, \([0-9]* jobs in [0-9]* lane groups\).*/\1/p' \
+        "$SHARD_WORK/lane-gpu.err")
+    [ "$gpu_groups" = "$cpu_groups" ] \
+        || { echo "ci: gpu-sim ($flag) ran ${gpu_groups:-no lane groups}, the cpu backend $cpu_groups"; cat "$SHARD_WORK/lane-gpu.err"; exit 1; }
 done
 
 echo "==> streaming: a multi-batch ONT set maps to the same SAM at one and two threads"

@@ -70,8 +70,8 @@ pub fn run(quick: bool) -> String {
         .map(|k| {
             let (jt, jq) = noisy_pair(len, 100 + k as u64);
             KernelJob {
-                target: jt,
-                query: jq,
+                tlen: jt.len(),
+                qlen: jq.len(),
                 with_path: false,
             }
         })
@@ -82,7 +82,7 @@ pub fn run(quick: bool) -> String {
             use_pool,
             ..Default::default()
         };
-        simulate_batch(&jobs, &sc, &cfg, &DeviceSpec::V100).sim_seconds
+        simulate_batch(&jobs, &cfg, &DeviceSpec::V100).sim_seconds
     };
     let g_many = gpu(GpuKernelKind::Manymap, true);
     let g_mm2 = gpu(GpuKernelKind::Mm2, true);

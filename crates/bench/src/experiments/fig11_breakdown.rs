@@ -11,7 +11,6 @@
 
 use manymap::baselines::BaselineId;
 use manymap::Mapper;
-use mmm_align::Scoring;
 use mmm_gpu::{simulate_batch, DeviceSpec, KernelJob, StreamConfig};
 use mmm_index::ShardedIndex;
 use mmm_knl::{simulate_pipeline, AffinityPolicy, PipelineParams, KNL_7210, XEON_GOLD_5115};
@@ -102,20 +101,15 @@ pub fn run(quick: bool) -> String {
             .iter()
             .take(take)
             .map(|r| {
-                let seg = (r.seq.len() / 4).clamp(64, 4000);
+                let seg = (r.seq.len() / 4).clamp(64, 4000).min(r.seq.len());
                 KernelJob {
-                    target: r.seq[..seg.min(r.seq.len())].to_vec(),
-                    query: r.seq[..seg.min(r.seq.len())].to_vec(),
+                    tlen: seg,
+                    qlen: seg,
                     with_path: true,
                 }
             })
             .collect();
-        let rep = simulate_batch(
-            &jobs,
-            &Scoring::MAP_PB,
-            &StreamConfig::default(),
-            &DeviceSpec::V100,
-        );
+        let rep = simulate_batch(&jobs, &StreamConfig::default(), &DeviceSpec::V100);
         let per_read_gpu = rep.sim_seconds / take as f64;
         rest + per_read_gpu * ds.reads.len() as f64
     };

@@ -4,31 +4,28 @@
 //! linear speedup to 64 streams, only a slight further increase at 128
 //! (the resident-grid/SM limits), overall speedups ~90× and ~77×.
 
-use mmm_align::Scoring;
-use mmm_gpu::stream::{execute_jobs, schedule_runs};
-use mmm_gpu::{DeviceSpec, GpuKernelKind, KernelJob, StreamConfig};
+use mmm_gpu::{simulate_batch, DeviceSpec, GpuKernelKind, KernelJob, StreamConfig};
 
 use crate::{format_table, noisy_pair};
 
 pub fn run(quick: bool) -> String {
     let len = if quick { 1_000 } else { 4_000 };
     let n_jobs = if quick { 64 } else { 256 };
-    let sc = Scoring::MAP_PB;
     let jobs: Vec<KernelJob> = (0..n_jobs)
         .map(|k| {
             let (t, q) = noisy_pair(len, k as u64 + 1);
             KernelJob {
-                target: t,
-                query: q,
+                tlen: t.len(),
+                qlen: q.len(),
                 with_path: false,
             }
         })
         .collect();
     let jobs_path: Vec<KernelJob> = jobs
         .iter()
-        .map(|j| KernelJob {
+        .map(|&j| KernelJob {
             with_path: true,
-            ..j.clone()
+            ..j
         })
         .collect();
 
@@ -37,10 +34,7 @@ pub fn run(quick: bool) -> String {
     } else {
         &[1, 2, 4, 8, 16, 32, 64, 128]
     };
-    // Functional pass once; the sweep only re-schedules.
     let dev = DeviceSpec::V100;
-    let runs_score = execute_jobs(&jobs, &sc, GpuKernelKind::Manymap, 512, &dev);
-    let runs_path = execute_jobs(&jobs_path, &sc, GpuKernelKind::Manymap, 512, &dev);
     let mut rows = Vec::new();
     let mut base = (0.0, 0.0);
     for &s in stream_counts {
@@ -49,8 +43,8 @@ pub fn run(quick: bool) -> String {
             kind: GpuKernelKind::Manymap,
             ..Default::default()
         };
-        let score = schedule_runs(&jobs, runs_score.clone(), &cfg, &dev);
-        let path = schedule_runs(&jobs_path, runs_path.clone(), &cfg, &dev);
+        let score = simulate_batch(&jobs, &cfg, &dev);
+        let path = simulate_batch(&jobs_path, &cfg, &dev);
         if s == 1 {
             base = (score.sim_seconds, path.sim_seconds);
         }

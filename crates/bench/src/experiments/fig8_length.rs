@@ -51,8 +51,8 @@ pub fn run(quick: bool) -> String {
                 .map(|k| {
                     let (jt, jq) = noisy_pair(len, (len + k) as u64);
                     KernelJob {
-                        target: jt,
-                        query: jq,
+                        tlen: jt.len(),
+                        qlen: jq.len(),
                         with_path,
                     }
                 })
@@ -62,7 +62,7 @@ pub fn run(quick: bool) -> String {
                     kind,
                     ..Default::default()
                 };
-                simulate_batch(&jobs, &sc, &cfg, &DeviceSpec::V100).gcups()
+                simulate_batch(&jobs, &cfg, &DeviceSpec::V100).gcups()
             };
             let gpu_mm2 = gpu(GpuKernelKind::Mm2);
             let gpu_many = gpu(GpuKernelKind::Manymap);

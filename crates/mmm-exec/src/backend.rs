@@ -37,8 +37,8 @@ pub trait AlignBackend: Send + Sync {
         self.submit(jobs.to_vec())
     }
 
-    /// Whether this backend can execute `job` natively, without routing it
-    /// through an internal host fallback. The batch scheduler
+    /// Whether this backend's device holds `job`, rather than counting it
+    /// as a host fallback. The batch scheduler
     /// (`crate::sched`) uses this to send statically ineligible jobs —
     /// footprints past device memory — straight to the host executor
     /// instead of letting them stall a device batch. The default claims
@@ -53,7 +53,8 @@ pub trait AlignBackend: Send + Sync {
 pub enum BackendKind {
     /// Host SIMD lanes across the worker pool.
     Cpu,
-    /// The simulated GPU/SIMT runner (streams, memory pool, CPU fallback).
+    /// The host executor, priced on the simulated GPU/SIMT device (streams,
+    /// memory pool, CPU fallback).
     GpuSim,
 }
 
@@ -80,7 +81,7 @@ impl BackendKind {
 #[derive(Clone, Debug)]
 pub struct BackendOptions {
     pub scoring: Scoring,
-    /// Host engine used by the CPU backend and by device fallbacks.
+    /// Host engine every backend computes its jobs with.
     pub engine: Engine,
     /// Worker threads the CPU executor may use per batch.
     pub threads: usize,

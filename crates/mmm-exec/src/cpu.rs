@@ -151,8 +151,7 @@ pub struct CpuSimdBackend {
     engine: Engine,
     scoring: Scoring,
     /// The session's workers, one scratch arena each. Submits from several
-    /// threads (a device backend's host fallback, the supervisor's watchdog
-    /// runner) take turns on it.
+    /// threads (the supervisor's watchdog runner, for one) take turns on it.
     pool: WorkerPool<AlignScratch>,
     /// Chaos-testing schedule for this session's `submit` calls.
     fault: FaultHook,
@@ -176,8 +175,8 @@ impl CpuSimdBackend {
 
     /// Run a batch and return the results in job order, with the batch's
     /// lane-group counters (the other fields are the caller's); used both by
-    /// [`submit`](AlignBackend::submit) and as the device backends' fallback
-    /// executor.
+    /// [`submit`](AlignBackend::submit) and by the device backend, which
+    /// computes every job through it.
     pub(crate) fn execute(
         &self,
         jobs: &[AlignJob],

@@ -14,7 +14,8 @@ pub enum BackendError {
     ScoringOverflow,
     /// The requested backend name is not one of the known kinds.
     UnknownKind(String),
-    /// The simulated device rejected the batch.
+    /// The device model could not price the batch: its launch
+    /// configuration is outside the device's range.
     Gpu(GpuError),
     /// A kernel panicked while executing one job — a backend bug, reported
     /// with the job's index in the submitted batch.
@@ -26,10 +27,6 @@ pub enum BackendError {
     WrongResultCount { expected: usize, got: usize },
     /// The supervisor's watchdog abandoned the batch at its deadline.
     DeadlineExceeded,
-    /// One or more jobs failed on every available backend. Only a
-    /// `fail_fast` supervisor surfaces this — otherwise `submit_supervised`
-    /// reports quarantines per job instead.
-    Quarantined { jobs: usize },
 }
 
 impl fmt::Display for BackendError {
@@ -57,12 +54,6 @@ impl fmt::Display for BackendError {
             BackendError::DeadlineExceeded => {
                 write!(f, "batch abandoned at its deadline by the watchdog")
             }
-            BackendError::Quarantined { jobs } => {
-                write!(
-                    f,
-                    "{jobs} job(s) failed on every backend and were quarantined"
-                )
-            }
         }
     }
 }
@@ -78,9 +69,6 @@ impl std::error::Error for BackendError {
 
 impl From<GpuError> for BackendError {
     fn from(e: GpuError) -> Self {
-        match e {
-            GpuError::ScoringOverflow => BackendError::ScoringOverflow,
-            other => BackendError::Gpu(other),
-        }
+        BackendError::Gpu(e)
     }
 }

@@ -351,7 +351,7 @@ impl FaultPlan {
 
 /// Per-session fault state: the plan plus this backend's own submit
 /// counter. Backends consult it at the top of `submit`; the internal
-/// executors (e.g. the gpu backend's host fallback path) bypass it, so one
+/// executors (e.g. the gpu backend's embedded host executor) bypass it, so one
 /// fired rule maps to exactly one failed `submit`.
 #[derive(Debug, Default)]
 pub(crate) struct FaultHook {

@@ -10,13 +10,13 @@
 //! * [`CpuSimdBackend`] fans a batch across the session's persistent
 //!   worker pool, one recycled scratch arena per worker (the
 //!   zero-allocation contract, DESIGN.md §4.2c);
-//! * [`GpuSimtBackend`] feeds the simulated SIMT device and routes
-//!   oversized jobs back to the CPU executor.
+//! * [`GpuSimtBackend`] computes every job through that same executor and
+//!   has the `mmm-gpu` model price the ones that fit device memory
+//!   (streams, memory pool); the rest count as CPU fallbacks.
 //!
-//! All backends are bit-identical: the simulated kernels delegate their
-//! functional pass to the same difference-recurrence engines the CPU uses,
-//! so backend choice changes *throughput accounting*, never output. The
-//! xtask differential oracle enforces this cross-backend (DESIGN.md §9).
+//! All backends are bit-identical: there is one functional path, so backend
+//! choice changes *throughput accounting*, never output. The xtask
+//! differential oracle enforces this cross-backend (DESIGN.md §9).
 
 pub mod backend;
 pub mod cpu;

@@ -13,8 +13,8 @@ pub struct BackendStats {
     pub jobs: u64,
     /// Total DP cells across all jobs.
     pub cells: u64,
-    /// Jobs routed to the CPU because their footprint does not fit in device
-    /// memory. Always zero for the CPU backend.
+    /// Jobs whose kernel does not fit device memory, so the device model
+    /// leaves them to the host (§4.5.2). Always zero for the CPU backend.
     pub fallbacks: u64,
     /// Peak concurrently-executing kernels observed on the device.
     pub max_stream_concurrency: usize,
@@ -24,8 +24,6 @@ pub struct BackendStats {
     pub pool_rejections: u64,
     /// Simulated device wall time, seconds.
     pub device_seconds: f64,
-    /// Host wall time spent on fallback jobs, seconds.
-    pub fallback_seconds: f64,
     /// Supervisor: resubmissions after a failure, whether halves of a split
     /// set or single-job repeats, on either backend.
     pub retries: u64,
@@ -75,7 +73,6 @@ impl BackendStats {
         self.bytes_pooled += other.bytes_pooled;
         self.pool_rejections += other.pool_rejections;
         self.device_seconds += other.device_seconds;
-        self.fallback_seconds += other.fallback_seconds;
         self.retries += other.retries;
         self.retried_ok += other.retried_ok;
         self.rerouted += other.rerouted;
@@ -173,7 +170,6 @@ mod tests {
             bytes_pooled: 50,
             pool_rejections: 0,
             device_seconds: 0.5,
-            fallback_seconds: 0.1,
             retries: 2,
             quarantined: 1,
             ..Default::default()
@@ -187,7 +183,6 @@ mod tests {
             bytes_pooled: 25,
             pool_rejections: 3,
             device_seconds: 0.25,
-            fallback_seconds: 0.0,
             retries: 3,
             breaker_trips: 1,
             ..Default::default()

@@ -1,6 +1,6 @@
 //! Backend behaviour tests: CPU/GPU parity against the scalar gold,
 //! oversized-pair fallback accounting, mempool steady state across batches,
-//! stream round-robin occupancy, and the CPU backend's lane groups.
+//! stream round-robin occupancy, and the lane groups both backends run.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::{AlignScratch, Engine, Layout, Scoring, Width};
@@ -101,7 +101,49 @@ fn gpu_routes_oversized_pairs_to_cpu_and_counts_them() {
     assert_eq!(gpu_results, cpu_results);
     assert_eq!(gpu_stats.fallbacks, 1, "exactly the big pair fell back");
     assert_eq!(cpu_stats.fallbacks, 0);
-    assert!(gpu_stats.fallback_seconds > 0.0);
+}
+
+/// gpu-sim computes every job on the host executor the CPU backend uses,
+/// fallback or not: on a 16 KiB device, one batch of small and large jobs
+/// comes back as the scalar gold from both backends with the same lane
+/// groups, and `fallbacks` counts exactly the jobs past device memory.
+#[test]
+fn gpu_sim_runs_every_job_in_the_cpu_lane_groups() {
+    const MEM: u64 = 16_384;
+    let mut jobs = fill_stream(150, 0x6A0, 60);
+    jobs.extend(fill_stream(12, 0x6A1, 300));
+    let mut opts = BackendOptions::new(SC);
+    opts.threads = 2;
+    opts.device_mem = Some(MEM);
+    let (cpu_results, cpu) = prepare(BackendKind::Cpu, &opts)
+        .unwrap()
+        .submit(jobs.clone())
+        .unwrap();
+    let (gpu_results, gpu) = prepare(BackendKind::GpuSim, &opts)
+        .unwrap()
+        .submit(jobs.clone())
+        .unwrap();
+    for (i, j) in jobs.iter().enumerate() {
+        assert_eq!(cpu_results[i], scalar_gold(j), "cpu job {i}");
+        assert_eq!(gpu_results[i], scalar_gold(j), "gpu-sim job {i}");
+    }
+    let lanes = |s: &BackendStats| (s.grouped_jobs, s.lane_groups, s.lane_cells, s.grouped_cells);
+    assert!(cpu.grouped_jobs > 0, "{cpu:?}");
+    assert_eq!(lanes(&gpu), lanes(&cpu));
+    let past_memory = jobs
+        .iter()
+        .filter(|j| {
+            let shape = mmm_gpu::KernelJob {
+                tlen: j.target.len(),
+                qlen: j.query.len(),
+                with_path: j.with_path,
+            };
+            shape.footprint() > MEM
+        })
+        .count() as u64;
+    assert!(past_memory > 0 && past_memory < jobs.len() as u64);
+    assert_eq!(gpu.fallbacks, past_memory, "{gpu:?}");
+    assert_eq!(cpu.fallbacks, 0);
 }
 
 #[test]

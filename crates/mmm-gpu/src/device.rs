@@ -43,6 +43,12 @@ impl DeviceSpec {
     pub fn cores(&self) -> usize {
         self.sms * self.lanes_per_sm
     }
+
+    /// Whether a kernel of `footprint` bytes fits device memory: the one
+    /// fit test. A kernel that does not runs on the host instead (§4.5.2).
+    pub fn fits(&self, footprint: u64) -> bool {
+        footprint <= self.global_mem
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,12 @@
-//! The simulated GPU alignment kernels.
+//! The simulated GPU alignment kernels, priced.
 //!
-//! Functional results are produced by the same difference-recurrence
-//! semantics as the CPU kernels (delegating to `mmm_align::scalar`, whose
-//! lock-step-per-diagonal structure *is* the SIMT execution order — the
-//! crate's property tests guarantee bit-identical output across all
-//! layouts). Timing is accumulated per diagonal from the SIMT structure:
-//! chunks of `threads` lanes, per-lane issue-slot counts, shared vs global
-//! memory costs, and — for the minimap2 layout — the per-chunk divergent
-//! branch and `__syncthreads` barrier of Figure 4a.
-
-use mmm_align::types::AlignResult;
-use mmm_align::{best_engine, best_mm2_engine, Scoring};
+//! A kernel's values are the host executor's (every kernel tier returns the
+//! scalar gold's bytes); this module prices one from its shape alone.
+//! Timing is accumulated per diagonal from the SIMT structure: chunks of
+//! `threads` lanes, per-lane issue-slot counts, shared vs global memory
+//! costs, and — for the minimap2 layout — the per-chunk divergent branch
+//! and `__syncthreads` barrier of Figure 4a. [`crate::simt`] executes the
+//! same diagonal order lane by lane and checks the chunk count.
 
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
@@ -34,13 +30,39 @@ impl GpuKernelKind {
     }
 }
 
-/// Outcome of one simulated kernel.
-#[derive(Clone, Debug)]
+/// The shape of one alignment job: all the model needs to place and price
+/// its kernel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KernelJob {
+    pub tlen: usize,
+    pub qlen: usize,
+    pub with_path: bool,
+}
+
+impl KernelJob {
+    /// DP cells, `tlen·qlen`.
+    pub fn cells(self) -> u64 {
+        self.tlen as u64 * self.qlen as u64
+    }
+
+    /// Device memory the kernel needs: sequences, DP state and, with path,
+    /// the backtrack matrix.
+    pub fn footprint(self) -> u64 {
+        let seqs = (self.tlen + self.qlen) as u64;
+        // Two bytes per cell with path: direction bits plus the packed z
+        // values the backtracking pass re-reads (matches §4.5.2's "32 kbp
+        // pair needs 2 GB" example).
+        let dir = if self.with_path { 2 * self.cells() } else { 0 };
+        seqs + state_bytes(self.tlen, self.qlen) as u64 + dir + 4096
+    }
+}
+
+/// Price of one simulated kernel.
+#[derive(Clone, Copy, Debug)]
 pub struct KernelRun {
-    pub result: AlignResult,
     /// Simulated SM cycles.
     pub cycles: u64,
-    /// Device memory footprint (sequences + DP state + backtrack matrix).
+    /// Device memory footprint ([`KernelJob::footprint`]).
     pub footprint: u64,
     /// Whether the DP state fit in shared memory.
     pub used_shared: bool,
@@ -66,81 +88,34 @@ const GLOBAL_MEM_FACTOR: u64 = 3;
 /// Extra per-cell slots for writing the backtrack matrix (always global).
 const PATH_STORE_SLOTS: u64 = 60;
 
-/// Device memory needed by one kernel.
-pub fn kernel_footprint(tlen: usize, qlen: usize, with_path: bool) -> u64 {
-    let seqs = (tlen + qlen) as u64;
-    let state = (4 * tlen + 2 * qlen + 64) as u64;
-    // Two bytes per cell with path: direction bits plus the packed z
-    // values the backtracking pass re-reads (matches §4.5.2's "32 kbp pair
-    // needs 2 GB" example).
-    let dir = if with_path {
-        2 * tlen as u64 * qlen as u64
-    } else {
-        0
-    };
-    seqs + state + dir + 4096
-}
-
 /// DP-state bytes that compete for shared memory.
 fn state_bytes(tlen: usize, qlen: usize) -> usize {
     4 * tlen + 2 * qlen + 64
 }
 
-/// Execute one alignment kernel on the simulated device.
+/// Price one alignment kernel on the simulated device. A block size
+/// outside the device's range is a typed [`GpuError`], never a panic.
 ///
 /// ```
-/// use mmm_align::Scoring;
-/// use mmm_gpu::{run_kernel, DeviceSpec, GpuKernelKind};
-/// let t = mmm_seq::to_nt4(b"ACGTACGTACGT");
-/// let run = run_kernel(&t, &t, &Scoring::MAP_ONT, GpuKernelKind::Manymap,
-///                      false, 512, &DeviceSpec::V100);
-/// assert_eq!(run.result.score, 24);
-/// assert!(run.used_shared && run.cycles > 0);
+/// use mmm_gpu::{price_kernel, DeviceSpec, GpuKernelKind, KernelJob};
+/// let job = KernelJob { tlen: 12, qlen: 12, with_path: false };
+/// let run = price_kernel(job, GpuKernelKind::Manymap, 512, &DeviceSpec::V100);
+/// assert!(run.is_ok_and(|r| r.used_shared && r.cycles > 0));
 /// ```
-pub fn run_kernel(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
+pub fn price_kernel(
+    job: KernelJob,
     kind: GpuKernelKind,
-    with_path: bool,
-    threads: usize,
-    dev: &DeviceSpec,
-) -> KernelRun {
-    match try_run_kernel(target, query, sc, kind, with_path, threads, dev) {
-        Ok(run) => run,
-        Err(e) => panic!("run_kernel: {e}"),
-    }
-}
-
-/// Fallible variant of [`run_kernel`]: an invalid launch configuration or
-/// overflowing scoring comes back as a [`GpuError`] instead of a panic, so
-/// batch drivers can degrade through the pipeline's error chain.
-pub fn try_run_kernel(
-    target: &[u8],
-    query: &[u8],
-    sc: &Scoring,
-    kind: GpuKernelKind,
-    with_path: bool,
     threads: usize,
     dev: &DeviceSpec,
 ) -> Result<KernelRun, GpuError> {
     if !(32..=1024).contains(&threads) {
         return Err(GpuError::BlockSize { threads });
     }
-    if !sc.fits_i8() {
-        return Err(GpuError::ScoringOverflow);
-    }
-    let (tlen, qlen) = (target.len(), query.len());
-
-    // Functional pass — lock-step diagonal semantics. All kernel variants
-    // are bit-identical (property-tested in mmm-align), so the simulator
-    // may use the fastest host kernel of the matching layout for the
-    // values.
-    let result = match kind {
-        GpuKernelKind::Mm2 => best_mm2_engine().align(target, query, sc, with_path),
-        GpuKernelKind::Manymap => best_engine().align(target, query, sc, with_path),
-    };
-
+    let KernelJob {
+        tlen,
+        qlen,
+        with_path,
+    } = job;
     let used_shared = state_bytes(tlen, qlen) <= dev.shared_mem_per_block;
     let mem_factor = if used_shared { 1 } else { GLOBAL_MEM_FACTOR };
     let base_slots = match kind {
@@ -172,9 +147,8 @@ pub fn try_run_kernel(
     let exec_seconds = cycles as f64 / (dev.clock_ghz * 1e9);
 
     Ok(KernelRun {
-        result,
         cycles,
-        footprint: kernel_footprint(tlen, qlen, with_path),
+        footprint: job.footprint(),
         used_shared,
         exec_seconds,
     })
@@ -184,46 +158,20 @@ pub fn try_run_kernel(
 mod tests {
     use super::*;
 
-    const SC: Scoring = Scoring::MAP_ONT;
-
-    fn pair(n: usize) -> (Vec<u8>, Vec<u8>) {
-        let t: Vec<u8> = (0..n).map(|i| ((i * 7 + 1) % 4) as u8).collect();
-        let q: Vec<u8> = (0..n).map(|i| ((i * 5 + 2) % 4) as u8).collect();
-        (t, q)
-    }
-
-    #[test]
-    fn results_match_cpu_kernels() {
-        let (t, q) = pair(600);
-        for kind in [GpuKernelKind::Mm2, GpuKernelKind::Manymap] {
-            let g = run_kernel(&t, &q, &SC, kind, true, 512, &DeviceSpec::V100);
-            let c = mmm_align::scalar::align_manymap(&t, &q, &SC, true);
-            assert_eq!(g.result, c, "{kind:?}");
-        }
+    fn price(n: usize, kind: GpuKernelKind, threads: usize) -> KernelRun {
+        let job = KernelJob {
+            tlen: n,
+            qlen: n,
+            with_path: false,
+        };
+        price_kernel(job, kind, threads, &DeviceSpec::V100).unwrap()
     }
 
     #[test]
     fn manymap_kernel_is_faster_than_mm2_port() {
         // Figure 8a: up to ~3.2× at 4 kbp.
-        let (t, q) = pair(4000);
-        let a = run_kernel(
-            &t,
-            &q,
-            &SC,
-            GpuKernelKind::Mm2,
-            false,
-            512,
-            &DeviceSpec::V100,
-        );
-        let b = run_kernel(
-            &t,
-            &q,
-            &SC,
-            GpuKernelKind::Manymap,
-            false,
-            512,
-            &DeviceSpec::V100,
-        );
+        let a = price(4000, GpuKernelKind::Mm2, 512);
+        let b = price(4000, GpuKernelKind::Manymap, 512);
         let speedup = a.cycles as f64 / b.cycles as f64;
         assert!(speedup > 2.0 && speedup < 4.5, "speedup={speedup}");
     }
@@ -231,26 +179,8 @@ mod tests {
     #[test]
     fn long_sequences_spill_to_global_memory() {
         // §5.2.4: past ~16 kbp the score arrays exceed 96 KiB shared.
-        let (t8, q8) = pair(8_000);
-        let (t32, q32) = pair(32_000);
-        let short = run_kernel(
-            &t8,
-            &q8,
-            &SC,
-            GpuKernelKind::Manymap,
-            false,
-            512,
-            &DeviceSpec::V100,
-        );
-        let long = run_kernel(
-            &t32,
-            &q32,
-            &SC,
-            GpuKernelKind::Manymap,
-            false,
-            512,
-            &DeviceSpec::V100,
-        );
+        let short = price(8_000, GpuKernelKind::Manymap, 512);
+        let long = price(32_000, GpuKernelKind::Manymap, 512);
         assert!(short.used_shared);
         assert!(!long.used_shared);
         // Per-cell cost jumps when spilled.
@@ -263,36 +193,24 @@ mod tests {
     fn with_path_footprint_matches_paper_example() {
         // §4.5.2: "two sequences of 32 thousands bp each, then 2 GB memory
         // is required to calculate the alignment path".
-        let f = kernel_footprint(32_000, 32_000, true);
+        let job = |with_path| KernelJob {
+            tlen: 32_000,
+            qlen: 32_000,
+            with_path,
+        };
+        let f = job(true).footprint();
         assert!(
             f > 900 << 20 && f < (2u64 << 30) + (1 << 20),
             "footprint={f}"
         );
         // Score-only stays linear.
-        assert!(kernel_footprint(32_000, 32_000, false) < 1 << 20);
+        assert!(job(false).footprint() < 1 << 20);
     }
 
     #[test]
     fn more_threads_reduce_cycles() {
-        let (t, q) = pair(4000);
-        let t128 = run_kernel(
-            &t,
-            &q,
-            &SC,
-            GpuKernelKind::Manymap,
-            false,
-            128,
-            &DeviceSpec::V100,
-        );
-        let t512 = run_kernel(
-            &t,
-            &q,
-            &SC,
-            GpuKernelKind::Manymap,
-            false,
-            512,
-            &DeviceSpec::V100,
-        );
+        let t128 = price(4000, GpuKernelKind::Manymap, 128);
+        let t512 = price(4000, GpuKernelKind::Manymap, 512);
         assert!(t512.cycles < t128.cycles);
     }
 }

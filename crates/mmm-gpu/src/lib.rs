@@ -1,10 +1,11 @@
-//! `mmm-gpu` — a functional simulator of manymap's GPU backend.
+//! `mmm-gpu` — a placement and cost model of manymap's GPU backend.
 //!
 //! The paper evaluates manymap on a Tesla V100 (Figures 4, 7, 8; §4.5). We
-//! do not have that hardware; this crate substitutes a simulator that is
-//! *functional* — every kernel computes real alignment scores and paths,
-//! bit-identical to the CPU kernels — while its *timing* comes from an
-//! explicit model of the SIMT execution structure:
+//! do not have that hardware; this crate decides where each job would run
+//! and what it would cost there, from the job's shape alone. It computes
+//! no alignment values: those come from the host executor (`mmm-exec`),
+//! whose every kernel tier returns the scalar gold's bytes. The model
+//! prices:
 //!
 //! * one sequence pair per kernel, one thread block of ≤512 threads
 //!   (§4.5.1), each diagonal processed in `⌈width/threads⌉` lock-step
@@ -17,20 +18,22 @@
 //! * concurrent kernel execution over CUDA streams with the Volta limits:
 //!   80 SMs, 128 resident grids, 16 GB device memory (§4.5.1, Figure 7);
 //! * a per-stream memory pool removes the per-launch allocation latency
-//!   (§4.5.2), and oversized problems fall back to the CPU.
+//!   (§4.5.2), and a kernel past device memory falls back to the CPU
+//!   ([`DeviceSpec::fits`]).
+//!
+//! [`simt`] alone executes: it runs Figure 4's two kernels lane by lane to
+//! show their difference and to check the model's chunk count.
 
 pub mod device;
 pub mod error;
 pub mod kernel;
 pub mod mempool;
-pub mod runner;
 pub mod simt;
 pub mod stream;
 
 pub use device::DeviceSpec;
 pub use error::GpuError;
-pub use kernel::{run_kernel, try_run_kernel, GpuKernelKind, KernelRun};
+pub use kernel::{price_kernel, GpuKernelKind, KernelJob, KernelRun};
 pub use mempool::MemoryPool;
-pub use runner::{GpuAligner, GpuBatchStats};
 pub use simt::{execute_block, SimtTrace};
-pub use stream::{simulate_batch, try_execute_jobs, BatchReport, KernelJob, StreamConfig};
+pub use stream::{price_jobs, schedule_runs, simulate_batch, BatchReport, StreamConfig};

@@ -1,7 +1,7 @@
 //! A lane-level lock-step SIMT engine executing the two GPU kernels of
 //! Figure 4.
 //!
-//! [`crate::kernel::run_kernel`] prices kernels analytically; this module
+//! [`crate::kernel::price_kernel`] prices kernels analytically; this module
 //! *executes* them the way a thread block would — diagonals processed in
 //! chunks of `threads` lanes, every lane computing one DP cell per step —
 //! and records an execution trace (instruction issues, divergent branches,
@@ -177,7 +177,7 @@ pub fn execute_block(
 mod tests {
     use super::*;
     use crate::device::DeviceSpec;
-    use crate::kernel::run_kernel;
+    use crate::kernel::{price_kernel, KernelJob};
     use mmm_align::scalar;
 
     const SC: Scoring = Scoring::MAP_ONT;
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn chunk_count_matches_the_analytic_model() {
-        // The trace's chunk count is exactly what run_kernel charges per
+        // The trace's chunk count is exactly what price_kernel charges per
         // diagonal: Σ ⌈width/threads⌉.
         let (t, q) = pair(900, 3);
         let (_, trace) = execute_block(&t, &q, &SC, GpuKernelKind::Manymap, 256);
@@ -246,8 +246,13 @@ mod tests {
         // divergence per chunk).
         let (t, q) = pair(2_000, 5);
         let dev = DeviceSpec::V100;
-        let a = run_kernel(&t, &q, &SC, GpuKernelKind::Mm2, false, 512, &dev);
-        let b = run_kernel(&t, &q, &SC, GpuKernelKind::Manymap, false, 512, &dev);
+        let job = KernelJob {
+            tlen: t.len(),
+            qlen: q.len(),
+            with_path: false,
+        };
+        let a = price_kernel(job, GpuKernelKind::Mm2, 512, &dev).unwrap();
+        let b = price_kernel(job, GpuKernelKind::Manymap, 512, &dev).unwrap();
         let model_ratio = a.cycles as f64 / b.cycles as f64;
         assert!(
             model_ratio > 1.5 && model_ratio < 5.0,

@@ -8,20 +8,10 @@
 //! stream scaling and Figure 8b's concurrency collapse for long with-path
 //! problems.
 
-use mmm_align::Scoring;
-
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
-use crate::kernel::{try_run_kernel, GpuKernelKind, KernelRun};
+use crate::kernel::{price_kernel, GpuKernelKind, KernelJob, KernelRun};
 use crate::mempool::MemoryPool;
-
-/// One alignment job.
-#[derive(Clone, Debug)]
-pub struct KernelJob {
-    pub target: Vec<u8>,
-    pub query: Vec<u8>,
-    pub with_path: bool,
-}
 
 /// Stream/launch configuration.
 #[derive(Clone, Copy, Debug)]
@@ -55,7 +45,7 @@ pub struct BatchReport {
     pub max_concurrency: usize,
     /// Jobs that exceeded device memory and must fall back to the CPU.
     pub fallbacks: Vec<usize>,
-    /// Total DP cells of the jobs executed on the device.
+    /// Total DP cells of the jobs placed on the device.
     pub device_cells: u64,
     /// Bytes served from the per-stream memory pool this batch.
     pub bytes_pooled: u64,
@@ -78,53 +68,26 @@ impl BatchReport {
     }
 }
 
-/// Functional pass only: execute every job's kernel once. The result can
-/// be scheduled repeatedly under different stream configurations (the
-/// Figure 7 sweep) without recomputing alignments. Fails with a typed
-/// error on an invalid launch configuration instead of panicking.
-pub fn try_execute_jobs(
+/// Price every job's kernel once. The prices can be scheduled repeatedly
+/// under different stream configurations (the Figure 7 sweep). An invalid
+/// launch configuration is a typed error, never a panic.
+pub fn price_jobs(
     jobs: &[KernelJob],
-    sc: &Scoring,
     kind: GpuKernelKind,
     threads_per_block: usize,
     dev: &DeviceSpec,
 ) -> Result<Vec<KernelRun>, GpuError> {
     jobs.iter()
-        .map(|j| {
-            try_run_kernel(
-                &j.target,
-                &j.query,
-                sc,
-                kind,
-                j.with_path,
-                threads_per_block,
-                dev,
-            )
-        })
+        .map(|&j| price_kernel(j, kind, threads_per_block, dev))
         .collect()
 }
 
-/// Panicking convenience wrapper over [`try_execute_jobs`] for harnesses
-/// whose configurations are static and known-valid.
-pub fn execute_jobs(
-    jobs: &[KernelJob],
-    sc: &Scoring,
-    kind: GpuKernelKind,
-    threads_per_block: usize,
-    dev: &DeviceSpec,
-) -> Vec<KernelRun> {
-    match try_execute_jobs(jobs, sc, kind, threads_per_block, dev) {
-        Ok(runs) => runs,
-        Err(e) => panic!("execute_jobs: {e}"),
-    }
-}
-
-/// Schedule pre-executed kernels over the streams and device limits, using
-/// a caller-owned memory pool (so a resident aligner can reuse one pool
-/// across batches, §4.5.2). Every slab is returned to the pool before this
+/// Schedule priced kernels over the streams and device limits, using a
+/// caller-owned memory pool (so a resident backend reuses one pool across
+/// batches, §4.5.2). Every slab is returned to the pool before this
 /// function returns — lifetime counters (`allocs_served`, `peak_used`)
 /// keep accumulating across batches.
-pub fn schedule_runs_with_pool(
+pub fn schedule_runs(
     jobs: &[KernelJob],
     runs: Vec<KernelRun>,
     cfg: &StreamConfig,
@@ -141,9 +104,9 @@ pub fn schedule_runs_with_pool(
     for (i, (j, run)) in jobs.iter().zip(&runs).enumerate() {
         // Transfers: sequences down, result (and path matrix) up, over
         // pinned host memory.
-        let bytes = (j.target.len() + j.query.len()) as f64;
+        let bytes = (j.tlen + j.qlen) as f64;
         let transfer = bytes / (dev.pcie_gbps * 1e9) + 2.0 * dev.transfer_latency;
-        if run.footprint > dev.global_mem {
+        if !dev.fits(run.footprint) {
             // Impossible to place on the device: CPU fallback (§4.5.2).
             fallbacks.push(i);
             durations.push(None);
@@ -164,30 +127,25 @@ pub fn schedule_runs_with_pool(
         } else {
             dev.alloc_latency
         };
-        device_cells += run.result.cells;
+        device_cells += j.cells();
         durations.push(Some(run.exec_seconds + transfer + alloc));
     }
     // Nothing may stay resident after the batch, whatever path got here.
     pool.release_all();
-    let runs: Vec<Option<KernelRun>> = runs.into_iter().map(Some).collect();
 
     // Event loop: assign jobs round-robin to streams, respect concurrency
     // limits (streams, resident grids, SMs) and device memory.
-    let max_conc = cfg.streams.min(dev.max_resident_grids);
-    let mut stream_free = vec![0.0f64; cfg.streams.max(1)];
+    let max_conc = nstreams.min(dev.max_resident_grids);
+    let mut stream_free = vec![0.0f64; nstreams];
     let mut running: Vec<(f64, u64)> = Vec::new(); // (end_time, footprint)
     let mut mem_used = 0u64;
     let mut clock = 0.0f64;
     let mut max_seen = 0usize;
     let mut makespan = 0.0f64;
 
-    for (i, d) in durations.iter().enumerate() {
+    for (i, (d, run)) in durations.iter().zip(&runs).enumerate() {
         let Some(dur) = d else { continue };
-        let s = i % cfg.streams.max(1);
-        // A recorded duration implies a recorded run; skip defensively if not.
-        let Some(run) = runs[i].as_ref() else {
-            continue;
-        };
+        let s = i % nstreams;
         let fp = run.footprint;
         // Earliest start: stream free, and capacity available.
         let mut start = stream_free[s].max(clock);
@@ -224,7 +182,7 @@ pub fn schedule_runs_with_pool(
     }
 
     BatchReport {
-        runs: runs.into_iter().flatten().collect(),
+        runs,
         sim_seconds: makespan,
         max_concurrency: max_seen,
         fallbacks,
@@ -236,43 +194,31 @@ pub fn schedule_runs_with_pool(
     }
 }
 
-/// Schedule pre-executed kernels with a fresh single-batch pool.
-pub fn schedule_runs(
-    jobs: &[KernelJob],
-    runs: Vec<KernelRun>,
-    cfg: &StreamConfig,
-    dev: &DeviceSpec,
-) -> BatchReport {
+/// Price and schedule a batch with a fresh single-batch pool, in one call:
+/// the harnesses' form. Their launch configurations are static, so an
+/// invalid one panics.
+pub fn simulate_batch(jobs: &[KernelJob], cfg: &StreamConfig, dev: &DeviceSpec) -> BatchReport {
+    let runs = match price_jobs(jobs, cfg.kind, cfg.threads_per_block, dev) {
+        Ok(runs) => runs,
+        Err(e) => panic!("simulate_batch: {e}"),
+    };
     let mut pool = MemoryPool::new(dev.global_mem, cfg.streams.max(1));
-    schedule_runs_with_pool(jobs, runs, cfg, dev, &mut pool)
-}
-
-/// Execute a batch of jobs over the simulated device (functional pass +
-/// scheduling in one call).
-pub fn simulate_batch(
-    jobs: &[KernelJob],
-    sc: &Scoring,
-    cfg: &StreamConfig,
-    dev: &DeviceSpec,
-) -> BatchReport {
-    let runs = execute_jobs(jobs, sc, cfg.kind, cfg.threads_per_block, dev);
-    schedule_runs(jobs, runs, cfg, dev)
+    schedule_runs(jobs, runs, cfg, dev, &mut pool)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SC: Scoring = Scoring::MAP_ONT;
-
     fn jobs(n: usize, len: usize, with_path: bool) -> Vec<KernelJob> {
-        (0..n)
-            .map(|k| KernelJob {
-                target: (0..len).map(|i| ((i * 7 + k) % 4) as u8).collect(),
-                query: (0..len).map(|i| ((i * 5 + k) % 4) as u8).collect(),
+        vec![
+            KernelJob {
+                tlen: len,
+                qlen: len,
                 with_path,
-            })
-            .collect()
+            };
+            n
+        ]
     }
 
     fn run_streams(streams: usize, n_jobs: usize, len: usize, with_path: bool) -> BatchReport {
@@ -280,7 +226,7 @@ mod tests {
             streams,
             ..Default::default()
         };
-        simulate_batch(&jobs(n_jobs, len, with_path), &SC, &cfg, &DeviceSpec::V100)
+        simulate_batch(&jobs(n_jobs, len, with_path), &cfg, &DeviceSpec::V100)
     }
 
     #[test]
@@ -313,13 +259,13 @@ mod tests {
             ..DeviceSpec::V100
         };
         let cfg = StreamConfig::default();
-        let rep = simulate_batch(&jobs(32, 2_000, true), &SC, &cfg, &dev);
+        let rep = simulate_batch(&jobs(32, 2_000, true), &cfg, &dev);
         assert!(
             rep.max_concurrency <= 8,
             "concurrency={}",
             rep.max_concurrency
         );
-        let short = simulate_batch(&jobs(32, 300, true), &SC, &cfg, &dev);
+        let short = simulate_batch(&jobs(32, 300, true), &cfg, &dev);
         assert!(
             short.max_concurrency > 8,
             "concurrency={}",
@@ -337,19 +283,11 @@ mod tests {
         };
         let j = jobs(1, 6_000, true); // 72 MB footprint
         let cfg = StreamConfig::default();
-        let rep = simulate_batch(&j, &SC, &cfg, &dev);
+        let rep = simulate_batch(&j, &cfg, &dev);
         assert_eq!(rep.fallbacks, vec![0]);
-        // The functional result still exists (computed for the CPU path).
+        // The job is still priced, and none of its cells ran on the device.
         assert_eq!(rep.runs.len(), 1);
-    }
-
-    #[test]
-    fn results_are_functional() {
-        let rep = run_streams(8, 8, 500, true);
-        for (r, j) in rep.runs.iter().zip(jobs(8, 500, true)) {
-            let gold = mmm_align::scalar::align_manymap(&j.target, &j.query, &SC, true);
-            assert_eq!(r.result, gold);
-        }
+        assert_eq!(rep.device_cells, 0);
     }
 
     #[test]
@@ -364,8 +302,8 @@ mod tests {
             use_pool: false,
             ..Default::default()
         };
-        let a = simulate_batch(&jobs(64, 300, false), &SC, &with_pool, &DeviceSpec::V100);
-        let b = simulate_batch(&jobs(64, 300, false), &SC, &no_pool, &DeviceSpec::V100);
+        let a = simulate_batch(&jobs(64, 300, false), &with_pool, &DeviceSpec::V100);
+        let b = simulate_batch(&jobs(64, 300, false), &no_pool, &DeviceSpec::V100);
         assert!(a.sim_seconds < b.sim_seconds);
     }
 
@@ -376,7 +314,7 @@ mod tests {
             ..Default::default()
         };
         let js = jobs(16, 400, false);
-        let rep = simulate_batch(&js, &SC, &cfg, &DeviceSpec::V100);
+        let rep = simulate_batch(&js, &cfg, &DeviceSpec::V100);
         // Every on-device job was served from the pool, none rejected.
         assert_eq!(rep.pool_allocs, 16);
         assert_eq!(rep.pool_rejections, 0);
@@ -398,7 +336,7 @@ mod tests {
             ..Default::default()
         };
         let js = jobs(2, 2_200, true); // ~9.7 MB with-path footprint
-        let rep = simulate_batch(&js, &SC, &cfg, &dev);
+        let rep = simulate_batch(&js, &cfg, &dev);
         assert!(rep.fallbacks.is_empty());
         assert_eq!(rep.pool_rejections, 2);
         assert_eq!(rep.pool_allocs, 0);
@@ -414,12 +352,12 @@ mod tests {
         };
         let dev = DeviceSpec::V100;
         let js = jobs(16, 400, false);
-        let runs = || execute_jobs(&js, &SC, cfg.kind, cfg.threads_per_block, &dev);
+        let runs = price_jobs(&js, cfg.kind, cfg.threads_per_block, &dev).unwrap();
         let mut pool = MemoryPool::new(dev.global_mem, cfg.streams);
-        let first = schedule_runs_with_pool(&js, runs(), &cfg, &dev, &mut pool);
+        let first = schedule_runs(&js, runs.clone(), &cfg, &dev, &mut pool);
         let peak_after_warmup = pool.peak_used();
         for _ in 0..3 {
-            let rep = schedule_runs_with_pool(&js, runs(), &cfg, &dev, &mut pool);
+            let rep = schedule_runs(&js, runs.clone(), &cfg, &dev, &mut pool);
             assert_eq!(rep.bytes_pooled, first.bytes_pooled);
         }
         assert_eq!(pool.peak_used(), peak_after_warmup);
@@ -429,7 +367,7 @@ mod tests {
     #[test]
     fn invalid_block_size_is_a_typed_error() {
         let js = jobs(1, 100, false);
-        let err = try_execute_jobs(&js, &SC, GpuKernelKind::Manymap, 7, &DeviceSpec::V100);
+        let err = price_jobs(&js, GpuKernelKind::Manymap, 7, &DeviceSpec::V100);
         assert_eq!(err.unwrap_err(), GpuError::BlockSize { threads: 7 });
     }
 

@@ -4,11 +4,12 @@
 //! ```sh
 //! cargo run --release --example kernel_shootout -- 4000
 //! ```
+#![allow(clippy::expect_used)]
 
 use std::time::Instant;
 
 use mmm_align::{Engine, Scoring, Width};
-use mmm_gpu::{run_kernel, DeviceSpec, GpuKernelKind};
+use mmm_gpu::{price_kernel, DeviceSpec, GpuKernelKind, KernelJob};
 
 fn noisy_pair(len: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut state = seed;
@@ -64,13 +65,20 @@ fn main() {
     }
 
     // Simulated GPU kernels: one block of 512 threads each (per-kernel
-    // throughput; the stream engine multiplies this by concurrency).
+    // throughput; the stream engine multiplies this by concurrency). The
+    // model prices a kernel and computes no score.
+    let job = KernelJob {
+        tlen: t.len(),
+        qlen: q.len(),
+        with_path: false,
+    };
     for kind in [GpuKernelKind::Mm2, GpuKernelKind::Manymap] {
-        let run = run_kernel(&t, &q, &sc, kind, false, 512, &DeviceSpec::V100);
+        let run = price_kernel(job, kind, 512, &DeviceSpec::V100)
+            .expect("512 threads is a valid block size");
         println!(
             "{:<22} {:>10} {:>12.3}   (simulated; {} cycles, shared={})",
             kind.label(),
-            run.result.score,
+            "-",
             cells / run.exec_seconds / 1e9,
             run.cycles,
             run.used_shared

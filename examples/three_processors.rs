@@ -76,8 +76,8 @@ fn main() {
     let jobs: Vec<KernelJob> = pairs
         .iter()
         .map(|(t, q)| KernelJob {
-            target: t.clone(),
-            query: q.clone(),
+            tlen: t.len(),
+            qlen: q.len(),
             with_path: false,
         })
         .collect();
@@ -85,7 +85,7 @@ fn main() {
         kind: GpuKernelKind::Manymap,
         ..Default::default()
     };
-    let rep = simulate_batch(&jobs, &sc, &cfg, &DeviceSpec::V100);
+    let rep = simulate_batch(&jobs, &cfg, &DeviceSpec::V100);
     println!(
         "GPU  (Tesla V100, simulated): {:.4}s  {:.2} GCUPS  (peak concurrency {})",
         rep.sim_seconds,

@@ -1,6 +1,5 @@
-//! Cross-platform integration: the three processors agree functionally and
-//! their simulated performance relations hold (the paper's headline
-//! claims as invariants).
+//! Cross-platform integration: the three processors' performance relations
+//! hold (the paper's headline claims as invariants).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_align::{best_engine, best_mm2_engine, Scoring};
@@ -24,40 +23,19 @@ fn pairs(n: usize, len: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
 }
 
 #[test]
-fn gpu_simulation_is_bit_identical_to_cpu() {
-    let sc = Scoring::MAP_PB;
-    let jobs: Vec<KernelJob> = pairs(10, 700)
-        .into_iter()
-        .map(|(t, q)| KernelJob {
-            target: t,
-            query: q,
-            with_path: true,
-        })
-        .collect();
-    let cfg = StreamConfig::default();
-    let rep = simulate_batch(&jobs, &sc, &cfg, &DeviceSpec::V100);
-    for (run, job) in rep.runs.iter().zip(&jobs) {
-        let cpu = best_engine().align(&job.target, &job.query, &sc, true);
-        assert_eq!(run.result, cpu);
-    }
-}
-
-#[test]
 fn headline_claim_gpu_kernel_speedup() {
     // §Abstract: up to 4.5× on the base-level alignment step; the GPU
     // kernel comparison lands at ~3× (Figure 8).
-    let sc = Scoring::MAP_PB;
     let jobs: Vec<KernelJob> = pairs(32, 4_000)
         .into_iter()
         .map(|(t, q)| KernelJob {
-            target: t,
-            query: q,
+            tlen: t.len(),
+            qlen: q.len(),
             with_path: false,
         })
         .collect();
     let t_many = simulate_batch(
         &jobs,
-        &sc,
         &StreamConfig {
             kind: GpuKernelKind::Manymap,
             ..Default::default()
@@ -67,7 +45,6 @@ fn headline_claim_gpu_kernel_speedup() {
     .sim_seconds;
     let t_mm2 = simulate_batch(
         &jobs,
-        &sc,
         &StreamConfig {
             kind: GpuKernelKind::Mm2,
             ..Default::default()
