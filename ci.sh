@@ -172,7 +172,7 @@ for flag in --sam --no-cigar; do
         || { echo "ci: gpu-sim ($flag) ran ${gpu_groups:-no lane groups}, the cpu backend $cpu_groups"; cat "$SHARD_WORK/lane-gpu.err"; exit 1; }
 done
 
-echo "==> streaming: a multi-batch ONT set maps to the same SAM at one and two threads"
+echo "==> streaming: a multi-batch ONT set maps to the same SAM at one and two threads, and through the gpu-sim standby"
 # `manymap map` cuts its input into MAP_BATCH_BASES batches and writes each
 # batch's records as it finishes. The thread count must not change a byte,
 # and the set must span several batches, so the gate cannot pass on one.
@@ -189,6 +189,17 @@ for t in 1 2; do
 done
 cmp "$SHARD_WORK/stream-t1.sam" "$SHARD_WORK/stream-t2.sam" \
     || { echo "ci: streamed SAM differs between --threads 1 and --threads 2"; exit 1; }
+# The standby path: under `launch-fail:every=3` a gpu-sim session's breaker
+# trips and the standby, which shares the primary's executor, serves the
+# rest. Nothing may be lost. The shard input above is one batch, too few to
+# trip the breaker, so this gate runs on the streaming set.
+target/release/manymap map "$SHARD_WORK/stream.mmx" "$SHARD_WORK/stream-reads.fa" --sam \
+    --threads 2 --backend gpu-sim --inject-backend-fault launch-fail:every=3 \
+    >"$SHARD_WORK/stream-standby.sam" 2>"$SHARD_WORK/stream-standby.err"
+cmp "$SHARD_WORK/stream-t2.sam" "$SHARD_WORK/stream-standby.sam" \
+    || { echo "ci: gpu-sim recovery through the standby changed the mapping"; exit 1; }
+grep -Eq "supervisor gpu-sim: .*, 0 quarantined, [1-9][0-9]* breaker-trips," "$SHARD_WORK/stream-standby.err" \
+    || { echo "ci: the standby run quarantined jobs or never tripped the breaker"; cat "$SHARD_WORK/stream-standby.err"; exit 1; }
 
 echo "==> selection ratchet and MAPQ calibration on a repeat-bearing genome"
 # The default 1 Mbp simreads genome carries 2 kb repeat copies. Chain

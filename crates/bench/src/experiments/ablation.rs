@@ -183,76 +183,5 @@ pub fn run(quick: bool) -> String {
         &rows,
     ));
 
-    // A6: chaining design — minimap2's gap-cost DP vs classic LIS.
-    {
-        use mmm_chain::{chain_anchors, chain_lis, Anchor, ChainOpts};
-        use mmm_index::ShardedIndex;
-        use mmm_seq::{nt4_decode, SeqRecord};
-        use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
-
-        let g = generate_genome(&GenomeOpts {
-            len: 200_000,
-            repeat_frac: 0.25,
-            repeat_unit: 2_000,
-            seed: 77,
-            ..Default::default()
-        });
-        let idx = match ShardedIndex::build(
-            &[SeqRecord::new("chr1", nt4_decode(&g))],
-            &mmm_index::IdxOpts::MAP_ONT,
-            1,
-        ) {
-            Ok(i) => i,
-            Err(e) => {
-                out.push_str(&format!("ablation A6: index build failed: {e}\n"));
-                return out;
-            }
-        };
-        let reads = simulate_reads(
-            &g,
-            &SimOpts {
-                platform: Platform::Nanopore,
-                num_reads: if quick { 10 } else { 60 },
-                seed: 6,
-            },
-        );
-        let mut dp_correct = 0usize;
-        let mut lis_correct = 0usize;
-        let mut counted = 0usize;
-        for r in &reads {
-            let anchors: Vec<Anchor> = idx.collect_anchors(&r.seq).unwrap_or_default();
-            if anchors.is_empty() {
-                continue;
-            }
-            counted += 1;
-            let within = |c: &mmm_chain::Chain| {
-                let (rs, re) = c.ref_range();
-                c.rev == r.origin.rev && re.min(r.origin.end) > rs.max(r.origin.start)
-            };
-            if chain_anchors(anchors.clone(), &ChainOpts::default())
-                .first()
-                .is_some_and(within)
-            {
-                dp_correct += 1;
-            }
-            if chain_lis(anchors, 3).first().is_some_and(within) {
-                lis_correct += 1;
-            }
-        }
-        out.push_str(&format_table(
-            "Ablation A6 — chaining design on a 25%-repeat genome",
-            &["method", "top chain on true locus"],
-            &[
-                vec![
-                    "gap-cost DP (minimap2)".into(),
-                    format!("{dp_correct}/{counted}"),
-                ],
-                vec![
-                    "LIS (no gap model)".into(),
-                    format!("{lis_correct}/{counted}"),
-                ],
-            ],
-        ));
-    }
     out
 }

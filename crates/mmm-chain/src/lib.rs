@@ -9,10 +9,8 @@
 
 pub mod anchor;
 pub mod chain;
-pub mod lis;
 pub mod select;
 
 pub use anchor::{sort_anchors, Anchor};
 pub use chain::{chain_anchors, Chain, ChainOpts};
-pub use lis::chain_lis;
 pub use select::{select_chains, SelectOpts, SelectedChain};

@@ -4,10 +4,9 @@ use std::sync::Arc;
 
 use mmm_align::{best_engine, AlignResult, Engine, Scoring};
 
-use crate::cpu::CpuSimdBackend;
 use crate::error::BackendError;
 use crate::fault::FaultPlan;
-use crate::gpu::GpuSimtBackend;
+use crate::host::HostBackend;
 use crate::job::AlignJob;
 use crate::stats::BackendStats;
 use crate::supervisor::{SupervisedBackend, SupervisorConfig};
@@ -53,8 +52,8 @@ pub trait AlignBackend: Send + Sync {
 pub enum BackendKind {
     /// Host SIMD lanes across the worker pool.
     Cpu,
-    /// The host executor, priced on the simulated GPU/SIMT device (streams,
-    /// memory pool, CPU fallback).
+    /// The host executor, metered by the simulated GPU/SIMT device
+    /// (streams, memory pool, CPU fallback).
     GpuSim,
 }
 
@@ -83,7 +82,7 @@ pub struct BackendOptions {
     pub scoring: Scoring,
     /// Host engine every backend computes its jobs with.
     pub engine: Engine,
-    /// Worker threads the CPU executor may use per batch.
+    /// Worker threads of the session's host executor.
     pub threads: usize,
     /// Override the simulated device's global memory (bytes); small values
     /// force the oversized-pair fallback path. `None` keeps the V100 16 GB.
@@ -110,41 +109,33 @@ impl BackendOptions {
 }
 
 /// Prepare a backend session: validate the scoring once, stand up the
-/// device context (streams + resident memory pool) if needed.
+/// device meter (streams + resident memory pool) if needed.
 pub fn prepare(
     kind: BackendKind,
     opts: &BackendOptions,
 ) -> Result<Box<dyn AlignBackend>, BackendError> {
+    Ok(Box::new(open(kind, opts)?))
+}
+
+fn open(kind: BackendKind, opts: &BackendOptions) -> Result<HostBackend, BackendError> {
     if !opts.scoring.fits_i8() {
         return Err(BackendError::ScoringOverflow);
     }
-    match kind {
-        BackendKind::Cpu => Ok(Box::new(CpuSimdBackend::new(opts))),
-        BackendKind::GpuSim => Ok(Box::new(GpuSimtBackend::new(opts))),
-    }
+    Ok(HostBackend::new(kind, opts))
 }
 
 /// Prepare a backend under the supervisor (DESIGN.md §10): the primary
-/// session is wrapped in retry/deadline/circuit-breaker handling, with a
-/// fault-free CPU standby for demotion when the primary is not already the
-/// CPU. This is what the CLI uses; [`prepare`] remains the raw seam.
+/// session is wrapped in retry/deadline/circuit-breaker handling. A
+/// `gpu-sim` primary gets a standby for demotion over its own executor,
+/// with no meter and no fault plan; a `cpu` session has none. This is what
+/// the CLI uses; [`prepare`] remains the raw seam.
 pub fn prepare_supervised(
     kind: BackendKind,
     opts: &BackendOptions,
     cfg: SupervisorConfig,
 ) -> Result<SupervisedBackend, BackendError> {
-    let primary: Arc<dyn AlignBackend> = Arc::from(prepare(kind, opts)?);
-    let standby: Option<Arc<dyn AlignBackend>> = match kind {
-        BackendKind::Cpu => None,
-        _ => {
-            // The standby must not share the primary's fault plan: it is the
-            // recovery path chaos plans are recovered *to*.
-            let clean = BackendOptions {
-                fault: None,
-                ..opts.clone()
-            };
-            Some(Arc::from(prepare(BackendKind::Cpu, &clean)?))
-        }
-    };
-    Ok(SupervisedBackend::new(primary, standby, cfg))
+    let primary = open(kind, opts)?;
+    let standby =
+        (kind == BackendKind::GpuSim).then(|| Arc::new(primary.standby()) as Arc<dyn AlignBackend>);
+    Ok(SupervisedBackend::new(Arc::new(primary), standby, cfg))
 }

@@ -1,7 +1,9 @@
-//! The CPU SIMD backend: a session owns `threads` persistent workers
-//! ([`WorkerPool`]), each with one [`AlignScratch`] arena, started by the
-//! first submit and joined when the backend is dropped — so a daemon or a
-//! streaming run that submits once per read batch spawns its workers once.
+//! The one production backend. A session's host executor owns `threads`
+//! persistent workers ([`WorkerPool`]), each with one [`AlignScratch`]
+//! arena, started by the first submit and joined when the last session
+//! holding the executor is dropped — so a daemon or a streaming run that
+//! submits once per read batch spawns its workers once, and a `gpu-sim`
+//! session's standby spawns none of its own.
 //!
 //! Small jobs run in lane groups, one job per vector lane
 //! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
@@ -11,18 +13,20 @@
 //! results.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use mmm_align::{AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
 use mmm_pipeline::WorkerPool;
 
-use crate::backend::{AlignBackend, BackendOptions};
+use crate::backend::{AlignBackend, BackendKind, BackendOptions};
 use crate::error::BackendError;
 use crate::fault::FaultHook;
 use crate::job::AlignJob;
+use crate::meter::DeviceMeter;
 use crate::stats::BackendStats;
 
-/// Align a batch of jobs serially, reusing the caller's scratch arena —
-/// the zero-allocation building block every backend executor reduces to.
+/// Align a batch of jobs serially, reusing the caller's scratch arena: the
+/// pair-by-pair path whose results every session's lane groups equal.
 pub fn align_jobs_with_scratch(
     engine: Engine,
     jobs: &[AlignJob],
@@ -146,41 +150,19 @@ impl Plan {
     }
 }
 
-/// Host SIMD execution session.
-pub struct CpuSimdBackend {
+/// A session's lane groups over its worker pool.
+struct HostExecutor {
     engine: Engine,
     scoring: Scoring,
     /// The session's workers, one scratch arena each. Submits from several
-    /// threads (the supervisor's watchdog runner, for one) take turns on it.
+    /// threads (the watchdog runner, the standby) take turns on it.
     pool: WorkerPool<AlignScratch>,
-    /// Chaos-testing schedule for this session's `submit` calls.
-    fault: FaultHook,
 }
 
-impl CpuSimdBackend {
-    pub fn new(opts: &BackendOptions) -> Self {
-        CpuSimdBackend {
-            engine: opts.engine,
-            scoring: opts.scoring,
-            pool: WorkerPool::new(opts.threads, |_| AlignScratch::new()),
-            fault: FaultHook::new(opts.fault.clone()),
-        }
-    }
-
-    /// Worker threads this session has spawned: none before its first
-    /// submit, then its thread count however many batches it runs.
-    pub fn threads_spawned(&self) -> usize {
-        self.pool.threads_spawned()
-    }
-
+impl HostExecutor {
     /// Run a batch and return the results in job order, with the batch's
-    /// lane-group counters (the other fields are the caller's); used both by
-    /// [`submit`](AlignBackend::submit) and by the device backend, which
-    /// computes every job through it.
-    pub(crate) fn execute(
-        &self,
-        jobs: &[AlignJob],
-    ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
+    /// lane-group counters (the other fields are the caller's).
+    fn execute(&self, jobs: &[AlignJob]) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
         let plan = Plan::new(jobs, self.engine);
         if plan.units.is_empty() {
             return Ok((Vec::new(), plan.stats));
@@ -259,9 +241,63 @@ impl CpuSimdBackend {
     }
 }
 
-impl AlignBackend for CpuSimdBackend {
+/// A backend session: the host executor computes every job, and a `gpu-sim`
+/// session's device meter then prices the ones that fit device memory.
+/// A fault plan, if any, is injected once, at this session's `submit`.
+pub struct HostBackend {
+    executor: Arc<HostExecutor>,
+    meter: Option<DeviceMeter>,
+    fault: FaultHook,
+}
+
+impl HostBackend {
+    /// A session of `kind` over a new executor, under `opts.fault`.
+    pub fn new(kind: BackendKind, opts: &BackendOptions) -> Self {
+        HostBackend {
+            executor: Arc::new(HostExecutor {
+                engine: opts.engine,
+                scoring: opts.scoring,
+                pool: WorkerPool::new(opts.threads, |_| AlignScratch::new()),
+            }),
+            meter: (kind == BackendKind::GpuSim).then(|| DeviceMeter::new(opts)),
+            fault: FaultHook::new(opts.fault.clone()),
+        }
+    }
+
+    /// The supervisor's standby: this session's executor, unmetered and
+    /// with no fault plan — the clean target recovery falls back to.
+    pub(crate) fn standby(&self) -> HostBackend {
+        HostBackend {
+            executor: Arc::clone(&self.executor),
+            meter: None,
+            fault: FaultHook::new(None),
+        }
+    }
+
+    /// Worker threads this session's executor has spawned: none before its
+    /// first submit, then its thread count however many batches it runs.
+    pub fn threads_spawned(&self) -> usize {
+        self.executor.pool.threads_spawned()
+    }
+
+    /// The device pool's high-water mark since the session was prepared
+    /// (bytes); 0 for a session with no device.
+    pub fn pool_peak_used(&self) -> u64 {
+        self.meter.as_ref().map_or(0, DeviceMeter::pool_peak_used)
+    }
+}
+
+impl AlignBackend for HostBackend {
     fn label(&self) -> &'static str {
-        "cpu"
+        if self.meter.is_some() {
+            "gpu-sim"
+        } else {
+            "cpu"
+        }
+    }
+
+    fn device_eligible(&self, job: &AlignJob) -> bool {
+        self.meter.as_ref().is_none_or(|m| m.fits(job))
     }
 
     fn submit(
@@ -277,18 +313,21 @@ impl AlignBackend for CpuSimdBackend {
         jobs: &[AlignJob],
     ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
         let drop_last = self.fault.begin_submit()?;
-        let cells: u64 = jobs.iter().map(AlignJob::cells).sum();
-        let (mut results, lanes) = self.execute(jobs)?;
+        let (mut results, lanes) = self.executor.execute(jobs)?;
         if drop_last {
             results.pop();
         }
-        // The CPU backend owns no device or supervisor counters.
-        let stats = BackendStats {
+        // Supervisor counters (retries, trips, quarantines…) belong to
+        // SupervisedBackend; a raw session reports them as zero.
+        let mut stats = BackendStats {
             batches: 1,
             jobs: jobs.len() as u64,
-            cells,
+            cells: jobs.iter().map(AlignJob::cells).sum(),
             ..lanes
         };
+        if let Some(meter) = &self.meter {
+            meter.price(jobs, &mut stats)?;
+        }
         Ok((results, stats))
     }
 }

@@ -5,37 +5,36 @@
 //! sequence pair per thread block over up to 128 concurrent streams with a
 //! per-stream memory pool and CPU fallback for oversized pairs (§4.5), or
 //! KNL. This crate is that seam: the mapper emits batches of [`AlignJob`]s
-//! and an [`AlignBackend`] session executes them —
+//! and an [`AlignBackend`] session executes them.
 //!
-//! * [`CpuSimdBackend`] fans a batch across the session's persistent
-//!   worker pool, one recycled scratch arena per worker (the
-//!   zero-allocation contract, DESIGN.md §4.2c);
-//! * [`GpuSimtBackend`] computes every job through that same executor and
-//!   has the `mmm-gpu` model price the ones that fit device memory
-//!   (streams, memory pool); the rest count as CPU fallbacks.
+//! There is one implementation, [`HostBackend`]. Its host executor fans a
+//! batch across the session's persistent worker pool, one recycled scratch
+//! arena per worker (the zero-allocation contract, DESIGN.md §4.2c). A
+//! `gpu-sim` session adds a device meter: the `mmm-gpu` model prices the
+//! jobs that fit device memory (streams, memory pool), and the rest count
+//! as CPU fallbacks. Its supervisor standby is the same executor, unmetered
+//! and fault-free, so a session has one worker pool under any fault plan.
 //!
-//! All backends are bit-identical: there is one functional path, so backend
-//! choice changes *throughput accounting*, never output. The xtask
+//! Backend choice changes *throughput accounting*, never output. The xtask
 //! differential oracle enforces this cross-backend (DESIGN.md §9).
 
 pub mod backend;
-pub mod cpu;
 pub mod error;
 pub mod fault;
-pub mod gpu;
 pub mod health;
+pub mod host;
 pub mod job;
+mod meter;
 pub mod sched;
 pub mod sink;
 pub mod stats;
 pub mod supervisor;
 
 pub use backend::{prepare, prepare_supervised, AlignBackend, BackendKind, BackendOptions};
-pub use cpu::{align_jobs_with_scratch, CpuSimdBackend};
 pub use error::BackendError;
 pub use fault::{FaultAction, FaultClass, FaultPlan, ShardFaultAction, SHARD_SECTION_NAMES};
-pub use gpu::GpuSimtBackend;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use host::{align_jobs_with_scratch, HostBackend};
 pub use job::{AlignJob, MAX_PLAN_SEGMENT};
 pub use sched::{plan_schedule, Route, SchedBatch, SchedConfig, SchedMode, SchedulePlan};
 pub use sink::{BufferSink, StatsReport, StatsSink, StderrSink};

@@ -6,7 +6,7 @@
 use mmm_align::{AlignScratch, Engine, Layout, Scoring, Width};
 use mmm_exec::{
     align_jobs_with_scratch, prepare, AlignBackend, AlignJob, BackendError, BackendKind,
-    BackendOptions, BackendStats, CpuSimdBackend, GpuSimtBackend,
+    BackendOptions, BackendStats, HostBackend,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,7 +149,7 @@ fn gpu_sim_runs_every_job_in_the_cpu_lane_groups() {
 #[test]
 fn mempool_reaches_steady_state_across_batches() {
     let opts = BackendOptions::new(SC);
-    let gpu = GpuSimtBackend::new(&opts);
+    let gpu = HostBackend::new(BackendKind::GpuSim, &opts);
     let jobs = job_stream(16, 0xABCD, 300);
     let (_, first) = gpu.submit(jobs.clone()).unwrap();
     let peak = gpu.pool_peak_used();
@@ -172,7 +172,7 @@ fn streams_fill_round_robin() {
     // worth, not one. A single-stream pile-up would peak at one footprint.
     let mut opts = BackendOptions::new(SC);
     opts.streams = Some(4);
-    let gpu = GpuSimtBackend::new(&opts);
+    let gpu = HostBackend::new(BackendKind::GpuSim, &opts);
     let jobs: Vec<AlignJob> = (0..8)
         .map(|k| {
             let t: Vec<u8> = (0..400).map(|i| ((i * 3 + k) % 4) as u8).collect();
@@ -207,7 +207,7 @@ fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
     for threads in [1, 2] {
         let mut opts = BackendOptions::new(sc);
         opts.threads = threads;
-        let backend = CpuSimdBackend::new(&opts);
+        let backend = HostBackend::new(BackendKind::Cpu, &opts);
         for submit in 0..2 {
             match backend.submit(jobs.clone()) {
                 Err(BackendError::JobPanic { index: 0, .. }) => {}
@@ -219,13 +219,15 @@ fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
 }
 
 /// One session spawns its workers on the first submit and keeps them: 24
-/// submits of every size, at 1 and 2 threads, spawn exactly `threads`.
+/// submits of every size, at 1 and 2 threads, spawn exactly `threads`, with
+/// or without a device meter.
 #[test]
 fn a_cpu_session_spawns_its_workers_once() {
-    for threads in [1, 2] {
+    use BackendKind::{Cpu, GpuSim};
+    for (kind, threads) in [(Cpu, 1), (Cpu, 2), (GpuSim, 1), (GpuSim, 2)] {
         let mut opts = BackendOptions::new(SC);
         opts.threads = threads;
-        let backend = CpuSimdBackend::new(&opts);
+        let backend = HostBackend::new(kind, &opts);
         assert_eq!(backend.threads_spawned(), 0, "no submit, no threads");
         for seed in 0..24u64 {
             let jobs = fill_stream(1 + seed as usize % 5 * 20, seed, 90);
@@ -234,7 +236,7 @@ fn a_cpu_session_spawns_its_workers_once() {
                 assert_eq!(
                     *r,
                     scalar_gold(j),
-                    "threads={threads} submit {seed} job {i}"
+                    "{kind:?} threads={threads} submit {seed} job {i}"
                 );
             }
         }
@@ -293,7 +295,9 @@ fn small_global_batches_run_in_lane_groups() {
             let mut opts = BackendOptions::new(SC);
             opts.engine = engine;
             opts.threads = threads;
-            let (results, stats) = CpuSimdBackend::new(&opts).submit(jobs.clone()).unwrap();
+            let (results, stats) = HostBackend::new(BackendKind::Cpu, &opts)
+                .submit(jobs.clone())
+                .unwrap();
             assert_eq!(stats.grouped_jobs, 3 * lanes as u64, "{}", engine.label());
             assert_eq!(stats.lane_groups, 3, "{}", engine.label());
             for (i, (r, j)) in results.iter().zip(&jobs).enumerate() {
@@ -322,7 +326,9 @@ fn a_part_filled_group_cascades_to_a_narrower_tier() {
         let mut opts = BackendOptions::new(SC);
         opts.engine = engine;
         opts.threads = threads;
-        let (results, stats) = CpuSimdBackend::new(&opts).submit(jobs.clone()).unwrap();
+        let (results, stats) = HostBackend::new(BackendKind::Cpu, &opts)
+            .submit(jobs.clone())
+            .unwrap();
         assert_eq!(stats.grouped_jobs, 20, "{stats:?}");
         assert_eq!(stats.lane_groups, 1, "{stats:?}");
         for (i, (r, j)) in results.iter().zip(&jobs).enumerate() {
@@ -355,7 +361,9 @@ fn mixed_batches_equal_the_per_pair_path() {
         let mut opts = BackendOptions::new(SC);
         opts.engine = engine;
         opts.threads = 2;
-        let (results, stats) = CpuSimdBackend::new(&opts).submit(jobs.clone()).unwrap();
+        let (results, stats) = HostBackend::new(BackendKind::Cpu, &opts)
+            .submit(jobs.clone())
+            .unwrap();
         let inline = align_jobs_with_scratch(engine, &jobs, &SC, &mut AlignScratch::new());
         assert_eq!(results, inline, "{}", engine.label());
         assert!(stats.grouped_jobs > 0, "{}: {stats:?}", engine.label());
