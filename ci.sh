@@ -189,6 +189,21 @@ for t in 1 2; do
 done
 cmp "$SHARD_WORK/stream-t1.sam" "$SHARD_WORK/stream-t2.sam" \
     || { echo "ci: streamed SAM differs between --threads 1 and --threads 2"; exit 1; }
+# The thread budget: plan, the backend's lane groups and finalize share one
+# pool, so `--threads 2` with no deadline peaks at main, reader, writer and
+# 2 workers. Sampling can only miss a thread, never invent one.
+target/release/manymap map "$SHARD_WORK/stream.mmx" "$SHARD_WORK/stream-reads.fa" --sam \
+    --threads 2 >/dev/null 2>&1 &
+map_pid=$!
+peak_threads=0
+while kill -0 "$map_pid" 2>/dev/null; do
+    # The process may exit between the check and the read.
+    n=$(sed -n 's/^Threads:[[:space:]]*//p' "/proc/$map_pid/status" 2>/dev/null || true)
+    if [ "${n:-0}" -gt "$peak_threads" ]; then peak_threads=$n; fi
+done
+wait "$map_pid" || { echo "ci: the thread-budget run failed"; exit 1; }
+[ "$peak_threads" -le 5 ] \
+    || { echo "ci: manymap map --threads 2 peaked at $peak_threads threads, expected <= 5"; exit 1; }
 # The standby path: under `launch-fail:every=3` a gpu-sim session's breaker
 # trips and the standby, which shares the primary's executor, serves the
 # rest. Nothing may be lost. The shard input above is one batch, too few to

@@ -88,7 +88,7 @@ fn profile_variants(n_reads: usize) -> Result<Vec<Row>, String> {
             cfg.backend.device_mem = tiny.then_some(TINY_DEVICE_MEM);
             let exec = cfg.open().map_err(|e| format!("{label}: {e}"))?;
             let mut out = Vec::new();
-            let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None)
+            let run = map_reads(&fasta[..], &mut out, &session, &exec, false, None)
                 .map_err(|e| format!("{label} run failed: {e}"))?;
             let stats = *lock_unpoisoned(&exec.stats);
             Ok(Row {

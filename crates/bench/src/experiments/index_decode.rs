@@ -414,7 +414,7 @@ fn map_row(quick: bool) -> Result<MapRow, String> {
     let index_bytes = index.image_len();
     let session = Arc::new(MapSession::new(0, index, opts));
     let mut out = Vec::new();
-    let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None)
+    let run = map_reads(&fasta[..], &mut out, &session, &exec, false, None)
         .map_err(|e| format!("run failed: {e}"))?;
     let s = run.stats;
     let map_seconds = s.plan_seconds + s.dispatch_seconds + s.finalize_seconds;

@@ -44,7 +44,7 @@ fn profile(quick: bool) -> Result<(f64, MapReport, usize), String> {
     let _ = std::fs::remove_file(&idx_path);
     let session = Arc::new(MapSession::new(0, index.map_err(|e| e.to_string())?, opts));
     let mut out = Vec::new();
-    let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None)
+    let run = map_reads(&fasta[..], &mut out, &session, &exec, false, None)
         .map_err(|e| format!("mapping run failed: {e}"))?;
     Ok((load_seconds, run, mapped_records(&out)))
 }

@@ -214,7 +214,6 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
         &session,
         &exec,
         sam,
-        threads,
         inject_panic,
     );
     let run = match run {

@@ -299,7 +299,6 @@ fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), PipelineError> {
         &ctx.exec,
         false, // PAF
         None,  // no injected panic
-        opts.exec.backend.threads,
         || Ok(drr.pull(&ctx.registry, drained, POLL)),
         // A degraded read is counted against its tenant — never fatal,
         // never cross-tenant.

@@ -84,9 +84,9 @@ pub const DAEMON_FLAGS: &[Flag] = &[
     ("batch-bases", true),
 ];
 
-/// Most workers a run may ask for (`--threads`). Both pools spawn that many
-/// OS threads, and a spawn the OS refuses aborts the process; the paper's
-/// widest machine, the KNL, has 272 hardware threads.
+/// Most workers a run may ask for (`--threads`). The session's pool spawns
+/// that many OS threads, and a spawn the OS refuses aborts the process; the
+/// paper's widest machine, the KNL, has 272 hardware threads.
 pub const MAX_THREADS: usize = 1024;
 
 /// A parsed command line: positionals in order, flags by name.
@@ -166,7 +166,7 @@ fn env_num<T: FromStr>(name: &str) -> Result<Option<T>, MapError> {
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     pub kind: BackendKind,
-    /// `backend.threads` is also the pipeline's worker count.
+    /// `backend.threads` is the session's worker count, [`run`]'s too.
     pub backend: BackendOptions,
     pub supervisor: SupervisorConfig,
 }
@@ -574,11 +574,11 @@ pub enum Degraded<'a> {
 
 /// Map reads through the batched pipeline — the one wiring of plan →
 /// dispatch → finalize, for both front ends. Each batch `next_batch` pulls
-/// is planned on `threads` workers (one scratch arena each) against the
-/// index generation `generation` returns, dispatched as one submission
-/// through `exec`, finalized as PAF (SAM when `sam`), and handed to `sink`
-/// in input order with each read's tag; [`PipelineStats`] times each
-/// stage.
+/// is planned on `exec`'s worker pool (one scratch arena per worker, the
+/// pool its backend computes on) against the index generation `generation`
+/// returns, dispatched as one submission through `exec`, finalized as PAF
+/// (SAM when `sam`) on the same pool, and handed to `sink` in input order
+/// with each read's tag; [`PipelineStats`] times each stage.
 ///
 /// A read the mapper rejects, whose job the supervisor quarantines, or
 /// whose plan or finalize panics (`inject_panic` names a read to panic on)
@@ -591,7 +591,6 @@ pub fn run<I: Item>(
     exec: &ExecSession,
     sam: bool,
     inject_panic: Option<&str>,
-    threads: usize,
     next_batch: impl FnMut() -> Result<Option<Vec<I>>, DynError>,
     tally: impl Fn(&I, Degraded<'_>) + Sync,
     sink: impl FnMut(Vec<(I::Tag, String)>) -> Result<(), DynError> + Send,
@@ -606,7 +605,7 @@ pub fn run<I: Item>(
     };
     mmm_pipeline::run(
         next_batch,
-        |_worker| AlignScratch::new(),
+        exec.backend.pool(),
         // Panics here degrade exactly the one read they hit, and its jobs
         // never reach the backend.
         |_scratch: &mut AlignScratch, item: &I| -> Planned {
@@ -626,7 +625,6 @@ pub fn run<I: Item>(
         |item| item.record().len(),
         sink,
         &on_failure,
-        threads,
     )
 }
 
@@ -678,7 +676,6 @@ pub fn map_reads(
     session: &Arc<MapSession>,
     exec: &ExecSession,
     sam: bool,
-    threads: usize,
     inject_panic: Option<&str>,
 ) -> Result<MapReport, MapError> {
     let output_error = |e: std::io::Error| match e.kind() {
@@ -765,7 +762,6 @@ pub fn map_reads(
             exec,
             sam,
             inject_panic,
-            threads,
             next_batch,
             tally,
             sink,
@@ -982,7 +978,7 @@ mod tests {
         for (tag, cfg) in [("cpu", cpu), ("gpu-sim", gpu)] {
             let exec = cfg.open().unwrap();
             let mut out = Vec::new();
-            let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None).unwrap();
+            let run = map_reads(&fasta[..], &mut out, &session, &exec, false, None).unwrap();
             assert_eq!((run.stats.items, run.degraded()), (10, 0), "{tag}");
             assert!(run.stats.plan_seconds > 0.0, "{tag}: {run:?}");
             assert!(run.stats.dispatch_seconds > 0.0, "{tag}: {run:?}");
@@ -1036,7 +1032,6 @@ mod tests {
                 exec,
                 false,
                 Some(recs[panicked].name.as_str()),
-                2,
                 || Ok(batch.take()),
                 |rec: &SeqRecord, why: Degraded<'_>| {
                     let reason = match why {
@@ -1111,7 +1106,7 @@ mod tests {
         let (session, _, fasta) = ten_reads(opts);
         let exec = ExecConfig::new(&opts, 1).open().unwrap();
         let mut out = Vec::new();
-        let run = map_reads(&fasta[..], &mut out, &session, &exec, false, 1, None).unwrap();
+        let run = map_reads(&fasta[..], &mut out, &session, &exec, false, None).unwrap();
         assert_eq!((run.too_long, run.degraded()), (1, 1), "{run:?}");
 
         let out = String::from_utf8(out).unwrap();

@@ -212,7 +212,7 @@ fn first_batch_records_are_written_before_the_input_ends() {
         out: Vec::new(),
         first_record: Some(tx),
     };
-    let run = map_reads(reader, &mut writer, &session, &exec, false, 2, None).unwrap();
+    let run = map_reads(reader, &mut writer, &session, &exec, false, None).unwrap();
     assert!(
         !gave_up.load(Ordering::SeqCst),
         "no record was written within {FIRST_RECORD_WAIT:?} of the first batch being read"
@@ -220,7 +220,7 @@ fn first_batch_records_are_written_before_the_input_ends() {
     assert!(run.stats.batches >= 2, "{run:?}");
 
     let mut plain = Vec::new();
-    map_reads(&data[..], &mut plain, &session, &exec, false, 2, None).unwrap();
+    map_reads(&data[..], &mut plain, &session, &exec, false, None).unwrap();
     assert_eq!(writer.out, plain, "gating the input changed the output");
 }
 
@@ -231,7 +231,7 @@ fn peak_heap(session: &Arc<MapSession>, reads: &[SeqRecord]) -> usize {
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);
     let exec = ExecConfig::new(&MapOpts::map_ont(), 2).open().unwrap();
-    let run = map_reads(&data[..], io::sink(), session, &exec, true, 2, None).unwrap();
+    let run = map_reads(&data[..], io::sink(), session, &exec, true, None).unwrap();
     assert_eq!((run.stats.items, run.degraded()), (reads.len(), 0));
     PEAK.load(Ordering::SeqCst) - base
 }

@@ -360,9 +360,9 @@ pub(crate) fn clamp_i8(v: i32) -> i8 {
         "difference value {v} escapes i8; scoring violates fits_i8"
     );
     // Saturate rather than truncate: a release build fed a scoring that
-    // violates fits_i8 (callers are expected to reject those via
-    // `Engine::try_align`) degrades like the SIMD kernels' saturating
-    // arithmetic instead of silently wrapping to a garbage score.
+    // violates fits_i8 (callers reject those up front, in the mapper's plan
+    // and at backend preparation) degrades like the SIMD kernels'
+    // saturating arithmetic instead of silently wrapping to a garbage score.
     v.clamp(i8::MIN as i32, i8::MAX as i32) as i8
 }
 

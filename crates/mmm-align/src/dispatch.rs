@@ -12,7 +12,7 @@ use crate::scalar;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
 use crate::simd::{avx2, avx512, sse};
-use crate::types::{AlignError, AlignMode, AlignResult, GroupJob};
+use crate::types::{AlignMode, AlignResult, GroupJob};
 use crate::zdrop;
 use crate::zdrop::ExtendResult;
 
@@ -356,36 +356,6 @@ impl Engine {
             Width::Avx512 => avx512::extend_zdrop,
         };
         kernel(target, query, sc, zdrop, with_path, scratch)
-    }
-
-    /// [`Engine::align`] with scoring validation: parameters that would
-    /// overflow the kernels' `i8` difference range are rejected with
-    /// [`AlignError::ScoringOverflowsI8`] instead of tripping the kernels'
-    /// assert (or, before that assert existed, silently wrapping in release
-    /// builds).
-    pub fn try_align(
-        &self,
-        target: &[u8],
-        query: &[u8],
-        sc: &Scoring,
-        with_path: bool,
-    ) -> Result<AlignResult, AlignError> {
-        self.try_align_with_scratch(target, query, sc, with_path, &mut AlignScratch::new())
-    }
-
-    /// [`Engine::try_align`] with caller-provided buffers.
-    pub fn try_align_with_scratch(
-        &self,
-        target: &[u8],
-        query: &[u8],
-        sc: &Scoring,
-        with_path: bool,
-        scratch: &mut AlignScratch,
-    ) -> Result<AlignResult, AlignError> {
-        if !sc.fits_i8() {
-            return Err(AlignError::ScoringOverflowsI8(*sc));
-        }
-        Ok(self.align_with_scratch(target, query, sc, AlignMode::Global, with_path, scratch))
     }
 }
 

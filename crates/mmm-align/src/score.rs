@@ -105,14 +105,34 @@ mod tests {
 
     #[test]
     fn extreme_params_rejected() {
-        let s = Scoring {
-            a: 100,
-            b: 100,
-            ambi: 1,
-            q: 50,
-            e: 30,
-        };
-        assert!(!s.fits_i8());
+        for s in [
+            Scoring {
+                a: 100,
+                b: 100,
+                ambi: 1,
+                q: 50,
+                e: 30,
+            },
+            // `2(q+e)+b = 130 > 127`: the deltas just overflow `i8`.
+            Scoring {
+                a: 2,
+                b: 4,
+                ambi: 1,
+                q: 60,
+                e: 3,
+            },
+            // Zero extension cost and non-positive match score.
+            Scoring {
+                e: 0,
+                ..Scoring::MAP_ONT
+            },
+            Scoring {
+                a: 0,
+                ..Scoring::MAP_ONT
+            },
+        ] {
+            assert!(!s.fits_i8(), "{s:?}");
+        }
     }
 
     #[test]

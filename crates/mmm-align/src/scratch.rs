@@ -14,8 +14,9 @@
 //! buffers it needs, so after one warm-up call at the largest problem size
 //! every subsequent call performs **zero heap allocations** (enforced by the
 //! `alloc_count` integration test with a counting global allocator). One
-//! scratch per worker thread is the intended usage — `mmm-pipeline`'s
-//! `WorkerPool` builds one per worker via its state factory.
+//! scratch per worker thread is the intended usage: a mapping session's one
+//! `WorkerPool` (the backend's, `mmm-exec`) builds one per worker, and the
+//! same arena serves that worker's plan, lane-group and finalize items.
 
 use crate::cigar::Cigar;
 use crate::diff::DirMatrix;

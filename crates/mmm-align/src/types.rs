@@ -9,7 +9,8 @@ use std::fmt;
 /// The difference-recurrence kernels keep every cell delta in `i8`
 /// (Suzuki–Kasahara, §3.2); scoring parameters that violate that bound used
 /// to be caught only by a `debug_assert!` and silently wrapped in release
-/// builds. [`crate::Engine::try_align`] now rejects them up front.
+/// builds. They are now rejected up front: the mapper's plan returns this
+/// error for the read, and a backend session refuses to open.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AlignError {
     /// The scoring parameters do not satisfy [`Scoring::fits_i8`]: some

@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use mmm_align::{best_engine, AlignResult, Engine, Scoring};
+use mmm_align::{best_engine, AlignResult, AlignScratch, Engine, Scoring};
+use mmm_pipeline::WorkerPool;
 
 use crate::error::BackendError;
 use crate::fault::FaultPlan;
@@ -45,6 +46,10 @@ pub trait AlignBackend: Send + Sync {
     fn device_eligible(&self, _job: &AlignJob) -> bool {
         true
     }
+
+    /// The workers `submit` computes on. A caller may run its own batches on
+    /// them between submits, never from inside one (one batch runs at a time).
+    fn pool(&self) -> &WorkerPool<AlignScratch>;
 }
 
 /// Which backend implementation to prepare.

@@ -1,9 +1,9 @@
 //! The one production backend. A session's host executor owns `threads`
 //! persistent workers ([`WorkerPool`]), each with one [`AlignScratch`]
-//! arena, started by the first submit and joined when the last session
-//! holding the executor is dropped — so a daemon or a streaming run that
-//! submits once per read batch spawns its workers once, and a `gpu-sim`
-//! session's standby spawns none of its own.
+//! arena, started by the first batch and joined when the last session
+//! holding the executor is dropped — the session's only compute threads,
+//! which the pipeline plans and finalizes on too ([`AlignBackend::pool`]).
+//! A `gpu-sim` session's standby spawns none of its own.
 //!
 //! Small jobs run in lane groups, one job per vector lane
 //! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
@@ -154,8 +154,8 @@ impl Plan {
 struct HostExecutor {
     engine: Engine,
     scoring: Scoring,
-    /// The session's workers, one scratch arena each. Submits from several
-    /// threads (the watchdog runner, the standby) take turns on it.
+    /// The session's workers, one scratch arena each. Batches from several
+    /// threads (the pipeline, the watchdog runner) take turns on it.
     pool: WorkerPool<AlignScratch>,
 }
 
@@ -274,12 +274,6 @@ impl HostBackend {
         }
     }
 
-    /// Worker threads this session's executor has spawned: none before its
-    /// first submit, then its thread count however many batches it runs.
-    pub fn threads_spawned(&self) -> usize {
-        self.executor.pool.threads_spawned()
-    }
-
     /// The device pool's high-water mark since the session was prepared
     /// (bytes); 0 for a session with no device.
     pub fn pool_peak_used(&self) -> u64 {
@@ -298,6 +292,10 @@ impl AlignBackend for HostBackend {
 
     fn device_eligible(&self, job: &AlignJob) -> bool {
         self.meter.as_ref().is_none_or(|m| m.fits(job))
+    }
+
+    fn pool(&self) -> &WorkerPool<AlignScratch> {
+        &self.executor.pool
     }
 
     fn submit(

@@ -13,7 +13,8 @@
 //! `gpu-sim` session adds a device meter: the `mmm-gpu` model prices the
 //! jobs that fit device memory (streams, memory pool), and the rest count
 //! as CPU fallbacks. Its supervisor standby is the same executor, unmetered
-//! and fault-free, so a session has one worker pool under any fault plan.
+//! and fault-free, so a session has one worker pool under any fault plan,
+//! which the mapping pipeline plans and finalizes on ([`AlignBackend::pool`]).
 //!
 //! Backend choice changes *throughput accounting*, never output. The xtask
 //! differential oracle enforces this cross-backend (DESIGN.md §9).

@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use mmm_align::AlignResult;
-use mmm_pipeline::lock_unpoisoned;
+use mmm_align::{AlignResult, AlignScratch};
+use mmm_pipeline::{lock_unpoisoned, WorkerPool};
 
 use crate::backend::AlignBackend;
 use crate::error::BackendError;
@@ -234,6 +234,11 @@ impl SupervisedBackend {
     /// The primary backend's name, for run summaries.
     pub fn label(&self) -> &'static str {
         self.primary.label()
+    }
+
+    /// The primary's [`AlignBackend::pool`], which its standby shares.
+    pub fn pool(&self) -> &WorkerPool<AlignScratch> {
+        self.primary.pool()
     }
 
     /// Current breaker state (stats, tests); `Closed` with no standby.
@@ -660,6 +665,10 @@ mod tests {
         ) -> Result<(Vec<AlignResult>, BackendStats), BackendError> {
             self.0.submit_borrowed(jobs)
         }
+
+        fn pool(&self) -> &WorkerPool<AlignScratch> {
+            self.0.pool()
+        }
     }
 
     /// With no watchdog deadline armed, the primary attempt borrows the
@@ -756,6 +765,10 @@ mod tests {
                 }),
                 None => self.inner.submit_borrowed(jobs),
             }
+        }
+
+        fn pool(&self) -> &WorkerPool<AlignScratch> {
+            self.inner.pool()
         }
     }
 

@@ -214,7 +214,7 @@ fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
                 other => panic!("threads={threads}, submit {submit}: {other:?}"),
             }
         }
-        assert_eq!(backend.threads_spawned(), threads);
+        assert_eq!(backend.pool().threads_spawned(), threads);
     }
 }
 
@@ -228,7 +228,7 @@ fn a_cpu_session_spawns_its_workers_once() {
         let mut opts = BackendOptions::new(SC);
         opts.threads = threads;
         let backend = HostBackend::new(kind, &opts);
-        assert_eq!(backend.threads_spawned(), 0, "no submit, no threads");
+        assert_eq!(backend.pool().threads_spawned(), 0, "no submit, no threads");
         for seed in 0..24u64 {
             let jobs = fill_stream(1 + seed as usize % 5 * 20, seed, 90);
             let (results, _) = backend.submit(jobs.clone()).unwrap();
@@ -240,7 +240,7 @@ fn a_cpu_session_spawns_its_workers_once() {
                 );
             }
         }
-        assert_eq!(backend.threads_spawned(), threads);
+        assert_eq!(backend.pool().threads_spawned(), threads);
     }
 }
 

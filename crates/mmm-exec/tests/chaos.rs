@@ -24,12 +24,13 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mmm_align::{AlignResult, Layout, Scoring, Width};
+use mmm_align::{AlignResult, AlignScratch, Layout, Scoring, Width};
 use mmm_exec::{
     prepare, prepare_supervised, AlignBackend, AlignJob, BackendError, BackendKind, BackendOptions,
     BackendStats, BreakerConfig, BreakerState, FaultClass, FaultPlan, JobOutcome,
     SupervisedBackend, SupervisorConfig,
 };
+use mmm_pipeline::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -255,6 +256,10 @@ impl AlignBackend for Poisoned {
             }),
             None => self.inner.submit_borrowed(jobs),
         }
+    }
+
+    fn pool(&self) -> &WorkerPool<AlignScratch> {
+        self.inner.pool()
     }
 }
 

@@ -17,8 +17,8 @@
 //! 3. **finalize** — per item, on the worker pool again: splice the
 //!    backend's results into the item's output (returns `R`).
 //!
-//! Both per-item phases run on the *same* persistent pool (one worker-state
-//! build per run, zero per-batch spawns) and isolate panics: a panic in
+//! Both per-item phases run on the caller's persistent pool (in production
+//! the backend session's, no per-run spawns) and isolate panics: a panic in
 //! `plan` or `finalize` degrades that one item through the run's
 //! [`FailureHandler`] ([`ItemFailure::Panicked`]); items that fail in
 //! `plan` are excluded from dispatch. Dispatch reports per item: each plan
@@ -47,8 +47,8 @@
 //! 2 result batches waiting for the writer, and the writer holds the one it
 //! is draining. Compute does not overlap across batches: dispatch needs
 //! every plan of its batch, finalize needs dispatch's results, and the
-//! pool's `threads` workers are the run's whole compute budget, so a second
-//! batch in flight would only compete for them.
+//! pool's workers are the run's whole compute budget, so a second batch in
+//! flight would only compete for them.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
@@ -201,12 +201,12 @@ where
 ///
 /// See the module docs for phase semantics. Generic over:
 /// * `I` — input item (a read), `M` — per-item plan, `D` — per-item
-///   dispatch result, `R` — output record, `S` — per-worker state, built
-///   by `make_state(worker_idx)` on each of `threads` pool workers;
+///   dispatch result, `R` — output record, `S` — `pool`'s per-worker state;
 /// * `next_batch()` runs on the compute thread each time it is free for a
 ///   batch; `Ok(None)` ends the run;
 /// * `plan(&mut S, &I) -> M` and `finalize(&mut S, &I, &M, &D) -> R` run on
-///   the worker pool with panic isolation;
+///   `pool` with panic isolation. Neither may submit to `pool`: it runs one
+///   batch at a time, so the item would wait on itself (`dispatch` may);
 /// * `dispatch(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>`
 ///   runs serially per batch and must return exactly one `(plan, result)`
 ///   pair per plan, in order; a per-item `Err(String)` degrades that item
@@ -215,16 +215,15 @@ where
 /// * `on_failure(&I, ItemFailure) -> R` stands in for every item that
 ///   panicked or failed dispatch.
 #[allow(clippy::too_many_arguments)]
-pub fn run<I, M, D, R, S, FIn, FState, FPlan, FDispatch, FFin, FLen, FOut>(
+pub fn run<I, M, D, R, S, FIn, FPlan, FDispatch, FFin, FLen, FOut>(
     mut next_batch: FIn,
-    make_state: FState,
+    pool: &WorkerPool<S>,
     plan: FPlan,
     mut dispatch: FDispatch,
     finalize: FFin,
     len_of: FLen,
     mut write_batch: FOut,
     on_failure: FailureHandler<'_, I, R>,
-    threads: usize,
 ) -> Result<PipelineStats, PipelineError>
 where
     I: Send + Sync,
@@ -233,7 +232,6 @@ where
     R: Send,
     S: 'static,
     FIn: FnMut() -> Result<Option<Vec<I>>, DynError>,
-    FState: Fn(usize) -> S + Send + Sync + 'static,
     FPlan: Fn(&mut S, &I) -> M + Sync,
     FDispatch: FnMut(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>,
     FFin: Fn(&mut S, &I, &M, &D) -> R + Sync,
@@ -243,7 +241,6 @@ where
     let stats = Mutex::new(PipelineStats::default());
     let failure = Mutex::new(None::<PipelineError>);
     let wall = Instant::now();
-    let pool = WorkerPool::new(threads, make_state);
 
     std::thread::scope(|scope| {
         let (out_tx, out_rx) = sync_channel::<Vec<R>>(2);
@@ -280,7 +277,7 @@ where
             let t0 = Instant::now();
             let n = batch.len();
             let results = match run_batch(
-                &pool,
+                pool,
                 batch,
                 &plan,
                 &mut dispatch,
@@ -346,7 +343,7 @@ mod tests {
         let out = Mutex::new(Vec::new());
         let stats = run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(threads, |_| ()),
             |(), &x: &u64| x * 2,
             |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(m + 1))).collect()),
             |(), _item: &u64, _m: &u64, d: &u64| d * 10,
@@ -356,10 +353,31 @@ mod tests {
                 Ok(())
             },
             &no_failure,
-            threads,
         )
         .unwrap();
         (out.into_inner().unwrap(), stats)
+    }
+
+    /// The pool is the caller's: it outlives a run, so two runs over it
+    /// spawn its workers once.
+    #[test]
+    fn runs_share_the_callers_pool() {
+        let pool = WorkerPool::new(3, |_| ());
+        for _ in 0..2 {
+            let stats = run(
+                feeder(vec![vec![1u64, 2, 3], vec![4]]),
+                &pool,
+                |(), &x: &u64| x,
+                |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
+                |(), _item, m: &u64, _d: &()| *m,
+                |_| 1,
+                |_r| Ok(()),
+                &no_failure,
+            )
+            .unwrap();
+            assert_eq!(stats.items, 4);
+        }
+        assert_eq!(pool.threads_spawned(), 3);
     }
 
     #[test]
@@ -381,7 +399,7 @@ mod tests {
         let nap = std::time::Duration::from_millis(30);
         let stats = run(
             feeder(vec![vec![1u64, 2], vec![3], vec![4, 5, 6]]),
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| x,
             |plans: Vec<u64>| {
                 std::thread::sleep(nap);
@@ -391,7 +409,6 @@ mod tests {
             |_| 1,
             |_r| Ok(()),
             &no_failure,
-            2,
         )
         .unwrap();
         assert_eq!(stats.batches, 3);
@@ -412,7 +429,7 @@ mod tests {
         let out = Mutex::new(Vec::new());
         run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(4, |_| ()),
             |(), &x: &u64| x,
             |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
             |(), _item, m: &u64, _d: &()| *m,
@@ -422,7 +439,6 @@ mod tests {
                 Ok(())
             },
             &no_failure,
-            4,
         )
         .unwrap();
         assert_eq!(out.into_inner().unwrap(), vec![5, 1, 9, 3]);
@@ -436,7 +452,7 @@ mod tests {
         let handler = |item: &u64, _why: ItemFailure| item * 1000;
         let stats = run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| {
                 if x == 7 {
                     panic!("bad read");
@@ -457,7 +473,6 @@ mod tests {
                 Ok(())
             },
             &handler,
-            2,
         )
         .unwrap();
         assert_eq!(stats.failed_items, 1);
@@ -473,7 +488,7 @@ mod tests {
         let handler = |item: &u64, _why: ItemFailure| item + 900;
         let stats = run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| x,
             |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
             |(), _item, m: &u64, _d: &()| {
@@ -488,7 +503,6 @@ mod tests {
                 Ok(())
             },
             &handler,
-            2,
         )
         .unwrap();
         assert_eq!(stats.failed_items, 1);
@@ -500,7 +514,7 @@ mod tests {
         let input = vec![vec![1u64, 2], vec![3, 4]];
         let err = run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| x,
             |_plans: Vec<u64>| {
                 Err::<Vec<(u64, Result<(), String>)>, DynError>("device on fire".into())
@@ -509,7 +523,6 @@ mod tests {
             |_| 1,
             |_r| Ok(()),
             &no_failure,
-            2,
         )
         .unwrap_err();
         match err {
@@ -531,7 +544,7 @@ mod tests {
         };
         let stats = run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| x,
             |plans: Vec<u64>| {
                 Ok(plans
@@ -552,7 +565,6 @@ mod tests {
                 Ok(())
             },
             &handler,
-            2,
         )
         .unwrap();
         assert_eq!(stats.failed_items, 1);
@@ -564,14 +576,13 @@ mod tests {
         let input = vec![vec![1u64, 2, 3]];
         let err = run(
             feeder(input),
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| x,
             |plans: Vec<u64>| Ok(plans.into_iter().skip(1).map(|m| (m, Ok(()))).collect()),
             |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
             |_r| Ok(()),
             &no_failure,
-            2,
         )
         .unwrap_err();
         assert!(matches!(err, PipelineError::Dispatch(_)));
@@ -599,14 +610,13 @@ mod tests {
                     Ok(Some(vec![calls as u64]))
                 }
             },
-            |_| (),
+            &WorkerPool::new(2, |_| ()),
             |(), &x: &u64| x,
             |plans: Vec<u64>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
             |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
             |_r| Ok(()),
             &no_failure,
-            2,
         )
         .unwrap_err();
         assert!(matches!(err, PipelineError::Read(_)));

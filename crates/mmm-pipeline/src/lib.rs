@@ -13,12 +13,11 @@
 //!
 //! There is one pipeline, [`run`]: plan → dispatch → finalize, generic
 //! over item/plan/result types, whose compute stage pulls each batch from a
-//! caller closure when it is free for one. Its per-item phases run on a
-//! persistent worker pool ([`pool::WorkerPool`]): compute threads are
-//! spawned once per run, each owning a private per-worker state built by a
-//! caller-supplied factory (the mapper passes an alignment scratch arena);
-//! the CPU alignment backend keeps one for its whole session. A per-item
-//! pipeline is the same thing with an identity dispatch. Output order is always the
+//! caller closure when it is free for one. Its per-item phases run on the
+//! caller's persistent worker pool ([`pool::WorkerPool`], one private state
+//! per worker) — in production the alignment backend session's, so plan,
+//! lane groups and finalize share `--threads` workers. A per-item pipeline
+//! is the same thing with an identity dispatch. Output order is always the
 //! input order, regardless of scheduling (tested).
 
 pub mod batched;

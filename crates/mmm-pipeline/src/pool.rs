@@ -1,11 +1,11 @@
 //! The persistent worker pool.
 //!
 //! A [`WorkerPool`] owns its threads: they start on the first batch and are
-//! joined when the pool is dropped, so a pipeline run, or a backend session
-//! that submits a batch per read batch, pays one spawn per worker however
+//! joined when the pool is dropped, so a backend session, whose pool also
+//! runs its pipeline's plan and finalize, pays one spawn per worker however
 //! many batches it runs. Each worker owns a private mutable state value
-//! built once by the pool's factory (the mapper and the CPU backend pass an
-//! alignment scratch arena, see `mmm-align`'s `AlignScratch`), so the hot
+//! built once by the pool's factory (an alignment scratch arena, see
+//! `mmm-align`'s `AlignScratch`), so the hot
 //! loop runs with zero per-item allocation or locking: indices are claimed
 //! with a single `fetch_add` and results land in a pre-sized
 //! `Vec<Option<R>>` through index-disjoint writes.

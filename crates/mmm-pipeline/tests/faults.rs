@@ -11,7 +11,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mmm_pipeline::{DynError, FailureHandler, ItemFailure, PipelineError, PipelineStats};
+use mmm_pipeline::{
+    DynError, FailureHandler, ItemFailure, PipelineError, PipelineStats, WorkerPool,
+};
 
 /// Wrap a batch reader so every `every`-th call (1-based) returns an error
 /// instead of a batch. With `every = 3` the reader yields two real batches,
@@ -84,14 +86,13 @@ fn per_item(
 ) -> Result<PipelineStats, PipelineError> {
     mmm_pipeline::run(
         read,
-        |_| (),
+        &WorkerPool::new(4, |_| ()),
         |(), _: &u32| (),
         |plans: Vec<()>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
         |st: &mut (), item: &u32, (): &(), (): &()| map(st, item),
         |_| 1,
         write,
         on_failure,
-        4,
     )
 }
 

@@ -20,7 +20,7 @@ fn run<R: Send>(
     let no_failure = |item: &u64, why: ItemFailure| -> R { panic!("item {item} failed: {why:?}") };
     let stats = mmm_pipeline::run(
         move || Ok(batches.pop()),
-        |_| (),
+        &WorkerPool::new(threads, |_| ()),
         |(), _: &u64| (),
         |plans: Vec<()>| Ok(plans.into_iter().map(|m| (m, Ok(()))).collect()),
         |(), item: &u64, (): &(), (): &()| map(item),
@@ -30,7 +30,6 @@ fn run<R: Send>(
             Ok(())
         },
         &no_failure,
-        threads,
     )
     .unwrap();
     (out.into_inner().unwrap(), stats)

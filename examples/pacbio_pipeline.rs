@@ -60,7 +60,7 @@ fn main() {
     let mut fasta = Vec::new();
     write_fasta(&mut fasta, &recs, 0).unwrap();
     let mut paf = Vec::new();
-    let run = map_reads(&fasta[..], &mut paf, &session, &exec, false, threads, None).unwrap();
+    let run = map_reads(&fasta[..], &mut paf, &session, &exec, false, None).unwrap();
 
     // A read's first primary PAF record is its mapping call.
     let paf = String::from_utf8(paf).unwrap();

@@ -61,14 +61,15 @@ fn pipeline_paf(
 ) -> String {
     let mut batches: Vec<Vec<SeqRecord>> = reads.chunks(batch).map(|c| c.to_vec()).collect();
     batches.reverse();
-    let exec = ExecConfig::new(&MapOpts::map_ont(), 4).open().unwrap();
+    let exec = ExecConfig::new(&MapOpts::map_ont(), threads)
+        .open()
+        .unwrap();
     let mut out = String::new();
     session::run(
         || Arc::clone(session),
         &exec,
         false,
         None,
-        threads,
         move || Ok(batches.pop()),
         |rec: &SeqRecord, why: Degraded<'_>| panic!("read {} degraded: {why:?}", rec.name),
         |records| {
