@@ -91,6 +91,17 @@ cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/recovered.paf" \
     || { echo "ci: three failed backend submits changed the mapping"; exit 1; }
 grep -q "supervisor cpu: .*, 0 quarantined," "$SHARD_WORK/recovered.stderr" \
     || { echo "ci: three failed backend submits quarantined jobs"; cat "$SHARD_WORK/recovered.stderr"; exit 1; }
+# Deadline gate: a `--backend cpu` session has no standby, so a submit the
+# watchdog kills is resubmitted once, whole, to the same executor before
+# anything is quarantined. The deadline is well above a clean batch's time
+# and only the hung submit misses it: the PAF is the clean one.
+target/release/manymap map "$SHARD_WORK/flat.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 --batch-deadline-ms 400 --inject-backend-fault hang:batches=0..1:ms=1200 \
+    >"$SHARD_WORK/deadline.paf" 2>"$SHARD_WORK/deadline.stderr"
+cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/deadline.paf" \
+    || { echo "ci: a submit killed at the deadline changed the mapping"; exit 1; }
+grep -q "supervisor cpu: .*, 0 quarantined, .*, 1 deadline-kills," "$SHARD_WORK/deadline.stderr" \
+    || { echo "ci: the killed submit was quarantined or never killed"; cat "$SHARD_WORK/deadline.stderr"; exit 1; }
 # The sharded index under the device backend.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --backend gpu-sim >"$SHARD_WORK/sharded-gpu.paf" 2>/dev/null

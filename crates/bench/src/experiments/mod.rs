@@ -6,6 +6,7 @@
 
 pub mod ablation;
 pub mod backend_exec;
+pub mod chain_dp;
 pub mod fig10_affinity;
 pub mod fig11_breakdown;
 pub mod fig5_simd;

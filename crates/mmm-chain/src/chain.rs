@@ -13,6 +13,8 @@
 //! after `max_skip` consecutive non-improving candidates — the two
 //! heuristics that make minimap2's chaining near-linear in practice.
 
+use std::sync::OnceLock;
+
 use crate::anchor::{sort_anchors, Anchor};
 
 /// Chaining parameters (minimap2 defaults for long reads).
@@ -89,18 +91,105 @@ impl Chain {
     }
 }
 
-/// Gap cost γ: 0.01·span·|g| + 0.5·log2(|g|), as in the minimap2 paper.
-#[inline]
-fn gap_cost(gap: u32, span: u8) -> i32 {
-    if gap == 0 {
-        return 0;
-    }
+/// Gaps each γ table covers: every gap a default `bandwidth` (500) admits,
+/// with room to spare. A larger `bandwidth` reads the table up to here and
+/// computes γ with `log2` past it, as the reference loop does.
+const GAP_COST_LEN: usize = 1024;
+
+/// γ(g) for `g < GAP_COST_LEN` at one anchor span, as `i32`: entry `g` is
+/// `(0.01·span)·g + 0.5·log2(g)` truncated, the reference loop's `f32`
+/// expression in its association, and entry 0 is γ(0) = 0. A table is
+/// built on the first anchor of its span and kept for the process (4 KiB
+/// each; `map-ont` uses one span, HPC presets a few).
+fn gap_costs(span: u8) -> &'static [i32; GAP_COST_LEN] {
+    static TABLES: [OnceLock<Box<[i32; GAP_COST_LEN]>>; 256] = [const { OnceLock::new() }; 256];
+    TABLES[usize::from(span)].get_or_init(|| {
+        let mut t = Box::new([0i32; GAP_COST_LEN]);
+        for (g, c) in t.iter_mut().enumerate().skip(1) {
+            *c = far_gap_cost(g as u32, span);
+        }
+        t
+    })
+}
+
+/// γ(g) for `g ≥ 1` computed as the reference loop computes it. Out of
+/// line, so the scan that calls it past the table keeps its registers.
+#[cold]
+#[inline(never)]
+fn far_gap_cost(gap: u32, span: u8) -> i32 {
     let g = gap as f32;
     (0.01 * span as f32 * g + 0.5 * g.log2()) as i32
 }
 
+/// "No parent": the anchor starts its chain.
+const NO_PARENT: usize = usize::MAX;
+
+/// The best chain score ending at one anchor `(ri, qi, span)`, and the
+/// window index of its predecessor (`NO_PARENT` if none beats `span`).
+/// `window` holds `rpos << 32 | qpos` of the anchors before it in its
+/// group and within `max_dist` and `max_iter` of it, `f` their scores.
+///
+/// The scan walks the window from the nearest anchor back, scoring each
+/// predecessor the filters admit, and stops after `max_skip + 1` scored
+/// predecessors in a row fail to improve, as the reference loop does. The
+/// four filters are one branch: positions widen to `i64`, where `dq ∈
+/// [1, max_dist]` and `|dr − dq| ≤ bandwidth` are each one unsigned
+/// compare, exact for every `u32` input. γ comes from the span's table, and
+/// from `far_gap_cost` past its end.
+#[inline(always)]
+fn best_predecessor(
+    window: &[u64],
+    f: &[i32],
+    (ri, qi, span): (u32, u32, u8),
+    opts: &ChainOpts,
+) -> (i32, usize) {
+    let costs = gap_costs(span);
+    let gap_cost = |g: u32| {
+        costs
+            .get(g as usize)
+            .map_or_else(|| far_gap_cost(g, span), |&c| c)
+    };
+    let max_dist = u64::from(opts.max_dist);
+    let bw = i64::from(opts.bandwidth);
+    let reset = opts.max_skip + 1;
+    let span_score = i32::from(span);
+    let (mut best, mut best_k, mut budget) = (span_score, NO_PARENT, reset);
+    for (k, (&rq, &fj)) in window.iter().zip(f).enumerate().rev() {
+        let dr = i64::from(ri - (rq >> 32) as u32);
+        let dq = i64::from(qi) - i64::from(rq as u32);
+        let dd = dr - dq;
+        if (dr == 0) | ((dq - 1) as u64 >= max_dist) | ((dd + bw) as u64 > 2 * bw as u64) {
+            continue;
+        }
+        let gain = (dq.min(dr) as u32 as i32).min(span_score) - gap_cost(dd.unsigned_abs() as u32);
+        let cand = fj + gain;
+        if cand > best {
+            best = cand;
+            best_k = k;
+            budget = reset;
+        } else {
+            budget -= 1;
+            if budget == 0 {
+                break;
+            }
+        }
+    }
+    (best, best_k)
+}
+
 /// Run the chaining DP and return all chains passing the score/count
 /// filters, best score first. Anchors are sorted internally.
+///
+/// The result is [`crate::gold::chain_anchors_gold`]'s, chain for chain;
+/// only the work differs (DESIGN.md §4.3):
+///
+/// * anchors sort as the reference's do ([`sort_anchors`]), and their
+///   positions are copied into one `rpos << 32 | qpos` word each;
+/// * each anchor's predecessor window starts where a pointer, moved once
+///   per anchor, has passed the `max_dist` edge, clamped to its
+///   `(rid, rev)` group and to `max_iter` back, so the scan tests neither;
+/// * γ is read from a per-span table (`gap_costs`), and the scan's
+///   filters are one branch (`best_predecessor`).
 ///
 /// ```
 /// use mmm_chain::{chain_anchors, Anchor, ChainOpts};
@@ -117,72 +206,52 @@ pub fn chain_anchors(mut anchors: Vec<Anchor>, opts: &ChainOpts) -> Vec<Chain> {
     }
     sort_anchors(&mut anchors);
     let n = anchors.len();
+    let pos: Vec<u64> = anchors
+        .iter()
+        .map(|a| u64::from(a.rpos) << 32 | u64::from(a.qpos))
+        .collect();
     let mut f = vec![0i32; n]; // best chain score ending at i
-    let mut parent = vec![usize::MAX; n];
+    let mut parent = vec![NO_PARENT; n];
 
+    // `edge`: the first anchor of i's group within `max_dist` of it on the
+    // reference; i's window is `[max(edge, i − max_iter), i)`.
+    let mut edge = 0usize;
     for i in 0..n {
         let ai = anchors[i];
-        f[i] = ai.span as i32;
-        let lo = i.saturating_sub(opts.max_iter);
-        let mut skipped = 0usize;
-        for j in (lo..i).rev() {
-            let aj = anchors[j];
-            if aj.rid != ai.rid || aj.rev != ai.rev {
-                break; // sorted: previous group ended
-            }
-            let dr = ai.rpos - aj.rpos;
-            if dr == 0 {
-                continue; // same reference position cannot chain
-            }
-            if dr > opts.max_dist {
-                break; // sorted by rpos: all further j are farther
-            }
-            if ai.qpos <= aj.qpos {
-                continue; // not colinear on the query
-            }
-            let dq = ai.qpos - aj.qpos;
-            if dq > opts.max_dist {
-                continue;
-            }
-            let dd = dr.abs_diff(dq);
-            if dd > opts.bandwidth {
-                continue;
-            }
-            let gain = (dq.min(dr) as i32).min(ai.span as i32) - gap_cost(dd, ai.span);
-            let cand = f[j] + gain;
-            if cand > f[i] {
-                f[i] = cand;
-                parent[i] = j;
-                skipped = 0;
-            } else {
-                skipped += 1;
-                if skipped > opts.max_skip {
-                    break;
-                }
-            }
+        if i > 0 && (anchors[i - 1].rid != ai.rid || anchors[i - 1].rev != ai.rev) {
+            edge = i;
+        }
+        while ai.rpos - (pos[edge] >> 32) as u32 > opts.max_dist {
+            edge += 1;
+        }
+        let start = edge.max(i.saturating_sub(opts.max_iter));
+        let (window, fw) = (&pos[start..i], &f[start..i]);
+        let (best, k) = best_predecessor(window, fw, (ai.rpos, ai.qpos, ai.span), opts);
+        f[i] = best;
+        if k != NO_PARENT {
+            parent[i] = start + k;
         }
     }
 
     // Backtrack from peaks: order candidate ends by score, greedily take
-    // chains whose anchors are unused.
+    // chains whose anchors are unused. Ends come best first, so the first
+    // one under `min_score` ends the walk.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_unstable_by_key(|&i| -f[i]);
     let mut used = vec![false; n];
     let mut chains = Vec::new();
+    let mut idxs = Vec::new();
     for &end in &order {
-        if used[end] || f[end] < opts.min_score {
+        if f[end] < opts.min_score {
+            break;
+        }
+        if used[end] {
             continue;
         }
-        let mut idxs = Vec::new();
+        idxs.clear();
         let mut cur = end;
-        loop {
-            if used[cur] {
-                break; // ran into a previously consumed chain: cut here
-            }
+        while cur != NO_PARENT && !used[cur] {
             idxs.push(cur);
-            if parent[cur] == usize::MAX {
-                break;
-            }
             cur = parent[cur];
         }
         if idxs.len() < opts.min_cnt {
@@ -191,14 +260,12 @@ pub fn chain_anchors(mut anchors: Vec<Anchor>, opts: &ChainOpts) -> Vec<Chain> {
         for &k in &idxs {
             used[k] = true;
         }
-        idxs.reverse();
-        let rid = anchors[idxs[0]].rid;
-        let rev = anchors[idxs[0]].rev;
+        let first = anchors[idxs[idxs.len() - 1]];
         chains.push(Chain {
-            anchors: idxs.iter().map(|&k| anchors[k]).collect(),
+            anchors: idxs.iter().rev().map(|&k| anchors[k]).collect(),
             score: f[end],
-            rid,
-            rev,
+            rid: first.rid,
+            rev: first.rev,
         });
     }
     chains.sort_by_key(|c| -c.score);
@@ -208,6 +275,65 @@ pub fn chain_anchors(mut anchors: Vec<Anchor>, opts: &ChainOpts) -> Vec<Chain> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gold::chain_anchors_gold;
+
+    /// `chain_anchors` and its reference loop, compared chain for chain.
+    fn same_as_gold(anchors: Vec<Anchor>, opts: &ChainOpts) -> Vec<Chain> {
+        let (want, _) = chain_anchors_gold(anchors.clone(), opts);
+        let got = chain_anchors(anchors, opts);
+        assert_eq!(got, want);
+        got
+    }
+
+    #[test]
+    fn gap_cost_tables_hold_the_reference_expression() {
+        for span in [1u8, 15, 19, 28, 255] {
+            let t = gap_costs(span);
+            assert_eq!(t[0], 0);
+            for g in 1..GAP_COST_LEN as u32 {
+                let want = (0.01 * span as f32 * g as f32 + 0.5 * (g as f32).log2()) as i32;
+                assert_eq!(t[g as usize], want, "span {span}, gap {g}");
+            }
+        }
+    }
+
+    /// Two ends score the same off one shared prefix; the backtrack's
+    /// order over all `n` ends decides which one keeps it.
+    #[test]
+    fn equal_score_ends_fall_as_in_the_reference_loop() {
+        let mut a = diagonal_anchors(4, 1000, 14);
+        a.push(mk(0, 1400, 414));
+        a.push(mk(0, 1400, 413));
+        a.push(mk(0, 1400, 412));
+        let opts = ChainOpts {
+            min_score: 1,
+            min_cnt: 1,
+            ..Default::default()
+        };
+        let chains = same_as_gold(a, &opts);
+        assert_eq!(chains.len(), 3);
+        assert_eq!(chains[0].anchors.len(), 5);
+    }
+
+    /// A `bandwidth` past the γ table: predecessors off the diagonal by
+    /// gaps either side of its end are scored (and lose to the diagonal).
+    #[test]
+    fn bandwidth_past_the_table_matches_the_reference_loop() {
+        let opts = ChainOpts {
+            bandwidth: 3 * GAP_COST_LEN as u32,
+            ..Default::default()
+        };
+        let mut a = diagonal_anchors(8, 10_000, 5_000);
+        for (k, off) in [1_023, 1_024, 1_025, 2_500].into_iter().enumerate() {
+            a.push(mk(
+                0,
+                10_050 + 100 * k as u32 - off,
+                5_000 + 100 * k as u32 + 50,
+            ));
+        }
+        let chains = same_as_gold(a, &opts);
+        assert_eq!(chains[0].anchors.len(), 8);
+    }
 
     fn mk(rid: u32, rpos: u32, qpos: u32) -> Anchor {
         Anchor {

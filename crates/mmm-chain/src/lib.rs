@@ -9,8 +9,10 @@
 
 pub mod anchor;
 pub mod chain;
+pub mod gold;
 pub mod select;
 
 pub use anchor::{sort_anchors, Anchor};
 pub use chain::{chain_anchors, Chain, ChainOpts};
+pub use gold::chain_anchors_gold;
 pub use select::{select_chains, SelectOpts, SelectedChain};

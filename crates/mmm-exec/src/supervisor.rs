@@ -11,8 +11,8 @@
 //!    seeded exponential backoff between attempts;
 //! 2. an optional per-batch deadline is enforced by a watchdog runner
 //!    thread — a hung submit is abandoned (its result slot poisoned, its
-//!    jobs never resubmitted to that backend) instead of wedging the
-//!    compute thread;
+//!    jobs left to the standby, or with no standby resubmitted once)
+//!    instead of wedging the compute thread;
 //! 3. a [`CircuitBreaker`] demotes a repeatedly failing primary to the
 //!    standby mid-run, with half-open probes to re-promote it (a session
 //!    with no standby has no breaker: its failures cost only their jobs);
@@ -495,11 +495,13 @@ impl SupervisedBackend {
     /// its left half, then its right half. A single job is resubmitted
     /// alone until it has had its attempts alone: `max_retries` on the
     /// primary, one on the standby. A set that hit the watchdog deadline
-    /// is not resubmitted to the same backend, and once the breaker
-    /// refuses the primary the rest of the set is left to the standby.
-    /// Jobs the primary leaves unresolved keep no outcome; jobs the standby
-    /// cannot serve are quarantined. `resubmit` says whether the first
-    /// submission of `set` is itself a retry.
+    /// is not resubmitted to the same backend if a standby can take it; a
+    /// session with no standby resubmits it once, whole, and only a second
+    /// deadline on it quarantines it. Once the breaker refuses the primary
+    /// the rest of the set is left to the standby. Jobs the primary leaves
+    /// unresolved keep no outcome; jobs the standby cannot serve are
+    /// quarantined. `resubmit` says whether the first submission of `set`
+    /// is itself a retry.
     fn settle(
         &self,
         side: Side,
@@ -517,7 +519,7 @@ impl SupervisedBackend {
         if set.is_empty() || !self.may_submit(side) {
             return Ok(());
         }
-        let mut failures = 0;
+        let (mut failures, mut deadlines) = (0, 0);
         loop {
             let retry = resubmit || failures > 0;
             stats.retries += u64::from(retry);
@@ -547,12 +549,13 @@ impl SupervisedBackend {
             };
             failures += 1;
             let single = set.len() == 1;
+            let deadline = matches!(err, BackendError::DeadlineExceeded);
+            deadlines += usize::from(deadline);
             // A wedged backend is not resubmitted: each try could burn
-            // another full deadline.
-            if matches!(err, BackendError::DeadlineExceeded)
-                || alone == 0
-                || (single && failures >= alone)
-            {
+            // another full deadline. With no standby the alternative is to
+            // quarantine the set, so it gets one whole try more first.
+            let last_try = deadline && deadlines == 1 && alone > 0 && self.standby.is_none();
+            if (deadline && !last_try) || alone == 0 || (single && failures >= alone) {
                 if side == Side::Standby {
                     for &i in set {
                         outcomes[i] = Some(JobOutcome::Quarantined {
@@ -566,7 +569,7 @@ impl SupervisedBackend {
                 return Ok(());
             }
             self.clock.sleep(self.backoff(failures - 1, set[0] as u64));
-            if !single {
+            if !single && !last_try {
                 let (left, right) = set.split_at(set.len() / 2);
                 self.settle(side, jobs, left, true, outcomes, stats)?;
                 return self.settle(side, jobs, right, true, outcomes, stats);
@@ -970,6 +973,54 @@ mod tests {
         let (_, stats2) = sup.submit_supervised(jobs).expect("second batch");
         assert_eq!(stats2.late_results, 1);
         assert_eq!(stats2.deadline_kills, 0);
+    }
+
+    /// With no standby, a set the watchdog killed once is resubmitted
+    /// whole to the primary, not quarantined (DESIGN.md §10.1).
+    #[test]
+    fn no_standby_resubmits_a_killed_set_once() {
+        let cfg = SupervisorConfig {
+            batch_deadline: Some(Duration::from_millis(40)),
+            ..Default::default()
+        };
+        let sup = SupervisedBackend::with_clock(
+            cpu_with_plan(Some("hang:ms=400:batches=0..1")),
+            None,
+            cfg,
+            Arc::new(TestClock::default()),
+        );
+        let jobs = test_jobs(4);
+        let (outcomes, stats) = sup.submit_supervised(jobs.clone()).expect("supervised");
+        let gold = expected_results(&jobs);
+        for (o, g) in outcomes.iter().zip(&gold) {
+            assert_eq!(*o, JobOutcome::Done(g.clone()));
+        }
+        assert_eq!(stats.deadline_kills, 1);
+        assert_eq!(stats.retries, 1, "one whole resubmission, no split");
+        assert_eq!(stats.retried_ok, 4);
+        assert_eq!(stats.quarantined, 0);
+    }
+
+    /// A second deadline on the resubmitted set quarantines it.
+    #[test]
+    fn no_standby_quarantines_a_set_killed_twice() {
+        let cfg = SupervisorConfig {
+            batch_deadline: Some(Duration::from_millis(40)),
+            ..Default::default()
+        };
+        let sup = SupervisedBackend::with_clock(
+            cpu_with_plan(Some("hang:ms=400:batches=0..2")),
+            None,
+            cfg,
+            Arc::new(TestClock::default()),
+        );
+        let (outcomes, stats) = sup.submit_supervised(test_jobs(4)).expect("supervised");
+        assert!(outcomes
+            .iter()
+            .all(|o| matches!(o, JobOutcome::Quarantined { .. })));
+        assert_eq!(stats.deadline_kills, 2);
+        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.quarantined, 4);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! 1. `oracle` — the differential kernel oracle: every available SIMD tier
 //!    against the scalar manymap gold, plus the zero-allocation
 //!    scratch-arena steady-state check, the backend execution seam, the
-//!    packed-vs-flat posting/decode/mapping crosscheck, and the minimizer
-//!    sketcher against its brute-force model.
+//!    packed-vs-flat posting/decode/mapping crosscheck, the minimizer
+//!    sketcher against its brute-force model, and the chaining DP against
+//!    its reference loop.
 //! 2. `fuzz` — the seeded structure-aware fuzzer of every byte format the
 //!    binaries read: hostile length-prefixed frames against `serve::proto`,
 //!    hostile FASTA/FASTQ against `mmm_seq::FastxReader`, and damaged index

@@ -34,6 +34,10 @@
 //! A fifth pass (`sketch_crosscheck`) holds the minimizer sketcher to the
 //! brute-force model its unit tests use, over the fuzzer's FASTA/FASTQ
 //! reads and lengths either side of the sketch block boundary.
+//!
+//! A sixth pass (`chain_crosscheck`) holds `chain_anchors` to its
+//! reference loop, `chain_anchors_gold`, chain for chain, on the anchors
+//! of simulated ONT reads over a genome with planted repeats.
 
 use manymap::index::minimizer::{hash64, minimizers, minimizers_hpc, Minimizer, SKETCH_BLOCK};
 use mmm_align::{
@@ -266,19 +270,84 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     // Pass 5: the sketcher against its brute-force model.
     let sketch_note = sketch_crosscheck(seed)?;
 
+    // Pass 6: the chaining DP against its reference loop.
+    let chain_note = chain_crosscheck(seed)?;
+
     let labels: Vec<String> = engines
         .iter()
         .zip(&high_water)
         .map(|(e, hw)| format!("{} ({hw} B)", e.label()))
         .collect();
     Ok(format!(
-        "{} cases x {} engines agree with scalar manymap gold; steady-state scratch: {}; backends: {}; {}; {}",
+        "{} cases x {} engines agree with scalar manymap gold; steady-state scratch: {}; backends: {}; {}; {}; {}",
         stream.len(),
         engines.len(),
         labels.join(", "),
         backend_note,
         packed_note,
-        sketch_note
+        sketch_note,
+        chain_note
+    ))
+}
+
+/// The chaining pass: `chain_anchors` against `chain_anchors_gold` on the
+/// anchors of a P2-shaped input (an `mmm-simreads` genome with the default
+/// `repeat_frac` 0.1, ONT reads), each read seeded forward and reverse
+/// complemented, under the `map-ont` and `map-pb` presets. The first read
+/// whose chains differ is reported with both chain lists.
+fn chain_crosscheck(seed: u64) -> Result<String, String> {
+    use manymap::chain::{chain_anchors, chain_anchors_gold};
+    use manymap::index::MinimizerIndex;
+    use manymap::seq::{nt4_decode, revcomp4, SeqRecord};
+    use manymap::MapOpts;
+    use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
+
+    let genome = generate_genome(&GenomeOpts {
+        len: 300_000,
+        seed,
+        ..Default::default()
+    });
+    let sim = SimOpts {
+        platform: Platform::Nanopore,
+        num_reads: 24,
+        seed,
+    };
+    let reads = simulate_reads(&genome, &sim);
+    let refs = [SeqRecord::new("chr1", nt4_decode(&genome))];
+    let (mut anchors_seen, mut chains_seen) = (0usize, 0usize);
+    for (preset, opts) in [
+        ("map-ont", MapOpts::map_ont()),
+        ("map-pb", MapOpts::map_pb()),
+    ] {
+        let index = MinimizerIndex::build(&refs, &opts.idx, 2)
+            .map_err(|e| format!("chain crosscheck: {preset} index build failed: {e}"))?;
+        for (i, read) in reads.iter().enumerate() {
+            for (strand, query) in [
+                ("forward", read.seq.clone()),
+                ("reverse", revcomp4(&read.seq)),
+            ] {
+                let anchors = index.collect_anchors(&query);
+                anchors_seen += anchors.len();
+                let (want, _) = chain_anchors_gold(anchors.clone(), &opts.chain);
+                let got = chain_anchors(anchors, &opts.chain);
+                if got != want {
+                    return Err(format!(
+                        "chain crosscheck: {preset}, read {i} ({strand}, {} bases, seed {seed}): \
+                         chain_anchors differs from chain_anchors_gold\n  gold: {want:?}\n  got:  {got:?}",
+                        query.len()
+                    ));
+                }
+                chains_seen += got.len();
+            }
+        }
+    }
+    if chains_seen == 0 {
+        return Err("chain crosscheck: no read chained — the comparison checked nothing".into());
+    }
+    Ok(format!(
+        "chains: {} reads x 2 strands x 2 presets equal the reference loop \
+         ({anchors_seen} anchors, {chains_seen} chains)",
+        reads.len()
     ))
 }
 
