@@ -182,6 +182,22 @@ for flag in --sam --no-cigar; do
     [ "$gpu_groups" = "$cpu_groups" ] \
         || { echo "ci: gpu-sim ($flag) ran ${gpu_groups:-no lane groups}, the cpu backend $cpu_groups"; cat "$SHARD_WORK/lane-gpu.err"; exit 1; }
 done
+# Golden digests. Every `cmp` above compares two runs of one build, so a
+# change to the record writers or the traceback that altered the bytes of
+# every run alike would pass them. These are the lane set's SAM and its PAF
+# (with `cg:Z` tags) as a known-good build wrote them; every SIMD tier
+# prints the same bytes (the MMM_DISABLE_SIMD gates), so they hold on any
+# host.
+GOLDEN_LANE_SAM=44ee46abb1eb4b76c88680f61cd4c179ef4fe16fbb678cd7437db941f89eeb49
+GOLDEN_LANE_PAF=fcbd558607793f9dc0ae381ec9c1c0300d400d52dae8ff2c1928f102dcb69b0f
+lane_sam=$(target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-reads.fa" --sam \
+    2>/dev/null | sha256sum | cut -d' ' -f1)
+[ "$lane_sam" = "$GOLDEN_LANE_SAM" ] \
+    || { echo "ci: the lane set's SAM has digest $lane_sam, expected $GOLDEN_LANE_SAM"; exit 1; }
+lane_paf=$(target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-reads.fa" \
+    2>/dev/null | sha256sum | cut -d' ' -f1)
+[ "$lane_paf" = "$GOLDEN_LANE_PAF" ] \
+    || { echo "ci: the lane set's PAF has digest $lane_paf, expected $GOLDEN_LANE_PAF"; exit 1; }
 
 echo "==> streaming: a multi-batch ONT set maps to the same SAM at one and two threads, and through the gpu-sim standby"
 # `manymap map` cuts its input into MAP_BATCH_BASES batches and writes each

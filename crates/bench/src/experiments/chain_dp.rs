@@ -87,15 +87,15 @@ fn simulate(shape: &Shape) -> (Vec<SeqRecord>, Vec<Vec<u8>>) {
 }
 
 /// Median and quartiles of one side's passes, in seconds.
-struct Spread {
-    runs: Vec<f64>,
-    q1: f64,
-    median: f64,
-    q3: f64,
+pub(crate) struct Spread {
+    pub(crate) runs: Vec<f64>,
+    pub(crate) q1: f64,
+    pub(crate) median: f64,
+    pub(crate) q3: f64,
 }
 
 impl Spread {
-    fn of(runs: Vec<f64>) -> Spread {
+    pub(crate) fn of(runs: Vec<f64>) -> Spread {
         let mut sorted = runs.clone();
         sorted.sort_by(f64::total_cmp);
         // Linear interpolation between closest ranks.
@@ -112,7 +112,7 @@ impl Spread {
         }
     }
 
-    fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         let runs: Vec<String> = self.runs.iter().map(|r| format!("{r:.6}")).collect();
         format!(
             "{{\"median\": {:.6}, \"q1\": {:.6}, \"q3\": {:.6}, \"runs\": [{}]}}",

@@ -15,6 +15,7 @@ pub mod fig7_streams;
 pub mod fig8_length;
 pub mod fig9_scaling;
 pub mod index_decode;
+pub mod job_path;
 pub mod shard_load;
 pub mod table2_profile;
 pub mod table3_hw;

@@ -234,8 +234,8 @@ fn cmd_map(args: &Args) -> Result<(), MapError> {
     // stderr serialize at report granularity instead of interleaving lines.
     let mut report = StatsReport::new("[manymap] ");
     report.line(format!(
-        "mapped {} reads in {:.2}s wall ({} threads; compute {:.2}s, I/O {:.2}s; \
-         plan {:.2}s, dispatch {:.2}s, finalize {:.2}s)",
+        "mapped {} reads in {:.3}s wall ({} threads; compute {:.3}s, I/O {:.3}s; \
+         plan {:.3}s, dispatch {:.3}s, finalize {:.3}s)",
         stats.items,
         stats.wall_seconds,
         threads,

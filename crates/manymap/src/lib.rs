@@ -49,7 +49,7 @@ pub mod shard_bridge;
 pub use error::MapError;
 pub use mapper::{MapReadError, Mapper, Mapping, ReadPlan};
 pub use opts::MapOpts;
-pub use paf::{paf_line, paf_unmapped, write_paf};
+pub use paf::{paf_line, paf_unmapped, push_paf_line, write_paf};
 pub use session::{load_index_any, ExecConfig, ExecSession, MapSession};
 pub use shard_bridge::PlanShardFaults;
 

@@ -9,11 +9,12 @@
 //! manymap's.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use mmm_align::{AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
 use mmm_chain::select::SelectedChain;
 use mmm_chain::{chain_anchors, select_chains, Chain};
-use mmm_exec::{align_jobs_with_scratch, AlignJob};
+use mmm_exec::{align_jobs_with_scratch, AlignJob, JobSeq};
 use mmm_index::{ShardUnavailable, ShardedIndex};
 use mmm_seq::revcomp4;
 
@@ -198,14 +199,7 @@ impl<'a> Mapper<'a> {
             )));
         }
         let mut plan = self.seed_chain(query)?;
-        let mut jobs = Vec::new();
-        for sel in &plan.selected {
-            let Some(qseq) = plan.strand(query, sel) else {
-                continue;
-            };
-            self.plan_chain_jobs(&sel.chain, qseq, &mut jobs)?;
-        }
-        plan.jobs = jobs;
+        plan.jobs = self.plan_jobs(&plan, query)?;
         Ok(plan)
     }
 
@@ -260,21 +254,62 @@ impl<'a> Mapper<'a> {
         })
     }
 
-    /// Emit the [`AlignJob`]s one chain's gap fills need, in walk order.
-    fn plan_chain_jobs(
-        &self,
-        chain: &Chain,
-        qseq: &[u8],
-        jobs: &mut Vec<AlignJob>,
-    ) -> Result<(), MapReadError> {
-        for gap in self.chain_gaps(chain) {
-            if gap.kind == GapKind::Fill {
-                let rseg = self.index.ref_window(chain.rid, gap.r.start, gap.r.end)?;
-                let qseg = qseq[gap.q].to_vec();
-                jobs.push(AlignJob::global(rseg, qseg, self.opts.with_cigar));
-            }
+    /// The fill gaps of the plan's chains, in walk order, each with its
+    /// chain's reference id and query strand.
+    fn fill_gaps<'p>(
+        &'p self,
+        plan: &'p ReadPlan,
+        query: &'p [u8],
+    ) -> impl Iterator<Item = (u32, &'p [u8], Gap)> + 'p {
+        plan.selected
+            .iter()
+            .filter_map(move |sel| Some((&sel.chain, plan.strand(query, sel)?)))
+            .flat_map(move |(chain, qseq)| {
+                self.chain_gaps(chain)
+                    .filter(|gap| gap.kind == GapKind::Fill)
+                    .map(move |gap| (chain.rid, qseq, gap))
+            })
+    }
+
+    /// The [`AlignJob`]s the plan's gap fills need, in walk order. Every
+    /// job's reference window and query slice is laid out, in job order, in
+    /// one buffer the jobs share, so a read costs one buffer and one job
+    /// vector whatever its job count.
+    fn plan_jobs(&self, plan: &ReadPlan, query: &[u8]) -> Result<Vec<AlignJob>, MapReadError> {
+        let (n, len) = self
+            .fill_gaps(plan, query)
+            .fold((0, 0), |(n, len), (_, _, gap)| {
+                (n + 1, len + gap.r.len() + gap.q.len())
+            });
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        Ok(())
+        // A `TrustedLen` iterator collects into one allocation.
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        // The buffer has one owner, so this borrows it without a copy.
+        let bytes = Arc::make_mut(&mut buf);
+        let mut at = 0;
+        for (rid, qseq, gap) in self.fill_gaps(plan, query) {
+            let (t, rest) = bytes[at..].split_at_mut(gap.r.len());
+            self.index.ref_window_into_slice(rid, gap.r.start, t)?;
+            rest[..gap.q.len()].copy_from_slice(&qseq[gap.q.clone()]);
+            at += gap.r.len() + gap.q.len();
+        }
+        let mut jobs = Vec::with_capacity(n);
+        let mut at = 0;
+        for (_, _, gap) in self.fill_gaps(plan, query) {
+            let (t, q) = (
+                at..at + gap.r.len(),
+                at + gap.r.len()..at + gap.r.len() + gap.q.len(),
+            );
+            at = q.end;
+            jobs.push(AlignJob::global(
+                JobSeq::new(Arc::clone(&buf), t),
+                JobSeq::new(Arc::clone(&buf), q),
+                self.opts.with_cigar,
+            ));
+        }
+        Ok(jobs)
     }
 
     /// Seeding and chaining (the paper's "Seed & Chain" stage): a plan with

@@ -2,32 +2,90 @@
 
 use std::io::{self, Write};
 
+use mmm_align::Cigar;
+
 use crate::mapper::Mapping;
 
-/// Format one mapping as a PAF line.
+/// Format one mapping as a PAF line: [`push_paf_line`] into a new string.
+pub fn paf_line(qname: &str, qlen: usize, tname: &str, tlen: usize, m: &Mapping) -> String {
+    let mut s = String::new();
+    push_paf_line(&mut s, qname, qlen, tname, tlen, m);
+    s
+}
+
+/// Append one mapping's PAF line, without its newline, to `out`.
 ///
 /// Columns: qname qlen qstart qend strand tname tlen tstart tend matches
 /// blocklen mapq, plus `tp`, `s1`/`AS` and optional `cg` tags.
-pub fn paf_line(qname: &str, qlen: usize, tname: &str, tlen: usize, m: &Mapping) -> String {
-    let mut s = format!(
-        "{qname}\t{qlen}\t{}\t{}\t{}\t{tname}\t{tlen}\t{}\t{}\t{}\t{}\t{}\ttp:A:{}\ts1:i:{}\tAS:i:{}",
-        m.q_start,
-        m.q_end,
-        if m.rev { '-' } else { '+' },
-        m.ref_start,
-        m.ref_end,
-        m.matches,
-        m.block_len,
-        m.mapq,
-        if m.primary { 'P' } else { 'S' },
-        m.chain_score,
-        m.align_score,
-    );
-    if let Some(c) = &m.cigar {
-        s.push_str("\tcg:Z:");
-        s.push_str(&c.to_string());
+pub fn push_paf_line(
+    out: &mut String,
+    qname: &str,
+    qlen: usize,
+    tname: &str,
+    tlen: usize,
+    m: &Mapping,
+) {
+    out.push_str(qname);
+    for v in [qlen as u64, m.q_start.into(), m.q_end.into()] {
+        out.push('\t');
+        push_uint(out, v);
     }
-    s
+    out.push_str(if m.rev { "\t-\t" } else { "\t+\t" });
+    out.push_str(tname);
+    for v in [
+        tlen as u64,
+        m.ref_start.into(),
+        m.ref_end.into(),
+        m.matches.into(),
+        m.block_len.into(),
+        m.mapq.into(),
+    ] {
+        out.push('\t');
+        push_uint(out, v);
+    }
+    out.push_str(if m.primary { "\ttp:A:P" } else { "\ttp:A:S" });
+    out.push_str("\ts1:i:");
+    push_int(out, m.chain_score);
+    out.push_str("\tAS:i:");
+    push_int(out, m.align_score);
+    if let Some(c) = &m.cigar {
+        out.push_str("\tcg:Z:");
+        push_cigar(out, c);
+    }
+}
+
+/// `v` in decimal.
+pub(crate) fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
+}
+
+/// `v` in decimal, with a leading `-` when negative.
+pub(crate) fn push_int(out: &mut String, v: i32) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_uint(out, v.unsigned_abs().into());
+}
+
+/// A CIGAR as SAM and PAF print it: `<len><op>` per run, `*` when empty.
+pub(crate) fn push_cigar(out: &mut String, c: &Cigar) {
+    if c.is_empty() {
+        out.push('*');
+    }
+    for &(op, len) in c.runs() {
+        push_uint(out, len.into());
+        out.push(op.ch());
+    }
 }
 
 /// Format an unmapped-read placeholder line (12 mandatory columns with `*`
@@ -47,19 +105,14 @@ pub fn write_paf<W: Write>(
     tlens: &[usize],
     mappings: &[Mapping],
 ) -> io::Result<usize> {
-    let mut bytes = 0usize;
+    let mut lines = String::new();
     for m in mappings {
-        let line = paf_line(
-            qname,
-            qlen,
-            &tnames[m.rid as usize],
-            tlens[m.rid as usize],
-            m,
-        );
-        bytes += line.len() + 1;
-        writeln!(w, "{line}")?;
+        let rid = m.rid as usize;
+        push_paf_line(&mut lines, qname, qlen, &tnames[rid], tlens[rid], m);
+        lines.push('\n');
     }
-    Ok(bytes)
+    w.write_all(lines.as_bytes())?;
+    Ok(lines.len())
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use std::io::{self, Write};
 use mmm_seq::nt4_decode;
 
 use crate::mapper::Mapping;
+use crate::paf::{push_cigar, push_int, push_uint};
 
 /// SAM flag bits used here.
 const FLAG_REV: u16 = 0x10;
@@ -20,10 +21,17 @@ pub fn write_sam_header<W: Write>(w: &mut W, tnames: &[String], tlens: &[usize])
     writeln!(w, "@PG\tID:manymap\tPN:manymap-rs")
 }
 
-/// One SAM record. `query` is the read in nt4 codes (forward orientation);
-/// reverse-strand mappings emit the reverse-complemented bases, as SAM
-/// requires.
+/// One SAM record: [`push_sam_line`] into a new string.
 pub fn sam_line(qname: &str, query: &[u8], tnames: &[String], m: &Mapping) -> String {
+    let mut s = String::new();
+    push_sam_line(&mut s, qname, query, tnames, m);
+    s
+}
+
+/// Append one SAM record, without its newline, to `out`. `query` is the
+/// read in nt4 codes (forward orientation); reverse-strand mappings emit
+/// the reverse-complemented bases, as SAM requires.
+pub fn push_sam_line(out: &mut String, qname: &str, query: &[u8], tnames: &[String], m: &Mapping) {
     let mut flag = 0u16;
     if m.rev {
         flag |= FLAG_REV;
@@ -31,40 +39,49 @@ pub fn sam_line(qname: &str, query: &[u8], tnames: &[String], m: &Mapping) -> St
     if !m.primary {
         flag |= FLAG_SECONDARY;
     }
-    let seq = if m.rev {
-        nt4_decode(&mmm_seq::revcomp4(query))
-    } else {
-        nt4_decode(query)
-    };
     // Soft-clip the unaligned prefix/suffix (in the mapped orientation).
     let (clip5, clip3) = if m.rev {
         (query.len() as u32 - m.q_end, m.q_start)
     } else {
         (m.q_start, query.len() as u32 - m.q_end)
     };
-    let cigar = match &m.cigar {
+    out.push_str(qname);
+    out.push('\t');
+    push_uint(out, flag.into());
+    out.push('\t');
+    out.push_str(&tnames[m.rid as usize]);
+    out.push('\t');
+    push_uint(out, (m.ref_start + 1).into()); // SAM is 1-based
+    out.push('\t');
+    push_uint(out, m.mapq.into());
+    out.push('\t');
+    match &m.cigar {
         Some(c) => {
-            let mut s = String::new();
-            if clip5 > 0 {
-                s.push_str(&format!("{clip5}S"));
-            }
-            s.push_str(&c.to_string());
-            if clip3 > 0 {
-                s.push_str(&format!("{clip3}S"));
-            }
-            s
+            let push_clip = |out: &mut String, clip: u32| {
+                if clip > 0 {
+                    push_uint(out, clip.into());
+                    out.push('S');
+                }
+            };
+            push_clip(out, clip5);
+            push_cigar(out, c);
+            push_clip(out, clip3);
         }
-        None => "*".to_string(),
-    };
-    format!(
-        "{qname}\t{flag}\t{}\t{}\t{}\t{cigar}\t*\t0\t0\t{}\t*\tAS:i:{}\ts1:i:{}",
-        tnames[m.rid as usize],
-        m.ref_start + 1, // SAM is 1-based
-        m.mapq,
-        String::from_utf8_lossy(&seq),
-        m.align_score,
-        m.chain_score,
-    )
+        None => out.push('*'),
+    }
+    out.push_str("\t*\t0\t0\t");
+    // nt4 code (4 and above are `N`) to base, and to its complement's.
+    const FWD: [u8; 5] = *b"ACGTN";
+    const RC: [u8; 5] = *b"TGCAN";
+    if m.rev {
+        out.extend(query.iter().rev().map(|&c| RC[(c as usize).min(4)] as char));
+    } else {
+        out.extend(query.iter().map(|&c| FWD[(c as usize).min(4)] as char));
+    }
+    out.push_str("\t*\tAS:i:");
+    push_int(out, m.align_score);
+    out.push_str("\ts1:i:");
+    push_int(out, m.chain_score);
 }
 
 /// An unmapped record.

@@ -41,8 +41,8 @@ use mmm_pipeline::{lock_unpoisoned, DynError, ItemFailure, PipelineError, Pipeli
 use mmm_seq::{FastxReader, SeqError, SeqRecord};
 
 use crate::mapper::{MapReadError, ReadPlan};
-use crate::sam::{sam_line, sam_unmapped, write_sam_header};
-use crate::{paf_line, paf_unmapped, MapError, MapOpts, Mapper, PlanShardFaults};
+use crate::sam::{push_sam_line, sam_unmapped, write_sam_header};
+use crate::{paf_unmapped, push_paf_line, MapError, MapOpts, Mapper, PlanShardFaults};
 
 /// Bases per read batch in [`map_reads`] and (by default) the daemon: one
 /// plan → dispatch → finalize round, hence one backend submission. Small
@@ -530,10 +530,17 @@ fn finalize<'p>(
     let mut lines = String::new();
     for m in &ms {
         if sam {
-            lines.push_str(&sam_line(&rec.name, nt4, tnames, m));
+            push_sam_line(&mut lines, &rec.name, nt4, tnames, m);
         } else {
             let rid = m.rid as usize;
-            lines.push_str(&paf_line(&rec.name, nt4.len(), &tnames[rid], tlens[rid], m));
+            push_paf_line(
+                &mut lines,
+                &rec.name,
+                nt4.len(),
+                &tnames[rid],
+                tlens[rid],
+                m,
+            );
         }
         lines.push('\n');
     }

@@ -25,11 +25,12 @@ use std::cell::Cell;
 
 use manymap::{MapOpts, Mapper};
 use mmm_align::{AlignMode, AlignScratch, Engine, Scoring, DEFAULT_ZDROP};
+use mmm_chain::{chain_anchors, select_chains};
 use mmm_exec::align_jobs_with_scratch;
 use mmm_index::minimizer::{minimizers, minimizers_hpc, Minimizer};
 use mmm_index::{save_index, IdxOpts, MinimizerIndex, ShardOpenOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, revcomp4, SeqRecord};
-use mmm_simreads::{generate_genome, GenomeOpts};
+use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
 
 struct CountingAlloc;
 
@@ -142,6 +143,72 @@ fn score_only_finalize_reuses_the_arena() {
         spent <= 2 * walks,
         "score-only walks allocated {spent} time(s) over {walks} walk(s)"
     );
+}
+
+/// A read's jobs share one buffer: planning costs what seeding and chaining
+/// allocate plus the job buffer and the job vector — the same two
+/// allocations for a read with a handful of jobs as for one with hundreds
+/// (the parent tree made two per job, one per side).
+#[test]
+fn planning_allocates_two_job_buffers_whatever_the_job_count() {
+    let g = generate_genome(&GenomeOpts {
+        len: 200_000,
+        repeat_frac: 0.0,
+        seed: 21,
+        ..Default::default()
+    });
+    let idx = ShardedIndex::build(
+        &[SeqRecord::new("chr1", nt4_decode(&g))],
+        &IdxOpts::MAP_ONT,
+        1,
+    )
+    .expect("fixture fits every budget");
+    let opts = MapOpts::map_ont();
+    let mapper = Mapper::new(&idx, opts);
+    let reads = simulate_reads(
+        &g,
+        &SimOpts {
+            platform: Platform::Nanopore,
+            num_reads: 30,
+            seed: 4,
+        },
+    );
+    let mut jobs_seen = Vec::new();
+    for r in &reads {
+        let read = &r.seq;
+        // Once untimed, so a lookup buffer that lives on past the call is
+        // there for both measurements.
+        drop(mapper.plan_read(read));
+        // What seeding and chaining allocate, measured on their own.
+        let before = allocs_on_this_thread();
+        let anchors = idx.collect_anchors(read).unwrap();
+        let selected = if anchors.is_empty() {
+            Vec::new()
+        } else {
+            select_chains(chain_anchors(anchors, &opts.chain), &opts.select)
+        };
+        let q_rc = selected.iter().any(|s| s.chain.rev).then(|| revcomp4(read));
+        let seeding = allocs_on_this_thread() - before;
+        drop((selected, q_rc));
+
+        let before = allocs_on_this_thread();
+        let plan = mapper.plan_read(read).expect("simulated reads plan");
+        let planning = allocs_on_this_thread() - before;
+        let jobs = plan.jobs.len();
+        if jobs == 0 {
+            assert_eq!(planning, seeding, "a read with no jobs");
+            continue;
+        }
+        assert_eq!(
+            planning - seeding,
+            2,
+            "a read with {jobs} jobs: {planning} allocations, {seeding} of them seeding"
+        );
+        jobs_seen.push(jobs);
+    }
+    jobs_seen.sort_unstable();
+    let (few, many) = (jobs_seen[0], jobs_seen[jobs_seen.len() - 1]);
+    assert!(few * 10 <= many, "job counts {few}..{many} are too alike");
 }
 
 /// The decode primitive itself is strictly zero-alloc once the destination

@@ -77,6 +77,11 @@ impl Cigar {
         self.ops.reverse();
     }
 
+    /// Make room for `runs` more runs.
+    pub fn reserve(&mut self, runs: usize) {
+        self.ops.reserve(runs);
+    }
+
     /// Remove all runs, keeping the allocation (so the storage can be
     /// recycled through [`crate::AlignScratch`]).
     pub fn clear(&mut self) {

@@ -64,6 +64,12 @@ pub struct AlignScratch {
     /// byte. Grow-only and never cleared: a group's fill writes every byte
     /// its traceback reads.
     pub(crate) block: Vec<u8>,
+    /// A lane group's lock-step traceback log, one op byte per lane and
+    /// step (`[step][lane]`). Grow-only.
+    pub(crate) ops: Vec<u8>,
+    /// Per step of that walk, the lanes whose op changed; transposed in
+    /// place to per-lane run boundaries.
+    pub(crate) changes: Vec<u64>,
     /// Recycled CIGAR storage, handed out to with-path calls.
     pub(crate) cigars: Vec<Cigar>,
     /// Recycled nt4 decode buffers for packed-reference windows. The mapper
@@ -120,6 +126,8 @@ impl AlignScratch {
             + self.tpad.capacity()
             + self.dir.heap_bytes()
             + self.block.capacity()
+            + self.ops.capacity()
+            + self.changes.capacity() * std::mem::size_of::<u64>()
             + self.seq_bufs.iter().map(|b| b.capacity()).sum::<usize>()
     }
 }

@@ -7,7 +7,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{isa_fns, kernel, Consts, Isa};
+use super::{isa_fns, kernel, Consts, Isa, LaneWalk};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
@@ -145,6 +145,37 @@ impl Isa for Avx2 {
             _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(w, x))) as u32
         }
     }
+
+    #[inline(always)]
+    unsafe fn trace_group(t: &mut kernel::GroupTrace<'_>) {
+        walk_inner(t)
+    }
+}
+
+impl LaneWalk for Avx2 {
+    isa_fns! {
+        fn w_gt(a: __m256i, b: __m256i) -> __m256i { _mm256_cmpgt_epi32(a, b) }
+        fn w_eq(a: __m256i, b: __m256i) -> __m256i { _mm256_cmpeq_epi32(a, b) }
+        fn m_and(a: __m256i, b: __m256i) -> __m256i { _mm256_and_si256(a, b) }
+        fn w_and(a: __m256i, b: __m256i) -> __m256i { _mm256_and_si256(a, b) }
+        fn w_sub(a: __m256i, b: __m256i) -> __m256i { _mm256_sub_epi32(a, b) }
+        fn w_shl(a: __m256i, n: __m256i) -> __m256i { _mm256_sllv_epi32(a, n) }
+        fn w_shr(a: __m256i, n: __m256i) -> __m256i { _mm256_srlv_epi32(a, n) }
+        fn w_gather(base: *const u8, off: __m256i, m: __m256i) -> __m256i {
+            _mm256_mask_i32gather_epi32::<1>(_mm256_setzero_si256(), base.cast(), off, m)
+        }
+        // The packs interleave the 128-bit halves: dwords come out as
+        // w0 w1 w2 w3 (low halves), then the high halves.
+        fn narrow4(w: [__m256i; 4]) -> __m256i {
+            let lo = _mm256_packs_epi32(w[0], w[1]);
+            let hi = _mm256_packs_epi32(w[2], w[3]);
+            let bytes = _mm256_packs_epi16(lo, hi);
+            _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7))
+        }
+        fn eq_bits(a: __m256i, b: __m256i) -> u64 {
+            _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)) as u32 as u64
+        }
+    }
 }
 
 /// Equation (3) layout with the two-instruction cross-lane byte shift.
@@ -273,6 +304,27 @@ unsafe fn group_inner(
     out: &mut Vec<AlignResult>,
 ) {
     kernel::fill_group::<Avx2>(jobs, sc, scratch, out)
+}
+
+/// The lock-step traceback of a group's direction block (the tests fill
+/// the block at random and hold it to the per-lane walk).
+#[cfg(test)]
+pub(super) fn walk_lockstep(t: &mut kernel::GroupTrace<'_>) {
+    assert!(available(), "AVX2 not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { walk_inner(t) }
+}
+
+/// The lock-step walk in a function of its own: the group kernel's
+/// traceback, and the tests' entry point.
+///
+/// # Safety
+/// Caller must ensure the tier's features are available — the group
+/// kernel and `walk_lockstep` above assert `available()` first.
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+unsafe fn walk_inner(t: &mut kernel::GroupTrace<'_>) {
+    kernel::walk_lockstep::<Avx2>(t)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.

@@ -11,7 +11,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{isa_fns, kernel, Consts, Isa};
+use super::{isa_fns, kernel, Consts, Isa, LaneWalk};
 use crate::diff::degenerate;
 use crate::score::Scoring;
 use crate::scratch::AlignScratch;
@@ -139,6 +139,33 @@ impl Isa for Avx512 {
         fn w_max(a: __m512i, b: __m512i) -> __m512i { _mm512_max_epi32(a, b) }
         fn w_reduce_max(w: __m512i) -> i32 { _mm512_reduce_max_epi32(w) }
         fn w_eq_bits(w: __m512i, x: __m512i) -> u32 { _mm512_cmpeq_epi32_mask(w, x) as u32 }
+    }
+
+    #[inline(always)]
+    unsafe fn trace_group(t: &mut kernel::GroupTrace<'_>) {
+        walk_inner(t)
+    }
+}
+
+impl LaneWalk for Avx512 {
+    isa_fns! {
+        fn w_gt(a: __m512i, b: __m512i) -> __mmask16 { _mm512_cmpgt_epi32_mask(a, b) }
+        fn w_eq(a: __m512i, b: __m512i) -> __mmask16 { _mm512_cmpeq_epi32_mask(a, b) }
+        fn m_and(a: __mmask16, b: __mmask16) -> __mmask16 { a & b }
+        fn w_and(a: __m512i, b: __m512i) -> __m512i { _mm512_and_si512(a, b) }
+        fn w_sub(a: __m512i, b: __m512i) -> __m512i { _mm512_sub_epi32(a, b) }
+        fn w_shl(a: __m512i, n: __m512i) -> __m512i { _mm512_sllv_epi32(a, n) }
+        fn w_shr(a: __m512i, n: __m512i) -> __m512i { _mm512_srlv_epi32(a, n) }
+        fn w_gather(base: *const u8, off: __m512i, m: __mmask16) -> __m512i {
+            _mm512_mask_i32gather_epi32::<1>(_mm512_setzero_si512(), m, off, base.cast())
+        }
+        fn narrow4(w: [__m512i; 4]) -> __m512i {
+            let v = _mm512_castsi128_si512(_mm512_cvtepi32_epi8(w[0]));
+            let v = _mm512_inserti32x4::<1>(v, _mm512_cvtepi32_epi8(w[1]));
+            let v = _mm512_inserti32x4::<2>(v, _mm512_cvtepi32_epi8(w[2]));
+            _mm512_inserti32x4::<3>(v, _mm512_cvtepi32_epi8(w[3]))
+        }
+        fn eq_bits(a: __m512i, b: __m512i) -> u64 { _mm512_cmpeq_epi8_mask(a, b) }
     }
 }
 
@@ -269,6 +296,27 @@ unsafe fn group_inner(
     out: &mut Vec<AlignResult>,
 ) {
     kernel::fill_group::<Avx512>(jobs, sc, scratch, out)
+}
+
+/// The lock-step traceback of a group's direction block (the tests fill
+/// the block at random and hold it to the per-lane walk).
+#[cfg(test)]
+pub(super) fn walk_lockstep(t: &mut kernel::GroupTrace<'_>) {
+    assert!(available(), "AVX-512BW not available on this CPU");
+    // SAFETY: feature checked above.
+    unsafe { walk_inner(t) }
+}
+
+/// The lock-step walk in a function of its own: the group kernel's
+/// traceback, and the tests' entry point.
+///
+/// # Safety
+/// Caller must ensure the tier's features are available — the group
+/// kernel and `walk_lockstep` above assert `available()` first.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline(never)]
+unsafe fn walk_inner(t: &mut kernel::GroupTrace<'_>) {
+    kernel::walk_lockstep::<Avx512>(t)
 }
 
 // Miri cannot execute vendor intrinsics; the simd tests are host-only.

@@ -13,7 +13,8 @@
 
 use core::ptr;
 
-use super::{Consts, Isa};
+use super::{Consts, Isa, LaneWalk};
+use crate::cigar::{Cigar, CigarOp};
 use crate::diff::{backtrack_into, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
 use crate::score::Scoring;
 use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
@@ -456,7 +457,7 @@ fn finish_fill(
 }
 
 /// Most lanes any tier has (AVX-512's 64).
-const MAX_LANES: usize = 64;
+pub(super) const MAX_LANES: usize = 64;
 
 /// Raw views of a lane group's working set: targets and queries transposed
 /// to `[pos][lane]`, the up neighbours' `x`/`v` as `[j][lane]` columns, and
@@ -583,6 +584,8 @@ pub(super) unsafe fn fill_group<I: Isa>(
         qr,
         tpad,
         block,
+        ops,
+        changes,
         cigars,
         ..
     } = scratch;
@@ -603,8 +606,10 @@ pub(super) unsafe fn fill_group<I: Isa>(
     reset_fill(v, qcols * lanes, -e as i8);
     v[..lanes].fill(-qe as i8);
     let half = qcols / 2;
-    if with_path && block.len() < tmax * half * lanes {
-        block.resize(tmax * half * lanes, 0);
+    // A lock-step walk gathers 4 bytes at a lane's cell.
+    let block_len = tmax * half * lanes + 3;
+    if with_path && block.len() < block_len {
+        block.resize(block_len, 0);
     }
     let p = GroupPtrs {
         target: tpad.as_ptr(),
@@ -648,20 +653,266 @@ pub(super) unsafe fn fill_group<I: Isa>(
         }
     }
 
-    for (l, job) in jobs.iter().enumerate() {
-        let (tlen, qlen) = (job.target.len(), job.query.len());
-        let cigar = job.with_path.then(|| {
-            let mut c = AlignScratch::take_cigar(cigars);
-            let dir =
-                |i: usize, j: usize| (block[(i * half + j / 2) * lanes + l] >> (j % 2 * 4)) & 0xf;
-            backtrack_into(dir, tlen - 1, qlen - 1, &mut c);
-            c
+    let mut paths = [const { None }; MAX_LANES];
+    if with_path {
+        I::trace_group(&mut GroupTrace {
+            jobs,
+            lanes,
+            half,
+            block,
+            ops,
+            changes,
+            cigars,
+            paths: &mut paths,
         });
+    }
+    for ((job, score), path) in jobs.iter().zip(scores).zip(&mut paths) {
         out.push(AlignResult {
-            score: scores[l],
-            cigar,
-            cells: tlen as u64 * qlen as u64,
+            score,
+            cigar: path.take(),
+            cells: job.target.len() as u64 * job.query.len() as u64,
         });
+    }
+}
+
+/// A filled lane group's traceback: its jobs, its direction block
+/// (`[i][j / 2][lane]`, `half` bytes a row per lane, plus 3 bytes of
+/// slack), the arena's op log, change masks and CIGAR pool, and one
+/// CIGAR slot per lane for the with-path jobs' paths.
+pub(crate) struct GroupTrace<'a> {
+    jobs: &'a [GroupJob<'a>],
+    lanes: usize,
+    half: usize,
+    block: &'a [u8],
+    ops: &'a mut Vec<u8>,
+    changes: &'a mut Vec<u64>,
+    cigars: &'a mut Vec<Cigar>,
+    paths: &'a mut [Option<Cigar>; MAX_LANES],
+}
+
+impl<'a> GroupTrace<'a> {
+    /// A traceback over `block` for the tests, which fill it at random.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn new(
+        jobs: &'a [GroupJob<'a>],
+        lanes: usize,
+        half: usize,
+        block: &'a [u8],
+        ops: &'a mut Vec<u8>,
+        changes: &'a mut Vec<u64>,
+        cigars: &'a mut Vec<Cigar>,
+        paths: &'a mut [Option<Cigar>; MAX_LANES],
+    ) -> Self {
+        GroupTrace {
+            jobs,
+            lanes,
+            half,
+            block,
+            ops,
+            changes,
+            cigars,
+            paths,
+        }
+    }
+
+    /// The direction nibble of cell `(i, j)` of lane `l`.
+    fn dir(&self, l: usize, i: usize, j: usize) -> u8 {
+        (self.block[(i * self.half + j / 2) * self.lanes + l] >> (j % 2 * 4)) & 0xf
+    }
+}
+
+/// Every with-path lane walked alone by [`backtrack_into`], the per-pair
+/// path and the gold the lock-step walk equals.
+pub(super) fn walk_lanes(t: &mut GroupTrace<'_>) {
+    for (l, job) in t.jobs.iter().enumerate() {
+        if job.with_path {
+            let mut c = AlignScratch::take_cigar(t.cigars);
+            let (tlen, qlen) = (job.target.len(), job.query.len());
+            backtrack_into(|i, j| t.dir(l, i, j), tlen - 1, qlen - 1, &mut c);
+            t.paths[l] = Some(c);
+        }
+    }
+}
+
+/// Op codes of the lock-step walk, one byte per lane and step: the CIGAR
+/// op the step emits, or [`DONE`] once the lane has reached `(-1, -1)`.
+const OP_M: i32 = 0;
+const OP_D: i32 = 1;
+const OP_I: i32 = 2;
+const DONE: i32 = 3;
+
+/// All with-path lanes of a group walked back in lock-step, one op per
+/// lane per step, to the CIGARs [`backtrack_into`] builds lane by lane.
+///
+/// A lane's state is its cell `(i, j)` and its previous op, which is also
+/// its pending gap (`D`: E, `I`: F, `M`: none). Each step gathers every
+/// lane's direction nibble at `(i, j)` and applies one rule: a pending gap
+/// goes on while the cell's `E_CONT`/`F_CONT` bit is set, otherwise the
+/// cell's source picks the op (`SRC_E` opens `D`, `SRC_F` opens `I`). A
+/// lane past row 0 or column 0 emits the `I` or `D` run that remains, and
+/// then [`DONE`]. Each step's ops go to the op log, and a mask of the
+/// lanes whose op changed to `changes`; transposed, those masks give each
+/// lane its run boundaries, and the log the run's op. The walk runs from
+/// the corner, so a lane's runs, read from its last step back, are its
+/// CIGAR in order.
+///
+/// # Safety
+/// See [`LaneWalk`]; `t.block` holds the group's direction rows plus 3
+/// bytes.
+#[inline(always)]
+pub(super) unsafe fn walk_lockstep<I: LaneWalk>(t: &mut GroupTrace<'_>) {
+    let lanes = I::L;
+    debug_assert_eq!(t.lanes, lanes);
+    // Gather offsets are `i32`: a block past that walks lane by lane.
+    if t.block.len() > i32::MAX as usize {
+        return walk_lanes(t);
+    }
+    // Lane state in `W`s: row offset `i · half · L` (negative once i < 0),
+    // column j, previous op, lane index.
+    let row = (t.half * lanes) as i32;
+    let (mut ro, mut jj, mut lane) = ([0i32; MAX_LANES], [-1i32; MAX_LANES], [0i32; MAX_LANES]);
+    ro.fill(-row);
+    let mut steps = 0;
+    for (l, job) in t.jobs.iter().enumerate() {
+        if job.with_path {
+            ro[l] = (job.target.len() as i32 - 1) * row;
+            jj[l] = job.query.len() as i32 - 1;
+            steps = steps.max(job.target.len() + job.query.len());
+        }
+    }
+    for (l, x) in lane.iter_mut().enumerate() {
+        *x = l as i32;
+    }
+    let (mut ro, mut jj, lane) = (load4::<I>(&ro), load4::<I>(&jj), load4::<I>(&lane));
+    let zero = I::w_splat(0);
+    let mut prev = [I::w_splat(OP_M); 4];
+    let (op_d, op_i, done) = (I::w_splat(OP_D), I::w_splat(OP_I), I::w_splat(DONE));
+    let (minus1, one, two, four) = (I::w_splat(-1), I::w_splat(1), I::w_splat(2), I::w_splat(4));
+    let (rowv, nibble) = (I::w_splat(row), I::w_splat(0xf));
+    // (j & !1) · L / 2 = (j / 2) · L, the column's byte offset.
+    let col_shift = I::w_splat(lanes.trailing_zeros() as i32 - 1);
+    let (mask_off, src) = (I::w_splat(-2), I::w_splat(3));
+
+    // Every lane is DONE after at most `steps + 1` steps; the change masks
+    // are padded to whole 64-step blocks for the transpose.
+    let blocks = (steps + 1).div_ceil(64);
+    if t.ops.len() < (steps + 1) * lanes {
+        t.ops.resize((steps + 1) * lanes, 0);
+    }
+    t.changes.clear();
+    t.changes.resize(blocks * 64, 0);
+    let all = if lanes == 64 {
+        u64::MAX
+    } else {
+        (1u64 << lanes) - 1
+    };
+    let (log, base) = (t.ops.as_mut_ptr(), t.block.as_ptr());
+    let (mut last, all_done) = (I::splat(-1), I::splat(DONE as i8));
+    for s in 0..=steps {
+        let mut op = [zero; 4];
+        for g in 0..4 {
+            let (alive_i, alive_j) = (I::w_gt(ro[g], minus1), I::w_gt(jj[g], minus1));
+            let both = I::m_and(alive_i, alive_j);
+            let col = I::w_shl(I::w_and(jj[g], mask_off), col_shift);
+            let off = I::w_add(I::w_add(ro[g], col), lane[g]);
+            let byte = I::w_gather(base, off, both);
+            // (j & 1) · 4: the odd column's nibble is the high one.
+            let d = I::w_and(I::w_shr(byte, I::w_and(I::w_shl(jj[g], two), four)), nibble);
+            // prev · 4 is E_CONT after a `D`, F_CONT after an `I`, 0 after
+            // an `M`.
+            let goes_on = I::w_and(d, I::w_shl(prev[g], two));
+            let main = I::w_select(I::w_eq(goes_on, zero), I::w_and(d, src), prev[g]);
+            let tail = I::w_select(alive_i, op_d, I::w_select(alive_j, op_i, done));
+            let o = I::w_select(both, main, tail);
+            // M and D step up a row, M and I (the even codes) left a
+            // column.
+            ro[g] = I::w_select(I::w_gt(op_i, o), I::w_sub(ro[g], rowv), ro[g]);
+            jj[g] = I::w_select(I::w_eq(I::w_and(o, one), zero), I::w_sub(jj[g], one), jj[g]);
+            prev[g] = o;
+            op[g] = o;
+        }
+        let ops = I::narrow4(op);
+        I::store(log.add(s * lanes), ops);
+        t.changes[s] = !I::eq_bits(ops, last) & all;
+        last = ops;
+        if I::eq_bits(ops, all_done) & all == all {
+            break;
+        }
+    }
+
+    // Bit `k` of word `64·b + l` is now "lane l's op changed at step
+    // 64·b + k".
+    for b in t.changes.as_chunks_mut::<64>().0 {
+        transpose64(b);
+    }
+    for (l, job) in t.jobs.iter().enumerate() {
+        if !job.with_path {
+            continue;
+        }
+        let mut c = AlignScratch::take_cigar(t.cigars);
+        // One run per change but the last, so one allocation at most.
+        let words = (0..blocks).map(|b| t.changes[b * 64 + l]);
+        c.reserve(words.map(u64::count_ones).sum::<u32>() as usize - 1);
+        // The last change is the step the lane became DONE; each earlier
+        // one starts a run that ends where the next begins.
+        let mut end = None;
+        for b in (0..blocks).rev() {
+            let mut bits = t.changes[b * 64 + l];
+            while bits != 0 {
+                let k = 63 - bits.leading_zeros() as usize;
+                bits ^= 1 << k;
+                let at = b * 64 + k;
+                if let Some(end) = end {
+                    let op = match t.ops[at * lanes + l] as i32 {
+                        OP_M => CigarOp::Match,
+                        OP_D => CigarOp::Del,
+                        _ => CigarOp::Ins,
+                    };
+                    c.push(op, (end - at) as u32);
+                }
+                end = Some(at);
+            }
+        }
+        t.paths[l] = Some(c);
+    }
+}
+
+/// The first `L` values of `a` as four `W`s, lane order.
+///
+/// # Safety
+/// See [`Isa`].
+#[inline(always)]
+unsafe fn load4<I: Isa>(a: &[i32; MAX_LANES]) -> [I::W; 4] {
+    // Not `array::map`: a closure would not inherit the tier's target
+    // features.
+    let (p, lw) = (a.as_ptr(), I::L / 4);
+    [
+        I::w_load(p),
+        I::w_load(p.add(lw)),
+        I::w_load(p.add(2 * lw)),
+        I::w_load(p.add(3 * lw)),
+    ]
+}
+
+/// Transpose a 64 × 64 bit matrix in place: bit `k` of word `l` trades
+/// places with bit `l` of word `k` (Hacker's Delight's recursive block
+/// swap, six rounds of 32 word pairs).
+pub(super) fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            for i in k..k + width {
+                let t = ((m[i] >> width) ^ m[i + width]) & mask;
+                m[i] ^= t << width;
+                m[i + width] ^= t;
+            }
+            k += 2 * width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 

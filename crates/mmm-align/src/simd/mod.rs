@@ -18,7 +18,9 @@
 //!   pass per diagonal;
 //! * the lane-group fill runs the same cell step across sequences: byte
 //!   lane `l` holds job `l` of a group of global jobs, walked row by row
-//!   over the group's padded matrix, so short fills fill whole vectors.
+//!   over the group's padded matrix, so short fills fill whole vectors;
+//!   on AVX2 and AVX-512 its traceback walks every lane back at once
+//!   (`LaneWalk`).
 //!
 //! **No cell runs in a scalar loop.** The `n % L` cells that end a diagonal
 //! are one more vector step whose dead lanes are masked (ksw2 pads its
@@ -201,6 +203,54 @@ pub(crate) trait Isa {
         fn w_reduce_max(w: Self::W) -> i32;
         /// Bit `k` set iff lane `k` equals `x`.
         fn w_eq_bits(w: Self::W, x: Self::W) -> u32;
+    }
+
+    /// The CIGARs of a lane group's with-path jobs, from the direction
+    /// block its fill wrote: each lane walked alone by
+    /// [`crate::diff::backtrack_into`], unless the tier walks them all in
+    /// lock-step ([`LaneWalk`]).
+    ///
+    /// # Safety
+    /// See the trait's contract; `t.block` holds the group's direction
+    /// rows.
+    #[inline(always)]
+    unsafe fn trace_group(t: &mut kernel::GroupTrace<'_>) {
+        kernel::walk_lanes(t)
+    }
+}
+
+/// What a tier provides to the lock-step lane-group traceback
+/// ([`kernel::walk_lockstep`]): 32-bit lane arithmetic, compares to a
+/// lane mask, a masked gather and the narrowing of four `W`s back to one
+/// `V` of bytes. SSE has no gather and keeps the per-lane walk.
+///
+/// # Safety
+/// As for [`Isa`]; `w_gather` reads 4 bytes at `base + off` for every
+/// selected lane.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait LaneWalk: Isa {
+    isa_fns! {
+        /// Lane-wise `a > b`.
+        fn w_gt(a: Self::W, b: Self::W) -> Self::MW;
+        /// Lane-wise `a == b`.
+        fn w_eq(a: Self::W, b: Self::W) -> Self::MW;
+        /// Lanes selected by both masks.
+        fn m_and(a: Self::MW, b: Self::MW) -> Self::MW;
+        /// Lane-wise `a & b`.
+        fn w_and(a: Self::W, b: Self::W) -> Self::W;
+        /// Lane-wise `a - b`.
+        fn w_sub(a: Self::W, b: Self::W) -> Self::W;
+        /// Lane-wise `a << n`.
+        fn w_shl(a: Self::W, n: Self::W) -> Self::W;
+        /// Lane-wise logical `a >> n`.
+        fn w_shr(a: Self::W, n: Self::W) -> Self::W;
+        /// The `i32` at `base + off` in the selected lanes, 0 elsewhere.
+        fn w_gather(base: *const u8, off: Self::W, m: Self::MW) -> Self::W;
+        /// The low byte of every lane of `w[0]`, then `w[1]`, … — the
+        /// inverse of [`Isa::widen4`] for values that fit a byte.
+        fn narrow4(w: [Self::W; 4]) -> Self::V;
+        /// Bit `k` set iff byte lane `k` of `a` equals that of `b`.
+        fn eq_bits(a: Self::V, b: Self::V) -> u64;
     }
 }
 

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use super::kernel::{walk_lanes, GroupTrace, MAX_LANES};
 use super::{avx2, avx512, sse};
 use crate::zdrop::extend_scalar;
 use crate::zdrop::ExtendResult;
@@ -340,5 +341,120 @@ proptest! {
             })
             .collect();
         assert_groups_match_scalar(&pairs, "mix");
+    }
+}
+
+/// A tier's lock-step traceback.
+type Walk = fn(&mut GroupTrace<'_>);
+
+/// The tiers that walk a lane group's traceback in lock-step.
+fn lockstep_tiers() -> Vec<(Width, Walk)> {
+    let all: [(Width, Walk, bool); 2] = [
+        (Width::Avx2, avx2::walk_lockstep, avx2::available()),
+        (Width::Avx512, avx512::walk_lockstep, avx512::available()),
+    ];
+    all.into_iter()
+        .filter(|t| t.2)
+        .map(|(w, f, _)| (w, f))
+        .collect()
+}
+
+/// Lock-step traceback = [`crate::diff::backtrack_into`] lane by lane, on
+/// direction blocks of random nibbles (any source and continue bits, not
+/// only what a fill writes). Four nibble mixes — uniform, rare long gaps,
+/// gaps nearly everywhere (so walks reach row 0 or column 0 inside a gap),
+/// and short gaps that close and reopen at once — over groups of 1..=L
+/// jobs, some without a path, a quarter of the lanes 1 base long on a
+/// side, and odd query maxima (an odd group has a dead column).
+#[test]
+fn lockstep_traceback_equals_backtrack_into_on_random_blocks() {
+    for (width, walk) in lockstep_tiers() {
+        let lanes = width.lanes();
+        for seed in 0..400u64 {
+            let mut rng = Lcg(seed * 0x9E37 + lanes as u64);
+            // (per-mille of cells whose source is a gap, of continue bits)
+            let (gap, cont) = [(333, 500), (60, 850), (900, 900), (500, 150)][seed as usize % 4];
+            let n = 1 + rng.next() % lanes;
+            let side = |rng: &mut Lcg| {
+                if rng.next().is_multiple_of(4) {
+                    1
+                } else {
+                    1 + rng.next() % 70
+                }
+            };
+            let sizes: Vec<(usize, usize, bool)> = (0..n)
+                .map(|_| {
+                    (
+                        side(&mut rng),
+                        side(&mut rng),
+                        !rng.next().is_multiple_of(8),
+                    )
+                })
+                .collect();
+            let seqs: Vec<(Vec<u8>, Vec<u8>)> = sizes
+                .iter()
+                .map(|&(t, q, _)| (vec![0; t], vec![0; q]))
+                .collect();
+            let jobs: Vec<GroupJob<'_>> = seqs
+                .iter()
+                .zip(&sizes)
+                .map(|((t, q), s)| GroupJob {
+                    target: t,
+                    query: q,
+                    with_path: s.2,
+                })
+                .collect();
+            let tmax = sizes.iter().map(|s| s.0).max().unwrap_or(0);
+            let half = sizes.iter().map(|s| s.1).max().unwrap_or(0).div_ceil(2);
+            let nibble = |rng: &mut Lcg| {
+                let roll = rng.next() % 1000;
+                let src = if roll < gap { 1 + (roll % 2) as u8 } else { 0 };
+                let e = u8::from(rng.next() % 1000 < cont) * crate::diff::E_CONT;
+                let f = u8::from(rng.next() % 1000 < cont) * crate::diff::F_CONT;
+                src | e | f
+            };
+            let block: Vec<u8> = (0..tmax * half * lanes + 3)
+                .map(|_| nibble(&mut rng) | nibble(&mut rng) << 4)
+                .collect();
+            let run = |trace: &dyn Fn(&mut GroupTrace<'_>)| {
+                let (mut ops, mut changes, mut cigars) = (Vec::new(), Vec::new(), Vec::new());
+                let mut paths = [const { None }; MAX_LANES];
+                trace(&mut GroupTrace::new(
+                    &jobs,
+                    lanes,
+                    half,
+                    &block,
+                    &mut ops,
+                    &mut changes,
+                    &mut cigars,
+                    &mut paths,
+                ));
+                paths
+            };
+            let gold = run(&|t| walk_lanes(t));
+            let got = run(&|t| walk(t));
+            for l in 0..lanes {
+                assert_eq!(
+                    got[l],
+                    gold[l],
+                    "{}: seed {seed}, lane {l} of {n}, |T|×|Q| = {:?}",
+                    width.label(),
+                    sizes.get(l)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn transpose64_swaps_rows_and_columns() {
+    let mut rng = Lcg(7);
+    let m: [u64; 64] = std::array::from_fn(|_| (rng.next() as u64) << 32 | rng.next() as u64);
+    let mut t = m;
+    super::kernel::transpose64(&mut t);
+    for (r, row) in m.iter().enumerate() {
+        for (c, col) in t.iter().enumerate() {
+            assert_eq!(row >> c & 1, col >> r & 1, "bit ({r}, {c})");
+        }
     }
 }

@@ -108,11 +108,19 @@ impl Plan {
         for t in 0..tiers.len() {
             let group = tiers[t].0;
             let lanes = group.width.lanes();
-            let mut small = std::mem::take(&mut tiered[t]);
-            small.sort_by_key(|&i| {
-                let (tl, ql) = (jobs[i].target.len(), jobs[i].query.len());
-                (tl.max(ql), tl.min(ql))
-            });
+            // Stable by (longer side, shorter side): the keys, once each,
+            // with the position as the tie-break.
+            let tier = std::mem::take(&mut tiered[t]);
+            let mut keyed: Vec<(u64, usize)> = tier
+                .iter()
+                .enumerate()
+                .map(|(at, &i)| {
+                    let (tl, ql) = (jobs[i].target.len() as u64, jobs[i].query.len() as u64);
+                    (tl.max(ql) << 32 | tl.min(ql), at)
+                })
+                .collect();
+            keyed.sort_unstable();
+            let small: Vec<usize> = keyed.iter().map(|&(_, at)| tier[at]).collect();
             for ids in small.chunks(lanes) {
                 let tmax = ids.iter().map(|&i| jobs[i].target.len()).max();
                 let qmax = ids.iter().map(|&i| jobs[i].query.len()).max();

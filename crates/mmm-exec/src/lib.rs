@@ -36,7 +36,7 @@ pub use error::BackendError;
 pub use fault::{FaultAction, FaultClass, FaultPlan, ShardFaultAction, SHARD_SECTION_NAMES};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use host::{align_jobs_with_scratch, HostBackend};
-pub use job::{AlignJob, MAX_PLAN_SEGMENT};
+pub use job::{AlignJob, JobSeq, MAX_PLAN_SEGMENT};
 pub use sched::{plan_schedule, Route, SchedBatch, SchedConfig, SchedMode, SchedulePlan};
 pub use sink::{BufferSink, StatsReport, StatsSink, StderrSink};
 pub use stats::BackendStats;

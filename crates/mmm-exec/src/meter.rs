@@ -129,8 +129,8 @@ mod tests {
     #[test]
     fn submit_falls_back_exactly_past_the_footprint() {
         let job = AlignJob::global(
-            (0..40).map(|i| (i * 3 % 4) as u8).collect(),
-            (0..30).map(|i| (i * 7 % 4) as u8).collect(),
+            (0..40).map(|i| (i * 3 % 4) as u8).collect::<Vec<u8>>(),
+            (0..30).map(|i| (i * 7 % 4) as u8).collect::<Vec<u8>>(),
             true,
         );
         let footprint = shape(&job).footprint();

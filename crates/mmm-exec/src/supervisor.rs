@@ -607,8 +607,12 @@ mod tests {
         (0..n)
             .map(|k| {
                 AlignJob::global(
-                    (0..60).map(|i| ((i * 3 + k) % 4) as u8).collect(),
-                    (0..50).map(|i| ((i * 7 + k) % 4) as u8).collect(),
+                    (0..60)
+                        .map(|i| ((i * 3 + k) % 4) as u8)
+                        .collect::<Vec<u8>>(),
+                    (0..50)
+                        .map(|i| ((i * 7 + k) % 4) as u8)
+                        .collect::<Vec<u8>>(),
                     true,
                 )
             })

@@ -26,7 +26,11 @@ fn live_threads() -> usize {
 
 #[test]
 fn gpu_sim_sessions_spawn_at_most_threads_workers_under_every_fault_plan() {
-    let seq = |len: usize, step: usize| (0..len).map(|k| (k * step % 7 % 4) as u8).collect();
+    let seq = |len: usize, step: usize| {
+        (0..len)
+            .map(|k| (k * step % 7 % 4) as u8)
+            .collect::<Vec<u8>>()
+    };
     let jobs: Vec<AlignJob> = (0..96)
         .map(|i| AlignJob::global(seq(20 + i % 7 * 10, 3), seq(25 + i % 5 * 10, 5), i % 2 == 0))
         .collect();

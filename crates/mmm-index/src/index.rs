@@ -425,6 +425,22 @@ impl MinimizerIndex {
         unpack::unpack_nt4(self.seq_packed(rid), start, end, out);
     }
 
+    /// Decode `out.len()` forward-strand bases of reference `rid` from
+    /// `start` into `out` — [`MinimizerIndex::ref_window_into`] for a
+    /// caller that lays several windows out in one buffer.
+    ///
+    /// # Panics
+    /// If the window runs past the end of the sequence.
+    pub fn ref_window_into_slice(&self, rid: u32, start: usize, out: &mut [u8]) {
+        let end = start + out.len();
+        assert!(
+            end <= self.seq_len(rid),
+            "window {start}..{end} runs past reference {rid}'s {} bases",
+            self.seq_len(rid)
+        );
+        unpack::unpack_nt4(self.seq_packed(rid), start, end, out);
+    }
+
     /// Fetch one reference base (nt4), or `None` past the end — the
     /// single-base form of [`MinimizerIndex::ref_window_into`] with no
     /// buffer at all.

@@ -1095,6 +1095,24 @@ impl ShardedIndex {
         Ok(())
     }
 
+    /// `out.len()` forward-strand bases of global reference `rid` from
+    /// `start` into `out`, loading the owning shard if needed (see
+    /// [`MinimizerIndex::ref_window_into_slice`]).
+    ///
+    /// # Panics
+    /// If the window runs past the end of the sequence.
+    pub fn ref_window_into_slice(
+        &self,
+        rid: u32,
+        start: usize,
+        out: &mut [u8],
+    ) -> Result<(), ShardUnavailable> {
+        let s = self.shard_of(rid);
+        let idx = self.ensure_shard(s)?;
+        idx.ref_window_into_slice(rid - self.manifest.shards[s].rid_start, start, out);
+        Ok(())
+    }
+
     /// [`ShardedIndex::ref_window_into`] into a fresh vector.
     pub fn ref_window(
         &self,

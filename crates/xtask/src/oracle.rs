@@ -632,10 +632,26 @@ fn backend_crosscheck(
     Ok(notes.join(", "))
 }
 
+/// A query with one long indel: 10–30 bases cut out of `target`'s middle,
+/// or as many random bases put in, then point edits — the path a lane's
+/// traceback walks through one long gap run.
+fn long_indel(rng: &mut StdRng, target: &[u8]) -> Vec<u8> {
+    let (len, at) = (rng.random_range(10usize..31), target.len() / 3);
+    let mut q = target[..at].to_vec();
+    if rng.random::<bool>() && target.len() > at + len {
+        q.extend_from_slice(&target[at + len..]);
+    } else {
+        q.extend(random_seq(rng, len));
+        q.extend_from_slice(&target[at..]);
+    }
+    mutate(rng, &q)
+}
+
 /// The CPU backend's lane groups (DESIGN.md §4.1c): per available group
 /// tier, a session at that tier takes gap-fill-shaped global jobs — two
-/// full groups plus a three-quarter leftover, paths mixed — and must return
-/// the scalar gold per job, having grouped at least the two full groups.
+/// full groups plus a three-quarter leftover, paths mixed, then a group's
+/// worth of long-indel pairs — and must return the scalar gold per job,
+/// having grouped at least the two full groups.
 fn group_crosscheck(sc: &Scoring) -> Result<String, String> {
     let mut rng = StdRng::seed_from_u64(0x6A0E);
     let gold_engine = Engine::new(Layout::Manymap, Width::Scalar);
@@ -646,11 +662,16 @@ fn group_crosscheck(sc: &Scoring) -> Result<String, String> {
             continue;
         }
         let lanes = width.lanes();
-        let jobs: Vec<AlignJob> = (0..2 * lanes + 3 * lanes / 4)
+        let noisy = 2 * lanes + 3 * lanes / 4;
+        let jobs: Vec<AlignJob> = (0..noisy + lanes)
             .map(|i| {
                 let tlen = rng.random_range(8usize..64);
                 let target = random_seq(&mut rng, tlen);
-                let query = mutate(&mut rng, &target);
+                let query = if i < noisy {
+                    mutate(&mut rng, &target)
+                } else {
+                    long_indel(&mut rng, &target)
+                };
                 AlignJob::global(target, query, i % 5 != 0)
             })
             .collect();
