@@ -184,12 +184,15 @@ for flag in --sam --no-cigar; do
 done
 # Golden digests. Every `cmp` above compares two runs of one build, so a
 # change to the record writers or the traceback that altered the bytes of
-# every run alike would pass them. These are the lane set's SAM and its PAF
-# (with `cg:Z` tags) as a known-good build wrote them; every SIMD tier
-# prints the same bytes (the MMM_DISABLE_SIMD gates), so they hold on any
-# host.
+# every run alike would pass them. These are the lane set's SAM, its PAF
+# (with `cg:Z` tags) and its `--no-cigar` PAF as a known-good build wrote
+# them; every SIMD tier prints the same bytes (the MMM_DISABLE_SIMD gates),
+# so they hold on any host. The score-only run is the one whose extension
+# extents reach the records through the results' consumed-extent fields
+# alone, with no CIGAR to carry them.
 GOLDEN_LANE_SAM=44ee46abb1eb4b76c88680f61cd4c179ef4fe16fbb678cd7437db941f89eeb49
 GOLDEN_LANE_PAF=fcbd558607793f9dc0ae381ec9c1c0300d400d52dae8ff2c1928f102dcb69b0f
+GOLDEN_LANE_NO_CIGAR=e4895b216b8da05b8784ad7b701c322e92f35cadabf1fcf0fb2f3af19136fe33
 lane_sam=$(target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-reads.fa" --sam \
     2>/dev/null | sha256sum | cut -d' ' -f1)
 [ "$lane_sam" = "$GOLDEN_LANE_SAM" ] \
@@ -198,6 +201,10 @@ lane_paf=$(target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-r
     2>/dev/null | sha256sum | cut -d' ' -f1)
 [ "$lane_paf" = "$GOLDEN_LANE_PAF" ] \
     || { echo "ci: the lane set's PAF has digest $lane_paf, expected $GOLDEN_LANE_PAF"; exit 1; }
+lane_no_cigar=$(target/release/manymap map "$SHARD_WORK/lane.mmx" "$SHARD_WORK/lane-reads.fa" \
+    --no-cigar 2>/dev/null | sha256sum | cut -d' ' -f1)
+[ "$lane_no_cigar" = "$GOLDEN_LANE_NO_CIGAR" ] \
+    || { echo "ci: the lane set's --no-cigar PAF has digest $lane_no_cigar, expected $GOLDEN_LANE_NO_CIGAR"; exit 1; }
 
 echo "==> streaming: a multi-batch ONT set maps to the same SAM at one and two threads, and through the gpu-sim standby"
 # `manymap map` cuts its input into MAP_BATCH_BASES batches and writes each

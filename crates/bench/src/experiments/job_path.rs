@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use manymap::sam::push_sam_line;
 use manymap::{push_paf_line, MapOpts, Mapper};
-use mmm_align::{best_engine, AlignResult, AlignScratch, Engine, GroupJob, Scoring};
+use mmm_align::{best_engine, AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Scoring};
 use mmm_exec::{prepare, AlignJob, BackendKind, BackendOptions};
 use mmm_index::{IdxOpts, ShardedIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
@@ -204,8 +204,8 @@ pub fn run_with_json(quick: bool) -> Result<(String, String), String> {
     let (_, results, lane_groups) = submit(&batches)?;
 
     // The widest tier's lane groups, cut as the host executor cuts them:
-    // jobs whose longer side fits the tier's cap, by (longer, shorter)
-    // side, `lanes` at a time, each group at least half full.
+    // global jobs whose longer side fits the tier's cap, by (longer,
+    // shorter) side, `lanes` at a time, each group at least half full.
     let engine = best_engine();
     let lanes = engine.group_lanes().unwrap_or(0);
     let mut tier: Vec<&AlignJob> = Vec::new();
@@ -215,7 +215,9 @@ pub fn run_with_json(quick: bool) -> Result<(String, String), String> {
             .iter()
             .flatten()
             .filter(|j| {
-                j.target.len().max(j.query.len()) <= cap && j.target.len().min(j.query.len()) > 0
+                j.mode == AlignMode::Global
+                    && j.target.len().max(j.query.len()) <= cap
+                    && j.target.len().min(j.query.len()) > 0
             })
             .collect();
         tier.sort_by_key(|j| {

@@ -52,12 +52,12 @@
 //! Output (PAF by default, SAM with `--sam`) goes to stdout; stage timings
 //! and a per-backend execution summary to stderr.
 //!
-//! Backend selection: `--backend` routes the batched gap-fill alignment
-//! work to the CPU SIMD executor or the simulated GPU/SIMT runner. All
-//! backends are bit-identical, so the choice never changes stdout. The
-//! environment variables `MMM_GPU_MEM` (bytes) and `MMM_GPU_STREAMS` size
-//! the simulated device (there is no flag for either) — useful to force
-//! the oversized-pair CPU fallback path.
+//! Backend selection: `--backend` routes the batched base-level alignment
+//! work (gap fills and z-drop end extensions) to the CPU SIMD executor or
+//! the simulated GPU/SIMT runner. All backends are bit-identical, so the
+//! choice never changes stdout. The environment variable `MMM_GPU_MEM`
+//! (bytes) sizes the simulated device's memory (there is no flag for it) —
+//! useful to force the oversized-pair CPU fallback path.
 //!
 //! Fault behavior: fatal input problems (unreadable files, corrupt index,
 //! a byte stream dying mid-file) abort with a nonzero exit and a message

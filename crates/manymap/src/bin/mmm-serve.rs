@@ -40,8 +40,8 @@
 //! same reads. SIGTERM/SIGINT (or `mmm-serve drain`) flushes every
 //! accepted read, emits a final stats report on stderr, and exits.
 //!
-//! Environment variables are the `manymap` CLI's, read by the same code:
-//! `MMM_GPU_MEM` and `MMM_GPU_STREAMS`, which size the simulated device.
+//! The environment variable is the `manymap` CLI's, read by the same code:
+//! `MMM_GPU_MEM`, which sizes the simulated device's memory.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;

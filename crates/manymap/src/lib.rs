@@ -31,8 +31,8 @@
 //! let plan = mapper.plan_read(&read).unwrap();
 //! let mut scratch = mmm_align::AlignScratch::new();
 //! let (engine, scoring) = (mapper.opts.engine, mapper.opts.scoring);
-//! let fills = mmm_exec::align_jobs_with_scratch(engine, &plan.jobs, &scoring, &mut scratch);
-//! let same = mapper.finalize_read_with_scratch(&read, &plan, &fills, &mut scratch);
+//! let results = mmm_exec::align_jobs_with_scratch(engine, &plan.jobs, &scoring, &mut scratch);
+//! let same = mapper.finalize_read_with_scratch(&read, &plan, &results, &mut scratch);
 //! assert_eq!(mappings, same);
 //! ```
 

@@ -3,15 +3,15 @@
 //! For each read: collect minimizer anchors from the index, chain them,
 //! select primary/secondary chains, then produce base-level alignments by
 //! globally filling the segments between adjacent anchors and extending
-//! both chain ends with exact z-drop extension. All
-//! base-level work goes through the configured [`mmm_align::Engine`], so a
-//! single flag switches the whole mapper between minimap2's kernels and
-//! manymap's.
+//! both chain ends with exact z-drop extension. Every one of those DP
+//! problems is an [`AlignJob`] for an `mmm_exec` backend, which runs it on
+//! the configured [`mmm_align::Engine`], so a single flag switches the whole
+//! mapper between minimap2's kernels and manymap's.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use mmm_align::{AlignError, AlignResult, AlignScratch, Cigar, CigarOp};
+use mmm_align::{AlignError, AlignMode, AlignResult, AlignScratch, Cigar, CigarOp};
 use mmm_chain::select::SelectedChain;
 use mmm_chain::{chain_anchors, select_chains, Chain};
 use mmm_exec::{align_jobs_with_scratch, AlignJob, JobSeq};
@@ -64,55 +64,65 @@ impl From<ShardUnavailable> for MapReadError {
     }
 }
 
-/// The plan phase's output for one read: its selected chains plus every DP
-/// problem its gap-fill step needs, as backend-ready [`AlignJob`]s.
+/// The plan phase's output for one read: its selected chains, what of each
+/// chain's score needs no DP, and every DP problem the read needs, as
+/// backend-ready [`AlignJob`]s.
 ///
 /// Produced by [`Mapper::plan_read`]; a batch of plans is executed by an
 /// `AlignBackend` and the results spliced back by
 /// [`Mapper::finalize_read_with_scratch`]. Jobs are emitted (and must be
-/// answered) in chain-walk order: selected chains in order, gaps within
-/// each chain left to right.
+/// answered) in chain-walk order: selected chains in order, and per chain
+/// its left extension, its gap fills left to right, then its right
+/// extension (each extension only where the chain stops short of that read
+/// end).
 pub struct ReadPlan {
     selected: Vec<SelectedChain>,
-    /// The query's reverse complement, when any selected chain is reverse.
-    q_rc: Option<Vec<u8>>,
-    /// Deferred gap-fill problems. The dispatcher takes these (e.g. with
+    /// Per selected chain, the score of what its walk aligns without DP:
+    /// the first anchor's end base, same-diagonal match runs and long-gap
+    /// penalties, scored against the reference at plan time.
+    base_scores: Vec<i32>,
+    /// Deferred DP problems. The dispatcher takes these (e.g. with
     /// `std::mem::take`), runs them through a backend, and hands the
     /// results — one per job, in order — to the finalize phase.
     pub jobs: Vec<AlignJob>,
 }
 
-impl ReadPlan {
-    /// The query strand `sel` was chained on. `seed_chain` computes `q_rc`
-    /// whenever any selected chain is reverse; if that invariant ever
-    /// broke, `None` skips the chain rather than crashing the worker.
-    fn strand<'q>(&'q self, query: &'q [u8], sel: &SelectedChain) -> Option<&'q [u8]> {
-        if sel.chain.rev {
-            self.q_rc.as_deref()
-        } else {
-            Some(query)
-        }
-    }
-}
-
-/// How the chain walk treats the stretch between two adjacent anchors.
+/// How the chain walk treats one stretch of the read.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum GapKind {
+    /// The read's head before the first anchor: a z-drop extension job, run
+    /// on both sides reversed.
+    Left,
+    /// Same diagonal, at most `k` apart (or the first anchor's end base):
+    /// overlapping k-mers, scored as a gap-free run.
+    MatchRun,
     /// Longer than [`MapOpts::max_fill`]: approximated as one long gap.
     Long,
-    /// Same diagonal, at most `k` apart: overlapping k-mers, scored as a
-    /// gap-free run.
-    MatchRun,
-    /// Everything else: a global-alignment job for the backend.
+    /// Everything else between two anchors: a global-alignment job.
     Fill,
+    /// The read's tail past the last anchor: a z-drop extension job.
+    Right,
 }
 
-/// One between-anchor stretch: the bases after the left anchor's end base
-/// up to and including the right anchor's, on the reference and the query.
+/// One stretch of a chain walk, on the reference and the query strand:
+/// between two anchors, the bases after the left anchor's end base up to
+/// and including the right anchor's; at a read end, the extension's
+/// reference window and query slice.
 struct Gap {
     kind: GapKind,
     r: Range<usize>,
     q: Range<usize>,
+}
+
+impl Gap {
+    /// The DP job this stretch is, if any.
+    fn mode(&self, zdrop: i32) -> Option<AlignMode> {
+        match self.kind {
+            GapKind::Fill => Some(AlignMode::Global),
+            GapKind::Left | GapKind::Right => Some(AlignMode::Extend { zdrop }),
+            GapKind::MatchRun | GapKind::Long => None,
+        }
+    }
 }
 
 /// One alignment record (a PAF row).
@@ -172,13 +182,14 @@ impl<'a> Mapper<'a> {
         let Ok(plan) = self.plan_read(query) else {
             return Vec::new();
         };
-        let fills =
+        let results =
             align_jobs_with_scratch(self.opts.engine, &plan.jobs, &self.opts.scoring, scratch);
-        self.finalize_read_with_scratch(query, &plan, &fills, scratch)
+        self.finalize_read_with_scratch(query, &plan, &results, scratch)
     }
 
-    /// Phase 1: seed, chain, and describe the read's gap-fill DP problems
-    /// as backend [`AlignJob`]s without executing them. Per-read conditions
+    /// Phase 1: seed, chain, score what needs no DP, and describe every DP
+    /// problem the read needs — gap fills and z-drop end extensions — as
+    /// backend [`AlignJob`]s without executing them. Per-read conditions
     /// that would trip kernel asserts or exhaust memory are rejected here as
     /// [`MapReadError`], before any backend work is queued, so the caller
     /// can degrade the read instead of crashing the worker.
@@ -198,44 +209,77 @@ impl<'a> Mapper<'a> {
                 self.opts.scoring,
             )));
         }
-        let mut plan = self.seed_chain(query)?;
-        plan.jobs = self.plan_jobs(&plan, query)?;
-        Ok(plan)
+        let anchors = self.index.collect_anchors(query)?;
+        let selected = if anchors.is_empty() {
+            Vec::new()
+        } else {
+            let chains = chain_anchors(anchors, &self.opts.chain);
+            select_chains(chains, &self.opts.select)
+        };
+        self.plan_chains(selected, query)
     }
 
-    /// Phase 3: splice a backend's answers to the plan's jobs back into the
-    /// chain walk (scores and CIGAR segments), run the CPU-side end
-    /// extensions, and assemble the mappings. `fill_results` must hold one
-    /// result per planned job, in job order; a chain whose results are
-    /// missing (a backend contract violation) is skipped rather than
-    /// crashing the worker.
+    /// Phase 3: splice a backend's answers to the plan's jobs into each
+    /// chain walk — scores, consumed extents, CIGAR segments — and assemble
+    /// the mappings. This reads no reference base and runs no DP; `scratch`
+    /// is unused and stays in the signature for existing callers.
+    /// `results` must hold one result per planned job, in job order; a chain
+    /// whose results are missing (a backend contract violation) is skipped
+    /// rather than crashing the worker.
     pub fn finalize_read_with_scratch(
         &self,
         query: &[u8],
         plan: &ReadPlan,
-        fill_results: &[AlignResult],
-        scratch: &mut AlignScratch,
+        results: &[AlignResult],
+        _scratch: &mut AlignScratch,
     ) -> Vec<Mapping> {
-        // Consumed in the order the plan emitted jobs.
-        let mut fills = fill_results.iter();
+        let qlen = query.len();
+        let mut rest = results;
         let mut out = Vec::with_capacity(plan.selected.len());
-        for sel in &plan.selected {
-            let Some(qseq) = plan.strand(query, sel) else {
+        for (sel, &base_score) in plan.selected.iter().zip(&plan.base_scores) {
+            let n = self.jobs(&sel.chain, qlen).count();
+            let Some(mine) = rest.get(..n) else {
                 continue;
             };
-            out.extend(self.align_chain(sel, qseq, query.len(), scratch, &mut fills));
+            rest = &rest[n..];
+            out.push(self.splice_chain(sel, qlen, base_score, mine));
         }
         // Primary mappings first, then by score.
         out.sort_by_key(|m| (!m.primary, -m.align_score));
         out
     }
 
-    /// The stretches between a chain's adjacent anchors, left to right,
-    /// each classified once — the plan and finalize walks both iterate
-    /// this, so they cannot disagree on which gaps are backend jobs.
-    fn chain_gaps<'c>(&self, chain: &'c Chain) -> impl Iterator<Item = Gap> + 'c {
+    /// A chain's walk along the read, in path order: its left extension,
+    /// its first anchor's end base, the stretches between adjacent anchors
+    /// (each classified once), its right extension. Plan and finalize both
+    /// iterate this, so they cannot disagree on which stretches are jobs.
+    ///
+    /// The body starts at the first anchor's END base: with
+    /// homopolymer-compressed seeds an anchor's reference and query spans
+    /// differ, so only the end coordinates are trustworthy. The left
+    /// extension recovers everything before it. An extension exists only
+    /// where the chain stops short of that read end (of `qlen` bases): the
+    /// right one aligns the tail against the `⌊tail·ext_factor⌋ + 32`
+    /// reference bases after the last anchor, clamped to the sequence; the
+    /// left one the head against as many bases before the first anchor.
+    /// Either query side is capped at [`MapOpts::max_fill`].
+    fn walk<'c>(&'c self, chain: &'c Chain, qlen: usize) -> impl Iterator<Item = Gap> + 'c {
         let (max_fill, k) = (self.opts.max_fill, self.index.k());
-        chain.anchors.windows(2).map(move |w| {
+        let window = |bases: usize| (bases as f64 * self.opts.ext_factor) as usize + 32;
+        let (first, last) = (chain.anchors[0], chain.anchors[chain.anchors.len() - 1]);
+        let (r0, q0) = (first.rpos as usize, first.qpos as usize);
+        let (r1, q1) = (last.rpos as usize + 1, last.qpos as usize + 1);
+        let left = (q0 > 0).then(|| Gap {
+            kind: GapKind::Left,
+            r: r0 - window(q0).min(r0)..r0,
+            q: q0 - q0.min(max_fill)..q0,
+        });
+        let base = Gap {
+            kind: GapKind::MatchRun,
+            r: r0..r0 + 1,
+            q: q0..q0 + 1,
+        };
+        let between = chain.anchors.windows(2).map(move |w| {
             let (rcur, qcur) = (w[0].rpos as usize, w[0].qpos as usize);
             let (rn, qn) = (w[1].rpos as usize, w[1].qpos as usize);
             let (dr, dq) = (rn - rcur, qn - qcur);
@@ -251,240 +295,185 @@ impl<'a> Mapper<'a> {
                 r: rcur + 1..rn + 1,
                 q: qcur + 1..qn + 1,
             }
-        })
+        });
+        let right = (q1 < qlen).then(|| Gap {
+            kind: GapKind::Right,
+            r: r1..(r1 + window(qlen - q1)).min(self.index.seq_len(chain.rid)),
+            q: q1..qlen.min(q1 + max_fill),
+        });
+        left.into_iter().chain([base]).chain(between).chain(right)
     }
 
-    /// The fill gaps of the plan's chains, in walk order, each with its
-    /// chain's reference id and query strand.
-    fn fill_gaps<'p>(
-        &'p self,
-        plan: &'p ReadPlan,
-        query: &'p [u8],
-    ) -> impl Iterator<Item = (u32, &'p [u8], Gap)> + 'p {
-        plan.selected
+    /// The stretches of a chain's walk that are DP jobs, with their modes.
+    fn jobs<'c>(
+        &'c self,
+        chain: &'c Chain,
+        qlen: usize,
+    ) -> impl Iterator<Item = (Gap, AlignMode)> + 'c {
+        let zdrop = self.opts.zdrop;
+        self.walk(chain, qlen)
+            .filter_map(move |gap| gap.mode(zdrop).map(|mode| (gap, mode)))
+    }
+
+    /// The plan of `selected`: every chain's DP jobs, whose reference
+    /// windows and query slices are laid out, in job order, in one buffer
+    /// the jobs share — so a read costs one buffer, one job vector and one
+    /// score vector whatever its job count — and, in the same walk, each
+    /// chain's base score.
+    fn plan_chains(
+        &self,
+        selected: Vec<SelectedChain>,
+        query: &[u8],
+    ) -> Result<ReadPlan, MapReadError> {
+        let qlen = query.len();
+        let (n, len) = selected
             .iter()
-            .filter_map(move |sel| Some((&sel.chain, plan.strand(query, sel)?)))
-            .flat_map(move |(chain, qseq)| {
-                self.chain_gaps(chain)
-                    .filter(|gap| gap.kind == GapKind::Fill)
-                    .map(move |gap| (chain.rid, qseq, gap))
-            })
-    }
-
-    /// The [`AlignJob`]s the plan's gap fills need, in walk order. Every
-    /// job's reference window and query slice is laid out, in job order, in
-    /// one buffer the jobs share, so a read costs one buffer and one job
-    /// vector whatever its job count.
-    fn plan_jobs(&self, plan: &ReadPlan, query: &[u8]) -> Result<Vec<AlignJob>, MapReadError> {
-        let (n, len) = self
-            .fill_gaps(plan, query)
-            .fold((0, 0), |(n, len), (_, _, gap)| {
-                (n + 1, len + gap.r.len() + gap.q.len())
+            .flat_map(|sel| self.jobs(&sel.chain, qlen))
+            .fold((0, 0), |(n, len), (g, _)| {
+                (n + 1, len + g.r.len() + g.q.len())
             });
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(ReadPlan {
+                selected,
+                base_scores: Vec::new(),
+                jobs: Vec::new(),
+            });
         }
+        let q_rc = if selected.iter().any(|s| s.chain.rev) {
+            revcomp4(query)
+        } else {
+            Vec::new()
+        };
         // A `TrustedLen` iterator collects into one allocation.
         let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
         // The buffer has one owner, so this borrows it without a copy.
         let bytes = Arc::make_mut(&mut buf);
         let mut at = 0;
-        for (rid, qseq, gap) in self.fill_gaps(plan, query) {
-            let (t, rest) = bytes[at..].split_at_mut(gap.r.len());
-            self.index.ref_window_into_slice(rid, gap.r.start, t)?;
-            rest[..gap.q.len()].copy_from_slice(&qseq[gap.q.clone()]);
-            at += gap.r.len() + gap.q.len();
+        let mut base_scores = Vec::with_capacity(selected.len());
+        for sel in &selected {
+            let (rid, qseq) = (sel.chain.rid, if sel.chain.rev { &q_rc[..] } else { query });
+            let mut score = 0;
+            for gap in self.walk(&sel.chain, qlen) {
+                match gap.kind {
+                    GapKind::Long => {
+                        let gap_len = gap.r.len().abs_diff(gap.q.len()) as u32;
+                        score -= self.opts.scoring.gap_cost(gap_len);
+                    }
+                    GapKind::MatchRun => score += self.score_run(rid, gap.r, &qseq[gap.q])?,
+                    GapKind::Fill | GapKind::Left | GapKind::Right => {
+                        let (t, rest) = bytes[at..].split_at_mut(gap.r.len());
+                        let q = &mut rest[..gap.q.len()];
+                        self.index.ref_window_into_slice(rid, gap.r.start, t)?;
+                        q.copy_from_slice(&qseq[gap.q]);
+                        if gap.kind == GapKind::Left {
+                            t.reverse();
+                            q.reverse();
+                        }
+                        at += t.len() + q.len();
+                    }
+                }
+            }
+            base_scores.push(score);
         }
         let mut jobs = Vec::with_capacity(n);
         let mut at = 0;
-        for (_, _, gap) in self.fill_gaps(plan, query) {
-            let (t, q) = (
-                at..at + gap.r.len(),
-                at + gap.r.len()..at + gap.r.len() + gap.q.len(),
-            );
-            at = q.end;
-            jobs.push(AlignJob::global(
-                JobSeq::new(Arc::clone(&buf), t),
-                JobSeq::new(Arc::clone(&buf), q),
-                self.opts.with_cigar,
-            ));
-        }
-        Ok(jobs)
-    }
-
-    /// Seeding and chaining (the paper's "Seed & Chain" stage): a plan with
-    /// no jobs yet. Chain selection is the only candidate filter.
-    fn seed_chain(&self, query: &[u8]) -> Result<ReadPlan, MapReadError> {
-        let anchors = self.index.collect_anchors(query)?;
-        let selected = if anchors.is_empty() {
-            Vec::new()
-        } else {
-            let chains = chain_anchors(anchors, &self.opts.chain);
-            select_chains(chains, &self.opts.select)
+        let mut view = |len: usize| {
+            at += len;
+            JobSeq::new(Arc::clone(&buf), at - len..at)
         };
-        let q_rc = selected
-            .iter()
-            .any(|s| s.chain.rev)
-            .then(|| revcomp4(query));
+        for sel in &selected {
+            for (gap, mode) in self.jobs(&sel.chain, qlen) {
+                let (t, q) = (view(gap.r.len()), view(gap.q.len()));
+                jobs.push(AlignJob {
+                    mode,
+                    ..AlignJob::global(t, q, self.opts.with_cigar)
+                });
+            }
+        }
         Ok(ReadPlan {
             selected,
-            q_rc,
-            jobs: Vec::new(),
+            base_scores,
+            jobs,
         })
     }
 
-    /// Decode a reference window into a buffer leased from `scratch` (hand
-    /// it back with `put_seq_buf`); `None` when its shard is unavailable.
-    fn window(&self, rid: u32, r: Range<usize>, scratch: &mut AlignScratch) -> Option<Vec<u8>> {
-        let mut rbuf = scratch.take_seq_buf();
-        if self
-            .index
-            .ref_window_into(rid, r.start, r.end, &mut rbuf)
-            .is_err()
-        {
-            scratch.put_seq_buf(rbuf);
-            return None;
+    /// The gap-free score of reference bases `r` of `rid` against `q`
+    /// (of the same length), decoded a stack buffer at a time.
+    fn score_run(&self, rid: u32, r: Range<usize>, q: &[u8]) -> Result<i32, ShardUnavailable> {
+        let mut buf = [0u8; 64];
+        let mut score = 0;
+        for (start, q) in r.step_by(buf.len()).zip(q.chunks(buf.len())) {
+            let t = &mut buf[..q.len()];
+            self.index.ref_window_into_slice(rid, start, t)?;
+            score += t
+                .iter()
+                .zip(q)
+                .map(|(&a, &b)| self.opts.scoring.subst(a, b))
+                .sum::<i32>();
         }
-        Some(rbuf)
+        Ok(score)
     }
 
     /// Base-level alignment of one chain against the reference (the
-    /// paper's "Align" stage): match runs and long-gap approximations are
-    /// scored here, each fill gap consumes the next backend result from
-    /// `fills`, and both chain ends are extended on the CPU.
-    fn align_chain(
+    /// paper's "Align" stage), from the chain's base score and the results
+    /// of its jobs, in walk order: coordinates from the anchors and the
+    /// extensions' consumed extents, the CIGAR from the walk's match runs
+    /// and long gaps and the results' paths.
+    fn splice_chain(
         &self,
         sel: &SelectedChain,
-        qseq: &[u8],
         qlen: usize,
-        scratch: &mut AlignScratch,
-        fills: &mut std::slice::Iter<'_, AlignResult>,
-    ) -> Option<Mapping> {
+        base_score: i32,
+        results: &[AlignResult],
+    ) -> Mapping {
         let chain = &sel.chain;
-        let sc = &self.opts.scoring;
-        let rseq_len = self.index.seq_len(chain.rid);
-
-        let first = chain.anchors[0];
-        let last = chain.anchors[chain.anchors.len() - 1];
-        // The chain body starts at the first anchor's END base: with
-        // homopolymer-compressed seeds an anchor's reference and query
-        // spans differ, so only the end coordinates are trustworthy. The
-        // left extension recovers everything before it.
-        let body_rs = first.rpos as usize;
-        let body_qs = first.qpos as usize;
-
+        let align_score = base_score + results.iter().map(|r| r.score).sum::<i32>();
+        let (first, last) = (chain.anchors[0], chain.anchors[chain.anchors.len() - 1]);
+        let (mut ref_start, mut q_start) = (first.rpos as usize, first.qpos as usize);
+        let (mut ref_end, mut q_end) = (last.rpos as usize + 1, last.qpos as usize + 1);
         let mut cigar = self.opts.with_cigar.then(Cigar::new);
-        let mut align_score = 0i32;
-
-        // The first anchor's final matched base. Anchor positions are
-        // always in range; the `if let` only guards a broken invariant.
-        {
-            if let Some(rbase) = self.index.ref_base(chain.rid, body_rs).ok().flatten() {
-                align_score += sc.subst(rbase, qseq[body_qs]);
-            }
-            if let Some(c) = cigar.as_mut() {
-                c.push(CigarOp::Match, 1);
-            }
-        }
-
-        // Fill between consecutive anchors.
-        for gap in self.chain_gaps(chain) {
+        let mut results = results.iter();
+        for gap in self.walk(chain, qlen) {
             let (dr, dq) = (gap.r.len(), gap.q.len());
+            let result = gap.mode(self.opts.zdrop).and_then(|_| results.next());
+            match (gap.kind, result) {
+                (GapKind::Left, Some(r)) => {
+                    ref_start -= r.t_consumed;
+                    q_start -= r.q_consumed;
+                }
+                (GapKind::Right, Some(r)) => {
+                    ref_end += r.t_consumed;
+                    q_end += r.q_consumed;
+                }
+                _ => {}
+            }
+            let Some(c) = cigar.as_mut() else {
+                continue;
+            };
+            let path = result
+                .and_then(|r| r.cigar.as_ref())
+                .map_or(&[][..], Cigar::runs);
             match gap.kind {
+                // The left extension ran on reversed sequences.
+                GapKind::Left => path.iter().rev().for_each(|&(op, len)| c.push(op, len)),
+                GapKind::Fill | GapKind::Right => {
+                    path.iter().for_each(|&(op, len)| c.push(op, len))
+                }
+                GapKind::MatchRun => c.push(CigarOp::Match, dr as u32),
+                // Chain gap too large to fill (paper: fall back / give up
+                // on pathological segments) — approximated with one long
+                // gap.
                 GapKind::Long => {
-                    // Chain gap too large to fill (paper: fall back / give
-                    // up on pathological segments) — approximate with one
-                    // long gap.
-                    if let Some(c) = cigar.as_mut() {
-                        c.push(CigarOp::Match, dr.min(dq) as u32);
-                        if dr > dq {
-                            c.push(CigarOp::Del, (dr - dq) as u32);
-                        } else if dq > dr {
-                            c.push(CigarOp::Ins, (dq - dr) as u32);
-                        }
-                    }
-                    align_score -= sc.gap_cost(dr.abs_diff(dq) as u32);
-                }
-                GapKind::MatchRun => {
-                    // Same diagonal, overlapping k-mers: pure match run.
-                    let rbuf = self.window(chain.rid, gap.r, scratch)?;
-                    align_score += score_segment(&rbuf, &qseq[gap.q], sc);
-                    scratch.put_seq_buf(rbuf);
-                    if let Some(c) = cigar.as_mut() {
-                        c.push(CigarOp::Match, dr as u32);
-                    }
-                }
-                GapKind::Fill => {
-                    let r = fills.next()?;
-                    align_score += r.score;
-                    if let (Some(c), Some(rc)) = (cigar.as_mut(), r.cigar.as_ref()) {
-                        c.extend(rc);
+                    c.push(CigarOp::Match, dr.min(dq) as u32);
+                    if dr > dq {
+                        c.push(CigarOp::Del, (dr - dq) as u32);
+                    } else if dq > dr {
+                        c.push(CigarOp::Ins, (dq - dr) as u32);
                     }
                 }
             }
         }
-
-        // Right extension: query tail beyond the last anchor.
-        let mut ref_end = last.rpos as usize + 1;
-        let mut q_end = last.qpos as usize + 1;
-        if q_end < qlen {
-            let tail = qlen - q_end;
-            let win = (tail as f64 * self.opts.ext_factor) as usize + 32;
-            let rbuf = self.window(chain.rid, ref_end..ref_end + win, scratch)?;
-            let qseg = &qseq[q_end..qlen.min(q_end + self.opts.max_fill)];
-            let e = self.opts.engine.extend_zdrop_with_scratch(
-                &rbuf,
-                qseg,
-                sc,
-                self.opts.zdrop,
-                cigar.is_some(),
-                scratch,
-            );
-            scratch.put_seq_buf(rbuf);
-            align_score += e.score;
-            ref_end += e.t_consumed;
-            q_end += e.q_consumed;
-            if let Some(c) = cigar.as_mut() {
-                c.extend(&e.cigar);
-                scratch.recycle(e.cigar);
-            }
-        }
-
-        // Left extension: reversed prefix against reversed reference window.
-        let mut ref_start = body_rs;
-        let mut q_start = body_qs;
-        if q_start > 0 {
-            let head = q_start;
-            let win = ((head as f64 * self.opts.ext_factor) as usize + 32).min(ref_start);
-            let mut rbuf = self.window(chain.rid, ref_start - win..ref_start, scratch)?;
-            rbuf.reverse();
-            let take = head.min(self.opts.max_fill);
-            let mut qbuf = scratch.take_seq_buf();
-            qbuf.extend(qseq[q_start - take..q_start].iter().rev());
-            let e = self.opts.engine.extend_zdrop_with_scratch(
-                &rbuf,
-                &qbuf,
-                sc,
-                self.opts.zdrop,
-                cigar.is_some(),
-                scratch,
-            );
-            scratch.put_seq_buf(qbuf);
-            scratch.put_seq_buf(rbuf);
-            align_score += e.score;
-            ref_start -= e.t_consumed;
-            q_start -= e.q_consumed;
-            if let Some(c) = cigar.as_mut() {
-                let mut left = e.cigar;
-                left.reverse();
-                let body = std::mem::take(c);
-                left.extend(&body);
-                scratch.recycle(body);
-                *c = left;
-            }
-        }
-
-        debug_assert!(ref_end <= rseq_len);
+        debug_assert!(ref_end <= self.index.seq_len(chain.rid));
 
         // Matches / block length from the CIGAR when available, otherwise
         // estimated from the interval.
@@ -509,7 +498,7 @@ impl<'a> Mapper<'a> {
             (q_start as u32, q_end as u32)
         };
 
-        Some(Mapping {
+        Mapping {
             rid: chain.rid,
             ref_start: ref_start as u32,
             ref_end: ref_end as u32,
@@ -523,14 +512,8 @@ impl<'a> Mapper<'a> {
             matches,
             block_len,
             cigar,
-        })
+        }
     }
-}
-
-/// Score a gap-free segment pair of equal length.
-fn score_segment(t: &[u8], q: &[u8], sc: &mmm_align::Scoring) -> i32 {
-    debug_assert_eq!(t.len(), q.len());
-    t.iter().zip(q).map(|(&a, &b)| sc.subst(a, b)).sum()
 }
 
 #[cfg(test)]
@@ -703,6 +686,90 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Reads with unrelated flanks at both ends, on both strands: every
+    /// chain's jobs are its left extension (head and window before the
+    /// first anchor, both reversed), its fills, then its right extension
+    /// (the tail past the last anchor against the window after it) — the
+    /// order finalize consumes them in. Finalize over the results of a
+    /// gpu-sim session on a 16 KiB device, where the extensions fall back to
+    /// the CPU, equals `map_read`.
+    #[test]
+    fn extension_jobs_bracket_their_chains_fills_and_splice_back() {
+        use mmm_exec::{BackendKind, BackendOptions};
+        let g = genome(120_000, 0.0, 17);
+        let idx = build_index(&g, &IdxOpts::MAP_ONT);
+        let mapper = Mapper::new(&idx, crate::opts::MapOpts::map_ont());
+        let o = mapper.opts;
+        let junk = genome(4_000, 0.0, 99);
+        let reads: Vec<Vec<u8>> = (0..6)
+            .map(|i| {
+                let start = 10_000 + i * 15_000;
+                let mut r = junk[i * 300..i * 300 + 200].to_vec();
+                r.extend_from_slice(&g[start..start + 3_000]);
+                r.extend_from_slice(&junk[2_000 + i * 300..2_000 + i * 300 + 250]);
+                if i % 2 == 1 {
+                    revcomp4(&r)
+                } else {
+                    r
+                }
+            })
+            .collect();
+        let mut bopts = BackendOptions::new(o.scoring);
+        bopts.engine = o.engine;
+        bopts.threads = 2;
+        bopts.device_mem = Some(16_384);
+        let backend = mmm_exec::prepare(BackendKind::GpuSim, &bopts).unwrap();
+        let window = |read_bases: usize| (read_bases as f64 * o.ext_factor) as usize + 32;
+        let rev = |s: &[u8]| s.iter().rev().copied().collect::<Vec<u8>>();
+        let extend = AlignMode::Extend { zdrop: o.zdrop };
+        let (mut fallbacks, mut strands) = (0, [0; 2]);
+        for (i, read) in reads.iter().enumerate() {
+            let plan = mapper.plan_read(read).unwrap();
+            let q_rc = revcomp4(read);
+            let mut jobs = plan.jobs.iter();
+            for sel in &plan.selected {
+                let chain = &sel.chain;
+                strands[usize::from(chain.rev)] += 1;
+                let qseq = if chain.rev { &q_rc[..] } else { &read[..] };
+                let (first, last) = (chain.anchors[0], chain.anchors[chain.anchors.len() - 1]);
+                let (q_start, q_end) = (first.qpos as usize, last.qpos as usize + 1);
+                assert!(q_start > 0 && q_end < read.len(), "read {i} has both tails");
+
+                let left = jobs.next().unwrap();
+                let r_start = first.rpos as usize;
+                let r_from = r_start - window(q_start).min(r_start);
+                assert_eq!(left.mode, extend, "read {i}");
+                assert_eq!(*left.query, rev(&qseq[..q_start]), "read {i}");
+                assert_eq!(*left.target, rev(&g[r_from..r_start]), "read {i}");
+
+                let walk = mapper.walk(chain, read.len());
+                for _ in walk.filter(|gap| gap.kind == GapKind::Fill) {
+                    assert_eq!(jobs.next().unwrap().mode, AlignMode::Global, "read {i}");
+                }
+
+                let right = jobs.next().unwrap();
+                let r_end = last.rpos as usize + 1;
+                let r_to = (r_end + window(read.len() - q_end)).min(g.len());
+                assert_eq!(right.mode, extend, "read {i}");
+                assert_eq!(&*right.query, &qseq[q_end..], "read {i}");
+                assert_eq!(&*right.target, &g[r_end..r_to], "read {i}");
+            }
+            assert!(jobs.next().is_none(), "read {i}: jobs past its chains");
+
+            let (results, stats) = backend.submit(plan.jobs.clone()).unwrap();
+            fallbacks += stats.fallbacks;
+            let got =
+                mapper.finalize_read_with_scratch(read, &plan, &results, &mut AlignScratch::new());
+            assert!(!got.is_empty(), "read {i} maps");
+            assert_eq!(got, mapper.map_read(read), "read {i}");
+        }
+        assert!(
+            strands[0] > 0 && strands[1] > 0,
+            "chains per strand {strands:?}"
+        );
+        assert!(fallbacks > 0, "no extension fell back on the 16 KiB device");
     }
 
     #[test]

@@ -148,17 +148,6 @@ impl Args {
     }
 }
 
-fn env_num<T: FromStr>(name: &str) -> Result<Option<T>, MapError> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|_| MapError::Usage(format!("{name}={v:?} is not a number")))
-        })
-        .transpose()
-}
-
 /// How a run executes its alignment jobs: which backend, under which
 /// supervisor settings. The fault plan inside `backend` drives both the
 /// backend submit rules and, through [`ExecConfig::shard_open_opts`], the
@@ -257,8 +246,8 @@ pub fn threads(args: &Args) -> Result<usize, MapError> {
 }
 
 /// Build the mapping and execution configuration from [`SHARED_FLAGS`].
-/// Flags are the only channel, bar the simulated device's size, which has
-/// no flag: `MMM_GPU_MEM` and `MMM_GPU_STREAMS`.
+/// Flags are the only channel, bar the simulated device's memory, which has
+/// no flag: `MMM_GPU_MEM`.
 pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     let usage = MapError::Usage;
     let map = map_opts(args)?;
@@ -266,8 +255,10 @@ pub fn map_config(args: &Args) -> Result<(MapOpts, ExecConfig), MapError> {
     if let Some(v) = args.get("backend") {
         exec.kind = BackendKind::parse(v).map_err(|e| usage(format!("--backend: {e}")))?;
     }
-    exec.backend.device_mem = env_num("MMM_GPU_MEM")?;
-    exec.backend.streams = env_num("MMM_GPU_STREAMS")?;
+    if let Ok(v) = std::env::var("MMM_GPU_MEM") {
+        let bad = |_| usage(format!("MMM_GPU_MEM={v:?} is not a number"));
+        exec.backend.device_mem = Some(v.trim().parse().map_err(bad)?);
+    }
     if let Some(text) = args.get("inject-backend-fault") {
         let plan = FaultPlan::parse(text)
             .map_err(|e| usage(format!("--inject-backend-fault {text:?}: {e}")))?;
@@ -425,7 +416,8 @@ impl MapSession {
         Mapper::new(&self.index, self.map)
     }
 
-    /// The plan stage: seed, chain, and describe the read's DP jobs.
+    /// The plan stage: seed, chain, and describe the read's DP jobs (gap
+    /// fills and end extensions).
     fn plan(self: Arc<Self>, rec: &SeqRecord) -> Planned {
         let nt4 = rec.nt4();
         let plan = self.mapper().plan_read(&nt4);
@@ -437,10 +429,11 @@ impl MapSession {
     }
 }
 
-/// One read between the plan and finalize stages: the encoded query, the
-/// session it was planned against (finalize must splice reference windows
-/// and target names from the *same* index the plan used, even if a reload
-/// swapped sessions in between), and the plan itself.
+/// One read between the plan and finalize stages: the encoded query (SAM's
+/// SEQ; finalize reads no other query bases), the session it was planned
+/// against (finalize must splice chains and name targets from the *same*
+/// index the plan used, even if a reload swapped sessions in between), and
+/// the plan itself, whose jobs carry every reference window it decoded.
 struct Planned {
     nt4: Vec<u8>,
     session: Arc<MapSession>,

@@ -237,11 +237,12 @@ impl Engine {
         )
     }
 
-    /// [`Engine::align`] with caller-provided buffers: after one warm-up
-    /// call at the largest problem size, repeated calls perform zero heap
-    /// allocations (see [`AlignScratch`]). `mode` has one value; the
-    /// parameter stays because `benchmark/src/trace.rs` passes a job's
-    /// `mode` here (ROADMAP items 2d/7).
+    /// One DP problem of either [`AlignMode`] with caller-provided buffers:
+    /// [`Engine::align`] for a global fill, or
+    /// [`Engine::extend_zdrop_with_scratch`] for an extension, whose result
+    /// carries the prefixes it consumed. After one warm-up call at the
+    /// largest problem size, repeated calls perform zero heap allocations
+    /// (see [`AlignScratch`]).
     pub fn align_with_scratch(
         &self,
         target: &[u8],
@@ -251,7 +252,16 @@ impl Engine {
         with_path: bool,
         scratch: &mut AlignScratch,
     ) -> AlignResult {
-        let AlignMode::Global = mode;
+        if let AlignMode::Extend { zdrop } = mode {
+            let e = self.extend_zdrop_with_scratch(target, query, sc, zdrop, with_path, scratch);
+            return AlignResult {
+                score: e.score,
+                cigar: with_path.then_some(e.cigar),
+                cells: target.len() as u64 * query.len() as u64,
+                t_consumed: e.t_consumed,
+                q_consumed: e.q_consumed,
+            };
+        }
         let width = self
             .width
             .for_longest_diagonal(target.len().min(query.len()));

@@ -80,6 +80,8 @@ pub fn align(target: &[u8], query: &[u8], sc: &Scoring, with_path: bool) -> Alig
         score: m.h[m.idx(tlen, qlen)],
         cigar,
         cells: tlen as u64 * qlen as u64,
+        t_consumed: tlen,
+        q_consumed: qlen,
     }
 }
 
@@ -104,6 +106,8 @@ fn degenerate(tlen: usize, qlen: usize, sc: &Scoring, with_path: bool) -> AlignR
         },
         cigar,
         cells: 0,
+        t_consumed: tlen,
+        q_consumed: qlen,
     }
 }
 

@@ -115,6 +115,8 @@ pub fn align_mm2_with_scratch(
         score: tracker.finalize(),
         cigar,
         cells: tlen as u64 * qlen as u64,
+        t_consumed: tlen,
+        q_consumed: qlen,
     }
 }
 
@@ -207,6 +209,8 @@ pub fn align_manymap_with_scratch(
         score: tracker.finalize(),
         cigar,
         cells: tlen as u64 * qlen as u64,
+        t_consumed: tlen,
+        q_consumed: qlen,
     }
 }
 

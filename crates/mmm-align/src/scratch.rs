@@ -72,11 +72,6 @@ pub struct AlignScratch {
     pub(crate) changes: Vec<u64>,
     /// Recycled CIGAR storage, handed out to with-path calls.
     pub(crate) cigars: Vec<Cigar>,
-    /// Recycled nt4 decode buffers for packed-reference windows. The mapper
-    /// takes one out, decodes a window into it, and puts it back after the
-    /// kernel call — the take/put dance keeps the buffer and the rest of the
-    /// scratch independently borrowable across a `*_with_scratch` call.
-    pub(crate) seq_bufs: Vec<Vec<u8>>,
 }
 
 impl AlignScratch {
@@ -97,24 +92,6 @@ impl AlignScratch {
         cigars.pop().unwrap_or_default()
     }
 
-    /// Take a cleared sequence buffer from the decode pool (or a fresh one
-    /// on first use). Moving the `Vec` out lets the caller borrow it and the
-    /// scratch independently — decode a packed window into the buffer, hand
-    /// `&buf` plus `&mut scratch` to a kernel, then return the storage with
-    /// [`AlignScratch::put_seq_buf`]. Balanced take/put pairs keep the pool
-    /// size stable, so a warmed steady state performs no allocations.
-    pub fn take_seq_buf(&mut self) -> Vec<u8> {
-        let mut b = self.seq_bufs.pop().unwrap_or_default();
-        b.clear();
-        b
-    }
-
-    /// Return a buffer obtained from [`AlignScratch::take_seq_buf`] so its
-    /// capacity is reused by the next window decode.
-    pub fn put_seq_buf(&mut self, buf: Vec<u8>) {
-        self.seq_bufs.push(buf);
-    }
-
     /// Total bytes currently held by the arena's buffers.
     pub fn heap_bytes(&self) -> usize {
         self.u.capacity()
@@ -128,7 +105,6 @@ impl AlignScratch {
             + self.block.capacity()
             + self.ops.capacity()
             + self.changes.capacity() * std::mem::size_of::<u64>()
-            + self.seq_bufs.iter().map(|b| b.capacity()).sum::<usize>()
     }
 }
 
@@ -178,28 +154,6 @@ mod tests {
                 assert_eq!(q[r - t], qr[t + (qlen - 1 - r)]);
             }
         }
-    }
-
-    #[test]
-    fn seq_buf_pool_round_trips_capacity() {
-        let mut s = AlignScratch::new();
-        let mut b = s.take_seq_buf();
-        b.extend_from_slice(&[1, 2, 3, 0, 2]);
-        let cap = b.capacity();
-        let ptr = b.as_ptr();
-        s.put_seq_buf(b);
-        assert!(s.heap_bytes() >= cap);
-        let b2 = s.take_seq_buf();
-        assert!(b2.is_empty());
-        assert_eq!(b2.capacity(), cap);
-        assert_eq!(b2.as_ptr(), ptr);
-        s.put_seq_buf(b2);
-        // Two live buffers at once (the left-extension case) still balance.
-        let x = s.take_seq_buf();
-        let y = s.take_seq_buf();
-        s.put_seq_buf(x);
-        s.put_seq_buf(y);
-        assert_eq!(s.seq_bufs.len(), 2);
     }
 
     #[test]

@@ -453,6 +453,8 @@ fn finish_fill(
         score: tracker.finalize(),
         cigar,
         cells: tlen as u64 * qlen as u64,
+        t_consumed: tlen,
+        q_consumed: qlen,
     }
 }
 
@@ -671,6 +673,8 @@ pub(super) unsafe fn fill_group<I: Isa>(
             score,
             cigar: path.take(),
             cells: job.target.len() as u64 * job.query.len() as u64,
+            t_consumed: job.target.len(),
+            q_consumed: job.query.len(),
         });
     }
 }

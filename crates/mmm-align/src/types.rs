@@ -32,27 +32,33 @@ impl fmt::Display for AlignError {
 
 impl std::error::Error for AlignError {}
 
-/// The boundary mode of a gap fill. Every kernel computes global alignment
-/// (both sequences consumed, score at cell `(|T|-1, |Q|-1)`); read ends are
-/// extended by [`crate::zdrop`] instead. The type survives only as
-/// `mmm_exec::AlignJob::mode` and [`crate::Engine::align_with_scratch`]'s
-/// parameter, because `benchmark/src/trace.rs` passes one to the other
-/// (ROADMAP items 2d/7).
+/// The boundary condition of one base-level DP problem: what
+/// [`crate::Engine::align_with_scratch`] computes for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlignMode {
-    /// Both sequences fully consumed.
+    /// A gap fill: both sequences consumed, score at cell `(|T|-1, |Q|-1)`.
     Global,
+    /// A read-end extension ([`crate::zdrop`]): the path starts at `(0, 0)`,
+    /// ends at the best cell, and the DP stops once a whole diagonal scores
+    /// more than `zdrop` below it. `zdrop` must be positive.
+    Extend { zdrop: i32 },
 }
 
-/// Result of one base-level global alignment.
+/// Result of one base-level alignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AlignResult {
     /// Alignment score.
     pub score: i32,
     /// Alignment path, when a with-path kernel was used.
     pub cigar: Option<Cigar>,
-    /// Number of DP cells evaluated (the numerator of GCUPS).
+    /// Number of DP cells evaluated (the numerator of GCUPS); an extension
+    /// counts its whole `|T|·|Q|` window, an upper bound.
     pub cells: u64,
+    /// Target bases the path consumes: all of them for a global alignment,
+    /// the prefix up to the best cell for an extension.
+    pub t_consumed: usize,
+    /// Query bases the path consumes, likewise.
+    pub q_consumed: usize,
 }
 
 /// One global-mode problem of a lane group
@@ -86,6 +92,8 @@ mod tests {
             score: 0,
             cigar: None,
             cells: 2_000_000_000,
+            t_consumed: 0,
+            q_consumed: 0,
         };
         assert!((r.gcups(2.0) - 1.0).abs() < 1e-12);
         assert_eq!(r.gcups(0.0), 0.0);

@@ -8,14 +8,14 @@
 //! Small jobs run in lane groups, one job per vector lane
 //! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
 //! larger ones, of a narrower tier; a group too empty for its tier moves on
-//! to the next narrower one, and what no tier groups runs pair by pair. All
-//! of them return the same bytes, so the split changes speed, never
-//! results.
+//! to the next narrower one, and what no tier groups — z-drop extensions
+//! among it — runs pair by pair. All of them return the same bytes, so the
+//! split changes speed, never results.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use mmm_align::{AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
+use mmm_align::{AlignMode, AlignResult, AlignScratch, Engine, GroupJob, Scoring, Width};
 use mmm_pipeline::WorkerPool;
 
 use crate::backend::{AlignBackend, BackendKind, BackendOptions};
@@ -70,8 +70,8 @@ struct Plan {
 }
 
 impl Plan {
-    /// Group what pays to group. A job is groupable when both its sides are
-    /// non-empty; it goes to the widest group tier — `engine`'s
+    /// Group what pays to group. A job is groupable when it is a global fill
+    /// with both sides non-empty; it goes to the widest group tier — `engine`'s
     /// own, or a narrower one still available — whose cap fits its longer
     /// side, or runs alone when none does. Each tier, widest first, sorts
     /// its jobs by (longer side, shorter side), cuts them into groups of its
@@ -99,7 +99,7 @@ impl Plan {
         let mut tiered: Vec<Vec<usize>> = vec![Vec::new(); tiers.len()];
         for (i, j) in jobs.iter().enumerate() {
             let side = j.target.len().max(j.query.len());
-            let groupable = j.target.len().min(j.query.len()) > 0;
+            let groupable = j.mode == AlignMode::Global && j.target.len().min(j.query.len()) > 0;
             match tiers.iter().position(|&(_, cap)| side <= cap) {
                 Some(t) if groupable => tiered[t].push(i),
                 _ => plan.push(&[i], None, j.cells()),
@@ -335,5 +335,56 @@ impl AlignBackend for HostBackend {
             meter.price(jobs, &mut stats)?;
         }
         Ok((results, stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmm_align::{best_engine, DEFAULT_ZDROP};
+
+    /// A lane group holds global fills only: interleaved with a tier's worth
+    /// of fills of the same shape, every extension job is a unit of its own,
+    /// and the mixed batch returns what the serial path does.
+    #[test]
+    fn an_extension_job_never_joins_a_lane_group() {
+        let engine = best_engine();
+        let lanes = engine.group_lanes().unwrap_or(16);
+        let jobs: Vec<AlignJob> = (0..4 * lanes)
+            .map(|i| {
+                let t: Vec<u8> = (0..40).map(|k| ((k * 7 + i) % 4) as u8).collect();
+                let q: Vec<u8> = (0..36).map(|k| ((k * 5 + i) % 4) as u8).collect();
+                if i % 2 == 0 {
+                    AlignJob::global(t, q, i % 4 == 0)
+                } else {
+                    AlignJob::extend(t, q, DEFAULT_ZDROP, i % 4 == 1)
+                }
+            })
+            .collect();
+        let plan = Plan::new(&jobs, engine);
+        let extensions: Vec<usize> = (0..jobs.len()).filter(|&i| i % 2 == 1).collect();
+        let mut alone: Vec<usize> = Vec::new();
+        for unit in &plan.units {
+            let ids = &plan.jobs[unit.span.clone()];
+            match unit.group {
+                Some(_) => assert!(ids.iter().all(|&i| jobs[i].mode == AlignMode::Global)),
+                None => alone.extend(ids.iter().filter(|&&i| i % 2 == 1)),
+            }
+        }
+        alone.sort_unstable();
+        assert_eq!(alone, extensions);
+        if engine.group_lanes().is_some() {
+            assert_eq!(plan.stats.grouped_jobs as usize, 2 * lanes);
+        }
+
+        let mut opts = BackendOptions::new(Scoring::MAP_ONT);
+        opts.engine = engine;
+        opts.threads = 2;
+        let (results, _) = HostBackend::new(BackendKind::Cpu, &opts)
+            .submit_borrowed(&jobs)
+            .unwrap();
+        let serial =
+            align_jobs_with_scratch(engine, &jobs, &Scoring::MAP_ONT, &mut AlignScratch::new());
+        assert_eq!(results, serial);
     }
 }

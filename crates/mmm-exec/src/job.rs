@@ -6,16 +6,19 @@ use std::sync::Arc;
 
 use mmm_align::AlignMode;
 
-/// Hard cap, in bases, on either side of a plan-time alignment segment.
+/// Hard cap, in bases, on either side of a plan-time gap fill.
 ///
 /// This is the single size limit shared by the two layers that must agree
 /// on it: the mapper's gap classifier (`MapOpts::max_fill`) refuses to emit
-/// an [`AlignJob`] whose target or query exceeds it (oversized chain gaps
-/// are approximated inline instead), and the device backends size-check
-/// submitted jobs against device memory. Keeping one constant — plus the
-/// reconciliation test in `gpu.rs` proving a maximal planned job still fits
-/// the default device — guarantees a job can never be accepted at plan time
-/// only to surprise-fallback at submit time.
+/// a fill whose target or query exceeds it (oversized chain gaps are
+/// approximated inline instead), and the device backends size-check
+/// submitted jobs against device memory. Keeping one constant — plus
+/// `meter.rs`'s `max_planned_job_is_device_eligible_on_the_default_device`,
+/// which proves a maximal planned fill still fits the default device —
+/// guarantees a fill can never be accepted at plan time only to
+/// surprise-fallback at submit time. An extension's query is capped the
+/// same way, but its reference window is not: one that does not fit device
+/// memory runs as a CPU fallback.
 pub const MAX_PLAN_SEGMENT: usize = 20_000;
 
 /// A job's sequence bytes: a range of a shared, immutable buffer.
@@ -104,9 +107,7 @@ pub struct AlignJob {
     pub target: JobSeq,
     /// Query (read) segment, 2-bit nucleotide codes.
     pub query: JobSeq,
-    /// DP boundary condition: always [`AlignMode::Global`]. The field stays
-    /// because `benchmark/src/trace.rs` passes it to
-    /// `Engine::align_with_scratch` (ROADMAP items 2d/7).
+    /// DP boundary condition: a gap fill or a z-drop end extension.
     pub mode: AlignMode,
     /// Whether the caller needs the traceback path (CIGAR).
     pub with_path: bool,
@@ -123,7 +124,22 @@ impl AlignJob {
         }
     }
 
-    /// DP cells, `|T|·|Q|` — what the kernels compute and
+    /// A z-drop extension job, the shape the mapper emits for each read end
+    /// a chain leaves unaligned (`zdrop` must be positive).
+    pub fn extend(
+        target: impl Into<JobSeq>,
+        query: impl Into<JobSeq>,
+        zdrop: i32,
+        with_path: bool,
+    ) -> Self {
+        AlignJob {
+            mode: AlignMode::Extend { zdrop },
+            ..AlignJob::global(target, query, with_path)
+        }
+    }
+
+    /// DP cells, `|T|·|Q|` — what a fill computes (an extension that
+    /// z-drops computes fewer) and
     /// [`AlignResult::cells`](mmm_align::AlignResult::cells) counts; the
     /// scheduling weight for longest-first ordering and the throughput
     /// numerator.

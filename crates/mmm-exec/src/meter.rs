@@ -4,7 +4,8 @@
 //! a `cpu` session does. The meter then prices the jobs that fit device
 //! memory — concurrent streams, a resident per-stream memory pool, the
 //! paper's §4.5 launch configuration — and counts the rest as the §4.5.2
-//! oversized-pair fallbacks. It touches no result, so output is the `cpu`
+//! oversized-pair fallbacks. A z-drop extension is priced as the global
+//! kernel of its shape, an upper bound: it may stop early, never late. It touches no result, so output is the `cpu`
 //! session's by construction; only the device counters differ.
 
 use std::sync::{Mutex, PoisonError};

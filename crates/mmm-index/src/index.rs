@@ -440,14 +440,6 @@ impl MinimizerIndex {
         );
         unpack::unpack_nt4(self.seq_packed(rid), start, end, out);
     }
-
-    /// Fetch one reference base (nt4), or `None` past the end — the
-    /// single-base form of [`MinimizerIndex::ref_window_into`] with no
-    /// buffer at all.
-    #[inline]
-    pub fn ref_base(&self, rid: u32, pos: usize) -> Option<u8> {
-        (pos < self.seq_len(rid)).then(|| (self.seq_packed(rid)[pos >> 2] >> ((pos & 3) << 1)) & 3)
-    }
 }
 
 /// Turn one packed reference hit into a chaining anchor for query
@@ -849,9 +841,6 @@ mod tests {
         idx.ref_window_into(0, 3, 997, &mut buf);
         assert_eq!(buf, g[3..997].to_vec());
         assert_eq!(buf.capacity(), cap);
-        // Single-base fetch.
-        assert_eq!(idx.ref_base(0, 42), Some(g[42]));
-        assert_eq!(idx.ref_base(0, 1000), None);
         // `N` packs as `A`, and windows that start, end or cross inside a
         // packed word read back what was packed.
         let mut with_n = random_genome(1000, 10);

@@ -1124,13 +1124,6 @@ impl ShardedIndex {
         self.ref_window_into(rid, start, end, &mut out)?;
         Ok(out)
     }
-
-    /// One reference base, or `Ok(None)` past the end.
-    pub fn ref_base(&self, rid: u32, pos: usize) -> Result<Option<u8>, ShardUnavailable> {
-        let s = self.shard_of(rid);
-        let idx = self.ensure_shard(s)?;
-        Ok(idx.ref_base(rid - self.manifest.shards[s].rid_start, pos))
-    }
 }
 
 /// The indices of the set bits of a little-endian bitmask, ascending.
@@ -1584,11 +1577,6 @@ mod tests {
                     );
                     let window = sh.ref_window(rid, 123, len + 9).unwrap();
                     assert_eq!(window, gold.ref_window(rid, 123, len));
-                    assert_eq!(
-                        sh.ref_base(rid, len - 1).unwrap(),
-                        gold.ref_base(rid, len - 1)
-                    );
-                    assert_eq!(sh.ref_base(rid, len).unwrap(), None);
                 }
             }
             // A shard loaded at open counts its one load.

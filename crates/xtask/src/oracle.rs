@@ -23,7 +23,8 @@
 //! across the oversized-pair fallback boundary — all must return the scalar
 //! gold bit-for-bit, in job order. A CPU session per SIMD tier then runs
 //! gap-fill-shaped jobs in lane groups (two full groups and a leftover)
-//! against the same gold.
+//! against the same gold, and z-drop extension jobs run on every session
+//! kind and tier against the scalar extension.
 //!
 //! A fourth pass (`packed_crosscheck`) audits the bit-packed resident
 //! storage: every posting bucket's cursor walk vs. its hit count and its
@@ -629,7 +630,149 @@ fn backend_crosscheck(
     }
     notes.push(scheduled_crosscheck(&jobs(), golds, sc)?);
     notes.push(group_crosscheck(sc)?);
+    notes.push(extension_crosscheck(sc)?);
     Ok(notes.join(", "))
+}
+
+/// Z-drop extension jobs through the backend seam (DESIGN.md §9.2), per
+/// available tier: pairs with an empty side, tails homologous to the end,
+/// tails whose homology a junk stretch interrupts under a tight z-drop (the
+/// run-on extension would bridge it) and unrelated pairs, each with and
+/// without a path, submitted to `cpu`, `gpu-sim` and 16 KiB `gpu-sim`
+/// sessions and to a supervised 16 KiB `gpu-sim` one. Every result must
+/// carry the scalar extension's score, consumed extents and CIGAR.
+fn extension_crosscheck(sc: &Scoring) -> Result<String, String> {
+    use mmm_exec::{prepare_supervised, JobOutcome, SupervisorConfig};
+    let mut rng = StdRng::seed_from_u64(0xE87E);
+    let mut jobs = Vec::new();
+    for i in 0..40 {
+        let tlen = rng.random_range(1usize..400);
+        let mut target = random_seq(&mut rng, tlen);
+        let mut query = mutate(&mut rng, &target);
+        let zdrop = match i % 5 {
+            0 => {
+                target.clear();
+                400
+            }
+            1 => {
+                query.clear();
+                400
+            }
+            2 => 400,
+            3 => {
+                let again = random_seq(&mut rng, 200);
+                target.extend(random_seq(&mut rng, 60).into_iter().chain(again.clone()));
+                query.extend(random_seq(&mut rng, 60));
+                query.extend(mutate(&mut rng, &again));
+                50
+            }
+            _ => {
+                query = random_seq(&mut rng, tlen / 2 + 1);
+                ZDROPS[i % ZDROPS.len()]
+            }
+        };
+        for with_path in [true, false] {
+            jobs.push(AlignJob::extend(
+                target.clone(),
+                query.clone(),
+                zdrop,
+                with_path,
+            ));
+        }
+    }
+    let gold_engine = Engine::new(Layout::Manymap, Width::Scalar);
+    let mut scratch = AlignScratch::new();
+    let mut extend = |j: &AlignJob, zdrop| {
+        let (t, q) = (&j.target, &j.query);
+        gold_engine.extend_zdrop_with_scratch(t, q, sc, zdrop, j.with_path, &mut scratch)
+    };
+    // Pairs where z-drop moved the best cell against a run-on extension.
+    let mut fired = 0;
+    let golds: Vec<AlignResult> = jobs
+        .iter()
+        .map(|j| {
+            let mmm_align::AlignMode::Extend { zdrop } = j.mode else {
+                unreachable!("the stream holds extension jobs only")
+            };
+            let e = extend(j, zdrop);
+            fired += usize::from(e != extend(j, i32::MAX));
+            AlignResult {
+                score: e.score,
+                cigar: j.with_path.then_some(e.cigar),
+                cells: j.cells(),
+                t_consumed: e.t_consumed,
+                q_consumed: e.q_consumed,
+            }
+        })
+        .collect();
+    if fired == 0 || fired == jobs.len() {
+        return Err(format!(
+            "extension jobs: z-drop moved {fired} of {}",
+            jobs.len()
+        ));
+    }
+    let (mut tiers, mut fallbacks) = (Vec::new(), 0);
+    for engine in Width::ALL.map(|w| Engine::new(Layout::Manymap, w)) {
+        if !engine.is_available() {
+            continue;
+        }
+        for (kind, device_mem, supervised) in [
+            (BackendKind::Cpu, None, false),
+            (BackendKind::GpuSim, None, false),
+            (BackendKind::GpuSim, Some(TINY_DEVICE_MEM), false),
+            (BackendKind::GpuSim, Some(TINY_DEVICE_MEM), true),
+        ] {
+            let label = format!(
+                "{} {kind:?} {device_mem:?} supervised={supervised}",
+                engine.label()
+            );
+            let mut opts = BackendOptions::new(*sc);
+            (opts.engine, opts.threads, opts.device_mem) = (engine, 2, device_mem);
+            let got: Vec<Option<AlignResult>> = if supervised {
+                prepare_supervised(kind, &opts, SupervisorConfig::default())
+                    .and_then(|b| b.submit_supervised(jobs.clone()))
+                    .map(|(outcomes, _)| {
+                        outcomes
+                            .into_iter()
+                            .map(|o| match o {
+                                JobOutcome::Done(r) => Some(r),
+                                JobOutcome::Quarantined { .. } => None,
+                            })
+                            .collect()
+                    })
+            } else {
+                prepare(kind, &opts)
+                    .and_then(|b| b.submit(jobs.clone()))
+                    .map(|(rs, stats)| {
+                        fallbacks += stats.fallbacks;
+                        rs.into_iter().map(Some).collect()
+                    })
+            }
+            .map_err(|e| format!("extension jobs on {label}: {e}"))?;
+            if got.len() != jobs.len() {
+                return Err(format!("extension jobs on {label}: {} results", got.len()));
+            }
+            if let Some(i) = (0..jobs.len()).find(|&i| got[i].as_ref() != Some(&golds[i])) {
+                return Err(format!(
+                    "extension jobs on {label}, job {i} (|T|={}, |Q|={}): diverges from the \
+                     scalar extension\n  gold: {:?}\n  got:  {:?}",
+                    jobs[i].target.len(),
+                    jobs[i].query.len(),
+                    golds[i],
+                    got[i]
+                ));
+            }
+        }
+        tiers.push(engine.width.label());
+    }
+    if fallbacks == 0 {
+        return Err("extension jobs: the 16 KiB device ran every extension".into());
+    }
+    Ok(format!(
+        "extension jobs ok ({} jobs, z-drop moved {fired}, {fallbacks} fallbacks at 16 KiB; {})",
+        jobs.len(),
+        tiers.join(", ")
+    ))
 }
 
 /// A query with one long indel: 10–30 bases cut out of `target`'s middle,
