@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use mmm_exec::{StatsReport, StatsSink};
 use mmm_index::ShardedIndex;
-use mmm_pipeline::{lock_unpoisoned, PipelineError};
+use mmm_pipeline::{lock_unpoisoned, PipelineError, PipelineStats};
 use mmm_seq::SeqRecord;
 
 use crate::session::{self, load_index_any, Degraded, ExecConfig, ExecSession, MapSession};
@@ -142,6 +142,8 @@ struct Ctx {
     reloads: AtomicU64,
     /// First fatal error (pipeline death), surfaced from `serve`.
     fatal: Mutex<Option<MapError>>,
+    /// The shared pipeline's stage timings, once it has ended.
+    pipeline: Mutex<Option<PipelineStats>>,
     started: Instant,
 }
 
@@ -175,6 +177,20 @@ impl Ctx {
             self.started.elapsed().as_secs_f64(),
             tenants.len()
         ));
+        if let Some(p) = *lock_unpoisoned(&self.pipeline) {
+            r.line(format!(
+                "pipeline: {} batches, {} reads; pull {:.3}s, compute {:.3}s (plan {:.3}s, \
+                 dispatch {:.3}s, finalize {:.3}s), out {:.3}s",
+                p.batches,
+                p.items,
+                p.in_seconds,
+                p.compute_seconds,
+                p.plan_seconds,
+                p.dispatch_seconds,
+                p.finalize_seconds,
+                p.out_seconds
+            ));
+        }
         for t in &tenants {
             r.line(t.summary());
         }
@@ -221,6 +237,7 @@ pub fn serve(
         generation: Mutex::new(Arc::new(MapSession::new(0, index, opts.map))),
         reloads: AtomicU64::new(0),
         fatal: Mutex::new(None),
+        pipeline: Mutex::new(None),
         started: Instant::now(),
     };
     let ctx = &ctx;
@@ -290,7 +307,7 @@ fn record_fatal(ctx: &Ctx, e: MapError) {
 /// Run the shared pipeline, pulling batches from the tenants' input queues,
 /// until a drain has emptied them: [`session::run`], as the CLI runs it,
 /// with a sink that routes records to tenant output queues instead of
-/// stdout (serve output is PAF).
+/// stdout (serve output is PAF). Its stage timings go to the drain report.
 fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), PipelineError> {
     let mut drr = DrrScheduler::new(opts.drr);
     let drained = || ctx.draining() && ctx.active_readers.load(Ordering::Acquire) == 0;
@@ -326,7 +343,7 @@ fn run_pipeline(ctx: &Ctx, opts: &ServeOpts) -> Result<(), PipelineError> {
             Ok(())
         },
     )
-    .map(|_stats| ())
+    .map(|stats| *lock_unpoisoned(&ctx.pipeline) = Some(stats))
 }
 
 /// Push a read into the tenant's input queue, backing off while full. The

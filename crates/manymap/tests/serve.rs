@@ -335,6 +335,30 @@ fn four_tenants_are_byte_identical_to_solo_cli() {
         stderr.contains("[mmm-serve] up ") && stderr.contains("tenant t0:"),
         "final report missing from daemon stderr: {stderr}"
     );
+    // The drain report times the shared pipeline: every read went through
+    // it, in at least one batch, and each stage has a figure.
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("[mmm-serve] pipeline: "))
+        .unwrap_or_else(|| panic!("no pipeline line in the drain report: {stderr}"));
+    let (batches, rest) = line
+        .split_once(" batches, 32 reads; pull ")
+        .unwrap_or_else(|| {
+            panic!("pipeline line does not count 32 reads: {line}");
+        });
+    assert!(batches.parse::<usize>().unwrap() >= 1, "{line}");
+    for stage in [
+        "s, compute ",
+        "s (plan ",
+        "s, dispatch ",
+        "s, finalize ",
+        "s), out ",
+    ] {
+        assert!(
+            rest.contains(stage),
+            "pipeline line lacks {stage:?}: {line}"
+        );
+    }
 }
 
 /// The chaos bar: a fault plan that quarantines every job must produce the

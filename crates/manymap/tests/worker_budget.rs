@@ -1,7 +1,7 @@
 //! A mapping run computes on its `--threads` workers and no more: the
-//! pipeline plans and finalizes on the backend session's worker pool, so
-//! `map_reads` at `threads = t` runs `t` compute threads beside its reader
-//! and writer.
+//! pipeline plans and finalizes on the backend session's worker pool, whose
+//! worker 0 is the pipeline's compute thread, so `map_reads` at `threads =
+//! t` spawns `t − 1` compute threads beside its reader and writer.
 //!
 //! The count is the operating system's — the entries of `/proc/self/task`
 //! — taken on every write to the output, while the run is in flight. This
@@ -97,8 +97,8 @@ fn a_run_computes_on_its_sessions_threads() {
         assert!(run.stats.batches > 6, "{run:?}");
         let workers = out.0.saturating_sub(before + IO_THREADS);
         assert!(
-            workers <= threads,
-            "{workers} compute threads at --threads {threads}"
+            workers < threads,
+            "{workers} spawned compute threads at --threads {threads}"
         );
     }
 }

@@ -1,9 +1,12 @@
-//! The one production backend. A session's host executor owns `threads`
-//! persistent workers ([`WorkerPool`]), each with one [`AlignScratch`]
-//! arena, started by the first batch and joined when the last session
-//! holding the executor is dropped — the session's only compute threads,
-//! which the pipeline plans and finalizes on too ([`AlignBackend::pool`]).
-//! A `gpu-sim` session's standby spawns none of its own.
+//! The one production backend. A session's host executor owns a
+//! [`WorkerPool`] of `threads` workers, each with one [`AlignScratch`]
+//! arena: the thread that submits a batch — the pipeline's compute thread,
+//! or the supervisor's watchdog runner — computes as worker 0, and the
+//! other `threads − 1` are started by the first batch and joined when the
+//! last session holding the executor is dropped. They are the session's
+//! only compute threads, which the pipeline plans and finalizes on too
+//! ([`AlignBackend::pool`]). A `gpu-sim` session's standby spawns none of
+//! its own.
 //!
 //! Small jobs run in lane groups, one job per vector lane
 //! ([`Engine::align_group_with_scratch`]) of the engine's tier or, for
@@ -163,7 +166,8 @@ struct HostExecutor {
     engine: Engine,
     scoring: Scoring,
     /// The session's workers, one scratch arena each. Batches from several
-    /// threads (the pipeline, the watchdog runner) take turns on it.
+    /// threads (the pipeline, the watchdog runner) take turns on it, each
+    /// submitter computing as worker 0.
     pool: WorkerPool<AlignScratch>,
 }
 

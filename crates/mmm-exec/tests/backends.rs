@@ -214,13 +214,13 @@ fn kernel_panics_report_the_lowest_job_index_at_any_thread_count() {
                 other => panic!("threads={threads}, submit {submit}: {other:?}"),
             }
         }
-        assert_eq!(backend.pool().threads_spawned(), threads);
+        assert_eq!(backend.pool().threads_spawned(), threads - 1);
     }
 }
 
 /// One session spawns its workers on the first submit and keeps them: 24
-/// submits of every size, at 1 and 2 threads, spawn exactly `threads`, with
-/// or without a device meter.
+/// submits of every size, at 1 and 2 threads, spawn exactly `threads − 1`
+/// (the submitting thread is worker 0), with or without a device meter.
 #[test]
 fn a_cpu_session_spawns_its_workers_once() {
     use BackendKind::{Cpu, GpuSim};
@@ -240,7 +240,7 @@ fn a_cpu_session_spawns_its_workers_once() {
                 );
             }
         }
-        assert_eq!(backend.pool().threads_spawned(), threads);
+        assert_eq!(backend.pool().threads_spawned(), threads - 1);
     }
 }
 

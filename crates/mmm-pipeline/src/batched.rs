@@ -18,7 +18,8 @@
 //!    backend's results into the item's output (returns `R`).
 //!
 //! Both per-item phases run on the caller's persistent pool (in production
-//! the backend session's, no per-run spawns) and isolate panics: a panic in
+//! the backend session's, no per-run spawns), with the compute thread
+//! computing as its worker 0, and isolate panics: a panic in
 //! `plan` or `finalize` degrades that one item through the run's
 //! [`FailureHandler`] ([`ItemFailure::Panicked`]); items that fail in
 //! `plan` are excluded from dispatch. Dispatch reports per item: each plan
@@ -47,8 +48,11 @@
 //! 2 result batches waiting for the writer, and the writer holds the one it
 //! is draining. Compute does not overlap across batches: dispatch needs
 //! every plan of its batch, finalize needs dispatch's results, and the
-//! pool's workers are the run's whole compute budget, so a second batch in
-//! flight would only compete for them.
+//! pool's workers — the compute thread as worker 0 plus the pool's
+//! `threads − 1` spawned ones — are the run's whole compute budget, so a
+//! second batch in flight would only compete for them. Between phases the
+//! spawned workers spin briefly instead of parking (see [`crate::pool`]),
+//! so a small batch's three phases hand off without a thread wake-up.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
@@ -205,8 +209,9 @@ where
 /// * `next_batch()` runs on the compute thread each time it is free for a
 ///   batch; `Ok(None)` ends the run;
 /// * `plan(&mut S, &I) -> M` and `finalize(&mut S, &I, &M, &D) -> R` run on
-///   `pool` with panic isolation. Neither may submit to `pool`: it runs one
-///   batch at a time, so the item would wait on itself (`dispatch` may);
+///   `pool`, the compute thread among its workers, with panic isolation.
+///   Neither may submit to `pool`: it runs one batch at a time, so the
+///   item would wait on itself (`dispatch` may);
 /// * `dispatch(Vec<M>) -> Result<Vec<(M, Result<D, String>)>, DynError>`
 ///   runs serially per batch and must return exactly one `(plan, result)`
 ///   pair per plan, in order; a per-item `Err(String)` degrades that item
@@ -359,7 +364,8 @@ mod tests {
     }
 
     /// The pool is the caller's: it outlives a run, so two runs over it
-    /// spawn its workers once.
+    /// spawn its workers once, one fewer than its threads (the compute
+    /// thread is worker 0).
     #[test]
     fn runs_share_the_callers_pool() {
         let pool = WorkerPool::new(3, |_| ());
@@ -377,7 +383,7 @@ mod tests {
             .unwrap();
             assert_eq!(stats.items, 4);
         }
-        assert_eq!(pool.threads_spawned(), 3);
+        assert_eq!(pool.threads_spawned(), 2);
     }
 
     #[test]

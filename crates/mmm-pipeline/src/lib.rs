@@ -15,8 +15,9 @@
 //! over item/plan/result types, whose compute stage pulls each batch from a
 //! caller closure when it is free for one. Its per-item phases run on the
 //! caller's persistent worker pool ([`pool::WorkerPool`], one private state
-//! per worker) — in production the alignment backend session's, so plan,
-//! lane groups and finalize share `--threads` workers. A per-item pipeline
+//! per worker, the compute thread as worker 0) — in production the
+//! alignment backend session's, so plan, lane groups and finalize share
+//! `--threads` workers, `--threads − 1` of them spawned. A per-item pipeline
 //! is the same thing with an identity dispatch. Output order is always the
 //! input order, regardless of scheduling (tested).
 
