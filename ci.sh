@@ -310,7 +310,4 @@ echo "$T2" | awk '
 echo "==> index decode bench: quick smoke (baseline lives in BENCH_index_decode.json)"
 BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin index_decode
 
-echo "==> backend exec bench: quick smoke (baseline lives in BENCH_backend_exec.json)"
-BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin backend_exec
-
 echo "CI OK"

@@ -5,7 +5,6 @@
 //! `repro_all` binary concatenates all of them into a results report.
 
 pub mod ablation;
-pub mod backend_exec;
 pub mod chain_dp;
 pub mod fig10_affinity;
 pub mod fig11_breakdown;
@@ -39,7 +38,6 @@ pub fn all() -> Vec<(&'static str, Experiment)> {
         ("Figure 10", fig10_affinity::run),
         ("Figure 11", fig11_breakdown::run),
         ("Table 5", table5_aligners::run),
-        ("Backend exec", backend_exec::run),
         ("Index decode", index_decode::run),
         ("Shard load", shard_load::run),
         ("Ablations", ablation::run),

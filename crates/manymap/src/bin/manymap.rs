@@ -47,7 +47,7 @@
 //! backend session whatever the shard count. Shard chaos runs through the same
 //! `--inject-backend-fault` plan string using the shard rule classes
 //! (`corrupt-section`/`missing-shard`/`torn-tail`/`slow-io`, keyed by
-//! `shards=`), bridged into the shard loader.
+//! `shards=`); the parsed plan is itself the shard loader's fault hook.
 //!
 //! Output (PAF by default, SAM with `--sam`) goes to stdout; stage timings
 //! and a per-backend execution summary to stderr.

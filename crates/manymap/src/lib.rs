@@ -44,14 +44,12 @@ pub mod paf;
 pub mod sam;
 pub mod serve;
 pub mod session;
-pub mod shard_bridge;
 
 pub use error::MapError;
 pub use mapper::{MapReadError, Mapper, Mapping, ReadPlan};
 pub use opts::MapOpts;
 pub use paf::{paf_line, paf_unmapped, push_paf_line, write_paf};
 pub use session::{load_index_any, ExecConfig, ExecSession, MapSession};
-pub use shard_bridge::PlanShardFaults;
 
 // Re-export the substrate crates so downstream users need one dependency.
 pub use mmm_align as align;

@@ -42,7 +42,7 @@ use mmm_seq::{FastxReader, SeqError, SeqRecord};
 
 use crate::mapper::{MapReadError, ReadPlan};
 use crate::sam::{push_sam_line, sam_unmapped, write_sam_header};
-use crate::{paf_unmapped, push_paf_line, MapError, MapOpts, Mapper, PlanShardFaults};
+use crate::{paf_unmapped, push_paf_line, MapError, MapOpts, Mapper};
 
 /// Bases per read batch in [`map_reads`] and (by default) the daemon: one
 /// plan → dispatch → finalize round, hence one backend submission. Small
@@ -175,14 +175,10 @@ impl ExecConfig {
     }
 
     /// Options for opening a sharded index under this configuration: the
-    /// fault plan's shard rules bridged into the shard loader.
+    /// fault plan is the shard loader's hook when it has shard rules.
     pub fn shard_open_opts(&self) -> ShardOpenOpts {
         ShardOpenOpts {
-            hook: self
-                .backend
-                .fault
-                .as_ref()
-                .and_then(PlanShardFaults::from_plan),
+            hook: self.backend.fault.as_ref().and_then(FaultPlan::shard_hook),
         }
     }
 

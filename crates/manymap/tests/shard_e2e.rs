@@ -246,6 +246,9 @@ fn persistent_shard_faults_degrade_only_that_shards_reads() {
     let base = by_read(&run_map(&fx.flat, &fx.reads, &[]).stdout);
 
     for plan in [
+        "corrupt-section:section=header:shards=1",
+        "corrupt-section:section=seqs:shards=1",
+        "corrupt-section:section=map:shards=1",
         "corrupt-section:section=pool:shards=1",
         "missing-shard:shards=1",
         "torn-tail:shards=1",

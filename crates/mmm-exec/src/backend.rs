@@ -92,8 +92,6 @@ pub struct BackendOptions {
     /// Override the simulated device's global memory (bytes); small values
     /// force the oversized-pair fallback path. `None` keeps the V100 16 GB.
     pub device_mem: Option<u64>,
-    /// Override the number of device streams.
-    pub streams: Option<usize>,
     /// Deterministic fault-injection schedule for this session's `submit`
     /// calls (chaos testing). `None` in production.
     pub fault: Option<FaultPlan>,
@@ -107,7 +105,6 @@ impl BackendOptions {
             engine: best_engine(),
             threads: 1,
             device_mem: None,
-            streams: None,
             fault: None,
         }
     }

@@ -1,7 +1,8 @@
-//! Deterministic fault injection for the execution seam.
+//! Deterministic fault injection for the execution seam and the index.
 //!
 //! A [`FaultPlan`] tells a backend to misbehave on chosen `submit` calls —
-//! the chaos plane the supervisor (DESIGN.md §10) is tested against. Plans
+//! the chaos plane the supervisor (DESIGN.md §10) is tested against — and
+//! the shard loader to fail chosen load attempts (DESIGN.md §15.4). Plans
 //! are pure data: given the same plan and the same submit index the same
 //! fault fires, so a failing chaos run is replayable from its plan string
 //! alone (pass it back via `--inject-backend-fault`).
@@ -19,7 +20,7 @@
 //!          | 'every=' K              fire on every K-th submit/shard (0, K, 2K…)
 //!          | 'p=' F ':seed=' S       fire with probability F, seeded
 //!          | 'ms=' N                 hang / slow-io duration (default 1000 / 50)
-//!          | 'section=' name        corrupt-section target: header|seqs|map|pool
+//!          | 'section=' name        corrupt-section target: a CONTAINER_SECTIONS name
 //!          | 'attempts=' K           fire on load attempts [0, K) (default: all)
 //! ```
 //!
@@ -28,21 +29,24 @@
 //! `hang:ms=400:batches=0..1`, `wrong-len:every=3`,
 //! `mempool-full:p=0.25:seed=7`.
 //!
-//! Shard rules drive the sharded-index fault domains instead of the
-//! backend `submit` path: they are keyed by *shard id* and *load attempt*
-//! and surface through [`FaultPlan::shard_action`], which the mapper
-//! bridges into the shard loader's fault hook. Backend accessors
-//! ([`FaultPlan::action`]) never see them, and vice versa. Examples:
-//! `missing-shard:shards=1..2` (shard 1 is gone),
+//! Each fault has one type. A backend rule holds a [`FaultClass`], which
+//! [`FaultPlan::action`] hands the backend's `submit`. A shard rule holds
+//! the index crate's own [`ShardLoadFault`], keyed by *shard id* and *load
+//! attempt*: the plan is itself the loader's [`ShardFaultHook`]
+//! ([`FaultPlan::shard_hook`]). Neither plane sees the other's rules.
+//! Examples: `missing-shard:shards=1..2` (shard 1 is gone),
 //! `corrupt-section:section=pool:shards=0..1` (flip a byte of shard 0's
 //! block pool), `slow-io:ms=20:attempts=1` (first load attempt of every
 //! shard is slow), `torn-tail:every=2` (even shards truncated).
 
+use std::sync::Arc;
 use std::time::Duration;
+
+use mmm_index::{ShardFaultHook, ShardLoadFault, CONTAINER_SECTIONS};
 
 use crate::{splitmix64_mix, SPLITMIX64_GAMMA};
 
-/// What kind of backend failure to inject.
+/// A backend failure to inject, with its parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultClass {
     /// The stream launch fails: `submit` returns a typed error without
@@ -50,10 +54,10 @@ pub enum FaultClass {
     LaunchFail,
     /// The device memory pool is exhausted: `submit` returns a typed error.
     MempoolFull,
-    /// The backend wedges mid-submit for the configured duration, then
-    /// completes normally — the case the watchdog deadline exists for, and
-    /// the source of results that arrive after their slot was poisoned.
-    Hang,
+    /// The backend wedges mid-submit for this long, then completes
+    /// normally — the case the watchdog deadline exists for, and the source
+    /// of results that arrive after their slot was poisoned.
+    Hang(Duration),
     /// The backend returns one result fewer than it was given jobs — the
     /// wrong-length contract violation the supervisor must catch.
     WrongLen,
@@ -65,24 +69,31 @@ impl FaultClass {
         match self {
             FaultClass::LaunchFail => "launch-fail",
             FaultClass::MempoolFull => "mempool-full",
-            FaultClass::Hang => "hang",
+            FaultClass::Hang(_) => "hang",
             FaultClass::WrongLen => "wrong-len",
         }
     }
 
-    /// All classes, for chaos-matrix tests.
+    /// All classes with their default parameters, for the parser and
+    /// chaos-matrix tests.
     pub fn all() -> [FaultClass; 4] {
         [
             FaultClass::LaunchFail,
             FaultClass::MempoolFull,
-            FaultClass::Hang,
+            FaultClass::Hang(Duration::from_millis(1_000)),
             FaultClass::WrongLen,
         ]
     }
 }
 
-/// Shard sections addressable by `section=`, in on-disk order.
-pub const SHARD_SECTION_NAMES: [&str; 4] = ["header", "seqs", "map", "pool"];
+/// The shard classes a plan names, with their default parameters.
+const SHARD_CLASSES: [(&str, ShardLoadFault); 4] = [
+    // The default target is the bucket map.
+    ("corrupt-section", ShardLoadFault::CorruptSection(2)),
+    ("missing-shard", ShardLoadFault::Missing),
+    ("torn-tail", ShardLoadFault::TornTail),
+    ("slow-io", ShardLoadFault::SlowIo(Duration::from_millis(50))),
+];
 
 /// When a rule fires, relative to the backend's own submit counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,54 +125,20 @@ impl Selector {
     }
 }
 
-/// One parsed plan rule.
+/// One parsed backend rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct FaultRule {
     class: FaultClass,
     sel: Selector,
-    hang: Duration,
 }
 
 /// One parsed shard rule: the selector is keyed by shard id, and the rule
 /// only fires on load attempts `< attempts`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ShardFaultRule {
-    action: ShardFaultAction,
+    fault: ShardLoadFault,
     sel: Selector,
     attempts: u64,
-}
-
-/// What the shard loader should do for one `(shard, attempt)`, if anything
-/// (the sharded-index fault domains, DESIGN.md §15). The mapper crate
-/// converts this into the index crate's fault hook — `mmm-exec`
-/// deliberately does not depend on the index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardFaultAction {
-    /// Flip a byte of section `0..4` ([`SHARD_SECTION_NAMES`] order).
-    CorruptSection(usize),
-    /// Report the shard file missing.
-    Missing,
-    /// Truncate the shard bytes before validation.
-    TornTail,
-    /// Sleep this long, then load normally.
-    SlowIo(Duration),
-}
-
-/// What the backend should do for the current submit, if anything.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Return [`BackendError::Injected`] with [`FaultClass::LaunchFail`].
-    ///
-    /// [`BackendError::Injected`]: crate::BackendError::Injected
-    FailLaunch,
-    /// Return [`BackendError::Injected`] with [`FaultClass::MempoolFull`].
-    ///
-    /// [`BackendError::Injected`]: crate::BackendError::Injected
-    FailMempool,
-    /// Sleep this long before executing the batch normally.
-    Hang(Duration),
-    /// Execute normally but drop the last result.
-    DropResult,
 }
 
 /// A deterministic, replayable fault schedule for one backend session
@@ -170,13 +147,6 @@ pub enum FaultAction {
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
     shard_rules: Vec<ShardFaultRule>,
-}
-
-/// Which rule family a parsed class belongs to. A shard class names its
-/// action; `section=` and `ms=` fill in its parameter once the rule is read.
-enum ParsedClass {
-    Backend(FaultClass),
-    Shard(ShardFaultAction),
 }
 
 impl FaultPlan {
@@ -190,31 +160,28 @@ impl FaultPlan {
                 continue;
             }
             let mut parts = rule_text.split(':');
-            let class = match parts.next().map(str::trim) {
-                Some("launch-fail") => ParsedClass::Backend(FaultClass::LaunchFail),
-                Some("mempool-full") => ParsedClass::Backend(FaultClass::MempoolFull),
-                Some("hang") => ParsedClass::Backend(FaultClass::Hang),
-                Some("wrong-len") => ParsedClass::Backend(FaultClass::WrongLen),
-                Some("corrupt-section") => ParsedClass::Shard(ShardFaultAction::CorruptSection(0)),
-                Some("missing-shard") => ParsedClass::Shard(ShardFaultAction::Missing),
-                Some("torn-tail") => ParsedClass::Shard(ShardFaultAction::TornTail),
-                Some("slow-io") => ParsedClass::Shard(ShardFaultAction::SlowIo(Duration::ZERO)),
-                other => {
-                    return Err(format!(
-                        "fault plan: unknown class {:?} (expected launch-fail, \
-                         mempool-full, hang, wrong-len, corrupt-section, \
-                         missing-shard, torn-tail or slow-io)",
-                        other.unwrap_or("")
-                    ))
-                }
-            };
-            let is_shard = matches!(class, ParsedClass::Shard(_));
+            let name = parts.next().map_or("", str::trim);
+            let class = FaultClass::all().into_iter().find(|c| c.label() == name);
+            let shard = SHARD_CLASSES
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|&(_, f)| f);
+            if class.is_none() && shard.is_none() {
+                let mut names: Vec<&str> = FaultClass::all().map(FaultClass::label).to_vec();
+                names.extend(SHARD_CLASSES.map(|(n, _)| n));
+                let last = names.pop().unwrap_or_default();
+                return Err(format!(
+                    "fault plan: unknown class {name:?} (expected {} or {last})",
+                    names.join(", ")
+                ));
+            }
+            let is_shard = shard.is_some();
             let mut sel = Selector::All;
             let mut ms: Option<u64> = None;
             let mut p_ppm: Option<u64> = None;
             let mut seed = 0u64;
             let mut attempts = u64::MAX;
-            let mut section = 2usize; // default: the bucket map
+            let mut section: Option<usize> = None;
             for param in parts {
                 let (key, value) = param
                     .split_once('=')
@@ -274,15 +241,13 @@ impl FaultPlan {
                         }
                     }
                     "section" => {
-                        section = SHARD_SECTION_NAMES
-                            .iter()
-                            .position(|&n| n == value.trim())
-                            .ok_or_else(|| {
-                                format!(
-                                    "fault plan: section={value:?} (expected one of \
-                                     header, seqs, map, pool)"
-                                )
-                            })?;
+                        let found = CONTAINER_SECTIONS.iter().position(|&n| n == value.trim());
+                        section = Some(found.ok_or_else(|| {
+                            format!(
+                                "fault plan: section={value:?} (expected one of {})",
+                                CONTAINER_SECTIONS.join(", ")
+                            )
+                        })?);
                     }
                     other => return Err(format!("fault plan: unknown parameter {other:?}")),
                 }
@@ -290,25 +255,26 @@ impl FaultPlan {
             if let Some(p_ppm) = p_ppm {
                 sel = Selector::Seeded { p_ppm, seed };
             }
-            match class {
-                ParsedClass::Backend(class) => rules.push(FaultRule {
-                    class,
-                    sel,
-                    hang: Duration::from_millis(ms.unwrap_or(1_000)),
-                }),
-                ParsedClass::Shard(action) => shard_rules.push(ShardFaultRule {
-                    action: match action {
-                        ShardFaultAction::CorruptSection(_) => {
-                            ShardFaultAction::CorruptSection(section)
-                        }
-                        ShardFaultAction::SlowIo(_) => {
-                            ShardFaultAction::SlowIo(Duration::from_millis(ms.unwrap_or(50)))
-                        }
-                        other => other,
-                    },
+            let with_ms = |default| ms.map_or(default, Duration::from_millis);
+            if let Some(fault) = shard {
+                let fault = match fault {
+                    ShardLoadFault::CorruptSection(s) => {
+                        ShardLoadFault::CorruptSection(section.unwrap_or(s))
+                    }
+                    ShardLoadFault::SlowIo(d) => ShardLoadFault::SlowIo(with_ms(d)),
+                    other => other,
+                };
+                shard_rules.push(ShardFaultRule {
+                    fault,
                     sel,
                     attempts,
-                }),
+                });
+            } else if let Some(class) = class {
+                let class = match class {
+                    FaultClass::Hang(d) => FaultClass::Hang(with_ms(d)),
+                    other => other,
+                };
+                rules.push(FaultRule { class, sel });
             }
         }
         if rules.is_empty() && shard_rules.is_empty() {
@@ -317,35 +283,32 @@ impl FaultPlan {
         Ok(FaultPlan { rules, shard_rules })
     }
 
-    /// The action (first matching rule) for the backend's `submit` number
+    /// The fault (first matching rule) for the backend's `submit` number
     /// `submit`, counted from zero per session. Shard rules never match
     /// here.
-    pub fn action(&self, submit: u64) -> Option<FaultAction> {
+    pub fn action(&self, submit: u64) -> Option<FaultClass> {
         self.rules
             .iter()
             .find(|r| r.sel.fires(submit))
-            .map(|r| match r.class {
-                FaultClass::LaunchFail => FaultAction::FailLaunch,
-                FaultClass::MempoolFull => FaultAction::FailMempool,
-                FaultClass::Hang => FaultAction::Hang(r.hang),
-                FaultClass::WrongLen => FaultAction::DropResult,
-            })
+            .map(|r| r.class)
     }
 
-    /// The shard-load action (first matching shard rule) for load attempt
-    /// `attempt` of shard `shard`. Backend rules never match here, so one
-    /// plan can drive both fault planes at once.
-    pub fn shard_action(&self, shard: u64, attempt: u64) -> Option<ShardFaultAction> {
+    /// The plan as the shard loader's fault hook, or `None` when it has no
+    /// shard rules, so clean loads never consult it.
+    pub fn shard_hook(&self) -> Option<Arc<dyn ShardFaultHook>> {
+        (!self.shard_rules.is_empty()).then(|| Arc::new(self.clone()) as Arc<dyn ShardFaultHook>)
+    }
+}
+
+/// The shard-load fault (first matching shard rule) for load attempt
+/// `attempt` of shard `shard`. Backend rules never match here, so one plan
+/// can drive both fault planes at once.
+impl ShardFaultHook for FaultPlan {
+    fn on_load(&self, shard: usize, attempt: u32) -> Option<ShardLoadFault> {
         self.shard_rules
             .iter()
-            .find(|r| r.sel.fires(shard) && attempt < r.attempts)
-            .map(|r| r.action)
-    }
-
-    /// True when the plan contains at least one shard rule (the mapper
-    /// uses this to decide whether to install the shard fault hook).
-    pub fn has_shard_rules(&self) -> bool {
-        !self.shard_rules.is_empty()
+            .find(|r| r.sel.fires(shard as u64) && u64::from(attempt) < r.attempts)
+            .map(|r| r.fault)
     }
 }
 
@@ -377,19 +340,14 @@ impl FaultHook {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         match self.plan.as_ref().and_then(|p| p.action(submit)) {
             None => Ok(false),
-            Some(FaultAction::FailLaunch) => Err(crate::BackendError::Injected {
-                class: FaultClass::LaunchFail,
-                submit,
-            }),
-            Some(FaultAction::FailMempool) => Err(crate::BackendError::Injected {
-                class: FaultClass::MempoolFull,
-                submit,
-            }),
-            Some(FaultAction::Hang(d)) => {
+            Some(class @ (FaultClass::LaunchFail | FaultClass::MempoolFull)) => {
+                Err(crate::BackendError::Injected { class, submit })
+            }
+            Some(FaultClass::Hang(d)) => {
                 std::thread::sleep(d);
                 Ok(false)
             }
-            Some(FaultAction::DropResult) => Ok(true),
+            Some(FaultClass::WrongLen) => Ok(true),
         }
     }
 }
@@ -409,7 +367,7 @@ mod tests {
     fn bare_class_fires_always() {
         let p = FaultPlan::parse("launch-fail").unwrap();
         for i in [0, 1, 17, 1_000_000] {
-            assert_eq!(p.action(i), Some(FaultAction::FailLaunch));
+            assert_eq!(p.action(i), Some(FaultClass::LaunchFail));
         }
     }
 
@@ -417,17 +375,17 @@ mod tests {
     fn range_selector_is_half_open() {
         let p = FaultPlan::parse("wrong-len:batches=2..4").unwrap();
         assert_eq!(p.action(1), None);
-        assert_eq!(p.action(2), Some(FaultAction::DropResult));
-        assert_eq!(p.action(3), Some(FaultAction::DropResult));
+        assert_eq!(p.action(2), Some(FaultClass::WrongLen));
+        assert_eq!(p.action(3), Some(FaultClass::WrongLen));
         assert_eq!(p.action(4), None);
     }
 
     #[test]
     fn every_selector_includes_zero() {
         let p = FaultPlan::parse("mempool-full:every=3").unwrap();
-        assert_eq!(p.action(0), Some(FaultAction::FailMempool));
+        assert_eq!(p.action(0), Some(FaultClass::MempoolFull));
         assert_eq!(p.action(1), None);
-        assert_eq!(p.action(3), Some(FaultAction::FailMempool));
+        assert_eq!(p.action(3), Some(FaultClass::MempoolFull));
     }
 
     #[test]
@@ -435,9 +393,11 @@ mod tests {
         let p = FaultPlan::parse("hang:ms=250:batches=0..1").unwrap();
         assert_eq!(
             p.action(0),
-            Some(FaultAction::Hang(Duration::from_millis(250)))
+            Some(FaultClass::Hang(Duration::from_millis(250)))
         );
         assert_eq!(p.action(1), None);
+        let p = FaultPlan::parse("hang").unwrap();
+        assert_eq!(p.action(0), Some(FaultClass::Hang(Duration::from_secs(1))));
     }
 
     #[test]
@@ -457,8 +417,8 @@ mod tests {
     #[test]
     fn first_matching_rule_wins() {
         let p = FaultPlan::parse("hang:batches=0..1; launch-fail").unwrap();
-        assert!(matches!(p.action(0), Some(FaultAction::Hang(_))));
-        assert_eq!(p.action(1), Some(FaultAction::FailLaunch));
+        assert!(matches!(p.action(0), Some(FaultClass::Hang(_))));
+        assert_eq!(p.action(1), Some(FaultClass::LaunchFail));
     }
 
     #[test]
@@ -482,68 +442,74 @@ mod tests {
             let err = FaultPlan::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text:?} -> {err:?}");
         }
+        // The list of names is built from the class tables.
+        assert_eq!(
+            FaultPlan::parse("gpu-on-fire").unwrap_err(),
+            "fault plan: unknown class \"gpu-on-fire\" (expected launch-fail, \
+             mempool-full, hang, wrong-len, corrupt-section, missing-shard, \
+             torn-tail or slow-io)"
+        );
     }
 
     #[test]
     fn shard_rules_are_keyed_by_shard_and_attempt() {
         let p = FaultPlan::parse("missing-shard:shards=1..3").unwrap();
-        assert_eq!(p.shard_action(0, 0), None);
-        assert_eq!(p.shard_action(1, 0), Some(ShardFaultAction::Missing));
-        assert_eq!(p.shard_action(2, 7), Some(ShardFaultAction::Missing));
-        assert_eq!(p.shard_action(3, 0), None);
+        assert_eq!(p.on_load(0, 0), None);
+        assert_eq!(p.on_load(1, 0), Some(ShardLoadFault::Missing));
+        assert_eq!(p.on_load(2, 7), Some(ShardLoadFault::Missing));
+        assert_eq!(p.on_load(3, 0), None);
         // Shard rules never leak into the backend plane, nor vice versa.
         assert_eq!(p.action(1), None);
-        assert!(p.has_shard_rules());
-        let b = FaultPlan::parse("launch-fail").unwrap();
-        assert_eq!(b.shard_action(0, 0), None);
-        assert!(!b.has_shard_rules());
+        assert!(p.shard_hook().is_some());
+        let b = FaultPlan::parse("launch-fail:batches=0..1").unwrap();
+        assert_eq!(b.on_load(0, 0), None);
+        assert!(b.shard_hook().is_none(), "no hook without shard rules");
     }
 
     #[test]
     fn shard_rule_parameters_round_trip() {
         let p = FaultPlan::parse("corrupt-section:section=pool:shards=0..1").unwrap();
-        assert_eq!(
-            p.shard_action(0, 0),
-            Some(ShardFaultAction::CorruptSection(3))
-        );
+        assert_eq!(p.on_load(0, 0), Some(ShardLoadFault::CorruptSection(3)));
         // Default section is the bucket map.
         let p = FaultPlan::parse("corrupt-section").unwrap();
-        assert_eq!(
-            p.shard_action(5, 0),
-            Some(ShardFaultAction::CorruptSection(2))
-        );
+        assert_eq!(p.on_load(5, 0), Some(ShardLoadFault::CorruptSection(2)));
 
         // attempts=K fires only on the first K load attempts: the shape of
-        // a transient fault the retry ladder should absorb.
+        // a transient fault the retry ladder should absorb, whose final
+        // attempt succeeds.
         let p = FaultPlan::parse("slow-io:ms=20:attempts=2").unwrap();
         assert_eq!(
-            p.shard_action(0, 0),
-            Some(ShardFaultAction::SlowIo(Duration::from_millis(20)))
+            p.on_load(0, 0),
+            Some(ShardLoadFault::SlowIo(Duration::from_millis(20)))
         );
-        assert!(p.shard_action(0, 1).is_some());
-        assert_eq!(p.shard_action(0, 2), None);
+        assert!(p.on_load(0, 1).is_some());
+        assert_eq!(p.on_load(0, 2), None);
+        assert_eq!(p.on_load(0, 3), None);
 
         let p = FaultPlan::parse("torn-tail:every=2").unwrap();
-        assert_eq!(p.shard_action(0, 0), Some(ShardFaultAction::TornTail));
-        assert_eq!(p.shard_action(1, 0), None);
-        assert_eq!(p.shard_action(2, 0), Some(ShardFaultAction::TornTail));
+        assert_eq!(p.on_load(0, 0), Some(ShardLoadFault::TornTail));
+        assert_eq!(p.on_load(1, 0), None);
+        assert_eq!(p.on_load(2, 0), Some(ShardLoadFault::TornTail));
     }
 
     #[test]
     fn one_plan_drives_both_fault_planes() {
         let p = FaultPlan::parse("hang:ms=5:batches=0..1; missing-shard:shards=2..3").unwrap();
-        assert!(matches!(p.action(0), Some(FaultAction::Hang(_))));
+        assert!(matches!(p.action(0), Some(FaultClass::Hang(_))));
         assert_eq!(p.action(1), None);
-        assert_eq!(p.shard_action(2, 0), Some(ShardFaultAction::Missing));
-        assert_eq!(p.shard_action(0, 0), None);
+        assert_eq!(p.on_load(2, 0), Some(ShardLoadFault::Missing));
+        assert_eq!(p.on_load(0, 0), None);
     }
 
     #[test]
-    fn shard_class_labels_cover_the_chaos_matrix() {
-        for class in ["corrupt-section", "missing-shard", "torn-tail", "slow-io"] {
+    fn every_shard_class_and_section_parses() {
+        for (class, _) in SHARD_CLASSES {
             let p = FaultPlan::parse(class).unwrap();
-            assert!(p.shard_action(0, 0).is_some(), "{class}");
+            assert!(p.on_load(0, 0).is_some(), "{class}");
         }
-        assert_eq!(SHARD_SECTION_NAMES, ["header", "seqs", "map", "pool"]);
+        for (i, section) in CONTAINER_SECTIONS.iter().enumerate() {
+            let p = FaultPlan::parse(&format!("corrupt-section:section={section}")).unwrap();
+            assert_eq!(p.on_load(0, 0), Some(ShardLoadFault::CorruptSection(i)));
+        }
     }
 }

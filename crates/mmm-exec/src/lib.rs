@@ -33,7 +33,7 @@ pub mod supervisor;
 
 pub use backend::{prepare, prepare_supervised, AlignBackend, BackendKind, BackendOptions};
 pub use error::BackendError;
-pub use fault::{FaultAction, FaultClass, FaultPlan, ShardFaultAction, SHARD_SECTION_NAMES};
+pub use fault::{FaultClass, FaultPlan};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use host::{align_jobs_with_scratch, HostBackend};
 pub use job::{AlignJob, JobSeq, MAX_PLAN_SEGMENT};

@@ -39,10 +39,7 @@ impl DeviceMeter {
         if let Some(mem) = opts.device_mem {
             device.global_mem = mem;
         }
-        let mut config = StreamConfig::default();
-        if let Some(streams) = opts.streams {
-            config.streams = streams.max(1);
-        }
+        let config = StreamConfig::default();
         DeviceMeter {
             device,
             config,

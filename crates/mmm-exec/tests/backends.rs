@@ -167,12 +167,11 @@ fn mempool_reaches_steady_state_across_batches() {
 
 #[test]
 fn streams_fill_round_robin() {
-    // 4 streams × equal-footprint jobs: round-robin assignment puts one
-    // kernel in every slab, so the pool's high-water mark is ~4 slabs'
-    // worth, not one. A single-stream pile-up would peak at one footprint.
-    let mut opts = BackendOptions::new(SC);
-    opts.streams = Some(4);
-    let gpu = HostBackend::new(BackendKind::GpuSim, &opts);
+    // N equal-footprint jobs on the default streams (N below the stream
+    // count): round-robin assignment puts each kernel in its own slab, so
+    // the pool's high-water mark is N slabs' worth, not one. A
+    // single-stream pile-up would peak at one footprint.
+    let gpu = HostBackend::new(BackendKind::GpuSim, &BackendOptions::new(SC));
     let jobs: Vec<AlignJob> = (0..8)
         .map(|k| {
             let t: Vec<u8> = (0..400).map(|i| ((i * 3 + k) % 4) as u8).collect();
@@ -185,8 +184,8 @@ fn streams_fill_round_robin() {
     let per_job = stats.bytes_pooled / 8;
     assert_eq!(
         gpu.pool_peak_used(),
-        4 * per_job,
-        "peak occupancy must span all four stream slabs"
+        8 * per_job,
+        "peak occupancy must span one stream slab per job"
     );
 }
 

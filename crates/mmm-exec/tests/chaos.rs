@@ -85,7 +85,7 @@ fn plan_for(class: FaultClass) -> (&'static str, Option<u64>) {
     match class {
         FaultClass::LaunchFail => ("launch-fail:every=2", None),
         FaultClass::MempoolFull => ("mempool-full:every=2", None),
-        FaultClass::Hang => ("hang:ms=2000:batches=0..1", Some(100)),
+        FaultClass::Hang(_) => ("hang:ms=2000:batches=0..1", Some(100)),
         FaultClass::WrongLen => ("wrong-len:every=2", None),
     }
 }
@@ -150,7 +150,7 @@ fn every_fault_class_on_both_backends_preserves_done_results() {
                     "{tag}: plan injected nothing — the chaos run was a no-op"
                 );
             }
-            if matches!(class, FaultClass::Hang) {
+            if matches!(class, FaultClass::Hang(_)) {
                 assert!(
                     stats.deadline_kills >= 1,
                     "{tag}: the watchdog never fired on a wedged submit"

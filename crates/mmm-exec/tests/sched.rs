@@ -165,14 +165,14 @@ fn chaos_under_the_scheduler_reconciles_counters() {
     for class in FaultClass::all() {
         // The hang class needs a deadline to be observable; the chaos suite
         // covers it. Here every non-hang class runs under the scheduler.
-        if matches!(class, FaultClass::Hang) {
+        if matches!(class, FaultClass::Hang(_)) {
             continue;
         }
         let plan = match class {
             FaultClass::LaunchFail => "launch-fail:every=2",
             FaultClass::MempoolFull => "mempool-full:every=2",
             FaultClass::WrongLen => "wrong-len:every=2",
-            FaultClass::Hang => unreachable!(),
+            FaultClass::Hang(_) => unreachable!(),
         };
         let sup = supervised(BackendKind::GpuSim, Some(TINY_DEVICE_MEM), Some(plan));
         let (outcomes, stats) = sup

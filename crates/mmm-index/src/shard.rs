@@ -496,8 +496,8 @@ fn scan<R: Run>(runs: &[R], mut emit: impl FnMut(u64, u32)) {
 // Fault injection hook
 // ---------------------------------------------------------------------------
 
-/// One fault injected into a shard load attempt — the chaos-suite side of
-/// the `FaultPlan` shard grammar.
+/// One fault injected into a shard load attempt. A `FaultPlan` shard rule
+/// (in `mmm-exec`) holds one of these directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardLoadFault {
     /// Fail the attempt with a transient I/O error (retried with backoff).
@@ -506,15 +506,16 @@ pub enum ShardLoadFault {
     SlowIo(Duration),
     /// The shard file is gone (persistent: quarantines immediately).
     Missing,
-    /// Flip a byte inside section `0..4` before validation.
+    /// Flip a byte inside section `0..4`, in
+    /// [`CONTAINER_SECTIONS`](crate::CONTAINER_SECTIONS) order, before
+    /// validation.
     CorruptSection(usize),
     /// Truncate the mapped bytes, as a torn final write would.
     TornTail,
 }
 
 /// Injection point consulted once per load attempt. `None` means load
-/// normally. Implemented by the `FaultPlan` bridge in the mapper crate and
-/// by chaos tests.
+/// normally. Implemented by `mmm_exec::FaultPlan` and by chaos tests.
 pub trait ShardFaultHook: Send + Sync {
     fn on_load(&self, shard: usize, attempt: u32) -> Option<ShardLoadFault>;
 }
