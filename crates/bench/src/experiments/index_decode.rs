@@ -5,9 +5,10 @@
 //! tandem-repeat index, and the reference window decoder (`unpack_nt4`,
 //! the 256-entry table) beside its per-base scalar gold at the window
 //! lengths the mapper fetches and a long one; (2) sketch alone — Mbases/s of the minimizer
-//! sketcher over an ONT read set at both presets, and of the whole sharded
-//! seeding call (`ShardedIndex::collect_anchors`: sketch, bloom probes,
-//! lookups, anchors) over 1 kb fragments and decoys; (3) lookup alone — ns
+//! sketcher over an ONT read set at both presets, and of the whole seeding
+//! call (`ShardedIndex::collect_anchors`: sketch, filter probes, lookups,
+//! anchors) over 1 kb fragments and decoys, on a 4-shard index and on a
+//! single-file one; (3) lookup alone — ns
 //! per `hit_count` probe, present and absent hashes in random order, over a
 //! whole-genome-sized key array and a shard-sized one, so the seeding
 //! layer's probe cost has a number of its own; (4) the whole pipeline over
@@ -237,10 +238,11 @@ fn best_of(rounds: usize, reads: &[Vec<u8>], mut f: impl FnMut(&[u8]) -> usize) 
 }
 
 /// The sketcher alone over a seeded ONT read set, at map-ont (k15 w10) and
-/// map-pb (k19 w10, HPC); then the whole sharded seeding call on
-/// `frag_screen`'s shape: a 4-shard index of 8 Mbp in 4 chromosomes, ONT
-/// reads cut into 1 kb fragments, and three times as many 1 kb decoys from
-/// an unrelated genome.
+/// map-pb (k19 w10, HPC); then the whole seeding call on `frag_screen`'s
+/// shape: a 4-shard index of 8 Mbp in 4 chromosomes, ONT reads cut into
+/// 1 kb fragments, and three times as many 1 kb decoys from an unrelated
+/// genome; and the same call over a single-file index of the same
+/// reference (one shard, no filter).
 fn sketch_rows(quick: bool) -> Result<Vec<SketchRow>, String> {
     let scale = if quick { 8 } else { 1 };
     let rounds = if quick { 3 } else { 9 };
@@ -316,27 +318,43 @@ fn sketch_rows(quick: bool) -> Result<Vec<SketchRow>, String> {
     let dir = std::env::temp_dir().join(format!("bench-sketch-shards-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("scratch dir: {e}"))?;
     let manifest = dir.join("ref.mmx");
+    let flat = dir.join("flat.mmx");
+    let seed = |path: &std::path::Path| {
+        ShardedIndex::open(path, Default::default())
+            .map_err(|e| format!("open failed: {e}"))
+            .map(|sh| {
+                // A warm-up round loads every shard the fragments touch.
+                best_of(rounds + 1, &frags, |r| {
+                    sh.collect_anchors(r).map_or(0, |a| a.len())
+                })
+            })
+    };
     let seeded = build_sharded(&refs, &IdxOpts::MAP_ONT, 4, 1, &manifest)
         .map_err(|e| format!("sharded build failed: {e}"))
-        .and_then(|_| {
-            ShardedIndex::open(&manifest, Default::default())
-                .map_err(|e| format!("open failed: {e}"))
-        })
-        .map(|sh| {
-            // A warm-up round loads every shard the fragments touch.
-            best_of(rounds + 1, &frags, |r| {
-                sh.collect_anchors(r).map_or(0, |a| a.len())
-            })
+        .and_then(|_| seed(&manifest))
+        .and_then(|sharded| {
+            let idx = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1)
+                .map_err(|e| format!("flat build failed: {e}"))?;
+            save_index(&idx, &flat).map_err(|e| format!("save failed: {e}"))?;
+            Ok((sharded, seed(&flat)?))
         });
     let _ = std::fs::remove_dir_all(&dir);
-    let (anchors, seconds) = seeded?;
-    rows.push(SketchRow {
-        what: "collect_anchors, 4 shards (1 kb frags + 3x decoys)",
-        reads: frags.len(),
-        bases: frags.iter().map(Vec::len).sum(),
-        out: anchors,
-        seconds,
-    });
+    let (sharded, flat) = seeded?;
+    for (what, (anchors, seconds)) in [
+        (
+            "collect_anchors, 4 shards (1 kb frags + 3x decoys)",
+            sharded,
+        ),
+        ("collect_anchors, flat (1 shard, no filter)", flat),
+    ] {
+        rows.push(SketchRow {
+            what,
+            reads: frags.len(),
+            bases: frags.iter().map(Vec::len).sum(),
+            out: anchors,
+            seconds,
+        });
+    }
     Ok(rows)
 }
 

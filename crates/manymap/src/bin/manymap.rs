@@ -38,7 +38,7 @@
 //!
 //! Sharded indexes (DESIGN.md §15): `index --shards N` splits the
 //! reference into `N` contiguous target ranges, one container each, behind
-//! a v3 manifest. `map` opens either shape transparently (the leading magic
+//! a v4 manifest. `map` opens either shape transparently (the leading magic
 //! says which); over a manifest, shards mmap on first touch and stay
 //! mapped (residency is the page cache's business: there is no budget flag),
 //! and each shard is its own storage fault domain — a corrupt or missing shard quarantines with a

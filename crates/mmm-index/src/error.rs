@@ -49,6 +49,10 @@ pub enum IndexError {
     /// nothing in it can be verified: like [`IndexError::Version`] this is
     /// "rebuild your index", never "your file is damaged".
     NoContainer,
+    /// The file is a shard manifest of a retired version (`MMX\x03`, one
+    /// filter per shard). This build reads only the v4 manifest, whose
+    /// filter is bit-sliced: rebuild the index.
+    OldManifest { found: u8 },
     /// A section checksum did not match: the bytes of `section` were
     /// altered after the build (bit rot, torn write, hostile edit).
     /// Detected on first touch, before any parsed value reaches a kernel.
@@ -145,6 +149,13 @@ impl fmt::Display for IndexError {
                      the index with `manymap index`"
                 )
             }
+            IndexError::OldManifest { found } => {
+                write!(
+                    f,
+                    "v{found} shard manifest (this build reads v4, whose \
+                     filter is bit-sliced): rebuild the index with `manymap index`"
+                )
+            }
             IndexError::Checksum { section, what } => {
                 write!(f, "checksum mismatch in {section} section: {what}")
             }
@@ -161,6 +172,7 @@ impl std::error::Error for IndexError {
             | IndexError::Version { .. }
             | IndexError::PostingBudget { .. }
             | IndexError::NoContainer
+            | IndexError::OldManifest { .. }
             | IndexError::Checksum { .. } => None,
         }
     }

@@ -11,7 +11,8 @@
 //! in three phases (DESIGN.md §14.5): roll the canonical codes into a flat
 //! array, hash the whole array in a loop with no carried state (which the
 //! compiler vectorizes), then take the window minimum over it. Scratch
-//! memory is one block, whatever the sequence length.
+//! memory is one block, whatever the sequence length, and a caller that
+//! sketches many sequences keeps it in a `SketchBufs`.
 
 /// One minimizer: hash value, position of the k-mer's *last* base, the
 /// strand whose encoding was canonical, and the number of original bases
@@ -106,13 +107,56 @@ pub(crate) fn for_each_minimizer(
     hpc: bool,
     emit: impl FnMut(Minimizer),
 ) {
+    for_each_minimizer_in(seq, k, w, hpc, &mut SketchBufs::default(), emit);
+}
+
+/// [`for_each_minimizer`] into `out` (cleared first), on block buffers the
+/// caller keeps: the seeding path sketches every read on its thread's.
+pub(crate) fn sketch_into(
+    seq: &[u8],
+    k: usize,
+    w: usize,
+    hpc: bool,
+    bufs: &mut SketchBufs,
+    out: &mut Vec<Minimizer>,
+) {
+    out.clear();
+    for_each_minimizer_in(seq, k, w, hpc, bufs, |m| out.push(m));
+}
+
+fn for_each_minimizer_in(
+    seq: &[u8],
+    k: usize,
+    w: usize,
+    hpc: bool,
+    bufs: &mut SketchBufs,
+    emit: impl FnMut(Minimizer),
+) {
     assert!((4..=28).contains(&k), "k must be in [4, 28]");
     assert!((1..256).contains(&w), "w must be in [1, 255]");
     if hpc {
-        sketch::<true>(seq, k, w, emit);
+        sketch::<true>(seq, k, w, bufs, emit);
     } else {
-        sketch::<false>(seq, k, w, emit);
+        sketch::<false>(seq, k, w, bufs, emit);
     }
+}
+
+/// The sketcher's block buffers. They only grow, and every slot is written
+/// before it is read, so one set serves any number of sequences.
+#[derive(Default)]
+pub(crate) struct SketchBufs {
+    codes: Vec<u64>,
+    hashes: Vec<u64>,
+    ends: Vec<u32>,
+    spans: Vec<u8>,
+}
+
+/// The first `len` slots of `buf`, grown to hold them.
+fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
 }
 
 /// Hash of a code: [`hash64`] of the canonical k-mer, or [`NONE`]. Written
@@ -126,7 +170,13 @@ fn hash_code(code: u64, mask: u64) -> u64 {
 /// base (an ambiguous base is always a position of its own); position `g`
 /// carries the k-mer that ends there, or [`NONE`]. Slot `j` of the block
 /// buffers holds position `base + j`.
-fn sketch<const HPC: bool>(seq: &[u8], k: usize, w: usize, mut emit: impl FnMut(Minimizer)) {
+fn sketch<const HPC: bool>(
+    seq: &[u8],
+    k: usize,
+    w: usize,
+    bufs: &mut SketchBufs,
+    mut emit: impl FnMut(Minimizer),
+) {
     if seq.len() < k {
         return;
     }
@@ -134,11 +184,11 @@ fn sketch<const HPC: bool>(seq: &[u8], k: usize, w: usize, mut emit: impl FnMut(
     let shift = 2 * (k - 1);
     // A sequence shorter than a block is one block of its own length.
     let cap = (w - 1 + SKETCH_BLOCK).min(seq.len());
-    let mut codes = vec![0u64; cap];
-    let mut hashes = vec![0u64; cap];
+    let codes = grown(&mut bufs.codes, cap);
+    let hashes = grown(&mut bufs.hashes, cap);
     // Under HPC a position's end and span are not implied by its index.
-    let mut ends = vec![0u32; if HPC { cap } else { 0 }];
-    let mut spans = vec![0u8; if HPC { cap } else { 0 }];
+    let ends = grown(&mut bufs.ends, if HPC { cap } else { 0 });
+    let spans = grown(&mut bufs.spans, if HPC { cap } else { 0 });
 
     // Carried across blocks: the rolling k-mer, the bases since the last
     // ambiguous one, the original starts of the last k HPC runs, the last
@@ -423,6 +473,23 @@ mod tests {
                 model::sketch(&seq, k, w, hpc),
                 "seed {} len {} k {} w {} hpc {}", seed, len, k, w, hpc
             );
+        }
+    }
+
+    /// One set of block buffers, kept across sequences of every length
+    /// and both modes, as a seeding thread keeps it: each sketch equals
+    /// the model, whatever the sequence before it left in the buffers.
+    #[test]
+    fn reused_buffers_sketch_like_the_model() {
+        let mut bufs = SketchBufs::default();
+        let mut out = Vec::new();
+        let lens = [5_000, 30, 2_100, 0, 1_040, 700, 4_000, 16];
+        for (case, &len) in lens.iter().cycle().take(40).enumerate() {
+            let (k, w) = [(15, 10), (19, 10), (5, 1), (28, 255)][case % 4];
+            let hpc = case % 3 == 0;
+            let seq = model::hostile_seq(case as u64, len);
+            sketch_into(&seq, k, w, hpc, &mut bufs, &mut out);
+            assert_eq!(out, model::sketch(&seq, k, w, hpc), "case {case}");
         }
     }
 

@@ -15,8 +15,10 @@
 //!   followed by one embedded image. [`save_index`] writes a single-file
 //!   index as one container; `build_sharded` writes one per shard. A bare
 //!   image in a file is a typed [`IndexError::NoContainer`].
-//! * The **manifest** (`MMX\x03`) ties the containers of a sharded index
-//!   together: length-prefixed payload plus a trailing xxh64.
+//! * The **manifest** (`MMX\x04`, DESIGN.md §15.1) ties the containers of a
+//!   sharded index together and holds their one bit-sliced minimizer
+//!   filter: length-prefixed payload plus a trailing xxh64. A v3 manifest
+//!   (one filter per shard) is a typed [`IndexError::OldManifest`].
 //!
 //! Reading is one path: `Mmap::open` → `VerifiedMap::verify` (every byte
 //! checksummed before any is interpreted) → `open_image` (every offset,
@@ -32,11 +34,11 @@ use mmm_io::{stage_atomic, Mmap, SliceSource, Staged};
 use crate::error::IndexError;
 use crate::index::{IdxOpts, Image, MinimizerIndex, SeqSpan};
 use crate::postings::PackedPostings;
-use crate::shard::{Bloom, ShardManifest, ShardMeta};
+use crate::shard::{ShardFilter, ShardManifest, ShardMeta};
 use crate::xxh::xxh64;
 
 /// Shared magic prefix of everything this crate writes; the fourth byte
-/// names the kind (`\x02` image, `\x03` manifest, `S` container).
+/// names the kind (`\x02` image, `\x04` manifest, `S` container).
 pub const MAGIC_PREFIX: &[u8; 3] = b"MMX";
 /// v2: FOR/delta bit-packed posting blocks — the one image version this
 /// build writes and reads (v1 was the retired `u64`-per-hit layout).
@@ -61,7 +63,10 @@ pub(crate) const CONTAINER_IMAGE_OFF: usize = 120;
 pub const CONTAINER_SECTIONS: [&str; 4] = ["header", "seqs", "map", "pool"];
 
 /// Magic of a shard manifest.
-pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"MMX\x03";
+pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"MMX\x04";
+/// The fourth magic byte of the retired v3 manifest, which stored one
+/// filter per shard.
+const MANIFEST_V3: u8 = 3;
 
 /// Write `idx` to `path` as a single-file index: one container, atomically.
 pub fn save_index(idx: &MinimizerIndex, path: &Path) -> io::Result<()> {
@@ -187,6 +192,7 @@ pub(crate) struct ContainerDir {
 fn foreign_magic(bytes: &[u8]) -> IndexError {
     match bytes {
         [b'M', b'M', b'X', VERSION_PACKED, ..] => IndexError::NoContainer,
+        [b'M', b'M', b'X', MANIFEST_V3, ..] => IndexError::OldManifest { found: MANIFEST_V3 },
         [b'M', b'M', b'X', found, ..] => IndexError::Version {
             found: *found,
             expected: VERSION_PACKED,
@@ -419,15 +425,26 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 
 /// Serialize a manifest: magic, `u64` payload length, payload, trailing
 /// XXH64 of the payload. The explicit length makes a torn tail detectable
-/// even before the checksum is consulted.
+/// even before the checksum is consulted. The payload is the header (the
+/// sketch parameters, the cutoff, the shards' image version and the
+/// filter's geometry), the catalog, the shard table, and last the filter's
+/// words.
 pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
-    let mut p = Vec::new();
+    // `build_sharded` gives every manifest it writes a filter.
+    let (pos_bits, log2_positions, words) = m.filter.as_ref().map_or((0, 0, &[][..]), |f| {
+        (f.pos_bits(), f.log2_positions(), f.words())
+    });
+    let mut p = Vec::with_capacity(MANIFEST_HEADER_LEN + 8 * words.len());
     p.extend_from_slice(&(m.k as u32).to_le_bytes());
     p.extend_from_slice(&(m.w as u32).to_le_bytes());
     p.extend_from_slice(&(m.hpc as u32).to_le_bytes());
     p.extend_from_slice(&m.max_occ.to_le_bytes());
     // The image version of the shards' embedded index images.
     p.extend_from_slice(&u32::from(VERSION_PACKED).to_le_bytes());
+    p.extend_from_slice(&(pos_bits as u32).to_le_bytes());
+    p.extend_from_slice(&log2_positions.to_le_bytes());
+    p.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    debug_assert_eq!(p.len(), MANIFEST_HEADER_LEN);
     p.extend_from_slice(&(m.seq_names.len() as u64).to_le_bytes());
     for (name, len) in m.seq_names.iter().zip(&m.seq_lens) {
         put_bytes(&mut p, name.as_bytes());
@@ -440,12 +457,9 @@ pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
         p.extend_from_slice(&(s.rid_count as u64).to_le_bytes());
         p.extend_from_slice(&s.file_len.to_le_bytes());
         p.extend_from_slice(&s.dir_hash.to_le_bytes());
-        // `build_sharded` gives every shard it lists a filter.
-        let words = s.bloom.as_ref().map_or(&[][..], Bloom::words);
-        p.extend_from_slice(&(words.len() as u64).to_le_bytes());
-        for &w in words {
-            p.extend_from_slice(&w.to_le_bytes());
-        }
+    }
+    for &w in words {
+        p.extend_from_slice(&w.to_le_bytes());
     }
     let mut out = Vec::with_capacity(12 + p.len() + 8);
     out.extend_from_slice(&MANIFEST_MAGIC);
@@ -455,7 +469,12 @@ pub(crate) fn serialize_manifest(m: &ShardManifest) -> Vec<u8> {
     out
 }
 
-/// Parse and validate a v3 manifest. The payload checksum is verified
+/// Bytes of the manifest payload's header: `k`, `w`, `hpc`, `max_occ`, the
+/// shards' image version, the filter's bits per position and log2
+/// position count (`u32` each), and its word count (`u64`).
+const MANIFEST_HEADER_LEN: usize = 36;
+
+/// Parse and validate a v4 manifest. The payload checksum is verified
 /// before a single field is interpreted.
 pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> {
     let corrupt = |what: String| IndexError::Corrupt { offset: None, what };
@@ -466,7 +485,7 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
         )));
     }
     if bytes[0..4] != MANIFEST_MAGIC {
-        return Err(corrupt("bad manifest magic (want \"MMX\\x03\")".into()));
+        return Err(corrupt("bad manifest magic (want \"MMX\\x04\")".into()));
     }
     let plen = le_u64(bytes, 4);
     let want = 12u64.checked_add(plen).and_then(|v| v.checked_add(8));
@@ -511,6 +530,15 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
             return Err(corrupt(format!("unknown posting format {f} in manifest")));
         }
     }
+    // The sketcher asserts these ranges; a query must not be what finds out.
+    if !(4..=28).contains(&k) || !(1..256).contains(&w) {
+        return Err(corrupt(format!(
+            "manifest sketch parameters k={k}, w={w} are outside k in 4..=28, w in 1..=255"
+        )));
+    }
+    let pos_bits = take!(take_u32);
+    let log2_positions = take!(take_u32);
+    let n_words = take!(take_u64);
     let n_seqs = take!(take_u64) as usize;
     let mut seq_names = Vec::new();
     let mut seq_lens = Vec::new();
@@ -547,14 +575,12 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
             .ok_or_else(|| corrupt(format!("shard {i} rid range overflows")))?;
         let file_len = take!(take_u64);
         let dir_hash = take!(take_u64);
-        let bloom = Some(Bloom::from_words(take!(take_u64_vec)));
         shards.push(ShardMeta {
             path,
             rid_start: rid_start as u32,
             rid_count: rid_count as u32,
             file_len,
             dir_hash,
-            bloom,
         });
     }
     if next_rid != n_seqs as u64 {
@@ -563,12 +589,19 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
              {n_seqs} sequences"
         )));
     }
-    if src.remaining() != 0 {
+    if n_words.checked_mul(8) != Some(src.remaining() as u64) {
         return Err(corrupt(format!(
-            "{} unparsed byte(s) after the shard table",
+            "the filter declares {n_words} words but {} byte(s) follow the \
+             shard table",
             src.remaining()
         )));
     }
+    let words = payload[src.position()..]
+        .chunks_exact(8)
+        .map(|c| le_u64(c, 0))
+        .collect();
+    let filter = ShardFilter::from_parts(n_shards, u64::from(pos_bits), log2_positions, words)
+        .map_err(corrupt)?;
     Ok(ShardManifest {
         k,
         w,
@@ -577,6 +610,7 @@ pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ShardManifest, IndexError> 
         seq_names,
         seq_lens,
         shards,
+        filter: Some(filter),
     })
 }
 
@@ -778,7 +812,7 @@ mod tests {
             assert!(s.contains("version 2"), "{s}");
             assert!(s.contains("manymap index"), "{s}");
         };
-        for found in [0u8, 1, 4, 42] {
+        for found in [0u8, 1, 5, 42] {
             let p = tmp(&format!("version-{found}"));
             let mut bytes = b"MMX".to_vec();
             bytes.push(found);
@@ -800,6 +834,7 @@ mod tests {
             seq_names: vec![],
             seq_lens: vec![],
             shards: vec![],
+            filter: None,
         };
         let mut bytes = serialize_manifest(&m);
         let n = bytes.len();
@@ -811,6 +846,26 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let e = open(&p).unwrap_err();
         assert_version(e, 1);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// What the parent build wrote as a sharded index's manifest: `MMX\x03`,
+    /// one filter per shard. This build has no reader for it; it is
+    /// refused by name with a rebuild hint, whatever follows the magic.
+    #[test]
+    fn v3_manifest_is_a_typed_rebuild_error() {
+        let p = tmp("manifest-v3");
+        for body in [&[][..], &[0u8; 64], &[0xA7; 300]] {
+            let mut bytes = b"MMX\x03".to_vec();
+            bytes.extend_from_slice(body);
+            std::fs::write(&p, &bytes).unwrap();
+            let e = open(&p).unwrap_err();
+            assert!(matches!(e, IndexError::OldManifest { found: 3 }), "{e}");
+            assert!(!e.is_corrupt() && !e.is_transient());
+            let s = e.to_string();
+            assert!(s.contains("v3 shard manifest"), "{s}");
+            assert!(s.contains("rebuild the index with `manymap index`"), "{s}");
+        }
         std::fs::remove_file(&p).unwrap();
     }
 

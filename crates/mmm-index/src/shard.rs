@@ -5,8 +5,9 @@
 //! the index page in on demand (§4.4.2). This module generalizes that into
 //! *target-range shards*: the reference set is split into contiguous rid
 //! ranges, each built into its own `MMXS` container file, with a small
-//! `MMX\x03` manifest tying the generation together (both byte layouts
-//! live in [`crate::serialize`]). A single-file index is one such container
+//! `MMX\x04` manifest tying the generation together and holding every
+//! shard's minimizer filter, bit-sliced into one (both byte layouts live in
+//! [`crate::serialize`]). A single-file index is one such container
 //! with no manifest, and [`ShardedIndex::open`] opens it as exactly that: a
 //! one-shard [`ShardedIndex`], loaded at open, with no filter — as is an
 //! index built in memory (`ShardedIndex::from(MinimizerIndex)`). Every
@@ -32,6 +33,7 @@
 //! `crate::index::anchor_from_hit` geometry, iterating shards in ascending
 //! rid order.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,9 +46,9 @@ use mmm_io::{write_atomic, Mmap};
 use mmm_seq::SeqRecord;
 
 use crate::error::IndexError;
-use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, par_map, pieces, sketch};
+use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, par_map, pieces};
 use crate::index::{IdxOpts, MinimizerIndex};
-use crate::minimizer::Minimizer;
+use crate::minimizer::{sketch_into, Minimizer, SketchBufs};
 use crate::postings::{BucketRef, KeyTable};
 use crate::serialize::{
     container_section_ranges, parse_manifest, serialize_manifest, stage_container,
@@ -73,7 +75,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard minimizer Bloom filter
+// The shards' minimizer filter, bit-sliced
 // ---------------------------------------------------------------------------
 
 #[inline]
@@ -84,101 +86,251 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Two-probe Bloom filter over a shard's minimizer hashes (~10 bits/key,
-/// power-of-two sized). "Definitely not in this shard" is sound, so a read
-/// only *touches* — and can only be degraded by — shards that may hold one
-/// of its minimizers; false positives merely cost a wasted probe and never
-/// affect output identity.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Bloom {
-    words: Vec<u64>,
+/// The two probe hashes of minimizer hash `h`, before masking to a
+/// filter's size.
+#[inline]
+fn probe_hashes(h: u64) -> [u64; 2] {
+    [splitmix64(h), splitmix64(h ^ 0xC2B2_AE3D_27D4_EB4F)]
 }
 
-impl Bloom {
-    pub(crate) fn build(hashes: impl ExactSizeIterator<Item = u64>) -> Self {
-        let bits = (hashes.len().saturating_mul(10))
-            .next_power_of_two()
-            .max(64);
-        let mut words = vec![0u64; bits / 64];
-        for h in hashes {
-            for bit in Self::probes(h, bits as u64) {
-                words[(bit / 64) as usize] |= 1u64 << (bit % 64);
+/// One shard's two-probe Bloom filter over its minimizer hashes (~10 bits a
+/// key, a power of two of at least 64 bits), as a bit array: the filter
+/// whose answers the shard's bit of the [`ShardFilter`] repeats.
+fn shard_bits(hashes: impl ExactSizeIterator<Item = u64>) -> Vec<u64> {
+    let bits = (hashes.len().saturating_mul(10))
+        .next_power_of_two()
+        .max(64);
+    let mut words = vec![0u64; bits / 64];
+    for h in hashes {
+        for p in probe_hashes(h) {
+            let bit = p & (bits as u64 - 1);
+            words[(bit / 64) as usize] |= 1u64 << (bit % 64);
+        }
+    }
+    words
+}
+
+/// Bits a [`ShardFilter`] position holds for `shards` shards: the count
+/// rounded up to a power of two up to 64, to whole words above.
+fn position_bits(shards: usize) -> u64 {
+    if shards <= 64 {
+        shards.next_power_of_two() as u64
+    } else {
+        64 * shards.div_ceil(64) as u64
+    }
+}
+
+/// Every shard's minimizer filter in one bit-sliced table: position `p`
+/// holds one bit per shard, so a minimizer's row — its filter-positive
+/// shards — is the AND of the two positions its probe hashes pick, two
+/// word reads for up to 64 shards. Shard `s`'s bit at `p` is its own
+/// two-probe filter's bit at `p & (bits_s − 1)`, a smaller filter repeated
+/// to the common size, so the row answers exactly as the shard filters
+/// would one by one. "Definitely not in this shard" is sound, so a read
+/// only *touches* — and can only be degraded by — shards that may hold one
+/// of its minimizers; false positives merely cost a wasted lookup.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct ShardFilter {
+    words: Vec<u64>,
+    /// Bits per position ([`position_bits`] of the shard count).
+    pos_bits: u64,
+    /// log2 of the position count.
+    log2_positions: u32,
+}
+
+/// Where a [`ShardFilter`]'s positions lie in its words.
+#[derive(Clone, Copy)]
+struct Layout {
+    /// Words a row spans: 1 up to 64 shards.
+    row_words: usize,
+    /// log2 of the positions a word holds (0 above 64 shards).
+    word_shift: u32,
+    /// Positions a word holds, minus one, and log2 of their width: where a
+    /// position sits inside its word.
+    lane_mask: u64,
+    lane_shift: u32,
+    /// The bits of one position inside its word.
+    row_mask: u64,
+}
+
+impl Layout {
+    fn new(pos_bits: u64) -> Self {
+        let lane_shift = pos_bits.trailing_zeros().min(6);
+        let word_shift = 6 - lane_shift;
+        Layout {
+            row_words: pos_bits.div_ceil(64) as usize,
+            word_shift,
+            lane_mask: (1u64 << word_shift) - 1,
+            lane_shift,
+            row_mask: u64::MAX >> (64 - pos_bits.min(64)),
+        }
+    }
+
+    /// The word holding shard `s`'s bit at position `p`, and that bit.
+    #[inline]
+    fn slot(self, p: u64, s: usize) -> (usize, u64) {
+        let at = (p >> self.word_shift) as usize * self.row_words + s / 64;
+        let bit = ((p & self.lane_mask) << self.lane_shift) + (s % 64) as u64;
+        (at, 1 << bit)
+    }
+
+    /// Word `wi` of the row at position `p` of `words`: shards `64 wi ..`
+    /// as bits.
+    #[inline(always)]
+    fn row_word(self, words: &[u64], p: u64, wi: usize) -> u64 {
+        let word = words[(p >> self.word_shift) as usize * self.row_words + wi];
+        (word >> ((p & self.lane_mask) << self.lane_shift)) & self.row_mask
+    }
+}
+
+impl fmt::Debug for ShardFilter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardFilter")
+            .field("pos_bits", &self.pos_bits)
+            .field("log2_positions", &self.log2_positions)
+            .field("words", &self.words.len())
+            .finish()
+    }
+}
+
+impl ShardFilter {
+    /// The sliced filter over `shards`, one [`shard_bits`] array each, built
+    /// on up to `threads` workers over ranges of positions.
+    fn build(shards: &[Vec<u64>], threads: usize) -> Self {
+        let max_bits = shards.iter().map(|w| w.len() * 64).max().unwrap_or(64);
+        let log2_positions = max_bits.max(64).trailing_zeros();
+        let pos_bits = position_bits(shards.len());
+        let layout = Layout::new(pos_bits);
+        // 64 positions at a time, one word of every shard's filter, which
+        // fill `pos_bits` words.
+        let blocks = 1usize << (log2_positions - 6);
+        let n = pieces(threads).min(blocks);
+        let ranges: Vec<(usize, usize)> = (0..n)
+            .map(|j| (j * blocks / n, (j + 1) * blocks / n))
+            .collect();
+        let chunks = par_map(ranges, threads, |(lo, hi)| {
+            let mut out = vec![0u64; (hi - lo) * pos_bits as usize];
+            let base = (lo * 64) as u64;
+            for (s, bits) in shards.iter().enumerate() {
+                for block in lo..hi {
+                    let mut word = bits[block % bits.len()];
+                    while word != 0 {
+                        let p = (block * 64) as u64 + u64::from(word.trailing_zeros());
+                        let (at, bit) = layout.slot(p - base, s);
+                        out[at] |= bit;
+                        word &= word - 1;
+                    }
+                }
+            }
+            out
+        });
+        ShardFilter {
+            words: chunks.concat(),
+            pos_bits,
+            log2_positions,
+        }
+    }
+
+    /// Words a row spans: 1 up to 64 shards.
+    fn row_words(&self) -> usize {
+        Layout::new(self.pos_bits).row_words
+    }
+
+    /// The probe pass of a read: each minimizer's row is the AND of its two
+    /// positions' rows, ORed into `touched` (one bit per shard, `row_words`
+    /// long), and its positive shards are pushed to `lookups` as
+    /// `(minimizer, shard)`, minimizer then shard ascending.
+    fn probe(&self, ms: &[Minimizer], touched: &mut [u64], lookups: &mut Vec<(u32, u32)>) {
+        let layout = Layout::new(self.pos_bits);
+        let mask = (1u64 << self.log2_positions) - 1;
+        for (i, m) in ms.iter().enumerate() {
+            let [a, b] = probe_hashes(m.hash).map(|p| p & mask);
+            for (wi, t) in touched.iter_mut().enumerate() {
+                let mut row =
+                    layout.row_word(&self.words, a, wi) & layout.row_word(&self.words, b, wi);
+                *t |= row;
+                while row != 0 {
+                    lookups.push((i as u32, (wi * 64) as u32 + row.trailing_zeros()));
+                    row &= row - 1;
+                }
             }
         }
-        Bloom { words }
     }
 
-    pub(crate) fn from_words(words: Vec<u64>) -> Self {
-        Bloom { words }
+    pub(crate) fn pos_bits(&self) -> u64 {
+        self.pos_bits
     }
 
-    /// The two probe hashes of minimizer hash `h`, before masking to a
-    /// filter's size: every filter probes the same two, so a caller testing
-    /// one `h` against many filters computes them once.
-    #[inline]
-    pub(crate) fn probe_hashes(h: u64) -> [u64; 2] {
-        [splitmix64(h), splitmix64(h ^ 0xC2B2_AE3D_27D4_EB4F)]
-    }
-
-    /// The two bits `h` sets in a filter of `bits` (a power of two) bits.
-    #[inline]
-    fn probes(h: u64, bits: u64) -> [u64; 2] {
-        Self::probe_hashes(h).map(|p| p & (bits - 1))
-    }
-
-    /// This filter as the seeding pass reads it: its words and the mask
-    /// that cuts a probe hash to a bit of them.
-    pub(crate) fn view(&self) -> BloomView<'_> {
-        const EMPTY: [u64; 1] = [0];
-        match self.words.len() {
-            // A filter with no words holds nothing: one zero word answers
-            // that without a branch per probe.
-            0 => BloomView {
-                words: &EMPTY,
-                mask: 63,
-            },
-            n => BloomView {
-                words: &self.words,
-                mask: (n as u64 * 64) - 1,
-            },
-        }
-    }
-
-    /// Whether `h` may be in the filter: the one-filter form of the
-    /// seeding pass's probe.
-    #[cfg(test)]
-    fn contains(&self, h: u64) -> bool {
-        self.view().test(Self::probe_hashes(h)) != 0
+    pub(crate) fn log2_positions(&self) -> u32 {
+        self.log2_positions
     }
 
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
-}
 
-/// One filter's words and probe mask, borrowed for a read's probe pass.
-#[derive(Clone, Copy)]
-pub(crate) struct BloomView<'a> {
-    words: &'a [u64],
-    /// `bits − 1` over the words' bits. A parsed manifest's word count need
-    /// not be a power of two; the mask keeps every probe inside the words
-    /// all the same.
-    mask: u64,
-}
-
-impl BloomView<'_> {
-    /// 1 if both bits of `probes` ([`Bloom::probe_hashes`]) are set, else
-    /// 0: both words are read and ANDed, with no early exit to mispredict.
-    #[inline(always)]
-    pub(crate) fn test(self, probes: [u64; 2]) -> u64 {
-        let [a, b] = probes.map(|p| p & self.mask);
-        let word = |bit: u64| self.words[(bit / 64) as usize] >> (bit % 64);
-        word(a) & word(b) & 1
+    /// The filter a manifest stores for `shards` shards, checked: its
+    /// position width must be the one the shard count gives, it must hold
+    /// at least 64 positions and exactly the words its geometry needs, and
+    /// no bit may stand for a shard past the last, so every row a probe
+    /// reads names only shards that exist.
+    pub(crate) fn from_parts(
+        shards: usize,
+        pos_bits: u64,
+        log2_positions: u32,
+        words: Vec<u64>,
+    ) -> Result<Self, String> {
+        if pos_bits != position_bits(shards) {
+            return Err(format!(
+                "filter holds {pos_bits} bits a position, but {shards} shard(s) \
+                 need {}",
+                position_bits(shards)
+            ));
+        }
+        if !(6..=48).contains(&log2_positions) {
+            return Err(format!(
+                "filter of 2^{log2_positions} positions is outside 2^6..=2^48"
+            ));
+        }
+        let want = (u128::from(pos_bits) << log2_positions) / 64;
+        if words.len() as u128 != want {
+            return Err(format!(
+                "filter of 2^{log2_positions} positions x {pos_bits} bits needs \
+                 {want} words, not {}",
+                words.len()
+            ));
+        }
+        // The bits of shards that exist, per word of a row's stretch.
+        let live: Vec<u64> = if pos_bits >= 64 {
+            (0..Layout::new(pos_bits).row_words)
+                .map(|wi| match shards.saturating_sub(64 * wi) {
+                    n if n >= 64 => u64::MAX,
+                    n => (1u64 << n) - 1,
+                })
+                .collect()
+        } else {
+            let lane = (1u64 << shards) - 1;
+            let lanes = 64 / pos_bits;
+            vec![(0..lanes).fold(0, |acc, j| acc | lane << (j * pos_bits))]
+        };
+        let dead = words
+            .chunks_exact(live.len())
+            .any(|row| row.iter().zip(&live).any(|(w, l)| w & !l != 0));
+        if dead {
+            return Err(format!(
+                "filter sets a bit for a shard past the last of {shards}"
+            ));
+        }
+        Ok(ShardFilter {
+            words,
+            pos_bits,
+            log2_positions,
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Manifest (MMX\x03)
+// Manifest (MMX\x04)
 // ---------------------------------------------------------------------------
 
 /// One shard entry of a [`ShardManifest`].
@@ -195,15 +347,11 @@ pub struct ShardMeta {
     /// The shard file's directory hash — transitively covers every byte,
     /// binding the manifest to this exact shard generation.
     pub dir_hash: u64,
-    /// The shard's minimizer filter; `None` for the one entry of an index
-    /// opened without a manifest (its path is empty and its `dir_hash` 0),
-    /// where every minimizer is a candidate.
-    pub(crate) bloom: Option<Bloom>,
 }
 
-/// The v3 manifest: global sketching parameters, the full reference
-/// catalog (names and lengths — available without touching any shard), and
-/// the shard table.
+/// The v4 manifest: global sketching parameters, the full reference
+/// catalog (names and lengths — available without touching any shard), the
+/// shard table and the shards' minimizer filter.
 #[derive(Clone, Debug)]
 pub struct ShardManifest {
     pub k: usize,
@@ -215,6 +363,10 @@ pub struct ShardManifest {
     pub seq_names: Vec<String>,
     pub seq_lens: Vec<u64>,
     pub shards: Vec<ShardMeta>,
+    /// Every shard's minimizer filter, bit-sliced; `None` for an index
+    /// opened without a manifest (one shard, loaded at open), where every
+    /// minimizer is looked up.
+    pub(crate) filter: Option<ShardFilter>,
 }
 
 impl ShardManifest {
@@ -316,38 +468,37 @@ pub fn build_sharded(
     let workers = threads.clamp(1, cuts.len());
     let inner = (threads / workers).max(1);
 
-    let built: Vec<(MinimizerIndex, Bloom)> = par_map(cuts.clone(), workers, |(start, count)| {
-        let idx = MinimizerIndex::build_table(&refs[start..start + count], opts, inner)?;
-        let bloom = Bloom::build(idx.hashes());
-        Ok((idx, bloom))
-    })
-    .into_iter()
-    .collect::<Result<_, IndexError>>()?;
+    let built: Vec<(MinimizerIndex, Vec<u64>)> =
+        par_map(cuts.clone(), workers, |(start, count)| {
+            let idx = MinimizerIndex::build_table(&refs[start..start + count], opts, inner)?;
+            let bits = shard_bits(idx.hashes());
+            Ok((idx, bits))
+        })
+        .into_iter()
+        .collect::<Result<_, IndexError>>()?;
 
     let tables: Vec<KeyTable> = built.iter().map(|(idx, _)| idx.key_table()).collect();
     let max_occ = occurrence_cutoff(merged_counts(&tables, threads), opts.occ_frac);
+    let (built, bits): (Vec<_>, Vec<_>) = built.into_iter().unzip();
+    let filter = ShardFilter::build(&bits, threads);
+    drop(bits);
 
     let shards: Vec<_> = built.into_iter().zip(cuts).enumerate().collect();
-    let staged = par_map(
-        shards,
-        workers,
-        |(si, ((mut idx, bloom), (start, count)))| {
-            idx.max_occ = max_occ;
-            let rel = format!("{manifest_name}.s{si:03}");
-            let path = dir.join(&rel);
-            let (file, file_len, dir_hash) =
-                stage_container(&idx, start as u32, &path).map_err(|e| write_err(&path, e))?;
-            let meta = ShardMeta {
-                path: rel,
-                rid_start: start as u32,
-                rid_count: count as u32,
-                file_len,
-                dir_hash,
-                bloom: Some(bloom),
-            };
-            Ok((meta, path, file))
-        },
-    );
+    let staged = par_map(shards, workers, |(si, (mut idx, (start, count)))| {
+        idx.max_occ = max_occ;
+        let rel = format!("{manifest_name}.s{si:03}");
+        let path = dir.join(&rel);
+        let (file, file_len, dir_hash) =
+            stage_container(&idx, start as u32, &path).map_err(|e| write_err(&path, e))?;
+        let meta = ShardMeta {
+            path: rel,
+            rid_start: start as u32,
+            rid_count: count as u32,
+            file_len,
+            dir_hash,
+        };
+        Ok((meta, path, file))
+    });
     // In shard order, stopping at the first failure; the files staged above
     // it are removed unpublished.
     let mut metas = Vec::with_capacity(staged.len());
@@ -368,6 +519,7 @@ pub fn build_sharded(
         seq_names: refs.iter().map(|r| r.name.clone()).collect(),
         seq_lens: refs.iter().map(|r| r.len() as u64).collect(),
         shards: metas,
+        filter: Some(filter),
     };
     let bytes = serialize_manifest(&manifest);
     write_atomic(manifest_path, &[&bytes]).map_err(|e| write_err(manifest_path, e))?;
@@ -624,8 +776,8 @@ impl From<MinimizerIndex> for ShardedIndex {
                 rid_count: n,
                 file_len: (CONTAINER_IMAGE_OFF + idx.image_len()) as u64,
                 dir_hash: 0,
-                bloom: None,
             }],
+            filter: None,
         };
         ShardedIndex {
             manifest,
@@ -936,71 +1088,99 @@ impl ShardedIndex {
     /// set while every consulted shard is loadable.
     ///
     /// Identity holds because (1) queries are sketched with the shared
-    /// `sketch` function, (2) the repeat filter compares the *summed*
-    /// per-shard counts against the global `max_occ` from the manifest,
-    /// (3) shards are visited in ascending rid order, matching the flat
-    /// index's rid-sorted posting lists, and (4) anchor geometry goes
-    /// through the one shared `anchor_from_hit`.
+    /// sketcher, (2) the repeat filter compares the *summed* per-shard
+    /// counts against the global `max_occ` from the manifest, (3) shards
+    /// are visited in ascending rid order, matching the flat index's
+    /// rid-sorted posting lists, and (4) anchor geometry goes through the
+    /// one shared `anchor_from_hit`.
     ///
-    /// Two passes over the read's minimizers: a branch-free probe of every
-    /// shard filter gives each minimizer its bloom-positive shards as a
-    /// bitmask (a shard with no filter is positive for every minimizer),
-    /// whose union is loaded (`touch`, free slots first); then the
-    /// (minimizer, shard) lookups are resolved in one tight loop and the
-    /// hits of each minimizer that passes the cutoff decode shard by shard.
+    /// One probe pass over the read's minimizers reads each one's row of
+    /// the sliced filter (two words up to 64 shards), ORs it into the
+    /// touched mask and lists the (minimizer, shard) lookups as it goes.
+    /// The touched shards are loaded (`touch`, free slots first) unless
+    /// every one already is; then the lookups resolve in one tight loop and
+    /// the hits of each minimizer that passes the cutoff decode shard by
+    /// shard. An index with no filter (one shard, loaded at open) looks
+    /// every minimizer up directly. The sketch's block buffers and every
+    /// list but the anchors returned are the calling thread's, reused read
+    /// after read.
     ///
     /// Degraded coverage: an unavailable shard (quarantined, or faulting
     /// right now) is *skipped*, not fatal — losing a shard loses exactly
     /// that shard's slice of the reference space. The read becomes an
     /// `Err` only when the skip plausibly cost it its mapping: no anchors
-    /// survived and at least one bloom-positive shard was unavailable.
-    /// This containment matters because the per-shard blooms are sized
-    /// for pruning, not identity (a few percent of *foreign* minimizers
-    /// probe positive); if a bloom touch alone degraded the read, a long
-    /// read's hundreds of minimizers would tie every read to every shard
-    /// and collapse all fault domains into one. The trade: a minimizer
-    /// shared with a dead shard sees a smaller summed count, so a repeat
-    /// right at the `max_occ` boundary can seed where the flat index
-    /// would have filtered it — surviving reads stay byte-identical
-    /// whenever their minimizers don't co-occur in the dead shard.
+    /// survived and at least one filter-positive shard was unavailable.
+    /// This containment matters because the filter is sized for pruning,
+    /// not identity (a few percent of *foreign* minimizers probe positive);
+    /// if a filter touch alone degraded the read, a long read's hundreds of
+    /// minimizers would tie every read to every shard and collapse all
+    /// fault domains into one. The trade: a minimizer shared with a dead
+    /// shard sees a smaller summed count, so a repeat right at the
+    /// `max_occ` boundary can seed where the flat index would have filtered
+    /// it — surviving reads stay byte-identical whenever their minimizers
+    /// don't co-occur in the dead shard.
     pub fn collect_anchors(&self, query: &[u8]) -> Result<Vec<Anchor>, ShardUnavailable> {
+        SEED_BUFS.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut bufs) => self.collect_anchors_in(query, &mut bufs),
+            // Only a fault hook that seeds from inside a shard load gets
+            // here; it seeds on buffers of its own.
+            Err(_) => self.collect_anchors_in(query, &mut SeedBufs::default()),
+        })
+    }
+
+    fn collect_anchors_in(
+        &self,
+        query: &[u8],
+        b: &mut SeedBufs,
+    ) -> Result<Vec<Anchor>, ShardUnavailable> {
         let m = &self.manifest;
-        let ms = sketch(query, m.k, m.w, m.hpc);
-        let row = m.shards.len().div_ceil(64).max(1);
-        let cands = self.bloom_rows(&ms, row);
-        let mut touched = vec![0u64; row];
-        for bits in cands.chunks_exact(row) {
-            for (t, b) in touched.iter_mut().zip(bits) {
-                *t |= b;
+        sketch_into(query, m.k, m.w, m.hpc, &mut b.sketch, &mut b.ms);
+        b.hits.clear();
+        let mut skipped = None;
+        match &m.filter {
+            Some(filter) => {
+                b.touched.clear();
+                b.touched.resize(filter.row_words(), 0);
+                b.lookups.clear();
+                filter.probe(&b.ms, &mut b.touched, &mut b.lookups);
+                let loaded = |s: usize| self.slots[s].loaded.get().is_some();
+                if !set_bits(&b.touched).all(loaded) {
+                    skipped = self.touch(&b.touched);
+                }
+                // The probes are independent, so their cache misses
+                // overlap. Only hits are kept, and the bucket a count came
+                // from is the bucket streamed.
+                for &(i, s) in &b.lookups {
+                    let Some(idx) = self.slots[s as usize].loaded.get() else {
+                        continue;
+                    };
+                    if let Some(r) = idx.lookup(b.ms[i as usize].hash) {
+                        b.hits.push((i, s, r));
+                    }
+                }
+            }
+            None => {
+                let idx = self.ensure_shard(0)?;
+                for (i, mz) in b.ms.iter().enumerate() {
+                    if let Some(r) = idx.lookup(mz.hash) {
+                        b.hits.push((i as u32, 0, r));
+                    }
+                }
             }
         }
-        let (loaded, skipped) = self.touch(&touched);
-        // The (minimizer, shard) lookups in minimizer then shard order,
-        // listed first and then resolved in one tight loop: the probes are
-        // independent, so their cache misses overlap. Only hits are kept,
-        // and the bucket a count came from is the bucket streamed.
-        let mut wanted: Vec<(u32, u32)> = Vec::new();
-        for (i, bits) in cands.chunks_exact(row).enumerate() {
-            for s in set_bits(bits).filter(|&s| loaded[s].is_some()) {
-                wanted.push((i as u32, s as u32));
-            }
-        }
-        let mut found: Vec<(u32, u32, BucketRef)> = Vec::with_capacity(wanted.len());
-        for &(i, s) in &wanted {
-            if let Some(r) = loaded[s as usize].and_then(|idx| idx.lookup(ms[i as usize].hash)) {
-                found.push((i, s, r));
-            }
-        }
+        let kept = || {
+            b.hits.chunk_by(|a, b| a.0 == b.0).filter(|group| {
+                let total: u64 = group.iter().map(|&(_, _, r)| r.count()).sum();
+                total <= u64::from(m.max_occ)
+            })
+        };
+        let n: u64 = kept().flatten().map(|&(_, _, r)| r.count()).sum();
         let qlen = query.len() as u32;
-        let mut anchors = Vec::new();
-        for group in found.chunk_by(|a, b| a.0 == b.0) {
-            let total: u64 = group.iter().map(|&(_, _, r)| r.count()).sum();
-            if total > u64::from(m.max_occ) {
-                continue;
-            }
-            let mz = &ms[group[0].0 as usize];
+        let mut anchors = Vec::with_capacity(n as usize);
+        for group in kept() {
+            let mz = &b.ms[group[0].0 as usize];
             for &(_, s, r) in group {
-                let Some(idx) = loaded[s as usize] else {
+                let Some(idx) = self.slots[s as usize].loaded.get() else {
                     continue;
                 };
                 let rid_start = m.shards[s as usize].rid_start;
@@ -1009,75 +1189,41 @@ impl ShardedIndex {
                 }
             }
         }
-        if anchors.is_empty() {
-            if let Some(e) = skipped {
-                return Err(e);
-            }
+        match skipped {
+            Some(e) if anchors.is_empty() => Err(e),
+            _ => Ok(anchors),
         }
-        Ok(anchors)
-    }
-
-    /// Row `i` of the result is minimizer `i`'s bloom-positive shards as a
-    /// bitmask, `row` words wide. Each minimizer's two probe hashes are
-    /// computed once, when the first filter needs them; then one filter at
-    /// a time tests all of them, with no early exit, so the filter's lines
-    /// stay in cache across the read. A shard with no filter is positive
-    /// for every minimizer.
-    fn bloom_rows(&self, ms: &[Minimizer], row: usize) -> Vec<u64> {
-        let mut probes: Vec<[u64; 2]> = Vec::new();
-        let mut cands = vec![0u64; ms.len() * row];
-        for (s, meta) in self.manifest.shards.iter().enumerate() {
-            let Some(bloom) = &meta.bloom else {
-                cands
-                    .chunks_exact_mut(row)
-                    .for_each(|bits| bits[s / 64] |= 1 << (s % 64));
-                continue;
-            };
-            if probes.len() < ms.len() {
-                probes = ms.iter().map(|mz| Bloom::probe_hashes(mz.hash)).collect();
-            }
-            let view = bloom.view();
-            for (&p, bits) in probes.iter().zip(cands.chunks_exact_mut(row)) {
-                bits[s / 64] |= view.test(p) << (s % 64);
-            }
-        }
-        cands
     }
 
     /// Load the shards of the bitmask `touched`. A worker first takes every
     /// slot that is free and loads those still unloaded, so two workers
     /// touching a cold index load different shards; only then does it wait,
-    /// in ascending order, on the slots another worker holds. Returns each
-    /// shard's index (`None` where unavailable or untouched) and the
-    /// lowest-numbered shard that is unavailable.
-    fn touch<'a>(
-        &'a self,
-        touched: &[u64],
-    ) -> (Vec<Option<&'a MinimizerIndex>>, Option<ShardUnavailable>) {
-        let mut loaded: Vec<Option<&MinimizerIndex>> = vec![None; self.num_shards()];
+    /// in ascending order, on the slots another worker holds. Afterwards
+    /// every touched shard is loaded or quarantined for good, so its slot's
+    /// `loaded` answers which. Returns the lowest-numbered shard that is
+    /// unavailable.
+    fn touch(&self, touched: &[u64]) -> Option<ShardUnavailable> {
         let mut skipped: Option<ShardUnavailable> = None;
-        let mut record = |s: usize, got: Result<&'a MinimizerIndex, ShardUnavailable>| match got {
-            Ok(idx) => loaded[s] = Some(idx),
+        let mut record = |got: Result<&MinimizerIndex, ShardUnavailable>| match got {
             Err(e) if skipped.as_ref().is_none_or(|p| p.shard > e.shard) => skipped = Some(e),
-            Err(_) => {}
+            _ => {}
         };
         let mut busy = Vec::new();
         for s in set_bits(touched) {
             let slot = &self.slots[s];
-            if let Some(idx) = slot.loaded.get() {
-                record(s, Ok(idx));
+            if slot.loaded.get().is_some() {
                 continue;
             }
             match slot.quarantine.try_lock() {
-                Ok(q) => record(s, self.ensure_locked(s, q)),
-                Err(TryLockError::Poisoned(p)) => record(s, self.ensure_locked(s, p.into_inner())),
+                Ok(q) => record(self.ensure_locked(s, q)),
+                Err(TryLockError::Poisoned(p)) => record(self.ensure_locked(s, p.into_inner())),
                 Err(TryLockError::WouldBlock) => busy.push(s),
             }
         }
         for s in busy {
-            record(s, self.ensure_shard(s));
+            record(self.ensure_shard(s));
         }
-        (loaded, skipped)
+        skipped
     }
 
     /// Forward-strand window `[start, end)` of global reference `rid` into
@@ -1125,6 +1271,23 @@ impl ShardedIndex {
         self.ref_window_into(rid, start, end, &mut out)?;
         Ok(out)
     }
+}
+
+/// What seeding one read needs besides the anchors it returns: the
+/// sketch's block buffers, the minimizers, the touched mask, the
+/// (minimizer, shard) lookups and their hits. One set per thread, reused
+/// read after read.
+#[derive(Default)]
+struct SeedBufs {
+    sketch: SketchBufs,
+    ms: Vec<Minimizer>,
+    touched: Vec<u64>,
+    lookups: Vec<(u32, u32)>,
+    hits: Vec<(u32, u32, BucketRef)>,
+}
+
+thread_local! {
+    static SEED_BUFS: RefCell<SeedBufs> = RefCell::new(SeedBufs::default());
 }
 
 /// The indices of the set bits of a little-endian bitmask, ascending.
@@ -1237,94 +1400,134 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bloom_has_no_false_negatives() {
-        let hashes: Vec<u64> = (0..5000u64).map(|i| splitmix64(i * 7 + 3)).collect();
-        let b = Bloom::build(hashes.iter().copied());
-        for &h in &hashes {
-            assert!(b.contains(h));
-        }
-        // And a usable false-positive rate on fresh keys.
-        let fp = (0..10_000u64)
-            .map(|i| splitmix64(i.wrapping_mul(0xDEAD_BEEF).wrapping_add(1)))
-            .filter(|&h| b.contains(h))
-            .count();
-        assert!(fp < 1000, "false-positive rate too high: {fp}/10000");
-        assert!(!Bloom::build(std::iter::empty()).contains(42));
+    /// A shard's own two-probe filter as it stood before the filters were
+    /// sliced together: ~10 bits a key, a power of two of at least 64
+    /// bits, and a hash is in it when both of its masked probe bits are
+    /// set.
+    struct ModelFilter {
+        words: Vec<u64>,
     }
 
-    /// The one-filter answer as it was written before the probe pass: both
-    /// masked bits set, checked one after the other.
-    fn contains_model(b: &Bloom, h: u64) -> bool {
-        let bits = (b.words().len() * 64) as u64;
-        !b.words().is_empty()
-            && Bloom::probe_hashes(h).iter().all(|&p| {
-                let bit = p & (bits - 1);
-                b.words()[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
-            })
-    }
-
-    /// `collect_anchors` hashes a minimizer once and tests the two probes
-    /// against every filter in one pass; each minimizer's bitmask must be
-    /// what each shard's filter answers alone.
-    #[test]
-    fn probe_pass_answers_like_each_filter() {
-        let d = tmp_dir("probes");
-        let refs = multi_chrom(4, 20_000, 21);
-        build_sharded(&refs, &IdxOpts::MAP_ONT, 4, 1, &d.join("r.mmx")).unwrap();
-        let sh = ShardedIndex::open(&d.join("r.mmx"), ShardOpenOpts::default()).unwrap();
-        let blooms: Vec<&Bloom> = sh
-            .manifest()
-            .shards
-            .iter()
-            .map(|s| s.bloom.as_ref().unwrap())
-            .collect();
-        assert_eq!(blooms.len(), 4);
-        // 5 000 of the shards' own keys (present in one filter, mostly
-        // absent from the others), then 5 000 fresh hashes.
-        let mut hashes: Vec<u64> = (0..4)
-            .flat_map(|s| {
-                sh.ensure_shard(s)
-                    .unwrap()
-                    .hashes()
-                    .take(1_250)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(hashes.len(), 5_000);
-        hashes.extend((0..5_000u64).map(|i| splitmix64(i ^ 0x5EED)));
-        let ms: Vec<Minimizer> = hashes
-            .iter()
-            .map(|&hash| Minimizer {
-                hash,
-                pos: 0,
-                rev: false,
-                span: 15,
-            })
-            .collect();
-        let rows = sh.bloom_rows(&ms, 1);
-        let mut positive = 0;
-        for (&h, &row) in hashes.iter().zip(&rows) {
-            let want: u64 = (0..4)
-                .map(|s| u64::from(contains_model(blooms[s], h)) << s)
-                .sum();
-            assert_eq!(row, want, "hash {h:#x}");
-            for b in &blooms {
-                assert_eq!(b.contains(h), contains_model(b, h), "hash {h:#x}");
+    impl ModelFilter {
+        fn build(hashes: &[u64]) -> Self {
+            let bits = (hashes.len() * 10).next_power_of_two().max(64) as u64;
+            let mut words = vec![0u64; (bits / 64) as usize];
+            for &h in hashes {
+                for p in probe_hashes(h) {
+                    let bit = p % bits;
+                    words[(bit / 64) as usize] |= 1 << (bit % 64);
+                }
             }
-            positive += row.count_ones() as usize;
+            ModelFilter { words }
         }
-        assert!(positive >= 5_000, "{positive} positives");
-        assert!(positive < 5_000 + 4 * 5_000 / 10, "{positive} positives");
-        let empty = Bloom::from_words(Vec::new());
-        assert!(!empty.contains(42));
-        assert_eq!(empty.view().test(Bloom::probe_hashes(42)), 0);
-        // A parsed manifest's filter need not be a power of two words.
-        let odd = Bloom::from_words(vec![u64::MAX, 0, u64::MAX]);
-        for &h in &hashes {
-            assert_eq!(odd.contains(h), contains_model(&odd, h), "hash {h:#x}");
+
+        fn contains(&self, h: u64) -> bool {
+            let bits = self.words.len() as u64 * 64;
+            probe_hashes(h).iter().all(|&p| {
+                let bit = p % bits;
+                self.words[(bit / 64) as usize] >> (bit % 64) & 1 == 1
+            })
         }
-        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    fn minimizer(hash: u64) -> Minimizer {
+        Minimizer {
+            hash,
+            pos: 0,
+            rev: false,
+            span: 15,
+        }
+    }
+
+    /// The sliced filter answers every probe as each shard's own filter
+    /// does, bit for bit: at shard counts that fill a position, leave dead
+    /// bits in it (3, 5, 63) or spill into a second word (65), with shard
+    /// sizes spread so that the shards' own filters differ in size, for
+    /// every indexed hash and 3 000 fresh ones. The filter is the same at
+    /// any build thread count and passes the manifest's checks.
+    #[test]
+    fn sliced_rows_answer_like_each_shard_filter() {
+        let mut state = 0x51ED_u64;
+        let mut next = move || {
+            state = splitmix64(state);
+            state
+        };
+        for shards in [1usize, 2, 3, 4, 5, 63, 64, 65] {
+            let keys: Vec<Vec<u64>> = (0..shards)
+                .map(|s| (0..5 + (s * 389 + 200) % 1_500).map(|_| next()).collect())
+                .collect();
+            let models: Vec<ModelFilter> = keys.iter().map(|k| ModelFilter::build(k)).collect();
+            let sizes: std::collections::BTreeSet<usize> =
+                models.iter().map(|m| m.words.len()).collect();
+            assert!(shards == 1 || sizes.len() > 1, "{shards} shards: {sizes:?}");
+            let bits: Vec<Vec<u64>> = keys.iter().map(|k| shard_bits(k.iter().copied())).collect();
+            let filter = ShardFilter::build(&bits, 1);
+            assert_eq!(filter, ShardFilter::build(&bits, 3), "{shards} shards");
+            assert_eq!(filter.pos_bits(), position_bits(shards));
+            let parsed = ShardFilter::from_parts(
+                shards,
+                filter.pos_bits(),
+                filter.log2_positions(),
+                filter.words().to_vec(),
+            );
+            assert_eq!(parsed.as_ref(), Ok(&filter), "{shards} shards");
+
+            let mut hashes = keys.concat();
+            hashes.extend((0..3_000).map(|_| next()));
+            let ms: Vec<Minimizer> = hashes.iter().map(|&h| minimizer(h)).collect();
+            let mut touched = vec![0u64; shards.div_ceil(64)];
+            let mut lookups = Vec::new();
+            filter.probe(&ms, &mut touched, &mut lookups);
+            let mut want = Vec::new();
+            let mut want_touched = vec![0u64; touched.len()];
+            for (i, &h) in hashes.iter().enumerate() {
+                for (s, model) in models.iter().enumerate() {
+                    if model.contains(h) {
+                        want.push((i as u32, s as u32));
+                        want_touched[s / 64] |= 1 << (s % 64);
+                    }
+                }
+            }
+            assert!(lookups == want, "{shards} shards: rows differ");
+            assert_eq!(touched, want_touched, "{shards} shards");
+            // Every key is in its own shard's filter; fresh hashes mostly
+            // in none.
+            assert!(lookups.len() >= keys.concat().len(), "{shards} shards");
+        }
+    }
+
+    /// A manifest's filter is refused unless its geometry is the one its
+    /// shard count gives and no bit stands for a shard that does not exist.
+    #[test]
+    fn filter_geometry_is_checked() {
+        let bits: Vec<Vec<u64>> = (0..3u32)
+            .map(|s| shard_bits((0..40 * (s + 1)).map(|i| splitmix64(u64::from(i)))))
+            .collect();
+        let f = ShardFilter::build(&bits, 1);
+        let parts = |pos_bits: u64, log2: u32, words: Vec<u64>| {
+            ShardFilter::from_parts(3, pos_bits, log2, words).unwrap_err()
+        };
+        let (p, l, w) = (f.pos_bits(), f.log2_positions(), f.words().to_vec());
+        assert_eq!(p, 4);
+        assert!(parts(2, l, w.clone()).contains("need 4"));
+        assert!(parts(8, l - 1, w.clone()).contains("need 4"));
+        assert!(parts(p, l + 1, w.clone()).contains("words"));
+        assert!(parts(p, l - 1, w.clone()).contains("words"));
+        assert!(parts(p, 5, w[..w.len() / 2].to_vec()).contains("outside"));
+        assert!(parts(p, 63, w.clone()).contains("outside"));
+        // Bit 3 of a position would be a fourth shard.
+        let mut dead = w.clone();
+        dead[w.len() - 1] |= 1 << 63;
+        assert!(parts(p, l, dead).contains("past the last"));
+        // Above 64 shards the spare bits are in a row's last word.
+        let f = ShardFilter::build(&vec![shard_bits((0..10u32).map(u64::from)); 65], 1);
+        let mut dead = f.words().to_vec();
+        dead[1] |= 1 << 1;
+        let e = ShardFilter::from_parts(65, 128, f.log2_positions(), dead).unwrap_err();
+        assert!(e.contains("past the last"), "{e}");
+        // No shards: no bit may be set at all.
+        assert!(ShardFilter::from_parts(0, 1, 6, vec![0]).is_ok());
+        assert!(ShardFilter::from_parts(0, 1, 6, vec![1]).is_err());
     }
 
     #[test]
@@ -1343,7 +1546,6 @@ mod tests {
                     rid_count: 2,
                     file_len: 999,
                     dir_hash: 0xABCD,
-                    bloom: Some(Bloom::build([1, 2, 3].into_iter())),
                 },
                 ShardMeta {
                     path: "x.mmx.s001".into(),
@@ -1351,9 +1553,15 @@ mod tests {
                     rid_count: 1,
                     file_len: 555,
                     dir_hash: 0x1234,
-                    bloom: Some(Bloom::build([9].into_iter())),
                 },
             ],
+            filter: Some(ShardFilter::build(
+                &[
+                    shard_bits([1, 2, 3].into_iter()),
+                    shard_bits([9].into_iter()),
+                ],
+                1,
+            )),
         };
         let bytes = serialize_manifest(&m);
         let back = parse_manifest(&bytes).unwrap();
@@ -1362,7 +1570,7 @@ mod tests {
         assert_eq!(back.seq_names, m.seq_names);
         assert_eq!(back.shards.len(), 2);
         assert_eq!(back.shards[1].rid_start, 2);
-        assert_eq!(back.shards[0].bloom, m.shards[0].bloom);
+        assert_eq!(back.filter, m.filter);
         assert_eq!(back.shards[1].dir_hash, 0x1234);
 
         // Torn tail: typed corruption, caught by the declared length.
@@ -1390,6 +1598,14 @@ mod tests {
         other[3] = b'S';
         let e = parse_manifest(&other).unwrap_err();
         assert!(e.to_string().contains("bad manifest magic"), "{e}");
+
+        // Sketch parameters the sketcher would refuse are refused here,
+        // before a query reaches it.
+        for (k, w) in [(3, 10), (29, 10), (15, 0), (15, 256)] {
+            let bad = ShardManifest { k, w, ..m.clone() };
+            let e = parse_manifest(&serialize_manifest(&bad)).unwrap_err();
+            assert!(e.to_string().contains("sketch parameters"), "{e}");
+        }
     }
 
     #[test]
@@ -1407,8 +1623,8 @@ mod tests {
                 rid_count: 1,
                 file_len: 1,
                 dir_hash: 0,
-                bloom: Some(Bloom::build(std::iter::empty())),
             }],
+            filter: Some(ShardFilter::build(&[shard_bits(std::iter::empty())], 1)),
         };
         let e = parse_manifest(&serialize_manifest(&m)).unwrap_err();
         assert!(e.to_string().contains("bare file name"), "{e}");
@@ -1417,19 +1633,19 @@ mod tests {
         assert!(e.to_string().contains("bare file name"), "{e}");
     }
 
-    /// A two-unit repeat planted round-robin over four chromosomes of
-    /// random background: unit `i` is planted `copies[i]` times, so at two
-    /// and four shards no shard holds more than half-and-one of a unit's
-    /// copies. Returns the references and the two units.
-    fn planted(copies: [usize; 2], seed: u64) -> (Vec<SeqRecord>, [Vec<u8>; 2]) {
+    /// A two-unit repeat planted round-robin over `n` chromosomes of
+    /// random background: unit `i` is planted `copies[i]` times, so no
+    /// shard of a few chromosomes holds most of a unit's copies. Returns
+    /// the references and the two units.
+    fn planted(copies: [usize; 2], n: usize, seed: u64) -> (Vec<SeqRecord>, [Vec<u8>; 2]) {
         let mut bg = random_genome(200_000, seed).into_iter();
         let mut take = |n: usize| bg.by_ref().take(n).collect::<Vec<u8>>();
         let units = [take(300), take(300)];
-        let mut chroms: Vec<Vec<u8>> = (0..4).map(|_| take(4_000)).collect();
-        for (unit, &n) in units.iter().zip(&copies) {
-            for i in 0..n {
-                chroms[i % 4].extend_from_slice(unit);
-                chroms[i % 4].extend(take(1_500));
+        let mut chroms: Vec<Vec<u8>> = (0..n).map(|_| take(4_000)).collect();
+        for (unit, &copies) in units.iter().zip(&copies) {
+            for i in 0..copies {
+                chroms[i % n].extend_from_slice(unit);
+                chroms[i % n].extend(take(1_500));
             }
         }
         let refs = chroms
@@ -1449,7 +1665,7 @@ mod tests {
     /// every count then 5 or 30 times the sum.
     #[test]
     fn merged_counts_sum_the_keys_shards_share() {
-        let (refs, _) = planted([12, 37], 5);
+        let (refs, _) = planted([12, 37], 4, 5);
         for n_shards in [2, 3, 4] {
             let shards: Vec<MinimizerIndex> = partition(
                 &refs.iter().map(SeqRecord::len).collect::<Vec<_>>(),
@@ -1490,7 +1706,8 @@ mod tests {
 
     /// The one seeding path against the reference loop, at every shard
     /// count and origin: an in-memory build and a single-file container
-    /// (one shard, no filter) and manifests of 1, 2 and 4 shards. With
+    /// (one shard, no filter) and manifests of 1 to 5 shards (3 and 5 leave
+    /// dead bits in each filter position) over five chromosomes. With
     /// `occ_frac` 0.05 the cutoff is its floor, 10, and the two planted
     /// units have minimizers counted exactly 10 (kept) and 11 (filtered)
     /// over the whole reference — each split so that no shard alone
@@ -1507,7 +1724,7 @@ mod tests {
                 occ_frac: 0.05,
                 ..preset
             };
-            let (refs, units) = planted([MAX_OCC, MAX_OCC + 1], 70 + p as u64);
+            let (refs, units) = planted([MAX_OCC, MAX_OCC + 1], 5, 70 + p as u64);
             let gold = MinimizerIndex::build(&refs, &opts, 1).unwrap();
             let flat = d.join(format!("flat{p}.mmx"));
             crate::serialize::save_index(&gold, &flat).unwrap();
@@ -1515,7 +1732,7 @@ mod tests {
                 (0, ShardedIndex::build(&refs, &opts, 1).unwrap()),
                 (0, open(&flat)),
             ];
-            for n in [1, 2, 4] {
+            for n in [1, 2, 3, 4, 5] {
                 let path = d.join(format!("sharded{p}x{n}.mmx"));
                 build_sharded(&refs, &opts, n, 1, &path).unwrap();
                 indexes.push((n, open(&path)));
@@ -1526,7 +1743,7 @@ mod tests {
             // says so.
             assert_eq!(gold.max_occ as usize, MAX_OCC);
             for (unit, count) in units.iter().zip([MAX_OCC, MAX_OCC + 1]) {
-                let ms = sketch(unit, opts.k, opts.w, opts.hpc);
+                let ms = crate::index::sketch(unit, opts.k, opts.w, opts.hpc);
                 let at: Vec<u64> = ms
                     .iter()
                     .map(|m| m.hash)
@@ -1547,7 +1764,7 @@ mod tests {
             assert!(gold.collect_anchors(&units[1]).is_empty());
 
             let mut queries: Vec<Vec<u8>> = units.to_vec();
-            for rid in 0..4u32 {
+            for rid in 0..5u32 {
                 let len = gold.seq_len(rid);
                 queries.push(gold.ref_window(rid, 2_000, 6_000));
                 queries.push(gold.ref_window(rid, len - 3_000, len));
@@ -1569,8 +1786,8 @@ mod tests {
                         "preset {p}, {n} shards, query {i}"
                     );
                 }
-                assert_eq!(sh.num_seqs(), 4);
-                for rid in 0..4u32 {
+                assert_eq!(sh.num_seqs(), 5);
+                for rid in 0..5u32 {
                     let len = gold.seq_len(rid);
                     assert_eq!(
                         (sh.seq_name(rid), sh.seq_len(rid)),

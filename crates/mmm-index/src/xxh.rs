@@ -1,4 +1,4 @@
-//! XXH64 — the checksum guarding every v3 shard section.
+//! XXH64 — the checksum guarding every container section and manifest.
 //!
 //! The shard container (DESIGN.md §15) stores one 64-bit digest per
 //! section (header / packed sequences / bucket map / block pool) plus one

@@ -7,7 +7,9 @@
 //! place — so nothing else would notice the format drifting by a byte. The
 //! digests below were taken from the tree *before* the in-place index
 //! (PR 22's writer); a change to them is a format change and needs a new
-//! image version, not a new constant.
+//! image version, not a new constant. The manifest digests (the second of
+//! each list) are the v4 manifest's, whose one filter is bit-sliced; the
+//! flat and shard-file digests did not move with it.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmm_index::{build_sharded, save_index, xxh64, IdxOpts, MinimizerIndex};
@@ -80,7 +82,7 @@ fn every_index_file_is_byte_identical_to_the_pinned_format() {
 
 const GOLDEN_MAP_ONT: [u64; 6] = [
     0x8f23_5e10_68f0_a32d,
-    0x92e2_536a_cf61_75a8,
+    0x77db_99e0_501e_ce88,
     0xb681_d168_80b7_3cd7,
     0x42ac_bbb2_cf30_fd79,
     0x6f76_ae81_69f5_3acc,
@@ -88,7 +90,7 @@ const GOLDEN_MAP_ONT: [u64; 6] = [
 ];
 const GOLDEN_MAP_PB: [u64; 6] = [
     0xf20d_8dae_768e_38a4,
-    0xc5ff_65c5_7f96_424c,
+    0x8913_b93d_f9d5_0cb4,
     0xbe00_0aec_541d_eb98,
     0x2dc8_2424_27a8_bb35,
     0x546d_4664_24b3_2429,

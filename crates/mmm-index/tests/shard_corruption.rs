@@ -1,4 +1,4 @@
-//! On-disk corruption sweep over the v3 sharded format, end to end through
+//! On-disk corruption sweep over the sharded format, end to end through
 //! the public mmap path (DESIGN.md §15).
 //!
 //! The serialize.rs unit tests cover `parse_container` in isolation; this

@@ -97,17 +97,6 @@ impl<'a> SliceSource<'a> {
         let n = self.take_len_prefix(1)?;
         self.take_slice(n)
     }
-
-    /// A `u64`-prefixed vector of little-endian u64s.
-    pub fn take_u64_vec(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.take_len_prefix(8)?;
-        let words = self.take_slice(n * 8)?.chunks_exact(8).map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_le_bytes(b)
-        });
-        Ok(words.collect())
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +118,9 @@ mod tests {
     fn slice_source_vectors_and_bytes() {
         let d = sample();
         let mut s = SliceSource::new(&d);
-        assert_eq!(s.take_u64_vec().unwrap(), vec![10, 20, 30]);
+        assert_eq!(s.take_len_prefix(8).unwrap(), 3);
+        assert_eq!(s.take_u64().unwrap(), 10);
+        assert_eq!(s.take_slice(16).unwrap().len(), 16);
         assert_eq!(s.position(), 32);
         assert_eq!(s.take_bytes().unwrap(), b"hi");
         assert_eq!(s.remaining(), 0);
@@ -157,7 +148,7 @@ mod tests {
             d.extend_from_slice(b"tiny");
             let e = SliceSource::new(&d).take_bytes().unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "n={n}");
-            let e = SliceSource::new(&d).take_u64_vec().unwrap_err();
+            let e = SliceSource::new(&d).take_len_prefix(8).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "n={n}");
         }
     }

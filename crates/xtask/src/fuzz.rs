@@ -1,7 +1,8 @@
 //! Seeded structure-aware fuzzing of every byte format the binaries read
 //! from outside: the serve wire protocol (`manymap::serve::proto`), the
-//! FASTA/FASTQ reader (`mmm_seq::FastxReader`) and the index container
-//! (through `mmm_index::ShardedIndex::open`, the one file loader).
+//! FASTA/FASTQ reader (`mmm_seq::FastxReader`), the index container and the
+//! shard manifest (both through `mmm_index::ShardedIndex::open`, the one
+//! file loader).
 //!
 //! Each format is a [`Corpus`]: a generator of *valid* inputs from the
 //! seeded RNG that checks round-trip identity through the real codec, a
@@ -13,6 +14,9 @@
 //! detect, they do not authenticate: one family re-seals its damage behind
 //! recomputed digests, so the structural validation that runs after the
 //! checksum pass is fuzzed too — what it lets through is queried in full.
+//! A manifest that opens, damaged or forged behind a recomputed checksum,
+//! must answer every `collect_anchors` call: its filter's geometry and
+//! bits decide which shards a probe reads.
 //!
 //! The sweep core is generic over the corpora so a unit test can hand it a
 //! deliberately broken decoder (one that trusts a length prefix or a line
@@ -27,10 +31,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use manymap::index::{
-    container_section_ranges, save_index, xxh64, IdxOpts, MinimizerIndex, ShardOpenOpts,
-    ShardedIndex,
+    build_sharded, container_section_ranges, save_index, xxh64, IdxOpts, MinimizerIndex,
+    ShardOpenOpts, ShardedIndex,
 };
-use manymap::seq::{write_fasta, write_fastq, FastxReader, SeqRecord};
+use manymap::seq::{to_nt4, write_fasta, write_fastq, FastxReader, SeqRecord};
 use manymap::serve::proto::{decode_read, encode_read, read_frame, write_frame, Op, MAX_FRAME};
 
 /// splitmix64 — tiny, seedable, and good enough to decorrelate cases.
@@ -115,15 +119,17 @@ impl fmt::Display for Summary {
         write!(
             f,
             "{} cases round-tripped (frames, reads, FASTA/FASTQ, index \
-             containers), {} hostile mutations decoded without a panic",
+             containers, shard manifests), {} hostile mutations decoded \
+             without a panic",
             self.cases, self.mutations
         )
     }
 }
 
-/// Fuzz the real decoders of all four formats.
+/// Fuzz the real decoders of all five formats.
 pub fn run(cases: u64, seed: u64) -> Result<Summary, String> {
     let index = IndexCorpus::build(seed)?;
+    let manifests = ManifestCorpus::build(seed)?;
     let result = sweep(
         cases,
         seed,
@@ -161,9 +167,16 @@ pub fn run(cases: u64, seed: u64) -> Result<Summary, String> {
                 mutate: &mutate_container,
                 sink: &|bytes| index.open_hostile(bytes),
             },
+            Corpus {
+                decoder: "manifest loader",
+                valid: &|rng, _| Ok(manifests.files[rng.below(manifests.files.len())].clone()),
+                mutate: &mutate_manifest,
+                sink: &|bytes| manifests.open_hostile(bytes),
+            },
         ],
     );
     let _ = std::fs::remove_file(&index.scratch);
+    let _ = std::fs::remove_dir_all(&manifests.dir);
     result
 }
 
@@ -484,6 +497,171 @@ fn mutate_container(rng: &mut Rng, valid: &[u8]) -> (&'static str, Vec<u8>) {
     }
 }
 
+// --- shard manifest -----------------------------------------------------
+
+/// Layout of a manifest file (DESIGN.md §15.1), as the forger needs it: a
+/// 12-byte prefix (magic, payload length), the payload, and the payload's
+/// xxh64 in the last 8 bytes. The filter's geometry sits in the payload
+/// header: bits per position (`u32`), log2 of the position count (`u32`)
+/// and the word count (`u64`).
+const MANIFEST_PAYLOAD_OFF: usize = 12;
+const FILTER_POS_BITS_AT: usize = MANIFEST_PAYLOAD_OFF + 20;
+const FILTER_LOG2_AT: usize = MANIFEST_PAYLOAD_OFF + 24;
+const FILTER_WORDS_AT: usize = MANIFEST_PAYLOAD_OFF + 28;
+
+/// Valid `--shards 3` and `--shards 4` manifests of one reference, their
+/// shard files in `dir`, and the reads every opened variant is asked for.
+struct ManifestCorpus {
+    files: Vec<Vec<u8>>,
+    dir: PathBuf,
+    /// Where a variant is written: in `dir`, so the shard names it lists
+    /// resolve to the corpus's shard files.
+    scratch: PathBuf,
+    queries: Vec<Vec<u8>>,
+}
+
+impl ManifestCorpus {
+    fn build(seed: u64) -> Result<Self, String> {
+        let mut rng = Rng::new(seed ^ 0x3A41);
+        let dir = std::env::temp_dir().join(format!(
+            "xtask-fuzz-manifests-{}-{}",
+            std::process::id(),
+            SCRATCH_ID.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).map_err(|e| format!("fuzz manifest dir: {e}"))?;
+        // Unequal lengths, so the shards' filters differ in size.
+        let refs: Vec<SeqRecord> = [6_000, 1_500, 3_000, 800, 4_000]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| SeqRecord::new(format!("ref{i}"), rng.text(len, b"ACGT")))
+            .collect();
+        let flat = MinimizerIndex::build(&refs, &IdxOpts::MAP_ONT, 1)
+            .map_err(|e| format!("building the fuzz reference: {e}"))?;
+        let mut queries: Vec<Vec<u8>> = refs
+            .iter()
+            .map(|r| to_nt4(&r.seq[r.seq.len() / 4..r.seq.len() / 2]))
+            .collect();
+        queries.push(to_nt4(&rng.text(1_000, b"ACGT")));
+        let mut files = Vec::new();
+        for n in [3, 4] {
+            let path = dir.join(format!("s{n}.mmx"));
+            build_sharded(&refs, &IdxOpts::MAP_ONT, n, 1, &path)
+                .map_err(|e| format!("building the --shards {n} fuzz index: {e}"))?;
+            // Valid manifest → the one loader → the flat index's anchors.
+            let opened = ShardedIndex::open(&path, ShardOpenOpts::default())
+                .map_err(|e| format!("opening the --shards {n} fuzz index: {e}"))?;
+            for q in &queries {
+                if opened.collect_anchors(q).ok() != Some(flat.collect_anchors(q)) {
+                    return Err(format!(
+                        "--shards {n} fuzz index: manifest round-trip lost identity"
+                    ));
+                }
+            }
+            files.push(std::fs::read(&path).map_err(|e| format!("reading back: {e}"))?);
+        }
+        let scratch = dir.join("hostile.mmx");
+        Ok(ManifestCorpus {
+            files,
+            dir,
+            scratch,
+            queries,
+        })
+    }
+
+    /// Write `bytes` as a manifest beside the shard files and open it the
+    /// way the binaries do. One whose checksum does not hold must be
+    /// refused; one that opens must answer every seeding call, `Ok` or a
+    /// typed shard fault.
+    fn open_hostile(&self, bytes: &[u8]) -> Result<(), String> {
+        std::fs::write(&self.scratch, bytes).map_err(|e| format!("writing the variant: {e}"))?;
+        let Ok(opened) = ShardedIndex::open(&self.scratch, ShardOpenOpts::default()) else {
+            return Ok(());
+        };
+        if !manifest_sealed(bytes) {
+            return Err("a damaged manifest loaded".into());
+        }
+        for q in &self.queries {
+            let _ = opened.collect_anchors(q);
+        }
+        Ok(())
+    }
+}
+
+/// Whether a manifest's payload length and checksum hold.
+fn manifest_sealed(bytes: &[u8]) -> bool {
+    let n = bytes.len();
+    n >= MANIFEST_PAYLOAD_OFF + 8
+        && le_u64(bytes, 4) == (n - MANIFEST_PAYLOAD_OFF - 8) as u64
+        && le_u64(bytes, n - 8) == xxh64(&bytes[MANIFEST_PAYLOAD_OFF..n - 8], 0)
+}
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(b)
+}
+
+/// Recompute a manifest's payload checksum over whatever the payload now
+/// holds.
+fn reseal(m: &mut [u8]) {
+    let n = m.len();
+    let sum = xxh64(&m[MANIFEST_PAYLOAD_OFF..n - 8], 0);
+    m[n - 8..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// One hostile variant of a valid manifest file.
+fn mutate_manifest(rng: &mut Rng, valid: &[u8]) -> (&'static str, Vec<u8>) {
+    match rng.below(10) {
+        0 | 1 => ("bit-flipped", bit_flipped(rng, valid)),
+        2 | 3 => ("truncated", valid[..rng.below(valid.len().max(1))].to_vec()),
+        4..=6 => {
+            // Forge one field of the filter's geometry behind a recomputed
+            // checksum: only the manifest's own checks stand behind it.
+            let mut m = valid.to_vec();
+            let (at, width) = [
+                (FILTER_POS_BITS_AT, 4),
+                (FILTER_LOG2_AT, 4),
+                (FILTER_WORDS_AT, 8),
+            ][rng.below(3)];
+            let mut field = [0u8; 8];
+            field[..width].copy_from_slice(&m[at..at + width]);
+            let was = u64::from_le_bytes(field);
+            let forged = match rng.below(5) {
+                0 => was.wrapping_add(1),
+                1 => was.wrapping_sub(1),
+                2 => was.wrapping_mul(2),
+                3 => was / 2,
+                _ => rng.next(),
+            };
+            m[at..at + width].copy_from_slice(&forged.to_le_bytes()[..width]);
+            reseal(&mut m);
+            ("forged-filter-geometry", m)
+        }
+        7 | 8 => {
+            // Damage the payload — the header, the shard table or the
+            // filter's bits — then recompute its checksum.
+            let mut m = valid.to_vec();
+            let payload = MANIFEST_PAYLOAD_OFF..m.len() - 8;
+            for _ in 0..1 + rng.below(3) {
+                let at = payload.start + rng.below(payload.len());
+                m[at] = if rng.below(2) == 0 {
+                    m[at] ^ (1 << rng.below(8))
+                } else {
+                    rng.byte()
+                };
+            }
+            reseal(&mut m);
+            ("resealed", m)
+        }
+        _ => {
+            let mut m = valid.to_vec();
+            let extra = 1 + rng.below(32);
+            m.extend(rng.bytes(extra));
+            ("trailing-garbage", m)
+        }
+    }
+}
+
 // --- the sweep ----------------------------------------------------------
 
 /// The sweep core. Every case draws one valid input per corpus (checked to
@@ -594,6 +772,35 @@ mod tests {
         });
         assert!(err.contains("canary: a damaged container loaded"), "{err}");
         let _ = std::fs::remove_file(&index.scratch);
+    }
+
+    /// Canary: a manifest reader that checks the payload's checksum, then
+    /// trusts the filter's geometry and slices the words it declares off
+    /// the end of the payload.
+    #[test]
+    fn harness_catches_a_reader_that_trusts_the_filter_geometry() {
+        let manifests = ManifestCorpus::build(7).unwrap();
+        let valid =
+            |rng: &mut Rng, _| Ok(manifests.files[rng.below(manifests.files.len())].clone());
+        let err = canary(&valid, &mutate_manifest, &|bytes| {
+            if !manifest_sealed(bytes) {
+                return Ok(());
+            }
+            let field = |at: usize, width: usize| {
+                let mut b = [0u8; 8];
+                b[..width].copy_from_slice(&bytes[at..at + width]);
+                u64::from_le_bytes(b)
+            };
+            let pos_bits = field(FILTER_POS_BITS_AT, 4) as usize;
+            let log2 = field(FILTER_LOG2_AT, 4) as u32;
+            let words = (pos_bits << log2) / 64;
+            // Panics when the geometry promises more words than there are.
+            let _filter = &bytes[bytes.len() - 8 - 8 * words..bytes.len() - 8];
+            Ok(())
+        });
+        assert!(err.contains("canary: panicked"), "{err}");
+        assert!(err.contains("forged-filter-geometry"), "{err}");
+        let _ = std::fs::remove_dir_all(&manifests.dir);
     }
 
     /// Determinism: the same seed walks the same corpus.
